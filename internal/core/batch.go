@@ -31,7 +31,7 @@ type BatchResult struct {
 // enforces this, including against the map-pipeline oracle); the win is
 // constant-factor: every distinct graph across the whole batch is compiled
 // into one fused CSR mega-instance, compressed by a single LPA pass, cut
-// with the arena-backed flat eigensolver, and evaluated straight off the
+// with the arena-backed eigensolvers, and evaluated straight off the
 // fused arrays — instead of paying per-graph pipeline setup N times.
 //
 // With opts.Workers > 1 and the spectral engine, the recursive bisections of
@@ -139,12 +139,7 @@ func batchSolve(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 			gs[k] = distinct[gi]
 		}
 		f = graph.Fuse(gs)
-		fusedOpts := opts
-		if se, ok := fusedOpts.Engine.(SpectralEngine); ok {
-			se.flatEigen = true
-			fusedOpts.Engine = se
-		}
-		pp, ps, err := runPipelineFused(ctx, f, fusedOpts)
+		pp, ps, err := runPipelineFused(ctx, f, opts)
 		if err != nil {
 			// Per-item fallback keeps the batch API total: items still
 			// succeed or fail exactly as their individual solves would.

@@ -47,13 +47,6 @@ type SpectralEngine struct {
 	// DenseCutoff overrides the dense-eigensolver threshold (0 = default).
 	DenseCutoff int
 
-	// flatEigen routes dense Fiedler solves through the arena-backed flat
-	// kernel. Set only by the batch pipeline (the kernel is bit-identical to
-	// the reference — eigen's property tests enforce it — but the single-
-	// solve path stays on the reference so the batch-vs-looped benchmarks
-	// compare against today's committed behaviour).
-	flatEigen bool
-
 	// lanczosIters, when non-nil, accumulates the Lanczos iteration counts of
 	// every sparse Fiedler solve this engine value performs. Set per cut job
 	// by the incremental pipeline; inert with respect to results.
@@ -83,7 +76,7 @@ func (e SpectralEngine) Name() string {
 func (e SpectralEngine) spectralOptions() spectral.Options {
 	opts := spectral.Options{
 		DisableSweep:   e.DisableSweep,
-		Eigen:          eigen.FiedlerOptions{DenseCutoff: e.DenseCutoff, Flat: e.flatEigen, WarmStart: e.warmStart},
+		Eigen:          eigen.FiedlerOptions{DenseCutoff: e.DenseCutoff, WarmStart: e.warmStart},
 		FiedlerCapture: e.fiedlerCapture,
 	}
 	opts.Eigen.Lanczos.IterOut = e.lanczosIters

@@ -7,9 +7,9 @@ import (
 )
 
 // floatArena is a pooled bump allocator for the eigensolvers' internal
-// vectors and workspaces (the Lanczos basis and Ritz decomposition, the flat
-// dense Jacobi working matrices). One solve allocates O(maxIter) basis
-// vectors plus the Ritz decomposition; routing them through an arena makes a
+// vectors and workspaces: the Lanczos basis and Ritz decomposition
+// (O(maxIter) n-vectors plus maxIter²), and the dense kernel's n×n working
+// matrix plus a handful of n-vectors. Routing them through an arena makes a
 // steady-state Fiedler call touch the heap only for the eigenvector it
 // returns (which must escape and is therefore allocated normally — arena
 // memory never leaves the solver).
@@ -24,8 +24,6 @@ type floatArena struct {
 	ci     int // chunk currently bump-allocated from
 	off    int // next free slot in chunks[ci]
 	class  int // pool class this arena returns to
-	ints   []int
-	perm   diagPerm // boxed once per arena, not once per sort.Sort call
 }
 
 // arenaClassCap[k] is the largest take-hint class k serves; retained chunk
@@ -61,22 +59,21 @@ func getArena(hint int) *floatArena {
 func putArena(a *floatArena) {
 	a.reset()
 	// Trim retained capacity to the class cap: an arena that outgrew its
-	// class frees the excess here instead of pinning it in the pool.
+	// class frees the excess here instead of pinning it in the pool. Oldest
+	// chunks go first — a later chunk exists because a request did not fit
+	// the earlier ones, so it is the one the next solve of this class can
+	// use.
 	if a.class < len(arenaClassCap) {
-		budget := arenaClassCap[a.class]
 		total := 0
-		keep := 0
 		for _, c := range a.chunks {
-			if total+len(c) > budget {
-				break
-			}
 			total += len(c)
-			keep++
 		}
-		for i := keep; i < len(a.chunks); i++ {
-			a.chunks[i] = nil
+		drop := 0
+		for ; total > arenaClassCap[a.class]; drop++ {
+			total -= len(a.chunks[drop])
+			a.chunks[drop] = nil
 		}
-		a.chunks = a.chunks[:keep]
+		a.chunks = a.chunks[:copy(a.chunks, a.chunks[drop:])]
 	}
 	arenaPools[a.class].Put(a)
 }
@@ -114,13 +111,3 @@ func (a *floatArena) takeDirty(n int) []float64 {
 
 // vec is take typed as a matrix.Vector.
 func (a *floatArena) vec(n int) matrix.Vector { return matrix.Vector(a.take(n)) }
-
-// takeInts returns an uninitialised n-element int scratch. Unlike take it is
-// a single grow-only buffer, so at most one takeInts slice may be live per
-// arena at a time (the eigen permutation sort is the only user).
-func (a *floatArena) takeInts(n int) []int {
-	if cap(a.ints) < n {
-		a.ints = make([]int, n)
-	}
-	return a.ints[:n]
-}

@@ -22,13 +22,12 @@ func benchLaplacian(b *testing.B, n int) *matrix.CSR {
 	return l
 }
 
-func BenchmarkJacobi64(b *testing.B) {
+func BenchmarkDenseFiedler64(b *testing.B) {
 	l := benchLaplacian(b, 64)
-	d := l.Dense()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Jacobi(d, 1e-9); err != nil {
+		if _, _, err := Fiedler(l, FiedlerOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,8 +10,9 @@ import (
 
 // FiedlerOptions tunes Fiedler-pair computation. The zero value is valid.
 type FiedlerOptions struct {
-	// DenseCutoff is the dimension at or below which the dense Jacobi path
-	// is used instead of Lanczos; 0 means 96.
+	// DenseCutoff is the dimension at or below which the dense kernel
+	// (Householder + QL + inverse iteration) is used instead of Lanczos;
+	// 0 means 96.
 	DenseCutoff int
 	// Lanczos carries iteration options for the sparse path.
 	Lanczos LanczosOptions
@@ -20,21 +21,19 @@ type FiedlerOptions struct {
 	// parallel.MatVecOperator substitutes the paper's Spark-backed matrix
 	// multiplications. nil uses the serial CSR product.
 	Wrap func(*matrix.CSR) Operator
-	// Flat routes the dense path through the arena-backed flat Jacobi
-	// kernel (bit-for-bit identical results, far fewer allocations). Only
-	// valid when l is exactly symmetric, as graph Laplacians are; the flat
-	// kernel skips the tolerance-based symmetry pre-check.
+	// Flat is accepted and ignored — both values select the one dense
+	// kernel; delete together with its last reader in a benchmark-only PR.
 	Flat bool
-	// VecBuf, when non-nil, lets the flat kernel back the returned
+	// VecBuf, when non-nil, lets the dense kernel back the returned
 	// eigenvector with this grow-only buffer instead of a fresh
 	// allocation. The caller owns the buffer: the returned vector aliases
 	// it and is valid only until the next solve that passes the same
-	// buffer. Ignored by the reference dense and Lanczos paths.
+	// buffer. Ignored by the Lanczos path.
 	VecBuf *[]float64
 	// WarmStart, when non-nil and of dimension l.Rows(), seeds the Lanczos
 	// starting direction (see LanczosOptions.InitialVec). Ignored on the
-	// dense path, which diagonalises directly. Warm-started results agree
-	// with cold runs only within Lanczos.Tol, not bitwise.
+	// dense path, which solves directly. Warm-started results agree with
+	// cold runs only within Lanczos.Tol, not bitwise.
 	WarmStart []float64
 }
 
@@ -42,7 +41,10 @@ type FiedlerOptions struct {
 // its eigenvector (the Fiedler vector), the quantities Theorem 1 of the
 // paper uses to locate the minimum cut of a compressed sub-graph. The
 // Laplacian's smallest eigenvalue is 0 with the constant eigenvector, which
-// is deflated away; the returned vector is unit-norm and orthogonal to 1.
+// is deflated away; the returned vector is unit-norm, orthogonal to 1, and
+// canonically oriented (see orient) so that the dense kernel, a cold Lanczos
+// run and a warm-started one all name the two sides of the cut alike. l must
+// be symmetric: the dense kernel reads only its lower triangle.
 //
 // A one-node graph has no second eigenpair; it yields ErrEmpty.
 func Fiedler(l *matrix.CSR, opts FiedlerOptions) (float64, matrix.Vector, error) {
@@ -57,23 +59,37 @@ func Fiedler(l *matrix.CSR, opts FiedlerOptions) (float64, matrix.Vector, error)
 	if cutoff <= 0 {
 		cutoff = 96
 	}
+	var (
+		lambda float64
+		vec    matrix.Vector
+		err    error
+	)
 	if n <= cutoff {
-		if opts.Flat {
-			return fiedlerDenseFlat(l, opts.VecBuf)
-		}
-		return fiedlerDense(l)
+		lambda, vec, err = fiedlerDense(l, opts.VecBuf)
+	} else {
+		lambda, vec, err = fiedlerLanczos(l, opts)
 	}
-	return fiedlerLanczos(l, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	orient(vec)
+	return lambda, vec, nil
 }
 
-func fiedlerDense(l *matrix.CSR) (float64, matrix.Vector, error) {
-	vals, vecs, err := Jacobi(l.Dense(), 1e-9)
-	if err != nil {
-		return 0, nil, fmt.Errorf("fiedler dense: %w", err)
+// orient flips v in place so that its largest-magnitude entry — the lowest
+// index among exact ties — is positive. An eigenvector's sign is an accident
+// of the solver (reflector signs, the Lanczos start vector), and the sign
+// decides which side of the cut is called A and every tie-break after it.
+func orient(v matrix.Vector) {
+	big := 0
+	for i, x := range v {
+		if math.Abs(x) > math.Abs(v[big]) {
+			big = i
+		}
 	}
-	v := vecs.Col(1)
-	v.Normalize()
-	return vals[1], v, nil
+	if v[big] < 0 {
+		v.Scale(-1)
+	}
 }
 
 func fiedlerLanczos(l *matrix.CSR, fopts FiedlerOptions) (float64, matrix.Vector, error) {

@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -8,18 +9,19 @@ import (
 	"copmecs/internal/matrix"
 )
 
+// ErrNotSymmetric is returned when the oracle's input is not symmetric.
+var ErrNotSymmetric = errors.New("eigen: matrix is not symmetric")
+
 // jacobiMaxSweeps bounds the cyclic Jacobi iteration; 50 sweeps is far more
 // than any symmetric matrix needs (convergence is quadratic).
 const jacobiMaxSweeps = 50
 
-// Jacobi computes the full eigendecomposition of a symmetric dense matrix
-// using the cyclic Jacobi rotation method. It returns the eigenvalues in
-// ascending order and the corresponding eigenvectors as the columns of the
-// returned matrix. The input is not modified.
-//
-// Jacobi is exact, robust and O(n³) per sweep, which is fine for the
-// compressed sub-graphs the offloading pipeline feeds it (a few hundred
-// nodes); use Lanczos for larger operators.
+// Jacobi is the test-side oracle for the dense Fiedler kernel: the full
+// eigendecomposition of a symmetric dense matrix by cyclic Jacobi rotations,
+// sharing no code with the Householder/QL/inverse-iteration path it checks.
+// It returns the eigenvalues in ascending order and the corresponding
+// eigenvectors as the columns of the returned matrix. The input is not
+// modified. Exact and robust, but O(n³) per sweep for all n vectors.
 func Jacobi(a *matrix.Dense, symTol float64) ([]float64, *matrix.Dense, error) {
 	n := a.Rows()
 	if n == 0 {

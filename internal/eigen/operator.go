@@ -1,10 +1,11 @@
 // Package eigen implements the symmetric eigensolvers behind the paper's
-// spectral minimum-cut search (Section III-B, Theorems 1–3): a cyclic Jacobi
-// decomposition for dense matrices, an implicit-shift QL solver for symmetric
-// tridiagonal matrices, and a Lanczos iteration with full
-// reorthogonalisation for the extreme eigenpairs of large sparse operators.
-// A Fiedler helper combines them to return the second-smallest eigenpair of
-// a graph Laplacian, which is what Algorithm 2 consumes.
+// spectral minimum-cut search (Section III-B, Theorems 1–3): an implicit-shift
+// QL solver for symmetric tridiagonal matrices, a Lanczos iteration with full
+// reorthogonalisation for the extreme eigenpairs of large sparse operators,
+// and a dense single-eigenpair kernel (Householder tridiagonalisation, QL
+// eigenvalues, inverse iteration) for small Laplacians. Fiedler chooses
+// between the last two by dimension and returns the second-smallest
+// eigenpair of a graph Laplacian, which is what Algorithm 2 consumes.
 package eigen
 
 import (
@@ -16,8 +17,6 @@ import (
 
 // Errors returned by the solvers.
 var (
-	// ErrNotSymmetric is returned when a dense input is not symmetric.
-	ErrNotSymmetric = errors.New("eigen: matrix is not symmetric")
 	// ErrNoConvergence is returned when an iteration exceeds its budget.
 	ErrNoConvergence = errors.New("eigen: iteration did not converge")
 	// ErrEmpty is returned for zero-dimensional problems.

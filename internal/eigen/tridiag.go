@@ -18,7 +18,7 @@ const tqlMaxIter = 60
 // is expressed in (identity for standalone use, or the Lanczos basis V);
 // its columns are rotated into eigenvectors in place.
 //
-// d and e are modified in place; d holds the eigenvalues afterwards.
+// d holds the eigenvalues afterwards; e is left as given.
 func SymTridiagEigen(d, e []float64, vecs [][]float64) error {
 	n := len(d)
 	if n == 0 {
@@ -30,11 +30,18 @@ func SymTridiagEigen(d, e []float64, vecs [][]float64) error {
 	if n == 1 {
 		return nil
 	}
-	// Work on a shifted copy of e so e[i] is the coupling below d[i].
+	// Work on a copy of e padded to n entries, so e itself is left alone.
 	sub := make([]float64, n)
 	copy(sub[:n-1], e[:n-1])
-	sub[n-1] = 0
+	return tqlImplicit(d, sub, vecs)
+}
 
+// tqlImplicit is SymTridiagEigen on caller-owned scratch: sub has len(d)
+// entries, sub[i] coupling d[i] and d[i+1], with sub[n−1] ignored. Both
+// slices are overwritten.
+func tqlImplicit(d, sub []float64, vecs [][]float64) error {
+	n := len(d)
+	sub[n-1] = 0
 	for l := 0; l < n; l++ {
 		for iter := 0; ; iter++ {
 			// Find a negligible sub-diagonal element.

@@ -19,7 +19,7 @@ type bisectScratch struct {
 	order  []int
 	inA    []bool
 	lap    matrix.CSR // reusable Laplacian header over the buffers above
-	vecBuf []float64  // backing store for the flat kernel's Fiedler vector
+	vecBuf []float64  // backing store for the dense kernel's Fiedler vector
 }
 
 var bisectScratchPool = sync.Pool{New: func() any { return new(bisectScratch) }}
@@ -105,7 +105,7 @@ func BisectCSRInto(off, tgt []int32, wts []float64, sides []int32, opts Options)
 		return nil, nil, fmt.Errorf("spectral: %w", err)
 	}
 	// The Fiedler vector is consumed by the sweep below and never escapes
-	// this call, so the flat kernel may back it with the pooled scratch
+	// this call, so the dense kernel may back it with the pooled scratch
 	// buffer instead of a fresh allocation.
 	eopts := opts.Eigen
 	eopts.VecBuf = &s.vecBuf

@@ -1,5 +1,5 @@
 #!/bin/sh
-# perf_gate.sh OLD.txt NEW.txt [MAX_REGRESSION_PCT] [MIN_SPEEDUP_X] [MIN_INCREMENTAL_X]
+# perf_gate.sh OLD.txt NEW.txt [MAX_REGRESSION_PCT] [MIN_SPEEDUP_X] [MIN_INCREMENTAL_X] [MIN_DENSE_X]
 #
 # Compares two `go test -bench` text outputs (e.g. the committed
 # results/bench_core_baseline.txt against a fresh results/bench_core.txt),
@@ -13,27 +13,41 @@
 # Additionally, any benchmark in the NEW run reporting a speedup_x metric
 # (BenchmarkBatchSpeedup: fused batch throughput over the looped
 # single-solve baseline, measured interleaved within one process so host
-# drift cancels) must average at least MIN_SPEEDUP_X (default 1.4). This is
+# drift cancels) must average at least MIN_SPEEDUP_X (default 1.2). This is
 # an absolute floor, not a relative comparison: the gate holds the fused
 # win itself. (The floor was 2.0 until the single-solve cut evaluation
-# grew a flat-membership fast path; the fused CSR path already evaluated
-# on flat arrays, so the looped baseline caught up and the honest fused
-# margin is now ~1.5x.)
+# grew a flat-membership fast path, then 1.4 until the dense Householder
+# Fiedler kernel replaced both Jacobi paths: the looped baseline had been
+# paying for the allocating Jacobi and gained more than the fused path's
+# flat one, so both sides got faster — looped 7.48 -> 5.63 ms, fused
+# 4.97 -> 4.12 ms per 64-graph round — and the honest fused margin is now
+# ~1.3x.)
 #
 # BenchmarkIncrementalResolve/n=5000 gets its own floor MIN_INCREMENTAL_X
-# (default 5.0): the incremental re-solve pipeline exists to beat cold
-# solves by >=5x on full-scale graphs under 1% localized churn, so that
-# claim is gated directly. The n=1000 entry reports its ratio but is held
-# only to the generic MIN_SPEEDUP_X (small graphs amortise less).
+# (default 3.5): the incremental re-solve pipeline exists to beat cold
+# solves on full-scale graphs under 1% localized churn, so that claim is
+# gated directly. (The floor was 5.0 while a cold solve spent most of its
+# time in dense Jacobi; with the Householder kernel the cold side fell from
+# ~120 to ~44 ms per four-step block and the incremental side from ~19 to
+# ~11 ms — it re-cuts one dirty component, so it gained less — and the
+# measured ratio is ~3.9x. inc_ns / cold_ns report the two sides.) The
+# n=1000 entry reports its ratio but is held only to the generic
+# MIN_SPEEDUP_X (small graphs amortise less).
+#
+# BenchmarkDenseFiedlerSpeedup/n=80 (internal/eigen: the dense kernel over
+# its Jacobi oracle, interleaved) must average at least MIN_DENSE_X
+# (default 5.0); measured ~32x. Its other sizes report their ratios under
+# the generic floor.
 set -eu
 
-old=${1:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP]}
-new=${2:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP]}
+old=${1:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE]}
+new=${2:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE]}
 max=${3:-15}
-minspeed=${4:-1.4}
-mininc=${5:-5.0}
+minspeed=${4:-1.2}
+mininc=${5:-3.5}
+mindense=${6:-5.0}
 
-awk -v max="$max" -v minspeed="$minspeed" -v mininc="$mininc" '
+awk -v max="$max" -v minspeed="$minspeed" -v mininc="$mininc" -v mindense="$mindense" '
 FNR == NR && /^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	for (i = 2; i <= NF; i++) if ($i == "ns/op") { osum[name] += $(i-1); ocnt[name]++ }
@@ -67,7 +81,9 @@ END {
 	slow = 0
 	for (name in ssum) {
 		s = ssum[name] / scnt[name]
-		floor = (name ~ /IncrementalResolve\/n=5000/) ? mininc : minspeed
+		floor = minspeed
+		if (name ~ /IncrementalResolve\/n=5000/) floor = mininc
+		if (name ~ /DenseFiedlerSpeedup\/n=80/) floor = mindense
 		verdict = (s < floor) ? "BELOW FLOOR" : "ok"
 		printf "%-55s %38.3f speedup_x (floor %s)  %s\n", name, s, floor, verdict
 		if (s < floor) slow = 1
