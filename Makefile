@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-json lint fuzz chaos bench bench-core bench-batch bench-serve bench-fleet fleet-smoke clean
+.PHONY: all build test race vet vet-json size lint fuzz chaos bench bench-core bench-batch bench-serve bench-fleet fleet-smoke clean
 
 # Open-loop smoke settings for bench-serve; see scripts/bench_serve.sh.
 BENCH_SERVE_QPS ?= 300
@@ -40,6 +40,12 @@ vet-json:
 	@mkdir -p results
 	@$(GO) run ./cmd/copmecs-vet -json ./... > results/VET.json; \
 		st=$$?; cat results/VET.json; exit $$st
+
+# size regenerates results/SIZE.json: non-test Go lines per package under
+# internal/ and cmd/ (test lines reported beside them) plus totals. CI diffs
+# it like VET.json, so "least code" has a committed trajectory.
+size:
+	@./scripts/size.sh > results/SIZE.json; cat results/SIZE.json
 
 # lint is vet plus a formatting gate; it fails if any file needs gofmt.
 lint: vet
@@ -134,14 +140,14 @@ bench-core:
 	@echo "wrote results/BENCH_core.json"; cat results/BENCH_core.json
 
 # bench-batch is the focused loop for the fused batch solver: first the
-# exactness property tests that pin BatchSolve to N independent Solve calls
-# bit for bit (including the map-pipeline oracle and the work-stealing
-# path), then the batch benchmarks — small-graph looped vs fused
-# throughput, the interleaved speedup ratio the perf gate floors at 1.2x, and
-# the large-graph work-stealing solve.
+# exactness tests that pin every entry point to the map-pipeline oracle and
+# BatchSolve to N independent Solve calls bit for bit (work-stealing path
+# included), then the batch benchmarks — small-graph looped vs fused
+# throughput, the interleaved speedup ratio the perf gate floors at 1.0x,
+# and the large-graph work-stealing solve.
 bench-batch:
 	$(GO) test -count=1 \
-		-run 'TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveMatchesMapOracle|TestBatchSolveWorkStealing' \
+		-run 'TestExactnessTable|TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveWorkStealing|TestParallelCutStageSubmitsNoDoomedSpeculation' \
 		./internal/core/
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
 		-bench='^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSpeedup$$|^BenchmarkBatchSolveLarge$$' .

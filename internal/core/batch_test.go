@@ -101,41 +101,15 @@ func TestPropertyBatchSolveMatchesLoopedSolve(t *testing.T) {
 	}
 }
 
-// TestBatchSolveMatchesMapOracle pins the fused CSR batch path to the
-// original map-based pipeline: three hops of trust (map pipeline → CSR
-// pipeline → fused batch) collapsed into one direct comparison.
-func TestBatchSolveMatchesMapOracle(t *testing.T) {
-	ctx := context.Background()
-	g1, err := netgen.Generate(netgen.Config{Nodes: 80, Edges: 160, Components: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := netgen.Generate(netgen.Config{Nodes: 50, Edges: 100, Components: 2, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := []BatchItem{
-		{Users: []UserInput{{Graph: g1}, {Graph: g2, FixedLocalWork: 4}}},
-		{Users: []UserInput{{Graph: g2}, {Graph: g2}}},
-	}
-	got := BatchSolve(ctx, items, Options{Workers: 1})
-	for i, it := range items {
-		want, err := Solve(ctx, it.Users, Options{Workers: 1, UseMapPipeline: true})
-		if err != nil {
-			t.Fatalf("map oracle item %d: %v", i, err)
-		}
-		if got[i].Err != nil {
-			t.Fatalf("batch item %d: %v", i, got[i].Err)
-		}
-		if !solutionsIdentical(t, got[i].Solution, want) {
-			t.Fatalf("batch item %d diverges from map-pipeline oracle", i)
-		}
-	}
+// TestBatchSolveErrors: item-level failures are isolated and carry the same
+// error text an individual Solve returns, whether the input is at fault or
+// the engine.
+func TestBatchSolveErrors(t *testing.T) {
+	t.Run("invalid items", testBatchSolveInvalidItems)
+	t.Run("engine fails on one graph", testBatchSolveEngineFailure)
 }
 
-// TestBatchSolveErrors: item-level failures are isolated and carry the same
-// error text an individual Solve returns.
-func TestBatchSolveErrors(t *testing.T) {
+func testBatchSolveInvalidItems(t *testing.T) {
 	ctx := context.Background()
 	g, err := netgen.Generate(netgen.Config{Nodes: 30, Edges: 60, Components: 1, Seed: 1})
 	if err != nil {
@@ -165,6 +139,81 @@ func TestBatchSolveErrors(t *testing.T) {
 	o := Options{Workers: 1, Params: bad}
 	if _, wantBad := Solve(ctx, items[2].Users, o); wantBad == nil || got[2].Err.Error() != wantBad.Error() {
 		t.Fatalf("item 2 err %q mismatches solve", got[2].Err)
+	}
+}
+
+// graphFailingEngine fails every bisection that touches a node of the
+// poisoned id range and otherwise cuts like the engine it wraps.
+type graphFailingEngine struct {
+	Engine
+	poisonFrom graph.NodeID
+}
+
+var errPoisoned = errors.New("poisoned graph")
+
+func (e graphFailingEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
+	for _, id := range g.Nodes() {
+		if id >= e.poisonFrom {
+			return nil, nil, errPoisoned
+		}
+	}
+	return e.Engine.Bisect(ctx, g)
+}
+
+// testBatchSolveEngineFailure: when the engine fails on one graph of a fused
+// round, only the items that reference that graph fail — with the error
+// their own Solve returns — and every other item equals its solo Solve.
+func testBatchSolveEngineFailure(t *testing.T) {
+	ctx := context.Background()
+	g1, err := netgen.Generate(netgen.Config{Nodes: 50, Edges: 100, Components: 2, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := netgen.Generate(netgen.Config{Nodes: 40, Edges: 80, Components: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The poisoned graph lives in its own id range so the engine can tell
+	// its blocks apart (uncompressed jobs carry the original NodeIDs).
+	const poisonFrom = graph.NodeID(1 << 20)
+	bad := graph.New(g2.NumNodes())
+	for _, id := range g2.Nodes() {
+		w, _ := g2.NodeWeight(id)
+		if err := bad.AddNode(id+poisonFrom, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range g2.Edges() {
+		if err := bad.AddEdge(e.U+poisonFrom, e.V+poisonFrom, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	items := []BatchItem{
+		{Users: []UserInput{{Graph: g1}}},
+		{Users: []UserInput{{Graph: bad}}},
+		{Users: []UserInput{{Graph: g1, FixedLocalWork: 3}, {Graph: bad}}},
+		{Users: []UserInput{{Graph: g2}, {Graph: g1}}},
+	}
+	for _, workers := range []int{1, 4} {
+		opts := Options{
+			Engine:             graphFailingEngine{MaxFlowEngine{}, poisonFrom},
+			DisableCompression: true,
+			Workers:            workers,
+		}
+		got := BatchSolve(ctx, items, opts)
+		for _, i := range []int{1, 2} {
+			if !errors.Is(got[i].Err, errPoisoned) {
+				t.Errorf("workers %d item %d: err %v, want the engine's", workers, i, got[i].Err)
+			}
+		}
+		for _, i := range []int{0, 3} {
+			if got[i].Err != nil {
+				t.Errorf("workers %d item %d: failed with %v beside a poisoned neighbour", workers, i, got[i].Err)
+			}
+		}
+		if !batchItemsEqualLooped(t, ctx, items, opts, got) {
+			t.Errorf("workers %d: batch diverges from solo solves", workers)
+		}
 	}
 }
 
@@ -258,5 +307,65 @@ func TestBatchSolveCancelled(t *testing.T) {
 	got := BatchSolve(ctx, []BatchItem{{Users: []UserInput{{Graph: g}}}}, Options{})
 	if len(got) != 1 || !errors.Is(got[0].Err, context.Canceled) {
 		t.Fatalf("got %+v, want context.Canceled", got)
+	}
+}
+
+// TestParallelCutStageSubmitsNoDoomedSpeculation: at MaxParts 2 a component
+// is done after its one split, so the parallel cut stage of a Workers 4
+// BatchSolve must submit exactly one bisection per component of two or more
+// super-nodes — the children of a final split are never speculated on. With
+// room for more blocks the speculation is live, and the answer is still the
+// serial one.
+func TestParallelCutStageSubmitsNoDoomedSpeculation(t *testing.T) {
+	ctx := context.Background()
+	g, err := netgen.Generate(netgen.Config{Nodes: 640, Edges: 1280, Components: 64, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := netgen.Generate(netgen.Config{Nodes: 300, Edges: 650, Components: 5, Seed: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []BatchItem{
+		{Users: []UserInput{{Graph: g}}},
+		{Users: []UserInput{{Graph: g2}, {Graph: g}}},
+	}
+
+	// The cut stage exactly as BatchSolve reaches it: the round's distinct
+	// graphs fused, compressed, one job per component.
+	opts := Options{MaxParts: 2, Workers: 4}.normalised()
+	cr, err := lpa.CompressCSR(graph.Fuse([]*graph.Graph{g, g2}).View, lpa.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := csrJobsFromCompressed(cr)
+	all := make([]int, len(jobs))
+	splittable := 0
+	for i := range jobs {
+		all[i] = i
+		if jobs[i].n >= 2 {
+			splittable++
+		}
+	}
+	sp := newSpeculation(opts.Workers)
+	comps := make([]compSolveState, len(jobs))
+	err = sp.cutJobs(ctx, opts, jobs, all, comps)
+	sp.sched.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.sched.Submitted(); got != splittable {
+		t.Errorf("%d bisections submitted for %d splittable components", got, splittable)
+	}
+
+	par := BatchSolve(ctx, items, Options{Workers: 4, MaxParts: 4})
+	ser := BatchSolve(ctx, items, Options{Workers: 1, MaxParts: 4})
+	for i := range items {
+		if par[i].Err != nil || ser[i].Err != nil {
+			t.Fatalf("item %d: par err %v, ser err %v", i, par[i].Err, ser[i].Err)
+		}
+		if !solutionsIdentical(t, par[i].Solution, ser[i].Solution) {
+			t.Errorf("item %d: MaxParts 4 with 4 workers diverges from serial", i)
+		}
 	}
 }

@@ -301,12 +301,12 @@ func TestGreedyDeltaMatchesFullRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	users := []UserInput{{Graph: g}, {Graph: g.Clone(), DeviceCompute: 50}}
-	opts := Options{Params: mec.Defaults()}
-	opts.Engine = SpectralEngine{}
-	parts, _, err := buildParts(context.Background(), users, Options{Engine: SpectralEngine{}, Params: mec.Defaults(), Workers: 1}, nil)
+	// DisableGreedy leaves the parts in the initial cut split.
+	sol, err := Solve(context.Background(), users, Options{DisableGreedy: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts := sol.Parts
 	st := newGreedyState(users, parts, mec.Defaults())
 	for step := 0; step < len(parts); step++ {
 		// Pick any remote part.

@@ -46,18 +46,6 @@ type SpectralEngine struct {
 	MatVecWorkers int
 	// DenseCutoff overrides the dense-eigensolver threshold (0 = default).
 	DenseCutoff int
-
-	// lanczosIters, when non-nil, accumulates the Lanczos iteration counts of
-	// every sparse Fiedler solve this engine value performs. Set per cut job
-	// by the incremental pipeline; inert with respect to results.
-	lanczosIters *int
-	// fiedlerCapture, when non-nil, receives the sub-graph-level Fiedler
-	// vector of the job's first split (see spectral.Options.FiedlerCapture).
-	fiedlerCapture *[]float64
-	// warmStart seeds the first split's Lanczos start vector — the
-	// incremental path's non-exact fast mode (DeltaOptions.WarmStart). The
-	// eigen layer ignores it on any split whose dimension differs.
-	warmStart []float64
 }
 
 var _ Engine = SpectralEngine{}
@@ -71,15 +59,13 @@ func (e SpectralEngine) Name() string {
 }
 
 // spectralOptions translates the engine configuration into the spectral
-// package's options; shared by the map-path Bisect and the CSR-native path
+// package's options; shared by Bisect and the pipeline's CSR-native splits
 // so the two can never drift apart.
 func (e SpectralEngine) spectralOptions() spectral.Options {
 	opts := spectral.Options{
-		DisableSweep:   e.DisableSweep,
-		Eigen:          eigen.FiedlerOptions{DenseCutoff: e.DenseCutoff, WarmStart: e.warmStart},
-		FiedlerCapture: e.fiedlerCapture,
+		DisableSweep: e.DisableSweep,
+		Eigen:        eigen.FiedlerOptions{DenseCutoff: e.DenseCutoff},
 	}
-	opts.Eigen.Lanczos.IterOut = e.lanczosIters
 	if e.Balanced {
 		opts.Objective = spectral.RatioCut
 	}

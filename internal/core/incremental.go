@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"copmecs/internal/graph"
-	"copmecs/internal/lpa"
 	"copmecs/internal/mec"
 	"copmecs/internal/numeric"
 )
@@ -18,19 +16,12 @@ import (
 // re-compressing and re-cutting costs about as much as a cold pipeline.
 const DefaultMaxTouchedFraction = 0.2
 
-// DeltaOptions tunes SolveDelta. The zero value is the exact mode with the
-// default fallback threshold.
+// DeltaOptions tunes SolveDelta. The zero value uses the default fallback
+// threshold.
 type DeltaOptions struct {
 	// MaxTouchedFraction is the cold-fallback threshold on
 	// TouchedEdges / patched edge count; 0 means DefaultMaxTouchedFraction.
 	MaxTouchedFraction float64
-	// WarmStart enables the non-exact fast mode: dirty components seed
-	// their first spectral split with the previous component's Fiedler
-	// vector, and the greedy pass starts from the previous placement
-	// instead of the cut split. Results then agree with a cold solve only
-	// up to the eigensolver tolerance and greedy's local optimum — leave
-	// this off when bit-for-bit reproducibility against Solve matters.
-	WarmStart bool
 }
 
 // DeltaStats reports what the incremental path did for one SolveDelta.
@@ -51,47 +42,9 @@ type DeltaStats struct {
 	// LanczosItersSaved is the total Lanczos iteration count recorded for
 	// the replayed components — the eigensolver work the replay avoided.
 	LanczosItersSaved int
-	// PatchTime covers Patch + incremental compression + dirty re-cuts;
-	// zero on the cold path.
+	// PatchTime covers the patched view's pipeline run — incremental
+	// compression, dirty re-cuts, template assembly; zero on the cold path.
 	PatchTime time.Duration
-}
-
-// compSolveState is the cached per-component pipeline outcome: the block
-// lists partitionCSR produced (local ids, valid for any bit-identical
-// component), the Lanczos iterations spent cutting it, and the component's
-// top-level Fiedler vector for warm starts.
-type compSolveState struct {
-	blocks  [][]int32
-	iters   int
-	fiedler []float64
-}
-
-// solveState is the cached incremental state for one solved graph: its
-// frozen view, its compression (nil when compression is disabled), and the
-// per-component outcomes aligned with csr.Components(). placement records
-// the final per-user part placements of the last solve over this graph
-// (nil unless every user shared it), for warm-started greedy.
-type solveState struct {
-	csr       *graph.CSR
-	cr        *lpa.CSRResult
-	comps     []compSolveState
-	nProtos   int
-	placement [][]bool
-}
-
-// effective mirrors solve's default filling for the fields the pipeline
-// reads, so state captured outside solve matches what solve runs.
-func effective(opts Options) Options {
-	if opts.Engine == nil {
-		opts.Engine = SpectralEngine{}
-	}
-	if opts.Params == (mec.Params{}) {
-		opts.Params = mec.Defaults()
-	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	return opts
 }
 
 // SolveDelta applies d to base and solves the mutated population, reusing
@@ -101,16 +54,18 @@ func effective(opts Options) Options {
 // are re-cut. The mutated graph (base is never modified) is returned along
 // with the solution; subsequent deltas against it stay incremental.
 //
-// In the default exact mode the solution is bit-for-bit identical to
-// Solve on the mutated graph: untouched components replay their recorded
-// cuts (pipeline outputs are pure functions of component-internal
-// structure), touched components re-run the identical cold code, and the
-// greedy pass runs in full. The equivalence property tests assert this.
+// The solution is bit-for-bit identical to Solve on the mutated graph:
+// untouched components replay their recorded cuts (pipeline outputs are pure
+// functions of component-internal structure), touched components re-run the
+// identical cold code, and the greedy pass runs in full. The exactness table
+// asserts this.
 //
 // Every user whose Graph is nil or base is solved against the mutated
 // graph. The cold path runs — reported in DeltaStats — when base has no
-// cached state, the delta's touched-edge fraction exceeds the threshold, or
-// the session uses the map pipeline.
+// cached delta state (only SolveDelta captures it) or the delta's
+// touched-edge fraction exceeds the threshold; it is the same pipeline call
+// with no predecessor, over the mutated graph's freshly compiled view, so
+// the next delta against the returned graph is incremental either way.
 func (s *Session) SolveDelta(ctx context.Context, base *graph.Graph, d *graph.Delta, users []UserInput, dopts DeltaOptions) (*graph.Graph, *Solution, *DeltaStats, error) {
 	return s.solveDelta(ctx, base, d, users, dopts, s.opts)
 }
@@ -140,28 +95,26 @@ func (s *Session) solveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 		}
 	}
 
+	// Decide between patching base's view and compiling mutated cold.
 	ds := &DeltaStats{}
-	st := s.lookupState(base)
-	reason := ""
-	switch {
-	case sopts.UseMapPipeline:
-		reason = "session uses the map pipeline"
-	case st == nil:
-		reason = "no cached state for base graph"
-	}
-
 	var (
-		patched *graph.CSR
-		info    *graph.PatchInfo
+		prev *solveState
+		view *graph.CSR
+		info *graph.PatchInfo
 	)
-	if reason == "" {
+	if gp := s.lookup(base); gp != nil {
+		prev = gp.delta
+	}
+	if prev == nil {
+		ds.FallbackReason = "no cached state for base graph"
+	} else {
 		var err error
-		patched, info, err = st.csr.Patch(d)
+		view, info, err = prev.view.View.Patch(d)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("core: patch: %w", err)
 		}
 		ds.TouchedEdges = info.TouchedEdges
-		if e := patched.NumEdges(); e > 0 {
+		if e := view.NumEdges(); e > 0 {
 			ds.TouchedFraction = float64(info.TouchedEdges) / float64(e)
 		} else if info.TouchedEdges > 0 {
 			ds.TouchedFraction = 1
@@ -171,303 +124,41 @@ func (s *Session) solveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 			maxFrac = DefaultMaxTouchedFraction
 		}
 		if ds.TouchedFraction > maxFrac {
-			reason = fmt.Sprintf("touched-edge fraction %.3f above threshold %.3f", ds.TouchedFraction, maxFrac)
+			ds.FallbackReason = fmt.Sprintf("touched-edge fraction %.3f above threshold %.3f", ds.TouchedFraction, maxFrac)
 		}
 	}
-	if reason != "" {
+	var oldCompOf []int32
+	if ds.FallbackReason != "" {
 		ds.ColdFallback = true
-		ds.FallbackReason = reason
-		sol, err := s.solveCapturing(ctx, mutated, us, sopts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return mutated, sol, ds, nil
-	}
-
-	patchStart := time.Now()
-	opts := effective(sopts)
-	protos, ps, newState, err := s.incrementalPipeline(ctx, opts, patched, info, st, dopts.WarmStart, ds)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ds.Incremental = true
-	ds.PatchTime = time.Since(patchStart)
-	s.store(mutated, protos, ps)
-	s.storeState(mutated, newState)
-
-	var sol *Solution
-	if dopts.WarmStart {
-		sol, err = s.solveWarm(ctx, opts, us, mutated, st)
+		prev, view = nil, mutated.Compile()
 	} else {
-		sol, err = solve(ctx, us, sopts, s)
+		ds.Incremental = true
+		oldCompOf = info.OldCompOf
+		for _, oc := range oldCompOf {
+			if oc >= 0 {
+				ds.CleanComponents++
+				ds.LanczosItersSaved += prev.comps[oc].iters
+			}
+		}
+		ds.DirtyComponents = len(oldCompOf) - ds.CleanComponents
 	}
+
+	start := time.Now()
+	out, st, err := runPipeline(ctx, sopts.normalised(), singleSpan(view), prev, oldCompOf)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s.recordPlacement(mutated, us, sol)
+	if ds.Incremental {
+		ds.PatchTime = time.Since(start)
+	}
+	out[0].delta = st
+	s.store(mutated, &out[0])
+
+	// The back half, and the pipeline of any other graph the population
+	// names, is a regular solve that finds mutated in the cache.
+	sol, err := solveOne(ctx, us, sopts, s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	return mutated, sol, ds, nil
-}
-
-// solveCapturing is the cold path of SolveDelta: a regular solve, but the
-// pipeline for g additionally captures the incremental state so the next
-// delta against g avoids it.
-func (s *Session) solveCapturing(ctx context.Context, g *graph.Graph, users []UserInput, sopts Options) (*Solution, error) {
-	if !sopts.UseMapPipeline && s.lookupState(g) == nil {
-		opts := effective(sopts)
-		protos, ps, st, err := capturePipeline(ctx, opts, g.Compile())
-		if err != nil {
-			return nil, err
-		}
-		s.store(g, protos, ps)
-		s.storeState(g, st)
-	}
-	sol, err := solve(ctx, users, sopts, s)
-	if err != nil {
-		return nil, err
-	}
-	s.recordPlacement(g, users, sol)
-	return sol, nil
-}
-
-// instrumented returns the engine to use for one cut job, wiring the
-// iteration counter, Fiedler capture, and warm-start vector into spectral
-// engines (inert for results unless warm is non-nil). Other engine types run
-// as-is with zero recorded iterations.
-func instrumented(engine Engine, iters *int, fiedler *[]float64, warm []float64) Engine {
-	se, ok := engine.(SpectralEngine)
-	if !ok {
-		return engine
-	}
-	se.lanczosIters = iters
-	se.fiedlerCapture = fiedler
-	se.warmStart = warm
-	return se
-}
-
-// capturePipeline is runPipelineCSR recording the incremental state: the
-// compression result, and per component its blocks, Lanczos iteration count
-// and top-level Fiedler vector. The instrumentation does not perturb any
-// result — the emitted protos are bit-identical to runPipelineCSR's.
-func capturePipeline(ctx context.Context, opts Options, c *graph.CSR) ([]protoPart, pipelineStats, *solveState, error) {
-	var (
-		jobs []csrJob
-		cr   *lpa.CSRResult
-	)
-	if opts.DisableCompression {
-		jobs = csrJobsUncompressed(c)
-	} else {
-		lopts := opts.LPA
-		if lopts.Workers == 0 {
-			lopts.Workers = opts.Workers
-		}
-		var err error
-		cr, err = lpa.CompressCSR(c, lopts)
-		if err != nil {
-			return nil, pipelineStats{}, nil, fmt.Errorf("core: %w", err)
-		}
-		jobs = csrJobsFromCompressed(cr)
-	}
-	st := &solveState{csr: c, cr: cr, comps: make([]compSolveState, len(jobs))}
-	blocksOf := make([][][]int32, len(jobs))
-	if err := runCutJobs(ctx, opts, jobs, blocksOf, st.comps, nil, nil); err != nil {
-		return nil, pipelineStats{}, nil, err
-	}
-	protos, ps := assembleProtos(c, jobs, blocksOf)
-	st.nProtos = len(protos)
-	return protos, ps, st, nil
-}
-
-// runCutJobs partitions the listed jobs (all of them when only is nil) in
-// parallel, recording blocks and per-component instrumentation. warmOf, when
-// non-nil, supplies a warm-start vector per job index.
-func runCutJobs(ctx context.Context, opts Options, jobs []csrJob, blocksOf [][][]int32, comps []compSolveState, only []int, warmOf map[int][]float64) error {
-	maxParts := opts.MaxParts
-	if maxParts < 2 {
-		maxParts = 2
-	}
-	n := len(jobs)
-	if only != nil {
-		n = len(only)
-	}
-	return parallelForEach(opts.Workers, n, func(k int) error {
-		i := k
-		if only != nil {
-			i = only[k]
-		}
-		cs := &comps[i]
-		blocks, err := partitionCSR(ctx, &jobs[i], instrumented(opts.Engine, &cs.iters, &cs.fiedler, warmOf[i]), maxParts)
-		if err != nil {
-			return fmt.Errorf("core: cut sub-graph: %w", err)
-		}
-		blocksOf[i] = blocks
-		cs.blocks = blocks
-		return nil
-	})
-}
-
-// assembleProtos expands the jobs' blocks into part templates, exactly as
-// runPipelineCSR does.
-func assembleProtos(c *graph.CSR, jobs []csrJob, blocksOf [][][]int32) ([]protoPart, pipelineStats) {
-	var ps pipelineStats
-	total := 0
-	for i := range jobs {
-		ps.nodesAfter += jobs[i].n
-		ps.edgesAfter += jobs[i].nnz() / 2
-		total += len(blocksOf[i])
-	}
-	protos := make([]protoPart, 0, total)
-	var sc protoScratch
-	sc.prime(c.NumNodes(), len(jobs), false)
-	for i := range jobs {
-		protos = appendJobProtos(protos, &jobs[i], blocksOf[i], c.IDs(), 0, false, &sc)
-	}
-	return protos, ps
-}
-
-// incrementalPipeline produces the patched graph's part templates from the
-// base state: clean components replay their recorded outcomes, dirty ones
-// re-run compression (already folded into CompressCSRIncremental) and the
-// cut engine. Returns the new state for the patched graph.
-func (s *Session) incrementalPipeline(ctx context.Context, opts Options, patched *graph.CSR, info *graph.PatchInfo, st *solveState, warmStart bool, ds *DeltaStats) ([]protoPart, pipelineStats, *solveState, error) {
-	var (
-		jobs []csrJob
-		cr   *lpa.CSRResult
-		err  error
-	)
-	if opts.DisableCompression {
-		jobs = csrJobsUncompressed(patched)
-	} else {
-		lopts := opts.LPA
-		if lopts.Workers == 0 {
-			lopts.Workers = opts.Workers
-		}
-		cr, err = lpa.CompressCSRIncremental(patched, lopts, st.cr, info.OldCompOf)
-		if err != nil {
-			return nil, pipelineStats{}, nil, fmt.Errorf("core: %w", err)
-		}
-		jobs = csrJobsFromCompressed(cr)
-	}
-	if len(jobs) != len(info.OldCompOf) {
-		return nil, pipelineStats{}, nil, fmt.Errorf("core: %d jobs for %d components", len(jobs), len(info.OldCompOf))
-	}
-
-	newState := &solveState{csr: patched, cr: cr, comps: make([]compSolveState, len(jobs))}
-	blocksOf := make([][][]int32, len(jobs))
-	var dirty []int
-	for i := range jobs {
-		oc := info.OldCompOf[i]
-		if oc < 0 {
-			dirty = append(dirty, i)
-			continue
-		}
-		newState.comps[i] = st.comps[oc]
-		blocksOf[i] = st.comps[oc].blocks
-		ds.LanczosItersSaved += st.comps[oc].iters
-	}
-	ds.CleanComponents = len(jobs) - len(dirty)
-	ds.DirtyComponents = len(dirty)
-
-	var warmOf map[int][]float64
-	if warmStart {
-		warmOf = make(map[int][]float64, len(dirty))
-		for _, i := range dirty {
-			if v := st.warmVectorFor(patched, info, i); v != nil {
-				warmOf[i] = v
-			}
-		}
-	}
-	if err := runCutJobs(ctx, opts, jobs, blocksOf, newState.comps, dirty, warmOf); err != nil {
-		return nil, pipelineStats{}, nil, err
-	}
-	protos, ps := assembleProtos(patched, jobs, blocksOf)
-	newState.nProtos = len(protos)
-	return protos, ps, newState, nil
-}
-
-// warmVectorFor locates the base component a dirty patched component grew
-// out of — via its first surviving member — and returns that component's
-// recorded Fiedler vector. nil when the component is all new nodes or the
-// base recorded none; a dimension mismatch is filtered downstream by the
-// eigensolver.
-func (st *solveState) warmVectorFor(patched *graph.CSR, info *graph.PatchInfo, comp int) []float64 {
-	for _, u := range patched.Components()[comp] {
-		ou := u
-		if info.NewToOld != nil {
-			ou = info.NewToOld[u]
-		}
-		if ou < 0 {
-			continue
-		}
-		return st.comps[st.csr.ComponentOf(ou)].fiedler
-	}
-	return nil
-}
-
-// solveWarm is solve over the (cached) patched pipeline with the greedy
-// pass warm-started from the previous placement when its shape carries
-// over; otherwise greedy starts from the cut split as usual.
-func (s *Session) solveWarm(ctx context.Context, opts Options, users []UserInput, g *graph.Graph, prev *solveState) (*Solution, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := opts.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	pipelineStart := time.Now()
-	parts, stats, err := buildParts(ctx, users, opts, s)
-	if err != nil {
-		return nil, err
-	}
-	stats.PipelineTime = time.Since(pipelineStart)
-	if st := s.lookupState(g); st != nil && prev.placement != nil &&
-		len(prev.placement) == len(users) && len(parts) == len(users)*st.nProtos {
-		allShared := true
-		for _, u := range users {
-			if u.Graph != g {
-				allShared = false
-				break
-			}
-		}
-		if allShared {
-			for pi := range parts {
-				ui, k := pi/st.nProtos, pi%st.nProtos
-				if k < len(prev.placement[ui]) {
-					parts[pi].Remote = prev.placement[ui][k]
-					parts[pi].InitialRemote = parts[pi].Remote
-				}
-			}
-		}
-	}
-	return finishSolve(users, parts, stats, opts)
-}
-
-// recordPlacement stores the solution's final per-user placements in g's
-// state for future warm-started greedy runs. Only recorded when every user
-// solved g and the parts decompose into per-user runs of the graph's proto
-// count.
-func (s *Session) recordPlacement(g *graph.Graph, users []UserInput, sol *Solution) {
-	st := s.lookupState(g)
-	if st == nil || st.nProtos == 0 || len(users) == 0 ||
-		len(sol.Parts) != len(users)*st.nProtos {
-		return
-	}
-	for _, u := range users {
-		if u.Graph != g {
-			return
-		}
-	}
-	placement := make([][]bool, len(users))
-	for ui := range placement {
-		placement[ui] = make([]bool, st.nProtos)
-		for k := 0; k < st.nProtos; k++ {
-			p := sol.Parts[ui*st.nProtos+k]
-			if p.User != ui {
-				return
-			}
-			placement[ui][k] = p.Remote
-		}
-	}
-	s.mu.Lock()
-	st.placement = placement
-	s.mu.Unlock()
 }

@@ -4,14 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"copmecs/internal/graph"
 	"copmecs/internal/mec"
 	"copmecs/internal/netgen"
 )
 
-// solveChurn is a seeded delta generator for the SolveDelta property tests:
+// solveChurn is a seeded delta generator for the exactness table's delta chains:
 // weight drift, edge churn, and node churn strong enough to split and merge
 // components across a chained sequence.
 func solveChurn(rng *rand.Rand, g *graph.Graph) *graph.Delta {
@@ -60,76 +59,6 @@ func solveChurn(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 			graph.NodeDelta{ID: alive[rng.Intn(len(alive))], Weight: 1 + rng.Float64()*80})
 	}
 	return d
-}
-
-// TestPropertySolveDeltaMatchesColdSolve is the tentpole invariant: the
-// default (exact) SolveDelta is bit-for-bit the same solution a from-scratch
-// Solve produces on the patched graph, across chained add/remove/weight-drift
-// sequences that split and merge components.
-func TestPropertySolveDeltaMatchesColdSolve(t *testing.T) {
-	f := func(seed int64, nn, uu, flags uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nn%120) + 30
-		g, err := netgen.Generate(netgen.Config{Nodes: n, Edges: n * 2, Components: 3, Seed: seed})
-		if err != nil {
-			return true
-		}
-		opts := Options{Workers: 1 + int(flags%2)*3}
-		if flags&4 != 0 {
-			opts.DisableCompression = true
-		}
-		if flags&8 != 0 {
-			opts.MaxParts = 3
-		}
-		users := make([]UserInput, int(uu%3)+1)
-		for i := range users {
-			users[i] = UserInput{Graph: g, FixedLocalWork: float64(i) * 3}
-		}
-		sess := NewSession(opts)
-		// Prime incremental state for the base graph via the cold capture
-		// path, then chain deltas, comparing each against a cold solve.
-		if _, err := sess.Solve(context.Background(), users); err != nil {
-			t.Logf("prime solve: %v", err)
-			return false
-		}
-		cur := g
-		for step := 0; step < 3; step++ {
-			for i := range users {
-				users[i].Graph = cur
-			}
-			d := solveChurn(rng, cur)
-			// Raise the fallback threshold so small graphs exercise the
-			// incremental path rather than constantly falling back.
-			next, sol, ds, err := sess.SolveDelta(context.Background(), cur, d, users, DeltaOptions{MaxTouchedFraction: 0.95})
-			if err != nil {
-				t.Logf("SolveDelta step %d: %v", step, err)
-				return false
-			}
-			if step > 0 && ds.ColdFallback && ds.FallbackReason == "no cached state for base graph" {
-				t.Logf("step %d lost incremental state", step)
-				return false
-			}
-			coldUsers := make([]UserInput, len(users))
-			copy(coldUsers, users)
-			for i := range coldUsers {
-				coldUsers[i].Graph = next
-			}
-			cold, err := Solve(context.Background(), coldUsers, opts)
-			if err != nil {
-				t.Logf("cold solve step %d: %v", step, err)
-				return false
-			}
-			if !solutionsIdentical(t, sol, cold) {
-				t.Logf("step %d diverged (incremental=%v clean=%d dirty=%d)", step, ds.Incremental, ds.CleanComponents, ds.DirtyComponents)
-				return false
-			}
-			cur = next
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestSolveDeltaFirstCallIsColdCapture(t *testing.T) {
@@ -196,47 +125,6 @@ func TestSolveDeltaColdFallbackOnLargeDelta(t *testing.T) {
 	}
 	if !solutionsIdentical(t, sol, cold) {
 		t.Error("cold-fallback SolveDelta differs from from-scratch Solve")
-	}
-}
-
-func TestSolveDeltaWarmStartConverges(t *testing.T) {
-	// Warm start is documented non-exact; it must still produce a valid
-	// solution over the same parts with an objective in the same range.
-	g, err := netgen.Generate(netgen.Config{Nodes: 400, Edges: 900, Components: 4, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(Options{})
-	users := []UserInput{{Graph: g}, {Graph: g}}
-	// Prime incremental state through the cold capture path.
-	base, _, _, err := sess.SolveDelta(context.Background(), g, &graph.Delta{}, users, DeltaOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	users = []UserInput{{Graph: base}, {Graph: base}}
-	d := &graph.Delta{}
-	e := base.Edges()[0]
-	d.SetEdges = append(d.SetEdges, graph.EdgeDelta{U: e.U, V: e.V, Weight: e.Weight * 3})
-	next, warm, ds, err := sess.SolveDelta(context.Background(), base, d, users, DeltaOptions{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ds.Incremental {
-		t.Fatalf("stats %+v, want incremental", ds)
-	}
-	cold, err := Solve(context.Background(), []UserInput{{Graph: next}, {Graph: next}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Eval.Objective <= 0 {
-		t.Errorf("warm objective %v not positive", warm.Eval.Objective)
-	}
-	ratio := warm.Eval.Objective / cold.Eval.Objective
-	if ratio > 1.25 || ratio < 0.75 {
-		t.Errorf("warm objective %v vs cold %v (ratio %.3f)", warm.Eval.Objective, cold.Eval.Objective, ratio)
-	}
-	if len(warm.Parts) != len(cold.Parts) {
-		t.Errorf("warm parts %d vs cold %d", len(warm.Parts), len(cold.Parts))
 	}
 }
 

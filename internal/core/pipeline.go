@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"copmecs/internal/graph"
@@ -10,11 +11,11 @@ import (
 	"copmecs/internal/spectral"
 )
 
-// csrJob is one cut job of the index-based pipeline: a sub-graph (one
-// compressed component, or one raw component under DisableCompression) in
-// local CSR form over ids 0..n−1. Local ids ascend with the external ids
-// they stand for, so every ordering decision (ties, scans, summations)
-// agrees with the map pipeline bit for bit.
+// csrJob is one cut job of the pipeline: a sub-graph (one compressed
+// component, or one raw component under DisableCompression) in local CSR
+// form over ids 0..n−1. Local ids ascend with the external ids they stand
+// for, so every ordering decision (ties, scans, summations) agrees with the
+// map-pipeline oracle bit for bit.
 type csrJob struct {
 	n     int
 	off   []int32
@@ -28,7 +29,7 @@ type csrJob struct {
 	base int32
 	// ids maps local id → original NodeID when uncompressed (nil otherwise;
 	// compressed jobs use the contracted super numbering 0..n−1 directly,
-	// matching the map pipeline's contracted sub-graphs).
+	// matching the contracted sub-graphs lpa.Compress materialises).
 	ids []graph.NodeID
 	// vidx maps local id → index in the backing CSR view when uncompressed
 	// (nil for compressed jobs, whose members live in cr.Members already).
@@ -55,29 +56,6 @@ func (j *csrJob) localOf(id graph.NodeID) int32 {
 
 // nnz returns the job's stored adjacency entry count (2× its edge count).
 func (j *csrJob) nnz() int { return int(j.off[j.n]) }
-
-// buildCSRJobs turns every component of the view into a cut job, in
-// component order. With compression enabled the components are first
-// contracted by one CompressCSR pass (a fused view compresses all graphs'
-// components in that single pass — compression is component-local, so the
-// results are identical to per-graph runs).
-func buildCSRJobs(c *graph.CSR, opts Options) ([]csrJob, error) {
-	if opts.DisableCompression {
-		return csrJobsUncompressed(c), nil
-	}
-
-	lopts := opts.LPA
-	if lopts.Workers == 0 {
-		// Inherit the solver's parallelism so Workers=1 (the Fig. 9
-		// "without Spark" mode) is serial end to end.
-		lopts.Workers = opts.Workers
-	}
-	cr, err := lpa.CompressCSR(c, lopts)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return csrJobsFromCompressed(cr), nil
-}
 
 // csrJobsUncompressed builds one raw-component job per component of the view.
 func csrJobsUncompressed(c *graph.CSR) []csrJob {
@@ -173,55 +151,122 @@ func csrJobsFromCompressed(cr *lpa.CSRResult) []csrJob {
 	return jobs
 }
 
-// runPipelineCSR is runPipeline over the compiled view: compression via the
-// int32 kernels, cuts via the CSR-native spectral path (other engines get
-// small materialised graphs per block). Output is identical to the map
-// pipeline's — the equivalence property tests solve both ways and compare.
-func runPipelineCSR(ctx context.Context, c *graph.CSR, opts Options) ([]protoPart, pipelineStats, error) {
-	var ps pipelineStats
-	jobs, err := buildCSRJobs(c, opts)
-	if err != nil {
-		return nil, ps, err
-	}
-	for i := range jobs {
-		ps.nodesAfter += jobs[i].n
-		ps.edgesAfter += jobs[i].nnz() / 2
-	}
+// graphPipeline is one graph's pipeline outcome — user-independent part
+// templates plus the compression counters — and the unit a Session caches.
+type graphPipeline struct {
+	protos                 []protoPart
+	nodesAfter, edgesAfter int
+	// delta is what the next SolveDelta against this graph patches from; nil
+	// unless the graph was pipelined over its own compiled view (SolveDelta
+	// does that; fused rounds share a view no delta can patch).
+	delta *solveState
+}
 
-	maxParts := opts.MaxParts
-	if maxParts < 2 {
-		maxParts = 2
+// compSolveState is one component's cut outcome: the block lists recursive
+// bisection produced (local ids, valid for any bit-identical component) and
+// the Lanczos iterations spent producing them.
+type compSolveState struct {
+	blocks [][]int32
+	iters  int
+}
+
+// solveState is the replayable pipeline state of one view: the view itself,
+// its compression (nil when compression is disabled), and the per-component
+// outcomes aligned with the view's Components().
+type solveState struct {
+	view  *graph.FusedCSR
+	cr    *lpa.CSRResult
+	comps []compSolveState
+}
+
+// singleSpan presents one compiled graph as a fused view of one span, the
+// shape runPipeline takes.
+func singleSpan(c *graph.CSR) *graph.FusedCSR {
+	return &graph.FusedCSR{
+		View:     c,
+		NodeBase: []int32{0, int32(c.NumNodes())},
+		CompBase: []int32{0, int32(len(c.Components()))},
 	}
-	blocksOf := make([][][]int32, len(jobs))
-	if err := parallelForEach(opts.Workers, len(jobs), func(i int) error {
-		blocks, err := partitionCSR(ctx, &jobs[i], opts.Engine, maxParts)
-		if err != nil {
-			return fmt.Errorf("core: cut sub-graph: %w", err)
+}
+
+// runPipeline is the one pipeline driver: Algorithm 1 compression, then the
+// cut stage, over every component of f's view, demultiplexed into one
+// graphPipeline per span. Every kernel it runs is component-local and every
+// component belongs to exactly one span, so each graph's templates are
+// bit-identical however the view was put together — alone, fused with
+// others, or patched.
+//
+// prev and oldCompOf (graph.PatchInfo.OldCompOf) name the predecessor of a
+// patched view: a component with a clean predecessor carries its compression
+// over and replays its recorded blocks; every other component — all of them
+// when prev is nil — runs compress → partition. The returned state records
+// every component's outcome, so any run can be the predecessor of the next.
+func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *solveState, oldCompOf []int32) ([]graphPipeline, *solveState, error) {
+	st := &solveState{view: f}
+	var jobs []csrJob
+	if opts.DisableCompression {
+		jobs = csrJobsUncompressed(f.View)
+	} else {
+		lopts := opts.LPA
+		if lopts.Workers == 0 {
+			// Inherit the solver's parallelism so Workers=1 (the Fig. 9
+			// "without Spark" mode) is serial end to end.
+			lopts.Workers = opts.Workers
 		}
-		blocksOf[i] = blocks
-		return nil
-	}); err != nil {
-		return nil, ps, err
+		var prevCR *lpa.CSRResult
+		if prev != nil {
+			prevCR = prev.cr
+		}
+		cr, err := lpa.CompressCSRIncremental(f.View, lopts, prevCR, oldCompOf)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: %w", err)
+		}
+		st.cr = cr
+		jobs = csrJobsFromCompressed(cr)
+	}
+	if oldCompOf != nil && len(oldCompOf) != len(jobs) {
+		return nil, nil, fmt.Errorf("core: %d jobs for %d components", len(jobs), len(oldCompOf))
 	}
 
-	total := 0
+	st.comps = make([]compSolveState, len(jobs))
+	dirty := make([]int, 0, len(jobs))
 	for i := range jobs {
-		total += len(blocksOf[i])
+		if oldCompOf != nil && oldCompOf[i] >= 0 {
+			st.comps[i] = prev.comps[oldCompOf[i]]
+		} else {
+			dirty = append(dirty, i)
+		}
 	}
-	protos := make([]protoPart, 0, total)
+	if err := cutJobs(ctx, opts, jobs, dirty, st.comps); err != nil {
+		return nil, nil, err
+	}
+
+	// Demux: span k owns jobs (= components) [CompBase[k], CompBase[k+1]).
+	out := make([]graphPipeline, f.Graphs())
+	ids := f.View.IDs()
 	var sc protoScratch
-	sc.prime(c.NumNodes(), len(jobs), false)
-	for i := range jobs {
-		protos = appendJobProtos(protos, &jobs[i], blocksOf[i], c.IDs(), 0, false, &sc)
+	sc.prime(f.View.NumNodes(), len(jobs))
+	for k := range out {
+		gp := &out[k]
+		total := 0
+		for ci := f.CompBase[k]; ci < f.CompBase[k+1]; ci++ {
+			total += len(st.comps[ci].blocks)
+		}
+		gp.protos = make([]protoPart, 0, total)
+		for ci := f.CompBase[k]; ci < f.CompBase[k+1]; ci++ {
+			j := &jobs[ci]
+			gp.nodesAfter += j.n
+			gp.edgesAfter += j.nnz() / 2
+			gp.protos = appendJobProtos(gp.protos, j, st.comps[ci].blocks, ids, f.NodeBase[k], &sc)
+		}
 	}
-	return protos, ps, nil
+	return out, st, nil
 }
 
 // protoScratch is the reusable workspace for appendJobProtos: the per-node
-// block assignment, the index staging buffer for the path that does not
-// retain indices, and carve-forward chunk arenas for the small slabs that
-// escape into protos (node lists, retained index lists, bisection edge
-// pairs). Callers loop over jobs serially and own one instance.
+// block assignment and carve-forward chunk arenas for the small slabs that
+// escape into protos (node lists, index lists, bisection edge pairs).
+// Callers loop over jobs serially and own one instance.
 //
 // The chunks are carve-only: a window, once handed out, is never rewound or
 // reused, so escaping windows stay valid even after the arena moves on to a
@@ -229,7 +274,6 @@ func runPipelineCSR(ctx context.Context, c *graph.CSR, opts Options) ([]protoPar
 // handful of chunk allocations.
 type protoScratch struct {
 	blockOf []int32
-	idx     []int32
 
 	nodeChunk []graph.NodeID
 	idxChunk  []int32
@@ -242,14 +286,14 @@ type protoScratch struct {
 const protoChunkSize = 2048
 
 // prime sizes the arenas for one pipeline run so they never overshoot:
-// every job's node (and retained index) slabs together cover the run's
-// original nodes exactly once, and each bisected job carves at most one
-// two-entry edge pair. withIdx mirrors the appendJobProtos flag.
-func (sc *protoScratch) prime(nodes, jobs int, withIdx bool) {
+// every job's node and index slabs together cover the run's original nodes
+// exactly once, and each bisected job carves at most one two-entry edge
+// pair.
+func (sc *protoScratch) prime(nodes, jobs int) {
 	if cap(sc.nodeChunk) < nodes {
 		sc.nodeChunk = make([]graph.NodeID, 0, nodes)
 	}
-	if withIdx && cap(sc.idxChunk) < nodes {
+	if cap(sc.idxChunk) < nodes {
 		sc.idxChunk = make([]int32, 0, nodes)
 	}
 	if cap(sc.peChunk) < 2*jobs {
@@ -271,7 +315,7 @@ func (sc *protoScratch) nodeSlab(n int) []graph.NodeID {
 	return sc.nodeChunk[off : off : off+n]
 }
 
-// idxSlab is nodeSlab for the retained graph-local index lists.
+// idxSlab is nodeSlab for the graph-local index lists.
 func (sc *protoScratch) idxSlab(n int) []int32 {
 	if cap(sc.idxChunk)-len(sc.idxChunk) < n {
 		size := protoChunkSize
@@ -299,33 +343,22 @@ func (sc *protoScratch) pePair() []PartEdge {
 // them to protos: per-block original-node expansion, pairwise cross weights,
 // the lightest-part-local initial placement, and two-way sibling links.
 // Proto adjacency indexes within the final protos slice of the same graph
-// (base-relative), exactly as the map pipeline emits it.
+// (base-relative), exactly as the map-pipeline oracle emits it.
 //
 // ids is the backing view's index→NodeID array and rebase the graph's node
-// offset within it (0 for a single-graph view). With withIdx set each proto
-// additionally records its members as graph-local CSR indices — the batch
-// evaluator's input; the single-solve path skips it to stay
-// allocation-neutral. sc is the caller's reusable workspace.
-func appendJobProtos(protos []protoPart, j *csrJob, blocks [][]int32, ids []graph.NodeID, rebase int32, withIdx bool, sc *protoScratch) []protoPart {
+// offset within it (0 for a single-span view). Each proto records its
+// members both as NodeIDs and as graph-local CSR indices — the evaluator's
+// input. sc is the caller's reusable workspace.
+func appendJobProtos(protos []protoPart, j *csrJob, blocks [][]int32, ids []graph.NodeID, rebase int32, sc *protoScratch) []protoPart {
 	// All blocks together cover the job's original nodes exactly once, so
-	// the per-block node lists carve one exactly-sized slab from the scratch
-	// arena instead of allocating per block. The index staging buffer
-	// escapes only on the withIdx path; the single-solve path stages
-	// through scratch.
+	// the per-block node and index lists each carve one exactly-sized slab
+	// from the scratch arena instead of allocating per block.
 	totN := j.n
 	if j.cr != nil {
 		totN = int(j.cr.MemberOff[j.base+int32(j.n)] - j.cr.MemberOff[j.base])
 	}
 	nodesSlab := sc.nodeSlab(totN)
-	var idxBuf []int32
-	if withIdx {
-		idxBuf = sc.idxSlab(totN)
-	} else {
-		if cap(sc.idx) < totN {
-			sc.idx = make([]int32, 0, totN)
-		}
-		idxBuf = sc.idx[:0]
-	}
+	idxBuf := sc.idxSlab(totN)
 	expand := func(side []int32) ([]graph.NodeID, []int32, float64) {
 		var work float64
 		start := len(idxBuf)
@@ -342,18 +375,14 @@ func appendJobProtos(protos []protoPart, j *csrJob, blocks [][]int32, ids []grap
 		}
 		gidx := idxBuf[start:len(idxBuf):len(idxBuf)]
 		// Graph-local index order is NodeID order (both ascend together), so
-		// sorting the indices yields the same node ordering the map pipeline
-		// produces by sorting NodeIDs.
-		sortInt32s(gidx)
+		// sorting the indices yields the node ordering the oracle produces
+		// by sorting NodeIDs.
+		slices.Sort(gidx)
 		nstart := len(nodesSlab)
 		for _, li := range gidx {
 			nodesSlab = append(nodesSlab, ids[rebase+li])
 		}
-		nodes := nodesSlab[nstart:len(nodesSlab):len(nodesSlab)]
-		if !withIdx {
-			gidx = nil
-		}
-		return nodes, gidx, work
+		return nodesSlab[nstart:len(nodesSlab):len(nodesSlab)], gidx, work
 	}
 
 	base := len(protos)
@@ -375,8 +404,8 @@ func appendJobProtos(protos []protoPart, j *csrJob, blocks [][]int32, ids []grap
 		}
 	}
 	// Pairwise communication between blocks of this sub-graph. The scan
-	// runs u ascending, v>u ascending — the same sequence as the map
-	// pipeline's Edges() loop, so per-pair float sums match exactly.
+	// runs u ascending, v>u ascending — the same sequence as the oracle's
+	// Edges() loop, so per-pair float sums match exactly.
 	switch {
 	case len(blocks) == 2:
 		// Bisection (the default MaxParts): one pair, summed directly in
@@ -441,10 +470,11 @@ func appendJobProtos(protos []protoPart, j *csrJob, blocks [][]int32, ids []grap
 	return protos
 }
 
-// splitScratch is the reusable workspace of one spectral block split: rank
-// and epoch-membership marks over the job's local ids plus the induced-CSR
-// assembly arrays. partitionCSR keeps one per job; the work-stealing batch
-// path pools them per in-flight split.
+// splitScratch is the reusable workspace of the cut stage: rank and
+// epoch-membership marks over a job's local ids, the induced-CSR assembly
+// arrays of one block split, and the arenas block lists are carved from. The
+// serial cut stage shares one across every job; the parallel one pools them,
+// one per job driver and one per in-flight split.
 type splitScratch struct {
 	pos    []int32
 	mark   []int32
@@ -464,9 +494,9 @@ type splitScratch struct {
 }
 
 // sideSlab carves an n-length window for one split's two side lists. The
-// first chunk is sized exactly (a fresh per-job scratch bisecting once must
-// not overshoot a tiny job); replacement chunks double toward the cap so a
-// scratch shared across a whole fused round amortises quickly.
+// first chunk is sized exactly (a fresh scratch bisecting once must not
+// overshoot a tiny job); replacement chunks double toward the cap so a
+// scratch shared across a whole round amortises quickly.
 func (sc *splitScratch) sideSlab(n int) []int32 {
 	if cap(sc.sideChunk)-len(sc.sideChunk) < n {
 		size := 2 * cap(sc.sideChunk)
@@ -521,20 +551,32 @@ func (sc *splitScratch) identity(n int) []int32 {
 	return sc.ident[:n:n]
 }
 
-// splitSpectralBlock bisects one block of j with the CSR-native spectral
-// path: members renumbered by rank into an induced CSR (the rank map is
-// monotone, so adjacency stays ascending without re-sorting), then
-// spectral.BisectCSR. A pure function of (j, block, spec) — scratch only
-// carries reusable buffers — which is what lets the work-stealing scheduler
-// run speculative splits on any worker with bit-identical results.
-func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, sc *splitScratch) (sideA, sideB []int32, err error) {
+// splitBlock bisects one block of j with the given engine, reporting the
+// Lanczos iterations it cost (zero for engines that run none). It is a pure
+// function of (j, block, engine) — scratch only carries reusable buffers —
+// which is what lets the parallel cut stage run speculative splits on any
+// worker with bit-identical results.
+func splitBlock(ctx context.Context, j *csrJob, block []int32, engine Engine, sc *splitScratch) (sideA, sideB []int32, iters int, err error) {
+	if spec, ok := engine.(SpectralEngine); ok {
+		sideA, sideB, err = splitSpectralBlock(j, block, spec, &iters, sc)
+	} else {
+		sideA, sideB, err = splitMaterializedBlock(ctx, j, block, engine, sc)
+	}
+	return sideA, sideB, iters, err
+}
+
+// splitSpectralBlock bisects one block with the CSR-native spectral path:
+// members renumbered by rank into an induced CSR (the rank map is monotone,
+// so adjacency stays ascending without re-sorting), then
+// spectral.BisectCSRInto. iters accumulates the Lanczos iteration count.
+func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *int, sc *splitScratch) (sideA, sideB []int32, err error) {
 	sc.ensure(j.n)
 	if cap(sc.sorted) < len(block) {
 		sc.sorted = make([]int32, len(block))
 	}
 	sorted := sc.sorted[:len(block)]
 	copy(sorted, block)
-	sortInt32s(sorted)
+	slices.Sort(sorted)
 	sc.epoch++
 	for r, id := range sorted {
 		sc.pos[id] = int32(r)
@@ -570,10 +612,12 @@ func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, sc *split
 			}
 		}
 	}
-	// BisectCSR fills the scratch-carved slab with member ranks; translating
-	// rank→local id in place turns them into the block side lists without a
-	// second slab. Sides are never appended to downstream.
-	sideA, sideB, err = spectral.BisectCSRInto(sc.ioff, sc.itgt, sc.iw, sc.sideSlab(n), spec.spectralOptions())
+	// BisectCSRInto fills the scratch-carved slab with member ranks;
+	// translating rank→local id in place turns them into the block side
+	// lists without a second slab. Sides are never appended to downstream.
+	sopts := spec.spectralOptions()
+	sopts.Eigen.Lanczos.IterOut = iters
+	sideA, sideB, err = spectral.BisectCSRInto(sc.ioff, sc.itgt, sc.iw, sc.sideSlab(n), sopts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spectral engine: %w", err)
 	}
@@ -586,82 +630,14 @@ func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, sc *split
 	return sideA, sideB, nil
 }
 
-// partitionCSR is partitionSubgraph over a csrJob: recursive bisection of
-// the heaviest divisible block, blocks held as local-id slices. The spectral
-// engine runs CSR-native on an induced block view; every other engine gets a
-// materialised sub-graph carrying the same node ids it would see from the
-// map pipeline.
-func partitionCSR(ctx context.Context, j *csrJob, engine Engine, k int) ([][]int32, error) {
-	return partitionCSRScratch(ctx, j, engine, k, &splitScratch{})
-}
-
-// partitionCSRScratch is partitionCSR with caller-owned scratch, so the
-// fused pipeline's serial loop reuses one workspace across all jobs.
-func partitionCSRScratch(ctx context.Context, j *csrJob, engine Engine, k int, sc *splitScratch) ([][]int32, error) {
-	blocks := append(sc.blockSlab(k), sc.identity(j.n))
-	// indivisible never escapes the call, so it lives in scratch.
-	if cap(sc.indiv) < k {
-		sc.indiv = make([]bool, 0, k)
-	}
-	indivisible := append(sc.indiv[:0], false)
-	spec, isSpectral := engine.(SpectralEngine)
-
-	for len(blocks) < k {
-		// Heaviest splittable block.
-		best, bestWork := -1, -1.0
-		for bi, block := range blocks {
-			if indivisible[bi] || len(block) < 2 {
-				continue
-			}
-			var work float64
-			for _, id := range block {
-				work += j.nodeW[id]
-			}
-			if work > bestWork {
-				best, bestWork = bi, work
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		block := blocks[best]
-
-		var sideA, sideB []int32
-		var err error
-		if isSpectral {
-			sideA, sideB, err = splitSpectralBlock(j, block, spec, sc)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			sideA, sideB, err = splitMaterializedBlock(ctx, j, block, engine, sc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(sideA) == 0 || len(sideB) == 0 {
-			indivisible[best] = true
-			continue
-		}
-		blocks[best] = sideA
-		blocks = append(blocks, sideB)
-		indivisible = append(indivisible, false)
-		// Indices shifted only at the tail; indivisible marks stay valid.
-	}
-	return blocks, nil
-}
-
 // splitMaterializedBlock bisects one block via an engine that takes a
-// *graph.Graph, materialising the block with the same node ids the map
-// pipeline would hand it.
+// *graph.Graph, materialising the block with the same node ids the
+// map-pipeline oracle hands it.
 func splitMaterializedBlock(ctx context.Context, j *csrJob, block []int32, engine Engine, sc *splitScratch) (sideA, sideB []int32, err error) {
 	sc.ensure(j.n)
 	sorted := make([]int32, len(block))
 	copy(sorted, block)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	slices.Sort(sorted)
 	sc.epoch++
 	for _, id := range sorted {
 		sc.mark[id] = sc.epoch

@@ -20,31 +20,26 @@ import (
 type Session struct {
 	opts Options
 
-	mu     sync.Mutex
-	protos map[*graph.Graph][]protoPart
-	stats  map[*graph.Graph]pipelineStats
-	// states holds the incremental re-solve state (frozen view, compression,
-	// per-component cuts, last placement) captured by SolveDelta's pipeline.
-	states map[*graph.Graph]*solveState
+	mu sync.Mutex
+	// entries holds one immutable record per pipelined graph: its part
+	// templates and compression counters and, for graphs that came through
+	// SolveDelta, the state the next delta patches from. One map, so a graph
+	// is cached or dropped whole.
+	entries map[*graph.Graph]*graphPipeline
 }
 
 // NewSession returns a session solving with the given options. Options that
 // affect the pipeline (engine, LPA, compression, MaxParts) are fixed for
 // the session's lifetime; changing them requires a new Session.
 func NewSession(opts Options) *Session {
-	return &Session{
-		opts:   opts,
-		protos: make(map[*graph.Graph][]protoPart),
-		stats:  make(map[*graph.Graph]pipelineStats),
-		states: make(map[*graph.Graph]*solveState),
-	}
+	return &Session{opts: opts, entries: make(map[*graph.Graph]*graphPipeline)}
 }
 
 // Solve plans the current population, reusing cached pipeline results for
 // graphs seen in earlier solves. ctx bounds the solve like package-level
 // Solve's.
 func (s *Session) Solve(ctx context.Context, users []UserInput) (*Solution, error) {
-	return solve(ctx, users, s.opts, s)
+	return solveOne(ctx, users, s.opts, s)
 }
 
 // SolveWithParams is Solve with the MEC system constants overridden for this
@@ -55,57 +50,43 @@ func (s *Session) Solve(ctx context.Context, users []UserInput) (*Solution, erro
 func (s *Session) SolveWithParams(ctx context.Context, users []UserInput, params mec.Params) (*Solution, error) {
 	opts := s.opts
 	opts.Params = params
-	return solve(ctx, users, opts, s)
+	return solveOne(ctx, users, opts, s)
 }
 
 // CachedGraphs reports how many distinct graphs the session has pipelined.
 func (s *Session) CachedGraphs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.protos)
+	return len(s.entries)
 }
 
-// Invalidate drops the cache entry for g (after the caller mutated it),
-// reporting whether one existed.
+// Invalidate drops the cache entry for g (after the caller mutated it) —
+// templates and delta state together — reporting whether one existed.
 func (s *Session) Invalidate(g *graph.Graph) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.protos[g]
-	delete(s.protos, g)
-	delete(s.stats, g)
-	delete(s.states, g)
+	_, ok := s.entries[g]
+	delete(s.entries, g)
 	return ok
 }
 
-// lookupState returns the incremental state for g, if captured.
-func (s *Session) lookupState(g *graph.Graph) *solveState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.states[g]
-}
-
-// storeState records the incremental state for g.
-func (s *Session) storeState(g *graph.Graph, st *solveState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.states[g] = st
-}
-
-// lookup returns the cached pipeline output for g.
-func (s *Session) lookup(g *graph.Graph) ([]protoPart, pipelineStats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pp, ok := s.protos[g]
-	if !ok {
-		return nil, pipelineStats{}, false
+// lookup returns the cached pipeline outcome for g, or nil. A nil session
+// caches nothing.
+func (s *Session) lookup(g *graph.Graph) *graphPipeline {
+	if s == nil {
+		return nil
 	}
-	return pp, s.stats[g], true
-}
-
-// store caches the pipeline output for g.
-func (s *Session) store(g *graph.Graph, pp []protoPart, ps pipelineStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.protos[g] = pp
-	s.stats[g] = ps
+	return s.entries[g]
+}
+
+// store caches the pipeline outcome for g; gp must not be modified after.
+func (s *Session) store(g *graph.Graph, gp *graphPipeline) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.entries[g] = gp
 }

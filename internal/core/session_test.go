@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
+	"copmecs/internal/graph"
 	"copmecs/internal/mec"
 	"copmecs/internal/netgen"
 )
@@ -132,5 +134,109 @@ func TestSessionConcurrentSolves(t *testing.T) {
 	}
 	if sess.CachedGraphs() != 1 {
 		t.Errorf("CachedGraphs = %d, want 1", sess.CachedGraphs())
+	}
+}
+
+// TestSessionLifecycleUnderContention hammers one Session with concurrent
+// Solve, BatchSolve, SolveDelta and Invalidate over overlapping graphs (run
+// under -race in CI). Whatever the interleaving — entries appearing, being
+// dropped and re-pipelined mid-flight — every solution equals its uncached
+// reference, and Invalidate drops a graph's part templates and its delta
+// state together: one entry map leaves no half-dropped graph to observe.
+func TestSessionLifecycleUnderContention(t *testing.T) {
+	ctx := context.Background()
+	var gs [3]*graph.Graph
+	for i := range gs {
+		g, err := netgen.Generate(netgen.Config{Nodes: 60 + 10*i, Edges: 150 + 20*i, Components: 3, Seed: int64(61 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g
+	}
+	opts := Options{Workers: 2}
+	sess := NewSession(opts)
+	users := []UserInput{{Graph: gs[0]}, {Graph: gs[1], FixedLocalWork: 5}}
+	items := []BatchItem{{Users: []UserInput{{Graph: gs[1]}}}, {Users: []UserInput{{Graph: gs[2]}, {Graph: gs[0]}}}}
+
+	// A delta base with captured state, and the delta every mutator applies.
+	base, _, _, err := sess.SolveDelta(ctx, gs[2], &graph.Delta{}, []UserInput{{}}, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := base.Edges()[0]
+	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 3}}}
+	mutated := base.Clone()
+	if err := d.Apply(mutated); err != nil {
+		t.Fatal(err)
+	}
+
+	wantSolve, err := Solve(ctx, users, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBatch := BatchSolve(ctx, items, opts)
+	wantDelta, err := Solve(ctx, []UserInput{{Graph: mutated}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 12
+	var wg sync.WaitGroup
+	worker := func(fn func(r int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				fn(r)
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		worker(func(int) {
+			sol, err := sess.Solve(ctx, users)
+			if err != nil || !solutionsIdentical(t, sol, wantSolve) {
+				t.Errorf("concurrent Solve: err %v or diverged", err)
+			}
+		})
+		worker(func(int) {
+			for i, r := range sess.BatchSolve(ctx, items) {
+				if r.Err != nil || !solutionsIdentical(t, r.Solution, wantBatch[i].Solution) {
+					t.Errorf("concurrent BatchSolve item %d: err %v or diverged", i, r.Err)
+				}
+			}
+		})
+		worker(func(int) {
+			next, sol, ds, err := sess.SolveDelta(ctx, base, d, []UserInput{{}}, DeltaOptions{MaxTouchedFraction: 0.95})
+			if err != nil || !ds.Incremental || !solutionsIdentical(t, sol, wantDelta) {
+				t.Errorf("concurrent SolveDelta: err %v, stats %+v, or diverged", err, ds)
+				return
+			}
+			sess.Invalidate(next)
+		})
+		worker(func(r int) { sess.Invalidate(gs[r%len(gs)]) })
+	}
+	wg.Wait()
+
+	// base kept its entry throughout (nobody invalidated it): dropping it
+	// takes the templates and the delta state in one step.
+	before := sess.CachedGraphs()
+	if !sess.Invalidate(base) {
+		t.Fatal("base lost its entry during the run")
+	}
+	if got := sess.CachedGraphs(); got != before-1 {
+		t.Errorf("CachedGraphs %d after Invalidate, want %d", got, before-1)
+	}
+	if sess.lookup(base) != nil {
+		t.Error("templates survived Invalidate")
+	}
+	_, sol, ds, err := sess.SolveDelta(ctx, base, d, []UserInput{{}}, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ds.ColdFallback || ds.FallbackReason != "no cached state for base graph" {
+		t.Errorf("delta state survived Invalidate: stats %+v", ds)
+	}
+	if !solutionsIdentical(t, sol, wantDelta) {
+		t.Error("cold re-capture after Invalidate diverged")
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"copmecs/internal/graph"
 	"copmecs/internal/lpa"
 	"copmecs/internal/mec"
-	"copmecs/internal/parallel"
 )
 
 // Solver errors.
@@ -68,12 +66,23 @@ type Options struct {
 	// Workers bounds the number of concurrent per-sub-graph cut jobs
 	// (0 = GOMAXPROCS; 1 = serial, the Fig. 9 "without Spark" mode).
 	Workers int
-	// UseMapPipeline runs the original map-based pipeline (mutable graphs,
-	// InducedSubgraph, map-keyed LPA) instead of the CSR hot path. The two
-	// produce identical solutions — property tests solve both ways and
-	// compare — so this exists as the reference/ablation switch, not a
-	// feature flag.
-	UseMapPipeline bool
+}
+
+// normalised fills the defaults every entry point shares.
+func (o Options) normalised() Options {
+	if o.Engine == nil {
+		o.Engine = SpectralEngine{}
+	}
+	if o.Params == (mec.Params{}) {
+		o.Params = mec.Defaults()
+	}
+	if o.MaxParts < 2 {
+		o.MaxParts = 2
+	}
+	if o.Workers == 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
+	return o
 }
 
 // UserInput is one user's workload.
@@ -116,10 +125,9 @@ type Part struct {
 	// InitialRemote records the pre-greedy placement for diagnostics.
 	InitialRemote bool
 
-	// idx carries Nodes as graph-local CSR indices (aligned with Nodes) when
-	// the part came out of the batch pipeline; the batch evaluator walks the
-	// fused CSR through it instead of re-deriving indices from NodeIDs. nil
-	// on the single-solve path.
+	// idx carries Nodes as graph-local CSR indices (aligned with Nodes); the
+	// evaluator walks the round's fused CSR through it instead of
+	// re-deriving indices from NodeIDs.
 	idx []int32
 }
 
@@ -167,49 +175,169 @@ type Solution struct {
 // greedy scheme generation — over all users simultaneously (the multi-user
 // coupling is the shared edge-server capacity). ctx cancels the cut stage
 // between bisections and propagates to cluster engines' in-flight calls.
+//
+// Users frequently share a graph (a fleet running the same application — the
+// regime of the paper's multi-user experiments). The pipeline output depends
+// only on the graph, so it is computed once per distinct *Graph pointer and
+// instantiated per user. Graphs must not be mutated during Solve.
 func Solve(ctx context.Context, users []UserInput, opts Options) (*Solution, error) {
-	return solve(ctx, users, opts, nil)
+	return solveOne(ctx, users, opts, nil)
 }
 
-// solve is the shared implementation behind Solve and Session.Solve; cache
-// may be nil.
-func solve(ctx context.Context, users []UserInput, opts Options, cache *Session) (*Solution, error) {
+// solveOne solves one population as a batch of one item.
+func solveOne(ctx context.Context, users []UserInput, opts Options, cache *Session) (*Solution, error) {
+	r := solveItems(ctx, []BatchItem{{Users: users}}, opts, cache)[0]
+	return r.Solution, r.Err
+}
+
+// roundGraph is one distinct graph of a solveItems round: its pipeline
+// outcome, and where its arrays live — span of view — for the evaluator. A
+// graph pipelined this round sits in the round's fused view; one served from
+// the session cache has a view only if it kept its own for SolveDelta.
+type roundGraph struct {
+	*graphPipeline
+	view *graph.FusedCSR
+	span int
+}
+
+// solveItems is the implementation behind every entry point — Solve and
+// Session.Solve are a batch of one item, SolveDelta a batch of one whose
+// mutated graph is already in the cache. Every distinct graph the cache
+// (nil for the package-level calls) cannot serve is compiled into one fused
+// CSR view and pipelined in a single runPipeline pass; each item is then
+// finished independently.
+func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Session) []BatchResult {
+	res := make([]BatchResult, len(items))
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		for i := range res {
+			res[i].Err = err
+		}
+		return res
 	}
-	if opts.Engine == nil {
-		opts.Engine = SpectralEngine{}
-	}
-	if opts.Params == (mec.Params{}) {
-		opts.Params = mec.Defaults()
-	}
-	if err := opts.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	for i, u := range users {
-		if u.Graph == nil {
-			return nil, fmt.Errorf("%w: user %d", ErrNilGraph, i)
+	opts = opts.normalised()
+
+	// Per-item parameters and input checks; a failed item carries its error
+	// and takes no further part in the round.
+	params := make([]mec.Params, len(items))
+	pending := 0
+	for i, it := range items {
+		p := it.Params
+		if p == (mec.Params{}) {
+			p = opts.Params
+		}
+		if err := p.Validate(); err != nil {
+			res[i].Err = fmt.Errorf("core: %w", err)
+			continue
+		}
+		for ui, u := range it.Users {
+			if u.Graph == nil {
+				res[i].Err = fmt.Errorf("%w: user %d", ErrNilGraph, ui)
+				break
+			}
+		}
+		if res[i].Err == nil {
+			params[i] = p
+			pending++
 		}
 	}
 
+	// Distinct graphs across the whole round, first-appearance order, split
+	// by session-cache state.
 	pipelineStart := time.Now()
-	parts, stats, err := buildParts(ctx, users, opts, cache)
-	if err != nil {
-		return nil, err
+	round := make(map[*graph.Graph]roundGraph)
+	var uncached []*graph.Graph
+	for i, it := range items {
+		if res[i].Err != nil {
+			continue
+		}
+		for _, u := range it.Users {
+			if _, ok := round[u.Graph]; ok {
+				continue
+			}
+			if gp := cache.lookup(u.Graph); gp != nil {
+				rg := roundGraph{graphPipeline: gp}
+				if gp.delta != nil {
+					rg.view = gp.delta.view
+				}
+				round[u.Graph] = rg
+				continue
+			}
+			round[u.Graph] = roundGraph{}
+			uncached = append(uncached, u.Graph)
+		}
 	}
-	stats.PipelineTime = time.Since(pipelineStart)
-	return finishSolve(users, parts, stats, opts)
+	if len(uncached) > 0 {
+		f := graph.Fuse(uncached)
+		out, _, err := runPipeline(ctx, opts, f, nil, nil)
+		if err != nil {
+			// One graph's failure must not poison the round: every pending
+			// item retries alone and succeeds or fails exactly as its own
+			// solve would.
+			for i := range items {
+				switch {
+				case res[i].Err != nil:
+				case pending == 1:
+					res[i].Err = err
+				default:
+					res[i] = solveItems(ctx, items[i:i+1], opts, cache)[0]
+				}
+			}
+			return res
+		}
+		for k, g := range uncached {
+			round[g] = roundGraph{&out[k], f, k}
+			cache.store(g, &out[k])
+		}
+	}
+	pipelineTime := time.Since(pipelineStart)
+
+	// mark is the evaluator's membership scratch, sized for the largest
+	// graph it will walk.
+	maxN := 0
+	for g, rg := range round {
+		if rg.view != nil {
+			maxN = max(maxN, g.NumNodes())
+		}
+	}
+	mark := make([]bool, maxN)
+	for i, it := range items {
+		if res[i].Err != nil {
+			continue
+		}
+		iopts := opts
+		iopts.Params = params[i]
+		sol, err := finishItem(it.Users, iopts, round, mark, pipelineTime)
+		res[i] = BatchResult{Solution: sol, Err: err}
+	}
+	return res
 }
 
-// finishSolve runs Algorithm 2's greedy scheme generation and the final model
-// evaluation over already-built parts; shared by solve and the incremental
-// path (which assembles parts itself so it can warm-start the placement).
-func finishSolve(users []UserInput, parts []Part, stats *Stats, opts Options) (*Solution, error) {
-	stats.EngineName = opts.Engine.Name()
-	stats.Users = len(users)
+// finishItem is the back half of every solve: instantiate the users' part
+// templates, run Algorithm 2's greedy scheme generation, build the
+// placements and evaluate the model. Evaluation walks the CSR arrays of
+// every graph that has a view at hand (the parts carry indices into its
+// span) and falls back to Placement.State for the rest. mark is shared
+// scratch, clean on entry and on return.
+func finishItem(users []UserInput, opts Options, round map[*graph.Graph]roundGraph, mark []bool, pipelineTime time.Duration) (*Solution, error) {
+	// PipelineTime is the whole round's pipeline cost (shared across the
+	// batch, not attributable to one item).
+	stats := Stats{EngineName: opts.Engine.Name(), Users: len(users), PipelineTime: pipelineTime}
+	totalParts := 0
+	for _, u := range users {
+		totalParts += len(round[u.Graph].protos)
+	}
+	parts := make([]Part, 0, totalParts)
+	userPartEnd := make([]int, len(users))
+	for ui, u := range users {
+		rg := round[u.Graph]
+		stats.NodesBefore += u.Graph.NumNodes()
+		stats.EdgesBefore += u.Graph.NumEdges()
+		stats.NodesAfter += rg.nodesAfter
+		stats.EdgesAfter += rg.edgesAfter
+		parts = instantiateProtos(parts, ui, rg.protos)
+		userPartEnd[ui] = len(parts)
+	}
+	stats.Parts = len(parts)
 
 	greedyStart := time.Now()
 	initialObj, moves, iters := runGreedy(users, parts, opts)
@@ -217,8 +345,11 @@ func finishSolve(users []UserInput, parts []Part, stats *Stats, opts Options) (*
 	stats.GreedyMoves = moves
 	stats.GreedyIterations = iters
 
-	sol := &Solution{Parts: parts, Stats: *stats, InitialObjective: initialObj}
+	sol := &Solution{Parts: parts, Stats: stats, InitialObjective: initialObj}
 	sol.Placements = make([]mec.Placement, len(users))
+	// Size each Remote map for its final population so the inserts below
+	// never grow a map mid-fill; growth buckets dominated the assembly
+	// allocation profile.
 	remoteNodes := make([]int, len(users))
 	for _, p := range parts {
 		if p.Remote {
@@ -241,7 +372,19 @@ func finishSolve(users []UserInput, parts []Part, stats *Stats, opts Options) (*
 			}
 		}
 	}
-	eval, err := evaluateWithFixedWork(opts.Params, users, sol.Placements)
+
+	states := make([]mec.UserState, len(users))
+	partBase := 0
+	for ui, pl := range sol.Placements {
+		if rg := round[users[ui].Graph]; rg.view != nil {
+			states[ui] = fusedUserState(rg.view, rg.span, parts[partBase:userPartEnd[ui]], pl, mark)
+		} else {
+			states[ui] = pl.State()
+		}
+		states[ui].LocalWork += users[ui].FixedLocalWork
+		partBase = userPartEnd[ui]
+	}
+	eval, err := mec.Evaluate(opts.Params, states)
 	if err != nil {
 		return nil, err
 	}
@@ -249,98 +392,16 @@ func finishSolve(users []UserInput, parts []Part, stats *Stats, opts Options) (*
 	return sol, nil
 }
 
-// evaluateWithFixedWork evaluates placements, folding each user's pinned
-// local work into the model.
-func evaluateWithFixedWork(p mec.Params, users []UserInput, placements []mec.Placement) (*mec.Evaluation, error) {
-	states := make([]mec.UserState, len(placements))
-	for i, pl := range placements {
-		states[i] = pl.State()
-		states[i].LocalWork += users[i].FixedLocalWork
-	}
-	return mec.Evaluate(p, states)
-}
-
 // protoPart is a user-independent part template produced by the pipeline
 // for one distinct graph. Sibling indexes into the same template slice.
 type protoPart struct {
 	nodes       []graph.NodeID
-	idx         []int32 // graph-local CSR indices of nodes (batch pipeline only)
+	idx         []int32 // graph-local CSR indices of nodes
 	work        float64
 	crossWeight float64
 	sibling     int
 	adj         []PartEdge // Other indexes within the same proto slice
 	remote      bool
-}
-
-// pipelineStats carries the per-graph compression counters.
-type pipelineStats struct {
-	nodesAfter, edgesAfter int
-}
-
-// buildParts runs compression and the cut engine for every user, returning
-// the movable parts in Algorithm 2's initial placement (each sub-graph's
-// lighter cut side on the device, heavier side offloaded).
-//
-// Users frequently share a graph (a fleet running the same application —
-// the regime of the paper's multi-user experiments). The pipeline output
-// depends only on the graph, so it is computed once per distinct *Graph
-// pointer and instantiated per user. Graphs must not be mutated during
-// Solve.
-func buildParts(ctx context.Context, users []UserInput, opts Options, cache *Session) ([]Part, *Stats, error) {
-	stats := &Stats{}
-
-	// Identify distinct graphs, preserving first-appearance order.
-	graphIdx := make(map[*graph.Graph]int)
-	var distinct []*graph.Graph
-	userGraph := make([]int, len(users))
-	for ui, u := range users {
-		stats.NodesBefore += u.Graph.NumNodes()
-		stats.EdgesBefore += u.Graph.NumEdges()
-		gi, ok := graphIdx[u.Graph]
-		if !ok {
-			gi = len(distinct)
-			graphIdx[u.Graph] = gi
-			distinct = append(distinct, u.Graph)
-		}
-		userGraph[ui] = gi
-	}
-
-	// Run the pipeline once per distinct graph, in parallel, consulting the
-	// session cache when one is attached.
-	protos := make([][]protoPart, len(distinct))
-	pstats := make([]pipelineStats, len(distinct))
-	if err := parallelForEach(opts.Workers, len(distinct), func(i int) error {
-		if cache != nil {
-			if pp, ps, ok := cache.lookup(distinct[i]); ok {
-				protos[i] = pp
-				pstats[i] = ps
-				return nil
-			}
-		}
-		pp, ps, err := runPipeline(ctx, distinct[i], opts)
-		if err != nil {
-			return err
-		}
-		protos[i] = pp
-		pstats[i] = ps
-		if cache != nil {
-			cache.store(distinct[i], pp, ps)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-
-	// Instantiate per user.
-	var parts []Part
-	for ui := range users {
-		gi := userGraph[ui]
-		stats.NodesAfter += pstats[gi].nodesAfter
-		stats.EdgesAfter += pstats[gi].edgesAfter
-		parts = instantiateProtos(parts, ui, protos[gi])
-	}
-	stats.Parts = len(parts)
-	return parts, stats, nil
 }
 
 // instantiateProtos appends user ui's copy of the graph's part templates,
@@ -381,149 +442,6 @@ func instantiateProtos(parts []Part, ui int, protos []protoPart) []Part {
 	return parts
 }
 
-// runPipeline compresses one graph (unless disabled) and cuts every
-// sub-graph, returning part templates. The default path compiles the graph
-// into its frozen CSR view and runs the index-based kernels; the map path
-// below is kept as the bit-identical reference (Options.UseMapPipeline).
-func runPipeline(ctx context.Context, g *graph.Graph, opts Options) ([]protoPart, pipelineStats, error) {
-	if !opts.UseMapPipeline {
-		return runPipelineCSR(ctx, g.Compile(), opts)
-	}
-	return runPipelineMap(ctx, g, opts)
-}
-
-// runPipelineMap is the original map-based pipeline, retained as the
-// reference implementation the CSR path is tested against.
-func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) ([]protoPart, pipelineStats, error) {
-	type job struct {
-		sub       *graph.Graph
-		membersOf map[graph.NodeID][]graph.NodeID // nil when uncompressed
-	}
-	var (
-		jobs []job
-		ps   pipelineStats
-	)
-	if opts.DisableCompression {
-		for _, comp := range g.Components() {
-			sub, err := g.InducedSubgraph(comp)
-			if err != nil {
-				return nil, ps, fmt.Errorf("core: %w", err)
-			}
-			ps.nodesAfter += sub.NumNodes()
-			ps.edgesAfter += sub.NumEdges()
-			jobs = append(jobs, job{sub: sub})
-		}
-	} else {
-		if opts.LPA.Workers == 0 {
-			// Inherit the solver's parallelism so Workers=1 (the Fig. 9
-			// "without Spark" mode) is serial end to end.
-			opts.LPA.Workers = opts.Workers
-		}
-		res, err := lpa.CompressMap(g, opts.LPA)
-		if err != nil {
-			return nil, ps, fmt.Errorf("core: %w", err)
-		}
-		ps.nodesAfter = res.NodesAfter
-		ps.edgesAfter = res.EdgesAfter
-		for si := range res.Subgraphs {
-			sub := &res.Subgraphs[si]
-			jobs = append(jobs, job{sub: sub.Graph, membersOf: sub.MembersOf})
-		}
-	}
-
-	maxParts := opts.MaxParts
-	if maxParts < 2 {
-		maxParts = 2
-	}
-	blocksOf := make([][][]graph.NodeID, len(jobs))
-	if err := parallelForEach(opts.Workers, len(jobs), func(i int) error {
-		blocks, err := partitionSubgraph(ctx, jobs[i].sub, opts.Engine, maxParts)
-		if err != nil {
-			return fmt.Errorf("core: cut sub-graph: %w", err)
-		}
-		blocksOf[i] = blocks
-		return nil
-	}); err != nil {
-		return nil, ps, err
-	}
-
-	var protos []protoPart
-	expand := func(j job, side []graph.NodeID) ([]graph.NodeID, float64) {
-		var nodes []graph.NodeID
-		var work float64
-		for _, super := range side {
-			w, err := j.sub.NodeWeight(super)
-			if err == nil {
-				work += w
-			}
-			if j.membersOf != nil {
-				nodes = append(nodes, j.membersOf[super]...)
-			} else {
-				nodes = append(nodes, super)
-			}
-		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
-		return nodes, work
-	}
-	for i, j := range jobs {
-		blocks := blocksOf[i]
-		base := len(protos)
-		blockOf := make(map[graph.NodeID]int, j.sub.NumNodes())
-		lightest, lightestWork := -1, 0.0
-		for bi, block := range blocks {
-			nodes, work := expand(j, block)
-			protos = append(protos, protoPart{
-				nodes: nodes, work: work, sibling: -1, remote: true,
-			})
-			for _, id := range block {
-				blockOf[id] = bi
-			}
-			if lightest < 0 || work < lightestWork {
-				lightest, lightestWork = bi, work
-			}
-		}
-		// Pairwise communication between blocks of this sub-graph.
-		if len(blocks) > 1 {
-			cross := make(map[[2]int]float64)
-			for _, e := range j.sub.Edges() {
-				a, b := blockOf[e.U], blockOf[e.V]
-				if a == b {
-					continue
-				}
-				if a > b {
-					a, b = b, a
-				}
-				cross[[2]int{a, b}] += e.Weight
-			}
-			for pair, w := range cross {
-				pa, pb := base+pair[0], base+pair[1]
-				// adj targets are proto-slice indices; instantiation adds
-				// the per-user offset on top.
-				protos[pa].adj = append(protos[pa].adj, PartEdge{Other: pb, Weight: w})
-				protos[pb].adj = append(protos[pb].adj, PartEdge{Other: pa, Weight: w})
-			}
-			for bi := range blocks {
-				sortPartEdges(protos[base+bi].adj)
-			}
-			// Algorithm 2's initial scheme generalised: the lightest part
-			// stays on the device, every other part offloads (for two-way
-			// splits this is exactly "lighter side local, heavier remote").
-			protos[base+lightest].remote = false
-			if len(blocks) == 2 {
-				protos[base].sibling = base + 1
-				protos[base+1].sibling = base
-				w := 0.0
-				if len(protos[base].adj) > 0 {
-					w = protos[base].adj[0].Weight
-				}
-				protos[base].crossWeight = w
-				protos[base+1].crossWeight = w
-			}
-		}
-	}
-	return protos, ps, nil
-}
-
 // sortPartEdges orders adjacency deterministically by target index.
 // Insertion sort: the lists are at most MaxParts−1 long and the targets are
 // distinct, so this is allocation-free and yields exactly what any sort
@@ -538,66 +456,4 @@ func sortPartEdges(edges []PartEdge) {
 		}
 		edges[j+1] = e
 	}
-}
-
-// partitionSubgraph splits g into at most k parts by recursive bisection
-// with the given engine: the heaviest divisible part is bisected until k
-// parts exist or nothing can be split further. k ≥ 2; a single-node graph
-// yields one part.
-func partitionSubgraph(ctx context.Context, g *graph.Graph, engine Engine, k int) ([][]graph.NodeID, error) {
-	blocks := [][]graph.NodeID{g.Nodes()}
-	indivisible := make(map[int]bool)
-	for len(blocks) < k {
-		// Heaviest splittable block.
-		best, bestWork := -1, -1.0
-		for bi, block := range blocks {
-			if indivisible[bi] || len(block) < 2 {
-				continue
-			}
-			var work float64
-			for _, id := range block {
-				w, err := g.NodeWeight(id)
-				if err != nil {
-					return nil, err
-				}
-				work += w
-			}
-			if work > bestWork {
-				best, bestWork = bi, work
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sub, err := g.InducedSubgraph(blocks[best])
-		if err != nil {
-			return nil, err
-		}
-		sideA, sideB, err := engine.Bisect(ctx, sub)
-		if err != nil {
-			return nil, err
-		}
-		if len(sideA) == 0 || len(sideB) == 0 {
-			indivisible[best] = true
-			continue
-		}
-		blocks[best] = sideA
-		blocks = append(blocks, sideB)
-		// Indices shifted only at the tail; indivisible marks stay valid.
-	}
-	return blocks, nil
-}
-
-// parallelForEach runs fn over [0, n) with bounded parallelism; workers == 1
-// stays on the calling goroutine (deterministic serial mode).
-func parallelForEach(workers, n int, fn func(int) error) error {
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return parallel.ForEach(workers, n, fn)
 }

@@ -30,11 +30,6 @@ type FiedlerOptions struct {
 	// it and is valid only until the next solve that passes the same
 	// buffer. Ignored by the Lanczos path.
 	VecBuf *[]float64
-	// WarmStart, when non-nil and of dimension l.Rows(), seeds the Lanczos
-	// starting direction (see LanczosOptions.InitialVec). Ignored on the
-	// dense path, which solves directly. Warm-started results agree with
-	// cold runs only within Lanczos.Tol, not bitwise.
-	WarmStart []float64
 }
 
 // Fiedler returns the second-smallest eigenvalue λ₂ of the Laplacian l and
@@ -42,9 +37,9 @@ type FiedlerOptions struct {
 // paper uses to locate the minimum cut of a compressed sub-graph. The
 // Laplacian's smallest eigenvalue is 0 with the constant eigenvector, which
 // is deflated away; the returned vector is unit-norm, orthogonal to 1, and
-// canonically oriented (see orient) so that the dense kernel, a cold Lanczos
-// run and a warm-started one all name the two sides of the cut alike. l must
-// be symmetric: the dense kernel reads only its lower triangle.
+// canonically oriented (see orient) so that the dense kernel and Lanczos name
+// the two sides of the cut alike. l must be symmetric: the dense kernel reads
+// only its lower triangle.
 //
 // A one-node graph has no second eigenpair; it yields ErrEmpty.
 func Fiedler(l *matrix.CSR, opts FiedlerOptions) (float64, matrix.Vector, error) {
@@ -95,9 +90,6 @@ func orient(v matrix.Vector) {
 func fiedlerLanczos(l *matrix.CSR, fopts FiedlerOptions) (float64, matrix.Vector, error) {
 	opts := fopts.Lanczos
 	n := l.Rows()
-	if len(fopts.WarmStart) == n {
-		opts.InitialVec = fopts.WarmStart
-	}
 	ones := make(matrix.Vector, n)
 	for i := range ones {
 		ones[i] = 1

@@ -16,18 +16,9 @@ type LanczosOptions struct {
 	Tol float64
 	// Seed drives the deterministic starting vector.
 	Seed int64
-	// InitialVec, when non-nil and of the operator's dimension, seeds the
-	// first Krylov direction instead of the random start — the warm-start
-	// hook for incremental re-solves, where the previous Fiedler vector of a
-	// slightly mutated graph is already close to the new one. The vector is
-	// copied, projected into the deflated complement and normalised; if it
-	// degenerates (near-zero after projection) the random start is used.
-	// Warm starts change the Krylov space, so results match a cold run only
-	// within Tol, not bitwise.
-	InitialVec []float64
 	// IterOut, when non-nil, is incremented by the number of Lanczos
 	// iterations performed (the dimension of the tridiagonal T), letting
-	// callers account for work saved by warm starts or skipped solves.
+	// callers account for the work a skipped solve saves.
 	IterOut *int
 }
 
@@ -94,23 +85,7 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 		project = p.Project
 	}
 
-	warm := opts.InitialVec
 	newDirection := func() (matrix.Vector, error) {
-		if len(warm) == n {
-			v := ar.vec(n)
-			copy(v, warm)
-			warm = nil // one shot: restarts fall back to random directions
-			project(v)
-			for _, u := range basis {
-				if err := v.ProjectOut(u); err != nil {
-					return nil, err
-				}
-			}
-			if v.Normalize() > 1e-10 {
-				return v, nil
-			}
-		}
-		warm = nil
 		// Random vector orthogonalised against the existing basis.
 		for attempt := 0; attempt < 8; attempt++ {
 			v := ar.vec(n)

@@ -180,7 +180,7 @@ func TestDenseFiedlerNumerics(t *testing.T) {
 
 // TestFiedlerOrientation: the returned vector's largest-magnitude entry is
 // positive on both solver paths, so neither the reflector signs nor the
-// Lanczos start vector (cold or warm) decides which side is called A.
+// Lanczos start vector decides which side is called A.
 func TestFiedlerOrientation(t *testing.T) {
 	// Random weights: a symmetric graph (a path, say) has an antisymmetric
 	// Fiedler vector whose two extreme entries tie up to round-off.
@@ -189,12 +189,9 @@ func TestFiedlerOrientation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipped := cold.Clone()
-	flipped.Scale(-1)
 	for name, opts := range map[string]FiedlerOptions{
-		"dense":        {DenseCutoff: 130},
-		"lanczos":      {},
-		"lanczos-warm": {WarmStart: flipped},
+		"dense":   {DenseCutoff: 130},
+		"lanczos": {},
 	} {
 		_, vec, err := Fiedler(l, opts)
 		if err != nil {

@@ -153,6 +153,10 @@ func (c *CSR) Adj(i int32) (tgt []int32, w []float64) {
 	return c.tgt[lo:hi], c.wts[lo:hi]
 }
 
+// Adjacency returns the whole adjacency in CSR form: node i's neighbors are
+// tgt[off[i]:off[i+1]] with weights wts[off[i]:off[i+1]]. Read-only views.
+func (c *CSR) Adjacency() (off, tgt []int32, wts []float64) { return c.off, c.tgt, c.wts }
+
 // Degree returns the number of edges incident to index i.
 func (c *CSR) Degree(i int32) int { return int(c.off[i+1] - c.off[i]) }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // NodeDelta is one node addition or weight override in a Delta.
@@ -197,7 +198,7 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		for _, n := range added {
 			addIDs = append(addIDs, n.ID)
 		}
-		sortNodeIDs(addIDs)
+		slices.Sort(addIDs)
 		newN := oldN - len(removed) + len(added)
 		ids = make([]NodeID, 0, newN)
 		index = make(map[NodeID]int32, newN)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sync/atomic"
 )
 
@@ -81,7 +82,7 @@ func (rec *nodeRec) adjView() *adjCache {
 	for nb := range rec.adj {
 		nbs = append(nbs, nb)
 	}
-	sortNodeIDs(nbs)
+	slices.Sort(nbs)
 	ws := make([]float64, len(nbs))
 	for i, nb := range nbs {
 		ws[i] = rec.adj[nb]
@@ -316,7 +317,7 @@ func (g *Graph) sortedNodes() []NodeID {
 	for id := range g.nodes {
 		ids = append(ids, id)
 	}
-	sortNodeIDs(ids)
+	slices.Sort(ids)
 	g.nodeList.Store(&ids)
 	return ids
 }

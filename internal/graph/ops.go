@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -30,7 +31,7 @@ func (g *Graph) Components() [][]NodeID {
 				}
 			}
 		}
-		sortNodeIDs(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps

@@ -2,7 +2,6 @@ package lpa
 
 import (
 	"fmt"
-	"sync"
 
 	"copmecs/internal/graph"
 )
@@ -50,8 +49,7 @@ func (r *Result) CompressionRatio() float64 {
 // Compress compiles g into its CSR view and runs the index-based kernels
 // (CompressCSR), then materialises the classic map-based Result. Callers that
 // already hold a compiled view — or that want the array form — should call
-// CompressCSR directly and skip the materialisation. CompressMap is the
-// map-based reference implementation; the two produce identical results.
+// CompressCSR directly and skip the materialisation.
 func Compress(g *graph.Graph, opts Options) (*Result, error) {
 	cr, err := CompressCSR(g.Compile(), opts)
 	if err != nil {
@@ -112,133 +110,4 @@ func materializeResult(cr *CSRResult) (*Result, error) {
 		res.Subgraphs[ci] = sub
 	}
 	return res, nil
-}
-
-// CompressMap is the original map-based implementation of Algorithm 1, kept
-// as the reference for the CSR kernels: property tests assert that Compress
-// and CompressMap produce identical results on the same input. Production
-// callers should use Compress.
-func CompressMap(g *graph.Graph, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	comps := g.Components()
-	res := &Result{
-		Subgraphs:   make([]Subgraph, len(comps)),
-		NodesBefore: g.NumNodes(),
-		EdgesBefore: g.NumEdges(),
-	}
-
-	sem := make(chan struct{}, opts.Workers)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, comp := range comps {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, comp []graph.NodeID) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sub, err := compressComponent(g, comp, opts)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			res.Subgraphs[i] = *sub
-		}(i, comp)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for i := range res.Subgraphs {
-		res.NodesAfter += res.Subgraphs[i].Graph.NumNodes()
-		res.EdgesAfter += res.Subgraphs[i].Graph.NumEdges()
-	}
-	return res, nil
-}
-
-// compressComponent runs propagation + contraction for one component.
-func compressComponent(g *graph.Graph, comp []graph.NodeID, opts Options) (*Subgraph, error) {
-	cg, err := g.InducedSubgraph(comp)
-	if err != nil {
-		return nil, fmt.Errorf("lpa compress: %w", err)
-	}
-	prop, err := Propagate(cg, opts)
-	if err != nil {
-		return nil, fmt.Errorf("lpa compress: %w", err)
-	}
-	// The paper merges nodes that share a label AND are connected directly.
-	// Same-label classes are normally edge-connected, but round interleaving
-	// can strand a node, so cluster by connectivity within label classes.
-	clusters := connectedSameLabelClusters(cg, prop.Labels)
-	contracted, err := cg.Contract(clusters)
-	if err != nil {
-		return nil, fmt.Errorf("lpa compress: %w", err)
-	}
-	return &Subgraph{
-		Graph:     contracted.Graph,
-		MembersOf: contracted.MembersOf,
-		NodeOf:    contracted.NodeOf,
-		Labels:    prop.Labels,
-		Rounds:    prop.Rounds,
-		Threshold: prop.Threshold,
-	}, nil
-}
-
-// connectedSameLabelClusters returns a cluster assignment in which two nodes
-// share a cluster iff they are connected through edges whose endpoints carry
-// equal labels (union-find over same-label edges).
-func connectedSameLabelClusters(g *graph.Graph, labels map[graph.NodeID]int) map[graph.NodeID]int {
-	parent := make(map[graph.NodeID]graph.NodeID, g.NumNodes())
-	var find func(graph.NodeID) graph.NodeID
-	find = func(x graph.NodeID) graph.NodeID {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b graph.NodeID) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra < rb { // deterministic roots
-				parent[rb] = ra
-			} else {
-				parent[ra] = rb
-			}
-		}
-	}
-	for _, id := range g.Nodes() {
-		find(id)
-	}
-	for _, e := range g.Edges() {
-		if labels[e.U] == labels[e.V] {
-			union(e.U, e.V)
-		}
-	}
-	clusters := make(map[graph.NodeID]int, g.NumNodes())
-	next := 0
-	rootCluster := make(map[graph.NodeID]int)
-	for _, id := range g.Nodes() {
-		r := find(id)
-		c, ok := rootCluster[r]
-		if !ok {
-			c = next
-			next++
-			rootCluster[r] = c
-		}
-		clusters[id] = c
-	}
-	return clusters
 }

@@ -1,6 +1,8 @@
 package lpa
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"copmecs/internal/graph"
@@ -90,8 +92,8 @@ type compressScratch struct {
 	pairMark  []int32
 	pairEpoch int32
 	// superChunk/pairChunk are carve-forward arenas for the per-component
-	// outputs, which outlive the component call (they escape into
-	// CompressCSR's assembly stage). Windows are never rewound, so pooled
+	// outputs, which outlive the component call (they escape into the
+	// assembly stage). Windows are never rewound, so pooled
 	// scratch reuse cannot clobber an escaped slab, and every fresh carve
 	// region is still make-zeroed. Chunks start exactly sized and double
 	// toward a cap, collapsing the two allocations per component into a
@@ -155,7 +157,7 @@ func (s *compressScratch) ensure(n int) {
 
 // find is union-find lookup with path halving. Roots are always the class's
 // smallest member because union keeps the smaller root (below), matching the
-// map path's deterministic-root convention.
+// map oracle's deterministic-root convention.
 func (s *compressScratch) find(x int32) int32 {
 	for s.parent[x] != x {
 		s.parent[x] = s.parent[s.parent[x]]
@@ -166,61 +168,16 @@ func (s *compressScratch) find(x int32) int32 {
 
 // CompressCSR runs Algorithm 1 on a compiled graph view: per-component label
 // propagation over the CSR arrays followed by contraction of directly
-// connected same-label nodes, entirely on int32 index arrays. It produces
-// results identical to CompressMap (asserted by property tests) at a
-// fraction of the time and allocation.
+// connected same-label nodes, entirely on int32 index arrays. It is
+// CompressCSRIncremental with nothing to reuse.
 func CompressCSR(c *graph.CSR, opts Options) (*CSRResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	n := c.NumNodes()
-	comps := c.Components()
-	res := &CSRResult{
-		Input:       c,
-		Labels:      make([]int32, n),
-		SuperOf:     make([]int32, n),
-		CompOff:     make([]int32, len(comps)+1),
-		Rounds:      make([]int, len(comps)),
-		Thresholds:  make([]float64, len(comps)),
-		NodesBefore: n,
-		EdgesBefore: c.NumEdges(),
-	}
-	outs := make([]compOut, len(comps))
-	run := func(i int) {
-		s := compressScratchPool.Get().(*compressScratch)
-		s.ensure(n)
-		outs[i] = compressComponentCSR(c, comps[i], opts, res.Labels, res.SuperOf, s)
-		compressScratchPool.Put(s)
-	}
-	if opts.Workers == 1 || len(comps) < 2 {
-		for i := range comps {
-			run(i)
-		}
-	} else {
-		sem := make(chan struct{}, opts.Workers)
-		var wg sync.WaitGroup
-		for i := range comps {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				run(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	assembleCSRResult(res, comps, outs)
-	return res, nil
+	return CompressCSRIncremental(c, opts, nil, nil)
 }
 
 // assembleCSRResult builds the global contracted arrays of res from the
-// per-component outcomes. It is shared between the cold CompressCSR pass and
-// CompressCSRIncremental: both produce identical per-component outs, so
-// running the identical assembly keeps the incremental result bit-for-bit
-// equal to the cold one. On entry res.Labels and res.SuperOf hold per-node
+// per-component outcomes. Recomputed and carried-over components produce
+// identical outs, so one assembly keeps an incremental result bit-for-bit
+// equal to a cold one. On entry res.Labels and res.SuperOf hold per-node
 // labels and component-local super ids; assembly rebases SuperOf to global.
 func assembleCSRResult(res *CSRResult, comps [][]int32, outs []compOut) {
 	n := res.NodesBefore
@@ -467,87 +424,17 @@ func compressComponentCSR(c *graph.CSR, comp []int32, opts Options, labels, supe
 			}
 		}
 	}
-	sortSuperEdges(s.pairs)
+	// Pair keys are unique — accumulation dedups through the pair index — so
+	// the sorted sequence is a unique permutation.
+	slices.SortFunc(s.pairs, func(x, y superEdge) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.b, y.b)
+	})
 	out.pairs = s.pairSlab(len(s.pairs))
 	copy(out.pairs, s.pairs)
 	return out
-}
-
-// sortSuperEdges orders pairs by (a, b) ascending. Pair keys are unique —
-// accumulation dedups through pairKey — so the sorted sequence is a unique
-// permutation and the choice of algorithm is observationally irrelevant;
-// doing it without sort.Slice saves that call's two heap allocations
-// (reflect swapper + comparator closure), paid once per component on the
-// solver's hot path. Non-negative a/b pack into one monotone int64 key.
-func sortSuperEdges(p []superEdge) {
-	if len(p) < 24 {
-		insertionSuperEdges(p)
-		return
-	}
-	key := func(e superEdge) int64 { return int64(e.a)<<32 | int64(e.b) }
-	type span struct{ lo, hi int }
-	var stack [64]span
-	top := 0
-	stack[top] = span{0, len(p) - 1}
-	top++
-	for top > 0 {
-		top--
-		lo, hi := stack[top].lo, stack[top].hi
-		for hi-lo >= 24 {
-			mid := lo + (hi-lo)/2
-			if key(p[mid]) < key(p[lo]) {
-				p[mid], p[lo] = p[lo], p[mid]
-			}
-			if key(p[hi]) < key(p[lo]) {
-				p[hi], p[lo] = p[lo], p[hi]
-			}
-			if key(p[hi]) < key(p[mid]) {
-				p[hi], p[mid] = p[mid], p[hi]
-			}
-			pivot := key(p[mid])
-			i, j := lo, hi
-			for i <= j {
-				for key(p[i]) < pivot {
-					i++
-				}
-				for key(p[j]) > pivot {
-					j--
-				}
-				if i <= j {
-					p[i], p[j] = p[j], p[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				if lo < j {
-					stack[top] = span{lo, j}
-					top++
-				}
-				lo = i
-			} else {
-				if i < hi {
-					stack[top] = span{i, hi}
-					top++
-				}
-				hi = j
-			}
-		}
-		insertionSuperEdges(p[lo : hi+1])
-	}
-}
-
-func insertionSuperEdges(p []superEdge) {
-	for i := 1; i < len(p); i++ {
-		v := p[i]
-		kv := int64(v.a)<<32 | int64(v.b)
-		j := i - 1
-		for j >= 0 && int64(p[j].a)<<32|int64(p[j].b) > kv {
-			p[j+1] = p[j]
-			j--
-		}
-		p[j+1] = v
-	}
 }
 
 // traversalOrder computes the BFS or DFS visit order from start over the
@@ -594,7 +481,7 @@ func (s *compressScratch) traversalOrder(c *graph.CSR, comp []int32, start int32
 		}
 	}
 	// Components are closed under adjacency, so this only fires on inputs
-	// that are not genuine components (defensive parity with Propagate).
+	// that are not genuine components (defensive parity with the map oracle).
 	if len(s.order) < len(comp) {
 		for _, u := range comp {
 			if s.seen[u] != epoch {

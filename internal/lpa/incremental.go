@@ -7,12 +7,13 @@ import (
 	"copmecs/internal/graph"
 )
 
-// CompressCSRIncremental recompresses a patched view, re-running label
-// propagation and contraction only for the components the patch touched.
-// prev is the previous compression of the pre-patch view (its Input);
-// oldCompOf maps each component of c to the prev component with identical
-// content (graph.PatchInfo.OldCompOf), or -1 for a touched component that
-// must be recomputed.
+// CompressCSRIncremental compresses a view, re-running label propagation and
+// contraction only for the components that have no identical predecessor.
+// prev is the compression of the pre-patch view (its Input); oldCompOf maps
+// each component of c to the prev component with identical content
+// (graph.PatchInfo.OldCompOf), or -1 for a touched component that must be
+// recomputed. A nil oldCompOf recomputes every component — the cold pass
+// CompressCSR runs.
 //
 // For a carried-over component the per-component outcome is reconstructed
 // from prev's assembled arrays — labels and local super ids copied through
@@ -20,9 +21,9 @@ import (
 // contracted pairs re-read from prev's rows — all of which are bitwise the
 // values a cold run would recompute, because compression is a pure function
 // of component-internal structure and relative node order. Feeding those
-// outcomes through the same assembly stage as CompressCSR therefore yields
-// a result bit-for-bit identical to CompressCSR(c, opts), asserted by the
-// package property tests. opts must equal the options of the prev run;
+// outcomes through the same assembly stage as recomputed ones therefore
+// yields a result bit-for-bit identical to CompressCSR(c, opts), asserted by
+// the package property tests. opts must equal the options of the prev run;
 // differing options change per-component outcomes and void the reuse.
 func CompressCSRIncremental(c *graph.CSR, opts Options, prev *CSRResult, oldCompOf []int32) (*CSRResult, error) {
 	opts = opts.withDefaults()
@@ -30,14 +31,10 @@ func CompressCSRIncremental(c *graph.CSR, opts Options, prev *CSRResult, oldComp
 		return nil, err
 	}
 	comps := c.Components()
-	if prev == nil || prev.Input == nil {
-		return nil, fmt.Errorf("lpa: incremental compress without a previous result")
-	}
-	if len(oldCompOf) != len(comps) {
+	if oldCompOf != nil && len(oldCompOf) != len(comps) {
 		return nil, fmt.Errorf("lpa: oldCompOf has %d entries for %d components", len(oldCompOf), len(comps))
 	}
 	n := c.NumNodes()
-	oldComps := prev.Input.Components()
 	res := &CSRResult{
 		Input:       c,
 		Labels:      make([]int32, n),
@@ -50,13 +47,17 @@ func CompressCSRIncremental(c *graph.CSR, opts Options, prev *CSRResult, oldComp
 	}
 	outs := make([]compOut, len(comps))
 
-	var dirty []int
+	dirty := make([]int, 0, len(comps))
 	for i := range comps {
-		oc := oldCompOf[i]
-		if oc < 0 {
+		if oldCompOf == nil || oldCompOf[i] < 0 {
 			dirty = append(dirty, i)
 			continue
 		}
+		oc := oldCompOf[i]
+		if prev == nil || prev.Input == nil {
+			return nil, fmt.Errorf("lpa: component %d carried over without a previous result", i)
+		}
+		oldComps := prev.Input.Components()
 		if oc >= int32(len(oldComps)) || len(oldComps[oc]) != len(comps[i]) {
 			return nil, fmt.Errorf("lpa: component %d does not align with previous component %d", i, oc)
 		}

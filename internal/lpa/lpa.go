@@ -116,102 +116,3 @@ func quantile(ws []float64, q float64) float64 {
 	}
 	return selectKth(ws, k)
 }
-
-// PropagateResult reports one sub-graph's label propagation outcome.
-type PropagateResult struct {
-	// Labels assigns every node of the sub-graph a label; equal labels mean
-	// "highly coupled, execute on the same device".
-	Labels map[graph.NodeID]int
-	// Rounds is the number of propagation rounds run.
-	Rounds int
-	// Threshold is the coupling threshold that was applied.
-	Threshold float64
-}
-
-// Propagate runs the label rule of Algorithm 1 on a connected sub-graph.
-// The caller is responsible for passing one component at a time (Compress
-// does); unreachable nodes would keep fresh singleton labels.
-func Propagate(g *graph.Graph, opts Options) (*PropagateResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if g.NumNodes() == 0 {
-		return &PropagateResult{Labels: map[graph.NodeID]int{}}, nil
-	}
-	threshold := opts.WeightThreshold
-	if threshold == 0 {
-		threshold = AutoThreshold(g, 0.75)
-	}
-
-	starter, _ := g.MaxDegreeNode()
-	var order []graph.NodeID
-	var err error
-	if opts.Traversal == BFS {
-		order, err = g.BFSOrder(starter)
-	} else {
-		order, err = g.DFSOrder(starter)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lpa order: %w", err)
-	}
-	// Nodes unreachable from the starter (disconnected input) still need
-	// labels; append them in ID order so every node is visited.
-	if len(order) < g.NumNodes() {
-		inOrder := make(map[graph.NodeID]bool, len(order))
-		for _, id := range order {
-			inOrder[id] = true
-		}
-		for _, id := range g.Nodes() {
-			if !inOrder[id] {
-				order = append(order, id)
-			}
-		}
-	}
-
-	labels := make(map[graph.NodeID]int, g.NumNodes())
-	nextLabel := 0
-	fresh := func() int {
-		l := nextLabel
-		nextLabel++
-		return l
-	}
-
-	total := g.NumNodes()
-	res := &PropagateResult{Threshold: threshold}
-	for round := 0; round < opts.MaxRounds; round++ {
-		updates := 0
-		for _, u := range order {
-			lu, ok := labels[u]
-			if !ok {
-				// First visit (round 1): the starter — and any node no
-				// neighbor labelled before we reached it — opens a label.
-				lu = fresh()
-				labels[u] = lu
-				updates++
-			}
-			for _, v := range g.Neighbors(u) {
-				w, _ := g.EdgeWeight(u, v)
-				lv, seen := labels[v]
-				if w > threshold {
-					// Highly coupled: v joins u's cluster.
-					if !seen || lv != lu {
-						labels[v] = lu
-						updates++
-					}
-				} else if !seen {
-					// Weak coupling: v opens its own label (paper: "it will
-					// be given different label").
-					labels[v] = fresh()
-					updates++
-				}
-			}
-		}
-		res.Rounds = round + 1
-		if float64(updates)/float64(total) <= opts.MinUpdateRate {
-			break
-		}
-	}
-	res.Labels = labels
-	return res, nil
-}

@@ -18,7 +18,7 @@ type StealScheduler struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	deques [][]func()
-	next   int // round-robin submit cursor
+	next   int // round-robin submit cursor: the number of tasks submitted
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -52,6 +52,13 @@ func (s *StealScheduler) Submit(task func()) {
 	s.deques[w] = append(s.deques[w], task)
 	s.mu.Unlock()
 	s.cond.Signal()
+}
+
+// Submitted reports how many tasks have been submitted so far.
+func (s *StealScheduler) Submitted() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.next
 }
 
 // Close stops the workers after the deques drain and waits for them to exit.

@@ -1,15 +1,17 @@
 package spectral
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"copmecs/internal/eigen"
 	"copmecs/internal/matrix"
 )
 
-// bisectScratch is the pooled workspace for BisectCSR: Laplacian assembly
+// bisectScratch is the pooled workspace for bisectCSR: Laplacian assembly
 // buffers plus sweep-cut ordering state. One instance serves one bisection at
 // a time; the pool hands each concurrent cut job its own.
 type bisectScratch struct {
@@ -38,35 +40,29 @@ func (s *bisectScratch) ensure(n, lnnz int) {
 	}
 }
 
-// BisectCSR is Bisect for a graph already in CSR form over dense indices
-// 0..n−1: node i's neighbors are tgt[off[i]:off[i+1]] (strictly ascending,
-// no self-loops, symmetric) with weights wts. It returns the two sides as
-// ascending index slices; sideB is empty for a single-node graph. The
-// Laplacian is assembled directly from the arrays into pooled buffers — no
-// triplet staging, no per-row sorts, no maps — and the result is
-// bit-for-bit identical to Bisect on the equivalent Graph (dense index i
-// standing for the i-th smallest NodeID).
-func BisectCSR(off, tgt []int32, wts []float64, opts Options) (sideA, sideB []int32, err error) {
-	n := len(off) - 1
-	if n <= 0 {
-		return nil, nil, ErrEmptyGraph
-	}
-	return BisectCSRInto(off, tgt, wts, make([]int32, n), opts)
+// BisectCSRInto bisects a graph in CSR form over dense indices 0..n−1: node
+// i's neighbors are tgt[off[i]:off[i+1]] (strictly ascending, no self-loops,
+// symmetric) with weights wts. It returns the two sides as ascending index
+// slices, both carved from the caller's sides slab (len(sides) must be ≥ n):
+// sideA occupies its front, sideB the adjacent segment; sideB is empty for a
+// single-node graph. The solver pipeline carves sides from a per-job arena,
+// so a split allocates nothing here. The Laplacian is assembled directly
+// from the arrays into pooled buffers — no triplet staging, no per-row
+// sorts, no maps.
+func BisectCSRInto(off, tgt []int32, wts []float64, sides []int32, opts Options) (sideA, sideB []int32, err error) {
+	sideA, sideB, _, err = bisectCSR(off, tgt, wts, sides, opts)
+	return sideA, sideB, err
 }
 
-// BisectCSRInto is BisectCSR writing both side lists into the caller's
-// sides slab (len(sides) must be ≥ n): sideA occupies its front, sideB the
-// adjacent segment. The batch pipeline carves sides from a per-job arena,
-// which removes the one allocation per split that BisectCSR itself would
-// make.
-func BisectCSRInto(off, tgt []int32, wts []float64, sides []int32, opts Options) (sideA, sideB []int32, err error) {
+// bisectCSR is BisectCSRInto also returning λ₂ (0 for a single node).
+func bisectCSR(off, tgt []int32, wts []float64, sides []int32, opts Options) (sideA, sideB []int32, lambda2 float64, err error) {
 	n := len(off) - 1
-	switch n {
-	case 0:
-		return nil, nil, ErrEmptyGraph
-	case 1:
+	switch {
+	case n <= 0:
+		return nil, nil, 0, ErrEmptyGraph
+	case n == 1:
 		sides[0] = 0
-		return sides[:1:1], nil, nil
+		return sides[:1:1], nil, 0, nil
 	}
 	s := bisectScratchPool.Get().(*bisectScratch)
 	defer bisectScratchPool.Put(s)
@@ -102,19 +98,16 @@ func BisectCSRInto(off, tgt []int32, wts []float64, sides []int32, opts Options)
 		rowPtr[i+1] = pos
 	}
 	if err := s.lap.ResetParts(n, n, rowPtr, colIdx[:pos], vals[:pos]); err != nil {
-		return nil, nil, fmt.Errorf("spectral: %w", err)
+		return nil, nil, 0, fmt.Errorf("spectral: %w", err)
 	}
 	// The Fiedler vector is consumed by the sweep below and never escapes
 	// this call, so the dense kernel may back it with the pooled scratch
 	// buffer instead of a fresh allocation.
 	eopts := opts.Eigen
 	eopts.VecBuf = &s.vecBuf
-	_, vec, err := eigen.Fiedler(&s.lap, eopts)
+	lambda2, vec, err := eigen.Fiedler(&s.lap, eopts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("spectral: %w", err)
-	}
-	if opts.FiedlerCapture != nil && *opts.FiedlerCapture == nil {
-		*opts.FiedlerCapture = append([]float64(nil), vec...)
+		return nil, nil, 0, fmt.Errorf("spectral: %w", err)
 	}
 
 	inA := s.inA[:n]
@@ -139,10 +132,13 @@ func BisectCSRInto(off, tgt []int32, wts []float64, sides []int32, opts Options)
 			sideB = append(sideB, int32(i))
 		}
 	}
-	return sideA, sideB, nil
+	return sideA, sideB, lambda2, nil
 }
 
-// signSplitCSR mirrors signSplit on a dense vector, writing the side mask.
+// signSplitCSR assigns side A to non-negative Fiedler entries, writing the
+// side mask. If the split is degenerate (all entries one sign, possible with
+// near-zero round-off), the most extreme node is peeled off so both sides
+// are non-empty.
 func signSplitCSR(vec matrix.Vector, inA []bool) {
 	countA := 0
 	for i := range vec {
@@ -165,99 +161,23 @@ func signSplitCSR(vec matrix.Vector, inA []bool) {
 	}
 }
 
-// sortByFiedler orders node indices by (Fiedler value, index). The index
-// tie-break makes the comparison a total order, so the sorted permutation is
-// unique and the algorithm is free to differ from the reference sweepCut's
-// sort.Slice without perturbing any downstream result; sorting without
-// sort.Slice saves its two per-call heap allocations on the cut hot path.
-// Insertion sort below a small cutoff, iterative median-of-three quicksort
-// above it.
-func sortByFiedler(order []int, vec matrix.Vector) {
-	less := func(a, b int) bool {
-		va, vb := vec[a], vec[b]
-		if va != vb { //vet:ignore floatcmp exact comparator, mirrors sweepCut
-			return va < vb
-		}
-		return a < b
-	}
-	if len(order) < 24 {
-		insertionByFiedler(order, less)
-		return
-	}
-	type span struct{ lo, hi int }
-	var stack [64]span
-	top := 0
-	stack[top] = span{0, len(order) - 1}
-	top++
-	for top > 0 {
-		top--
-		lo, hi := stack[top].lo, stack[top].hi
-		for hi-lo >= 24 {
-			mid := lo + (hi-lo)/2
-			if less(order[mid], order[lo]) {
-				order[mid], order[lo] = order[lo], order[mid]
-			}
-			if less(order[hi], order[lo]) {
-				order[hi], order[lo] = order[lo], order[hi]
-			}
-			if less(order[hi], order[mid]) {
-				order[hi], order[mid] = order[mid], order[hi]
-			}
-			pivot := order[mid]
-			i, j := lo, hi
-			for i <= j {
-				for less(order[i], pivot) {
-					i++
-				}
-				for less(pivot, order[j]) {
-					j--
-				}
-				if i <= j {
-					order[i], order[j] = order[j], order[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				if lo < j {
-					stack[top] = span{lo, j}
-					top++
-				}
-				lo = i
-			} else {
-				if i < hi {
-					stack[top] = span{i, hi}
-					top++
-				}
-				hi = j
-			}
-		}
-		insertionByFiedler(order[lo:hi+1], less)
-	}
-}
-
-func insertionByFiedler(order []int, less func(a, b int) bool) {
-	for i := 1; i < len(order); i++ {
-		v := order[i]
-		j := i - 1
-		for j >= 0 && less(v, order[j]) {
-			order[j+1] = order[j]
-			j--
-		}
-		order[j+1] = v
-	}
-}
-
-// sweepCutCSR mirrors sweepCut over CSR adjacency: nodes ordered by Fiedler
-// value (index tie-break), prefix cut maintained incrementally, best prefix
-// returned as the side mask.
+// sweepCutCSR orders nodes by Fiedler value and returns, as the side mask,
+// the prefix split with the smallest objective, the prefix cut maintained
+// incrementally in O(E + V log V). Exact < in both directions with the index
+// as tie-break makes the comparison a total order (a tolerance-based equality
+// is not transitive), so the sorted permutation is unique.
 func sweepCutCSR(off, tgt []int32, wts []float64, vec matrix.Vector, obj Objective, order []int, inPrefix []bool) {
 	n := len(vec)
 	for i := range order {
 		order[i] = i
 		inPrefix[i] = false
 	}
-	sortByFiedler(order, vec)
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(vec[a], vec[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	var (
 		cur     float64
 		best    = math.Inf(1)

@@ -9,7 +9,7 @@ import (
 )
 
 // randCSRGraph returns a connected random weighted graph on n nodes in the
-// adjacency-array form BisectCSR takes, plus its edge list.
+// adjacency-array form BisectCSRInto takes, plus its edge list.
 func randCSRGraph(rng *rand.Rand, n int) (off, tgt []int32, wts []float64, edges []matrix.WeightedEdge) {
 	w := make(map[[2]int]float64)
 	for i := 1; i < n; i++ {
@@ -72,11 +72,11 @@ func TestPropertyDenseAndLanczosCutAlike(t *testing.T) {
 		}
 		checked++
 		for _, obj := range []Objective{MinCut, RatioCut} {
-			denseA, denseB, err := BisectCSR(off, tgt, wts, Options{Objective: obj, Eigen: eigen.FiedlerOptions{DenseCutoff: n}})
+			denseA, denseB, err := BisectCSRInto(off, tgt, wts, make([]int32, n), Options{Objective: obj, Eigen: eigen.FiedlerOptions{DenseCutoff: n}})
 			if err != nil {
 				t.Fatalf("trial %d n %d: dense: %v", trial, n, err)
 			}
-			lanA, lanB, err := BisectCSR(off, tgt, wts, Options{Objective: obj, Eigen: eigen.FiedlerOptions{DenseCutoff: 1}})
+			lanA, lanB, err := BisectCSRInto(off, tgt, wts, make([]int32, n), Options{Objective: obj, Eigen: eigen.FiedlerOptions{DenseCutoff: 1}})
 			if err != nil {
 				t.Fatalf("trial %d n %d: lanczos: %v", trial, n, err)
 			}

@@ -14,14 +14,9 @@ package spectral
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"sort"
 
 	"copmecs/internal/eigen"
 	"copmecs/internal/graph"
-	"copmecs/internal/matrix"
-	"copmecs/internal/numeric"
 )
 
 // ErrEmptyGraph is returned when there is nothing to cut.
@@ -50,13 +45,6 @@ type Options struct {
 	Objective Objective
 	// Eigen carries eigensolver options.
 	Eigen eigen.FiedlerOptions
-	// FiedlerCapture, when non-nil and pointing at a nil slice, receives a
-	// copy of the first Fiedler vector BisectCSRInto computes under these
-	// options — and only the first: recursive bisection reuses one Options
-	// value for every split of a sub-graph, so the captured vector is the
-	// full sub-graph's, the one a later incremental re-solve can feed back
-	// through Eigen.WarmStart. Capture has no effect on results.
-	FiedlerCapture *[]float64
 }
 
 // Cut is a two-way split of a graph's nodes.
@@ -73,169 +61,42 @@ type Cut struct {
 
 // Bisect splits g into two parts of small cut weight using the Fiedler
 // vector. A single-node graph yields the degenerate cut (that node, ∅, 0).
+// It is the *graph.Graph front of the one CSR kernel: compile, bisect over
+// dense indices, translate the sides back to NodeIDs (index order is NodeID
+// order, so both sides come out sorted).
 func Bisect(g *graph.Graph, opts Options) (*Cut, error) {
-	n := g.NumNodes()
-	switch n {
-	case 0:
+	c := g.Compile()
+	n := c.NumNodes()
+	if n == 0 {
 		return nil, ErrEmptyGraph
-	case 1:
-		return &Cut{SideA: g.Nodes(), Weight: 0}, nil
 	}
-
-	nodes := g.Nodes()
-	index := make(map[graph.NodeID]int, n)
-	for i, id := range nodes {
-		index[id] = i
-	}
-	edges := g.Edges()
-	wedges := make([]matrix.WeightedEdge, len(edges))
-	for i, e := range edges {
-		wedges[i] = matrix.WeightedEdge{U: index[e.U], V: index[e.V], Weight: e.Weight}
-	}
-	lap, err := matrix.Laplacian(n, wedges)
+	off, tgt, wts := c.Adjacency()
+	a, b, lambda2, err := bisectCSR(off, tgt, wts, make([]int32, n), opts)
 	if err != nil {
-		return nil, fmt.Errorf("spectral: %w", err)
+		return nil, err
 	}
-	lambda2, vec, err := eigen.Fiedler(lap, opts.Eigen)
-	if err != nil {
-		return nil, fmt.Errorf("spectral: %w", err)
+	cut := &Cut{Lambda2: lambda2, SideA: make([]graph.NodeID, len(a))}
+	inA := make([]bool, n)
+	for i, u := range a {
+		cut.SideA[i] = c.IDOf(u)
+		inA[u] = true
 	}
-
-	var side map[graph.NodeID]bool
-	if opts.DisableSweep {
-		side = signSplit(nodes, vec)
-	} else {
-		side = sweepCut(g, nodes, vec, opts.Objective)
+	if len(b) > 0 {
+		cut.SideB = make([]graph.NodeID, len(b))
+		for i, u := range b {
+			cut.SideB[i] = c.IDOf(u)
+		}
 	}
-	cut := &Cut{Lambda2: lambda2, Weight: g.CutWeight(side)}
-	for _, id := range nodes {
-		if side[id] {
-			cut.SideA = append(cut.SideA, id)
-		} else {
-			cut.SideB = append(cut.SideB, id)
+	// Formula (8), summed u ascending, v > u ascending — graph.CutWeight's
+	// order, so the two agree to the last bit.
+	for u := int32(0); u < int32(n); u++ {
+		for e := off[u]; e < off[u+1]; e++ {
+			if v := tgt[e]; v > u && inA[u] != inA[v] {
+				cut.Weight += wts[e]
+			}
 		}
 	}
 	return cut, nil
-}
-
-// signSplit assigns side A to non-negative Fiedler entries. If the split is
-// degenerate (all entries one sign, possible with near-zero round-off), the
-// most extreme node is peeled off so both sides are non-empty.
-func signSplit(nodes []graph.NodeID, vec matrix.Vector) map[graph.NodeID]bool {
-	side := make(map[graph.NodeID]bool, len(nodes))
-	countA := 0
-	for i, id := range nodes {
-		if vec[i] >= 0 {
-			side[id] = true
-			countA++
-		}
-	}
-	if countA == 0 || countA == len(nodes) {
-		// Degenerate: separate the entry with the largest magnitude.
-		extreme := 0
-		for i := range vec {
-			if abs(vec[i]) > abs(vec[extreme]) {
-				extreme = i
-			}
-		}
-		side = map[graph.NodeID]bool{nodes[extreme]: true}
-	}
-	return side
-}
-
-// sweepCut orders nodes by Fiedler value and returns the prefix split with
-// the smallest objective, computed incrementally in O(E + V log V).
-func sweepCut(g *graph.Graph, nodes []graph.NodeID, vec matrix.Vector, obj Objective) map[graph.NodeID]bool {
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		// Exact < in both directions keeps the comparator a strict weak
-		// ordering (a tolerance-based equality is not transitive), with
-		// node IDs as the deterministic tie-break.
-		va, vb := vec[order[a]], vec[order[b]]
-		if va < vb {
-			return true
-		}
-		if vb < va {
-			return false
-		}
-		return nodes[order[a]] < nodes[order[b]]
-	})
-
-	inPrefix := make(map[graph.NodeID]bool, len(nodes))
-	n := len(nodes)
-	var (
-		cur     float64
-		best    = math.Inf(1)
-		bestLen int
-	)
-	for k := 0; k < len(order)-1; k++ {
-		id := nodes[order[k]]
-		// Moving id into the prefix flips the crossing state of its edges.
-		for _, nb := range g.Neighbors(id) {
-			w, _ := g.EdgeWeight(id, nb)
-			if inPrefix[nb] {
-				cur -= w
-			} else {
-				cur += w
-			}
-		}
-		inPrefix[id] = true
-		score := cur
-		if obj == RatioCut {
-			sizeA := float64(k + 1)
-			score = cur / (sizeA * (float64(n) - sizeA))
-		}
-		if score < best {
-			best = score
-			bestLen = k + 1
-		}
-	}
-	side := make(map[graph.NodeID]bool, bestLen)
-	for k := 0; k < bestLen; k++ {
-		side[nodes[order[k]]] = true
-	}
-	return side
-}
-
-// CutFromQ evaluates Theorem 2 directly: given the side-indicator values d1
-// (side A) and d2 (side B), it returns qᵀLq/(d1−d2)², which equals the cut
-// weight. Exposed for verification and teaching; production code uses
-// graph.CutWeight.
-func CutFromQ(g *graph.Graph, sideA map[graph.NodeID]bool, d1, d2 float64) (float64, error) {
-	if numeric.Eq(d1, d2) {
-		return 0, fmt.Errorf("spectral: d1 ≈ d2 ≈ %g carries no cut information", d1)
-	}
-	nodes := g.Nodes()
-	if len(nodes) == 0 {
-		return 0, ErrEmptyGraph
-	}
-	index := make(map[graph.NodeID]int, len(nodes))
-	q := make(matrix.Vector, len(nodes))
-	for i, id := range nodes {
-		index[id] = i
-		if sideA[id] {
-			q[i] = d1
-		} else {
-			q[i] = d2
-		}
-	}
-	edges := g.Edges()
-	wedges := make([]matrix.WeightedEdge, len(edges))
-	for i, e := range edges {
-		wedges[i] = matrix.WeightedEdge{U: index[e.U], V: index[e.V], Weight: e.Weight}
-	}
-	lap, err := matrix.Laplacian(len(nodes), wedges)
-	if err != nil {
-		return 0, fmt.Errorf("spectral: %w", err)
-	}
-	qf, err := lap.QuadForm(q)
-	if err != nil {
-		return 0, fmt.Errorf("spectral: %w", err)
-	}
-	return qf / ((d1 - d2) * (d1 - d2)), nil
 }
 
 func abs(x float64) float64 {

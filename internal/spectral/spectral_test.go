@@ -176,18 +176,18 @@ func TestCutFromQTheorem2(t *testing.T) {
 	sideA := map[graph.NodeID]bool{0: true, 1: true, 2: true, 3: true}
 	want := g.CutWeight(sideA)
 	for _, d := range [][2]float64{{1, -1}, {3, 7}, {-2, 5}} {
-		got, err := CutFromQ(g, sideA, d[0], d[1])
+		got, err := cutFromQ(g, sideA, d[0], d[1])
 		if err != nil {
-			t.Fatalf("CutFromQ(%v): %v", d, err)
+			t.Fatalf("cutFromQ(%v): %v", d, err)
 		}
 		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("CutFromQ(d1=%v,d2=%v) = %v, want %v", d[0], d[1], got, want)
+			t.Errorf("cutFromQ(d1=%v,d2=%v) = %v, want %v", d[0], d[1], got, want)
 		}
 	}
-	if _, err := CutFromQ(g, sideA, 2, 2); err == nil {
+	if _, err := cutFromQ(g, sideA, 2, 2); err == nil {
 		t.Error("d1 == d2 accepted")
 	}
-	if _, err := CutFromQ(graph.New(0), nil, 1, -1); !errors.Is(err, ErrEmptyGraph) {
+	if _, err := cutFromQ(graph.New(0), nil, 1, -1); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v", err)
 	}
 }

@@ -13,15 +13,21 @@
 # Additionally, any benchmark in the NEW run reporting a speedup_x metric
 # (BenchmarkBatchSpeedup: fused batch throughput over the looped
 # single-solve baseline, measured interleaved within one process so host
-# drift cancels) must average at least MIN_SPEEDUP_X (default 1.2). This is
-# an absolute floor, not a relative comparison: the gate holds the fused
-# win itself. (The floor was 2.0 until the single-solve cut evaluation
+# drift cancels) must average at least MIN_SPEEDUP_X (default 1.0). This is
+# an absolute floor, not a relative comparison: the fused pass must never
+# lose to the loop. (The floor was 2.0 until the single-solve cut evaluation
 # grew a flat-membership fast path, then 1.4 until the dense Householder
 # Fiedler kernel replaced both Jacobi paths: the looped baseline had been
 # paying for the allocating Jacobi and gained more than the fused path's
 # flat one, so both sides got faster — looped 7.48 -> 5.63 ms, fused
-# 4.97 -> 4.12 ms per 64-graph round — and the honest fused margin is now
-# ~1.3x.)
+# 4.97 -> 4.12 ms per 64-graph round. It was 1.2 until a single Solve
+# became a fused batch of one: the looped side now runs the fused side's
+# code, 64 times over, so the ratio only measures the per-call overhead
+# fusion amortises. Interleaved same-day A/B against the parent commit,
+# ns per 64-graph round: looped 6.20 -> 5.29 ms (allocs 16069 -> 5897),
+# fused 4.59 -> 4.88 ms (within the run-to-run spread, 4.1-5.0 ms on the
+# parent alone); BenchmarkBatchSpeedup measured 1.075x. No slower sibling
+# is kept for single solves to protect the ratio.)
 #
 # BenchmarkIncrementalResolve/n=5000 gets its own floor MIN_INCREMENTAL_X
 # (default 3.5): the incremental re-solve pipeline exists to beat cold
@@ -30,7 +36,10 @@
 # time in dense Jacobi; with the Householder kernel the cold side fell from
 # ~120 to ~44 ms per four-step block and the incremental side from ~19 to
 # ~11 ms — it re-cuts one dirty component, so it gained less — and the
-# measured ratio is ~3.9x. inc_ns / cold_ns report the two sides.) The
+# measured ratio was ~3.9x; since the one-pipeline change a delta solve
+# evaluates off its patched CSR view like every other solve and the ratio
+# is ~4.4x — cold ~46 ms, incremental ~10.3 ms. inc_ns / cold_ns report the
+# two sides.) The
 # n=1000 entry reports its ratio but is held only to the generic
 # MIN_SPEEDUP_X (small graphs amortise less).
 #
@@ -43,7 +52,7 @@ set -eu
 old=${1:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE]}
 new=${2:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE]}
 max=${3:-15}
-minspeed=${4:-1.2}
+minspeed=${4:-1.0}
 mininc=${5:-3.5}
 mindense=${6:-5.0}
 
