@@ -104,9 +104,10 @@ fleet-smoke:
 # the Figure 9 solve, Table I compression, the steady-state allocation
 # budget, the fused batch solver (looped vs fused throughput plus the
 # interleaved speedup ratio), the incremental re-solve (chained 1%
-# edge-churn deltas vs cold solves), and internal/eigen's dense Fiedler
-# kernel against its Jacobi oracle (interleaved); scripts/perf_gate.sh holds
-# the three ratio floors. It distils the mean ns/op, B/op, allocs/op and,
+# edge-churn deltas vs cold solves), internal/eigen's dense Fiedler kernel
+# against its Jacobi oracle and internal/lpa's round loop against its
+# all-rounds reference (both interleaved); scripts/perf_gate.sh holds the
+# four ratio floors. It distils the mean ns/op, B/op, allocs/op and,
 # where reported, graphs/sec and speedup_x per benchmark into
 # results/BENCH_core.json. The
 # raw text lands in results/bench_core.txt; regenerate the committed
@@ -115,8 +116,8 @@ fleet-smoke:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSpeedup$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$' \
-		. ./internal/eigen/ | tee results/bench_core.txt
+		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSpeedup$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkLPARoundsSpeedup$$' \
+		. ./internal/eigen/ ./internal/lpa/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \
 		name = $$1; sub(/-[0-9]+$$/, "", name); \

@@ -96,32 +96,30 @@ var ErrBadFormat = errors.New("graph: bad binary format")
 // Ordering is deterministic (ascending IDs / edge pairs).
 func (g *Graph) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	hdr := []any{
-		uint32(binaryMagic), uint16(binaryVersion),
-		uint32(g.NumNodes()), uint32(g.NumEdges()),
+	// One fixed buffer, filled field by field: binary.Write would reflect on
+	// and allocate for every value, three times per edge.
+	var buf [24]byte
+	le := binary.LittleEndian
+	le.PutUint32(buf[0:], binaryMagic)
+	le.PutUint16(buf[4:], binaryVersion)
+	le.PutUint32(buf[6:], uint32(g.NumNodes()))
+	le.PutUint32(buf[10:], uint32(g.NumEdges()))
+	if _, err := bw.Write(buf[:14]); err != nil {
+		return fmt.Errorf("write graph header: %w", err)
 	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("write graph header: %w", err)
-		}
-	}
-	for _, id := range g.Nodes() {
-		wt, err := g.NodeWeight(id)
-		if err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, int64(id)); err != nil {
-			return fmt.Errorf("write node: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(wt)); err != nil {
+	for _, id := range g.sortedNodes() {
+		le.PutUint64(buf[0:], uint64(id))
+		le.PutUint64(buf[8:], math.Float64bits(g.nodes[id].weight))
+		if _, err := bw.Write(buf[:16]); err != nil {
 			return fmt.Errorf("write node: %w", err)
 		}
 	}
 	for _, e := range g.Edges() {
-		for _, v := range []any{int64(e.U), int64(e.V), math.Float64bits(e.Weight)} {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return fmt.Errorf("write edge: %w", err)
-			}
+		le.PutUint64(buf[0:], uint64(e.U))
+		le.PutUint64(buf[8:], uint64(e.V))
+		le.PutUint64(buf[16:], math.Float64bits(e.Weight))
+		if _, err := bw.Write(buf[:24]); err != nil {
+			return fmt.Errorf("write edge: %w", err)
 		}
 	}
 	if err := bw.Flush(); err != nil {

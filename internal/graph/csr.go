@@ -3,14 +3,15 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CSR is a frozen, index-based view of a Graph: the execution representation
 // of the solve hot path. Where Graph is a mutable map-of-maps builder API,
 // CSR packs the same topology into dense int32-indexed arrays — node weights,
 // compressed-sparse-row adjacency with each node's neighbor list pre-sorted
-// ascending, a connected-component id per node, and the NodeID↔index
-// mapping — built once by Compile and never mutated afterwards.
+// ascending, a connected-component id per node, and the ascending NodeID of
+// every index — built once by Compile and never mutated afterwards.
 //
 // Unlike Graph's accessors, CSR accessors return internal slices without
 // copying: callers must treat every returned slice as read-only. A CSR is
@@ -21,10 +22,10 @@ import (
 // corresponds to the i-th smallest NodeID and index order equals NodeID
 // order everywhere (BFS/DFS tie-breaks, contraction ordering, quantile
 // scans), which is what keeps the CSR kernels bit-for-bit equivalent to the
-// map-path reference implementations.
+// map-path reference implementations. The same ordering is the NodeID→index
+// lookup: the view carries no map, IndexOf searches ids (see indexIn).
 type CSR struct {
 	ids   []NodeID
-	index map[NodeID]int32
 	nodeW []float64
 
 	// off/tgt/wts is the adjacency: node i's neighbors are
@@ -35,42 +36,33 @@ type CSR struct {
 
 	compOf []int32
 	comps  [][]int32
+
+	// multi marks the view of several fused graphs: ids ascend only within
+	// each graph's span and may repeat across spans, so IndexOf answers -1.
+	multi bool
 }
 
-// Compile freezes g into its CSR view. The graph must not be mutated while
-// the view is in use; Compile is O(V + E) on top of the per-node adjacency
-// sort latches.
+// Compile freezes g into its CSR view: the fused view of one graph. The
+// graph must not be mutated while the view is in use.
 func (g *Graph) Compile() *CSR {
-	n := g.NumNodes()
-	c := &CSR{
-		ids:   g.Nodes(),
-		index: make(map[NodeID]int32, n),
-		nodeW: make([]float64, n),
-		off:   make([]int32, n+1),
+	return Fuse([]*Graph{g}).View
+}
+
+// indexIn returns the position of id in the ascending, duplicate-free ids, or
+// -1 when absent: O(1) when ids is a dense range (the common generated-
+// workload case), binary search otherwise.
+func indexIn(ids []NodeID, id NodeID) int32 {
+	n := len(ids)
+	if n == 0 || id < ids[0] || id > ids[n-1] {
+		return -1
 	}
-	for i, id := range c.ids {
-		c.index[id] = int32(i)
+	if int(ids[n-1]-ids[0]) == n-1 {
+		return int32(id - ids[0])
 	}
-	nnz := 0
-	for i, id := range c.ids {
-		rec := g.nodes[id]
-		c.nodeW[i] = rec.weight
-		nnz += len(rec.adj)
-		c.off[i+1] = int32(nnz)
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		return int32(i)
 	}
-	c.tgt = make([]int32, nnz)
-	c.wts = make([]float64, nnz)
-	pos := 0
-	for _, id := range c.ids {
-		av := g.nodes[id].adjView()
-		for i, nb := range av.ids {
-			c.tgt[pos] = c.index[nb]
-			c.wts[pos] = av.w[i]
-			pos++
-		}
-	}
-	c.buildComponents()
-	return c
+	return -1
 }
 
 // buildComponents labels each node with a component id. Components are
@@ -135,12 +127,13 @@ func (c *CSR) IDs() []NodeID { return c.ids }
 // IDOf returns the NodeID at index i.
 func (c *CSR) IDOf(i int32) NodeID { return c.ids[i] }
 
-// IndexOf returns the dense index of id, or -1 when absent.
+// IndexOf returns the dense index of id, or -1 when absent (always -1 on a
+// multi-graph fused view, whose ids repeat across graphs).
 func (c *CSR) IndexOf(id NodeID) int32 {
-	if i, ok := c.index[id]; ok {
-		return i
+	if c.multi {
+		return -1
 	}
-	return -1
+	return indexIn(c.ids, id)
 }
 
 // NodeWeights returns the weight of every index. Read-only view.

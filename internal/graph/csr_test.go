@@ -25,6 +25,16 @@ func TestCompileMatchesGraph(t *testing.T) {
 		}
 	}
 	c := g.Compile()
+	viewMatchesGraph(t, c, g)
+	if c.IndexOf(99) != -1 {
+		t.Errorf("IndexOf(absent) = %d, want -1", c.IndexOf(99))
+	}
+}
+
+// viewMatchesGraph holds a compiled view to its source graph through the
+// graph's public accessors: ids, weights, ascending rows, components.
+func viewMatchesGraph(t *testing.T, c *CSR, g *Graph) {
+	t.Helper()
 	if err := c.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -52,9 +62,6 @@ func TestCompileMatchesGraph(t *testing.T) {
 				t.Errorf("edge {%d,%d} weight = %v, want %v", id, nbs[k], ws[k], w)
 			}
 		}
-	}
-	if c.IndexOf(99) != -1 {
-		t.Errorf("IndexOf(absent) = %d, want -1", c.IndexOf(99))
 	}
 	gcomps := g.Components()
 	ccomps := c.Components()

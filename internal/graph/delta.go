@@ -127,8 +127,7 @@ type rowEdit struct {
 // untouched rows are copied (index-shifted when nodes come and go), edited
 // rows are merged in ascending order, and components are rebuilt with the
 // same counting-sort layout. When the node set is unchanged the patched view
-// shares the source's id array and index map (both immutable), which is what
-// makes a weight-churn patch dramatically cheaper than Compile.
+// shares the source's immutable id array.
 func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 	oldN := len(c.ids)
 
@@ -186,14 +185,11 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 
 	// New index space: surviving old nodes merged with added ids, ascending.
 	var (
-		ids      []NodeID
-		index    map[NodeID]int32
+		ids      = c.ids
 		oldToNew []int32 // nil = identity
 		newToOld []int32 // nil = identity
 	)
-	if len(removed) == 0 && len(added) == 0 {
-		ids, index = c.ids, c.index
-	} else {
+	if len(removed) > 0 || len(added) > 0 {
 		addIDs := make([]NodeID, 0, len(added))
 		for _, n := range added {
 			addIDs = append(addIDs, n.ID)
@@ -201,14 +197,12 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		slices.Sort(addIDs)
 		newN := oldN - len(removed) + len(added)
 		ids = make([]NodeID, 0, newN)
-		index = make(map[NodeID]int32, newN)
 		oldToNew = make([]int32, oldN)
 		newToOld = make([]int32, 0, newN)
 		ai := 0
 		for i := int32(0); i < int32(oldN); i++ {
 			for ai < len(addIDs) && addIDs[ai] < c.ids[i] {
 				newToOld = append(newToOld, -1)
-				index[addIDs[ai]] = int32(len(ids))
 				ids = append(ids, addIDs[ai])
 				ai++
 			}
@@ -218,12 +212,10 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 			}
 			oldToNew[i] = int32(len(ids))
 			newToOld = append(newToOld, i)
-			index[c.ids[i]] = int32(len(ids))
 			ids = append(ids, c.ids[i])
 		}
 		for ; ai < len(addIDs); ai++ {
 			newToOld = append(newToOld, -1)
-			index[addIDs[ai]] = int32(len(ids))
 			ids = append(ids, addIDs[ai])
 		}
 	}
@@ -238,8 +230,8 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 	// Step 4: weight overrides, resolved in new-index space.
 	p := &CSR{
 		ids:   ids,
-		index: index,
 		nodeW: make([]float64, newN),
+		multi: c.multi,
 	}
 	for j := 0; j < newN; j++ {
 		if newToOld == nil {
@@ -253,8 +245,8 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 	// Duplicate weight sets are legal (last wins), matching Apply.
 	weightTouched := make(map[int32]bool, len(d.SetNodeWeights))
 	for _, n := range d.SetNodeWeights {
-		j, ok := index[n.ID]
-		if !ok {
+		j := p.IndexOf(n.ID)
+		if j < 0 {
 			return nil, nil, fmt.Errorf("patch: set node weight %d: %w", n.ID, ErrNodeNotFound)
 		}
 		if n.Weight < 0 {
@@ -267,9 +259,8 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 	// Step 5: edge sets, validated in new-index space.
 	setEdges := make(map[edgeKey]float64, len(d.SetEdges))
 	for _, e := range d.SetEdges {
-		ju, okU := index[e.U]
-		jv, okV := index[e.V]
-		if !okU || !okV {
+		ju, jv := p.IndexOf(e.U), p.IndexOf(e.V)
+		if ju < 0 || jv < 0 {
 			return nil, nil, fmt.Errorf("patch: set edge {%d,%d}: %w", e.U, e.V, ErrNodeNotFound)
 		}
 		if ju == jv {

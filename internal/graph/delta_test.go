@@ -29,9 +29,9 @@ func csrIdentical(t *testing.T, a, b *CSR) bool {
 			return false
 		}
 	}
-	for id, i := range a.index {
-		if j, ok := b.index[id]; !ok || j != i {
-			t.Logf("index[%d]: %d vs %d", id, i, j)
+	for i, id := range a.ids {
+		if ia, ib := a.IndexOf(id), b.IndexOf(id); ia != int32(i) || ib != int32(i) {
+			t.Logf("IndexOf(%d): %d vs %d, want %d", id, ia, ib, i)
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -142,5 +143,49 @@ func TestFingerprintSensitivity(t *testing.T) {
 				t.Fatalf("mutated graph kept fingerprint %s", want)
 			}
 		})
+	}
+}
+
+// TestFingerprintGolden pins the digest strings themselves: journals and
+// snapshots persist them, so an encoder change that keeps fingerprints
+// self-consistent but moves the bytes would orphan every stored record. The
+// digests were computed with the reflection-based encoder this one replaced.
+func TestFingerprintGolden(t *testing.T) {
+	build := func(nodes []NodeDelta, edges []EdgeDelta) *Graph {
+		g := New(len(nodes))
+		for _, n := range nodes {
+			if err := g.AddNode(n.ID, n.Weight); err != nil {
+				t.Fatalf("AddNode(%d): %v", n.ID, err)
+			}
+		}
+		for _, e := range edges {
+			if err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
+				t.Fatalf("AddEdge(%d,%d): %v", e.U, e.V, err)
+			}
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"dense ids", fpGraph(t), "5636ad12fe4f47bb3dc70020681bbab30f04e1558a69bffaf1c9720a650fbe1c"},
+		{"sparse and negative ids", build(
+			[]NodeDelta{{-1 << 31, 1.5}, {-7, 0}, {3, 2.25}, {1000, 1e-300}, {1<<31 - 1, 1e300}},
+			[]EdgeDelta{{-7, 3, 0.125}, {1<<31 - 1, -1 << 31, 7}, {1000, 3, 0}, {-7, 1000, 42}},
+		), "3eff4e5dfb0dcfaee5b04e4ec643b2a485dd620134dbf064028f8eb8f0441df3"},
+		{"NaN and +Inf weights", build(
+			[]NodeDelta{{0, math.NaN()}, {1, math.Inf(1)}, {2, 1}, {3, 0}},
+			[]EdgeDelta{{0, 1, math.NaN()}, {1, 2, math.Inf(1)}, {2, 3, 4}, {0, 3, math.MaxFloat64}},
+		), "91e37bbbd55724a2422cf893eb3134207f24b8f67ac23a3335847dddeda3261b"},
+	} {
+		got, err := tc.g.Fingerprint()
+		if err != nil {
+			t.Fatalf("%s: Fingerprint: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

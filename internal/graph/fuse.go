@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // FusedCSR is the frozen CSR view of several graphs laid side by side: one
 // shared ids/nodeW/off/tgt/wts array set in which graph k occupies the
 // contiguous node span [NodeBase[k], NodeBase[k+1]) and the contiguous
@@ -17,9 +15,9 @@ import "sort"
 // index-based kernel downstream is component-local, so running it over the
 // fused view yields bit-for-bit the per-graph results.
 //
-// The fused view deliberately has no NodeID→index map (IndexOf returns -1):
-// fused NodeIDs are not globally unique — two graphs may reuse the same ids —
-// so only span-relative lookups are meaningful. Use GraphIDs/IndexIn.
+// On a view of more than one graph IndexOf returns -1: fused NodeIDs are not
+// globally unique — two graphs may reuse the same ids — so only span-relative
+// positions are meaningful.
 type FusedCSR struct {
 	View *CSR
 	// NodeBase has one entry per fused graph plus a final sentinel: graph
@@ -33,27 +31,10 @@ type FusedCSR struct {
 // Graphs reports how many graphs were fused.
 func (f *FusedCSR) Graphs() int { return len(f.NodeBase) - 1 }
 
-// GraphIDs returns graph k's NodeIDs, ascending (a view into the shared ids
-// array; read-only).
-func (f *FusedCSR) GraphIDs(k int) []NodeID {
-	return f.View.ids[f.NodeBase[k]:f.NodeBase[k+1]]
-}
-
-// IndexIn returns the fused index of id within graph k, or -1 when absent.
-func (f *FusedCSR) IndexIn(k int, id NodeID) int32 {
-	ids := f.GraphIDs(k)
-	i := sort.Search(len(ids), func(j int) bool { return ids[j] >= id })
-	if i < len(ids) && ids[i] == id {
-		return f.NodeBase[k] + int32(i)
-	}
-	return -1
-}
-
-// Fuse compiles gs into one fused CSR view. Each graph must be non-nil and
-// must not be mutated while the view is in use. Unlike Compile, Fuse builds
-// no per-graph NodeID→index maps — neighbor resolution runs over the sorted
-// id span directly — which is a measurable saving when fusing many small
-// graphs per serving round.
+// Fuse compiles gs into one fused CSR view; Compile is Fuse of one graph.
+// Each graph must be non-nil and must not be mutated while the view is in
+// use. Fuse is O(V + E) plus a per-row sort: it builds no NodeID→index map —
+// neighbor resolution runs over each graph's ascending id span directly.
 func Fuse(gs []*Graph) *FusedCSR {
 	totalN, totalNNZ := 0, 0
 	for _, g := range gs {
@@ -64,33 +45,22 @@ func Fuse(gs []*Graph) *FusedCSR {
 		ids:   make([]NodeID, 0, totalN),
 		nodeW: make([]float64, 0, totalN),
 		off:   make([]int32, 1, totalN+1),
-		tgt:   make([]int32, 0, totalNNZ),
-		wts:   make([]float64, 0, totalNNZ),
+		tgt:   make([]int32, totalNNZ),
+		wts:   make([]float64, totalNNZ),
+		multi: len(gs) > 1,
 	}
 	f := &FusedCSR{View: c, NodeBase: make([]int32, 1, len(gs)+1)}
 
+	pos := 0
 	for _, g := range gs {
 		base := int32(len(c.ids))
-		ids := g.Nodes()
+		ids := g.sortedNodes()
 		c.ids = append(c.ids, ids...)
-		// Dense id ranges (the common generated-workload case) resolve a
-		// neighbor in O(1); sparse ranges binary-search the sorted span.
-		dense := len(ids) > 0 && int(ids[len(ids)-1]-ids[0]) == len(ids)-1
-		localOf := func(id NodeID) int32 {
-			if dense {
-				return base + int32(id-ids[0])
-			}
-			return base + int32(sort.Search(len(ids), func(i int) bool { return ids[i] >= id }))
-		}
 		for _, id := range ids {
 			rec := g.nodes[id]
 			c.nodeW = append(c.nodeW, rec.weight)
-			av := rec.adjView()
-			for i, nb := range av.ids {
-				c.tgt = append(c.tgt, localOf(nb))
-				c.wts = append(c.wts, av.w[i])
-			}
-			c.off = append(c.off, int32(len(c.tgt)))
+			pos += fillRow(c.tgt[pos:], c.wts[pos:], rec, ids, base)
+			c.off = append(c.off, int32(pos))
 		}
 		f.NodeBase = append(f.NodeBase, int32(len(c.ids)))
 	}
@@ -117,4 +87,40 @@ func Fuse(gs []*Graph) *FusedCSR {
 		}
 	}
 	return f
+}
+
+// insertionRowCap is the longest row fillRow sorts by insertion; a longer
+// unlatched row takes the O(d log d) latch instead of an O(d²) sort.
+const insertionRowCap = 24
+
+// fillRow writes rec's adjacency into the head of tgt/wts as one ascending
+// row — neighbors as base-shifted positions in the graph's ascending ids —
+// and returns its length. A latched row is copied from its latch; an
+// unlatched one is read off the adjacency map once, straight into the slab,
+// and co-sorted in place as it arrives: no per-node allocation and no second
+// map probe per edge.
+func fillRow(tgt []int32, wts []float64, rec *nodeRec, ids []NodeID, base int32) int {
+	av := rec.sorted.Load()
+	if av == nil && len(rec.adj) > insertionRowCap {
+		av = rec.adjView()
+	}
+	if av != nil {
+		for i, nb := range av.ids {
+			tgt[i] = base + indexIn(ids, nb)
+		}
+		return copy(wts, av.w)
+	}
+	i := 0
+	for nb, w := range rec.adj {
+		// Positions ascend with ids, so ordering by position is the
+		// ascending-neighbor order the latch would have had.
+		t := base + indexIn(ids, nb)
+		k := i
+		for ; k > 0 && tgt[k-1] > t; k-- {
+			tgt[k], wts[k] = tgt[k-1], wts[k-1]
+		}
+		tgt[k], wts[k] = t, w
+		i++
+	}
+	return i
 }

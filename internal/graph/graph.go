@@ -48,9 +48,9 @@ type nodeRec struct {
 	weight float64
 	adj    map[NodeID]float64
 	// sorted latches the ascending neighbor list plus the matching weights
-	// so repeated Neighbors / traversal calls stop paying O(d log d) per
-	// lookup and CSR assembly reads weights positionally instead of one map
-	// probe per edge. nil means stale; mutators that change the adjacency
+	// so repeated Neighbors / Edges / traversal calls stop paying O(d log d)
+	// per lookup; CSR assembly copies a latched row but latches no short one
+	// itself (fillRow). nil means stale; mutators that change the adjacency
 	// set or an edge weight reset it. The latch is atomic so that concurrent
 	// readers (safe per the package contract once mutation has stopped) may
 	// race to build it; the slices themselves are never mutated in place

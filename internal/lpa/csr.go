@@ -2,6 +2,7 @@ package lpa
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -83,8 +84,11 @@ type compressScratch struct {
 	parent    []int32
 	clusterOf []int32
 	ws        []float64
-	pairKey   map[int64]int32
-	pairs     []superEdge
+	// sched and prev: propagate's heavy-neighbor schedule and label snapshot.
+	sched   []int32
+	prev    []int32
+	pairKey map[int64]int32
+	pairs   []superEdge
 	// pairSlot/pairMark form an epoch-marked dense k×k pair index used in
 	// place of pairKey when a component contracts to few enough supers; the
 	// map stays for big components where k² would dwarf the edge count.
@@ -153,6 +157,18 @@ func (s *compressScratch) ensure(n int) {
 	if s.pairKey == nil {
 		s.pairKey = make(map[int64]int32)
 	}
+}
+
+// nextEpoch starts a new generation of marks. The counters are pooled and
+// bumped once per component, so at serving rates they wrap, and a mark an
+// earlier, larger graph left behind could pass for live: clear and restart.
+func nextEpoch(epoch *int32, marks []int32) int32 {
+	if *epoch == math.MaxInt32 {
+		clear(marks)
+		*epoch = 0
+	}
+	*epoch++
+	return *epoch
 }
 
 // find is union-find lookup with path halving. Roots are always the class's
@@ -253,7 +269,17 @@ func assembleCSRResult(res *CSRResult, comps [][]int32, outs []compOut) {
 // writing per-node labels and local super assignments into the shared output
 // arrays (components are disjoint index sets, so concurrent writes are safe).
 func compressComponentCSR(c *graph.CSR, comp []int32, opts Options, labels, superOf []int32, s *compressScratch) compOut {
-	threshold := opts.WeightThreshold
+	threshold, order := s.prepare(c, comp, opts)
+	rounds := s.propagate(c, comp, order, threshold, opts, labels)
+	out := s.contract(c, comp, labels, superOf)
+	out.rounds, out.threshold = rounds, threshold
+	return out
+}
+
+// prepare resolves the component's coupling threshold and its visit order
+// from the starter (maximum degree, ties toward the smallest node).
+func (s *compressScratch) prepare(c *graph.CSR, comp []int32, opts Options) (threshold float64, order []int32) {
+	threshold = opts.WeightThreshold
 	if threshold == 0 {
 		// The exact 0.75 edge-weight quantile of the component, by
 		// quickselect (AutoThreshold semantics, no sort).
@@ -268,62 +294,110 @@ func compressComponentCSR(c *graph.CSR, comp []int32, opts Options, labels, supe
 		}
 		threshold = quantile(s.ws, 0.75)
 	}
-
-	// Starter: maximum degree, ties toward the smallest node (ascending scan).
 	starter, bestDeg := comp[0], -1
 	for _, u := range comp {
 		if d := c.Degree(u); d > bestDeg {
 			starter, bestDeg = u, d
 		}
 	}
+	return threshold, s.traversalOrder(c, comp, starter, opts.Traversal)
+}
 
-	order := s.traversalOrder(c, comp, starter, opts.Traversal)
-
-	// Label propagation (Algorithm 1's inner loop). −1 means unlabelled.
-	for _, u := range comp {
-		labels[u] = -1
+// propagate is Algorithm 1's inner loop — up to βt rounds over the visit
+// order, ending early once the update rate α falls to αt — and returns the
+// number of rounds that loop runs. −1 in labels means unlabelled.
+//
+// Round 1 walks the full adjacency and labels every node; after it a light
+// edge (w ≤ threshold), which can only label an unlabelled neighbor, does
+// nothing. So round 1 also packs each node's heavy neighbors, in visit order,
+// into s.sched, and rounds ≥ 2 stream that: the same writes in the same
+// order, hence the same update counts, over a quarter of the edges.
+//
+// A round ≥ 2 is a pure function of the label vector it starts from. Once one
+// ends on the vector it started from, every later round repeats it — same
+// vector, same α, which has already failed the αt test — so the loop would
+// run on to βt changing nothing: stop and report βt. Vectors cycling with a
+// longer period run on to βt.
+func (s *compressScratch) propagate(c *graph.CSR, comp, order []int32, threshold float64, opts Options, labels []int32) int {
+	if cap(s.prev) < len(comp) {
+		s.prev = make([]int32, len(comp))
 	}
+	prev := s.prev[:len(comp)]
+	for i, u := range comp {
+		labels[u] = -1
+		prev[i] = -1
+	}
+	total := float64(len(comp))
+
+	// sched holds one run per node: node, heavy-neighbor count, those neighbors.
+	sched := s.sched[:0]
 	nextLabel := int32(0)
-	total := len(comp)
-	rounds := 0
-	for round := 0; round < opts.MaxRounds; round++ {
-		updates := 0
-		for _, u := range order {
-			lu := labels[u]
-			if lu < 0 {
-				// First visit: the starter — and any node no neighbor
-				// labelled before we reached it — opens a label.
-				lu = nextLabel
+	updates := 0
+	for _, u := range order {
+		lu := labels[u]
+		if lu < 0 {
+			// The starter, or a node no neighbor labelled first, opens a label.
+			lu = nextLabel
+			nextLabel++
+			labels[u] = lu
+			updates++
+		}
+		head := len(sched)
+		sched = append(sched, u, 0)
+		tgt, w := c.Adj(u)
+		for k, v := range tgt {
+			if w[k] > threshold {
+				// Highly coupled: v joins u's cluster.
+				sched = append(sched, v)
+				if labels[v] != lu {
+					labels[v] = lu
+					updates++
+				}
+			} else if labels[v] < 0 {
+				// Weak coupling: v opens its own label.
+				labels[v] = nextLabel
 				nextLabel++
-				labels[u] = lu
 				updates++
 			}
-			tgt, w := c.Adj(u)
-			for k, v := range tgt {
-				lv := labels[v]
-				if w[k] > threshold {
-					// Highly coupled: v joins u's cluster.
-					if lv != lu {
-						labels[v] = lu
-						updates++
-					}
-				} else if lv < 0 {
-					// Weak coupling: v opens its own label.
-					labels[v] = nextLabel
-					nextLabel++
+		}
+		sched[head+1] = int32(len(sched) - head - 2)
+	}
+	s.sched = sched
+
+	for round := 1; ; round++ {
+		if float64(updates)/total <= opts.MinUpdateRate || round == opts.MaxRounds {
+			return round
+		}
+		// An unchanged snapshot: the round before was a fixed point.
+		changed := false
+		for i, u := range comp {
+			if prev[i] != labels[u] {
+				prev[i] = labels[u]
+				changed = true
+			}
+		}
+		if !changed {
+			return opts.MaxRounds
+		}
+		updates = 0
+		for i := 0; i < len(sched); {
+			lu := labels[sched[i]]
+			run := sched[i+2 : i+2+int(sched[i+1])]
+			for _, v := range run {
+				if labels[v] != lu {
+					labels[v] = lu
 					updates++
 				}
 			}
-		}
-		rounds = round + 1
-		if float64(updates)/float64(total) <= opts.MinUpdateRate {
-			break
+			i += 2 + len(run)
 		}
 	}
+}
 
-	// Contraction: union-find over same-label edges, then cluster ids in
-	// ascending first-seen order (= smallest-member order, matching
-	// graph.Contract's super numbering).
+// contract merges directly connected same-label nodes into super-nodes:
+// union-find over same-label edges, then cluster ids in ascending first-seen
+// order (= smallest-member order, matching graph.Contract's super numbering).
+func (s *compressScratch) contract(c *graph.CSR, comp []int32, labels, superOf []int32) compOut {
 	for _, u := range comp {
 		s.parent[u] = u
 		s.clusterOf[u] = -1
@@ -352,7 +426,7 @@ func compressComponentCSR(c *graph.CSR, comp []int32, opts Options, labels, supe
 		}
 		superOf[u] = cl
 	}
-	out := compOut{k: int(k), rounds: rounds, threshold: threshold}
+	out := compOut{k: int(k)}
 	out.superW = s.superSlab(int(k))
 	for _, u := range comp {
 		out.superW[superOf[u]] += c.NodeWeights()[u]
@@ -374,8 +448,7 @@ func compressComponentCSR(c *graph.CSR, comp []int32, opts Options, labels, supe
 			s.pairEpoch = 0
 		}
 		slot, mark := s.pairSlot[:need], s.pairMark[:need]
-		s.pairEpoch++
-		epoch := s.pairEpoch
+		epoch := nextEpoch(&s.pairEpoch, s.pairMark)
 		for _, u := range comp {
 			tgt, w := c.Adj(u)
 			for ki, v := range tgt {
@@ -441,8 +514,7 @@ func compressComponentCSR(c *graph.CSR, comp []int32, opts Options, labels, supe
 // component, neighbors ascending, exactly mirroring graph.BFSOrder /
 // graph.DFSOrder (including the append of stranded nodes in ID order).
 func (s *compressScratch) traversalOrder(c *graph.CSR, comp []int32, start int32, tr Traversal) []int32 {
-	s.epoch++
-	epoch := s.epoch
+	epoch := nextEpoch(&s.epoch, s.seen)
 	s.order = s.order[:0]
 	if tr == BFS {
 		s.seen[start] = epoch
