@@ -2,28 +2,24 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // jsonGraph is the wire form used by MarshalJSON/UnmarshalJSON.
 type jsonGraph struct {
 	Nodes []jsonNode `json:"nodes"`
-	Edges []jsonEdge `json:"edges"`
+	Edges []Edge     `json:"edges"`
 }
 
 type jsonNode struct {
 	ID     NodeID  `json:"id"`
-	Weight float64 `json:"weight"`
-}
-
-type jsonEdge struct {
-	U      NodeID  `json:"u"`
-	V      NodeID  `json:"v"`
 	Weight float64 `json:"weight"`
 }
 
@@ -37,7 +33,7 @@ var (
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	jg := jsonGraph{
 		Nodes: make([]jsonNode, 0, g.NumNodes()),
-		Edges: make([]jsonEdge, 0, g.NumEdges()),
+		Edges: g.Edges(),
 	}
 	for _, id := range g.Nodes() {
 		w, err := g.NodeWeight(id)
@@ -45,9 +41,6 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 			return nil, err
 		}
 		jg.Nodes = append(jg.Nodes, jsonNode{ID: id, Weight: w})
-	}
-	for _, e := range g.Edges() {
-		jg.Edges = append(jg.Edges, jsonEdge{U: e.U, V: e.V, Weight: e.Weight})
 	}
 	return json.Marshal(jg)
 }
@@ -65,10 +58,8 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("decode graph json: %w", err)
 		}
 	}
-	for _, e := range jg.Edges {
-		if err := fresh.AddEdge(e.U, e.V, e.Weight); err != nil {
-			return fmt.Errorf("decode graph json: %w", err)
-		}
+	if err := fresh.addEdgesSorted(jg.Edges); err != nil {
+		return fmt.Errorf("decode graph json: %w", err)
 	}
 	// Adopt fresh's contents field by field: a struct assignment would
 	// copy the nodeList latch, which must not be moved once published.
@@ -76,6 +67,27 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	g.edgeCount = fresh.edgeCount
 	g.totalEdgeWeight = fresh.totalEdgeWeight
 	g.nodeList.Store(fresh.nodeList.Load())
+	return nil
+}
+
+// addEdgesSorted adds es to a graph that has no edges yet, reordering es by
+// (smaller endpoint, larger endpoint) first. In that order every row insert
+// is an append, so a decode is O(m log m) whatever order the input lists its
+// edges in — far-to-near around a hub would otherwise be O(d²). The sort is
+// stable: parallel edges coalesce in input order, so their sums are the ones
+// in-order insertion gives.
+func (g *Graph) addEdgesSorted(es []Edge) error {
+	slices.SortStableFunc(es, func(a, b Edge) int {
+		return cmp.Or(
+			cmp.Compare(min(a.U, a.V), min(b.U, b.V)),
+			cmp.Compare(max(a.U, a.V), max(b.U, b.V)),
+		)
+	})
+	for _, e := range es {
+		if err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -114,13 +126,18 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 			return fmt.Errorf("write node: %w", err)
 		}
 	}
-	for _, e := range g.Edges() {
-		le.PutUint64(buf[0:], uint64(e.U))
-		le.PutUint64(buf[8:], uint64(e.V))
-		le.PutUint64(buf[16:], math.Float64bits(e.Weight))
-		if _, err := bw.Write(buf[:24]); err != nil {
-			return fmt.Errorf("write edge: %w", err)
-		}
+	// Edges stream straight off the rows; no edge list is materialised on
+	// the fingerprint and journal paths. A bufio.Writer's error is sticky,
+	// so the first failure is the one every later Write reports too.
+	var werr error
+	g.eachEdge(func(u, v NodeID, w float64) {
+		le.PutUint64(buf[0:], uint64(u))
+		le.PutUint64(buf[8:], uint64(v))
+		le.PutUint64(buf[16:], math.Float64bits(w))
+		_, werr = bw.Write(buf[:24])
+	})
+	if werr != nil {
+		return fmt.Errorf("write edge: %w", werr)
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("flush graph: %w", err)
@@ -131,61 +148,52 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 // ReadBinary decodes a graph written by WriteBinary.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
-	var (
-		magic    uint32
-		version  uint16
-		numNodes uint32
-		numEdges uint32
-	)
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
+	// One fixed buffer read field by field, the mirror of WriteBinary:
+	// binary.Read would reflect on and allocate for every value.
+	var buf [24]byte
+	le := binary.LittleEndian
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, fmt.Errorf("read graph header: %w", err)
 	}
-	if magic != binaryMagic {
+	if magic := le.Uint32(buf[:]); magic != binaryMagic {
 		return nil, fmt.Errorf("%w: magic %#x", ErrBadFormat, magic)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	if _, err := io.ReadFull(br, buf[:2]); err != nil {
 		return nil, fmt.Errorf("read graph header: %w", err)
 	}
-	if version != binaryVersion {
+	if version := le.Uint16(buf[:]); version != binaryVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadFormat, version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &numNodes); err != nil {
+	if _, err := io.ReadFull(br, buf[:8]); err != nil {
 		return nil, fmt.Errorf("read graph header: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &numEdges); err != nil {
-		return nil, fmt.Errorf("read graph header: %w", err)
-	}
-	// The count is attacker-controlled until the body checks out, so cap the
-	// pre-allocation hint; the map still grows to the real size on demand.
+	numNodes, numEdges := le.Uint32(buf[0:]), le.Uint32(buf[4:])
+	// The counts are attacker-controlled until the body checks out, so cap
+	// the pre-allocation hints; both containers still grow to the real size
+	// on demand.
 	g := New(int(min(numNodes, 1<<20)))
 	for i := uint32(0); i < numNodes; i++ {
-		var id int64
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &id); err != nil {
+		if _, err := io.ReadFull(br, buf[:16]); err != nil {
 			return nil, fmt.Errorf("read node %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("read node %d: %w", i, err)
-		}
-		if err := g.AddNode(NodeID(id), math.Float64frombits(bits)); err != nil {
+		id, weight := NodeID(int64(le.Uint64(buf[0:]))), math.Float64frombits(le.Uint64(buf[8:]))
+		if err := g.AddNode(id, weight); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 		}
 	}
+	es := make([]Edge, 0, min(numEdges, 1<<16))
 	for i := uint32(0); i < numEdges; i++ {
-		var u, v int64
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &u); err != nil {
+		if _, err := io.ReadFull(br, buf[:24]); err != nil {
 			return nil, fmt.Errorf("read edge %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return nil, fmt.Errorf("read edge %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("read edge %d: %w", i, err)
-		}
-		if err := g.AddEdge(NodeID(u), NodeID(v), math.Float64frombits(bits)); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-		}
+		es = append(es, Edge{
+			U:      NodeID(int64(le.Uint64(buf[0:]))),
+			V:      NodeID(int64(le.Uint64(buf[8:]))),
+			Weight: math.Float64frombits(le.Uint64(buf[16:])),
+		})
+	}
+	if err := g.addEdgesSorted(es); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return g, nil
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // CSR is a frozen, index-based view of a Graph: the execution representation
-// of the solve hot path. Where Graph is a mutable map-of-maps builder API,
+// of the solve hot path. Where Graph is a mutable builder — a node table of
+// separately allocated sorted rows keyed by NodeID —
 // CSR packs the same topology into dense int32-indexed arrays — node weights,
 // compressed-sparse-row adjacency with each node's neighbor list pre-sorted
 // ascending, a connected-component id per node, and the ascending NodeID of

@@ -33,8 +33,9 @@ func (f *FusedCSR) Graphs() int { return len(f.NodeBase) - 1 }
 
 // Fuse compiles gs into one fused CSR view; Compile is Fuse of one graph.
 // Each graph must be non-nil and must not be mutated while the view is in
-// use. Fuse is O(V + E) plus a per-row sort: it builds no NodeID→index map —
-// neighbor resolution runs over each graph's ascending id span directly.
+// use. Fuse is O(V + E): the graphs' rows are already ascending, so a
+// compiled row is a copy — it builds no NodeID→index map and sorts nothing,
+// and compiling a graph again costs what the first compile did.
 func Fuse(gs []*Graph) *FusedCSR {
 	totalN, totalNNZ := 0, 0
 	for _, g := range gs {
@@ -89,38 +90,20 @@ func Fuse(gs []*Graph) *FusedCSR {
 	return f
 }
 
-// insertionRowCap is the longest row fillRow sorts by insertion; a longer
-// unlatched row takes the O(d log d) latch instead of an O(d²) sort.
-const insertionRowCap = 24
-
-// fillRow writes rec's adjacency into the head of tgt/wts as one ascending
-// row — neighbors as base-shifted positions in the graph's ascending ids —
-// and returns its length. A latched row is copied from its latch; an
-// unlatched one is read off the adjacency map once, straight into the slab,
-// and co-sorted in place as it arrives: no per-node allocation and no second
-// map probe per edge.
+// fillRow writes rec's row into the head of tgt/wts — neighbors as base-
+// shifted positions in the graph's ascending ids, which ascend with the ids —
+// and returns its length. On a dense id range a position is an offset
+// subtraction.
 func fillRow(tgt []int32, wts []float64, rec *nodeRec, ids []NodeID, base int32) int {
-	av := rec.sorted.Load()
-	if av == nil && len(rec.adj) > insertionRowCap {
-		av = rec.adjView()
-	}
-	if av != nil {
-		for i, nb := range av.ids {
+	if n := len(ids); n > 0 && int(ids[n-1]-ids[0]) == n-1 {
+		first := ids[0]
+		for i, nb := range rec.nbr {
+			tgt[i] = base + int32(nb-first)
+		}
+	} else {
+		for i, nb := range rec.nbr {
 			tgt[i] = base + indexIn(ids, nb)
 		}
-		return copy(wts, av.w)
 	}
-	i := 0
-	for nb, w := range rec.adj {
-		// Positions ascend with ids, so ordering by position is the
-		// ascending-neighbor order the latch would have had.
-		t := base + indexIn(ids, nb)
-		k := i
-		for ; k > 0 && tgt[k-1] > t; k-- {
-			tgt[k], wts[k] = tgt[k-1], wts[k-1]
-		}
-		tgt[k], wts[k] = t, w
-		i++
-	}
-	return i
+	return copy(wts, rec.w)
 }

@@ -45,23 +45,6 @@ func TestCompileIsFuseOfOne(t *testing.T) {
 	}
 }
 
-// TestCompileHalfLatched compiles a graph whose even rows were latched
-// beforehand (the row filler copies those and sorts the rest in place)
-// against an identically built graph nobody has read.
-func TestCompileHalfLatched(t *testing.T) {
-	latched, fresh := deltaTestGraph(11, 200), deltaTestGraph(11, 200)
-	for _, id := range latched.Nodes() {
-		if id%2 == 0 {
-			latched.Neighbors(id)
-		}
-	}
-	c := latched.Compile()
-	if !csrIdentical(t, c, fresh.Compile()) {
-		t.Error("half-latched graph compiles differently from a fresh one")
-	}
-	viewMatchesGraph(t, c, latched)
-}
-
 // TestCompileSparseIDs drives the binary-search side of the id lookup — gapped,
 // negative and huge ids — and the misses around and inside the id range.
 func TestCompileSparseIDs(t *testing.T) {
@@ -83,34 +66,35 @@ func TestCompileSparseIDs(t *testing.T) {
 	}
 }
 
-// TestCompileRowDegrees covers rows of degree 0, 1 and beyond
-// insertionRowCap (which take the latch), fresh and pre-latched.
+// TestCompileRowDegrees covers rows of degree 0, 1 and a hub on a sparse
+// (non-dense) id range, the hub filled far-to-near so every insert after the
+// first lands at the head of its row.
 func TestCompileRowDegrees(t *testing.T) {
-	build := func() *Graph {
-		g := New(0)
-		for i := 0; i < 2*insertionRowCap; i++ {
-			must(g.AddNode(NodeID(3*i-20), float64(i)))
-		}
-		hub := NodeID(3*5 - 20)
-		// Edges inserted far-to-near so map order has no reason to be sorted.
-		for i := 2*insertionRowCap - 2; i >= 0; i-- {
-			if id := NodeID(3*i - 20); id != hub {
-				must(g.AddEdge(hub, id, float64(100-i)))
-			}
-		}
-		return g // the last node is isolated: degree 0
+	const n = 48
+	g := New(0)
+	for i := 0; i < n; i++ {
+		must(g.AddNode(NodeID(3*i-20), float64(i)))
 	}
-	g := build()
+	hub := NodeID(3*5 - 20)
+	for i := n - 2; i >= 0; i-- {
+		if id := NodeID(3*i - 20); id != hub {
+			must(g.AddEdge(hub, id, float64(100-i)))
+		}
+	}
+	// The last node is isolated: degree 0. Every leaf has degree 1.
 	c := g.Compile()
-	if d := c.Degree(c.IndexOf(-5)); d <= insertionRowCap {
-		t.Fatalf("hub degree %d does not exceed insertionRowCap", d)
+	if d := c.Degree(c.IndexOf(hub)); d != n-2 {
+		t.Fatalf("hub degree %d, want %d", d, n-2)
+	}
+	if d := c.Degree(c.IndexOf(-20)); d != 1 {
+		t.Fatalf("leaf degree %d, want 1", d)
 	}
 	if d := c.Degree(int32(c.NumNodes() - 1)); d != 0 {
 		t.Fatalf("last node degree %d, want 0", d)
 	}
 	viewMatchesGraph(t, c, g)
 	if !csrIdentical(t, c, g.Compile()) {
-		t.Error("recompiling the now-latched graph gives a different view")
+		t.Error("compiling the graph again gives a different view")
 	}
 }
 

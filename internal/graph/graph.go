@@ -3,10 +3,11 @@
 // whose weight is its computation amount, and each edge weight is the
 // communication volume between the two incident functions (paper §II).
 //
-// The representation is an adjacency map keyed by NodeID. Parallel edges are
-// coalesced by summing their weights, matching the paper's model where the
-// edge weight is the total data exchanged between two functions. Self-loops
-// are rejected: a function does not transmit to itself.
+// The representation is a node table keyed by NodeID whose records each hold
+// one sorted adjacency row (see nodeRec). Parallel edges are coalesced by
+// summing their weights, matching the paper's model where the edge weight is
+// the total data exchanged between two functions. Self-loops are rejected: a
+// function does not transmit to itself.
 //
 // All accessors that return collections return fresh copies; callers may
 // mutate the results freely (see "Copy Slices and Maps at Boundaries").
@@ -40,79 +41,69 @@ var (
 // Edge is one undirected weighted edge. For deterministic processing the
 // invariant U < V holds for every Edge returned by this package.
 type Edge struct {
-	U, V   NodeID
-	Weight float64
+	U      NodeID  `json:"u"`
+	V      NodeID  `json:"v"`
+	Weight float64 `json:"weight"`
 }
 
+// nodeRec is one node: its weight and its adjacency row — nbr strictly
+// ascending, w[i] the weight of the edge to nbr[i]. The mutators keep the row
+// sorted themselves, so every reader (Neighbors, Edges, traversals, the CSR
+// compiler, the codecs) walks it as it lies and writes nothing. Cost model,
+// d the row's degree: lookup O(log d); insert and remove O(d) element shift
+// (an append when the neighbor exceeds the row's last, which is what the
+// decoders and the generators' tree phase produce); privatising a clone-
+// shared record O(d); compiling a row one copy. The accepted worst case is a
+// hub filled far-to-near, O(d²) in total: 15 ms at degree 10⁴ where a map
+// took 2.3 ms, 1.9 s at 10⁵ against 51 ms (BenchmarkAddEdgeHub; the decoders
+// sort their edge lists first and never pay it).
 type nodeRec struct {
 	weight float64
-	adj    map[NodeID]float64
-	// sorted latches the ascending neighbor list plus the matching weights
-	// so repeated Neighbors / Edges / traversal calls stop paying O(d log d)
-	// per lookup; CSR assembly copies a latched row but latches no short one
-	// itself (fillRow). nil means stale; mutators that change the adjacency
-	// set or an edge weight reset it. The latch is atomic so that concurrent
-	// readers (safe per the package contract once mutation has stopped) may
-	// race to build it; the slices themselves are never mutated in place
-	// after publication.
-	sorted atomic.Pointer[adjCache]
+	nbr    []NodeID
+	w      []float64
 	// shared marks a record referenced by more than one Graph (set by Clone,
 	// which copies the node table but not the records). Mutators replace a
-	// shared record with a private copy before writing, so clones stay
-	// semantically deep while Clone itself is O(nodes). The flag is sticky:
-	// it may stay set after every other owner is gone, costing at most one
-	// extra record copy on that node's next mutation.
+	// shared record with a private copy before writing — a shared row is
+	// never written in place — so clones stay semantically deep while Clone
+	// itself is O(nodes). The flag is sticky: it may stay set after every
+	// other owner is gone, costing at most one extra record copy on that
+	// node's next mutation.
 	shared atomic.Bool
 }
 
-// adjCache is one node's latched adjacency: ids ascending, w[i] the weight
-// of the edge to ids[i]. Both slices are shared — never modify.
-type adjCache struct {
-	ids []NodeID
-	w   []float64
+// find returns v's position in the row and true, or the position at which v
+// would be inserted and false.
+func (rec *nodeRec) find(v NodeID) (int, bool) {
+	n := len(rec.nbr)
+	if n == 0 || rec.nbr[n-1] < v {
+		return n, false
+	}
+	return slices.BinarySearch(rec.nbr, v)
 }
 
-// adjView returns the latched adjacency cache of rec, building it on first
-// use.
-func (rec *nodeRec) adjView() *adjCache {
-	if p := rec.sorted.Load(); p != nil {
-		return p
-	}
-	nbs := make([]NodeID, 0, len(rec.adj))
-	for nb := range rec.adj {
-		nbs = append(nbs, nb)
-	}
-	slices.Sort(nbs)
-	ws := make([]float64, len(nbs))
-	for i, nb := range nbs {
-		ws[i] = rec.adj[nb]
-	}
-	c := &adjCache{ids: nbs, w: ws}
-	rec.sorted.Store(c)
-	return c
+// insert places neighbor v with weight w at position i of a private row.
+func (rec *nodeRec) insert(i int, v NodeID, w float64) {
+	rec.nbr = slices.Insert(rec.nbr, i, v)
+	rec.w = slices.Insert(rec.w, i, w)
 }
 
-// sortedAdj returns the latched ascending neighbor list of rec. The returned
-// slice is shared: callers inside the package must not modify it (Neighbors
-// copies for external callers).
-func (rec *nodeRec) sortedAdj() []NodeID {
-	return rec.adjView().ids
+// remove closes the gap over position i of a private row.
+func (rec *nodeRec) remove(i int) {
+	rec.nbr = slices.Delete(rec.nbr, i, i+1)
+	rec.w = slices.Delete(rec.w, i, i+1)
 }
 
 // mutable returns id's record ready for writing: a record shared with a
-// clone is first replaced by a private copy (carrying the adjacency latch,
-// which stays valid until the caller's write resets it). Returns nil when id
-// is absent.
+// clone is first replaced by a private copy of the weight and the row.
+// Returns nil when id is absent.
 func (g *Graph) mutable(id NodeID) *nodeRec {
 	rec, ok := g.nodes[id]
 	if !ok {
 		return nil
 	}
 	if rec.shared.Load() {
-		nr := &nodeRec{weight: rec.weight, adj: maps.Clone(rec.adj)}
-		nr.sorted.Store(rec.sorted.Load())
-		g.nodes[id] = nr
-		rec = nr
+		rec = &nodeRec{weight: rec.weight, nbr: slices.Clone(rec.nbr), w: slices.Clone(rec.w)}
+		g.nodes[id] = rec
 	}
 	return rec
 }
@@ -124,9 +115,10 @@ type Graph struct {
 	nodes           map[NodeID]*nodeRec
 	edgeCount       int
 	totalEdgeWeight float64
-	// nodeList latches the ascending node-id list, mirroring nodeRec.sorted:
-	// nil means stale, AddNode/RemoveNode reset it, and the slice is never
-	// mutated after publication so Clone may share it.
+	// nodeList latches the ascending node-id list, the one thing readers
+	// write: nil means stale, AddNode/RemoveNode reset it, and the slice is
+	// never mutated after publication so Clone may share it. The latch is
+	// atomic so that concurrent readers may race to build it.
 	nodeList atomic.Pointer[[]NodeID]
 }
 
@@ -158,7 +150,7 @@ func (g *Graph) AddNode(id NodeID, weight float64) error {
 	if _, ok := g.nodes[id]; ok {
 		return fmt.Errorf("add node %d: %w", id, ErrNodeExists)
 	}
-	g.nodes[id] = &nodeRec{weight: weight, adj: make(map[NodeID]float64)}
+	g.nodes[id] = &nodeRec{weight: weight}
 	g.nodeList.Store(nil)
 	return nil
 }
@@ -209,22 +201,25 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	if w < 0 {
 		return fmt.Errorf("add edge {%d,%d}: %w", u, v, ErrNegativeWeight)
 	}
-	if _, ok := g.nodes[u]; !ok {
+	ru, rv := g.mutable(u), g.mutable(v)
+	if ru == nil {
 		return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", u, v, u, ErrNodeNotFound)
 	}
-	if _, ok := g.nodes[v]; !ok {
+	if rv == nil {
 		return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", u, v, v, ErrNodeNotFound)
 	}
-	ru, rv := g.mutable(u), g.mutable(v)
-	if _, exists := ru.adj[v]; !exists {
+	i, exists := ru.find(v)
+	j, _ := rv.find(u)
+	if !exists {
+		// A new edge starts at +0 and takes w by the same addition a
+		// coalescing call does, so the stored bits do not depend on which
+		// call created the entry (0 + -0 is +0).
+		ru.insert(i, v, 0)
+		rv.insert(j, u, 0)
 		g.edgeCount++
 	}
-	// The latch caches edge weights alongside the neighbor ids, so both a
-	// new edge and a re-weighted one reset it.
-	ru.sorted.Store(nil)
-	rv.sorted.Store(nil)
-	ru.adj[v] += w
-	rv.adj[u] += w
+	ru.w[i] += w
+	rv.w[j] += w
 	g.totalEdgeWeight += w
 	return nil
 }
@@ -239,21 +234,24 @@ func (g *Graph) SetEdge(u, v NodeID, w float64) error {
 	if w < 0 {
 		return fmt.Errorf("set edge {%d,%d}: %w", u, v, ErrNegativeWeight)
 	}
-	if _, ok := g.nodes[u]; !ok {
+	ru, rv := g.mutable(u), g.mutable(v)
+	if ru == nil {
 		return fmt.Errorf("set edge {%d,%d}: endpoint %d: %w", u, v, u, ErrNodeNotFound)
 	}
-	if _, ok := g.nodes[v]; !ok {
+	if rv == nil {
 		return fmt.Errorf("set edge {%d,%d}: endpoint %d: %w", u, v, v, ErrNodeNotFound)
 	}
-	ru, rv := g.mutable(u), g.mutable(v)
-	old, exists := ru.adj[v]
-	if !exists {
+	i, exists := ru.find(v)
+	j, _ := rv.find(u)
+	var old float64
+	if exists {
+		old = ru.w[i]
+		ru.w[i], rv.w[j] = w, w
+	} else {
+		ru.insert(i, v, w)
+		rv.insert(j, u, w)
 		g.edgeCount++
 	}
-	ru.sorted.Store(nil)
-	rv.sorted.Store(nil)
-	ru.adj[v] = w
-	rv.adj[u] = w
 	g.totalEdgeWeight += w - old
 	return nil
 }
@@ -264,8 +262,10 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	w, ok := rec.adj[v]
-	return w, ok
+	if i, ok := rec.find(v); ok {
+		return rec.w[i], true
+	}
+	return 0, false
 }
 
 // RemoveEdge deletes edge {u, v} if present, reporting whether it existed.
@@ -274,15 +274,15 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	if !ok {
 		return false
 	}
-	w, ok := rec.adj[v]
+	i, ok := rec.find(v)
 	if !ok {
 		return false
 	}
+	w := rec.w[i]
 	ru, rv := g.mutable(u), g.mutable(v)
-	delete(ru.adj, v)
-	delete(rv.adj, u)
-	ru.sorted.Store(nil)
-	rv.sorted.Store(nil)
+	j, _ := rv.find(u)
+	ru.remove(i)
+	rv.remove(j)
 	g.edgeCount--
 	g.totalEdgeWeight -= w
 	return true
@@ -294,12 +294,12 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 	if !ok {
 		return false
 	}
-	for nb, w := range rec.adj {
+	for i, nb := range rec.nbr {
 		rnb := g.mutable(nb)
-		delete(rnb.adj, id)
-		rnb.sorted.Store(nil)
+		j, _ := rnb.find(id)
+		rnb.remove(j)
 		g.edgeCount--
-		g.totalEdgeWeight -= w
+		g.totalEdgeWeight -= rec.w[i]
 	}
 	delete(g.nodes, id)
 	g.nodeList.Store(nil)
@@ -329,16 +329,15 @@ func (g *Graph) Nodes() []NodeID {
 	return ids
 }
 
-// Neighbors returns the neighbors of id in ascending order. The result is a
-// fresh copy of the latched adjacency list, so repeated calls cost O(d)
-// rather than O(d log d).
+// Neighbors returns the neighbors of id in ascending order: a fresh copy of
+// the node's row.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
 	rec, ok := g.nodes[id]
 	if !ok {
 		return nil
 	}
-	nbs := make([]NodeID, len(rec.adj))
-	copy(nbs, rec.sortedAdj())
+	nbs := make([]NodeID, len(rec.nbr))
+	copy(nbs, rec.nbr)
 	return nbs
 }
 
@@ -348,59 +347,52 @@ func (g *Graph) Degree(id NodeID) int {
 	if !ok {
 		return 0
 	}
-	return len(rec.adj)
+	return len(rec.nbr)
 }
 
 // WeightedDegree returns the sum of weights of edges incident to id
 // (the node's volume in spectral terminology). Summation follows ascending
-// neighbor order so results are bitwise deterministic across runs (float
-// addition is not associative; map iteration order is random).
+// neighbor order, so results are bitwise deterministic across runs (float
+// addition is not associative).
 func (g *Graph) WeightedDegree(id NodeID) float64 {
 	rec, ok := g.nodes[id]
 	if !ok {
 		return 0
 	}
 	var sum float64
-	av := rec.adjView()
-	for i := range av.ids {
-		sum += av.w[i]
+	for _, w := range rec.w {
+		sum += w
 	}
 	return sum
 }
 
-// Edges returns every undirected edge exactly once, sorted by (U, V). The
-// list is assembled from the latched node and adjacency orders, so no sort
-// runs per call.
-func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.edgeCount)
+// eachEdge calls fn once per undirected edge in (U, V) order, read off the
+// latched node order and the rows, so no sort runs per call.
+func (g *Graph) eachEdge(fn func(u, v NodeID, w float64)) {
 	for _, u := range g.sortedNodes() {
-		av := g.nodes[u].adjView()
-		for i, v := range av.ids {
+		rec := g.nodes[u]
+		for i, v := range rec.nbr {
 			if u < v {
-				es = append(es, Edge{U: u, V: v, Weight: av.w[i]})
+				fn(u, v, rec.w[i])
 			}
 		}
 	}
+}
+
+// Edges returns every undirected edge exactly once, sorted by (U, V).
+func (g *Graph) Edges() []Edge {
+	es := make([]Edge, 0, g.edgeCount)
+	g.eachEdge(func(u, v NodeID, w float64) { es = append(es, Edge{U: u, V: v, Weight: w}) })
 	return es
 }
 
 // AppendEdgeWeights appends the weight of every distinct undirected edge to
-// dst once, in unspecified order, and returns the extended slice. It exists
-// for order-insensitive aggregations (quantiles, totals) that should not pay
-// Edges()'s sort and per-edge struct materialisation.
+// dst once, in Edges() order, and returns the extended slice. It exists for
+// aggregations over the weights alone (quantiles, totals) that should not
+// pay Edges()'s per-edge struct materialisation.
 func (g *Graph) AppendEdgeWeights(dst []float64) []float64 {
-	if cap(dst)-len(dst) < g.edgeCount {
-		grown := make([]float64, len(dst), len(dst)+g.edgeCount)
-		copy(grown, dst)
-		dst = grown
-	}
-	for u, rec := range g.nodes {
-		for v, w := range rec.adj {
-			if u < v {
-				dst = append(dst, w)
-			}
-		}
-	}
+	dst = slices.Grow(dst, g.edgeCount)
+	g.eachEdge(func(_, _ NodeID, w float64) { dst = append(dst, w) })
 	return dst
 }
 
@@ -419,7 +411,7 @@ func (g *Graph) TotalEdgeWeight() float64 { return g.totalEdgeWeight }
 
 // Clone returns a semantically deep copy of g in O(nodes) time: the node
 // table is copied but the per-node records are shared copy-on-write, so the
-// adjacency maps are only duplicated — one node at a time — when either
+// adjacency rows are only duplicated — one node at a time — when either
 // graph later mutates them. Clone counts as a read under the concurrency
 // contract: concurrent Clones (and concurrent readers) of the same graph are
 // safe once mutation has stopped; the shared marks it plants are atomic.
@@ -444,14 +436,9 @@ func (g *Graph) Equal(h *Graph) bool {
 	}
 	for id, rec := range g.nodes {
 		hrec, ok := h.nodes[id]
-		if !ok || hrec.weight != rec.weight || len(hrec.adj) != len(rec.adj) {
+		if !ok || hrec.weight != rec.weight ||
+			!slices.Equal(hrec.nbr, rec.nbr) || !slices.Equal(hrec.w, rec.w) {
 			return false
-		}
-		for nb, w := range rec.adj {
-			hw, ok := hrec.adj[nb]
-			if !ok || hw != w {
-				return false
-			}
 		}
 	}
 	return true

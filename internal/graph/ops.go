@@ -24,7 +24,7 @@ func (g *Graph) Components() [][]NodeID {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, cur)
-			for nb := range g.nodes[cur].adj {
+			for _, nb := range g.nodes[cur].nbr {
 				if !seen[nb] {
 					seen[nb] = true
 					stack = append(stack, nb)
@@ -52,9 +52,10 @@ func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, error) {
 		}
 	}
 	for _, id := range keep {
-		for nb, w := range g.nodes[id].adj {
+		rec := g.nodes[id]
+		for i, nb := range rec.nbr {
 			if id < nb && sub.HasNode(nb) {
-				if err := sub.AddEdge(id, nb, w); err != nil {
+				if err := sub.AddEdge(id, nb, rec.w[i]); err != nil {
 					return nil, fmt.Errorf("induced subgraph: %w", err)
 				}
 			}
@@ -146,7 +147,7 @@ func (g *Graph) Contract(cluster map[NodeID]int) (*ContractResult, error) {
 // CutWeight returns the total weight of edges with exactly one endpoint in
 // side (formula (8) of the paper). Nodes absent from the graph are ignored;
 // membership is defined by the set passed in. Edges are accumulated in
-// (U, V)-sorted order — the latched node and adjacency orders — so the float
+// (U, V)-sorted order — the latched node order, then each row — so the float
 // sum is bitwise deterministic across runs without materialising an edge
 // list per call.
 func (g *Graph) CutWeight(side map[NodeID]bool) float64 {
@@ -163,22 +164,22 @@ func (g *Graph) CutWeight(side map[NodeID]bool) float64 {
 			}
 		}
 		for _, u := range nodes {
-			av := g.nodes[u].adjView()
+			rec := g.nodes[u]
 			su := in[u]
-			for i, v := range av.ids {
+			for i, v := range rec.nbr {
 				if u < v && su != in[v] {
-					cut += av.w[i]
+					cut += rec.w[i]
 				}
 			}
 		}
 		return cut
 	}
 	for _, u := range nodes {
-		av := g.nodes[u].adjView()
+		rec := g.nodes[u]
 		su := side[u]
-		for i, v := range av.ids {
+		for i, v := range rec.nbr {
 			if u < v && su != side[v] {
-				cut += av.w[i]
+				cut += rec.w[i]
 			}
 		}
 	}
@@ -192,7 +193,7 @@ func (g *Graph) CutWeight(side map[NodeID]bool) float64 {
 func (g *Graph) MaxDegreeNode() (id NodeID, ok bool) {
 	best, bestDeg := NodeID(0), -1
 	for _, n := range g.Nodes() {
-		if d := len(g.nodes[n].adj); d > bestDeg {
+		if d := len(g.nodes[n].nbr); d > bestDeg {
 			best, bestDeg = n, d
 		}
 	}
@@ -211,7 +212,7 @@ func (g *Graph) BFSOrder(start NodeID) ([]NodeID, error) {
 	seen := map[NodeID]bool{start: true}
 	order := []NodeID{start}
 	for i := 0; i < len(order); i++ {
-		for _, nb := range g.nodes[order[i]].sortedAdj() {
+		for _, nb := range g.nodes[order[i]].nbr {
 			if !seen[nb] {
 				seen[nb] = true
 				order = append(order, nb)
@@ -233,7 +234,7 @@ func (g *Graph) DFSOrder(start NodeID) ([]NodeID, error) {
 	visit = func(n NodeID) {
 		seen[n] = true
 		order = append(order, n)
-		for _, nb := range g.nodes[n].sortedAdj() {
+		for _, nb := range g.nodes[n].nbr {
 			if !seen[nb] {
 				visit(nb)
 			}
@@ -243,28 +244,42 @@ func (g *Graph) DFSOrder(start NodeID) ([]NodeID, error) {
 	return order, nil
 }
 
-// Validate checks the graph's internal invariants: adjacency symmetry with
-// equal weights both ways, no self-loops, consistent edge count, and a
-// consistent total edge weight. It exists for tests and for debugging code
-// that manipulates graphs through unsafe paths; normal mutators preserve
-// all of these.
+// Validate checks the graph's internal invariants: every row strictly
+// ascending with one weight per neighbor, adjacency symmetry with equal
+// weights both ways, no self-loops, consistent edge count, and a consistent
+// total edge weight. It exists for tests and for debugging code that
+// manipulates graphs through unsafe paths; normal mutators preserve all of
+// these.
 func (g *Graph) Validate() error {
-	count := 0
-	var weight float64
+	// Row shape first: the symmetry pass below searches rows and indexes
+	// their weights, which is only sound on well-formed ones.
 	for u, rec := range g.nodes {
-		for v, w := range rec.adj {
+		if len(rec.nbr) != len(rec.w) {
+			return fmt.Errorf("validate: node %d row holds %d neighbors, %d weights", u, len(rec.nbr), len(rec.w))
+		}
+		for i, v := range rec.nbr {
 			if u == v {
 				return fmt.Errorf("validate: %w at %d", ErrSelfLoop, u)
 			}
+			if i > 0 && rec.nbr[i-1] >= v {
+				return fmt.Errorf("validate: node %d row not strictly ascending at %d", u, v)
+			}
+		}
+	}
+	count := 0
+	var weight float64
+	for u, rec := range g.nodes {
+		for i, v := range rec.nbr {
+			w := rec.w[i]
 			other, ok := g.nodes[v]
 			if !ok {
 				return fmt.Errorf("validate: %w: edge {%d,%d} dangles", ErrNodeNotFound, u, v)
 			}
-			back, ok := other.adj[u]
+			j, ok := other.find(u)
 			if !ok {
 				return fmt.Errorf("validate: edge {%d,%d} missing reverse entry", u, v)
 			}
-			if back != w {
+			if back := other.w[j]; back != w {
 				return fmt.Errorf("validate: edge {%d,%d} weights differ: %g vs %g", u, v, w, back)
 			}
 			if u < v {
