@@ -19,3 +19,21 @@ func (g *Graph) Fingerprint() (string, error) {
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
+
+// FingerprintLen is the length of a Fingerprint: a hex-encoded SHA-256.
+const FingerprintLen = 2 * sha256.Size
+
+// ValidFingerprint reports whether s has the syntax of a Fingerprint —
+// FingerprintLen lowercase hex characters — the one definition the serving
+// tiers check client-supplied graph handles against.
+func ValidFingerprint(s string) bool {
+	if len(s) != FingerprintLen {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -186,6 +187,30 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%s: fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestValidFingerprint(t *testing.T) {
+	fp, err := fpGraph(t).Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]bool{
+		fp:                            true,
+		strings.Repeat("0", 64):       true,
+		"":                            false,
+		fp[:63]:                       false,
+		fp + "0":                      false,
+		strings.ToUpper(fp):           false,
+		"g" + fp[1:]:                  false,
+		strings.Repeat("é", 32):       false, // 64 bytes, not hex
+		" " + fp[1:]:                  false,
+		strings.Repeat("0", 63) + "/": false,
+	}
+	for s, want := range cases {
+		if got := ValidFingerprint(s); got != want {
+			t.Errorf("ValidFingerprint(%q) = %v, want %v", s, got, want)
 		}
 	}
 }

@@ -1,0 +1,285 @@
+package lru
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"maps"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// hexKey is a key shaped like the serving stack's: a hex SHA-256.
+func hexKey(i int) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("key-%d", i))))
+}
+
+func TestShardCountFor(t *testing.T) {
+	cases := []struct{ capacity, want int }{
+		{1, 1},       // capacity 1 must stay a single exact-LRU shard
+		{7, 1},       // below minShardEntries per extra shard
+		{16, 2},      // 2 shards × 8 entries
+		{64, 8},      //
+		{128, 16},    // hits maxShards
+		{100000, 16}, // capped
+		{0, 1},       // degenerate
+		{-3, 1},      // degenerate
+	}
+	for _, c := range cases {
+		got := shardCountFor(c.capacity)
+		if got != c.want || got&(got-1) != 0 {
+			t.Fatalf("shardCountFor(%d) = %d, want %d (a power of two)", c.capacity, got, c.want)
+		}
+		if n := len(New[string, int](c.capacity, HashString, nil).shards); n != c.want {
+			t.Fatalf("New(%d) has %d shards, want %d", c.capacity, n, c.want)
+		}
+	}
+}
+
+func TestHashesSpreadAndAreTotal(t *testing.T) {
+	// Hex sha256 keys (the caches' real key shape) and raw digests must
+	// spread across 16 shards without pathological skew.
+	const n, shards = 4096, 16
+	var byString, byDigest [shards]int
+	for i := 0; i < n; i++ {
+		byString[HashString(hexKey(i))&(shards-1)]++
+		byDigest[HashDigest(sha256.Sum256([]byte{byte(i), byte(i >> 8)}))&(shards-1)]++
+	}
+	for i := 0; i < shards; i++ {
+		// Perfectly uniform is n/shards = 256; allow a generous ±60%.
+		for _, c := range []int{byString[i], byDigest[i]} {
+			if c < n/shards*2/5 || c > n/shards*8/5 {
+				t.Fatalf("shard %d holds %d of %d keys; too skewed: %v / %v", i, c, n, byString, byDigest)
+			}
+		}
+	}
+	// Total over short keys, and only the first 16 bytes count.
+	if HashString("") == HashString("a") || HashString("0123456789abcdefX") != HashString("0123456789abcdefY") {
+		t.Fatal("HashString is not FNV-1a over the leading 16 bytes")
+	}
+}
+
+// TestExactLRUAtSmallCapacity drives one op script through tables small
+// enough to be a single shard, where eviction order is exactly LRU over
+// the whole key space — the semantics serve's CacheSize 1 / GraphCacheSize
+// 1 tests rely on.
+func TestExactLRUAtSmallCapacity(t *testing.T) {
+	type op struct {
+		kind string // "put", "get", "getorput"
+		key  string
+		val  int
+	}
+	cases := []struct {
+		name      string
+		capacity  int
+		ops       []op
+		want      map[string]int // resident afterwards
+		evictions uint64
+		reused    uint64
+	}{
+		{
+			name:     "capacity 1 keeps only the newest",
+			capacity: 1,
+			ops:      []op{{"put", "a", 1}, {"put", "b", 2}},
+			want:     map[string]int{"b": 2}, evictions: 1,
+		},
+		{
+			name:     "capacity 2 evicts the least recently used",
+			capacity: 2,
+			// "a" is touched by the get, so inserting "c" must evict "b".
+			ops:  []op{{"put", "a", 1}, {"put", "b", 2}, {"get", "a", 0}, {"put", "c", 3}},
+			want: map[string]int{"a": 1, "c": 3}, evictions: 1,
+		},
+		{
+			name:     "Put refreshes value and recency",
+			capacity: 2,
+			ops:      []op{{"put", "a", 1}, {"put", "b", 2}, {"put", "a", 9}, {"put", "c", 3}},
+			want:     map[string]int{"a": 9, "c": 3}, evictions: 1,
+		},
+		{
+			name:     "GetOrPut keeps the first value and counts the reuse",
+			capacity: 2,
+			ops:      []op{{"getorput", "a", 1}, {"getorput", "b", 2}, {"getorput", "a", 9}, {"getorput", "c", 3}},
+			want:     map[string]int{"a": 1, "c": 3}, evictions: 1, reused: 1,
+		},
+		{
+			name:     "an evicted key installs afresh",
+			capacity: 1,
+			ops:      []op{{"getorput", "a", 1}, {"getorput", "b", 2}, {"getorput", "a", 7}},
+			want:     map[string]int{"a": 7}, evictions: 2,
+		},
+		{
+			name:     "capacity below 1 is clamped to 1",
+			capacity: 0,
+			ops:      []op{{"put", "a", 1}, {"put", "b", 2}},
+			want:     map[string]int{"b": 2}, evictions: 1,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tb := New[string, int](c.capacity, HashString, nil)
+			for _, o := range c.ops {
+				switch o.kind {
+				case "put":
+					tb.Put(o.key, o.val)
+				case "get":
+					tb.Get(o.key)
+				case "getorput":
+					tb.GetOrPut(o.key, o.val)
+				}
+			}
+			got := map[string]int{}
+			tb.Dump(func(k string, v int) bool { got[k] = v; return true })
+			if !maps.Equal(got, c.want) {
+				t.Fatalf("resident = %v, want %v", got, c.want)
+			}
+			if tb.Len() != len(c.want) || tb.Evictions() != c.evictions || tb.Reused() != c.reused {
+				t.Fatalf("len %d evictions %d reused %d, want %d %d %d",
+					tb.Len(), tb.Evictions(), tb.Reused(), len(c.want), c.evictions, c.reused)
+			}
+			if _, ok := tb.Get("never stored"); ok {
+				t.Fatal("Get reported a hit for a key never stored")
+			}
+		})
+	}
+}
+
+func TestGetOrPutReportsResidency(t *testing.T) {
+	tb := New[string, *int](4, HashString, nil)
+	one, two := new(int), new(int)
+	if got, loaded := tb.GetOrPut("a", one); got != one || loaded {
+		t.Fatalf("first GetOrPut = %p, %v; want the given value, false", got, loaded)
+	}
+	if got, loaded := tb.GetOrPut("a", two); got != one || !loaded {
+		t.Fatalf("repeat GetOrPut = %p, %v; want the canonical value, true", got, loaded)
+	}
+}
+
+func TestAggregatesAcrossShards(t *testing.T) {
+	// A digest-keyed instantiation at a capacity that shards 16 ways.
+	tb := New[[32]byte, int](1024, HashDigest, nil)
+	const n = 512
+	for i := 0; i < n; i++ {
+		tb.Put(sha256.Sum256([]byte(fmt.Sprintf("k%d", i))), i)
+	}
+	if tb.Len() != n || tb.Capacity() != 1024 || tb.Evictions() != 0 {
+		t.Fatalf("len %d capacity %d evictions %d, want %d 1024 0", tb.Len(), tb.Capacity(), tb.Evictions(), n)
+	}
+	occ := tb.Occupancy()
+	if len(occ) != maxShards {
+		t.Fatalf("occupancy shards = %d, want %d", len(occ), maxShards)
+	}
+	total, populated := 0, 0
+	for _, o := range occ {
+		total += o.Size
+		if o.Size > 0 {
+			populated++
+		}
+		if o.Capacity != 1024/maxShards {
+			t.Fatalf("shard capacity = %d, want %d", o.Capacity, 1024/maxShards)
+		}
+	}
+	if total != n || populated < maxShards/2 {
+		t.Fatalf("occupancy total %d over %d shards, want %d over ≥ %d", total, populated, n, maxShards/2)
+	}
+	if v, ok := tb.Get(sha256.Sum256([]byte("k7"))); !ok || v != 7 {
+		t.Fatalf("Get(k7) = %d, %v", v, ok)
+	}
+	// Capacity rounds up to a multiple of the shard count, never down.
+	if c := New[string, int](100, HashString, nil).Capacity(); c < 100 {
+		t.Fatalf("Capacity() = %d for a requested 100", c)
+	}
+}
+
+func TestOnEvictRunsOutsideTheLock(t *testing.T) {
+	type pair struct {
+		k string
+		v int
+	}
+	var evicted []pair
+	var tb *Table[string, int]
+	tb = New(2, HashString, func(k string, v int) {
+		evicted = append(evicted, pair{k, v})
+		// Re-entering the table deadlocks if the shard lock is still held.
+		tb.Get(k)
+		tb.Len()
+	})
+	tb.Put("a", 1)
+	tb.Put("b", 2)
+	tb.GetOrPut("c", 3)
+	tb.Put("d", 4)
+	if !slices.Equal(evicted, []pair{{"a", 1}, {"b", 2}}) {
+		t.Fatalf("evicted %v, want [{a 1} {b 2}]", evicted)
+	}
+}
+
+func TestDumpRoundTripReproducesRecency(t *testing.T) {
+	// A multi-shard table with a scrambled access pattern, re-Put in Dump
+	// order into a fresh table of the same capacity, must dump identically
+	// (same shard walk, same oldest → newest order within each shard) —
+	// the snapshot-recency contract of serve.WriteSnapshotRecords.
+	src := New[string, int](64, HashString, nil)
+	for i := 0; i < 200; i++ {
+		src.Put(hexKey(i%90), i)
+		src.Get(hexKey((i * 7) % 90))
+	}
+	type pair struct {
+		k string
+		v int
+	}
+	dump := func(tb *Table[string, int]) []pair {
+		var out []pair
+		tb.Dump(func(k string, v int) bool { out = append(out, pair{k, v}); return true })
+		return out
+	}
+	want := dump(src)
+	dst := New[string, int](64, HashString, nil)
+	for _, p := range want {
+		dst.Put(p.k, p.v)
+	}
+	if got := dump(dst); !slices.Equal(got, want) {
+		t.Fatalf("restored dump differs:\n got %v\nwant %v", got, want)
+	}
+	// The callback runs outside the lock and may stop the walk.
+	visited := 0
+	src.Dump(func(k string, _ int) bool {
+		src.Get(k)
+		visited++
+		return visited < 3
+	})
+	if visited != 3 {
+		t.Fatalf("Dump visited %d entries after a false return at 3", visited)
+	}
+}
+
+func TestConcurrentHammer(t *testing.T) {
+	var evictions sync.Map
+	tb := New(32, HashString, func(k string, _ int) { evictions.Store(k, true) })
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				k := fmt.Sprintf("k%d", (w*31+i)%64)
+				switch i % 4 {
+				case 0:
+					tb.Put(k, i)
+				case 1:
+					tb.GetOrPut(k, i)
+				case 2:
+					tb.Get(k)
+				default:
+					tb.Dump(func(string, int) bool { return true })
+					tb.Len()
+					tb.Evictions()
+					tb.Reused()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := tb.Len(); n > tb.Capacity() {
+		t.Fatalf("len = %d exceeds capacity %d", n, tb.Capacity())
+	}
+}

@@ -1,12 +1,11 @@
 package router
 
 import (
-	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
+	"slices"
+
+	"copmecs/internal/graph"
 )
 
 // POST /v1/mutate routing. A mutate names its base graph by fingerprint
@@ -24,123 +23,38 @@ import (
 // means no reachable backend holds the base — the client re-seeds with a
 // full /v1/solve.
 
-// mutateEnvelope is the slice of the mutate body the router needs: just
-// the base fingerprint. The rest (delta, params, overrides) is forwarded
-// verbatim; the backend validates it.
-type mutateEnvelope struct {
-	Base string `json:"base"`
-}
-
-// mutateGraphEnvelope is the slice of the backend's 200 response the
-// router needs: the mutated graph's fingerprint, for the affinity cache.
-type mutateGraphEnvelope struct {
-	Graph string `json:"graph"`
-}
-
-// fingerprintHexLen is the length of a canonical graph fingerprint
-// (hex-encoded SHA-256), mirrored from the serve package's wire contract.
-const fingerprintHexLen = 64
-
-// validFingerprint reports whether s looks like a canonical fingerprint.
-func validFingerprint(s string) bool {
-	if len(s) != fingerprintHexLen {
-		return false
+// routeMutate routes a mutate by its BASE fingerprint — all of the body
+// the router reads; the rest is forwarded verbatim and validated by the
+// backend: the base's ring replicas, with the affinity-bound backend (if
+// any) moved to the front. A 200 binds the mutated graph's fingerprint to
+// the backend that produced it.
+func (rt *Router) routeMutate(body []byte) ([]*backend, func(attemptResult), error) {
+	var env struct {
+		Base string `json:"base"`
 	}
-	for _, c := range s {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// affinityDigest keys the affinity cache (an identCache, which is keyed
-// by SHA-256 digests) on a fingerprint string.
-func affinityDigest(fp string) [sha256.Size]byte {
-	return sha256.Sum256([]byte(fp))
-}
-
-// mutateReplicas resolves the attempt order for a mutate: the base's ring
-// replicas, with the affinity-bound backend (if any) moved to the front.
-func (rt *Router) mutateReplicas(base string) []*backend {
-	reps := rt.replicasFor(base)
-	name, ok := rt.affinity.get(affinityDigest(base))
-	if !ok {
-		return reps
-	}
-	b, ok := rt.byName[name]
-	if !ok {
-		return reps
-	}
-	rt.affinityHits.Add(1)
-	out := make([]*backend, 0, len(reps)+1)
-	out = append(out, b)
-	for _, r := range reps {
-		if r != b {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// handleMutate proxies one graph mutation: extract the base fingerprint,
-// pick replicas (affinity first, then the base's ring arc), and forward
-// the raw bytes with the same failover and hedging as a solve.
-func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		errorJSON(w, http.StatusMethodNotAllowed, "router: POST only")
-		return
-	}
-	rt.mutates.Add(1)
-	rt.inflight.Add(1)
-	defer rt.inflight.Add(-1)
-	if rt.draining.Load() {
-		rt.drainRejects.Add(1)
-		w.Header().Set("Retry-After", "1")
-		errorJSON(w, http.StatusServiceUnavailable, "router: draining")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		rt.badRequests.Add(1)
-		errorJSON(w, http.StatusBadRequest, "router: unreadable or oversized body")
-		return
-	}
-	var env mutateEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
-		rt.badRequests.Add(1)
-		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("router: %v", err))
-		return
+		return nil, nil, fmt.Errorf("router: %v", err)
 	}
-	if !validFingerprint(env.Base) {
-		rt.badRequests.Add(1)
-		errorJSON(w, http.StatusBadRequest,
-			fmt.Sprintf("router: base must be a %d-character lowercase hex fingerprint", fingerprintHexLen))
-		return
+	if !graph.ValidFingerprint(env.Base) {
+		return nil, nil, fmt.Errorf("router: base must be a %d-character lowercase hex fingerprint", graph.FingerprintLen)
 	}
+	reps := rt.replicasFor(env.Base)
+	if name, ok := rt.affinity.Get(env.Base); ok {
+		// Bindings only ever name configured backends (bindAffinity).
+		b := rt.byName[name]
+		rt.affinityHits.Add(1)
+		reps = slices.Insert(slices.DeleteFunc(reps, func(r *backend) bool { return r == b }), 0, b)
+	}
+	return reps, rt.bindAffinity, nil
+}
 
-	res := rt.forward(r.Context(), "/v1/mutate", rt.mutateReplicas(env.Base), body)
-	switch {
-	case errors.Is(res.err, errNoBackend):
-		rt.noBackend.Add(1)
-		w.Header().Set("Retry-After", "1")
-		errorJSON(w, http.StatusServiceUnavailable, errNoBackend.Error())
-	case res.err != nil:
-		rt.unreachable.Add(1)
-		errorJSON(w, http.StatusBadGateway,
-			fmt.Sprintf("router: all replicas failed: %v", res.err))
-	default:
-		if res.status == http.StatusOK {
-			var genv mutateGraphEnvelope
-			if json.Unmarshal(res.body, &genv) == nil && validFingerprint(genv.Graph) {
-				rt.affinity.put(affinityDigest(genv.Graph), res.b.name)
-			}
-		}
-		if res.ctype != "" {
-			w.Header().Set("Content-Type", res.ctype)
-		}
-		w.WriteHeader(res.status)
-		_, _ = w.Write(res.body)
+// bindAffinity records which backend holds the graph a 200 mutate reply
+// names.
+func (rt *Router) bindAffinity(res attemptResult) {
+	var env struct {
+		Graph string `json:"graph"`
+	}
+	if json.Unmarshal(res.body, &env) == nil && graph.ValidFingerprint(env.Graph) {
+		rt.affinity.Put(env.Graph, res.b.name)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"copmecs/internal/graph"
 )
 
 // postMutate sends one mutate body through the router and returns status
@@ -60,7 +62,7 @@ func TestRouterMutateRoutingAndAffinity(t *testing.T) {
 			t.Fatalf("mutate %d: status %d: %v", i, st, doc)
 		}
 		next, _ := doc["graph"].(string)
-		if !validFingerprint(next) || next == fp {
+		if !graph.ValidFingerprint(next) || next == fp {
 			t.Fatalf("mutate %d: bad new fingerprint %q (base %q)", i, next, fp)
 		}
 		fp = next

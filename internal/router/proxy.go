@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"copmecs/internal/serve"
@@ -35,21 +36,26 @@ type attemptResult struct {
 func errorJSON(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{Error: msg})
+	_ = json.NewEncoder(w).Encode(serve.ErrorResponse{Error: msg})
 }
 
-// handleSolve proxies one solve: resolve the body's graph fingerprint
-// (identity cache first, JSON decode only on a miss), pick the replica
-// list from the ring, and forward the raw bytes with failover and hedging.
-func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
+// routeFunc is the one step /v1/solve and /v1/mutate differ in: it
+// resolves a request body to the replicas to try, in order, plus an
+// optional hook that sees the winning attempt of a 200 reply. An error is
+// the client's (400).
+type routeFunc func(body []byte) (reps []*backend, onOK func(attemptResult), err error)
+
+// proxy is the handler body behind both POST endpoints: method and drain
+// checks, the size-capped body read, route, forward (failover + hedging)
+// and the response switch — 503 with no replica to try, 502 when every
+// replica failed, the backend's reply verbatim otherwise.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, arrivals *atomic.Uint64, route routeFunc) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		errorJSON(w, http.StatusMethodNotAllowed, "router: POST only")
 		return
 	}
-	rt.requests.Add(1)
+	arrivals.Add(1)
 	rt.inflight.Add(1)
 	defer rt.inflight.Add(-1)
 	if rt.draining.Load() {
@@ -58,35 +64,20 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusServiceUnavailable, "router: draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.DefaultMaxBodyBytes))
 	if err != nil {
 		rt.badRequests.Add(1)
 		errorJSON(w, http.StatusBadRequest, "router: unreadable or oversized body")
 		return
 	}
-
-	digest := sha256.Sum256(body)
-	fp, ok := rt.ident.get(digest)
-	if ok {
-		rt.identHits.Add(1)
-	} else {
-		req, err := serve.DecodeSolveRequest(bytes.NewReader(body), rt.cfg.Limits)
-		if err != nil {
-			rt.badRequests.Add(1)
-			errorJSON(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		fp, err = req.Graph.Fingerprint()
-		if err != nil {
-			rt.badRequests.Add(1)
-			errorJSON(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		rt.ident.put(digest, fp)
-		rt.identMisses.Add(1)
+	reps, onOK, err := route(body)
+	if err != nil {
+		rt.badRequests.Add(1)
+		errorJSON(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
-	res := rt.forward(r.Context(), "/v1/solve", rt.replicasFor(fp), body)
+	res := rt.forward(r.Context(), path, reps, body)
 	switch {
 	case errors.Is(res.err, errNoBackend):
 		rt.noBackend.Add(1)
@@ -97,6 +88,9 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadGateway,
 			fmt.Sprintf("router: all replicas failed: %v", res.err))
 	default:
+		if res.status == http.StatusOK && onOK != nil {
+			onOK(res)
+		}
 		if res.ctype != "" {
 			w.Header().Set("Content-Type", res.ctype)
 		}
@@ -105,32 +99,42 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// routeSolve routes a solve by its graph fingerprint: the identity cache
+// answers for a repeat body, a JSON decode only on a miss.
+func (rt *Router) routeSolve(body []byte) ([]*backend, func(attemptResult), error) {
+	digest := sha256.Sum256(body)
+	fp, ok := rt.ident.Get(digest)
+	if ok {
+		rt.identHits.Add(1)
+	} else {
+		req, err := serve.DecodeSolveRequest(bytes.NewReader(body), rt.cfg.Limits)
+		if err != nil {
+			return nil, nil, err
+		}
+		if fp, err = req.Graph.Fingerprint(); err != nil {
+			return nil, nil, err
+		}
+		rt.ident.Put(digest, fp)
+		rt.identMisses.Add(1)
+	}
+	return rt.replicasFor(fp), nil, nil
+}
+
 // replicasFor resolves the attempt order for a fingerprint. The ready ring
 // decides; if quarantine emptied it, every configured backend becomes a
-// last-resort candidate (ordered by a full-membership ring) — a crashed
+// last-resort candidate (ordered by the full-membership ring) — a crashed
 // fleet member may be back before its probes say so, and trying beats a
 // guaranteed 503.
 func (rt *Router) replicasFor(fp string) []*backend {
-	ring := rt.ring.Load()
-	names := ring.Replicas(fp, rt.cfg.MaxAttempts)
+	names := rt.ring.Load().Replicas(fp, rt.cfg.MaxAttempts)
 	if len(names) == 0 {
-		names = NewRing(backendNames(rt.backends), rt.cfg.Vnodes).
-			Replicas(fp, rt.cfg.MaxAttempts)
+		names = rt.fullRing.Replicas(fp, rt.cfg.MaxAttempts)
 	}
 	reps := make([]*backend, 0, len(names))
 	for _, n := range names {
 		reps = append(reps, rt.byName[n])
 	}
 	return reps
-}
-
-// backendNames projects a backend slice onto its names.
-func backendNames(bs []*backend) []string {
-	names := make([]string, len(bs))
-	for i, b := range bs {
-		names[i] = b.name
-	}
-	return names
 }
 
 // forward tries the given replicas in order until one returns a usable
@@ -217,6 +221,19 @@ func (rt *Router) forward(ctx context.Context, path string, reps []*backend, bod
 // race attempts without holding response streams open.
 func (rt *Router) attempt(ctx context.Context, b *backend, idx int, path string, body []byte, out chan<- attemptResult) {
 	res := attemptResult{idx: idx, b: b, began: time.Now()}
+	// failed reports a transport or read failure. If our context died
+	// first, this is a loss to a faster replica (or the client hanging up)
+	// — our own cancel, not the backend's fault: don't count it against
+	// the backend.
+	failed := func(err error) {
+		res.err = err
+		if ctx.Err() != nil {
+			res.canceled = true
+		} else {
+			b.errors.Add(1)
+		}
+		out <- res
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(body))
 	if err != nil {
 		res.err = err
@@ -228,28 +245,13 @@ func (rt *Router) attempt(ctx context.Context, b *backend, idx int, path string,
 	b.forwarded.Add(1)
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		res.err = err
-		// If our context died first, this is a loss to a faster replica
-		// (or the client hanging up) — our own cancel, not the backend's
-		// fault: don't count it against the backend.
-		if ctx.Err() != nil {
-			res.canceled = true
-		} else {
-			b.errors.Add(1)
-		}
-		out <- res
+		failed(err)
 		return
 	}
-	rb, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
+	rb, err := io.ReadAll(io.LimitReader(resp.Body, serve.DefaultMaxBodyBytes))
 	_ = resp.Body.Close()
 	if err != nil {
-		res.err = err
-		if ctx.Err() != nil {
-			res.canceled = true
-		} else {
-			b.errors.Add(1)
-		}
-		out <- res
+		failed(err)
 		return
 	}
 	res.status = resp.StatusCode

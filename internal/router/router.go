@@ -31,6 +31,7 @@ package router
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,10 +41,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"copmecs/internal/lru"
 	"copmecs/internal/serve"
 )
 
-// Default tuning. Every value is overridable through Config.
+// Default tuning, overridable through Config unless noted.
 const (
 	// DefaultProbeInterval is the health sweep period.
 	DefaultProbeInterval = 500 * time.Millisecond
@@ -68,8 +70,11 @@ const (
 	// DefaultForwardTimeout bounds one proxied solve attempt end to end.
 	DefaultForwardTimeout = 30 * time.Second
 	// DefaultStatsTimeout bounds one backend's stats fetch during
-	// aggregation.
+	// aggregation (a constant, not a Config field).
 	DefaultStatsTimeout = 2 * time.Second
+	// defaultIdentCapacity bounds the identity and affinity caches when
+	// Config.IdentCacheSize is 0.
+	defaultIdentCapacity = 65536
 	// DefaultMaxAttempts caps the distinct replicas tried per request
 	// (failover plus hedge), unless the ring is smaller.
 	DefaultMaxAttempts = 3
@@ -117,10 +122,6 @@ type Config struct {
 	HedgeMinSamples int
 	// ForwardTimeout bounds one proxied attempt.
 	ForwardTimeout time.Duration
-	// StatsTimeout bounds one backend stats fetch during aggregation.
-	StatsTimeout time.Duration
-	// MaxBodyBytes caps one request body (≤ 0 = serve.DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// Limits bounds request decoding on the identity-cache miss path.
 	Limits serve.DecodeLimits
 	// IdentCacheSize caps the digest → fingerprint identity cache.
@@ -167,11 +168,8 @@ func (c Config) withDefaults() Config {
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = DefaultForwardTimeout
 	}
-	if c.StatsTimeout <= 0 {
-		c.StatsTimeout = DefaultStatsTimeout
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = serve.DefaultMaxBodyBytes
+	if c.IdentCacheSize <= 0 {
+		c.IdentCacheSize = defaultIdentCapacity
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -186,10 +184,15 @@ type Router struct {
 	backends []*backend
 	byName   map[string]*backend
 	ring     atomic.Pointer[Ring] // ready members only; swapped on transitions
+	fullRing *Ring                // every configured backend; the last resort
 	prober   *prober
 	hedge    *hedger
-	ident    *identCache
-	affinity *identCache // mutated-graph fingerprint → backend name
+	// ident maps raw-body SHA-256 digests to graph fingerprints so repeat
+	// bodies route without a JSON decode — the router-side twin of the
+	// backend's body-digest cache. affinity maps a mutated graph's
+	// fingerprint to the name of the backend that produced it.
+	ident    *lru.Table[[sha256.Size]byte, string]
+	affinity *lru.Table[string, string]
 	client   *http.Client
 	begin    time.Time
 
@@ -223,8 +226,8 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		byName:   make(map[string]*backend, len(cfg.Backends)),
-		ident:    newIdentCache(cfg.IdentCacheSize),
-		affinity: newIdentCache(cfg.IdentCacheSize),
+		ident:    lru.New[[sha256.Size]byte, string](cfg.IdentCacheSize, lru.HashDigest, nil),
+		affinity: lru.New[string, string](cfg.IdentCacheSize, lru.HashString, nil),
 		begin:    time.Now(),
 		client: &http.Client{
 			Timeout: cfg.ForwardTimeout,
@@ -235,6 +238,7 @@ func New(cfg Config) (*Router, error) {
 			},
 		},
 	}
+	names := make([]string, 0, len(cfg.Backends))
 	for _, bc := range cfg.Backends {
 		if bc.Name == "" {
 			return nil, fmt.Errorf("router: backend with empty name")
@@ -249,6 +253,7 @@ func New(cfg Config) (*Router, error) {
 		b := &backend{name: bc.Name, url: strings.TrimRight(bc.URL, "/")}
 		rt.backends = append(rt.backends, b)
 		rt.byName[bc.Name] = b
+		names = append(names, bc.Name)
 	}
 	rt.hedge = &hedger{
 		enabled:    !cfg.DisableHedge,
@@ -269,6 +274,7 @@ func New(cfg Config) (*Router, error) {
 		logf:         cfg.Logf,
 		done:         make(chan struct{}),
 	}
+	rt.fullRing = NewRing(names, cfg.Vnodes)
 	rt.rebuildRing()
 	return rt, nil
 }
@@ -320,13 +326,17 @@ func (rt *Router) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Handler returns the router's HTTP mux: POST /v1/solve (proxy),
-// GET /v1/stats (fleet aggregate), GET /v1/health (probe document), and
-// GET /v1/healthz (load-balancer liveness: 503 once draining).
+// Handler returns the router's HTTP mux: POST /v1/solve and /v1/mutate
+// (proxy), GET /v1/stats (fleet aggregate), GET /v1/health (probe
+// document), and GET /v1/healthz (load-balancer liveness: 503 once draining).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/solve", rt.handleSolve)
-	mux.HandleFunc("/v1/mutate", rt.handleMutate)
+	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) {
+		rt.proxy(w, r, "/v1/solve", &rt.requests, rt.routeSolve)
+	})
+	mux.HandleFunc("/v1/mutate", func(w http.ResponseWriter, r *http.Request) {
+		rt.proxy(w, r, "/v1/mutate", &rt.mutates, rt.routeMutate)
+	})
 	mux.HandleFunc("/v1/stats", rt.handleStats)
 	mux.HandleFunc("/v1/health", rt.handleHealth)
 	mux.HandleFunc("/v1/healthz", rt.handleHealthz)

@@ -500,3 +500,83 @@ func TestRouterConfigValidation(t *testing.T) {
 		t.Error("empty name accepted")
 	}
 }
+
+// TestProxyResponsesOnBothEndpoints walks every arm of the one handler
+// body behind /v1/solve and /v1/mutate: the router's own 405 / 400 / 503 /
+// 502 and the backend's reply passed through verbatim.
+func TestProxyResponsesOnBothEndpoints(t *testing.T) {
+	live := startBackend(t, "be-live")
+	_, front := startRouter(t, Config{
+		Backends:     []BackendConfig{{Name: "be-live", URL: live.URL}},
+		DisableHedge: true,
+	})
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // a URL nothing listens on
+	_, orphan := startRouter(t, Config{
+		Backends:      []BackendConfig{{Name: "be-dead", URL: dead.URL}},
+		DisableHedge:  true,
+		ProbeInterval: time.Hour, // only proxy failures move the backend's state
+	})
+	drained, drainedFront := startRouter(t, Config{
+		Backends:     []BackendConfig{{Name: "be-live", URL: live.URL}},
+		DisableHedge: true,
+	})
+	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := drained.Drain(dctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	unknownBase := fmt.Sprintf(`{"base":%q,"delta":{}}`, strings.Repeat("0", 64))
+	cases := []struct {
+		name, url, path, method, body string
+		status                        int
+		retryAfter                    string
+	}{
+		{"solve wrong method", front.URL, "/v1/solve", http.MethodGet, "", http.StatusMethodNotAllowed, ""},
+		{"mutate wrong method", front.URL, "/v1/mutate", http.MethodGet, "", http.StatusMethodNotAllowed, ""},
+		{"solve undecodable", front.URL, "/v1/solve", http.MethodPost, `{"graph":`, http.StatusBadRequest, ""},
+		{"mutate undecodable", front.URL, "/v1/mutate", http.MethodPost, `{"base":`, http.StatusBadRequest, ""},
+		{"mutate bad fingerprint", front.URL, "/v1/mutate", http.MethodPost, `{"base":"ABC","delta":{}}`, http.StatusBadRequest, ""},
+		{"solve verbatim 200", front.URL, "/v1/solve", http.MethodPost, makeBody(3), http.StatusOK, ""},
+		{"mutate verbatim 404", front.URL, "/v1/mutate", http.MethodPost, unknownBase, http.StatusNotFound, ""},
+		{"solve all replicas failed", orphan.URL, "/v1/solve", http.MethodPost, makeBody(3), http.StatusBadGateway, ""},
+		// The failure above quarantined the only backend: the ready ring is
+		// empty and the full-membership ring still supplies a candidate.
+		{"solve via the last-resort ring", orphan.URL, "/v1/solve", http.MethodPost, makeBody(3), http.StatusBadGateway, ""},
+		{"mutate via the last-resort ring", orphan.URL, "/v1/mutate", http.MethodPost, unknownBase, http.StatusBadGateway, ""},
+		{"solve while draining", drainedFront.URL, "/v1/solve", http.MethodPost, makeBody(3), http.StatusServiceUnavailable, "1"},
+		{"mutate while draining", drainedFront.URL, "/v1/mutate", http.MethodPost, unknownBase, http.StatusServiceUnavailable, "1"},
+	}
+	for _, c := range cases {
+		req, err := http.NewRequest(c.method, c.url+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if resp.StatusCode != c.status || resp.Header.Get("Retry-After") != c.retryAfter {
+			t.Errorf("%s: status %d Retry-After %q, want %d %q", c.name,
+				resp.StatusCode, resp.Header.Get("Retry-After"), c.status, c.retryAfter)
+		}
+		if c.status != http.StatusOK && (derr != nil || doc.Error == "") {
+			t.Errorf("%s: error reply is not {\"error\": ...}: %v", c.name, derr)
+		}
+	}
+	if doc := routerStats(t, front.URL); doc.Router.BadRequests != 3 {
+		t.Errorf("bad_requests = %d, want 3", doc.Router.BadRequests)
+	}
+	if doc := routerStats(t, orphan.URL); doc.Router.Unreachable != 3 {
+		t.Errorf("unreachable = %d, want 3", doc.Router.Unreachable)
+	}
+	if doc := routerStats(t, drainedFront.URL); doc.Router.DrainRejects != 2 {
+		t.Errorf("drain_rejects = %d, want 2", doc.Router.DrainRejects)
+	}
+}

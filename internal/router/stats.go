@@ -196,7 +196,7 @@ func (rt *Router) routerStatus() RouterStatus {
 		DrainRejects: rt.drainRejects.Load(),
 		IdentHits:    rt.identHits.Load(),
 		IdentMisses:  rt.identMisses.Load(),
-		IdentSize:    rt.ident.size(),
+		IdentSize:    rt.ident.Len(),
 		Mutates:      rt.mutates.Load(),
 		AffinityHits: rt.affinityHits.Load(),
 		Draining:     rt.draining.Load(),
@@ -229,7 +229,7 @@ func (rt *Router) routerStatus() RouterStatus {
 
 // fetchStats retrieves one backend's raw stats document.
 func (rt *Router) fetchStats(ctx context.Context, b *backend) (json.RawMessage, error) {
-	sctx, cancel := context.WithTimeout(ctx, rt.cfg.StatsTimeout)
+	sctx, cancel := context.WithTimeout(ctx, DefaultStatsTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, b.url+"/v1/stats", nil)
 	if err != nil {
@@ -289,7 +289,7 @@ func mergeFleet(f *FleetStatus, s *serve.Stats) {
 }
 
 // handleStats serves the fleet-wide stats document: backend stats are
-// fetched concurrently (bounded by StatsTimeout each), merged, and
+// fetched concurrently (bounded by DefaultStatsTimeout each), merged, and
 // returned next to the router's own sections. Unreachable backends are
 // simply absent from the fleet aggregate — their probe state in the
 // router section tells the story.

@@ -26,16 +26,19 @@ const (
 // pending is one singleflight cell: the first request for a key becomes
 // the leader and is enqueued for a solve round; identical requests
 // arriving while it is in flight attach as followers and share the
-// result. mult tracks the live multiplicity (leader + followers), which
+// result (a mutate leader solves inline instead; its cell is otherwise the
+// same). mult tracks the live multiplicity (leader + followers), which
 // the dispatcher expands into that many users of the solve round so the
 // paper's shared-server contention (ActiveUsers = k) reflects the real
 // concurrent load, not the deduplicated one.
 type pending struct {
-	key  string
-	done chan struct{} // closed exactly once when dec/err are set
-	dec  *Decision
-	err  error
-	mult atomic.Int64
+	key       string
+	done      chan struct{} // closed exactly once when dec/err are set
+	dec       *Decision
+	err       error
+	mult      atomic.Int64
+	jseg      uint64 // journal token from Append, released in finish
+	journaled bool   // jseg is live (a write-ahead record exists)
 }
 
 // newPending returns a cell with multiplicity 1 (the leader).
@@ -47,14 +50,12 @@ func newPending(key string) *pending {
 
 // solveTask is one accepted leader request waiting for a solve round.
 type solveTask struct {
-	p         *pending
-	user      core.UserInput
-	params    mec.Params
-	pkey      string // paramsDigest; rounds group by it
-	fp        string // canonical graph fingerprint, echoed in the decision
-	lane      uint32 // enqueue lane, derived from the graph fingerprint
-	jseg      uint64 // journal token from Append, released in finish
-	journaled bool   // jseg is live (a write-ahead record exists)
+	p      *pending
+	user   core.UserInput
+	params mec.Params
+	pkey   string // paramsDigest; rounds group by it
+	fp     string // canonical graph fingerprint, echoed in the decision
+	lane   uint32 // enqueue lane, derived from the graph fingerprint
 }
 
 // batcher coalesces concurrently arriving solve tasks into multi-user

@@ -14,7 +14,7 @@ import (
 )
 
 // Durability integration: when Config.Journal is set, every accepted
-// leader request is journaled before it is enqueued (write-ahead), and
+// leader request is journaled before its solve can start (write-ahead), and
 // the journal token is released in finish only after the solved decision
 // is published to the cache — so any record a snapshot truncation drops
 // is provably covered by that snapshot, and any record still in the
@@ -104,22 +104,62 @@ type DurabilityStats struct {
 	Replay *RecoveryStats `json:"replay,omitempty"`
 }
 
+// floatBlockLen is the byte length of the block that follows the type byte
+// of both journal record kinds: the five resolved system params and the
+// four per-user overrides, little-endian float64s.
+const floatBlockLen = 9 * 8
+
+// readFloatBlock inverts putFloatBlock over block (floatBlockLen bytes),
+// applying the live decode path's checks — finite values, valid params,
+// non-negative overrides — so a hostile or version-skewed record can never
+// enter a solve.
+func readFloatBlock(block []byte) (mec.Params, UserOverrides, error) {
+	var v [floatBlockLen / 8]float64
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[i*8:]))
+		if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
+			return mec.Params{}, UserOverrides{}, fmt.Errorf("non-finite value")
+		}
+	}
+	params := mec.Params{
+		ServerCapacity: v[0], DeviceCompute: v[1], PowerCompute: v[2],
+		PowerTransmit: v[3], Bandwidth: v[4],
+	}
+	o := UserOverrides{FixedLocalWork: v[5], DeviceCompute: v[6], Bandwidth: v[7], PowerTransmit: v[8]}
+	err := params.Validate()
+	if err == nil {
+		err = o.validate()
+	}
+	return params, o, err
+}
+
+// putString appends s behind its little-endian uint32 length.
+func putString(buf *bytes.Buffer, s string) {
+	var l [4]byte
+	binary.LittleEndian.PutUint32(l[:], uint32(len(s)))
+	buf.Write(l[:])
+	buf.WriteString(s)
+}
+
+// readString inverts putString at the head of b, returning the string and
+// the bytes after it; ok is false when b is too short for either.
+func readString(b []byte) (s string, rest []byte, ok bool) {
+	if len(b) < 4 {
+		return "", nil, false
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if int64(n) > int64(len(b)-4) {
+		return "", nil, false
+	}
+	return string(b[4 : 4+n]), b[4+n:], true
+}
+
 // encodeAccepted renders one accepted request as a journal payload: the
-// record type, the resolved system params, the per-user overrides, and
-// the canonical binary graph — exactly the inputs requestKey hashes, so
-// replay reproduces the live request's cache identity.
+// record type, the float block, and the canonical binary graph.
 func encodeAccepted(req *SolveRequest, params mec.Params) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteByte(recAccepted)
-	var f [8]byte
-	for _, v := range []float64{
-		params.ServerCapacity, params.DeviceCompute, params.PowerCompute,
-		params.PowerTransmit, params.Bandwidth,
-		req.FixedLocalWork, req.DeviceCompute, req.Bandwidth, req.PowerTransmit,
-	} {
-		binary.LittleEndian.PutUint64(f[:], math.Float64bits(v))
-		buf.Write(f[:])
-	}
+	putFloatBlock(&buf, params, req.UserOverrides)
 	if err := req.Graph.WriteBinary(&buf); err != nil {
 		return nil, fmt.Errorf("serve: encode accepted: %w", err)
 	}
@@ -127,54 +167,29 @@ func encodeAccepted(req *SolveRequest, params mec.Params) ([]byte, error) {
 }
 
 // decodeAccepted inverts encodeAccepted, applying the same validation as
-// the live decode path (graph limits, non-negative overrides, valid
-// params) so a hostile or version-skewed record can never enter a solve
-// round. It never panics (fuzzed by FuzzJournalReplay in the durable
-// package's integration tests and exercised by recovery).
+// the live decode path (readFloatBlock's checks plus the graph limits). It
+// never panics (fuzzed by FuzzJournalReplay in the durable package's
+// integration tests and exercised by recovery).
 func decodeAccepted(payload []byte, limits DecodeLimits) (*SolveRequest, mec.Params, error) {
-	limits = limits.withDefaults()
-	const floats = 9
-	if len(payload) < 1+floats*8 || payload[0] != recAccepted {
+	if len(payload) < 1+floatBlockLen || payload[0] != recAccepted {
 		return nil, mec.Params{}, fmt.Errorf("serve: not an accepted record")
 	}
-	var v [floats]float64
-	for i := 0; i < floats; i++ {
-		bits := binary.LittleEndian.Uint64(payload[1+i*8 : 9+i*8])
-		v[i] = math.Float64frombits(bits)
-		if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
-			return nil, mec.Params{}, fmt.Errorf("serve: accepted record: non-finite value")
-		}
-	}
-	params := mec.Params{
-		ServerCapacity: v[0], DeviceCompute: v[1], PowerCompute: v[2],
-		PowerTransmit: v[3], Bandwidth: v[4],
-	}
-	if err := params.Validate(); err != nil {
-		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
-	}
-	g, err := graph.ReadBinary(bytes.NewReader(payload[1+floats*8:]))
+	params, o, err := readFloatBlock(payload[1:])
 	if err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
 	}
-	if g.NumNodes() == 0 || g.NumNodes() > limits.MaxNodes || g.NumEdges() > limits.MaxEdges {
-		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: graph out of limits")
+	g, err := graph.ReadBinary(bytes.NewReader(payload[1+floatBlockLen:]))
+	if err != nil {
+		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
 	}
-	req := &SolveRequest{
-		Graph:          g,
-		FixedLocalWork: v[5],
-		DeviceCompute:  v[6],
-		Bandwidth:      v[7],
-		PowerTransmit:  v[8],
+	if err := limits.check(g); err != nil {
+		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
 	}
-	if req.FixedLocalWork < 0 || req.DeviceCompute < 0 || req.Bandwidth < 0 || req.PowerTransmit < 0 {
-		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: negative override")
-	}
-	return req, params, nil
+	return &SolveRequest{Graph: g, UserOverrides: o}, params, nil
 }
 
 // encodeMutate renders one accepted mutation as a journal payload: the
-// record type, the resolved params and per-user overrides (same float
-// block as an accepted record), the base fingerprint, and the delta as
+// record type, the float block, the base fingerprint, and the delta as
 // JSON. Replaying it against the interned base reconstructs the mutated
 // graph and the same cache key the live mutate published under.
 func encodeMutate(req *MutateRequest, params mec.Params) ([]byte, error) {
@@ -184,64 +199,30 @@ func encodeMutate(req *MutateRequest, params mec.Params) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	buf.WriteByte(recMutate)
-	var f [8]byte
-	for _, v := range []float64{
-		params.ServerCapacity, params.DeviceCompute, params.PowerCompute,
-		params.PowerTransmit, params.Bandwidth,
-		req.FixedLocalWork, req.DeviceCompute, req.Bandwidth, req.PowerTransmit,
-	} {
-		binary.LittleEndian.PutUint64(f[:], math.Float64bits(v))
-		buf.Write(f[:])
-	}
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(req.Base)))
-	buf.Write(l[:])
-	buf.WriteString(req.Base)
+	putFloatBlock(&buf, params, req.UserOverrides)
+	putString(&buf, req.Base)
 	buf.Write(body)
 	return buf.Bytes(), nil
 }
 
 // decodeMutate inverts encodeMutate, applying the same validation as the
-// live decode path so a hostile or version-skewed record can never drive
-// a replay solve.
+// live decode path (readFloatBlock's checks plus validateMutate).
 func decodeMutate(payload []byte, limits DecodeLimits) (*MutateRequest, mec.Params, error) {
-	limits = limits.withDefaults()
-	const floats = 9
-	if len(payload) < 1+floats*8+4 || payload[0] != recMutate {
+	if len(payload) < 1+floatBlockLen || payload[0] != recMutate {
 		return nil, mec.Params{}, fmt.Errorf("serve: not a mutate record")
 	}
-	var v [floats]float64
-	for i := 0; i < floats; i++ {
-		bits := binary.LittleEndian.Uint64(payload[1+i*8 : 9+i*8])
-		v[i] = math.Float64frombits(bits)
-		if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
-			return nil, mec.Params{}, fmt.Errorf("serve: mutate record: non-finite value")
-		}
-	}
-	params := mec.Params{
-		ServerCapacity: v[0], DeviceCompute: v[1], PowerCompute: v[2],
-		PowerTransmit: v[3], Bandwidth: v[4],
-	}
-	if err := params.Validate(); err != nil {
+	params, o, err := readFloatBlock(payload[1:])
+	if err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: mutate record: %w", err)
 	}
-	rest := payload[1+floats*8:]
-	n := binary.LittleEndian.Uint32(rest[:4])
-	if int64(n) > int64(len(rest)-4) {
+	base, rest, ok := readString(payload[1+floatBlockLen:])
+	if !ok {
 		return nil, mec.Params{}, fmt.Errorf("serve: mutate record: truncated fingerprint")
 	}
-	req := &MutateRequest{
-		Base:           string(rest[4 : 4+n]),
-		FixedLocalWork: v[5],
-		DeviceCompute:  v[6],
-		Bandwidth:      v[7],
-		PowerTransmit:  v[8],
-	}
-	var delta graph.Delta
-	if err := json.Unmarshal(rest[4+n:], &delta); err != nil {
+	req := &MutateRequest{Base: base, Delta: new(graph.Delta), UserOverrides: o}
+	if err := json.Unmarshal(rest, req.Delta); err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: mutate record: %w", err)
 	}
-	req.Delta = &delta
 	if err := validateMutate(req, limits); err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: mutate record: %w", err)
 	}
@@ -252,10 +233,7 @@ func decodeMutate(payload []byte, limits DecodeLimits) (*MutateRequest, mec.Para
 func encodeGraphRecord(fp string, g *graph.Graph) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteByte(recGraph)
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(fp)))
-	buf.Write(l[:])
-	buf.WriteString(fp)
+	putString(&buf, fp)
 	if err := g.WriteBinary(&buf); err != nil {
 		return nil, fmt.Errorf("serve: encode graph record: %w", err)
 	}
@@ -264,21 +242,19 @@ func encodeGraphRecord(fp string, g *graph.Graph) ([]byte, error) {
 
 // decodeGraphRecord inverts encodeGraphRecord.
 func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.Graph, error) {
-	limits = limits.withDefaults()
-	if len(payload) < 5 || payload[0] != recGraph {
+	if len(payload) < 1 || payload[0] != recGraph {
 		return "", nil, fmt.Errorf("serve: not a graph record")
 	}
-	n := binary.LittleEndian.Uint32(payload[1:5])
-	if int64(n) > int64(len(payload)-5) {
+	fp, rest, ok := readString(payload[1:])
+	if !ok {
 		return "", nil, fmt.Errorf("serve: graph record: truncated fingerprint")
 	}
-	fp := string(payload[5 : 5+n])
-	g, err := graph.ReadBinary(bytes.NewReader(payload[5+n:]))
+	g, err := graph.ReadBinary(bytes.NewReader(rest))
+	if err == nil {
+		err = limits.check(g)
+	}
 	if err != nil {
 		return "", nil, fmt.Errorf("serve: graph record: %w", err)
-	}
-	if g.NumNodes() == 0 || g.NumNodes() > limits.MaxNodes || g.NumEdges() > limits.MaxEdges {
-		return "", nil, fmt.Errorf("serve: graph record: graph out of limits")
 	}
 	return fp, g, nil
 }
@@ -293,26 +269,22 @@ func encodeDecisionRecord(key string, dec *Decision) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	buf.WriteByte(recDecision)
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(key)))
-	buf.Write(l[:])
-	buf.WriteString(key)
+	putString(&buf, key)
 	buf.Write(body)
 	return buf.Bytes(), nil
 }
 
 // decodeDecisionRecord inverts encodeDecisionRecord.
 func decodeDecisionRecord(payload []byte) (string, *Decision, error) {
-	if len(payload) < 5 || payload[0] != recDecision {
+	if len(payload) < 1 || payload[0] != recDecision {
 		return "", nil, fmt.Errorf("serve: not a decision record")
 	}
-	n := binary.LittleEndian.Uint32(payload[1:5])
-	if int64(n) > int64(len(payload)-5) {
+	key, rest, ok := readString(payload[1:])
+	if !ok {
 		return "", nil, fmt.Errorf("serve: decision record: truncated key")
 	}
-	key := string(payload[5 : 5+n])
 	var dec Decision
-	if err := json.Unmarshal(payload[5+n:], &dec); err != nil {
+	if err := json.Unmarshal(rest, &dec); err != nil {
 		return "", nil, fmt.Errorf("serve: decision record: %w", err)
 	}
 	return key, &dec, nil
@@ -373,37 +345,20 @@ func restoreCountersRecord(payload []byte, c *counters) error {
 // copied under its own lock and encoded outside it.
 func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 	var err error
-	s.graphs.dump(func(fp string, g *graph.Graph) bool {
-		var rec []byte
-		if rec, err = encodeGraphRecord(fp, g); err != nil {
-			return false
+	emit := func(rec []byte, encodeErr error) bool {
+		if err = encodeErr; err == nil {
+			err = add(rec)
 		}
-		if err = add(rec); err != nil {
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
+		return err == nil
 	}
-	s.cache.dump(func(key string, dec *Decision) bool {
-		var rec []byte
-		if rec, err = encodeDecisionRecord(key, dec); err != nil {
-			return false
-		}
-		if err = add(rec); err != nil {
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
+	s.graphs.Dump(func(fp string, g *graph.Graph) bool { return emit(encodeGraphRecord(fp, g)) })
+	if err == nil {
+		s.cache.Dump(func(key string, ent cachedDecision) bool { return emit(encodeDecisionRecord(key, ent.dec)) })
 	}
-	rec, err := encodeCountersRecord(&s.st)
-	if err != nil {
-		return err
+	if err == nil {
+		emit(encodeCountersRecord(&s.st))
 	}
-	return add(rec)
+	return err
 }
 
 // Recover warms the server from recovered durable state: the snapshot's
@@ -429,7 +384,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 				rs.DecodeErrors++
 				continue
 			}
-			s.graphs.intern(fp, g)
+			s.graphs.GetOrPut(fp, g)
 			rs.SnapshotGraphs++
 		case recDecision:
 			key, dec, err := decodeDecisionRecord(payload)
@@ -437,7 +392,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 				rs.DecodeErrors++
 				continue
 			}
-			s.cache.put(key, dec, renderHit(dec))
+			s.publish(key, dec)
 			rs.SnapshotDecisions++
 		case recCounters:
 			if err := restoreCountersRecord(payload, &s.st); err != nil {
@@ -479,8 +434,8 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 				rs.DecodeErrors++
 				continue
 			}
-			base := s.graphs.lookup(mreq.Base)
-			if base == nil {
+			base, ok := s.graphs.Get(mreq.Base)
+			if !ok {
 				rs.ReplayErrors++
 				s.logf("serve: replay mutate: %v: %s", ErrUnknownBase, mreq.Base)
 				continue
@@ -503,16 +458,12 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		}
 		// Intern before the warm-skip: a later mutate record may name this
 		// record's graph as its base even when the decision itself is warm.
-		req.Graph = s.graphs.intern(fp, req.Graph)
-		if seen[key] {
+		req.Graph, _ = s.graphs.GetOrPut(fp, req.Graph)
+		if _, warm := s.cache.Get(key); warm || seen[key] {
 			rs.ReplayWarm++
 			continue
 		}
 		seen[key] = true
-		if _, _, ok := s.cache.get(key); ok {
-			rs.ReplayWarm++
-			continue
-		}
 		pk := paramsDigest(params)
 		if _, ok := groups[pk]; !ok {
 			order = append(order, pk)
@@ -520,10 +471,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		groups[pk] = append(groups[pk], replayItem{key: key, fp: fp, req: req, params: params})
 	}
 
-	maxBatch := s.cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
+	maxBatch := s.b.maxBatch
 	for _, pk := range order {
 		items := groups[pk]
 		for len(items) > 0 {
@@ -534,13 +482,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 			items = items[len(round):]
 			users := make([]core.UserInput, len(round))
 			for i, it := range round {
-				users[i] = core.UserInput{
-					Graph:          it.req.Graph,
-					FixedLocalWork: it.req.FixedLocalWork,
-					DeviceCompute:  it.req.DeviceCompute,
-					Bandwidth:      it.req.Bandwidth,
-					PowerTransmit:  it.req.PowerTransmit,
-				}
+				users[i] = userInputOf(it.req)
 			}
 			sol, err := s.sess.SolveWithParams(ctx, users, round[0].params)
 			if err != nil {
@@ -549,8 +491,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 				continue
 			}
 			for i, it := range round {
-				dec := decisionFor(it.fp, sol, i, len(users))
-				s.cache.put(it.key, dec, renderHit(dec))
+				s.publish(it.key, decisionFor(it.fp, sol, i, len(users)))
 				rs.ReplaySolved++
 			}
 		}

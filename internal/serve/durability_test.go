@@ -105,7 +105,7 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("requestKey of record %d: %v", i, err)
 		}
-		if _, _, ok := s.cache.get(key); !ok {
+		if _, ok := s.cache.Get(key); !ok {
 			t.Fatalf("record %d's key not in cache after solve", i)
 		}
 	}
@@ -121,7 +121,7 @@ func TestAdmitShedReleasesJournalRecord(t *testing.T) {
 
 	admitOne := func(i int) error {
 		req := &SolveRequest{Graph: testGraph(t, i)}
-		key, fp, err := requestKey(req, params)
+		key, _, err := requestKey(req, params)
 		if err != nil {
 			t.Fatalf("requestKey: %v", err)
 		}
@@ -129,7 +129,9 @@ func TestAdmitShedReleasesJournalRecord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encodeAccepted: %v", err)
 		}
-		_, _, aerr := s.admit(key, fp, req, params, jrec)
+		_, _, aerr := s.admit(key, jrec, func(p *pending) bool {
+			return s.b.enqueue(&solveTask{p: p})
+		})
 		return aerr
 	}
 	for i := 0; i < 2; i++ {
@@ -155,7 +157,7 @@ func TestAdmitShedReleasesJournalRecord(t *testing.T) {
 		if !ok {
 			t.Fatalf("queued task %d missing", i)
 		}
-		s.finish(task, nil, errors.New("test teardown"))
+		s.finish(task.p, nil, errors.New("test teardown"))
 	}
 	if _, applied := jr.counts(); applied != 3 {
 		t.Fatalf("applied after finish = %d, want 3", applied)
@@ -187,11 +189,8 @@ func TestAcceptedRecordRoundTripPreservesKey(t *testing.T) {
 	params := defaultTestParams()
 	params.Bandwidth *= 2
 	req := &SolveRequest{
-		Graph:          testGraph(t, 3),
-		FixedLocalWork: 12.5,
-		DeviceCompute:  3.25,
-		Bandwidth:      9,
-		PowerTransmit:  0.75,
+		Graph:         testGraph(t, 3),
+		UserOverrides: UserOverrides{FixedLocalWork: 12.5, DeviceCompute: 3.25, Bandwidth: 9, PowerTransmit: 0.75},
 	}
 	wantKey, wantFp, err := requestKey(req, params)
 	if err != nil {

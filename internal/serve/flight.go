@@ -1,6 +1,10 @@
 package serve
 
-import "sync"
+import (
+	"sync"
+
+	"copmecs/internal/lru"
+)
 
 // flightShardCount is the fixed power-of-two shard count of the
 // singleflight table. The table has no capacity to split, so it does not
@@ -11,12 +15,12 @@ const flightShardCount = 16
 
 // flightTable is the sharded singleflight registry: at most one in-flight
 // solve per key, with followers attaching to the leader's pending cell.
-// Shards are selected by key prefix like the solution cache, so the
-// request path never serializes on a single global mutex. The admission
-// invariants from the unsharded design carry over per shard: the draining
-// check, the lane enqueue, and the accepted.Add all happen under the
-// key's shard mutex, and Drain publishes the draining flag with a
-// lock-barrier over every shard (see drainBarrier).
+// Shards are selected by the solution cache's key hash, so the request
+// path never serializes on a single global mutex. It is admission
+// synchronisation, not a cache: the draining check, the write-ahead
+// append, the lane enqueue and the accepted.Add all happen under the
+// key's shard mutex (Server.admit), and Drain publishes the draining
+// flag with a lock-barrier over every shard (see drainBarrier).
 type flightTable struct {
 	shards [flightShardCount]flightShard
 }
@@ -40,7 +44,7 @@ func newFlightTable() *flightTable {
 
 // shard returns the shard owning key.
 func (t *flightTable) shard(key string) *flightShard {
-	return &t.shards[shardPrefix(key)&(flightShardCount-1)]
+	return &t.shards[lru.HashString(key)&(flightShardCount-1)]
 }
 
 // remove deletes key's cell; the caller (finish) has already filled the

@@ -12,37 +12,6 @@ import (
 	"copmecs/internal/graph"
 )
 
-func TestGraphInternCanonicalises(t *testing.T) {
-	var evicted []*graph.Graph
-	c := newGraphIntern(2, func(g *graph.Graph) { evicted = append(evicted, g) })
-
-	g1, g2, g3 := testGraph(t, 0), testGraph(t, 1), testGraph(t, 2)
-	if got := c.intern("a", g1); got != g1 {
-		t.Fatal("first intern did not install the given graph")
-	}
-	// A content-equal decode must come back as the first instance.
-	if got := c.intern("a", testGraph(t, 0)); got != g1 {
-		t.Fatal("repeat fingerprint did not return the canonical instance")
-	}
-	if c.reused.Load() != 1 || c.len() != 1 {
-		t.Fatalf("reused = %d, len = %d, want 1, 1", c.reused.Load(), c.len())
-	}
-
-	c.intern("b", g2)
-	c.intern("c", g3) // capacity 2: evicts "a" (LRU)
-	if len(evicted) != 1 || evicted[0] != g1 {
-		t.Fatalf("evicted %v, want [g1]", evicted)
-	}
-	if c.evictions.Load() != 1 || c.len() != 2 {
-		t.Fatalf("evictions = %d, len = %d, want 1, 2", c.evictions.Load(), c.len())
-	}
-	// "a" is gone: interning it again installs the new instance.
-	fresh := testGraph(t, 0)
-	if got := c.intern("a", fresh); got != fresh {
-		t.Fatal("evicted fingerprint still returned the old instance")
-	}
-}
-
 // postSolveWithCapacity posts g with a per-request server_capacity override
 // and fails the test on any non-200 outcome.
 func postSolveWithCapacity(t *testing.T, url string, g *graph.Graph, capacity float64) SolveResponse {

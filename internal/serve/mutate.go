@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,7 +21,9 @@ import (
 // components replay their cached cuts, only touched components re-run
 // compression and the eigensolver — and publishes the decision under the
 // mutated graph's fingerprint, so follow-up /v1/solve and /v1/mutate calls
-// (on any client) find the new graph warm.
+// (on any client) find the new graph warm. This file holds the endpoint's
+// wire types, decode/validate, resolve step and response shaping; the
+// request lifecycle is the one in serve.go.
 //
 // The decision is bit-for-bit what a cold /v1/solve of the mutated graph
 // would produce (the exactness invariant of core.SolveDelta), so the
@@ -32,13 +33,9 @@ import (
 // interned on this server; mapped to 404.
 var ErrUnknownBase = errors.New("serve: unknown base graph fingerprint")
 
-// fingerprintHexLen is the length of a canonical graph fingerprint
-// (hex-encoded SHA-256).
-const fingerprintHexLen = 64
-
 // MutateRequest is the POST /v1/mutate body: the base graph fingerprint,
-// the delta to apply, and the same optional params/user overrides a solve
-// request carries (they shape the round the mutated graph is solved in).
+// the delta to apply, and the same optional overrides a solve request
+// carries (they shape the round the mutated graph is solved in).
 type MutateRequest struct {
 	// Base is the canonical fingerprint of the graph to mutate (required;
 	// the graph must be interned on this server from an earlier request).
@@ -46,16 +43,7 @@ type MutateRequest struct {
 	// Delta is the mutation batch (required; see graph.Delta for the
 	// application order).
 	Delta *graph.Delta `json:"delta"`
-	// Params optionally overrides the daemon's mec.Params.
-	Params *ParamsJSON `json:"params,omitempty"`
-	// FixedLocalWork is computation pinned to the device.
-	FixedLocalWork float64 `json:"fixed_local_work,omitempty"`
-	// DeviceCompute overrides the default device speed when positive.
-	DeviceCompute float64 `json:"device_compute,omitempty"`
-	// Bandwidth overrides the default uplink rate when positive.
-	Bandwidth float64 `json:"bandwidth,omitempty"`
-	// PowerTransmit overrides the default radio power when positive.
-	PowerTransmit float64 `json:"power_transmit,omitempty"`
+	UserOverrides
 }
 
 // MutateResponse is the POST /v1/mutate 200 body: the mutated graph's
@@ -89,15 +77,9 @@ type MutateResponse struct {
 // wraps ErrBadRequest. Graph-level validation (node existence, negative
 // weights) happens when the delta is applied.
 func DecodeMutateRequest(r io.Reader, limits DecodeLimits) (*MutateRequest, error) {
-	limits = limits.withDefaults()
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req MutateRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("%w: trailing data after request", ErrBadRequest)
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, err
 	}
 	if err := validateMutate(&req, limits); err != nil {
 		return nil, err
@@ -108,36 +90,22 @@ func DecodeMutateRequest(r io.Reader, limits DecodeLimits) (*MutateRequest, erro
 // validateMutate applies the decode-level checks shared by the HTTP path
 // and journal-record replay.
 func validateMutate(req *MutateRequest, limits DecodeLimits) error {
-	if len(req.Base) != fingerprintHexLen {
-		return fmt.Errorf("%w: base fingerprint must be %d hex characters", ErrBadRequest, fingerprintHexLen)
-	}
-	for _, c := range req.Base {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("%w: base fingerprint is not lowercase hex", ErrBadRequest)
-		}
+	if !graph.ValidFingerprint(req.Base) {
+		return fmt.Errorf("%w: base fingerprint must be %d lowercase hex characters", ErrBadRequest, graph.FingerprintLen)
 	}
 	if req.Delta == nil {
 		return fmt.Errorf("%w: request has no delta", ErrBadRequest)
 	}
-	if ops := req.Delta.Ops(); ops > limits.MaxEdges {
-		return fmt.Errorf("%w: %w: %d delta operations (limit %d)", ErrBadRequest, ErrTooLarge, ops, limits.MaxEdges)
+	if ops, limit := req.Delta.Ops(), limits.withDefaults().MaxEdges; ops > limit {
+		return fmt.Errorf("%w: %w: %d delta operations (limit %d)", ErrBadRequest, ErrTooLarge, ops, limit)
 	}
-	if req.FixedLocalWork < 0 || req.DeviceCompute < 0 || req.Bandwidth < 0 || req.PowerTransmit < 0 {
-		return fmt.Errorf("%w: negative override", ErrBadRequest)
-	}
-	if p := req.Params; p != nil &&
-		(p.ServerCapacity < 0 || p.DeviceCompute < 0 || p.PowerCompute < 0 ||
-			p.PowerTransmit < 0 || p.Bandwidth < 0) {
-		return fmt.Errorf("%w: negative params override", ErrBadRequest)
-	}
-	return nil
+	return req.validate()
 }
 
 // mutatedRequest applies req's delta to base and wraps the result as the
 // synthetic solve request whose cache identity the mutate shares with a
 // plain solve of the mutated graph. base is never modified.
 func mutatedRequest(req *MutateRequest, base *graph.Graph, limits DecodeLimits) (*SolveRequest, error) {
-	limits = limits.withDefaults()
 	mutated := base.Clone()
 	if err := req.Delta.Apply(mutated); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -145,189 +113,116 @@ func mutatedRequest(req *MutateRequest, base *graph.Graph, limits DecodeLimits) 
 	if mutated.NumNodes() == 0 {
 		return nil, fmt.Errorf("%w: delta removes every node", ErrBadRequest)
 	}
-	if n := mutated.NumNodes(); n > limits.MaxNodes {
-		return nil, fmt.Errorf("%w: %w: mutated graph has %d nodes (limit %d)", ErrBadRequest, ErrTooLarge, n, limits.MaxNodes)
+	if err := limits.check(mutated); err != nil {
+		return nil, fmt.Errorf("mutated graph: %w", err)
 	}
-	if m := mutated.NumEdges(); m > limits.MaxEdges {
-		return nil, fmt.Errorf("%w: %w: mutated graph has %d edges (limit %d)", ErrBadRequest, ErrTooLarge, m, limits.MaxEdges)
-	}
-	return &SolveRequest{
-		Graph:          mutated,
-		FixedLocalWork: req.FixedLocalWork,
-		DeviceCompute:  req.DeviceCompute,
-		Bandwidth:      req.Bandwidth,
-		PowerTransmit:  req.PowerTransmit,
-	}, nil
+	return &SolveRequest{Graph: mutated, UserOverrides: req.UserOverrides}, nil
 }
 
-// handleMutate serves POST /v1/mutate: decode → base lookup → delta apply
-// → cache check on the mutated graph's key → write-ahead journal →
-// incremental solve → publish under the new fingerprint.
-//
-// Mutates bypass the micro-batcher: a mutation names one user's changed
-// graph and is solved as a single-user round through the session's delta
-// path, which is where the cached cuts live. The solution cache and the
-// journal treat the resulting decision exactly like a solved request, so
-// recovery and snapshots need no special casing beyond replaying the
-// delta itself.
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	s.st.mutates.Add(1)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	buf := bodyBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bodyBufPool.Put(buf)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("%v: %v", ErrBadRequest, err))
-		return
-	}
-	req, err := DecodeMutateRequest(bytes.NewReader(buf.Bytes()), s.cfg.Limits)
+// mutate is /v1/mutate behind handle. Its resolve step decodes the body,
+// looks the base up in the intern table and applies the delta to a clone;
+// from the mutated graph's cache key on it is the solve lifecycle, except
+// that the leader bypasses the micro-batcher: a mutation names one user's
+// changed graph and is solved inline as a single-user round through the
+// session's delta path, which is where the cached cuts live. The cell it
+// registers makes identical concurrent mutates — and a /v1/solve of the
+// same mutated graph and params — run once: the rest answer deduped with
+// the same single-user decision they would have computed.
+func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte) error {
+	req, err := DecodeMutateRequest(bytes.NewReader(body), s.cfg.Limits)
 	if err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
-	params := s.cfg.Params
-	if req.Params != nil {
-		params = req.Params.merge(params)
+	params, err := s.paramsFor(req.Params)
+	if err != nil {
+		return err
 	}
-	if err := params.Validate(); err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	base := s.graphs.lookup(req.Base)
-	if base == nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusNotFound, ErrUnknownBase.Error())
-		return
+	base, ok := s.graphs.Get(req.Base)
+	if !ok {
+		return ErrUnknownBase
 	}
 	sreq, err := mutatedRequest(req, base, s.cfg.Limits)
 	if err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
 	key, newFp, err := requestKey(sreq, params)
 	if err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
 	// A repeat mutation (same base, same delta, same params) whose decision
 	// is still cached: answer without solving. The mutated graph is
 	// re-interned so chained mutations keep resolving even if the solve
 	// that populated the cache happened before a restart.
-	if dec, _, ok := s.cache.get(key); ok {
-		s.graphs.intern(newFp, sreq.Graph)
+	if ent, ok := s.lookup(key); ok {
+		s.graphs.GetOrPut(newFp, sreq.Graph)
 		s.st.mutateHits.Add(1)
-		s.st.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, mutateResponseFor(req, newFp, dec, nil, true))
-		return
+		writeJSON(w, http.StatusOK, mutateResponseFor(req, newFp, ent.dec, nil, true, false))
+		return nil
 	}
 
-	var jrec []byte
-	if s.cfg.Journal != nil {
-		var jerr error
-		if jrec, jerr = encodeMutate(req, params); jerr != nil {
-			s.st.journalErrors.Add(1)
-			s.logf("serve: mutate journal encode: %v", jerr)
-		}
+	jrec := s.journalRecord(func() ([]byte, error) { return encodeMutate(req, params) })
+	p, leader, err := s.admit(key, jrec, nil)
+	if err != nil {
+		return err
 	}
-	// Accept under a flight-shard lock so the draining check and the
-	// accepted.Add pair with Drain's barrier, exactly as admit does; the
-	// journal append is write-ahead of the solve.
-	sh := s.flight.shard(key)
-	sh.mu.Lock()
-	if s.draining.Load() {
-		sh.mu.Unlock()
-		s.st.drainRejects.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusServiceUnavailable, ErrDraining.Error())
-		return
+	var ds *core.DeltaStats
+	if leader {
+		// Accepted work no longer depends on its client: followers may be
+		// attached and the record is journaled, so a hang-up must not
+		// cancel the solve.
+		ds = s.solveMutation(context.WithoutCancel(ctx), p, base, req.Delta, sreq, newFp, params)
 	}
-	var jseg uint64
-	journaled := false
-	if jrec != nil {
-		if seg, jerr := s.cfg.Journal.Append(jrec); jerr != nil {
-			s.st.journalErrors.Add(1)
-			s.logf("serve: mutate journal append: %v", jerr)
-		} else {
-			jseg, journaled = seg, true
-		}
+	dec, err := s.await(ctx, p, leader)
+	if err != nil {
+		return err
 	}
-	s.accepted.Add(1)
-	sh.mu.Unlock()
-	defer s.accepted.Done()
+	writeJSON(w, http.StatusOK, mutateResponseFor(req, newFp, dec, ds, false, !leader))
+	return nil
+}
 
-	sctx, cancel := context.WithTimeout(r.Context(), s.cfg.SolveTimeout)
+// solveMutation is the mutate leader's inline solve: one single-user round
+// through the session's delta path, the mutated graph interned under
+// newFp, and the outcome — a decision shaped exactly like a /v1/solve
+// one, or the error — published to the cell through finish.
+func (s *Server) solveMutation(ctx context.Context, p *pending, base *graph.Graph, d *graph.Delta, sreq *SolveRequest, newFp string, params mec.Params) *core.DeltaStats {
+	ctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()
-	dec, ds, err := s.solveMutation(sctx, base, req, newFp, params)
+	// A nil user graph means the session's own mutated instance.
+	user := userInputOf(sreq)
+	user.Graph = nil
+	next, sol, ds, err := s.sess.SolveDeltaWithParams(ctx, base, d, []core.UserInput{user}, core.DeltaOptions{}, params)
 	if err != nil {
 		s.st.mutateErrors.Add(1)
-		if journaled {
-			// The journal record is released even on failure: the error is a
-			// delivered response, and replaying a failing delta at every boot
-			// would wedge recovery on a poison record.
-			s.cfg.Journal.Applied(jseg)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			s.st.solveErrors.Add(1)
 		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.st.timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded solving mutation")
-			return
-		}
-		s.st.solveErrors.Add(1)
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		s.finish(p, nil, err)
+		return nil
 	}
-	// Publish ordering mirrors finish: cache fill strictly before the
-	// journal release, so a snapshot that drops the record has the decision.
-	s.cache.put(key, dec, renderHit(dec))
-	if journaled {
-		s.cfg.Journal.Applied(jseg)
+	// Intern the session's mutated instance so its captured pipeline state
+	// stays reachable; if the fingerprint was already interned (a /v1/solve
+	// of the same graph got there first), drop the loser's state with the
+	// clone.
+	if canon, _ := s.graphs.GetOrPut(newFp, next); canon != next {
+		s.sess.Invalidate(next)
 	}
 	s.st.deltaSolves.Add(1)
 	if ds.ColdFallback {
 		s.st.coldFallbacks.Add(1)
 	}
 	s.st.lanczosItersSaved.Add(uint64(ds.LanczosItersSaved))
-	s.st.solved.Add(1)
-	writeJSON(w, http.StatusOK, mutateResponseFor(req, newFp, dec, ds, false))
-}
-
-// solveMutation runs one mutate through the session's delta path and
-// interns the mutated graph under newFp. The returned decision is the
-// single user's, shaped exactly like a /v1/solve decision.
-func (s *Server) solveMutation(ctx context.Context, base *graph.Graph, req *MutateRequest, newFp string, params mec.Params) (*Decision, *core.DeltaStats, error) {
-	users := []core.UserInput{{
-		FixedLocalWork: req.FixedLocalWork,
-		DeviceCompute:  req.DeviceCompute,
-		Bandwidth:      req.Bandwidth,
-		PowerTransmit:  req.PowerTransmit,
-	}}
-	next, sol, ds, err := s.sess.SolveDeltaWithParams(ctx, base, req.Delta, users, core.DeltaOptions{}, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Intern the session's mutated instance so its captured pipeline state
-	// stays reachable; if the fingerprint was already interned (two clients
-	// raced the same mutation), drop the loser's state with the clone.
-	if canon := s.graphs.intern(newFp, next); canon != next {
-		s.sess.Invalidate(next)
-	}
-	return decisionFor(newFp, sol, 0, 1), ds, nil
+	s.finish(p, decisionFor(newFp, sol, 0, 1), nil)
+	return ds
 }
 
 // mutateResponseFor assembles the wire form of one mutate outcome. ds is
-// nil on a cache hit (the pipeline did not run).
-func mutateResponseFor(req *MutateRequest, newFp string, dec *Decision, ds *core.DeltaStats, cached bool) MutateResponse {
+// nil on a cache hit and for a deduped follower (this request did not run
+// the pipeline).
+func mutateResponseFor(req *MutateRequest, newFp string, dec *Decision, ds *core.DeltaStats, cached, deduped bool) MutateResponse {
 	resp := MutateResponse{
 		Graph:         newFp,
 		Base:          req.Base,
-		SolveResponse: solveResponseFor(dec, cached, false),
+		SolveResponse: solveResponseFor(dec, cached, deduped),
 	}
 	if ds != nil {
 		resp.Incremental = ds.Incremental

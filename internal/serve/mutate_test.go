@@ -241,10 +241,7 @@ func TestMutateRecordRoundTripPreservesIdentity(t *testing.T) {
 			SetNodeWeights: []graph.NodeDelta{{ID: 3, Weight: 123}},
 			SetEdges:       []graph.EdgeDelta{{U: 5, V: 6, Weight: 42}},
 		},
-		FixedLocalWork: 12.5,
-		DeviceCompute:  3.25,
-		Bandwidth:      9,
-		PowerTransmit:  0.75,
+		UserOverrides: UserOverrides{FixedLocalWork: 12.5, DeviceCompute: 3.25, Bandwidth: 9, PowerTransmit: 0.75},
 	}
 	payload, err := encodeMutate(req, params)
 	if err != nil {

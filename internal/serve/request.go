@@ -14,7 +14,8 @@ import (
 	"copmecs/internal/mec"
 )
 
-// Decode limits (defaults; overridable via Config).
+// Decode limits. DefaultMaxNodes and DefaultMaxEdges are overridable via
+// Config.Limits; the body cap is a constant of the service.
 const (
 	// DefaultMaxBodyBytes caps one request body.
 	DefaultMaxBodyBytes = 8 << 20
@@ -73,11 +74,18 @@ func (p ParamsJSON) merge(base mec.Params) mec.Params {
 }
 
 // SolveRequest is the POST /v1/solve body: one user's function data-flow
-// graph plus optional system-parameter and per-user overrides (the
-// heterogeneous-link generalisation of core.UserInput).
+// graph plus the optional overrides.
 type SolveRequest struct {
 	// Graph is the user's function data-flow graph (required).
 	Graph *graph.Graph `json:"graph"`
+	UserOverrides
+}
+
+// UserOverrides are the optional fields both POST bodies carry, inline:
+// system-parameter overrides for the round the request is solved in, and
+// per-user overrides (the heterogeneous-link generalisation of
+// core.UserInput).
+type UserOverrides struct {
 	// Params optionally overrides the daemon's mec.Params.
 	Params *ParamsJSON `json:"params,omitempty"`
 	// FixedLocalWork is computation pinned to the device.
@@ -110,39 +118,67 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 	return l
 }
 
+// check rejects a graph that is empty or over the limits; like every
+// decode error it wraps ErrBadRequest.
+func (l DecodeLimits) check(g *graph.Graph) error {
+	l = l.withDefaults()
+	switch n, m := g.NumNodes(), g.NumEdges(); {
+	case n == 0:
+		return fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
+	case n > l.MaxNodes:
+		return fmt.Errorf("%w: %w: %d nodes (limit %d)", ErrBadRequest, ErrTooLarge, n, l.MaxNodes)
+	case m > l.MaxEdges:
+		return fmt.Errorf("%w: %w: %d edges (limit %d)", ErrBadRequest, ErrTooLarge, m, l.MaxEdges)
+	}
+	return nil
+}
+
+// decodeStrict reads exactly one JSON value from r into v: unknown fields
+// and trailing data are errors.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	// A second JSON value after the request is a framing error.
+	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("%w: trailing data after request", ErrBadRequest)
+	}
+	return nil
+}
+
+// validate rejects negative per-user and params overrides.
+func (o UserOverrides) validate() error {
+	if o.FixedLocalWork < 0 || o.DeviceCompute < 0 || o.Bandwidth < 0 || o.PowerTransmit < 0 {
+		return fmt.Errorf("%w: negative override", ErrBadRequest)
+	}
+	if p := o.Params; p != nil &&
+		(p.ServerCapacity < 0 || p.DeviceCompute < 0 || p.PowerCompute < 0 ||
+			p.PowerTransmit < 0 || p.Bandwidth < 0) {
+		return fmt.Errorf("%w: negative params override", ErrBadRequest)
+	}
+	return nil
+}
+
 // DecodeSolveRequest reads one JSON request body, rejecting malformed JSON,
 // unknown fields, missing graphs, and graphs over the limits. Every error
 // wraps ErrBadRequest (ErrTooLarge and ErrNoGraph do too), so handlers can
 // map the whole family to one status code; it never panics on hostile
 // input (fuzzed in fuzz_test.go).
 func DecodeSolveRequest(r io.Reader, limits DecodeLimits) (*SolveRequest, error) {
-	limits = limits.withDefaults()
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req SolveRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if err := decodeStrict(r, &req); err != nil {
+		return nil, err
 	}
-	// A second JSON value after the request is a framing error.
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("%w: trailing data after request", ErrBadRequest)
-	}
-	if req.Graph == nil || req.Graph.NumNodes() == 0 {
+	if req.Graph == nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
 	}
-	if n := req.Graph.NumNodes(); n > limits.MaxNodes {
-		return nil, fmt.Errorf("%w: %w: %d nodes (limit %d)", ErrBadRequest, ErrTooLarge, n, limits.MaxNodes)
+	if err := limits.check(req.Graph); err != nil {
+		return nil, err
 	}
-	if m := req.Graph.NumEdges(); m > limits.MaxEdges {
-		return nil, fmt.Errorf("%w: %w: %d edges (limit %d)", ErrBadRequest, ErrTooLarge, m, limits.MaxEdges)
-	}
-	if req.FixedLocalWork < 0 || req.DeviceCompute < 0 || req.Bandwidth < 0 || req.PowerTransmit < 0 {
-		return nil, fmt.Errorf("%w: negative override", ErrBadRequest)
-	}
-	if p := req.Params; p != nil &&
-		(p.ServerCapacity < 0 || p.DeviceCompute < 0 || p.PowerCompute < 0 ||
-			p.PowerTransmit < 0 || p.Bandwidth < 0) {
-		return nil, fmt.Errorf("%w: negative params override", ErrBadRequest)
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
@@ -164,16 +200,23 @@ func paramsDigest(p mec.Params) string {
 func requestKey(req *SolveRequest, params mec.Params) (key, fp string, err error) {
 	gh := sha256.New()
 	if err := req.Graph.WriteBinary(gh); err != nil {
-		return "", "", fmt.Errorf("serve: request key: %w", err)
+		return "", "", fmt.Errorf("%w: request key: %v", ErrBadRequest, err)
 	}
 	fp = hex.EncodeToString(gh.Sum(nil))
 	h := sha256.New()
 	_, _ = io.WriteString(h, fp)
-	writeFloats(h,
-		params.ServerCapacity, params.DeviceCompute, params.PowerCompute,
-		params.PowerTransmit, params.Bandwidth,
-		req.FixedLocalWork, req.DeviceCompute, req.Bandwidth, req.PowerTransmit)
+	putFloatBlock(h, params, req.UserOverrides)
 	return hex.EncodeToString(h.Sum(nil)), fp, nil
+}
+
+// putFloatBlock writes the resolved params and the per-user overrides in
+// their canonical order: the tail of the cache key, and (durability.go)
+// the float block of a journal record — the same bytes, so replaying a
+// record reproduces the live request's cache identity.
+func putFloatBlock(w io.Writer, p mec.Params, o UserOverrides) {
+	writeFloats(w,
+		p.ServerCapacity, p.DeviceCompute, p.PowerCompute, p.PowerTransmit, p.Bandwidth,
+		o.FixedLocalWork, o.DeviceCompute, o.Bandwidth, o.PowerTransmit)
 }
 
 // writeFloats appends the canonical little-endian encoding of each value

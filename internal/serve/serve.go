@@ -21,17 +21,23 @@
 //     context, and graceful drain that completes every accepted request
 //     before shutdown.
 //
-// The request path is built to stay contention-free at GOMAXPROCS-scale
-// concurrency: the solution cache, the raw-body identity cache, the
-// graph-intern table and the singleflight registry are all sharded by key
-// prefix (power-of-two shard counts, one mutex per shard), every counter
-// and the latency histogram are cache-line-padded atomics, and the accept
-// queue is split into per-lane bounded MPSC rings so an enqueue is one
-// CAS rather than a shared mutex. Byte-identical repeat bodies resolve
-// through a digest fast path that skips JSON decoding and graph hashing
-// entirely and replies with the pre-rendered cached response. Locks
-// remain only where exact LRU semantics need them — per shard, never
-// global. See DESIGN.md §10 for the layout and the memory-ordering notes.
+// One request lifecycle serves both POST endpoints. /v1/solve and
+// /v1/mutate differ only in their resolve step — body → request, params,
+// cache key and fingerprint; mutate's also looks up the base graph and
+// applies the delta to a clone — and then share one spine: handle (method
+// check, pooled body read, in_flight, latency), lookup (the solution-cache
+// check), journalRecord, admit (follower attach → draining check →
+// write-ahead append → start → cell registration, all under the key's
+// flight-shard lock), finish (cache fill → journal release → flight
+// removal → wake) and fail (the only error → HTTP status mapping). A solve
+// leader is enqueued for a batcher round; a mutate leader solves inline
+// through the session's delta path and calls the same finish.
+//
+// The request path stays contention-free at GOMAXPROCS-scale concurrency:
+// every keyed table is sharded (three lru.Table instances and the
+// singleflight registry), every counter is a cache-line-padded atomic, and
+// the accept queue is split into per-lane MPSC rings. DESIGN.md §10 has
+// the layout and the memory-ordering notes.
 //
 // The cached decision for a key reflects the contention of the round that
 // computed it; like any TTL-free response cache this trades bounded
@@ -54,17 +60,25 @@ import (
 
 	"copmecs/internal/core"
 	"copmecs/internal/graph"
+	"copmecs/internal/lru"
 	"copmecs/internal/mec"
 )
 
-// Admission-control defaults (overridable via Config).
+// Admission-control and cache-size defaults. Config overrides all but
+// DefaultSolveTimeout, which is a constant of the service.
 const (
 	// DefaultRequestTimeout bounds one request end to end.
 	DefaultRequestTimeout = 30 * time.Second
-	// DefaultSolveTimeout bounds one dispatched solve round.
+	// DefaultSolveTimeout bounds one dispatched solve round and one inline
+	// mutate solve.
 	DefaultSolveTimeout = 25 * time.Second
 	// DefaultRetryAfter is the Retry-After hint on 429/503 responses.
 	DefaultRetryAfter = 1 * time.Second
+	// DefaultCacheSize is the default solution-cache capacity (entries).
+	DefaultCacheSize = 1024
+	// DefaultGraphCacheSize is the default graph-intern capacity (distinct
+	// graphs whose solver pipeline state is kept warm).
+	DefaultGraphCacheSize = 256
 )
 
 // Serving errors.
@@ -75,6 +89,9 @@ var (
 	// ErrDraining is the resolution of a request arriving during graceful
 	// drain; mapped to 503.
 	ErrDraining = errors.New("serve: draining")
+	// errRateLimited is the resolution of a request over the MaxQPS cap;
+	// mapped to 429 like ErrShed but counted apart from it.
+	errRateLimited = errors.New("serve: rate limit exceeded")
 )
 
 // Config tunes a Server. The zero value serves with the spectral engine,
@@ -123,14 +140,9 @@ type Config struct {
 	// RequestTimeout bounds one request end to end, composed with the
 	// client's own context (≤ 0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
-	// SolveTimeout bounds one dispatched solve round (≤ 0 =
-	// DefaultSolveTimeout).
-	SolveTimeout time.Duration
 	// RetryAfter is the Retry-After hint on 429/503 responses (≤ 0 =
 	// DefaultRetryAfter).
 	RetryAfter time.Duration
-	// MaxBodyBytes caps one request body (≤ 0 = DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// Limits bounds decoded graphs (zero = package defaults).
 	Limits DecodeLimits
 	// Journal, when non-nil, receives every accepted leader request as a
@@ -158,14 +170,14 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = DefaultRequestTimeout
 	}
-	if c.SolveTimeout <= 0 {
-		c.SolveTimeout = DefaultSolveTimeout
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = DefaultRetryAfter
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
+	if c.CacheSize <= 0 {
+		c.CacheSize = DefaultCacheSize
+	}
+	if c.GraphCacheSize <= 0 {
+		c.GraphCacheSize = DefaultGraphCacheSize
 	}
 	return c
 }
@@ -254,13 +266,22 @@ type ErrorResponse struct {
 // cache shortcutting repeat work. Construct with New, start the dispatch
 // loop with Start, expose Handler over HTTP, and stop with Drain.
 type Server struct {
-	cfg     Config
-	cache   *shardedCache
-	bodies  *bodyCache
+	cfg Config
+	// cache is the solution cache, keyed by requestKey. bodies maps the
+	// SHA-256 of a raw /v1/solve body to that key: both are deterministic
+	// functions of the bytes (the default params are fixed at construction),
+	// so a byte-identical repeat skips the decode; a semantically equal but
+	// byte-different body simply misses, and only bodies that decoded and
+	// validated are ever stored. graphs interns one canonical *graph.Graph
+	// per fingerprint — interned graphs are never mutated — so the session's
+	// identity-keyed pipeline cache hits although every request decodes a
+	// fresh allocation; evicting a graph releases its pipeline state.
+	cache   *lru.Table[string, cachedDecision]
+	bodies  *lru.Table[[sha256.Size]byte, string]
+	graphs  *lru.Table[string, *graph.Graph]
 	st      counters
 	b       *batcher
 	sess    *core.Session
-	graphs  *shardedIntern
 	flight  *flightTable
 	limiter *rateLimiter
 	begin   time.Time
@@ -279,8 +300,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:    cfg,
-		cache:  newShardedCache(cfg.CacheSize),
-		bodies: newBodyCache(cfg.CacheSize),
+		cache:  lru.New[string, cachedDecision](cfg.CacheSize, lru.HashString, nil),
+		bodies: lru.New[[sha256.Size]byte, string](cfg.CacheSize, lru.HashDigest, nil),
 		flight: newFlightTable(),
 		begin:  time.Now(),
 	}
@@ -294,7 +315,7 @@ func New(cfg Config) (*Server, error) {
 		Engine:  cfg.Engine,
 		Workers: cfg.Workers,
 	})
-	s.graphs = newShardedIntern(cfg.GraphCacheSize, func(g *graph.Graph) {
+	s.graphs = lru.New(cfg.GraphCacheSize, lru.HashString, func(_ string, g *graph.Graph) {
 		s.sess.Invalidate(g)
 	})
 	s.b = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.BatchLanes, cfg.BatchWait, s.dispatchRound)
@@ -395,18 +416,18 @@ func (s *Server) Stats() Stats {
 			Hits:      s.st.cacheHits.Load(),
 			Misses:    s.st.cacheMisses.Load(),
 			BodyHits:  s.st.bodyHits.Load(),
-			Size:      s.cache.len(),
-			Capacity:  s.cache.capacity(),
-			Evictions: s.cache.evicted(),
-			Shards:    s.cache.occupancy(),
+			Size:      s.cache.Len(),
+			Capacity:  s.cache.Capacity(),
+			Evictions: s.cache.Evictions(),
+			Shards:    s.cache.Occupancy(),
 		},
 		GraphCache: GraphCacheStats{
-			Size:      s.graphs.len(),
-			Capacity:  s.graphs.capacity(),
-			Reused:    s.graphs.reusedCount(),
-			Evictions: s.graphs.evictedCount(),
+			Size:      s.graphs.Len(),
+			Capacity:  s.graphs.Capacity(),
+			Reused:    s.graphs.Reused(),
+			Evictions: s.graphs.Evictions(),
 			Pipelines: s.sess.CachedGraphs(),
-			Shards:    s.graphs.occupancy(),
+			Shards:    s.graphs.Occupancy(),
 		},
 		Incremental: IncrementalStats{
 			Mutates:           s.st.mutates.Load(),
@@ -500,16 +521,30 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// bodyBufPool recycles request-body buffers across /v1/solve calls, so
-// the hot path does not grow a fresh buffer per request.
+// bodyBufPool recycles request-body buffers across requests, so the hot
+// path does not grow a fresh buffer per request.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// handleSolve is the serving hot path: body digest → (fast path: cached
-// identity + cached decision) or (decode → key → cache) → singleflight →
-// admission → lane → batch → await.
+// handleSolve serves POST /v1/solve (see solve).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	s.handle(w, r, &s.st.requests, s.limiter, s.solve)
+}
+
+// handleMutate serves POST /v1/mutate (see mutate).
+func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
+	s.handle(w, r, &s.st.mutates, nil, s.mutate)
+}
+
+// handle is the entry wrapper both POST endpoints share: arrival and
+// in-flight accounting, the latency observation, the method check, the
+// rate cap (limiter is nil for endpoints without one) and the pooled,
+// size-capped body read. serve answers the request itself on success and
+// returns the error to answer with otherwise; ctx is the request's, and
+// body is only valid until serve returns.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *padUint64, limiter *rateLimiter,
+	serve func(ctx context.Context, w http.ResponseWriter, body []byte) error) {
 	start := time.Now()
-	s.st.requests.Add(1)
+	arrivals.Add(1)
 	s.st.inFlight.Add(1)
 	defer s.st.inFlight.Add(-1)
 	defer func() { s.st.lat.observe(time.Since(start)) }()
@@ -520,117 +555,175 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	// The rate cap is checked before the body is even read: shedding excess
 	// offered load must not cost a body copy, a hash or a decode.
-	if !s.limiter.allow() {
-		s.st.rateLimited.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "serve: rate limit exceeded")
+	if !limiter.allow() {
+		s.fail(w, errRateLimited)
 		return
 	}
-	req, key, fp, params, handled := s.resolveSolve(w, r)
-	if handled {
-		return
-	}
-
-	// Rewrite the freshly decoded graph to its interned canonical instance
-	// so the session's identity-keyed pipeline cache hits across requests.
-	req.Graph = s.graphs.intern(fp, req.Graph)
-
-	// Encode the write-ahead record outside the flight-shard lock; only a
-	// leader admit actually appends it. An encode failure (impossible for
-	// a graph that just decoded) degrades to serving without durability.
-	var jrec []byte
-	if s.cfg.Journal != nil {
-		var jerr error
-		if jrec, jerr = encodeAccepted(req, params); jerr != nil {
-			s.st.journalErrors.Add(1)
-			s.logf("serve: journal encode: %v", jerr)
-		}
-	}
-
-	p, leader, aerr := s.admit(key, fp, req, params, jrec)
-	if aerr != nil {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		if errors.Is(aerr, ErrDraining) {
-			s.st.drainRejects.Add(1)
-			writeError(w, http.StatusServiceUnavailable, aerr.Error())
-		} else {
-			s.st.shed.Add(1)
-			writeError(w, http.StatusTooManyRequests, aerr.Error())
-		}
-		return
-	}
-	if leader {
-		s.st.cacheMisses.Add(1)
-	} else {
-		s.st.deduped.Add(1)
-	}
-	s.await(w, r, p, !leader)
-}
-
-// resolveSolve reads the request body and resolves it to a decoded
-// request plus its cache identities, writing the response itself (and
-// returning handled = true) for malformed bodies and for cache hits.
-//
-// The fast path: the SHA-256 digest of the raw body is looked up in the
-// body-identity cache; a byte-identical repeat of a previously valid
-// request skips JSON decoding and graph hashing entirely, and a live
-// solution-cache entry answers with its pre-rendered bytes. Any miss
-// falls through to the full decode path, which back-fills the identity
-// for the next repeat.
-func (s *Server) resolveSolve(w http.ResponseWriter, r *http.Request) (req *SolveRequest, key, fp string, params mec.Params, handled bool) {
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bodyBufPool.Put(buf)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("%v: %v", ErrBadRequest, err))
-		return nil, "", "", params, true
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)); err != nil {
+		s.fail(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		return
 	}
-	digest := sha256.Sum256(buf.Bytes())
-	if id, ok := s.bodies.get(digest); ok {
-		if dec, hit, ok := s.cache.get(id.key); ok {
-			s.st.cacheHits.Add(1)
+	if err := serve(r.Context(), w, buf.Bytes()); err != nil {
+		s.fail(w, err)
+	}
+}
+
+// fail answers a request with err: the one place a serving error becomes
+// an HTTP status, its Retry-After hint and its counter.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	status, counter := http.StatusInternalServerError, (*padUint64)(nil)
+	switch {
+	case errors.Is(err, ErrBadRequest), errors.Is(err, ErrTooLarge), errors.Is(err, ErrNoGraph):
+		status, counter = http.StatusBadRequest, &s.st.badRequests
+	case errors.Is(err, ErrUnknownBase):
+		status, counter = http.StatusNotFound, &s.st.badRequests
+	case errors.Is(err, errRateLimited):
+		status, counter = http.StatusTooManyRequests, &s.st.rateLimited
+	case errors.Is(err, ErrShed):
+		status, counter = http.StatusTooManyRequests, &s.st.shed
+	case errors.Is(err, ErrDraining):
+		status, counter = http.StatusServiceUnavailable, &s.st.drainRejects
+	case errors.Is(err, context.DeadlineExceeded):
+		status, counter = http.StatusGatewayTimeout, &s.st.timeouts
+	}
+	if counter != nil {
+		counter.Add(1)
+	}
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+	}
+	writeError(w, status, err.Error())
+}
+
+// paramsFor resolves a request's optional params override against the
+// server defaults and validates the result.
+func (s *Server) paramsFor(override *ParamsJSON) (mec.Params, error) {
+	params := s.cfg.Params
+	if override != nil {
+		params = override.merge(params)
+	}
+	if err := params.Validate(); err != nil {
+		return params, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return params, nil
+}
+
+// cachedDecision is one solution-cache slot: the immutable decision shared
+// with in-flight responses, and its pre-rendered cache-hit response body
+// (nil if rendering failed; writeHit then encodes on demand).
+type cachedDecision struct {
+	dec *Decision
+	hit []byte
+}
+
+// lookup is the solution-cache check of both endpoints; a hit is counted
+// as a cache hit and as a solved request.
+func (s *Server) lookup(key string) (cachedDecision, bool) {
+	ent, ok := s.cache.Get(key)
+	if ok {
+		s.st.cacheHits.Add(1)
+		s.st.solved.Add(1)
+	}
+	return ent, ok
+}
+
+// publish fills the solution cache with dec and its pre-rendered hit
+// response, so every subsequent hit writes stored bytes.
+func (s *Server) publish(key string, dec *Decision) {
+	s.cache.Put(key, cachedDecision{dec: dec, hit: renderHit(dec)})
+}
+
+// journalRecord encodes a request's write-ahead record, outside the
+// flight-shard lock; only a leader admit actually appends it. Without a
+// journal it returns nil, and so does an encode failure (impossible for a
+// request that just decoded): that request is served without durability.
+func (s *Server) journalRecord(encode func() ([]byte, error)) []byte {
+	if s.cfg.Journal == nil {
+		return nil
+	}
+	rec, err := encode()
+	if err != nil {
+		s.st.journalErrors.Add(1)
+		s.logf("serve: journal encode: %v", err)
+		return nil
+	}
+	return rec
+}
+
+// userInputOf is the solver's view of one request.
+func userInputOf(req *SolveRequest) core.UserInput {
+	return core.UserInput{
+		Graph:          req.Graph,
+		FixedLocalWork: req.FixedLocalWork,
+		DeviceCompute:  req.DeviceCompute,
+		Bandwidth:      req.Bandwidth,
+		PowerTransmit:  req.PowerTransmit,
+	}
+}
+
+// solve is /v1/solve behind handle: body digest → (fast path: cached
+// identity + cached decision) or (decode → key → cache) → singleflight →
+// admission → lane → batch → await. On the fast path a byte-identical
+// repeat of a previously valid request skips JSON decoding and graph
+// hashing entirely, and a live solution-cache entry answers with its
+// pre-rendered bytes. Any miss falls through to the full decode, which
+// back-fills the identity for the next repeat.
+func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) error {
+	digest := sha256.Sum256(body)
+	if key, ok := s.bodies.Get(digest); ok {
+		if ent, ok := s.lookup(key); ok {
 			s.st.bodyHits.Add(1)
-			s.st.solved.Add(1)
-			writeHit(w, dec, hit)
-			return nil, "", "", params, true
+			writeHit(w, ent)
+			return nil
 		}
 		// Identity known but the decision was evicted: decode below and
 		// take the solve path (the identity mapping stays valid).
 	}
-
-	req, err := DecodeSolveRequest(bytes.NewReader(buf.Bytes()), s.cfg.Limits)
+	req, err := DecodeSolveRequest(bytes.NewReader(body), s.cfg.Limits)
 	if err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil, "", "", params, true
+		return err
 	}
-	params = s.cfg.Params
-	if req.Params != nil {
-		params = req.Params.merge(params)
-	}
-	if err := params.Validate(); err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil, "", "", params, true
-	}
-	key, fp, err = requestKey(req, params)
+	params, err := s.paramsFor(req.Params)
 	if err != nil {
-		s.st.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil, "", "", params, true
+		return err
 	}
-	// The body decoded and validated: remember its identity so the next
-	// byte-identical arrival takes the fast path.
-	s.bodies.put(digest, requestIdentity{key: key, fp: fp})
+	key, fp, err := requestKey(req, params)
+	if err != nil {
+		return err
+	}
+	s.bodies.Put(digest, key)
+	if ent, ok := s.lookup(key); ok {
+		writeHit(w, ent)
+		return nil
+	}
 
-	if dec, hit, ok := s.cache.get(key); ok {
-		s.st.cacheHits.Add(1)
-		s.st.solved.Add(1)
-		writeHit(w, dec, hit)
-		return nil, "", "", params, true
+	// Rewrite the freshly decoded graph to its interned canonical instance
+	// so the session's identity-keyed pipeline cache hits across requests.
+	req.Graph, _ = s.graphs.GetOrPut(fp, req.Graph)
+	jrec := s.journalRecord(func() ([]byte, error) { return encodeAccepted(req, params) })
+	task := &solveTask{
+		user:   userInputOf(req),
+		params: params,
+		pkey:   paramsDigest(params),
+		fp:     fp,
+		lane:   lru.HashString(fp),
 	}
-	return req, key, fp, params, false
+	p, leader, err := s.admit(key, jrec, func(p *pending) bool {
+		task.p = p
+		return s.b.enqueue(task)
+	})
+	if err != nil {
+		return err
+	}
+	dec, err := s.await(ctx, p, leader)
+	if err != nil {
+		return err
+	}
+	writeJSON(w, http.StatusOK, solveResponseFor(dec, false, !leader))
+	return nil
 }
 
 // admit runs singleflight attachment and admission control under the
@@ -638,51 +731,36 @@ func (s *Server) resolveSolve(w http.ResponseWriter, r *http.Request) (req *Solv
 // leader, (cell, false, nil) for a follower sharing an in-flight cell,
 // and (nil, false, ErrShed or ErrDraining) for a rejected request.
 // Followers are admitted even while draining: their cell is already
-// accepted work. A leader's jrec (when non-nil) is journaled before the
-// task is enqueued — write-ahead: once the solve can produce a 200, the
-// record is already in the OS page cache — and released immediately if
-// the enqueue sheds (a 429 is not accepted work).
-func (s *Server) admit(key, fp string, req *SolveRequest, params mec.Params, jrec []byte) (*pending, bool, error) {
+// accepted work. A leader's jrec (when non-nil) is journaled before start
+// runs — write-ahead: once the solve can produce a 200, the record is
+// already in the OS page cache. start (nil when the leader solves inline)
+// hands the cell to whatever will solve it; a refusal sheds the request
+// and releases the record immediately (a 429 is not accepted work).
+func (s *Server) admit(key string, jrec []byte, start func(*pending) bool) (*pending, bool, error) {
 	sh := s.flight.shard(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if p, ok := sh.m[key]; ok {
 		p.mult.Add(1)
-		sh.mu.Unlock()
 		return p, false, nil
 	}
 	if s.draining.Load() {
-		sh.mu.Unlock()
 		return nil, false, ErrDraining
 	}
 	p := newPending(key)
-	task := &solveTask{
-		p: p,
-		user: core.UserInput{
-			Graph:          req.Graph,
-			FixedLocalWork: req.FixedLocalWork,
-			DeviceCompute:  req.DeviceCompute,
-			Bandwidth:      req.Bandwidth,
-			PowerTransmit:  req.PowerTransmit,
-		},
-		params: params,
-		pkey:   paramsDigest(params),
-		fp:     fp,
-		lane:   shardPrefix(fp),
-	}
 	if jrec != nil {
-		if seg, jerr := s.cfg.Journal.Append(jrec); jerr != nil {
+		if seg, err := s.cfg.Journal.Append(jrec); err != nil {
 			// Serve anyway: durability degrades, availability does not.
 			s.st.journalErrors.Add(1)
-			s.logf("serve: journal append: %v", jerr)
+			s.logf("serve: journal append: %v", err)
 		} else {
-			task.jseg, task.journaled = seg, true
+			p.jseg, p.journaled = seg, true
 		}
 	}
-	if !s.b.enqueue(task) {
-		if task.journaled {
-			s.cfg.Journal.Applied(task.jseg)
+	if start != nil && !start(p) {
+		if p.journaled {
+			s.cfg.Journal.Applied(p.jseg)
 		}
-		sh.mu.Unlock()
 		return nil, false, ErrShed
 	}
 	// Under the same shard lock as the draining check: Drain flips the
@@ -690,32 +768,31 @@ func (s *Server) admit(key, fp string, req *SolveRequest, params mec.Params, jre
 	// happens-before accepted.Wait can return.
 	sh.m[key] = p
 	s.accepted.Add(1)
-	sh.mu.Unlock()
 	return p, true, nil
 }
 
-// await blocks until the request's cell resolves or its deadline expires,
-// then writes the response.
-func (s *Server) await(w http.ResponseWriter, r *http.Request, p *pending, deduped bool) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+// await counts the admitted request as a cache miss (leader) or a dedup
+// (follower), then blocks until its cell resolves or its deadline expires.
+// A client that hangs up gets its context error; the solve still completes
+// and fills the cache for the retry.
+func (s *Server) await(ctx context.Context, p *pending, leader bool) (*Decision, error) {
+	if leader {
+		s.st.cacheMisses.Add(1)
+	} else {
+		s.st.deduped.Add(1)
+	}
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	select {
 	case <-p.done:
 	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.st.timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded waiting for solve")
-		}
-		// Client cancellation: nothing useful to write; the solve still
-		// completes and fills the cache for the retry.
-		return
+		return nil, fmt.Errorf("serve: waiting for solve: %w", ctx.Err())
 	}
 	if p.err != nil {
-		writeError(w, http.StatusInternalServerError, p.err.Error())
-		return
+		return nil, p.err
 	}
 	s.st.solved.Add(1)
-	writeDecision(w, p.dec, false, deduped)
+	return p.dec, nil
 }
 
 // dispatchRound solves one batcher round. Tasks with different resolved
@@ -730,7 +807,7 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, p *pending, dedup
 // singleflight-collapsed duplicates still count toward the paper's
 // ActiveUsers contention; identical users are symmetric in the model, so
 // the representative's decision is shared across its duplicates.
-// SolveTimeout bounds the fused round as a whole — the round is one solve
+// DefaultSolveTimeout bounds the fused round as a whole — the round is one solve
 // now, not a sequence of them.
 func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 	groups := make(map[string][]*solveTask)
@@ -775,7 +852,7 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 		s.st.fusedGraphs.Add(uint64(len(distinct)))
 	}
 
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
+	sctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()
 	results := s.sess.BatchSolve(sctx, items)
 	for gi, pk := range order {
@@ -785,34 +862,37 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 			s.st.solveErrors.Add(1)
 			s.logf("serve: round of %d users failed: %v", len(items[gi].Users), r.Err)
 			for _, t := range tasks {
-				s.finish(t, nil, r.Err)
+				s.finish(t.p, nil, r.Err)
 			}
 			continue
 		}
 		for i, t := range tasks {
-			s.finish(t, decisionFor(t.fp, r.Solution, reps[gi][i], len(items[gi].Users)), nil)
+			s.finish(t.p, decisionFor(t.fp, r.Solution, reps[gi][i], len(items[gi].Users)), nil)
 		}
 	}
 }
 
-// finish publishes a task's result: cache fill first (decision plus its
-// pre-rendered hit response), then release of the task's journal record
+// finish publishes an accepted cell's result — a batcher round's or a
+// mutate leader's inline solve: cache fill first (decision plus its
+// pre-rendered hit response), then release of the cell's journal record
 // — strictly after the cache fill, so a snapshot scan that could observe
 // the segment as fully applied necessarily sees the decision — then
 // removal from the singleflight table (so no moment exists where neither
-// covers the key), then the wakeup of every waiter. A failed task's
-// record is released too: the 500 is a delivered response, and a crash
-// before this point replays (and retries) the request anyway.
-func (s *Server) finish(t *solveTask, dec *Decision, err error) {
+// covers the key), then the wakeup of every waiter. A failed cell's
+// record is released too: the error is a delivered response, a crash
+// before this point replays (and retries) the request anyway, and
+// replaying a failing request at every boot would wedge recovery on a
+// poison record.
+func (s *Server) finish(p *pending, dec *Decision, err error) {
 	if dec != nil {
-		s.cache.put(t.p.key, dec, renderHit(dec))
+		s.publish(p.key, dec)
 	}
-	if t.journaled {
-		s.cfg.Journal.Applied(t.jseg)
+	if p.journaled {
+		s.cfg.Journal.Applied(p.jseg)
 	}
-	s.flight.remove(t.p.key)
-	t.p.dec, t.p.err = dec, err
-	close(t.p.done)
+	s.flight.remove(p.key)
+	p.dec, p.err = dec, err
+	close(p.done)
 	s.accepted.Done()
 }
 
@@ -881,19 +961,14 @@ func renderHit(dec *Decision) []byte {
 
 // writeHit answers a cache hit: pre-rendered bytes when available, a
 // fresh encoding otherwise.
-func writeHit(w http.ResponseWriter, dec *Decision, hit []byte) {
-	if hit == nil {
-		writeDecision(w, dec, true, false)
+func writeHit(w http.ResponseWriter, ent cachedDecision) {
+	if ent.hit == nil {
+		writeJSON(w, http.StatusOK, solveResponseFor(ent.dec, true, false))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(hit)
-}
-
-// writeDecision renders a 200 solve response.
-func writeDecision(w http.ResponseWriter, dec *Decision, cached, deduped bool) {
-	writeJSON(w, http.StatusOK, solveResponseFor(dec, cached, deduped))
+	_, _ = w.Write(ent.hit)
 }
 
 // writeJSON writes v as a JSON response. Encoding failures after the
@@ -913,9 +988,5 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 
 // retryAfterSeconds renders d as a whole-seconds Retry-After value (≥ 1).
 func retryAfterSeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+	return strconv.Itoa(max(1, int(d/time.Second)))
 }

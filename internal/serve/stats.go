@@ -3,6 +3,8 @@ package serve
 import (
 	"sync/atomic"
 	"time"
+
+	"copmecs/internal/lru"
 )
 
 // padUint64 is an atomic.Uint64 padded out to its own cache line.
@@ -124,7 +126,7 @@ type counters struct {
 	timeouts      padUint64 // 504 responses
 	rateLimited   padUint64 // 429 responses from the MaxQPS admission cap
 	journalErrors padUint64 // accepted requests served without a journal record
-	inFlight      padInt64  // requests currently inside /v1/solve
+	inFlight      padInt64  // requests currently inside /v1/solve or /v1/mutate
 	lat           histogram
 
 	// Incremental re-solve counters (POST /v1/mutate).
@@ -155,12 +157,7 @@ func (c *counters) observeBatch(n int) {
 }
 
 // ShardOccupancy is one shard's fill level in a sharded-table snapshot.
-type ShardOccupancy struct {
-	// Size is the shard's current entry count.
-	Size int `json:"size"`
-	// Capacity is the shard's configured maximum entry count.
-	Capacity int `json:"capacity"`
-}
+type ShardOccupancy = lru.Occupancy
 
 // CacheStats is the solution-cache section of a Stats snapshot.
 type CacheStats struct {
@@ -295,7 +292,7 @@ type Stats struct {
 	Batch BatchStats `json:"batch"`
 	// Incremental is the /v1/mutate incremental re-solve section.
 	Incremental IncrementalStats `json:"incremental"`
-	// Latency is the end-to-end /v1/solve latency histogram.
+	// Latency is the end-to-end /v1/solve and /v1/mutate latency histogram.
 	Latency HistogramSnapshot `json:"latency_ms"`
 	// Durability is the journal/snapshot/recovery section; nil (omitted)
 	// when the server runs purely in memory, so the flat fields and the

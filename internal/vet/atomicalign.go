@@ -53,7 +53,7 @@ func runAtomicAlign(pass *Pass) []Finding {
 				return true
 			}
 			strct, ok := obj.Type().Underlying().(*types.Struct)
-			if !ok || strct.NumFields() == 0 {
+			if !ok || strct.NumFields() == 0 || sizedByTypeParam(strct) {
 				return true
 			}
 			findings = append(findings, check386Alignment(pass, st, strct, targets, sizes386)...)
@@ -62,6 +62,30 @@ func runAtomicAlign(pass *Pass) []Finding {
 		})
 	}
 	return findings
+}
+
+// sizedByTypeParam reports whether t's size depends on a type parameter: a
+// generic declaration, or a struct local to a generic function, holding a
+// type-parameter-typed value directly, in an array or inside a by-value
+// struct. Such a type has no layout before instantiation (types.Sizes
+// panics on it), so the layout checks skip it. Pointers, slices, maps,
+// channels, functions and interfaces are fixed-size whatever they refer to.
+func sizedByTypeParam(t types.Type) bool {
+	switch t := types.Unalias(t).(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Named:
+		return sizedByTypeParam(t.Underlying())
+	case *types.Array:
+		return sizedByTypeParam(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if sizedByTypeParam(t.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // check386Alignment flags atomically-accessed plain 64-bit fields whose
