@@ -141,11 +141,16 @@ func TestCrashRecoveryZeroLostAcceptedRequests(t *testing.T) {
 		t.Skip("re-execs and SIGKILLs a child process")
 	}
 	dir := t.TempDir()
+	// The background load solves a never-seen graph per request, far more
+	// than the default cache holds in 500ms now that a lone request no
+	// longer waits out the batch window; size the cache so LRU eviction
+	// (which legitimately forgets a decision) can't fire.
 	args := []string{
 		"-data-dir", dir,
 		"-batch-wait", "20ms",
 		"-fsync-interval", "5ms",
 		"-snapshot-interval", "300ms",
+		"-cache", "200000",
 	}
 	d := startDaemonProc(t, args...)
 

@@ -83,7 +83,7 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		bandwidth  = fs.Float64("bandwidth", 0, "wireless bandwidth (0 = default)")
 		workers    = fs.Int("workers", 0, "per-round solver parallelism (0 = all cores)")
 		maxBatch   = fs.Int("max-batch", serve.DefaultMaxBatch, "max users per solve round")
-		batchWait  = fs.Duration("batch-wait", serve.DefaultBatchWait, "co-arrival window per round")
+		batchWait  = fs.Duration("batch-wait", serve.DefaultBatchWait, "upper bound on a round waiting for a request already at the server")
 		queueDepth = fs.Int("queue", serve.DefaultQueueDepth, "accept queue depth (beyond it: 429)")
 		lanes      = fs.Int("lanes", 0, "batcher enqueue lanes (0 = derived from queue depth)")
 		cacheSize  = fs.Int("cache", serve.DefaultCacheSize, "solution cache entries")

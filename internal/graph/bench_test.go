@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func benchGraph(b *testing.B, n, edges int) *Graph {
+func benchGraph(b testing.TB, n, edges int) *Graph {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g := New(n)

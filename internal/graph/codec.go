@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strconv"
 )
 
 // jsonGraph is the wire form used by MarshalJSON/UnmarshalJSON.
@@ -46,19 +47,31 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the form produced by MarshalJSON, replacing the
-// receiver's contents.
+// receiver's contents. scanGraphJSON reads the canonical wire form in one
+// pass; whatever it declines goes through encoding/json, which alone defines
+// the accepted language and every decode error. Graph validation (AddNode,
+// AddEdge) is shared by both.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
-		return fmt.Errorf("decode graph json: %w", err)
+	nodes, edges, ok := scanGraphJSON(data)
+	if !ok {
+		var jg jsonGraph
+		if err := json.Unmarshal(data, &jg); err != nil {
+			return fmt.Errorf("decode graph json: %w", err)
+		}
+		nodes, edges = jg.Nodes, jg.Edges
 	}
-	fresh := New(len(jg.Nodes))
-	for _, n := range jg.Nodes {
+	return g.adopt(nodes, edges)
+}
+
+// adopt replaces g's contents with the decoded lists' graph (edges is reordered).
+func (g *Graph) adopt(nodes []jsonNode, edges []Edge) error {
+	fresh := New(len(nodes))
+	for _, n := range nodes {
 		if err := fresh.AddNode(n.ID, n.Weight); err != nil {
 			return fmt.Errorf("decode graph json: %w", err)
 		}
 	}
-	if err := fresh.addEdgesSorted(jg.Edges); err != nil {
+	if err := fresh.addEdgesSorted(edges); err != nil {
 		return fmt.Errorf("decode graph json: %w", err)
 	}
 	// Adopt fresh's contents field by field: a struct assignment would
@@ -68,6 +81,200 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	g.totalEdgeWeight = fresh.totalEdgeWeight
 	g.nodeList.Store(fresh.nodeList.Load())
 	return nil
+}
+
+// graphScanner reads exactly one shape straight off the bytes — an object
+// whose "nodes" and "edges" members are arrays of {"id","weight"} and
+// {"u","v","weight"} objects, keys in any order, JSON whitespace anywhere,
+// numbers in JSON grammar — and declines everything else (an unknown,
+// repeated, escaped or case-folded key, null, an empty object, a non-integer
+// or out-of-range number, trailing bytes) rather than guess what
+// encoding/json would make of it.
+type graphScanner struct {
+	b []byte
+	i int
+}
+
+// next skips JSON whitespace and returns the byte it stops on, 0 at the end.
+func (s *graphScanner) next() byte {
+	for ; s.i < len(s.b); s.i++ {
+		if c := s.b[s.i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			return c
+		}
+	}
+	return 0
+}
+
+// eat consumes c if it is the next non-space byte.
+func (s *graphScanner) eat(c byte) bool {
+	if s.next() != c {
+		return false
+	}
+	s.i++
+	return true
+}
+
+// key consumes `"name":` and returns name, nil unless name is all lower-case
+// ASCII letters (every key of the wire form is).
+func (s *graphScanner) key() []byte {
+	if !s.eat('"') {
+		return nil
+	}
+	start := s.i
+	for s.i < len(s.b) && 'a' <= s.b[s.i] && s.b[s.i] <= 'z' {
+		s.i++
+	}
+	if name := s.b[start:s.i]; s.i < len(s.b) && s.b[s.i] == '"' {
+		if s.i++; s.eat(':') {
+			return name
+		}
+	}
+	return nil
+}
+
+// number consumes one JSON-grammar number and returns its text (nil: not one).
+func (s *graphScanner) number() []byte {
+	s.next()
+	b, i := s.b, s.i
+	digits := func() bool {
+		from := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > from
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if !digits() {
+		return nil
+	}
+	if i < len(b) && b[i] == '.' {
+		if i++; !digits() {
+			return nil
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil
+		}
+	}
+	tok := b[s.i:i]
+	s.i = i
+	return tok
+}
+
+// integer reads the next value as encoding/json reads an int field (NodeID
+// is an int: IntSize) and returns bit, or 0 to decline.
+func (s *graphScanner) integer(dst *NodeID, bit uint8) uint8 {
+	v, err := strconv.ParseInt(string(s.number()), 10, strconv.IntSize)
+	if err != nil {
+		return 0
+	}
+	*dst = NodeID(v)
+	return bit
+}
+
+// float is integer for a float64 field.
+func (s *graphScanner) float(dst *float64, bit uint8) uint8 {
+	v, err := strconv.ParseFloat(string(s.number()), 64)
+	if err != nil {
+		return 0
+	}
+	*dst = v
+	return bit
+}
+
+// members consumes a non-empty object. member gets each key with the scanner
+// on its value, consumes the value and returns the key's bit (0 declines; so
+// does a bit seen twice).
+func (s *graphScanner) members(member func(key []byte) uint8) bool {
+	if !s.eat('{') {
+		return false
+	}
+	for seen := uint8(0); ; {
+		bit := member(s.key())
+		if bit == 0 || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		if s.eat('}') {
+			return true
+		}
+		if !s.eat(',') {
+			return false
+		}
+	}
+}
+
+// array consumes an array of objects: members on each, then emit.
+func (s *graphScanner) array(member func(key []byte) uint8, emit func()) bool {
+	if !s.eat('[') {
+		return false
+	}
+	if s.eat(']') {
+		return true
+	}
+	for {
+		if !s.members(member) {
+			return false
+		}
+		emit()
+		if s.eat(']') {
+			return true
+		}
+		if !s.eat(',') {
+			return false
+		}
+	}
+}
+
+// scanGraphJSON decodes data in one pass into the node and edge lists
+// encoding/json would produce, or reports false: data is then for
+// encoding/json to accept or reject. A member an object leaves out is zero
+// on both paths.
+func scanGraphJSON(data []byte) (nodes []jsonNode, edges []Edge, ok bool) {
+	s := graphScanner{b: data}
+	var n jsonNode
+	var e Edge
+	ok = s.members(func(key []byte) uint8 {
+		switch string(key) {
+		case "nodes":
+			if s.array(func(key []byte) uint8 {
+				switch string(key) {
+				case "id":
+					return s.integer(&n.ID, 1)
+				case "weight":
+					return s.float(&n.Weight, 2)
+				}
+				return 0
+			}, func() { nodes, n = append(nodes, n), jsonNode{} }) {
+				return 1
+			}
+		case "edges":
+			if s.array(func(key []byte) uint8 {
+				switch string(key) {
+				case "u":
+					return s.integer(&e.U, 1)
+				case "v":
+					return s.integer(&e.V, 2)
+				case "weight":
+					return s.float(&e.Weight, 4)
+				}
+				return 0
+			}, func() { edges, e = append(edges, e), Edge{} }) {
+				return 2
+			}
+		}
+		return 0
+	})
+	s.next() // trailing whitespace is all that may follow
+	return nodes, edges, ok && s.i == len(data)
 }
 
 // addEdgesSorted adds es to a graph that has no edges yet, reordering es by

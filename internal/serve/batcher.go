@@ -14,8 +14,8 @@ import (
 const (
 	// DefaultMaxBatch is the largest solve round the batcher assembles.
 	DefaultMaxBatch = 16
-	// DefaultBatchWait is how long a round waits for co-arrivals after its
-	// first request.
+	// DefaultBatchWait is the longest a round waits for a request the server
+	// already holds (still reading or decoding) to join it.
 	DefaultBatchWait = 2 * time.Millisecond
 	// DefaultQueueDepth bounds the accept queue; a full queue sheds load.
 	DefaultQueueDepth = 256
@@ -59,11 +59,12 @@ type solveTask struct {
 }
 
 // batcher coalesces concurrently arriving solve tasks into multi-user
-// rounds: a round opens when the first task arrives, admits co-arrivals
-// for maxWait (or until maxBatch), and is then dispatched as one
-// multi-user core.Solve. This is the serving-path version of the paper's
-// batch setting — the users of one round share the edge server, and the
-// model's ActiveUsers comes from the live round.
+// rounds: a round opens when the first task arrives, admits every task
+// queued behind it, and is dispatched as one multi-user core.Solve once
+// nobody the server holds can still join it (settled), or at maxBatch, after
+// maxWait, or at stop. This is the serving-path version of the paper's batch
+// setting — the users of one round are the users present at the edge server
+// together, and the model's ActiveUsers comes from the live round.
 //
 // The accept queue is split into per-lane bounded MPSC rings (lane chosen
 // from the request's graph fingerprint, so tasks for one application
@@ -78,10 +79,15 @@ type batcher struct {
 	maxBatch int
 	maxWait  time.Duration
 	dispatch func(context.Context, []*solveTask)
+	settled  func() bool   // Server.settled: nobody held can still join a round
 	wake     chan struct{} // one-token producer→consumer doorbell
 	stop     chan struct{}
 	stopO    sync.Once
 	done     chan struct{}
+	// open is set while collect is deciding whether its round is complete:
+	// only then does a request that stops being able to join ring wake.
+	open        atomic.Bool
+	earlyCloses atomic.Uint64 // rounds dispatched because the server settled
 }
 
 // batchLane is one enqueue lane: a bounded MPSC ring plus its counters.
@@ -117,10 +123,11 @@ func laneCountFor(lanes, queueDepth int) int {
 }
 
 // newBatcher returns a batcher feeding dispatch, with queueDepth split
-// over laneCountFor(lanes, queueDepth) rings. The caller starts it with
-// go b.run(ctx) and stops it with stopOnce after the queue is known to be
-// settled; run drains every queued task before exiting.
-func newBatcher(maxBatch, queueDepth, lanes int, maxWait time.Duration, dispatch func(context.Context, []*solveTask)) *batcher {
+// over laneCountFor(lanes, queueDepth) rings; settled is collect's
+// early-close predicate. The caller starts it with go b.run(ctx) and stops
+// it with stopOnce once no more tasks will be enqueued; run drains every
+// queued task before exiting.
+func newBatcher(maxBatch, queueDepth, lanes int, maxWait time.Duration, settled func() bool, dispatch func(context.Context, []*solveTask)) *batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
@@ -138,6 +145,7 @@ func newBatcher(maxBatch, queueDepth, lanes int, maxWait time.Duration, dispatch
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
 		dispatch: dispatch,
+		settled:  settled,
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -158,11 +166,24 @@ func (b *batcher) enqueue(t *solveTask) bool {
 		return false
 	}
 	lane.enqueued.Add(1)
+	b.ring()
+	return true
+}
+
+// ring leaves the doorbell token in wake unless one is already pending.
+func (b *batcher) ring() {
 	select {
 	case b.wake <- struct{}{}:
-	default: // a token is already pending; the consumer will re-sweep
+	default:
 	}
-	return true
+}
+
+// nudge is called by a request that can no longer join a round — it parked
+// or left. An open round re-checks; otherwise this is one atomic load.
+func (b *batcher) nudge() {
+	if b.open.Load() {
+		b.ring()
+	}
 }
 
 // tryPop sweeps the lanes round-robin from *cursor, returning the first
@@ -207,60 +228,61 @@ func (b *batcher) laneStats() []LaneStats {
 // which is what makes graceful drain lossless.
 func (b *batcher) run(ctx context.Context) {
 	defer close(b.done)
-	cursor := 0
+	cursor, stopped := 0, false
 	for {
 		first, ok := b.tryPop(&cursor)
-		if !ok {
-			select {
-			case <-b.wake:
-				continue // re-sweep: the push precedes its doorbell
-			case <-b.stop:
-				b.drainQueued(ctx, &cursor)
-				return
-			}
+		if ok {
+			b.dispatch(ctx, b.collect(first, &cursor))
+			continue
 		}
-		b.dispatch(ctx, b.collect(first, &cursor))
+		if stopped {
+			return
+		}
+		select {
+		case <-b.wake: // re-sweep: the push precedes its doorbell
+		case <-b.stop:
+			stopped = true // one more sweep: whatever is queued still runs
+		}
 	}
 }
 
-// collect assembles one round: first plus co-arrivals until the window
-// closes, the round fills, or the batcher is stopped.
+// collect assembles one round: first plus everything queued behind it,
+// until the round fills, the server is settled, the window closes or the
+// batcher is stopped. The settled exit is ordered sweep → open → settled? →
+// sweep → dispatch: a leader pushes before it parks, so a settled server has
+// nothing un-pushed and the second sweep catches a push that raced the
+// first; open is raised before settled is read and a request parks (or
+// leaves) before it reads open, so whichever comes second sees the other —
+// a round never sleeps through becoming complete (DESIGN §10).
 func (b *batcher) collect(first *solveTask, cursor *int) []*solveTask {
 	round := []*solveTask{first}
-	timer := time.NewTimer(b.maxWait)
-	defer timer.Stop()
+	var window *time.Timer
+	defer b.open.Store(false)
 	for len(round) < b.maxBatch {
 		if t, ok := b.tryPop(cursor); ok {
 			round = append(round, t)
 			continue
 		}
+		b.open.Store(true)
+		if b.settled() {
+			if t, ok := b.tryPop(cursor); ok {
+				round = append(round, t)
+				continue
+			}
+			b.earlyCloses.Add(1)
+			return round
+		}
+		if window == nil { // armed only by a round that has to block
+			window = time.NewTimer(b.maxWait)
+			defer window.Stop()
+		}
 		select {
 		case <-b.wake:
-		case <-timer.C:
+		case <-window.C:
 			return round
 		case <-b.stop:
 			return round
 		}
 	}
 	return round
-}
-
-// drainQueued dispatches everything still queued at stop time in maxBatch
-// rounds, without waiting out batch windows.
-func (b *batcher) drainQueued(ctx context.Context, cursor *int) {
-	for {
-		first, ok := b.tryPop(cursor)
-		if !ok {
-			return
-		}
-		round := []*solveTask{first}
-		for len(round) < b.maxBatch {
-			t, ok := b.tryPop(cursor)
-			if !ok {
-				break
-			}
-			round = append(round, t)
-		}
-		b.dispatch(ctx, round)
-	}
 }

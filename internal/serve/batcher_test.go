@@ -7,13 +7,18 @@ import (
 	"time"
 )
 
+// neverSettled is the early-close predicate of a server that always holds
+// a request still on its way to the queue: rounds close by window, size or
+// stop only.
+func neverSettled() bool { return false }
+
 // collectRounds runs a batcher whose dispatch records every round, feeds it
 // tasks via feed, stops it, and returns the rounds in dispatch order.
 func collectRounds(t *testing.T, maxBatch int, wait time.Duration, feed func(b *batcher)) [][]*solveTask {
 	t.Helper()
 	var mu sync.Mutex
 	var rounds [][]*solveTask
-	b := newBatcher(maxBatch, 64, 1, wait, func(_ context.Context, round []*solveTask) {
+	b := newBatcher(maxBatch, 64, 1, wait, neverSettled, func(_ context.Context, round []*solveTask) {
 		mu.Lock()
 		rounds = append(rounds, round)
 		mu.Unlock()
@@ -93,7 +98,7 @@ func TestBatcherDrainIsLossless(t *testing.T) {
 	// everything queued, in maxBatch-bounded rounds.
 	var mu sync.Mutex
 	var dispatched int
-	b := newBatcher(4, 64, 1, time.Hour /* window must not matter */, func(_ context.Context, round []*solveTask) {
+	b := newBatcher(4, 64, 1, time.Hour /* window must not matter */, neverSettled, func(_ context.Context, round []*solveTask) {
 		mu.Lock()
 		dispatched += len(round)
 		mu.Unlock()
@@ -119,7 +124,7 @@ func TestBatcherDrainIsLossless(t *testing.T) {
 }
 
 func TestBatcherStopOnceIdempotent(t *testing.T) {
-	b := newBatcher(1, 1, 1, time.Millisecond, func(context.Context, []*solveTask) {})
+	b := newBatcher(1, 1, 1, time.Millisecond, neverSettled, func(context.Context, []*solveTask) {})
 	go b.run(context.Background())
 	b.stopOnce()
 	b.stopOnce() // must not panic on double close

@@ -1,10 +1,27 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 )
+
+// graphJSONSeeds reads internal/graph's hand-written graph documents (a
+// JSON array of strings) — the corpus FuzzGraphJSONMatchesStdlib starts from.
+func graphJSONSeeds(t testing.TB) []string {
+	t.Helper()
+	data, err := os.ReadFile("../graph/testdata/graph_json_seeds.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seeds []string
+	if err := json.Unmarshal(data, &seeds); err != nil {
+		t.Fatal(err)
+	}
+	return seeds
+}
 
 // FuzzDecodeSolveRequest asserts the request decoder never panics and
 // never accepts a request that violates its limits, no matter how hostile
@@ -21,6 +38,11 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 	f.Add(goodBody + goodBody)
 	f.Add(`{"graph":{"nodes":[{"id":0,"weight":1}],"edges":[]},"bandwidth":-0.0001}`)
 	f.Add(strings.Repeat("[", 1000))
+	// The graph member is where the one-pass scanner and its encoding/json
+	// fallback meet: every document that corpus holds, as a request.
+	for _, g := range graphJSONSeeds(f) {
+		f.Add(`{"graph":` + g + `}`)
+	}
 
 	limits := DecodeLimits{MaxNodes: 64, MaxEdges: 128}
 	f.Fuzz(func(t *testing.T, body string) {

@@ -169,8 +169,11 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	if leader {
 		// Accepted work no longer depends on its client: followers may be
 		// attached and the record is journaled, so a hang-up must not
-		// cancel the solve.
+		// cancel the solve. Parked across it: an inline solve joins no round
+		// and must not hold the ones /v1/solve traffic is forming open.
+		s.park()
 		ds = s.solveMutation(context.WithoutCancel(ctx), p, base, req.Delta, sreq, newFp, params)
+		s.unpark()
 	}
 	dec, err := s.await(ctx, p, leader)
 	if err != nil {

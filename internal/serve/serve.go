@@ -120,7 +120,9 @@ type Config struct {
 	Workers int
 	// MaxBatch caps the users per solve round (≤ 0 = DefaultMaxBatch).
 	MaxBatch int
-	// BatchWait is the round's co-arrival window (≤ 0 = DefaultBatchWait).
+	// BatchWait bounds a round's wait for a request already at the server
+	// (still reading or decoding) to join it (≤ 0 = DefaultBatchWait). A
+	// round never waits for arrivals: it closes once every held request is in.
 	BatchWait time.Duration
 	// BatchLanes forces the batcher's enqueue lane count (rounded up to a
 	// power of two, capped at 16; ≤ 0 picks a count from QueueDepth).
@@ -318,9 +320,27 @@ func New(cfg Config) (*Server, error) {
 	s.graphs = lru.New(cfg.GraphCacheSize, lru.HashString, func(_ string, g *graph.Graph) {
 		s.sess.Invalidate(g)
 	})
-	s.b = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.BatchLanes, cfg.BatchWait, s.dispatchRound)
+	s.b = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.BatchLanes, cfg.BatchWait, s.settled, s.dispatchRound)
 	return s, nil
 }
+
+// settled reports that no request the server holds can still join a solve
+// round — every request inside handle is parked: the batcher's early-close
+// predicate. inFlight is read first: a request leaving between the two
+// loads then reads as unsettled, and its nudge has the round look again.
+func (s *Server) settled() bool {
+	held := s.st.inFlight.Load()
+	return s.st.parked.Load() >= held
+}
+
+// park marks the calling request as unable to join a solve round: it waits
+// on its cell (whose task, if any, is already pushed) or solves inline.
+func (s *Server) park() {
+	s.st.parked.Add(1)
+	s.b.nudge()
+}
+
+func (s *Server) unpark() { s.st.parked.Add(-1) }
 
 // Start launches the batcher's dispatch loop. ctx bounds every solve the
 // server will run (the PR-2 context spine): cancelling it fails in-flight
@@ -381,9 +401,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Draining reports whether graceful drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Stats snapshots the server's counters for /v1/stats. Every counter is
 // read individually and atomically; no lock covers the snapshot, so a
 // concurrent storm skews related counters against each other at most by
@@ -443,6 +460,7 @@ func (s *Server) Stats() Stats {
 			MaxUsers:    s.st.maxBatch.Load(),
 			FusedRounds: s.st.fusedRounds.Load(),
 			FusedGraphs: s.st.fusedGraphs.Load(),
+			EarlyCloses: s.b.earlyCloses.Load(),
 			QueueDepth:  s.b.depth(),
 			Lanes:       s.b.laneStats(),
 		},
@@ -546,8 +564,11 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *padUin
 	start := time.Now()
 	arrivals.Add(1)
 	s.st.inFlight.Add(1)
-	defer s.st.inFlight.Add(-1)
-	defer func() { s.st.lat.observe(time.Since(start)) }()
+	defer func() {
+		s.st.lat.observe(time.Since(start))
+		s.st.inFlight.Add(-1)
+		s.b.nudge() // one request fewer an open round could be waiting for
+	}()
 
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -783,6 +804,8 @@ func (s *Server) await(ctx context.Context, p *pending, leader bool) (*Decision,
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
+	s.park()
+	defer s.unpark()
 	select {
 	case <-p.done:
 	case <-ctx.Done():

@@ -261,8 +261,8 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	if err := s.Drain(dctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if !s.Draining() {
-		t.Fatal("Draining() = false after Drain")
+	if !s.draining.Load() {
+		t.Fatal("draining = false after Drain")
 	}
 
 	// New solve requests and health checks now answer 503.

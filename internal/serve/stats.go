@@ -127,6 +127,7 @@ type counters struct {
 	rateLimited   padUint64 // 429 responses from the MaxQPS admission cap
 	journalErrors padUint64 // accepted requests served without a journal record
 	inFlight      padInt64  // requests currently inside /v1/solve or /v1/mutate
+	parked        padInt64  // of those, the ones that can no longer join a solve round
 	lat           histogram
 
 	// Incremental re-solve counters (POST /v1/mutate).
@@ -229,6 +230,9 @@ type BatchStats struct {
 	// FusedGraphs counts the distinct graphs across all fused rounds —
 	// FusedGraphs/FusedRounds is the mean fusion width.
 	FusedGraphs uint64 `json:"fused_graphs"`
+	// EarlyCloses counts rounds dispatched before their BatchWait window
+	// expired because every request the server held was already in one.
+	EarlyCloses uint64 `json:"early_closes"`
 	// QueueDepth is the number of requests currently queued across lanes.
 	QueueDepth int `json:"queue_depth"`
 	// Lanes is the per-lane queue state; persistent skew means one

@@ -8,6 +8,13 @@
 # answered 200 before the kill is answered from cache after recovery,
 # with zero replay or decode errors. Requires jq (same as the CI serve
 # job). Exits nonzero on any lost request.
+#
+# The daemon runs with its default solution cache (1024 entries). The
+# invariant needs the accepted decisions not to be LRU-evicted before the
+# kill; the background load here is one curl process per request — some
+# tens of distinct graphs in the 0.5 s — so it cannot get there.
+# (cmd/copmecsd's crash test posts from four in-process workers, can, and
+# passes -cache for that reason.)
 set -eu
 
 port=${CRASH_PORT:-8981}
