@@ -619,7 +619,7 @@ func localizedEdgeDeltas(b *testing.B, g *graph.Graph, frac float64) (fwd, rev *
 // then cold-solves the identical graph sequence, accumulating each side's
 // wall time, and reports the ratio as speedup_x — the paper's "online
 // re-decision" cost compared to deciding from scratch.
-// scripts/perf_gate.sh floors the n=5000 ratio at 3.5x.
+// scripts/perf_gate.sh floors the n=5000 ratio at 3.0x.
 func BenchmarkIncrementalResolve(b *testing.B) {
 	ctx := context.Background()
 	opts := core.Options{Workers: 1}

@@ -80,13 +80,38 @@ func (s *Session) SolveDeltaWithParams(ctx context.Context, base *graph.Graph, d
 	return s.solveDelta(ctx, base, d, users, dopts, opts)
 }
 
+// SolveApplied is the second half of SolveDelta for a caller that has
+// already applied d to a clone of base — to validate, size-check or
+// fingerprint the mutated graph — and would otherwise pay for the clone and
+// the apply twice: applied is solved as SolveDeltaWithParams would solve its
+// own mutated instance, and becomes the graph the next delta names as base.
+// The session still patches base's cached view with d on its own and refuses
+// an applied graph whose node or edge count disagrees with the patched view.
+// applied must not be modified afterwards.
+func (s *Session) SolveApplied(ctx context.Context, base *graph.Graph, d *graph.Delta, applied *graph.Graph, users []UserInput, dopts DeltaOptions, params mec.Params) (*Solution, *DeltaStats, error) {
+	opts := s.opts
+	opts.Params = params
+	return s.solveApplied(ctx, base, d, applied, users, dopts, opts)
+}
+
 // solveDelta implements SolveDelta over an explicit options value (the
-// session's, possibly with per-call params).
+// session's, possibly with per-call params): clone and apply, then solve the
+// applied graph.
 func (s *Session) solveDelta(ctx context.Context, base *graph.Graph, d *graph.Delta, users []UserInput, dopts DeltaOptions, sopts Options) (*graph.Graph, *Solution, *DeltaStats, error) {
 	mutated := base.Clone()
 	if err := d.Apply(mutated); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: apply delta: %w", err)
 	}
+	sol, ds, err := s.solveApplied(ctx, base, d, mutated, users, dopts, sopts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return mutated, sol, ds, nil
+}
+
+// solveApplied solves mutated — base with d applied — reusing base's cached
+// pipeline state through the patched view.
+func (s *Session) solveApplied(ctx context.Context, base *graph.Graph, d *graph.Delta, mutated *graph.Graph, users []UserInput, dopts DeltaOptions, sopts Options) (*Solution, *DeltaStats, error) {
 	us := make([]UserInput, len(users))
 	copy(us, users)
 	for i := range us {
@@ -111,7 +136,11 @@ func (s *Session) solveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 		var err error
 		view, info, err = prev.view.View.Patch(d)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: patch: %w", err)
+			return nil, nil, fmt.Errorf("core: patch: %w", err)
+		}
+		if view.NumNodes() != mutated.NumNodes() || view.NumEdges() != mutated.NumEdges() {
+			return nil, nil, fmt.Errorf("core: applied graph (%d nodes, %d edges) is not base plus delta (%d nodes, %d edges)",
+				mutated.NumNodes(), mutated.NumEdges(), view.NumNodes(), view.NumEdges())
 		}
 		ds.TouchedEdges = info.TouchedEdges
 		if e := view.NumEdges(); e > 0 {
@@ -146,7 +175,7 @@ func (s *Session) solveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 	start := time.Now()
 	out, st, err := runPipeline(ctx, sopts.normalised(), singleSpan(view), prev, oldCompOf)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if ds.Incremental {
 		ds.PatchTime = time.Since(start)
@@ -158,7 +187,7 @@ func (s *Session) solveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 	// names, is a regular solve that finds mutated in the cache.
 	sol, err := solveOne(ctx, us, sopts, s)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return mutated, sol, ds, nil
+	return sol, ds, nil
 }

@@ -160,6 +160,11 @@ type Stats struct {
 type Solution struct {
 	// Placements has one entry per user, aligned with the input.
 	Placements []mec.Placement
+	// States has one entry per user: the work split and cut weight the
+	// evaluator read off the user's graph, bit for bit what the placement's
+	// State method computes (FixedLocalWork, which Eval includes, is not part
+	// of it).
+	States []mec.UserState
 	// Eval is the full model evaluation of the final scheme.
 	Eval *mec.Evaluation
 	// Parts exposes Algorithm 2's movable units and their placements.
@@ -373,14 +378,16 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]roundGra
 		}
 	}
 
+	sol.States = make([]mec.UserState, len(users))
 	states := make([]mec.UserState, len(users))
 	partBase := 0
 	for ui, pl := range sol.Placements {
 		if rg := round[users[ui].Graph]; rg.view != nil {
-			states[ui] = fusedUserState(rg.view, rg.span, parts[partBase:userPartEnd[ui]], pl, mark)
+			sol.States[ui] = fusedUserState(rg.view, rg.span, parts[partBase:userPartEnd[ui]], pl, mark)
 		} else {
-			states[ui] = pl.State()
+			sol.States[ui] = pl.State()
 		}
+		states[ui] = sol.States[ui]
 		states[ui].LocalWork += users[ui].FixedLocalWork
 		partBase = userPartEnd[ui]
 	}

@@ -29,11 +29,16 @@ type CSR struct {
 	ids   []NodeID
 	nodeW []float64
 
-	// off/tgt/wts is the adjacency: node i's neighbors are
-	// tgt[off[i]:off[i+1]] (ascending) with weights wts[off[i]:off[i+1]].
-	off []int32
-	tgt []int32
-	wts []float64
+	// A component is the unit of row storage: node i's neighbors are
+	// [lo[i], hi[i]) of slabs[compOf[i]] (ascending). A compiled or fused view
+	// points every component at the one slab Fuse fills, with lo and hi two
+	// windows of one offset array; a patched view shares the slab of every
+	// component its delta left alone and gives each re-derived component its
+	// own, so a slab stays reachable exactly as long as a live component
+	// reads it.
+	lo, hi []int32
+	slabs  []*rowSlab
+	nnz    int
 
 	compOf []int32
 	comps  [][]int32
@@ -41,6 +46,18 @@ type CSR struct {
 	// multi marks the view of several fused graphs: ids ascend only within
 	// each graph's span and may repeat across spans, so IndexOf answers -1.
 	multi bool
+}
+
+// rowSlab is the adjacency storage of one or more components: neighbor
+// indices and the matching edge weights.
+type rowSlab struct {
+	tgt []int32
+	wts []float64
+}
+
+// row is the one row accessor: entries [lo, hi) of the slab.
+func (s *rowSlab) row(lo, hi int32) ([]int32, []float64) {
+	return s.tgt[lo:hi], s.wts[lo:hi]
 }
 
 // Compile freezes g into its CSR view: the fused view of one graph. The
@@ -66,10 +83,11 @@ func indexIn(ids []NodeID, id NodeID) int32 {
 	return -1
 }
 
-// buildComponents labels each node with a component id. Components are
-// numbered in order of their smallest member (matching Graph.Components) and
-// each member list is ascending.
-func (c *CSR) buildComponents() {
+// buildComponents labels each node of a view whose rows all live in s with a
+// component id and points every component at s. Components are numbered in
+// order of their smallest member (matching Graph.Components) and each member
+// list is ascending.
+func (c *CSR) buildComponents(s *rowSlab) {
 	n := len(c.ids)
 	c.compOf = make([]int32, n)
 	for i := range c.compOf {
@@ -88,7 +106,8 @@ func (c *CSR) buildComponents() {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, v := range c.tgt[c.off[u]:c.off[u+1]] {
+			tgt, _ := s.row(c.lo[u], c.hi[u])
+			for _, v := range tgt {
 				if c.compOf[v] < 0 {
 					c.compOf[v] = id
 					stack = append(stack, v)
@@ -100,6 +119,7 @@ func (c *CSR) buildComponents() {
 	// → capacity-clamped windows, filled by ascending node scan so each list
 	// comes out ascending.
 	c.comps = make([][]int32, next)
+	c.slabs = make([]*rowSlab, next)
 	sizes := make([]int32, next)
 	for _, cid := range c.compOf {
 		sizes[cid]++
@@ -108,6 +128,7 @@ func (c *CSR) buildComponents() {
 	base := int32(0)
 	for cid, sz := range sizes {
 		c.comps[cid] = slab[base : base : base+sz]
+		c.slabs[cid] = s
 		base += sz
 	}
 	for i := 0; i < n; i++ {
@@ -120,7 +141,7 @@ func (c *CSR) buildComponents() {
 func (c *CSR) NumNodes() int { return len(c.ids) }
 
 // NumEdges reports the number of distinct undirected edges.
-func (c *CSR) NumEdges() int { return len(c.tgt) / 2 }
+func (c *CSR) NumEdges() int { return c.nnz / 2 }
 
 // IDs returns the NodeID of every index, ascending. Read-only view.
 func (c *CSR) IDs() []NodeID { return c.ids }
@@ -143,16 +164,11 @@ func (c *CSR) NodeWeights() []float64 { return c.nodeW }
 // Adj returns node i's neighbor indices (ascending) and the matching edge
 // weights. Read-only views.
 func (c *CSR) Adj(i int32) (tgt []int32, w []float64) {
-	lo, hi := c.off[i], c.off[i+1]
-	return c.tgt[lo:hi], c.wts[lo:hi]
+	return c.slabs[c.compOf[i]].row(c.lo[i], c.hi[i])
 }
 
-// Adjacency returns the whole adjacency in CSR form: node i's neighbors are
-// tgt[off[i]:off[i+1]] with weights wts[off[i]:off[i+1]]. Read-only views.
-func (c *CSR) Adjacency() (off, tgt []int32, wts []float64) { return c.off, c.tgt, c.wts }
-
 // Degree returns the number of edges incident to index i.
-func (c *CSR) Degree(i int32) int { return int(c.off[i+1] - c.off[i]) }
+func (c *CSR) Degree(i int32) int { return int(c.hi[i] - c.lo[i]) }
 
 // ComponentOf returns the component id of index i.
 func (c *CSR) ComponentOf(i int32) int32 { return c.compOf[i] }
@@ -161,33 +177,49 @@ func (c *CSR) ComponentOf(i int32) int32 { return c.compOf[i] }
 // component and ordered by smallest member across components. Read-only view.
 func (c *CSR) Components() [][]int32 { return c.comps }
 
-// Validate checks the view's internal invariants: monotone offsets, sorted
-// in-range adjacency, symmetric weights, no self-loops, ascending unique
-// IDs, and component labels closed under adjacency. It exists for tests and
-// the CSR construction fuzz target.
+// Validate checks the view's internal invariants: row windows inside their
+// component's slab, sorted in-range adjacency, symmetric weights, no
+// self-loops, ascending unique IDs, component labels closed under adjacency
+// and member lists that partition the nodes in ascending order. It exists for
+// tests and the CSR construction fuzz target.
 func (c *CSR) Validate() error {
 	n := len(c.ids)
-	if len(c.nodeW) != n || len(c.off) != n+1 || len(c.compOf) != n {
+	if len(c.nodeW) != n || len(c.lo) != n || len(c.hi) != n || len(c.compOf) != n {
 		return errValidate("array lengths disagree with node count")
+	}
+	if len(c.slabs) != len(c.comps) {
+		return errValidate("slab count disagrees with component count")
 	}
 	for i := 1; i < n; i++ {
 		if c.ids[i-1] >= c.ids[i] {
 			return errValidate("ids not strictly ascending")
 		}
 	}
-	if n > 0 && c.off[0] != 0 {
-		return errValidate("offsets do not start at 0")
-	}
-	for i := 0; i < n; i++ {
-		if c.off[i] > c.off[i+1] {
-			return errValidate("offsets not monotone")
+	members := 0
+	for ci, comp := range c.comps {
+		if s := c.slabs[ci]; s == nil || len(s.tgt) != len(s.wts) {
+			return errValidate("component slab missing or ragged")
 		}
+		for k, u := range comp {
+			if u < 0 || u >= int32(n) || c.compOf[u] != int32(ci) || (k > 0 && comp[k-1] >= u) {
+				return errValidate("member list disagrees with component labels")
+			}
+		}
+		if len(comp) == 0 || (ci > 0 && c.comps[ci-1][0] >= comp[0]) {
+			return errValidate("components not ordered by smallest member")
+		}
+		members += len(comp)
 	}
-	if int(c.off[n]) != len(c.tgt) || len(c.tgt) != len(c.wts) {
-		return errValidate("adjacency lengths disagree with offsets")
+	if members != n {
+		return errValidate("member lists do not partition the nodes")
 	}
+	nnz := 0
 	for i := int32(0); i < int32(n); i++ {
+		if lo, hi := c.lo[i], c.hi[i]; lo < 0 || lo > hi || int(hi) > len(c.slabs[c.compOf[i]].tgt) {
+			return errValidate("row window outside its slab")
+		}
 		tgt, w := c.Adj(i)
+		nnz += len(tgt)
 		for k, v := range tgt {
 			if v < 0 || v >= int32(n) {
 				return errValidate("neighbor index out of range")
@@ -198,34 +230,30 @@ func (c *CSR) Validate() error {
 			if k > 0 && tgt[k-1] >= v {
 				return errValidate("adjacency not strictly ascending")
 			}
-			// Bit comparison: symmetry means the same stored float both ways,
-			// and it keeps NaN weights (legal in Graph) from false-failing.
-			if back := c.weightOf(v, i); math.Float64bits(back) != math.Float64bits(w[k]) {
-				return errValidate("asymmetric edge weight")
-			}
 			if c.compOf[v] != c.compOf[i] {
 				return errValidate("edge crosses component boundary")
 			}
+			// Bit comparison: symmetry means the same stored float both ways,
+			// and it keeps NaN weights (legal in Graph) from false-failing.
+			if back, _ := c.findEdge(v, i); math.Float64bits(back) != math.Float64bits(w[k]) {
+				return errValidate("asymmetric edge weight")
+			}
 		}
+	}
+	if nnz != c.nnz {
+		return errValidate("entry count disagrees with rows")
 	}
 	return nil
 }
 
-// weightOf returns the weight of edge {u, v} via binary search, 0 if absent.
-func (c *CSR) weightOf(u, v int32) float64 {
-	lo, hi := c.off[u], c.off[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case c.tgt[mid] < v:
-			lo = mid + 1
-		case c.tgt[mid] > v:
-			hi = mid
-		default:
-			return c.wts[mid]
-		}
+// findEdge looks edge {u, v} up in u's row by binary search, returning its
+// weight.
+func (c *CSR) findEdge(u, v int32) (w float64, ok bool) {
+	tgt, wts := c.Adj(u)
+	if k, ok := slices.BinarySearch(tgt, v); ok {
+		return wts[k], true
 	}
-	return 0
+	return 0, false
 }
 
 func errValidate(msg string) error {

@@ -123,11 +123,14 @@ type rowEdit struct {
 
 // Patch applies d to the frozen view, producing the patched view plus the
 // change report, without recompiling from a map graph. The result is
-// bit-for-bit identical to d.Apply on the source graph followed by Compile —
-// untouched rows are copied (index-shifted when nodes come and go), edited
-// rows are merged in ascending order, and components are rebuilt with the
-// same counting-sort layout. When the node set is unchanged the patched view
-// shares the source's immutable id array.
+// bit-for-bit identical to d.Apply on the source graph followed by Compile,
+// read through the accessors. What it costs follows what the delta touched:
+// a component none of whose members the delta touched keeps its source's row
+// slab and member list; every other component is re-derived by a search from
+// its smallest member and gets a slab of its own, its rows merged in
+// ascending order. The id array is shared when the node set is unchanged and
+// the weight array when no weight is; when nodes come or go every index
+// shifts, so every component is re-derived through the old → new mapping.
 func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 	oldN := len(c.ids)
 
@@ -220,30 +223,45 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		}
 	}
 	newN := len(ids)
+	shifted := newToOld != nil
 	mapOld := func(i int32) int32 {
-		if oldToNew == nil {
+		if !shifted {
 			return i
 		}
 		return oldToNew[i]
 	}
+	oldOf := func(j int32) int32 {
+		if !shifted {
+			return j
+		}
+		return newToOld[j]
+	}
+
+	// dirty marks the old components that hold a node whose row or weight the
+	// delta changed: their pipeline results must be recomputed and their rows
+	// rebuilt. Every other component kept exactly its member set — any edge
+	// that could join it to changed territory, or cut it, touches one of its
+	// members.
+	dirty := make([]bool, len(c.comps))
+	touch := func(j int32) {
+		if oi := oldOf(j); oi >= 0 {
+			dirty[c.compOf[oi]] = true
+		}
+	}
 
 	// Step 4: weight overrides, resolved in new-index space.
-	p := &CSR{
-		ids:   ids,
-		nodeW: make([]float64, newN),
-		multi: c.multi,
-	}
-	for j := 0; j < newN; j++ {
-		if newToOld == nil {
-			p.nodeW[j] = c.nodeW[j]
-		} else if oi := newToOld[j]; oi >= 0 {
-			p.nodeW[j] = c.nodeW[oi]
-		} else {
-			p.nodeW[j] = addedSet[ids[j]]
+	p := &CSR{ids: ids, nodeW: c.nodeW, multi: c.multi}
+	if shifted || len(d.SetNodeWeights) > 0 {
+		p.nodeW = make([]float64, newN)
+		for j := range p.nodeW {
+			if oi := oldOf(int32(j)); oi >= 0 {
+				p.nodeW[j] = c.nodeW[oi]
+			} else {
+				p.nodeW[j] = addedSet[ids[j]]
+			}
 		}
 	}
 	// Duplicate weight sets are legal (last wins), matching Apply.
-	weightTouched := make(map[int32]bool, len(d.SetNodeWeights))
 	for _, n := range d.SetNodeWeights {
 		j := p.IndexOf(n.ID)
 		if j < 0 {
@@ -252,7 +270,7 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		if n.Weight < 0 {
 			return nil, nil, fmt.Errorf("patch: set node weight %d: %w", n.ID, ErrNegativeWeight)
 		}
-		weightTouched[j] = true
+		touch(j)
 		p.nodeW[j] = n.Weight
 	}
 
@@ -273,8 +291,7 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		setEdges[norm(ju, jv)] = e.Weight
 	}
 
-	// Per-row edit lists, keyed by new index. touchedOld marks old nodes
-	// whose row or weight the delta changed (pipeline dirtiness).
+	// Per-row edit lists, keyed by new index.
 	edits := make(map[int32]*rowEdit, 2*len(setEdges)+2*len(removedEdges))
 	editOf := func(j int32) *rowEdit {
 		e := edits[j]
@@ -284,10 +301,8 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		}
 		return e
 	}
-	touchedOld := make(map[int32]bool, 2*len(edits)+len(removed)+len(weightTouched))
 	for k := range removedEdges {
-		touchedOld[k.u] = true
-		touchedOld[k.v] = true
+		dirty[c.compOf[k.u]] = true
 		if ju, jv := mapOld(k.u), mapOld(k.v); ju >= 0 && jv >= 0 {
 			// Only surviving rows need the explicit drop; removed rows vanish.
 			editOf(ju).drop = append(editOf(ju).drop, k.v)
@@ -295,117 +310,185 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		}
 	}
 	for oi := range removed {
-		touchedOld[oi] = true
-		for _, v := range c.tgt[c.off[oi]:c.off[oi+1]] {
-			touchedOld[v] = true
-		}
-	}
-	for j := range weightTouched {
-		if newToOld == nil {
-			touchedOld[j] = true
-		} else if oi := newToOld[j]; oi >= 0 {
-			touchedOld[oi] = true
-		}
+		dirty[c.compOf[oi]] = true
 	}
 	for k, w := range setEdges {
 		editOf(k.u).setTgt = append(editOf(k.u).setTgt, k.v)
 		editOf(k.u).setW = append(editOf(k.u).setW, w)
 		editOf(k.v).setTgt = append(editOf(k.v).setTgt, k.u)
 		editOf(k.v).setW = append(editOf(k.v).setW, w)
-		for _, j := range [2]int32{k.u, k.v} {
-			if newToOld == nil {
-				touchedOld[j] = true
-			} else if oi := newToOld[j]; oi >= 0 {
-				touchedOld[oi] = true
-			}
-		}
+		touch(k.u)
+		touch(k.v)
 	}
 	for _, e := range edits {
 		sortEditLists(e)
 	}
 
-	// Row assembly: ascending new-index scan; each row merges the surviving
-	// remapped old row with its edit list, staying ascending throughout.
-	nnzCap := len(c.tgt) + 2*len(setEdges)
-	p.off = make([]int32, newN+1)
-	p.tgt = make([]int32, 0, nnzCap)
-	p.wts = make([]float64, 0, nnzCap)
-	droppedByNodeRemoval := 0
-	for j := int32(0); j < int32(newN); j++ {
-		e := edits[j]
-		if e == nil && newToOld == nil {
-			// Identity index space and no edits on this row: copy it
-			// wholesale instead of walking it entry by entry.
-			p.tgt = append(p.tgt, c.tgt[c.off[j]:c.off[j+1]]...)
-			p.wts = append(p.wts, c.wts[c.off[j]:c.off[j+1]]...)
-			p.off[j+1] = int32(len(p.tgt))
-			continue
-		}
-		oi := j
-		if newToOld != nil {
-			oi = newToOld[j]
-		}
-		if oi >= 0 {
-			lo, hi := c.off[oi], c.off[oi+1]
-			di := 0
-			for pos := lo; pos < hi; pos++ {
-				v := c.tgt[pos]
-				for e != nil && di < len(e.drop) && e.drop[di] < v {
-					di++
-				}
-				if e != nil && di < len(e.drop) && e.drop[di] == v {
-					continue // explicitly removed edge
-				}
-				nv := mapOld(v)
-				if nv < 0 {
-					// The survivor sees each half-removed edge exactly once.
-					droppedByNodeRemoval++
-					continue
-				}
-				p.appendRowEntry(e, nv, c.wts[pos])
+	// Rows and components, one ascending scan: an unlabelled node is the
+	// smallest member of the next component, so components come out numbered
+	// as buildComponents numbers them. A clean component in an unshifted index
+	// space is adopted whole; anything else is searched out over the patched
+	// adjacency — the source rows minus drops and removed nodes, plus sets —
+	// and its rows are assembled into a fresh slab.
+	region := newN
+	if !shifted {
+		region = 0
+		for oc, members := range c.comps {
+			if dirty[oc] {
+				region += len(members)
 			}
 		}
-		if e != nil {
-			p.flushRowEdits(e)
-		}
-		p.off[j+1] = int32(len(p.tgt))
 	}
+	p.lo, p.hi = make([]int32, newN), make([]int32, newN)
+	if !shifted {
+		copy(p.lo, c.lo)
+		copy(p.hi, c.hi)
+	}
+	p.compOf = make([]int32, newN)
+	for j := range p.compOf {
+		p.compOf[j] = -1
+	}
+	p.comps = make([][]int32, 0, len(c.comps))
+	p.slabs = make([]*rowSlab, 0, len(c.comps))
+	info := &PatchInfo{
+		OldCompOf: make([]int32, 0, len(c.comps)),
+		NewToOld:  newToOld,
+		OldToNew:  oldToNew,
+	}
+	// queue is both the search frontier and, once a component is exhausted,
+	// the storage of its member list.
+	queue := make([]int32, 0, region)
+	droppedByNodeRemoval := 0
+	for j := int32(0); j < int32(newN); j++ {
+		if p.compOf[j] >= 0 {
+			continue
+		}
+		id := int32(len(p.comps))
+		oc := int32(-1)
+		if oi := oldOf(j); oi >= 0 && !dirty[c.compOf[oi]] {
+			oc = c.compOf[oi]
+		}
+		info.OldCompOf = append(info.OldCompOf, oc)
+		if oc >= 0 && !shifted {
+			for _, m := range c.comps[oc] {
+				p.compOf[m] = id
+				p.nnz += int(c.hi[m] - c.lo[m])
+			}
+			p.comps = append(p.comps, c.comps[oc])
+			p.slabs = append(p.slabs, c.slabs[oc])
+			continue
+		}
+
+		start := len(queue)
+		p.compOf[j] = id
+		queue = append(queue, j)
+		visit := func(v int32) {
+			if p.compOf[v] < 0 {
+				p.compOf[v] = id
+				queue = append(queue, v)
+			}
+		}
+		rowCap := 2 * len(setEdges)
+		for head := start; head < len(queue); head++ {
+			u := queue[head]
+			e := edits[u]
+			if ou := oldOf(u); ou >= 0 {
+				tgt, _ := c.Adj(ou)
+				rowCap += len(tgt)
+				for _, v := range tgt {
+					if nv := mapOld(v); nv >= 0 && (e == nil || !slices.Contains(e.drop, v)) {
+						visit(nv)
+					}
+				}
+			}
+			if e != nil {
+				for _, v := range e.setTgt {
+					visit(v)
+				}
+			}
+		}
+		members := queue[start:len(queue):len(queue)]
+		slices.Sort(members)
+
+		s := &rowSlab{tgt: make([]int32, 0, rowCap), wts: make([]float64, 0, rowCap)}
+		for _, u := range members {
+			p.lo[u] = int32(len(s.tgt))
+			if e := edits[u]; e == nil && !shifted {
+				// Unedited row, unshifted indices: a copy.
+				tgt, w := c.Adj(u)
+				s.tgt = append(s.tgt, tgt...)
+				s.wts = append(s.wts, w...)
+			} else {
+				droppedByNodeRemoval += s.mergeRow(c, oldOf(u), e, oldToNew)
+			}
+			p.hi[u] = int32(len(s.tgt))
+		}
+		p.nnz += len(s.tgt)
+		p.comps = append(p.comps, members)
+		p.slabs = append(p.slabs, s)
+	}
+
 	// Count edges dropped because both endpoints were removed (neither
 	// surviving row saw them); edges already in removedEdges were counted
 	// there.
 	for oi := range removed {
-		for _, v := range c.tgt[c.off[oi]:c.off[oi+1]] {
+		tgt, _ := c.Adj(oi)
+		for _, v := range tgt {
 			if oi < v && removed[v] && !removedEdges[edgeKey{oi, v}] {
 				droppedByNodeRemoval++
 			}
 		}
 	}
+	info.TouchedEdges = len(removedEdges) + len(setEdges) + droppedByNodeRemoval
+	return p, info, nil
+}
 
-	// A delta that removes nothing, adds nothing, and only re-weights edges
-	// that already existed cannot change connectivity: the component layout
-	// (immutable once built) carries over from the source view.
-	structural := len(removed) > 0 || len(added) > 0 || len(removedEdges) > 0
-	if !structural {
-		for k := range setEdges {
-			if _, ok := c.findEdge(k.u, k.v); !ok {
-				structural = true
-				break
+// mergeRow appends the patched row of old node ou (-1 for an added node) to
+// the slab: the source entries that survive e's drops, mapped through
+// oldToNew (nil = identity), merged ascending with e's sets — a set naming a
+// surviving neighbor overrides its weight. It reports how many entries fell
+// away because their neighbor was removed: the survivor sees each
+// half-removed edge exactly once.
+func (s *rowSlab) mergeRow(c *CSR, ou int32, e *rowEdit, oldToNew []int32) (dropped int) {
+	var ed rowEdit
+	if e != nil {
+		ed = *e
+	}
+	var tgt []int32
+	var w []float64
+	if ou >= 0 {
+		tgt, w = c.Adj(ou)
+	}
+	di, si := 0, 0
+	for k, v := range tgt {
+		for di < len(ed.drop) && ed.drop[di] < v {
+			di++
+		}
+		if di < len(ed.drop) && ed.drop[di] == v {
+			continue // explicitly removed edge
+		}
+		nv := v
+		if oldToNew != nil {
+			if nv = oldToNew[v]; nv < 0 {
+				dropped++
+				continue
 			}
 		}
+		for ; si < len(ed.setTgt) && ed.setTgt[si] < nv; si++ {
+			s.tgt = append(s.tgt, ed.setTgt[si])
+			s.wts = append(s.wts, ed.setW[si])
+		}
+		wt := w[k]
+		if si < len(ed.setTgt) && ed.setTgt[si] == nv {
+			wt = ed.setW[si]
+			si++
+		}
+		s.tgt = append(s.tgt, nv)
+		s.wts = append(s.wts, wt)
 	}
-	if structural {
-		p.buildComponents()
-	} else {
-		p.comps, p.compOf = c.comps, c.compOf
-	}
-
-	info := &PatchInfo{
-		NewToOld:     newToOld,
-		OldToNew:     oldToNew,
-		TouchedEdges: len(removedEdges) + len(setEdges) + droppedByNodeRemoval,
-	}
-	info.OldCompOf = cleanComponents(c, p, newToOld, touchedOld)
-	return p, info, nil
+	s.tgt = append(s.tgt, ed.setTgt[si:]...)
+	s.wts = append(s.wts, ed.setW[si:]...)
+	return dropped
 }
 
 // sortEditLists sorts a rowEdit's drop and set lists ascending by target
@@ -422,89 +505,4 @@ func sortEditLists(e *rowEdit) {
 			e.setW[k-1], e.setW[k] = e.setW[k], e.setW[k-1]
 		}
 	}
-}
-
-// appendRowEntry appends one surviving old neighbor (already remapped to nv)
-// to the row under construction, first emitting any set-edge entries that
-// sort before it; a set entry equal to nv overrides the copied weight.
-func (p *CSR) appendRowEntry(e *rowEdit, nv int32, w float64) {
-	if e != nil {
-		for len(e.setTgt) > 0 && e.setTgt[0] < nv {
-			p.tgt = append(p.tgt, e.setTgt[0])
-			p.wts = append(p.wts, e.setW[0])
-			e.setTgt, e.setW = e.setTgt[1:], e.setW[1:]
-		}
-		if len(e.setTgt) > 0 && e.setTgt[0] == nv {
-			p.tgt = append(p.tgt, nv)
-			p.wts = append(p.wts, e.setW[0])
-			e.setTgt, e.setW = e.setTgt[1:], e.setW[1:]
-			return
-		}
-	}
-	p.tgt = append(p.tgt, nv)
-	p.wts = append(p.wts, w)
-}
-
-// flushRowEdits emits the set-edge entries that sort after every copied
-// neighbor of the row.
-func (p *CSR) flushRowEdits(e *rowEdit) {
-	for len(e.setTgt) > 0 {
-		p.tgt = append(p.tgt, e.setTgt[0])
-		p.wts = append(p.wts, e.setW[0])
-		e.setTgt, e.setW = e.setTgt[1:], e.setW[1:]
-	}
-}
-
-// cleanComponents maps each component of the patched view p to the
-// equal-content component of the source view c, or -1 when any member was
-// touched by the delta (including added nodes). A component with no touched
-// member kept exactly its old member set: the delta changed no edge or
-// weight inside it, and any edge that could have joined it to changed
-// territory would have touched one of its members.
-func cleanComponents(c, p *CSR, newToOld []int32, touchedOld map[int32]bool) []int32 {
-	oldCompOf := make([]int32, len(p.comps))
-	for nc := range oldCompOf {
-		oldCompOf[nc] = -1
-	}
-	for nc, members := range p.comps {
-		clean := true
-		oc := int32(-1)
-		for _, j := range members {
-			oi := j
-			if newToOld != nil {
-				oi = newToOld[j]
-			}
-			if oi < 0 || touchedOld[oi] {
-				clean = false
-				break
-			}
-			if oc < 0 {
-				oc = c.compOf[oi]
-			} else if c.compOf[oi] != oc {
-				clean = false
-				break
-			}
-		}
-		if clean && oc >= 0 && len(c.comps[oc]) == len(members) {
-			oldCompOf[nc] = oc
-		}
-	}
-	return oldCompOf
-}
-
-// findEdge locates edge {u, v} in u's row via binary search.
-func (c *CSR) findEdge(u, v int32) (pos int32, ok bool) {
-	lo, hi := c.off[u], c.off[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case c.tgt[mid] < v:
-			lo = mid + 1
-		case c.tgt[mid] > v:
-			hi = mid
-		default:
-			return mid, true
-		}
-	}
-	return -1, false
 }

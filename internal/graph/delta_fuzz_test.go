@@ -7,18 +7,21 @@ import (
 	"testing"
 )
 
-// FuzzDeltaPatch decodes a base graph from codec bytes, draws a random delta
-// from the seed, and holds the patch oracle: CSR.Patch of the delta must
-// Validate and be identical (bitwise, components included) to Compile of the
-// mutated map graph. A second, byte-derived "hostile" delta checks
-// error-path parity: Patch must accept exactly the deltas Apply accepts.
+// FuzzDeltaPatch decodes a base graph from codec bytes, draws a chain of
+// random deltas from the seed (its length too, at most 6, so patched views of
+// patched views — shared slabs, re-derived components — are explored), and
+// holds the patch oracle at every step: CSR.Patch of the delta must Validate
+// and be identical (bitwise, components included) to Compile of the mutated
+// map graph. A last, byte-derived "hostile" delta checks error-path parity:
+// Patch must accept exactly the deltas Apply accepts.
 func FuzzDeltaPatch(f *testing.F) {
-	for _, g := range fuzzSeedGraphs(f) {
+	for i, g := range fuzzSeedGraphs(f) {
 		var buf bytes.Buffer
 		if err := g.WriteBinary(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes(), int64(1))
+		f.Add(buf.Bytes(), int64(5+i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		g, err := ReadBinary(bytes.NewReader(data))
@@ -28,28 +31,32 @@ func FuzzDeltaPatch(f *testing.F) {
 		if g.NumNodes() > 4096 {
 			return // keep Compile cost bounded per exec
 		}
-		base := g.Compile()
-		if err := base.Validate(); err != nil {
+		patched := g.Compile()
+		if err := patched.Validate(); err != nil {
 			t.Fatalf("base Validate: %v", err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		d := randomDelta(rng, g)
-		if err := d.Apply(g); err != nil {
-			t.Fatalf("randomDelta produced an invalid delta: %v", err)
-		}
-		patched, info, err := base.Patch(d)
-		if err != nil {
-			t.Fatalf("Patch rejected a delta Apply accepted: %v", err)
-		}
-		if err := patched.Validate(); err != nil {
-			t.Fatalf("patched Validate: %v", err)
-		}
-		if !csrIdentical(t, patched, g.Compile()) {
-			t.Fatal("Patch diverges from Compile of the mutated graph")
-		}
-		for nc, oc := range info.OldCompOf {
-			if oc >= 0 && !cleanCompAligned(base, patched, info, nc, oc) {
-				t.Fatalf("clean component %d misaligned with old %d", nc, oc)
+		for step, steps := 0, 1+int(uint64(seed)%6); step < steps; step++ {
+			base := patched
+			d := randomDelta(rng, g)
+			if err := d.Apply(g); err != nil {
+				t.Fatalf("step %d: randomDelta produced an invalid delta: %v", step, err)
+			}
+			var info *PatchInfo
+			patched, info, err = base.Patch(d)
+			if err != nil {
+				t.Fatalf("step %d: Patch rejected a delta Apply accepted: %v", step, err)
+			}
+			if err := patched.Validate(); err != nil {
+				t.Fatalf("step %d: patched Validate: %v", step, err)
+			}
+			if !csrIdentical(t, patched, g.Compile()) {
+				t.Fatalf("step %d: Patch diverges from Compile of the mutated graph", step)
+			}
+			for nc, oc := range info.OldCompOf {
+				if oc >= 0 && !cleanCompAligned(base, patched, info, nc, oc) {
+					t.Fatalf("step %d: clean component %d misaligned with old %d", step, nc, oc)
+				}
 			}
 		}
 

@@ -7,8 +7,9 @@ import (
 	"testing/quick"
 )
 
-// csrIdentical compares every field of two CSR views bitwise; weights use
-// Float64bits so NaN payloads and signed zeros count too.
+// csrIdentical compares two CSR views bitwise, rows read through Adj (a
+// patched view stores them per component); weights use Float64bits so NaN
+// payloads and signed zeros count too.
 func csrIdentical(t *testing.T, a, b *CSR) bool {
 	t.Helper()
 	if len(a.ids) != len(b.ids) {
@@ -35,20 +36,22 @@ func csrIdentical(t *testing.T, a, b *CSR) bool {
 			return false
 		}
 	}
-	if len(a.tgt) != len(b.tgt) {
-		t.Logf("nnz %d vs %d", len(a.tgt), len(b.tgt))
+	if a.nnz != b.nnz {
+		t.Logf("nnz %d vs %d", a.nnz, b.nnz)
 		return false
 	}
-	for i := range a.off {
-		if a.off[i] != b.off[i] {
-			t.Logf("off[%d]: %d vs %d", i, a.off[i], b.off[i])
+	for i := int32(0); i < int32(len(a.ids)); i++ {
+		at, aw := a.Adj(i)
+		bt, bw := b.Adj(i)
+		if len(at) != len(bt) {
+			t.Logf("degree[%d]: %d vs %d", i, len(at), len(bt))
 			return false
 		}
-	}
-	for i := range a.tgt {
-		if a.tgt[i] != b.tgt[i] || math.Float64bits(a.wts[i]) != math.Float64bits(b.wts[i]) {
-			t.Logf("adj[%d]: (%d, %v) vs (%d, %v)", i, a.tgt[i], a.wts[i], b.tgt[i], b.wts[i])
-			return false
+		for k := range at {
+			if at[k] != bt[k] || math.Float64bits(aw[k]) != math.Float64bits(bw[k]) {
+				t.Logf("adj[%d][%d]: (%d, %v) vs (%d, %v)", i, k, at[k], aw[k], bt[k], bw[k])
+				return false
+			}
 		}
 	}
 	if len(a.comps) != len(b.comps) {

@@ -1,7 +1,7 @@
 package graph
 
 // FusedCSR is the frozen CSR view of several graphs laid side by side: one
-// shared ids/nodeW/off/tgt/wts array set in which graph k occupies the
+// shared ids/nodeW array pair and one row slab in which graph k occupies the
 // contiguous node span [NodeBase[k], NodeBase[k+1]) and the contiguous
 // component span [CompBase[k], CompBase[k+1]). The batch solver compiles a
 // whole round of small graphs into one such mega-instance so compression,
@@ -45,11 +45,13 @@ func Fuse(gs []*Graph) *FusedCSR {
 	c := &CSR{
 		ids:   make([]NodeID, 0, totalN),
 		nodeW: make([]float64, 0, totalN),
-		off:   make([]int32, 1, totalN+1),
-		tgt:   make([]int32, totalNNZ),
-		wts:   make([]float64, totalNNZ),
+		nnz:   totalNNZ,
 		multi: len(gs) > 1,
 	}
+	// The single-slab layout: every row of every graph back to back, row i at
+	// [off[i], off[i+1]).
+	rows := &rowSlab{tgt: make([]int32, totalNNZ), wts: make([]float64, totalNNZ)}
+	off := make([]int32, 1, totalN+1)
 	f := &FusedCSR{View: c, NodeBase: make([]int32, 1, len(gs)+1)}
 
 	pos := 0
@@ -60,8 +62,8 @@ func Fuse(gs []*Graph) *FusedCSR {
 		for _, id := range ids {
 			rec := g.nodes[id]
 			c.nodeW = append(c.nodeW, rec.weight)
-			pos += fillRow(c.tgt[pos:], c.wts[pos:], rec, ids, base)
-			c.off = append(c.off, int32(pos))
+			pos += fillRow(rows.tgt[pos:], rows.wts[pos:], rec, ids, base)
+			off = append(off, int32(pos))
 		}
 		f.NodeBase = append(f.NodeBase, int32(len(c.ids)))
 	}
@@ -69,7 +71,8 @@ func Fuse(gs []*Graph) *FusedCSR {
 	// No graph's edges cross its span, so the standard component DFS over
 	// the fused arrays discovers exactly the per-graph components, numbered
 	// graph-major and by smallest member within each graph.
-	c.buildComponents()
+	c.lo, c.hi = off[:totalN], off[1:]
+	c.buildComponents(rows)
 	f.CompBase = make([]int32, len(gs)+1)
 	for k := range gs {
 		lo := f.NodeBase[k]

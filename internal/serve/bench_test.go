@@ -3,12 +3,20 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"runtime/metrics"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"copmecs/internal/graph"
+	"copmecs/internal/netgen"
 )
 
 // nopResponseWriter discards the response body so the handler benchmarks
@@ -159,4 +167,159 @@ func TestCacheHitAllocBudget(t *testing.T) {
 			allocs, cacheHitAllocBudget)
 	}
 	t.Logf("cache-hit allocations: %.1f (budget %d)", allocs, cacheHitAllocBudget)
+}
+
+// mutateAllocBudgetKB caps the heap bytes one incremental /v1/mutate request
+// allocates inside the server on a Table I n = 2000 graph (≈ 95 edge edits in
+// one or two of its ten components): the floor under what applying the delta
+// once, reading the decision off the solver's state and sharing clean
+// components' rows bought (≈ 860 KB before, ≈ 535 KB after). Raising it needs
+// a justification in the PR that does it.
+const mutateAllocBudgetKB = 620
+
+// captureWriter keeps the last response body in a reused buffer.
+type captureWriter struct {
+	nopResponseWriter
+	buf bytes.Buffer
+}
+
+func (w *captureWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+
+// chainShapedDelta draws a mutate_chain-shaped delta against g: about 1 % of
+// the edges, all inside one or two components, half re-weighted, a quarter
+// removed and a quarter added.
+func chainShapedDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
+	view := g.Compile()
+	comps := view.Components()
+	in := map[int32]bool{int32(rng.Intn(len(comps))): true}
+	if rng.Intn(2) == 1 {
+		in[int32(rng.Intn(len(comps)))] = true
+	}
+	var members []graph.NodeID
+	var edges []graph.EdgePair
+	for i := int32(0); i < int32(view.NumNodes()); i++ {
+		if !in[view.ComponentOf(i)] {
+			continue
+		}
+		members = append(members, view.IDOf(i))
+		tgt, _ := view.Adj(i)
+		for _, v := range tgt {
+			if v > i {
+				edges = append(edges, graph.EdgePair{U: view.IDOf(i), V: view.IDOf(v)})
+			}
+		}
+	}
+	rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+	ops := g.NumEdges() / 100
+	d := &graph.Delta{}
+	for k, e := range edges[:min(len(edges), 3*ops/4)] {
+		if k%3 == 2 {
+			d.RemoveEdges = append(d.RemoveEdges, e)
+		} else {
+			d.SetEdges = append(d.SetEdges, graph.EdgeDelta{U: e.U, V: e.V, Weight: 1 + 99*rng.Float64()})
+		}
+	}
+	added := map[graph.EdgePair]bool{}
+	for k, try := 0, 0; k < ops/4 && try < 64*ops; try++ {
+		u, v := members[rng.Intn(len(members))], members[rng.Intn(len(members))]
+		if u > v {
+			u, v = v, u
+		}
+		pair := graph.EdgePair{U: u, V: v}
+		if _, exists := g.EdgeWeight(u, v); u == v || exists || added[pair] ||
+			view.ComponentOf(view.IndexOf(u)) != view.ComponentOf(view.IndexOf(v)) {
+			continue
+		}
+		added[pair] = true
+		d.SetEdges = append(d.SetEdges, graph.EdgeDelta{U: u, V: v, Weight: 1 + 99*rng.Float64()})
+		k++
+	}
+	return d
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	})
+}
+
+func TestMutateAllocBytesBudget(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	cfg, err := netgen.TableIConfig(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror, err := netgen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := postDirect(s, solveBody(t, mirror), &nopResponseWriter{}, ctx); st != http.StatusOK {
+		t.Fatalf("prime solve: status %d", st)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	head := fingerprintOf(t, mirror)
+	w := &captureWriter{}
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	heapBytes := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	// mutate posts the next delta of the chain and reports the heap bytes
+	// allocated while the handler ran; building the request is not counted.
+	mutate := func() (MutateResponse, uint64) {
+		d := chainShapedDelta(rng, mirror)
+		if err := d.Apply(mirror); err != nil {
+			t.Fatal(err)
+		}
+		body := mutateBody(t, head, d)
+		req := httptest.NewRequest(http.MethodPost, "/v1/mutate", nil).WithContext(ctx)
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		w.buf.Reset()
+		w.status = http.StatusOK
+		before := heapBytes()
+		s.handleMutate(w, req)
+		spent := heapBytes() - before
+		if w.status != http.StatusOK {
+			t.Fatalf("mutate: status %d: %s", w.status, w.buf.Bytes())
+		}
+		var resp MutateResponse
+		if err := json.Unmarshal(w.buf.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		head = resp.Graph
+		return resp, spent
+	}
+	// The first mutate of a solve-primed base captures state cold.
+	if resp, _ := mutate(); !resp.ColdFallback {
+		t.Fatalf("priming mutate: cold_fallback = false (%+v)", resp)
+	}
+	// No collection inside the window: each one empties the sync.Pools the
+	// path draws its large buffers from, and how many fall in 64 requests is
+	// the collector's business, not the handler's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const requests = 64
+	var total uint64
+	for i := 0; i < requests; i++ {
+		resp, spent := mutate()
+		if !resp.Incremental || resp.ColdFallback {
+			t.Fatalf("mutate %d: incremental %v cold_fallback %v (%s)", i, resp.Incremental, resp.ColdFallback, resp.FallbackReason)
+		}
+		total += spent
+	}
+	perRequestKB := float64(total) / requests / 1024
+	if raceBuild() {
+		// The race detector makes sync.Pool drop a quarter of what is put
+		// back, so the solver's pooled scratch is re-allocated at random.
+		t.Skipf("incremental mutate: %.0f KB per request under -race; the budget is for regular builds", perRequestKB)
+	}
+	if perRequestKB > mutateAllocBudgetKB {
+		t.Fatalf("an incremental mutate allocates %.0f KB in the server, budget %d KB", perRequestKB, mutateAllocBudgetKB)
+	}
+	t.Logf("incremental mutate: %.0f KB per request (budget %d KB)", perRequestKB, mutateAllocBudgetKB)
 }

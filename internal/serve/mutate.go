@@ -16,11 +16,11 @@ import (
 // POST /v1/mutate is the dynamic-graph entry point: instead of re-sending
 // a whole graph after a topology or weight change, a client names the base
 // graph by its fingerprint (returned by a previous solve or mutate) and
-// ships only the delta. The server applies the delta to the interned base,
-// solves the mutated graph through the session's incremental path — clean
-// components replay their cached cuts, only touched components re-run
-// compression and the eigensolver — and publishes the decision under the
-// mutated graph's fingerprint, so follow-up /v1/solve and /v1/mutate calls
+// ships only the delta. The server applies the delta to a clone of the
+// interned base, once, and the session solves that applied graph through its
+// incremental path — clean components replay their cached cuts, only touched
+// components re-run compression and the eigensolver — and publishes the
+// decision under the mutated graph's fingerprint, so follow-up /v1/solve and /v1/mutate calls
 // (on any client) find the new graph warm. This file holds the endpoint's
 // wire types, decode/validate, resolve step and response shaping; the
 // request lifecycle is the one in serve.go.
@@ -184,16 +184,15 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 }
 
 // solveMutation is the mutate leader's inline solve: one single-user round
-// through the session's delta path, the mutated graph interned under
-// newFp, and the outcome — a decision shaped exactly like a /v1/solve
-// one, or the error — published to the cell through finish.
+// through the session's delta path over sreq.Graph — base with d already
+// applied — that graph interned under newFp, and the outcome — a decision
+// shaped exactly like a /v1/solve one, or the error — published to the cell
+// through finish.
 func (s *Server) solveMutation(ctx context.Context, p *pending, base *graph.Graph, d *graph.Delta, sreq *SolveRequest, newFp string, params mec.Params) *core.DeltaStats {
 	ctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()
-	// A nil user graph means the session's own mutated instance.
-	user := userInputOf(sreq)
-	user.Graph = nil
-	next, sol, ds, err := s.sess.SolveDeltaWithParams(ctx, base, d, []core.UserInput{user}, core.DeltaOptions{}, params)
+	next := sreq.Graph
+	sol, ds, err := s.sess.SolveApplied(ctx, base, d, next, []core.UserInput{userInputOf(sreq)}, core.DeltaOptions{}, params)
 	if err != nil {
 		s.st.mutateErrors.Add(1)
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -202,10 +201,9 @@ func (s *Server) solveMutation(ctx context.Context, p *pending, base *graph.Grap
 		s.finish(p, nil, err)
 		return nil
 	}
-	// Intern the session's mutated instance so its captured pipeline state
-	// stays reachable; if the fingerprint was already interned (a /v1/solve
-	// of the same graph got there first), drop the loser's state with the
-	// clone.
+	// Intern the applied graph so its captured pipeline state stays
+	// reachable; if the fingerprint was already interned (a /v1/solve of the
+	// same graph got there first), drop the loser's state with the clone.
 	if canon, _ := s.graphs.GetOrPut(newFp, next); canon != next {
 		s.sess.Invalidate(next)
 	}

@@ -52,7 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -920,15 +920,15 @@ func (s *Server) finish(p *pending, dec *Decision, err error) {
 }
 
 // decisionFor extracts user u's decision from a solved round of n users;
-// fp is the canonical fingerprint of the user's graph.
+// fp is the canonical fingerprint of the user's graph. The work split and
+// cut weight are the ones the solver evaluated, not a second graph walk.
 func decisionFor(fp string, sol *core.Solution, u, n int) *Decision {
-	pl := sol.Placements[u]
-	st := pl.State()
-	remote := make([]graph.NodeID, 0, len(pl.Remote))
-	for id := range pl.Remote {
+	st := sol.States[u]
+	remote := make([]graph.NodeID, 0, len(sol.Placements[u].Remote))
+	for id := range sol.Placements[u].Remote {
 		remote = append(remote, id)
 	}
-	sort.Slice(remote, func(a, b int) bool { return remote[a] < remote[b] })
+	slices.Sort(remote)
 	return &Decision{
 		Graph:       fp,
 		Remote:      remote,

@@ -70,7 +70,16 @@ func Bisect(g *graph.Graph, opts Options) (*Cut, error) {
 	if n == 0 {
 		return nil, ErrEmptyGraph
 	}
-	off, tgt, wts := c.Adjacency()
+	// The kernel takes flat arrays; the view is this function's own, so the
+	// rows are laid out here rather than through an accessor on CSR.
+	off := make([]int32, n+1)
+	tgt := make([]int32, 0, 2*c.NumEdges())
+	wts := make([]float64, 0, 2*c.NumEdges())
+	for u := int32(0); u < int32(n); u++ {
+		t, w := c.Adj(u)
+		tgt, wts = append(tgt, t...), append(wts, w...)
+		off[u+1] = int32(len(tgt))
+	}
 	a, b, lambda2, err := bisectCSR(off, tgt, wts, make([]int32, n), opts)
 	if err != nil {
 		return nil, err

@@ -15,41 +15,16 @@
 # single-solve baseline, measured interleaved within one process so host
 # drift cancels) must average at least MIN_SPEEDUP_X (default 1.0). This is
 # an absolute floor, not a relative comparison: the fused pass must never
-# lose to the loop. (The floor was 2.0 until the single-solve cut evaluation
-# grew a flat-membership fast path, then 1.4 until the dense Householder
-# Fiedler kernel replaced both Jacobi paths: the looped baseline had been
-# paying for the allocating Jacobi and gained more than the fused path's
-# flat one, so both sides got faster — looped 7.48 -> 5.63 ms, fused
-# 4.97 -> 4.12 ms per 64-graph round. It was 1.2 until a single Solve
-# became a fused batch of one: the looped side now runs the fused side's
-# code, 64 times over, so the ratio only measures the per-call overhead
-# fusion amortises. Interleaved same-day A/B against the parent commit,
-# ns per 64-graph round: looped 6.20 -> 5.29 ms (allocs 16069 -> 5897),
-# fused 4.59 -> 4.88 ms (within the run-to-run spread, 4.1-5.0 ms on the
-# parent alone); BenchmarkBatchSpeedup measured 1.075x. No slower sibling
-# is kept for single solves to protect the ratio. Since Graph stores its
-# adjacency as sorted rows a compiled row is a copy for both sides, reused
-# graph or fresh: looped 6.3 -> 5.8 ms, fused 6.3 -> 5.5 ms per round
-# against the previous baseline, BenchmarkBatchSpeedup ~1.08x.)
+# lose to the loop — which runs the same code since a single Solve became a
+# fused batch of one. (How the floors moved is in CHANGES.md.)
 #
 # BenchmarkIncrementalResolve/n=5000 gets its own floor MIN_INCREMENTAL_X
-# (default 2.5): the incremental re-solve pipeline exists to beat cold
+# (default 3.0): the incremental re-solve pipeline exists to beat cold
 # solves on full-scale graphs under 1% localized churn, so that claim is
-# gated directly. (The floor was 5.0 while a cold solve spent most of its
-# time in dense Jacobi; with the Householder kernel the cold side fell from
-# ~120 to ~44 ms per four-step block and the incremental side from ~19 to
-# ~11 ms — it re-cuts one dirty component, so it gained less — and the
-# measured ratio was ~3.9x; since the one-pipeline change a delta solve
-# evaluates off its patched CSR view like every other solve and the ratio
-# was ~4.4x — cold ~46 ms, incremental ~10.3 ms. The floor was 3.5 until
-# Graph's adjacency became sorted rows: compiling the mutated graph is a
-# third of a cold solve and got 3x cheaper, while an incremental step
-# patches the previous CSR view and never compiled — cold ~38 -> ~26 ms,
-# incremental ~9.3 -> ~8.7 ms per four-step block, ratio ~3.0x. The cold
-# path was not kept slow to protect the ratio. inc_ns / cold_ns report the
-# two sides.) The
-# n=1000 entry reports its ratio but is held only to the generic
-# MIN_SPEEDUP_X (small graphs amortise less).
+# gated directly; a patched view that shares clean components' rows
+# measures ~3.7x. inc_ns / cold_ns report the two sides. The n=1000 entry
+# reports its ratio but is held only to the generic MIN_SPEEDUP_X (small
+# graphs amortise less).
 #
 # BenchmarkDenseFiedlerSpeedup/n=80 (internal/eigen: the dense kernel over
 # its Jacobi oracle, interleaved) must average at least MIN_DENSE_X
@@ -73,7 +48,7 @@ old=${1:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREM
 new=${2:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE]}
 max=${3:-15}
 minspeed=${4:-1.0}
-mininc=${5:-2.5}
+mininc=${5:-3.0}
 mindense=${6:-5.0}
 minlpa=${7:-1.5}
 mindecode=${8:-2.0}
