@@ -52,15 +52,17 @@ lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# fuzz gives the binary codec, the one-pass JSON graph scanner (held to
-# encoding/json) and the serving-path request decoder a short randomized
-# shake; CI runs the seed corpus via plain `go test`, this
-# target digs deeper locally.
+# fuzz gives the binary codec, the one-pass JSON scanner's shapes (graph,
+# /v1/solve body, /v1/mutate body, each held to encoding/json) and the
+# serving-path request decoder a short randomized shake; CI runs the seed
+# corpus via plain `go test`, this target digs deeper locally.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzGraphJSONMatchesStdlib -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDeltaPatch -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSolveRequest -fuzztime=30s ./internal/serve/
+	$(GO) test -run=NONE -fuzz=FuzzSolveRequestMatchesStdlib -fuzztime=30s ./internal/serve/
+	$(GO) test -run=NONE -fuzz=FuzzMutateRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/durable/
 
 # bench runs every benchmark in the repo and distils the serving-path
@@ -108,19 +110,20 @@ fleet-smoke:
 # interleaved speedup ratio), the incremental re-solve (chained 1%
 # edge-churn deltas vs cold solves), internal/eigen's dense Fiedler kernel
 # against its Jacobi oracle, internal/lpa's round loop against its
-# all-rounds reference and internal/graph's one-pass JSON decode against the
-# encoding/json path it falls back to (all three interleaved);
-# scripts/perf_gate.sh holds the five ratio floors. It distils the mean
+# all-rounds reference, internal/graph's one-pass JSON decode against the
+# encoding/json path it falls back to and internal/serve's one-pass request
+# decode against its decodeStrict fallback (all four interleaved);
+# scripts/perf_gate.sh holds the six ratio floors. It distils the mean
 # ns/op, B/op, allocs/op and, where reported, graphs/sec and speedup_x (or
-# decode_x) per benchmark into results/BENCH_core.json. The
+# decode_x, request_decode_x) per benchmark into results/BENCH_core.json. The
 # raw text lands in results/bench_core.txt; regenerate the committed
 # regression baseline with
 #   make bench-core && cp results/bench_core.txt results/bench_core_baseline.txt
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSpeedup$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$' \
-		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ | tee results/bench_core.txt
+		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSpeedup$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \
 		name = $$1; sub(/-[0-9]+$$/, "", name); \
@@ -129,7 +132,7 @@ bench-core:
 			else if ($$i == "B/op") sb[name] += $$(i-1); \
 			else if ($$i == "allocs/op") sa[name] += $$(i-1); \
 			else if ($$i == "graphs/sec") sg[name] += $$(i-1); \
-			else if ($$i == "speedup_x" || $$i == "decode_x") sx[name] += $$(i-1); \
+			else if ($$i == "speedup_x" || $$i == "decode_x" || $$i == "request_decode_x") sx[name] += $$(i-1); \
 		} \
 		if (!(name in seen)) order[n++] = name; \
 		seen[name]++; \

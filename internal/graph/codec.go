@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strconv"
 )
 
 // jsonGraph is the wire form used by MarshalJSON/UnmarshalJSON.
@@ -47,32 +46,22 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the form produced by MarshalJSON, replacing the
-// receiver's contents. scanGraphJSON reads the canonical wire form in one
+// receiver's contents. Scanner.Graph reads the canonical wire form in one
 // pass; whatever it declines goes through encoding/json, which alone defines
-// the accepted language and every decode error. Graph validation (AddNode,
-// AddEdge) is shared by both.
+// the accepted language and every decode error. Graph validation (build) is
+// shared by both.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	nodes, edges, ok := scanGraphJSON(data)
-	if !ok {
+	s := NewScanner(data)
+	fresh, ok := s.Graph()
+	if !ok || !s.Done() {
 		var jg jsonGraph
 		if err := json.Unmarshal(data, &jg); err != nil {
 			return fmt.Errorf("decode graph json: %w", err)
 		}
-		nodes, edges = jg.Nodes, jg.Edges
-	}
-	return g.adopt(nodes, edges)
-}
-
-// adopt replaces g's contents with the decoded lists' graph (edges is reordered).
-func (g *Graph) adopt(nodes []jsonNode, edges []Edge) error {
-	fresh := New(len(nodes))
-	for _, n := range nodes {
-		if err := fresh.AddNode(n.ID, n.Weight); err != nil {
-			return fmt.Errorf("decode graph json: %w", err)
+		var err error
+		if fresh, err = build(jg.Nodes, jg.Edges); err != nil {
+			return err
 		}
-	}
-	if err := fresh.addEdgesSorted(edges); err != nil {
-		return fmt.Errorf("decode graph json: %w", err)
 	}
 	// Adopt fresh's contents field by field: a struct assignment would
 	// copy the nodeList latch, which must not be moved once published.
@@ -83,218 +72,101 @@ func (g *Graph) adopt(nodes []jsonNode, edges []Edge) error {
 	return nil
 }
 
-// graphScanner reads exactly one shape straight off the bytes — an object
-// whose "nodes" and "edges" members are arrays of {"id","weight"} and
-// {"u","v","weight"} objects, keys in any order, JSON whitespace anywhere,
-// numbers in JSON grammar — and declines everything else (an unknown,
-// repeated, escaped or case-folded key, null, an empty object, a non-integer
-// or out-of-range number, trailing bytes) rather than guess what
-// encoding/json would make of it.
-type graphScanner struct {
-	b []byte
-	i int
+// build returns the decoded lists' graph (edges is reordered).
+func build(nodes []jsonNode, edges []Edge) (*Graph, error) {
+	g := New(len(nodes))
+	for _, n := range nodes {
+		if err := g.AddNode(n.ID, n.Weight); err != nil {
+			return nil, fmt.Errorf("decode graph json: %w", err)
+		}
+	}
+	if err := g.addEdgesSorted(edges); err != nil {
+		return nil, fmt.Errorf("decode graph json: %w", err)
+	}
+	return g, nil
 }
 
-// next skips JSON whitespace and returns the byte it stops on, 0 at the end.
-func (s *graphScanner) next() byte {
-	for ; s.i < len(s.b); s.i++ {
-		if c := s.b[s.i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
-			return c
-		}
-	}
-	return 0
+// byEndpoints orders edges by (smaller endpoint, larger endpoint): the order
+// Edges and MarshalJSON emit.
+func byEndpoints(a, b Edge) int {
+	return cmp.Or(
+		cmp.Compare(min(a.U, a.V), min(b.U, b.V)),
+		cmp.Compare(max(a.U, a.V), max(b.U, b.V)),
+	)
 }
 
-// eat consumes c if it is the next non-space byte.
-func (s *graphScanner) eat(c byte) bool {
-	if s.next() != c {
-		return false
-	}
-	s.i++
-	return true
-}
-
-// key consumes `"name":` and returns name, nil unless name is all lower-case
-// ASCII letters (every key of the wire form is).
-func (s *graphScanner) key() []byte {
-	if !s.eat('"') {
-		return nil
-	}
-	start := s.i
-	for s.i < len(s.b) && 'a' <= s.b[s.i] && s.b[s.i] <= 'z' {
-		s.i++
-	}
-	if name := s.b[start:s.i]; s.i < len(s.b) && s.b[s.i] == '"' {
-		if s.i++; s.eat(':') {
-			return name
-		}
-	}
-	return nil
-}
-
-// number consumes one JSON-grammar number and returns its text (nil: not one).
-func (s *graphScanner) number() []byte {
-	s.next()
-	b, i := s.b, s.i
-	digits := func() bool {
-		from := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return nil
-	}
-	if i < len(b) && b[i] == '.' {
-		if i++; !digits() {
-			return nil
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return nil
-		}
-	}
-	tok := b[s.i:i]
-	s.i = i
-	return tok
-}
-
-// integer reads the next value as encoding/json reads an int field (NodeID
-// is an int: IntSize) and returns bit, or 0 to decline.
-func (s *graphScanner) integer(dst *NodeID, bit uint8) uint8 {
-	v, err := strconv.ParseInt(string(s.number()), 10, strconv.IntSize)
-	if err != nil {
-		return 0
-	}
-	*dst = NodeID(v)
-	return bit
-}
-
-// float is integer for a float64 field.
-func (s *graphScanner) float(dst *float64, bit uint8) uint8 {
-	v, err := strconv.ParseFloat(string(s.number()), 64)
-	if err != nil {
-		return 0
-	}
-	*dst = v
-	return bit
-}
-
-// members consumes a non-empty object. member gets each key with the scanner
-// on its value, consumes the value and returns the key's bit (0 declines; so
-// does a bit seen twice).
-func (s *graphScanner) members(member func(key []byte) uint8) bool {
-	if !s.eat('{') {
-		return false
-	}
-	for seen := uint8(0); ; {
-		bit := member(s.key())
-		if bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		if s.eat('}') {
-			return true
-		}
-		if !s.eat(',') {
-			return false
-		}
-	}
-}
-
-// array consumes an array of objects: members on each, then emit.
-func (s *graphScanner) array(member func(key []byte) uint8, emit func()) bool {
-	if !s.eat('[') {
-		return false
-	}
-	if s.eat(']') {
-		return true
-	}
-	for {
-		if !s.members(member) {
-			return false
-		}
-		emit()
-		if s.eat(']') {
-			return true
-		}
-		if !s.eat(',') {
-			return false
-		}
-	}
-}
-
-// scanGraphJSON decodes data in one pass into the node and edge lists
-// encoding/json would produce, or reports false: data is then for
-// encoding/json to accept or reject. A member an object leaves out is zero
-// on both paths.
-func scanGraphJSON(data []byte) (nodes []jsonNode, edges []Edge, ok bool) {
-	s := graphScanner{b: data}
-	var n jsonNode
-	var e Edge
-	ok = s.members(func(key []byte) uint8 {
-		switch string(key) {
-		case "nodes":
-			if s.array(func(key []byte) uint8 {
-				switch string(key) {
-				case "id":
-					return s.integer(&n.ID, 1)
-				case "weight":
-					return s.float(&n.Weight, 2)
-				}
-				return 0
-			}, func() { nodes, n = append(nodes, n), jsonNode{} }) {
-				return 1
-			}
-		case "edges":
-			if s.array(func(key []byte) uint8 {
-				switch string(key) {
-				case "u":
-					return s.integer(&e.U, 1)
-				case "v":
-					return s.integer(&e.V, 2)
-				case "weight":
-					return s.float(&e.Weight, 4)
-				}
-				return 0
-			}, func() { edges, e = append(edges, e), Edge{} }) {
-				return 2
-			}
-		}
-		return 0
-	})
-	s.next() // trailing whitespace is all that may follow
-	return nodes, edges, ok && s.i == len(data)
-}
-
-// addEdgesSorted adds es to a graph that has no edges yet, reordering es by
-// (smaller endpoint, larger endpoint) first. In that order every row insert
-// is an append, so a decode is O(m log m) whatever order the input lists its
-// edges in — far-to-near around a hub would otherwise be O(d²). The sort is
-// stable: parallel edges coalesce in input order, so their sums are the ones
-// in-order insertion gives.
+// addEdgesSorted adds es to a graph that has its nodes and no edges yet, as
+// AddEdge on each would — the same checks and errors, parallel edges
+// coalesced by the same additions — but with every row reserved at its final
+// length. es is first put in byEndpoints order (a list that arrives so, as
+// the wire forms do, skips the sort), which makes a decode O(m log m) whatever
+// order the input lists its edges in — far-to-near around a hub would
+// otherwise be O(d²) — and makes every row insert an append: a node's smaller
+// neighbors all precede its larger ones. The sort is stable, so parallel
+// edges coalesce in input order and their sums are the ones in-order
+// insertion gives. One pass checks the edges and counts degrees, the rows are
+// carved out of two slabs, a second pass fills them.
+//
+// Every row's capacity is its length (three-index slices): the rows of one
+// decoded graph share the two slabs, and an insert into any of them — on the
+// graph itself or, after the copy, on a clone — reallocates that row rather
+// than write into its neighbor's.
 func (g *Graph) addEdgesSorted(es []Edge) error {
-	slices.SortStableFunc(es, func(a, b Edge) int {
-		return cmp.Or(
-			cmp.Compare(min(a.U, a.V), min(b.U, b.V)),
-			cmp.Compare(max(a.U, a.V), max(b.U, b.V)),
-		)
-	})
-	for _, e := range es {
-		if err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
-			return err
+	if !slices.IsSortedFunc(es, byEndpoints) {
+		slices.SortStableFunc(es, byEndpoints)
+	}
+	// Nodes are addressed by their position in the ascending id list (which
+	// the encoders need next anyway) through indexIn: arithmetic when the ids
+	// are contiguous, a binary search otherwise, no map probe per endpoint.
+	ids := g.sortedNodes()
+	// fresh reports that es[k] starts a new edge rather than adding to the one
+	// before it: parallel edges are adjacent in byEndpoints order.
+	fresh := func(k int) bool { return k == 0 || byEndpoints(es[k-1], es[k]) != 0 }
+
+	deg := make([]int32, len(ids))
+	distinct := 0
+	for k, e := range es {
+		if e.U == e.V {
+			return fmt.Errorf("add edge {%d,%d}: %w", e.U, e.V, ErrSelfLoop)
+		}
+		if e.Weight < 0 {
+			return fmt.Errorf("add edge {%d,%d}: %w", e.U, e.V, ErrNegativeWeight)
+		}
+		iu, iv := indexIn(ids, e.U), indexIn(ids, e.V)
+		if iu < 0 {
+			return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", e.U, e.V, e.U, ErrNodeNotFound)
+		}
+		if iv < 0 {
+			return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", e.U, e.V, e.V, ErrNodeNotFound)
+		}
+		if fresh(k) {
+			deg[iu]++
+			deg[iv]++
+			distinct++
 		}
 	}
+
+	recs := make([]*nodeRec, len(ids))
+	nbr, w := make([]NodeID, 2*distinct), make([]float64, 2*distinct)
+	off := 0
+	for i, id := range ids {
+		rec, end := g.nodes[id], off+int(deg[i])
+		rec.nbr, rec.w = nbr[off:off:end], w[off:off:end]
+		recs[i], off = rec, end
+	}
+	for k, e := range es {
+		ru, rv := recs[indexIn(ids, e.U)], recs[indexIn(ids, e.V)]
+		if fresh(k) {
+			// A new edge starts at +0 and takes its weight by addition, as in
+			// AddEdge: the stored bits do not depend on which call created it.
+			ru.nbr, ru.w = append(ru.nbr, e.V), append(ru.w, 0)
+			rv.nbr, rv.w = append(rv.nbr, e.U), append(rv.w, 0)
+		}
+		ru.w[len(ru.w)-1] += e.Weight
+		rv.w[len(rv.w)-1] += e.Weight
+		g.totalEdgeWeight += e.Weight
+	}
+	g.edgeCount = distinct
 	return nil
 }
 
@@ -306,42 +178,76 @@ const binaryVersion = 1
 // ErrBadFormat is returned by ReadBinary for malformed or foreign input.
 var ErrBadFormat = errors.New("graph: bad binary format")
 
-// WriteBinary writes a compact little-endian binary encoding of g:
+// The binary layout, defined once: WriteBinary streams these records, and
+// AppendBinary lays the same ones end to end.
 //
 //	magic u32 | version u16 | numNodes u32 | numEdges u32
 //	numNodes × (id i64 | weight f64)
 //	numEdges × (u i64 | v i64 | weight f64)
 //
 // Ordering is deterministic (ascending IDs / edge pairs).
+const (
+	binaryHeaderLen = 14
+	binaryNodeLen   = 16
+	binaryEdgeLen   = 24
+)
+
+func appendBinaryHeader(dst []byte, nodes, edges int) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, binaryMagic)
+	dst = le.AppendUint16(dst, binaryVersion)
+	dst = le.AppendUint32(dst, uint32(nodes))
+	return le.AppendUint32(dst, uint32(edges))
+}
+
+func appendBinaryNode(dst []byte, id NodeID, weight float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(id))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(weight))
+}
+
+func appendBinaryEdge(dst []byte, u, v NodeID, weight float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(u))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(weight))
+}
+
+// BinarySize is the length of g's binary encoding.
+func (g *Graph) BinarySize() int {
+	return binaryHeaderLen + binaryNodeLen*g.NumNodes() + binaryEdgeLen*g.NumEdges()
+}
+
+// AppendBinary appends g's binary encoding — the bytes WriteBinary writes —
+// to dst. With BinarySize bytes of spare capacity it allocates nothing.
+func (g *Graph) AppendBinary(dst []byte) []byte {
+	dst = appendBinaryHeader(dst, g.NumNodes(), g.NumEdges())
+	for _, id := range g.sortedNodes() {
+		dst = appendBinaryNode(dst, id, g.nodes[id].weight)
+	}
+	g.eachEdge(func(u, v NodeID, w float64) { dst = appendBinaryEdge(dst, u, v, w) })
+	return dst
+}
+
+// WriteBinary writes a compact little-endian binary encoding of g (layout
+// above), streamed: no whole-graph buffer is built.
 func (g *Graph) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	// One fixed buffer, filled field by field: binary.Write would reflect on
-	// and allocate for every value, three times per edge.
-	var buf [24]byte
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], binaryMagic)
-	le.PutUint16(buf[4:], binaryVersion)
-	le.PutUint32(buf[6:], uint32(g.NumNodes()))
-	le.PutUint32(buf[10:], uint32(g.NumEdges()))
-	if _, err := bw.Write(buf[:14]); err != nil {
+	// One fixed buffer, filled record by record: binary.Write would reflect
+	// on and allocate for every value, three times per edge.
+	var buf [binaryEdgeLen]byte
+	if _, err := bw.Write(appendBinaryHeader(buf[:0], g.NumNodes(), g.NumEdges())); err != nil {
 		return fmt.Errorf("write graph header: %w", err)
 	}
 	for _, id := range g.sortedNodes() {
-		le.PutUint64(buf[0:], uint64(id))
-		le.PutUint64(buf[8:], math.Float64bits(g.nodes[id].weight))
-		if _, err := bw.Write(buf[:16]); err != nil {
+		if _, err := bw.Write(appendBinaryNode(buf[:0], id, g.nodes[id].weight)); err != nil {
 			return fmt.Errorf("write node: %w", err)
 		}
 	}
-	// Edges stream straight off the rows; no edge list is materialised on
-	// the fingerprint and journal paths. A bufio.Writer's error is sticky,
-	// so the first failure is the one every later Write reports too.
+	// Edges stream straight off the rows; no edge list is materialised. A
+	// bufio.Writer's error is sticky, so the first failure is the one every
+	// later Write reports too.
 	var werr error
 	g.eachEdge(func(u, v NodeID, w float64) {
-		le.PutUint64(buf[0:], uint64(u))
-		le.PutUint64(buf[8:], uint64(v))
-		le.PutUint64(buf[16:], math.Float64bits(w))
-		_, werr = bw.Write(buf[:24])
+		_, werr = bw.Write(appendBinaryEdge(buf[:0], u, v, w))
 	})
 	if werr != nil {
 		return fmt.Errorf("write edge: %w", werr)

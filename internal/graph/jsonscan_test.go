@@ -52,12 +52,13 @@ func tableBody(t testing.TB) []byte { return wireBody(t, 2000, 9578) }
 // alone — what UnmarshalJSON was before the scanner, and still is for
 // everything the scanner declines.
 func decodeScanned(data []byte) (g *Graph, ok bool, err error) {
-	nodes, edges, ok := scanGraphJSON(data)
-	if !ok {
+	s := NewScanner(data)
+	nodes, edges, ok := s.lists()
+	if !ok || !s.Done() {
 		return nil, false, nil
 	}
-	g = New(0)
-	return g, true, g.adopt(nodes, edges)
+	g, err = build(nodes, edges)
+	return g, true, err
 }
 
 func decodeStdlib(data []byte) (*Graph, error) {
@@ -65,8 +66,7 @@ func decodeStdlib(data []byte) (*Graph, error) {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return nil, fmt.Errorf("decode graph json: %w", err)
 	}
-	g := New(0)
-	return g, g.adopt(jg.Nodes, jg.Edges)
+	return build(jg.Nodes, jg.Edges)
 }
 
 // checkScanMatchesStdlib is the scanner's whole contract on one input: if

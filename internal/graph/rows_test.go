@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/json"
 	"maps"
 	"math/rand"
 	"slices"
@@ -177,32 +179,95 @@ func (o *oracle) check(t *testing.T, g *Graph, idRange int) {
 // on a record that skipped mutable) changes a sibling's row under it and
 // fails the sibling's check.
 func TestRowsMatchOracleUnderCopyOnWrite(t *testing.T) {
-	const idRange, family = 10, 4
 	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		gs, os := []*Graph{New(0)}, []*oracle{newOracle()}
-		for step := 0; step < 1500; step++ {
-			k := rng.Intn(len(gs))
-			if rng.Intn(12) == 0 {
-				// Clone k; past the family size the clone replaces a member.
-				c, oc := gs[k].Clone(), os[k].clone()
-				if len(gs) < family {
-					gs, os = append(gs, c), append(os, oc)
-				} else {
-					r := rng.Intn(family)
-					gs[r], os[r] = c, oc
-				}
+		driveFamily(t, rand.New(rand.NewSource(seed)), New(0), newOracle(), 1500)
+	}
+}
+
+// driveFamily runs steps random mutations and clones over the family grown
+// from g (modelled by o), holding every member to its model after each.
+func driveFamily(t *testing.T, rng *rand.Rand, g *Graph, o *oracle, steps int) {
+	t.Helper()
+	const idRange, family = 10, 4
+	gs, os := []*Graph{g}, []*oracle{o}
+	for step := 0; step < steps; step++ {
+		k := rng.Intn(len(gs))
+		if rng.Intn(12) == 0 {
+			// Clone k; past the family size the clone replaces a member.
+			c, oc := gs[k].Clone(), os[k].clone()
+			if len(gs) < family {
+				gs, os = append(gs, c), append(os, oc)
 			} else {
-				os[k].step(t, rng, gs[k], idRange)
+				r := rng.Intn(family)
+				gs[r], os[r] = c, oc
 			}
-			for i, g := range gs {
-				os[i].check(t, g, idRange)
-				for j, h := range gs {
-					if g.Equal(h) != os[i].equal(os[j]) {
-						t.Fatalf("seed %d step %d: graphs %d and %d Equal = %v, models disagree", seed, step, i, j, g.Equal(h))
-					}
+		} else {
+			os[k].step(t, rng, gs[k], idRange)
+		}
+		for i, g := range gs {
+			os[i].check(t, g, idRange)
+			for j, h := range gs {
+				if g.Equal(h) != os[i].equal(os[j]) {
+					t.Fatalf("step %d: graphs %d and %d Equal = %v, models disagree", step, i, j, g.Equal(h))
 				}
 			}
+		}
+	}
+}
+
+// TestDecodedRowsMatchOracleUnderCopyOnWrite is the same drive started from a
+// decoded graph, whose rows are not allocations of their own but adjacent
+// windows of two slabs (addEdgesSorted): every row must come out of the
+// decoder with no spare capacity, and from then on a write through any family
+// member — an insert into a full row, a gap closed, a weight added to — must
+// stay inside that member's own row. A row that grew into the slab behind it
+// would overwrite its neighbor's first entries and fail the neighbor's check.
+func TestDecodedRowsMatchOracleUnderCopyOnWrite(t *testing.T) {
+	decoders := map[string]func(*Graph) *Graph{
+		"json": func(g *Graph) *Graph {
+			data, err := json.Marshal(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := New(0)
+			if err := d.UnmarshalJSON(data); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+		"binary": func(g *Graph) *Graph {
+			var buf bytes.Buffer
+			if err := g.WriteBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			d, err := ReadBinary(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+	}
+	for name, decode := range decoders {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			// A dense start: most of the id range present, rows well filled.
+			o, src := newOracle(), New(0)
+			for step := 0; step < 120; step++ {
+				o.step(t, rng, src, 10)
+			}
+			g := decode(src)
+			rows := 0
+			for id, rec := range g.nodes {
+				if cap(rec.nbr) != len(rec.nbr) || cap(rec.w) != len(rec.w) {
+					t.Fatalf("%s: decoded row %d has spare capacity: nbr %d/%d, w %d/%d",
+						name, id, len(rec.nbr), cap(rec.nbr), len(rec.w), cap(rec.w))
+				}
+				rows += len(rec.nbr)
+			}
+			if rows == 0 {
+				t.Fatalf("%s seed %d: start graph has no edges", name, seed)
+			}
+			driveFamily(t, rng, g, o, 600)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, arr
 		errorJSON(w, http.StatusServiceUnavailable, "router: draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.DefaultMaxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		rt.badRequests.Add(1)
 		errorJSON(w, http.StatusBadRequest, "router: unreadable or oversized body")
@@ -99,6 +99,21 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, arr
 	}
 }
 
+// readBody reads the size-capped request body: in one allocation when the
+// request declares a Content-Length within the cap, by doubling otherwise
+// (MaxBytesReader enforces the cap either way). The buffer is deliberately not
+// pooled: forward hands it to every attempt, and a hedged attempt that lost
+// may still be sending it after proxy has returned.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	capped := http.MaxBytesReader(w, r.Body, serve.DefaultMaxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= serve.DefaultMaxBodyBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(capped, body)
+		return body, err
+	}
+	return io.ReadAll(capped)
+}
+
 // routeSolve routes a solve by its graph fingerprint: the identity cache
 // answers for a repeat body, a JSON decode only on a miss.
 func (rt *Router) routeSolve(body []byte) ([]*backend, func(attemptResult), error) {
@@ -107,7 +122,7 @@ func (rt *Router) routeSolve(body []byte) ([]*backend, func(attemptResult), erro
 	if ok {
 		rt.identHits.Add(1)
 	} else {
-		req, err := serve.DecodeSolveRequest(bytes.NewReader(body), rt.cfg.Limits)
+		req, err := serve.DecodeSolveBody(body, rt.cfg.Limits)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -169,6 +169,120 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	t.Logf("cache-hit allocations: %.1f (budget %d)", allocs, cacheHitAllocBudget)
 }
 
+// missAllocBudgetKB caps the heap bytes one cold /v1/solve of a never-seen
+// n = 100 graph (480 edges, the benchmark's serve_miss body) allocates inside
+// the server, journal on: body scan, graph build, one binary encode, intern,
+// round, solve, journal record, response. Reading the body once measures
+// ≈ 104 KB (218 KB when encoding/json walked it twice more, rows grew by
+// append and the record was encoded a second time). Raising it needs a
+// justification in the PR that does it.
+const missAllocBudgetKB = 125
+
+// nopJournal accepts every record: the budget covers building a journal
+// payload, not a disk.
+type nopJournal struct{}
+
+func (nopJournal) Append([]byte) (uint64, error) { return 0, nil }
+func (nopJournal) Applied(uint64)                {}
+
+// missBody is the i-th never-seen serve_miss-shaped request body.
+func missBody(t testing.TB, i int) []byte {
+	t.Helper()
+	g, err := netgen.Generate(netgen.Config{Nodes: 100, Edges: 480, Components: 4, Seed: int64(1000 + i)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return solveBody(t, g)
+}
+
+func TestMissAllocBytesBudget(t *testing.T) {
+	s := newTestServer(t, Config{Journal: nopJournal{}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	const requests = 64
+	bodies := make([][]byte, requests+1)
+	for i := range bodies {
+		bodies[i] = missBody(t, i)
+	}
+	w := &nopResponseWriter{}
+	// The first request faults the path in and fills the solver's pools.
+	if st := postDirect(s, bodies[requests], w, ctx); st != http.StatusOK {
+		t.Fatalf("warm request: status %d", st)
+	}
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	heapBytes := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	// No collection inside the window, as in TestMutateAllocBytesBudget.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := heapBytes()
+	for _, body := range bodies[:requests] {
+		if st := postDirect(s, body, w, ctx); st != http.StatusOK {
+			t.Fatalf("status %d", st)
+		}
+	}
+	perRequestKB := float64(heapBytes()-before) / requests / 1024
+	if got := s.Stats().Cache.Misses; got != requests+1 {
+		t.Fatalf("%d of %d requests missed the cache", got, requests+1)
+	}
+	if raceBuild() {
+		t.Skipf("cold solve: %.0f KB per request under -race; the budget is for regular builds", perRequestKB)
+	}
+	if perRequestKB > missAllocBudgetKB {
+		t.Fatalf("a cold n=100 solve allocates %.0f KB in the server, budget %d KB", perRequestKB, missAllocBudgetKB)
+	}
+	t.Logf("cold n=100 solve: %.0f KB per request (budget %d KB)", perRequestKB, missAllocBudgetKB)
+}
+
+// BenchmarkSolveRequestDecodeSpeedup measures DecodeSolveBody (the request
+// scanner, graph built in place) against the decodeStrict path it falls back
+// to (encoding/json delimits the body, walks it to the graph member, delimits
+// that, and hands it to Graph.UnmarshalJSON) on the same bodies, alternating
+// inside one process so host drift hits both sides alike. request_decode_x is
+// decodeStrict time over scanner time; scripts/perf_gate.sh floors it.
+func BenchmarkSolveRequestDecodeSpeedup(b *testing.B) {
+	table, err := netgen.TableIConfig(3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	big, err := netgen.Generate(table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"n=100", missBody(b, 0)}, {"n=2000", solveBody(b, big)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if !new(SolveRequest).scan(bc.body) {
+				b.Fatal("scanner does not take the benchmark body")
+			}
+			var strict, scan time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				var req SolveRequest
+				err := decodeStrict(bc.body, &req)
+				if err == nil {
+					err = req.check(DecodeLimits{})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				strict += time.Since(start)
+				start = time.Now()
+				if _, err := DecodeSolveBody(bc.body, DecodeLimits{}); err != nil {
+					b.Fatal(err)
+				}
+				scan += time.Since(start)
+			}
+			b.ReportMetric(strict.Seconds()/scan.Seconds(), "request_decode_x")
+			b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N), "scan_ns")
+		})
+	}
+}
+
 // mutateAllocBudgetKB caps the heap bytes one incremental /v1/mutate request
 // allocates inside the server on a Table I n = 2000 graph (≈ 95 edge edits in
 // one or two of its ten components): the floor under what applying the delta

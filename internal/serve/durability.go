@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -104,12 +106,7 @@ type DurabilityStats struct {
 	Replay *RecoveryStats `json:"replay,omitempty"`
 }
 
-// floatBlockLen is the byte length of the block that follows the type byte
-// of both journal record kinds: the five resolved system params and the
-// four per-user overrides, little-endian float64s.
-const floatBlockLen = 9 * 8
-
-// readFloatBlock inverts putFloatBlock over block (floatBlockLen bytes),
+// readFloatBlock inverts floatBlock over block (floatBlockLen bytes),
 // applying the live decode path's checks — finite values, valid params,
 // non-negative overrides — so a hostile or version-skewed record can never
 // enter a solve.
@@ -154,31 +151,51 @@ func readString(b []byte) (s string, rest []byte, ok bool) {
 	return string(b[4 : 4+n]), b[4+n:], true
 }
 
-// encodeAccepted renders one accepted request as a journal payload: the
-// record type, the float block, and the canonical binary graph.
-func encodeAccepted(req *SolveRequest, params mec.Params) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(recAccepted)
-	putFloatBlock(&buf, params, req.UserOverrides)
-	if err := req.Graph.WriteBinary(&buf); err != nil {
-		return nil, fmt.Errorf("serve: encode accepted: %w", err)
-	}
-	return buf.Bytes(), nil
+// A recAccepted payload is the record type, the float block, and the
+// canonical binary graph. A request's graph is encoded once: newAcceptedRecord
+// writes it into a buffer of exactly the payload's size, recordFingerprint
+// hashes it there, and sealAccepted, once the request turns out to be a
+// leader with a journal to write to, completes the same buffer into the
+// payload.
+
+// acceptedGraphOffset is where a recAccepted payload's graph starts.
+const acceptedGraphOffset = 1 + floatBlockLen
+
+// newAcceptedRecord returns g's recAccepted payload with the float block
+// still blank.
+func newAcceptedRecord(g *graph.Graph) []byte {
+	rec := make([]byte, acceptedGraphOffset, acceptedGraphOffset+g.BinarySize())
+	rec[0] = recAccepted
+	return g.AppendBinary(rec)
 }
 
-// decodeAccepted inverts encodeAccepted, applying the same validation as
+// recordFingerprint is the fingerprint (graph.Fingerprint) of rec's graph.
+func recordFingerprint(rec []byte) string {
+	sum := sha256.Sum256(rec[acceptedGraphOffset:])
+	return hex.EncodeToString(sum[:])
+}
+
+// sealAccepted fills rec's float block and returns rec, now a complete
+// payload.
+func sealAccepted(rec []byte, params mec.Params, o UserOverrides) []byte {
+	blk := floatBlock(params, o)
+	copy(rec[1:], blk[:])
+	return rec
+}
+
+// decodeAccepted inverts sealAccepted, applying the same validation as
 // the live decode path (readFloatBlock's checks plus the graph limits). It
 // never panics (fuzzed by FuzzJournalReplay in the durable package's
 // integration tests and exercised by recovery).
 func decodeAccepted(payload []byte, limits DecodeLimits) (*SolveRequest, mec.Params, error) {
-	if len(payload) < 1+floatBlockLen || payload[0] != recAccepted {
+	if len(payload) < acceptedGraphOffset || payload[0] != recAccepted {
 		return nil, mec.Params{}, fmt.Errorf("serve: not an accepted record")
 	}
 	params, o, err := readFloatBlock(payload[1:])
 	if err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
 	}
-	g, err := graph.ReadBinary(bytes.NewReader(payload[1+floatBlockLen:]))
+	g, err := graph.ReadBinary(bytes.NewReader(payload[acceptedGraphOffset:]))
 	if err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
 	}
@@ -199,7 +216,8 @@ func encodeMutate(req *MutateRequest, params mec.Params) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	buf.WriteByte(recMutate)
-	putFloatBlock(&buf, params, req.UserOverrides)
+	blk := floatBlock(params, req.UserOverrides)
+	buf.Write(blk[:])
 	putString(&buf, req.Base)
 	buf.Write(body)
 	return buf.Bytes(), nil

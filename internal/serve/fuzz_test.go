@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"copmecs/internal/graph"
+	"copmecs/internal/mec"
 )
 
 // graphJSONSeeds reads internal/graph's hand-written graph documents (a
@@ -76,4 +82,259 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 			t.Fatalf("accepted request not keyable: %v", err)
 		}
 	})
+}
+
+// sameOverrides reports bit-equality of two decoded override sets, the
+// optional params object included.
+func sameOverrides(a, b UserOverrides) bool {
+	if (a.Params == nil) != (b.Params == nil) {
+		return false
+	}
+	var pa, pb mec.Params
+	if a.Params != nil {
+		pa, pb = mec.Params(*a.Params), mec.Params(*b.Params)
+	}
+	return floatBlock(pa, a) == floatBlock(pb, b)
+}
+
+// sameGraph reports that both requests carry no graph or equal ones.
+func sameGraph(a, b *graph.Graph) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Equal(b)
+}
+
+// checkSolveScanMatchesStdlib is SolveRequest.scan's whole contract on one
+// body: if it accepts, decodeStrict accepts too and yields an equal request;
+// and whether or not it does, DecodeSolveBody answers as decodeStrict and the
+// checks alone would.
+func checkSolveScanMatchesStdlib(t *testing.T, body []byte, limits DecodeLimits) (scanned bool) {
+	t.Helper()
+	var want, got SolveRequest
+	wantErr := decodeStrict(body, &want)
+	if scanned = got.scan(body); scanned {
+		if wantErr != nil {
+			t.Fatalf("scan accepted %q, decodeStrict says %v", body, wantErr)
+		}
+		if !sameGraph(got.Graph, want.Graph) || !sameOverrides(got.UserOverrides, want.UserOverrides) {
+			t.Fatalf("scan and decodeStrict decode %q differently:\n%+v\n%+v", body, got, want)
+		}
+	}
+	if wantErr == nil {
+		wantErr = want.check(limits)
+	}
+	req, err := DecodeSolveBody(body, limits)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("DecodeSolveBody(%q) = %v, decodeStrict path %v", body, err, wantErr)
+	}
+	if err == nil && (!sameGraph(req.Graph, want.Graph) || !sameOverrides(req.UserOverrides, want.UserOverrides)) {
+		t.Fatalf("DecodeSolveBody(%q) = %+v, decodeStrict path %+v", body, req, want)
+	}
+	return scanned
+}
+
+// checkMutateScanMatchesStdlib is checkSolveScanMatchesStdlib for /v1/mutate.
+func checkMutateScanMatchesStdlib(t *testing.T, body []byte, limits DecodeLimits) (scanned bool) {
+	t.Helper()
+	same := func(a, b *MutateRequest) bool {
+		return a.Base == b.Base && reflect.DeepEqual(a.Delta, b.Delta) &&
+			fmt.Sprint(a.Delta) == fmt.Sprint(b.Delta) && // -0 is not 0
+			sameOverrides(a.UserOverrides, b.UserOverrides)
+	}
+	var want, got MutateRequest
+	wantErr := decodeStrict(body, &want)
+	if scanned = got.scan(body); scanned {
+		if wantErr != nil {
+			t.Fatalf("scan accepted %q, decodeStrict says %v", body, wantErr)
+		}
+		if !same(&got, &want) {
+			t.Fatalf("scan and decodeStrict decode %q differently:\n%+v\n%+v", body, got, want)
+		}
+	}
+	if wantErr == nil {
+		wantErr = validateMutate(&want, limits)
+	}
+	req, err := DecodeMutateBody(body, limits)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("DecodeMutateBody(%q) = %v, decodeStrict path %v", body, err, wantErr)
+	}
+	if err == nil && !same(req, &want) {
+		t.Fatalf("DecodeMutateBody(%q) = %+v, decodeStrict path %+v", body, req, want)
+	}
+	return scanned
+}
+
+// overrideSeeds are request tails (everything after the first member) the
+// two scan fuzz targets share: every override key, a nested params object
+// with every key of its own, and what the scanner must hand back — duplicate,
+// case-folded and unknown keys, nulls, an empty params object, a second
+// top-level value, out-of-range and negative numbers.
+var overrideSeeds = []string{
+	`}`,
+	` } `,
+	`,"fixed_local_work":10,"device_compute":1.5e3,"bandwidth":300,"power_transmit":0.25}`,
+	`,"params":{"server_capacity":9000,"device_compute":2,"power_compute":0.5,"power_transmit":4,"bandwidth":100}}`,
+	"\n,\t\"params\" : { \"bandwidth\" : 7 } ,\r\n \"bandwidth\" : -0 }\n",
+	`,"bandwidth":1,"bandwidth":2}`,
+	`,"Bandwidth":1}`,
+	`,"BANDWIDTH":1,"bandwidth":2}`,
+	`,"params":{"bandwidth":1,"bandwidth":2}}`,
+	`,"params":{"Server_Capacity":1}}`,
+	`,"params":{}}`,
+	`,"params":null}`,
+	`,"params":{"bandwidth":null}}`,
+	`,"params":{"bogus":1}}`,
+	`,"bandwidth":null}`,
+	`,"bandwidth":"3"}`,
+	`,"bandwidth":1e999}`,
+	`,"bandwidth":-1}`,
+	`,"params":{"bandwidth":-1}}`,
+	`,"bogus":1}`,
+	`,"bandwidth":1}`,
+	`}{}`,
+	`} {"x":1}`,
+	`},`,
+	`,}`,
+	``,
+}
+
+// FuzzSolveRequestMatchesStdlib holds SolveRequest.scan to decodeStrict on
+// arbitrary bytes. Run longer with: make fuzz
+func FuzzSolveRequestMatchesStdlib(f *testing.F) {
+	f.Add([]byte(goodBody))
+	f.Add([]byte(""))
+	f.Add([]byte("null"))
+	f.Add([]byte("{}"))
+	f.Add([]byte(`{"graph":null}`))
+	f.Add([]byte(`{"Graph":` + goodBody[len(`{"graph":`):]))
+	f.Add([]byte(`{"graph":{"nodes":[],"edges":[]},"graph":` + goodBody[len(`{"graph":`):]))
+	f.Add([]byte(`{"bandwidth":3,"graph":` + goodBody[len(`{"graph":`):]))
+	for _, g := range graphJSONSeeds(f) {
+		f.Add([]byte(`{"graph":` + g + `}`))
+		f.Add([]byte(" {\n\t\"graph\" :\r" + g + "\n}\n"))
+	}
+	for _, tail := range overrideSeeds {
+		f.Add([]byte(goodBody[:len(goodBody)-1] + tail))
+	}
+	limits := DecodeLimits{MaxNodes: 64, MaxEdges: 128}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkSolveScanMatchesStdlib(t, body, limits)
+	})
+}
+
+// FuzzMutateRequestMatchesStdlib holds MutateRequest.scan to decodeStrict on
+// arbitrary bytes. Run longer with: make fuzz
+func FuzzMutateRequestMatchesStdlib(f *testing.F) {
+	base := `"base":"` + strings.Repeat("ab", 32) + `"`
+	deltas := []string{
+		`{"set_node_weights":[{"id":0,"weight":77}]}`,
+		`{"remove_edges":[{"u":0,"v":1},{"v":2,"u":1}],"remove_nodes":[3,-4,0],"add_nodes":[{"id":9,"weight":1.5}],` +
+			`"set_node_weights":[{"weight":2,"id":9}],"set_edges":[{"u":9,"v":0,"weight":12.25},{"u":0,"v":1,"weight":-0}]}`,
+		" {\n\"set_edges\" :\t[ { \"u\" : 1 , \"v\" : 2 , \"weight\" : 1E+2 } ] , \"remove_nodes\" : [ ]\r}",
+		`{"remove_edges":[],"remove_nodes":[],"add_nodes":[],"set_node_weights":[],"set_edges":[]}`,
+		`{"remove_edges":[{"u":0}],"set_edges":[{"v":3}],"add_nodes":[{"id":1}]}`,
+		`{}`,
+		`null`,
+		`{"remove_nodes":null}`,
+		`{"remove_nodes":[null]}`,
+		`{"remove_nodes":[1.0]}`,
+		`{"remove_nodes":[1e3]}`,
+		`{"remove_nodes":["1"]}`,
+		`{"remove_nodes":[9223372036854775807,-9223372036854775808,9223372036854775808]}`,
+		`{"remove_nodes":[01]}`,
+		`{"remove_nodes":[1,]}`,
+		`{"remove_nodes":[1],"remove_nodes":[2]}`,
+		`{"Remove_Nodes":[1]}`,
+		`{"remove_edges":[{"u":0,"v":1,"weight":3}]}`,
+		`{"remove_edges":[{"u":0,"u":1,"v":1}]}`,
+		`{"remove_edges":[{}]}`,
+		`{"set_edges":[{"u":0,"v":1,"weight":1e999}]}`,
+		`{"set_edges":[{"u":0,"v":1,"weight":1,"label":"x"}]}`,
+		`{"add_nodes":[{"ID":1,"weight":2}]}`,
+		`{"bogus":[]}`,
+		`{"set_edges":[{"u":0,"v":1,"weight":1}]`,
+	}
+	for _, d := range deltas {
+		f.Add([]byte(`{` + base + `,"delta":` + d + `}`))
+		f.Add([]byte(`{"delta":` + d + `,` + base + `}`))
+	}
+	head := `{` + base + `,"delta":` + deltas[0]
+	for _, tail := range overrideSeeds {
+		f.Add([]byte(head + tail))
+	}
+	for _, body := range []string{
+		``, `null`, `{}`,
+		`{"base":"xyz","delta":` + deltas[0] + `}`,
+		`{"base":"ab","delta":` + deltas[0] + `}`,
+		`{"base":"é","delta":` + deltas[0] + `}`,
+		"{\"base\":\"a\tb\",\"delta\":" + deltas[0] + `}`,
+		`{"base":null,"delta":` + deltas[0] + `}`,
+		`{"base":7,"delta":` + deltas[0] + `}`,
+		`{` + base + `,` + base + `,"delta":` + deltas[0] + `}`,
+		`{"Base":"x",` + base + `,"delta":` + deltas[0] + `}`,
+		`{` + base + `}`,
+		`{` + base + `,"delta":null}`,
+		`{` + base + `,"graph":{"nodes":[],"edges":[]}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	limits := DecodeLimits{MaxNodes: 64, MaxEdges: 8}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkMutateScanMatchesStdlib(t, body, limits)
+	})
+}
+
+// TestScanAcceptsWireBodies: the scan methods must actually take the bodies
+// clients send and the harmless variations of them — a decline is correct but
+// silently costs the whole speedup.
+func TestScanAcceptsWireBodies(t *testing.T) {
+	solve := map[string][]byte{"canonical": solveBody(t, testGraph(t, 3))}
+	if body, err := json.Marshal(SolveRequest{Graph: testGraph(t, 1)}); err != nil {
+		t.Fatal(err)
+	} else {
+		solve["marshalled struct"] = body
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, solve["canonical"], "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	solve["indented"] = indented.Bytes()
+	for _, tail := range overrideSeeds[:5] {
+		solve["tail "+tail] = []byte(goodBody[:len(goodBody)-1] + tail)
+	}
+	solve["graph last"] = []byte(`{"bandwidth":3,"params":{"bandwidth":9},"graph":` + goodBody[len(`{"graph":`):])
+	for name, body := range solve {
+		if !checkSolveScanMatchesStdlib(t, body, DecodeLimits{}) {
+			t.Errorf("%s: scan declined a canonical solve body", name)
+		}
+	}
+
+	d := &graph.Delta{
+		RemoveEdges:    []graph.EdgePair{{U: 0, V: 1}},
+		RemoveNodes:    []graph.NodeID{2},
+		AddNodes:       []graph.NodeDelta{{ID: 9, Weight: 4}},
+		SetNodeWeights: []graph.NodeDelta{{ID: 3, Weight: 0.125}},
+		SetEdges:       []graph.EdgeDelta{{U: 3, V: 9, Weight: 2.5}},
+	}
+	base := fingerprintOf(t, testGraph(t, 0))
+	mutate := map[string][]byte{
+		"canonical": mutateBody(t, base, d),
+		"one list":  mutateBody(t, base, &graph.Delta{SetEdges: d.SetEdges}),
+	}
+	if body, err := json.Marshal(MutateRequest{Base: base, Delta: d, UserOverrides: UserOverrides{Bandwidth: 5}}); err != nil {
+		t.Fatal(err)
+	} else {
+		mutate["marshalled struct"] = body
+	}
+	indented.Reset()
+	if err := json.Indent(&indented, mutate["canonical"], "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	mutate["indented"] = indented.Bytes()
+	for name, body := range mutate {
+		if !checkMutateScanMatchesStdlib(t, body, DecodeLimits{}) {
+			t.Errorf("%s: scan declined a canonical mutate body", name)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -71,15 +70,45 @@ type MutateResponse struct {
 	LanczosItersSaved int `json:"lanczos_iters_saved"`
 }
 
-// DecodeMutateRequest reads one JSON mutate body, rejecting malformed
+// scan is SolveRequest.scan for a /v1/mutate body.
+func (req *MutateRequest) scan(body []byte) bool {
+	s := graph.NewScanner(body)
+	return s.Members(func(key []byte) uint8 {
+		switch string(key) {
+		case "base":
+			return s.String(&req.Base, 1)
+		case "delta":
+			var ok bool
+			if req.Delta, ok = s.Delta(); ok {
+				return 64
+			}
+			return 0
+		}
+		return req.scanMember(s, key)
+	}) && s.Done()
+}
+
+// DecodeMutateRequest is DecodeMutateBody over a reader, read to its end.
+func DecodeMutateRequest(r io.Reader, limits DecodeLimits) (*MutateRequest, error) {
+	body, err := readBody(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return DecodeMutateBody(body, limits)
+}
+
+// DecodeMutateBody decodes one JSON mutate body, rejecting malformed
 // JSON, unknown fields, missing/invalid base fingerprints, missing deltas
 // and deltas whose operation count exceeds the edge limit. Every error
 // wraps ErrBadRequest. Graph-level validation (node existence, negative
-// weights) happens when the delta is applied.
-func DecodeMutateRequest(r io.Reader, limits DecodeLimits) (*MutateRequest, error) {
+// weights) happens when the delta is applied. body is not retained.
+func DecodeMutateBody(body []byte, limits DecodeLimits) (*MutateRequest, error) {
 	var req MutateRequest
-	if err := decodeStrict(r, &req); err != nil {
-		return nil, err
+	if !req.scan(body) {
+		req = MutateRequest{}
+		if err := decodeStrict(body, &req); err != nil {
+			return nil, err
+		}
 	}
 	if err := validateMutate(&req, limits); err != nil {
 		return nil, err
@@ -129,7 +158,7 @@ func mutatedRequest(req *MutateRequest, base *graph.Graph, limits DecodeLimits) 
 // same mutated graph and params — run once: the rest answer deduped with
 // the same single-user decision they would have computed.
 func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte) error {
-	req, err := DecodeMutateRequest(bytes.NewReader(body), s.cfg.Limits)
+	req, err := DecodeMutateBody(body, s.cfg.Limits)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -53,6 +54,23 @@ type ParamsJSON struct {
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 }
 
+// scanMember is ParamsJSON's key → field table over the shared scanner.
+func (p *ParamsJSON) scanMember(s *graph.Scanner, key []byte) uint8 {
+	switch string(key) {
+	case "server_capacity":
+		return s.Float(&p.ServerCapacity, 1)
+	case "device_compute":
+		return s.Float(&p.DeviceCompute, 2)
+	case "power_compute":
+		return s.Float(&p.PowerCompute, 4)
+	case "power_transmit":
+		return s.Float(&p.PowerTransmit, 8)
+	case "bandwidth":
+		return s.Float(&p.Bandwidth, 16)
+	}
+	return 0
+}
+
 // merge resolves the override against the server defaults.
 func (p ParamsJSON) merge(base mec.Params) mec.Params {
 	if p.ServerCapacity > 0 {
@@ -98,6 +116,44 @@ type UserOverrides struct {
 	PowerTransmit float64 `json:"power_transmit,omitempty"`
 }
 
+// scanMember is the key → field table of the members both POST bodies share;
+// its bits leave 1 and 64 to the embedding request's own members.
+func (o *UserOverrides) scanMember(s *graph.Scanner, key []byte) uint8 {
+	switch string(key) {
+	case "params":
+		o.Params = new(ParamsJSON)
+		if s.Members(func(key []byte) uint8 { return o.Params.scanMember(s, key) }) {
+			return 2
+		}
+	case "fixed_local_work":
+		return s.Float(&o.FixedLocalWork, 4)
+	case "device_compute":
+		return s.Float(&o.DeviceCompute, 8)
+	case "bandwidth":
+		return s.Float(&o.Bandwidth, 16)
+	case "power_transmit":
+		return s.Float(&o.PowerTransmit, 32)
+	}
+	return 0
+}
+
+// scan reads body as one /v1/solve request in a single pass over its bytes,
+// the graph built in place. False declines (see graph.Scanner): body is then
+// decodeStrict's to accept or reject.
+func (req *SolveRequest) scan(body []byte) bool {
+	s := graph.NewScanner(body)
+	return s.Members(func(key []byte) uint8 {
+		if string(key) != "graph" {
+			return req.scanMember(s, key)
+		}
+		var ok bool
+		if req.Graph, ok = s.Graph(); ok {
+			return 1
+		}
+		return 0
+	}) && s.Done()
+}
+
 // DecodeLimits bounds what DecodeSolveRequest accepts. The zero value means
 // the package defaults.
 type DecodeLimits struct {
@@ -133,10 +189,12 @@ func (l DecodeLimits) check(g *graph.Graph) error {
 	return nil
 }
 
-// decodeStrict reads exactly one JSON value from r into v: unknown fields
-// and trailing data are errors.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+// decodeStrict reads exactly one JSON value from body into v: unknown fields
+// and trailing data are errors. It defines what a request body may be and
+// what each malformed one is answered with; the scan methods only get to the
+// same value sooner.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -161,34 +219,63 @@ func (o UserOverrides) validate() error {
 	return nil
 }
 
-// DecodeSolveRequest reads one JSON request body, rejecting malformed JSON,
+// readBody reads r to its end, in one allocation when r knows its length (a
+// bytes.Reader, strings.Reader or bytes.Buffer does).
+func readBody(r io.Reader) ([]byte, error) {
+	if sized, ok := r.(interface{ Len() int }); ok {
+		body := make([]byte, sized.Len())
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	return io.ReadAll(r)
+}
+
+// DecodeSolveRequest is DecodeSolveBody over a reader, read to its end.
+func DecodeSolveRequest(r io.Reader, limits DecodeLimits) (*SolveRequest, error) {
+	body, err := readBody(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return DecodeSolveBody(body, limits)
+}
+
+// DecodeSolveBody decodes one JSON request body, rejecting malformed JSON,
 // unknown fields, missing graphs, and graphs over the limits. Every error
 // wraps ErrBadRequest (ErrTooLarge and ErrNoGraph do too), so handlers can
 // map the whole family to one status code; it never panics on hostile
-// input (fuzzed in fuzz_test.go).
-func DecodeSolveRequest(r io.Reader, limits DecodeLimits) (*SolveRequest, error) {
+// input (fuzzed in fuzz_test.go). body is not retained.
+func DecodeSolveBody(body []byte, limits DecodeLimits) (*SolveRequest, error) {
 	var req SolveRequest
-	if err := decodeStrict(r, &req); err != nil {
-		return nil, err
+	if !req.scan(body) {
+		req = SolveRequest{}
+		if err := decodeStrict(body, &req); err != nil {
+			return nil, err
+		}
 	}
-	if req.Graph == nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
-	}
-	if err := limits.check(req.Graph); err != nil {
-		return nil, err
-	}
-	if err := req.validate(); err != nil {
+	if err := req.check(limits); err != nil {
 		return nil, err
 	}
 	return &req, nil
 }
 
+// check applies what a decoded body must still satisfy: a graph, within the
+// limits, and no negative override.
+func (req *SolveRequest) check(limits DecodeLimits) error {
+	if req.Graph == nil {
+		return fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
+	}
+	if err := limits.check(req.Graph); err != nil {
+		return err
+	}
+	return req.validate()
+}
+
 // paramsDigest hashes the resolved system parameters; requests are batched
 // into solve rounds only with requests sharing this digest.
 func paramsDigest(p mec.Params) string {
-	h := sha256.New()
-	writeFloats(h, p.ServerCapacity, p.DeviceCompute, p.PowerCompute, p.PowerTransmit, p.Bandwidth)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	blk := floatBlock(p, UserOverrides{})
+	sum := sha256.Sum256(blk[:5*8])
+	return hex.EncodeToString(sum[:16])
 }
 
 // requestKey computes the request's two cache identities in one graph
@@ -196,35 +283,41 @@ func paramsDigest(p mec.Params) string {
 // key, matching graph.Fingerprint), and key — fp plus the resolved params
 // and the per-user overrides — is the solution-cache and singleflight key.
 // Two requests with equal keys are interchangeable: same graph content,
-// same system constants, same device/link overrides.
+// same system constants, same device/link overrides. The encoding is streamed
+// into the hash; /v1/solve, which also journals it, hashes its record's copy
+// instead (newAcceptedRecord).
 func requestKey(req *SolveRequest, params mec.Params) (key, fp string, err error) {
 	gh := sha256.New()
 	if err := req.Graph.WriteBinary(gh); err != nil {
 		return "", "", fmt.Errorf("%w: request key: %v", ErrBadRequest, err)
 	}
 	fp = hex.EncodeToString(gh.Sum(nil))
-	h := sha256.New()
-	_, _ = io.WriteString(h, fp)
-	putFloatBlock(h, params, req.UserOverrides)
-	return hex.EncodeToString(h.Sum(nil)), fp, nil
+	return cacheKey(fp, params, req.UserOverrides), fp, nil
 }
 
-// putFloatBlock writes the resolved params and the per-user overrides in
-// their canonical order: the tail of the cache key, and (durability.go)
-// the float block of a journal record — the same bytes, so replaying a
-// record reproduces the live request's cache identity.
-func putFloatBlock(w io.Writer, p mec.Params, o UserOverrides) {
-	writeFloats(w,
+// cacheKey is the solution-cache and singleflight key of the graph
+// fingerprinted fp solved under params and o: the digest of fp and the float
+// block.
+func cacheKey(fp string, params mec.Params, o UserOverrides) string {
+	blk := floatBlock(params, o)
+	sum := sha256.Sum256(append(append(make([]byte, 0, graph.FingerprintLen+floatBlockLen), fp...), blk[:]...))
+	return hex.EncodeToString(sum[:])
+}
+
+// floatBlockLen is the byte length of floatBlock: five resolved system params
+// and four per-user overrides, little-endian float64s.
+const floatBlockLen = 9 * 8
+
+// floatBlock is the resolved params and the per-user overrides in their
+// canonical order: the tail of the cache key, and (durability.go) the block
+// behind the type byte of both journal record kinds — the same bytes, so
+// replaying a record reproduces the live request's cache identity.
+func floatBlock(p mec.Params, o UserOverrides) (blk [floatBlockLen]byte) {
+	for i, v := range [...]float64{
 		p.ServerCapacity, p.DeviceCompute, p.PowerCompute, p.PowerTransmit, p.Bandwidth,
-		o.FixedLocalWork, o.DeviceCompute, o.Bandwidth, o.PowerTransmit)
-}
-
-// writeFloats appends the canonical little-endian encoding of each value
-// to the hash. Hash writes never fail.
-func writeFloats(w io.Writer, vals ...float64) {
-	var buf [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		_, _ = w.Write(buf[:])
+		o.FixedLocalWork, o.DeviceCompute, o.Bandwidth, o.PowerTransmit,
+	} {
+		binary.LittleEndian.PutUint64(blk[i*8:], math.Float64bits(v))
 	}
+	return blk
 }

@@ -540,8 +540,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // bodyBufPool recycles request-body buffers across requests, so the hot
-// path does not grow a fresh buffer per request.
+// path does not grow a fresh buffer per request. A buffer a request grew past
+// maxPooledBody is dropped instead of returned: the pool would otherwise pin a
+// burst of near-cap bodies, DefaultMaxBodyBytes apiece, for as long as the
+// traffic keeps its buffers cycling.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 // handleSolve serves POST /v1/solve (see solve).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -582,7 +587,11 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *padUin
 	}
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	defer bodyBufPool.Put(buf)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufPool.Put(buf)
+		}
+	}()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)); err != nil {
 		s.fail(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return
@@ -703,7 +712,7 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 		// Identity known but the decision was evicted: decode below and
 		// take the solve path (the identity mapping stays valid).
 	}
-	req, err := DecodeSolveRequest(bytes.NewReader(body), s.cfg.Limits)
+	req, err := DecodeSolveBody(body, s.cfg.Limits)
 	if err != nil {
 		return err
 	}
@@ -711,10 +720,9 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 	if err != nil {
 		return err
 	}
-	key, fp, err := requestKey(req, params)
-	if err != nil {
-		return err
-	}
+	rec := newAcceptedRecord(req.Graph)
+	fp := recordFingerprint(rec)
+	key := cacheKey(fp, params, req.UserOverrides)
 	s.bodies.Put(digest, key)
 	if ent, ok := s.lookup(key); ok {
 		writeHit(w, ent)
@@ -724,7 +732,7 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 	// Rewrite the freshly decoded graph to its interned canonical instance
 	// so the session's identity-keyed pipeline cache hits across requests.
 	req.Graph, _ = s.graphs.GetOrPut(fp, req.Graph)
-	jrec := s.journalRecord(func() ([]byte, error) { return encodeAccepted(req, params) })
+	jrec := s.journalRecord(func() ([]byte, error) { return sealAccepted(rec, params, req.UserOverrides), nil })
 	task := &solveTask{
 		user:   userInputOf(req),
 		params: params,

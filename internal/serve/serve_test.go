@@ -703,3 +703,48 @@ func BenchmarkServeSolveCached(b *testing.B) {
 		}
 	})
 }
+
+// TestBodyBufPoolDropsLargeBuffers: a buffer one near-cap body grew must not
+// go back into the pool, where it would stay pinned for as long as requests
+// keep the pool cycling.
+func TestBodyBufPoolDropsLargeBuffers(t *testing.T) {
+	s := newTestServer(t, Config{})
+	big := bytes.Repeat([]byte(" "), DefaultMaxBodyBytes-1)
+	if st := postDirect(s, big, &nopResponseWriter{}, context.Background()); st != http.StatusBadRequest {
+		t.Fatalf("a body of spaces: status %d, want 400", st)
+	}
+	// sync.Pool hands a goroutine back what it last put, so a buffer that
+	// was returned is the one this Get sees.
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	defer bodyBufPool.Put(buf)
+	if buf.Cap() > maxPooledBody {
+		t.Fatalf("the pool kept a %d-byte buffer (limit %d)", buf.Cap(), maxPooledBody)
+	}
+}
+
+// TestSolveEncodesOnce: the record /v1/solve builds once yields the
+// fingerprint and cache key requestKey streams for, and completes into the
+// payload decodeAccepted inverts.
+func TestSolveEncodesOnce(t *testing.T) {
+	params := defaultTestParams()
+	req := &SolveRequest{Graph: testGraph(t, 2), UserOverrides: UserOverrides{FixedLocalWork: 3, Bandwidth: 40}}
+	wantKey, wantFp, err := requestKey(req, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newAcceptedRecord(req.Graph)
+	if len(rec) != cap(rec) {
+		t.Errorf("record buffer: len %d, cap %d; want it sized exactly", len(rec), cap(rec))
+	}
+	fp := recordFingerprint(rec)
+	if key := cacheKey(fp, params, req.UserOverrides); fp != wantFp || key != wantKey {
+		t.Fatalf("record identity (%s, %s), requestKey (%s, %s)", key, fp, wantKey, wantFp)
+	}
+	got, gotParams, err := decodeAccepted(sealAccepted(rec, params, req.UserOverrides), DecodeLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotParams != params || got.UserOverrides != req.UserOverrides || !got.Graph.Equal(req.Graph) {
+		t.Fatalf("sealed record decodes to %+v under %+v", got, gotParams)
+	}
+}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# perf_gate.sh OLD.txt NEW.txt [MAX_REGRESSION_PCT] [MIN_SPEEDUP_X] [MIN_INCREMENTAL_X] [MIN_DENSE_X] [MIN_LPA_X] [MIN_DECODE_X]
+# perf_gate.sh OLD.txt NEW.txt [MAX_REGRESSION_PCT] [MIN_SPEEDUP_X] [MIN_INCREMENTAL_X] [MIN_DENSE_X] [MIN_LPA_X] [MIN_DECODE_X] [MIN_REQUEST_DECODE_X]
 #
 # Compares two `go test -bench` text outputs (e.g. the committed
 # results/bench_core_baseline.txt against a fresh results/bench_core.txt),
@@ -41,19 +41,28 @@
 # one-pass scanner against the encoding/json path it declines to, on an
 # n=100 request body and one the size of Table I's n=2000 row, interleaved)
 # reports its ratio as decode_x and must average at least MIN_DECODE_X
-# (default 2.0) on both bodies; measured ~2.7x and ~2.5x.
+# (default 2.0) on both bodies; measured ~3.5x and ~3.2x.
+#
+# BenchmarkSolveRequestDecodeSpeedup (internal/serve: DecodeSolveBody's
+# one-pass request scan, graph built in place, against the decodeStrict path
+# it declines to — encoding/json delimiting the body and the graph member
+# around that same graph scanner — on the n=100 and n=2000 /v1/solve bodies,
+# interleaved) reports its ratio as request_decode_x and must average at
+# least MIN_REQUEST_DECODE_X (default 1.5) on both; measured 2.3–2.7x and
+# 2.0–2.5x.
 set -eu
 
-old=${1:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE]}
-new=${2:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE]}
+old=${1:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE] [MIN_REQUEST_DECODE]}
+new=${2:?usage: perf_gate.sh OLD.txt NEW.txt [MAX_PCT] [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE] [MIN_REQUEST_DECODE]}
 max=${3:-15}
 minspeed=${4:-1.0}
 mininc=${5:-3.0}
 mindense=${6:-5.0}
 minlpa=${7:-1.5}
 mindecode=${8:-2.0}
+minrequest=${9:-1.5}
 
-awk -v max="$max" -v minspeed="$minspeed" -v mininc="$mininc" -v mindense="$mindense" -v minlpa="$minlpa" -v mindecode="$mindecode" '
+awk -v max="$max" -v minspeed="$minspeed" -v mininc="$mininc" -v mindense="$mindense" -v minlpa="$minlpa" -v mindecode="$mindecode" -v minrequest="$minrequest" '
 FNR == NR && /^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	for (i = 2; i <= NF; i++) if ($i == "ns/op") { osum[name] += $(i-1); ocnt[name]++ }
@@ -65,7 +74,7 @@ FNR == NR && /^Benchmark/ {
 		nsum[name] += $(i-1); ncnt[name]++
 		if (!(name in idx)) { order[n++] = name; idx[name] = 1 }
 	}
-	for (i = 2; i <= NF; i++) if ($i == "speedup_x" || $i == "decode_x") { ssum[name] += $(i-1); scnt[name]++ }
+	for (i = 2; i <= NF; i++) if ($i == "speedup_x" || $i == "decode_x" || $i == "request_decode_x") { ssum[name] += $(i-1); scnt[name]++ }
 }
 END {
 	bad = 0
@@ -92,6 +101,7 @@ END {
 		if (name ~ /DenseFiedlerSpeedup\/n=80/) floor = mindense
 		if (name ~ /LPARoundsSpeedup/) floor = minlpa
 		if (name ~ /GraphUnmarshalSpeedup/) floor = mindecode
+		if (name ~ /SolveRequestDecodeSpeedup/) floor = minrequest
 		verdict = (s < floor) ? "BELOW FLOOR" : "ok"
 		printf "%-55s %38.3f speedup_x (floor %s)  %s\n", name, s, floor, verdict
 		if (s < floor) slow = 1
