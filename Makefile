@@ -1,15 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-json size lint fuzz chaos bench bench-core bench-batch bench-serve bench-fleet fleet-smoke clean
-
-# Open-loop smoke settings for bench-serve; see scripts/bench_serve.sh.
-BENCH_SERVE_QPS ?= 300
-BENCH_SERVE_DURATION ?= 10s
-
-# Per-backend admission cap and per-size run length for bench-fleet; see
-# scripts/bench_fleet.sh for the capacity-capped methodology.
-BENCH_FLEET_CAP ?= 300
-BENCH_FLEET_DURATION ?= 10s
+.PHONY: all build test race vet vet-json size lint fuzz chaos bench bench-core bench-batch fleet-smoke clean
 
 # Repetitions per benchmark for bench-core; raise for tighter statistics.
 BENCH_COUNT ?= 5
@@ -67,8 +58,7 @@ fuzz:
 
 # bench runs every benchmark in the repo and distils the serving-path
 # microbenchmark numbers into results/BENCH_micro.json for cross-commit
-# comparison. (results/BENCH_serve.json is the end-to-end loadgen summary
-# written by bench-serve.)
+# comparison.
 bench:
 	@mkdir -p results
 	$(GO) test -run=NONE -bench=. -benchmem ./... | tee results/bench.txt
@@ -81,24 +71,6 @@ bench:
 	END { if (n) printf "\n"; print "}" }' results/bench.txt > results/BENCH_micro.json
 	@echo "wrote results/BENCH_micro.json"; cat results/BENCH_micro.json
 
-# bench-serve boots the real daemon and drives it over the wire with
-# cmd/copmecs-loadgen (open loop at a smoke rate), writing achieved QPS,
-# latency percentiles and shed/5xx counts to results/BENCH_serve.json.
-# CI compares that file against the committed baseline with
-# scripts/serve_gate.sh; after an intentional serving change, refresh the
-# baseline by committing the new output.
-bench-serve:
-	BENCH_SERVE_QPS=$(BENCH_SERVE_QPS) BENCH_SERVE_DURATION=$(BENCH_SERVE_DURATION) \
-		./scripts/bench_serve.sh results/BENCH_serve.json
-
-# bench-fleet measures horizontal scaling through copmecs-router at 1, 2
-# and 4 capacity-capped backends and writes results/BENCH_fleet.json; the
-# script self-gates on >= 1.6x achieved QPS at 2 backends vs 1. After an
-# intentional routing change, refresh the committed file from this target.
-bench-fleet:
-	BENCH_FLEET_CAP=$(BENCH_FLEET_CAP) BENCH_FLEET_DURATION=$(BENCH_FLEET_DURATION) \
-		./scripts/bench_fleet.sh results/BENCH_fleet.json
-
 # fleet-smoke is the fault-tolerance gate CI runs: two backends behind the
 # router, a SIGKILL mid-run, a restart, and zero lost accepted requests.
 fleet-smoke:
@@ -106,14 +78,14 @@ fleet-smoke:
 
 # bench-core runs the solve hot-path benchmarks the perf CI gate watches —
 # the Figure 9 solve, Table I compression, the steady-state allocation
-# budget, the fused batch solver (looped vs fused throughput plus the
-# interleaved speedup ratio), the incremental re-solve (chained 1%
-# edge-churn deltas vs cold solves), internal/eigen's dense Fiedler kernel
+# budget, the fused batch solver (looped vs fused throughput), the
+# incremental re-solve (chained 1% edge-churn deltas vs cold solves),
+# internal/eigen's dense Fiedler kernel
 # against its Jacobi oracle, internal/lpa's round loop against its
 # all-rounds reference, internal/graph's one-pass JSON decode against the
 # encoding/json path it falls back to and internal/serve's one-pass request
 # decode against its decodeStrict fallback (all four interleaved);
-# scripts/perf_gate.sh holds the six ratio floors. It distils the mean
+# scripts/perf_gate.sh holds the ratio floors. It distils the mean
 # ns/op, B/op, allocs/op and, where reported, graphs/sec and speedup_x (or
 # decode_x, request_decode_x) per benchmark into results/BENCH_core.json. The
 # raw text lands in results/bench_core.txt; regenerate the committed
@@ -122,7 +94,7 @@ fleet-smoke:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSpeedup$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \
@@ -150,22 +122,20 @@ bench-core:
 # exactness tests that pin every entry point to the map-pipeline oracle and
 # BatchSolve to N independent Solve calls bit for bit (work-stealing path
 # included), then the batch benchmarks — small-graph looped vs fused
-# throughput, the interleaved speedup ratio the perf gate floors at 1.0x,
-# and the large-graph work-stealing solve.
+# throughput and the large-graph solve.
 bench-batch:
 	$(GO) test -count=1 \
 		-run 'TestExactnessTable|TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveWorkStealing|TestParallelCutStageSubmitsNoDoomedSpeculation' \
 		./internal/core/
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSpeedup$$|^BenchmarkBatchSolveLarge$$' .
+		-bench='^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSolveLarge$$' .
 
-# chaos runs the fault-injection suite — executor flapping, hung executors,
-# lossy transports, torn journal writes, fsync failures — twice under the
-# race detector to shake out order-dependent failures in the recovery
-# paths, then the SIGKILL crash-recovery scenarios (in-process and against
-# the real binary via scripts/crash.sh).
+# chaos runs the fault-injection suite — lossy transports, torn journal
+# writes, fsync failures — twice under the race detector to shake out
+# order-dependent failures in the recovery paths, then the SIGKILL
+# crash-recovery scenarios (in-process and against the real binary via
+# scripts/crash.sh).
 chaos:
-	$(GO) test -race -count=2 -run '^TestChaos' ./internal/parallel/
 	$(GO) test -race -count=2 ./internal/faultnet/
 	$(GO) test -race -count=2 ./internal/durable/
 	$(GO) test -race -run 'TestCrashRecovery|TestDaemonDurable' ./cmd/copmecsd/

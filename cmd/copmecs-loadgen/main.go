@@ -1,16 +1,12 @@
-// Command copmecs-loadgen drives a running copmecsd with synthetic
-// offloading traffic and reports throughput and latency percentiles, so
-// serving-path changes can be judged end to end (sockets, JSON, batching
-// and cache behaviour included) rather than only by microbenchmarks.
+// Command copmecs-loadgen drives a running copmecsd (or copmecs-router)
+// with synthetic offloading traffic and reports throughput and latency
+// percentiles end to end: sockets, JSON, batching and cache behaviour
+// included. scripts/fleet_smoke.sh uses it as the client of the fleet
+// fault-tolerance gate; BENCHMARK.json, not this tool, is the source of
+// performance claims.
 //
-// Two driving modes:
-//
-//   - closed loop (-qps 0, the default): -concurrency workers each keep
-//     exactly one request in flight, so offered load adapts to the
-//     server's speed — this measures capacity;
-//   - open loop (-qps > 0): arrivals fire on a fixed schedule regardless
-//     of completions, like independent mobile users — this measures
-//     behaviour at a chosen offered load, queueing delay included.
+// The loop is closed: -concurrency workers each keep exactly one request
+// in flight, so offered load adapts to the server's speed.
 //
 // Traffic replays a seeded synthetic graph corpus: each request reuses a
 // corpus graph with probability -repeat (exercising the solution cache
@@ -18,29 +14,13 @@
 // (exercising the full solve path). The same -seed replays the same
 // mixture.
 //
-// With -mutate-ratio > 0, that fraction of requests become POST /v1/mutate
-// calls instead: each names a graph the server has already answered (the
-// generator tracks fingerprints from solve and mutate responses) and ships
-// a one-node weight delta, exercising the incremental re-solve path end to
-// end. A mutate answered 404 (the server evicted the base) is counted as
-// mutate_not_found, not an error — the generator drops the stale handle
-// and re-seeds from fresh solves, as a real client would.
-//
-// Fleet mode (-addrs url1,url2,...) spreads the same workload round-robin
-// over several targets — each copmecsd of a fleet directly, or several
-// copmecs-router fronts — and adds a per-target breakdown to the summary;
-// the top-level fields still aggregate the whole run, so existing gates
-// keep working. scripts/bench_fleet.sh uses it to measure router scaling.
-//
 // The summary is one JSON object (see the result type) written to -o or
-// stdout; scripts/serve_gate.sh compares its achieved_qps against the
-// committed baseline. -fail-5xx makes any 5xx response fatal so CI smoke
-// runs double as a health check.
+// stdout. -fail-5xx makes any 5xx response fatal so a smoke run doubles as
+// a health check.
 //
 // Usage:
 //
-//	copmecs-loadgen -addr http://127.0.0.1:8080 -duration 10s -qps 300 -repeat 0.9
-//	copmecs-loadgen -addrs http://127.0.0.1:8081,http://127.0.0.1:8082 -duration 10s
+//	copmecs-loadgen -addr http://127.0.0.1:8080 -duration 10s -repeat 0.9
 package main
 
 import (
@@ -54,12 +34,9 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"copmecs/internal/serve"
 )
 
 func main() {
@@ -84,16 +61,11 @@ type latencySummary struct {
 	Mean float64 `json:"mean"`
 }
 
-// result is the JSON summary the generator emits. Top-level fields stay
-// flat and uniquely named so shell gates can extract them without a JSON
-// parser.
+// result is the JSON summary the generator emits. scripts/fleet_smoke.sh
+// asserts on requests, ok, shed, errors_5xx and errors_other.
 type result struct {
-	// Mode is "closed" or "open".
-	Mode string `json:"mode"`
 	// DurationS is the measured wall-clock run length in seconds.
 	DurationS float64 `json:"duration_s"`
-	// TargetQPS is the open-loop arrival rate (0 in closed loop).
-	TargetQPS float64 `json:"target_qps"`
 	// Concurrency is the closed-loop worker count.
 	Concurrency int `json:"concurrency"`
 	// Requests counts requests issued.
@@ -102,13 +74,6 @@ type result struct {
 	OK uint64 `json:"ok"`
 	// Cached counts 200 responses answered from the solution cache.
 	Cached uint64 `json:"cached"`
-	// Mutates counts POST /v1/mutate requests issued.
-	Mutates uint64 `json:"mutates"`
-	// MutateOK counts 200 mutate responses.
-	MutateOK uint64 `json:"mutate_ok"`
-	// MutateNotFound counts 404 mutate responses (base evicted server-side;
-	// expected under churn, so not an error).
-	MutateNotFound uint64 `json:"mutate_not_found"`
 	// Shed counts 429 responses (admission control).
 	Shed uint64 `json:"shed"`
 	// Errors5xx counts 5xx responses.
@@ -119,42 +84,15 @@ type result struct {
 	AchievedQPS float64 `json:"achieved_qps"`
 	// LatencyMs summarises OK-response latency.
 	LatencyMs latencySummary `json:"latency_ms"`
-	// Targets is the per-target breakdown in fleet mode (-addrs with more
-	// than one URL); omitted for single-target runs so the summary shape
-	// is unchanged for existing consumers.
-	Targets []targetSummary `json:"targets,omitempty"`
-}
-
-// targetSummary is one target's slice of a fleet-mode run.
-type targetSummary struct {
-	// Addr is the target's base URL.
-	Addr string `json:"addr"`
-	// Requests counts requests issued to this target.
-	Requests uint64 `json:"requests"`
-	// OK counts 200 responses from this target.
-	OK uint64 `json:"ok"`
-	// Cached counts 200 responses answered from the target's cache.
-	Cached uint64 `json:"cached"`
-	// Shed counts 429 responses from this target.
-	Shed uint64 `json:"shed"`
-	// Errors5xx counts 5xx responses from this target.
-	Errors5xx uint64 `json:"errors_5xx"`
-	// ErrorsOther counts transport failures and unexpected statuses.
-	ErrorsOther uint64 `json:"errors_other"`
-	// AchievedQPS is this target's OK responses per second of run time.
-	AchievedQPS float64 `json:"achieved_qps"`
 }
 
 // sample is one completed request: its outcome and, for OK responses, the
 // observed latency.
 type sample struct {
-	target   int // index into the run's target list
-	status   int
-	cached   bool
-	mutate   bool // the request was a POST /v1/mutate
-	notFound bool // a mutate answered 404 (base evicted server-side)
-	latency  time.Duration
-	err      error
+	status  int
+	cached  bool
+	latency time.Duration
+	err     error
 }
 
 // run parses flags, drives the target, and writes the JSON summary.
@@ -162,14 +100,11 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("copmecs-loadgen", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", "http://127.0.0.1:8080", "copmecsd base URL")
-		addrs       = fs.String("addrs", "", "comma-separated target URLs for fleet mode (overrides -addr)")
 		duration    = fs.Duration("duration", 10*time.Second, "measured run length")
-		qps         = fs.Float64("qps", 0, "open-loop arrival rate (0 = closed loop)")
-		concurrency = fs.Int("concurrency", 8, "closed-loop workers / open-loop max in-flight")
+		concurrency = fs.Int("concurrency", 8, "closed-loop workers, one request in flight each")
 		corpus      = fs.Int("corpus", 64, "distinct graphs in the replay corpus")
 		nodes       = fs.Int("nodes", 12, "nodes per synthetic graph")
 		repeat      = fs.Float64("repeat", 0.9, "probability a request replays a corpus graph")
-		mutateRatio = fs.Float64("mutate-ratio", 0, "probability a request mutates an already-answered graph via /v1/mutate")
 		seed        = fs.Int64("seed", 1, "corpus and schedule seed")
 		timeout     = fs.Duration("timeout", 10*time.Second, "per-request timeout")
 		waitReady   = fs.Duration("wait-ready", 0, "poll /v1/healthz this long before starting (0 = don't)")
@@ -188,36 +123,15 @@ func run(args []string, out io.Writer) error {
 	if *repeat < 0 || *repeat > 1 {
 		return fmt.Errorf("-repeat must be in [0, 1]")
 	}
-	if *mutateRatio < 0 || *mutateRatio > 1 {
-		return fmt.Errorf("-mutate-ratio must be in [0, 1]")
-	}
-	targets := []string{*addr}
-	if *addrs != "" {
-		targets = targets[:0]
-		for _, a := range strings.Split(*addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				targets = append(targets, a)
-			}
-		}
-		if len(targets) == 0 {
-			return fmt.Errorf("-addrs has no URLs")
-		}
-	}
-
 	client := &http.Client{Timeout: *timeout}
 	if *waitReady > 0 {
-		for _, target := range targets {
-			if err := awaitReady(client, target, *waitReady); err != nil {
-				return err
-			}
+		if err := awaitReady(client, *addr, *waitReady); err != nil {
+			return err
 		}
 	}
 
-	gen := newTrafficGen(*corpus, *nodes, *repeat, *mutateRatio, *seed)
-	res, err := drive(client, targets, gen, *duration, *qps, *concurrency)
-	if err != nil {
-		return err
-	}
+	gen := newTrafficGen(*corpus, *nodes, *repeat, *seed)
+	res := drive(client, *addr, gen, *duration, *concurrency)
 
 	enc, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -259,140 +173,33 @@ func awaitReady(client *http.Client, addr string, wait time.Duration) error {
 	}
 }
 
-// requestSpec is one generated request: which endpoint, the raw body, and
-// for solves of corpus graphs the locally-computed fingerprint (so a 200
-// registers the graph as a future mutation base).
-type requestSpec struct {
-	path   string // "/v1/solve" or "/v1/mutate"
-	body   []byte
-	fp     string // corpus fingerprint ("" for fresh graphs)
-	base   string // mutate base fingerprint ("" for solves)
-	mutate bool
-}
-
-// fpPool is a bounded concurrency-safe ring of fingerprints the server is
-// known to have answered — the candidate bases for mutate requests. The
-// ring keeps the most recent handles, matching the server's LRU intern.
-type fpPool struct {
-	mu   sync.Mutex
-	ring []string
-	next int
-	n    int
-}
-
-// newFpPool bounds the pool to capacity entries.
-func newFpPool(capacity int) *fpPool { return &fpPool{ring: make([]string, capacity)} }
-
-// add records one answered fingerprint, overwriting the oldest at cap.
-func (p *fpPool) add(fp string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ring[p.next] = fp
-	p.next = (p.next + 1) % len(p.ring)
-	if p.n < len(p.ring) {
-		p.n++
-	}
-}
-
-// pick returns a pseudo-random pooled fingerprint, or "" when empty.
-func (p *fpPool) pick(r int) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.n == 0 {
-		return ""
-	}
-	return p.ring[r%p.n]
-}
-
-// drop removes a stale fingerprint (the server answered 404 for it).
-func (p *fpPool) drop(fp string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := 0; i < p.n; i++ {
-		if p.ring[i] == fp {
-			p.n--
-			p.ring[i] = p.ring[p.n]
-			p.ring[p.n] = ""
-			if p.next > p.n {
-				p.next = p.n
-			}
-			return
-		}
-	}
-}
-
-// trafficGen produces requests: a fixed seeded corpus replayed with
-// probability repeat, fresh never-repeated graphs otherwise, and (with
-// probability mutateRatio, once bases exist) incremental mutations of
-// already-answered graphs.
+// trafficGen produces request bodies: a fixed seeded corpus replayed with
+// probability repeat, fresh never-repeated graphs otherwise.
 type trafficGen struct {
-	corpus      [][]byte
-	corpusFps   []string
-	nodes       int
-	repeat      float64
-	mutateRatio float64
-	fresh       atomic.Uint64 // distinct-graph sequence; never collides with the corpus
-	pool        *fpPool
+	corpus [][]byte
+	nodes  int
+	repeat float64
+	fresh  atomic.Uint64 // distinct-graph sequence; never collides with the corpus
 }
 
-// newTrafficGen builds the seeded corpus and precomputes its fingerprints
-// (the handles mutate requests will name).
-func newTrafficGen(corpus, nodes int, repeat, mutateRatio float64, seed int64) *trafficGen {
+// newTrafficGen builds the seeded corpus.
+func newTrafficGen(corpus, nodes int, repeat float64, seed int64) *trafficGen {
 	rng := rand.New(rand.NewSource(seed))
-	g := &trafficGen{
-		nodes:       nodes,
-		repeat:      repeat,
-		mutateRatio: mutateRatio,
-		pool:        newFpPool(128),
-	}
+	g := &trafficGen{nodes: nodes, repeat: repeat}
 	g.corpus = make([][]byte, corpus)
-	g.corpusFps = make([]string, corpus)
 	for i := range g.corpus {
 		g.corpus[i] = graphBody(rng, nodes, uint64(i))
-		g.corpusFps[i] = fingerprintOfBody(g.corpus[i])
 	}
 	g.fresh.Store(uint64(corpus)) // fresh graphs continue the tag sequence
 	return g
 }
 
-// fingerprintOfBody computes the canonical fingerprint of a solve body the
-// same way the server does.
-func fingerprintOfBody(body []byte) string {
-	req, err := serve.DecodeSolveRequest(bytes.NewReader(body), serve.DecodeLimits{})
-	if err != nil {
-		panic(err) // the generator built the body; a decode failure is a bug
-	}
-	fp, err := req.Graph.Fingerprint()
-	if err != nil {
-		panic(err)
-	}
-	return fp
-}
-
-// request returns the next request for a worker-local rng.
-func (g *trafficGen) request(rng *rand.Rand) requestSpec {
-	if g.mutateRatio > 0 && rng.Float64() < g.mutateRatio {
-		if base := g.pool.pick(rng.Intn(1 << 30)); base != "" {
-			body, err := json.Marshal(map[string]any{
-				"base": base,
-				"delta": map[string]any{
-					"set_node_weights": []map[string]any{
-						{"id": 0, "weight": 20 + rng.Float64()*200},
-					},
-				},
-			})
-			if err != nil {
-				panic(err)
-			}
-			return requestSpec{path: "/v1/mutate", body: body, base: base, mutate: true}
-		}
-		// No base answered yet; fall through to a solve that seeds one.
-	}
+// request returns the next /v1/solve body for a worker-local rng.
+func (g *trafficGen) request(rng *rand.Rand) []byte {
 	if rng.Float64() < g.repeat {
-		i := rng.Intn(len(g.corpus))
-		return requestSpec{path: "/v1/solve", body: g.corpus[i], fp: g.corpusFps[i]}
+		return g.corpus[rng.Intn(len(g.corpus))]
 	}
-	return requestSpec{path: "/v1/solve", body: graphBody(rng, g.nodes, g.fresh.Add(1))}
+	return graphBody(rng, g.nodes, g.fresh.Add(1))
 }
 
 // graphBody encodes one synthetic solve request: a chain of nodes with a
@@ -441,13 +248,12 @@ func graphBody(rng *rand.Rand, nodes int, tag uint64) []byte {
 	return b
 }
 
-// drive runs the measurement: closed loop when qps == 0, open loop
-// otherwise. It returns the aggregated summary.
-func drive(client *http.Client, targets []string, gen *trafficGen, duration time.Duration, qps float64, concurrency int) (*result, error) {
+// drive runs the closed-loop measurement and returns the aggregated summary.
+func drive(client *http.Client, addr string, gen *trafficGen, duration time.Duration, concurrency int) *result {
 	results := make(chan sample, 4096)
 	var collectorWG sync.WaitGroup
 	collectorWG.Add(1)
-	agg := newAggregator(len(targets))
+	var agg aggregator
 	go func() {
 		defer collectorWG.Done()
 		for s := range results {
@@ -455,104 +261,40 @@ func drive(client *http.Client, targets []string, gen *trafficGen, duration time
 		}
 	}()
 
+	// Closed loop: exactly concurrency requests in flight until ctx ends.
 	ctx, cancel := context.WithTimeout(context.Background(), duration)
 	defer cancel()
 	start := time.Now()
-	mode := "closed"
-	if qps > 0 {
-		mode = "open"
-		openLoop(ctx, client, targets, gen, qps, concurrency, results)
-	} else {
-		closedLoop(ctx, client, targets, gen, concurrency, results)
-	}
-	elapsed := time.Since(start)
-	close(results)
-	collectorWG.Wait()
-
-	res := agg.summary(targets, elapsed)
-	res.Mode = mode
-	res.DurationS = elapsed.Seconds()
-	res.TargetQPS = qps
-	res.Concurrency = concurrency
-	if elapsed > 0 {
-		res.AchievedQPS = float64(res.OK) / elapsed.Seconds()
-	}
-	return res, nil
-}
-
-// closedLoop keeps exactly concurrency requests in flight until ctx ends.
-// In fleet mode each worker pins to one target round-robin, so offered
-// load splits evenly without cross-target coordination.
-func closedLoop(ctx context.Context, client *http.Client, targets []string, gen *trafficGen, concurrency int, results chan<- sample) {
 	var wg sync.WaitGroup
 	for w := 0; w < concurrency; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			target := w % len(targets)
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for ctx.Err() == nil {
-				results <- post(ctx, client, targets[target], target, gen, gen.request(rng))
+				results <- post(ctx, client, addr, gen.request(rng))
 			}
 		}(w)
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
+	close(results)
+	collectorWG.Wait()
+
+	res := agg.summary()
+	res.DurationS = elapsed.Seconds()
+	res.Concurrency = concurrency
+	if elapsed > 0 {
+		res.AchievedQPS = float64(res.OK) / elapsed.Seconds()
+	}
+	return res
 }
 
-// openLoop fires arrivals on a fixed schedule until ctx ends. Each arrival
-// runs in its own goroutine (true open loop: completions do not pace
-// arrivals), with concurrency as a safety cap on in-flight requests —
-// arrivals beyond it are recorded as local sheds rather than crashing the
-// generator on an unresponsive server.
-// In fleet mode arrivals rotate round-robin across the targets.
-func openLoop(ctx context.Context, client *http.Client, targets []string, gen *trafficGen, qps float64, concurrency int, results chan<- sample) {
-	interval := time.Duration(float64(time.Second) / qps)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	// The in-flight cap scales with the offered load so the cap itself
-	// does not close the loop at smoke rates.
-	capInflight := concurrency * 16
-	if capInflight < 64 {
-		capInflight = 64
-	}
-	sem := make(chan struct{}, capInflight)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	var wg sync.WaitGroup
-	rng := rand.New(rand.NewSource(7))
-	arrivals := 0
-	for {
-		select {
-		case <-ctx.Done():
-			wg.Wait()
-			return
-		case <-ticker.C:
-			spec := gen.request(rng)
-			target := arrivals % len(targets)
-			arrivals++
-			select {
-			case sem <- struct{}{}:
-			default:
-				results <- sample{target: target, err: fmt.Errorf("in-flight cap %d exceeded", capInflight)}
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				results <- post(ctx, client, targets[target], target, gen, spec)
-			}()
-		}
-	}
-}
-
-// post issues one request and classifies the outcome, feeding answered
-// fingerprints back into the generator's mutation-base pool.
-func post(ctx context.Context, client *http.Client, addr string, target int, gen *trafficGen, spec requestSpec) sample {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+spec.path, bytes.NewReader(spec.body))
+// post issues one solve request and classifies the outcome.
+func post(ctx context.Context, client *http.Client, addr string, body []byte) sample {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/solve", bytes.NewReader(body))
 	if err != nil {
-		return sample{target: target, mutate: spec.mutate, err: err}
+		return sample{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	start := time.Now()
@@ -560,33 +302,20 @@ func post(ctx context.Context, client *http.Client, addr string, target int, gen
 	if err != nil {
 		if ctx.Err() != nil {
 			// The run ended mid-request; not a server failure.
-			return sample{target: target, status: -1}
+			return sample{status: -1}
 		}
-		return sample{target: target, mutate: spec.mutate, err: err}
+		return sample{err: err}
 	}
 	defer func() { _ = resp.Body.Close() }()
-	s := sample{target: target, mutate: spec.mutate, status: resp.StatusCode, latency: time.Since(start)}
-	switch {
-	case resp.StatusCode == http.StatusOK:
+	s := sample{status: resp.StatusCode, latency: time.Since(start)}
+	if resp.StatusCode == http.StatusOK {
 		var ok struct {
-			Cached bool   `json:"cached"`
-			Graph  string `json:"graph"`
+			Cached bool `json:"cached"`
 		}
 		if derr := json.NewDecoder(resp.Body).Decode(&ok); derr == nil {
 			s.cached = ok.Cached
-			if spec.mutate && ok.Graph != "" {
-				gen.pool.add(ok.Graph) // the mutated graph is a fresh base
-			} else if spec.fp != "" {
-				gen.pool.add(spec.fp) // the corpus graph is now interned
-			}
 		}
-	case spec.mutate && resp.StatusCode == http.StatusNotFound:
-		// The server evicted the base; retire the handle and re-seed from
-		// subsequent solves.
-		s.notFound = true
-		gen.pool.drop(spec.base)
-		_, _ = io.Copy(io.Discard, resp.Body)
-	default:
+	} else {
 		_, _ = io.Copy(io.Discard, resp.Body)
 	}
 	return s
@@ -596,19 +325,7 @@ func post(ctx context.Context, client *http.Client, addr string, target int, gen
 // goroutine touches it.
 type aggregator struct {
 	requests, ok, cached, shed, e5xx, other uint64
-	mutates, mutateOK, mutateNotFound       uint64
 	latencies                               []time.Duration
-	perTarget                               []targetCounts
-}
-
-// targetCounts is one target's slice of the aggregate in fleet mode.
-type targetCounts struct {
-	requests, ok, cached, shed, e5xx, other uint64
-}
-
-// newAggregator sizes the per-target breakdown for n targets.
-func newAggregator(n int) *aggregator {
-	return &aggregator{perTarget: make([]targetCounts, n)}
 }
 
 // add folds one sample.
@@ -617,71 +334,34 @@ func (a *aggregator) add(s sample) {
 		return // cut off by the run deadline; not offered load
 	}
 	a.requests++
-	tc := &a.perTarget[s.target]
-	tc.requests++
-	if s.mutate {
-		a.mutates++
-	}
 	switch {
 	case s.err != nil:
 		a.other++
-		tc.other++
 	case s.status == http.StatusOK:
 		a.ok++
-		tc.ok++
-		if s.mutate {
-			a.mutateOK++
-		}
 		if s.cached {
 			a.cached++
-			tc.cached++
 		}
 		a.latencies = append(a.latencies, s.latency)
-	case s.notFound:
-		a.mutateNotFound++
 	case s.status == http.StatusTooManyRequests:
 		a.shed++
-		tc.shed++
 	case s.status >= 500 && s.status < 600:
 		a.e5xx++
-		tc.e5xx++
 	default:
 		a.other++
-		tc.other++
 	}
 }
 
 // summary renders the aggregate (AchievedQPS and run metadata are filled
-// by the caller). The per-target breakdown appears only in fleet mode so
-// single-target consumers see the unchanged summary shape.
-func (a *aggregator) summary(targets []string, elapsed time.Duration) *result {
+// by the caller).
+func (a *aggregator) summary() *result {
 	res := &result{
-		Requests:       a.requests,
-		OK:             a.ok,
-		Cached:         a.cached,
-		Mutates:        a.mutates,
-		MutateOK:       a.mutateOK,
-		MutateNotFound: a.mutateNotFound,
-		Shed:           a.shed,
-		Errors5xx:      a.e5xx,
-		ErrorsOther:    a.other,
-	}
-	if len(targets) > 1 {
-		for i, tc := range a.perTarget {
-			ts := targetSummary{
-				Addr:        targets[i],
-				Requests:    tc.requests,
-				OK:          tc.ok,
-				Cached:      tc.cached,
-				Shed:        tc.shed,
-				Errors5xx:   tc.e5xx,
-				ErrorsOther: tc.other,
-			}
-			if elapsed > 0 {
-				ts.AchievedQPS = float64(tc.ok) / elapsed.Seconds()
-			}
-			res.Targets = append(res.Targets, ts)
-		}
+		Requests:    a.requests,
+		OK:          a.ok,
+		Cached:      a.cached,
+		Shed:        a.shed,
+		Errors5xx:   a.e5xx,
+		ErrorsOther: a.other,
 	}
 	if len(a.latencies) == 0 {
 		return res

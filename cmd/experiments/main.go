@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	// Ctrl-C / SIGTERM cancels in-flight solves and cluster calls cleanly.
+	// Ctrl-C / SIGTERM cancels in-flight solves cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {

@@ -1,7 +1,8 @@
 // Multi-user: 50 heterogeneous users share one edge server.
 //
 // Users run applications drawn from a small pool of generated function
-// graphs and own devices of different speeds. The example solves the same
+// graphs, own devices of different speeds and reach the server over uplinks
+// of different rates. The example solves the same
 // instance with all three cut engines of the paper's evaluation and prints
 // the comparison. Run with:
 //
@@ -12,12 +13,12 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"copmecs/internal/core"
 	"copmecs/internal/graph"
 	"copmecs/internal/mec"
 	"copmecs/internal/netgen"
-	"copmecs/internal/radio"
 )
 
 func main() {
@@ -37,22 +38,21 @@ func main() {
 	}
 
 	// 50 users: round-robin apps, alternating device generations (older
-	// devices compute at 60, newer at 140 work units per second), placed
-	// randomly in the cell so each gets a distance-dependent uplink.
-	links, err := radio.PlaceUsers(radio.DefaultParams(), 50, 99)
-	if err != nil {
-		log.Fatalf("place users: %v", err)
-	}
+	// devices compute at 60, newer at 140 work units per second), and uplink
+	// rates spread geometrically over 25–400 units/s (cell edge to cell
+	// centre), dealt out of order so rate does not track app or device.
+	const minBW, maxBW = 25.0, 400.0
 	users := make([]core.UserInput, 50)
 	for i := range users {
 		device := 60.0
 		if i%2 == 1 {
 			device = 140.0
 		}
+		rank := float64(i*7%len(users)) / float64(len(users)-1)
 		users[i] = core.UserInput{
 			Graph:         pool[i%len(pool)],
 			DeviceCompute: device,
-			Bandwidth:     links[i].Bandwidth,
+			Bandwidth:     minBW * math.Pow(maxBW/minBW, rank),
 		}
 	}
 
@@ -86,16 +86,6 @@ func main() {
 		len(old.Remote), old.Graph.NumNodes(), len(newer.Remote), newer.Graph.NumNodes())
 	fmt.Printf("server: %d of %d users offload work (k drives waiting time)\n",
 		sol.Eval.ActiveUsers, len(users))
-	// Radio heterogeneity: the cell's rate spread.
-	minBW, maxBW := links[0].Bandwidth, links[0].Bandwidth
-	for _, l := range links[1:] {
-		if l.Bandwidth < minBW {
-			minBW = l.Bandwidth
-		}
-		if l.Bandwidth > maxBW {
-			maxBW = l.Bandwidth
-		}
-	}
-	fmt.Printf("uplink rates across the cell: %.0f to %.0f units/s (%.1fx spread)\n",
+	fmt.Printf("uplink rates across the users: %.0f to %.0f units/s (%.0fx spread)\n",
 		minBW, maxBW, maxBW/minBW)
 }

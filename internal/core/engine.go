@@ -29,7 +29,7 @@ type Engine interface {
 	Name() string
 	// Bisect splits g; the two sides partition g's nodes. Implementations
 	// must honour ctx cancellation, at minimum by failing fast between
-	// cuts; remote engines propagate ctx to the transport.
+	// cuts.
 	Bisect(ctx context.Context, g *graph.Graph) (sideA, sideB []graph.NodeID, err error)
 }
 

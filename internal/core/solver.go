@@ -179,7 +179,7 @@ type Solution struct {
 // Solve runs the full pipeline — compression, per-sub-graph minimum cut,
 // greedy scheme generation — over all users simultaneously (the multi-user
 // coupling is the shared edge-server capacity). ctx cancels the cut stage
-// between bisections and propagates to cluster engines' in-flight calls.
+// between bisections.
 //
 // Users frequently share a graph (a fleet running the same application — the
 // regime of the paper's multi-user experiments). The pipeline output depends

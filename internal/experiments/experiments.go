@@ -314,8 +314,8 @@ const (
 // Runtime regenerates Figure 9: single-user solve wall time for the
 // spectral pipeline without parallelism ("without Spark"), the two
 // combinatorial baselines, and the spectral pipeline with per-sub-graph and
-// matvec parallelism ("with Spark" — internal/parallel standing in for the
-// Spark cluster).
+// matvec parallelism ("with Spark" — internal/parallel's in-process work
+// stealing and row-block matvec standing in for Spark).
 func Runtime(ctx context.Context, seed int64, sizes []int) (*RuntimeResult, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("%w: no sizes", ErrBadInput)

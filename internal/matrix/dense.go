@@ -101,39 +101,6 @@ func (m *Dense) MulVec(v Vector) (Vector, error) {
 	return out, nil
 }
 
-// Mul returns m·n as a new matrix.
-func (m *Dense) Mul(n *Dense) (*Dense, error) {
-	if m.cols != n.rows {
-		return nil, fmt.Errorf("mul %dx%d by %dx%d: %w", m.rows, m.cols, n.rows, n.cols, ErrDimension)
-	}
-	out := NewDense(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.data[i*m.cols : (i+1)*m.cols]
-		orow := out.data[i*n.cols : (i+1)*n.cols]
-		for k, a := range mrow {
-			if a == 0 { //vet:ignore floatcmp exact-zero skip is a pure optimisation; a tolerance would silently drop small contributions
-				continue
-			}
-			nrow := n.data[k*n.cols : (k+1)*n.cols]
-			for j, b := range nrow {
-				orow[j] += a * b
-			}
-		}
-	}
-	return out, nil
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*m.rows+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Dense) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {

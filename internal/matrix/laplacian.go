@@ -39,16 +39,3 @@ func Laplacian(n int, edges []WeightedEdge) (*CSR, error) {
 	}
 	return NewCSR(n, n, entries)
 }
-
-// DegreeVector returns the weighted degree of each node given the edges.
-func DegreeVector(n int, edges []WeightedEdge) Vector {
-	deg := make(Vector, n)
-	for _, e := range edges {
-		if e.U == e.V || e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			continue
-		}
-		deg[e.U] += e.Weight
-		deg[e.V] += e.Weight
-	}
-	return deg
-}

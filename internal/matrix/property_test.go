@@ -175,28 +175,3 @@ func TestPropertyMulVecRangeCoversMulVec(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPropertyTransposeInvolution(t *testing.T) {
-	f := func(seed int64, rr, cc uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r, c := int(rr%8)+1, int(cc%8)+1
-		m := NewDense(r, c)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				m.Set(i, j, rng.NormFloat64())
-			}
-		}
-		tt := m.Transpose().Transpose()
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				if tt.At(i, j) != m.At(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

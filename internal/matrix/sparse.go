@@ -76,26 +76,16 @@ func NewCSR(rows, cols int, entries []Triplet) (*CSR, error) {
 	return m, nil
 }
 
-// NewCSRFromParts wraps pre-assembled CSR arrays without copying: row i's
+// ResetParts points m at pre-assembled CSR arrays without copying: row i's
 // entries are colIdx[rowPtr[i]:rowPtr[i+1]] with values vals. The caller
 // promises rowPtr is monotone starting at 0 and every column index is in
 // range; only the cheap O(rows) shape checks run here (the per-entry
 // invariants are the caller's, letting hot paths assemble Laplacians into
 // pooled buffers without NewCSR's triplet bucketing and per-row sorts). The
 // matrix aliases the given slices — the caller must not modify them while
-// the matrix is in use, and may reclaim them once it is dead.
-func NewCSRFromParts(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) {
-	m := &CSR{}
-	if err := m.ResetParts(rows, cols, rowPtr, colIdx, vals); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ResetParts revalidates and repoints m at the given backing arrays in place
-// — NewCSRFromParts without the header allocation — for callers that funnel
-// many short-lived assemblies through one reusable CSR (the spectral cut hot
-// path builds a fresh Laplacian per bisection).
+// the matrix is in use, and may reclaim them once it is dead. Resetting in
+// place lets callers funnel many short-lived assemblies through one reusable
+// CSR (the spectral cut hot path builds a fresh Laplacian per bisection).
 func (m *CSR) ResetParts(rows, cols int, rowPtr, colIdx []int, vals []float64) error {
 	if rows < 0 || cols < 0 {
 		return fmt.Errorf("csr %dx%d: %w", rows, cols, ErrDimension)
@@ -124,9 +114,6 @@ func (m *CSR) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *CSR) Cols() int { return m.cols }
-
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.vals) }
 
 // At returns m[i, j] (zero when the entry is not stored).
 func (m *CSR) At(i, j int) float64 {

@@ -22,9 +22,6 @@ var ErrDimension = errors.New("matrix: dimension mismatch")
 // Vector is a dense column vector.
 type Vector []float64
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	c := make(Vector, len(v))

@@ -1,118 +1,12 @@
 package parallel
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"strconv"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"copmecs/internal/matrix"
 )
-
-// echoRegistry returns a registry with "echo" (returns payload), "double"
-// (parses an int, doubles it) and "fail" (always errors).
-func echoRegistry() *Registry {
-	r := NewRegistry()
-	r.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
-	r.Register("double", func(p []byte) ([]byte, error) {
-		n, err := strconv.Atoi(string(p))
-		if err != nil {
-			return nil, err
-		}
-		return []byte(strconv.Itoa(2 * n)), nil
-	})
-	r.Register("fail", func(p []byte) ([]byte, error) {
-		return nil, errors.New("intentional failure")
-	})
-	return r
-}
-
-func TestRegistry(t *testing.T) {
-	r := echoRegistry()
-	if _, ok := r.Lookup("echo"); !ok {
-		t.Error("echo not found")
-	}
-	if _, ok := r.Lookup("missing"); ok {
-		t.Error("missing kind found")
-	}
-	if kinds := r.Kinds(); len(kinds) != 3 {
-		t.Errorf("Kinds = %v, want 3 entries", kinds)
-	}
-	r.Register("echo", func(p []byte) ([]byte, error) { return nil, nil })
-	if kinds := r.Kinds(); len(kinds) != 3 {
-		t.Errorf("re-register grew Kinds: %v", kinds)
-	}
-}
-
-func TestPoolRunJobs(t *testing.T) {
-	pool := NewPool(4, echoRegistry())
-	jobs := make([]Job, 50)
-	for i := range jobs {
-		jobs[i] = Job{Kind: "double", Payload: []byte(strconv.Itoa(i))}
-	}
-	res, err := pool.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("RunJobs: %v", err)
-	}
-	for i, r := range res {
-		if want := strconv.Itoa(2 * i); string(r.Payload) != want {
-			t.Errorf("job %d = %q, want %q", i, r.Payload, want)
-		}
-		if r.Index != i {
-			t.Errorf("job %d has index %d", i, r.Index)
-		}
-	}
-}
-
-func TestPoolEmptyAndDefaults(t *testing.T) {
-	pool := NewPool(0, echoRegistry())
-	if pool.Workers() < 1 {
-		t.Errorf("default workers = %d", pool.Workers())
-	}
-	res, err := pool.RunJobs(context.Background(), nil)
-	if err != nil || res != nil {
-		t.Errorf("empty batch = %v, %v", res, err)
-	}
-}
-
-func TestPoolHandlerError(t *testing.T) {
-	pool := NewPool(2, echoRegistry())
-	jobs := []Job{{Kind: "echo"}, {Kind: "fail"}, {Kind: "echo"}}
-	if _, err := pool.RunJobs(context.Background(), jobs); err == nil {
-		t.Error("handler failure not propagated")
-	}
-}
-
-func TestPoolUnknownKind(t *testing.T) {
-	pool := NewPool(2, echoRegistry())
-	if _, err := pool.RunJobs(context.Background(), []Job{{Kind: "nope"}}); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
-func TestPoolContextCancel(t *testing.T) {
-	r := NewRegistry()
-	release := make(chan struct{})
-	r.Register("block", func(p []byte) ([]byte, error) {
-		<-release
-		return nil, nil
-	})
-	pool := NewPool(1, r)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.RunJobs(ctx, []Job{{Kind: "block"}, {Kind: "block"}, {Kind: "block"}})
-		done <- err
-	}()
-	cancel()
-	close(release)
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled run error = %v, want context.Canceled", err)
-	}
-}
 
 func TestForEach(t *testing.T) {
 	var sum atomic.Int64
@@ -140,127 +34,47 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func startExecutors(t *testing.T, n int) []string {
+func TestForEachFirstErrorWins(t *testing.T) {
+	// One worker visits indices in order, so the first failing index is the
+	// error returned and nothing after it starts.
+	first, second := errors.New("first"), errors.New("second")
+	var ran []int
+	err := ForEach(1, 10, func(i int) error {
+		ran = append(ran, i)
+		switch i {
+		case 3:
+			return first
+		case 7:
+			return second
+		}
+		return nil
+	})
+	if !errors.Is(err, first) {
+		t.Errorf("error = %v, want first", err)
+	}
+	if len(ran) != 4 || ran[3] != 3 {
+		t.Errorf("ran %v, want 0..3", ran)
+	}
+}
+
+func TestForEachMoreWorkersThanItems(t *testing.T) {
+	var visits [3]atomic.Int32
+	if err := ForEach(64, len(visits), func(i int) error {
+		visits[i].Add(1)
+		return nil
+	}); err != nil {
+		t.Fatalf("ForEach: %v", err)
+	}
+	for i := range visits {
+		if got := visits[i].Load(); got != 1 {
+			t.Errorf("index %d visited %d times, want 1", i, got)
+		}
+	}
+}
+
+// tridiagonal returns the n×n second-difference matrix and an input vector.
+func tridiagonal(t *testing.T, n int) (*matrix.CSR, matrix.Vector) {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ex, err := NewExecutor(fmt.Sprintf("exec-%d", i), "127.0.0.1:0", echoRegistry())
-		if err != nil {
-			t.Fatalf("NewExecutor: %v", err)
-		}
-		t.Cleanup(func() { _ = ex.Close() })
-		addrs[i] = ex.Addr()
-	}
-	return addrs
-}
-
-func TestClusterRoundTrip(t *testing.T) {
-	addrs := startExecutors(t, 3)
-	driver, err := NewDriver(addrs, 0)
-	if err != nil {
-		t.Fatalf("NewDriver: %v", err)
-	}
-	defer driver.Close()
-	if driver.Executors() != 3 {
-		t.Errorf("Executors = %d, want 3", driver.Executors())
-	}
-	jobs := make([]Job, 40)
-	for i := range jobs {
-		jobs[i] = Job{Kind: "double", Payload: []byte(strconv.Itoa(i))}
-	}
-	res, err := driver.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("RunJobs: %v", err)
-	}
-	for i, r := range res {
-		if want := strconv.Itoa(2 * i); string(r.Payload) != want {
-			t.Errorf("job %d = %q, want %q", i, r.Payload, want)
-		}
-	}
-}
-
-func TestClusterHandlerErrorPermanent(t *testing.T) {
-	addrs := startExecutors(t, 2)
-	driver, err := NewDriver(addrs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer driver.Close()
-	if _, err := driver.RunJobs(context.Background(), []Job{{Kind: "fail"}}); err == nil {
-		t.Error("handler failure not propagated")
-	}
-	if _, err := driver.RunJobs(context.Background(), []Job{{Kind: "ghost"}}); err == nil {
-		t.Error("unknown kind not propagated")
-	}
-}
-
-func TestClusterSurvivesExecutorDeath(t *testing.T) {
-	// Start three executors, kill one, run a batch: retries must route the
-	// dead executor's jobs to survivors.
-	var execs []*Executor
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		ex, err := NewExecutor(fmt.Sprintf("exec-%d", i), "127.0.0.1:0", echoRegistry())
-		if err != nil {
-			t.Fatal(err)
-		}
-		execs = append(execs, ex)
-		addrs = append(addrs, ex.Addr())
-	}
-	defer func() {
-		for _, ex := range execs {
-			_ = ex.Close()
-		}
-	}()
-	driver, err := NewDriver(addrs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer driver.Close()
-	if err := execs[1].Close(); err != nil {
-		t.Fatalf("close executor: %v", err)
-	}
-	jobs := make([]Job, 30)
-	for i := range jobs {
-		jobs[i] = Job{Kind: "double", Payload: []byte(strconv.Itoa(i))}
-	}
-	res, err := driver.RunJobs(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("RunJobs with dead executor: %v", err)
-	}
-	for i, r := range res {
-		if want := strconv.Itoa(2 * i); string(r.Payload) != want {
-			t.Errorf("job %d = %q, want %q", i, r.Payload, want)
-		}
-	}
-}
-
-func TestDriverNoExecutors(t *testing.T) {
-	if _, err := NewDriver(nil, 0); !errors.Is(err, ErrNoExecutors) {
-		t.Errorf("empty addrs error = %v", err)
-	}
-	if _, err := NewDriver([]string{"127.0.0.1:1"}, 0); !errors.Is(err, ErrNoExecutors) {
-		t.Errorf("unreachable addr error = %v", err)
-	}
-}
-
-func TestWaitReady(t *testing.T) {
-	addrs := startExecutors(t, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := WaitReadyContext(ctx, addrs[0]); err != nil {
-		t.Errorf("WaitReadyContext: %v", err)
-	}
-	dead, deadCancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer deadCancel()
-	if err := WaitReadyContext(dead, "127.0.0.1:1"); err == nil {
-		t.Error("WaitReadyContext on dead addr succeeded")
-	}
-}
-
-func TestMatVecOperatorMatchesSerial(t *testing.T) {
-	// Large tridiagonal so the parallel path (n ≥ 256) is exercised.
-	n := 1000
 	entries := make([]matrix.Triplet, 0, 3*n)
 	for i := 0; i < n; i++ {
 		entries = append(entries, matrix.Triplet{Row: i, Col: i, Val: 2})
@@ -278,32 +92,30 @@ func TestMatVecOperatorMatchesSerial(t *testing.T) {
 	for i := range in {
 		in[i] = float64(i%7) - 3
 	}
-	serial, err := m.MulVec(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := MatVecOperator{M: m, Workers: 4}
-	if op.Dim() != n {
-		t.Errorf("Dim = %d, want %d", op.Dim(), n)
-	}
-	out := make(matrix.Vector, n)
-	op.Apply(in, out)
-	diff, err := serial.Sub(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.MaxAbs() > 1e-12 {
-		t.Errorf("parallel matvec differs by %v", diff.MaxAbs())
-	}
-	// Small-matrix serial fallback path.
-	small, err := matrix.NewCSR(3, 3, []matrix.Triplet{{Row: 0, Col: 0, Val: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sop := MatVecOperator{M: small, Workers: 8}
-	sout := make(matrix.Vector, 3)
-	sop.Apply(matrix.Vector{1, 2, 3}, sout)
-	if sout[0] != 1 || sout[1] != 0 {
-		t.Errorf("small apply = %v", sout)
+	return m, in
+}
+
+func TestMatVecOperatorMatchesSerial(t *testing.T) {
+	// 255 takes the serial path, 256 and 1000 fan out by row block; a row's
+	// dot product is the same code either way, so equality is exact.
+	for _, n := range []int{3, 255, 256, 1000} {
+		m, in := tridiagonal(t, n)
+		serial, err := m.MulVec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 4, 2 * n} {
+			op := MatVecOperator{M: m, Workers: workers}
+			if op.Dim() != n {
+				t.Errorf("Dim = %d, want %d", op.Dim(), n)
+			}
+			out := make(matrix.Vector, n)
+			op.Apply(in, out)
+			for i := range out {
+				if out[i] != serial[i] {
+					t.Fatalf("n=%d workers=%d: row %d = %v, serial %v", n, workers, i, out[i], serial[i])
+				}
+			}
+		}
 	}
 }

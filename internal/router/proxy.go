@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,9 +13,6 @@ import (
 
 	"copmecs/internal/serve"
 )
-
-// errNoBackend marks a request that found no routable replica at all.
-var errNoBackend = errors.New("router: no ready backend")
 
 // attemptResult is one backend attempt's outcome, delivered on the
 // forward loop's channel.
@@ -47,8 +43,8 @@ type routeFunc func(body []byte) (reps []*backend, onOK func(attemptResult), err
 
 // proxy is the handler body behind both POST endpoints: method and drain
 // checks, the size-capped body read, route, forward (failover + hedging)
-// and the response switch — 503 with no replica to try, 502 when every
-// replica failed, the backend's reply verbatim otherwise.
+// and the response — 502 when every replica failed, the backend's reply
+// verbatim otherwise.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, arrivals *atomic.Uint64, route routeFunc) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -78,25 +74,20 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, arr
 	}
 
 	res := rt.forward(r.Context(), path, reps, body)
-	switch {
-	case errors.Is(res.err, errNoBackend):
-		rt.noBackend.Add(1)
-		w.Header().Set("Retry-After", "1")
-		errorJSON(w, http.StatusServiceUnavailable, errNoBackend.Error())
-	case res.err != nil:
+	if res.err != nil {
 		rt.unreachable.Add(1)
 		errorJSON(w, http.StatusBadGateway,
 			fmt.Sprintf("router: all replicas failed: %v", res.err))
-	default:
-		if res.status == http.StatusOK && onOK != nil {
-			onOK(res)
-		}
-		if res.ctype != "" {
-			w.Header().Set("Content-Type", res.ctype)
-		}
-		w.WriteHeader(res.status)
-		_, _ = w.Write(res.body)
+		return
 	}
+	if res.status == http.StatusOK && onOK != nil {
+		onOK(res)
+	}
+	if res.ctype != "" {
+		w.Header().Set("Content-Type", res.ctype)
+	}
+	w.WriteHeader(res.status)
+	_, _ = w.Write(res.body)
 }
 
 // readBody reads the size-capped request body: in one allocation when the
@@ -152,8 +143,9 @@ func (rt *Router) replicasFor(fp string) []*backend {
 	return reps
 }
 
-// forward tries the given replicas in order until one returns a usable
-// response, POSTing body to path on each. Three escalation paths share
+// forward tries the given replicas (never empty: replicasFor falls back to
+// the full-membership ring) in order until one returns a usable response,
+// POSTing body to path on each. Three escalation paths share
 // the replica list:
 //
 //   - hard failure (transport error, 503): launch the next replica
@@ -163,9 +155,6 @@ func (rt *Router) replicasFor(fp string) []*backend {
 //     response wins, the loser's context is canceled on return;
 //   - client gone: every attempt dies with the request context.
 func (rt *Router) forward(ctx context.Context, path string, reps []*backend, body []byte) attemptResult {
-	if len(reps) == 0 {
-		return attemptResult{err: errNoBackend}
-	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel() // reaps hedge losers and abandoned attempts
 

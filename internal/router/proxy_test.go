@@ -43,3 +43,40 @@ func TestReadBodySizedAndUnsized(t *testing.T) {
 		t.Error("sized body over the cap read without error")
 	}
 }
+
+// TestReplicasForNeverEmpty: with every backend quarantined the ready ring
+// is swapped to an empty one, and replicasFor still hands forward at least
+// one candidate, in full-membership ring order — there is no "no backend"
+// outcome for proxy to report.
+func TestReplicasForNeverEmpty(t *testing.T) {
+	rt, err := New(Config{
+		Backends: []BackendConfig{
+			{Name: "a", URL: "http://127.0.0.1:1"},
+			{Name: "b", URL: "http://127.0.0.1:2"},
+			{Name: "c", URL: "http://127.0.0.1:3"},
+		},
+		QuarantineAfter: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range rt.backends {
+		rt.prober.noteFailure(b, "down")
+	}
+	for i := 0; i < 32; i++ {
+		fp := fingerprintOf(t, makeBody(i))
+		if ready := rt.ring.Load().Replicas(fp, rt.cfg.MaxAttempts); len(ready) != 0 {
+			t.Fatalf("ready ring still routes to %v with every backend quarantined", ready)
+		}
+		want := rt.fullRing.Replicas(fp, rt.cfg.MaxAttempts)
+		reps := rt.replicasFor(fp)
+		if len(reps) == 0 || len(reps) != len(want) {
+			t.Fatalf("replicasFor(%s) = %d candidates, want %d", fp, len(reps), len(want))
+		}
+		for j, b := range reps {
+			if b.name != want[j] {
+				t.Fatalf("replicasFor(%s)[%d] = %s, want %s (full-ring order)", fp, j, b.name, want[j])
+			}
+		}
+	}
+}

@@ -206,7 +206,6 @@ type Router struct {
 	forwards     atomic.Uint64 // attempts sent to backends
 	failovers    atomic.Uint64 // attempts relaunched after a hard failure
 	badRequests  atomic.Uint64 // 400 responses (undecodable on ident miss)
-	noBackend    atomic.Uint64 // 503 responses with an empty ring
 	unreachable  atomic.Uint64 // 502 responses after exhausting replicas
 	drainRejects atomic.Uint64 // 503 responses while draining
 	identHits    atomic.Uint64 // bodies routed without JSON decode

@@ -86,8 +86,6 @@ type RouterStatus struct {
 	Failovers uint64 `json:"failovers"`
 	// BadRequests counts 400 responses issued by the router itself.
 	BadRequests uint64 `json:"bad_requests"`
-	// NoBackend counts 503 responses with no routable backend.
-	NoBackend uint64 `json:"no_backend"`
 	// Unreachable counts 502 responses after exhausting all replicas.
 	Unreachable uint64 `json:"unreachable"`
 	// DrainRejects counts 503 responses while draining.
@@ -191,7 +189,6 @@ func (rt *Router) routerStatus() RouterStatus {
 		Forwards:     rt.forwards.Load(),
 		Failovers:    rt.failovers.Load(),
 		BadRequests:  rt.badRequests.Load(),
-		NoBackend:    rt.noBackend.Load(),
 		Unreachable:  rt.unreachable.Load(),
 		DrainRejects: rt.drainRejects.Load(),
 		IdentHits:    rt.identHits.Load(),

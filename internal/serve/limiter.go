@@ -16,10 +16,8 @@ import (
 //
 // The limiter sits at the very front of /v1/solve (before the body is even
 // read), so a rate-capped daemon sheds excess offered load at the cheapest
-// possible point. Capping per-backend throughput is what makes a fleet's
-// capacity additive: N daemons capped at Q QPS serve ≈ N·Q behind the
-// router, which scripts/bench_fleet.sh turns into a committed scaling
-// benchmark.
+// possible point. Capping per-backend throughput makes a fleet's capacity
+// additive: N daemons capped at Q QPS serve ≈ N·Q behind the router.
 type rateLimiter struct {
 	// base anchors the monotonic clock; times below are ns since base.
 	base time.Time

@@ -103,15 +103,11 @@ type Config struct {
 	ID string
 	// MaxQPS caps admitted /v1/solve requests per second (0 = unlimited).
 	// Arrivals beyond the cap are shed with 429 before the body is read.
-	// Capping per-backend throughput makes fleet capacity additive, which
-	// is what the fleet scaling benchmark measures.
 	MaxQPS float64
 	// RateBurst is the MaxQPS burst allowance in requests (≤ 0 picks
 	// max(1, MaxQPS/2)). Ignored when MaxQPS is 0.
 	RateBurst int
-	// Engine is the minimum-cut engine (nil = core.SpectralEngine{}); a
-	// parallel.FallbackRunner-backed core.ClusterEngine plugs in here to
-	// serve from an executor fleet with local degradation.
+	// Engine is the minimum-cut engine (nil = core.SpectralEngine{}).
 	Engine core.Engine
 	// Params are the default MEC system constants (zero = mec.Defaults());
 	// requests may override them per call.
