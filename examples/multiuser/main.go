@@ -75,15 +75,17 @@ func main() {
 			sol.Eval.TransmissionEnergy, sol.Eval.Time, sol.Stats.GreedyMoves)
 	}
 
-	// Detail for the spectral scheme: how the placement differs between an
-	// old and a new device running the same app.
+	// Detail for the spectral scheme: how the placement differs between two
+	// users running the same app on the same device generation over
+	// different uplinks (users 0 and 4 share pool[0] and the older device).
 	sol, err := core.Solve(context.Background(), users, core.Options{Params: params})
 	if err != nil {
 		log.Fatalf("solve: %v", err)
 	}
-	old, newer := sol.Placements[0], sol.Placements[1] // same app, devices 60 vs 140
-	fmt.Printf("\nspectral placement, same app: old device offloads %d/%d functions, new device %d/%d\n",
-		len(old.Remote), old.Graph.NumNodes(), len(newer.Remote), newer.Graph.NumNodes())
+	slow, fast := sol.Placements[0], sol.Placements[4]
+	fmt.Printf("\nspectral placement, same app and device: at %.0f units/s uplink %d/%d functions offload, at %.0f units/s %d/%d\n",
+		users[0].Bandwidth, len(slow.Remote), slow.Graph.NumNodes(),
+		users[4].Bandwidth, len(fast.Remote), fast.Graph.NumNodes())
 	fmt.Printf("server: %d of %d users offload work (k drives waiting time)\n",
 		sol.Eval.ActiveUsers, len(users))
 	fmt.Printf("uplink rates across the users: %.0f to %.0f units/s (%.0fx spread)\n",

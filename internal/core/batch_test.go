@@ -334,16 +334,20 @@ func TestParallelCutStageSubmitsNoDoomedSpeculation(t *testing.T) {
 	// The cut stage exactly as BatchSolve reaches it: the round's distinct
 	// graphs fused, compressed, one job per component.
 	opts := Options{MaxParts: 2, Workers: 4}.normalised()
-	cr, err := lpa.CompressCSR(graph.Fuse([]*graph.Graph{g, g2}).View, lpa.Options{})
+	view := graph.Fuse([]*graph.Graph{g, g2}).View
+	all := make([]int, len(view.Components()))
+	for i := range all {
+		all[i] = i
+	}
+	blocks, err := lpa.CompressComponents(view, lpa.Options{}, all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := csrJobsFromCompressed(cr)
-	all := make([]int, len(jobs))
+	jobs := make([]csrJob, len(blocks))
 	splittable := 0
-	for i := range jobs {
-		all[i] = i
-		if jobs[i].n >= 2 {
+	for i := range blocks {
+		jobs[i].blk = blocks[i]
+		if jobs[i].n() >= 2 {
 			splittable++
 		}
 	}

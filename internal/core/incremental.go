@@ -156,24 +156,22 @@ func (s *Session) solveApplied(ctx context.Context, base *graph.Graph, d *graph.
 			ds.FallbackReason = fmt.Sprintf("touched-edge fraction %.3f above threshold %.3f", ds.TouchedFraction, maxFrac)
 		}
 	}
-	var oldCompOf []int32
 	if ds.FallbackReason != "" {
 		ds.ColdFallback = true
 		prev, view = nil, mutated.Compile()
 	} else {
 		ds.Incremental = true
-		oldCompOf = info.OldCompOf
-		for _, oc := range oldCompOf {
+		for _, oc := range info.OldCompOf {
 			if oc >= 0 {
 				ds.CleanComponents++
 				ds.LanczosItersSaved += prev.comps[oc].iters
 			}
 		}
-		ds.DirtyComponents = len(oldCompOf) - ds.CleanComponents
+		ds.DirtyComponents = len(info.OldCompOf) - ds.CleanComponents
 	}
 
 	start := time.Now()
-	out, st, err := runPipeline(ctx, sopts.normalised(), singleSpan(view), prev, oldCompOf)
+	out, st, err := runPipeline(ctx, sopts.normalised(), singleSpan(view), prev, info)
 	if err != nil {
 		return nil, nil, err
 	}

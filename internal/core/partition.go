@@ -24,8 +24,8 @@ import (
 // the greedy never picks are cancelled (unstarted tasks become no-ops); at
 // worst they cost wasted cycles, never a different answer.
 
-// cutJobs partitions the listed jobs, recording each one's blocks and
-// Lanczos iteration count in comps.
+// cutJobs partitions the jobs — jobs[k] is component dirty[k] — recording
+// each one's cut lists and Lanczos iteration count in comps.
 func cutJobs(ctx context.Context, opts Options, jobs []csrJob, dirty []int, comps []compSolveState) error {
 	if opts.Workers > 1 {
 		sp := newSpeculation(opts.Workers)
@@ -34,8 +34,8 @@ func cutJobs(ctx context.Context, opts Options, jobs []csrJob, dirty []int, comp
 	}
 	// One split workspace across every job of the run.
 	sc := &splitScratch{}
-	for _, i := range dirty {
-		if err := partitionJob(ctx, &jobs[i], opts.Engine, opts.MaxParts, sc, nil, &comps[i]); err != nil {
+	for k, i := range dirty {
+		if err := partitionJob(ctx, &jobs[k], opts.Engine, opts.MaxParts, sc, nil, &comps[i]); err != nil {
 			return fmt.Errorf("core: cut sub-graph: %w", err)
 		}
 	}
@@ -65,7 +65,7 @@ func (sp *speculation) cutJobs(ctx context.Context, opts Options, jobs []csrJob,
 		go func(k, i int) {
 			defer wg.Done()
 			sc := sp.scratch.Get().(*splitScratch)
-			errs[k] = partitionJob(ctx, &jobs[i], opts.Engine, opts.MaxParts, sc, sp, &comps[i])
+			errs[k] = partitionJob(ctx, &jobs[k], opts.Engine, opts.MaxParts, sc, sp, &comps[i])
 			sp.scratch.Put(sc)
 		}(k, i)
 	}
@@ -128,7 +128,7 @@ func (t *splitTask) cancel() {
 // bisection runs inline; otherwise it is awaited from a speculative task on
 // sp's pool. The outcome lands in cs.
 func partitionJob(ctx context.Context, j *csrJob, engine Engine, k int, sc *splitScratch, sp *speculation, cs *compSolveState) error {
-	blocks := append(sc.blockSlab(k), sc.identity(j.n))
+	blocks := append(sc.blockSlab(k), sc.identity(j.n()))
 	// indivisible never escapes the call, so it lives in scratch.
 	if cap(sc.indiv) < k {
 		sc.indiv = make([]bool, 0, k)
@@ -155,7 +155,7 @@ func partitionJob(ctx context.Context, j *csrJob, engine Engine, k int, sc *spli
 			}
 			var work float64
 			for _, id := range block {
-				work += j.nodeW[id]
+				work += j.blk.NodeW[id]
 			}
 			if work > bestWork {
 				best, bestWork = bi, work
@@ -204,6 +204,6 @@ func partitionJob(ctx context.Context, j *csrJob, engine Engine, k int, sc *spli
 			tasks = append(tasks, tb)
 		}
 	}
-	cs.blocks = blocks
+	cs.cuts = blocks
 	return nil
 }

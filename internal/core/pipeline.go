@@ -13,34 +13,25 @@ import (
 
 // csrJob is one cut job of the pipeline: a sub-graph (one compressed
 // component, or one raw component under DisableCompression) in local CSR
-// form over ids 0..n−1. Local ids ascend with the external ids they stand
-// for, so every ordering decision (ties, scans, summations) agrees with the
-// map-pipeline oracle bit for bit.
+// form over ids 0..n−1 — its lpa.Block. Local ids ascend with the external
+// ids they stand for, so every ordering decision (ties, scans, summations)
+// agrees with the map-pipeline oracle bit for bit.
 type csrJob struct {
-	n     int
-	off   []int32
-	tgt   []int32
-	w     []float64
-	nodeW []float64
-
-	// cr/base identify the compressed component: local super s is global
-	// super base+s of cr. nil when running uncompressed.
-	cr   *lpa.CSRResult
-	base int32
-	// ids maps local id → original NodeID when uncompressed (nil otherwise;
-	// compressed jobs use the contracted super numbering 0..n−1 directly,
-	// matching the contracted sub-graphs lpa.Compress materialises).
+	blk *lpa.Block
+	// ids maps local id → original NodeID for a raw component (nil for a
+	// compressed one, which uses the contracted super numbering 0..n−1
+	// directly, matching the contracted sub-graphs lpa.Compress materialises).
 	ids []graph.NodeID
-	// vidx maps local id → index in the backing CSR view when uncompressed
-	// (nil for compressed jobs, whose members live in cr.Members already).
-	vidx []int32
 }
+
+// n returns the job's node count.
+func (j *csrJob) n() int { return len(j.blk.NodeW) }
 
 // extID returns the NodeID that local id v carries in the engine-facing
 // graph: the contracted super id for compressed jobs, the original NodeID
 // for raw components. Both mappings are strictly increasing in v.
 func (j *csrJob) extID(v int32) graph.NodeID {
-	if j.cr != nil {
+	if j.ids == nil {
 		return graph.NodeID(v)
 	}
 	return j.ids[v]
@@ -48,107 +39,41 @@ func (j *csrJob) extID(v int32) graph.NodeID {
 
 // localOf inverts extID.
 func (j *csrJob) localOf(id graph.NodeID) int32 {
-	if j.cr != nil {
+	if j.ids == nil {
 		return int32(id)
 	}
 	return int32(sort.Search(len(j.ids), func(i int) bool { return j.ids[i] >= id }))
 }
 
-// nnz returns the job's stored adjacency entry count (2× its edge count).
-func (j *csrJob) nnz() int { return int(j.off[j.n]) }
-
-// csrJobsUncompressed builds one raw-component job per component of the view.
-func csrJobsUncompressed(c *graph.CSR) []csrJob {
-	// Job arrays are carved from per-array slabs sized by the view's totals:
-	// one allocation per array kind instead of one per job, which matters
-	// when a fused view holds hundreds of small components.
-	comps := c.Components()
-	jobs := make([]csrJob, 0, len(comps))
-	n := c.NumNodes()
-	totNNZ := 2 * c.NumEdges()
-	localOf := make([]int32, n)
-	for _, comp := range comps {
-		for li, u := range comp {
-			localOf[u] = int32(li)
-		}
+// rawBlock presents an uncompressed component as the block of the identity
+// compression: every member its own super-node, the adjacency renumbered to
+// member positions. pos is view-sized scratch.
+func rawBlock(c *graph.CSR, comp, pos []int32) *lpa.Block {
+	k, nnz := len(comp), 0
+	for li, u := range comp {
+		pos[u] = int32(li)
+		nnz += c.Degree(u)
 	}
-	offSlab := make([]int32, 0, n+len(comps))
-	idSlab := make([]graph.NodeID, 0, n)
-	vidxSlab := make([]int32, 0, n)
-	nodeWSlab := make([]float64, 0, n)
-	tgtSlab := make([]int32, 0, totNNZ)
-	wSlab := make([]float64, 0, totNNZ)
+	b := &lpa.Block{
+		NodeW:     make([]float64, k),
+		Off:       make([]int32, 1, k+1),
+		Tgt:       make([]int32, 0, nnz),
+		W:         make([]float64, 0, nnz),
+		MemberOff: make([]int32, k+1),
+		Members:   make([]int32, k),
+	}
 	nodeW := c.NodeWeights()
-	for _, comp := range comps {
-		k := len(comp)
-		job := csrJob{
-			n:     k,
-			off:   offSlab[len(offSlab) : len(offSlab) : len(offSlab)+k+1],
-			ids:   idSlab[len(idSlab) : len(idSlab) : len(idSlab)+k],
-			vidx:  vidxSlab[len(vidxSlab) : len(vidxSlab) : len(vidxSlab)+k],
-			nodeW: nodeWSlab[len(nodeWSlab) : len(nodeWSlab) : len(nodeWSlab)+k],
+	for li, u := range comp {
+		b.NodeW[li] = nodeW[u]
+		b.Members[li], b.MemberOff[li+1] = int32(li), int32(li+1)
+		tgt, w := c.Adj(u)
+		for _, v := range tgt {
+			b.Tgt = append(b.Tgt, pos[v])
 		}
-		job.off = append(job.off, 0)
-		nnz := 0
-		for _, u := range comp {
-			job.ids = append(job.ids, c.IDOf(u))
-			job.vidx = append(job.vidx, u)
-			job.nodeW = append(job.nodeW, nodeW[u])
-			nnz += c.Degree(u)
-			job.off = append(job.off, int32(nnz))
-		}
-		job.tgt = tgtSlab[len(tgtSlab) : len(tgtSlab) : len(tgtSlab)+nnz]
-		job.w = wSlab[len(wSlab) : len(wSlab) : len(wSlab)+nnz]
-		for _, u := range comp {
-			tgt, w := c.Adj(u)
-			for e, v := range tgt {
-				job.tgt = append(job.tgt, localOf[v])
-				job.w = append(job.w, w[e])
-			}
-		}
-		offSlab = offSlab[:len(offSlab)+k+1]
-		idSlab = idSlab[:len(idSlab)+k]
-		vidxSlab = vidxSlab[:len(vidxSlab)+k]
-		nodeWSlab = nodeWSlab[:len(nodeWSlab)+k]
-		tgtSlab = tgtSlab[:len(tgtSlab)+nnz]
-		wSlab = wSlab[:len(wSlab)+nnz]
-		jobs = append(jobs, job)
+		b.W = append(b.W, w...)
+		b.Off = append(b.Off, int32(len(b.Tgt)))
 	}
-	return jobs
-}
-
-// csrJobsFromCompressed builds one contracted job per component of a
-// compression result, in component order.
-func csrJobsFromCompressed(cr *lpa.CSRResult) []csrJob {
-	nComp := len(cr.CompOff) - 1
-	jobs := make([]csrJob, 0, nComp)
-	totalK := int(cr.CompOff[nComp])
-	offSlab := make([]int32, totalK+nComp)
-	tgtSlab := make([]int32, len(cr.Tgt))
-	offAt, tgtAt := 0, 0
-	for ci := 0; ci < nComp; ci++ {
-		base, end := cr.CompOff[ci], cr.CompOff[ci+1]
-		k := int(end - base)
-		job := csrJob{n: k, cr: cr, base: base, nodeW: cr.NodeW[base:end]}
-		// A component's supers are contiguous, so its adjacency is one
-		// contiguous span of the global arrays; rebase it to local ids.
-		// The weights need no rebasing at all and alias the global array.
-		lo := cr.Off[base]
-		job.off = offSlab[offAt : offAt+k+1 : offAt+k+1]
-		offAt += k + 1
-		for li := 0; li <= k; li++ {
-			job.off[li] = cr.Off[int(base)+li] - lo
-		}
-		nnz := int(job.off[k])
-		job.tgt = tgtSlab[tgtAt : tgtAt+nnz : tgtAt+nnz]
-		tgtAt += nnz
-		job.w = cr.W[lo : int(lo)+nnz]
-		for e := 0; e < nnz; e++ {
-			job.tgt[e] = cr.Tgt[int(lo)+e] - base
-		}
-		jobs = append(jobs, job)
-	}
-	return jobs
+	return b
 }
 
 // graphPipeline is one graph's pipeline outcome — user-independent part
@@ -162,20 +87,29 @@ type graphPipeline struct {
 	delta *solveState
 }
 
-// compSolveState is one component's cut outcome: the block lists recursive
-// bisection produced (local ids, valid for any bit-identical component) and
-// the Lanczos iterations spent producing them.
+// compSolveState is everything the pipeline derived for one component: its
+// compression block (the identity block under DisableCompression), the cut
+// lists recursive bisection produced over the block's local ids, the Lanczos
+// iterations spent producing them, and the part templates the cuts expand
+// to, sibling and adjacency indices relative to the component's first
+// template. The block and the cuts name members by position, so they are
+// valid for the same component in any view; the templates name view indices
+// and NodeIDs, so they hold as long as no index shifts.
 type compSolveState struct {
-	blocks [][]int32
+	blk    *lpa.Block
+	cuts   [][]int32
 	iters  int
+	protos []protoPart
 }
 
-// solveState is the replayable pipeline state of one view: the view itself,
-// its compression (nil when compression is disabled), and the per-component
-// outcomes aligned with the view's Components().
+// solveState is the replayable pipeline state of one view: the view itself
+// and the per-component outcomes aligned with the view's Components(). A
+// component's block and templates are its own allocations and its cut lists
+// windows of its run's split arena (a few KiB a run), so a state down a delta
+// chain keeps an ancestor's memory alive only through the components it
+// still carries from it.
 type solveState struct {
 	view  *graph.FusedCSR
-	cr    *lpa.CSRResult
 	comps []compSolveState
 }
 
@@ -189,23 +123,52 @@ func singleSpan(c *graph.CSR) *graph.FusedCSR {
 	}
 }
 
-// runPipeline is the one pipeline driver: Algorithm 1 compression, then the
-// cut stage, over every component of f's view, demultiplexed into one
-// graphPipeline per span. Every kernel it runs is component-local and every
-// component belongs to exactly one span, so each graph's templates are
-// bit-identical however the view was put together — alone, fused with
-// others, or patched.
+// runPipeline is the one pipeline driver: Algorithm 1 compression, the cut
+// stage and template expansion, component by component over f's view,
+// demultiplexed into one graphPipeline per span. Every kernel it runs is
+// component-local and every component belongs to exactly one span, so each
+// graph's templates are bit-identical however the view was put together —
+// alone, fused with others, or patched.
 //
-// prev and oldCompOf (graph.PatchInfo.OldCompOf) name the predecessor of a
-// patched view: a component with a clean predecessor carries its compression
-// over and replays its recorded blocks; every other component — all of them
-// when prev is nil — runs compress → partition. The returned state records
-// every component's outcome, so any run can be the predecessor of the next.
-func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *solveState, oldCompOf []int32) ([]graphPipeline, *solveState, error) {
-	st := &solveState{view: f}
-	var jobs []csrJob
+// prev and info name the predecessor of a patched view. A component with a
+// clean predecessor (info.OldCompOf) is that predecessor's record, copied:
+// block, cuts and — unless the patch shifted node indices — templates; only
+// the shifted templates are re-expanded from the carried block and cuts.
+// Every other component — all of them when prev is nil — runs compress →
+// partition → expand. The returned state records every component's outcome,
+// so any run can be the predecessor of the next.
+func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *solveState, info *graph.PatchInfo) ([]graphPipeline, *solveState, error) {
+	view := f.View
+	comps := view.Components()
+	st := &solveState{view: f, comps: make([]compSolveState, len(comps))}
+	dirty := make([]int, 0, len(comps))
+	shifted := false
+	if prev == nil {
+		for i := range comps {
+			dirty = append(dirty, i)
+		}
+	} else {
+		if len(info.OldCompOf) != len(comps) {
+			return nil, nil, fmt.Errorf("core: patch names %d components, the view has %d", len(info.OldCompOf), len(comps))
+		}
+		shifted = info.NewToOld != nil
+		for i, oc := range info.OldCompOf {
+			if oc < 0 {
+				dirty = append(dirty, i)
+				continue
+			}
+			if int(oc) >= len(prev.comps) || len(prev.comps[oc].blk.Members) != len(comps[i]) {
+				return nil, nil, fmt.Errorf("core: component %d does not align with previous component %d", i, oc)
+			}
+			st.comps[i] = prev.comps[oc]
+		}
+	}
+
 	if opts.DisableCompression {
-		jobs = csrJobsUncompressed(f.View)
+		pos := make([]int32, view.NumNodes())
+		for _, i := range dirty {
+			st.comps[i].blk = rawBlock(view, comps[i], pos)
+		}
 	} else {
 		lopts := opts.LPA
 		if lopts.Workers == 0 {
@@ -213,164 +176,97 @@ func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *sol
 			// "without Spark" mode) is serial end to end.
 			lopts.Workers = opts.Workers
 		}
-		var prevCR *lpa.CSRResult
-		if prev != nil {
-			prevCR = prev.cr
-		}
-		cr, err := lpa.CompressCSRIncremental(f.View, lopts, prevCR, oldCompOf)
+		blocks, err := lpa.CompressComponents(view, lopts, dirty)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
-		st.cr = cr
-		jobs = csrJobsFromCompressed(cr)
-	}
-	if oldCompOf != nil && len(oldCompOf) != len(jobs) {
-		return nil, nil, fmt.Errorf("core: %d jobs for %d components", len(jobs), len(oldCompOf))
+		for k, i := range dirty {
+			st.comps[i].blk = blocks[k]
+		}
 	}
 
-	st.comps = make([]compSolveState, len(jobs))
-	dirty := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if oldCompOf != nil && oldCompOf[i] >= 0 {
-			st.comps[i] = prev.comps[oldCompOf[i]]
-		} else {
-			dirty = append(dirty, i)
+	jobs := make([]csrJob, len(dirty))
+	ids := view.IDs()
+	for k, i := range dirty {
+		jobs[k].blk = st.comps[i].blk
+		if opts.DisableCompression {
+			jobs[k].ids = make([]graph.NodeID, len(comps[i]))
+			for li, u := range comps[i] {
+				jobs[k].ids[li] = ids[u]
+			}
 		}
 	}
 	if err := cutJobs(ctx, opts, jobs, dirty, st.comps); err != nil {
 		return nil, nil, err
 	}
 
-	// Demux: span k owns jobs (= components) [CompBase[k], CompBase[k+1]).
+	// Demux: span k owns components [CompBase[k], CompBase[k+1]); its
+	// templates are the components' groups end to end, indices re-based.
 	out := make([]graphPipeline, f.Graphs())
-	ids := f.View.IDs()
-	var sc protoScratch
-	sc.prime(f.View.NumNodes(), len(jobs))
+	var blockOf []int32
 	for k := range out {
 		gp := &out[k]
-		total := 0
+		total, adj := 0, 0
 		for ci := f.CompBase[k]; ci < f.CompBase[k+1]; ci++ {
-			total += len(st.comps[ci].blocks)
+			cs := &st.comps[ci]
+			if cs.protos == nil || shifted {
+				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, f.NodeBase[k], &blockOf)
+			}
+			total += len(cs.protos)
+			for pi := range cs.protos {
+				adj += len(cs.protos[pi].adj)
+			}
 		}
 		gp.protos = make([]protoPart, 0, total)
+		adjSlab := make([]PartEdge, 0, adj)
 		for ci := f.CompBase[k]; ci < f.CompBase[k+1]; ci++ {
-			j := &jobs[ci]
-			gp.nodesAfter += j.n
-			gp.edgesAfter += j.nnz() / 2
-			gp.protos = appendJobProtos(gp.protos, j, st.comps[ci].blocks, ids, f.NodeBase[k], &sc)
+			cs := &st.comps[ci]
+			gp.nodesAfter += len(cs.blk.NodeW)
+			gp.edgesAfter += len(cs.blk.Tgt) / 2
+			base := len(gp.protos)
+			for _, pp := range cs.protos {
+				if pp.sibling >= 0 {
+					pp.sibling += base
+				}
+				if len(pp.adj) > 0 {
+					start := len(adjSlab)
+					for _, e := range pp.adj {
+						adjSlab = append(adjSlab, PartEdge{Other: base + e.Other, Weight: e.Weight})
+					}
+					pp.adj = adjSlab[start:len(adjSlab):len(adjSlab)]
+				}
+				gp.protos = append(gp.protos, pp)
+			}
 		}
 	}
 	return out, st, nil
 }
 
-// protoScratch is the reusable workspace for appendJobProtos: the per-node
-// block assignment and carve-forward chunk arenas for the small slabs that
-// escape into protos (node lists, index lists, bisection edge pairs).
-// Callers loop over jobs serially and own one instance.
+// expandProtos expands one component's cut lists into its part templates:
+// per-cut original-node expansion through the block's member positions,
+// pairwise cross weights, the lightest-part-local initial placement, and
+// two-way sibling links. Sibling and adjacency index within the returned
+// group, as the map-pipeline oracle indexes within a graph's templates once
+// the group's offset is added. The group and its lists are allocations of
+// the component's own.
 //
-// The chunks are carve-only: a window, once handed out, is never rewound or
-// reused, so escaping windows stay valid even after the arena moves on to a
-// fresh chunk. One pipeline run's worth of per-job slabs collapses into a
-// handful of chunk allocations.
-type protoScratch struct {
-	blockOf []int32
-
-	nodeChunk []graph.NodeID
-	idxChunk  []int32
-	peChunk   []PartEdge
-}
-
-// protoChunkSize is the arena chunk granularity. Large enough to amortise
-// dozens of per-job slabs per allocation, small enough that a solution
-// pinning its chunk holds only a few KiB of slack.
-const protoChunkSize = 2048
-
-// prime sizes the arenas for one pipeline run so they never overshoot:
-// every job's node and index slabs together cover the run's original nodes
-// exactly once, and each bisected job carves at most one two-entry edge
-// pair.
-func (sc *protoScratch) prime(nodes, jobs int) {
-	if cap(sc.nodeChunk) < nodes {
-		sc.nodeChunk = make([]graph.NodeID, 0, nodes)
-	}
-	if cap(sc.idxChunk) < nodes {
-		sc.idxChunk = make([]int32, 0, nodes)
-	}
-	if cap(sc.peChunk) < 2*jobs {
-		sc.peChunk = make([]PartEdge, 0, 2*jobs)
-	}
-}
-
-// nodeSlab carves a zero-length, capacity-n window for one job's node lists.
-func (sc *protoScratch) nodeSlab(n int) []graph.NodeID {
-	if cap(sc.nodeChunk)-len(sc.nodeChunk) < n {
-		size := protoChunkSize
-		if n > size {
-			size = n
-		}
-		sc.nodeChunk = make([]graph.NodeID, 0, size)
-	}
-	off := len(sc.nodeChunk)
-	sc.nodeChunk = sc.nodeChunk[:off+n]
-	return sc.nodeChunk[off : off : off+n]
-}
-
-// idxSlab is nodeSlab for the graph-local index lists.
-func (sc *protoScratch) idxSlab(n int) []int32 {
-	if cap(sc.idxChunk)-len(sc.idxChunk) < n {
-		size := protoChunkSize
-		if n > size {
-			size = n
-		}
-		sc.idxChunk = make([]int32, 0, size)
-	}
-	off := len(sc.idxChunk)
-	sc.idxChunk = sc.idxChunk[:off+n]
-	return sc.idxChunk[off : off : off+n]
-}
-
-// pePair carves the two-entry cross-edge slab a bisected job records.
-func (sc *protoScratch) pePair() []PartEdge {
-	if cap(sc.peChunk)-len(sc.peChunk) < 2 {
-		sc.peChunk = make([]PartEdge, 0, protoChunkSize)
-	}
-	off := len(sc.peChunk)
-	sc.peChunk = sc.peChunk[:off+2]
-	return sc.peChunk[off : off+2 : off+2]
-}
-
-// appendJobProtos expands one cut job's blocks into proto parts and appends
-// them to protos: per-block original-node expansion, pairwise cross weights,
-// the lightest-part-local initial placement, and two-way sibling links.
-// Proto adjacency indexes within the final protos slice of the same graph
-// (base-relative), exactly as the map-pipeline oracle emits it.
-//
-// ids is the backing view's index→NodeID array and rebase the graph's node
-// offset within it (0 for a single-span view). Each proto records its
-// members both as NodeIDs and as graph-local CSR indices — the evaluator's
-// input. sc is the caller's reusable workspace.
-func appendJobProtos(protos []protoPart, j *csrJob, blocks [][]int32, ids []graph.NodeID, rebase int32, sc *protoScratch) []protoPart {
-	// All blocks together cover the job's original nodes exactly once, so
-	// the per-block node and index lists each carve one exactly-sized slab
-	// from the scratch arena instead of allocating per block.
-	totN := j.n
-	if j.cr != nil {
-		totN = int(j.cr.MemberOff[j.base+int32(j.n)] - j.cr.MemberOff[j.base])
-	}
-	nodesSlab := sc.nodeSlab(totN)
-	idxBuf := sc.idxSlab(totN)
+// comp is the component's member list in the backing view, ids the view's
+// index→NodeID array and rebase the graph's node offset within it (0 for a
+// single-span view). Each template records its members both as NodeIDs and
+// as graph-local CSR indices — the evaluator's input. blockOf is the
+// caller's reusable scratch.
+func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.NodeID, rebase int32, blockOf *[]int32) []protoPart {
+	// All cuts together cover the component's nodes exactly once, so the
+	// per-cut node and index lists each carve one exactly-sized slab.
+	nodesSlab := make([]graph.NodeID, 0, len(comp))
+	idxBuf := make([]int32, 0, len(comp))
 	expand := func(side []int32) ([]graph.NodeID, []int32, float64) {
 		var work float64
 		start := len(idxBuf)
 		for _, s := range side {
-			work += j.nodeW[s]
-			if j.cr != nil {
-				g := j.base + s
-				for _, u := range j.cr.Members[j.cr.MemberOff[g]:j.cr.MemberOff[g+1]] {
-					idxBuf = append(idxBuf, u-rebase)
-				}
-			} else {
-				idxBuf = append(idxBuf, j.vidx[s]-rebase)
+			work += blk.NodeW[s]
+			for _, pos := range blk.Members[blk.MemberOff[s]:blk.MemberOff[s+1]] {
+				idxBuf = append(idxBuf, comp[pos]-rebase)
 			}
 		}
 		gidx := idxBuf[start:len(idxBuf):len(idxBuf)]
@@ -385,87 +281,85 @@ func appendJobProtos(protos []protoPart, j *csrJob, blocks [][]int32, ids []grap
 		return nodesSlab[nstart:len(nodesSlab):len(nodesSlab)], gidx, work
 	}
 
-	base := len(protos)
-	if cap(sc.blockOf) < j.n {
-		sc.blockOf = make([]int32, j.n)
+	n := len(blk.NodeW)
+	if cap(*blockOf) < n {
+		*blockOf = make([]int32, n)
 	}
-	blockOf := sc.blockOf[:j.n]
+	of := (*blockOf)[:n]
+	protos := make([]protoPart, 0, len(cuts))
 	lightest, lightestWork := -1, 0.0
-	for bi, block := range blocks {
-		nodes, gidx, work := expand(block)
+	for bi, cut := range cuts {
+		nodes, gidx, work := expand(cut)
 		protos = append(protos, protoPart{
 			nodes: nodes, idx: gidx, work: work, sibling: -1, remote: true,
 		})
-		for _, id := range block {
-			blockOf[id] = int32(bi)
+		for _, id := range cut {
+			of[id] = int32(bi)
 		}
 		if lightest < 0 || work < lightestWork {
 			lightest, lightestWork = bi, work
 		}
 	}
-	// Pairwise communication between blocks of this sub-graph. The scan
+	// Pairwise communication between the cuts of this sub-graph. The scan
 	// runs u ascending, v>u ascending — the same sequence as the oracle's
 	// Edges() loop, so per-pair float sums match exactly.
 	switch {
-	case len(blocks) == 2:
+	case len(cuts) == 2:
 		// Bisection (the default MaxParts): one pair, summed directly in
 		// scan order — the map below would accumulate the same floats in
 		// the same sequence under a single key.
 		var w float64
 		found := false
-		for u := int32(0); u < int32(j.n); u++ {
-			for e := j.off[u]; e < j.off[u+1]; e++ {
-				v := j.tgt[e]
-				if v < u || blockOf[u] == blockOf[v] {
+		for u := int32(0); u < int32(n); u++ {
+			for e := blk.Off[u]; e < blk.Off[u+1]; e++ {
+				v := blk.Tgt[e]
+				if v < u || of[u] == of[v] {
 					continue
 				}
-				w += j.w[e]
+				w += blk.W[e]
 				found = true
 			}
 		}
 		if found {
-			pe := sc.pePair()
-			pe[0] = PartEdge{Other: base + 1, Weight: w}
-			pe[1] = PartEdge{Other: base, Weight: w}
-			protos[base].adj = pe[:1:1]
-			protos[base+1].adj = pe[1:2]
+			pe := []PartEdge{{Other: 1, Weight: w}, {Other: 0, Weight: w}}
+			protos[0].adj = pe[:1:1]
+			protos[1].adj = pe[1:2]
 		} else {
 			w = 0
 		}
-		protos[base+lightest].remote = false
-		protos[base].sibling = base + 1
-		protos[base+1].sibling = base
-		protos[base].crossWeight = w
-		protos[base+1].crossWeight = w
-	case len(blocks) > 2:
+		protos[lightest].remote = false
+		protos[0].sibling = 1
+		protos[1].sibling = 0
+		protos[0].crossWeight = w
+		protos[1].crossWeight = w
+	case len(cuts) > 2:
 		cross := make(map[[2]int]float64)
-		for u := int32(0); u < int32(j.n); u++ {
-			for e := j.off[u]; e < j.off[u+1]; e++ {
-				v := j.tgt[e]
+		for u := int32(0); u < int32(n); u++ {
+			for e := blk.Off[u]; e < blk.Off[u+1]; e++ {
+				v := blk.Tgt[e]
 				if v < u {
 					continue
 				}
-				a, b := int(blockOf[u]), int(blockOf[v])
+				a, b := int(of[u]), int(of[v])
 				if a == b {
 					continue
 				}
 				if a > b {
 					a, b = b, a
 				}
-				cross[[2]int{a, b}] += j.w[e]
+				cross[[2]int{a, b}] += blk.W[e]
 			}
 		}
 		for pair, w := range cross {
-			pa, pb := base+pair[0], base+pair[1]
-			protos[pa].adj = append(protos[pa].adj, PartEdge{Other: pb, Weight: w})
-			protos[pb].adj = append(protos[pb].adj, PartEdge{Other: pa, Weight: w})
+			protos[pair[0]].adj = append(protos[pair[0]].adj, PartEdge{Other: pair[1], Weight: w})
+			protos[pair[1]].adj = append(protos[pair[1]].adj, PartEdge{Other: pair[0], Weight: w})
 		}
-		for bi := range blocks {
-			sortPartEdges(protos[base+bi].adj)
+		for bi := range protos {
+			sortPartEdges(protos[bi].adj)
 		}
 		// Algorithm 2's initial scheme generalised: the lightest part
 		// stays on the device, every other part offloads.
-		protos[base+lightest].remote = false
+		protos[lightest].remote = false
 	}
 	return protos
 }
@@ -493,6 +387,11 @@ type splitScratch struct {
 	blockChunk [][]int32
 }
 
+// cutChunkCap bounds the arena chunk size: large enough to amortise dozens of
+// per-job slabs per allocation, small enough that a cut list pinning its
+// chunk holds only a few KiB of slack.
+const cutChunkCap = 2048
+
 // sideSlab carves an n-length window for one split's two side lists. The
 // first chunk is sized exactly (a fresh scratch bisecting once must not
 // overshoot a tiny job); replacement chunks double toward the cap so a
@@ -500,8 +399,8 @@ type splitScratch struct {
 func (sc *splitScratch) sideSlab(n int) []int32 {
 	if cap(sc.sideChunk)-len(sc.sideChunk) < n {
 		size := 2 * cap(sc.sideChunk)
-		if size > protoChunkSize {
-			size = protoChunkSize
+		if size > cutChunkCap {
+			size = cutChunkCap
 		}
 		if size < n {
 			size = n
@@ -518,8 +417,8 @@ func (sc *splitScratch) sideSlab(n int) []int32 {
 func (sc *splitScratch) blockSlab(k int) [][]int32 {
 	if cap(sc.blockChunk)-len(sc.blockChunk) < k {
 		size := 2 * cap(sc.blockChunk)
-		if size > protoChunkSize {
-			size = protoChunkSize
+		if size > cutChunkCap {
+			size = cutChunkCap
 		}
 		if size < k {
 			size = k
@@ -570,7 +469,8 @@ func splitBlock(ctx context.Context, j *csrJob, block []int32, engine Engine, sc
 // so adjacency stays ascending without re-sorting), then
 // spectral.BisectCSRInto. iters accumulates the Lanczos iteration count.
 func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *int, sc *splitScratch) (sideA, sideB []int32, err error) {
-	sc.ensure(j.n)
+	sc.ensure(j.n())
+	off, tgt, w := j.blk.Off, j.blk.Tgt, j.blk.W
 	if cap(sc.sorted) < len(block) {
 		sc.sorted = make([]int32, len(block))
 	}
@@ -590,8 +490,8 @@ func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *in
 	nnz := 0
 	sc.ioff[0] = 0
 	for r, id := range sorted {
-		for e := j.off[id]; e < j.off[id+1]; e++ {
-			if sc.mark[j.tgt[e]] == sc.epoch {
+		for e := off[id]; e < off[id+1]; e++ {
+			if sc.mark[tgt[e]] == sc.epoch {
 				nnz++
 			}
 		}
@@ -604,10 +504,10 @@ func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *in
 	sc.itgt, sc.iw = sc.itgt[:nnz], sc.iw[:nnz]
 	p := 0
 	for _, id := range sorted {
-		for e := j.off[id]; e < j.off[id+1]; e++ {
-			if v := j.tgt[e]; sc.mark[v] == sc.epoch {
+		for e := off[id]; e < off[id+1]; e++ {
+			if v := tgt[e]; sc.mark[v] == sc.epoch {
 				sc.itgt[p] = sc.pos[v]
-				sc.iw[p] = j.w[e]
+				sc.iw[p] = w[e]
 				p++
 			}
 		}
@@ -634,7 +534,8 @@ func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *in
 // *graph.Graph, materialising the block with the same node ids the
 // map-pipeline oracle hands it.
 func splitMaterializedBlock(ctx context.Context, j *csrJob, block []int32, engine Engine, sc *splitScratch) (sideA, sideB []int32, err error) {
-	sc.ensure(j.n)
+	sc.ensure(j.n())
+	off, tgt, w := j.blk.Off, j.blk.Tgt, j.blk.W
 	sorted := make([]int32, len(block))
 	copy(sorted, block)
 	slices.Sort(sorted)
@@ -644,14 +545,14 @@ func splitMaterializedBlock(ctx context.Context, j *csrJob, block []int32, engin
 	}
 	sub := graph.New(len(sorted))
 	for _, id := range sorted {
-		if err := sub.AddNode(j.extID(id), j.nodeW[id]); err != nil {
+		if err := sub.AddNode(j.extID(id), j.blk.NodeW[id]); err != nil {
 			return nil, nil, err
 		}
 	}
 	for _, id := range sorted {
-		for e := j.off[id]; e < j.off[id+1]; e++ {
-			if v := j.tgt[e]; v > id && sc.mark[v] == sc.epoch {
-				if err := sub.AddEdge(j.extID(id), j.extID(v), j.w[e]); err != nil {
+		for e := off[id]; e < off[id+1]; e++ {
+			if v := tgt[e]; v > id && sc.mark[v] == sc.epoch {
+				if err := sub.AddEdge(j.extID(id), j.extID(v), w[e]); err != nil {
 					return nil, nil, err
 				}
 			}

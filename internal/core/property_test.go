@@ -188,3 +188,79 @@ func TestPropertyObjectiveMatchesModel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropertyDisjointCopiesSolveAlike states the premise every per-component
+// reuse in this package leans on (ROADMAP item 3(iv)): a component's pipeline
+// outcome is a function of what is inside it and of nothing else. Solving
+// G ⊔ shift(G) — two disjoint copies of G in one graph, the second with every
+// id shifted — must give the second copy exactly the first copy's parts,
+// shifted: the same blocks, the same work and cross weights bit for bit, the
+// same sibling and adjacency links, the same initial placement. (The final
+// placement is the greedy's, which couples every part through the server.)
+func TestPropertyDisjointCopiesSolveAlike(t *testing.T) {
+	f := func(seed int64, nn, flags uint8) bool {
+		n := int(nn%90) + 20
+		g, err := netgen.Generate(netgen.Config{Nodes: n, Edges: 2 * n, Components: 1 + int(flags%4), Seed: seed})
+		if err != nil {
+			return true
+		}
+		ids := g.Nodes()
+		shift := ids[len(ids)-1] + 1 + graph.NodeID(flags>>4)
+		h := graph.New(2 * n)
+		for _, off := range []graph.NodeID{0, shift} {
+			for _, id := range ids {
+				w, _ := g.NodeWeight(id)
+				if err := h.AddNode(id+off, w); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+			for _, e := range g.Edges() {
+				if err := h.AddEdge(e.U+off, e.V+off, e.Weight); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+		}
+		for _, opts := range []Options{{}, {DisableCompression: true}, {MaxParts: 3}} {
+			sol, err := Solve(context.Background(), []UserInput{{Graph: h}}, opts)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			// Components order by smallest member, so the first copy's parts
+			// come first.
+			half := len(sol.Parts) / 2
+			if len(sol.Parts) != 2*half {
+				t.Logf("%d parts for two copies", len(sol.Parts))
+				return false
+			}
+			for i := 0; i < half; i++ {
+				a, b := &sol.Parts[i], &sol.Parts[half+i]
+				if math.Float64bits(a.Work) != math.Float64bits(b.Work) ||
+					math.Float64bits(a.CrossWeight) != math.Float64bits(b.CrossWeight) ||
+					a.InitialRemote != b.InitialRemote || len(a.Nodes) != len(b.Nodes) || len(a.Adj) != len(b.Adj) ||
+					(a.Sibling < 0) != (b.Sibling < 0) || (a.Sibling >= 0 && b.Sibling != a.Sibling+half) {
+					t.Logf("opts %+v part %d: %+v in the first copy, %+v in the second", opts, i, *a, *b)
+					return false
+				}
+				for k, id := range a.Nodes {
+					if b.Nodes[k] != id+shift {
+						t.Logf("opts %+v part %d: node %d of the first copy is %d of the second", opts, i, id, b.Nodes[k])
+						return false
+					}
+				}
+				for k, e := range a.Adj {
+					if b.Adj[k].Other != e.Other+half || math.Float64bits(b.Adj[k].Weight) != math.Float64bits(e.Weight) {
+						t.Logf("opts %+v part %d: adjacency %+v vs %+v", opts, i, a.Adj, b.Adj)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}

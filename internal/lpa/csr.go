@@ -9,11 +9,41 @@ import (
 	"copmecs/internal/graph"
 )
 
-// CSRResult is the array-form outcome of CompressCSR: the contracted graph
-// and all membership mappings as dense int32-indexed arrays, component-major.
-// It is what the solver's hot path consumes directly — no maps, no per-node
-// allocations — while Compress materialises the classic map-based Result
-// from it for the builder-facing API.
+// Block is one component's compression outcome, self-contained and in local
+// numbering: super-nodes 0..K−1 ordered by smallest member, adjacency over
+// those ids, and member lists as positions in the component's member list
+// (graph.CSR.Components). Nothing in it names a view index, so the block of
+// a component is the block of that component in every view that holds it
+// unchanged — a patched view's index shifts included — which is what lets
+// the solver carry a clean component's block down a delta chain untouched.
+// A block owns its arrays; none is shared with another block.
+type Block struct {
+	// NodeW is each super-node's weight (sum of member weights); its length
+	// is K, the component's super-node count.
+	NodeW []float64
+	// Off/Tgt/W is the contracted CSR adjacency over local super ids; each
+	// super's neighbor list is ascending.
+	Off []int32
+	Tgt []int32
+	W   []float64
+	// MemberOff/Members: super s absorbed the component members at positions
+	// Members[MemberOff[s]:MemberOff[s+1]], ascending.
+	MemberOff []int32
+	Members   []int32
+	// Labels is the raw propagation label of each member, by position (the
+	// label space starts at 0 per component); nil for a block that was not
+	// propagated.
+	Labels []int32
+	// Rounds and Threshold record the propagation outcome.
+	Rounds    int
+	Threshold float64
+}
+
+// CSRResult is the flat array form of a whole view's compression: every
+// component's Block concatenated component-major into global super
+// numbering, with membership mapped back to view indices. The solver works
+// on blocks and never builds it; it serves Compress's materialisation and
+// callers that want one contracted graph.
 type CSRResult struct {
 	// Input is the compiled view the compression ran on.
 	Input *graph.CSR
@@ -49,21 +79,19 @@ type CSRResult struct {
 	// compression (the paper's Table I columns).
 	NodesBefore, NodesAfter int
 	EdgesBefore, EdgesAfter int
+
+	// blocks are the per-component outcomes the arrays above concatenate,
+	// and opts the defaulted options (Workers aside) they were computed
+	// under: what CompressCSRIncremental carries forward, and the check that
+	// it may.
+	blocks []*Block
+	opts   Options
 }
 
 // superEdge is one contracted edge between two local super-nodes.
 type superEdge struct {
 	a, b int32
 	w    float64
-}
-
-// compOut is one component's compression outcome in local super numbering.
-type compOut struct {
-	k         int
-	superW    []float64
-	pairs     []superEdge
-	rounds    int
-	threshold float64
 }
 
 // dfsFrame is one node's in-progress adjacency scan during iterative DFS.
@@ -84,7 +112,8 @@ type compressScratch struct {
 	parent    []int32
 	clusterOf []int32
 	ws        []float64
-	// sched and prev: propagate's heavy-neighbor schedule and label snapshot.
+	// sched and prev: propagate's heavy-neighbor schedule and label snapshot;
+	// contract parks the final labels, by position, in prev.
 	sched   []int32
 	prev    []int32
 	pairKey map[int64]int32
@@ -95,53 +124,8 @@ type compressScratch struct {
 	pairSlot  []int32
 	pairMark  []int32
 	pairEpoch int32
-	// superChunk/pairChunk are carve-forward arenas for the per-component
-	// outputs, which outlive the component call (they escape into the
-	// assembly stage). Windows are never rewound, so pooled
-	// scratch reuse cannot clobber an escaped slab, and every fresh carve
-	// region is still make-zeroed. Chunks start exactly sized and double
-	// toward a cap, collapsing the two allocations per component into a
-	// handful per compression pass.
-	superChunk []float64
-	pairChunk  []superEdge
-}
-
-// outChunkCap bounds the arena chunk size (and thus the slack a pooled
-// scratch retains between compression passes).
-const outChunkCap = 4096
-
-// superSlab carves a zeroed k-entry super-weight slab.
-func (s *compressScratch) superSlab(k int) []float64 {
-	if cap(s.superChunk)-len(s.superChunk) < k {
-		size := 2 * cap(s.superChunk)
-		if size > outChunkCap {
-			size = outChunkCap
-		}
-		if size < k {
-			size = k
-		}
-		s.superChunk = make([]float64, 0, size)
-	}
-	off := len(s.superChunk)
-	s.superChunk = s.superChunk[:off+k]
-	return s.superChunk[off : off+k : off+k]
-}
-
-// pairSlab carves an m-entry contracted-edge slab.
-func (s *compressScratch) pairSlab(m int) []superEdge {
-	if cap(s.pairChunk)-len(s.pairChunk) < m {
-		size := 2 * cap(s.pairChunk)
-		if size > outChunkCap {
-			size = outChunkCap
-		}
-		if size < m {
-			size = m
-		}
-		s.pairChunk = make([]superEdge, 0, size)
-	}
-	off := len(s.pairChunk)
-	s.pairChunk = s.pairChunk[:off+m]
-	return s.pairChunk[off : off+m : off+m]
+	// cursor is the fill cursor of a block's counting sorts.
+	cursor []int32
 }
 
 var compressScratchPool = sync.Pool{New: func() any { return new(compressScratch) }}
@@ -182,98 +166,125 @@ func (s *compressScratch) find(x int32) int32 {
 	return x
 }
 
-// CompressCSR runs Algorithm 1 on a compiled graph view: per-component label
-// propagation over the CSR arrays followed by contraction of directly
-// connected same-label nodes, entirely on int32 index arrays. It is
-// CompressCSRIncremental with nothing to reuse.
+// CompressCSR runs Algorithm 1 on a compiled graph view — per-component label
+// propagation over the CSR arrays, then contraction of directly connected
+// same-label nodes, entirely on int32 index arrays — and returns the flat
+// form of every component's Block. It is CompressCSRIncremental with nothing
+// to carry.
 func CompressCSR(c *graph.CSR, opts Options) (*CSRResult, error) {
 	return CompressCSRIncremental(c, opts, nil, nil)
 }
 
-// assembleCSRResult builds the global contracted arrays of res from the
-// per-component outcomes. Recomputed and carried-over components produce
-// identical outs, so one assembly keeps an incremental result bit-for-bit
-// equal to a cold one. On entry res.Labels and res.SuperOf hold per-node
-// labels and component-local super ids; assembly rebases SuperOf to global.
-func assembleCSRResult(res *CSRResult, comps [][]int32, outs []compOut) {
-	n := res.NodesBefore
-	totalK, totalPairs := 0, 0
-	for i, o := range outs {
-		res.CompOff[i+1] = res.CompOff[i] + int32(o.k)
-		totalK += o.k
-		totalPairs += len(o.pairs)
-		res.Rounds[i] = o.rounds
-		res.Thresholds[i] = o.threshold
+// CompressComponents runs Algorithm 1 on the listed components of c (indices
+// into c.Components()) and returns their blocks, aligned with which. It is
+// the one compression primitive: a cold pass lists every component, a pass
+// over a patched view the ones its delta touched. Components are compressed
+// concurrently up to opts.Workers; a block depends on nothing but its own
+// component, so the outcome is the same at any worker count.
+func CompressComponents(c *graph.CSR, opts Options, which []int) ([]*Block, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
-	res.N = totalK
-	res.NodesAfter = totalK
-	res.EdgesAfter = totalPairs
-	res.NodeW = make([]float64, 0, totalK)
-	for _, o := range outs {
-		res.NodeW = append(res.NodeW, o.superW...)
+	comps, n := c.Components(), c.NumNodes()
+	blocks := make([]*Block, len(which))
+	run := func(k int) {
+		s := compressScratchPool.Get().(*compressScratch)
+		s.ensure(n)
+		blocks[k] = compressBlock(c, comps[which[k]], opts, s)
+		compressScratchPool.Put(s)
 	}
-	for i, comp := range comps {
-		base := res.CompOff[i]
-		for _, u := range comp {
-			res.SuperOf[u] += base
+	if opts.Workers == 1 || len(which) < 2 {
+		for k := range which {
+			run(k)
 		}
+		return blocks, nil
 	}
-	res.Off = make([]int32, totalK+1)
-	deg := res.Off[1:]
-	for i, o := range outs {
-		base := res.CompOff[i]
-		for _, p := range o.pairs {
-			deg[base+p.a]++
-			deg[base+p.b]++
-		}
+	sem := make(chan struct{}, opts.Workers)
+	var wg sync.WaitGroup
+	for k := range which {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(k int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			run(k)
+		}(k)
 	}
-	for s := 1; s <= totalK; s++ {
-		res.Off[s] += res.Off[s-1]
-	}
-	res.Tgt = make([]int32, 2*totalPairs)
-	res.W = make([]float64, 2*totalPairs)
-	cursor := make([]int32, totalK)
-	copy(cursor, res.Off[:totalK])
-	// pairs are sorted by (a, b) with a < b, so every row's a-side neighbors
-	// land before its b-side neighbors and both ascend: rows come out sorted.
-	for i, o := range outs {
-		base := res.CompOff[i]
-		for _, p := range o.pairs {
-			ga, gb := base+p.a, base+p.b
-			res.Tgt[cursor[ga]], res.W[cursor[ga]] = gb, p.w
-			cursor[ga]++
-			res.Tgt[cursor[gb]], res.W[cursor[gb]] = ga, p.w
-			cursor[gb]++
-		}
-	}
-	// Member lists: ascending original-index scan keeps each list ascending.
-	res.MemberOff = make([]int32, totalK+1)
-	sizes := res.MemberOff[1:]
-	for _, sup := range res.SuperOf {
-		sizes[sup]++
-	}
-	for s := 1; s <= totalK; s++ {
-		res.MemberOff[s] += res.MemberOff[s-1]
-	}
-	res.Members = make([]int32, n)
-	mcursor := make([]int32, totalK)
-	copy(mcursor, res.MemberOff[:totalK])
-	for u := int32(0); u < int32(n); u++ {
-		sup := res.SuperOf[u]
-		res.Members[mcursor[sup]] = u
-		mcursor[sup]++
-	}
+	wg.Wait()
+	return blocks, nil
 }
 
-// compressComponentCSR runs propagation plus contraction for one component,
-// writing per-node labels and local super assignments into the shared output
-// arrays (components are disjoint index sets, so concurrent writes are safe).
-func compressComponentCSR(c *graph.CSR, comp []int32, opts Options, labels, superOf []int32, s *compressScratch) compOut {
+// flatten concatenates the blocks of c's components into the global arrays
+// of a CSRResult: super ids offset by the supers before them, member
+// positions mapped through the view's member lists. A carried block and a
+// recomputed one are the same values, so the flat form of an incremental
+// pass is bit for bit that of a cold one.
+func flatten(c *graph.CSR, opts Options, blocks []*Block) *CSRResult {
+	comps, n := c.Components(), c.NumNodes()
+	res := &CSRResult{
+		Input:       c,
+		CompOff:     make([]int32, len(blocks)+1),
+		SuperOf:     make([]int32, n),
+		Members:     make([]int32, n),
+		Labels:      make([]int32, n),
+		Rounds:      make([]int, len(blocks)),
+		Thresholds:  make([]float64, len(blocks)),
+		NodesBefore: n,
+		EdgesBefore: c.NumEdges(),
+		blocks:      blocks,
+		opts:        opts,
+	}
+	nnz := 0
+	for i, b := range blocks {
+		res.CompOff[i+1] = res.CompOff[i] + int32(len(b.NodeW))
+		nnz += len(b.Tgt)
+		res.Rounds[i], res.Thresholds[i] = b.Rounds, b.Threshold
+	}
+	res.N = int(res.CompOff[len(blocks)])
+	res.NodesAfter, res.EdgesAfter = res.N, nnz/2
+	res.NodeW = make([]float64, 0, res.N)
+	res.Off = make([]int32, 1, res.N+1)
+	res.Tgt = make([]int32, 0, nnz)
+	res.W = make([]float64, 0, nnz)
+	res.MemberOff = make([]int32, 1, res.N+1)
+	at := int32(0) // members placed so far: a component's are contiguous
+	for i, b := range blocks {
+		comp, base := comps[i], res.CompOff[i]
+		res.NodeW = append(res.NodeW, b.NodeW...)
+		edges := int32(len(res.Tgt))
+		for _, e := range b.Off[1:] {
+			res.Off = append(res.Off, edges+e)
+		}
+		for _, t := range b.Tgt {
+			res.Tgt = append(res.Tgt, base+t)
+		}
+		res.W = append(res.W, b.W...)
+		for s := range b.NodeW {
+			for _, pos := range b.Members[b.MemberOff[s]:b.MemberOff[s+1]] {
+				res.SuperOf[comp[pos]] = base + int32(s)
+			}
+			res.MemberOff = append(res.MemberOff, at+b.MemberOff[s+1])
+		}
+		for p, pos := range b.Members {
+			res.Members[int(at)+p] = comp[pos]
+		}
+		for pos, l := range b.Labels {
+			res.Labels[comp[pos]] = l
+		}
+		at += int32(len(comp))
+	}
+	return res
+}
+
+// compressBlock runs propagation plus contraction for one component and
+// packs the outcome into its Block.
+func compressBlock(c *graph.CSR, comp []int32, opts Options, s *compressScratch) *Block {
 	threshold, order := s.prepare(c, comp, opts)
-	rounds := s.propagate(c, comp, order, threshold, opts, labels)
-	out := s.contract(c, comp, labels, superOf)
-	out.rounds, out.threshold = rounds, threshold
-	return out
+	rounds := s.propagate(c, comp, order, threshold, opts, s.clusterOf)
+	b := s.contract(c, comp)
+	b.Rounds, b.Threshold = rounds, threshold
+	return b
 }
 
 // prepare resolves the component's coupling threshold and its visit order
@@ -394,13 +405,17 @@ func (s *compressScratch) propagate(c *graph.CSR, comp, order []int32, threshold
 	}
 }
 
-// contract merges directly connected same-label nodes into super-nodes:
+// contract merges directly connected same-label nodes into super-nodes —
 // union-find over same-label edges, then cluster ids in ascending first-seen
-// order (= smallest-member order, matching graph.Contract's super numbering).
-func (s *compressScratch) contract(c *graph.CSR, comp []int32, labels, superOf []int32) compOut {
+// order (= smallest-member order, matching graph.Contract's super numbering)
+// — and packs the contracted component into a Block. The propagation labels
+// arrive in clusterOf: the union step is their last per-node reader, so they
+// then move out by position (the block's form) and the array takes the
+// cluster ids.
+func (s *compressScratch) contract(c *graph.CSR, comp []int32) *Block {
+	labels := s.clusterOf
 	for _, u := range comp {
 		s.parent[u] = u
-		s.clusterOf[u] = -1
 	}
 	for _, u := range comp {
 		tgt, _ := c.Adj(u)
@@ -415,6 +430,17 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32, labels, superOf [
 			}
 		}
 	}
+	if cap(s.prev) < len(comp) {
+		s.prev = make([]int32, len(comp))
+	}
+	labelAt := s.prev[:len(comp)]
+	for pos, u := range comp {
+		labelAt[pos] = labels[u]
+		s.clusterOf[u] = -1
+	}
+	// A node's super id lands in its own clusterOf slot: a root's slot holds
+	// its cluster's id either way, and no lookup reads a non-root's.
+	superOf := s.clusterOf
 	k := int32(0)
 	for _, u := range comp {
 		r := s.find(u)
@@ -425,11 +451,6 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32, labels, superOf [
 			s.clusterOf[r] = cl
 		}
 		superOf[u] = cl
-	}
-	out := compOut{k: int(k)}
-	out.superW = s.superSlab(int(k))
-	for _, u := range comp {
-		out.superW[superOf[u]] += c.NodeWeights()[u]
 	}
 
 	// Contracted edges: accumulate per super-pair in the original (u, v)
@@ -505,9 +526,56 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32, labels, superOf [
 		}
 		return cmp.Compare(x.b, y.b)
 	})
-	out.pairs = s.pairSlab(len(s.pairs))
-	copy(out.pairs, s.pairs)
-	return out
+
+	// The block's arrays are two allocations of its own, carved by kind.
+	nk, m := int(k), len(s.pairs)
+	ints := make([]int32, 2*(nk+1)+2*m+2*len(comp))
+	carve := func(n int) []int32 {
+		w := ints[:n:n]
+		ints = ints[n:]
+		return w
+	}
+	floats := make([]float64, nk+2*m)
+	b := &Block{
+		NodeW: floats[:nk:nk], W: floats[nk:],
+		Off: carve(nk + 1), Tgt: carve(2 * m),
+		MemberOff: carve(nk + 1), Members: carve(len(comp)), Labels: carve(len(comp)),
+	}
+	nodeW := c.NodeWeights()
+	for _, u := range comp {
+		b.NodeW[superOf[u]] += nodeW[u]
+		b.MemberOff[superOf[u]+1]++
+	}
+	copy(b.Labels, labelAt)
+	for _, p := range s.pairs {
+		b.Off[p.a+1]++
+		b.Off[p.b+1]++
+	}
+	for sup := 0; sup < nk; sup++ {
+		b.Off[sup+1] += b.Off[sup]
+		b.MemberOff[sup+1] += b.MemberOff[sup]
+	}
+	if cap(s.cursor) < nk {
+		s.cursor = make([]int32, nk)
+	}
+	cursor := s.cursor[:nk]
+	copy(cursor, b.Off)
+	// pairs are sorted by (a, b) with a < b, so every row's a-side neighbors
+	// land before its b-side neighbors and both ascend: rows come out sorted.
+	for _, p := range s.pairs {
+		b.Tgt[cursor[p.a]], b.W[cursor[p.a]] = p.b, p.w
+		cursor[p.a]++
+		b.Tgt[cursor[p.b]], b.W[cursor[p.b]] = p.a, p.w
+		cursor[p.b]++
+	}
+	// Member lists: the ascending position scan keeps each list ascending.
+	copy(cursor, b.MemberOff)
+	for pos, u := range comp {
+		sup := superOf[u]
+		b.Members[cursor[sup]] = int32(pos)
+		cursor[sup]++
+	}
+	return b
 }
 
 // traversalOrder computes the BFS or DFS visit order from start over the

@@ -3,6 +3,7 @@ package lpa
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +208,66 @@ func TestCompressCSRIncrementalAllClean(t *testing.T) {
 	}
 	if !csrResultsIdentical(t, inc, cold) {
 		t.Error("all-clean incremental compression diverges from cold")
+	}
+	for i := range inc.blocks {
+		if inc.blocks[i] != prev.blocks[i] {
+			t.Errorf("clean component %d was recomputed, not carried", i)
+		}
+	}
+}
+
+// TestCompressCSRIncrementalRecomputesOnOptionChange: a block computed under
+// one threshold, round cap or traversal is not the block of another, so a
+// predecessor compressed under different options carries nothing — the
+// outcome is the cold one under the new options — while a different worker
+// count, which no block depends on, still carries everything.
+func TestCompressCSRIncrementalRecomputesOnOptionChange(t *testing.T) {
+	c := tableIGraph(t, 1).Compile()
+	prev, err := CompressCSR(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, info, err := c.Patch(&graph.Delta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		carries bool
+	}{
+		{"weight threshold", Options{WeightThreshold: 40}, false},
+		{"max rounds", Options{MaxRounds: 2}, false},
+		{"traversal", Options{Traversal: DFS}, false},
+		{"min update rate", Options{MinUpdateRate: 0.9}, false},
+		{"workers only", Options{Workers: 3}, true},
+		{"defaults spelled out", Options{MinUpdateRate: 0.02, MaxRounds: 20, Traversal: BFS}, true},
+	} {
+		inc, err := CompressCSRIncremental(patched, tc.opts, prev, info.OldCompOf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cold, err := CompressCSR(patched, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !csrResultsIdentical(t, inc, cold) {
+			t.Errorf("%s: incremental over a predecessor under other options diverges from cold", tc.name)
+		}
+		for i := range inc.blocks {
+			if carried := inc.blocks[i] == prev.blocks[i]; carried != tc.carries {
+				t.Errorf("%s: component %d carried = %v, want %v", tc.name, i, carried, tc.carries)
+			}
+		}
+	}
+	// The rows must be able to tell: the default-option blocks are not the
+	// cold answer under at least the explicit threshold.
+	other, err := CompressCSR(patched, Options{WeightThreshold: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.NodesAfter == prev.NodesAfter && slices.Equal(other.Labels, prev.Labels) {
+		t.Fatal("threshold 40 compresses like the default: the option rows prove nothing")
 	}
 }
 

@@ -53,19 +53,19 @@ func propagateAllRounds(c *graph.CSR, comp, order []int32, threshold float64, op
 	return rounds
 }
 
-// compressAllRounds is compressComponentCSR over the reference loop.
-func compressAllRounds(c *graph.CSR, comp []int32, opts Options, labels, superOf []int32, s *compressScratch) compOut {
+// compressAllRounds is compressBlock over the reference loop.
+func compressAllRounds(c *graph.CSR, comp []int32, opts Options, s *compressScratch) *Block {
 	threshold, order := s.prepare(c, comp, opts)
-	rounds := propagateAllRounds(c, comp, order, threshold, opts, labels)
-	out := s.contract(c, comp, labels, superOf)
-	out.rounds, out.threshold = rounds, threshold
-	return out
+	rounds := propagateAllRounds(c, comp, order, threshold, opts, s.clusterOf)
+	b := s.contract(c, comp)
+	b.Rounds, b.Threshold = rounds, threshold
+	return b
 }
 
 // compressCSRWith is a serial cold CompressCSR whose per-component step is
 // compress, on scratch s (nil: a fresh one).
 func compressCSRWith(t testing.TB, c *graph.CSR, opts Options, s *compressScratch,
-	compress func(*graph.CSR, []int32, Options, []int32, []int32, *compressScratch) compOut) *CSRResult {
+	compress func(*graph.CSR, []int32, Options, *compressScratch) *Block) *CSRResult {
 	t.Helper()
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -74,24 +74,13 @@ func compressCSRWith(t testing.TB, c *graph.CSR, opts Options, s *compressScratc
 	if s == nil {
 		s = new(compressScratch)
 	}
-	comps, n := c.Components(), c.NumNodes()
-	res := &CSRResult{
-		Input:       c,
-		Labels:      make([]int32, n),
-		SuperOf:     make([]int32, n),
-		CompOff:     make([]int32, len(comps)+1),
-		Rounds:      make([]int, len(comps)),
-		Thresholds:  make([]float64, len(comps)),
-		NodesBefore: n,
-		EdgesBefore: c.NumEdges(),
-	}
-	outs := make([]compOut, len(comps))
-	s.ensure(n)
+	comps := c.Components()
+	blocks := make([]*Block, len(comps))
+	s.ensure(c.NumNodes())
 	for i, comp := range comps {
-		outs[i] = compress(c, comp, opts, res.Labels, res.SuperOf, s)
+		blocks[i] = compress(c, comp, opts, s)
 	}
-	assembleCSRResult(res, comps, outs)
-	return res
+	return flatten(c, opts, blocks)
 }
 
 func tableIGraph(t testing.TB, seed int64) *graph.Graph {
@@ -235,7 +224,7 @@ func TestScratchEpochWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := g.Compile()
-	want := compressCSRWith(t, c, Options{}, nil, compressComponentCSR)
+	want := compressCSRWith(t, c, Options{}, nil, compressBlock)
 
 	s := new(compressScratch)
 	s.ensure(c.NumNodes())
@@ -248,7 +237,7 @@ func TestScratchEpochWrap(t *testing.T) {
 		s.pairMark[i] = math.MinInt32 + int32(i%4)
 	}
 	s.epoch, s.pairEpoch = math.MaxInt32-1, math.MaxInt32-1
-	got := compressCSRWith(t, c, Options{}, s, compressComponentCSR)
+	got := compressCSRWith(t, c, Options{}, s, compressBlock)
 	if !csrResultsIdentical(t, got, want) {
 		t.Error("compression on a scratch whose epochs wrapped differs from a fresh scratch's")
 	}
@@ -268,7 +257,7 @@ func BenchmarkLPARoundsSpeedup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		compressCSRWith(b, c, Options{}, s, compressComponentCSR)
+		compressCSRWith(b, c, Options{}, s, compressBlock)
 		t1 := time.Now()
 		compressCSRWith(b, c, Options{}, s, compressAllRounds)
 		newT += t1.Sub(t0)

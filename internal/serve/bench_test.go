@@ -285,11 +285,13 @@ func BenchmarkSolveRequestDecodeSpeedup(b *testing.B) {
 
 // mutateAllocBudgetKB caps the heap bytes one incremental /v1/mutate request
 // allocates inside the server on a Table I n = 2000 graph (≈ 95 edge edits in
-// one or two of its ten components): the floor under what applying the delta
-// once, reading the decision off the solver's state and sharing clean
-// components' rows bought (≈ 860 KB before, ≈ 535 KB after). Raising it needs
-// a justification in the PR that does it.
-const mutateAllocBudgetKB = 620
+// one or two of its ten components): measured 340 KB, plus 10 %. What is
+// left is the work that is O(n) by shape — the clone's node table, the
+// patched view's index arrays, Placement.Remote's map, the remote list — and
+// the dirty components; a clean component's compression, cuts and templates
+// are carried, not rebuilt. Raising it needs a justification in the PR that
+// does it.
+const mutateAllocBudgetKB = 375
 
 // captureWriter keeps the last response body in a reused buffer.
 type captureWriter struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"net/http"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"copmecs/internal/core"
 	"copmecs/internal/graph"
 	"copmecs/internal/mec"
+	"copmecs/internal/netgen"
 )
 
 // TestCacheHitReplaysTheRoundSizeItWasSolvedAt pins what a hit promises
@@ -185,4 +187,57 @@ func TestDecisionIsPlacementStateBitForBit(t *testing.T) {
 			fp = resp.Graph
 		}
 	})
+}
+
+// TestDecisionRemoteMatchesPlacement holds the remote array decisionFor reads
+// off the user's offloaded parts to the sorted keys of the placement's Remote
+// map — what it used to range and sort — on random multi-user rounds: users
+// sharing a graph, multi-component graphs whose parts' id runs interleave,
+// multiway splits, and a user the greedy leaves nothing offloaded.
+func TestDecisionRemoteMatchesPlacement(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var pool []*graph.Graph
+	for i := 0; i < 6; i++ {
+		n := 30 + rng.Intn(120)
+		g, err := netgen.Generate(netgen.Config{Nodes: n, Edges: 3 * n, Components: 1 + rng.Intn(6), Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, g)
+	}
+	pool = append(pool, graph.New(0)) // an empty graph offloads nothing
+	empties, offloaders := 0, 0
+	for round := 0; round < 24; round++ {
+		users := make([]core.UserInput, 1+rng.Intn(6))
+		for i := range users {
+			users[i] = core.UserInput{Graph: pool[rng.Intn(len(pool))]}
+			if rng.Intn(3) == 0 {
+				// A device this fast keeps every part at home.
+				users[i].DeviceCompute = 1e9
+			}
+		}
+		sol, err := core.Solve(context.Background(), users, core.Options{MaxParts: 2 + round%3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, pl := range sol.Placements {
+			want := make([]graph.NodeID, 0, len(pl.Remote))
+			for id := range pl.Remote {
+				want = append(want, id)
+			}
+			slices.Sort(want)
+			got := decisionFor("fp", sol, u, len(users)).Remote
+			if got == nil || !slices.Equal(got, want) {
+				t.Fatalf("round %d user %d: remote %v, sorted placement keys %v", round, u, got, want)
+			}
+			if len(want) == 0 && users[u].Graph.NumNodes() > 0 {
+				empties++
+			} else if len(want) > 0 {
+				offloaders++
+			}
+		}
+	}
+	if empties == 0 || offloaders == 0 {
+		t.Fatalf("%d users with nodes offloaded nothing, %d something: both cases must run", empties, offloaders)
+	}
 }

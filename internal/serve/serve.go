@@ -925,12 +925,16 @@ func (s *Server) finish(p *pending, dec *Decision, err error) {
 
 // decisionFor extracts user u's decision from a solved round of n users;
 // fp is the canonical fingerprint of the user's graph. The work split and
-// cut weight are the ones the solver evaluated, not a second graph walk.
+// cut weight are the ones the solver evaluated, not a second graph walk, and
+// the remote set is read off the user's offloaded parts — the runs the
+// placement's map was filled from, each already ascending.
 func decisionFor(fp string, sol *core.Solution, u, n int) *Decision {
 	st := sol.States[u]
 	remote := make([]graph.NodeID, 0, len(sol.Placements[u].Remote))
-	for id := range sol.Placements[u].Remote {
-		remote = append(remote, id)
+	for i := range sol.Parts {
+		if p := &sol.Parts[i]; p.User == u && p.Remote {
+			remote = append(remote, p.Nodes...)
+		}
 	}
 	slices.Sort(remote)
 	return &Decision{
