@@ -16,7 +16,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs the stock toolchain checks plus the repo's own analyzer suite:
+# vet runs the stock toolchain checks plus the repo's own analyzer suite
+# (floatcmp, errdrop and four concurrency analyzers; copmecs-vet -list):
 # the full suite over production code, and the concurrency analyzers again
 # with _test.go files loaded (test goroutine storms hit the same atomic-
 # and lock-discipline bugs).

@@ -201,7 +201,7 @@ func BenchmarkFig9RunningTime(b *testing.B) {
 		{"ours-serial", core.Options{Engine: core.SpectralEngine{}, Workers: 1}},
 		{"maxflow", core.Options{Engine: core.MaxFlowEngine{}, Workers: 1}},
 		{"kernighan-lin", core.Options{Engine: core.KLEngine{}, Workers: 1}},
-		{"ours-parallel", core.Options{Engine: core.SpectralEngine{MatVecWorkers: 8}}},
+		{"ours-parallel", core.Options{Engine: core.SpectralEngine{}, Workers: runtime.GOMAXPROCS(0)}},
 	}
 	for _, size := range benchSizes {
 		for _, cfg := range configs {

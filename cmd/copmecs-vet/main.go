@@ -1,13 +1,12 @@
 // Command copmecs-vet runs the repo's custom static-analysis suite: the
-// reproducibility analyzers (floatcmp, globalrand, errdrop, exporteddoc,
-// ctxbg) and the concurrency-invariant analyzers (atomicmix, lockorder,
-// atomicalign, unlockpath) described in internal/vet. CI gates every PR
-// on a clean run.
+// numeric analyzers (floatcmp, errdrop) and the concurrency-invariant
+// analyzers (atomicmix, lockorder, atomicalign, unlockpath) described in
+// internal/vet. CI gates every PR on a clean run.
 //
 // Usage:
 //
 //	copmecs-vet ./...
-//	copmecs-vet -analyzers floatcmp,globalrand ./internal/eigen
+//	copmecs-vet -analyzers floatcmp,errdrop ./internal/eigen
 //	copmecs-vet -tests -analyzers atomicmix,lockorder,atomicalign,unlockpath ./...
 //	copmecs-vet -json ./... > results/VET.json
 //	copmecs-vet -list

@@ -85,7 +85,6 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		maxBatch   = fs.Int("max-batch", serve.DefaultMaxBatch, "max users per solve round")
 		batchWait  = fs.Duration("batch-wait", serve.DefaultBatchWait, "upper bound on a round waiting for a request already at the server")
 		queueDepth = fs.Int("queue", serve.DefaultQueueDepth, "accept queue depth (beyond it: 429)")
-		lanes      = fs.Int("lanes", 0, "batcher enqueue lanes (0 = derived from queue depth)")
 		cacheSize  = fs.Int("cache", serve.DefaultCacheSize, "solution cache entries")
 		graphCache = fs.Int("graph-cache", serve.DefaultGraphCacheSize, "interned graphs with warm solver pipelines")
 		reqTimeout = fs.Duration("request-timeout", serve.DefaultRequestTimeout, "per-request deadline")
@@ -150,7 +149,6 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		Workers:        *workers,
 		MaxBatch:       *maxBatch,
 		BatchWait:      *batchWait,
-		BatchLanes:     *lanes,
 		QueueDepth:     *queueDepth,
 		CacheSize:      *cacheSize,
 		GraphCacheSize: *graphCache,

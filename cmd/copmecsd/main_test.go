@@ -226,7 +226,7 @@ func TestDaemonContentionProfiles(t *testing.T) {
 	// profilers; their pprof endpoints on the debug mux must then answer
 	// 200 with profile data.
 	base, stop, out, done := startDaemon(t,
-		"-debug-addr", "127.0.0.1:0", "-lanes", "2",
+		"-debug-addr", "127.0.0.1:0",
 		"-mutex-profile", "2", "-block-profile", "10000")
 	defer func() {
 		runtime.SetMutexProfileFraction(0)

@@ -354,11 +354,11 @@ func TestParallelCutStageSubmitsNoDoomedSpeculation(t *testing.T) {
 	sp := newSpeculation(opts.Workers)
 	comps := make([]compSolveState, len(jobs))
 	err = sp.cutJobs(ctx, opts, jobs, all, comps)
-	sp.sched.Close()
+	sp.sched.close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.sched.Submitted(); got != splittable {
+	if got := sp.sched.submitted(); got != splittable {
 		t.Errorf("%d bisections submitted for %d splittable components", got, splittable)
 	}
 

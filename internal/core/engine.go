@@ -14,9 +14,7 @@ import (
 
 	"copmecs/internal/eigen"
 	"copmecs/internal/graph"
-	"copmecs/internal/matrix"
 	"copmecs/internal/mincut"
-	"copmecs/internal/parallel"
 	"copmecs/internal/spectral"
 )
 
@@ -41,9 +39,6 @@ type SpectralEngine struct {
 	// Balanced sweeps with the RatioCut objective (cut/(|A|·|B|)) instead
 	// of the plain minimum cut, trading cut weight for balance.
 	Balanced bool
-	// MatVecWorkers > 1 runs the Lanczos matrix products row-block parallel
-	// (the Spark substitution); 0 or 1 keeps them serial.
-	MatVecWorkers int
 	// DenseCutoff overrides the dense-eigensolver threshold (0 = default).
 	DenseCutoff int
 }
@@ -68,12 +63,6 @@ func (e SpectralEngine) spectralOptions() spectral.Options {
 	}
 	if e.Balanced {
 		opts.Objective = spectral.RatioCut
-	}
-	if e.MatVecWorkers > 1 {
-		workers := e.MatVecWorkers
-		opts.Eigen.Wrap = func(l *matrix.CSR) eigen.Operator {
-			return parallel.MatVecOperator{M: l, Workers: workers}
-		}
 	}
 	return opts
 }

@@ -90,7 +90,6 @@ func exactnessOptions() []Options {
 		{}, // nil engine, zero MaxParts: the defaults themselves
 		{Engine: SpectralEngine{DisableSweep: true}},
 		{Engine: SpectralEngine{DenseCutoff: 8}},
-		{Engine: SpectralEngine{MatVecWorkers: 4, DenseCutoff: 8}},
 		{Engine: KLEngine{}},
 		{Engine: StoerWagnerEngine{}},
 		{MaxParts: 3},

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"copmecs/internal/parallel"
 )
 
 // The cut stage. Each job is split into at most MaxParts blocks by recursive
@@ -29,7 +27,7 @@ import (
 func cutJobs(ctx context.Context, opts Options, jobs []csrJob, dirty []int, comps []compSolveState) error {
 	if opts.Workers > 1 {
 		sp := newSpeculation(opts.Workers)
-		defer sp.sched.Close()
+		defer sp.sched.close()
 		return sp.cutJobs(ctx, opts, jobs, dirty, comps)
 	}
 	// One split workspace across every job of the run.
@@ -45,12 +43,12 @@ func cutJobs(ctx context.Context, opts Options, jobs []csrJob, dirty []int, comp
 // speculation is the shared machinery of a parallel cut stage: the
 // work-stealing pool the bisections run on and the scratch they draw from.
 type speculation struct {
-	sched   *parallel.StealScheduler
+	sched   *stealScheduler
 	scratch sync.Pool
 }
 
 func newSpeculation(workers int) *speculation {
-	sp := &speculation{sched: parallel.NewStealScheduler(workers)}
+	sp := &speculation{sched: newStealScheduler(workers)}
 	sp.scratch.New = func() any { return new(splitScratch) }
 	return sp
 }
@@ -101,7 +99,7 @@ func (sp *speculation) spawn(ctx context.Context, j *csrJob, block []int32, engi
 		return nil
 	}
 	t := &splitTask{done: make(chan struct{})}
-	sp.sched.Submit(func() {
+	sp.sched.submit(func() {
 		if !t.state.CompareAndSwap(splitPending, splitRunning) {
 			return // cancelled before a worker picked it up
 		}

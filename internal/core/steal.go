@@ -1,8 +1,8 @@
-package parallel
+package core
 
 import "sync"
 
-// StealScheduler is a work-stealing task scheduler for irregular recursive
+// stealScheduler is a work-stealing task scheduler for irregular recursive
 // workloads: each worker owns a deque it pushes and pops LIFO (depth-first,
 // cache-warm), and an idle worker steals FIFO from the opposite end of a
 // victim's deque (breadth-first, grabbing the largest pending sub-trees).
@@ -14,7 +14,7 @@ import "sync"
 // Tasks must not block on other scheduled tasks (callers that need a task's
 // result wait on their own future from a non-worker goroutine), which keeps
 // the scheduler deadlock-free with any worker count ≥ 1.
-type StealScheduler struct {
+type stealScheduler struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	deques [][]func()
@@ -23,13 +23,13 @@ type StealScheduler struct {
 	wg     sync.WaitGroup
 }
 
-// NewStealScheduler starts a scheduler with the given worker count (minimum
-// 1). Call Close to stop the workers.
-func NewStealScheduler(workers int) *StealScheduler {
+// newStealScheduler starts a scheduler with the given worker count (minimum
+// 1). Call close to stop the workers.
+func newStealScheduler(workers int) *stealScheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &StealScheduler{deques: make([][]func(), workers)}
+	s := &stealScheduler{deques: make([][]func(), workers)}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -38,14 +38,14 @@ func NewStealScheduler(workers int) *StealScheduler {
 	return s
 }
 
-// Submit enqueues a task. Submissions round-robin across worker deques so
+// submit enqueues a task. Submissions round-robin across worker deques so
 // unrelated jobs spread out even before any stealing happens. Submitting
-// after Close panics (the task would never run).
-func (s *StealScheduler) Submit(task func()) {
+// after close panics (the task would never run).
+func (s *stealScheduler) submit(task func()) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		panic("parallel: Submit on closed StealScheduler")
+		panic("core: submit on closed stealScheduler")
 	}
 	w := s.next % len(s.deques)
 	s.next++
@@ -54,15 +54,15 @@ func (s *StealScheduler) Submit(task func()) {
 	s.cond.Signal()
 }
 
-// Submitted reports how many tasks have been submitted so far.
-func (s *StealScheduler) Submitted() int {
+// submitted reports how many tasks have been submitted so far.
+func (s *stealScheduler) submitted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.next
 }
 
-// Close stops the workers after the deques drain and waits for them to exit.
-func (s *StealScheduler) Close() {
+// close stops the workers after the deques drain and waits for them to exit.
+func (s *stealScheduler) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
@@ -70,7 +70,7 @@ func (s *StealScheduler) Close() {
 	s.wg.Wait()
 }
 
-func (s *StealScheduler) worker(self int) {
+func (s *stealScheduler) worker(self int) {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()

@@ -1,4 +1,4 @@
-package parallel
+package core
 
 import (
 	"sync"
@@ -13,7 +13,7 @@ import (
 // handoff races between owner pops and steals.
 func TestStealSchedulerRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		s := NewStealScheduler(workers)
+		s := newStealScheduler(workers)
 		const (
 			submitters = 8
 			perSub     = 50
@@ -31,13 +31,13 @@ func TestStealSchedulerRunsEveryTaskOnce(t *testing.T) {
 				defer subs.Done()
 				for i := 0; i < perSub; i++ {
 					id := (g*perSub + i) * (1 + fanout)
-					s.Submit(func() {
+					s.submit(func() {
 						runs[id].Add(1)
 						// Recursive submission from inside a task, like a
 						// bisection spawning its two halves.
 						for c := 1; c <= fanout; c++ {
 							cid := id + c
-							s.Submit(func() {
+							s.submit(func() {
 								runs[cid].Add(1)
 								done.Done()
 							})
@@ -49,7 +49,7 @@ func TestStealSchedulerRunsEveryTaskOnce(t *testing.T) {
 		}
 		subs.Wait()
 		done.Wait() // every task (including recursive ones) has run
-		s.Close()
+		s.close()
 
 		for id := range runs {
 			if n := runs[id].Load(); n != 1 {
@@ -63,13 +63,13 @@ func TestStealSchedulerRunsEveryTaskOnce(t *testing.T) {
 // submitted all run before the workers exit, even when Close races the
 // backlog.
 func TestStealSchedulerCloseDrains(t *testing.T) {
-	s := NewStealScheduler(2)
+	s := newStealScheduler(2)
 	const n = 1000
 	var ran atomic.Int32
 	for i := 0; i < n; i++ {
-		s.Submit(func() { ran.Add(1) })
+		s.submit(func() { ran.Add(1) })
 	}
-	s.Close() // waits for workers, which drain their deques before exiting
+	s.close() // waits for workers, which drain their deques before exiting
 	if got := ran.Load(); got != n {
 		t.Fatalf("after Close: %d tasks ran, want %d", got, n)
 	}
@@ -79,12 +79,12 @@ func TestStealSchedulerCloseDrains(t *testing.T) {
 // behavior: a task submitted after Close would never run, so Submit must
 // panic rather than silently drop it.
 func TestStealSchedulerSubmitAfterClosePanics(t *testing.T) {
-	s := NewStealScheduler(1)
-	s.Close()
+	s := newStealScheduler(1)
+	s.close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Submit after Close did not panic")
 		}
 	}()
-	s.Submit(func() {})
+	s.submit(func() {})
 }

@@ -217,7 +217,7 @@ func TestSymTridiagEigenErrors(t *testing.T) {
 func TestLanczosMatchesJacobiOnPath(t *testing.T) {
 	n := 30
 	l := pathLaplacian(t, n)
-	pairs, err := Lanczos(CSROperator{M: l}, 3, LanczosOptions{MaxIter: n})
+	pairs, err := Lanczos(l, 3, LanczosOptions{MaxIter: n})
 	if err != nil {
 		t.Fatalf("Lanczos: %v", err)
 	}
@@ -232,14 +232,13 @@ func TestLanczosMatchesJacobiOnPath(t *testing.T) {
 func TestLanczosResiduals(t *testing.T) {
 	n := 50
 	l := pathLaplacian(t, n)
-	op := CSROperator{M: l}
-	pairs, err := Lanczos(op, 4, LanczosOptions{MaxIter: n})
+	pairs, err := Lanczos(l, 4, LanczosOptions{MaxIter: n})
 	if err != nil {
 		t.Fatalf("Lanczos: %v", err)
 	}
 	out := make(matrix.Vector, n)
 	for i, p := range pairs {
-		op.Apply(p.Vector, out)
+		l.MulVecRange(p.Vector, out, 0, n)
 		if err := out.Axpy(-p.Value, p.Vector); err != nil {
 			t.Fatal(err)
 		}
@@ -254,21 +253,21 @@ func TestLanczosResiduals(t *testing.T) {
 
 func TestLanczosErrors(t *testing.T) {
 	l := pathLaplacian(t, 5)
-	if _, err := Lanczos(CSROperator{M: l}, 0, LanczosOptions{}); err == nil {
+	if _, err := Lanczos(l, 0, LanczosOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 	empty, err := matrix.NewCSR(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lanczos(CSROperator{M: empty}, 1, LanczosOptions{}); !errors.Is(err, ErrEmpty) {
+	if _, err := Lanczos(empty, 1, LanczosOptions{}); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestLanczosKClamped(t *testing.T) {
 	l := pathLaplacian(t, 4)
-	pairs, err := Lanczos(CSROperator{M: l}, 99, LanczosOptions{})
+	pairs, err := Lanczos(l, 99, LanczosOptions{})
 	if err != nil {
 		t.Fatalf("Lanczos: %v", err)
 	}
@@ -278,42 +277,54 @@ func TestLanczosKClamped(t *testing.T) {
 }
 
 func TestDeflatedRemovesNullspace(t *testing.T) {
-	n := 12
-	l := pathLaplacian(t, n)
-	ones := make(matrix.Vector, n)
-	for i := range ones {
-		ones[i] = 1
+	// With the constant vector deflated, the smallest eigenvalue Lanczos
+	// finds is λ₂, not the Laplacian's 0: path λ₂ = 2 − 2cos(π/n), star
+	// λ₂ = 1, and two w-weight cliques of m joined by an ε bridge has λ₂ on
+	// the order of ε (≤ 2ε/m by the Rayleigh quotient of the cluster indicator).
+	const n = 12
+	var star []matrix.WeightedEdge
+	for i := 1; i < n; i++ {
+		star = append(star, matrix.WeightedEdge{U: 0, V: i, Weight: 1})
 	}
-	defl := NewDeflated(CSROperator{M: l}, ones)
-	out := make(matrix.Vector, n)
-	defl.Apply(ones, out)
-	if out.Norm() > 1e-10 {
-		t.Errorf("deflated operator does not annihilate 1: %v", out.Norm())
-	}
-	pairs, err := Lanczos(defl, 1, LanczosOptions{MaxIter: n})
-	if err != nil {
-		t.Fatalf("Lanczos on deflated: %v", err)
-	}
-	want := pathEigenvalue(n, 1)
-	if !almostEqual(pairs[0].Value, want, 1e-6) {
-		t.Errorf("smallest deflated eigenvalue = %v, want λ₂ = %v", pairs[0].Value, want)
-	}
-}
-
-func TestShiftedOperator(t *testing.T) {
-	l := pathLaplacian(t, 6)
-	sh := Shifted{Op: CSROperator{M: l}, C: 10}
-	in := make(matrix.Vector, 6)
-	in[0] = 1
-	direct := make(matrix.Vector, 6)
-	CSROperator{M: l}.Apply(in, direct)
-	out := make(matrix.Vector, 6)
-	sh.Apply(in, out)
-	for i := range out {
-		want := 10*in[i] - direct[i]
-		if !almostEqual(out[i], want, 1e-12) {
-			t.Errorf("shifted[%d] = %v, want %v", i, out[i], want)
+	clusters := append(cliqueEdges(0, n/2, 4), cliqueEdges(n/2, n, 4)...)
+	clusters = append(clusters, matrix.WeightedEdge{U: 0, V: n / 2, Weight: 0.01})
+	for _, c := range []struct {
+		name   string
+		edges  []matrix.WeightedEdge
+		lo, hi float64
+	}{
+		{"path", pathEdges(n, 1), pathEigenvalue(n, 1) - 1e-6, pathEigenvalue(n, 1) + 1e-6},
+		{"star", star, 1 - 1e-6, 1 + 1e-6},
+		{"two-cluster", clusters, 1e-4, 2 * 0.01 / (n / 2)},
+	} {
+		l, err := matrix.Laplacian(n, c.edges)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		ones := make(matrix.Vector, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		raw, err := Lanczos(l, 1, LanczosOptions{MaxIter: n})
+		if err != nil {
+			t.Fatalf("%s: raw Lanczos: %v", c.name, err)
+		}
+		if !almostEqual(raw[0].Value, 0, 1e-8) {
+			t.Errorf("%s: raw smallest eigenvalue = %v, want 0", c.name, raw[0].Value)
+		}
+		pairs, err := Lanczos(l, 1, LanczosOptions{MaxIter: n}, ones)
+		if err != nil {
+			t.Fatalf("%s: deflated Lanczos: %v", c.name, err)
+		}
+		if v := pairs[0].Value; v < c.lo || v > c.hi {
+			t.Errorf("%s: smallest deflated eigenvalue = %v, want λ₂ in [%v, %v]", c.name, v, c.lo, c.hi)
+		}
+		if d, _ := pairs[0].Vector.Dot(ones); !almostEqual(d, 0, 1e-9) {
+			t.Errorf("%s: deflated eigenvector has component %v along 1", c.name, d)
+		}
+	}
+	if _, err := Lanczos(pathLaplacian(t, n), 1, LanczosOptions{}, make(matrix.Vector, n-1)); !errors.Is(err, matrix.ErrDimension) {
+		t.Errorf("short deflation direction: err = %v, want ErrDimension", err)
 	}
 }
 

@@ -1,11 +1,28 @@
+// Package eigen implements the symmetric eigensolvers behind the paper's
+// spectral minimum-cut search (Section III-B, Theorems 1–3): an implicit-shift
+// QL solver for symmetric tridiagonal matrices, a Lanczos iteration with full
+// reorthogonalisation for the extreme eigenpairs of large sparse matrices,
+// and a dense single-eigenpair kernel (Householder tridiagonalisation, QL
+// eigenvalues, inverse iteration) for small Laplacians. Fiedler chooses
+// between the last two by dimension and returns the second-smallest
+// eigenpair of a graph Laplacian, which is what Algorithm 2 consumes.
 package eigen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"copmecs/internal/matrix"
 	"copmecs/internal/numeric"
+)
+
+// Errors returned by the solvers.
+var (
+	// ErrNoConvergence is returned when an iteration exceeds its budget.
+	ErrNoConvergence = errors.New("eigen: iteration did not converge")
+	// ErrEmpty is returned for zero-dimensional problems.
+	ErrEmpty = errors.New("eigen: empty operator")
 )
 
 // FiedlerOptions tunes Fiedler-pair computation. The zero value is valid.
@@ -16,11 +33,6 @@ type FiedlerOptions struct {
 	DenseCutoff int
 	// Lanczos carries iteration options for the sparse path.
 	Lanczos LanczosOptions
-	// Wrap, when non-nil, adapts the Laplacian into the Operator the
-	// Lanczos iteration multiplies by — the hook through which
-	// parallel.MatVecOperator substitutes the paper's Spark-backed matrix
-	// multiplications. nil uses the serial CSR product.
-	Wrap func(*matrix.CSR) Operator
 	// Flat is accepted and ignored — both values select the one dense
 	// kernel; delete together with its last reader in a benchmark-only PR.
 	Flat bool
@@ -62,7 +74,7 @@ func Fiedler(l *matrix.CSR, opts FiedlerOptions) (float64, matrix.Vector, error)
 	if n <= cutoff {
 		lambda, vec, err = fiedlerDense(l, opts.VecBuf)
 	} else {
-		lambda, vec, err = fiedlerLanczos(l, opts)
+		lambda, vec, err = fiedlerLanczos(l, opts.Lanczos)
 	}
 	if err != nil {
 		return 0, nil, err
@@ -87,18 +99,12 @@ func orient(v matrix.Vector) {
 	}
 }
 
-func fiedlerLanczos(l *matrix.CSR, fopts FiedlerOptions) (float64, matrix.Vector, error) {
-	opts := fopts.Lanczos
+func fiedlerLanczos(l *matrix.CSR, opts LanczosOptions) (float64, matrix.Vector, error) {
 	n := l.Rows()
 	ones := make(matrix.Vector, n)
 	for i := range ones {
 		ones[i] = 1
 	}
-	inner := Operator(CSROperator{M: l})
-	if fopts.Wrap != nil {
-		inner = fopts.Wrap(l)
-	}
-	defl := NewDeflated(inner, ones)
 	if opts.MaxIter == 0 {
 		// λ₂ sits at the bottom of the deflated spectrum; give the basis
 		// room to resolve it on graphs with weak spectral gaps.
@@ -110,7 +116,7 @@ func fiedlerLanczos(l *matrix.CSR, fopts FiedlerOptions) (float64, matrix.Vector
 		// are unnecessary.
 		opts.Tol = 1e-6
 	}
-	pairs, err := Lanczos(defl, 1, opts)
+	pairs, err := Lanczos(l, 1, opts, ones)
 	if err != nil {
 		return 0, nil, fmt.Errorf("fiedler lanczos: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"copmecs/internal/matrix"
+	"copmecs/internal/numeric"
 )
 
 // LanczosOptions tunes the Lanczos iteration. The zero value picks sensible
@@ -28,16 +29,25 @@ type Pair struct {
 	Vector matrix.Vector
 }
 
-// Lanczos computes the k smallest eigenpairs of the symmetric operator op
+// Lanczos computes the k smallest eigenpairs of the symmetric matrix a
 // using the Lanczos iteration with full reorthogonalisation. The returned
 // pairs are ascending by eigenvalue and the vectors have unit norm.
+//
+// The directions in deflate are projected out of every product and every
+// basis vector, so the iteration sees a restricted to their orthogonal
+// complement: with a Laplacian's constant null vector deflated, λ₂ (the
+// Fiedler value) is the smallest eigenvalue left. Each direction is
+// normalised; a zero direction is ignored.
 //
 // Full reorthogonalisation costs O(m²·n) but keeps the basis orthogonal in
 // floating point, which is what makes the small end of a graph Laplacian's
 // spectrum (the paper's target, Theorem 1) reliably reachable without
 // shift-invert machinery.
-func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
-	n := op.Dim()
+func Lanczos(a *matrix.CSR, k int, opts LanczosOptions, deflate ...matrix.Vector) ([]Pair, error) {
+	n := a.Rows()
+	if n != a.Cols() {
+		return nil, fmt.Errorf("lanczos %dx%d: %w", a.Rows(), a.Cols(), matrix.ErrDimension)
+	}
 	if n == 0 {
 		return nil, ErrEmpty
 	}
@@ -68,7 +78,7 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 	// memory must not). The hint is the worst-case float demand — basis and
 	// work vectors plus the Ritz decomposition — so the arena comes from the
 	// matching size-class pool.
-	ar := getArena(n*(maxIter+2) + maxIter*(maxIter+2))
+	ar := getArena(n*(maxIter+3+len(deflate)) + maxIter*(maxIter+2))
 	defer putArena(ar)
 
 	var (
@@ -77,12 +87,27 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 		betas  []float64       // sub-diagonal of T (betas[j] couples v_j, v_{j+1})
 	)
 
-	// When the operator deflates directions (e.g. the Laplacian's constant
-	// null vector), keep every basis vector inside the complement so the
-	// deflated eigenpairs can never re-enter the Krylov space.
-	project := func(matrix.Vector) {}
-	if p, ok := op.(interface{ Project(matrix.Vector) }); ok {
-		project = p.Project
+	var defl []matrix.Vector // deflate, normalised
+	for _, dir := range deflate {
+		if len(dir) != n {
+			return nil, fmt.Errorf("lanczos deflate %d×%d: %w", len(dir), n, matrix.ErrDimension)
+		}
+		u := matrix.Vector(ar.takeDirty(n))
+		copy(u, dir)
+		if numeric.Zero(u.Normalize()) {
+			continue
+		}
+		defl = append(defl, u)
+	}
+	// mul writes P·a·P·in into out, where P projects out span(defl).
+	scratch := matrix.Vector(ar.takeDirty(n)) // mul overwrites it whole
+	mul := func(in, out matrix.Vector) error {
+		copy(scratch, in)
+		if err := projectOut(scratch, defl); err != nil {
+			return err
+		}
+		a.MulVecRange(scratch, out, 0, n)
+		return projectOut(out, defl)
 	}
 
 	newDirection := func() (matrix.Vector, error) {
@@ -92,11 +117,13 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 			for i := range v {
 				v[i] = rng.NormFloat64()
 			}
-			project(v)
-			for _, u := range basis {
-				if err := v.ProjectOut(u); err != nil {
-					return nil, err
-				}
+			// Every basis vector stays inside the deflated complement, so
+			// the deflated eigenpairs can never re-enter the Krylov space.
+			if err := projectOut(v, defl); err != nil {
+				return nil, err
+			}
+			if err := projectOut(v, basis); err != nil {
+				return nil, err
 			}
 			if v.Normalize() > 1e-10 {
 				return v, nil
@@ -114,7 +141,9 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 
 	for len(basis) <= maxIter {
 		j := len(basis) - 1
-		op.Apply(basis[j], w)
+		if err := mul(basis[j], w); err != nil {
+			return nil, err
+		}
 		alpha, err := w.Dot(basis[j])
 		if err != nil {
 			return nil, err
@@ -132,15 +161,15 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 				return nil, err
 			}
 		}
-		for _, u := range basis {
-			if err := w.ProjectOut(u); err != nil {
-				return nil, err
-			}
+		if err := projectOut(w, basis); err != nil {
+			return nil, err
 		}
 		// Keep w exactly inside the deflated complement: dividing by a small
 		// β below would otherwise amplify round-off components along the
 		// deflated directions back into the basis.
-		project(w)
+		if err := projectOut(w, defl); err != nil {
+			return nil, err
+		}
 		beta := w.Norm()
 		if beta < 1e-12 {
 			// Invariant subspace: either we are done, or we restart in the
@@ -199,7 +228,9 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 		}
 		x.Normalize()
 		// Residual ‖A·x − θ·x‖ as the convergence certificate.
-		op.Apply(x, w)
+		if err := mul(x, w); err != nil {
+			return nil, err
+		}
 		if err := w.Axpy(-d[i], x); err != nil {
 			return nil, err
 		}
@@ -209,6 +240,17 @@ func Lanczos(op Operator, k int, opts LanczosOptions) ([]Pair, error) {
 		pairs = append(pairs, Pair{Value: d[i], Vector: x})
 	}
 	return pairs, nil
+}
+
+// projectOut removes from v its component along each unit vector of us, in
+// order.
+func projectOut(v matrix.Vector, us []matrix.Vector) error {
+	for _, u := range us {
+		if err := v.ProjectOut(u); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func absf(x float64) float64 {

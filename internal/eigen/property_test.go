@@ -107,7 +107,7 @@ func TestPropertyLanczosAgreesWithJacobiOnLaplacians(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pairs, err := Lanczos(CSROperator{M: l}, 2, LanczosOptions{MaxIter: n, Seed: seed})
+		pairs, err := Lanczos(l, 2, LanczosOptions{MaxIter: n, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -313,14 +313,13 @@ const (
 
 // Runtime regenerates Figure 9: single-user solve wall time for the
 // spectral pipeline without parallelism ("without Spark"), the two
-// combinatorial baselines, and the spectral pipeline with per-sub-graph and
-// matvec parallelism ("with Spark" — internal/parallel's in-process work
-// stealing and row-block matvec standing in for Spark).
+// combinatorial baselines, and the spectral pipeline with its cut stage's
+// bisections on the in-process work-stealing pool ("with Spark" —
+// core.Options.Workers standing in for Spark).
 func Runtime(ctx context.Context, seed int64, sizes []int) (*RuntimeResult, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("%w: no sizes", ErrBadInput)
 	}
-	workers := runtime.GOMAXPROCS(0)
 	configs := []struct {
 		name string
 		opts core.Options
@@ -328,10 +327,7 @@ func Runtime(ctx context.Context, seed int64, sizes []int) (*RuntimeResult, erro
 		{SeriesSpectralSerial, core.Options{Engine: core.SpectralEngine{}, Workers: 1}},
 		{SeriesMaxFlow, core.Options{Engine: core.MaxFlowEngine{}, Workers: 1}},
 		{SeriesKernighanLin, core.Options{Engine: core.KLEngine{}, Workers: 1}},
-		{SeriesSpectralParallel, core.Options{
-			Engine:  core.SpectralEngine{MatVecWorkers: workers},
-			Workers: workers,
-		}},
+		{SeriesSpectralParallel, core.Options{Engine: core.SpectralEngine{}, Workers: runtime.GOMAXPROCS(0)}},
 	}
 	res := &RuntimeResult{
 		Xs:      sizes,

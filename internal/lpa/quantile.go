@@ -7,7 +7,7 @@ package lpa
 // place at index k), only the O(n log n) work is gone.
 //
 // The pivot is a deterministic median-of-three — no randomness, so repeated
-// runs stay bitwise reproducible (and the globalrand analyzer stays quiet).
+// runs stay bitwise reproducible.
 func selectKth(ws []float64, k int) float64 {
 	lo, hi := 0, len(ws)-1
 	for {

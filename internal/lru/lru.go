@@ -37,8 +37,7 @@ func shardCountFor(capacity int) int {
 // the first 16 bytes). The serving stack's string keys are hex SHA-256
 // digests, so their prefix alone is uniformly distributed; hashing —
 // rather than using raw nibbles — keeps the function total over arbitrary
-// short keys. It is also the shard function of serve's singleflight table
-// and the batcher's lane pick.
+// short keys. It is also the shard function of serve's singleflight table.
 func HashString(key string) uint32 {
 	const (
 		offset32 = 2166136261

@@ -139,7 +139,7 @@ func (m *CSR) MulVec(v Vector) (Vector, error) {
 }
 
 // MulVecRange computes rows [lo, hi) of m·v into out[lo:hi]. It performs no
-// allocation, enabling the parallel engine to split a matvec across workers.
+// allocation: the Lanczos iteration multiplies into a vector it owns.
 // The caller guarantees len(v) == Cols, len(out) == Rows and 0 ≤ lo ≤ hi ≤ Rows.
 func (m *CSR) MulVecRange(v, out Vector, lo, hi int) {
 	for i := lo; i < hi; i++ {

@@ -4,8 +4,7 @@
 //
 // The package exists because the paper's minimum-cut search (Section III-B)
 // reduces to eigencomputation on the Laplace matrix of each compressed
-// sub-graph, and the evaluation (Fig. 9) additionally parallelises the matrix
-// work "using the Spark framework", which internal/parallel substitutes.
+// sub-graph.
 package matrix
 
 import (

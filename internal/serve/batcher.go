@@ -19,8 +19,6 @@ const (
 	DefaultBatchWait = 2 * time.Millisecond
 	// DefaultQueueDepth bounds the accept queue; a full queue sheds load.
 	DefaultQueueDepth = 256
-	// maxBatchLanes caps the enqueue lane count (power of two).
-	maxBatchLanes = 16
 )
 
 // pending is one singleflight cell: the first request for a key becomes
@@ -55,7 +53,6 @@ type solveTask struct {
 	params mec.Params
 	pkey   string // paramsDigest; rounds group by it
 	fp     string // canonical graph fingerprint, echoed in the decision
-	lane   uint32 // enqueue lane, derived from the graph fingerprint
 }
 
 // batcher coalesces concurrently arriving solve tasks into multi-user
@@ -66,21 +63,16 @@ type solveTask struct {
 // setting — the users of one round are the users present at the edge server
 // together, and the model's ActiveUsers comes from the live round.
 //
-// The accept queue is split into per-lane bounded MPSC rings (lane chosen
-// from the request's graph fingerprint, so tasks for one application
-// stream through one lane in FIFO order and singleflight dedup semantics
-// are untouched). Producers therefore never contend on a shared queue
-// mutex: a push is one CAS on the lane's ring. The single dispatch
-// goroutine sweeps the lanes round-robin, woken through a one-token
-// wake channel.
+// The accept queue is one buffered channel: producers send without blocking
+// (a full queue sheds), the single dispatch goroutine receives, so tasks
+// leave in the order they were accepted.
 type batcher struct {
-	lanes    []*batchLane
-	laneMask uint32
+	queue    chan *solveTask // capacity = the queue depth, the shed bound
 	maxBatch int
 	maxWait  time.Duration
 	dispatch func(context.Context, []*solveTask)
 	settled  func() bool   // Server.settled: nobody held can still join a round
-	wake     chan struct{} // one-token producer→consumer doorbell
+	wake     chan struct{} // one-token doorbell: nudge → an open round
 	stop     chan struct{}
 	stopO    sync.Once
 	done     chan struct{}
@@ -90,44 +82,17 @@ type batcher struct {
 	earlyCloses atomic.Uint64 // rounds dispatched because the server settled
 }
 
-// batchLane is one enqueue lane: a bounded MPSC ring plus its counters.
-type batchLane struct {
-	ring     *taskRing
-	enqueued atomic.Uint64 // tasks accepted into this lane
-	rejected atomic.Uint64 // pushes refused because the lane was full
-}
-
 // stopOnce closes the stop channel exactly once; run then drains the
-// lanes and exits.
+// queue and exits.
 func (b *batcher) stopOnce() {
 	b.stopO.Do(func() { close(b.stop) })
 }
 
-// laneCountFor resolves the lane count: the largest power of two ≤
-// maxBatchLanes that keeps each lane's ring at least one deep for the
-// requested total queue depth. lanes > 0 forces an explicit count
-// (rounded up to a power of two, capped at maxBatchLanes).
-func laneCountFor(lanes, queueDepth int) int {
-	if lanes > 0 {
-		n := 1
-		for n < lanes && n < maxBatchLanes {
-			n *= 2
-		}
-		return n
-	}
-	n := 1
-	for n*2 <= maxBatchLanes && queueDepth/(n*2) >= 1 {
-		n *= 2
-	}
-	return n
-}
-
-// newBatcher returns a batcher feeding dispatch, with queueDepth split
-// over laneCountFor(lanes, queueDepth) rings; settled is collect's
-// early-close predicate. The caller starts it with go b.run(ctx) and stops
-// it with stopOnce once no more tasks will be enqueued; run drains every
-// queued task before exiting.
-func newBatcher(maxBatch, queueDepth, lanes int, maxWait time.Duration, settled func() bool, dispatch func(context.Context, []*solveTask)) *batcher {
+// newBatcher returns a batcher feeding dispatch from a queue of exactly
+// queueDepth tasks; settled is collect's early-close predicate. The caller
+// starts it with go b.run(ctx) and stops it with stopOnce once no more tasks
+// will be enqueued; run drains every queued task before exiting.
+func newBatcher(maxBatch, queueDepth int, maxWait time.Duration, settled func() bool, dispatch func(context.Context, []*solveTask)) *batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
@@ -137,11 +102,8 @@ func newBatcher(maxBatch, queueDepth, lanes int, maxWait time.Duration, settled 
 	if maxWait <= 0 {
 		maxWait = DefaultBatchWait
 	}
-	n := laneCountFor(lanes, queueDepth)
-	perLane := (queueDepth + n - 1) / n
-	b := &batcher{
-		lanes:    make([]*batchLane, n),
-		laneMask: uint32(n - 1),
+	return &batcher{
+		queue:    make(chan *solveTask, queueDepth),
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
 		dispatch: dispatch,
@@ -150,98 +112,62 @@ func newBatcher(maxBatch, queueDepth, lanes int, maxWait time.Duration, settled 
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	for i := range b.lanes {
-		b.lanes[i] = &batchLane{ring: newTaskRing(perLane)}
-	}
-	return b
 }
 
-// enqueue publishes t on its lane, returning false (shed) when the lane
-// is full. Safe for concurrent producers; a successful push rings the
-// dispatch goroutine's doorbell.
+// enqueue queues t, returning false (shed) when the queue is full. Safe for
+// concurrent producers.
 func (b *batcher) enqueue(t *solveTask) bool {
-	lane := b.lanes[t.lane&b.laneMask]
-	if !lane.ring.push(t) {
-		lane.rejected.Add(1)
-		return false
-	}
-	lane.enqueued.Add(1)
-	b.ring()
-	return true
-}
-
-// ring leaves the doorbell token in wake unless one is already pending.
-func (b *batcher) ring() {
 	select {
-	case b.wake <- struct{}{}:
+	case b.queue <- t:
+		return true
 	default:
+		return false
 	}
 }
 
 // nudge is called by a request that can no longer join a round — it parked
-// or left. An open round re-checks; otherwise this is one atomic load.
+// or left. An open round re-checks (the doorbell holds one token; a second
+// is redundant); otherwise this is one atomic load.
 func (b *batcher) nudge() {
 	if b.open.Load() {
-		b.ring()
-	}
-}
-
-// tryPop sweeps the lanes round-robin from *cursor, returning the first
-// queued task. Only the dispatch goroutine calls it.
-func (b *batcher) tryPop(cursor *int) (*solveTask, bool) {
-	for i := 0; i < len(b.lanes); i++ {
-		lane := b.lanes[(*cursor+i)%len(b.lanes)]
-		if t, ok := lane.ring.pop(); ok {
-			*cursor = (*cursor + i + 1) % len(b.lanes)
-			return t, true
+		select {
+		case b.wake <- struct{}{}:
+		default:
 		}
 	}
-	return nil, false
 }
 
-// depth reports the total number of queued tasks across lanes (a
-// monitoring gauge; it races with concurrent pushes by design).
-func (b *batcher) depth() int {
-	n := 0
-	for _, lane := range b.lanes {
-		n += lane.ring.len()
+// tryPop receives a queued task without blocking. Only the dispatch
+// goroutine calls it.
+func (b *batcher) tryPop() (*solveTask, bool) {
+	select {
+	case t := <-b.queue:
+		return t, true
+	default:
+		return nil, false
 	}
-	return n
 }
 
-// laneStats snapshots the per-lane counters for /v1/stats.
-func (b *batcher) laneStats() []LaneStats {
-	stats := make([]LaneStats, len(b.lanes))
-	for i, lane := range b.lanes {
-		stats[i] = LaneStats{
-			Depth:    lane.ring.len(),
-			Capacity: lane.ring.cap(),
-			Enqueued: lane.enqueued.Load(),
-			Rejected: lane.rejected.Load(),
-		}
-	}
-	return stats
-}
+// depth reports the number of queued tasks (a monitoring gauge; it races
+// with concurrent sends by design).
+func (b *batcher) depth() int { return len(b.queue) }
 
-// run is the dispatch loop. It exits after stop is closed and the lanes
-// have been drained; every accepted task is dispatched exactly once,
-// which is what makes graceful drain lossless.
+// run is the dispatch loop. It exits after stop is closed and the queue
+// has been drained; every accepted task is dispatched exactly once, which
+// is what makes graceful drain lossless.
 func (b *batcher) run(ctx context.Context) {
 	defer close(b.done)
-	cursor, stopped := 0, false
 	for {
-		first, ok := b.tryPop(&cursor)
-		if ok {
-			b.dispatch(ctx, b.collect(first, &cursor))
-			continue
-		}
-		if stopped {
-			return
-		}
 		select {
-		case <-b.wake: // re-sweep: the push precedes its doorbell
+		case first := <-b.queue:
+			b.dispatch(ctx, b.collect(first))
 		case <-b.stop:
-			stopped = true // one more sweep: whatever is queued still runs
+			// No enqueue follows stop, and this is the only receiver:
+			// whatever is queued still runs.
+			for len(b.queue) > 0 {
+				b.dispatch(ctx, b.collect(<-b.queue))
+			}
+			return
 		}
 	}
 }
@@ -249,23 +175,23 @@ func (b *batcher) run(ctx context.Context) {
 // collect assembles one round: first plus everything queued behind it,
 // until the round fills, the server is settled, the window closes or the
 // batcher is stopped. The settled exit is ordered sweep → open → settled? →
-// sweep → dispatch: a leader pushes before it parks, so a settled server has
-// nothing un-pushed and the second sweep catches a push that raced the
+// sweep → dispatch: a leader sends before it parks, so a settled server has
+// nothing un-sent and the second sweep catches a send that raced the
 // first; open is raised before settled is read and a request parks (or
 // leaves) before it reads open, so whichever comes second sees the other —
 // a round never sleeps through becoming complete (DESIGN §10).
-func (b *batcher) collect(first *solveTask, cursor *int) []*solveTask {
+func (b *batcher) collect(first *solveTask) []*solveTask {
 	round := []*solveTask{first}
 	var window *time.Timer
 	defer b.open.Store(false)
 	for len(round) < b.maxBatch {
-		if t, ok := b.tryPop(cursor); ok {
+		if t, ok := b.tryPop(); ok {
 			round = append(round, t)
 			continue
 		}
 		b.open.Store(true)
 		if b.settled() {
-			if t, ok := b.tryPop(cursor); ok {
+			if t, ok := b.tryPop(); ok {
 				round = append(round, t)
 				continue
 			}
@@ -277,6 +203,8 @@ func (b *batcher) collect(first *solveTask, cursor *int) []*solveTask {
 			defer window.Stop()
 		}
 		select {
+		case t := <-b.queue:
+			round = append(round, t)
 		case <-b.wake:
 		case <-window.C:
 			return round

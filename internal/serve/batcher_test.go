@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,7 +21,7 @@ func collectRounds(t *testing.T, maxBatch int, wait time.Duration, feed func(b *
 	t.Helper()
 	var mu sync.Mutex
 	var rounds [][]*solveTask
-	b := newBatcher(maxBatch, 64, 1, wait, neverSettled, func(_ context.Context, round []*solveTask) {
+	b := newBatcher(maxBatch, 64, wait, neverSettled, func(_ context.Context, round []*solveTask) {
 		mu.Lock()
 		rounds = append(rounds, round)
 		mu.Unlock()
@@ -98,7 +101,7 @@ func TestBatcherDrainIsLossless(t *testing.T) {
 	// everything queued, in maxBatch-bounded rounds.
 	var mu sync.Mutex
 	var dispatched int
-	b := newBatcher(4, 64, 1, time.Hour /* window must not matter */, neverSettled, func(_ context.Context, round []*solveTask) {
+	b := newBatcher(4, 64, time.Hour /* window must not matter */, neverSettled, func(_ context.Context, round []*solveTask) {
 		mu.Lock()
 		dispatched += len(round)
 		mu.Unlock()
@@ -123,8 +126,84 @@ func TestBatcherDrainIsLossless(t *testing.T) {
 	}
 }
 
+func TestBatcherConcurrentProducers(t *testing.T) {
+	// Eight producers race enqueue against a running dispatch loop: every
+	// accepted task is dispatched exactly once and each producer's tasks
+	// leave in the order it sent them. Then stop lands while a dispatch is
+	// held and tasks are queued behind it: all of them run before done.
+	const producers, perProducer = 8, 1000
+	var got []*solveTask // written by the dispatch goroutine, read after done
+	var hold atomic.Bool
+	held, gate := make(chan struct{}), make(chan struct{})
+	b := newBatcher(16, 64, time.Millisecond, func() bool { return true }, func(_ context.Context, round []*solveTask) {
+		if hold.Load() {
+			held <- struct{}{}
+			<-gate
+		}
+		got = append(got, round...)
+	})
+	go b.run(context.Background())
+
+	var accepted, shed atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				if b.enqueue(&solveTask{p: newPending(fmt.Sprintf("%d/%d", p, i))}) {
+					accepted.Add(1)
+				} else {
+					shed.Add(1)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if a, s := accepted.Load(), shed.Load(); a == 0 || a+s != producers*perProducer {
+		t.Fatalf("accepted %d + shed %d, want %d offered and some accepted", a, s, producers*perProducer)
+	}
+
+	for b.depth() > 0 { // the loop is still working through the burst
+		runtime.Gosched()
+	}
+	hold.Store(true)
+	for i := 0; i < 6; i++ { // one dispatch is held, at least five tasks queue behind it
+		if !b.enqueue(&solveTask{p: newPending(fmt.Sprintf("%d/%d", producers, i))}) {
+			t.Fatalf("tail task %d shed with queue headroom", i)
+		}
+		if i == 0 {
+			<-held
+			hold.Store(false)
+		}
+	}
+	accepted.Add(6)
+	b.stopOnce()
+	close(gate)
+	select {
+	case <-b.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("batcher did not exit after stop")
+	}
+
+	if int64(len(got)) != accepted.Load() {
+		t.Fatalf("dispatched %d of %d accepted tasks", len(got), accepted.Load())
+	}
+	next := make([]int, producers+1) // lowest sequence number not yet seen
+	for _, task := range got {
+		var p, i int
+		if _, err := fmt.Sscanf(task.p.key, "%d/%d", &p, &i); err != nil {
+			t.Fatalf("task key %q: %v", task.p.key, err)
+		}
+		if i < next[p] {
+			t.Fatalf("producer %d: task %d dispatched after task %d", p, i, next[p]-1)
+		}
+		next[p] = i + 1
+	}
+}
+
 func TestBatcherStopOnceIdempotent(t *testing.T) {
-	b := newBatcher(1, 1, 1, time.Millisecond, neverSettled, func(context.Context, []*solveTask) {})
+	b := newBatcher(1, 1, time.Millisecond, neverSettled, func(context.Context, []*solveTask) {})
 	go b.run(context.Background())
 	b.stopOnce()
 	b.stopOnce() // must not panic on double close

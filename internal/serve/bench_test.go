@@ -55,7 +55,7 @@ func postDirect(s *Server, body []byte, w *nopResponseWriter, ctx context.Contex
 //     repeat graphs); this is the path the sharded cache and lock-free
 //     stats exist for, and the scaling subject of the PR gate.
 //   - miss: requests cycle many distinct graphs through a small cache, so
-//     most of them take the full singleflight → lane → batch → solve path.
+//     most of them take the full singleflight → queue → batch → solve path.
 //   - dedupstorm: parallel callers hammer two alternating keys through a
 //     one-entry cache, so every round mixes misses with live singleflight
 //     followers (the dedup bookkeeping path).
@@ -91,7 +91,7 @@ func BenchmarkHandleParallel(b *testing.B) {
 
 	b.Run("miss", func(b *testing.B) {
 		// 64 distinct graphs through a 16-entry cache: ~75% of arrivals
-		// miss and exercise admission, lanes, and batch dispatch.
+		// miss and exercise admission, the queue, and batch dispatch.
 		s := newTestServer(b, Config{CacheSize: 16, BatchWait: 100 * time.Microsecond})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()

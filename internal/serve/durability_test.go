@@ -112,11 +112,10 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 }
 
 func TestAdmitShedReleasesJournalRecord(t *testing.T) {
-	// One lane with the minimum ring depth (2) and no Start: the first
-	// two leaders fill the slots, the third is shed and must release its
-	// journal token.
+	// A queue of two and no Start: the first two leaders fill it, the
+	// third is shed and must release its journal token.
 	jr := newFakeJournal()
-	s := newTestServer(t, Config{Journal: jr, QueueDepth: 1, BatchLanes: 1})
+	s := newTestServer(t, Config{Journal: jr, QueueDepth: 2})
 	params := defaultTestParams()
 
 	admitOne := func(i int) error {
@@ -151,9 +150,8 @@ func TestAdmitShedReleasesJournalRecord(t *testing.T) {
 	}
 	// Release the queued leaders so the accepted WaitGroup does not leak
 	// (no dispatcher is running in this test).
-	cursor := new(int)
 	for i := 0; i < 2; i++ {
-		task, ok := s.b.tryPop(cursor)
+		task, ok := s.b.tryPop()
 		if !ok {
 			t.Fatalf("queued task %d missing", i)
 		}

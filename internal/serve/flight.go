@@ -18,7 +18,7 @@ const flightShardCount = 16
 // Shards are selected by the solution cache's key hash, so the request
 // path never serializes on a single global mutex. It is admission
 // synchronisation, not a cache: the draining check, the write-ahead
-// append, the lane enqueue and the accepted.Add all happen under the
+// append, the queue send and the accepted.Add all happen under the
 // key's shard mutex (Server.admit), and Drain publishes the draining
 // flag with a lock-barrier over every shard (see drainBarrier).
 type flightTable struct {

@@ -35,9 +35,9 @@
 //
 // The request path stays contention-free at GOMAXPROCS-scale concurrency:
 // every keyed table is sharded (three lru.Table instances and the
-// singleflight registry), every counter is a cache-line-padded atomic, and
-// the accept queue is split into per-lane MPSC rings. DESIGN.md §10 has
-// the layout and the memory-ordering notes.
+// singleflight registry) and every counter is a cache-line-padded atomic;
+// the accept queue is one buffered channel in front of the one dispatch
+// goroutine. DESIGN.md §10 has the layout and the memory-ordering notes.
 //
 // The cached decision for a key reflects the contention of the round that
 // computed it; like any TTL-free response cache this trades bounded
@@ -120,12 +120,8 @@ type Config struct {
 	// (still reading or decoding) to join it (≤ 0 = DefaultBatchWait). A
 	// round never waits for arrivals: it closes once every held request is in.
 	BatchWait time.Duration
-	// BatchLanes forces the batcher's enqueue lane count (rounded up to a
-	// power of two, capped at 16; ≤ 0 picks a count from QueueDepth).
-	BatchLanes int
 	// QueueDepth bounds the accept queue (≤ 0 = DefaultQueueDepth);
-	// arrivals beyond it are shed with 429. The depth is split across the
-	// enqueue lanes.
+	// arrivals beyond it are shed with 429.
 	QueueDepth int
 	// CacheSize caps the solution cache (≤ 0 = DefaultCacheSize). The
 	// raw-body identity cache shares this capacity.
@@ -316,7 +312,7 @@ func New(cfg Config) (*Server, error) {
 	s.graphs = lru.New(cfg.GraphCacheSize, lru.HashString, func(_ string, g *graph.Graph) {
 		s.sess.Invalidate(g)
 	})
-	s.b = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.BatchLanes, cfg.BatchWait, s.settled, s.dispatchRound)
+	s.b = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.BatchWait, s.settled, s.dispatchRound)
 	return s, nil
 }
 
@@ -458,7 +454,6 @@ func (s *Server) Stats() Stats {
 			FusedGraphs: s.st.fusedGraphs.Load(),
 			EarlyCloses: s.b.earlyCloses.Load(),
 			QueueDepth:  s.b.depth(),
-			Lanes:       s.b.laneStats(),
 		},
 		Latency: s.st.lat.snapshot(),
 	}
@@ -692,7 +687,7 @@ func userInputOf(req *SolveRequest) core.UserInput {
 
 // solve is /v1/solve behind handle: body digest → (fast path: cached
 // identity + cached decision) or (decode → key → cache) → singleflight →
-// admission → lane → batch → await. On the fast path a byte-identical
+// admission → queue → batch → await. On the fast path a byte-identical
 // repeat of a previously valid request skips JSON decoding and graph
 // hashing entirely, and a live solution-cache entry answers with its
 // pre-rendered bytes. Any miss falls through to the full decode, which
@@ -734,7 +729,6 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 		params: params,
 		pkey:   paramsDigest(params),
 		fp:     fp,
-		lane:   lru.HashString(fp),
 	}
 	p, leader, err := s.admit(key, jrec, func(p *pending) bool {
 		task.p = p

@@ -132,13 +132,13 @@ func TestHandlerParamsOverrideTooBigGraph(t *testing.T) {
 }
 
 func TestHandlerShedsWhenQueueFull(t *testing.T) {
-	// Single lane, batcher never started: fill the lane's ring directly
-	// (a ring holds at least two tasks), then every leader admission must
-	// shed with 429 + Retry-After.
-	s := newTestServer(t, Config{QueueDepth: 1, BatchLanes: 1, RetryAfter: 2 * time.Second})
-	for i := 0; s.b.enqueue(&solveTask{p: newPending(fmt.Sprintf("occupier%d", i))}); i++ {
-		if i > 1024 {
-			t.Fatal("lane ring never filled")
+	// Batcher never started: the queue admits exactly QueueDepth leaders,
+	// then every leader admission must shed with 429 + Retry-After.
+	const depth = 3
+	s := newTestServer(t, Config{QueueDepth: depth, RetryAfter: 2 * time.Second})
+	for i := 0; i < depth; i++ {
+		if !s.b.enqueue(&solveTask{p: newPending(fmt.Sprintf("occupier%d", i))}) {
+			t.Fatalf("leader %d of %d shed below the queue depth", i+1, depth)
 		}
 	}
 

@@ -200,19 +200,6 @@ type GraphCacheStats struct {
 	Shards []ShardOccupancy `json:"shards"`
 }
 
-// LaneStats is one batcher lane in a Stats snapshot.
-type LaneStats struct {
-	// Depth is the number of tasks currently queued in the lane.
-	Depth int `json:"depth"`
-	// Capacity is the lane ring's slot count.
-	Capacity int `json:"capacity"`
-	// Enqueued counts tasks accepted into the lane.
-	Enqueued uint64 `json:"enqueued"`
-	// Rejected counts pushes refused because the lane was full (each one
-	// became a 429).
-	Rejected uint64 `json:"rejected"`
-}
-
 // BatchStats is the micro-batcher section of a Stats snapshot.
 type BatchStats struct {
 	// Rounds counts dispatched solve rounds.
@@ -233,11 +220,8 @@ type BatchStats struct {
 	// EarlyCloses counts rounds dispatched before their BatchWait window
 	// expired because every request the server held was already in one.
 	EarlyCloses uint64 `json:"early_closes"`
-	// QueueDepth is the number of requests currently queued across lanes.
+	// QueueDepth is the number of requests currently queued.
 	QueueDepth int `json:"queue_depth"`
-	// Lanes is the per-lane queue state; persistent skew means one
-	// application's fingerprint dominates the traffic.
-	Lanes []LaneStats `json:"lanes"`
 }
 
 // IncrementalStats is the incremental re-solve section of a Stats

@@ -83,7 +83,7 @@ func TestObserveBatchMax(t *testing.T) {
 func TestStatsJSONShapeKeepsFlatFieldsAndAddsShardSections(t *testing.T) {
 	// The /v1/stats document must keep every pre-existing flat field (so
 	// dashboards and the CI serve job's jq assertions keep working) while
-	// adding the per-shard occupancy and per-lane batcher sections.
+	// adding the per-shard occupancy sections.
 	s := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -133,27 +133,10 @@ func TestStatsJSONShapeKeepsFlatFieldsAndAddsShardSections(t *testing.T) {
 		t.Fatal("graph_cache.shards missing")
 	}
 	batch := doc["batch"].(map[string]any)
-	for _, key := range []string{"rounds", "users", "max_users", "fused_rounds", "fused_graphs", "queue_depth", "lanes"} {
+	for _, key := range []string{"rounds", "users", "max_users", "fused_rounds", "fused_graphs", "queue_depth"} {
 		if _, ok := batch[key]; !ok {
 			t.Fatalf("batch field %q missing", key)
 		}
-	}
-	lanes := batch["lanes"].([]any)
-	if len(lanes) == 0 {
-		t.Fatal("batch.lanes is empty")
-	}
-	lane := lanes[0].(map[string]any)
-	for _, key := range []string{"depth", "capacity", "enqueued", "rejected"} {
-		if _, ok := lane[key]; !ok {
-			t.Fatalf("lane field %q missing", key)
-		}
-	}
-	var enq float64
-	for _, l := range lanes {
-		enq += l.(map[string]any)["enqueued"].(float64)
-	}
-	if enq != 1 {
-		t.Fatalf("total lane enqueued = %v, want 1 (one leader task)", enq)
 	}
 	// The in-memory default carries no durability section: the key is
 	// omitted entirely, not rendered as null.

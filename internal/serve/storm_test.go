@@ -13,7 +13,7 @@ import (
 // concurrent clients drive /v1/solve over a mix of repeat and distinct
 // graphs. Under -race (the CI default for this package) it proves the
 // lock-free snapshot reads every padded counter, histogram bucket, shard
-// occupancy and lane gauge without a data race; the assertions check the
+// occupancy and the queue gauge without a data race; the assertions check the
 // books still balance once the storm settles.
 func TestStatsSnapshotDuringSolveStorm(t *testing.T) {
 	if testing.Short() {

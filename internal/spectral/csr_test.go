@@ -63,7 +63,7 @@ func TestPropertyDenseAndLanczosCutAlike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs, err := eigen.Lanczos(eigen.CSROperator{M: lap}, 3, eigen.LanczosOptions{MaxIter: n})
+		pairs, err := eigen.Lanczos(lap, 3, eigen.LanczosOptions{MaxIter: n})
 		if err != nil {
 			t.Fatalf("trial %d n %d: spectrum: %v", trial, n, err)
 		}

@@ -3,19 +3,19 @@
 // findings and suppress nothing.
 package thing
 
-import "context"
+import "os"
 
-// root mints a root context under a justified directive: suppressed.
-func root() context.Context {
-	return context.Background() //vet:ignore ctxbg fixture exercises a justified directive
+// justified drops an error under a justified directive: suppressed.
+func justified() {
+	os.Remove("x") //vet:ignore errdrop fixture exercises a justified directive
 }
 
 // bare carries an unjustified directive: reported, suppresses nothing.
-func bare() context.Context {
-	return context.TODO() //vet:ignore ctxbg
+func bare() {
+	os.Remove("x") //vet:ignore errdrop
 }
 
 // unknown names a nonexistent analyzer: reported, suppresses nothing.
-func unknown() context.Context {
-	return context.Background() //vet:ignore nosuch because reasons
+func unknown() {
+	os.Remove("x") //vet:ignore nosuch because reasons
 }

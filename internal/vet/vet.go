@@ -6,18 +6,9 @@
 //     numeric packages (eigen, matrix, spectral, core, mincut) — the
 //     spectral min-cut and greedy allocation require tolerance-aware
 //     comparisons via internal/numeric.
-//   - globalrand: no package-level math/rand calls in non-test code — the
-//     experiment harness (Figs. 6–9) is reproducible only when every
-//     random draw flows from an injected seeded *rand.Rand.
 //   - errdrop: no silently discarded error results in internal/ and cmd/
-//     — eigensolver convergence errors and cluster RPC failures must be
+//     — eigensolver convergence errors and journal write failures must be
 //     handled or explicitly acknowledged with `_ =`.
-//   - exporteddoc: every exported identifier in internal/ packages carries
-//     a doc comment.
-//   - ctxbg: no context.Background()/context.TODO() in internal/ packages
-//     — library code minting its own root context severs the caller's
-//     cancellation chain, so cancelled solves would leave cluster RPCs in
-//     flight.
 //
 // The concurrency-invariant analyzers guard the serving hot path's lock
 // and atomic discipline (DESIGN.md §10), the bug classes the race detector
@@ -98,7 +89,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{FloatCmp, GlobalRand, ErrDrop, ExportedDoc, CtxBg, AtomicMix, LockOrder, AtomicAlign, UnlockPath}
+	return []*Analyzer{FloatCmp, ErrDrop, AtomicMix, LockOrder, AtomicAlign, UnlockPath}
 }
 
 // ConcurrencyAnalyzers returns the subset guarding lock and atomic
