@@ -121,12 +121,12 @@ bench-core:
 
 # bench-batch is the focused loop for the fused batch solver: first the
 # exactness tests that pin every entry point to the map-pipeline oracle and
-# BatchSolve to N independent Solve calls bit for bit (work-stealing path
+# BatchSolve to N independent Solve calls bit for bit (parallel cut stage
 # included), then the batch benchmarks — small-graph looped vs fused
 # throughput and the large-graph solve.
 bench-batch:
 	$(GO) test -count=1 \
-		-run 'TestExactnessTable|TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveWorkStealing|TestParallelCutStageSubmitsNoDoomedSpeculation' \
+		-run 'TestExactnessTable|TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveParallelCutStageMatchesSerial' \
 		./internal/core/
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
 		-bench='^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSolveLarge$$' .

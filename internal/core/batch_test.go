@@ -263,11 +263,12 @@ func TestBatchSolveSessionCache(t *testing.T) {
 	}
 }
 
-// TestBatchSolveWorkStealing drives the work-stealing cut stage hard — many
-// components, deep recursion (MaxParts 16), 8 workers stealing speculative
-// bisections — and requires the exact serial answer. Run under -race in CI,
-// this is also the stealing protocol's data-race probe.
-func TestBatchSolveWorkStealing(t *testing.T) {
+// TestBatchSolveParallelCutStageMatchesSerial drives the cut stage's fan-out
+// across jobs — many components, bisection through deep recursion (MaxParts
+// 2, 4, 16), 2 and 8 goroutines pulling jobs — and requires the exact serial
+// answer and the looped-solve answer. Run under -race in CI, this is also the
+// fan-out's data-race probe.
+func TestBatchSolveParallelCutStageMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	g, err := netgen.Generate(netgen.Config{Nodes: 640, Edges: 1280, Components: 64, Seed: 99})
 	if err != nil {
@@ -281,18 +282,23 @@ func TestBatchSolveWorkStealing(t *testing.T) {
 		{Users: []UserInput{{Graph: g}}},
 		{Users: []UserInput{{Graph: g2}, {Graph: g}}},
 	}
-	par := BatchSolve(ctx, items, Options{Workers: 8, MaxParts: 16})
-	ser := BatchSolve(ctx, items, Options{Workers: 1, MaxParts: 16})
-	for i := range items {
-		if par[i].Err != nil || ser[i].Err != nil {
-			t.Fatalf("item %d: par err %v, ser err %v", i, par[i].Err, ser[i].Err)
+	for _, maxParts := range []int{2, 4, 16} {
+		ser := BatchSolve(ctx, items, Options{Workers: 1, MaxParts: maxParts})
+		for _, workers := range []int{2, 8} {
+			opts := Options{Workers: workers, MaxParts: maxParts}
+			par := BatchSolve(ctx, items, opts)
+			for i := range items {
+				if par[i].Err != nil || ser[i].Err != nil {
+					t.Fatalf("MaxParts %d, %d workers, item %d: par err %v, ser err %v", maxParts, workers, i, par[i].Err, ser[i].Err)
+				}
+				if !solutionsIdentical(t, par[i].Solution, ser[i].Solution) {
+					t.Errorf("MaxParts %d, %d workers, item %d: parallel cut stage diverges from serial", maxParts, workers, i)
+				}
+			}
+			if !batchItemsEqualLooped(t, ctx, items, opts, par) {
+				t.Errorf("MaxParts %d, %d workers: parallel batch diverges from looped solves", maxParts, workers)
+			}
 		}
-		if !solutionsIdentical(t, par[i].Solution, ser[i].Solution) {
-			t.Fatalf("item %d: work-stealing result diverges from serial", i)
-		}
-	}
-	if !batchItemsEqualLooped(t, ctx, items, Options{Workers: 8, MaxParts: 16}, par) {
-		t.Fatal("work-stealing batch diverges from looped solves")
 	}
 }
 
@@ -307,69 +313,5 @@ func TestBatchSolveCancelled(t *testing.T) {
 	got := BatchSolve(ctx, []BatchItem{{Users: []UserInput{{Graph: g}}}}, Options{})
 	if len(got) != 1 || !errors.Is(got[0].Err, context.Canceled) {
 		t.Fatalf("got %+v, want context.Canceled", got)
-	}
-}
-
-// TestParallelCutStageSubmitsNoDoomedSpeculation: at MaxParts 2 a component
-// is done after its one split, so the parallel cut stage of a Workers 4
-// BatchSolve must submit exactly one bisection per component of two or more
-// super-nodes — the children of a final split are never speculated on. With
-// room for more blocks the speculation is live, and the answer is still the
-// serial one.
-func TestParallelCutStageSubmitsNoDoomedSpeculation(t *testing.T) {
-	ctx := context.Background()
-	g, err := netgen.Generate(netgen.Config{Nodes: 640, Edges: 1280, Components: 64, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := netgen.Generate(netgen.Config{Nodes: 300, Edges: 650, Components: 5, Seed: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := []BatchItem{
-		{Users: []UserInput{{Graph: g}}},
-		{Users: []UserInput{{Graph: g2}, {Graph: g}}},
-	}
-
-	// The cut stage exactly as BatchSolve reaches it: the round's distinct
-	// graphs fused, compressed, one job per component.
-	opts := Options{MaxParts: 2, Workers: 4}.normalised()
-	view := graph.Fuse([]*graph.Graph{g, g2}).View
-	all := make([]int, len(view.Components()))
-	for i := range all {
-		all[i] = i
-	}
-	blocks, err := lpa.CompressComponents(view, lpa.Options{}, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := make([]csrJob, len(blocks))
-	splittable := 0
-	for i := range blocks {
-		jobs[i].blk = blocks[i]
-		if jobs[i].n() >= 2 {
-			splittable++
-		}
-	}
-	sp := newSpeculation(opts.Workers)
-	comps := make([]compSolveState, len(jobs))
-	err = sp.cutJobs(ctx, opts, jobs, all, comps)
-	sp.sched.close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.sched.submitted(); got != splittable {
-		t.Errorf("%d bisections submitted for %d splittable components", got, splittable)
-	}
-
-	par := BatchSolve(ctx, items, Options{Workers: 4, MaxParts: 4})
-	ser := BatchSolve(ctx, items, Options{Workers: 1, MaxParts: 4})
-	for i := range items {
-		if par[i].Err != nil || ser[i].Err != nil {
-			t.Fatalf("item %d: par err %v, ser err %v", i, par[i].Err, ser[i].Err)
-		}
-		if !solutionsIdentical(t, par[i].Solution, ser[i].Solution) {
-			t.Errorf("item %d: MaxParts 4 with 4 workers diverges from serial", i)
-		}
 	}
 }

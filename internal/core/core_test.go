@@ -217,17 +217,22 @@ func TestSolvePartsConsistency(t *testing.T) {
 	if math.Abs(work-g.TotalNodeWeight()) > 1e-6 {
 		t.Errorf("parts work %v ≠ graph work %v", work, g.TotalNodeWeight())
 	}
-	// Sibling links are mutual and share CrossWeight.
+	// At the default MaxParts every cut sub-graph has two parts: each names
+	// the other as its one neighbour, with the bit-equal weight.
 	for i, p := range sol.Parts {
-		if p.Sibling < 0 {
+		if len(p.Adj) == 0 {
 			continue
 		}
-		s := sol.Parts[p.Sibling]
-		if s.Sibling != i {
-			t.Errorf("sibling link broken: %d → %d → %d", i, p.Sibling, s.Sibling)
+		if len(p.Adj) != 1 {
+			t.Fatalf("part %d has %d neighbours at MaxParts 2", i, len(p.Adj))
 		}
-		if s.CrossWeight != p.CrossWeight {
-			t.Errorf("sibling cross weights differ: %v vs %v", p.CrossWeight, s.CrossWeight)
+		back := sol.Parts[p.Adj[0].Other].Adj
+		if len(back) != 1 || back[0].Other != i {
+			t.Errorf("adjacency not symmetric: %d → %d → %+v", i, p.Adj[0].Other, back)
+			continue
+		}
+		if math.Float64bits(back[0].Weight) != math.Float64bits(p.Adj[0].Weight) {
+			t.Errorf("cross weights differ: %v vs %v", p.Adj[0].Weight, back[0].Weight)
 		}
 	}
 }
@@ -396,10 +401,10 @@ func TestSolveDisableGreedy(t *testing.T) {
 	}
 	// The initial split puts the lighter side of every cut sub-graph local.
 	for _, p := range sol.Parts {
-		if p.Sibling < 0 {
+		if len(p.Adj) == 0 {
 			continue
 		}
-		s := sol.Parts[p.Sibling]
+		s := sol.Parts[p.Adj[0].Other]
 		if p.Remote == s.Remote {
 			t.Fatalf("sibling parts share placement before greedy")
 		}

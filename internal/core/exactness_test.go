@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -33,8 +34,7 @@ func solutionsIdentical(t *testing.T, a, b *Solution) bool {
 	}
 	for i := range a.Parts {
 		pa, pb := &a.Parts[i], &b.Parts[i]
-		if pa.User != pb.User || pa.Work != pb.Work || pa.CrossWeight != pb.CrossWeight ||
-			pa.Sibling != pb.Sibling || pa.Remote != pb.Remote || pa.InitialRemote != pb.InitialRemote {
+		if pa.User != pb.User || pa.Work != pb.Work || pa.Remote != pb.Remote || pa.InitialRemote != pb.InitialRemote {
 			t.Logf("part %d differs: %+v vs %+v", i, pa, pb)
 			return false
 		}
@@ -42,7 +42,9 @@ func solutionsIdentical(t *testing.T, a, b *Solution) bool {
 			t.Logf("part %d nodes %v vs %v", i, pa.Nodes, pb.Nodes)
 			return false
 		}
-		if !slices.Equal(pa.Adj, pb.Adj) {
+		if !slices.EqualFunc(pa.Adj, pb.Adj, func(x, y PartEdge) bool {
+			return x.Other == y.Other && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
+		}) {
 			t.Logf("part %d adj %+v vs %+v", i, pa.Adj, pb.Adj)
 			return false
 		}

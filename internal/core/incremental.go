@@ -67,24 +67,25 @@ type DeltaStats struct {
 // with no predecessor, over the mutated graph's freshly compiled view, so
 // the next delta against the returned graph is incremental either way.
 func (s *Session) SolveDelta(ctx context.Context, base *graph.Graph, d *graph.Delta, users []UserInput, dopts DeltaOptions) (*graph.Graph, *Solution, *DeltaStats, error) {
-	return s.solveDelta(ctx, base, d, users, dopts, s.opts)
-}
-
-// SolveDeltaWithParams is SolveDelta with the MEC system constants
-// overridden for this call, mirroring SolveWithParams: the incremental
-// pipeline state is params-independent, so the cached cuts replay
-// regardless of which parameters the mutated population is solved under.
-func (s *Session) SolveDeltaWithParams(ctx context.Context, base *graph.Graph, d *graph.Delta, users []UserInput, dopts DeltaOptions, params mec.Params) (*graph.Graph, *Solution, *DeltaStats, error) {
-	opts := s.opts
-	opts.Params = params
-	return s.solveDelta(ctx, base, d, users, dopts, opts)
+	mutated := base.Clone()
+	if err := d.Apply(mutated); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: apply delta: %w", err)
+	}
+	sol, ds, err := s.solveApplied(ctx, base, d, mutated, users, dopts, s.opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return mutated, sol, ds, nil
 }
 
 // SolveApplied is the second half of SolveDelta for a caller that has
 // already applied d to a clone of base — to validate, size-check or
 // fingerprint the mutated graph — and would otherwise pay for the clone and
-// the apply twice: applied is solved as SolveDeltaWithParams would solve its
-// own mutated instance, and becomes the graph the next delta names as base.
+// the apply twice: applied is solved as SolveDelta would solve its own
+// mutated instance, and becomes the graph the next delta names as base.
+// params overrides the MEC system constants for this call, mirroring
+// SolveWithParams: the incremental pipeline state is params-independent, so
+// the cached cuts replay whichever parameters the population is solved under.
 // The session still patches base's cached view with d on its own and refuses
 // an applied graph whose node or edge count disagrees with the patched view.
 // applied must not be modified afterwards.
@@ -92,21 +93,6 @@ func (s *Session) SolveApplied(ctx context.Context, base *graph.Graph, d *graph.
 	opts := s.opts
 	opts.Params = params
 	return s.solveApplied(ctx, base, d, applied, users, dopts, opts)
-}
-
-// solveDelta implements SolveDelta over an explicit options value (the
-// session's, possibly with per-call params): clone and apply, then solve the
-// applied graph.
-func (s *Session) solveDelta(ctx context.Context, base *graph.Graph, d *graph.Delta, users []UserInput, dopts DeltaOptions, sopts Options) (*graph.Graph, *Solution, *DeltaStats, error) {
-	mutated := base.Clone()
-	if err := d.Apply(mutated); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: apply delta: %w", err)
-	}
-	sol, ds, err := s.solveApplied(ctx, base, d, mutated, users, dopts, sopts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return mutated, sol, ds, nil
 }
 
 // solveApplied solves mutated — base with d applied — reusing base's cached

@@ -148,7 +148,11 @@ func TestSolveDeltaWithParamsMatchesColdSolveWithParams(t *testing.T) {
 	users = []UserInput{{Graph: base}}
 	e := base.Edges()[0]
 	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 7}}}
-	next, sol, ds, err := sess.SolveDeltaWithParams(context.Background(), base, d, users, DeltaOptions{MaxTouchedFraction: 0.95}, params)
+	next := base.Clone()
+	if err := d.Apply(next); err != nil {
+		t.Fatal(err)
+	}
+	sol, ds, err := sess.SolveApplied(context.Background(), base, d, next, users, DeltaOptions{MaxTouchedFraction: 0.95}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestSolveDeltaWithParamsMatchesColdSolveWithParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !solutionsIdentical(t, sol, cold) {
-		t.Error("SolveDeltaWithParams differs from cold Solve under the same params")
+		t.Error("SolveApplied differs from cold Solve under the same params")
 	}
 	// The params actually took effect: defaults give a different objective.
 	defSol, err := Solve(context.Background(), []UserInput{{Graph: next}}, Options{})

@@ -145,7 +145,7 @@ func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) (*graphPi
 		for bi, block := range blocks {
 			nodes, work := expand(j, block)
 			protos = append(protos, protoPart{
-				nodes: nodes, work: work, sibling: -1, remote: true,
+				nodes: nodes, work: work, remote: true,
 			})
 			for _, id := range block {
 				blockOf[id] = bi
@@ -175,22 +175,13 @@ func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) (*graphPi
 				protos[pb].adj = append(protos[pb].adj, PartEdge{Other: pa, Weight: w})
 			}
 			for bi := range blocks {
-				sortPartEdges(protos[base+bi].adj)
+				adj := protos[base+bi].adj
+				sort.Slice(adj, func(a, b int) bool { return adj[a].Other < adj[b].Other })
 			}
 			// Algorithm 2's initial scheme generalised: the lightest part
 			// stays on the device, every other part offloads (for two-way
 			// splits this is exactly "lighter side local, heavier remote").
 			protos[base+lightest].remote = false
-			if len(blocks) == 2 {
-				protos[base].sibling = base + 1
-				protos[base+1].sibling = base
-				w := 0.0
-				if len(protos[base].adj) > 0 {
-					w = protos[base].adj[0].Weight
-				}
-				protos[base].crossWeight = w
-				protos[base+1].crossWeight = w
-			}
 		}
 	}
 	ps.protos = protos

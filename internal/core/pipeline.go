@@ -91,10 +91,10 @@ type graphPipeline struct {
 // compression block (the identity block under DisableCompression), the cut
 // lists recursive bisection produced over the block's local ids, the Lanczos
 // iterations spent producing them, and the part templates the cuts expand
-// to, sibling and adjacency indices relative to the component's first
-// template. The block and the cuts name members by position, so they are
-// valid for the same component in any view; the templates name view indices
-// and NodeIDs, so they hold as long as no index shifts.
+// to, adjacency indices relative to the component's first template. The
+// block and the cuts name members by position, so they are valid for the
+// same component in any view; the templates name view indices and NodeIDs,
+// so they hold as long as no index shifts.
 type compSolveState struct {
 	blk    *lpa.Block
 	cuts   [][]int32
@@ -203,14 +203,14 @@ func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *sol
 	// Demux: span k owns components [CompBase[k], CompBase[k+1]); its
 	// templates are the components' groups end to end, indices re-based.
 	out := make([]graphPipeline, f.Graphs())
-	var blockOf []int32
+	var sc expandScratch
 	for k := range out {
 		gp := &out[k]
 		total, adj := 0, 0
 		for ci := f.CompBase[k]; ci < f.CompBase[k+1]; ci++ {
 			cs := &st.comps[ci]
 			if cs.protos == nil || shifted {
-				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, f.NodeBase[k], &blockOf)
+				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, f.NodeBase[k], &sc)
 			}
 			total += len(cs.protos)
 			for pi := range cs.protos {
@@ -225,9 +225,6 @@ func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *sol
 			gp.edgesAfter += len(cs.blk.Tgt) / 2
 			base := len(gp.protos)
 			for _, pp := range cs.protos {
-				if pp.sibling >= 0 {
-					pp.sibling += base
-				}
 				if len(pp.adj) > 0 {
 					start := len(adjSlab)
 					for _, e := range pp.adj {
@@ -242,20 +239,27 @@ func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *sol
 	return out, st, nil
 }
 
+// expandScratch is expandProtos' reusable workspace: the cut index of every
+// local id, and the dense cut×cut cross-weight table with its "an edge
+// crosses this pair" marks.
+type expandScratch struct {
+	blockOf []int32
+	cross   []float64
+	crossed []bool
+}
+
 // expandProtos expands one component's cut lists into its part templates:
 // per-cut original-node expansion through the block's member positions,
-// pairwise cross weights, the lightest-part-local initial placement, and
-// two-way sibling links. Sibling and adjacency index within the returned
-// group, as the map-pipeline oracle indexes within a graph's templates once
-// the group's offset is added. The group and its lists are allocations of
-// the component's own.
+// pairwise cross weights and the lightest-part-local initial placement.
+// Adjacency indexes within the returned group, as the map-pipeline oracle
+// indexes within a graph's templates once the group's offset is added. The
+// group and its lists are allocations of the component's own.
 //
 // comp is the component's member list in the backing view, ids the view's
 // index→NodeID array and rebase the graph's node offset within it (0 for a
 // single-span view). Each template records its members both as NodeIDs and
-// as graph-local CSR indices — the evaluator's input. blockOf is the
-// caller's reusable scratch.
-func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.NodeID, rebase int32, blockOf *[]int32) []protoPart {
+// as graph-local CSR indices — the evaluator's input.
+func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.NodeID, rebase int32, sc *expandScratch) []protoPart {
 	// All cuts together cover the component's nodes exactly once, so the
 	// per-cut node and index lists each carve one exactly-sized slab.
 	nodesSlab := make([]graph.NodeID, 0, len(comp))
@@ -282,16 +286,16 @@ func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.Node
 	}
 
 	n := len(blk.NodeW)
-	if cap(*blockOf) < n {
-		*blockOf = make([]int32, n)
+	if cap(sc.blockOf) < n {
+		sc.blockOf = make([]int32, n)
 	}
-	of := (*blockOf)[:n]
+	of := sc.blockOf[:n]
 	protos := make([]protoPart, 0, len(cuts))
 	lightest, lightestWork := -1, 0.0
 	for bi, cut := range cuts {
 		nodes, gidx, work := expand(cut)
 		protos = append(protos, protoPart{
-			nodes: nodes, idx: gidx, work: work, sibling: -1, remote: true,
+			nodes: nodes, idx: gidx, work: work, remote: true,
 		})
 		for _, id := range cut {
 			of[id] = int32(bi)
@@ -300,75 +304,60 @@ func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.Node
 			lightest, lightestWork = bi, work
 		}
 	}
-	// Pairwise communication between the cuts of this sub-graph. The scan
-	// runs u ascending, v>u ascending — the same sequence as the oracle's
-	// Edges() loop, so per-pair float sums match exactly.
-	switch {
-	case len(cuts) == 2:
-		// Bisection (the default MaxParts): one pair, summed directly in
-		// scan order — the map below would accumulate the same floats in
-		// the same sequence under a single key.
-		var w float64
-		found := false
-		for u := int32(0); u < int32(n); u++ {
-			for e := blk.Off[u]; e < blk.Off[u+1]; e++ {
-				v := blk.Tgt[e]
-				if v < u || of[u] == of[v] {
-					continue
-				}
-				w += blk.W[e]
-				found = true
-			}
-		}
-		if found {
-			pe := []PartEdge{{Other: 1, Weight: w}, {Other: 0, Weight: w}}
-			protos[0].adj = pe[:1:1]
-			protos[1].adj = pe[1:2]
-		} else {
-			w = 0
-		}
-		protos[lightest].remote = false
-		protos[0].sibling = 1
-		protos[1].sibling = 0
-		protos[0].crossWeight = w
-		protos[1].crossWeight = w
-	case len(cuts) > 2:
-		cross := make(map[[2]int]float64)
-		for u := int32(0); u < int32(n); u++ {
-			for e := blk.Off[u]; e < blk.Off[u+1]; e++ {
-				v := blk.Tgt[e]
-				if v < u {
-					continue
-				}
-				a, b := int(of[u]), int(of[v])
-				if a == b {
-					continue
-				}
-				if a > b {
-					a, b = b, a
-				}
-				cross[[2]int{a, b}] += blk.W[e]
-			}
-		}
-		for pair, w := range cross {
-			protos[pair[0]].adj = append(protos[pair[0]].adj, PartEdge{Other: pair[1], Weight: w})
-			protos[pair[1]].adj = append(protos[pair[1]].adj, PartEdge{Other: pair[0], Weight: w})
-		}
-		for bi := range protos {
-			sortPartEdges(protos[bi].adj)
-		}
-		// Algorithm 2's initial scheme generalised: the lightest part
-		// stays on the device, every other part offloads.
-		protos[lightest].remote = false
+	k := len(cuts)
+	if k < 2 {
+		return protos
 	}
+	// Pairwise communication between the cuts of this sub-graph, in a dense
+	// k×k table keyed [lower cut][higher cut]. The scan runs u ascending, v>u
+	// ascending — the same sequence as the oracle's Edges() loop, so per-pair
+	// float sums match exactly. Two cuts are adjacent when an edge crosses
+	// them, whatever its weight, so that is marked apart from the sum.
+	if cap(sc.cross) < k*k {
+		sc.cross = make([]float64, k*k)
+		sc.crossed = make([]bool, k*k)
+	}
+	cross, crossed := sc.cross[:k*k], sc.crossed[:k*k]
+	clear(cross)
+	clear(crossed)
+	pairs := 0
+	for u := int32(0); u < int32(n); u++ {
+		for e := blk.Off[u]; e < blk.Off[u+1]; e++ {
+			v := blk.Tgt[e]
+			if v < u || of[u] == of[v] {
+				continue
+			}
+			p := int(min(of[u], of[v]))*k + int(max(of[u], of[v]))
+			cross[p] += blk.W[e]
+			if !crossed[p] {
+				crossed[p] = true
+				pairs++
+			}
+		}
+	}
+	// One slab for the group, each part's list a window filled b ascending.
+	slab := make([]PartEdge, 0, 2*pairs)
+	for a := range protos {
+		start := len(slab)
+		for b := range protos {
+			if p := min(a, b)*k + max(a, b); crossed[p] {
+				slab = append(slab, PartEdge{Other: b, Weight: cross[p]})
+			}
+		}
+		if len(slab) > start {
+			protos[a].adj = slab[start:len(slab):len(slab)]
+		}
+	}
+	// Algorithm 2's initial scheme generalised: the lightest part stays on
+	// the device, every other part offloads.
+	protos[lightest].remote = false
 	return protos
 }
 
 // splitScratch is the reusable workspace of the cut stage: rank and
 // epoch-membership marks over a job's local ids, the induced-CSR assembly
-// arrays of one block split, and the arenas block lists are carved from. The
-// serial cut stage shares one across every job; the parallel one pools them,
-// one per job driver and one per in-flight split.
+// arrays of one block split, and the arenas block lists are carved from. One
+// serves every job its cut-stage goroutine takes.
 type splitScratch struct {
 	pos    []int32
 	mark   []int32
@@ -380,8 +369,8 @@ type splitScratch struct {
 	ident  []int32
 	indiv  []bool
 	// sideChunk is a carve-forward arena for the split side lists, which
-	// escape into block slices. Windows are never rewound, so pooled reuse
-	// of the scratch cannot clobber a live block. blockChunk is the same
+	// escape into block slices. Windows are never rewound, so reuse of the
+	// scratch cannot clobber a live block. blockChunk is the same
 	// arena idea for the per-job block header slices.
 	sideChunk  []int32
 	blockChunk [][]int32
@@ -453,8 +442,8 @@ func (sc *splitScratch) identity(n int) []int32 {
 // splitBlock bisects one block of j with the given engine, reporting the
 // Lanczos iterations it cost (zero for engines that run none). It is a pure
 // function of (j, block, engine) — scratch only carries reusable buffers —
-// which is what lets the parallel cut stage run speculative splits on any
-// worker with bit-identical results.
+// which is what lets the parallel cut stage run a job on any goroutine with
+// bit-identical results.
 func splitBlock(ctx context.Context, j *csrJob, block []int32, engine Engine, sc *splitScratch) (sideA, sideB []int32, iters int, err error) {
 	if spec, ok := engine.(SpectralEngine); ok {
 		sideA, sideB, err = splitSpectralBlock(j, block, spec, &iters, sc)

@@ -110,13 +110,9 @@ type Part struct {
 	Nodes []graph.NodeID
 	// Work is the part's total computation amount.
 	Work float64
-	// CrossWeight is the communication between this part and its sibling
-	// (populated for two-way splits; multiway splits use Adj).
-	CrossWeight float64
-	// Sibling is the index (into Solution.Parts) of the other side of a
-	// two-way split, or -1 for uncut or multiway sub-graphs.
-	Sibling int
-	// Adj lists communication to every other part of the same sub-graph.
+	// Adj lists communication to every other part of the same sub-graph it
+	// shares an edge with, ascending by Other: one entry for the other side
+	// of a two-way split, up to MaxParts−1 for a multiway one.
 	Adj []PartEdge
 	// Remote reports the current placement (initially the cut split of
 	// Algorithm 2: the heavier side of each sub-graph offloads, the lighter
@@ -400,19 +396,17 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]roundGra
 }
 
 // protoPart is a user-independent part template produced by the pipeline
-// for one distinct graph. Sibling indexes into the same template slice.
+// for one distinct graph.
 type protoPart struct {
-	nodes       []graph.NodeID
-	idx         []int32 // graph-local CSR indices of nodes
-	work        float64
-	crossWeight float64
-	sibling     int
-	adj         []PartEdge // Other indexes within the same proto slice
-	remote      bool
+	nodes  []graph.NodeID
+	idx    []int32 // graph-local CSR indices of nodes
+	work   float64
+	adj    []PartEdge // Other indexes within the same proto slice
+	remote bool
 }
 
 // instantiateProtos appends user ui's copy of the graph's part templates,
-// rebasing sibling/adjacency indices to the user's offset in parts. Node
+// rebasing adjacency indices to the user's offset in parts. Node
 // slices are shared with the templates (read-only downstream).
 func instantiateProtos(parts []Part, ui int, protos []protoPart) []Part {
 	base := len(parts)
@@ -430,12 +424,8 @@ func instantiateProtos(parts []Part, ui int, protos []protoPart) []Part {
 	for _, pp := range protos {
 		p := Part{
 			User: ui, Nodes: pp.nodes, Work: pp.work,
-			CrossWeight: pp.crossWeight, Sibling: -1,
 			Remote: pp.remote, InitialRemote: pp.remote,
 			idx: pp.idx,
-		}
-		if pp.sibling >= 0 {
-			p.Sibling = base + pp.sibling
 		}
 		if len(pp.adj) > 0 {
 			start := len(slab)
@@ -447,20 +437,4 @@ func instantiateProtos(parts []Part, ui int, protos []protoPart) []Part {
 		parts = append(parts, p)
 	}
 	return parts
-}
-
-// sortPartEdges orders adjacency deterministically by target index.
-// Insertion sort: the lists are at most MaxParts−1 long and the targets are
-// distinct, so this is allocation-free and yields exactly what any sort
-// would.
-func sortPartEdges(edges []PartEdge) {
-	for i := 1; i < len(edges); i++ {
-		e := edges[i]
-		j := i - 1
-		for j >= 0 && edges[j].Other > e.Other {
-			edges[j+1] = edges[j]
-			j--
-		}
-		edges[j+1] = e
-	}
 }

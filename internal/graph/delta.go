@@ -55,9 +55,6 @@ func (d *Delta) Ops() int {
 		len(d.SetNodeWeights) + len(d.SetEdges)
 }
 
-// Empty reports whether the delta contains no operations.
-func (d *Delta) Empty() bool { return d.Ops() == 0 }
-
 // Apply mutates g in place following the documented application order,
 // returning the first validation error. On error g may be partially
 // mutated; callers that need atomicity should apply to a Clone.
