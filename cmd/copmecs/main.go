@@ -81,7 +81,7 @@ func runBuffered(ctx context.Context, args []string, stdout *bufio.Writer) error
 		return err
 	}
 
-	engine, err := engineByName(*engineName)
+	engine, err := core.EngineByName(*engineName)
 	if err != nil {
 		return err
 	}
@@ -189,21 +189,6 @@ func loadOrGenerate(input string, nodes, edges, components int, seed int64) (*gr
 		return nil, fmt.Errorf("decode %s as json or binary: %w", input, berr)
 	}
 	return bg, nil
-}
-
-func engineByName(name string) (core.Engine, error) {
-	switch name {
-	case "spectral":
-		return core.SpectralEngine{}, nil
-	case "maxflow":
-		return core.MaxFlowEngine{}, nil
-	case "kernighan-lin", "kl":
-		return core.KLEngine{}, nil
-	case "stoer-wagner", "sw":
-		return core.StoerWagnerEngine{}, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q", name)
-	}
 }
 
 // printSolution writes the scheme summary; the *bufio.Writer destination

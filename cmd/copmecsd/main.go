@@ -101,7 +101,7 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine, err := engineByName(*engineName)
+	engine, err := core.EngineByName(*engineName)
 	if err != nil {
 		return err
 	}
@@ -323,20 +323,4 @@ func debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// engineByName maps the -engine flag to a cut engine.
-func engineByName(name string) (core.Engine, error) {
-	switch name {
-	case "spectral":
-		return core.SpectralEngine{}, nil
-	case "maxflow":
-		return core.MaxFlowEngine{}, nil
-	case "kernighan-lin", "kl":
-		return core.KLEngine{}, nil
-	case "stoer-wagner", "sw":
-		return core.StoerWagnerEngine{}, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q", name)
-	}
 }

@@ -12,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"copmecs/internal/core"
 )
 
 // syncBuffer serializes writes and reads: the test polls the output while
@@ -212,11 +214,11 @@ func TestDaemonBadFlags(t *testing.T) {
 
 func TestEngineByName(t *testing.T) {
 	for _, name := range []string{"spectral", "maxflow", "kernighan-lin", "kl", "stoer-wagner", "sw"} {
-		if _, err := engineByName(name); err != nil {
+		if _, err := core.EngineByName(name); err != nil {
 			t.Errorf("engineByName(%q): %v", name, err)
 		}
 	}
-	if _, err := engineByName("nope"); err == nil {
+	if _, err := core.EngineByName("nope"); err == nil {
 		t.Error("engineByName accepted an unknown name")
 	}
 }

@@ -31,9 +31,8 @@ type BatchResult struct {
 // with the arena-backed eigensolvers, and evaluated straight off the fused
 // arrays — instead of paying per-graph pipeline setup N times.
 //
-// With opts.Workers > 1 the recursive bisections of all cut jobs share one
-// work-stealing pool, so a single deep recursion tree cannot serialise the
-// round.
+// With opts.Workers > 1 the round's cut jobs — one per dirty component, of
+// every graph — are spread over up to Workers goroutines.
 func BatchSolve(ctx context.Context, items []BatchItem, opts Options) []BatchResult {
 	return solveItems(ctx, items, opts, nil)
 }

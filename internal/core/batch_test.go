@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -142,22 +143,20 @@ func testBatchSolveInvalidItems(t *testing.T) {
 	}
 }
 
-// graphFailingEngine fails every bisection that touches a node of the
-// poisoned id range and otherwise cuts like the engine it wraps.
+// graphFailingEngine fails every bisection whose block carries an edge of
+// the marker weight and otherwise cuts like the engine it wraps.
 type graphFailingEngine struct {
 	Engine
-	poisonFrom graph.NodeID
+	marker float64
 }
 
 var errPoisoned = errors.New("poisoned graph")
 
-func (e graphFailingEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
-	for _, id := range g.Nodes() {
-		if id >= e.poisonFrom {
-			return nil, nil, errPoisoned
-		}
+func (e graphFailingEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, sides []int32) ([]int32, []int32, int, error) {
+	if slices.Contains(w, e.marker) {
+		return nil, nil, 0, errPoisoned
 	}
-	return e.Engine.Bisect(ctx, g)
+	return e.Engine.Bisect(ctx, off, tgt, w, sides)
 }
 
 // testBatchSolveEngineFailure: when the engine fails on one graph of a fused
@@ -173,18 +172,19 @@ func testBatchSolveEngineFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The poisoned graph lives in its own id range so the engine can tell
-	// its blocks apart (uncompressed jobs carry the original NodeIDs).
-	const poisonFrom = graph.NodeID(1 << 20)
+	// The poisoned graph is g2 with every edge at the marker weight, so the
+	// engine can tell its blocks apart (uncompressed jobs carry the original
+	// edge weights).
+	const marker = 1 << 20
 	bad := graph.New(g2.NumNodes())
 	for _, id := range g2.Nodes() {
 		w, _ := g2.NodeWeight(id)
-		if err := bad.AddNode(id+poisonFrom, w); err != nil {
+		if err := bad.AddNode(id, w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, e := range g2.Edges() {
-		if err := bad.AddEdge(e.U+poisonFrom, e.V+poisonFrom, e.Weight); err != nil {
+		if err := bad.AddEdge(e.U, e.V, marker); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func testBatchSolveEngineFailure(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		opts := Options{
-			Engine:             graphFailingEngine{MaxFlowEngine{}, poisonFrom},
+			Engine:             graphFailingEngine{MaxFlowEngine{}, marker},
 			DisableCompression: true,
 			Workers:            workers,
 		}

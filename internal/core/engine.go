@@ -13,22 +13,44 @@ import (
 	"fmt"
 
 	"copmecs/internal/eigen"
-	"copmecs/internal/graph"
 	"copmecs/internal/mincut"
 	"copmecs/internal/spectral"
 )
 
 // Engine bisects a compressed sub-graph into the two candidate placement
-// parts of Algorithm 2. Implementations must return sides that partition the
-// graph's nodes, with SideB possibly empty for single-node graphs, and must
-// be safe for concurrent Bisect calls.
+// parts of Algorithm 2. Every engine sees the same input: the sub-graph's
+// induced CSR over local ids 0..n−1, node u's neighbours tgt[off[u]:off[u+1]]
+// (strictly ascending, no self-loops, symmetric) with weights w. Local ids
+// ascend with the NodeIDs they stand for, so an engine whose decisions
+// depend only on id order cuts exactly as it would the original nodes.
+// Implementations must be safe for concurrent Bisect calls.
 type Engine interface {
 	// Name identifies the engine in stats and experiment output.
 	Name() string
-	// Bisect splits g; the two sides partition g's nodes. Implementations
-	// must honour ctx cancellation, at minimum by failing fast between
-	// cuts.
-	Bisect(ctx context.Context, g *graph.Graph) (sideA, sideB []graph.NodeID, err error)
+	// Bisect returns two sides of ascending local ids that partition
+	// 0..n−1, sideB empty for a single node, and the Lanczos iterations the
+	// cut cost (0 for engines that run none). sides is an n-length slab the
+	// engine may carve the two sides from; the caller owns whatever is
+	// returned. Implementations must honour ctx cancellation, at minimum by
+	// failing fast between cuts.
+	Bisect(ctx context.Context, off, tgt []int32, w []float64, sides []int32) (sideA, sideB []int32, iters int, err error)
+}
+
+// EngineByName returns the default-configured engine whose Name() is name;
+// "kl" and "sw" are short for kernighan-lin and stoer-wagner.
+func EngineByName(name string) (Engine, error) {
+	switch name {
+	case "kl":
+		name = KLEngine{}.Name()
+	case "sw":
+		name = StoerWagnerEngine{}.Name()
+	}
+	for _, e := range []Engine{SpectralEngine{}, MaxFlowEngine{}, KLEngine{}, StoerWagnerEngine{}} {
+		if e.Name() == name {
+			return e, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown engine %q", name)
 }
 
 // SpectralEngine is the paper's graph-spectrum cut (§III-B): Fiedler-vector
@@ -53,10 +75,13 @@ func (e SpectralEngine) Name() string {
 	return "spectral"
 }
 
-// spectralOptions translates the engine configuration into the spectral
-// package's options; shared by Bisect and the pipeline's CSR-native splits
-// so the two can never drift apart.
-func (e SpectralEngine) spectralOptions() spectral.Options {
+// Bisect implements Engine with spectral.BisectCSRInto, carving the sides
+// from the caller's slab.
+func (e SpectralEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, sides []int32) ([]int32, []int32, int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, 0, err
+	}
+	var iters int
 	opts := spectral.Options{
 		DisableSweep: e.DisableSweep,
 		Eigen:        eigen.FiedlerOptions{DenseCutoff: e.DenseCutoff},
@@ -64,19 +89,12 @@ func (e SpectralEngine) spectralOptions() spectral.Options {
 	if e.Balanced {
 		opts.Objective = spectral.RatioCut
 	}
-	return opts
-}
-
-// Bisect implements Engine.
-func (e SpectralEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	cut, err := spectral.Bisect(g, e.spectralOptions())
+	opts.Eigen.Lanczos.IterOut = &iters
+	a, b, err := spectral.BisectCSRInto(off, tgt, w, sides, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("spectral engine: %w", err)
+		return nil, nil, 0, fmt.Errorf("spectral engine: %w", err)
 	}
-	return cut.SideA, cut.SideB, nil
+	return a, b, iters, nil
 }
 
 // MaxFlowEngine is the Ford–Fulkerson/Edmonds–Karp baseline of §IV.
@@ -91,15 +109,15 @@ var _ Engine = MaxFlowEngine{}
 func (e MaxFlowEngine) Name() string { return "maxflow" }
 
 // Bisect implements Engine.
-func (e MaxFlowEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
+func (e MaxFlowEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, _ []int32) ([]int32, []int32, int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	a, b, _, err := mincut.MaxFlowBisect(g, e.Sinks)
+	a, b, _, err := mincut.MaxFlowBisect(off, tgt, w, e.Sinks)
 	if err != nil {
-		return nil, nil, fmt.Errorf("maxflow engine: %w", err)
+		return nil, nil, 0, fmt.Errorf("maxflow engine: %w", err)
 	}
-	return a, b, nil
+	return a, b, 0, nil
 }
 
 // KLEngine is the Kernighan–Lin baseline of §IV.
@@ -111,15 +129,15 @@ var _ Engine = KLEngine{}
 func (KLEngine) Name() string { return "kernighan-lin" }
 
 // Bisect implements Engine.
-func (KLEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
+func (KLEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, _ []int32) ([]int32, []int32, int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	a, b, _, err := mincut.KernighanLin(g)
+	a, b, _, err := mincut.KernighanLin(off, tgt, w)
 	if err != nil {
-		return nil, nil, fmt.Errorf("kernighan-lin engine: %w", err)
+		return nil, nil, 0, fmt.Errorf("kernighan-lin engine: %w", err)
 	}
-	return a, b, nil
+	return a, b, 0, nil
 }
 
 // StoerWagnerEngine computes the exact global minimum cut; used as a
@@ -132,13 +150,13 @@ var _ Engine = StoerWagnerEngine{}
 func (StoerWagnerEngine) Name() string { return "stoer-wagner" }
 
 // Bisect implements Engine.
-func (StoerWagnerEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
+func (StoerWagnerEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, _ []int32) ([]int32, []int32, int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	a, b, _, err := mincut.GlobalMinCut(g)
+	a, b, _, err := mincut.GlobalMinCut(off, tgt, w)
 	if err != nil {
-		return nil, nil, fmt.Errorf("stoer-wagner engine: %w", err)
+		return nil, nil, 0, fmt.Errorf("stoer-wagner engine: %w", err)
 	}
-	return a, b, nil
+	return a, b, 0, nil
 }

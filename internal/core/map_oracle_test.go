@@ -74,8 +74,8 @@ func solveMapOracle(ctx context.Context, users []UserInput, opts Options) (*Solu
 }
 
 // runPipelineMap is the original map-based pipeline — mutable graphs,
-// InducedSubgraph, map-keyed membership, engines called through Bisect on
-// materialised sub-graphs — kept as the oracle the span pipeline must
+// InducedSubgraph, map-keyed membership, engines called on materialised
+// sub-graphs through bisectGraph — kept as the oracle the span pipeline must
 // reproduce bit for bit. Compression comes from lpa.Compress in its map
 // Result shape (package lpa pins that against its own map oracle).
 func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) (*graphPipeline, error) {
@@ -221,7 +221,7 @@ func partitionSubgraph(ctx context.Context, g *graph.Graph, engine Engine, k int
 		if err != nil {
 			return nil, err
 		}
-		sideA, sideB, err := engine.Bisect(ctx, sub)
+		sideA, sideB, err := bisectGraph(ctx, engine, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -234,4 +234,36 @@ func partitionSubgraph(ctx context.Context, g *graph.Graph, engine Engine, k int
 		// Indices shifted only at the tail; indivisible marks stay valid.
 	}
 	return blocks, nil
+}
+
+// csrOf lays g out as the arrays an Engine takes: g's nodes in ascending id
+// order are local ids 0..n−1.
+func csrOf(g *graph.Graph) (off, tgt []int32, w []float64) {
+	c := g.Compile()
+	off = make([]int32, c.NumNodes()+1)
+	for u := int32(0); u < int32(c.NumNodes()); u++ {
+		t, wt := c.Adj(u)
+		tgt, w = append(tgt, t...), append(w, wt...)
+		off[u+1] = int32(len(tgt))
+	}
+	return off, tgt, w
+}
+
+// bisectGraph is the oracle's engine call: engine.Bisect on g's arrays, the
+// sides translated back to NodeIDs (local id order is NodeID order, so both
+// come out sorted).
+func bisectGraph(ctx context.Context, engine Engine, g *graph.Graph) (sideA, sideB []graph.NodeID, err error) {
+	off, tgt, w := csrOf(g)
+	a, b, _, err := engine.Bisect(ctx, off, tgt, w, make([]int32, g.NumNodes()))
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := g.Nodes()
+	for _, u := range a {
+		sideA = append(sideA, ids[u])
+	}
+	for _, u := range b {
+		sideB = append(sideB, ids[u])
+	}
+	return sideA, sideB, nil
 }

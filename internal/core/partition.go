@@ -14,22 +14,22 @@ import (
 // is across jobs: a job's cut lists are a pure function of (job, engine,
 // MaxParts), so they are the same whichever goroutine computes them.
 
-// cutJobs partitions the jobs — jobs[k] is component dirty[k] — recording
-// each one's cut lists and Lanczos iteration count in comps. Jobs are cut
-// concurrently up to opts.Workers, each goroutine owning one split workspace
-// and pulling the next job index.
-func cutJobs(ctx context.Context, opts Options, jobs []csrJob, dirty []int, comps []compSolveState) error {
-	workers := max(1, min(opts.Workers, len(jobs)))
+// cutJobs partitions the compression block of every component dirty names,
+// recording each one's cut lists and Lanczos iteration count in comps. Jobs
+// are cut concurrently up to opts.Workers, each goroutine owning one split
+// workspace and pulling the next job index.
+func cutJobs(ctx context.Context, opts Options, dirty []int, comps []compSolveState) error {
+	workers := max(1, min(opts.Workers, len(dirty)))
 	errs := make([]error, workers)
 	var next atomic.Int64
 	run := func(w int) {
 		sc := &splitScratch{}
 		for errs[w] == nil {
 			k := int(next.Add(1)) - 1
-			if k >= len(jobs) {
+			if k >= len(dirty) {
 				return
 			}
-			errs[w] = partitionJob(ctx, &jobs[k], opts.Engine, opts.MaxParts, sc, &comps[dirty[k]])
+			errs[w] = partitionJob(ctx, opts.Engine, opts.MaxParts, sc, &comps[dirty[k]])
 		}
 	}
 	if workers == 1 {
@@ -53,14 +53,13 @@ func cutJobs(ctx context.Context, opts Options, jobs []csrJob, dirty []int, comp
 	return nil
 }
 
-// partitionJob splits j into at most k blocks by recursive bisection with the
-// given engine: the heaviest divisible block is bisected until k blocks exist
-// or nothing can be split further. Blocks are local-id slices; a single-node
-// job yields one. The spectral engine runs CSR-native on an induced block
-// view; every other engine gets a materialised sub-graph. The outcome lands
-// in cs.
-func partitionJob(ctx context.Context, j *csrJob, engine Engine, k int, sc *splitScratch, cs *compSolveState) error {
-	blocks := append(sc.blockSlab(k), sc.identity(j.n()))
+// partitionJob splits cs's compression block into at most k blocks by
+// recursive bisection with the given engine: the heaviest divisible block is
+// bisected until k blocks exist or nothing can be split further. Blocks are
+// local-id slices; a single-node job yields one. The outcome lands in cs.
+func partitionJob(ctx context.Context, engine Engine, k int, sc *splitScratch, cs *compSolveState) error {
+	blk := cs.blk
+	blocks := append(sc.blockSlab(k), sc.identity(len(blk.NodeW)))
 	// indivisible never escapes the call, so it lives in scratch.
 	if cap(sc.indiv) < k {
 		sc.indiv = make([]bool, 0, k)
@@ -76,7 +75,7 @@ func partitionJob(ctx context.Context, j *csrJob, engine Engine, k int, sc *spli
 			}
 			var work float64
 			for _, id := range block {
-				work += j.blk.NodeW[id]
+				work += blk.NodeW[id]
 			}
 			if work > bestWork {
 				best, bestWork = bi, work
@@ -89,7 +88,7 @@ func partitionJob(ctx context.Context, j *csrJob, engine Engine, k int, sc *spli
 			return err
 		}
 
-		sideA, sideB, iters, err := splitBlock(ctx, j, blocks[best], engine, sc)
+		sideA, sideB, iters, err := splitBlock(ctx, blk, blocks[best], engine, sc)
 		if err != nil {
 			return err
 		}

@@ -4,46 +4,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"copmecs/internal/graph"
 	"copmecs/internal/lpa"
-	"copmecs/internal/spectral"
 )
-
-// csrJob is one cut job of the pipeline: a sub-graph (one compressed
-// component, or one raw component under DisableCompression) in local CSR
-// form over ids 0..n−1 — its lpa.Block. Local ids ascend with the external
-// ids they stand for, so every ordering decision (ties, scans, summations)
-// agrees with the map-pipeline oracle bit for bit.
-type csrJob struct {
-	blk *lpa.Block
-	// ids maps local id → original NodeID for a raw component (nil for a
-	// compressed one, which uses the contracted super numbering 0..n−1
-	// directly, matching the contracted sub-graphs lpa.Compress materialises).
-	ids []graph.NodeID
-}
-
-// n returns the job's node count.
-func (j *csrJob) n() int { return len(j.blk.NodeW) }
-
-// extID returns the NodeID that local id v carries in the engine-facing
-// graph: the contracted super id for compressed jobs, the original NodeID
-// for raw components. Both mappings are strictly increasing in v.
-func (j *csrJob) extID(v int32) graph.NodeID {
-	if j.ids == nil {
-		return graph.NodeID(v)
-	}
-	return j.ids[v]
-}
-
-// localOf inverts extID.
-func (j *csrJob) localOf(id graph.NodeID) int32 {
-	if j.ids == nil {
-		return int32(id)
-	}
-	return int32(sort.Search(len(j.ids), func(i int) bool { return j.ids[i] >= id }))
-}
 
 // rawBlock presents an uncompressed component as the block of the identity
 // compression: every member its own super-node, the adjacency renumbered to
@@ -185,24 +149,14 @@ func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *sol
 		}
 	}
 
-	jobs := make([]csrJob, len(dirty))
-	ids := view.IDs()
-	for k, i := range dirty {
-		jobs[k].blk = st.comps[i].blk
-		if opts.DisableCompression {
-			jobs[k].ids = make([]graph.NodeID, len(comps[i]))
-			for li, u := range comps[i] {
-				jobs[k].ids[li] = ids[u]
-			}
-		}
-	}
-	if err := cutJobs(ctx, opts, jobs, dirty, st.comps); err != nil {
+	if err := cutJobs(ctx, opts, dirty, st.comps); err != nil {
 		return nil, nil, err
 	}
 
 	// Demux: span k owns components [CompBase[k], CompBase[k+1]); its
 	// templates are the components' groups end to end, indices re-based.
 	out := make([]graphPipeline, f.Graphs())
+	ids := view.IDs()
 	var sc expandScratch
 	for k := range out {
 		gp := &out[k]
@@ -439,27 +393,17 @@ func (sc *splitScratch) identity(n int) []int32 {
 	return sc.ident[:n:n]
 }
 
-// splitBlock bisects one block of j with the given engine, reporting the
-// Lanczos iterations it cost (zero for engines that run none). It is a pure
-// function of (j, block, engine) — scratch only carries reusable buffers —
-// which is what lets the parallel cut stage run a job on any goroutine with
-// bit-identical results.
-func splitBlock(ctx context.Context, j *csrJob, block []int32, engine Engine, sc *splitScratch) (sideA, sideB []int32, iters int, err error) {
-	if spec, ok := engine.(SpectralEngine); ok {
-		sideA, sideB, err = splitSpectralBlock(j, block, spec, &iters, sc)
-	} else {
-		sideA, sideB, err = splitMaterializedBlock(ctx, j, block, engine, sc)
-	}
-	return sideA, sideB, iters, err
-}
-
-// splitSpectralBlock bisects one block with the CSR-native spectral path:
-// members renumbered by rank into an induced CSR (the rank map is monotone,
-// so adjacency stays ascending without re-sorting), then
-// spectral.BisectCSRInto. iters accumulates the Lanczos iteration count.
-func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *int, sc *splitScratch) (sideA, sideB []int32, err error) {
-	sc.ensure(j.n())
-	off, tgt, w := j.blk.Off, j.blk.Tgt, j.blk.W
+// splitBlock bisects one block of blk with the given engine, reporting the
+// Lanczos iterations it cost. The block's members are renumbered by rank
+// into an induced CSR — the rank map is monotone, so adjacency stays
+// ascending without re-sorting and the engine sees the members' order —
+// and the engine's sides are translated rank → local id in place. It is a
+// pure function of (blk, block, engine) — scratch only carries reusable
+// buffers — which is what lets the cut stage run a job on any goroutine
+// with bit-identical results.
+func splitBlock(ctx context.Context, blk *lpa.Block, block []int32, engine Engine, sc *splitScratch) (sideA, sideB []int32, iters int, err error) {
+	sc.ensure(len(blk.NodeW))
+	off, tgt, w := blk.Off, blk.Tgt, blk.W
 	if cap(sc.sorted) < len(block) {
 		sc.sorted = make([]int32, len(block))
 	}
@@ -501,14 +445,13 @@ func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *in
 			}
 		}
 	}
-	// BisectCSRInto fills the scratch-carved slab with member ranks;
-	// translating rank→local id in place turns them into the block side
-	// lists without a second slab. Sides are never appended to downstream.
-	sopts := spec.spectralOptions()
-	sopts.Eigen.Lanczos.IterOut = iters
-	sideA, sideB, err = spectral.BisectCSRInto(sc.ioff, sc.itgt, sc.iw, sc.sideSlab(n), sopts)
+	// Sides carved from the scratch slab (or the engine's own) hold member
+	// ranks; translating rank→local id in place turns them into the block
+	// side lists without a second slab. Sides are never appended to
+	// downstream.
+	sideA, sideB, iters, err = engine.Bisect(ctx, sc.ioff, sc.itgt, sc.iw, sc.sideSlab(n))
 	if err != nil {
-		return nil, nil, fmt.Errorf("spectral engine: %w", err)
+		return nil, nil, 0, err
 	}
 	for i, r := range sideA {
 		sideA[i] = sorted[r]
@@ -516,48 +459,5 @@ func splitSpectralBlock(j *csrJob, block []int32, spec SpectralEngine, iters *in
 	for i, r := range sideB {
 		sideB[i] = sorted[r]
 	}
-	return sideA, sideB, nil
-}
-
-// splitMaterializedBlock bisects one block via an engine that takes a
-// *graph.Graph, materialising the block with the same node ids the
-// map-pipeline oracle hands it.
-func splitMaterializedBlock(ctx context.Context, j *csrJob, block []int32, engine Engine, sc *splitScratch) (sideA, sideB []int32, err error) {
-	sc.ensure(j.n())
-	off, tgt, w := j.blk.Off, j.blk.Tgt, j.blk.W
-	sorted := make([]int32, len(block))
-	copy(sorted, block)
-	slices.Sort(sorted)
-	sc.epoch++
-	for _, id := range sorted {
-		sc.mark[id] = sc.epoch
-	}
-	sub := graph.New(len(sorted))
-	for _, id := range sorted {
-		if err := sub.AddNode(j.extID(id), j.blk.NodeW[id]); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, id := range sorted {
-		for e := off[id]; e < off[id+1]; e++ {
-			if v := tgt[e]; v > id && sc.mark[v] == sc.epoch {
-				if err := sub.AddEdge(j.extID(id), j.extID(v), w[e]); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	extA, extB, err := engine.Bisect(ctx, sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	sideA = make([]int32, len(extA))
-	for i, id := range extA {
-		sideA[i] = j.localOf(id)
-	}
-	sideB = make([]int32, len(extB))
-	for i, id := range extB {
-		sideB[i] = j.localOf(id)
-	}
-	return sideA, sideB, nil
+	return sideA, sideB, iters, nil
 }

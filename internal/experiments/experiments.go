@@ -32,20 +32,13 @@ func PaperUserCounts() []int { return []int{250, 500, 1000, 2000, 5000} }
 // EngineNames lists the three §IV algorithms in paper order.
 func EngineNames() []string { return []string{"spectral", "maxflow", "kernighan-lin"} }
 
-// engineByName returns the cut engine for one of EngineNames.
+// engineByName is core.EngineByName with an unknown name as ErrBadInput.
 func engineByName(name string) (core.Engine, error) {
-	switch name {
-	case "spectral":
-		return core.SpectralEngine{}, nil
-	case "maxflow":
-		return core.MaxFlowEngine{}, nil
-	case "kernighan-lin":
-		return core.KLEngine{}, nil
-	case "stoer-wagner":
-		return core.StoerWagnerEngine{}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown engine %q", ErrBadInput, name)
+	eng, err := core.EngineByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
+	return eng, nil
 }
 
 // graphForSize generates the experiment graph for a node count: the Table I
@@ -313,8 +306,8 @@ const (
 
 // Runtime regenerates Figure 9: single-user solve wall time for the
 // spectral pipeline without parallelism ("without Spark"), the two
-// combinatorial baselines, and the spectral pipeline with its cut stage's
-// bisections on the in-process work-stealing pool ("with Spark" —
+// combinatorial baselines, and the spectral pipeline with its compression
+// and cut jobs fanned out over GOMAXPROCS goroutines ("with Spark" —
 // core.Options.Workers standing in for Spark).
 func Runtime(ctx context.Context, seed int64, sizes []int) (*RuntimeResult, error) {
 	if len(sizes) == 0 {

@@ -2,9 +2,7 @@ package mincut
 
 import (
 	"math"
-	"sort"
 
-	"copmecs/internal/graph"
 	"copmecs/internal/numeric"
 )
 
@@ -12,38 +10,25 @@ import (
 // always converges within a handful.
 const klMaxPasses = 16
 
-// KernighanLin bisects g into two halves of near-equal node count (sizes
-// differ by at most one) while heuristically minimising the cut weight, as
-// in the original 1970 procedure the paper compares against: starting from
-// a deterministic split, passes repeatedly compute gains g = D(a) + D(b) −
-// 2·w(a,b) for swapping the pair (a, b), tentatively swap the best pair,
-// and commit the best prefix of tentative swaps if its cumulative gain is
-// positive.
-func KernighanLin(g *graph.Graph) (sideA, sideB []graph.NodeID, weight float64, err error) {
-	n := g.NumNodes()
-	switch n {
-	case 0:
+// KernighanLin bisects the graph into two halves of near-equal node count
+// (sizes differ by at most one) while heuristically minimising the cut
+// weight, as in the original 1970 procedure the paper compares against:
+// starting from a deterministic split, passes repeatedly compute gains
+// g = D(a) + D(b) − 2·w(a,b) for swapping the pair (a, b), tentatively swap
+// the best pair, and commit the best prefix of tentative swaps if its
+// cumulative gain is positive.
+func KernighanLin(off, tgt []int32, wts []float64) (sideA, sideB []int32, weight float64, err error) {
+	n := len(off) - 1
+	switch {
+	case n <= 0:
 		return nil, nil, 0, ErrEmptyGraph
-	case 1:
-		return g.Nodes(), nil, 0, nil
-	}
-	ids := g.Nodes()
-	index := make(map[graph.NodeID]int, n)
-	for i, id := range ids {
-		index[id] = i
+	case n == 1:
+		return []int32{0}, nil, 0, nil
 	}
 	// Dense weights for O(1) pair lookups.
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-	}
-	for _, e := range g.Edges() {
-		u, v := index[e.U], index[e.V]
-		w[u][v] += e.Weight
-		w[v][u] += e.Weight
-	}
+	w := denseWeights(off, tgt, wts)
 
-	// Initial deterministic split: first half / second half in ID order.
+	// Initial deterministic split: first half / second half in id order.
 	inA := make([]bool, n)
 	for i := 0; i < (n+1)/2; i++ {
 		inA[i] = true
@@ -129,16 +114,6 @@ func KernighanLin(g *graph.Graph) (sideA, sideB []graph.NodeID, weight float64, 
 		}
 	}
 
-	side := make(map[graph.NodeID]bool, n)
-	for i, id := range ids {
-		if inA[i] {
-			side[id] = true
-			sideA = append(sideA, id)
-		} else {
-			sideB = append(sideB, id)
-		}
-	}
-	sort.Slice(sideA, func(i, j int) bool { return sideA[i] < sideA[j] })
-	sort.Slice(sideB, func(i, j int) bool { return sideB[i] < sideB[j] })
-	return sideA, sideB, g.CutWeight(side), nil
+	sideA, sideB = split(inA)
+	return sideA, sideB, cutWeight(off, tgt, wts, inA), nil
 }

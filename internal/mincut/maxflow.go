@@ -2,16 +2,18 @@
 // evaluates against (§IV): the Ford–Fulkerson / Edmonds–Karp maximum-flow
 // minimum-cut algorithm and the Kernighan–Lin bisection heuristic, plus the
 // Stoer–Wagner exact global minimum cut used for cross-validation.
+//
+// Every function takes a graph in CSR form over dense ids 0..n−1: node u's
+// neighbours are tgt[off[u]:off[u+1]] (strictly ascending, no self-loops,
+// symmetric) with weights w — the arrays the solver's cut stage hands every
+// engine. Sides come back as ascending ids, and every tie breaks toward the
+// smaller id.
 package mincut
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"copmecs/internal/graph"
-	"copmecs/internal/numeric"
 )
 
 // Errors returned by the package.
@@ -24,56 +26,89 @@ var (
 	ErrNodeNotFound = errors.New("mincut: node not found")
 )
 
-// flowNet is a residual network over dense indices.
-type flowNet struct {
-	n     int
-	cap   [][]float64 // cap[u][v] residual capacity
-	adj   [][]int     // adjacency (both directions)
-	index map[graph.NodeID]int
-	ids   []graph.NodeID
+// denseWeights returns the n×n weight matrix of the graph, each edge's
+// weight read from its lower endpoint's row.
+func denseWeights(off, tgt []int32, w []float64) [][]float64 {
+	n := len(off) - 1
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	for u := 0; u < n; u++ {
+		for e := off[u]; e < off[u+1]; e++ {
+			if v := tgt[e]; int(v) > u {
+				d[u][v] += w[e]
+				d[v][u] += w[e]
+			}
+		}
+	}
+	return d
 }
 
-func newFlowNet(g *graph.Graph) *flowNet {
-	ids := g.Nodes()
-	net := &flowNet{
-		n:     len(ids),
-		index: make(map[graph.NodeID]int, len(ids)),
-		ids:   ids,
-	}
-	for i, id := range ids {
-		net.index[id] = i
-	}
-	net.cap = make([][]float64, net.n)
-	net.adj = make([][]int, net.n)
-	for i := range net.cap {
-		net.cap[i] = make([]float64, net.n)
-	}
-	for _, e := range g.Edges() {
-		u, v := net.index[e.U], net.index[e.V]
-		// An undirected edge of weight w admits w units in either direction.
-		if numeric.Zero(net.cap[u][v]) && numeric.Zero(net.cap[v][u]) {
-			net.adj[u] = append(net.adj[u], v)
-			net.adj[v] = append(net.adj[v], u)
+// cutWeight sums the weight of the edges crossing inA's boundary, u
+// ascending and v > u ascending.
+func cutWeight(off, tgt []int32, w []float64, inA []bool) float64 {
+	var cut float64
+	for u := range inA {
+		for e := off[u]; e < off[u+1]; e++ {
+			if v := tgt[e]; int(v) > u && inA[u] != inA[v] {
+				cut += w[e]
+			}
 		}
-		net.cap[u][v] += e.Weight
-		net.cap[v][u] += e.Weight
 	}
-	return net
+	return cut
+}
+
+// bfsOrder returns the nodes reachable from start in breadth-first order,
+// visiting neighbours in ascending order.
+func bfsOrder(off, tgt []int32, start int32) []int32 {
+	seen := make([]bool, len(off)-1)
+	seen[start] = true
+	order := []int32{start}
+	for i := 0; i < len(order); i++ {
+		u := order[i]
+		for _, v := range tgt[off[u]:off[u+1]] {
+			if !seen[v] {
+				seen[v] = true
+				order = append(order, v)
+			}
+		}
+	}
+	return order
+}
+
+// split lists the ids with inA set and the rest, both ascending.
+func split(inA []bool) (sideA, sideB []int32) {
+	for u, a := range inA {
+		if a {
+			sideA = append(sideA, int32(u))
+		} else {
+			sideB = append(sideB, int32(u))
+		}
+	}
+	return sideA, sideB
+}
+
+// flowNet is a residual network: dense residual capacities, adjacency the
+// graph's own rows (an undirected edge admits flow either way).
+type flowNet struct {
+	off, tgt []int32
+	cap      [][]float64 // cap[u][v] residual capacity
 }
 
 // bfsAugment finds a shortest augmenting path s→t; returns parent links and
 // whether t was reached.
-func (net *flowNet) bfsAugment(s, t int) ([]int, bool) {
-	parent := make([]int, net.n)
+func (net *flowNet) bfsAugment(s, t int32) ([]int32, bool) {
+	parent := make([]int32, len(net.cap))
 	for i := range parent {
 		parent[i] = -1
 	}
 	parent[s] = s
-	queue := []int{s}
+	queue := []int32{s}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range net.adj[u] {
+		for _, v := range net.tgt[net.off[u]:net.off[u+1]] {
 			if parent[v] < 0 && net.cap[u][v] > 1e-12 {
 				parent[v] = u
 				if v == t {
@@ -90,46 +125,46 @@ func (net *flowNet) bfsAugment(s, t int) ([]int, bool) {
 type MaxFlowResult struct {
 	// Value is the maximum flow = minimum cut capacity (duality).
 	Value float64
-	// SourceSide holds the nodes reachable from the source in the residual
+	// SourceSide marks the nodes reachable from the source in the residual
 	// network: the source side of a minimum s-t cut.
-	SourceSide map[graph.NodeID]bool
+	SourceSide []bool
 }
 
 // MaxFlow computes the maximum flow between s and t on the undirected
-// weighted graph g with the Edmonds–Karp algorithm (BFS augmenting paths,
+// weighted graph with the Edmonds–Karp algorithm (BFS augmenting paths,
 // guaranteeing termination — the paper's noted fix over plain
 // Ford–Fulkerson for non-integral capacities).
-func MaxFlow(g *graph.Graph, s, t graph.NodeID) (*MaxFlowResult, error) {
-	if g.NumNodes() == 0 {
+func MaxFlow(off, tgt []int32, w []float64, s, t int32) (*MaxFlowResult, error) {
+	n := len(off) - 1
+	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
 	if s == t {
 		return nil, fmt.Errorf("%w: %d", ErrSameNode, s)
 	}
-	if !g.HasNode(s) {
+	if s < 0 || int(s) >= n {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeNotFound, s)
 	}
-	if !g.HasNode(t) {
+	if t < 0 || int(t) >= n {
 		return nil, fmt.Errorf("%w: sink %d", ErrNodeNotFound, t)
 	}
-	net := newFlowNet(g)
-	si, ti := net.index[s], net.index[t]
+	net := &flowNet{off: off, tgt: tgt, cap: denseWeights(off, tgt, w)}
 
 	var value float64
 	for {
-		parent, ok := net.bfsAugment(si, ti)
+		parent, ok := net.bfsAugment(s, t)
 		if !ok {
 			break
 		}
 		// Bottleneck along the path.
 		bottleneck := math.Inf(1)
-		for v := ti; v != si; v = parent[v] {
+		for v := t; v != s; v = parent[v] {
 			u := parent[v]
 			if net.cap[u][v] < bottleneck {
 				bottleneck = net.cap[u][v]
 			}
 		}
-		for v := ti; v != si; v = parent[v] {
+		for v := t; v != s; v = parent[v] {
 			u := parent[v]
 			net.cap[u][v] -= bottleneck
 			net.cap[v][u] += bottleneck
@@ -138,17 +173,15 @@ func MaxFlow(g *graph.Graph, s, t graph.NodeID) (*MaxFlowResult, error) {
 	}
 
 	// Residual reachability from s defines the cut's source side.
-	side := make(map[graph.NodeID]bool)
-	seen := make([]bool, net.n)
-	stack := []int{si}
-	seen[si] = true
+	side := make([]bool, n)
+	side[s] = true
+	stack := []int32{s}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		side[net.ids[u]] = true
-		for _, v := range net.adj[u] {
-			if !seen[v] && net.cap[u][v] > 1e-12 {
-				seen[v] = true
+		for _, v := range tgt[off[u]:off[u+1]] {
+			if !side[v] && net.cap[u][v] > 1e-12 {
+				side[v] = true
 				stack = append(stack, v)
 			}
 		}
@@ -157,61 +190,57 @@ func MaxFlow(g *graph.Graph, s, t graph.NodeID) (*MaxFlowResult, error) {
 }
 
 // STMinCut is a convenience wrapper returning the two sides of the minimum
-// s-t cut as sorted slices plus its weight.
-func STMinCut(g *graph.Graph, s, t graph.NodeID) (sideA, sideB []graph.NodeID, weight float64, err error) {
-	res, err := MaxFlow(g, s, t)
+// s-t cut plus its weight.
+func STMinCut(off, tgt []int32, w []float64, s, t int32) (sideA, sideB []int32, weight float64, err error) {
+	res, err := MaxFlow(off, tgt, w, s, t)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	for _, id := range g.Nodes() {
-		if res.SourceSide[id] {
-			sideA = append(sideA, id)
-		} else {
-			sideB = append(sideB, id)
-		}
-	}
+	sideA, sideB = split(res.SourceSide)
 	return sideA, sideB, res.Value, nil
 }
 
 // MaxFlowBisect approximates the global minimum cut the way the paper's
-// baseline uses max-flow: it fixes the highest-degree node as the source
-// (the hub a real application's entry function resembles) and tries the k
-// nodes farthest from it (BFS depth) as sinks, keeping the best cut. k ≤ 0
-// means 3. Disconnected graphs short-circuit to a free cut along component
-// lines.
-func MaxFlowBisect(g *graph.Graph, k int) (sideA, sideB []graph.NodeID, weight float64, err error) {
-	n := g.NumNodes()
-	switch n {
-	case 0:
+// baseline uses max-flow: it fixes the highest-degree node (smallest id on
+// ties) as the source — the hub a real application's entry function
+// resembles — and tries the k nodes farthest from it (BFS depth) as sinks,
+// keeping the best cut. k ≤ 0 means 3. A disconnected graph short-circuits
+// to a free cut: node 0's component against the rest.
+func MaxFlowBisect(off, tgt []int32, w []float64, k int) (sideA, sideB []int32, weight float64, err error) {
+	n := len(off) - 1
+	switch {
+	case n <= 0:
 		return nil, nil, 0, ErrEmptyGraph
-	case 1:
-		return g.Nodes(), nil, 0, nil
+	case n == 1:
+		return []int32{0}, nil, 0, nil
 	}
-	if comps := g.Components(); len(comps) > 1 {
-		sideA = append(sideA, comps[0]...)
-		for _, comp := range comps[1:] {
-			sideB = append(sideB, comp...)
+	if reach := bfsOrder(off, tgt, 0); len(reach) < n {
+		inA := make([]bool, n)
+		for _, u := range reach {
+			inA[u] = true
 		}
-		sort.Slice(sideB, func(i, j int) bool { return sideB[i] < sideB[j] })
+		sideA, sideB = split(inA)
 		return sideA, sideB, 0, nil
 	}
 	if k <= 0 {
 		k = 3
 	}
-	s, _ := g.MaxDegreeNode()
-	order, err := g.BFSOrder(s)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("mincut bisect: %w", err)
+	var s int32
+	for u := int32(1); u < int32(n); u++ {
+		if off[u+1]-off[u] > off[s+1]-off[s] {
+			s = u
+		}
 	}
+	order := bfsOrder(off, tgt, s)
 	best := math.Inf(1)
 	for i := 0; i < k && i < len(order)-1; i++ {
 		t := order[len(order)-1-i]
-		a, b, w, err := STMinCut(g, s, t)
+		a, b, cw, err := STMinCut(off, tgt, w, s, t)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("mincut bisect: %w", err)
 		}
-		if w < best && len(a) > 0 && len(b) > 0 {
-			best, sideA, sideB = w, a, b
+		if cw < best && len(a) > 0 && len(b) > 0 {
+			best, sideA, sideB = cw, a, b
 		}
 	}
 	if math.IsInf(best, 1) {

@@ -26,6 +26,40 @@ func build(t *testing.T, n int, edges []graph.Edge) *graph.Graph {
 	return g
 }
 
+// csrOf lays g out as the arrays the package takes: g's nodes in ascending
+// id order are ids 0..n−1 (the tests' graphs number their nodes 0..n−1, so
+// the two coincide).
+func csrOf(g *graph.Graph) (off, tgt []int32, w []float64) {
+	c := g.Compile()
+	off = make([]int32, c.NumNodes()+1)
+	for u := int32(0); u < int32(c.NumNodes()); u++ {
+		t, wt := c.Adj(u)
+		tgt, w = append(tgt, t...), append(w, wt...)
+		off[u+1] = int32(len(tgt))
+	}
+	return off, tgt, w
+}
+
+// sideSet is a side list as the membership set graph.CutWeight takes.
+func sideSet(side []int32) map[graph.NodeID]bool {
+	set := make(map[graph.NodeID]bool, len(side))
+	for _, u := range side {
+		set[graph.NodeID(u)] = true
+	}
+	return set
+}
+
+// maskSet is a side mask as the membership set graph.CutWeight takes.
+func maskSet(mask []bool) map[graph.NodeID]bool {
+	set := make(map[graph.NodeID]bool)
+	for u, in := range mask {
+		if in {
+			set[graph.NodeID(u)] = true
+		}
+	}
+	return set
+}
+
 // randConnected builds a random connected graph.
 func randConnected(rng *rand.Rand, n int, extra int) *graph.Graph {
 	g := graph.New(n)
@@ -101,8 +135,8 @@ func bruteForceSTMinCut(g *graph.Graph, s, t graph.NodeID) float64 {
 
 func TestMaxFlowSimplePath(t *testing.T) {
 	// 0 -5- 1 -3- 2: max flow 0→2 is 3.
-	g := build(t, 3, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 1, V: 2, Weight: 3}})
-	res, err := MaxFlow(g, 0, 2)
+	off, tgt, w := csrOf(build(t, 3, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 1, V: 2, Weight: 3}}))
+	res, err := MaxFlow(off, tgt, w, 0, 2)
 	if err != nil {
 		t.Fatalf("MaxFlow: %v", err)
 	}
@@ -116,11 +150,11 @@ func TestMaxFlowSimplePath(t *testing.T) {
 
 func TestMaxFlowParallelPaths(t *testing.T) {
 	// Two disjoint 0→3 paths with bottlenecks 2 and 4: flow 6.
-	g := build(t, 4, []graph.Edge{
+	off, tgt, w := csrOf(build(t, 4, []graph.Edge{
 		{U: 0, V: 1, Weight: 2}, {U: 1, V: 3, Weight: 7},
 		{U: 0, V: 2, Weight: 9}, {U: 2, V: 3, Weight: 4},
-	})
-	res, err := MaxFlow(g, 0, 3)
+	}))
+	res, err := MaxFlow(off, tgt, w, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,24 +164,25 @@ func TestMaxFlowParallelPaths(t *testing.T) {
 }
 
 func TestMaxFlowErrors(t *testing.T) {
-	g := build(t, 2, []graph.Edge{{U: 0, V: 1, Weight: 1}})
-	if _, err := MaxFlow(graph.New(0), 0, 1); !errors.Is(err, ErrEmptyGraph) {
+	off, tgt, w := csrOf(build(t, 2, []graph.Edge{{U: 0, V: 1, Weight: 1}}))
+	eoff, etgt, ew := csrOf(graph.New(0))
+	if _, err := MaxFlow(eoff, etgt, ew, 0, 1); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v", err)
 	}
-	if _, err := MaxFlow(g, 1, 1); !errors.Is(err, ErrSameNode) {
+	if _, err := MaxFlow(off, tgt, w, 1, 1); !errors.Is(err, ErrSameNode) {
 		t.Errorf("same-node error = %v", err)
 	}
-	if _, err := MaxFlow(g, 0, 9); !errors.Is(err, ErrNodeNotFound) {
+	if _, err := MaxFlow(off, tgt, w, 0, 9); !errors.Is(err, ErrNodeNotFound) {
 		t.Errorf("missing sink error = %v", err)
 	}
-	if _, err := MaxFlow(g, 9, 0); !errors.Is(err, ErrNodeNotFound) {
+	if _, err := MaxFlow(off, tgt, w, 9, 0); !errors.Is(err, ErrNodeNotFound) {
 		t.Errorf("missing source error = %v", err)
 	}
 }
 
 func TestMaxFlowDisconnectedSourceSink(t *testing.T) {
-	g := build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 2, V: 3, Weight: 5}})
-	res, err := MaxFlow(g, 0, 3)
+	off, tgt, w := csrOf(build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 2, V: 3, Weight: 5}}))
+	res, err := MaxFlow(off, tgt, w, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +197,8 @@ func TestMaxFlowMatchesBruteForce(t *testing.T) {
 		n := 4 + rng.Intn(5) // ≤ 8 nodes for the brute force
 		g := randConnected(rng, n, rng.Intn(2*n))
 		s, tt := graph.NodeID(0), graph.NodeID(n-1)
-		res, err := MaxFlow(g, s, tt)
+		off, tgt, w := csrOf(g)
+		res, err := MaxFlow(off, tgt, w, int32(s), int32(tt))
 		if err != nil {
 			t.Fatalf("MaxFlow: %v", err)
 		}
@@ -171,15 +207,15 @@ func TestMaxFlowMatchesBruteForce(t *testing.T) {
 			t.Errorf("trial %d: flow %v ≠ brute-force min cut %v", trial, res.Value, want)
 		}
 		// Duality: residual cut weight equals flow value.
-		if cut := g.CutWeight(res.SourceSide); math.Abs(cut-res.Value) > 1e-9 {
+		if cut := g.CutWeight(maskSet(res.SourceSide)); math.Abs(cut-res.Value) > 1e-9 {
 			t.Errorf("trial %d: residual cut %v ≠ flow %v", trial, cut, res.Value)
 		}
 	}
 }
 
 func TestSTMinCutSides(t *testing.T) {
-	g := build(t, 3, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 1, V: 2, Weight: 3}})
-	a, b, w, err := STMinCut(g, 0, 2)
+	off, tgt, wts := csrOf(build(t, 3, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 1, V: 2, Weight: 3}}))
+	a, b, w, err := STMinCut(off, tgt, wts, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +234,8 @@ func TestMaxFlowBisectDumbbell(t *testing.T) {
 		}
 	}
 	edges = append(edges, graph.Edge{U: 0, V: 4, Weight: 0.5})
-	g := build(t, 8, edges)
-	a, b, w, err := MaxFlowBisect(g, 3)
+	off, tgt, wts := csrOf(build(t, 8, edges))
+	a, b, w, err := MaxFlowBisect(off, tgt, wts, 3)
 	if err != nil {
 		t.Fatalf("MaxFlowBisect: %v", err)
 	}
@@ -212,16 +248,17 @@ func TestMaxFlowBisectDumbbell(t *testing.T) {
 }
 
 func TestMaxFlowBisectEdgeCases(t *testing.T) {
-	if _, _, _, err := MaxFlowBisect(graph.New(0), 3); !errors.Is(err, ErrEmptyGraph) {
+	off, tgt, wts := csrOf(graph.New(0))
+	if _, _, _, err := MaxFlowBisect(off, tgt, wts, 3); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v", err)
 	}
-	single := build(t, 1, nil)
-	a, b, w, err := MaxFlowBisect(single, 3)
+	off, tgt, wts = csrOf(build(t, 1, nil))
+	a, b, w, err := MaxFlowBisect(off, tgt, wts, 3)
 	if err != nil || len(a) != 1 || len(b) != 0 || w != 0 {
 		t.Errorf("single = %v %v %v %v", a, b, w, err)
 	}
-	disc := build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 2}, {U: 2, V: 3, Weight: 2}})
-	a, b, w, err = MaxFlowBisect(disc, 3)
+	off, tgt, wts = csrOf(build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 2}, {U: 2, V: 3, Weight: 2}}))
+	a, b, w, err = MaxFlowBisect(off, tgt, wts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +278,7 @@ func TestGlobalMinCutKnown(t *testing.T) {
 		{U: 5, V: 6, Weight: 1},
 		{U: 6, V: 7, Weight: 3},
 	}
-	g := build(t, 8, edges)
-	_, _, w, err := GlobalMinCut(g)
+	_, _, w, err := GlobalMinCut(csrOf(build(t, 8, edges)))
 	if err != nil {
 		t.Fatalf("GlobalMinCut: %v", err)
 	}
@@ -256,7 +292,7 @@ func TestGlobalMinCutMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + rng.Intn(6)
 		g := randConnected(rng, n, rng.Intn(2*n))
-		a, b, w, err := GlobalMinCut(g)
+		a, b, w, err := GlobalMinCut(csrOf(g))
 		if err != nil {
 			t.Fatalf("GlobalMinCut: %v", err)
 		}
@@ -267,10 +303,7 @@ func TestGlobalMinCutMatchesBruteForce(t *testing.T) {
 		if len(a) == 0 || len(b) == 0 || len(a)+len(b) != n {
 			t.Errorf("trial %d: bad sides %v | %v", trial, a, b)
 		}
-		side := make(map[graph.NodeID]bool)
-		for _, id := range a {
-			side[id] = true
-		}
+		side := sideSet(a)
 		if math.Abs(g.CutWeight(side)-w) > 1e-9 {
 			t.Errorf("trial %d: reported %v, recomputed %v", trial, w, g.CutWeight(side))
 		}
@@ -278,16 +311,14 @@ func TestGlobalMinCutMatchesBruteForce(t *testing.T) {
 }
 
 func TestGlobalMinCutEdgeCases(t *testing.T) {
-	if _, _, _, err := GlobalMinCut(graph.New(0)); !errors.Is(err, ErrEmptyGraph) {
+	if _, _, _, err := GlobalMinCut(csrOf(graph.New(0))); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v", err)
 	}
-	single := build(t, 1, nil)
-	a, b, w, err := GlobalMinCut(single)
+	a, b, w, err := GlobalMinCut(csrOf(build(t, 1, nil)))
 	if err != nil || len(a) != 1 || len(b) != 0 || w != 0 {
 		t.Errorf("single = %v %v %v %v", a, b, w, err)
 	}
-	disc := build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 2, V: 3, Weight: 5}})
-	_, _, w, err = GlobalMinCut(disc)
+	_, _, w, err = GlobalMinCut(csrOf(build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 2, V: 3, Weight: 5}})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,17 +332,14 @@ func TestKernighanLinBalanced(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + rng.Intn(20)
 		g := randConnected(rng, n, rng.Intn(3*n))
-		a, b, w, err := KernighanLin(g)
+		a, b, w, err := KernighanLin(csrOf(g))
 		if err != nil {
 			t.Fatalf("KernighanLin: %v", err)
 		}
 		if diff := len(a) - len(b); diff < -1 || diff > 1 {
 			t.Errorf("trial %d: unbalanced %d/%d", trial, len(a), len(b))
 		}
-		side := make(map[graph.NodeID]bool)
-		for _, id := range a {
-			side[id] = true
-		}
+		side := sideSet(a)
 		if math.Abs(g.CutWeight(side)-w) > 1e-9 {
 			t.Errorf("trial %d: reported %v, recomputed %v", trial, w, g.CutWeight(side))
 		}
@@ -331,8 +359,7 @@ func TestKernighanLinImprovesDumbbell(t *testing.T) {
 		}
 	}
 	edges = append(edges, graph.Edge{U: 0, V: 1, Weight: 0.5})
-	g := build(t, 8, edges)
-	_, _, w, err := KernighanLin(g)
+	_, _, w, err := KernighanLin(csrOf(build(t, 8, edges)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,16 +369,14 @@ func TestKernighanLinImprovesDumbbell(t *testing.T) {
 }
 
 func TestKernighanLinEdgeCases(t *testing.T) {
-	if _, _, _, err := KernighanLin(graph.New(0)); !errors.Is(err, ErrEmptyGraph) {
+	if _, _, _, err := KernighanLin(csrOf(graph.New(0))); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v", err)
 	}
-	single := build(t, 1, nil)
-	a, b, w, err := KernighanLin(single)
+	a, b, w, err := KernighanLin(csrOf(build(t, 1, nil)))
 	if err != nil || len(a) != 1 || len(b) != 0 || w != 0 {
 		t.Errorf("single = %v %v %v %v", a, b, w, err)
 	}
-	pair := build(t, 2, []graph.Edge{{U: 0, V: 1, Weight: 3}})
-	a, b, w, err = KernighanLin(pair)
+	a, b, w, err = KernighanLin(csrOf(build(t, 2, []graph.Edge{{U: 0, V: 1, Weight: 3}})))
 	if err != nil || len(a) != 1 || len(b) != 1 || w != 3 {
 		t.Errorf("pair = %v %v %v %v", a, b, w, err)
 	}
@@ -363,12 +388,12 @@ func TestPropertyMaxFlowLowerBoundsGlobal(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%8) + 3
-		g := randConnected(rng, n, rng.Intn(n))
-		_, _, global, err := GlobalMinCut(g)
+		off, tgt, w := csrOf(randConnected(rng, n, rng.Intn(n)))
+		_, _, global, err := GlobalMinCut(off, tgt, w)
 		if err != nil {
 			return false
 		}
-		res, err := MaxFlow(g, 0, graph.NodeID(n-1))
+		res, err := MaxFlow(off, tgt, w, 0, int32(n-1))
 		if err != nil {
 			return false
 		}
@@ -383,8 +408,7 @@ func TestPropertyKLNeverEmptySides(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%15) + 2
-		g := randConnected(rng, n, rng.Intn(n))
-		a, b, _, err := KernighanLin(g)
+		a, b, _, err := KernighanLin(csrOf(randConnected(rng, n, rng.Intn(n))))
 		if err != nil {
 			return false
 		}

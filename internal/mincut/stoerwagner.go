@@ -2,42 +2,27 @@ package mincut
 
 import (
 	"math"
-	"sort"
-
-	"copmecs/internal/graph"
+	"slices"
 )
 
-// GlobalMinCut computes the exact global minimum cut of g with the
+// GlobalMinCut computes the exact global minimum cut of the graph with the
 // Stoer–Wagner algorithm in O(V³). It is used to cross-validate the
 // approximate cut engines and as an optional exact engine for small
 // compressed sub-graphs. A disconnected graph yields a zero-weight cut.
-func GlobalMinCut(g *graph.Graph) (sideA, sideB []graph.NodeID, weight float64, err error) {
-	n := g.NumNodes()
-	switch n {
-	case 0:
+func GlobalMinCut(off, tgt []int32, wts []float64) (sideA, sideB []int32, weight float64, err error) {
+	n := len(off) - 1
+	switch {
+	case n <= 0:
 		return nil, nil, 0, ErrEmptyGraph
-	case 1:
-		return g.Nodes(), nil, 0, nil
-	}
-	ids := g.Nodes()
-	index := make(map[graph.NodeID]int, n)
-	for i, id := range ids {
-		index[id] = i
+	case n == 1:
+		return []int32{0}, nil, 0, nil
 	}
 	// Dense working copy of the weights; merged[i] tracks the original
 	// nodes contracted into vertex i.
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-	}
-	for _, e := range g.Edges() {
-		u, v := index[e.U], index[e.V]
-		w[u][v] += e.Weight
-		w[v][u] += e.Weight
-	}
-	merged := make([][]graph.NodeID, n)
-	for i, id := range ids {
-		merged[i] = []graph.NodeID{id}
+	w := denseWeights(off, tgt, wts)
+	merged := make([][]int32, n)
+	for i := range merged {
+		merged[i] = []int32{int32(i)}
 	}
 	active := make([]int, n)
 	for i := range active {
@@ -45,12 +30,15 @@ func GlobalMinCut(g *graph.Graph) (sideA, sideB []graph.NodeID, weight float64, 
 	}
 
 	best := math.Inf(1)
-	var bestSide []graph.NodeID
+	var bestSide []int32
+	inA := make([]bool, n)
+	weights := make([]float64, n)
 
 	for len(active) > 1 {
 		// Maximum adjacency (minimum cut phase) order.
-		inA := make(map[int]bool, len(active))
-		weights := make(map[int]float64, len(active))
+		for _, v := range active {
+			inA[v], weights[v] = false, 0
+		}
 		var prev, last int
 		for i := 0; i < len(active); i++ {
 			// Select the most tightly connected remaining vertex.
@@ -77,7 +65,7 @@ func GlobalMinCut(g *graph.Graph) (sideA, sideB []graph.NodeID, weight float64, 
 		}
 		if phaseCut < best {
 			best = phaseCut
-			bestSide = append([]graph.NodeID(nil), merged[last]...)
+			bestSide = slices.Clone(merged[last])
 		}
 		// Merge last into prev.
 		for _, v := range active {
@@ -95,18 +83,10 @@ func GlobalMinCut(g *graph.Graph) (sideA, sideB []graph.NodeID, weight float64, 
 		}
 	}
 
-	inBest := make(map[graph.NodeID]bool, len(bestSide))
-	for _, id := range bestSide {
-		inBest[id] = true
+	inBest := make([]bool, n)
+	for _, u := range bestSide {
+		inBest[u] = true
 	}
-	for _, id := range ids {
-		if inBest[id] {
-			sideA = append(sideA, id)
-		} else {
-			sideB = append(sideB, id)
-		}
-	}
-	sort.Slice(sideA, func(i, j int) bool { return sideA[i] < sideA[j] })
-	sort.Slice(sideB, func(i, j int) bool { return sideB[i] < sideB[j] })
+	sideA, sideB = split(inBest)
 	return sideA, sideB, best, nil
 }

@@ -36,19 +36,19 @@ func newGateEngine() gateEngine {
 
 func (e gateEngine) Name() string { return "gate" }
 
-func (e gateEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
+func (e gateEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, sides []int32) ([]int32, []int32, int, error) {
 	if e.fail.Load() {
-		return nil, nil, errors.New("gate engine: induced failure")
+		return nil, nil, 0, errors.New("gate engine: induced failure")
 	}
 	if e.hold.Load() {
 		e.entered <- struct{}{}
 		select {
 		case <-e.release:
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, nil, 0, ctx.Err()
 		}
 	}
-	return core.SpectralEngine{}.Bisect(ctx, g)
+	return core.SpectralEngine{}.Bisect(ctx, off, tgt, w, sides)
 }
 
 // mutateFixture is a started server over a gate engine with one primed

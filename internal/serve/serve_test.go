@@ -480,13 +480,13 @@ type slowEngine struct {
 
 func (e slowEngine) Name() string { return e.inner.Name() }
 
-func (e slowEngine) Bisect(ctx context.Context, g *graph.Graph) ([]graph.NodeID, []graph.NodeID, error) {
+func (e slowEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, sides []int32) ([]int32, []int32, int, error) {
 	select {
 	case <-time.After(e.delay):
 	case <-ctx.Done():
-		return nil, nil, ctx.Err()
+		return nil, nil, 0, ctx.Err()
 	}
-	return e.inner.Bisect(ctx, g)
+	return e.inner.Bisect(ctx, off, tgt, w, sides)
 }
 
 // TestIntegrationConcurrentClients is the acceptance test: 64 concurrent

@@ -40,38 +40,15 @@ func (s *bisectScratch) ensure(n, lnnz int) {
 	}
 }
 
-// BisectCSRInto bisects a graph in CSR form over dense indices 0..n−1: node
-// i's neighbors are tgt[off[i]:off[i+1]] (strictly ascending, no self-loops,
-// symmetric) with weights wts. It returns the two sides as ascending index
-// slices, both carved from the caller's sides slab (len(sides) must be ≥ n):
-// sideA occupies its front, sideB the adjacent segment; sideB is empty for a
-// single-node graph. The solver pipeline carves sides from a per-job arena,
-// so a split allocates nothing here. The Laplacian is assembled directly
-// from the arrays into pooled buffers — no triplet staging, no per-row
-// sorts, no maps.
-func BisectCSRInto(off, tgt []int32, wts []float64, sides []int32, opts Options) (sideA, sideB []int32, err error) {
-	sideA, sideB, _, err = bisectCSR(off, tgt, wts, sides, opts)
-	return sideA, sideB, err
-}
-
-// bisectCSR is BisectCSRInto also returning λ₂ (0 for a single node).
-func bisectCSR(off, tgt []int32, wts []float64, sides []int32, opts Options) (sideA, sideB []int32, lambda2 float64, err error) {
+// laplacian assembles L = D − W of the graph into s.lap, row by row:
+// off-diagonals −w with the diagonal (the weighted degree, summed in
+// ascending neighbor order — the same order the triplet path accumulates it
+// in) inserted at its sorted column slot. It sizes every scratch buffer,
+// the sweep's included.
+func (s *bisectScratch) laplacian(off, tgt []int32, wts []float64) error {
 	n := len(off) - 1
-	switch {
-	case n <= 0:
-		return nil, nil, 0, ErrEmptyGraph
-	case n == 1:
-		sides[0] = 0
-		return sides[:1:1], nil, 0, nil
-	}
-	s := bisectScratchPool.Get().(*bisectScratch)
-	defer bisectScratchPool.Put(s)
 	lnnz := len(tgt) + n
 	s.ensure(n, lnnz)
-
-	// L = D − W row by row: off-diagonals −w with the diagonal (the weighted
-	// degree, summed in ascending neighbor order — the same order the
-	// triplet path accumulates it in) inserted at its sorted column slot.
 	rowPtr, colIdx, vals := s.rowPtr[:n+1], s.colIdx[:lnnz], s.vals[:lnnz]
 	pos := 0
 	rowPtr[0] = 0
@@ -98,7 +75,39 @@ func bisectCSR(off, tgt []int32, wts []float64, sides []int32, opts Options) (si
 		rowPtr[i+1] = pos
 	}
 	if err := s.lap.ResetParts(n, n, rowPtr, colIdx[:pos], vals[:pos]); err != nil {
-		return nil, nil, 0, fmt.Errorf("spectral: %w", err)
+		return fmt.Errorf("spectral: %w", err)
+	}
+	return nil
+}
+
+// BisectCSRInto bisects a graph in CSR form over dense indices 0..n−1: node
+// i's neighbors are tgt[off[i]:off[i+1]] (strictly ascending, no self-loops,
+// symmetric) with weights wts. It returns the two sides as ascending index
+// slices, both carved from the caller's sides slab (len(sides) must be ≥ n):
+// sideA occupies its front, sideB the adjacent segment; sideB is empty for a
+// single-node graph. The solver pipeline carves sides from a per-job arena,
+// so a split allocates nothing here. The Laplacian is assembled directly
+// from the arrays into pooled buffers — no triplet staging, no per-row
+// sorts, no maps.
+func BisectCSRInto(off, tgt []int32, wts []float64, sides []int32, opts Options) (sideA, sideB []int32, err error) {
+	sideA, sideB, _, err = bisectCSR(off, tgt, wts, sides, opts)
+	return sideA, sideB, err
+}
+
+// bisectCSR is BisectCSRInto also returning λ₂ (0 for a single node).
+func bisectCSR(off, tgt []int32, wts []float64, sides []int32, opts Options) (sideA, sideB []int32, lambda2 float64, err error) {
+	n := len(off) - 1
+	switch {
+	case n <= 0:
+		return nil, nil, 0, ErrEmptyGraph
+	case n == 1:
+		sides[0] = 0
+		return sides[:1:1], nil, 0, nil
+	}
+	s := bisectScratchPool.Get().(*bisectScratch)
+	defer bisectScratchPool.Put(s)
+	if err := s.laplacian(off, tgt, wts); err != nil {
+		return nil, nil, 0, err
 	}
 	// The Fiedler vector is consumed by the sweep below and never escapes
 	// this call, so the dense kernel may back it with the pooled scratch

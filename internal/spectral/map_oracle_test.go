@@ -12,19 +12,18 @@ import (
 	"copmecs/internal/eigen"
 	"copmecs/internal/graph"
 	"copmecs/internal/matrix"
-	"copmecs/internal/numeric"
 )
 
 // bisectMap is the original map-based Bisect — triplet Laplacian, map side
-// sets, sort.Slice sweep — kept as the oracle the CSR kernel behind Bisect
-// must reproduce bit for bit.
-func bisectMap(g *graph.Graph, opts Options) (*Cut, error) {
+// sets, sort.Slice sweep — kept as the oracle the CSR kernel must reproduce
+// bit for bit.
+func bisectMap(g *graph.Graph, opts Options) (*graphCut, error) {
 	n := g.NumNodes()
 	switch n {
 	case 0:
 		return nil, ErrEmptyGraph
 	case 1:
-		return &Cut{SideA: g.Nodes(), Weight: 0}, nil
+		return &graphCut{SideA: g.Nodes(), Weight: 0}, nil
 	}
 
 	nodes := g.Nodes()
@@ -52,7 +51,7 @@ func bisectMap(g *graph.Graph, opts Options) (*Cut, error) {
 	} else {
 		side = sweepCut(g, nodes, vec, opts.Objective)
 	}
-	cut := &Cut{Lambda2: lambda2, Weight: g.CutWeight(side)}
+	cut := &graphCut{Lambda2: lambda2, Weight: g.CutWeight(side)}
 	for _, id := range nodes {
 		if side[id] {
 			cut.SideA = append(cut.SideA, id)
@@ -145,45 +144,7 @@ func sweepCut(g *graph.Graph, nodes []graph.NodeID, vec matrix.Vector, obj Objec
 	return side
 }
 
-// CutFromQ evaluates Theorem 2 directly: given the side-indicator values d1
-// (side A) and d2 (side B), it returns qᵀLq/(d1−d2)², which equals the cut
-// weight. A check of the theorem, not of the code: production cuts are
-// weighed with graph.CutWeight.
-func cutFromQ(g *graph.Graph, sideA map[graph.NodeID]bool, d1, d2 float64) (float64, error) {
-	if numeric.Eq(d1, d2) {
-		return 0, fmt.Errorf("spectral: d1 ≈ d2 ≈ %g carries no cut information", d1)
-	}
-	nodes := g.Nodes()
-	if len(nodes) == 0 {
-		return 0, ErrEmptyGraph
-	}
-	index := make(map[graph.NodeID]int, len(nodes))
-	q := make(matrix.Vector, len(nodes))
-	for i, id := range nodes {
-		index[id] = i
-		if sideA[id] {
-			q[i] = d1
-		} else {
-			q[i] = d2
-		}
-	}
-	edges := g.Edges()
-	wedges := make([]matrix.WeightedEdge, len(edges))
-	for i, e := range edges {
-		wedges[i] = matrix.WeightedEdge{U: index[e.U], V: index[e.V], Weight: e.Weight}
-	}
-	lap, err := matrix.Laplacian(len(nodes), wedges)
-	if err != nil {
-		return 0, fmt.Errorf("spectral: %w", err)
-	}
-	qf, err := lap.QuadForm(q)
-	if err != nil {
-		return 0, fmt.Errorf("spectral: %w", err)
-	}
-	return qf / ((d1 - d2) * (d1 - d2)), nil
-}
-
-// TestPropertyBisectMatchesMapOracle: Bisect over the CSR kernel returns
+// TestPropertyBisectMatchesMapOracle: the CSR kernel returns
 // exactly what the map implementation does — sides, weight and λ₂ compared
 // with ==, not a tolerance — for both sweep objectives, the raw sign split,
 // sparse NodeIDs, disconnected inputs and both eigensolvers.
@@ -222,7 +183,7 @@ func TestPropertyBisectMatchesMapOracle(t *testing.T) {
 			}
 		}
 		for vi, opts := range variants {
-			got, err := Bisect(g, opts)
+			got, err := bisectGraph(t, g, opts)
 			want, werr := bisectMap(g, opts)
 			if (err == nil) != (werr == nil) {
 				t.Logf("variant %d: err %v, oracle %v", vi, err, werr)

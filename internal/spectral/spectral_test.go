@@ -2,12 +2,15 @@ package spectral
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"copmecs/internal/graph"
+	"copmecs/internal/matrix"
+	"copmecs/internal/numeric"
 )
 
 func build(t *testing.T, n int, edges []graph.Edge) *graph.Graph {
@@ -24,6 +27,114 @@ func build(t *testing.T, n int, edges []graph.Edge) *graph.Graph {
 		}
 	}
 	return g
+}
+
+// csrOf lays g out as the arrays BisectCSRInto takes: g's nodes in
+// ascending id order are indices 0..n−1.
+func csrOf(g *graph.Graph) (off, tgt []int32, wts []float64) {
+	c := g.Compile()
+	off = make([]int32, c.NumNodes()+1)
+	for u := int32(0); u < int32(c.NumNodes()); u++ {
+		t, w := c.Adj(u)
+		tgt, wts = append(tgt, t...), append(wts, w...)
+		off[u+1] = int32(len(tgt))
+	}
+	return off, tgt, wts
+}
+
+// graphCut is a two-way split of a test graph's nodes.
+type graphCut struct {
+	// SideA and SideB partition the graph's nodes; both are sorted.
+	SideA, SideB []graph.NodeID
+	// Weight is the total weight of edges crossing the cut (formula (8)).
+	Weight float64
+	// Lambda2 is the second-smallest eigenvalue of the Laplacian the kernel
+	// assembled.
+	Lambda2 float64
+}
+
+// bisectGraph is the tests' *graph.Graph front of the CSR kernel: lay g out,
+// bisect over indices, translate the sides back to NodeIDs (index order is
+// NodeID order, so both sides come out sorted). Weight is summed u
+// ascending, v > u ascending — graph.CutWeight's order, so the two agree to
+// the last bit. Every cut it returns is held to Theorem 1's bound.
+func bisectGraph(t *testing.T, g *graph.Graph, opts Options) (*graphCut, error) {
+	t.Helper()
+	off, tgt, wts := csrOf(g)
+	n := len(off) - 1
+	a, b, lambda2, err := bisectCSR(off, tgt, wts, make([]int32, max(n, 0)), opts)
+	if err != nil {
+		return nil, err
+	}
+	ids := g.Nodes()
+	cut := &graphCut{Lambda2: lambda2}
+	inA := make([]bool, n)
+	for _, u := range a {
+		cut.SideA = append(cut.SideA, ids[u])
+		inA[u] = true
+	}
+	for _, u := range b {
+		cut.SideB = append(cut.SideB, ids[u])
+	}
+	cut.Weight = cutWeight(off, tgt, wts, inA)
+	if err := theorem1(cut.Weight, lambda2, len(a), len(b)); err != nil {
+		t.Error(err)
+	}
+	return cut, nil
+}
+
+// cutWeight is formula (8) over the arrays, u ascending, v > u ascending.
+func cutWeight(off, tgt []int32, wts []float64, inA []bool) float64 {
+	var w float64
+	for u := range inA {
+		for e := off[u]; e < off[u+1]; e++ {
+			if v := tgt[e]; int(v) > u && inA[u] != inA[v] {
+				w += wts[e]
+			}
+		}
+	}
+	return w
+}
+
+// theorem1 checks Theorem 1's bound for a returned cut: with q the side-A
+// indicator, qᵀLq = cut(A, B) and ‖q − (|A|/n)·1‖² = |A|·|B|/n, so the
+// Courant–Fischer characterisation of λ₂ gives cut(A, B) ≥ λ₂·|A|·|B|/n.
+func theorem1(cut, lambda2 float64, sizeA, sizeB int) error {
+	n := float64(sizeA + sizeB)
+	if bound := lambda2 * float64(sizeA) * float64(sizeB) / n; cut < bound-1e-9*(1+bound) {
+		return fmt.Errorf("theorem 1: cut %v below λ₂·|A|·|B|/n = %v (λ₂ %v, |A| %d, |B| %d)", cut, bound, lambda2, sizeA, sizeB)
+	}
+	return nil
+}
+
+// cutFromQ evaluates Theorem 2 on the Laplacian bisectCSR assembles: given
+// the side-indicator values d1 (side A) and d2 (side B), it returns
+// qᵀLq/(d1−d2)², which equals the cut weight.
+func cutFromQ(off, tgt []int32, wts []float64, inA []bool, d1, d2 float64) (float64, error) {
+	if numeric.Eq(d1, d2) {
+		return 0, fmt.Errorf("spectral: d1 ≈ d2 ≈ %g carries no cut information", d1)
+	}
+	n := len(off) - 1
+	if n <= 0 {
+		return 0, ErrEmptyGraph
+	}
+	q := make(matrix.Vector, n)
+	for i := range q {
+		if inA[i] {
+			q[i] = d1
+		} else {
+			q[i] = d2
+		}
+	}
+	var s bisectScratch
+	if err := s.laplacian(off, tgt, wts); err != nil {
+		return 0, err
+	}
+	qf, err := s.lap.QuadForm(q)
+	if err != nil {
+		return 0, fmt.Errorf("spectral: %w", err)
+	}
+	return qf / ((d1 - d2) * (d1 - d2)), nil
 }
 
 // dumbbell builds two K4 cliques (heavy) joined by one weak bridge.
@@ -43,7 +154,7 @@ func dumbbell(t *testing.T) *graph.Graph {
 
 func TestBisectDumbbell(t *testing.T) {
 	g := dumbbell(t)
-	cut, err := Bisect(g, Options{})
+	cut, err := bisectGraph(t, g, Options{})
 	if err != nil {
 		t.Fatalf("Bisect: %v", err)
 	}
@@ -64,11 +175,11 @@ func TestBisectDumbbell(t *testing.T) {
 }
 
 func TestBisectErrorsAndDegenerate(t *testing.T) {
-	if _, err := Bisect(graph.New(0), Options{}); !errors.Is(err, ErrEmptyGraph) {
+	if _, err := bisectGraph(t, graph.New(0), Options{}); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v, want ErrEmptyGraph", err)
 	}
 	single := build(t, 1, nil)
-	cut, err := Bisect(single, Options{})
+	cut, err := bisectGraph(t, single, Options{})
 	if err != nil {
 		t.Fatalf("single-node Bisect: %v", err)
 	}
@@ -79,7 +190,7 @@ func TestBisectErrorsAndDegenerate(t *testing.T) {
 
 func TestBisectPair(t *testing.T) {
 	g := build(t, 2, []graph.Edge{{U: 0, V: 1, Weight: 3}})
-	cut, err := Bisect(g, Options{})
+	cut, err := bisectGraph(t, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +205,7 @@ func TestBisectPair(t *testing.T) {
 func TestBisectDisconnected(t *testing.T) {
 	// Two components: the free cut (weight 0) must be found.
 	g := build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 2, V: 3, Weight: 5}})
-	cut, err := Bisect(g, Options{})
+	cut, err := bisectGraph(t, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +242,11 @@ func TestBisectSweepNoWorseThanSign(t *testing.T) {
 				}
 			}
 		}
-		sweep, err := Bisect(g, Options{})
+		sweep, err := bisectGraph(t, g, Options{})
 		if err != nil {
 			t.Fatalf("sweep Bisect: %v", err)
 		}
-		sign, err := Bisect(g, Options{DisableSweep: true})
+		sign, err := bisectGraph(t, g, Options{DisableSweep: true})
 		if err != nil {
 			t.Fatalf("sign Bisect: %v", err)
 		}
@@ -158,7 +269,7 @@ func TestBisectNonContiguousIDs(t *testing.T) {
 	if err := g.AddEdge(20, 30, 1); err != nil {
 		t.Fatal(err)
 	}
-	cut, err := Bisect(g, Options{})
+	cut, err := bisectGraph(t, g, Options{})
 	if err != nil {
 		t.Fatalf("Bisect: %v", err)
 	}
@@ -173,10 +284,11 @@ func TestBisectNonContiguousIDs(t *testing.T) {
 
 func TestCutFromQTheorem2(t *testing.T) {
 	g := dumbbell(t)
-	sideA := map[graph.NodeID]bool{0: true, 1: true, 2: true, 3: true}
-	want := g.CutWeight(sideA)
+	off, tgt, wts := csrOf(g)
+	inA := []bool{true, true, true, true, false, false, false, false}
+	want := g.CutWeight(map[graph.NodeID]bool{0: true, 1: true, 2: true, 3: true})
 	for _, d := range [][2]float64{{1, -1}, {3, 7}, {-2, 5}} {
-		got, err := cutFromQ(g, sideA, d[0], d[1])
+		got, err := cutFromQ(off, tgt, wts, inA, d[0], d[1])
 		if err != nil {
 			t.Fatalf("cutFromQ(%v): %v", d, err)
 		}
@@ -184,10 +296,10 @@ func TestCutFromQTheorem2(t *testing.T) {
 			t.Errorf("cutFromQ(d1=%v,d2=%v) = %v, want %v", d[0], d[1], got, want)
 		}
 	}
-	if _, err := cutFromQ(g, sideA, 2, 2); err == nil {
+	if _, err := cutFromQ(off, tgt, wts, inA, 2, 2); err == nil {
 		t.Error("d1 == d2 accepted")
 	}
-	if _, err := cutFromQ(graph.New(0), nil, 1, -1); !errors.Is(err, ErrEmptyGraph) {
+	if _, err := cutFromQ([]int32{0}, nil, nil, nil, 1, -1); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v", err)
 	}
 }
@@ -207,7 +319,7 @@ func TestPropertyBisectPartitions(t *testing.T) {
 				return false
 			}
 		}
-		cut, err := Bisect(g, Options{})
+		cut, err := bisectGraph(t, g, Options{})
 		if err != nil {
 			return false
 		}
@@ -235,7 +347,9 @@ func TestPropertyBisectPartitions(t *testing.T) {
 }
 
 func TestPropertyLambda2BoundsConnectedCut(t *testing.T) {
-	// On connected graphs the returned cut is positive and λ₂ > 0.
+	// On connected graphs the returned cut is positive, λ₂ > 0, Theorem 2
+	// weighs the cut on the Laplacian the kernel assembles, and Theorem 1
+	// bounds it below by λ₂·|A|·|B|/n.
 	f := func(seed int64, nn uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%20) + 3
@@ -250,11 +364,26 @@ func TestPropertyLambda2BoundsConnectedCut(t *testing.T) {
 				return false
 			}
 		}
-		cut, err := Bisect(g, Options{})
+		off, tgt, wts := csrOf(g)
+		a, b, lambda2, err := bisectCSR(off, tgt, wts, make([]int32, n), Options{})
 		if err != nil {
 			return false
 		}
-		return cut.Lambda2 > 1e-9 && cut.Weight > 0
+		inA := make([]bool, n)
+		for _, u := range a {
+			inA[u] = true
+		}
+		cut := cutWeight(off, tgt, wts, inA)
+		q, err := cutFromQ(off, tgt, wts, inA, 1, -1)
+		if err != nil || math.Abs(q-cut) > 1e-9*(1+cut) {
+			t.Logf("n %d: qᵀLq/4 = %v, cut %v (%v)", n, q, cut, err)
+			return false
+		}
+		if err := theorem1(cut, lambda2, len(a), len(b)); err != nil {
+			t.Logf("n %d: %v", n, err)
+			return false
+		}
+		return lambda2 > 1e-9 && cut > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -270,7 +399,7 @@ func TestBisectRatioCutBalances(t *testing.T) {
 		edges = append(edges, graph.Edge{U: graph.NodeID(i), V: graph.NodeID((i + 1) % n), Weight: 1})
 	}
 	g := build(t, n, edges)
-	cut, err := Bisect(g, Options{Objective: RatioCut})
+	cut, err := bisectGraph(t, g, Options{Objective: RatioCut})
 	if err != nil {
 		t.Fatalf("Bisect: %v", err)
 	}
@@ -285,7 +414,7 @@ func TestBisectRatioCutBalances(t *testing.T) {
 func TestBisectRatioCutStillFindsBridge(t *testing.T) {
 	// The dumbbell's bridge is both the min cut and the best ratio cut.
 	g := dumbbell(t)
-	cut, err := Bisect(g, Options{Objective: RatioCut})
+	cut, err := bisectGraph(t, g, Options{Objective: RatioCut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +436,11 @@ func TestBisectRatioVsMinCutTradeoff(t *testing.T) {
 	}
 	edges = append(edges, graph.Edge{U: 0, V: graph.NodeID(n - 1), Weight: 0.1})
 	g := build(t, n, edges)
-	minc, err := Bisect(g, Options{})
+	minc, err := bisectGraph(t, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, err := Bisect(g, Options{Objective: RatioCut})
+	ratio, err := bisectGraph(t, g, Options{Objective: RatioCut})
 	if err != nil {
 		t.Fatal(err)
 	}
