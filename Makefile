@@ -82,10 +82,11 @@ fleet-smoke:
 # budget, the fused batch solver (looped vs fused throughput), the
 # incremental re-solve (chained 1% edge-churn deltas vs cold solves),
 # internal/eigen's dense Fiedler kernel
-# against its Jacobi oracle, internal/lpa's round loop against its
+# against its Jacobi oracle and its Sturm bisection against the QL pass it
+# replaced, internal/lpa's round loop against its
 # all-rounds reference, internal/graph's one-pass JSON decode against the
 # encoding/json path it falls back to and internal/serve's one-pass request
-# decode against its decodeStrict fallback (all four interleaved);
+# decode against its decodeStrict fallback (all five interleaved);
 # scripts/perf_gate.sh holds the ratio floors. It distils the mean
 # ns/op, B/op, allocs/op and, where reported, graphs/sec and speedup_x (or
 # decode_x, request_decode_x) per benchmark into results/BENCH_core.json. The
@@ -95,7 +96,7 @@ fleet-smoke:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \

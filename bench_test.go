@@ -304,8 +304,8 @@ func BenchmarkAblationGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEigen contrasts the dense (Householder + QL + inverse
-// iteration) and sparse Lanczos Fiedler paths on one Laplacian (the DenseCutoff design choice).
+// BenchmarkAblationEigen contrasts the dense (Householder + Sturm bisection +
+// inverse iteration) and sparse Lanczos Fiedler paths on one Laplacian (the DenseCutoff design choice).
 func BenchmarkAblationEigen(b *testing.B) {
 	const n = 300
 	g := benchGraph(b, n)

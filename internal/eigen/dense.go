@@ -43,8 +43,9 @@ var invIterStarts = [...]float64{0.6180339887498949, 0.4142135623730951}
 //     row-oriented over the lower triangle). The reflectors stay in place
 //     in the rows they annihilated; Q is never formed. ≈ 4/3·n³ flops, the
 //     only cubic step.
-//  3. Implicit QL (tql, no vectors) gives T's eigenvalues; the smallest, σ,
-//     is λ₂ in the scaled units.
+//  3. Bisection on the Sturm count gives T's smallest eigenvalue σ — λ₂ in
+//     the scaled units — to within ulp·‖T‖ (see smallestEigenvalue); none
+//     of the other n−1 eigenvalues is computed.
 //  4. Inverse iteration on T − σI (tridiagonal LU with partial pivoting,
 //     zero pivots replaced by ulp·‖T‖) from a fixed start vector gives T's
 //     eigenvector; a start that fails to grow is replaced once by a second
@@ -72,52 +73,15 @@ func fiedlerDense(l *matrix.CSR, vecBuf *[]float64) (float64, matrix.Vector, err
 		return v
 	}
 
-	if _, err := l.DenseInto(a); err != nil {
-		return 0, nil, fmt.Errorf("fiedler dense: %w", err)
-	}
-	var amax float64
-	for _, x := range a {
-		if x = math.Abs(x); x > amax {
-			amax = x
-		}
-	}
-	scale := 1.0
-	if amax > 0 {
-		_, exp := math.Frexp(amax)
-		if exp < -1022 {
-			exp = -1022 // keep 2^−exp finite for all-subnormal weights
-		}
-		scale = math.Ldexp(1, -exp)
-	}
-	shift := deflateShift / float64(n)
-	for i, x := range a {
-		a[i] = x*scale + shift
-	}
-
 	d, e, hh, work := vec(), vec(), vec(), vec()
-	tridiagonalize(a, n, d, e, hh, work)
-
-	// ‖T‖∞ sizes the pivot floor and the growth test.
-	var tnorm float64
-	for i := 0; i < n; i++ {
-		s := math.Abs(d[i]) + math.Abs(e[i])
-		if i > 0 {
-			s += math.Abs(e[i-1])
-		}
-		if s > tnorm {
-			tnorm = s
-		}
-	}
-	vals, sub := vec(), vec()
-	copy(vals, d)
-	copy(sub, e)
-	if err := tqlImplicit(vals, sub, nil); err != nil {
+	if err := laplacianTridiag(l, a, d, e, hh, work); err != nil {
 		return 0, nil, fmt.Errorf("fiedler dense: %w", err)
 	}
-	sigma := vals[0]
+	// ‖T‖∞ also sizes inverse iteration's pivot floor and growth test.
+	sigma, tnorm := smallestEigenvalue(d, e)
 
-	z := vec()
-	if err := inverseIterate(d, e, sigma, ulp*tnorm, z, vals, sub, work); err != nil {
+	z, p1, p2 := vec(), vec(), vec()
+	if err := inverseIterate(d, e, sigma, ulp*tnorm, z, p1, p2, work); err != nil {
 		return 0, nil, fmt.Errorf("fiedler dense: %w", err)
 	}
 
@@ -172,6 +136,88 @@ func fiedlerDense(l *matrix.CSR, vecBuf *[]float64) (float64, matrix.Vector, err
 		rayleigh = 0 // round-off; L is positive semi-definite
 	}
 	return rayleigh, out, nil
+}
+
+// laplacianTridiag is steps 1–2 of fiedlerDense: it scatters l into the n×n
+// buffer a scaled by unitScale and shifted by deflateShift/n, then reduces
+// it to the tridiagonal (d, e), the reflectors left in a and hh (see
+// tridiagonalize). p is length-n scratch.
+func laplacianTridiag(l *matrix.CSR, a, d, e, hh, p []float64) error {
+	n := len(d)
+	if _, err := l.DenseInto(a); err != nil {
+		return err
+	}
+	scale, shift := unitScale(l), deflateShift/float64(n)
+	for i, x := range a {
+		a[i] = x*scale + shift
+	}
+	tridiagonalize(a, n, d, e, hh, p)
+	return nil
+}
+
+// safmin is the smallest normal float64, LAPACK's safe minimum.
+const safmin = 0x1p-1022
+
+// smallestEigenvalue returns the smallest eigenvalue of the symmetric
+// tridiagonal T with diagonal d and e[i] coupling rows i and i+1 (e[n−1],
+// if present, is not read), to within ulp·‖T‖∞, and ‖T‖∞ itself. It bisects
+// T's Gershgorin interval on the Sturm count — the method of LAPACK's
+// dstebz, for one eigenvalue: about 53 steps of at most n divisions each,
+// where QL would rotate through all n eigenvalues.
+func smallestEigenvalue(d, e []float64) (lambda, tnorm float64) {
+	n := len(d)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	var e2max float64
+	for i, di := range d {
+		var r float64 // row i's Gershgorin radius
+		if i > 0 {
+			r += math.Abs(e[i-1])
+		}
+		if i+1 < n {
+			r += math.Abs(e[i])
+			e2max = max(e2max, e[i]*e[i])
+		}
+		lo, hi = min(lo, di-r), max(hi, di+r)
+		tnorm = max(tnorm, math.Abs(di)+r)
+	}
+	// A pivot below pivmin counts as negative; sizing it by the largest e²
+	// keeps every e²/pivot finite (dstebz's choice). The padding keeps the
+	// count at lo at 0 and at hi at n through the round-off of the ends.
+	pivmin := safmin * max(1, e2max)
+	pad := 2 * (float64(n)*ulp*tnorm + pivmin)
+	lo, hi = lo-pad, hi+pad
+	for hi-lo > ulp*tnorm {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			break // the interval is down to adjacent floats
+		}
+		if eigenvalueBelow(d, e, mid, pivmin) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo + (hi-lo)/2, tnorm
+}
+
+// eigenvalueBelow reports whether the tridiagonal (d, e) has an eigenvalue
+// below x: whether the LDLᵀ factorisation of T − xI has a negative pivot
+// (a nonzero Sturm count), stopping at the first. A pivot smaller in
+// magnitude than pivmin counts as negative before its sign is read
+// (dstebz's rule: it stands in for an exact zero).
+func eigenvalueBelow(d, e []float64, x, pivmin float64) bool {
+	var q float64
+	for i, di := range d {
+		if i == 0 {
+			q = di - x
+		} else {
+			q = di - x - e[i-1]*e[i-1]/q
+		}
+		if q < pivmin {
+			return true // negative, or small enough to count as negative
+		}
+	}
+	return false
 }
 
 // tridiagonalize reduces the symmetric n×n row-major matrix a (lower

@@ -351,9 +351,9 @@ func TestFiedlerPathDense(t *testing.T) {
 }
 
 func TestFiedlerPathLanczos(t *testing.T) {
-	n := 150 // above the dense cutoff
+	n := 150
 	l := pathLaplacian(t, n)
-	lam, vec, err := Fiedler(l, FiedlerOptions{})
+	lam, vec, err := Fiedler(l, FiedlerOptions{DenseCutoff: 1})
 	if err != nil {
 		t.Fatalf("Fiedler: %v", err)
 	}

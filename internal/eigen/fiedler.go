@@ -2,10 +2,11 @@
 // spectral minimum-cut search (Section III-B, Theorems 1–3): an implicit-shift
 // QL solver for symmetric tridiagonal matrices, a Lanczos iteration with full
 // reorthogonalisation for the extreme eigenpairs of large sparse matrices,
-// and a dense single-eigenpair kernel (Householder tridiagonalisation, QL
-// eigenvalues, inverse iteration) for small Laplacians. Fiedler chooses
-// between the last two by dimension and returns the second-smallest
-// eigenpair of a graph Laplacian, which is what Algorithm 2 consumes.
+// and a dense single-eigenpair kernel (Householder tridiagonalisation, Sturm
+// bisection for the one eigenvalue, inverse iteration) for Laplacians of up
+// to a few hundred nodes. Fiedler chooses between the last two by dimension
+// and returns the second-smallest eigenpair of a graph Laplacian, which is
+// what Algorithm 2 consumes.
 package eigen
 
 import (
@@ -28,8 +29,10 @@ var (
 // FiedlerOptions tunes Fiedler-pair computation. The zero value is valid.
 type FiedlerOptions struct {
 	// DenseCutoff is the dimension at or below which the dense kernel
-	// (Householder + QL + inverse iteration) is used instead of Lanczos;
-	// 0 means 96.
+	// (Householder + Sturm bisection + inverse iteration) is used instead
+	// of Lanczos; 0 means 384. Up to there the kernel is clearly faster on
+	// the sparse Laplacians compressed sub-graphs produce (2.3× at 384,
+	// 1.2× at 512: BenchmarkDenseLanczosCrossover, DESIGN §9).
 	DenseCutoff int
 	// Lanczos carries iteration options for the sparse path.
 	Lanczos LanczosOptions
@@ -64,7 +67,7 @@ func Fiedler(l *matrix.CSR, opts FiedlerOptions) (float64, matrix.Vector, error)
 	}
 	cutoff := opts.DenseCutoff
 	if cutoff <= 0 {
-		cutoff = 96
+		cutoff = 384
 	}
 	var (
 		lambda float64
@@ -99,8 +102,27 @@ func orient(v matrix.Vector) {
 	}
 }
 
+// unitScale returns the power of two that brings l's largest absolute entry
+// into [½, 1), or 1 for an all-zero l. Scaling by it is exact, and it makes
+// every absolute threshold a solver holds (breakdown test, residual
+// tolerance, pivot floor) and every square it forms relative to ‖l‖,
+// whatever the weights' magnitude.
+func unitScale(l *matrix.CSR) float64 {
+	amax := l.MaxAbs()
+	if amax <= 0 {
+		return 1
+	}
+	_, exp := math.Frexp(amax)
+	if exp < -1022 {
+		exp = -1022 // keep 2^−exp finite for all-subnormal weights
+	}
+	return math.Ldexp(1, -exp)
+}
+
+// fiedlerLanczos runs Lanczos on l scaled by unitScale and maps λ₂ back.
 func fiedlerLanczos(l *matrix.CSR, opts LanczosOptions) (float64, matrix.Vector, error) {
 	n := l.Rows()
+	scale := unitScale(l)
 	ones := make(matrix.Vector, n)
 	for i := range ones {
 		ones[i] = 1
@@ -116,7 +138,7 @@ func fiedlerLanczos(l *matrix.CSR, opts LanczosOptions) (float64, matrix.Vector,
 		// are unnecessary.
 		opts.Tol = 1e-6
 	}
-	pairs, err := Lanczos(l, 1, opts, ones)
+	pairs, err := Lanczos(l.Scaled(scale), 1, opts, ones)
 	if err != nil {
 		return 0, nil, fmt.Errorf("fiedler lanczos: %w", err)
 	}
@@ -133,7 +155,7 @@ func fiedlerLanczos(l *matrix.CSR, opts LanczosOptions) (float64, matrix.Vector,
 	if p.Value < 0 && p.Value > -1e-9 {
 		p.Value = 0 // clamp tiny negative round-off; L is PSD
 	}
-	return p.Value, p.Vector, nil
+	return p.Value / scale, p.Vector, nil
 }
 
 // isqrt returns ⌊√n⌋ for non-negative n.

@@ -5,11 +5,14 @@ import "testing"
 func TestLanczosIterOutAccumulates(t *testing.T) {
 	l := pathLaplacian(t, 150)
 	iters := 0
-	opts := FiedlerOptions{Lanczos: LanczosOptions{IterOut: &iters}}
+	opts := FiedlerOptions{DenseCutoff: 1, Lanczos: LanczosOptions{IterOut: &iters}}
 	if _, _, err := Fiedler(l, opts); err != nil {
 		t.Fatal(err)
 	}
 	first := iters
+	if first == 0 {
+		t.Fatal("IterOut = 0 after a Lanczos solve")
+	}
 	if _, _, err := Fiedler(l, opts); err != nil {
 		t.Fatal(err)
 	}

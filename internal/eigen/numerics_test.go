@@ -58,6 +58,23 @@ func poisonArena(n int) {
 // λ₂ = 0, the smallest possible dimensions, and weights at both ends of the
 // float64 range — and holds every case to the same contract.
 func TestDenseFiedlerNumerics(t *testing.T) {
+	testFiedlerNumerics(t, func(l *matrix.CSR) (float64, matrix.Vector, error) { return fiedlerDense(l, nil) })
+}
+
+// TestLanczosFiedlerNumerics holds the Lanczos path to the dense kernel's
+// contract on the same cases. Lanczos's breakdown and residual thresholds
+// are absolute, so before it ran on the unit-scaled Laplacian small weights
+// made it return a wrong pair without an error: on a unit path × 1e-13,
+// 1e-150 or 1e-300 it gave λ₂ = 1.23e-13 (true 1.0956e-15 at 1e-13) with a
+// vector at ⟨v, v_dense⟩ = 0.002.
+func TestLanczosFiedlerNumerics(t *testing.T) {
+	testFiedlerNumerics(t, func(l *matrix.CSR) (float64, matrix.Vector, error) {
+		return Fiedler(l, FiedlerOptions{DenseCutoff: 1})
+	})
+}
+
+// testFiedlerNumerics is the numerics contract of one Fiedler solver.
+func testFiedlerNumerics(t *testing.T, solve func(*matrix.CSR) (float64, matrix.Vector, error)) {
 	star := func(n int) []matrix.WeightedEdge {
 		var es []matrix.WeightedEdge
 		for i := 1; i < n; i++ {
@@ -118,7 +135,7 @@ func TestDenseFiedlerNumerics(t *testing.T) {
 			norm := matrixNorm(l)
 			sqrtN := math.Sqrt(float64(tc.n))
 
-			lam, vec, err := fiedlerDense(l, nil)
+			lam, vec, err := solve(l)
 			if err != nil {
 				t.Fatalf("kernel: %v", err)
 			}
@@ -161,7 +178,7 @@ func TestDenseFiedlerNumerics(t *testing.T) {
 				if dirty {
 					poisonArena(tc.n)
 				}
-				lam2, vec2, err := fiedlerDense(l, nil)
+				lam2, vec2, err := solve(l)
 				if err != nil {
 					t.Fatalf("repeat (dirty=%v): %v", dirty, err)
 				}
@@ -191,7 +208,7 @@ func TestFiedlerOrientation(t *testing.T) {
 	}
 	for name, opts := range map[string]FiedlerOptions{
 		"dense":   {DenseCutoff: 130},
-		"lanczos": {},
+		"lanczos": {DenseCutoff: 1},
 	} {
 		_, vec, err := Fiedler(l, opts)
 		if err != nil {

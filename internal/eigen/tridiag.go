@@ -33,15 +33,6 @@ func SymTridiagEigen(d, e []float64, vecs [][]float64) error {
 	// Work on a copy of e padded to n entries, so e itself is left alone.
 	sub := make([]float64, n)
 	copy(sub[:n-1], e[:n-1])
-	return tqlImplicit(d, sub, vecs)
-}
-
-// tqlImplicit is SymTridiagEigen on caller-owned scratch: sub has len(d)
-// entries, sub[i] coupling d[i] and d[i+1], with sub[n−1] ignored. Both
-// slices are overwritten.
-func tqlImplicit(d, sub []float64, vecs [][]float64) error {
-	n := len(d)
-	sub[n-1] = 0
 	for l := 0; l < n; l++ {
 		for iter := 0; ; iter++ {
 			// Find a negligible sub-diagonal element.

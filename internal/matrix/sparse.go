@@ -151,6 +151,19 @@ func (m *CSR) MulVecRange(v, out Vector, lo, hi int) {
 	}
 }
 
+// MaxAbs returns the largest absolute stored entry of m (0 for none).
+func (m *CSR) MaxAbs() float64 { return Vector(m.vals).MaxAbs() }
+
+// Scaled returns s·m. The result shares m's index arrays (neither matrix
+// modifies them) and owns a fresh copy of the values.
+func (m *CSR) Scaled(s float64) *CSR {
+	vals := make([]float64, len(m.vals))
+	for i, x := range m.vals {
+		vals[i] = x * s
+	}
+	return &CSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, vals: vals}
+}
+
 // Dense expands m into a dense matrix (small matrices / tests only).
 func (m *CSR) Dense() *Dense {
 	d := NewDense(m.rows, m.cols)

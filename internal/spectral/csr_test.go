@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"copmecs/internal/eigen"
+	"copmecs/internal/lpa"
 	"copmecs/internal/matrix"
+	"copmecs/internal/netgen"
 )
 
 // randCSRGraph returns a connected random weighted graph on n nodes in the
@@ -55,9 +57,14 @@ func randCSRGraph(rng *rand.Rand, n int) (off, tgt []int32, wts []float64, edges
 // determined to the accuracy Lanczos stops at.
 func TestPropertyDenseAndLanczosCutAlike(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	checked := 0
-	for trial := 0; trial < 150; trial++ {
+	checked, checkedLarge := 0, 0
+	for trial := 0; trial < 160; trial++ {
+		// The last 10 graphs lie in (96, 384], the upper part of the
+		// range the dense kernel serves by default.
 		n := 8 + rng.Intn(72)
+		if trial >= 150 {
+			n = 97 + rng.Intn(288)
+		}
 		off, tgt, wts, edges := randCSRGraph(rng, n)
 		lap, err := matrix.Laplacian(n, edges)
 		if err != nil {
@@ -70,7 +77,9 @@ func TestPropertyDenseAndLanczosCutAlike(t *testing.T) {
 		if l2, l3 := pairs[1].Value, pairs[2].Value; (l3-l2)/l2 < 1e-3 {
 			continue
 		}
-		checked++
+		if checked++; n > 96 {
+			checkedLarge++
+		}
 		for _, obj := range []Objective{MinCut, RatioCut} {
 			denseA, denseB, err := BisectCSRInto(off, tgt, wts, make([]int32, n), Options{Objective: obj, Eigen: eigen.FiedlerOptions{DenseCutoff: n}})
 			if err != nil {
@@ -85,8 +94,54 @@ func TestPropertyDenseAndLanczosCutAlike(t *testing.T) {
 			}
 		}
 	}
-	if checked < 100 {
-		t.Fatalf("only %d of 150 graphs had a usable spectral gap", checked)
+	t.Logf("%d of 160 graphs had a usable spectral gap, %d of the 10 above n = 96", checked, checkedLarge)
+	if checked < 110 || checkedLarge < 8 {
+		t.Fatalf("too few graphs had a usable spectral gap")
+	}
+}
+
+// TestColdSparseComponentsCutAlike makes the same comparison on inputs the
+// pipeline really cuts: every compressed component above 96 nodes of the
+// benchmark's cold_sparse graphs (netgen, 2100 nodes, 10 080 edges, 6
+// components, seeds 1–10: 16 components of 97–116 nodes), bisected as the
+// pipeline bisects them.
+func TestColdSparseComponentsCutAlike(t *testing.T) {
+	large := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		g, err := netgen.Generate(netgen.Config{Nodes: 2100, Edges: 10080, Components: 6, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := g.Compile()
+		which := make([]int, len(c.Components()))
+		for i := range which {
+			which[i] = i
+		}
+		blocks, err := lpa.CompressComponents(c, lpa.Options{}, which)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, b := range blocks {
+			n := len(b.NodeW)
+			if n <= 96 {
+				continue
+			}
+			large++
+			denseA, _, err := BisectCSRInto(b.Off, b.Tgt, b.W, make([]int32, n), Options{Eigen: eigen.FiedlerOptions{DenseCutoff: n}})
+			if err != nil {
+				t.Fatalf("seed %d component %d: dense: %v", seed, ci, err)
+			}
+			lanA, _, err := BisectCSRInto(b.Off, b.Tgt, b.W, make([]int32, n), Options{Eigen: eigen.FiedlerOptions{DenseCutoff: 1}})
+			if err != nil {
+				t.Fatalf("seed %d component %d: lanczos: %v", seed, ci, err)
+			}
+			if !equalSides(denseA, lanA) {
+				t.Errorf("seed %d component %d (n %d): dense A=%v, lanczos A=%v", seed, ci, n, denseA, lanA)
+			}
+		}
+	}
+	if large != 16 {
+		t.Errorf("%d components above 96 nodes, want 16: the inputs changed", large)
 	}
 }
 

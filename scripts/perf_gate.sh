@@ -27,7 +27,7 @@
 #
 # BenchmarkDenseFiedlerSpeedup/n=80 (internal/eigen: the dense kernel over
 # its Jacobi oracle, interleaved) must average at least MIN_DENSE_X
-# (default 5.0); measured ~32x. Its other sizes report their ratios under
+# (default 5.0); measured ~69x. Its other sizes report their ratios under
 # the generic floor.
 #
 # BenchmarkLPARoundsSpeedup (internal/lpa: component compression of a Table I
