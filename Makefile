@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-json size lint fuzz chaos bench bench-core bench-batch fleet-smoke clean
+.PHONY: all build test race vet vet-json size lint fuzz chaos bench bench-core bench-batch clean
 
 # Repetitions per benchmark for bench-core; raise for tighter statistics.
 BENCH_COUNT ?= 5
@@ -72,11 +72,6 @@ bench:
 	END { if (n) printf "\n"; print "}" }' results/bench.txt > results/BENCH_micro.json
 	@echo "wrote results/BENCH_micro.json"; cat results/BENCH_micro.json
 
-# fleet-smoke is the fault-tolerance gate CI runs: two backends behind the
-# router, a SIGKILL mid-run, a restart, and zero lost accepted requests.
-fleet-smoke:
-	./scripts/fleet_smoke.sh
-
 # bench-core runs the solve hot-path benchmarks the perf CI gate watches —
 # the Figure 9 solve, Table I compression, the steady-state allocation
 # budget, the fused batch solver (looped vs fused throughput), the
@@ -135,13 +130,12 @@ bench-batch:
 # chaos runs the fault-injection suite — lossy transports, torn journal
 # writes, fsync failures — twice under the race detector to shake out
 # order-dependent failures in the recovery paths, then the SIGKILL
-# crash-recovery scenarios (in-process and against the real binary via
-# scripts/crash.sh).
+# scenarios against re-exec'd daemons: crash recovery on a data directory,
+# and a fleet backend killed and restarted behind the router.
 chaos:
 	$(GO) test -race -count=2 ./internal/faultnet/
 	$(GO) test -race -count=2 ./internal/durable/
-	$(GO) test -race -run 'TestCrashRecovery|TestDaemonDurable' ./cmd/copmecsd/
-	./scripts/crash.sh
+	$(GO) test -race -run 'TestCrashRecovery|TestDaemonDurable|TestFleet' ./cmd/copmecsd/
 
 clean:
 	$(GO) clean ./...

@@ -1,21 +1,28 @@
 package main
 
-// Crash-recovery suite for the durable daemon. The SIGKILL scenario needs
-// a real process to murder, so TestMain re-execs the test binary as the
-// daemon when COPMECSD_DAEMON_ARGS is set (flags joined with \x1f); the
-// parent kills it mid-round and restarts it on the same data directory,
-// asserting the crash invariant: every request that was answered 200
-// before the kill is answered from cache after recovery.
+// SIGKILL suite: crash recovery of the durable daemon and failover of a
+// fleet. The scenarios need real processes to murder, so TestMain re-execs
+// the test binary as the daemon when COPMECSD_DAEMON_ARGS is set (flags
+// joined with \x1f). The crash tests kill a daemon mid-round and restart
+// it on the same data directory, asserting the crash invariant: every
+// request that was answered 200 before the kill is answered from cache
+// after recovery. The fleet test kills one of two backends behind a router
+// and asserts that no request is lost.
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"os/signal"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +30,9 @@ import (
 	"testing"
 	"time"
 
+	"copmecs/internal/core"
+	"copmecs/internal/graph"
+	"copmecs/internal/router"
 	"copmecs/internal/serve"
 )
 
@@ -65,21 +75,13 @@ func startDaemonProc(t *testing.T, args ...string) *daemonProc {
 	full := append([]string{"-addr", "127.0.0.1:0"}, args...)
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), daemonArgsEnv+"="+strings.Join(full, "\x1f"))
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatalf("stdout pipe: %v", err)
-	}
-	cmd.Stderr = cmd.Stdout
+	// Wait returns only after the copy into out is complete, so the last
+	// line the child wrote is in out once wait delivers.
+	out := &syncBuffer{}
+	cmd.Stdout, cmd.Stderr = out, out
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start daemon child: %v", err)
 	}
-	out := &syncBuffer{}
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			fmt.Fprintln(out, sc.Text())
-		}
-	}()
 	wait := make(chan error, 1)
 	go func() { wait <- cmd.Wait() }()
 
@@ -99,6 +101,29 @@ func startDaemonProc(t *testing.T, args ...string) *daemonProc {
 	_ = cmd.Process.Kill()
 	t.Fatalf("no listening banner from child: %q", out.String())
 	return nil
+}
+
+// stop sends SIGTERM and requires a clean drain: exit status 0 within 10s
+// and the daemon's drain summary line.
+func (d *daemonProc) stop(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Errorf("SIGTERM: %v", err)
+		return
+	}
+	select {
+	case err := <-d.wait:
+		if err != nil {
+			t.Errorf("daemon exited with %v after SIGTERM (output %q)", err, d.out.String())
+		}
+	case <-time.After(10 * time.Second):
+		_ = d.cmd.Process.Kill()
+		t.Errorf("daemon did not drain within 10s of SIGTERM")
+		return
+	}
+	if s := d.out.String(); !strings.Contains(s, "copmecsd: drained:") {
+		t.Errorf("drain summary missing: %q", s)
+	}
 }
 
 // solveCached posts body and returns (status, cached flag).
@@ -121,19 +146,28 @@ func solveCached(t *testing.T, base, body string) (int, bool) {
 	return resp.StatusCode, out.Cached
 }
 
-// statsDoc fetches and decodes /v1/stats as a generic document.
-func statsDoc(t *testing.T, base string) map[string]any {
+// statsDoc fetches and decodes a daemon's /v1/stats document.
+func statsDoc(t *testing.T, base string) serve.Stats {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
 	defer resp.Body.Close()
-	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	var st serve.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("stats decode: %v", err)
 	}
-	return doc
+	return st
+}
+
+// replayStats returns the recovery section of a durable daemon's stats.
+func replayStats(t *testing.T, st serve.Stats) *serve.RecoveryStats {
+	t.Helper()
+	if st.Durability == nil || st.Durability.Replay == nil {
+		t.Fatalf("durability replay section missing: %+v", st.Durability)
+	}
+	return st.Durability.Replay
 }
 
 func TestCrashRecoveryZeroLostAcceptedRequests(t *testing.T) {
@@ -193,15 +227,7 @@ func TestCrashRecoveryZeroLostAcceptedRequests(t *testing.T) {
 
 	// Phase 3: restart on the same data directory and hold the invariant.
 	d2 := startDaemonProc(t, args...)
-	defer func() {
-		_ = d2.cmd.Process.Signal(syscall.SIGTERM)
-		select {
-		case <-d2.wait:
-		case <-time.After(10 * time.Second):
-			_ = d2.cmd.Process.Kill()
-			t.Error("restarted daemon did not drain after SIGTERM")
-		}
-	}()
+	defer d2.stop(t)
 	if s := d2.out.String(); !strings.Contains(s, "recovered") {
 		t.Fatalf("restart banner missing recovery line: %q", s)
 	}
@@ -214,27 +240,18 @@ func TestCrashRecoveryZeroLostAcceptedRequests(t *testing.T) {
 			t.Fatalf("accepted request %d lost across the crash (not served from cache)", i)
 		}
 	}
-	doc := statsDoc(t, d2.base)
-	dur, ok := doc["durability"].(map[string]any)
-	if !ok {
-		t.Fatalf("durability section missing after durable restart: %v", doc["durability"])
-	}
-	replay, ok := dur["replay"].(map[string]any)
-	if !ok {
-		t.Fatalf("replay section missing after recovery: %v", dur["replay"])
-	}
-	if replay["replay_errors"].(float64) != 0 || replay["decode_errors"].(float64) != 0 {
-		t.Fatalf("recovery was lossy: %v", replay)
+	st := statsDoc(t, d2.base)
+	replay := replayStats(t, st)
+	if replay.ReplayErrors != 0 || replay.DecodeErrors != 0 {
+		t.Fatalf("recovery was lossy: %+v", *replay)
 	}
 	// The accepted set was recovered into the cache: snapshot decisions
 	// plus journal replays must at least cover it.
-	recoveredKeys := replay["snapshot_decisions"].(float64) +
-		replay["replay_warm"].(float64) + replay["replay_solved"].(float64)
-	if recoveredKeys < accepted {
-		t.Fatalf("recovered %v keys, want >= %d", recoveredKeys, accepted)
+	if n := replay.SnapshotDecisions + replay.ReplayWarm + replay.ReplaySolved; n < accepted {
+		t.Fatalf("recovered %d keys, want >= %d", n, accepted)
 	}
-	if hits := doc["cache"].(map[string]any)["hits"].(float64); hits < accepted {
-		t.Fatalf("warm-cache hits = %v, want >= %d", hits, accepted)
+	if st.Cache.Hits < accepted {
+		t.Fatalf("warm-cache hits = %d, want >= %d", st.Cache.Hits, accepted)
 	}
 }
 
@@ -349,15 +366,7 @@ func TestCrashRecoveryMutationsSurviveSIGKILL(t *testing.T) {
 	// Phase 3: restart. Replay must reconstruct every mutated graph from
 	// base + delta and serve the chain's decisions from cache.
 	d2 := startDaemonProc(t, args...)
-	defer func() {
-		_ = d2.cmd.Process.Signal(syscall.SIGTERM)
-		select {
-		case <-d2.wait:
-		case <-time.After(10 * time.Second):
-			_ = d2.cmd.Process.Kill()
-			t.Error("restarted daemon did not drain after SIGTERM")
-		}
-	}()
+	defer d2.stop(t)
 	fp = fingerprintOfBody(t, seed)
 	for i := 0; i < chain; i++ {
 		st, doc := mutateDoc(t, d2.base, mutateAt(fp, 500+i))
@@ -375,14 +384,229 @@ func TestCrashRecoveryMutationsSurviveSIGKILL(t *testing.T) {
 		}
 		fp = chainFps[i]
 	}
-	doc := statsDoc(t, d2.base)
-	replay := doc["durability"].(map[string]any)["replay"].(map[string]any)
-	if replay["replay_errors"].(float64) != 0 || replay["decode_errors"].(float64) != 0 {
-		t.Fatalf("recovery was lossy: %v", replay)
+	replay := replayStats(t, statsDoc(t, d2.base))
+	if replay.ReplayErrors != 0 || replay.DecodeErrors != 0 {
+		t.Fatalf("recovery was lossy: %+v", *replay)
 	}
-	if replay["replay_mutates"].(float64) < chain {
-		t.Fatalf("replay_mutates = %v, want >= %d", replay["replay_mutates"], chain)
+	if replay.ReplayMutates < chain {
+		t.Fatalf("replay_mutates = %d, want >= %d", replay.ReplayMutates, chain)
 	}
+}
+
+// fleetReply is one answered request of the fleet scenario.
+type fleetReply struct {
+	body string
+	resp serve.SolveResponse
+}
+
+// routerStats fetches and decodes a router's /v1/stats document.
+func routerStats(t *testing.T, base string) router.StatsDocument {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatalf("router stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var doc router.StatsDocument
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("router stats decode: %v", err)
+	}
+	return doc
+}
+
+// eventually polls cond until it holds. It fails the test after 10s, or
+// as soon as another goroutine has reported a failure.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if t.Failed() {
+			t.FailNow()
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// checkFleetReply holds one answer to its body's graph: every reply is
+// sound, and a one-user round's reply is bit for bit the paper's offline
+// solver (Algorithm 2 at k = 1) under the daemon's defaults. It reports
+// whether the reply was held to the offline solver.
+func checkFleetReply(t *testing.T, r fleetReply) bool {
+	t.Helper()
+	req, err := serve.DecodeSolveRequest(strings.NewReader(r.body), serve.DecodeLimits{})
+	if err != nil {
+		t.Fatalf("decode body: %v", err)
+	}
+	g, got := req.Graph, r.resp
+	if sum := got.LocalWork + got.RemoteWork; sum != g.TotalNodeWeight() {
+		t.Fatalf("local_work + remote_work = %v, graph weight %v: %s", sum, g.TotalNodeWeight(), r.body)
+	}
+	for i, id := range got.Remote {
+		if !g.HasNode(id) || (i > 0 && id <= got.Remote[i-1]) {
+			t.Fatalf("remote %v is not an ascending list of the graph's nodes: %s", got.Remote, r.body)
+		}
+	}
+	if got.BatchUsers != 1 {
+		return false
+	}
+	sol, err := core.Solve(context.Background(), []core.UserInput{{Graph: g}}, core.Options{})
+	if err != nil {
+		t.Fatalf("offline solve: %v", err)
+	}
+	var remote []graph.NodeID
+	for id, off := range sol.Placements[0].Remote {
+		if off {
+			remote = append(remote, id)
+		}
+	}
+	slices.Sort(remote)
+	if !slices.Equal(got.Remote, remote) {
+		t.Fatalf("remote %v, offline %v: %s", got.Remote, remote, r.body)
+	}
+	st, c := sol.States[0], sol.Eval.PerUser[0]
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"local_work", got.LocalWork, st.LocalWork},
+		{"remote_work", got.RemoteWork, st.RemoteWork},
+		{"cut_weight", got.CutWeight, st.CutWeight},
+		{"local_time", got.Cost.LocalTime, c.LocalTime},
+		{"remote_time", got.Cost.RemoteTime, c.RemoteTime},
+		{"wait_time", got.Cost.WaitTime, c.WaitTime},
+		{"transmission_time", got.Cost.TransmissionTime, c.TransmissionTime},
+		{"local_energy", got.Cost.LocalEnergy, c.LocalEnergy},
+		{"transmission_energy", got.Cost.TransmissionEnergy, c.TransmissionEnergy},
+		{"server_share", got.Cost.ServerShare, c.ServerShare},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Fatalf("%s = %v, offline %v: %s", f.name, f.got, f.want, r.body)
+		}
+	}
+	return true
+}
+
+// TestFleetBackendSIGKILLLosesNoRequest is the fleet fault-tolerance
+// scenario. Two re-exec'd backends sit behind an in-process router with
+// the probe settings of `copmecs-router -probe-interval 100ms
+// -quarantine-after 1 -readmit-after 2`. Four clients post throughout
+// while be-a is SIGKILLed and later restarted on its old address. Every
+// request must be answered 200, the router must quarantine and re-admit
+// be-a, and every answer must agree with the offline solver.
+func TestFleetBackendSIGKILLLosesNoRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs and SIGKILLs child processes")
+	}
+	a := startDaemonProc(t, "-id", "be-a")
+	b := startDaemonProc(t, "-id", "be-b")
+	defer b.stop(t)
+	rt, err := router.New(router.Config{
+		Backends:        []router.BackendConfig{{Name: "be-a", URL: a.base}, {Name: "be-b", URL: b.base}},
+		ProbeInterval:   100 * time.Millisecond,
+		QuarantineAfter: 1,
+		ReadmitAfter:    2,
+	})
+	if err != nil {
+		t.Fatalf("router.New: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt.Start(ctx)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	// Each request replays one of 16 bodies with probability 0.9 and posts
+	// a never-seen graph otherwise. A client checks halt before posting,
+	// so stopping never cuts a request off.
+	const clients, corpus = 4, 16
+	var (
+		halt     atomic.Bool
+		answered atomic.Int64
+		fresh    atomic.Int64
+		wg       sync.WaitGroup
+	)
+	fresh.Store(corpus - 1)
+	replies := make([][]fleetReply, clients)
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for !halt.Load() {
+				body := crashBody(rng.Intn(corpus))
+				if rng.Float64() >= 0.9 {
+					body = crashBody(int(fresh.Add(1)))
+				}
+				resp, err := client.Post(front.URL+"/v1/solve", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("client %d: %v", w, err)
+					return
+				}
+				raw, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d: status %d (%v): %s", w, resp.StatusCode, err, raw)
+					return
+				}
+				r := fleetReply{body: body}
+				if err := json.Unmarshal(raw, &r.resp); err != nil {
+					t.Errorf("client %d: decode reply: %v", w, err)
+					return
+				}
+				replies[w] = append(replies[w], r)
+				answered.Add(1)
+			}
+		}(w)
+	}
+	stopClients := func() {
+		halt.Store(true)
+		wg.Wait()
+	}
+	defer stopClients()
+
+	eventually(t, "50 answers", func() bool { return answered.Load() >= 50 })
+	if err := a.cmd.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL be-a: %v", err)
+	}
+	if err := <-a.wait; err == nil {
+		t.Fatal("SIGKILLed be-a reported clean exit")
+	}
+	eventually(t, "be-a quarantined", func() bool {
+		return routerStats(t, front.URL).Router.Probes.Quarantines >= 1
+	})
+	a = startDaemonProc(t, "-id", "be-a", "-addr", strings.TrimPrefix(a.base, "http://"))
+	defer a.stop(t)
+	mark := answered.Load()
+	eventually(t, "be-a re-admitted and 50 more answers", func() bool {
+		return answered.Load() >= mark+50 && routerStats(t, front.URL).Router.Probes.Readmissions >= 1
+	})
+	stopClients()
+	if t.Failed() {
+		return
+	}
+
+	for _, bs := range routerStats(t, front.URL).Router.Backends {
+		if bs.State != "ready" {
+			t.Fatalf("backend %s ends %s, want ready", bs.Name, bs.State)
+		}
+	}
+	total, exact := 0, 0
+	for _, rs := range replies {
+		for _, r := range rs {
+			total++
+			if checkFleetReply(t, r) {
+				exact++
+			}
+		}
+	}
+	if exact == 0 {
+		t.Fatalf("none of %d replies came from a one-user round", total)
+	}
+	t.Logf("%d replies, all 200; %d from one-user rounds equal the offline solver", total, exact)
 }
 
 func TestDaemonDurableGracefulRestartWarm(t *testing.T) {
@@ -414,21 +638,17 @@ func TestDaemonDurableGracefulRestartWarm(t *testing.T) {
 			t.Fatalf("restarted solve %d = (%d, cached=%v), want cached 200", i, st, cached)
 		}
 	}
-	doc := statsDoc(t, base2)
-	dur, ok := doc["durability"].(map[string]any)
-	if !ok {
-		t.Fatalf("durability section missing: %v", doc["durability"])
+	st := statsDoc(t, base2)
+	replay := replayStats(t, st)
+	if st.Durability.SnapshotSeq < 1 {
+		t.Fatalf("snapshot_seq = %d, want >= 1 after graceful restart", st.Durability.SnapshotSeq)
 	}
-	if dur["snapshot_seq"].(float64) < 1 {
-		t.Fatalf("snapshot_seq = %v, want >= 1 after graceful restart", dur["snapshot_seq"])
+	if replay.SnapshotDecisions < n {
+		t.Fatalf("snapshot restored %d decisions, want >= %d", replay.SnapshotDecisions, n)
 	}
-	replay := dur["replay"].(map[string]any)
-	if replay["snapshot_decisions"].(float64) < n {
-		t.Fatalf("snapshot restored %v decisions, want >= %d", replay["snapshot_decisions"], n)
-	}
-	if replay["replay_solved"].(float64) != 0 {
-		t.Fatalf("graceful restart re-solved %v requests, want 0 (snapshot covers the journal)",
-			replay["replay_solved"])
+	if replay.ReplaySolved != 0 {
+		t.Fatalf("graceful restart re-solved %d requests, want 0 (snapshot covers the journal)",
+			replay.ReplaySolved)
 	}
 	stop2 <- syscall.SIGTERM
 	select {
@@ -456,9 +676,8 @@ func TestDaemonDefaultStaysInMemory(t *testing.T) {
 	if st, _ := solveCached(t, base, crashBody(0)); st != http.StatusOK {
 		t.Fatalf("solve: status %d", st)
 	}
-	doc := statsDoc(t, base)
-	if raw, ok := doc["durability"]; ok {
-		t.Fatalf("in-memory daemon exposes durability section: %v", raw)
+	if d := statsDoc(t, base).Durability; d != nil {
+		t.Fatalf("in-memory daemon exposes durability section: %+v", *d)
 	}
 	stop <- syscall.SIGTERM
 	select {

@@ -13,8 +13,8 @@
 //	GET  /v1/stats    counters, cache/batch stats, latency histogram
 //
 // In a fleet behind copmecs-router, give each backend an -id and
-// optionally cap its throughput with -max-qps so fleet capacity is
-// additive; the router probes /v1/health for quarantine/re-admission.
+// optionally cap its throughput with -max-qps; the router probes
+// /v1/health for quarantine/re-admission.
 //
 // A separate debug address (optional, -debug-addr) serves net/http/pprof;
 // -mutex-profile and -block-profile additionally enable the runtime's

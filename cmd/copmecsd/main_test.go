@@ -126,23 +126,55 @@ func TestDaemonServesAndDrains(t *testing.T) {
 		t.Fatalf("cached flags = %v, want [false true]", cached)
 	}
 
-	sr, err := http.Get(base + "/v1/stats")
+	if st := statsDoc(t, base); st.Requests != 2 || st.Solved != 2 || st.Cache.Hits != 1 {
+		t.Fatalf("stats: requests %d solved %d cache hits %d, want 2 2 1", st.Requests, st.Solved, st.Cache.Hits)
+	}
+
+	// 32 concurrent posts of the example request: each is answered with a
+	// decision, and the duplicates are deduplicated or cached rather than
+	// solved in 32 rounds. The burst client opens one connection per
+	// request: a spare keep-alive connection that no request used would
+	// hold Shutdown for 5s.
+	example, err := os.ReadFile("../../examples/service/request.json")
 	if err != nil {
-		t.Fatalf("stats: %v", err)
+		t.Fatalf("read example request: %v", err)
 	}
-	var stats struct {
-		Requests uint64 `json:"requests"`
-		Solved   uint64 `json:"solved"`
-		Cache    struct {
-			Hits uint64 `json:"hits"`
-		} `json:"cache"`
+	burst := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := burst.Post(base+"/v1/solve", "application/json", bytes.NewReader(example))
+			if err != nil {
+				t.Errorf("burst solve: %v", err)
+				return
+			}
+			defer resp.Body.Close()
+			var body struct {
+				Remote []int `json:"remote"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK || len(body.Remote) == 0 {
+				t.Errorf("burst solve: status %d, remote %v, decode error %v", resp.StatusCode, body.Remote, err)
+			}
+		}()
 	}
-	if err := json.NewDecoder(sr.Body).Decode(&stats); err != nil {
-		t.Fatalf("stats decode: %v", err)
+	wg.Wait()
+	st := statsDoc(t, base)
+	if st.Requests < 32 || st.Solved < 32 || st.BadRequests != 0 ||
+		st.Deduped+st.Cache.Hits == 0 || st.Batch.Rounds >= 32 {
+		t.Fatalf("after burst: requests %d solved %d bad %d deduped %d cache hits %d rounds %d",
+			st.Requests, st.Solved, st.BadRequests, st.Deduped, st.Cache.Hits, st.Batch.Rounds)
 	}
-	sr.Body.Close()
-	if stats.Requests != 2 || stats.Solved != 2 || stats.Cache.Hits != 1 {
-		t.Fatalf("stats = %+v", stats)
+
+	// A malformed body is a 400, not a crash.
+	br, err := http.Post(base+"/v1/solve", "application/json", strings.NewReader("not json"))
+	if err != nil {
+		t.Fatalf("malformed solve: %v", err)
+	}
+	br.Body.Close()
+	if br.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed solve = %d, want 400", br.StatusCode)
 	}
 
 	stop <- syscall.SIGTERM
@@ -154,7 +186,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("run did not stop after SIGTERM")
 	}
-	if s := out.String(); !strings.Contains(s, "drained: 2 requests, 2 solved") {
+	if s := out.String(); !strings.Contains(s, "drained: 35 requests, 34 solved") {
 		t.Fatalf("drain summary missing: %q", s)
 	}
 }

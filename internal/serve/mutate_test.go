@@ -403,8 +403,7 @@ func TestJournalReplayReconstructsMutatedGraphs(t *testing.T) {
 
 func TestStatsIncrementalSectionShape(t *testing.T) {
 	// The incremental section is always present (zeros before any mutate)
-	// and carries the documented keys — the CI serve job and the loadgen
-	// mutate scenario assert on them.
+	// and carries the documented keys that /v1/stats clients read.
 	s := newTestServer(t, Config{})
 	rec := httptest.NewRecorder()
 	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))

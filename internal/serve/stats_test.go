@@ -82,7 +82,7 @@ func TestObserveBatchMax(t *testing.T) {
 
 func TestStatsJSONShapeKeepsFlatFieldsAndAddsShardSections(t *testing.T) {
 	// The /v1/stats document must keep every pre-existing flat field (so
-	// dashboards and the CI serve job's jq assertions keep working) while
+	// dashboards and clients decoding it into serve.Stats keep working) while
 	// adding the per-shard occupancy sections.
 	s := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
