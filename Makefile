@@ -77,8 +77,8 @@ bench:
 # budget, the fused batch solver (looped vs fused throughput), the
 # incremental re-solve (chained 1% edge-churn deltas vs cold solves),
 # internal/eigen's dense Fiedler kernel
-# against its Jacobi oracle and its Sturm bisection against the QL pass it
-# replaced, internal/lpa's round loop against its
+# against its Jacobi oracle and its Sturm bisection against the QL test
+# oracle (the pass it replaced), internal/lpa's round loop against its
 # all-rounds reference, internal/graph's one-pass JSON decode against the
 # encoding/json path it falls back to and internal/serve's one-pass request
 # decode against its decodeStrict fallback (all five interleaved);

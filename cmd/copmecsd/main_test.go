@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -132,20 +133,17 @@ func TestDaemonServesAndDrains(t *testing.T) {
 
 	// 32 concurrent posts of the example request: each is answered with a
 	// decision, and the duplicates are deduplicated or cached rather than
-	// solved in 32 rounds. The burst client opens one connection per
-	// request: a spare keep-alive connection that no request used would
-	// hold Shutdown for 5s.
+	// solved in 32 rounds.
 	example, err := os.ReadFile("../../examples/service/request.json")
 	if err != nil {
 		t.Fatalf("read example request: %v", err)
 	}
-	burst := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := burst.Post(base+"/v1/solve", "application/json", bytes.NewReader(example))
+			resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(example))
 			if err != nil {
 				t.Errorf("burst solve: %v", err)
 				return
@@ -188,6 +186,38 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	}
 	if s := out.String(); !strings.Contains(s, "drained: 35 requests, 34 solved") {
 		t.Fatalf("drain summary missing: %q", s)
+	}
+}
+
+// TestDaemonDrainClosesUnusedConnections: a connection dialed and never
+// written to (a router's spare, a health checker's pre-dial) must not hold
+// the drain. net/http's Shutdown counts such a StateNew connection as idle
+// only once it is 5 s old, so without the daemon closing it the drain took
+// ≈ 5 s.
+func TestDaemonDrainClosesUnusedConnections(t *testing.T) {
+	base, stop, out, done := startDaemon(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	// A request on a second connection: the server accepts in dial order,
+	// so once it is answered the first connection is accepted too, not
+	// still in the backlog when Shutdown closes the listener.
+	statsDoc(t, base)
+
+	start := time.Now()
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v (output %q)", err, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not stop after SIGTERM")
+	}
+	if took := time.Since(start); took > 2*time.Second || !strings.Contains(out.String(), "copmecsd: drained:") {
+		t.Fatalf("drain took %v (output %q), want a drained line within 2s", took, out.String())
 	}
 }
 

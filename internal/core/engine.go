@@ -89,7 +89,7 @@ func (e SpectralEngine) Bisect(ctx context.Context, off, tgt []int32, w []float6
 	if e.Balanced {
 		opts.Objective = spectral.RatioCut
 	}
-	opts.Eigen.Lanczos.IterOut = &iters
+	opts.Eigen.IterOut = &iters
 	a, b, err := spectral.BisectCSRInto(off, tgt, w, sides, opts)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("spectral engine: %w", err)

@@ -1,18 +1,14 @@
 package eigen
 
-import (
-	"sync"
-
-	"copmecs/internal/matrix"
-)
+import "sync"
 
 // floatArena is a pooled bump allocator for the eigensolvers' internal
-// vectors and workspaces: the Lanczos basis and Ritz decomposition
-// (O(maxIter) n-vectors plus maxIter²), and the dense kernel's n×n working
-// matrix plus a handful of n-vectors. Routing them through an arena makes a
-// steady-state Fiedler call touch the heap only for the eigenvector it
-// returns (which must escape and is therefore allocated normally — arena
-// memory never leaves the solver).
+// vectors and workspaces: the Lanczos basis (O(maxIter) n-vectors) and Ritz
+// workspace, and the dense kernel's n×n working matrix plus a handful of
+// n-vectors. Routing them through an arena makes a steady-state Fiedler
+// call touch the heap only for the eigenvector it returns (which must
+// escape and is therefore allocated normally — arena memory never leaves
+// the solver).
 //
 // Arenas are pooled per size class. A single shared pool would let one large
 // solve park a multi-megabyte chunk that every subsequent small solve then
@@ -80,18 +76,10 @@ func putArena(a *floatArena) {
 
 func (a *floatArena) reset() { a.ci, a.off = 0, 0 }
 
-// take returns a zeroed n-element slice carved from the arena. The slice is
-// valid until the arena is reset or returned to the pool.
-func (a *floatArena) take(n int) []float64 {
-	s := a.takeDirty(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// takeDirty is take without the zeroing pass, for buffers the caller fully
-// initialises before reading (recycled chunks hold stale values).
+// takeDirty returns an n-element slice carved from the arena, valid until
+// the arena is reset or returned to the pool. It is not zeroed — recycled
+// chunks hold stale values — so the caller writes every element before
+// reading it.
 func (a *floatArena) takeDirty(n int) []float64 {
 	for a.ci < len(a.chunks) && len(a.chunks[a.ci])-a.off < n {
 		a.ci++
@@ -108,6 +96,3 @@ func (a *floatArena) takeDirty(n int) []float64 {
 	a.off += n
 	return s
 }
-
-// vec is take typed as a matrix.Vector.
-func (a *floatArena) vec(n int) matrix.Vector { return matrix.Vector(a.take(n)) }

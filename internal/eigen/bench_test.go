@@ -43,21 +43,3 @@ func BenchmarkLanczosFiedler512(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSymTridiagEigen256(b *testing.B) {
-	b.ReportAllocs()
-	n := 256
-	for i := 0; i < b.N; i++ {
-		d := make([]float64, n)
-		e := make([]float64, n-1)
-		for j := range d {
-			d[j] = float64(j%13) + 1
-		}
-		for j := range e {
-			e[j] = 0.5
-		}
-		if err := SymTridiagEigen(d, e, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -111,14 +111,8 @@ func fiedlerDense(l *matrix.CSR, vecBuf *[]float64) (float64, matrix.Vector, err
 	} else {
 		out = make(matrix.Vector, n)
 	}
-	var mean float64
-	for _, x := range z {
-		mean += x
-	}
-	mean /= float64(n)
-	for i, x := range z {
-		out[i] = x - mean
-	}
+	copy(out, z)
+	deflate(out)
 	if numeric.Zero(out.Normalize()) {
 		return 0, nil, fmt.Errorf("fiedler dense: degenerate vector: %w", ErrNoConvergence)
 	}

@@ -12,9 +12,9 @@ import (
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // mustDense builds a dense matrix from rows.
-func mustDense(t *testing.T, rows [][]float64) *matrix.Dense {
+func mustDense(t *testing.T, rows [][]float64) *Dense {
 	t.Helper()
-	m, err := matrix.DenseFromRows(rows)
+	m, err := DenseFromRows(rows)
 	if err != nil {
 		t.Fatalf("DenseFromRows: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestJacobiRejectsAsymmetric(t *testing.T) {
 	if _, _, err := Jacobi(m, 1e-12); !errors.Is(err, ErrNotSymmetric) {
 		t.Errorf("asymmetric error = %v, want ErrNotSymmetric", err)
 	}
-	if _, _, err := Jacobi(matrix.NewDense(0, 0), 0); !errors.Is(err, ErrEmpty) {
+	if _, _, err := Jacobi(NewDense(0, 0), 0); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty error = %v, want ErrEmpty", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestJacobiRandomResiduals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
 		n := 3 + rng.Intn(12)
-		m := matrix.NewDense(n, n)
+		m := NewDense(n, n)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				x := rng.NormFloat64()
@@ -125,6 +125,77 @@ func TestJacobiRandomResiduals(t *testing.T) {
 				t.Errorf("n=%d pair %d residual = %v", n, i, av.Norm())
 			}
 		}
+	}
+}
+
+func TestDenseBasics(t *testing.T) {
+	m := NewDense(2, 3)
+	m.Set(0, 1, 7)
+	if got := m.At(0, 1); got != 7 {
+		t.Errorf("At(0,1) = %v, want 7", got)
+	}
+	if m.Rows() != 2 || m.Cols() != 3 {
+		t.Errorf("shape = %dx%d, want 2x3", m.Rows(), m.Cols())
+	}
+	c := m.Col(1)
+	if len(c) != 2 || c[0] != 7 {
+		t.Errorf("Col(1) = %v", c)
+	}
+	c[0] = 0
+	if m.At(0, 1) != 7 {
+		t.Error("Col returned aliased data")
+	}
+}
+
+func TestDenseFromRows(t *testing.T) {
+	m, err := DenseFromRows([][]float64{{1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatalf("DenseFromRows: %v", err)
+	}
+	if m.At(1, 0) != 3 {
+		t.Errorf("At(1,0) = %v, want 3", m.At(1, 0))
+	}
+	if _, err := DenseFromRows([][]float64{{1}, {2, 3}}); !errors.Is(err, matrix.ErrDimension) {
+		t.Errorf("ragged rows error = %v, want ErrDimension", err)
+	}
+	empty, err := DenseFromRows(nil)
+	if err != nil || empty.Rows() != 0 {
+		t.Errorf("empty DenseFromRows = %v, %v", empty, err)
+	}
+}
+
+func TestDenseMulVec(t *testing.T) {
+	m := mustDense(t, [][]float64{{1, 2}, {3, 4}})
+	v, err := m.MulVec(matrix.Vector{1, 1})
+	if err != nil {
+		t.Fatalf("MulVec: %v", err)
+	}
+	if v[0] != 3 || v[1] != 7 {
+		t.Errorf("MulVec = %v, want [3 7]", v)
+	}
+	if _, err := m.MulVec(matrix.Vector{1}); !errors.Is(err, matrix.ErrDimension) {
+		t.Errorf("MulVec mismatch error = %v", err)
+	}
+}
+
+func TestDenseIdentitySymmetric(t *testing.T) {
+	if !Identity(3).IsSymmetric(0) {
+		t.Error("identity not symmetric")
+	}
+	if mustDense(t, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}).IsSymmetric(0) {
+		t.Error("asymmetric matrix reported symmetric")
+	}
+	if NewDense(2, 3).IsSymmetric(0) {
+		t.Error("non-square matrix reported symmetric")
+	}
+}
+
+func TestDenseClone(t *testing.T) {
+	m := Identity(2)
+	c := m.Clone()
+	c.Set(0, 0, 9)
+	if m.At(0, 0) != 1 {
+		t.Error("Clone aliased original")
 	}
 }
 
@@ -214,65 +285,75 @@ func TestSymTridiagEigenErrors(t *testing.T) {
 	}
 }
 
+// mulVec returns l·v.
+func mulVec(l *matrix.CSR, v matrix.Vector) matrix.Vector {
+	out := make(matrix.Vector, l.Rows())
+	l.MulVecRange(v, out, 0, l.Rows())
+	return out
+}
+
+// checkLanczosPair holds the Lanczos Fiedler pair of l to the Jacobi
+// oracle's: λ₂ within tol·(1 + λ₂) and the vector within tol of ± the
+// oracle's, which needs a simple λ₂. It also requires a unit vector ⟂ 1
+// with residual ‖Lv − λ₂v‖ ≤ tol·(1 + ‖L‖), and returns λ₂.
+func checkLanczosPair(t *testing.T, l *matrix.CSR, tol float64) float64 {
+	t.Helper()
+	lam, vec, err := lanczosFiedler(l, nil)
+	if err != nil {
+		t.Fatalf("lanczos: %v", err)
+	}
+	refVal, refVec := oracleFiedler(t, l)
+	if math.Abs(lam-refVal) > tol*(1+refVal) {
+		t.Errorf("λ₂ = %v, oracle %v", lam, refVal)
+	}
+	if dot, err := vec.Dot(refVec); err != nil || math.Abs(math.Abs(dot)-1) > tol {
+		t.Errorf("|⟨v, oracle⟩| = %v (%v), want 1", math.Abs(dot), err)
+	}
+	if !almostEqual(vec.Norm(), 1, 1e-12) {
+		t.Errorf("‖v‖ = %v, want 1", vec.Norm())
+	}
+	var sum float64
+	for _, x := range vec {
+		sum += x
+	}
+	if math.Abs(sum) > 1e-12*math.Sqrt(float64(len(vec))) {
+		t.Errorf("⟨v, 1⟩ = %g", sum)
+	}
+	res := mulVec(l, vec)
+	if err := res.Axpy(-lam, vec); err != nil {
+		t.Fatal(err)
+	}
+	if res.Norm() > tol*(1+matrixNorm(l)) {
+		t.Errorf("‖Lv − λ₂v‖ = %g", res.Norm())
+	}
+	return lam
+}
+
 func TestLanczosMatchesJacobiOnPath(t *testing.T) {
 	n := 30
-	l := pathLaplacian(t, n)
-	pairs, err := Lanczos(l, 3, LanczosOptions{MaxIter: n})
-	if err != nil {
-		t.Fatalf("Lanczos: %v", err)
-	}
-	for k := 0; k < 3; k++ {
-		want := pathEigenvalue(n, k)
-		if !almostEqual(pairs[k].Value, want, 1e-6) {
-			t.Errorf("λ[%d] = %v, want %v", k, pairs[k].Value, want)
-		}
+	if lam := checkLanczosPair(t, pathLaplacian(t, n), 1e-9); !almostEqual(lam, pathEigenvalue(n, 1), 1e-12) {
+		t.Errorf("λ₂ = %v, want %v", lam, pathEigenvalue(n, 1))
 	}
 }
 
 func TestLanczosResiduals(t *testing.T) {
-	n := 50
-	l := pathLaplacian(t, n)
-	pairs, err := Lanczos(l, 4, LanczosOptions{MaxIter: n})
-	if err != nil {
-		t.Fatalf("Lanczos: %v", err)
-	}
-	out := make(matrix.Vector, n)
-	for i, p := range pairs {
-		l.MulVecRange(p.Vector, out, 0, n)
-		if err := out.Axpy(-p.Value, p.Vector); err != nil {
-			t.Fatal(err)
-		}
-		if out.Norm() > 1e-6 {
-			t.Errorf("pair %d residual = %v", i, out.Norm())
-		}
-		if !almostEqual(p.Vector.Norm(), 1, 1e-9) {
-			t.Errorf("pair %d not unit norm", i)
-		}
-	}
+	checkLanczosPair(t, pathLaplacian(t, 50), 1e-9)
 }
 
+// TestLanczosErrors: an empty operator is ErrEmpty with the Lanczos path
+// selected too, and the Lanczos path fails loudly — ErrNoConvergence, never
+// a pair — when its Krylov budget (4√n + 150 steps) cannot resolve λ₂: on a
+// 600-node unit path the gap λ₃ − λ₂ is 2e-5 of the spectrum's width.
 func TestLanczosErrors(t *testing.T) {
-	l := pathLaplacian(t, 5)
-	if _, err := Lanczos(l, 0, LanczosOptions{}); err == nil {
-		t.Error("k=0 accepted")
-	}
 	empty, err := matrix.NewCSR(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lanczos(empty, 1, LanczosOptions{}); !errors.Is(err, ErrEmpty) {
+	if _, _, err := Fiedler(empty, FiedlerOptions{DenseCutoff: 1}); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty error = %v", err)
 	}
-}
-
-func TestLanczosKClamped(t *testing.T) {
-	l := pathLaplacian(t, 4)
-	pairs, err := Lanczos(l, 99, LanczosOptions{})
-	if err != nil {
-		t.Fatalf("Lanczos: %v", err)
-	}
-	if len(pairs) > 4 {
-		t.Errorf("returned %d pairs from a 4-dim operator", len(pairs))
+	if lam, _, err := lanczosFiedler(pathLaplacian(t, 600), nil); !errors.Is(err, ErrNoConvergence) {
+		t.Errorf("600-node path: λ₂ = %v, err = %v, want ErrNoConvergence", lam, err)
 	}
 }
 
@@ -301,30 +382,20 @@ func TestDeflatedRemovesNullspace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		ones := make(matrix.Vector, n)
-		for i := range ones {
-			ones[i] = 1
-		}
-		raw, err := Lanczos(l, 1, LanczosOptions{MaxIter: n})
+		lam, vec, err := lanczosFiedler(l, nil)
 		if err != nil {
-			t.Fatalf("%s: raw Lanczos: %v", c.name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !almostEqual(raw[0].Value, 0, 1e-8) {
-			t.Errorf("%s: raw smallest eigenvalue = %v, want 0", c.name, raw[0].Value)
+		if lam < c.lo || lam > c.hi {
+			t.Errorf("%s: smallest deflated eigenvalue = %v, want λ₂ in [%v, %v]", c.name, lam, c.lo, c.hi)
 		}
-		pairs, err := Lanczos(l, 1, LanczosOptions{MaxIter: n}, ones)
-		if err != nil {
-			t.Fatalf("%s: deflated Lanczos: %v", c.name, err)
+		var sum float64
+		for _, x := range vec {
+			sum += x
 		}
-		if v := pairs[0].Value; v < c.lo || v > c.hi {
-			t.Errorf("%s: smallest deflated eigenvalue = %v, want λ₂ in [%v, %v]", c.name, v, c.lo, c.hi)
+		if !almostEqual(sum, 0, 1e-9) {
+			t.Errorf("%s: deflated eigenvector has component %v along 1", c.name, sum)
 		}
-		if d, _ := pairs[0].Vector.Dot(ones); !almostEqual(d, 0, 1e-9) {
-			t.Errorf("%s: deflated eigenvector has component %v along 1", c.name, d)
-		}
-	}
-	if _, err := Lanczos(pathLaplacian(t, n), 1, LanczosOptions{}, make(matrix.Vector, n-1)); !errors.Is(err, matrix.ErrDimension) {
-		t.Errorf("short deflation direction: err = %v, want ErrDimension", err)
 	}
 }
 

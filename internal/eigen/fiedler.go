@@ -1,12 +1,11 @@
-// Package eigen implements the symmetric eigensolvers behind the paper's
-// spectral minimum-cut search (Section III-B, Theorems 1–3): an implicit-shift
-// QL solver for symmetric tridiagonal matrices, a Lanczos iteration with full
-// reorthogonalisation for the extreme eigenpairs of large sparse matrices,
-// and a dense single-eigenpair kernel (Householder tridiagonalisation, Sturm
-// bisection for the one eigenvalue, inverse iteration) for Laplacians of up
-// to a few hundred nodes. Fiedler chooses between the last two by dimension
-// and returns the second-smallest eigenpair of a graph Laplacian, which is
-// what Algorithm 2 consumes.
+// Package eigen computes the one eigenpair behind the paper's spectral
+// minimum-cut search (Section III-B, Theorems 1–3): the Fiedler pair of a
+// graph Laplacian, which is what Algorithm 2 consumes. Both solvers reduce
+// the problem to a symmetric tridiagonal T and take T's smallest eigenpair
+// by Sturm bisection and inverse iteration: a dense kernel (Householder
+// tridiagonalisation) for Laplacians of up to a few hundred nodes, and a
+// Lanczos iteration with full reorthogonalisation above that. Fiedler
+// chooses between them by dimension.
 package eigen
 
 import (
@@ -15,7 +14,6 @@ import (
 	"math"
 
 	"copmecs/internal/matrix"
-	"copmecs/internal/numeric"
 )
 
 // Errors returned by the solvers.
@@ -30,12 +28,16 @@ var (
 type FiedlerOptions struct {
 	// DenseCutoff is the dimension at or below which the dense kernel
 	// (Householder + Sturm bisection + inverse iteration) is used instead
-	// of Lanczos; 0 means 384. Up to there the kernel is clearly faster on
-	// the sparse Laplacians compressed sub-graphs produce (2.3× at 384,
-	// 1.2× at 512: BenchmarkDenseLanczosCrossover, DESIGN §9).
+	// of Lanczos; 0 means 384. On the sparse Laplacians compressed
+	// sub-graphs produce the two cross near 330
+	// (BenchmarkDenseLanczosCrossover); DESIGN §9 says why the default
+	// has not moved there.
 	DenseCutoff int
-	// Lanczos carries iteration options for the sparse path.
-	Lanczos LanczosOptions
+	// IterOut, when non-nil, is incremented by the number of Lanczos
+	// iterations performed (the dimension of its tridiagonal T), letting
+	// callers account for the work a skipped solve saves. The dense kernel
+	// adds nothing.
+	IterOut *int
 	// Flat is accepted and ignored — both values select the one dense
 	// kernel; delete together with its last reader in a benchmark-only PR.
 	Flat bool
@@ -77,7 +79,7 @@ func Fiedler(l *matrix.CSR, opts FiedlerOptions) (float64, matrix.Vector, error)
 	if n <= cutoff {
 		lambda, vec, err = fiedlerDense(l, opts.VecBuf)
 	} else {
-		lambda, vec, err = fiedlerLanczos(l, opts.Lanczos)
+		lambda, vec, err = lanczosFiedler(l, opts.IterOut)
 	}
 	if err != nil {
 		return 0, nil, err
@@ -102,6 +104,18 @@ func orient(v matrix.Vector) {
 	}
 }
 
+// deflate removes v's component along the constant vector: v ← v − mean(v).
+func deflate(v matrix.Vector) {
+	var sum float64
+	for _, x := range v {
+		sum += x
+	}
+	mean := sum / float64(len(v))
+	for i := range v {
+		v[i] -= mean
+	}
+}
+
 // unitScale returns the power of two that brings l's largest absolute entry
 // into [½, 1), or 1 for an all-zero l. Scaling by it is exact, and it makes
 // every absolute threshold a solver holds (breakdown test, residual
@@ -117,48 +131,4 @@ func unitScale(l *matrix.CSR) float64 {
 		exp = -1022 // keep 2^−exp finite for all-subnormal weights
 	}
 	return math.Ldexp(1, -exp)
-}
-
-// fiedlerLanczos runs Lanczos on l scaled by unitScale and maps λ₂ back.
-func fiedlerLanczos(l *matrix.CSR, opts LanczosOptions) (float64, matrix.Vector, error) {
-	n := l.Rows()
-	scale := unitScale(l)
-	ones := make(matrix.Vector, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	if opts.MaxIter == 0 {
-		// λ₂ sits at the bottom of the deflated spectrum; give the basis
-		// room to resolve it on graphs with weak spectral gaps.
-		opts.MaxIter = 4*isqrt(n) + 150
-	}
-	if opts.Tol <= 0 {
-		// The Fiedler vector only drives a sign split (and a sweep-cut
-		// refinement downstream), so residuals far below the spectral gap
-		// are unnecessary.
-		opts.Tol = 1e-6
-	}
-	pairs, err := Lanczos(l.Scaled(scale), 1, opts, ones)
-	if err != nil {
-		return 0, nil, fmt.Errorf("fiedler lanczos: %w", err)
-	}
-	p := pairs[0]
-	// Re-orthogonalise against 1 (numerical hygiene) and renormalise.
-	u := ones.Clone()
-	u.Normalize()
-	if err := p.Vector.ProjectOut(u); err != nil {
-		return 0, nil, err
-	}
-	if numeric.Zero(p.Vector.Normalize()) {
-		return 0, nil, fmt.Errorf("fiedler lanczos: degenerate vector: %w", ErrNoConvergence)
-	}
-	if p.Value < 0 && p.Value > -1e-9 {
-		p.Value = 0 // clamp tiny negative round-off; L is PSD
-	}
-	return p.Value / scale, p.Vector, nil
-}
-
-// isqrt returns ⌊√n⌋ for non-negative n.
-func isqrt(n int) int {
-	return int(math.Sqrt(float64(n)))
 }

@@ -5,7 +5,7 @@ import "testing"
 func TestLanczosIterOutAccumulates(t *testing.T) {
 	l := pathLaplacian(t, 150)
 	iters := 0
-	opts := FiedlerOptions{DenseCutoff: 1, Lanczos: LanczosOptions{IterOut: &iters}}
+	opts := FiedlerOptions{DenseCutoff: 1, IterOut: &iters}
 	if _, _, err := Fiedler(l, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // randSymmetric builds a random symmetric matrix.
-func randSymmetric(rng *rand.Rand, n int) *matrix.Dense {
-	m := matrix.NewDense(n, n)
+func randSymmetric(rng *rand.Rand, n int) *Dense {
+	m := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			x := rng.NormFloat64() * 3
@@ -85,36 +85,24 @@ func TestPropertyJacobiTraceAndSpectrum(t *testing.T) {
 	}
 }
 
+// TestPropertyLanczosAgreesWithJacobiOnLaplacians: on random connected
+// Laplacians the Lanczos Fiedler pair is the Jacobi oracle's — λ₂ and the
+// vector up to sign.
 func TestPropertyLanczosAgreesWithJacobiOnLaplacians(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%20) + 5
-		var edges []matrix.WeightedEdge
-		for i := 1; i < n; i++ {
-			edges = append(edges, matrix.WeightedEdge{U: rng.Intn(i), V: i, Weight: rng.Float64()*5 + 0.5})
-		}
-		for k := 0; k < n; k++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				edges = append(edges, matrix.WeightedEdge{U: u, V: v, Weight: rng.Float64()*5 + 0.5})
-			}
-		}
-		l, err := matrix.Laplacian(n, edges)
+		l := randLaplacian(rng, n)
+		lam, vec, err := lanczosFiedler(l, nil)
 		if err != nil {
+			t.Logf("seed %d n %d: %v", seed, n, err)
 			return false
 		}
-		jv, _, err := Jacobi(l.Dense(), 1e-9)
-		if err != nil {
+		refVal, refVec := oracleFiedler(t, l)
+		dot, err := vec.Dot(refVec)
+		if err != nil || math.Abs(lam-refVal) > 1e-9*(1+refVal) || math.Abs(math.Abs(dot)-1) > 1e-9 {
+			t.Logf("seed %d n %d: λ₂ %v vs oracle %v, |⟨v, oracle⟩| = %v", seed, n, lam, refVal, math.Abs(dot))
 			return false
-		}
-		pairs, err := Lanczos(l, 2, LanczosOptions{MaxIter: n, Seed: seed})
-		if err != nil {
-			return false
-		}
-		for k, p := range pairs {
-			if math.Abs(p.Value-jv[k]) > 1e-5*(1+math.Abs(jv[k])) {
-				return false
-			}
 		}
 		return true
 	}
@@ -158,7 +146,7 @@ func TestPropertyFiedlerValueIsMinCutBound(t *testing.T) {
 		if q.Normalize() == 0 {
 			return true // degenerate draw
 		}
-		qf, err := l.QuadForm(q)
+		qf, err := q.Dot(mulVec(l, q))
 		if err != nil {
 			return false
 		}

@@ -10,6 +10,33 @@ const tol = 1e-10
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) <= tol }
 
+// mulVec returns m·v.
+func mulVec(m *CSR, v Vector) Vector {
+	out := make(Vector, m.Rows())
+	m.MulVecRange(v, out, 0, m.Rows())
+	return out
+}
+
+// quadForm returns qᵀ·m·q, the quadratic form Theorem 2 of the paper
+// equates (up to (d1−d2)²) with the cut weight.
+func quadForm(m *CSR, q Vector) (float64, error) {
+	return q.Dot(mulVec(m, q))
+}
+
+// dense expands m into rows.
+func dense(t testing.TB, m *CSR) [][]float64 {
+	t.Helper()
+	flat, err := m.DenseInto(make([]float64, m.Rows()*m.Cols()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, m.Rows())
+	for i := range rows {
+		rows[i] = flat[i*m.Cols() : (i+1)*m.Cols()]
+	}
+	return rows
+}
+
 func TestVectorDot(t *testing.T) {
 	v := Vector{1, 2, 3}
 	w := Vector{4, 5, 6}
@@ -46,7 +73,7 @@ func TestVectorNormScale(t *testing.T) {
 	}
 }
 
-func TestVectorAxpySub(t *testing.T) {
+func TestVectorAxpy(t *testing.T) {
 	v := Vector{1, 1}
 	if err := v.Axpy(3, Vector{2, 4}); err != nil {
 		t.Fatalf("Axpy: %v", err)
@@ -56,13 +83,6 @@ func TestVectorAxpySub(t *testing.T) {
 	}
 	if err := v.Axpy(1, Vector{1}); !errors.Is(err, ErrDimension) {
 		t.Errorf("Axpy mismatch error = %v", err)
-	}
-	d, err := Vector{5, 5}.Sub(Vector{2, 3})
-	if err != nil || d[0] != 3 || d[1] != 2 {
-		t.Errorf("Sub = %v, %v; want [3 2]", d, err)
-	}
-	if _, err := (Vector{1}).Sub(Vector{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Errorf("Sub mismatch error = %v", err)
 	}
 }
 
@@ -81,116 +101,12 @@ func TestVectorProjectOut(t *testing.T) {
 	}
 }
 
-func TestVectorMaxAbsClone(t *testing.T) {
-	v := Vector{-7, 3}
-	if m := v.MaxAbs(); m != 7 {
+func TestVectorMaxAbs(t *testing.T) {
+	if m := (Vector{-7, 3}).MaxAbs(); m != 7 {
 		t.Errorf("MaxAbs = %v, want 7", m)
-	}
-	c := v.Clone()
-	c[0] = 99
-	if v[0] != -7 {
-		t.Error("Clone aliased original")
 	}
 	if m := Vector(nil).MaxAbs(); m != 0 {
 		t.Errorf("MaxAbs(nil) = %v, want 0", m)
-	}
-}
-
-func TestDenseBasics(t *testing.T) {
-	m := NewDense(2, 3)
-	m.Set(0, 1, 5)
-	m.Add(0, 1, 2)
-	if got := m.At(0, 1); got != 7 {
-		t.Errorf("At(0,1) = %v, want 7", got)
-	}
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Errorf("shape = %dx%d, want 2x3", m.Rows(), m.Cols())
-	}
-	r := m.Row(0)
-	if len(r) != 3 || r[1] != 7 {
-		t.Errorf("Row(0) = %v", r)
-	}
-	r[1] = 0
-	if m.At(0, 1) != 7 {
-		t.Error("Row returned aliased data")
-	}
-	c := m.Col(1)
-	if len(c) != 2 || c[0] != 7 {
-		t.Errorf("Col(1) = %v", c)
-	}
-}
-
-func TestDenseFromRows(t *testing.T) {
-	m, err := DenseFromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatalf("DenseFromRows: %v", err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %v, want 3", m.At(1, 0))
-	}
-	if _, err := DenseFromRows([][]float64{{1}, {2, 3}}); !errors.Is(err, ErrDimension) {
-		t.Errorf("ragged rows error = %v, want ErrDimension", err)
-	}
-	empty, err := DenseFromRows(nil)
-	if err != nil || empty.Rows() != 0 {
-		t.Errorf("empty DenseFromRows = %v, %v", empty, err)
-	}
-}
-
-func TestDenseMulVec(t *testing.T) {
-	m, err := DenseFromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.MulVec(Vector{1, 1})
-	if err != nil {
-		t.Fatalf("MulVec: %v", err)
-	}
-	if v[0] != 3 || v[1] != 7 {
-		t.Errorf("MulVec = %v, want [3 7]", v)
-	}
-	if _, err := m.MulVec(Vector{1}); !errors.Is(err, ErrDimension) {
-		t.Errorf("MulVec mismatch error = %v", err)
-	}
-}
-
-func TestDenseIdentitySymmetric(t *testing.T) {
-	id := Identity(3)
-	m, err := DenseFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !id.IsSymmetric(0) {
-		t.Error("identity not symmetric")
-	}
-	if m.IsSymmetric(0) {
-		t.Error("asymmetric matrix reported symmetric")
-	}
-	if NewDense(2, 3).IsSymmetric(0) {
-		t.Error("non-square matrix reported symmetric")
-	}
-}
-
-func TestDenseClone(t *testing.T) {
-	m := Identity(2)
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone aliased original")
-	}
-}
-
-func TestDenseQuadForm(t *testing.T) {
-	m, err := DenseFromRows([][]float64{{2, -1}, {-1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := m.QuadForm(Vector{1, 1})
-	if err != nil {
-		t.Fatalf("QuadForm: %v", err)
-	}
-	if q != 2 {
-		t.Errorf("QuadForm = %v, want 2", q)
 	}
 }
 
@@ -201,14 +117,12 @@ func TestCSRBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCSR: %v", err)
 	}
-	if got := m.At(0, 1); got != 5 {
-		t.Errorf("At(0,1) = %v, want 5 (coalesced)", got)
+	d := dense(t, m)
+	if got := d[0][1]; got != 5 {
+		t.Errorf("m[0][1] = %v, want 5 (coalesced)", got)
 	}
-	if got := m.At(1, 1); got != 0 {
-		t.Errorf("At(1,1) = %v, want 0", got)
-	}
-	if got := m.At(-1, 0); got != 0 {
-		t.Errorf("At(out of range) = %v, want 0", got)
+	if got := d[1][1]; got != 0 {
+		t.Errorf("m[1][1] = %v, want 0", got)
 	}
 }
 
@@ -227,15 +141,8 @@ func TestCSRMulVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.MulVec(Vector{1, 2})
-	if err != nil {
-		t.Fatalf("MulVec: %v", err)
-	}
-	if v[0] != 5 || v[1] != 6 {
-		t.Errorf("MulVec = %v, want [5 6]", v)
-	}
-	if _, err := m.MulVec(Vector{1}); !errors.Is(err, ErrDimension) {
-		t.Errorf("MulVec mismatch error = %v", err)
+	if v := mulVec(m, Vector{1, 2}); v[0] != 5 || v[1] != 6 {
+		t.Errorf("m·v = %v, want [5 6]", v)
 	}
 }
 
@@ -252,18 +159,25 @@ func TestCSRMulVecRange(t *testing.T) {
 	}
 }
 
-func TestCSRDenseMatchesAt(t *testing.T) {
-	m, err := NewCSR(2, 3, []Triplet{{0, 2, 4}, {1, 0, -1}})
+func TestCSRDenseInto(t *testing.T) {
+	m, err := NewCSR(2, 3, []Triplet{{0, 2, 4}, {1, 0, -1}, {1, 0, -2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Dense()
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if d.At(i, j) != m.At(i, j) {
-				t.Errorf("Dense()[%d][%d] = %v, CSR At = %v", i, j, d.At(i, j), m.At(i, j))
-			}
+	buf := []float64{9, 9, 9, 9, 9, 9} // stale values must not survive
+	got, err := m.DenseInto(buf)
+	if err != nil {
+		t.Fatalf("DenseInto: %v", err)
+	}
+	want := []float64{0, 0, 4, -3, 0, 0}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("DenseInto = %v, want %v", got, want)
+			break
 		}
+	}
+	if _, err := m.DenseInto(make([]float64, 5)); !errors.Is(err, ErrDimension) {
+		t.Errorf("short buffer error = %v, want ErrDimension", err)
 	}
 }
 
@@ -278,20 +192,16 @@ func TestLaplacianSmall(t *testing.T) {
 		{-1, 3, -2},
 		{-3, -2, 5},
 	}
+	d := dense(t, l)
 	for i := range want {
 		for j := range want[i] {
-			if got := l.At(i, j); got != want[i][j] {
+			if got := d[i][j]; got != want[i][j] {
 				t.Errorf("L[%d][%d] = %v, want %v", i, j, got, want[i][j])
 			}
 		}
 	}
 	// Row sums are zero: L·1 = 0.
-	ones := Vector{1, 1, 1}
-	lv, err := l.MulVec(ones)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range lv {
+	for i, x := range mulVec(l, Vector{1, 1, 1}) {
 		if !almostEqual(x, 0) {
 			t.Errorf("(L·1)[%d] = %v, want 0", i, x)
 		}
@@ -306,7 +216,7 @@ func TestLaplacianErrorsAndSelfLoops(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Laplacian with self-loop: %v", err)
 	}
-	if got := l.At(0, 0); got != 1 {
+	if got := dense(t, l)[0][0]; got != 1 {
 		t.Errorf("self-loop affected degree: L[0][0] = %v, want 1", got)
 	}
 }
@@ -319,7 +229,7 @@ func TestLaplacianQuadFormIsCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Vector{1, 1, -1, -1} // side A = {0,1}
-	qf, err := l.QuadForm(q)
+	qf, err := quadForm(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,7 @@ type Triplet struct {
 }
 
 // CSR is a compressed sparse row matrix. It is immutable after construction,
-// which makes concurrent MulVec calls safe — the parallel engine relies on
-// this when fanning a matvec across workers.
+// which makes concurrent MulVecRange calls safe.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
@@ -115,29 +114,6 @@ func (m *CSR) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *CSR) Cols() int { return m.cols }
 
-// At returns m[i, j] (zero when the entry is not stored).
-func (m *CSR) At(i, j int) float64 {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		return 0
-	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	idx := sort.SearchInts(m.colIdx[lo:hi], j)
-	if idx < hi-lo && m.colIdx[lo+idx] == j {
-		return m.vals[lo+idx]
-	}
-	return 0
-}
-
-// MulVec returns m·v. Safe for concurrent use.
-func (m *CSR) MulVec(v Vector) (Vector, error) {
-	if len(v) != m.cols {
-		return nil, fmt.Errorf("csr mulvec %dx%d by %d: %w", m.rows, m.cols, len(v), ErrDimension)
-	}
-	out := make(Vector, m.rows)
-	m.MulVecRange(v, out, 0, m.rows)
-	return out, nil
-}
-
 // MulVecRange computes rows [lo, hi) of m·v into out[lo:hi]. It performs no
 // allocation: the Lanczos iteration multiplies into a vector it owns.
 // The caller guarantees len(v) == Cols, len(out) == Rows and 0 ≤ lo ≤ hi ≤ Rows.
@@ -164,20 +140,9 @@ func (m *CSR) Scaled(s float64) *CSR {
 	return &CSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, vals: vals}
 }
 
-// Dense expands m into a dense matrix (small matrices / tests only).
-func (m *CSR) Dense() *Dense {
-	d := NewDense(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, m.colIdx[k], m.vals[k])
-		}
-	}
-	return d
-}
-
 // DenseInto scatters m's stored entries into dst, a caller-owned row-major
-// rows×cols buffer, and returns dst. dst is zeroed first, so the result is
-// exactly Dense() without the allocation — hot paths hand in pooled scratch.
+// rows×cols buffer, and returns dst. dst is zeroed first, so every entry m
+// does not store reads 0; the dense Fiedler kernel hands in pooled scratch.
 func (m *CSR) DenseInto(dst []float64) ([]float64, error) {
 	if len(dst) != m.rows*m.cols {
 		return nil, fmt.Errorf("csr dense-into %dx%d buffer %d: %w", m.rows, m.cols, len(dst), ErrDimension)
@@ -192,13 +157,4 @@ func (m *CSR) DenseInto(dst []float64) ([]float64, error) {
 		}
 	}
 	return dst, nil
-}
-
-// QuadForm returns qᵀ·m·q.
-func (m *CSR) QuadForm(q Vector) (float64, error) {
-	mv, err := m.MulVec(q)
-	if err != nil {
-		return 0, err
-	}
-	return q.Dot(mv)
 }

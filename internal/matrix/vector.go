@@ -1,6 +1,6 @@
-// Package matrix provides the dense and sparse linear algebra needed by the
-// spectral offloading pipeline: vectors, dense matrices, CSR sparse matrices
-// and graph Laplacians. Only float64 is supported; everything is stdlib-only.
+// Package matrix provides the linear algebra the spectral offloading
+// pipeline needs: vectors, CSR sparse matrices and graph Laplacians. Only
+// float64 is supported; everything is stdlib-only.
 //
 // The package exists because the paper's minimum-cut search (Section III-B)
 // reduces to eigencomputation on the Laplace matrix of each compressed
@@ -20,13 +20,6 @@ var ErrDimension = errors.New("matrix: dimension mismatch")
 
 // Vector is a dense column vector.
 type Vector []float64
-
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	copy(c, v)
-	return c
-}
 
 // Dot returns ⟨v, w⟩.
 func (v Vector) Dot(w Vector) (float64, error) {
@@ -79,18 +72,6 @@ func (v Vector) Normalize() float64 {
 	}
 	v.Scale(1 / n)
 	return n
-}
-
-// Sub returns v − w as a new vector.
-func (v Vector) Sub(w Vector) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, fmt.Errorf("sub %d×%d: %w", len(v), len(w), ErrDimension)
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out, nil
 }
 
 // ProjectOut removes from v its component along the unit vector u in place:

@@ -130,7 +130,9 @@ func cutFromQ(off, tgt []int32, wts []float64, inA []bool, d1, d2 float64) (floa
 	if err := s.laplacian(off, tgt, wts); err != nil {
 		return 0, err
 	}
-	qf, err := s.lap.QuadForm(q)
+	lq := make(matrix.Vector, n)
+	s.lap.MulVecRange(q, lq, 0, n)
+	qf, err := q.Dot(lq)
 	if err != nil {
 		return 0, fmt.Errorf("spectral: %w", err)
 	}
