@@ -7,9 +7,17 @@
 // re-admitted automatically. Tail-slow attempts are hedged to the next
 // ring replica once they outlive a p99-derived budget.
 //
+// The ring, retry, timeout and hedge tuning are constants of
+// internal/router (its Default* values). The flags set the listen address,
+// the backends, the probe cadence and thresholds (-probe-interval,
+// -quarantine-after, -readmit-after), -no-hedge, the decode limits
+// (-max-nodes, -max-edges), the identity-cache size (-ident-cache), the
+// drain deadline (-drain-timeout) and -q.
+//
 // Endpoints:
 //
 //	POST /v1/solve    proxied to the fingerprint's backend (failover + hedging)
+//	POST /v1/mutate   proxied to the backend holding the base graph
 //	GET  /v1/stats    fleet-wide aggregate + per-backend drill-down + routing state
 //	GET  /v1/healthz  liveness (503 while draining)
 //	GET  /v1/health   probe document: ready/draining state, uptime
@@ -59,25 +67,17 @@ func main() {
 func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	fs := flag.NewFlagSet("copmecs-router", flag.ContinueOnError)
 	var (
-		addr        = fs.String("addr", ":8080", "router listen address")
-		backends    = fs.String("backends", "", "comma-separated fleet members, each name=url or a bare url (required)")
-		vnodes      = fs.Int("vnodes", router.DefaultVnodes, "virtual nodes per backend on the hash ring")
-		maxAttempts = fs.Int("max-attempts", router.DefaultMaxAttempts, "distinct replicas tried per request (failover + hedge)")
-		probeEvery  = fs.Duration("probe-interval", router.DefaultProbeInterval, "health probe sweep period")
-		probeWait   = fs.Duration("probe-timeout", router.DefaultProbeTimeout, "per-probe timeout")
-		quarAfter   = fs.Int("quarantine-after", router.DefaultQuarantineAfter, "consecutive failures before a backend leaves the ring")
-		readmit     = fs.Int("readmit-after", router.DefaultReadmitAfter, "consecutive probe successes before re-admission")
-		noHedge     = fs.Bool("no-hedge", false, "disable speculative hedging (failover on hard errors still applies)")
-		hedgeMult   = fs.Float64("hedge-mult", router.DefaultHedgeMultiplier, "hedge budget as a multiple of observed p99")
-		hedgeMin    = fs.Duration("hedge-min", router.DefaultHedgeMin, "hedge budget floor")
-		hedgeMax    = fs.Duration("hedge-max", router.DefaultHedgeMax, "hedge budget cap")
-		hedgeCold   = fs.Duration("hedge-cold", router.DefaultHedgeCold, "hedge budget before enough latency samples exist")
-		fwdTimeout  = fs.Duration("forward-timeout", router.DefaultForwardTimeout, "per-attempt forward timeout")
-		maxNodes    = fs.Int("max-nodes", serve.DefaultMaxNodes, "max graph nodes per request")
-		maxEdges    = fs.Int("max-edges", serve.DefaultMaxEdges, "max graph edges per request")
-		identCache  = fs.Int("ident-cache", 0, "body-digest identity cache entries (0 = default)")
-		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "graceful drain deadline")
-		quiet       = fs.Bool("q", false, "suppress routing diagnostics")
+		addr       = fs.String("addr", ":8080", "router listen address")
+		backends   = fs.String("backends", "", "comma-separated fleet members, each name=url or a bare url (required)")
+		probeEvery = fs.Duration("probe-interval", router.DefaultProbeInterval, "health probe sweep period")
+		quarAfter  = fs.Int("quarantine-after", router.DefaultQuarantineAfter, "consecutive failures before a backend leaves the ring")
+		readmit    = fs.Int("readmit-after", router.DefaultReadmitAfter, "consecutive probe successes before re-admission")
+		noHedge    = fs.Bool("no-hedge", false, "disable speculative hedging (failover on hard errors still applies)")
+		maxNodes   = fs.Int("max-nodes", serve.DefaultMaxNodes, "max graph nodes per request")
+		maxEdges   = fs.Int("max-edges", serve.DefaultMaxEdges, "max graph edges per request")
+		identCache = fs.Int("ident-cache", 0, "body-digest identity cache entries (0 = default)")
+		drainWait  = fs.Duration("drain-timeout", 30*time.Second, "graceful drain deadline")
+		quiet      = fs.Bool("q", false, "suppress routing diagnostics")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,18 +95,10 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	}
 	rt, err := router.New(router.Config{
 		Backends:        members,
-		Vnodes:          *vnodes,
-		MaxAttempts:     *maxAttempts,
 		ProbeInterval:   *probeEvery,
-		ProbeTimeout:    *probeWait,
 		QuarantineAfter: *quarAfter,
 		ReadmitAfter:    *readmit,
 		DisableHedge:    *noHedge,
-		HedgeMultiplier: *hedgeMult,
-		HedgeMin:        *hedgeMin,
-		HedgeMax:        *hedgeMax,
-		HedgeCold:       *hedgeCold,
-		ForwardTimeout:  *fwdTimeout,
 		Limits:          serve.DecodeLimits{MaxNodes: *maxNodes, MaxEdges: *maxEdges},
 		IdentCacheSize:  *identCache,
 		Logf:            quietable,
@@ -123,15 +115,15 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
+	httpSrv := serve.HTTPServer(rt.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	names := make([]string, len(members))
 	for i, m := range members {
 		names[i] = m.Name
 	}
-	logf("copmecs-router: listening on %s (%d backends: %s, vnodes %d)",
-		ln.Addr(), len(members), strings.Join(names, " "), *vnodes)
+	logf("copmecs-router: listening on %s (%d backends: %s)",
+		ln.Addr(), len(members), strings.Join(names, " "))
 
 	select {
 	case sig := <-stop:

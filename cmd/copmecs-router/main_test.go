@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -162,6 +163,43 @@ func TestRouterServesAndDrains(t *testing.T) {
 	}
 	if s := out.String(); !strings.Contains(s, "drained") {
 		t.Fatalf("drain line missing: %q", s)
+	}
+}
+
+// TestRouterDrainClosesUnusedConnections: a connection dialed and never
+// written to (a client's spare, a load balancer's pre-dial) must not hold
+// the drain. net/http's Shutdown counts such a StateNew connection as idle
+// only once it is 5 s old, so without the router closing it the drain took
+// ≈ 5 s.
+func TestRouterDrainClosesUnusedConnections(t *testing.T) {
+	a := startBackend(t, "be-a")
+	base, stop, out, done := startRouter(t, "-backends", "be-a="+a.URL)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	// A request on a second connection: the server accepts in dial order,
+	// so once it is answered the first connection is accepted too, not
+	// still in the backlog when Shutdown closes the listener.
+	hr, err := http.Get(base + "/v1/healthz")
+	if err != nil {
+		t.Fatalf("healthz: %v", err)
+	}
+	hr.Body.Close()
+
+	start := time.Now()
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v (output %q)", err, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not stop after SIGTERM")
+	}
+	if took := time.Since(start); took > 2*time.Second || !strings.Contains(out.String(), "copmecs-router: drained") {
+		t.Fatalf("drain took %v (output %q), want a drained line within 2s", took, out.String())
 	}
 }
 

@@ -48,7 +48,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -223,15 +222,7 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
-	// net/http's Shutdown counts a connection that has not sent a request
-	// (StateNew) as idle only once it is 5 s old, so a spare one a client
-	// dialed and never used would hold the drain that long. The daemon
-	// tracks them and closes them when Shutdown starts, which is after
-	// Drain has settled every accepted request and after the listener
-	// closed, so no new one can arrive.
-	var fresh freshConns
-	httpSrv := &http.Server{Handler: srv.Handler(), ConnState: fresh.track}
-	httpSrv.RegisterOnShutdown(fresh.closeAll)
+	httpSrv := serve.HTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logln(out, "copmecsd: listening on %s (engine %s, max-batch %d, queue %d)",
@@ -287,36 +278,6 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	logln(out, "copmecsd: drained: %d requests, %d solved, %d shed, %d cache hits, %d deduped, %d rounds",
 		st.Requests, st.Solved, st.Shed, st.Cache.Hits, st.Deduped, st.Batch.Rounds)
 	return errors.Join(drainErr, shutErr)
-}
-
-// freshConns is the set of service connections still in http.StateNew.
-type freshConns struct {
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
-// track is the http.Server.ConnState hook.
-func (f *freshConns) track(c net.Conn, state http.ConnState) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if state != http.StateNew {
-		delete(f.conns, c)
-		return
-	}
-	if f.conns == nil {
-		f.conns = make(map[net.Conn]struct{})
-	}
-	f.conns[c] = struct{}{}
-}
-
-// closeAll closes every connection that has not sent a request. One whose
-// first request is in flight loses it; the drain already rejects new work.
-func (f *freshConns) closeAll() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for c := range f.conns {
-		_ = c.Close()
-	}
 }
 
 // durabilityStats projects the durable store's counters into the

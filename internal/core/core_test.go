@@ -9,6 +9,7 @@ import (
 	"copmecs/internal/graph"
 	"copmecs/internal/mec"
 	"copmecs/internal/netgen"
+	"copmecs/internal/numeric"
 )
 
 func buildGraph(t *testing.T, weights []float64, edges []graph.Edge) *graph.Graph {
@@ -175,18 +176,27 @@ func TestSolveStrictAndBatchAgreeOnObjectiveDirection(t *testing.T) {
 	}
 	params := mec.Defaults()
 	params.ServerCapacity = 500
-	strict, err := Solve(context.Background(), users, Options{Params: params, Greedy: GreedyStrict})
+	cut, err := Solve(context.Background(), users, Options{Params: params, DisableGreedy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Solve(context.Background(), users, Options{Params: params, Greedy: GreedyBatch})
+	sol, err := Solve(context.Background(), users, Options{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batch is a relaxation of strict ordering; both must land close (same
-	// local-optimum family). Allow 10% slack.
-	if batch.Eval.Objective > strict.Eval.Objective*1.10+1e-9 {
-		t.Errorf("batch objective %v far above strict %v", batch.Eval.Objective, strict.Eval.Objective)
+	// Algorithm 2 only ever lowers E + T from the cut split, and it stops
+	// where no remote → local move of a part lowers it further.
+	if sol.Stats.GreedyMoves == 0 || sol.Eval.Objective > cut.Eval.Objective+1e-9 {
+		t.Errorf("%d moves took the objective from %v to %v", sol.Stats.GreedyMoves, cut.Eval.Objective, sol.Eval.Objective)
+	}
+	st := newGreedyState(users, sol.Parts, params)
+	for pi := range sol.Parts {
+		if !sol.Parts[pi].Remote {
+			continue
+		}
+		if delta, _ := st.moveDelta(sol.Parts, pi); delta < -numeric.Eps {
+			t.Errorf("part %d still improves the objective by %v", pi, -delta)
+		}
 	}
 }
 

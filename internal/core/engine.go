@@ -98,22 +98,19 @@ func (e SpectralEngine) Bisect(ctx context.Context, off, tgt []int32, w []float6
 }
 
 // MaxFlowEngine is the Ford–Fulkerson/Edmonds–Karp baseline of §IV.
-type MaxFlowEngine struct {
-	// Sinks is the number of candidate sinks tried (0 = default 3).
-	Sinks int
-}
+type MaxFlowEngine struct{}
 
 var _ Engine = MaxFlowEngine{}
 
 // Name implements Engine.
-func (e MaxFlowEngine) Name() string { return "maxflow" }
+func (MaxFlowEngine) Name() string { return "maxflow" }
 
 // Bisect implements Engine.
-func (e MaxFlowEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, _ []int32) ([]int32, []int32, int, error) {
+func (MaxFlowEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, _ []int32) ([]int32, []int32, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
 	}
-	a, b, _, err := mincut.MaxFlowBisect(off, tgt, w, e.Sinks)
+	a, b, _, err := mincut.MaxFlowBisect(off, tgt, w)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("maxflow engine: %w", err)
 	}

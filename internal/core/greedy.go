@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"copmecs/internal/mec"
 	"copmecs/internal/numeric"
 )
@@ -150,26 +148,13 @@ func runGreedy(users []UserInput, parts []Part, opts Options) (initialObjective 
 	if opts.DisableGreedy {
 		return initialObjective, 0, 0
 	}
-	mode := opts.Greedy
-	if mode == GreedyAuto {
-		if len(parts) > greedyAutoCutoff {
-			mode = GreedyBatch
-		} else {
-			mode = GreedyStrict
-		}
-	}
-	switch mode {
-	case GreedyBatch:
-		moves, iterations = runGreedyBatch(st, parts)
-	default:
-		moves, iterations = runGreedyStrict(st, parts)
-	}
+	moves, iterations = st.descend(parts)
 	return initialObjective, moves, iterations
 }
 
-// runGreedyStrict is the paper's loop: argmin over all remote parts, move,
-// repeat while the objective decreases.
-func runGreedyStrict(st *greedyState, parts []Part) (moves, iterations int) {
+// descend is the paper's loop: argmin over all remote parts, move, repeat
+// while the objective decreases. O(moves × parts).
+func (st *greedyState) descend(parts []Part) (moves, iterations int) {
 	for {
 		iterations++
 		bestIdx, bestDelta, bestCut := -1, -numeric.Eps, 0.0
@@ -187,44 +172,5 @@ func runGreedyStrict(st *greedyState, parts []Part) (moves, iterations int) {
 		}
 		st.apply(parts, bestIdx, bestCut)
 		moves++
-	}
-}
-
-// runGreedyBatch sorts candidates by their delta snapshot and applies each
-// improving move after re-validating its delta against the live state;
-// rounds repeat until none applies. The objective is monotone decreasing, so
-// termination is guaranteed.
-func runGreedyBatch(st *greedyState, parts []Part) (moves, iterations int) {
-	order := make([]int, 0, len(parts))
-	deltas := make([]float64, len(parts))
-	for {
-		iterations++
-		order = order[:0]
-		for i := range parts {
-			if !parts[i].Remote {
-				continue
-			}
-			d, _ := st.moveDelta(parts, i)
-			deltas[i] = d
-			if d < -numeric.Eps {
-				order = append(order, i)
-			}
-		}
-		if len(order) == 0 {
-			return moves, iterations
-		}
-		sort.Slice(order, func(a, b int) bool { return deltas[order[a]] < deltas[order[b]] })
-		applied := 0
-		for _, i := range order {
-			delta, cutDelta := st.moveDelta(parts, i) // re-validate live
-			if delta < -numeric.Eps {
-				st.apply(parts, i, cutDelta)
-				applied++
-				moves++
-			}
-		}
-		if applied == 0 {
-			return moves, iterations
-		}
 	}
 }

@@ -296,7 +296,7 @@ func TestPropertyDisjointCopiesSolveAlike(t *testing.T) {
 // TestPropertyUserSymmetry is ROADMAP item 3(iii): what a user is handed may
 // depend on who else is in the round, never on where in the round it stands.
 // Over rounds of 2–6 users on 1–3 shared graphs, heterogeneous overrides,
-// scarce to abundant capacity and every greedy mode: solving the users in
+// and scarce to abundant capacity: solving the users in
 // another order gives each the same placement and state bit for bit, as long
 // as no two are interchangeable (same graph, same overrides); and a user with
 // an empty graph changes nobody's. Two interchangeable users are *not*
@@ -335,7 +335,7 @@ func TestPropertyUserSymmetry(t *testing.T) {
 				})
 			}
 		}
-		opts := Options{Params: randomParams(rng), Greedy: GreedyMode(rng.Intn(3))}
+		opts := Options{Params: randomParams(rng)}
 		solve := func(users []UserInput) *Solution {
 			sol, err := Solve(ctx, users, opts)
 			if err != nil {

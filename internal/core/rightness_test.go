@@ -146,40 +146,27 @@ func (in *greedyInstance) modelObjective(t *testing.T, remote func(pi int) bool)
 	return ev.Energy + ev.Time
 }
 
-// greedyModes are the two scheme-generation loops, called as runGreedy
-// calls them.
-var greedyModes = []struct {
-	name string
-	run  func(*greedyState, []Part) (moves, iterations int)
-}{
-	{"strict", runGreedyStrict},
-	{"batch", runGreedyBatch},
-}
-
 // relClose is |a−b| ≤ 1e-9 relative.
 func relClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// TestGreedyAgainstExhaustiveOptimum holds both greedy modes to the model on
+// TestGreedyAgainstExhaustiveOptimum holds the greedy loop to the model on
 // seeded instances of at most 12 parts. On every one of an instance's 2ⁿ
 // placements the O(1) move delta must be the model's own objective
-// difference, so a move either loop applies — each applies only a live delta
-// below −Eps — lowers E + T; each run must then end at least moves·Eps below
-// where it started, within len(parts) moves, at a placement no single
-// remote → local move improves, with the incrementally kept objective equal
-// to the model's. The gaps to the exhaustive optimum — over every placement,
-// and over those Algorithm 2 can reach, which keep the initially local parts
-// local — and the difference between the modes are measured, not bounded:
-// DESIGN §5 records them.
+// difference, so a move the loop applies — only a delta below −Eps — lowers
+// E + T; each run must then end at least moves·Eps below where it started,
+// within len(parts) moves, at a placement no single remote → local move
+// improves, with the incrementally kept objective equal to the model's. The
+// gaps to the exhaustive optimum — over every placement, and over those
+// Algorithm 2 can reach, which keep the initially local parts local — are
+// measured, not bounded: DESIGN §5 records them.
 func TestGreedyAgainstExhaustiveOptimum(t *testing.T) {
 	const instances = 150
 	rng := rand.New(rand.NewSource(20261005))
 	// Index 0 is against every placement, 1 against the reachable ones.
-	worstGap := make([][2]float64, len(greedyModes))
-	optimal := make([][2]int, len(greedyModes))
-	var worstModeDiff float64
-	modesDiffer := 0
+	var worstGap [2]float64
+	var optimal [2]int
 	for inst := 0; inst < instances; inst++ {
 		in := randomGreedyInstance(rng, 4+rng.Intn(9))
 		n := len(in.parts)
@@ -216,61 +203,51 @@ func TestGreedyAgainstExhaustiveOptimum(t *testing.T) {
 			}
 		}
 
-		final := make([]float64, len(greedyModes))
-		for mi, mode := range greedyModes {
-			parts := make([]Part, n)
-			copy(parts, in.parts)
-			st := newGreedyState(in.users, parts, in.params)
-			start := st.objective()
-			moves, iterations := mode.run(st, parts)
+		parts := make([]Part, n)
+		copy(parts, in.parts)
+		st := newGreedyState(in.users, parts, in.params)
+		start := st.objective()
+		moves, iterations := st.descend(parts)
 
-			flipped := 0
-			for pi := range parts {
-				if parts[pi].Remote && !in.parts[pi].Remote {
-					t.Fatalf("instance %d %s: part %d moved local → remote", inst, mode.name, pi)
-				}
-				if parts[pi].Remote != in.parts[pi].Remote {
-					flipped++
-				}
+		flipped := 0
+		for pi := range parts {
+			if parts[pi].Remote && !in.parts[pi].Remote {
+				t.Fatalf("instance %d: part %d moved local → remote", inst, pi)
 			}
-			if moves != flipped || moves > n || iterations > moves+1 {
-				t.Errorf("instance %d %s: %d moves over %d iterations flipped %d of %d parts", inst, mode.name, moves, iterations, flipped, n)
-			}
-			final[mi] = in.modelObjective(t, func(pi int) bool { return parts[pi].Remote })
-			if !relClose(st.objective(), final[mi]) {
-				t.Errorf("instance %d %s: kept objective %v, model %v", inst, mode.name, st.objective(), final[mi])
-			}
-			if st.objective() > start-float64(moves)*numeric.Eps {
-				t.Errorf("instance %d %s: %d moves took the objective from %v to %v", inst, mode.name, moves, start, st.objective())
-			}
-			for pi := range parts {
-				if !parts[pi].Remote {
-					continue
-				}
-				if delta, _ := st.moveDelta(parts, pi); delta < -numeric.Eps {
-					t.Errorf("instance %d %s: stopped with part %d still improving by %v", inst, mode.name, pi, -delta)
-				}
-			}
-			for oi := range opt {
-				if final[mi] < opt[oi] && !relClose(final[mi], opt[oi]) {
-					t.Fatalf("instance %d %s: final %v below the exhaustive optimum %v", inst, mode.name, final[mi], opt[oi])
-				}
-				if relClose(final[mi], opt[oi]) {
-					optimal[mi][oi]++
-				}
-				worstGap[mi][oi] = math.Max(worstGap[mi][oi], final[mi]/opt[oi])
+			if parts[pi].Remote != in.parts[pi].Remote {
+				flipped++
 			}
 		}
-		if !relClose(final[0], final[1]) {
-			modesDiffer++
+		if moves != flipped || moves > n || iterations != moves+1 {
+			t.Errorf("instance %d: %d moves over %d iterations flipped %d of %d parts", inst, moves, iterations, flipped, n)
 		}
-		worstModeDiff = math.Max(worstModeDiff, math.Abs(final[0]-final[1])/math.Min(final[0], final[1]))
+		final := in.modelObjective(t, func(pi int) bool { return parts[pi].Remote })
+		if !relClose(st.objective(), final) {
+			t.Errorf("instance %d: kept objective %v, model %v", inst, st.objective(), final)
+		}
+		if st.objective() > start-float64(moves)*numeric.Eps {
+			t.Errorf("instance %d: %d moves took the objective from %v to %v", inst, moves, start, st.objective())
+		}
+		for pi := range parts {
+			if !parts[pi].Remote {
+				continue
+			}
+			if delta, _ := st.moveDelta(parts, pi); delta < -numeric.Eps {
+				t.Errorf("instance %d: stopped with part %d still improving by %v", inst, pi, -delta)
+			}
+		}
+		for oi := range opt {
+			if final < opt[oi] && !relClose(final, opt[oi]) {
+				t.Fatalf("instance %d: final %v below the exhaustive optimum %v", inst, final, opt[oi])
+			}
+			if relClose(final, opt[oi]) {
+				optimal[oi]++
+			}
+			worstGap[oi] = math.Max(worstGap[oi], final/opt[oi])
+		}
 	}
-	for mi, mode := range greedyModes {
-		t.Logf("%s vs every placement: optimal on %d of %d instances, worst objective ×%.1f the optimum", mode.name, optimal[mi][0], instances, worstGap[mi][0])
-		t.Logf("%s vs reachable placements: optimal on %d of %d instances, worst objective ×%.3f the optimum", mode.name, optimal[mi][1], instances, worstGap[mi][1])
-	}
-	t.Logf("strict vs batch: different objective on %d of %d instances, worst difference %.2f%%", modesDiffer, instances, 100*worstModeDiff)
+	t.Logf("vs every placement: optimal on %d of %d instances, worst objective ×%.1f the optimum", optimal[0], instances, worstGap[0])
+	t.Logf("vs reachable placements: optimal on %d of %d instances, worst objective ×%.3f the optimum", optimal[1], instances, worstGap[1])
 }
 
 // TestGreedyOffloadsNoMoreAsUsersJoin is the occupancy-threshold structure
@@ -280,14 +257,13 @@ func TestGreedyAgainstExhaustiveOptimum(t *testing.T) {
 // move is worth, so the greedy takes some users off the server and leaves
 // the rest on it — so "the same user" is read up to that symmetry: ranked by
 // offloaded work, the i-th of k users offloads at least as much as the
-// (i+1)-th of k+1. Strict must hold it on every seeded instance; Batch
-// and the by-index reading break it, and how often is logged for DESIGN §5.
+// (i+1)-th of k+1, on every seeded instance. The by-index reading breaks
+// it, and how often is logged for DESIGN §5.
 func TestGreedyOffloadsNoMoreAsUsersJoin(t *testing.T) {
 	const instances, maxUsers = 200, 8
 	steps := instances * (maxUsers - 1)
 	rng := rand.New(rand.NewSource(7))
-	byRank := make([]int, len(greedyModes))
-	byIndex := make([]int, len(greedyModes))
+	byIndex := 0
 	for inst := 0; inst < instances; inst++ {
 		user := randomUser(rng)
 		var template []Part
@@ -295,54 +271,46 @@ func TestGreedyOffloadsNoMoreAsUsersJoin(t *testing.T) {
 			template = appendSubgraph(rng, template, 0, []int{1, 2, 2, 3, 4}[rng.Intn(5)])
 		}
 		params := randomParams(rng)
-		for mi, mode := range greedyModes {
-			var prev []Part
-			var prevWork []float64
-			for k := 1; k <= maxUsers; k++ {
-				users := make([]UserInput, k)
-				parts := make([]Part, 0, k*len(template))
-				for ui := range users {
-					users[ui] = user
-					base := len(parts)
-					for _, p := range template {
-						p.User = ui
-						p.Adj = slices.Clone(p.Adj)
-						for i := range p.Adj {
-							p.Adj[i].Other += base
-						}
-						parts = append(parts, p)
+		var prev []Part
+		var prevWork []float64
+		for k := 1; k <= maxUsers; k++ {
+			users := make([]UserInput, k)
+			parts := make([]Part, 0, k*len(template))
+			for ui := range users {
+				users[ui] = user
+				base := len(parts)
+				for _, p := range template {
+					p.User = ui
+					p.Adj = slices.Clone(p.Adj)
+					for i := range p.Adj {
+						p.Adj[i].Other += base
 					}
+					parts = append(parts, p)
 				}
-				mode.run(newGreedyState(users, parts, params), parts)
-				work := make([]float64, k)
-				for _, p := range parts {
-					if p.Remote {
-						work[p.User] += p.Work
-					}
-				}
-				slices.Sort(work)
-				slices.Reverse(work)
-				for i, w := range prevWork {
-					if work[i+1] > w {
-						byRank[mi]++
-						t.Logf("instance %d %s: rank %d offloads %v among %d users, %v among %d", inst, mode.name, i, w, k-1, work[i+1], k)
-						break
-					}
-				}
-				for pi := range prev {
-					if parts[pi].Remote && !prev[pi].Remote {
-						byIndex[mi]++
-						break
-					}
-				}
-				prev, prevWork = parts, work
 			}
+			newGreedyState(users, parts, params).descend(parts)
+			work := make([]float64, k)
+			for _, p := range parts {
+				if p.Remote {
+					work[p.User] += p.Work
+				}
+			}
+			slices.Sort(work)
+			slices.Reverse(work)
+			for i, w := range prevWork {
+				if work[i+1] > w {
+					t.Errorf("instance %d: rank %d offloads %v among %d users, %v among %d", inst, i, w, k-1, work[i+1], k)
+					break
+				}
+			}
+			for pi := range prev {
+				if parts[pi].Remote && !prev[pi].Remote {
+					byIndex++
+					break
+				}
+			}
+			prev, prevWork = parts, work
 		}
 	}
-	for mi, mode := range greedyModes {
-		t.Logf("%s: of %d steps k → k+1, %d grow a user's offloaded work by rank, %d grow a remote set by index", mode.name, steps, byRank[mi], byIndex[mi])
-	}
-	if byRank[0] != 0 {
-		t.Errorf("strict: a user offloads more after an identical user joined on %d of %d steps", byRank[0], steps)
-	}
+	t.Logf("of %d steps k → k+1, %d grow a remote set by index", steps, byIndex)
 }

@@ -18,30 +18,8 @@ var (
 	ErrNilGraph = errors.New("core: user graph is nil")
 )
 
-// GreedyMode selects the scheme-generation strategy of Algorithm 2.
-type GreedyMode int
-
-// Greedy modes.
-const (
-	// GreedyAuto picks Strict for small instances and Batch at scale.
-	GreedyAuto GreedyMode = iota
-	// GreedyStrict is the paper's Algorithm 2 verbatim: each iteration
-	// scans every remote part and moves the single best one. O(moves ×
-	// parts); exact but quadratic.
-	GreedyStrict
-	// GreedyBatch applies improving moves in rounds, re-validating each
-	// candidate's delta against the live state immediately before applying
-	// it. The objective decreases monotonically, convergence is to the same
-	// kind of local optimum, and large multi-user fleets stay tractable.
-	GreedyBatch
-)
-
-// greedyAutoCutoff is the part count above which GreedyAuto switches from
-// the quadratic strict scan to batch rounds.
-const greedyAutoCutoff = 4096
-
 // Options configures Solve. The zero value uses the spectral engine with
-// compression, default LPA and MEC parameters, and auto greedy.
+// compression and default LPA and MEC parameters.
 type Options struct {
 	// Engine is the minimum-cut engine (nil = SpectralEngine{}).
 	Engine Engine
@@ -53,8 +31,6 @@ type Options struct {
 	// sub-graphs (ablation; the paper's motivation for compressing is both
 	// speed and avoiding cuts through highly coupled pairs).
 	DisableCompression bool
-	// Greedy selects the scheme-generation strategy.
-	Greedy GreedyMode
 	// DisableGreedy stops after the initial cut split (ablation: measures
 	// what Algorithm 2's greedy pass adds over the raw minimum cuts).
 	DisableGreedy bool

@@ -49,9 +49,6 @@ type Options struct {
 	// a background fsync every interval, zero means DefaultFsyncInterval,
 	// negative means a synchronous fsync on every append.
 	FsyncInterval time.Duration
-	// MaxRecordBytes caps one record's payload (≤ 0 =
-	// DefaultMaxRecordBytes).
-	MaxRecordBytes int
 	// Logf, when non-nil, receives recovery and background diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -149,9 +146,6 @@ func Open(opts Options) (*Store, *Recovery, error) {
 	if opts.FS == nil {
 		opts.FS = OS{}
 	}
-	if opts.MaxRecordBytes <= 0 {
-		opts.MaxRecordBytes = DefaultMaxRecordBytes
-	}
 	syncEvery := opts.FsyncInterval < 0
 	if opts.FsyncInterval == 0 {
 		opts.FsyncInterval = DefaultFsyncInterval
@@ -181,7 +175,7 @@ func Open(opts Options) (*Store, *Recovery, error) {
 	// passed over (and left on disk — the next successful snapshot's
 	// cleanup removes them).
 	for i := len(snaps) - 1; i >= 0; i-- {
-		snap, lerr := loadSnapshot(fsys, filepath.Join(opts.Dir, snapName(snaps[i])), opts.MaxRecordBytes)
+		snap, lerr := loadSnapshot(fsys, filepath.Join(opts.Dir, snapName(snaps[i])))
 		if lerr != nil {
 			rec.InvalidSnapshots++
 			s.logf("durable: snapshot %d invalid: %v", snaps[i], lerr)
@@ -208,7 +202,7 @@ func Open(opts Options) (*Store, *Recovery, error) {
 		if seq > maxSeg {
 			maxSeg = seq
 		}
-		res := scanSegment(fsys, filepath.Join(opts.Dir, segName(seq)), opts.MaxRecordBytes, i == len(segs)-1)
+		res := scanSegment(fsys, filepath.Join(opts.Dir, segName(seq)), i == len(segs)-1)
 		if res.skipped {
 			rec.SegmentsSkipped++
 			s.logf("durable: segment %d unreadable, skipped", seq)
@@ -226,7 +220,7 @@ func Open(opts Options) (*Store, *Recovery, error) {
 		}
 	}
 
-	j, err := openJournal(fsys, opts.Dir, maxSeg+1, segs, opts.MaxRecordBytes, syncEvery)
+	j, err := openJournal(fsys, opts.Dir, maxSeg+1, segs, syncEvery)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -308,7 +302,7 @@ func (s *Store) Snapshot(fill func(add func([]byte) error) error) error {
 		return err
 	}
 	seq := s.snapSeq + 1
-	if err := writeSnapshot(s.fsys, s.opts.Dir, seq, barrier, s.opts.MaxRecordBytes, fill); err != nil {
+	if err := writeSnapshot(s.fsys, s.opts.Dir, seq, barrier, fill); err != nil {
 		s.snapErrs.Add(1)
 		return err
 	}

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -37,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, p := range want {
 		buf = appendFrame(buf, p)
 	}
-	sc := newRecordScanner(bytes.NewReader(buf), 0, 0)
+	sc := newRecordScanner(bytes.NewReader(buf), 0)
 	for i, w := range want {
 		got, err := sc.next()
 		if err != nil {
@@ -59,13 +60,15 @@ func TestScannerRejectsZeroLengthAndOversize(t *testing.T) {
 	// A zero-length frame (e.g. an all-zero page) must be corrupt, not an
 	// empty record.
 	zero := make([]byte, 64)
-	sc := newRecordScanner(bytes.NewReader(zero), 0, 0)
+	sc := newRecordScanner(bytes.NewReader(zero), 0)
 	if _, err := sc.next(); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("zero page: %v, want ErrCorruptRecord", err)
 	}
-	// A length beyond the cap is rejected before allocation.
-	huge := appendFrame(nil, bytes.Repeat([]byte{7}, 100))
-	sc = newRecordScanner(bytes.NewReader(huge), 0, 10)
+	// A length beyond the cap is rejected before allocation: the header
+	// alone declares the oversize payload.
+	huge := make([]byte, frameHeaderLen)
+	binary.LittleEndian.PutUint32(huge, maxRecordBytes+1)
+	sc = newRecordScanner(bytes.NewReader(huge), 0)
 	if _, err := sc.next(); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("oversize: %v, want ErrCorruptRecord", err)
 	}
@@ -74,7 +77,7 @@ func TestScannerRejectsZeroLengthAndOversize(t *testing.T) {
 func TestScannerReportsTornHeaderAndPayload(t *testing.T) {
 	full := appendFrame(nil, []byte("hello"))
 	for _, cut := range []int{1, frameHeaderLen - 1, frameHeaderLen + 2} {
-		sc := newRecordScanner(bytes.NewReader(full[:cut]), 0, 0)
+		sc := newRecordScanner(bytes.NewReader(full[:cut]), 0)
 		if _, err := sc.next(); !errors.Is(err, ErrTornRecord) {
 			t.Fatalf("cut at %d: %v, want ErrTornRecord", cut, err)
 		}
@@ -128,7 +131,7 @@ func TestAppendRejectsEmptyAndOversize(t *testing.T) {
 	if _, err := s.Append(nil); err == nil {
 		t.Fatal("Append(nil) succeeded")
 	}
-	if _, err := s.Append(make([]byte, DefaultMaxRecordBytes+1)); err == nil {
+	if _, err := s.Append(make([]byte, maxRecordBytes+1)); err == nil {
 		t.Fatal("oversize Append succeeded")
 	}
 }

@@ -42,7 +42,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatalf("write fuzz segment: %v", err)
 		}
-		res := scanSegment(OS{}, path, 1<<20, true)
+		res := scanSegment(OS{}, path, true)
 		if res.skipped {
 			if len(res.records) != 0 {
 				t.Fatalf("skipped segment surfaced %d records", len(res.records))
@@ -71,7 +71,7 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// Idempotence: rescanning the repaired file yields the same
 		// records and no further damage.
-		again := scanSegment(OS{}, path, 1<<20, true)
+		again := scanSegment(OS{}, path, true)
 		if again.skipped {
 			t.Fatal("repaired segment became unreadable")
 		}

@@ -50,7 +50,6 @@ func parseSegName(name string) (uint64, bool) {
 type journal struct {
 	fsys      FS
 	dir       string
-	maxRecord int
 	syncEvery bool // fsync inline on every append (FsyncInterval < 0)
 
 	syncMu sync.Mutex // held across fsync/rotate/close; before mu
@@ -75,11 +74,10 @@ type journal struct {
 
 // openJournal opens a fresh active segment with sequence activeSeq in dir,
 // treating existing (already scanned) segments as frozen.
-func openJournal(fsys FS, dir string, activeSeq uint64, frozen []uint64, maxRecord int, syncEvery bool) (*journal, error) {
+func openJournal(fsys FS, dir string, activeSeq uint64, frozen []uint64, syncEvery bool) (*journal, error) {
 	j := &journal{
 		fsys:        fsys,
 		dir:         dir,
-		maxRecord:   maxRecord,
 		syncEvery:   syncEvery,
 		seg:         activeSeq,
 		outstanding: make(map[uint64]int),
@@ -117,7 +115,7 @@ func (j *journal) createSegment(seq uint64) (File, error) {
 // a SIGKILL loses nothing once the caller has seen the token — but
 // stable-storage durability waits for the next group fsync.
 func (j *journal) append(payload []byte) (uint64, error) {
-	if len(payload) == 0 || len(payload) > j.maxRecord {
+	if len(payload) == 0 || len(payload) > maxRecordBytes {
 		return 0, fmt.Errorf("%w: payload of %d bytes", ErrCorruptRecord, len(payload))
 	}
 	j.mu.Lock()
@@ -310,7 +308,7 @@ type segScanResult struct {
 // mid-append), the file is truncated back to the last valid record so
 // the tear can never shadow future appends. Scanning never fails boot:
 // an unreadable file is skipped and counted.
-func scanSegment(fsys FS, path string, maxRecord int, repairTail bool) segScanResult {
+func scanSegment(fsys FS, path string, repairTail bool) segScanResult {
 	var res segScanResult
 	flag := os.O_RDONLY
 	if repairTail {
@@ -330,7 +328,7 @@ func scanSegment(fsys FS, path string, maxRecord int, repairTail bool) segScanRe
 		res.skipped = true
 		return res
 	}
-	sc := newRecordScanner(f, segHeaderLen, maxRecord)
+	sc := newRecordScanner(f, segHeaderLen)
 	for {
 		payload, err := sc.next()
 		if errors.Is(err, io.EOF) {

@@ -14,16 +14,16 @@ import (
 //
 // little-endian, with the Castagnoli polynomial (the hardware-accelerated
 // CRC used by ext4, Btrfs and most storage formats). The length is
-// checked against the configured maximum before any allocation, a
+// checked against maxRecordBytes before any allocation, a
 // zero-length record is invalid by definition (an all-zero disk page must
 // not scan as an endless stream of empty records), and a record whose
 // checksum does not match its payload is never surfaced to the caller.
 const (
 	// frameHeaderLen is the per-record framing overhead in bytes.
 	frameHeaderLen = 8
-	// DefaultMaxRecordBytes caps one record's payload (journal appends
-	// and snapshot records alike) unless Options overrides it.
-	DefaultMaxRecordBytes = 64 << 20
+	// maxRecordBytes caps one record's payload (journal appends
+	// and snapshot records alike).
+	maxRecordBytes = 64 << 20
 )
 
 // crcTable is the Castagnoli (CRC32C) table shared by all framing.
@@ -56,19 +56,15 @@ func appendFrame(dst, payload []byte) []byte {
 // truncated exactly there.
 type recordScanner struct {
 	r        io.Reader
-	max      int
 	validOff int64 // offset just past the last valid record
 	off      int64 // offset of the next unread byte
 }
 
 // newRecordScanner scans framed records from r, starting at offset start
 // (the segment header the caller already consumed), rejecting payloads
-// over max bytes.
-func newRecordScanner(r io.Reader, start int64, max int) *recordScanner {
-	if max <= 0 {
-		max = DefaultMaxRecordBytes
-	}
-	return &recordScanner{r: r, max: max, validOff: start, off: start}
+// over maxRecordBytes.
+func newRecordScanner(r io.Reader, start int64) *recordScanner {
+	return &recordScanner{r: r, validOff: start, off: start}
 }
 
 // next returns the next record's payload. io.EOF reports a clean end of
@@ -90,7 +86,7 @@ func (s *recordScanner) next() ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || int64(length) > int64(s.max) {
+	if length == 0 || length > maxRecordBytes {
 		return nil, fmt.Errorf("%w: record length %d", ErrCorruptRecord, length)
 	}
 	payload := make([]byte, length)

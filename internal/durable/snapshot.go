@@ -45,7 +45,7 @@ type snapshotData struct {
 // filling its records through the fill callback (fill calls add once per
 // record), and atomically renames it into place. On any failure the
 // temporary file is removed and the previous snapshot remains the latest.
-func writeSnapshot(fsys FS, dir string, seq, barrier uint64, maxRecord int, fill func(add func([]byte) error) error) (err error) {
+func writeSnapshot(fsys FS, dir string, seq, barrier uint64, fill func(add func([]byte) error) error) (err error) {
 	tmp := filepath.Join(dir, snapName(seq)+".tmp")
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -69,7 +69,7 @@ func writeSnapshot(fsys FS, dir string, seq, barrier uint64, maxRecord int, fill
 	}
 	var scratch []byte
 	add := func(payload []byte) error {
-		if len(payload) == 0 || len(payload) > maxRecord {
+		if len(payload) == 0 || len(payload) > maxRecordBytes {
 			return fmt.Errorf("%w: snapshot record of %d bytes", ErrCorruptRecord, len(payload))
 		}
 		scratch = appendFrame(scratch[:0], payload)
@@ -99,7 +99,7 @@ func writeSnapshot(fsys FS, dir string, seq, barrier uint64, maxRecord int, fill
 
 // loadSnapshot reads and fully validates one snapshot file; any invalid
 // header, torn record or checksum failure rejects the whole file.
-func loadSnapshot(fsys FS, path string, maxRecord int) (*snapshotData, error) {
+func loadSnapshot(fsys FS, path string) (*snapshotData, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func loadSnapshot(fsys FS, path string, maxRecord int) (*snapshotData, error) {
 		seq:     binary.LittleEndian.Uint64(hdr[6:14]),
 		barrier: binary.LittleEndian.Uint64(hdr[14:22]),
 	}
-	sc := newRecordScanner(f, snapHeaderLen, maxRecord)
+	sc := newRecordScanner(f, snapHeaderLen)
 	for {
 		payload, err := sc.next()
 		if errors.Is(err, io.EOF) {

@@ -16,7 +16,7 @@ func BenchmarkMaxFlowBisect200(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := MaxFlowBisect(off, tgt, w, 3); err != nil {
+		if _, _, _, err := MaxFlowBisect(off, tgt, w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -203,10 +203,11 @@ func STMinCut(off, tgt []int32, w []float64, s, t int32) (sideA, sideB []int32, 
 // MaxFlowBisect approximates the global minimum cut the way the paper's
 // baseline uses max-flow: it fixes the highest-degree node (smallest id on
 // ties) as the source — the hub a real application's entry function
-// resembles — and tries the k nodes farthest from it (BFS depth) as sinks,
-// keeping the best cut. k ≤ 0 means 3. A disconnected graph short-circuits
-// to a free cut: node 0's component against the rest.
-func MaxFlowBisect(off, tgt []int32, w []float64, k int) (sideA, sideB []int32, weight float64, err error) {
+// resembles — and tries the 3 nodes farthest from it (BFS depth) as sinks,
+// keeping the best cut. A disconnected graph short-circuits to a free cut:
+// node 0's component against the rest.
+func MaxFlowBisect(off, tgt []int32, w []float64) (sideA, sideB []int32, weight float64, err error) {
+	const sinks = 3
 	n := len(off) - 1
 	switch {
 	case n <= 0:
@@ -222,9 +223,6 @@ func MaxFlowBisect(off, tgt []int32, w []float64, k int) (sideA, sideB []int32, 
 		sideA, sideB = split(inA)
 		return sideA, sideB, 0, nil
 	}
-	if k <= 0 {
-		k = 3
-	}
 	var s int32
 	for u := int32(1); u < int32(n); u++ {
 		if off[u+1]-off[u] > off[s+1]-off[s] {
@@ -233,7 +231,7 @@ func MaxFlowBisect(off, tgt []int32, w []float64, k int) (sideA, sideB []int32, 
 	}
 	order := bfsOrder(off, tgt, s)
 	best := math.Inf(1)
-	for i := 0; i < k && i < len(order)-1; i++ {
+	for i := 0; i < sinks && i < len(order)-1; i++ {
 		t := order[len(order)-1-i]
 		a, b, cw, err := STMinCut(off, tgt, w, s, t)
 		if err != nil {

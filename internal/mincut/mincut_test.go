@@ -235,7 +235,7 @@ func TestMaxFlowBisectDumbbell(t *testing.T) {
 	}
 	edges = append(edges, graph.Edge{U: 0, V: 4, Weight: 0.5})
 	off, tgt, wts := csrOf(build(t, 8, edges))
-	a, b, w, err := MaxFlowBisect(off, tgt, wts, 3)
+	a, b, w, err := MaxFlowBisect(off, tgt, wts)
 	if err != nil {
 		t.Fatalf("MaxFlowBisect: %v", err)
 	}
@@ -249,16 +249,16 @@ func TestMaxFlowBisectDumbbell(t *testing.T) {
 
 func TestMaxFlowBisectEdgeCases(t *testing.T) {
 	off, tgt, wts := csrOf(graph.New(0))
-	if _, _, _, err := MaxFlowBisect(off, tgt, wts, 3); !errors.Is(err, ErrEmptyGraph) {
+	if _, _, _, err := MaxFlowBisect(off, tgt, wts); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("empty error = %v", err)
 	}
 	off, tgt, wts = csrOf(build(t, 1, nil))
-	a, b, w, err := MaxFlowBisect(off, tgt, wts, 3)
+	a, b, w, err := MaxFlowBisect(off, tgt, wts)
 	if err != nil || len(a) != 1 || len(b) != 0 || w != 0 {
 		t.Errorf("single = %v %v %v %v", a, b, w, err)
 	}
 	off, tgt, wts = csrOf(build(t, 4, []graph.Edge{{U: 0, V: 1, Weight: 2}, {U: 2, V: 3, Weight: 2}}))
-	a, b, w, err = MaxFlowBisect(off, tgt, wts, 3)
+	a, b, w, err = MaxFlowBisect(off, tgt, wts)
 	if err != nil {
 		t.Fatal(err)
 	}

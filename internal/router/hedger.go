@@ -1,114 +1,43 @@
 package router
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
+
+	"copmecs/internal/serve"
 )
-
-// hedgeBoundsUs are the upper bounds (microseconds) of the forward-latency
-// histogram the hedger estimates its p99 from; a final +Inf bucket catches
-// the rest. The geometric spacing bounds the quantile estimate's error to
-// one bucket width, which is plenty for a hedge trigger.
-var hedgeBoundsUs = []uint64{
-	250, 500, 1000, 2500, 5000, 10_000, 25_000, 50_000,
-	100_000, 250_000, 500_000, 1_000_000, 2_500_000,
-}
-
-// numHedgeBuckets sizes the tracker's bucket array: one per bound plus +Inf.
-const numHedgeBuckets = 14
-
-// latencyTracker is a lock-free fixed-bucket histogram of successful
-// forward latencies. observe is two atomic adds; quantile scans 14 atomics
-// — both cheap enough to sit on the per-attempt path.
-type latencyTracker struct {
-	counts [numHedgeBuckets]atomic.Uint64
-	total  atomic.Uint64
-}
-
-// observe records one successful attempt's latency.
-func (t *latencyTracker) observe(d time.Duration) {
-	us := uint64(d / time.Microsecond)
-	i := 0
-	for i < len(hedgeBoundsUs) && us > hedgeBoundsUs[i] {
-		i++
-	}
-	t.counts[i].Add(1)
-	t.total.Add(1)
-}
-
-// quantile estimates the q-th latency quantile as the upper bound of the
-// first bucket whose cumulative count reaches q of the total; ok is false
-// on an empty tracker. The +Inf bucket reports twice the last finite bound.
-func (t *latencyTracker) quantile(q float64) (d time.Duration, ok bool) {
-	total := t.total.Load()
-	if total == 0 {
-		return 0, false
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i := 0; i < numHedgeBuckets; i++ {
-		cum += t.counts[i].Load()
-		if cum >= target {
-			if i < len(hedgeBoundsUs) {
-				return time.Duration(hedgeBoundsUs[i]) * time.Microsecond, true
-			}
-			return 2 * time.Duration(hedgeBoundsUs[len(hedgeBoundsUs)-1]) * time.Microsecond, true
-		}
-	}
-	return 2 * time.Duration(hedgeBoundsUs[len(hedgeBoundsUs)-1]) * time.Microsecond, true
-}
 
 // hedger decides when a slow primary attempt earns a speculative duplicate
 // on the next ring replica. The trigger budget tracks the observed p99 —
 // hedges fire only for genuinely tail-slow attempts (~1% of traffic), so
 // the duplicate-work tax stays bounded while tail latency collapses toward
-// the second-fastest backend. Until minSamples observations arrive the
-// budget is the fixed cold-start value.
+// the second-fastest backend. Until hedgeMinSamples observations
+// arrive the budget is hedgeCold.
 type hedger struct {
-	enabled    bool
-	mult       float64       // budget = mult × p99
-	min, max   time.Duration // clamp on the derived budget
-	cold       time.Duration // budget before minSamples observations
-	minSamples uint64
+	enabled bool
 
-	lat   latencyTracker
-	fired atomic.Uint64 // speculative duplicates launched
-	won   atomic.Uint64 // hedges that produced the winning response
+	lat   serve.Histogram // successful forward latencies
+	fired atomic.Uint64   // speculative duplicates launched
+	won   atomic.Uint64   // hedges that produced the winning response
 }
 
 // budget returns the current hedge trigger delay, or 0 when hedging is
-// disabled (callers must not arm a timer on 0).
+// disabled (callers must not arm a timer on 0): hedgeMultiplier ×
+// the p99 bucket bound, clamped to [hedgeMin, hedgeMax].
 func (h *hedger) budget() time.Duration {
 	if !h.enabled {
 		return 0
 	}
-	if h.lat.total.Load() < h.minSamples {
-		return h.cold
+	p99, n := h.lat.Quantile(0.99)
+	if n < hedgeMinSamples {
+		return hedgeCold
 	}
-	p99, ok := h.lat.quantile(0.99)
-	if !ok {
-		return h.cold
-	}
-	d := time.Duration(h.mult * float64(p99))
-	if d < h.min {
-		d = h.min
-	}
-	if d > h.max {
-		d = h.max
-	}
-	return d
+	return min(max(hedgeMultiplier*p99, hedgeMin), hedgeMax)
 }
 
 // p99 reports the tracked 99th-percentile forward latency in milliseconds
 // (0 until any sample arrives) for the stats document.
 func (h *hedger) p99() float64 {
-	d, ok := h.lat.quantile(0.99)
-	if !ok {
-		return 0
-	}
+	d, _ := h.lat.Quantile(0.99)
 	return float64(d) / float64(time.Millisecond)
 }

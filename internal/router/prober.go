@@ -67,7 +67,6 @@ type prober struct {
 	backends     []*backend
 	client       *http.Client
 	interval     time.Duration
-	timeout      time.Duration
 	failAfter    int    // consecutive failures before quarantine
 	readmitAfter int    // consecutive probe successes before re-admission
 	onChange     func() // ring rebuild hook; called with no backend lock held
@@ -112,7 +111,7 @@ func (p *prober) sweep(ctx context.Context) {
 func (p *prober) probe(ctx context.Context, b *backend) {
 	p.checks.Add(1)
 	start := time.Now()
-	pctx, cancel := context.WithTimeout(ctx, p.timeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	ok, errMsg := p.check(pctx, b)
 	elapsedMs := float64(time.Since(start)) / float64(time.Millisecond)

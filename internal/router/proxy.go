@@ -132,9 +132,9 @@ func (rt *Router) routeSolve(body []byte) ([]*backend, func(attemptResult), erro
 // fleet member may be back before its probes say so, and trying beats a
 // guaranteed 503.
 func (rt *Router) replicasFor(fp string) []*backend {
-	names := rt.ring.Load().Replicas(fp, rt.cfg.MaxAttempts)
+	names := rt.ring.Load().Replicas(fp, maxAttempts)
 	if len(names) == 0 {
-		names = rt.fullRing.Replicas(fp, rt.cfg.MaxAttempts)
+		names = rt.fullRing.Replicas(fp, maxAttempts)
 	}
 	reps := make([]*backend, 0, len(names))
 	for _, n := range names {
@@ -185,7 +185,7 @@ func (rt *Router) forward(ctx context.Context, path string, reps []*backend, bod
 				if res.idx >= hedgedFrom {
 					rt.hedge.won.Add(1)
 				}
-				rt.hedge.lat.observe(time.Since(res.began))
+				rt.hedge.lat.Observe(time.Since(res.began))
 				return res
 			}
 			// Hard failure: report transport errors for fast quarantine

@@ -65,10 +65,10 @@ func TestReplicasForNeverEmpty(t *testing.T) {
 	}
 	for i := 0; i < 32; i++ {
 		fp := fingerprintOf(t, makeBody(i))
-		if ready := rt.ring.Load().Replicas(fp, rt.cfg.MaxAttempts); len(ready) != 0 {
+		if ready := rt.ring.Load().Replicas(fp, maxAttempts); len(ready) != 0 {
 			t.Fatalf("ready ring still routes to %v with every backend quarantined", ready)
 		}
-		want := rt.fullRing.Replicas(fp, rt.cfg.MaxAttempts)
+		want := rt.fullRing.Replicas(fp, maxAttempts)
 		reps := rt.replicasFor(fp)
 		if len(reps) == 0 || len(reps) != len(want) {
 			t.Fatalf("replicasFor(%s) = %d candidates, want %d", fp, len(reps), len(want))

@@ -7,11 +7,11 @@ import (
 	"sort"
 )
 
-// DefaultVnodes is the default number of virtual nodes per backend. 128
+// vnodes is the number of virtual nodes per backend. 128
 // points per member keeps the largest/smallest ownership arc within a few
 // percent of fair share for small fleets (asserted by the ring tests)
 // while a full ring rebuild stays microseconds.
-const DefaultVnodes = 128
+const vnodes = 128
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -33,16 +33,12 @@ type ringPoint struct {
 type Ring struct {
 	members []string
 	points  []ringPoint
-	vnodes  int
 }
 
 // NewRing builds a ring over the given members (deduplicated, order
-// independent) with vnodes virtual nodes each (≤ 0 = DefaultVnodes). An
-// empty member list yields an empty ring whose lookups report no owner.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// independent) with vnodes virtual nodes each. An empty member list
+// yields an empty ring whose lookups report no owner.
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]struct{}, len(members))
 	for _, m := range members {
@@ -52,7 +48,7 @@ func NewRing(members []string, vnodes int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, vnodes: vnodes}
+	r := &Ring{members: uniq}
 	r.points = make([]ringPoint, 0, len(uniq)*vnodes)
 	for i, m := range uniq {
 		for v := 0; v < vnodes; v++ {
@@ -107,9 +103,6 @@ func (r *Ring) Members() []string { return r.members }
 
 // Size reports the number of members.
 func (r *Ring) Size() int { return len(r.members) }
-
-// Vnodes reports the virtual nodes per member.
-func (r *Ring) Vnodes() int { return r.vnodes }
 
 // succ returns the index of the first point at or clockwise of hash h
 // (wrapping past the top of the circle).

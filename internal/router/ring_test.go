@@ -16,8 +16,8 @@ func ringKeys(n int) []string {
 }
 
 func TestRingDeterministicAndOrderIndependent(t *testing.T) {
-	a := NewRing([]string{"a", "b", "c"}, 64)
-	b := NewRing([]string{"c", "a", "b", "a"}, 64) // shuffled + duplicate
+	a := NewRing([]string{"a", "b", "c"})
+	b := NewRing([]string{"c", "a", "b", "a"}) // shuffled + duplicate
 	if a.Size() != 3 || b.Size() != 3 {
 		t.Fatalf("sizes = %d, %d, want 3", a.Size(), b.Size())
 	}
@@ -31,7 +31,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if _, ok := r.Owner("k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
@@ -44,11 +44,11 @@ func TestRingEmpty(t *testing.T) {
 }
 
 func TestRingUniformDistribution(t *testing.T) {
-	// With DefaultVnodes, 10k uniform keys over 4 members must land within
+	// 10k uniform keys over 4 members must land within
 	// a generous tolerance of fair share — the property that makes
 	// fingerprint routing a load balancer and not just a cache partitioner.
 	members := []string{"be-0", "be-1", "be-2", "be-3"}
-	r := NewRing(members, DefaultVnodes)
+	r := NewRing(members)
 	counts := map[string]int{}
 	keys := ringKeys(10000)
 	for _, k := range keys {
@@ -85,8 +85,8 @@ func TestRingMinimalMovement(t *testing.T) {
 	// the consistent-hashing contract that keeps backend caches hot across
 	// fleet membership changes.
 	members := []string{"be-0", "be-1", "be-2", "be-3"}
-	before := NewRing(members, DefaultVnodes)
-	after := NewRing(members[:3], DefaultVnodes) // be-3 leaves
+	before := NewRing(members)
+	after := NewRing(members[:3]) // be-3 leaves
 	moved, total := 0, 0
 	for _, k := range ringKeys(5000) {
 		ob, _ := before.Owner(k)
@@ -106,7 +106,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 
 	// A join must likewise only pull keys onto the new member.
-	joined := NewRing(append(members, "be-4"), DefaultVnodes)
+	joined := NewRing(append(members, "be-4"))
 	for _, k := range ringKeys(5000) {
 		ob, _ := before.Owner(k)
 		oj, _ := joined.Owner(k)
@@ -117,7 +117,7 @@ func TestRingMinimalMovement(t *testing.T) {
 }
 
 func TestRingReplicasDistinctAndOwnerFirst(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c", "d"}, 32)
+	r := NewRing([]string{"a", "b", "c", "d"})
 	for _, k := range ringKeys(200) {
 		owner, _ := r.Owner(k)
 		reps := r.Replicas(k, 3)
@@ -142,7 +142,7 @@ func TestRingReplicasDistinctAndOwnerFirst(t *testing.T) {
 }
 
 func TestRingSingleMember(t *testing.T) {
-	r := NewRing([]string{"solo"}, 8)
+	r := NewRing([]string{"solo"})
 	o, ok := r.Owner("anything")
 	if !ok || o != "solo" {
 		t.Fatalf("owner = %s/%v", o, ok)

@@ -45,39 +45,43 @@ import (
 	"copmecs/internal/serve"
 )
 
-// Default tuning, overridable through Config unless noted.
+// Defaults of the Config fields a zero value leaves unset.
 const (
 	// DefaultProbeInterval is the health sweep period.
 	DefaultProbeInterval = 500 * time.Millisecond
-	// DefaultProbeTimeout bounds one health check.
-	DefaultProbeTimeout = 2 * time.Second
 	// DefaultQuarantineAfter is the consecutive-failure threshold.
 	DefaultQuarantineAfter = 2
 	// DefaultReadmitAfter is the consecutive-success threshold.
 	DefaultReadmitAfter = 2
-	// DefaultHedgeMultiplier scales the observed p99 into the hedge budget.
-	DefaultHedgeMultiplier = 3
-	// DefaultHedgeMin floors the hedge budget so hedges never fire inside
-	// normal cache-hit latency jitter.
-	DefaultHedgeMin = 10 * time.Millisecond
-	// DefaultHedgeMax caps the hedge budget.
-	DefaultHedgeMax = 2 * time.Second
-	// DefaultHedgeCold is the budget before enough samples exist.
-	DefaultHedgeCold = 500 * time.Millisecond
-	// DefaultHedgeMinSamples is how many forward latencies must be observed
-	// before the p99-derived budget replaces the cold-start one.
-	DefaultHedgeMinSamples = 32
-	// DefaultForwardTimeout bounds one proxied solve attempt end to end.
-	DefaultForwardTimeout = 30 * time.Second
-	// DefaultStatsTimeout bounds one backend's stats fetch during
-	// aggregation (a constant, not a Config field).
-	DefaultStatsTimeout = 2 * time.Second
 	// defaultIdentCapacity bounds the identity and affinity caches when
 	// Config.IdentCacheSize is 0.
 	defaultIdentCapacity = 65536
-	// DefaultMaxAttempts caps the distinct replicas tried per request
+)
+
+// Router tuning.
+const (
+	// probeTimeout bounds one health check.
+	probeTimeout = 2 * time.Second
+	// hedgeMultiplier scales the observed p99 into the hedge budget.
+	hedgeMultiplier = 3
+	// hedgeMin floors the hedge budget so hedges never fire inside
+	// normal cache-hit latency jitter.
+	hedgeMin = 10 * time.Millisecond
+	// hedgeMax caps the hedge budget.
+	hedgeMax = 2 * time.Second
+	// hedgeCold is the budget before enough samples exist.
+	hedgeCold = 500 * time.Millisecond
+	// hedgeMinSamples is how many forward latencies must be observed
+	// before the p99-derived budget replaces the cold-start one.
+	hedgeMinSamples = 32
+	// forwardTimeout bounds one proxied solve attempt end to end.
+	forwardTimeout = 30 * time.Second
+	// statsTimeout bounds one backend's stats fetch during
+	// aggregation.
+	statsTimeout = 2 * time.Second
+	// maxAttempts caps the distinct replicas tried per request
 	// (failover plus hedge), unless the ring is smaller.
-	DefaultMaxAttempts = 3
+	maxAttempts = 3
 )
 
 // BackendConfig names one fleet member.
@@ -95,14 +99,8 @@ type BackendConfig struct {
 type Config struct {
 	// Backends is the fleet (at least one member, unique names).
 	Backends []BackendConfig
-	// Vnodes is the virtual nodes per backend on the ring.
-	Vnodes int
-	// MaxAttempts caps distinct replicas tried per request.
-	MaxAttempts int
 	// ProbeInterval is the health sweep period.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health check.
-	ProbeTimeout time.Duration
 	// QuarantineAfter is the consecutive-failure threshold for ejection.
 	QuarantineAfter int
 	// ReadmitAfter is the consecutive-success threshold for re-admission.
@@ -110,18 +108,6 @@ type Config struct {
 	// DisableHedge turns speculative duplicates off (failover retry on
 	// hard errors still applies).
 	DisableHedge bool
-	// HedgeMultiplier scales the observed p99 into the hedge budget.
-	HedgeMultiplier float64
-	// HedgeMin floors the hedge budget.
-	HedgeMin time.Duration
-	// HedgeMax caps the hedge budget.
-	HedgeMax time.Duration
-	// HedgeCold is the hedge budget before HedgeMinSamples observations.
-	HedgeCold time.Duration
-	// HedgeMinSamples gates the p99-derived budget.
-	HedgeMinSamples int
-	// ForwardTimeout bounds one proxied attempt.
-	ForwardTimeout time.Duration
 	// Limits bounds request decoding on the identity-cache miss path.
 	Limits serve.DecodeLimits
 	// IdentCacheSize caps the digest → fingerprint identity cache.
@@ -132,41 +118,14 @@ type Config struct {
 
 // withDefaults resolves zero fields to package defaults.
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = DefaultMaxAttempts
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = DefaultProbeTimeout
 	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = DefaultQuarantineAfter
 	}
 	if c.ReadmitAfter <= 0 {
 		c.ReadmitAfter = DefaultReadmitAfter
-	}
-	if c.HedgeMultiplier <= 0 {
-		c.HedgeMultiplier = DefaultHedgeMultiplier
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = DefaultHedgeMin
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = DefaultHedgeMax
-	}
-	if c.HedgeCold <= 0 {
-		c.HedgeCold = DefaultHedgeCold
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = DefaultHedgeMinSamples
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = DefaultForwardTimeout
 	}
 	if c.IdentCacheSize <= 0 {
 		c.IdentCacheSize = defaultIdentCapacity
@@ -229,7 +188,7 @@ func New(cfg Config) (*Router, error) {
 		affinity: lru.New[string, string](cfg.IdentCacheSize, lru.HashString, nil),
 		begin:    time.Now(),
 		client: &http.Client{
-			Timeout: cfg.ForwardTimeout,
+			Timeout: forwardTimeout,
 			Transport: &http.Transport{
 				MaxIdleConns:        256,
 				MaxIdleConnsPerHost: 64,
@@ -254,26 +213,18 @@ func New(cfg Config) (*Router, error) {
 		rt.byName[bc.Name] = b
 		names = append(names, bc.Name)
 	}
-	rt.hedge = &hedger{
-		enabled:    !cfg.DisableHedge,
-		mult:       cfg.HedgeMultiplier,
-		min:        cfg.HedgeMin,
-		max:        cfg.HedgeMax,
-		cold:       cfg.HedgeCold,
-		minSamples: uint64(cfg.HedgeMinSamples),
-	}
+	rt.hedge = &hedger{enabled: !cfg.DisableHedge}
 	rt.prober = &prober{
 		backends:     rt.backends,
 		client:       rt.client,
 		interval:     cfg.ProbeInterval,
-		timeout:      cfg.ProbeTimeout,
 		failAfter:    cfg.QuarantineAfter,
 		readmitAfter: cfg.ReadmitAfter,
 		onChange:     rt.rebuildRing,
 		logf:         cfg.Logf,
 		done:         make(chan struct{}),
 	}
-	rt.fullRing = NewRing(names, cfg.Vnodes)
+	rt.fullRing = NewRing(names)
 	rt.rebuildRing()
 	return rt, nil
 }
@@ -288,7 +239,7 @@ func (rt *Router) rebuildRing() {
 			names = append(names, b.name)
 		}
 	}
-	rt.ring.Store(NewRing(names, rt.cfg.Vnodes))
+	rt.ring.Store(NewRing(names))
 }
 
 // Start launches the health prober. The prober stops when ctx is canceled

@@ -354,11 +354,12 @@ func TestRouterFlappingBackendUnderLoad(t *testing.T) {
 
 func TestRouterHedgesSlowPrimary(t *testing.T) {
 	// Two scripted backends: the body's ring owner stalls, the other
-	// answers instantly. The hedge must fire after the cold budget and win
+	// answers instantly. The hedge must fire after the cold budget
+	// (hedgeCold: the first request has no latency samples) and win
 	// long before the stall ends.
 	body := makeBody(0)
 	fp := fingerprintOf(t, body)
-	owner, _ := NewRing([]string{"be-a", "be-b"}, DefaultVnodes).Owner(fp)
+	owner, _ := NewRing([]string{"be-a", "be-b"}).Owner(fp)
 
 	canned := `{"remote":[1],"cached":false}`
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -390,9 +391,7 @@ func TestRouterHedgesSlowPrimary(t *testing.T) {
 			{Name: "be-a", URL: urls["be-a"]},
 			{Name: "be-b", URL: urls["be-b"]},
 		},
-		ProbeInterval:   time.Hour, // scripted handlers answer /v1/health with the canned body; keep the prober out of the picture
-		HedgeCold:       30 * time.Millisecond,
-		HedgeMinSamples: 1 << 30, // stay on the cold budget
+		ProbeInterval: time.Hour, // scripted handlers answer /v1/health with the canned body; keep the prober out of the picture
 	})
 
 	start := time.Now()

@@ -38,8 +38,6 @@ type BackendStatus struct {
 
 // RingStatus describes the live ring in the router stats document.
 type RingStatus struct {
-	// Vnodes is the virtual nodes per member.
-	Vnodes int `json:"vnodes"`
 	// Members are the ready backends currently on the ring.
 	Members []string `json:"members"`
 	// Ownership is each member's fraction of the hash circle.
@@ -66,7 +64,8 @@ type HedgeStatus struct {
 	Enabled bool `json:"enabled"`
 	// BudgetMs is the current hedge trigger delay.
 	BudgetMs float64 `json:"budget_ms"`
-	// P99Ms is the observed forward-latency p99 feeding the budget.
+	// P99Ms is the observed forward-latency p99 feeding the budget, as the
+	// upper bound of its millisecond bucket (a sub-millisecond p99 reads 1).
 	P99Ms float64 `json:"p99_ms"`
 	// Fired counts speculative duplicates launched.
 	Fired uint64 `json:"fired"`
@@ -199,7 +198,6 @@ func (rt *Router) routerStatus() RouterStatus {
 		Draining:     rt.draining.Load(),
 		UptimeS:      time.Since(rt.begin).Seconds(),
 		Ring: RingStatus{
-			Vnodes:    ring.Vnodes(),
 			Members:   ring.Members(),
 			Ownership: ring.Ownership(),
 		},
@@ -226,7 +224,7 @@ func (rt *Router) routerStatus() RouterStatus {
 
 // fetchStats retrieves one backend's raw stats document.
 func (rt *Router) fetchStats(ctx context.Context, b *backend) (json.RawMessage, error) {
-	sctx, cancel := context.WithTimeout(ctx, DefaultStatsTimeout)
+	sctx, cancel := context.WithTimeout(ctx, statsTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, b.url+"/v1/stats", nil)
 	if err != nil {
@@ -286,7 +284,7 @@ func mergeFleet(f *FleetStatus, s *serve.Stats) {
 }
 
 // handleStats serves the fleet-wide stats document: backend stats are
-// fetched concurrently (bounded by DefaultStatsTimeout each), merged, and
+// fetched concurrently (bounded by statsTimeout each), merged, and
 // returned next to the router's own sections. Unreachable backends are
 // simply absent from the fleet aggregate — their probe state in the
 // router section tells the story.

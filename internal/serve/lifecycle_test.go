@@ -65,7 +65,7 @@ type mutateFixture struct {
 func newMutateFixture(t *testing.T) *mutateFixture {
 	t.Helper()
 	f := &mutateFixture{eng: newGateEngine(), jr: newFakeJournal()}
-	f.s = newTestServer(t, Config{Engine: f.eng, Journal: f.jr, BatchWait: time.Millisecond, RetryAfter: 2 * time.Second})
+	f.s = newTestServer(t, Config{Engine: f.eng, Journal: f.jr, BatchWait: time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	f.s.Start(ctx)
@@ -201,8 +201,8 @@ func TestMutateDuringDrainIsRejectedUnjournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
-		t.Errorf("mutate while draining = %d, Retry-After %q; want 503, \"2\"", resp.StatusCode, resp.Header.Get("Retry-After"))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("mutate while draining = %d, Retry-After %q; want 503, \"1\"", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	if appends, _ := f.jr.counts(); appends != 1 {
 		t.Errorf("journal appends = %d, want 1 (the prime solve only)", appends)
@@ -237,7 +237,7 @@ func TestFailedMutateReleasesItsJournalRecord(t *testing.T) {
 }
 
 func TestFailMapsEverySentinel(t *testing.T) {
-	s := newTestServer(t, Config{RetryAfter: 3 * time.Second})
+	s := newTestServer(t, Config{})
 	cases := []struct {
 		err        error
 		status     int
@@ -266,7 +266,7 @@ func TestFailMapsEverySentinel(t *testing.T) {
 		if rec.Code != c.status {
 			t.Errorf("fail(%v) = %d, want %d", c.err, rec.Code, c.status)
 		}
-		if got := rec.Header().Get("Retry-After"); (got == "3") != c.retryAfter {
+		if got := rec.Header().Get("Retry-After"); (got == "1") != c.retryAfter {
 			t.Errorf("fail(%v): Retry-After %q, want set = %v", c.err, got, c.retryAfter)
 		}
 		if c.counter != nil && c.counter(s.Stats()) != before+1 {

@@ -51,9 +51,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,8 +72,6 @@ const (
 	// DefaultSolveTimeout bounds one dispatched solve round and one inline
 	// mutate solve.
 	DefaultSolveTimeout = 25 * time.Second
-	// DefaultRetryAfter is the Retry-After hint on 429/503 responses.
-	DefaultRetryAfter = 1 * time.Second
 	// DefaultCacheSize is the default solution-cache capacity (entries).
 	DefaultCacheSize = 1024
 	// DefaultGraphCacheSize is the default graph-intern capacity (distinct
@@ -134,9 +132,6 @@ type Config struct {
 	// RequestTimeout bounds one request end to end, composed with the
 	// client's own context (≤ 0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
-	// RetryAfter is the Retry-After hint on 429/503 responses (≤ 0 =
-	// DefaultRetryAfter).
-	RetryAfter time.Duration
 	// Limits bounds decoded graphs (zero = package defaults).
 	Limits DecodeLimits
 	// Journal, when non-nil, receives every accepted leader request as a
@@ -163,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = DefaultCacheSize
@@ -473,6 +465,50 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// HTTPServer returns the http.Server copmecsd and copmecs-router serve h
+// with. net/http's Shutdown counts a connection that has not sent a request
+// (StateNew) as idle only once it is 5 s old, so a spare one a client dialed
+// and never used would hold the drain that long. The server tracks such
+// connections and closes them when Shutdown starts, which is after the
+// daemon's own Drain has settled every accepted request and after the
+// listener closed, so no new one can arrive.
+func HTTPServer(h http.Handler) *http.Server {
+	var fresh freshConns
+	srv := &http.Server{Handler: h, ConnState: fresh.track}
+	srv.RegisterOnShutdown(fresh.closeAll)
+	return srv
+}
+
+// freshConns is the set of connections still in http.StateNew.
+type freshConns struct {
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+}
+
+// track is the http.Server.ConnState hook.
+func (f *freshConns) track(c net.Conn, state http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if state != http.StateNew {
+		delete(f.conns, c)
+		return
+	}
+	if f.conns == nil {
+		f.conns = make(map[net.Conn]struct{})
+	}
+	f.conns[c] = struct{}{}
+}
+
+// closeAll closes every connection that has not sent a request. One whose
+// first request is in flight loses it; the drain already rejects new work.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for c := range f.conns {
+		_ = c.Close()
+	}
+}
+
 // HealthResponse is the GET /v1/health body: the cheap probe document a
 // fleet router polls. Unlike /v1/healthz (which flips to 503 for load
 // balancers), /v1/health always answers 200 and reports the state in the
@@ -514,7 +550,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -561,7 +597,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *padUin
 	arrivals.Add(1)
 	s.st.inFlight.Add(1)
 	defer func() {
-		s.st.lat.observe(time.Since(start))
+		s.st.lat.Observe(time.Since(start))
 		s.st.inFlight.Add(-1)
 		s.b.nudge() // one request fewer an open round could be waiting for
 	}()
@@ -614,7 +650,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		counter.Add(1)
 	}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	writeError(w, status, err.Error())
 }
@@ -1011,7 +1047,5 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// retryAfterSeconds renders d as a whole-seconds Retry-After value (≥ 1).
-func retryAfterSeconds(d time.Duration) string {
-	return strconv.Itoa(max(1, int(d/time.Second)))
-}
+// retryAfterSeconds is the Retry-After hint on 429/503 responses.
+const retryAfterSeconds = "1"

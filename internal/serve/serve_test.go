@@ -135,7 +135,7 @@ func TestHandlerShedsWhenQueueFull(t *testing.T) {
 	// Batcher never started: the queue admits exactly QueueDepth leaders,
 	// then every leader admission must shed with 429 + Retry-After.
 	const depth = 3
-	s := newTestServer(t, Config{QueueDepth: depth, RetryAfter: 2 * time.Second})
+	s := newTestServer(t, Config{QueueDepth: depth})
 	for i := 0; i < depth; i++ {
 		if !s.b.enqueue(&solveTask{p: newPending(fmt.Sprintf("occupier%d", i))}) {
 			t.Fatalf("leader %d of %d shed below the queue depth", i+1, depth)
@@ -153,8 +153,8 @@ func TestHandlerShedsWhenQueueFull(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	if st := s.Stats(); st.Shed != 1 {
 		t.Fatalf("Shed = %d, want 1", st.Shed)

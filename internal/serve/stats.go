@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -37,18 +38,19 @@ func (p *padInt64) Add(delta int64) int64 { return p.v.Add(delta) }
 // Load atomically reads the value.
 func (p *padInt64) Load() int64 { return p.v.Load() }
 
-// latencyBoundsMs are the upper bounds (milliseconds) of the request
-// latency histogram buckets; a final implicit +Inf bucket catches the rest.
+// latencyBoundsMs are the upper bounds (milliseconds) of the latency
+// histogram buckets; a final implicit +Inf bucket catches the rest.
 var latencyBoundsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
-// histogram is a fixed-bucket latency histogram with lock-free padded
-// atomic counters. observe is wait-free (three atomic adds); snapshot
-// reads each bucket atomically without any lock, so a snapshot taken
-// during a storm is a per-counter-atomic view — total, sum and buckets
-// may be mutually skewed by in-flight observations, but every value is a
-// real count that was current when read (no torn reads, no lock
-// convoy on the cold stats path stalling the hot path).
-type histogram struct {
+// Histogram is a fixed-bucket latency histogram with lock-free padded
+// atomic counters: the server's request latency, and the router's forward
+// latency its hedger reads a p99 from. Observe is wait-free (three atomic
+// adds); snapshot and Quantile read each bucket atomically without any
+// lock, so a read taken during a storm is a per-counter-atomic view —
+// total, sum and buckets may be mutually skewed by in-flight observations,
+// but every value is a real count that was current when read (no torn
+// reads, no lock convoy on the cold stats path stalling the hot path).
+type Histogram struct {
 	counts [numLatencyBuckets]padUint64
 	count  padUint64
 	sumUs  padUint64 // total microseconds
@@ -58,8 +60,8 @@ type histogram struct {
 // latencyBoundsMs plus the +Inf bucket (asserted in stats tests).
 const numLatencyBuckets = 13
 
-// observe records one request duration.
-func (h *histogram) observe(d time.Duration) {
+// Observe records one duration.
+func (h *Histogram) Observe(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
 	i := 0
 	for i < len(latencyBoundsMs) && ms > latencyBoundsMs[i] {
@@ -68,6 +70,26 @@ func (h *histogram) observe(d time.Duration) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sumUs.Add(uint64(d / time.Microsecond))
+}
+
+// Quantile estimates the q-th quantile as the upper bound of the first
+// bucket whose cumulative count reaches q of the observations, and returns
+// it with the number of observations it was taken over; an empty histogram
+// gives 0. The +Inf bucket reports twice the last finite bound.
+func (h *Histogram) Quantile(q float64) (d time.Duration, n uint64) {
+	n = h.count.Load()
+	if n == 0 {
+		return 0, 0
+	}
+	target := max(1, uint64(math.Ceil(q*float64(n))))
+	var cum uint64
+	for i := 0; i < len(latencyBoundsMs); i++ {
+		cum += h.counts[i].Load()
+		if cum >= target {
+			return time.Duration(latencyBoundsMs[i] * float64(time.Millisecond)), n
+		}
+	}
+	return time.Duration(2 * latencyBoundsMs[len(latencyBoundsMs)-1] * float64(time.Millisecond)), n
 }
 
 // HistogramBucket is one cumulative latency bucket in a Stats snapshot.
@@ -91,7 +113,7 @@ type HistogramSnapshot struct {
 
 // snapshot renders the histogram with cumulative bucket counts. Each
 // counter is read atomically; no lock is held across the iteration.
-func (h *histogram) snapshot() HistogramSnapshot {
+func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count.Load()}
 	if s.Count > 0 {
 		s.MeanMs = float64(h.sumUs.Load()) / 1000 / float64(s.Count)
@@ -128,7 +150,7 @@ type counters struct {
 	journalErrors padUint64 // accepted requests served without a journal record
 	inFlight      padInt64  // requests currently inside /v1/solve or /v1/mutate
 	parked        padInt64  // of those, the ones that can no longer join a solve round
-	lat           histogram
+	lat           Histogram
 
 	// Incremental re-solve counters (POST /v1/mutate).
 	mutates           padUint64 // /v1/mutate arrivals

@@ -19,10 +19,10 @@ func TestHistogramBucketArraySize(t *testing.T) {
 }
 
 func TestHistogramObserveAndSnapshot(t *testing.T) {
-	var h histogram
-	h.observe(500 * time.Microsecond) // ≤ 1ms bucket
-	h.observe(3 * time.Millisecond)   // ≤ 5ms bucket
-	h.observe(10 * time.Second)       // +Inf bucket
+	var h Histogram
+	h.Observe(500 * time.Microsecond) // ≤ 1ms bucket
+	h.Observe(3 * time.Millisecond)   // ≤ 5ms bucket
+	h.Observe(10 * time.Second)       // +Inf bucket
 
 	s := h.snapshot()
 	if s.Count != 3 {
@@ -57,7 +57,7 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 }
 
 func TestHistogramEmptySnapshot(t *testing.T) {
-	var h histogram
+	var h Histogram
 	s := h.snapshot()
 	if s.Count != 0 || s.MeanMs != 0 {
 		t.Fatalf("empty snapshot = %+v", s)

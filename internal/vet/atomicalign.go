@@ -11,23 +11,18 @@ import (
 // cacheLine is the coherence granule the padded hot-path structs tile.
 const cacheLine = 64
 
-// AtomicAlign checks the two memory-layout claims the concurrency code
-// relies on but the compiler never verifies:
-//
-//  1. A plain int64/uint64 field driven through sync/atomic must sit at an
-//     8-byte-aligned offset under the GOARCH=386 layout — on 32-bit
-//     targets a misaligned 64-bit atomic op panics at runtime. (Fields of
-//     type atomic.Int64/Uint64 are exempt: the runtime's align64 marker
-//     guarantees their alignment everywhere, which go/types cannot see —
-//     migrating to those types is also the suggested fix.)
-//  2. A struct that declares a cache-line pad (a blank `_ [N]byte` field)
-//     next to sync state must actually tile 64-byte lines under the
-//     canonical gc/amd64 layout: every pad must end on a 64-byte boundary
-//     and the whole struct must be a multiple of 64 bytes, or adjacent
-//     array elements false-share the line the pad was meant to isolate.
+// AtomicAlign checks the memory-layout claim the padded concurrency code
+// relies on but the compiler never verifies: a struct that declares a
+// cache-line pad (a blank `_ [N]byte` field) next to sync state must
+// actually tile 64-byte lines under the canonical gc/amd64 layout. Every
+// pad must end on a 64-byte boundary and the whole struct must be a
+// multiple of 64 bytes, or adjacent array elements false-share the line the
+// pad was meant to isolate. (64-bit atomics need no alignment check here:
+// the tree uses only the atomic.Int64-style types, which the compiler
+// aligns on every target.)
 var AtomicAlign = &Analyzer{
 	Name: "atomicalign",
-	Doc:  "flag 64-bit atomics misaligned on 32-bit layouts and cache-line pads that do not tile 64 bytes",
+	Doc:  "flag cache-line pads that do not tile 64 bytes",
 	Run:  runAtomicAlign,
 }
 
@@ -35,8 +30,6 @@ func runAtomicAlign(pass *Pass) []Finding {
 	if !strings.Contains(pass.Path, "internal/") && !strings.Contains(pass.Path, "cmd/") {
 		return nil
 	}
-	targets, _ := atomicTargets(pass)
-	sizes386 := types.SizesFor("gc", "386")
 	var findings []Finding
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -56,7 +49,6 @@ func runAtomicAlign(pass *Pass) []Finding {
 			if !ok || strct.NumFields() == 0 || sizedByTypeParam(strct) {
 				return true
 			}
-			findings = append(findings, check386Alignment(pass, st, strct, targets, sizes386)...)
 			findings = append(findings, checkCacheLinePads(pass, ts, st, strct)...)
 			return true
 		})
@@ -86,40 +78,6 @@ func sizedByTypeParam(t types.Type) bool {
 		}
 	}
 	return false
-}
-
-// check386Alignment flags atomically-accessed plain 64-bit fields whose
-// offset under the 32-bit layout is not 8-byte aligned.
-func check386Alignment(pass *Pass, st *ast.StructType, strct *types.Struct, targets map[*types.Var]atomicTarget, sizes types.Sizes) []Finding {
-	n := strct.NumFields()
-	fields := make([]*types.Var, n)
-	for i := 0; i < n; i++ {
-		fields[i] = strct.Field(i)
-	}
-	offsets := sizes.Offsetsof(fields)
-	var findings []Finding
-	for i, f := range fields {
-		if _, ok := targets[f]; !ok {
-			continue
-		}
-		b, ok := f.Type().Underlying().(*types.Basic)
-		if !ok {
-			continue
-		}
-		if k := b.Kind(); k != types.Int64 && k != types.Uint64 {
-			continue
-		}
-		if offsets[i]%8 == 0 {
-			continue
-		}
-		findings = append(findings, Finding{
-			Analyzer: "atomicalign",
-			Pos:      pass.Fset.Position(fieldPos(pass, st, f)),
-			Message: fmt.Sprintf("%s is a 64-bit atomic at offset %d under GOARCH=386, not 8-byte aligned; the atomic op panics on 32-bit targets — move it to the front of the struct or use atomic.%s",
-				f.Name(), offsets[i], suggestedAtomicType(f.Type())),
-		})
-	}
-	return findings
 }
 
 // checkCacheLinePads verifies that a pad-annotated struct with sync state

@@ -1,22 +1,11 @@
-// Package thing is an atomicalign fixture: a 64-bit atomic misaligned on
-// the 32-bit layout, and cache-line pads that do not tile 64 bytes.
+// Package thing is an atomicalign fixture: cache-line pads that do not
+// tile 64 bytes.
 package thing
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-// misaligned places a 64-bit atomic after a bool: offset 4 on GOARCH=386.
-type misaligned struct {
-	ready bool
-	n     int64 // flagged: offset 4 under the 386 layout
-}
-
-// tick is the atomic access that registers n.
-func (m *misaligned) tick() {
-	atomic.AddInt64(&m.n, 1)
-}
 
 // shortPad claims cache-line padding but the struct stops at 48 bytes.
 type shortPad struct { // flagged: 48 bytes total

@@ -1,20 +1,11 @@
-// Package thing is the atomicalign negative fixture: leading 64-bit
-// atomics, pads that tile exactly, and non-concurrent pads.
+// Package thing is the atomicalign negative fixture: pads that tile
+// exactly, and non-concurrent pads.
 package thing
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-// counters leads with its 64-bit atomic, aligned on every layout.
-type counters struct {
-	n     int64
-	ready bool
-}
-
-// tick registers n as atomically accessed.
-func (c *counters) tick() { atomic.AddInt64(&c.n, 1) }
 
 // padded tiles exactly one cache line.
 type padded struct {

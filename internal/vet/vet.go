@@ -11,19 +11,15 @@
 //     handled or explicitly acknowledged with `_ =`.
 //
 // The concurrency-invariant analyzers guard the serving hot path's lock
-// and atomic discipline (DESIGN.md §10), the bug classes the race detector
+// discipline and padding (DESIGN.md §10), the bug classes the race detector
 // only catches when a test happens to exercise the interleaving:
 //
-//   - atomicmix: a struct field or package-level variable accessed through
-//     sync/atomic anywhere in a package must never be read or written with
-//     plain loads/stores elsewhere in it.
 //   - lockorder: the per-package lock-acquisition graph (locks taken while
 //     another lock is held) must be acyclic, or two goroutines taking the
 //     edges in opposite orders deadlock.
-//   - atomicalign: 64-bit fields driven through sync/atomic must sit at
-//     64-bit-aligned offsets under the GOARCH=386 layout, and cache-line
-//     padded structs (any struct with a blank `_ [N]byte` field next to
-//     sync state) must actually tile 64-byte lines.
+//   - atomicalign: cache-line padded structs (any struct with a blank
+//     `_ [N]byte` field next to sync state) must actually tile 64-byte
+//     lines.
 //   - unlockpath: a mutex Lock whose Unlock is neither deferred nor present
 //     on every path out of the function leaks the lock on the missed path.
 //
@@ -72,8 +68,7 @@ type Pass struct {
 	Path string
 	// Sizes is the canonical 64-bit (gc/amd64) layout used for struct
 	// offset and cache-line arithmetic, so findings are identical on every
-	// host. Analyzers needing another layout (atomicalign's GOARCH=386
-	// check) resolve it themselves via types.SizesFor.
+	// host.
 	Sizes types.Sizes
 }
 
@@ -89,14 +84,14 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{FloatCmp, ErrDrop, AtomicMix, LockOrder, AtomicAlign, UnlockPath}
+	return []*Analyzer{FloatCmp, ErrDrop, LockOrder, AtomicAlign, UnlockPath}
 }
 
-// ConcurrencyAnalyzers returns the subset guarding lock and atomic
-// discipline — the analyzers CI also runs over test files, because test
+// ConcurrencyAnalyzers returns the subset guarding lock discipline and
+// padding — the analyzers CI also runs over test files, because test
 // goroutine storms hit the same bug classes as production code.
 func ConcurrencyAnalyzers() []*Analyzer {
-	return []*Analyzer{AtomicMix, LockOrder, AtomicAlign, UnlockPath}
+	return []*Analyzer{LockOrder, AtomicAlign, UnlockPath}
 }
 
 // ByName resolves a comma-separated analyzer list against All; an unknown
