@@ -17,14 +17,14 @@ race:
 	$(GO) test -race ./...
 
 # vet runs the stock toolchain checks plus the repo's own analyzer suite
-# (floatcmp, errdrop and three concurrency analyzers; copmecs-vet -list):
+# (floatcmp, errdrop and two concurrency analyzers; copmecs-vet -list):
 # the full suite over production code, and the concurrency analyzers again
 # with _test.go files loaded (test goroutine storms hit the same lock-
-# discipline and padding bugs).
+# discipline bugs).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/copmecs-vet ./...
-	$(GO) run ./cmd/copmecs-vet -tests -analyzers lockorder,atomicalign,unlockpath ./...
+	$(GO) run ./cmd/copmecs-vet -tests -analyzers lockorder,unlockpath ./...
 
 # vet-json regenerates results/VET.json, the tracked machine-readable
 # report; CI diffs it so any new finding (or count drift) fails the build.

@@ -1,13 +1,13 @@
 // Command copmecs-vet runs the repo's custom static-analysis suite: the
 // numeric analyzers (floatcmp, errdrop) and the concurrency-invariant
-// analyzers (lockorder, atomicalign, unlockpath) described in
-// internal/vet. CI gates every PR on a clean run.
+// analyzers (lockorder, unlockpath) described in internal/vet. CI gates
+// every PR on a clean run.
 //
 // Usage:
 //
 //	copmecs-vet ./...
 //	copmecs-vet -analyzers floatcmp,errdrop ./internal/eigen
-//	copmecs-vet -tests -analyzers lockorder,atomicalign,unlockpath ./...
+//	copmecs-vet -tests -analyzers lockorder,unlockpath ./...
 //	copmecs-vet -json ./... > results/VET.json
 //	copmecs-vet -list
 //

@@ -38,7 +38,7 @@ func TestListIncludesConcurrencyAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	for _, name := range []string{"floatcmp", "errdrop", "lockorder", "atomicalign", "unlockpath"} {
+	for _, name := range []string{"floatcmp", "errdrop", "lockorder", "unlockpath"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output lacks %s:\n%s", name, out)
 		}
@@ -80,7 +80,7 @@ func TestAnalyzersFilter(t *testing.T) {
 }
 
 func TestTestsFlagLoadsTestPackages(t *testing.T) {
-	out, code := runVet(t, "-tests", "-analyzers", "lockorder,atomicalign,unlockpath", "-json", "./internal/serve")
+	out, code := runVet(t, "-tests", "-analyzers", "lockorder,unlockpath", "-json", "./internal/serve")
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}

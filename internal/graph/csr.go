@@ -170,9 +170,6 @@ func (c *CSR) Adj(i int32) (tgt []int32, w []float64) {
 // Degree returns the number of edges incident to index i.
 func (c *CSR) Degree(i int32) int { return int(c.hi[i] - c.lo[i]) }
 
-// ComponentOf returns the component id of index i.
-func (c *CSR) ComponentOf(i int32) int32 { return c.compOf[i] }
-
 // Components returns each component's member indices, ascending within the
 // component and ordered by smallest member across components. Read-only view.
 func (c *CSR) Components() [][]int32 { return c.comps }

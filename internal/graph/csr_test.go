@@ -76,8 +76,8 @@ func viewMatchesGraph(t *testing.T, c *CSR, g *Graph) {
 			if c.IDOf(u) != gcomps[ci][k] {
 				t.Errorf("component %d member %d = %d, want %d", ci, k, c.IDOf(u), gcomps[ci][k])
 			}
-			if c.ComponentOf(u) != int32(ci) {
-				t.Errorf("ComponentOf(%d) = %d, want %d", c.IDOf(u), c.ComponentOf(u), ci)
+			if c.compOf[u] != int32(ci) {
+				t.Errorf("compOf[%d] = %d, want %d", c.IDOf(u), c.compOf[u], ci)
 			}
 		}
 	}

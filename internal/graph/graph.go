@@ -22,7 +22,7 @@ import (
 )
 
 // NodeID identifies a node within a single Graph. IDs are assigned by the
-// caller (or by AddNodeAuto) and are stable across all operations except
+// caller and are stable across all operations except
 // Contract, which returns an explicit old→new mapping.
 type NodeID int
 
@@ -153,19 +153,6 @@ func (g *Graph) AddNode(id NodeID, weight float64) error {
 	g.nodes[id] = &nodeRec{weight: weight}
 	g.nodeList.Store(nil)
 	return nil
-}
-
-// AddNodeAuto inserts a node with the smallest unused non-negative ID and
-// returns that ID.
-func (g *Graph) AddNodeAuto(weight float64) (NodeID, error) {
-	id := NodeID(len(g.nodes))
-	for g.HasNode(id) {
-		id++
-	}
-	if err := g.AddNode(id, weight); err != nil {
-		return 0, err
-	}
-	return id, nil
 }
 
 // NodeWeight returns the computation weight of id.
@@ -348,22 +335,6 @@ func (g *Graph) Degree(id NodeID) int {
 		return 0
 	}
 	return len(rec.nbr)
-}
-
-// WeightedDegree returns the sum of weights of edges incident to id
-// (the node's volume in spectral terminology). Summation follows ascending
-// neighbor order, so results are bitwise deterministic across runs (float
-// addition is not associative).
-func (g *Graph) WeightedDegree(id NodeID) float64 {
-	rec, ok := g.nodes[id]
-	if !ok {
-		return 0
-	}
-	var sum float64
-	for _, w := range rec.w {
-		sum += w
-	}
-	return sum
 }
 
 // eachEdge calls fn once per undirected edge in (U, V) order, read off the

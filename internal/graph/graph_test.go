@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -66,41 +65,6 @@ func TestAddNodeNegativeWeight(t *testing.T) {
 	g := New(1)
 	if err := g.AddNode(0, -1); !errors.Is(err, ErrNegativeWeight) {
 		t.Errorf("AddNode(-1) error = %v, want ErrNegativeWeight", err)
-	}
-}
-
-func TestAddNodeAuto(t *testing.T) {
-	g := New(3)
-	if err := g.AddNode(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddNode(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	id, err := g.AddNodeAuto(3)
-	if err != nil {
-		t.Fatalf("AddNodeAuto: %v", err)
-	}
-	if id != 2 {
-		t.Errorf("AddNodeAuto id = %d, want 2", id)
-	}
-}
-
-func TestAddNodeAutoSkipsTaken(t *testing.T) {
-	g := New(3)
-	if err := g.AddNode(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddNode(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	// len(nodes)=2, ID 2 free.
-	id, err := g.AddNodeAuto(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.HasNode(id) != true || id == 5 {
-		t.Errorf("AddNodeAuto returned bad id %d", id)
 	}
 }
 
@@ -245,9 +209,6 @@ func TestNeighborsAndDegrees(t *testing.T) {
 	if d := g.Degree(1); d != 3 {
 		t.Errorf("Degree(1) = %d, want 3", d)
 	}
-	if wd := g.WeightedDegree(1); wd != 10+12+7 {
-		t.Errorf("WeightedDegree(1) = %v, want 29", wd)
-	}
 	if d := g.Degree(99); d != 0 {
 		t.Errorf("Degree(missing) = %d, want 0", d)
 	}
@@ -324,17 +285,5 @@ func TestStringSummary(t *testing.T) {
 	s := g.String()
 	if s == "" {
 		t.Error("String() empty")
-	}
-}
-
-func TestWeightedDegreeIsVolume(t *testing.T) {
-	g := paperFig1(t)
-	var sum float64
-	for _, id := range g.Nodes() {
-		sum += g.WeightedDegree(id)
-	}
-	if math.Abs(sum-2*g.TotalEdgeWeight()) > 1e-12 {
-		t.Errorf("sum of weighted degrees = %v, want 2×TotalEdgeWeight = %v",
-			sum, 2*g.TotalEdgeWeight())
 	}
 }

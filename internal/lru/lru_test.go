@@ -14,55 +14,9 @@ func hexKey(i int) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("key-%d", i))))
 }
 
-func TestShardCountFor(t *testing.T) {
-	cases := []struct{ capacity, want int }{
-		{1, 1},       // capacity 1 must stay a single exact-LRU shard
-		{7, 1},       // below minShardEntries per extra shard
-		{16, 2},      // 2 shards × 8 entries
-		{64, 8},      //
-		{128, 16},    // hits maxShards
-		{100000, 16}, // capped
-		{0, 1},       // degenerate
-		{-3, 1},      // degenerate
-	}
-	for _, c := range cases {
-		got := shardCountFor(c.capacity)
-		if got != c.want || got&(got-1) != 0 {
-			t.Fatalf("shardCountFor(%d) = %d, want %d (a power of two)", c.capacity, got, c.want)
-		}
-		if n := len(New[string, int](c.capacity, HashString, nil).shards); n != c.want {
-			t.Fatalf("New(%d) has %d shards, want %d", c.capacity, n, c.want)
-		}
-	}
-}
-
-func TestHashesSpreadAndAreTotal(t *testing.T) {
-	// Hex sha256 keys (the caches' real key shape) and raw digests must
-	// spread across 16 shards without pathological skew.
-	const n, shards = 4096, 16
-	var byString, byDigest [shards]int
-	for i := 0; i < n; i++ {
-		byString[HashString(hexKey(i))&(shards-1)]++
-		byDigest[HashDigest(sha256.Sum256([]byte{byte(i), byte(i >> 8)}))&(shards-1)]++
-	}
-	for i := 0; i < shards; i++ {
-		// Perfectly uniform is n/shards = 256; allow a generous ±60%.
-		for _, c := range []int{byString[i], byDigest[i]} {
-			if c < n/shards*2/5 || c > n/shards*8/5 {
-				t.Fatalf("shard %d holds %d of %d keys; too skewed: %v / %v", i, c, n, byString, byDigest)
-			}
-		}
-	}
-	// Total over short keys, and only the first 16 bytes count.
-	if HashString("") == HashString("a") || HashString("0123456789abcdefX") != HashString("0123456789abcdefY") {
-		t.Fatal("HashString is not FNV-1a over the leading 16 bytes")
-	}
-}
-
-// TestExactLRUAtSmallCapacity drives one op script through tables small
-// enough to be a single shard, where eviction order is exactly LRU over
-// the whole key space — the semantics serve's CacheSize 1 / GraphCacheSize
-// 1 tests rely on.
+// TestExactLRUAtSmallCapacity drives one op script through tables of
+// capacity 0–2 — the semantics serve's CacheSize 1 / GraphCacheSize 1 tests
+// rely on.
 func TestExactLRUAtSmallCapacity(t *testing.T) {
 	type op struct {
 		kind string // "put", "get", "getorput"
@@ -117,7 +71,7 @@ func TestExactLRUAtSmallCapacity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tb := New[string, int](c.capacity, HashString, nil)
+			tb := New[string, int](c.capacity, nil)
 			for _, o := range c.ops {
 				switch o.kind {
 				case "put":
@@ -145,49 +99,13 @@ func TestExactLRUAtSmallCapacity(t *testing.T) {
 }
 
 func TestGetOrPutReportsResidency(t *testing.T) {
-	tb := New[string, *int](4, HashString, nil)
+	tb := New[string, *int](4, nil)
 	one, two := new(int), new(int)
 	if got, loaded := tb.GetOrPut("a", one); got != one || loaded {
 		t.Fatalf("first GetOrPut = %p, %v; want the given value, false", got, loaded)
 	}
 	if got, loaded := tb.GetOrPut("a", two); got != one || !loaded {
 		t.Fatalf("repeat GetOrPut = %p, %v; want the canonical value, true", got, loaded)
-	}
-}
-
-func TestAggregatesAcrossShards(t *testing.T) {
-	// A digest-keyed instantiation at a capacity that shards 16 ways.
-	tb := New[[32]byte, int](1024, HashDigest, nil)
-	const n = 512
-	for i := 0; i < n; i++ {
-		tb.Put(sha256.Sum256([]byte(fmt.Sprintf("k%d", i))), i)
-	}
-	if tb.Len() != n || tb.Capacity() != 1024 || tb.Evictions() != 0 {
-		t.Fatalf("len %d capacity %d evictions %d, want %d 1024 0", tb.Len(), tb.Capacity(), tb.Evictions(), n)
-	}
-	occ := tb.Occupancy()
-	if len(occ) != maxShards {
-		t.Fatalf("occupancy shards = %d, want %d", len(occ), maxShards)
-	}
-	total, populated := 0, 0
-	for _, o := range occ {
-		total += o.Size
-		if o.Size > 0 {
-			populated++
-		}
-		if o.Capacity != 1024/maxShards {
-			t.Fatalf("shard capacity = %d, want %d", o.Capacity, 1024/maxShards)
-		}
-	}
-	if total != n || populated < maxShards/2 {
-		t.Fatalf("occupancy total %d over %d shards, want %d over ≥ %d", total, populated, n, maxShards/2)
-	}
-	if v, ok := tb.Get(sha256.Sum256([]byte("k7"))); !ok || v != 7 {
-		t.Fatalf("Get(k7) = %d, %v", v, ok)
-	}
-	// Capacity rounds up to a multiple of the shard count, never down.
-	if c := New[string, int](100, HashString, nil).Capacity(); c < 100 {
-		t.Fatalf("Capacity() = %d for a requested 100", c)
 	}
 }
 
@@ -198,9 +116,9 @@ func TestOnEvictRunsOutsideTheLock(t *testing.T) {
 	}
 	var evicted []pair
 	var tb *Table[string, int]
-	tb = New(2, HashString, func(k string, v int) {
+	tb = New(2, func(k string, v int) {
 		evicted = append(evicted, pair{k, v})
-		// Re-entering the table deadlocks if the shard lock is still held.
+		// Re-entering the table deadlocks if its lock is still held.
 		tb.Get(k)
 		tb.Len()
 	})
@@ -213,12 +131,38 @@ func TestOnEvictRunsOutsideTheLock(t *testing.T) {
 	}
 }
 
+// TestExactGlobalLRUAndCapacity checks that eviction picks the least recent
+// key of the whole table, whatever the key, and that the capacity is exactly
+// the one asked for.
+func TestExactGlobalLRUAndCapacity(t *testing.T) {
+	const capacity = 64
+	var evicted []string
+	tb := New(capacity, func(k string, _ int) { evicted = append(evicted, k) })
+	for i := 0; i < capacity; i++ {
+		tb.Put(hexKey(i), i)
+	}
+	if tb.Len() != capacity || len(evicted) != 0 {
+		t.Fatalf("after %d puts: len %d, evicted %d keys; want %d and none", capacity, tb.Len(), len(evicted), capacity)
+	}
+	tb.Get(hexKey(0)) // key 1 is now the least recent
+	tb.Put(hexKey(capacity), capacity)
+	if !slices.Equal(evicted, []string{hexKey(1)}) {
+		t.Fatalf("evicted %v, want only key 1 (%s)", evicted, hexKey(1))
+	}
+	if _, ok := tb.Get(hexKey(0)); !ok {
+		t.Fatal("the touched key 0 was evicted")
+	}
+	if c := New[string, int](100, nil).Capacity(); c != 100 {
+		t.Fatalf("Capacity() = %d for a requested 100", c)
+	}
+}
+
 func TestDumpRoundTripReproducesRecency(t *testing.T) {
-	// A multi-shard table with a scrambled access pattern, re-Put in Dump
-	// order into a fresh table of the same capacity, must dump identically
-	// (same shard walk, same oldest → newest order within each shard) —
-	// the snapshot-recency contract of serve.WriteSnapshotRecords.
-	src := New[string, int](64, HashString, nil)
+	// A table with a scrambled access pattern, re-Put in Dump order into a
+	// fresh table of the same capacity, must dump identically (one oldest →
+	// newest order over the whole table) — the snapshot-recency contract of
+	// serve.WriteSnapshotRecords.
+	src := New[string, int](64, nil)
 	for i := 0; i < 200; i++ {
 		src.Put(hexKey(i%90), i)
 		src.Get(hexKey((i * 7) % 90))
@@ -233,7 +177,7 @@ func TestDumpRoundTripReproducesRecency(t *testing.T) {
 		return out
 	}
 	want := dump(src)
-	dst := New[string, int](64, HashString, nil)
+	dst := New[string, int](64, nil)
 	for _, p := range want {
 		dst.Put(p.k, p.v)
 	}
@@ -254,7 +198,7 @@ func TestDumpRoundTripReproducesRecency(t *testing.T) {
 
 func TestConcurrentHammer(t *testing.T) {
 	var evictions sync.Map
-	tb := New(32, HashString, func(k string, _ int) { evictions.Store(k, true) })
+	tb := New(32, func(k string, _ int) { evictions.Store(k, true) })
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

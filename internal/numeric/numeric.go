@@ -30,9 +30,3 @@ func Zero(x float64) bool {
 func Eq(a, b float64) bool {
 	return math.Abs(a-b) <= Eps*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
-
-// Less reports a < b with tolerance: true only when b−a exceeds the Eq
-// slack, so ties within round-off are not treated as improvements.
-func Less(a, b float64) bool {
-	return a < b && !Eq(a, b)
-}

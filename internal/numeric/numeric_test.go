@@ -44,21 +44,3 @@ func TestEq(t *testing.T) {
 		}
 	}
 }
-
-func TestLess(t *testing.T) {
-	cases := []struct {
-		a, b float64
-		want bool
-	}{
-		{0, 1, true},
-		{1, 0, false},
-		{1, 1, false},
-		{1, 1 + 1e-13, false}, // tie within tolerance is not an improvement
-		{1, 1 + 1e-9, true},
-	}
-	for _, c := range cases {
-		if got := Less(c.a, c.b); got != c.want {
-			t.Errorf("Less(%g, %g) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}

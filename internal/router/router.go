@@ -184,8 +184,8 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		byName:   make(map[string]*backend, len(cfg.Backends)),
-		ident:    lru.New[[sha256.Size]byte, string](cfg.IdentCacheSize, lru.HashDigest, nil),
-		affinity: lru.New[string, string](cfg.IdentCacheSize, lru.HashString, nil),
+		ident:    lru.New[[sha256.Size]byte, string](cfg.IdentCacheSize, nil),
+		affinity: lru.New[string, string](cfg.IdentCacheSize, nil),
 		begin:    time.Now(),
 		client: &http.Client{
 			Timeout: forwardTimeout,

@@ -52,15 +52,15 @@ func postDirect(s *Server, body []byte, w *nopResponseWriter, ctx context.Contex
 // across the three serving regimes this package optimises for:
 //
 //   - hit: every request is a warm solution-cache hit (the common case for
-//     repeat graphs); this is the path the sharded cache and lock-free
-//     stats exist for, and the scaling subject of the PR gate.
+//     repeat graphs): two cache lookups under their locks and lock-free
+//     stats, the path most sensitive to lock contention.
 //   - miss: requests cycle many distinct graphs through a small cache, so
 //     most of them take the full singleflight → queue → batch → solve path.
 //   - dedupstorm: parallel callers hammer two alternating keys through a
 //     one-entry cache, so every round mixes misses with live singleflight
 //     followers (the dedup bookkeeping path).
 //
-// Run with -cpu 8 to compare scaling against the global-lock baseline.
+// Run with -cpu 2,8 to see how the one-lock tables scale (DESIGN.md §10).
 func BenchmarkHandleParallel(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		s := newTestServer(b, Config{})
@@ -307,6 +307,12 @@ func (w *captureWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
 func chainShapedDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 	view := g.Compile()
 	comps := view.Components()
+	compOf := make([]int32, view.NumNodes())
+	for ci, members := range comps {
+		for _, i := range members {
+			compOf[i] = int32(ci)
+		}
+	}
 	in := map[int32]bool{int32(rng.Intn(len(comps))): true}
 	if rng.Intn(2) == 1 {
 		in[int32(rng.Intn(len(comps)))] = true
@@ -314,7 +320,7 @@ func chainShapedDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 	var members []graph.NodeID
 	var edges []graph.EdgePair
 	for i := int32(0); i < int32(view.NumNodes()); i++ {
-		if !in[view.ComponentOf(i)] {
+		if !in[compOf[i]] {
 			continue
 		}
 		members = append(members, view.IDOf(i))
@@ -343,7 +349,7 @@ func chainShapedDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 		}
 		pair := graph.EdgePair{U: u, V: v}
 		if _, exists := g.EdgeWeight(u, v); u == v || exists || added[pair] ||
-			view.ComponentOf(view.IndexOf(u)) != view.ComponentOf(view.IndexOf(v)) {
+			compOf[view.IndexOf(u)] != compOf[view.IndexOf(v)] {
 			continue
 		}
 		added[pair] = true

@@ -359,8 +359,8 @@ func restoreCountersRecord(payload []byte, c *counters) error {
 // first (so decisions restore against canonical instances), then cached
 // decisions oldest-to-newest (so re-putting them on load reproduces LRU
 // recency), then the traffic counters — through add, one record per
-// call. It is safe to run concurrently with serving: each shard is
-// copied under its own lock and encoded outside it.
+// call. It is safe to run concurrently with serving: each table is
+// copied under its lock and encoded outside it.
 func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 	var err error
 	emit := func(rec []byte, encodeErr error) bool {

@@ -278,20 +278,18 @@ func paramsDigest(p mec.Params) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// requestKey computes the request's two cache identities in one graph
-// encoding pass: fp is the canonical graph fingerprint (the graph-intern
-// key, matching graph.Fingerprint), and key — fp plus the resolved params
+// requestKey computes the request's two cache identities: fp is the graph's
+// Fingerprint (the graph-intern key), and key — fp plus the resolved params
 // and the per-user overrides — is the solution-cache and singleflight key.
 // Two requests with equal keys are interchangeable: same graph content,
-// same system constants, same device/link overrides. The encoding is streamed
-// into the hash; /v1/solve, which also journals it, hashes its record's copy
-// instead (newAcceptedRecord).
+// same system constants, same device/link overrides. /v1/solve, which also
+// journals the graph's encoding, hashes its record's copy instead
+// (newAcceptedRecord).
 func requestKey(req *SolveRequest, params mec.Params) (key, fp string, err error) {
-	gh := sha256.New()
-	if err := req.Graph.WriteBinary(gh); err != nil {
+	fp, err = req.Graph.Fingerprint()
+	if err != nil {
 		return "", "", fmt.Errorf("%w: request key: %v", ErrBadRequest, err)
 	}
-	fp = hex.EncodeToString(gh.Sum(nil))
 	return cacheKey(fp, params, req.UserOverrides), fp, nil
 }
 

@@ -27,17 +27,18 @@
 // applies the delta to a clone — and then share one spine: handle (method
 // check, pooled body read, in_flight, latency), lookup (the solution-cache
 // check), journalRecord, admit (follower attach → draining check →
-// write-ahead append → start → cell registration, all under the key's
-// flight-shard lock), finish (cache fill → journal release → flight
+// write-ahead append → start → cell registration, all under the
+// flight-table lock), finish (cache fill → journal release → flight
 // removal → wake) and fail (the only error → HTTP status mapping). A solve
 // leader is enqueued for a batcher round; a mutate leader solves inline
 // through the session's delta path and calls the same finish.
 //
-// The request path stays contention-free at GOMAXPROCS-scale concurrency:
-// every keyed table is sharded (three lru.Table instances and the
-// singleflight registry) and every counter is a cache-line-padded atomic;
-// the accept queue is one buffered channel in front of the one dispatch
-// goroutine. DESIGN.md §10 has the layout and the memory-ordering notes.
+// Locks are sized to the traffic a round of at most MaxBatch users brings:
+// every keyed table (three lru.Table instances and the singleflight
+// registry) is one map under one mutex, every counter is a plain atomic,
+// and the accept queue is one buffered channel in front of the one dispatch
+// goroutine. DESIGN.md §10 has the layout, the measurement and the
+// memory-ordering notes.
 //
 // The cached decision for a key reflects the contention of the round that
 // computed it; like any TTL-free response cache this trades bounded
@@ -286,8 +287,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:    cfg,
-		cache:  lru.New[string, cachedDecision](cfg.CacheSize, lru.HashString, nil),
-		bodies: lru.New[[sha256.Size]byte, string](cfg.CacheSize, lru.HashDigest, nil),
+		cache:  lru.New[string, cachedDecision](cfg.CacheSize, nil),
+		bodies: lru.New[[sha256.Size]byte, string](cfg.CacheSize, nil),
 		flight: newFlightTable(),
 		begin:  time.Now(),
 	}
@@ -301,7 +302,7 @@ func New(cfg Config) (*Server, error) {
 		Engine:  cfg.Engine,
 		Workers: cfg.Workers,
 	})
-	s.graphs = lru.New(cfg.GraphCacheSize, lru.HashString, func(_ string, g *graph.Graph) {
+	s.graphs = lru.New(cfg.GraphCacheSize, func(_ string, g *graph.Graph) {
 		s.sess.Invalidate(g)
 	})
 	s.b = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.BatchWait, s.settled, s.dispatchRound)
@@ -350,9 +351,9 @@ func (s *Server) logf(format string, args ...any) {
 // unresolved requests fail with their own deadlines).
 func (s *Server) Drain(ctx context.Context) error {
 	already := s.draining.Swap(true)
-	// Publish the flag to every admission shard: after the barrier, any
-	// admit still in flight has completed its accepted.Add, and any later
-	// admit observes draining and rejects — so Wait cannot race an Add.
+	// Publish the flag to admission: after the barrier, any admit still in
+	// flight has completed its accepted.Add, and any later admit observes
+	// draining and rejects — so Wait cannot race an Add.
 	s.flight.drainBarrier()
 	if !already {
 		s.logf("serve: draining: rejecting new work, flushing accepted requests")
@@ -420,7 +421,6 @@ func (s *Server) Stats() Stats {
 			Size:      s.cache.Len(),
 			Capacity:  s.cache.Capacity(),
 			Evictions: s.cache.Evictions(),
-			Shards:    s.cache.Occupancy(),
 		},
 		GraphCache: GraphCacheStats{
 			Size:      s.graphs.Len(),
@@ -428,7 +428,6 @@ func (s *Server) Stats() Stats {
 			Reused:    s.graphs.Reused(),
 			Evictions: s.graphs.Evictions(),
 			Pipelines: s.sess.CachedGraphs(),
-			Shards:    s.graphs.Occupancy(),
 		},
 		Incremental: IncrementalStats{
 			Mutates:           s.st.mutates.Load(),
@@ -591,7 +590,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // size-capped body read. serve answers the request itself on success and
 // returns the error to answer with otherwise; ctx is the request's, and
 // body is only valid until serve returns.
-func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *padUint64, limiter *rateLimiter,
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *atomic.Uint64, limiter *rateLimiter,
 	serve func(ctx context.Context, w http.ResponseWriter, body []byte) error) {
 	start := time.Now()
 	arrivals.Add(1)
@@ -631,7 +630,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *padUin
 // fail answers a request with err: the one place a serving error becomes
 // an HTTP status, its Retry-After hint and its counter.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	status, counter := http.StatusInternalServerError, (*padUint64)(nil)
+	status, counter := http.StatusInternalServerError, (*atomic.Uint64)(nil)
 	switch {
 	case errors.Is(err, ErrBadRequest), errors.Is(err, ErrTooLarge), errors.Is(err, ErrNoGraph):
 		status, counter = http.StatusBadRequest, &s.st.badRequests
@@ -694,7 +693,7 @@ func (s *Server) publish(key string, dec *Decision) {
 }
 
 // journalRecord encodes a request's write-ahead record, outside the
-// flight-shard lock; only a leader admit actually appends it. Without a
+// flight-table lock; only a leader admit actually appends it. Without a
 // journal it returns nil, and so does an encode failure (impossible for a
 // request that just decoded): that request is served without durability.
 func (s *Server) journalRecord(encode func() ([]byte, error)) []byte {
@@ -782,7 +781,7 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 }
 
 // admit runs singleflight attachment and admission control under the
-// key's flight-shard lock. It returns (cell, true, nil) for an accepted
+// flight-table lock. It returns (cell, true, nil) for an accepted
 // leader, (cell, false, nil) for a follower sharing an in-flight cell,
 // and (nil, false, ErrShed or ErrDraining) for a rejected request.
 // Followers are admitted even while draining: their cell is already
@@ -792,10 +791,9 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 // hands the cell to whatever will solve it; a refusal sheds the request
 // and releases the record immediately (a 429 is not accepted work).
 func (s *Server) admit(key string, jrec []byte, start func(*pending) bool) (*pending, bool, error) {
-	sh := s.flight.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if p, ok := sh.m[key]; ok {
+	s.flight.mu.Lock()
+	defer s.flight.mu.Unlock()
+	if p, ok := s.flight.m[key]; ok {
 		p.mult.Add(1)
 		return p, false, nil
 	}
@@ -818,10 +816,10 @@ func (s *Server) admit(key string, jrec []byte, start func(*pending) bool) (*pen
 		}
 		return nil, false, ErrShed
 	}
-	// Under the same shard lock as the draining check: Drain flips the
-	// flag and then barriers over every shard, so every Add
-	// happens-before accepted.Wait can return.
-	sh.m[key] = p
+	// Under the same lock as the draining check: Drain flips the flag and
+	// then takes the lock once, so every Add happens-before accepted.Wait
+	// can return.
+	s.flight.m[key] = p
 	s.accepted.Add(1)
 	return p, true, nil
 }

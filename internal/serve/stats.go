@@ -4,46 +4,14 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
-
-	"copmecs/internal/lru"
 )
-
-// padUint64 is an atomic.Uint64 padded out to its own cache line.
-// Request-path counters live in one counters struct; without padding,
-// cores bumping different counters would false-share lines and the
-// "lock-free" stats would still serialize in the cache-coherence
-// protocol. 56 bytes of tail padding after the 8-byte value gives each
-// counter a 64-byte line to itself.
-type padUint64 struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// Add atomically adds delta.
-func (p *padUint64) Add(delta uint64) uint64 { return p.v.Add(delta) }
-
-// Load atomically reads the value.
-func (p *padUint64) Load() uint64 { return p.v.Load() }
-
-// padInt64 is an atomic.Int64 padded out to its own cache line (see
-// padUint64).
-type padInt64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Add atomically adds delta.
-func (p *padInt64) Add(delta int64) int64 { return p.v.Add(delta) }
-
-// Load atomically reads the value.
-func (p *padInt64) Load() int64 { return p.v.Load() }
 
 // latencyBoundsMs are the upper bounds (milliseconds) of the latency
 // histogram buckets; a final implicit +Inf bucket catches the rest.
 var latencyBoundsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
-// Histogram is a fixed-bucket latency histogram with lock-free padded
-// atomic counters: the server's request latency, and the router's forward
+// Histogram is a fixed-bucket latency histogram with lock-free atomic
+// counters: the server's request latency, and the router's forward
 // latency its hedger reads a p99 from. Observe is wait-free (three atomic
 // adds); snapshot and Quantile read each bucket atomically without any
 // lock, so a read taken during a storm is a per-counter-atomic view —
@@ -51,9 +19,9 @@ var latencyBoundsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 
 // but every value is a real count that was current when read (no torn
 // reads, no lock convoy on the cold stats path stalling the hot path).
 type Histogram struct {
-	counts [numLatencyBuckets]padUint64
-	count  padUint64
-	sumUs  padUint64 // total microseconds
+	counts [numLatencyBuckets]atomic.Uint64
+	count  atomic.Uint64
+	sumUs  atomic.Uint64 // total microseconds
 }
 
 // numLatencyBuckets sizes the bucket array: one per entry of
@@ -130,35 +98,35 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// counters aggregates the server's monotonic event counts and gauges.
-// Request-path counters (bumped on every /v1/solve) are cache-line padded
-// atomics; round-path counters (batches, batchedUsers, maxBatch) are
-// bumped only by the single dispatch goroutine and stay plain atomics.
+// counters aggregates the server's monotonic event counts and gauges, each
+// an atomic read without a lock. Round-path counters (batches,
+// batchedUsers, maxBatch, fused*) are bumped only by the single dispatch
+// goroutine.
 type counters struct {
-	requests      padUint64 // POST /v1/solve arrivals
-	solved        padUint64 // 200 responses (cached or fresh)
-	badRequests   padUint64 // 400 responses
-	shed          padUint64 // 429 responses (queue full)
-	drainRejects  padUint64 // 503 responses while draining
-	deduped       padUint64 // requests collapsed onto an in-flight twin
-	cacheHits     padUint64
-	cacheMisses   padUint64
-	bodyHits      padUint64 // cache hits resolved by raw-body digest (no decode)
-	solveErrors   padUint64
-	timeouts      padUint64 // 504 responses
-	rateLimited   padUint64 // 429 responses from the MaxQPS admission cap
-	journalErrors padUint64 // accepted requests served without a journal record
-	inFlight      padInt64  // requests currently inside /v1/solve or /v1/mutate
-	parked        padInt64  // of those, the ones that can no longer join a solve round
+	requests      atomic.Uint64 // POST /v1/solve arrivals
+	solved        atomic.Uint64 // 200 responses (cached or fresh)
+	badRequests   atomic.Uint64 // 400 responses
+	shed          atomic.Uint64 // 429 responses (queue full)
+	drainRejects  atomic.Uint64 // 503 responses while draining
+	deduped       atomic.Uint64 // requests collapsed onto an in-flight twin
+	cacheHits     atomic.Uint64
+	cacheMisses   atomic.Uint64
+	bodyHits      atomic.Uint64 // cache hits resolved by raw-body digest (no decode)
+	solveErrors   atomic.Uint64
+	timeouts      atomic.Uint64 // 504 responses
+	rateLimited   atomic.Uint64 // 429 responses from the MaxQPS admission cap
+	journalErrors atomic.Uint64 // accepted requests served without a journal record
+	inFlight      atomic.Int64  // requests currently inside /v1/solve or /v1/mutate
+	parked        atomic.Int64  // of those, the ones that can no longer join a solve round
 	lat           Histogram
 
 	// Incremental re-solve counters (POST /v1/mutate).
-	mutates           padUint64 // /v1/mutate arrivals
-	mutateHits        padUint64 // mutates answered from the solution cache
-	deltaSolves       padUint64 // mutates solved through Session.SolveDelta
-	coldFallbacks     padUint64 // delta solves that fell back to the cold pipeline
-	lanczosItersSaved padUint64 // Lanczos iterations replayed instead of re-run
-	mutateErrors      padUint64 // mutate solve failures (500/504 responses)
+	mutates           atomic.Uint64 // /v1/mutate arrivals
+	mutateHits        atomic.Uint64 // mutates answered from the solution cache
+	deltaSolves       atomic.Uint64 // mutates solved through Session.SolveDelta
+	coldFallbacks     atomic.Uint64 // delta solves that fell back to the cold pipeline
+	lanczosItersSaved atomic.Uint64 // Lanczos iterations replayed instead of re-run
+	mutateErrors      atomic.Uint64 // mutate solve failures (500/504 responses)
 
 	batches      atomic.Uint64 // solve rounds dispatched
 	batchedUsers atomic.Uint64 // users across all rounds (incl. multiplicity)
@@ -179,9 +147,6 @@ func (c *counters) observeBatch(n int) {
 	}
 }
 
-// ShardOccupancy is one shard's fill level in a sharded-table snapshot.
-type ShardOccupancy = lru.Occupancy
-
 // CacheStats is the solution-cache section of a Stats snapshot.
 type CacheStats struct {
 	// Hits counts requests answered straight from the cache.
@@ -197,9 +162,6 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 	// Evictions counts LRU evictions.
 	Evictions uint64 `json:"evictions"`
-	// Shards is the per-shard occupancy; a skewed distribution means the
-	// key space is pathological for the prefix shard function.
-	Shards []ShardOccupancy `json:"shards"`
 }
 
 // GraphCacheStats is the graph-intern section of a Stats snapshot: how
@@ -218,8 +180,6 @@ type GraphCacheStats struct {
 	// Pipelines is the number of graphs with compiled pipeline state in
 	// the session (≤ Size; a graph enters on its first solved round).
 	Pipelines int `json:"pipelines"`
-	// Shards is the per-shard occupancy of the intern table.
-	Shards []ShardOccupancy `json:"shards"`
 }
 
 // BatchStats is the micro-batcher section of a Stats snapshot.

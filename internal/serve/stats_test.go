@@ -80,10 +80,9 @@ func TestObserveBatchMax(t *testing.T) {
 	}
 }
 
-func TestStatsJSONShapeKeepsFlatFieldsAndAddsShardSections(t *testing.T) {
-	// The /v1/stats document must keep every pre-existing flat field (so
-	// dashboards and clients decoding it into serve.Stats keep working) while
-	// adding the per-shard occupancy sections.
+func TestStatsJSONShapeKeepsFlatFields(t *testing.T) {
+	// The /v1/stats document must keep every pre-existing flat field, so
+	// dashboards and clients decoding it into serve.Stats keep working.
 	s := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -115,22 +114,22 @@ func TestStatsJSONShapeKeepsFlatFieldsAndAddsShardSections(t *testing.T) {
 		}
 	}
 	cache := doc["cache"].(map[string]any)
-	for _, key := range []string{"hits", "misses", "body_hits", "size", "capacity", "evictions", "shards"} {
+	for _, key := range []string{"hits", "misses", "body_hits", "size", "capacity", "evictions"} {
 		if _, ok := cache[key]; !ok {
 			t.Fatalf("cache field %q missing", key)
 		}
 	}
-	if shards := cache["shards"].([]any); len(shards) == 0 {
-		t.Fatal("cache.shards is empty")
-	} else if sh := shards[0].(map[string]any); sh["capacity"].(float64) <= 0 {
-		t.Fatalf("cache shard capacity = %v", sh["capacity"])
+	if cache["capacity"].(float64) != DefaultCacheSize {
+		t.Fatalf("cache capacity = %v, want %d", cache["capacity"], DefaultCacheSize)
 	}
 	if cache["body_hits"].(float64) != 1 {
 		t.Fatalf("body_hits = %v, want 1 (second request was byte-identical)", cache["body_hits"])
 	}
 	gc := doc["graph_cache"].(map[string]any)
-	if _, ok := gc["shards"]; !ok {
-		t.Fatal("graph_cache.shards missing")
+	for _, key := range []string{"size", "capacity", "reused", "evictions", "pipelines"} {
+		if _, ok := gc[key]; !ok {
+			t.Fatalf("graph_cache field %q missing", key)
+		}
 	}
 	batch := doc["batch"].(map[string]any)
 	for _, key := range []string{"rounds", "users", "max_users", "fused_rounds", "fused_graphs", "queue_depth"} {

@@ -12,8 +12,8 @@ import (
 // TestStatsSnapshotDuringSolveStorm hammers GET /v1/stats while 64
 // concurrent clients drive /v1/solve over a mix of repeat and distinct
 // graphs. Under -race (the CI default for this package) it proves the
-// lock-free snapshot reads every padded counter, histogram bucket, shard
-// occupancy and the queue gauge without a data race; the assertions check the
+// snapshot reads every atomic counter, histogram bucket, table size and
+// the queue gauge without a data race; the assertions check the
 // books still balance once the storm settles.
 func TestStatsSnapshotDuringSolveStorm(t *testing.T) {
 	if testing.Short() {

@@ -31,10 +31,6 @@ type Package struct {
 	Types *types.Package
 	// Info carries the type-checker facts analyzers consult.
 	Info *types.Info
-	// Sizes is the layout the package was type-checked under (the
-	// canonical gc/amd64 sizes, fixed so offset findings are
-	// host-independent).
-	Sizes types.Sizes
 }
 
 // listPackage mirrors the subset of `go list -json` output the loader needs.
@@ -215,7 +211,6 @@ func LoadConfigured(dir string, patterns []string, cfg LoadConfig) ([]*Package, 
 		}
 		return files, nil
 	}
-	sizes := types.SizesFor("gc", "amd64")
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.CgoFiles) > 0 {
@@ -241,7 +236,6 @@ func LoadConfigured(dir string, patterns []string, cfg LoadConfig) ([]*Package, 
 				Files: files,
 				Types: tpkg,
 				Info:  info,
-				Sizes: sizes,
 			})
 		}
 		if cfg.IncludeTests && len(t.XTestGoFiles) > 0 {
@@ -261,7 +255,6 @@ func LoadConfigured(dir string, patterns []string, cfg LoadConfig) ([]*Package, 
 				Files: files,
 				Types: tpkg,
 				Info:  info,
-				Sizes: sizes,
 			})
 		}
 	}

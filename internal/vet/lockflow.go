@@ -218,7 +218,7 @@ func (w *lockflow) walkIf(s *ast.IfStmt, held []*heldLock) ([]*heldLock, bool) {
 // iteration and still held when the body ends (or at a continue) would be
 // re-acquired next iteration, so it is reported as an escape; the body is
 // then walked a second time with those locks held so cross-iteration
-// acquisition order (the shard-barrier pattern) surfaces as lock-order
+// acquisition order (a barrier over an array of locks) surfaces as lock-order
 // edges. An infinite `for` exits only through its collected break-sets.
 func (w *lockflow) walkLoop(body *ast.BlockStmt, held []*heldLock, infinite bool) ([]*heldLock, bool) {
 	bfr, cfr := &branchFrame{}, &branchFrame{}

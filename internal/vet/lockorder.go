@@ -13,8 +13,8 @@ import (
 // unlike a leaked lock the window is timing-dependent, so tests rarely
 // catch it. Classes are type-level: every instance of one struct field is
 // the same node, which also surfaces the self-edge of acquiring a second
-// instance of a class while holding the first (the shard-barrier drain
-// pattern); a barrier that locks instances in a fixed global order is
+// instance of a class while holding the first (a barrier over an array of
+// locks); a barrier that locks instances in a fixed global order is
 // safe and carries //vet:ignore lockorder with that justification.
 var LockOrder = &Analyzer{
 	Name: "lockorder",

@@ -1,5 +1,5 @@
 // Package thing is a lockorder fixture: two locks taken in both orders,
-// and a shard barrier that re-acquires its own lock class.
+// and a stripe barrier that re-acquires its own lock class.
 package thing
 
 import "sync"
@@ -26,22 +26,22 @@ func (p *pair) backward() {
 	defer p.a.Unlock()
 }
 
-// shard is one lock shard.
-type shard struct {
+// stripe is one lock stripe.
+type stripe struct {
 	mu sync.Mutex
 }
 
-// shardSet owns a fixed shard array.
-type shardSet struct {
-	shards [4]shard
+// stripeSet owns a fixed stripe array.
+type stripeSet struct {
+	stripes [4]stripe
 }
 
-// barrier holds every shard at once: a self-edge on the shard.mu class.
-func (s *shardSet) barrier() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock() // flagged: same class already held
+// barrier holds every stripe at once: a self-edge on the stripe.mu class.
+func (s *stripeSet) barrier() {
+	for i := range s.stripes {
+		s.stripes[i].mu.Lock() // flagged: same class already held
 	}
-	for i := range s.shards {
-		s.shards[i].mu.Unlock()
+	for i := range s.stripes {
+		s.stripes[i].mu.Unlock()
 	}
 }

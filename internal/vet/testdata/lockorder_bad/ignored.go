@@ -2,18 +2,18 @@ package thing
 
 import "sync"
 
-// lockShard is a distinct shard type for the sanctioned barrier pattern.
-type lockShard struct {
+// lockStripe is a distinct stripe type for the sanctioned barrier pattern.
+type lockStripe struct {
 	mu sync.Mutex
 }
 
-// ordered locks its shards in ascending index order, the fixed global
+// ordered locks its stripes in ascending index order, the fixed global
 // order that makes the self-edge safe; the directive records why.
-func ordered(shards []lockShard) {
-	for i := range shards {
-		shards[i].mu.Lock() //vet:ignore lockorder,unlockpath shards locked in ascending index order, all released below
+func ordered(stripes []lockStripe) {
+	for i := range stripes {
+		stripes[i].mu.Lock() //vet:ignore lockorder,unlockpath stripes locked in ascending index order, all released below
 	}
-	for i := range shards {
-		shards[i].mu.Unlock()
+	for i := range stripes {
+		stripes[i].mu.Unlock()
 	}
 }

@@ -10,7 +10,7 @@ import (
 // present on every path out of the function: a return (or fall-off-the-end,
 // or loop iteration) that still holds the lock wedges every later caller.
 // This is the serving hot path's highest-stakes invariant — an admission
-// or drain path that leaks a shard mutex stalls the whole daemon, and the
+// or drain path that leaks the admission mutex stalls the whole daemon, and the
 // race detector cannot see it because a leaked lock is not a data race.
 // One finding is reported per acquisition site, at that site, naming the
 // first escaping path. Intentional cross-function handoffs (a helper that

@@ -11,15 +11,12 @@
 //     handled or explicitly acknowledged with `_ =`.
 //
 // The concurrency-invariant analyzers guard the serving hot path's lock
-// discipline and padding (DESIGN.md §10), the bug classes the race detector
-// only catches when a test happens to exercise the interleaving:
+// discipline (DESIGN.md §10), the bug classes the race detector only
+// catches when a test happens to exercise the interleaving:
 //
 //   - lockorder: the per-package lock-acquisition graph (locks taken while
 //     another lock is held) must be acyclic, or two goroutines taking the
 //     edges in opposite orders deadlock.
-//   - atomicalign: cache-line padded structs (any struct with a blank
-//     `_ [N]byte` field next to sync state) must actually tile 64-byte
-//     lines.
 //   - unlockpath: a mutex Lock whose Unlock is neither deferred nor present
 //     on every path out of the function leaks the lock on the missed path.
 //
@@ -66,10 +63,6 @@ type Pass struct {
 	Info *types.Info
 	// Path is the package's import path.
 	Path string
-	// Sizes is the canonical 64-bit (gc/amd64) layout used for struct
-	// offset and cache-line arithmetic, so findings are identical on every
-	// host.
-	Sizes types.Sizes
 }
 
 // Analyzer is one pluggable rule.
@@ -84,14 +77,14 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{FloatCmp, ErrDrop, LockOrder, AtomicAlign, UnlockPath}
+	return []*Analyzer{FloatCmp, ErrDrop, LockOrder, UnlockPath}
 }
 
-// ConcurrencyAnalyzers returns the subset guarding lock discipline and
-// padding — the analyzers CI also runs over test files, because test
-// goroutine storms hit the same bug classes as production code.
+// ConcurrencyAnalyzers returns the subset guarding lock discipline — the
+// analyzers CI also runs over test files, because test goroutine storms hit
+// the same bug classes as production code.
 func ConcurrencyAnalyzers() []*Analyzer {
-	return []*Analyzer{LockOrder, AtomicAlign, UnlockPath}
+	return []*Analyzer{LockOrder, UnlockPath}
 }
 
 // ByName resolves a comma-separated analyzer list against All; an unknown
@@ -184,11 +177,7 @@ func ignores(fset *token.FileSet, files []*ast.File) (map[string]map[int]map[str
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
-		sizes := pkg.Sizes
-		if sizes == nil {
-			sizes = types.SizesFor("gc", "amd64")
-		}
-		pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Path: pkg.Path, Sizes: sizes}
+		pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Path: pkg.Path}
 		ign, bad := ignores(pkg.Fset, pkg.Files)
 		findings = append(findings, bad...)
 		for _, a := range analyzers {

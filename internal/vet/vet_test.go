@@ -154,18 +154,6 @@ func TestUnlockPathClean(t *testing.T) {
 	runFixture(t, UnlockPath, "unlockpath_clean", "copmecs/internal/thing", nil)
 }
 
-func TestAtomicAlignTruePositives(t *testing.T) {
-	runFixture(t, AtomicAlign, "atomicalign_bad", "copmecs/internal/thing", []want{
-		{11, "48 bytes but declares cache-line padding"},
-		{13, "pad ends at offset 48"},
-		{19, "pad ends at offset 56"},
-	})
-}
-
-func TestAtomicAlignClean(t *testing.T) {
-	runFixture(t, AtomicAlign, "atomicalign_clean", "copmecs/internal/thing", nil)
-}
-
 // TestVetIgnoreJustificationRequired checks directive validation: a
 // justified directive suppresses, a bare or unknown-name directive is
 // itself a vetignore finding and suppresses nothing.
