@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-json size lint fuzz chaos bench bench-core bench-batch clean
+.PHONY: all build test race vet size lint fuzz chaos bench bench-core bench-batch clean
 
 # Repetitions per benchmark for bench-core; raise for tighter statistics.
 BENCH_COUNT ?= 5
@@ -20,22 +20,16 @@ race:
 # (floatcmp, errdrop and two concurrency analyzers; copmecs-vet -list):
 # the full suite over production code, and the concurrency analyzers again
 # with _test.go files loaded (test goroutine storms hit the same lock-
-# discipline bugs).
+# discipline bugs). copmecs-vet exits 1 on any finding, which fails the
+# target.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/copmecs-vet ./...
 	$(GO) run ./cmd/copmecs-vet -tests -analyzers lockorder,unlockpath ./...
 
-# vet-json regenerates results/VET.json, the tracked machine-readable
-# report; CI diffs it so any new finding (or count drift) fails the build.
-vet-json:
-	@mkdir -p results
-	@$(GO) run ./cmd/copmecs-vet -json ./... > results/VET.json; \
-		st=$$?; cat results/VET.json; exit $$st
-
 # size regenerates results/SIZE.json: non-test Go lines per package under
 # internal/ and cmd/ (test lines reported beside them) plus totals. CI diffs
-# it like VET.json, so "least code" has a committed trajectory.
+# it against the committed copy, so "least code" has a committed trajectory.
 size:
 	@./scripts/size.sh > results/SIZE.json; cat results/SIZE.json
 
@@ -57,41 +51,27 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzMutateRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/durable/
 
-# bench runs every benchmark in the repo and distils the serving-path
-# microbenchmark numbers into results/BENCH_micro.json for cross-commit
-# comparison.
+# bench runs every benchmark in the repo into results/bench.txt.
 bench:
 	@mkdir -p results
 	$(GO) test -run=NONE -bench=. -benchmem ./... | tee results/bench.txt
-	@awk 'BEGIN { print "{"; n = 0 } \
-	/^BenchmarkServe/ { \
-		if (n++) printf ",\n"; \
-		split($$1, name, "-"); \
-		printf "  \"%s\": {\"iterations\": %s, \"ns_per_op\": %s}", name[1], $$2, $$3 \
-	} \
-	END { if (n) printf "\n"; print "}" }' results/bench.txt > results/BENCH_micro.json
-	@echo "wrote results/BENCH_micro.json"; cat results/BENCH_micro.json
 
-# bench-core runs the solve hot-path benchmarks the perf CI gate watches —
-# the Figure 9 solve, Table I compression, the steady-state allocation
-# budget, the fused batch solver (looped vs fused throughput), the
-# incremental re-solve (chained 1% edge-churn deltas vs cold solves),
-# internal/eigen's dense Fiedler kernel
+# bench-core runs the benchmarks that report an interleaved ratio, the ones
+# scripts/perf_gate.sh holds to floors: the incremental re-solve (chained 1%
+# edge-churn deltas vs cold solves), internal/eigen's dense Fiedler kernel
 # against its Jacobi oracle and its Sturm bisection against the QL test
 # oracle (the pass it replaced), internal/lpa's round loop against its
 # all-rounds reference, internal/graph's one-pass JSON decode against the
 # encoding/json path it falls back to and internal/serve's one-pass request
-# decode against its decodeStrict fallback (all five interleaved);
-# scripts/perf_gate.sh holds the ratio floors. It distils the mean
-# ns/op, B/op, allocs/op and, where reported, graphs/sec and speedup_x (or
-# decode_x, request_decode_x) per benchmark into results/BENCH_core.json. The
-# raw text lands in results/bench_core.txt; regenerate the committed
-# regression baseline with
-#   make bench-core && cp results/bench_core.txt results/bench_core_baseline.txt
+# decode against its decodeStrict fallback. Each side of a ratio is timed in
+# the same process, interleaved, so host speed cancels. The raw text lands in
+# results/bench_core.txt; the mean ns/op, B/op, allocs/op and ratio
+# (speedup_x, decode_x or request_decode_x) per benchmark are distilled into
+# results/BENCH_core.json.
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkFig9RunningTime/ours-serial/n=1000$$|^BenchmarkTable1Compression/n=1000$$|^BenchmarkSolveAllocs$$|^BenchmarkBatchSolveSmall$$|^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \
@@ -100,18 +80,14 @@ bench-core:
 			if ($$i == "ns/op") sns[name] += $$(i-1); \
 			else if ($$i == "B/op") sb[name] += $$(i-1); \
 			else if ($$i == "allocs/op") sa[name] += $$(i-1); \
-			else if ($$i == "graphs/sec") sg[name] += $$(i-1); \
 			else if ($$i == "speedup_x" || $$i == "decode_x" || $$i == "request_decode_x") sx[name] += $$(i-1); \
 		} \
 		if (!(name in seen)) order[n++] = name; \
 		seen[name]++; \
 	} \
 	END { for (j = 0; j < n; j++) { k = order[j]; c = seen[k]; \
-		printf "  \"%s\": {\"ns_per_op\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.1f", \
-			k, sns[k]/c, sb[k]/c, sa[k]/c; \
-		if (k in sg) printf ", \"graphs_per_sec\": %.0f", sg[k]/c; \
-		if (k in sx) printf ", \"speedup_x\": %.3f", sx[k]/c; \
-		printf "}%s\n", (j < n - 1 ? "," : "") } \
+		printf "  \"%s\": {\"ns_per_op\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.1f, \"speedup_x\": %.3f}%s\n", \
+			k, sns[k]/c, sb[k]/c, sa[k]/c, sx[k]/c, (j < n - 1 ? "," : "") } \
 	print "}" }' results/bench_core.txt > results/BENCH_core.json
 	@echo "wrote results/BENCH_core.json"; cat results/BENCH_core.json
 

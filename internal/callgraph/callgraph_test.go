@@ -1,7 +1,6 @@
 package callgraph
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -121,28 +120,6 @@ func TestValidateErrors(t *testing.T) {
 				t.Errorf("Validate error = %v, want %v", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestFormatRoundTrip(t *testing.T) {
-	app := parseFig1(t)
-	app.Functions[2].Local = true
-	var buf bytes.Buffer
-	if err := Format(app, &buf); err != nil {
-		t.Fatalf("Format: %v", err)
-	}
-	back, err := Parse(&buf)
-	if err != nil {
-		t.Fatalf("Parse(Format): %v", err)
-	}
-	if back.Name != app.Name || len(back.Functions) != len(app.Functions) {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-	for i, f := range app.Functions {
-		b := back.Functions[i]
-		if b.Name != f.Name || b.Work != f.Work || b.Local != f.Local || len(b.Calls) != len(f.Calls) {
-			t.Errorf("function %d mismatch: %+v vs %+v", i, f, b)
-		}
 	}
 }
 

@@ -92,25 +92,3 @@ func Parse(r io.Reader) (*App, error) {
 	}
 	return app, nil
 }
-
-// Format renders the app in the textual IR accepted by Parse.
-func Format(a *App, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if a.Name != "" {
-		fmt.Fprintf(bw, "app %s\n", a.Name)
-	}
-	for _, f := range a.Functions {
-		if f.Local {
-			fmt.Fprintf(bw, "func %s %g local\n", f.Name, f.Work)
-		} else {
-			fmt.Fprintf(bw, "func %s %g\n", f.Name, f.Work)
-		}
-		for _, c := range f.Calls {
-			fmt.Fprintf(bw, "  calls %s %g\n", c.Callee, c.Data)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("callgraph: write: %w", err)
-	}
-	return nil
-}

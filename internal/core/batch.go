@@ -9,8 +9,7 @@ import (
 
 // BatchItem is one independent solve request of a batch: its own user
 // population and (optionally) its own MEC system constants. The zero Params
-// value inherits the solver options' params (and ultimately mec.Defaults),
-// exactly as SolveWithParams resolves them.
+// value inherits the solver options' params (and ultimately mec.Defaults).
 type BatchItem struct {
 	Users  []UserInput
 	Params mec.Params

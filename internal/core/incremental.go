@@ -83,9 +83,9 @@ func (s *Session) SolveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 // fingerprint the mutated graph — and would otherwise pay for the clone and
 // the apply twice: applied is solved as SolveDelta would solve its own
 // mutated instance, and becomes the graph the next delta names as base.
-// params overrides the MEC system constants for this call, mirroring
-// SolveWithParams: the incremental pipeline state is params-independent, so
-// the cached cuts replay whichever parameters the population is solved under.
+// params overrides the MEC system constants for this call, as a BatchItem's
+// Params does: the incremental pipeline state is params-independent, so the
+// cached cuts replay whichever parameters the population is solved under.
 // The session still patches base's cached view with d on its own and refuses
 // an applied graph whose node or edge count disagrees with the patched view.
 // applied must not be modified afterwards.

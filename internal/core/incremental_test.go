@@ -128,9 +128,9 @@ func TestSolveDeltaColdFallbackOnLargeDelta(t *testing.T) {
 	}
 }
 
-func TestSolveDeltaWithParamsMatchesColdSolveWithParams(t *testing.T) {
+func TestSolveAppliedParamsMatchColdSolve(t *testing.T) {
 	// Per-call params ride through the incremental path exactly as they do
-	// through SolveWithParams: same cached cuts, params enter at greedy.
+	// through a cold Solve: same cached cuts, params enter at greedy.
 	g, err := netgen.Generate(netgen.Config{Nodes: 90, Edges: 180, Components: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"copmecs/internal/graph"
-	"copmecs/internal/mec"
 )
 
 // Session runs repeated solves over a changing user population while
@@ -40,17 +39,6 @@ func NewSession(opts Options) *Session {
 // Solve's.
 func (s *Session) Solve(ctx context.Context, users []UserInput) (*Solution, error) {
 	return solveOne(ctx, users, s.opts, s)
-}
-
-// SolveWithParams is Solve with the MEC system constants overridden for this
-// call. The cached pipeline stays valid — compression and cuts depend only on
-// the graphs, not on mec.Params (which enter at greedy scheme generation) —
-// so a daemon serving requests with varying parameters over the same
-// application graphs still pays the spectral work once per graph.
-func (s *Session) SolveWithParams(ctx context.Context, users []UserInput, params mec.Params) (*Solution, error) {
-	opts := s.opts
-	opts.Params = params
-	return solveOne(ctx, users, opts, s)
 }
 
 // CachedGraphs reports how many distinct graphs the session has pipelined.

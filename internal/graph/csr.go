@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"fmt"
-	"math"
 	"slices"
 )
 
@@ -174,75 +172,6 @@ func (c *CSR) Degree(i int32) int { return int(c.hi[i] - c.lo[i]) }
 // component and ordered by smallest member across components. Read-only view.
 func (c *CSR) Components() [][]int32 { return c.comps }
 
-// Validate checks the view's internal invariants: row windows inside their
-// component's slab, sorted in-range adjacency, symmetric weights, no
-// self-loops, ascending unique IDs, component labels closed under adjacency
-// and member lists that partition the nodes in ascending order. It exists for
-// tests and the CSR construction fuzz target.
-func (c *CSR) Validate() error {
-	n := len(c.ids)
-	if len(c.nodeW) != n || len(c.lo) != n || len(c.hi) != n || len(c.compOf) != n {
-		return errValidate("array lengths disagree with node count")
-	}
-	if len(c.slabs) != len(c.comps) {
-		return errValidate("slab count disagrees with component count")
-	}
-	for i := 1; i < n; i++ {
-		if c.ids[i-1] >= c.ids[i] {
-			return errValidate("ids not strictly ascending")
-		}
-	}
-	members := 0
-	for ci, comp := range c.comps {
-		if s := c.slabs[ci]; s == nil || len(s.tgt) != len(s.wts) {
-			return errValidate("component slab missing or ragged")
-		}
-		for k, u := range comp {
-			if u < 0 || u >= int32(n) || c.compOf[u] != int32(ci) || (k > 0 && comp[k-1] >= u) {
-				return errValidate("member list disagrees with component labels")
-			}
-		}
-		if len(comp) == 0 || (ci > 0 && c.comps[ci-1][0] >= comp[0]) {
-			return errValidate("components not ordered by smallest member")
-		}
-		members += len(comp)
-	}
-	if members != n {
-		return errValidate("member lists do not partition the nodes")
-	}
-	nnz := 0
-	for i := int32(0); i < int32(n); i++ {
-		if lo, hi := c.lo[i], c.hi[i]; lo < 0 || lo > hi || int(hi) > len(c.slabs[c.compOf[i]].tgt) {
-			return errValidate("row window outside its slab")
-		}
-		tgt, w := c.Adj(i)
-		nnz += len(tgt)
-		for k, v := range tgt {
-			if v < 0 || v >= int32(n) {
-				return errValidate("neighbor index out of range")
-			}
-			if v == i {
-				return errValidate("self-loop")
-			}
-			if k > 0 && tgt[k-1] >= v {
-				return errValidate("adjacency not strictly ascending")
-			}
-			if c.compOf[v] != c.compOf[i] {
-				return errValidate("edge crosses component boundary")
-			}
-			// Bit comparison: symmetry means the same stored float both ways,
-			// and it keeps NaN weights (legal in Graph) from false-failing.
-			if back, _ := c.findEdge(v, i); math.Float64bits(back) != math.Float64bits(w[k]) {
-				return errValidate("asymmetric edge weight")
-			}
-		}
-	}
-	if nnz != c.nnz {
-		return errValidate("entry count disagrees with rows")
-	}
-	return nil
-}
-
 // findEdge looks edge {u, v} up in u's row by binary search, returning its
 // weight.
 func (c *CSR) findEdge(u, v int32) (w float64, ok bool) {
@@ -251,8 +180,4 @@ func (c *CSR) findEdge(u, v int32) (w float64, ok bool) {
 		return wts[k], true
 	}
 	return 0, false
-}
-
-func errValidate(msg string) error {
-	return fmt.Errorf("graph: csr validate: %s", msg)
 }

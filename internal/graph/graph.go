@@ -328,15 +328,6 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	return nbs
 }
 
-// Degree returns the number of edges incident to id.
-func (g *Graph) Degree(id NodeID) int {
-	rec, ok := g.nodes[id]
-	if !ok {
-		return 0
-	}
-	return len(rec.nbr)
-}
-
 // eachEdge calls fn once per undirected edge in (U, V) order, read off the
 // latched node order and the rows, so no sort runs per call.
 func (g *Graph) eachEdge(fn func(u, v NodeID, w float64)) {

@@ -206,12 +206,6 @@ func TestNeighborsAndDegrees(t *testing.T) {
 			t.Fatalf("Neighbors(1) = %v, want %v", nbs, want)
 		}
 	}
-	if d := g.Degree(1); d != 3 {
-		t.Errorf("Degree(1) = %d, want 3", d)
-	}
-	if d := g.Degree(99); d != 0 {
-		t.Errorf("Degree(missing) = %d, want 0", d)
-	}
 	if nbs := g.Neighbors(99); nbs != nil {
 		t.Errorf("Neighbors(missing) = %v, want nil", nbs)
 	}

@@ -243,58 +243,3 @@ func (g *Graph) DFSOrder(start NodeID) ([]NodeID, error) {
 	visit(start)
 	return order, nil
 }
-
-// Validate checks the graph's internal invariants: every row strictly
-// ascending with one weight per neighbor, adjacency symmetry with equal
-// weights both ways, no self-loops, consistent edge count, and a consistent
-// total edge weight. It exists for tests and for debugging code that
-// manipulates graphs through unsafe paths; normal mutators preserve all of
-// these.
-func (g *Graph) Validate() error {
-	// Row shape first: the symmetry pass below searches rows and indexes
-	// their weights, which is only sound on well-formed ones.
-	for u, rec := range g.nodes {
-		if len(rec.nbr) != len(rec.w) {
-			return fmt.Errorf("validate: node %d row holds %d neighbors, %d weights", u, len(rec.nbr), len(rec.w))
-		}
-		for i, v := range rec.nbr {
-			if u == v {
-				return fmt.Errorf("validate: %w at %d", ErrSelfLoop, u)
-			}
-			if i > 0 && rec.nbr[i-1] >= v {
-				return fmt.Errorf("validate: node %d row not strictly ascending at %d", u, v)
-			}
-		}
-	}
-	count := 0
-	var weight float64
-	for u, rec := range g.nodes {
-		for i, v := range rec.nbr {
-			w := rec.w[i]
-			other, ok := g.nodes[v]
-			if !ok {
-				return fmt.Errorf("validate: %w: edge {%d,%d} dangles", ErrNodeNotFound, u, v)
-			}
-			j, ok := other.find(u)
-			if !ok {
-				return fmt.Errorf("validate: edge {%d,%d} missing reverse entry", u, v)
-			}
-			if back := other.w[j]; back != w {
-				return fmt.Errorf("validate: edge {%d,%d} weights differ: %g vs %g", u, v, w, back)
-			}
-			if u < v {
-				count++
-				weight += w
-			}
-		}
-	}
-	if count != g.edgeCount {
-		return fmt.Errorf("validate: edge count %d, adjacency holds %d", g.edgeCount, count)
-	}
-	// The running total accumulates in mutation order, the recount in map
-	// order; allow round-off proportional to the magnitude.
-	if diff := weight - g.totalEdgeWeight; diff > 1e-6*(1+weight) || diff < -1e-6*(1+weight) {
-		return fmt.Errorf("validate: total edge weight %g, adjacency sums to %g", g.totalEdgeWeight, weight)
-	}
-	return nil
-}

@@ -189,17 +189,6 @@ func MaxFlow(off, tgt []int32, w []float64, s, t int32) (*MaxFlowResult, error) 
 	return &MaxFlowResult{Value: value, SourceSide: side}, nil
 }
 
-// STMinCut is a convenience wrapper returning the two sides of the minimum
-// s-t cut plus its weight.
-func STMinCut(off, tgt []int32, w []float64, s, t int32) (sideA, sideB []int32, weight float64, err error) {
-	res, err := MaxFlow(off, tgt, w, s, t)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	sideA, sideB = split(res.SourceSide)
-	return sideA, sideB, res.Value, nil
-}
-
 // MaxFlowBisect approximates the global minimum cut the way the paper's
 // baseline uses max-flow: it fixes the highest-degree node (smallest id on
 // ties) as the source — the hub a real application's entry function
@@ -233,12 +222,12 @@ func MaxFlowBisect(off, tgt []int32, w []float64) (sideA, sideB []int32, weight 
 	best := math.Inf(1)
 	for i := 0; i < sinks && i < len(order)-1; i++ {
 		t := order[len(order)-1-i]
-		a, b, cw, err := STMinCut(off, tgt, w, s, t)
+		res, err := MaxFlow(off, tgt, w, s, t)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("mincut bisect: %w", err)
 		}
-		if cw < best && len(a) > 0 && len(b) > 0 {
-			best, sideA, sideB = cw, a, b
+		if a, b := split(res.SourceSide); res.Value < best && len(a) > 0 && len(b) > 0 {
+			best, sideA, sideB = res.Value, a, b
 		}
 	}
 	if math.IsInf(best, 1) {

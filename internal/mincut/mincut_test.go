@@ -215,12 +215,12 @@ func TestMaxFlowMatchesBruteForce(t *testing.T) {
 
 func TestSTMinCutSides(t *testing.T) {
 	off, tgt, wts := csrOf(build(t, 3, []graph.Edge{{U: 0, V: 1, Weight: 5}, {U: 1, V: 2, Weight: 3}}))
-	a, b, w, err := STMinCut(off, tgt, wts, 0, 2)
+	res, err := MaxFlow(off, tgt, wts, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w != 3 || len(a) != 2 || len(b) != 1 {
-		t.Errorf("STMinCut = %v %v %v", a, b, w)
+	if a, b := split(res.SourceSide); res.Value != 3 || len(a) != 2 || len(b) != 1 {
+		t.Errorf("min 0-2 cut = %v %v %v", a, b, res.Value)
 	}
 }
 

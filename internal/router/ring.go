@@ -101,9 +101,6 @@ func keyHash(key string) uint64 {
 // callers must not mutate it.
 func (r *Ring) Members() []string { return r.members }
 
-// Size reports the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
 // succ returns the index of the first point at or clockwise of hash h
 // (wrapping past the top of the circle).
 func (r *Ring) succ(h uint64) int {
@@ -112,14 +109,6 @@ func (r *Ring) succ(h uint64) int {
 		return 0
 	}
 	return i
-}
-
-// Owner returns the member owning key, or ok = false on an empty ring.
-func (r *Ring) Owner(key string) (member string, ok bool) {
-	if len(r.points) == 0 {
-		return "", false
-	}
-	return r.members[r.points[r.succ(keyHash(key))].member], true
 }
 
 // Replicas returns up to n distinct members in ring order starting at

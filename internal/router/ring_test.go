@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// ownerOf is key's first replica, its owner; ok is false on an empty ring.
+func ownerOf(r *Ring, key string) (string, bool) {
+	reps := r.Replicas(key, 1)
+	if len(reps) == 0 {
+		return "", false
+	}
+	return reps[0], true
+}
+
 // ringKeys fabricates n fingerprint-shaped keys.
 func ringKeys(n int) []string {
 	keys := make([]string, n)
@@ -18,12 +27,12 @@ func ringKeys(n int) []string {
 func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 	a := NewRing([]string{"a", "b", "c"})
 	b := NewRing([]string{"c", "a", "b", "a"}) // shuffled + duplicate
-	if a.Size() != 3 || b.Size() != 3 {
-		t.Fatalf("sizes = %d, %d, want 3", a.Size(), b.Size())
+	if len(a.Members()) != 3 || len(b.Members()) != 3 {
+		t.Fatalf("sizes = %d, %d, want 3", len(a.Members()), len(b.Members()))
 	}
 	for _, key := range ringKeys(500) {
-		ao, aok := a.Owner(key)
-		bo, bok := b.Owner(key)
+		ao, aok := ownerOf(a, key)
+		bo, bok := ownerOf(b, key)
 		if !aok || !bok || ao != bo {
 			t.Fatalf("owner(%s) = %s/%v vs %s/%v", key, ao, aok, bo, bok)
 		}
@@ -32,7 +41,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 
 func TestRingEmpty(t *testing.T) {
 	r := NewRing(nil)
-	if _, ok := r.Owner("k"); ok {
+	if _, ok := ownerOf(r, "k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
 	if reps := r.Replicas("k", 3); reps != nil {
@@ -52,7 +61,7 @@ func TestRingUniformDistribution(t *testing.T) {
 	counts := map[string]int{}
 	keys := ringKeys(10000)
 	for _, k := range keys {
-		o, ok := r.Owner(k)
+		o, ok := ownerOf(r, k)
 		if !ok {
 			t.Fatal("no owner")
 		}
@@ -89,8 +98,8 @@ func TestRingMinimalMovement(t *testing.T) {
 	after := NewRing(members[:3]) // be-3 leaves
 	moved, total := 0, 0
 	for _, k := range ringKeys(5000) {
-		ob, _ := before.Owner(k)
-		oa, _ := after.Owner(k)
+		ob, _ := ownerOf(before, k)
+		oa, _ := ownerOf(after, k)
 		total++
 		if ob != oa {
 			moved++
@@ -108,8 +117,8 @@ func TestRingMinimalMovement(t *testing.T) {
 	// A join must likewise only pull keys onto the new member.
 	joined := NewRing(append(members, "be-4"))
 	for _, k := range ringKeys(5000) {
-		ob, _ := before.Owner(k)
-		oj, _ := joined.Owner(k)
+		ob, _ := ownerOf(before, k)
+		oj, _ := ownerOf(joined, k)
 		if ob != oj && oj != "be-4" {
 			t.Fatalf("key %s moved %s → %s on join of be-4", k, ob, oj)
 		}
@@ -119,7 +128,7 @@ func TestRingMinimalMovement(t *testing.T) {
 func TestRingReplicasDistinctAndOwnerFirst(t *testing.T) {
 	r := NewRing([]string{"a", "b", "c", "d"})
 	for _, k := range ringKeys(200) {
-		owner, _ := r.Owner(k)
+		owner, _ := ownerOf(r, k)
 		reps := r.Replicas(k, 3)
 		if len(reps) != 3 {
 			t.Fatalf("replicas(%s) = %v, want 3", k, reps)
@@ -143,7 +152,7 @@ func TestRingReplicasDistinctAndOwnerFirst(t *testing.T) {
 
 func TestRingSingleMember(t *testing.T) {
 	r := NewRing([]string{"solo"})
-	o, ok := r.Owner("anything")
+	o, ok := ownerOf(r, "anything")
 	if !ok || o != "solo" {
 		t.Fatalf("owner = %s/%v", o, ok)
 	}

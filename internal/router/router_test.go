@@ -179,7 +179,7 @@ func TestRouterStickyRoutingAndFleetStats(t *testing.T) {
 	// fingerprint owner is stable.
 	ring := rt.ring.Load()
 	for i := 0; i < corpus; i++ {
-		if _, ok := ring.Owner(fingerprintOf(t, makeBody(i))); !ok {
+		if _, ok := ownerOf(ring, fingerprintOf(t, makeBody(i))); !ok {
 			t.Fatalf("body %d has no owner", i)
 		}
 	}
@@ -234,7 +234,7 @@ func TestRouterFailoverAndQuarantineOnCrashedBackend(t *testing.T) {
 
 	// The live ring now contains only B.
 	ring := rt.ring.Load()
-	if ring.Size() != 1 || ring.Members()[0] != "be-b" {
+	if len(ring.Members()) != 1 || ring.Members()[0] != "be-b" {
 		t.Fatalf("ring members = %v, want [be-b]", ring.Members())
 	}
 }
@@ -347,8 +347,8 @@ func TestRouterFlappingBackendUnderLoad(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if rt.ring.Load().Size() != 2 {
-		t.Fatalf("ring size = %d after recovery, want 2", rt.ring.Load().Size())
+	if len(rt.ring.Load().Members()) != 2 {
+		t.Fatalf("ring size = %d after recovery, want 2", len(rt.ring.Load().Members()))
 	}
 }
 
@@ -359,7 +359,7 @@ func TestRouterHedgesSlowPrimary(t *testing.T) {
 	// long before the stall ends.
 	body := makeBody(0)
 	fp := fingerprintOf(t, body)
-	owner, _ := NewRing([]string{"be-a", "be-b"}).Owner(fp)
+	owner, _ := ownerOf(NewRing([]string{"be-a", "be-b"}), fp)
 
 	canned := `{"remote":[1],"cached":false}`
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

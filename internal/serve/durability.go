@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"copmecs/internal/core"
 	"copmecs/internal/graph"
 	"copmecs/internal/mec"
 )
@@ -65,7 +64,8 @@ type RecoveryStats struct {
 	// ReplayMutates counts mutate records whose delta was re-applied to
 	// reconstruct the mutated graph during replay (warm or solved).
 	ReplayMutates int `json:"replay_mutates"`
-	// ReplayErrors counts replay rounds that failed to solve.
+	// ReplayErrors counts replayed records whose cell failed to solve, plus
+	// mutate records whose base is not interned.
 	ReplayErrors int `json:"replay_errors"`
 	// DecodeErrors counts records that failed to decode (CRC-valid but
 	// semantically unusable — version skew or fault injection).
@@ -382,12 +382,15 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 // Recover warms the server from recovered durable state: the snapshot's
 // graphs, decisions and counters are restored directly, then the journal
 // tail — accepted requests whose decisions never reached a snapshot — is
-// replayed through the shared session in admission-sized rounds. Records
-// whose key is already warm are skipped (journal replay is idempotent:
-// segments blocked from truncation replay again harmlessly). Call before
-// Start, before the server accepts traffic; undecodable records and
-// failed rounds are counted, never fatal — recovery prefers a cold key
-// to a dead daemon.
+// replayed in journal order through the live solve paths. Consecutive
+// accepted records fill rounds of at most MaxBatch tasks for dispatchRound,
+// which splits them by params digest as it splits a live round; a mutate
+// record flushes the round before it and goes alone through solveMutation,
+// as its live leader did. Records whose key is already warm are skipped
+// (journal replay is idempotent: segments blocked from truncation replay
+// again harmlessly). Call before Start, before the server accepts traffic;
+// undecodable records and failed cells are counted, never fatal — recovery
+// prefers a cold key to a dead daemon.
 func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) RecoveryStats {
 	var rs RecoveryStats
 	for _, payload := range snapshot {
@@ -406,11 +409,13 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 			rs.SnapshotGraphs++
 		case recDecision:
 			key, dec, err := decodeDecisionRecord(payload)
+			if err == nil {
+				err = s.publish(key, dec)
+			}
 			if err != nil {
 				rs.DecodeErrors++
 				continue
 			}
-			s.publish(key, dec)
 			rs.SnapshotDecisions++
 		case recCounters:
 			if err := restoreCountersRecord(payload, &s.st); err != nil {
@@ -422,22 +427,22 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 	}
 	rs.JournalRecords = len(journal)
 
-	// Decode the journal tail, dropping records already warm (restored by
-	// the snapshot or duplicated within the tail), then re-solve the rest
-	// grouped by params digest — the same rounds the batcher would have
-	// formed — so replayed decisions carry live contention figures.
-	type replayItem struct {
-		key    string
-		fp     string
-		req    *SolveRequest
-		params mec.Params
+	var (
+		round []*solveTask
+		cells []*pending // one per replayed record, resolved by the end
+	)
+	flush := func() {
+		if len(round) > 0 {
+			s.dispatchRound(ctx, round)
+			round = nil
+		}
 	}
-	seen := make(map[string]bool)
-	groups := make(map[string][]replayItem)
-	var order []string
+	seen := make(map[string]bool) // keys replayed from this tail
 	for _, payload := range journal {
 		var (
 			req    *SolveRequest
+			mreq   *MutateRequest
+			base   *graph.Graph
 			params mec.Params
 			err    error
 		)
@@ -446,14 +451,13 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 			// journal order, so the base is already interned (snapshot, an
 			// earlier accepted record, or an earlier mutate in this tail)
 			// and the delta re-applies to reconstruct the mutated graph.
-			var mreq *MutateRequest
-			mreq, params, err = decodeMutate(payload, s.cfg.Limits)
-			if err != nil {
+			flush()
+			if mreq, params, err = decodeMutate(payload, s.cfg.Limits); err != nil {
 				rs.DecodeErrors++
 				continue
 			}
-			base, ok := s.graphs.Get(mreq.Base)
-			if !ok {
+			var ok bool
+			if base, ok = s.graphs.Get(mreq.Base); !ok {
 				rs.ReplayErrors++
 				s.logf("serve: replay mutate: %v: %s", ErrUnknownBase, mreq.Base)
 				continue
@@ -463,11 +467,9 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 				continue
 			}
 			rs.ReplayMutates++
-		} else {
-			if req, params, err = decodeAccepted(payload, s.cfg.Limits); err != nil {
-				rs.DecodeErrors++
-				continue
-			}
+		} else if req, params, err = decodeAccepted(payload, s.cfg.Limits); err != nil {
+			rs.DecodeErrors++
+			continue
 		}
 		key, fp, err := requestKey(req, params)
 		if err != nil {
@@ -476,42 +478,33 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		}
 		// Intern before the warm-skip: a later mutate record may name this
 		// record's graph as its base even when the decision itself is warm.
-		req.Graph, _ = s.graphs.GetOrPut(fp, req.Graph)
+		// A mutate keeps solving its own clone, as live.
+		if canon, _ := s.graphs.GetOrPut(fp, req.Graph); mreq == nil {
+			req.Graph = canon
+		}
 		if _, warm := s.cache.Get(key); warm || seen[key] {
 			rs.ReplayWarm++
 			continue
 		}
 		seen[key] = true
-		pk := paramsDigest(params)
-		if _, ok := groups[pk]; !ok {
-			order = append(order, pk)
+		p := newPending(key)
+		s.accepted.Add(1) // finish releases it, as for a live cell
+		cells = append(cells, p)
+		if mreq != nil {
+			s.solveMutation(ctx, p, base, mreq.Delta, req, fp, params)
+			continue
 		}
-		groups[pk] = append(groups[pk], replayItem{key: key, fp: fp, req: req, params: params})
+		round = append(round, &solveTask{p: p, user: userInputOf(req), params: params, pkey: paramsDigest(params), fp: fp})
+		if len(round) == s.b.maxBatch {
+			flush()
+		}
 	}
-
-	maxBatch := s.b.maxBatch
-	for _, pk := range order {
-		items := groups[pk]
-		for len(items) > 0 {
-			round := items
-			if len(round) > maxBatch {
-				round = round[:maxBatch]
-			}
-			items = items[len(round):]
-			users := make([]core.UserInput, len(round))
-			for i, it := range round {
-				users[i] = userInputOf(it.req)
-			}
-			sol, err := s.sess.SolveWithParams(ctx, users, round[0].params)
-			if err != nil {
-				rs.ReplayErrors++
-				s.logf("serve: replay round of %d users failed: %v", len(users), err)
-				continue
-			}
-			for i, it := range round {
-				s.publish(it.key, decisionFor(it.fp, sol, i, len(users)))
-				rs.ReplaySolved++
-			}
+	flush()
+	for _, p := range cells {
+		if p.err != nil {
+			rs.ReplayErrors++
+		} else {
+			rs.ReplaySolved++
 		}
 	}
 	s.recovery.Store(&rs)

@@ -355,6 +355,39 @@ func TestJournalReplaySolvesAndDedups(t *testing.T) {
 	}
 }
 
+func TestNonFiniteDecisionIsRejectedAndNeverCached(t *testing.T) {
+	// Node weights near the float64 limit overflow the local work to +Inf,
+	// which JSON cannot carry: the request must fail as a bad request with
+	// a JSON error body, nothing may be cached, and snapshots keep working.
+	jr := newFakeJournal()
+	s := newTestServer(t, Config{Journal: jr})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	body := []byte(`{"graph":{"nodes":[{"id":0,"weight":1e308},{"id":1,"weight":1e308},{"id":2,"weight":1e308}],` +
+		`"edges":[{"u":0,"v":1,"weight":1},{"u":1,"v":2,"weight":1}]}}`)
+	for i := 0; i < 2; i++ {
+		rec := postRecorded(s, body, ctx)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d (%d body bytes), want 400", i, rec.Code, rec.Body.Len())
+		}
+		var resp ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Error == "" {
+			t.Fatalf("request %d: body %q is not a JSON error (%v)", i, rec.Body, err)
+		}
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("cache holds %d decisions, want 0", n)
+	}
+	if appends, applied := jr.counts(); applied != appends {
+		t.Fatalf("applied = %d of %d appends: a failed cell must release its record", applied, appends)
+	}
+	if err := s.WriteSnapshotRecords(func([]byte) error { return nil }); err != nil {
+		t.Fatalf("WriteSnapshotRecords: %v", err)
+	}
+}
+
 func TestCountersRecordRoundTrip(t *testing.T) {
 	var c counters
 	c.requests.Add(7)

@@ -212,11 +212,11 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	return nil
 }
 
-// solveMutation is the mutate leader's inline solve: one single-user round
-// through the session's delta path over sreq.Graph — base with d already
-// applied — that graph interned under newFp, and the outcome — a decision
-// shaped exactly like a /v1/solve one, or the error — published to the cell
-// through finish.
+// solveMutation is the mutate leader's inline solve, and Recover's for a
+// replayed mutate record: one single-user round through the session's delta
+// path over sreq.Graph — base with d already applied — that graph interned
+// under newFp, and the outcome — a decision shaped exactly like a /v1/solve
+// one, or the error — published to the cell through finish.
 func (s *Server) solveMutation(ctx context.Context, p *pending, base *graph.Graph, d *graph.Delta, sreq *SolveRequest, newFp string, params mec.Params) *core.DeltaStats {
 	ctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()

@@ -401,6 +401,62 @@ func TestJournalReplayReconstructsMutatedGraphs(t *testing.T) {
 	}
 }
 
+func TestJournalReplayMatchesLiveMutate(t *testing.T) {
+	// A mutate answered alone live must replay alone: after Recover, its
+	// cached hit is the byte-identical single-user decision the live leader
+	// published, not a share of a round regrouped from the journal tail.
+	jr := newFakeJournal()
+	live := newTestServer(t, Config{Journal: jr})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	live.Start(ctx)
+
+	base := chainGraph(t, 24)
+	if rec := postRecorded(live, solveBody(t, base), ctx); rec.Code != http.StatusOK {
+		t.Fatalf("solve: status %d", rec.Code)
+	}
+	d := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 2, Weight: 321}}}
+	rec := httptest.NewRecorder()
+	body := mutateBody(t, fingerprintOf(t, base), d)
+	live.handleMutate(rec, httptest.NewRequest(http.MethodPost, "/v1/mutate", bytes.NewReader(body)).WithContext(ctx))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("mutate: status %d: %s", rec.Code, rec.Body)
+	}
+	mutated := base.Clone()
+	if err := d.Apply(mutated); err != nil {
+		t.Fatal(err)
+	}
+	key, _, err := requestKey(&SolveRequest{Graph: mutated}, defaultTestParams())
+	if err != nil {
+		t.Fatalf("requestKey: %v", err)
+	}
+	want, ok := live.cache.Get(key)
+	if !ok {
+		t.Fatal("live mutate left no cached decision")
+	}
+
+	jr.mu.Lock()
+	journal := append([][]byte{}, jr.appends...)
+	jr.mu.Unlock()
+	if len(journal) != 2 {
+		t.Fatalf("journal holds %d records, want 2 (solve, mutate)", len(journal))
+	}
+	replayed := newTestServer(t, Config{})
+	if rs := replayed.Recover(ctx, nil, journal); rs.ReplaySolved != 2 {
+		t.Fatalf("recovery = %+v, want 2 records solved", rs)
+	}
+	got, ok := replayed.cache.Get(key)
+	if !ok {
+		t.Fatal("replay left the mutate key cold")
+	}
+	if got.dec.BatchUsers != 1 {
+		t.Errorf("replayed mutate batch_users = %d, want 1 (its live round)", got.dec.BatchUsers)
+	}
+	if !bytes.Equal(got.hit, want.hit) {
+		t.Errorf("replayed hit differs from the live one:\n got %s\nwant %s", got.hit, want.hit)
+	}
+}
+
 func TestStatsIncrementalSectionShape(t *testing.T) {
 	// The incremental section is always present (zeros before any mutate)
 	// and carries the documented keys that /v1/stats clients read.

@@ -297,7 +297,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// One Session per server: rounds over a repeat graph skip compression
 	// and cuts entirely (only Algorithm 2's greedy reruns). Params vary per
-	// round via SolveWithParams — the cached pipeline is params-independent.
+	// batch item — the cached pipeline is params-independent.
 	s.sess = core.NewSession(core.Options{
 		Engine:  cfg.Engine,
 		Workers: cfg.Workers,
@@ -668,8 +668,7 @@ func (s *Server) paramsFor(override *ParamsJSON) (mec.Params, error) {
 }
 
 // cachedDecision is one solution-cache slot: the immutable decision shared
-// with in-flight responses, and its pre-rendered cache-hit response body
-// (nil if rendering failed; writeHit then encodes on demand).
+// with in-flight responses, and its pre-rendered cache-hit response body.
 type cachedDecision struct {
 	dec *Decision
 	hit []byte
@@ -687,9 +686,15 @@ func (s *Server) lookup(key string) (cachedDecision, bool) {
 }
 
 // publish fills the solution cache with dec and its pre-rendered hit
-// response, so every subsequent hit writes stored bytes.
-func (s *Server) publish(key string, dec *Decision) {
-	s.cache.Put(key, cachedDecision{dec: dec, hit: renderHit(dec)})
+// response, so every subsequent hit writes stored bytes. A decision that
+// does not render (a non-finite float) is not cached.
+func (s *Server) publish(key string, dec *Decision) error {
+	hit, err := renderHit(dec)
+	if err != nil {
+		return err
+	}
+	s.cache.Put(key, cachedDecision{dec: dec, hit: hit})
+	return nil
 }
 
 // journalRecord encodes a request's write-ahead record, outside the
@@ -850,9 +855,10 @@ func (s *Server) await(ctx context.Context, p *pending, leader bool) (*Decision,
 	return p.dec, nil
 }
 
-// dispatchRound solves one batcher round. Tasks with different resolved
-// params cannot share a server model, so the round is partitioned by
-// params digest (first-appearance order) into one batch item each, and the
+// dispatchRound solves one batcher round, or one round of journal records
+// replayed by Recover. Tasks with different resolved params cannot share a
+// server model, so the round is partitioned by params digest
+// (first-appearance order) into one batch item each, and the
 // whole round goes through Session.BatchSolve in a single fused pass:
 // every cache-missing distinct graph across all items is compiled,
 // compressed and cut in one mega-instance instead of once per group. The
@@ -927,20 +933,22 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 	}
 }
 
-// finish publishes an accepted cell's result — a batcher round's or a
-// mutate leader's inline solve: cache fill first (decision plus its
-// pre-rendered hit response), then release of the cell's journal record
-// — strictly after the cache fill, so a snapshot scan that could observe
-// the segment as fully applied necessarily sees the decision — then
+// finish publishes an accepted cell's result — a batcher round's, a mutate
+// leader's inline solve or a replayed record's: cache fill first (decision
+// plus its pre-rendered hit response; a decision that does not render fails
+// the cell as a bad request instead), then release of the cell's journal
+// record — strictly after the cache fill, so a snapshot scan that could
+// observe the segment as fully applied necessarily sees the decision — then
 // removal from the singleflight table (so no moment exists where neither
-// covers the key), then the wakeup of every waiter. A failed cell's
-// record is released too: the error is a delivered response, a crash
-// before this point replays (and retries) the request anyway, and
-// replaying a failing request at every boot would wedge recovery on a
-// poison record.
+// covers the key), then the wakeup of every waiter. A failed cell's record
+// is released too: the error is a delivered response, a crash before this
+// point replays (and retries) the request anyway, and replaying a failing
+// request at every boot would wedge recovery on a poison record.
 func (s *Server) finish(p *pending, dec *Decision, err error) {
 	if dec != nil {
-		s.publish(p.key, dec)
+		if perr := s.publish(p.key, dec); perr != nil {
+			dec, err = nil, fmt.Errorf("%w: decision not representable: %v", ErrBadRequest, perr)
+		}
 	}
 	if p.journaled {
 		s.cfg.Journal.Applied(p.jseg)
@@ -1008,23 +1016,17 @@ func solveResponseFor(dec *Decision, cached, deduped bool) SolveResponse {
 // renderHit pre-encodes dec's cached=true response at cache-fill time, so
 // every subsequent hit writes stored bytes instead of re-encoding JSON.
 // The bytes match writeJSON's encoder output (trailing newline included).
-// A marshal failure — impossible for these plain fields — degrades to
-// nil, which writeHit re-encodes on demand.
-func renderHit(dec *Decision) []byte {
+// It fails only on a non-finite float, which JSON cannot carry.
+func renderHit(dec *Decision) ([]byte, error) {
 	b, err := json.Marshal(solveResponseFor(dec, true, false))
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return append(b, '\n')
+	return append(b, '\n'), nil
 }
 
-// writeHit answers a cache hit: pre-rendered bytes when available, a
-// fresh encoding otherwise.
+// writeHit answers a cache hit with its pre-rendered bytes.
 func writeHit(w http.ResponseWriter, ent cachedDecision) {
-	if ent.hit == nil {
-		writeJSON(w, http.StatusOK, solveResponseFor(ent.dec, true, false))
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(ent.hit)

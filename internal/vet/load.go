@@ -159,7 +159,7 @@ func checkFiles(fset *token.FileSet, imp types.Importer, path string, files []*a
 	return tpkg, info, nil
 }
 
-// LoadConfig tunes Load's package selection.
+// LoadConfig tunes LoadConfigured's package selection.
 type LoadConfig struct {
 	// IncludeTests adds each package's test files: in-package _test.go
 	// files join the package's own files, and external (package foo_test)
@@ -170,18 +170,12 @@ type LoadConfig struct {
 	IncludeTests bool
 }
 
-// Load resolves the patterns (e.g. "./...") in dir with the go tool,
-// parses every matched package's non-test files, and type-checks them
-// against export data for all transitive dependencies. Test files are
-// excluded on purpose at this entry point: the reproducibility invariants
-// guard production code, and tests legitimately use fixed ad-hoc
-// randomness and exact comparisons. Use LoadConfigured with IncludeTests
-// for the analyzers that do cover tests.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	return LoadConfigured(dir, patterns, LoadConfig{})
-}
-
-// LoadConfigured is Load with explicit selection options.
+// LoadConfigured resolves the patterns (e.g. "./...") in dir with the go
+// tool, parses every matched package's files, and type-checks them against
+// export data for all transitive dependencies. Test files are excluded
+// unless cfg.IncludeTests is set: the reproducibility invariants guard
+// production code, and tests legitimately use fixed ad-hoc randomness and
+// exact comparisons; only the concurrency analyzers also cover tests.
 func LoadConfigured(dir string, patterns []string, cfg LoadConfig) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

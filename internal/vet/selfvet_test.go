@@ -5,9 +5,9 @@ import "testing"
 // TestSelfVet runs the full suite over the analyzer engine and the
 // command tree: the checker holds itself to its own invariants.
 func TestSelfVet(t *testing.T) {
-	pkgs, err := Load("../..", []string{"./internal/vet", "./cmd/..."})
+	pkgs, err := LoadConfigured("../..", []string{"./internal/vet", "./cmd/..."}, LoadConfig{})
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadConfigured: %v", err)
 	}
 	if findings := RunAnalyzers(pkgs, All()); len(findings) != 0 {
 		t.Errorf("the vet engine does not pass its own suite:\n%v", findings)
@@ -21,9 +21,9 @@ func TestFullTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree load is not short")
 	}
-	pkgs, err := Load("../..", []string{"./..."})
+	pkgs, err := LoadConfigured("../..", []string{"./..."}, LoadConfig{})
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadConfigured: %v", err)
 	}
 	if findings := RunAnalyzers(pkgs, All()); len(findings) != 0 {
 		t.Errorf("tree is not vet-clean:\n%v", findings)
@@ -41,7 +41,11 @@ func TestFullTreeConcurrencyWithTests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadConfigured: %v", err)
 	}
-	if findings := RunAnalyzers(pkgs, ConcurrencyAnalyzers()); len(findings) != 0 {
+	concurrency, err := ByName("lockorder,unlockpath")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if findings := RunAnalyzers(pkgs, concurrency); len(findings) != 0 {
 		t.Errorf("tree (tests included) violates a concurrency invariant:\n%v", findings)
 	}
 }

@@ -80,13 +80,6 @@ func All() []*Analyzer {
 	return []*Analyzer{FloatCmp, ErrDrop, LockOrder, UnlockPath}
 }
 
-// ConcurrencyAnalyzers returns the subset guarding lock discipline — the
-// analyzers CI also runs over test files, because test goroutine storms hit
-// the same bug classes as production code.
-func ConcurrencyAnalyzers() []*Analyzer {
-	return []*Analyzer{LockOrder, UnlockPath}
-}
-
 // ByName resolves a comma-separated analyzer list against All; an unknown
 // name is an error.
 func ByName(names string) ([]*Analyzer, error) {

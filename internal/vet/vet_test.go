@@ -209,12 +209,12 @@ func TestFindingString(t *testing.T) {
 // TestLoadModulePackage drives the production loader end-to-end on a real
 // module package and asserts the suite finds nothing to complain about.
 func TestLoadModulePackage(t *testing.T) {
-	pkgs, err := Load("../..", []string{"./internal/numeric"})
+	pkgs, err := LoadConfigured("../..", []string{"./internal/numeric"}, LoadConfig{})
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadConfigured: %v", err)
 	}
 	if len(pkgs) != 1 || pkgs[0].Path != "copmecs/internal/numeric" {
-		t.Fatalf("Load = %+v, want the single numeric package", pkgs)
+		t.Fatalf("LoadConfigured = %+v, want the single numeric package", pkgs)
 	}
 	if findings := RunAnalyzers(pkgs, All()); len(findings) != 0 {
 		t.Errorf("unexpected findings on internal/numeric:\n%v", findings)
