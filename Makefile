@@ -39,9 +39,10 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # fuzz gives the binary codec, the one-pass JSON scanner's shapes (graph,
-# /v1/solve body, /v1/mutate body, each held to encoding/json) and the
-# serving-path request decoder a short randomized shake; CI runs the seed
-# corpus via plain `go test`, this target digs deeper locally.
+# /v1/solve body, /v1/mutate body, each held to encoding/json), the
+# serving-path request decoder and journal recovery over mutated round and
+# mutate records a short randomized shake; CI runs the seed corpus via plain
+# `go test`, this target digs deeper locally.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzGraphJSONMatchesStdlib -fuzztime=30s ./internal/graph/
@@ -49,6 +50,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSolveRequest -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzSolveRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzMutateRequestMatchesStdlib -fuzztime=30s ./internal/serve/
+	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/durable/
 
 # bench runs every benchmark in the repo into results/bench.txt.
@@ -104,13 +106,15 @@ bench-batch:
 		-bench='^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSolveLarge$$' .
 
 # chaos runs the fault-injection suite — lossy transports, torn journal
-# writes, fsync failures — twice under the race detector to shake out
-# order-dependent failures in the recovery paths, then the SIGKILL
-# scenarios against re-exec'd daemons: crash recovery on a data directory,
-# and a fleet backend killed and restarted behind the router.
+# writes, fsync failures — and serve's journal, replay and shed tests twice
+# under the race detector to shake out order-dependent failures in the
+# recovery paths, then the SIGKILL scenarios against re-exec'd daemons:
+# crash recovery on a data directory, and a fleet backend killed and
+# restarted behind the router.
 chaos:
 	$(GO) test -race -count=2 ./internal/faultnet/
 	$(GO) test -race -count=2 ./internal/durable/
+	$(GO) test -race -count=2 -run 'Journal|Replay|Recover|Shed' ./internal/serve/
 	$(GO) test -race -run 'TestCrashRecovery|TestDaemonDurable|TestFleet' ./cmd/copmecsd/
 
 clean:

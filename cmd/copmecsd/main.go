@@ -22,8 +22,8 @@
 // data. SIGINT/SIGTERM triggers graceful drain: new work is rejected,
 // every accepted request completes, then the process exits.
 //
-// With -data-dir the daemon is crash-durable: accepted requests are
-// journaled write-ahead, the caches are snapshotted on -snapshot-interval
+// With -data-dir the daemon is crash-durable: solve rounds and mutations
+// are journaled write-ahead, the caches are snapshotted on -snapshot-interval
 // (and at drain), and a restart on the same directory recovers the
 // snapshot, replays the journal tail and resumes with warm caches — a
 // kill -9 loses no accepted request. An empty -data-dir (the default)

@@ -30,13 +30,11 @@ const (
 // paper's shared-server contention (ActiveUsers = k) reflects the real
 // concurrent load, not the deduplicated one.
 type pending struct {
-	key       string
-	done      chan struct{} // closed exactly once when dec/err are set
-	dec       *Decision
-	err       error
-	mult      atomic.Int64
-	jseg      uint64 // journal token from Append, released in finish
-	journaled bool   // jseg is live (a write-ahead record exists)
+	key  string
+	done chan struct{} // closed exactly once when dec/err are set
+	dec  *Decision
+	err  error
+	mult atomic.Int64
 }
 
 // newPending returns a cell with multiplicity 1 (the leader).
@@ -49,10 +47,12 @@ func newPending(key string) *pending {
 // solveTask is one accepted leader request waiting for a solve round.
 type solveTask struct {
 	p      *pending
+	rec    []byte // the request's recAccepted payload, its member of the round record
 	user   core.UserInput
 	params mec.Params
 	pkey   string // paramsDigest; rounds group by it
 	fp     string // canonical graph fingerprint, echoed in the decision
+	mult   int    // users the round expands the task to: p.mult read once at dispatch, or a replayed record's
 }
 
 // batcher coalesces concurrently arriving solve tasks into multi-user

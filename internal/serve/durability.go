@@ -14,25 +14,22 @@ import (
 	"copmecs/internal/mec"
 )
 
-// Durability integration: when Config.Journal is set, every accepted
-// leader request is journaled before its solve can start (write-ahead), and
-// the journal token is released in finish only after the solved decision
-// is published to the cache — so any record a snapshot truncation drops
-// is provably covered by that snapshot, and any record still in the
-// journal at a crash is replayed on the next boot. The warm path (cache
-// hits, followers) never touches the journal, keeping the hot-path cost
-// of durability to one append per distinct cold request.
-//
-// The record payloads reuse the canonical binary graph codec, so a
-// journal record carries exactly the identity the cache keys on:
-// replaying it reproduces the same requestKey the live request had.
+// Durability integration: with Config.Journal set, dispatchRound appends
+// each solve round as the batcher closed it (recRound) and solveMutation each
+// mutation (recMutate), both before solving, and each releases its record
+// after every decision it produced is cached — so a record a snapshot
+// truncation drops is covered by that snapshot, and one still in the journal
+// at a crash is replayed as written. Admission, the warm path and a shed
+// request never touch the journal. Records reuse the canonical binary graph
+// codec, so replay reproduces the live request's cache key.
 
-// Journal is the write-ahead log the server appends accepted requests
-// to. durable.Store satisfies it structurally; serve stays free of a
-// durable dependency so in-memory serving links no storage code.
+// Journal is the write-ahead log the server appends solve rounds and
+// mutations to. durable.Store satisfies it structurally; serve stays free
+// of a durable dependency so in-memory serving links no storage code.
 type Journal interface {
-	// Append journals one encoded accepted request, returning a token to
-	// pass to Applied once the decision is published in memory.
+	// Append journals one encoded round or mutation, returning a token to
+	// pass to Applied once its decisions are published in memory. It must
+	// not retain payload: the server reuses the buffer for the next round.
 	Append(payload []byte) (uint64, error)
 	// Applied releases one appended record for snapshot truncation.
 	Applied(token uint64)
@@ -40,11 +37,12 @@ type Journal interface {
 
 // Durability record types (first payload byte).
 const (
-	recAccepted uint8 = 1 // journal: one accepted request
+	recAccepted uint8 = 1 // one accepted request: a round member, or a round of one on its own
 	recDecision uint8 = 2 // snapshot: one cached decision
 	recGraph    uint8 = 3 // snapshot: one interned graph
 	recCounters uint8 = 4 // snapshot: monotonic traffic counters
 	recMutate   uint8 = 5 // journal: one accepted graph mutation
+	recRound    uint8 = 6 // journal: one solve round, its members and their multiplicities
 )
 
 // RecoveryStats summarises one boot-time Recover pass, surfaced under
@@ -56,15 +54,16 @@ type RecoveryStats struct {
 	SnapshotDecisions int `json:"snapshot_decisions"`
 	// JournalRecords counts journal records presented for replay.
 	JournalRecords int `json:"journal_records"`
-	// ReplayWarm counts journal records whose key the restored cache (or
-	// an earlier replayed record) already covered.
+	// ReplayWarm counts journaled requests (round members and mutates)
+	// skipped because the restored cache, or an earlier replayed record,
+	// already covered their key.
 	ReplayWarm int `json:"replay_warm"`
-	// ReplaySolved counts journal records re-solved into the cache.
+	// ReplaySolved counts journaled requests re-solved into the cache.
 	ReplaySolved int `json:"replay_solved"`
 	// ReplayMutates counts mutate records whose delta was re-applied to
 	// reconstruct the mutated graph during replay (warm or solved).
 	ReplayMutates int `json:"replay_mutates"`
-	// ReplayErrors counts replayed records whose cell failed to solve, plus
+	// ReplayErrors counts replayed requests whose cell failed to solve, plus
 	// mutate records whose base is not interned.
 	ReplayErrors int `json:"replay_errors"`
 	// DecodeErrors counts records that failed to decode (CRC-valid but
@@ -82,7 +81,7 @@ type DurabilityStats struct {
 	JournalRecords uint64 `json:"journal_records"`
 	// JournalBytes counts journal bytes written since boot.
 	JournalBytes uint64 `json:"journal_bytes"`
-	// AppendErrors counts accepted requests served without a journal
+	// AppendErrors counts rounds and mutations served without a journal
 	// record because Append failed (availability over durability).
 	AppendErrors uint64 `json:"append_errors"`
 	// WriteErrors counts failed journal writes inside the store.
@@ -138,35 +137,32 @@ func putString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-// readString inverts putString at the head of b, returning the string and
-// the bytes after it; ok is false when b is too short for either.
-func readString(b []byte) (s string, rest []byte, ok bool) {
+// readChunk inverts putString (and a round member's length prefix) at the
+// head of b, returning the chunk and the bytes after it; ok is false when b
+// is too short for either.
+func readChunk(b []byte) (chunk, rest []byte, ok bool) {
 	if len(b) < 4 {
-		return "", nil, false
+		return nil, nil, false
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if int64(n) > int64(len(b)-4) {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return string(b[4 : 4+n]), b[4+n:], true
+	return b[4 : 4+n], b[4+n:], true
 }
-
-// A recAccepted payload is the record type, the float block, and the
-// canonical binary graph. A request's graph is encoded once: newAcceptedRecord
-// writes it into a buffer of exactly the payload's size, recordFingerprint
-// hashes it there, and sealAccepted, once the request turns out to be a
-// leader with a journal to write to, completes the same buffer into the
-// payload.
 
 // acceptedGraphOffset is where a recAccepted payload's graph starts.
 const acceptedGraphOffset = 1 + floatBlockLen
 
-// newAcceptedRecord returns g's recAccepted payload with the float block
-// still blank.
-func newAcceptedRecord(g *graph.Graph) []byte {
-	rec := make([]byte, acceptedGraphOffset, acceptedGraphOffset+g.BinarySize())
+// newAcceptedRecord returns the recAccepted payload of g solved under params
+// and o — the record type, the float block and the canonical binary graph —
+// in a buffer of exactly its size: solve encodes a graph once, hashes it
+// there (recordFingerprint) and journals the same bytes in its round.
+func newAcceptedRecord(g *graph.Graph, params mec.Params, o UserOverrides) []byte {
+	rec := make([]byte, 1, acceptedGraphOffset+g.BinarySize())
 	rec[0] = recAccepted
-	return g.AppendBinary(rec)
+	blk := floatBlock(params, o)
+	return g.AppendBinary(append(rec, blk[:]...))
 }
 
 // recordFingerprint is the fingerprint (graph.Fingerprint) of rec's graph.
@@ -175,34 +171,78 @@ func recordFingerprint(rec []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// sealAccepted fills rec's float block and returns rec, now a complete
-// payload.
-func sealAccepted(rec []byte, params mec.Params, o UserOverrides) []byte {
-	blk := floatBlock(params, o)
-	copy(rec[1:], blk[:])
-	return rec
-}
-
-// decodeAccepted inverts sealAccepted, applying the same validation as
-// the live decode path (readFloatBlock's checks plus the graph limits). It
-// never panics (fuzzed by FuzzJournalReplay in the durable package's
-// integration tests and exercised by recovery).
-func decodeAccepted(payload []byte, limits DecodeLimits) (*SolveRequest, mec.Params, error) {
+// decodeAccepted inverts newAcceptedRecord into a task of multiplicity 1
+// in a fresh cell keyed as its live request was, applying the live decode
+// path's validation (readFloatBlock's checks plus the graph limits). It
+// never panics (fuzzed by FuzzRecoverJournal).
+func decodeAccepted(payload []byte, limits DecodeLimits) (*solveTask, error) {
 	if len(payload) < acceptedGraphOffset || payload[0] != recAccepted {
-		return nil, mec.Params{}, fmt.Errorf("serve: not an accepted record")
+		return nil, fmt.Errorf("serve: not an accepted record")
 	}
 	params, o, err := readFloatBlock(payload[1:])
+	var g *graph.Graph
+	if err == nil {
+		g, err = graph.ReadBinary(bytes.NewReader(payload[acceptedGraphOffset:]))
+	}
+	if err == nil {
+		err = limits.check(g)
+	}
 	if err != nil {
-		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
+		return nil, fmt.Errorf("serve: accepted record: %w", err)
 	}
-	g, err := graph.ReadBinary(bytes.NewReader(payload[acceptedGraphOffset:]))
+	req := &SolveRequest{Graph: g, UserOverrides: o}
+	key, fp, err := requestKey(req, params)
 	if err != nil {
-		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
+		return nil, err
 	}
-	if err := limits.check(g); err != nil {
-		return nil, mec.Params{}, fmt.Errorf("serve: accepted record: %w", err)
+	return &solveTask{p: newPending(key), user: userInputOf(req), params: params, pkey: paramsDigest(params), fp: fp, mult: 1}, nil
+}
+
+// appendRound appends round's recRound payload to buf: the record type, the
+// member count, then per member a length-prefixed chunk of its multiplicity
+// and its recAccepted payload (lengths and counts little-endian uint32s).
+func appendRound(buf []byte, round []*solveTask) []byte {
+	buf = binary.LittleEndian.AppendUint32(append(buf, recRound), uint32(len(round)))
+	for _, t := range round {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(4+len(t.rec)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.mult))
+		buf = append(buf, t.rec...)
 	}
-	return &SolveRequest{Graph: g, UserOverrides: o}, params, nil
+	return buf
+}
+
+// decodeRound inverts appendRound into the round's tasks; a bare
+// recAccepted payload, as binaries before round records journaled, is a
+// round of one. A multiplicity above maxBatch is clamped as dispatchRound
+// clamps it.
+func decodeRound(payload []byte, limits DecodeLimits, maxBatch int) ([]*solveTask, error) {
+	if len(payload) > 0 && payload[0] == recAccepted {
+		payload = appendRound(nil, []*solveTask{{rec: payload, mult: 1}})
+	}
+	if len(payload) < 5 || payload[0] != recRound {
+		return nil, fmt.Errorf("serve: not a round record")
+	}
+	n, rest := binary.LittleEndian.Uint32(payload[1:]), payload[5:]
+	if n == 0 || uint64(n) > uint64(len(rest)/8) {
+		return nil, fmt.Errorf("serve: round record: %d members in %d bytes", n, len(rest))
+	}
+	round := make([]*solveTask, n)
+	for i := range round {
+		member, next, ok := readChunk(rest)
+		if !ok || len(member) < 4 || binary.LittleEndian.Uint32(member) < 1 {
+			return nil, fmt.Errorf("serve: round record: member %d truncated or of multiplicity 0", i)
+		}
+		t, err := decodeAccepted(member[4:], limits)
+		if err != nil {
+			return nil, fmt.Errorf("serve: round record: member %d: %w", i, err)
+		}
+		t.mult = int(min(binary.LittleEndian.Uint32(member), uint32(maxBatch)))
+		round[i], rest = t, next
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("serve: round record: %d trailing bytes", len(rest))
+	}
+	return round, nil
 }
 
 // encodeMutate renders one accepted mutation as a journal payload: the
@@ -233,11 +273,11 @@ func decodeMutate(payload []byte, limits DecodeLimits) (*MutateRequest, mec.Para
 	if err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: mutate record: %w", err)
 	}
-	base, rest, ok := readString(payload[1+floatBlockLen:])
+	base, rest, ok := readChunk(payload[1+floatBlockLen:])
 	if !ok {
 		return nil, mec.Params{}, fmt.Errorf("serve: mutate record: truncated fingerprint")
 	}
-	req := &MutateRequest{Base: base, Delta: new(graph.Delta), UserOverrides: o}
+	req := &MutateRequest{Base: string(base), Delta: new(graph.Delta), UserOverrides: o}
 	if err := json.Unmarshal(rest, req.Delta); err != nil {
 		return nil, mec.Params{}, fmt.Errorf("serve: mutate record: %w", err)
 	}
@@ -263,7 +303,7 @@ func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.Grap
 	if len(payload) < 1 || payload[0] != recGraph {
 		return "", nil, fmt.Errorf("serve: not a graph record")
 	}
-	fp, rest, ok := readString(payload[1:])
+	fp, rest, ok := readChunk(payload[1:])
 	if !ok {
 		return "", nil, fmt.Errorf("serve: graph record: truncated fingerprint")
 	}
@@ -274,7 +314,7 @@ func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.Grap
 	if err != nil {
 		return "", nil, fmt.Errorf("serve: graph record: %w", err)
 	}
-	return fp, g, nil
+	return string(fp), g, nil
 }
 
 // encodeDecisionRecord renders one cached decision as a snapshot payload
@@ -297,7 +337,7 @@ func decodeDecisionRecord(payload []byte) (string, *Decision, error) {
 	if len(payload) < 1 || payload[0] != recDecision {
 		return "", nil, fmt.Errorf("serve: not a decision record")
 	}
-	key, rest, ok := readString(payload[1:])
+	key, rest, ok := readChunk(payload[1:])
 	if !ok {
 		return "", nil, fmt.Errorf("serve: decision record: truncated key")
 	}
@@ -305,7 +345,7 @@ func decodeDecisionRecord(payload []byte) (string, *Decision, error) {
 	if err := json.Unmarshal(rest, &dec); err != nil {
 		return "", nil, fmt.Errorf("serve: decision record: %w", err)
 	}
-	return key, &dec, nil
+	return string(key), &dec, nil
 }
 
 // counterSnapshot is the JSON body of a recCounters record: the
@@ -381,16 +421,12 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 
 // Recover warms the server from recovered durable state: the snapshot's
 // graphs, decisions and counters are restored directly, then the journal
-// tail — accepted requests whose decisions never reached a snapshot — is
-// replayed in journal order through the live solve paths. Consecutive
-// accepted records fill rounds of at most MaxBatch tasks for dispatchRound,
-// which splits them by params digest as it splits a live round; a mutate
-// record flushes the round before it and goes alone through solveMutation,
-// as its live leader did. Records whose key is already warm are skipped
-// (journal replay is idempotent: segments blocked from truncation replay
-// again harmlessly). Call before Start, before the server accepts traffic;
-// undecodable records and failed cells are counted, never fatal — recovery
-// prefers a cold key to a dead daemon.
+// tail is replayed in order, each record as written and not journaled again
+// — a round through solveRound with its live members and multiplicities, a
+// mutate alone through solveMutation. A round is skipped only when every
+// member key is warm, a mutate when its key is, so replay is idempotent.
+// Call before Start; undecodable records and failed cells are counted, never
+// fatal — recovery prefers a cold key to a dead daemon.
 func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) RecoveryStats {
 	var rs RecoveryStats
 	for _, payload := range snapshot {
@@ -427,86 +463,74 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 	}
 	rs.JournalRecords = len(journal)
 
-	var (
-		round []*solveTask
-		cells []*pending // one per replayed record, resolved by the end
-	)
-	flush := func() {
-		if len(round) > 0 {
-			s.dispatchRound(ctx, round)
-			round = nil
-		}
-	}
-	seen := make(map[string]bool) // keys replayed from this tail
 	for _, payload := range journal {
-		var (
-			req    *SolveRequest
-			mreq   *MutateRequest
-			base   *graph.Graph
-			params mec.Params
-			err    error
-		)
 		if len(payload) > 0 && payload[0] == recMutate {
 			// A mutate record names its base by fingerprint; the walk is in
 			// journal order, so the base is already interned (snapshot, an
-			// earlier accepted record, or an earlier mutate in this tail)
-			// and the delta re-applies to reconstruct the mutated graph.
-			flush()
-			if mreq, params, err = decodeMutate(payload, s.cfg.Limits); err != nil {
+			// earlier round, or an earlier mutate in this tail) and the
+			// delta re-applies to reconstruct the mutated graph.
+			mreq, params, err := decodeMutate(payload, s.cfg.Limits)
+			if err != nil {
 				rs.DecodeErrors++
 				continue
 			}
-			var ok bool
-			if base, ok = s.graphs.Get(mreq.Base); !ok {
+			base, ok := s.graphs.Get(mreq.Base)
+			if !ok {
 				rs.ReplayErrors++
 				s.logf("serve: replay mutate: %v: %s", ErrUnknownBase, mreq.Base)
 				continue
 			}
-			if req, err = mutatedRequest(mreq, base, s.cfg.Limits); err != nil {
+			req, err := mutatedRequest(mreq, base, s.cfg.Limits)
+			var key, fp string
+			if err == nil {
+				key, fp, err = requestKey(req, params)
+			}
+			if err != nil {
 				rs.DecodeErrors++
 				continue
 			}
 			rs.ReplayMutates++
-		} else if req, params, err = decodeAccepted(payload, s.cfg.Limits); err != nil {
-			rs.DecodeErrors++
+			s.graphs.GetOrPut(fp, req.Graph) // a later mutate may name it, warm or not
+			if _, warm := s.cache.Get(key); warm {
+				rs.ReplayWarm++
+				continue
+			}
+			p := newPending(key)
+			s.accepted.Add(1) // finish releases it, as for a live cell
+			s.solveMutation(ctx, p, nil, mreq, base, req, fp, params)
+			rs.tally(p)
 			continue
 		}
-		key, fp, err := requestKey(req, params)
+		round, err := decodeRound(payload, s.cfg.Limits, s.b.maxBatch)
 		if err != nil {
 			rs.DecodeErrors++
 			continue
 		}
-		// Intern before the warm-skip: a later mutate record may name this
-		// record's graph as its base even when the decision itself is warm.
-		// A mutate keeps solving its own clone, as live.
-		if canon, _ := s.graphs.GetOrPut(fp, req.Graph); mreq == nil {
-			req.Graph = canon
+		warm := true
+		for _, t := range round {
+			s.graphs.GetOrPut(t.fp, t.user.Graph) // a later mutate may name it, warm or not
+			_, ok := s.cache.Get(t.p.key)
+			warm = warm && ok
 		}
-		if _, warm := s.cache.Get(key); warm || seen[key] {
-			rs.ReplayWarm++
+		if warm {
+			rs.ReplayWarm += len(round)
 			continue
 		}
-		seen[key] = true
-		p := newPending(key)
-		s.accepted.Add(1) // finish releases it, as for a live cell
-		cells = append(cells, p)
-		if mreq != nil {
-			s.solveMutation(ctx, p, base, mreq.Delta, req, fp, params)
-			continue
-		}
-		round = append(round, &solveTask{p: p, user: userInputOf(req), params: params, pkey: paramsDigest(params), fp: fp})
-		if len(round) == s.b.maxBatch {
-			flush()
-		}
-	}
-	flush()
-	for _, p := range cells {
-		if p.err != nil {
-			rs.ReplayErrors++
-		} else {
-			rs.ReplaySolved++
+		s.accepted.Add(len(round))
+		s.solveRound(ctx, round)
+		for _, t := range round {
+			rs.tally(t.p)
 		}
 	}
 	s.recovery.Store(&rs)
 	return rs
+}
+
+// tally counts one replayed cell's outcome.
+func (rs *RecoveryStats) tally(p *pending) {
+	if p.err != nil {
+		rs.ReplayErrors++
+	} else {
+		rs.ReplaySolved++
+	}
 }

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"copmecs/internal/core"
 )
 
 // fakeJournal implements Journal in memory, recording every append and
@@ -83,55 +85,53 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 			t.Fatalf("repeat %d: status %d", i, st)
 		}
 	}
+	// Each solve was alone at the server, so each was its own round: one
+	// record per round, every one released once its decisions were cached.
 	appends, applied := jr.counts()
-	if appends != distinct {
-		t.Fatalf("appends = %d, want %d (one per distinct accepted leader)", appends, distinct)
+	if rounds := s.Stats().Batch.Rounds; uint64(appends) != rounds || rounds != distinct {
+		t.Fatalf("appends = %d over %d rounds, want one per round and %d rounds", appends, rounds, distinct)
 	}
-	// Every response was delivered, so every journaled record was released
-	// (finish runs Applied after the cache fill, before waking waiters).
 	if applied != appends {
 		t.Fatalf("applied = %d, want %d", applied, appends)
 	}
-	// Each journaled payload round-trips to a key the cache now holds.
+	// Each journaled payload is a round record whose members decode to keys
+	// the cache now holds.
 	jr.mu.Lock()
 	payloads := append([][]byte{}, jr.appends...)
 	jr.mu.Unlock()
 	for i, payload := range payloads {
-		req, params, err := decodeAccepted(payload, DecodeLimits{})
+		if payload[0] != recRound {
+			t.Fatalf("record %d has type %d, want a round record", i, payload[0])
+		}
+		round, err := decodeRound(payload, DecodeLimits{}, DefaultMaxBatch)
 		if err != nil {
 			t.Fatalf("decode journal record %d: %v", i, err)
 		}
-		key, _, err := requestKey(req, params)
-		if err != nil {
-			t.Fatalf("requestKey of record %d: %v", i, err)
-		}
-		if _, ok := s.cache.Get(key); !ok {
-			t.Fatalf("record %d's key not in cache after solve", i)
+		for _, task := range round {
+			if _, ok := s.cache.Get(task.p.key); !ok || task.mult != 1 {
+				t.Fatalf("record %d: cached %v, multiplicity %d; want a cached lone request", i, ok, task.mult)
+			}
 		}
 	}
 }
 
-func TestAdmitShedReleasesJournalRecord(t *testing.T) {
-	// A queue of two and no Start: the first two leaders fill it, the
-	// third is shed and must release its journal token.
+func TestShedRequestIsNeverJournaled(t *testing.T) {
+	// A queue of two and no Start: the first two leaders fill it and the
+	// third is shed. Nothing is journaled before a round is dispatched, so
+	// the 429 writes no record; dispatching the queue writes one.
 	jr := newFakeJournal()
 	s := newTestServer(t, Config{Journal: jr, QueueDepth: 2})
 	params := defaultTestParams()
 
 	admitOne := func(i int) error {
-		req := &SolveRequest{Graph: testGraph(t, i)}
-		key, _, err := requestKey(req, params)
-		if err != nil {
-			t.Fatalf("requestKey: %v", err)
-		}
-		jrec, err := encodeAccepted(req, params)
-		if err != nil {
-			t.Fatalf("encodeAccepted: %v", err)
-		}
-		_, _, aerr := s.admit(key, jrec, func(p *pending) bool {
-			return s.b.enqueue(&solveTask{p: p})
+		g := testGraph(t, i)
+		rec := newAcceptedRecord(g, params, UserOverrides{})
+		task := &solveTask{rec: rec, user: core.UserInput{Graph: g}, params: params, pkey: paramsDigest(params), fp: recordFingerprint(rec)}
+		_, _, err := s.admit(cacheKey(task.fp, params, UserOverrides{}), func(p *pending) bool {
+			task.p = p
+			return s.b.enqueue(task)
 		})
-		return aerr
+		return err
 	}
 	for i := 0; i < 2; i++ {
 		if err := admitOne(i); err != nil {
@@ -141,24 +141,86 @@ func TestAdmitShedReleasesJournalRecord(t *testing.T) {
 	if err := admitOne(2); !errors.Is(err, ErrShed) {
 		t.Fatalf("third admit = %v, want ErrShed", err)
 	}
-	appends, applied := jr.counts()
-	if appends != 3 {
-		t.Fatalf("appends = %d, want 3 (every leader journaled write-ahead)", appends)
+	if appends, applied := jr.counts(); appends != 0 || applied != 0 {
+		t.Fatalf("appends/applied before dispatch = %d/%d, want 0/0", appends, applied)
 	}
-	if applied != 1 {
-		t.Fatalf("applied = %d, want 1 (the shed request's record released immediately)", applied)
+	var round []*solveTask
+	for task, ok := s.b.tryPop(); ok; task, ok = s.b.tryPop() {
+		round = append(round, task)
 	}
-	// Release the queued leaders so the accepted WaitGroup does not leak
-	// (no dispatcher is running in this test).
-	for i := 0; i < 2; i++ {
-		task, ok := s.b.tryPop()
-		if !ok {
-			t.Fatalf("queued task %d missing", i)
-		}
-		s.finish(task.p, nil, errors.New("test teardown"))
+	s.dispatchRound(context.Background(), round)
+	if appends, applied := jr.counts(); appends != 1 || applied != 1 {
+		t.Fatalf("appends/applied after one round = %d/%d, want 1/1", appends, applied)
 	}
-	if _, applied := jr.counts(); applied != 3 {
-		t.Fatalf("applied after finish = %d, want 3", applied)
+	if n := s.cache.Len(); n != 2 {
+		t.Fatalf("cache holds %d decisions, want the 2 accepted", n)
+	}
+}
+
+// TestJournalReplayMatchesLiveRounds: recovery replays each round the
+// batcher closed, so every replayed cache entry answers with the bytes its
+// live round published — the same batch_users, active_users and costs. Weak
+// devices make every user offload, so a round's size is its k.
+func TestJournalReplayMatchesLiveRounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		live func(t *testing.T, s *Server)
+	}{
+		{"lone solves one after another", func(t *testing.T, s *Server) {
+			for n := 24; n <= 26; n++ {
+				var r SolveResponse
+				if st := post(s, "/v1/solve", bytes.NewReader(solveBody(t, chainGraph(t, n)))).wait(t, &r); st != http.StatusOK || r.BatchUsers != 1 {
+					t.Fatalf("chain %d: status %d batch_users %d, want 200 and 1", n, st, r.BatchUsers)
+				}
+			}
+		}},
+		{"a round of two", func(t *testing.T, s *Server) {
+			other, gate := hold(s, "/v1/solve", solveBody(t, settleGraph(t, 1)))
+			first := post(s, "/v1/solve", bytes.NewReader(solveBody(t, settleGraph(t, 0))))
+			waitParked(t, s, 1) // first is queued; its round is open on the held request
+			close(gate.release)
+			var a, b SolveResponse
+			if sa, sb := first.wait(t, &a), other.wait(t, &b); sa != http.StatusOK || sb != http.StatusOK || a.BatchUsers != 2 || b.BatchUsers != 2 {
+				t.Fatalf("statuses %d / %d, batch_users %d / %d; want one round of 2", sa, sb, a.BatchUsers, b.BatchUsers)
+			}
+		}},
+		{"a leader and the follower it was dispatched with", func(t *testing.T, s *Server) {
+			body := solveBody(t, settleGraph(t, 0))
+			twin, gate := hold(s, "/v1/solve", body)
+			leader := post(s, "/v1/solve", bytes.NewReader(body))
+			waitParked(t, s, 1) // the leader is queued; its round is open on the held twin
+			close(gate.release)
+			var a, b SolveResponse
+			if sa, sb := leader.wait(t, &a), twin.wait(t, &b); sa != http.StatusOK || sb != http.StatusOK || !b.Deduped || a.BatchUsers != 2 {
+				t.Fatalf("statuses %d / %d, twin deduped %v, batch_users %d; want a multiplicity-2 round", sa, sb, b.Deduped, a.BatchUsers)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jr := newFakeJournal()
+			live := startSettleServer(t, Config{Journal: jr})
+			tc.live(t, live)
+			checkIdle(t, live)
+
+			jr.mu.Lock()
+			journal := append([][]byte{}, jr.appends...)
+			jr.mu.Unlock()
+			replayed := newTestServer(t, Config{Params: live.cfg.Params})
+			if rs := replayed.Recover(context.Background(), nil, journal); rs.DecodeErrors != 0 || rs.ReplayErrors != 0 {
+				t.Fatalf("recovery = %+v", rs)
+			}
+			if got, want := replayed.cache.Len(), live.cache.Len(); got != want {
+				t.Errorf("replay cached %d decisions, live %d", got, want)
+			}
+			live.cache.Dump(func(key string, want cachedDecision) bool {
+				if got, ok := replayed.cache.Get(key); !ok {
+					t.Errorf("live key %.12s… is cold after replay", key)
+				} else if !bytes.Equal(got.hit, want.hit) {
+					t.Errorf("replayed hit differs from the live one:\n got %s\nwant %s", got.hit, want.hit)
+				}
+				return true
+			})
+		})
 	}
 }
 
@@ -198,18 +260,14 @@ func TestAcceptedRecordRoundTripPreservesKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeAccepted: %v", err)
 	}
-	got, gotParams, err := decodeAccepted(payload, DecodeLimits{})
+	got, err := decodeAccepted(payload, DecodeLimits{})
 	if err != nil {
 		t.Fatalf("decodeAccepted: %v", err)
 	}
-	if gotParams != params {
-		t.Fatalf("params = %+v, want %+v", gotParams, params)
+	if got.params != params {
+		t.Fatalf("params = %+v, want %+v", got.params, params)
 	}
-	gotKey, gotFp, err := requestKey(got, gotParams)
-	if err != nil {
-		t.Fatalf("requestKey of decoded: %v", err)
-	}
-	if gotKey != wantKey || gotFp != wantFp {
+	if gotKey, gotFp := got.p.key, got.fp; gotKey != wantKey || gotFp != wantFp {
 		t.Fatalf("replayed identity (%s, %s) != live identity (%s, %s)", gotKey, gotFp, wantKey, wantFp)
 	}
 }
@@ -220,28 +278,55 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeAccepted: %v", err)
 	}
-	cases := map[string]struct {
-		payload []byte
-		limits  DecodeLimits
-	}{
-		"empty":         {payload: nil},
-		"wrong type":    {payload: []byte{recDecision, 0, 0, 0}},
-		"truncated":     {payload: good[:20]},
-		"graph garbage": {payload: append(append([]byte{}, good[:1+9*8]...), []byte("not a graph")...)},
-		"over limits":   {payload: good, limits: DecodeLimits{MaxNodes: 1}},
-	}
-	for name, tc := range cases {
-		if _, _, err := decodeAccepted(tc.payload, tc.limits); err == nil {
-			t.Errorf("%s: decodeAccepted accepted it", name)
-		}
-	}
 	// Non-finite floats are rejected before params validation.
 	nan := append([]byte{}, good...)
 	for i := 1; i <= 8; i++ {
 		nan[i] = 0xff
 	}
-	if _, _, err := decodeAccepted(nan, DecodeLimits{}); err == nil {
-		t.Error("NaN params accepted")
+	round := func(mult int, members ...[]byte) []byte {
+		var tasks []*solveTask
+		for _, m := range members {
+			tasks = append(tasks, &solveTask{rec: m, mult: mult})
+		}
+		return appendRound(nil, tasks)
+	}
+	countLie := round(1, good)
+	countLie[1] = 2 // two members claimed, one present
+	lengthLie := round(1, good)
+	lengthLie[1+4+3] = 0xff // the member's length prefix points past the end
+	notAccepted := append([]byte{recMutate}, good[1:]...)
+
+	cases := map[string]struct {
+		payload []byte
+		limits  DecodeLimits
+	}{
+		"empty":                   {payload: nil},
+		"wrong type":              {payload: []byte{recDecision, 0, 0, 0}},
+		"truncated":               {payload: good[:20]},
+		"graph garbage":           {payload: append(append([]byte{}, good[:1+9*8]...), []byte("not a graph")...)},
+		"over limits":             {payload: good, limits: DecodeLimits{MaxNodes: 1}},
+		"nan params":              {payload: nan},
+		"round of no members":     {payload: round(1)},
+		"round count past end":    {payload: countLie},
+		"round length past end":   {payload: lengthLie},
+		"round trailing bytes":    {payload: append(round(1, good), 0)},
+		"round member not accept": {payload: round(1, notAccepted)},
+		"round multiplicity 0":    {payload: round(0, good)},
+		"round member over limit": {payload: round(1, good), limits: DecodeLimits{MaxNodes: 1}},
+	}
+	for name, tc := range cases {
+		if _, err := decodeRound(tc.payload, tc.limits, DefaultMaxBatch); err == nil {
+			t.Errorf("%s: decodeRound accepted it", name)
+		}
+		s := newTestServer(t, Config{Limits: tc.limits})
+		if rs := s.Recover(context.Background(), nil, [][]byte{tc.payload}); rs.DecodeErrors != 1 || rs.ReplaySolved != 0 {
+			t.Errorf("%s: recovery = %+v, want one decode error", name, rs)
+		}
+	}
+	// A multiplicity past MaxBatch is clamped as live dispatch clamps it.
+	tasks, err := decodeRound(round(1000, good), DecodeLimits{}, 4)
+	if err != nil || len(tasks) != 1 || tasks[0].mult != 4 {
+		t.Fatalf("round of multiplicity 1000 under MaxBatch 4: err %v, %d tasks", err, len(tasks))
 	}
 }
 

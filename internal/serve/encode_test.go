@@ -2,9 +2,9 @@ package serve
 
 import "copmecs/internal/mec"
 
-// encodeAccepted renders one accepted request as a journal payload in one
-// call, as the record tests want it; solve builds the same payload in two
-// steps around its cache lookups.
+// encodeAccepted renders one accepted request as a bare recAccepted journal
+// payload — what binaries before round records journaled per request, and
+// what recovery still replays as a round of one.
 func encodeAccepted(req *SolveRequest, params mec.Params) ([]byte, error) {
-	return sealAccepted(newAcceptedRecord(req.Graph), params, req.UserOverrides), nil
+	return newAcceptedRecord(req.Graph, params, req.UserOverrides), nil
 }

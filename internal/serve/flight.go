@@ -4,10 +4,10 @@ import "sync"
 
 // flightTable is the singleflight registry: at most one in-flight solve per
 // key, with followers attaching to the leader's pending cell. It is
-// admission synchronisation, not a cache: the draining check, the
-// write-ahead append, the queue send and the accepted.Add all happen under
-// its mutex (Server.admit), and Drain publishes the draining flag with a
-// lock barrier on that mutex (see drainBarrier).
+// admission synchronisation, not a cache: the draining check, the queue
+// send and the accepted.Add all happen under its mutex (Server.admit), and
+// Drain publishes the draining flag with a lock barrier on that mutex (see
+// drainBarrier).
 type flightTable struct {
 	mu sync.Mutex
 	m  map[string]*pending

@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"copmecs/internal/graph"
 	"copmecs/internal/mec"
@@ -282,6 +286,57 @@ func FuzzMutateRequestMatchesStdlib(f *testing.F) {
 	limits := DecodeLimits{MaxNodes: 64, MaxEdges: 8}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkMutateScanMatchesStdlib(t, body, limits)
+	})
+}
+
+// FuzzRecoverJournal runs Recover over mutated bytes of a live journal's
+// records: a lone round, a mutate of its graph, a bare accepted record and a
+// round of two with a follower's multiplicity. Each input is replayed behind
+// the lone round, so a mutate finds its base. Recovery must never panic and
+// must finish every cell it opens, so the server still drains. Run longer
+// with: make fuzz
+func FuzzRecoverJournal(f *testing.F) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	jr := newFakeJournal()
+	live := newTestServer(f, Config{Journal: jr})
+	live.Start(ctx)
+	base := chainGraph(f, 24)
+	if rec := postRecorded(live, solveBody(f, base), ctx); rec.Code != http.StatusOK {
+		f.Fatalf("solve: status %d", rec.Code)
+	}
+	mutate := httptest.NewRequest(http.MethodPost, "/v1/mutate",
+		bytes.NewReader(mutateBody(f, fingerprintOf(f, base), &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 2, Weight: 321}}})))
+	rec := httptest.NewRecorder()
+	if live.handleMutate(rec, mutate.WithContext(ctx)); rec.Code != http.StatusOK {
+		f.Fatalf("mutate: status %d", rec.Code)
+	}
+	jr.mu.Lock()
+	journal := append([][]byte{}, jr.appends...)
+	jr.mu.Unlock()
+	if len(journal) != 2 {
+		f.Fatalf("live journal holds %d records, want 2", len(journal))
+	}
+	params := defaultTestParams()
+	pair := appendRound(nil, []*solveTask{
+		{rec: newAcceptedRecord(testGraph(f, 1), params, UserOverrides{}), mult: 1},
+		{rec: newAcceptedRecord(testGraph(f, 2), params, UserOverrides{Bandwidth: 3}), mult: 2},
+	})
+	journal = append(journal, newAcceptedRecord(testGraph(f, 3), params, UserOverrides{}), pair)
+	for _, rec := range journal {
+		f.Add(rec)
+	}
+
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		s := newTestServer(t, Config{MaxBatch: 4, Limits: DecodeLimits{MaxNodes: 64, MaxEdges: 128}})
+		if rs := s.Recover(ctx, nil, [][]byte{journal[0], rec}); rs.JournalRecords != 2 {
+			t.Fatalf("recovery = %+v, want 2 records", rs)
+		}
+		dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		if err := s.Drain(dctx); err != nil {
+			t.Fatalf("a replayed cell was never finished: %v", err)
+		}
 	})
 }
 

@@ -151,12 +151,9 @@ func mutatedRequest(req *MutateRequest, base *graph.Graph, limits DecodeLimits) 
 // mutate is /v1/mutate behind handle. Its resolve step decodes the body,
 // looks the base up in the intern table and applies the delta to a clone;
 // from the mutated graph's cache key on it is the solve lifecycle, except
-// that the leader bypasses the micro-batcher: a mutation names one user's
-// changed graph and is solved inline as a single-user round through the
-// session's delta path, which is where the cached cuts live. The cell it
-// registers makes identical concurrent mutates — and a /v1/solve of the
-// same mutated graph and params — run once: the rest answer deduped with
-// the same single-user decision they would have computed.
+// that the leader solves inline, one user through the session's delta path
+// where the cached cuts live. Its cell makes identical concurrent mutates —
+// and a /v1/solve of the same graph and params — run once.
 func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte) error {
 	req, err := DecodeMutateBody(body, s.cfg.Limits)
 	if err != nil {
@@ -189,19 +186,18 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 		return nil
 	}
 
-	jrec := s.journalRecord(func() ([]byte, error) { return encodeMutate(req, params) })
-	p, leader, err := s.admit(key, jrec, nil)
+	p, leader, err := s.admit(key, nil)
 	if err != nil {
 		return err
 	}
 	var ds *core.DeltaStats
 	if leader {
 		// Accepted work no longer depends on its client: followers may be
-		// attached and the record is journaled, so a hang-up must not
-		// cancel the solve. Parked across it: an inline solve joins no round
-		// and must not hold the ones /v1/solve traffic is forming open.
+		// attached, so a hang-up must not cancel the solve. Parked across
+		// it: an inline solve joins no round and must not hold the ones
+		// /v1/solve traffic is forming open.
 		s.park()
-		ds = s.solveMutation(context.WithoutCancel(ctx), p, base, req.Delta, sreq, newFp, params)
+		ds = s.solveMutation(context.WithoutCancel(ctx), p, s.cfg.Journal, req, base, sreq, newFp, params)
 		s.unpark()
 	}
 	dec, err := s.await(ctx, p, leader)
@@ -213,15 +209,27 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 }
 
 // solveMutation is the mutate leader's inline solve, and Recover's for a
-// replayed mutate record: one single-user round through the session's delta
-// path over sreq.Graph — base with d already applied — that graph interned
-// under newFp, and the outcome — a decision shaped exactly like a /v1/solve
-// one, or the error — published to the cell through finish.
-func (s *Server) solveMutation(ctx context.Context, p *pending, base *graph.Graph, d *graph.Delta, sreq *SolveRequest, newFp string, params mec.Params) *core.DeltaStats {
+// mutate record: one single-user round through the session's delta path over
+// sreq.Graph (base with req's delta applied), interned under newFp, its
+// decision or error published through finish. With a journal (nil on replay)
+// req is appended as a recMutate first and released after finish.
+func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal, req *MutateRequest, base *graph.Graph, sreq *SolveRequest, newFp string, params mec.Params) *core.DeltaStats {
+	if journal != nil {
+		rec, err := encodeMutate(req, params)
+		var seg uint64
+		if err == nil {
+			seg, err = journal.Append(rec)
+		}
+		if err != nil {
+			s.journalFailed(err)
+		} else {
+			defer journal.Applied(seg)
+		}
+	}
 	ctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()
 	next := sreq.Graph
-	sol, ds, err := s.sess.SolveApplied(ctx, base, d, next, []core.UserInput{userInputOf(sreq)}, core.DeltaOptions{}, params)
+	sol, ds, err := s.sess.SolveApplied(ctx, base, req.Delta, next, []core.UserInput{userInputOf(sreq)}, core.DeltaOptions{}, params)
 	if err != nil {
 		s.st.mutateErrors.Add(1)
 		if !errors.Is(err, context.DeadlineExceeded) {

@@ -457,6 +457,40 @@ func TestJournalReplayMatchesLiveMutate(t *testing.T) {
 	}
 }
 
+// TestMutateNeverJournaledAheadOfItsBase: a graph becomes a /v1/mutate base
+// only when its round is dispatched, after that round's record, so a mutate
+// naming a graph whose first solve is still queued answers 404 and writes
+// nothing; once the round runs, the same mutate is journaled behind it.
+func TestMutateNeverJournaledAheadOfItsBase(t *testing.T) {
+	jr := newFakeJournal()
+	s := newTestServer(t, Config{Journal: jr})
+	base := chainGraph(t, 24)
+	solve := post(s, "/v1/solve", bytes.NewReader(solveBody(t, base))) // no dispatch loop yet: it stays queued
+	waitFor(t, "the solve to queue", func() bool { return s.b.depth() == 1 })
+	body := mutateBody(t, fingerprintOf(t, base), &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 2, Weight: 321}}})
+	if st := post(s, "/v1/mutate", bytes.NewReader(body)).wait(t, nil); st != http.StatusNotFound {
+		t.Fatalf("mutate of a queued base: status %d, want 404", st)
+	}
+	if appends, _ := jr.counts(); appends != 0 {
+		t.Fatalf("%d records journaled before the base's round was dispatched", appends)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	if st := solve.wait(t, nil); st != http.StatusOK {
+		t.Fatalf("solve: status %d", st)
+	}
+	if st := post(s, "/v1/mutate", bytes.NewReader(body)).wait(t, nil); st != http.StatusOK {
+		t.Fatalf("mutate after the round: status %d", st)
+	}
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	if len(jr.appends) != 2 || jr.appends[0][0] != recRound || jr.appends[1][0] != recMutate {
+		t.Fatalf("journal holds %d records, want the round then the mutate", len(jr.appends))
+	}
+}
+
 func TestStatsIncrementalSectionShape(t *testing.T) {
 	// The incremental section is always present (zeros before any mutate)
 	// and carries the documented keys that /v1/stats clients read.

@@ -3,46 +3,30 @@
 // function data-flow graphs and receive offloading decisions from one
 // shared edge server.
 //
-// Three layers sit between the socket and core.Solve:
+// Three layers sit between the socket and core.Solve: a micro-batcher that
+// coalesces concurrent requests into multi-user solve rounds, so the
+// paper's shared-server contention (ActiveUsers = k in formulas (2) and
+// (6)) is the live round's; a fingerprint-keyed LRU solution cache with
+// singleflight deduplication, behind which a graph-intern table lets one
+// core.Session reuse each graph's compiled pipeline across rounds; and
+// admission control — a bounded accept queue that sheds with 429,
+// per-request deadlines, and a graceful drain that completes every accepted
+// request.
 //
-//   - a micro-batcher that coalesces concurrently arriving per-user
-//     requests into multi-user solve rounds, so the paper's shared-server
-//     contention (ActiveUsers = k in formulas (2) and (6)) is driven by
-//     the live batch rather than a pre-baked user list;
-//   - a solution cache keyed by the canonical graph fingerprint plus a
-//     params digest, with LRU eviction and singleflight deduplication so
-//     identical in-flight requests run once; behind it, a graph-intern
-//     table canonicalises repeat graphs by fingerprint so one shared
-//     core.Session reuses the compiled solve pipeline (compression + cuts)
-//     across rounds and across parameter changes, and evicting a graph
-//     releases its pipeline state;
-//   - admission control: a bounded accept queue that sheds load with 429 +
-//     Retry-After, per-request deadlines composed with the caller's
-//     context, and graceful drain that completes every accepted request
-//     before shutdown.
+// One request lifecycle serves both POST endpoints, which differ only in
+// their resolve step (body → request, params, cache key, fingerprint; a
+// mutate also applies its delta to a clone of the base): handle, lookup,
+// admit (follower attach → draining check → start → cell registration under
+// the flight-table lock), finish (cache fill → flight removal → wake) and
+// fail (the only error → HTTP status mapping). A solve leader joins a
+// batcher round; a mutate leader solves inline. The journal is written where
+// the work is decided, never at admission: dispatchRound appends each round
+// as the batcher closed it and solveMutation each mutation, both before
+// solving, each record released after its last finish.
 //
-// One request lifecycle serves both POST endpoints. /v1/solve and
-// /v1/mutate differ only in their resolve step — body → request, params,
-// cache key and fingerprint; mutate's also looks up the base graph and
-// applies the delta to a clone — and then share one spine: handle (method
-// check, pooled body read, in_flight, latency), lookup (the solution-cache
-// check), journalRecord, admit (follower attach → draining check →
-// write-ahead append → start → cell registration, all under the
-// flight-table lock), finish (cache fill → journal release → flight
-// removal → wake) and fail (the only error → HTTP status mapping). A solve
-// leader is enqueued for a batcher round; a mutate leader solves inline
-// through the session's delta path and calls the same finish.
-//
-// Locks are sized to the traffic a round of at most MaxBatch users brings:
-// every keyed table (three lru.Table instances and the singleflight
-// registry) is one map under one mutex, every counter is a plain atomic,
-// and the accept queue is one buffered channel in front of the one dispatch
-// goroutine. DESIGN.md §10 has the layout, the measurement and the
-// memory-ordering notes.
-//
-// The cached decision for a key reflects the contention of the round that
-// computed it; like any TTL-free response cache this trades bounded
-// staleness for latency, and the LRU keeps the horizon short under churn.
+// Every keyed table is one map under one mutex and every counter a plain
+// atomic (DESIGN.md §10). A cached decision reflects the contention of the
+// round that computed it: the bounded staleness of a TTL-free cache.
 package serve
 
 import (
@@ -135,10 +119,10 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Limits bounds decoded graphs (zero = package defaults).
 	Limits DecodeLimits
-	// Journal, when non-nil, receives every accepted leader request as a
-	// write-ahead record before it is enqueued, making accepted work
-	// crash-durable (see durability.go). Nil keeps serving purely
-	// in-memory.
+	// Journal, when non-nil, receives every solve round, as the batcher
+	// closed it, and every mutation as a write-ahead record before it is
+	// solved, making answered work crash-durable (see durability.go). Nil
+	// keeps serving purely in-memory.
 	Journal Journal
 	// DurabilityStats, when non-nil, supplies the journal/snapshot fields
 	// of the /v1/stats durability section (the daemon wires it to its
@@ -273,6 +257,7 @@ type Server struct {
 	limiter *rateLimiter
 	begin   time.Time
 
+	roundRec []byte // dispatchRound's reused record buffer (dispatch goroutine only)
 	draining atomic.Bool
 	accepted sync.WaitGroup
 	started  atomic.Bool
@@ -697,21 +682,11 @@ func (s *Server) publish(key string, dec *Decision) error {
 	return nil
 }
 
-// journalRecord encodes a request's write-ahead record, outside the
-// flight-table lock; only a leader admit actually appends it. Without a
-// journal it returns nil, and so does an encode failure (impossible for a
-// request that just decoded): that request is served without durability.
-func (s *Server) journalRecord(encode func() ([]byte, error)) []byte {
-	if s.cfg.Journal == nil {
-		return nil
-	}
-	rec, err := encode()
-	if err != nil {
-		s.st.journalErrors.Add(1)
-		s.logf("serve: journal encode: %v", err)
-		return nil
-	}
-	return rec
+// journalFailed counts a record the journal did not take; its work is served
+// anyway: durability degrades, availability does not.
+func (s *Server) journalFailed(err error) {
+	s.st.journalErrors.Add(1)
+	s.logf("serve: journal append: %v", err)
 }
 
 // userInputOf is the solver's view of one request.
@@ -751,7 +726,7 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 	if err != nil {
 		return err
 	}
-	rec := newAcceptedRecord(req.Graph)
+	rec := newAcceptedRecord(req.Graph, params, req.UserOverrides)
 	fp := recordFingerprint(rec)
 	key := cacheKey(fp, params, req.UserOverrides)
 	s.bodies.Put(digest, key)
@@ -760,17 +735,14 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 		return nil
 	}
 
-	// Rewrite the freshly decoded graph to its interned canonical instance
-	// so the session's identity-keyed pipeline cache hits across requests.
-	req.Graph, _ = s.graphs.GetOrPut(fp, req.Graph)
-	jrec := s.journalRecord(func() ([]byte, error) { return sealAccepted(rec, params, req.UserOverrides), nil })
 	task := &solveTask{
+		rec:    rec,
 		user:   userInputOf(req),
 		params: params,
 		pkey:   paramsDigest(params),
 		fp:     fp,
 	}
-	p, leader, err := s.admit(key, jrec, func(p *pending) bool {
+	p, leader, err := s.admit(key, func(p *pending) bool {
 		task.p = p
 		return s.b.enqueue(task)
 	})
@@ -790,12 +762,9 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 // leader, (cell, false, nil) for a follower sharing an in-flight cell,
 // and (nil, false, ErrShed or ErrDraining) for a rejected request.
 // Followers are admitted even while draining: their cell is already
-// accepted work. A leader's jrec (when non-nil) is journaled before start
-// runs — write-ahead: once the solve can produce a 200, the record is
-// already in the OS page cache. start (nil when the leader solves inline)
-// hands the cell to whatever will solve it; a refusal sheds the request
-// and releases the record immediately (a 429 is not accepted work).
-func (s *Server) admit(key string, jrec []byte, start func(*pending) bool) (*pending, bool, error) {
+// accepted work. start (nil when the leader solves inline) hands the cell to
+// whatever will solve it; a refusal sheds the request.
+func (s *Server) admit(key string, start func(*pending) bool) (*pending, bool, error) {
 	s.flight.mu.Lock()
 	defer s.flight.mu.Unlock()
 	if p, ok := s.flight.m[key]; ok {
@@ -806,19 +775,7 @@ func (s *Server) admit(key string, jrec []byte, start func(*pending) bool) (*pen
 		return nil, false, ErrDraining
 	}
 	p := newPending(key)
-	if jrec != nil {
-		if seg, err := s.cfg.Journal.Append(jrec); err != nil {
-			// Serve anyway: durability degrades, availability does not.
-			s.st.journalErrors.Add(1)
-			s.logf("serve: journal append: %v", err)
-		} else {
-			p.jseg, p.journaled = seg, true
-		}
-	}
 	if start != nil && !start(p) {
-		if p.journaled {
-			s.cfg.Journal.Applied(p.jseg)
-		}
 		return nil, false, ErrShed
 	}
 	// Under the same lock as the draining check: Drain flips the flag and
@@ -855,25 +812,43 @@ func (s *Server) await(ctx context.Context, p *pending, leader bool) (*Decision,
 	return p.dec, nil
 }
 
-// dispatchRound solves one batcher round, or one round of journal records
-// replayed by Recover. Tasks with different resolved params cannot share a
-// server model, so the round is partitioned by params digest
-// (first-appearance order) into one batch item each, and the
-// whole round goes through Session.BatchSolve in a single fused pass:
-// every cache-missing distinct graph across all items is compiled,
-// compressed and cut in one mega-instance instead of once per group. The
-// per-item solutions are bit-for-bit what per-group Solve calls would have
-// produced, so nothing downstream can tell the difference. Each task is
-// expanded by its live multiplicity (capped at MaxBatch) so
-// singleflight-collapsed duplicates still count toward the paper's
-// ActiveUsers contention; identical users are symmetric in the model, so
-// the representative's decision is shared across its duplicates.
-// DefaultSolveTimeout bounds the fused round as a whole — the round is one solve
-// now, not a sequence of them.
+// dispatchRound is the batcher's dispatch, the one place a round is
+// decided: each task's live multiplicity is read once, capped at MaxBatch, so
+// singleflight followers count toward the round's k. With a journal the round
+// is appended as one recRound before it is solved (write-ahead) and released
+// after its last finish, failed cells included: a poison round must not
+// replay at every boot.
 func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
+	for _, t := range round {
+		t.mult = min(int(t.p.mult.Load()), s.b.maxBatch)
+	}
+	if s.cfg.Journal != nil {
+		s.roundRec = appendRound(s.roundRec[:0], round)
+		if seg, err := s.cfg.Journal.Append(s.roundRec); err != nil {
+			s.journalFailed(err)
+		} else {
+			defer s.cfg.Journal.Applied(seg)
+		}
+		if cap(s.roundRec) > maxPooledBody {
+			s.roundRec = nil // a round of large graphs must not stay pinned
+		}
+	}
+	s.solveRound(ctx, round)
+}
+
+// solveRound solves a round as dispatchRound fixed it, or as Recover read it
+// from the journal. Each graph is first rewritten to its interned instance,
+// so the session's identity-keyed pipeline cache hits; only now, its round
+// journaled, does a graph become a /v1/mutate base. The round is partitioned
+// by params digest (first-appearance order) into one batch item each, all
+// solved by one fused Session.BatchSolve bounded by DefaultSolveTimeout, bit
+// for bit what per-group Solve calls would give. Each task expands into mult
+// identical users, which share the representative's decision.
+func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
 	groups := make(map[string][]*solveTask)
 	var order []string
 	for _, t := range round {
+		t.user.Graph, _ = s.graphs.GetOrPut(t.fp, t.user.Graph)
 		if _, ok := groups[t.pkey]; !ok {
 			order = append(order, t.pkey)
 		}
@@ -889,14 +864,7 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 		rep := make([]int, len(tasks))
 		for i, t := range tasks {
 			rep[i] = len(users)
-			mult := int(t.p.mult.Load())
-			if mult < 1 {
-				mult = 1
-			}
-			if mult > s.b.maxBatch {
-				mult = s.b.maxBatch
-			}
-			for j := 0; j < mult; j++ {
+			for j := 0; j < t.mult; j++ {
 				users = append(users, t.user)
 			}
 			distinct[t.user.Graph] = struct{}{}
@@ -933,25 +901,17 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 	}
 }
 
-// finish publishes an accepted cell's result — a batcher round's, a mutate
-// leader's inline solve or a replayed record's: cache fill first (decision
-// plus its pre-rendered hit response; a decision that does not render fails
-// the cell as a bad request instead), then release of the cell's journal
-// record — strictly after the cache fill, so a snapshot scan that could
-// observe the segment as fully applied necessarily sees the decision — then
-// removal from the singleflight table (so no moment exists where neither
-// covers the key), then the wakeup of every waiter. A failed cell's record
-// is released too: the error is a delivered response, a crash before this
-// point replays (and retries) the request anyway, and replaying a failing
-// request at every boot would wedge recovery on a poison record.
+// finish publishes an accepted cell's result — a round's, a mutate
+// leader's or a replayed record's: cache fill first (a decision that does
+// not render fails the cell as a bad request instead), then removal from the
+// singleflight table (so no moment exists where neither covers the key),
+// then the wakeup. The record's writer releases it after finish, so a
+// snapshot that sees its segment applied sees the decision.
 func (s *Server) finish(p *pending, dec *Decision, err error) {
 	if dec != nil {
 		if perr := s.publish(p.key, dec); perr != nil {
 			dec, err = nil, fmt.Errorf("%w: decision not representable: %v", ErrBadRequest, perr)
 		}
-	}
-	if p.journaled {
-		s.cfg.Journal.Applied(p.jseg)
 	}
 	s.flight.remove(p.key)
 	p.dec, p.err = dec, err

@@ -358,11 +358,13 @@ func TestFusedRoundCounters(t *testing.T) {
 	ctx := context.Background()
 
 	mkTask := func(key string, gi int) *solveTask {
+		g := testGraph(t, gi)
 		return &solveTask{
 			p:      newPending(key),
-			user:   core.UserInput{Graph: testGraph(t, gi)},
+			user:   core.UserInput{Graph: g},
 			params: params,
 			pkey:   paramsDigest(params),
+			fp:     fingerprintOf(t, g),
 		}
 	}
 	s.accepted.Add(2)
@@ -401,13 +403,16 @@ func TestContentionGrowsWithBatch(t *testing.T) {
 			user:   core.UserInput{Graph: probe},
 			params: params,
 			pkey:   paramsDigest(params),
+			fp:     fingerprintOf(t, probe),
 		}}
 		for i := 0; i < extra; i++ {
+			g := testGraph(t, 1+i)
 			tasks = append(tasks, &solveTask{
 				p:      newPending(fmt.Sprintf("bg%d", i)),
-				user:   core.UserInput{Graph: testGraph(t, 1+i)},
+				user:   core.UserInput{Graph: g},
 				params: params,
 				pkey:   paramsDigest(params),
+				fp:     fingerprintOf(t, g),
 			})
 		}
 		s.accepted.Add(len(tasks))
@@ -723,8 +728,8 @@ func TestBodyBufPoolDropsLargeBuffers(t *testing.T) {
 }
 
 // TestSolveEncodesOnce: the record /v1/solve builds once yields the
-// fingerprint and cache key requestKey streams for, and completes into the
-// payload decodeAccepted inverts.
+// fingerprint and cache key requestKey streams for, and is the payload
+// decodeAccepted inverts.
 func TestSolveEncodesOnce(t *testing.T) {
 	params := defaultTestParams()
 	req := &SolveRequest{Graph: testGraph(t, 2), UserOverrides: UserOverrides{FixedLocalWork: 3, Bandwidth: 40}}
@@ -732,7 +737,7 @@ func TestSolveEncodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := newAcceptedRecord(req.Graph)
+	rec := newAcceptedRecord(req.Graph, params, req.UserOverrides)
 	if len(rec) != cap(rec) {
 		t.Errorf("record buffer: len %d, cap %d; want it sized exactly", len(rec), cap(rec))
 	}
@@ -740,11 +745,11 @@ func TestSolveEncodesOnce(t *testing.T) {
 	if key := cacheKey(fp, params, req.UserOverrides); fp != wantFp || key != wantKey {
 		t.Fatalf("record identity (%s, %s), requestKey (%s, %s)", key, fp, wantKey, wantFp)
 	}
-	got, gotParams, err := decodeAccepted(sealAccepted(rec, params, req.UserOverrides), DecodeLimits{})
+	got, err := decodeAccepted(rec, DecodeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotParams != params || got.UserOverrides != req.UserOverrides || !got.Graph.Equal(req.Graph) {
-		t.Fatalf("sealed record decodes to %+v under %+v", got, gotParams)
+	if got.params != params || got.p.key != wantKey || !got.user.Graph.Equal(req.Graph) {
+		t.Fatalf("record decodes to %+v under %+v", got.user, got.params)
 	}
 }

@@ -115,7 +115,7 @@ type counters struct {
 	solveErrors   atomic.Uint64
 	timeouts      atomic.Uint64 // 504 responses
 	rateLimited   atomic.Uint64 // 429 responses from the MaxQPS admission cap
-	journalErrors atomic.Uint64 // accepted requests served without a journal record
+	journalErrors atomic.Uint64 // rounds and mutations served without a journal record
 	inFlight      atomic.Int64  // requests currently inside /v1/solve or /v1/mutate
 	parked        atomic.Int64  // of those, the ones that can no longer join a solve round
 	lat           Histogram
