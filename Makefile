@@ -60,12 +60,13 @@ bench:
 
 # bench-core runs the benchmarks that report an interleaved ratio, the ones
 # scripts/perf_gate.sh holds to floors: the incremental re-solve (chained 1%
-# edge-churn deltas vs cold solves), internal/eigen's dense Fiedler kernel
-# against its Jacobi oracle and its Sturm bisection against the QL test
-# oracle (the pass it replaced), internal/lpa's round loop against its
-# all-rounds reference, internal/graph's one-pass JSON decode against the
-# encoding/json path it falls back to and internal/serve's one-pass request
-# decode against its decodeStrict fallback. Each side of a ratio is timed in
+# edge-churn deltas vs cold solves), the mutate key (the applied map graph's
+# fingerprint vs patching the cached view and hashing that), internal/eigen's
+# dense Fiedler kernel against its Jacobi oracle and its Sturm bisection
+# against the QL test oracle (the pass it replaced), internal/lpa's round
+# loop against its all-rounds reference, internal/graph's one-pass JSON
+# decode against the encoding/json path it falls back to and internal/serve's
+# one-pass request decode against its decodeStrict fallback. Each side of a ratio is timed in
 # the same process, interleaved, so host speed cancels. The raw text lands in
 # results/bench_core.txt; the mean ns/op, B/op, allocs/op and ratio
 # (speedup_x, decode_x or request_decode_x) per benchmark are distilled into
@@ -73,7 +74,7 @@ bench:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \

@@ -623,3 +623,72 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMutateKeySpeedup measures how /v1/mutate keys its applied graph:
+// Graph.Fingerprint over the map graph (the old key) against Session.Apply,
+// which patches base's cached view with the delta, plus
+// Applied.Fingerprint over that patched view (the key now; the patch is
+// work the solve needs anyway, so the new side is charged for it). As in the
+// benchmark's mutate_chain workload, eight Table I n=2000 lineages take
+// turns, so no side re-walks the graph the iteration before it walked. Each
+// iteration applies a 1% localized edge delta to a fresh clone of its
+// lineage's warm base outside either timed side; the sides alternate which
+// runs first, and their ratio is speedup_x. scripts/perf_gate.sh floors it
+// at MIN_MUTATE_KEY_X.
+func BenchmarkMutateKeySpeedup(b *testing.B) {
+	const lineages = 8
+	ctx := context.Background()
+	sess := core.NewSession(core.Options{Workers: 1})
+	var (
+		bases  [lineages]*graph.Graph
+		deltas [lineages]*graph.Delta
+	)
+	for k := range bases {
+		cfg, err := netgen.TableIConfig(3, benchSeed+int64(k)) // row 3: n = 2000
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := netgen.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		deltas[k], _ = localizedEdgeDeltas(b, g, 0.01)
+		if bases[k], _, _, err = sess.SolveDelta(ctx, g, &graph.Delta{}, []core.UserInput{{}}, core.DeltaOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var mapSide, viewSide time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base, d := bases[i%lineages], deltas[i%lineages]
+		applied := base.Clone()
+		if err := d.Apply(applied); err != nil {
+			b.Fatal(err)
+		}
+		var want, got string
+		var err error
+		for side := 0; side < 2; side++ {
+			start := time.Now()
+			if (i/lineages+side)%2 == 0 {
+				want, err = applied.Fingerprint()
+				mapSide += time.Since(start)
+			} else {
+				var a *core.Applied
+				if a, err = sess.Apply(base, d, applied, core.DeltaOptions{}); err == nil {
+					got, err = a.Fingerprint()
+				}
+				viewSide += time.Since(start)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if got != want {
+			b.Fatalf("patched view fingerprint %s, applied graph's %s", got, want)
+		}
+	}
+	b.ReportMetric(mapSide.Seconds()/viewSide.Seconds(), "speedup_x")
+	b.ReportMetric(float64(mapSide.Nanoseconds())/float64(b.N), "map_ns")
+	b.ReportMetric(float64(viewSide.Nanoseconds())/float64(b.N), "view_ns")
+}

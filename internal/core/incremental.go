@@ -66,68 +66,71 @@ type DeltaStats struct {
 // touched-edge fraction exceeds the threshold; it is the same pipeline call
 // with no predecessor, over the mutated graph's freshly compiled view, so
 // the next delta against the returned graph is incremental either way.
+// SolveDelta is Apply and SolveApplied under the session's own params.
 func (s *Session) SolveDelta(ctx context.Context, base *graph.Graph, d *graph.Delta, users []UserInput, dopts DeltaOptions) (*graph.Graph, *Solution, *DeltaStats, error) {
 	mutated := base.Clone()
 	if err := d.Apply(mutated); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: apply delta: %w", err)
 	}
-	sol, ds, err := s.solveApplied(ctx, base, d, mutated, users, dopts, s.opts)
+	a, err := s.Apply(base, d, mutated, dopts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sol, ds, err := s.solveApplied(ctx, a, users, s.opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return mutated, sol, ds, nil
 }
 
-// SolveApplied is the second half of SolveDelta for a caller that has
-// already applied d to a clone of base — to validate, size-check or
-// fingerprint the mutated graph — and would otherwise pay for the clone and
-// the apply twice: applied is solved as SolveDelta would solve its own
-// mutated instance, and becomes the graph the next delta names as base.
-// params overrides the MEC system constants for this call, as a BatchItem's
-// Params does: the incremental pipeline state is params-independent, so the
-// cached cuts replay whichever parameters the population is solved under.
-// The session still patches base's cached view with d on its own and refuses
-// an applied graph whose node or edge count disagrees with the patched view.
-// applied must not be modified afterwards.
-func (s *Session) SolveApplied(ctx context.Context, base *graph.Graph, d *graph.Delta, applied *graph.Graph, users []UserInput, dopts DeltaOptions, params mec.Params) (*Solution, *DeltaStats, error) {
-	opts := s.opts
-	opts.Params = params
-	return s.solveApplied(ctx, base, d, applied, users, dopts, opts)
+// Applied is a graph with a delta applied, paired with the frozen view the
+// session will solve it over: base's cached view patched by the delta, or
+// the applied graph compiled when the delta takes the cold path. Apply
+// builds it and SolveApplied solves it; in between, Fingerprint keys the
+// applied graph off that view without walking its node table.
+type Applied struct {
+	// Graph is the applied graph, the one the next delta names as base. It
+	// must not be modified.
+	Graph *graph.Graph
+	base  *graph.Graph
+	view  *graph.CSR
+	// prev and info name the patched view's predecessor; both nil on the
+	// cold path.
+	prev  *solveState
+	info  *graph.PatchInfo
+	stats DeltaStats
 }
 
-// solveApplied solves mutated — base with d applied — reusing base's cached
-// pipeline state through the patched view.
-func (s *Session) solveApplied(ctx context.Context, base *graph.Graph, d *graph.Delta, mutated *graph.Graph, users []UserInput, dopts DeltaOptions, sopts Options) (*Solution, *DeltaStats, error) {
-	us := make([]UserInput, len(users))
-	copy(us, users)
-	for i := range us {
-		if us[i].Graph == nil || us[i].Graph == base {
-			us[i].Graph = mutated
-		}
-	}
+// Fingerprint returns the applied graph's graph.Fingerprint, hashed off the
+// view SolveApplied will run on.
+func (a *Applied) Fingerprint() (string, error) { return a.view.Fingerprint() }
 
-	// Decide between patching base's view and compiling mutated cold.
-	ds := &DeltaStats{}
-	var (
-		prev *solveState
-		view *graph.CSR
-		info *graph.PatchInfo
-	)
+// Apply builds the view SolveApplied solves applied over, for a caller that
+// has applied d to a clone of base itself — to validate and size-check the
+// mutated graph before paying for a solve. It patches base's cached view
+// with d, once, and refuses an applied graph whose node or edge count
+// disagrees with the patched view; without cached state for base, or when
+// the delta touches more than the threshold's share of edges, it compiles
+// applied instead. Which path the solve takes is decided here and reported
+// by SolveApplied's DeltaStats.
+func (s *Session) Apply(base *graph.Graph, d *graph.Delta, applied *graph.Graph, dopts DeltaOptions) (*Applied, error) {
+	a := &Applied{Graph: applied, base: base}
+	ds := &a.stats
 	if gp := s.lookup(base); gp != nil {
-		prev = gp.delta
+		a.prev = gp.delta
 	}
-	if prev == nil {
+	if a.prev == nil {
 		ds.FallbackReason = "no cached state for base graph"
 	} else {
-		var err error
-		view, info, err = prev.view.View.Patch(d)
+		view, info, err := a.prev.view.View.Patch(d)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: patch: %w", err)
+			return nil, fmt.Errorf("core: patch: %w", err)
 		}
-		if view.NumNodes() != mutated.NumNodes() || view.NumEdges() != mutated.NumEdges() {
-			return nil, nil, fmt.Errorf("core: applied graph (%d nodes, %d edges) is not base plus delta (%d nodes, %d edges)",
-				mutated.NumNodes(), mutated.NumEdges(), view.NumNodes(), view.NumEdges())
+		if view.NumNodes() != applied.NumNodes() || view.NumEdges() != applied.NumEdges() {
+			return nil, fmt.Errorf("core: applied graph (%d nodes, %d edges) is not base plus delta (%d nodes, %d edges)",
+				applied.NumNodes(), applied.NumEdges(), view.NumNodes(), view.NumEdges())
 		}
+		a.view, a.info = view, info
 		ds.TouchedEdges = info.TouchedEdges
 		if e := view.NumEdges(); e > 0 {
 			ds.TouchedFraction = float64(info.TouchedEdges) / float64(e)
@@ -144,20 +147,47 @@ func (s *Session) solveApplied(ctx context.Context, base *graph.Graph, d *graph.
 	}
 	if ds.FallbackReason != "" {
 		ds.ColdFallback = true
-		prev, view = nil, mutated.Compile()
-	} else {
-		ds.Incremental = true
-		for _, oc := range info.OldCompOf {
-			if oc >= 0 {
-				ds.CleanComponents++
-				ds.LanczosItersSaved += prev.comps[oc].iters
-			}
+		a.prev, a.info, a.view = nil, nil, applied.Compile()
+		return a, nil
+	}
+	ds.Incremental = true
+	for _, oc := range a.info.OldCompOf {
+		if oc >= 0 {
+			ds.CleanComponents++
+			ds.LanczosItersSaved += a.prev.comps[oc].iters
 		}
-		ds.DirtyComponents = len(info.OldCompOf) - ds.CleanComponents
+	}
+	ds.DirtyComponents = len(a.info.OldCompOf) - ds.CleanComponents
+	return a, nil
+}
+
+// SolveApplied solves the population over a's view, as SolveDelta would
+// solve its own mutated instance: every user whose Graph is nil or a's base
+// is solved against a.Graph, which becomes the graph the next delta names as
+// base. params overrides the MEC system constants for this call, as a
+// BatchItem's Params does: the incremental pipeline state is
+// params-independent, so the cached cuts replay whichever parameters the
+// population is solved under.
+func (s *Session) SolveApplied(ctx context.Context, a *Applied, users []UserInput, params mec.Params) (*Solution, *DeltaStats, error) {
+	opts := s.opts
+	opts.Params = params
+	return s.solveApplied(ctx, a, users, opts)
+}
+
+// solveApplied runs the pipeline over a's view, caches its outcome under
+// a.Graph and solves the population.
+func (s *Session) solveApplied(ctx context.Context, a *Applied, users []UserInput, sopts Options) (*Solution, *DeltaStats, error) {
+	us := make([]UserInput, len(users))
+	copy(us, users)
+	for i := range us {
+		if us[i].Graph == nil || us[i].Graph == a.base {
+			us[i].Graph = a.Graph
+		}
 	}
 
+	ds := a.stats
 	start := time.Now()
-	out, st, err := runPipeline(ctx, sopts.normalised(), singleSpan(view), prev, info)
+	out, st, err := runPipeline(ctx, sopts.normalised(), singleSpan(a.view), a.prev, a.info)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -165,13 +195,13 @@ func (s *Session) solveApplied(ctx context.Context, base *graph.Graph, d *graph.
 		ds.PatchTime = time.Since(start)
 	}
 	out[0].delta = st
-	s.store(mutated, &out[0])
+	s.store(a.Graph, &out[0])
 
 	// The back half, and the pipeline of any other graph the population
-	// names, is a regular solve that finds mutated in the cache.
+	// names, is a regular solve that finds a.Graph in the cache.
 	sol, err := solveOne(ctx, us, sopts, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sol, ds, nil
+	return sol, &ds, nil
 }

@@ -152,7 +152,18 @@ func TestSolveAppliedParamsMatchColdSolve(t *testing.T) {
 	if err := d.Apply(next); err != nil {
 		t.Fatal(err)
 	}
-	sol, ds, err := sess.SolveApplied(context.Background(), base, d, next, users, DeltaOptions{MaxTouchedFraction: 0.95}, params)
+	a, err := sess.Apply(base, d, next, DeltaOptions{MaxTouchedFraction: 0.95})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := next.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err := a.Fingerprint(); err != nil || fp != want {
+		t.Fatalf("Applied.Fingerprint = %s (%v), want the applied graph's %s", fp, err, want)
+	}
+	sol, ds, err := sess.SolveApplied(context.Background(), a, users, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,11 +64,13 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		}
 	}
 	// Adopt fresh's contents field by field: a struct assignment would
-	// copy the nodeList latch, which must not be moved once published.
+	// copy the atomics, which must not be moved once published. g takes
+	// fresh's token with its records, so it owns them as fresh did.
 	g.nodes = fresh.nodes
 	g.edgeCount = fresh.edgeCount
 	g.totalEdgeWeight = fresh.totalEdgeWeight
 	g.nodeList.Store(fresh.nodeList.Load())
+	g.token.Store(fresh.token.Load())
 	return nil
 }
 
@@ -178,8 +180,8 @@ const binaryVersion = 1
 // ErrBadFormat is returned by ReadBinary for malformed or foreign input.
 var ErrBadFormat = errors.New("graph: bad binary format")
 
-// The binary layout, defined once: WriteBinary streams these records, and
-// AppendBinary lays the same ones end to end.
+// The binary layout, defined once: WriteBinary and the fingerprints stream
+// these records, and AppendBinary lays the same ones end to end.
 //
 //	magic u32 | version u16 | numNodes u32 | numEdges u32
 //	numNodes × (id i64 | weight f64)
@@ -230,32 +232,75 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 // WriteBinary writes a compact little-endian binary encoding of g (layout
 // above), streamed: no whole-graph buffer is built.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	// One fixed buffer, filled record by record: binary.Write would reflect
-	// on and allocate for every value, three times per edge.
-	var buf [binaryEdgeLen]byte
-	if _, err := bw.Write(appendBinaryHeader(buf[:0], g.NumNodes(), g.NumEdges())); err != nil {
-		return fmt.Errorf("write graph header: %w", err)
-	}
-	for _, id := range g.sortedNodes() {
-		if _, err := bw.Write(appendBinaryNode(buf[:0], id, g.nodes[id].weight)); err != nil {
-			return fmt.Errorf("write node: %w", err)
-		}
-	}
-	// Edges stream straight off the rows; no edge list is materialised. A
-	// bufio.Writer's error is sticky, so the first failure is the one every
-	// later Write reports too.
-	var werr error
-	g.eachEdge(func(u, v NodeID, w float64) {
-		_, werr = bw.Write(appendBinaryEdge(buf[:0], u, v, w))
-	})
-	if werr != nil {
-		return fmt.Errorf("write edge: %w", werr)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("flush graph: %w", err)
+	if err := g.emitBinary(&binaryEmitter{w: w}); err != nil {
+		return fmt.Errorf("write graph: %w", err)
 	}
 	return nil
+}
+
+// emitBinary streams g's binary encoding through e in eachEdge's order,
+// without a call per edge.
+func (g *Graph) emitBinary(e *binaryEmitter) error {
+	e.header(g.NumNodes(), g.NumEdges())
+	ids := g.sortedNodes()
+	for _, id := range ids {
+		e.node(id, g.nodes[id].weight)
+	}
+	for _, u := range ids {
+		rec := g.nodes[u]
+		for i, v := range rec.nbr {
+			if u < v {
+				e.edge(u, v, rec.w[i])
+			}
+		}
+	}
+	return e.flush()
+}
+
+// binaryEmitter streams binary-layout records to w through one fixed chunk,
+// written out whole as it fills: the shared back end of WriteBinary,
+// Graph.Fingerprint and CSR.Fingerprint, so a graph and its view encode
+// through the same bytes. Each record is laid by the append functions above;
+// binary.Write would reflect on and allocate for every value. The first
+// write error is sticky.
+type binaryEmitter struct {
+	w   io.Writer
+	err error
+	n   int
+	// buf leaves 64 bytes of 4 KiB for the fields above and the heap's
+	// per-object header: the emitter escapes through w.Write, and this way it
+	// is one 4 KiB allocation, not the next size class up (4.75 KiB).
+	buf [4096 - 64]byte
+}
+
+// room returns the filled part of the chunk with k bytes of spare capacity,
+// flushing first if they are not there.
+func (e *binaryEmitter) room(k int) []byte {
+	if e.n+k > len(e.buf) {
+		_ = e.flush() // sticky: the final flush reports it
+	}
+	return e.buf[:e.n]
+}
+
+func (e *binaryEmitter) header(nodes, edges int) {
+	e.n = len(appendBinaryHeader(e.room(binaryHeaderLen), nodes, edges))
+}
+
+func (e *binaryEmitter) node(id NodeID, weight float64) {
+	e.n = len(appendBinaryNode(e.room(binaryNodeLen), id, weight))
+}
+
+func (e *binaryEmitter) edge(u, v NodeID, weight float64) {
+	e.n = len(appendBinaryEdge(e.room(binaryEdgeLen), u, v, weight))
+}
+
+// flush writes the filled chunk out and reports the first write error.
+func (e *binaryEmitter) flush() error {
+	if e.n > 0 && e.err == nil {
+		_, e.err = e.w.Write(e.buf[:e.n])
+	}
+	e.n = 0
+	return e.err
 }
 
 // ReadBinary decodes a graph written by WriteBinary.

@@ -10,9 +10,9 @@ import (
 // FuzzDeltaPatch decodes a base graph from codec bytes, draws a chain of
 // random deltas from the seed (its length too, at most 6, so patched views of
 // patched views — shared slabs, re-derived components — are explored), and
-// holds the patch oracle at every step: CSR.Patch of the delta must Validate
-// and be identical (bitwise, components included) to Compile of the mutated
-// map graph. A last, byte-derived "hostile" delta checks error-path parity:
+// holds the patch oracle at every step: CSR.Patch of the delta must Validate,
+// be identical (bitwise, components included) to Compile of the mutated map
+// graph, and fingerprint as that graph does. A last, byte-derived "hostile" delta checks error-path parity:
 // Patch must accept exactly the deltas Apply accepts.
 func FuzzDeltaPatch(f *testing.F) {
 	for i, g := range fuzzSeedGraphs(f) {
@@ -53,6 +53,7 @@ func FuzzDeltaPatch(f *testing.F) {
 			if !csrIdentical(t, patched, g.Compile()) {
 				t.Fatalf("step %d: Patch diverges from Compile of the mutated graph", step)
 			}
+			fingerprintsAgree(t, patched, g)
 			for nc, oc := range info.OldCompOf {
 				if oc >= 0 && !cleanCompAligned(base, patched, info, nc, oc) {
 					t.Fatalf("step %d: clean component %d misaligned with old %d", step, nc, oc)
@@ -79,8 +80,22 @@ func FuzzDeltaPatch(f *testing.F) {
 			if !csrIdentical(t, patched2, g.Compile()) {
 				t.Fatal("hostile Patch diverges from Compile")
 			}
+			fingerprintsAgree(t, patched2, g)
 		}
 	})
+}
+
+// fingerprintsAgree fails unless the patched view hashes to the mutated map
+// graph's fingerprint: the identity /v1/mutate keys its cache with.
+func fingerprintsAgree(t *testing.T, patched *CSR, g *Graph) {
+	t.Helper()
+	want, err := g.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := patched.Fingerprint(); err != nil || got != want {
+		t.Fatalf("patched view fingerprint = %s (%v), applied graph's = %s", got, err, want)
+	}
 }
 
 // hostileDelta derives a small, often-invalid delta from raw fuzz bytes:

@@ -3,6 +3,7 @@ package graph
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 )
 
@@ -13,8 +14,43 @@ import (
 // collisions); the digest is therefore a content-addressed cache key that
 // survives encode/decode round trips and is independent of insertion order.
 func (g *Graph) Fingerprint() (string, error) {
+	return fingerprint(g.emitBinary)
+}
+
+// Fingerprint returns the Fingerprint of the graph c is the view of, hashed
+// off the view's arrays: the same records in the same order, since index
+// order is NodeID order. A view built by Patch hashes what Apply and then
+// Graph.Fingerprint would, without walking the map graph. A fused view of
+// several graphs has no single fingerprint and returns an error.
+func (c *CSR) Fingerprint() (string, error) {
+	if c.multi {
+		return "", errors.New("graph fingerprint: a fused view of several graphs")
+	}
+	return fingerprint(c.emitBinary)
+}
+
+// emitBinary streams the binary encoding of c's graph through e, each edge
+// from the row of its smaller index.
+func (c *CSR) emitBinary(e *binaryEmitter) error {
+	e.header(c.NumNodes(), c.NumEdges())
+	for i, id := range c.ids {
+		e.node(id, c.nodeW[i])
+	}
+	for i, u := range c.ids {
+		tgt, w := c.Adj(int32(i))
+		for k, v := range tgt {
+			if v > int32(i) {
+				e.edge(u, c.ids[v], w[k])
+			}
+		}
+	}
+	return e.flush()
+}
+
+// fingerprint hashes the records emit streams.
+func fingerprint(emit func(*binaryEmitter) error) (string, error) {
 	h := sha256.New()
-	if err := g.WriteBinary(h); err != nil {
+	if err := emit(&binaryEmitter{w: h}); err != nil {
 		return "", fmt.Errorf("graph fingerprint: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil

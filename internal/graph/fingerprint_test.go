@@ -191,6 +191,84 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestCSRFingerprintMatchesGraph holds CSR.Fingerprint to Graph.Fingerprint
+// on compiled views and on views Patch built, over the shapes the index
+// arithmetic could get wrong: sparse and negative ids, isolated nodes, a
+// graph with no edges, and deltas that shift every index by adding and
+// removing nodes. A fused view of two graphs has no single fingerprint.
+func TestCSRFingerprintMatchesGraph(t *testing.T) {
+	build := func(nodes []NodeDelta, edges []EdgeDelta) *Graph {
+		g := New(len(nodes))
+		for _, n := range nodes {
+			if err := g.AddNode(n.ID, n.Weight); err != nil {
+				t.Fatalf("AddNode(%d): %v", n.ID, err)
+			}
+		}
+		for _, e := range edges {
+			if err := g.SetEdge(e.U, e.V, e.Weight); err != nil {
+				t.Fatalf("SetEdge(%d,%d): %v", e.U, e.V, err)
+			}
+		}
+		return g
+	}
+	sparse := func() *Graph {
+		return build(
+			[]NodeDelta{{-1 << 31, 1.5}, {-7, 0}, {-2, 8}, {3, 2.25}, {1000, 1e-300}, {1<<31 - 1, 1e300}},
+			[]EdgeDelta{{-7, 3, 0.125}, {1<<31 - 1, -1 << 31, 7}, {1000, 3, 0}, {-7, 1000, 42}},
+		)
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		delta *Delta // nil: the compiled view alone
+	}{
+		{"dense ids", fpGraph(t), nil},
+		{"sparse and negative ids, isolated node", sparse(), nil},
+		{"isolated nodes", build([]NodeDelta{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {9, 5}}, []EdgeDelta{{1, 2, 6}}), nil},
+		{"edgeless", build([]NodeDelta{{-4, 1}, {2, 2}, {5, 3}}, nil), nil},
+		{"empty", New(0), nil},
+		{"weights and edges only", fpGraph(t), &Delta{
+			SetNodeWeights: []NodeDelta{{2, 11}},
+			SetEdges:       []EdgeDelta{{0, 3, 9}, {1, 2, 0.5}},
+			RemoveEdges:    []EdgePair{{2, 3}},
+		}},
+		{"remove nodes", sparse(), &Delta{RemoveNodes: []NodeID{-7, 1000}}},
+		{"add nodes below, between and above", sparse(), &Delta{
+			AddNodes: []NodeDelta{{-1<<31 + 1, 4}, {0, 5}, {1 << 40, 6}},
+			SetEdges: []EdgeDelta{{0, -2, 1}, {1 << 40, -1 << 31, 2}, {-1<<31 + 1, 3, 3}},
+		}},
+		{"remove and re-add", sparse(), &Delta{
+			RemoveNodes: []NodeID{3},
+			AddNodes:    []NodeDelta{{3, 77}, {4, 1}},
+			SetEdges:    []EdgeDelta{{3, 4, 2}},
+		}},
+		{"delta to edgeless", fpGraph(t), &Delta{RemoveEdges: []EdgePair{{0, 1}, {1, 2}, {2, 3}}}},
+		{"delta to one node", fpGraph(t), &Delta{RemoveNodes: []NodeID{0, 1, 3}}},
+	} {
+		view := tc.g.Compile()
+		if tc.delta != nil {
+			var err error
+			if view, _, err = view.Patch(tc.delta); err != nil {
+				t.Fatalf("%s: Patch: %v", tc.name, err)
+			}
+			if err := tc.delta.Apply(tc.g); err != nil {
+				t.Fatalf("%s: Apply: %v", tc.name, err)
+			}
+		}
+		want, err := tc.g.Fingerprint()
+		if err != nil {
+			t.Fatalf("%s: Graph.Fingerprint: %v", tc.name, err)
+		}
+		if got, err := view.Fingerprint(); err != nil || got != want {
+			t.Errorf("%s: CSR.Fingerprint = %s (%v), want %s", tc.name, got, err, want)
+		}
+	}
+
+	if fp, err := Fuse([]*Graph{fpGraph(t), sparse()}).View.Fingerprint(); err == nil {
+		t.Errorf("fused view of two graphs fingerprinted as %s, want an error", fp)
+	}
+}
+
 func TestValidFingerprint(t *testing.T) {
 	fp, err := fpGraph(t).Fingerprint()
 	if err != nil {

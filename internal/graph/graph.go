@@ -61,14 +61,12 @@ type nodeRec struct {
 	weight float64
 	nbr    []NodeID
 	w      []float64
-	// shared marks a record referenced by more than one Graph (set by Clone,
-	// which copies the node table but not the records). Mutators replace a
-	// shared record with a private copy before writing — a shared row is
-	// never written in place — so clones stay semantically deep while Clone
-	// itself is O(nodes). The flag is sticky: it may stay set after every
-	// other owner is gone, costing at most one extra record copy on that
-	// node's next mutation.
-	shared atomic.Bool
+	// owner is the token of the Graph that created the record, written once.
+	// A record is written in place only by the graph whose current token it
+	// carries; any other graph holding it (Clone copies the node table, not
+	// the records) first replaces it with a private copy, so clones stay
+	// semantically deep while Clone touches no record.
+	owner uint64
 }
 
 // find returns v's position in the row and true, or the position at which v
@@ -93,20 +91,24 @@ func (rec *nodeRec) remove(i int) {
 	rec.w = slices.Delete(rec.w, i, i+1)
 }
 
-// mutable returns id's record ready for writing: a record shared with a
-// clone is first replaced by a private copy of the weight and the row.
-// Returns nil when id is absent.
+// mutable returns id's record ready for writing: a record g does not own —
+// one it may share with a clone — is first replaced by a private copy of the
+// weight and the row. Returns nil when id is absent.
 func (g *Graph) mutable(id NodeID) *nodeRec {
 	rec, ok := g.nodes[id]
 	if !ok {
 		return nil
 	}
-	if rec.shared.Load() {
-		rec = &nodeRec{weight: rec.weight, nbr: slices.Clone(rec.nbr), w: slices.Clone(rec.w)}
+	if tok := g.token.Load(); rec.owner != tok {
+		rec = &nodeRec{weight: rec.weight, nbr: slices.Clone(rec.nbr), w: slices.Clone(rec.w), owner: tok}
 		g.nodes[id] = rec
 	}
 	return rec
 }
+
+// tokens issues ownership tokens (see nodeRec.owner): no two graphs ever hold
+// the same value.
+var tokens atomic.Uint64
 
 // Graph is a mutable weighted undirected graph. The zero value is not usable;
 // construct with New. Graph is not safe for concurrent mutation; concurrent
@@ -120,6 +122,11 @@ type Graph struct {
 	// never mutated after publication so Clone may share it. The latch is
 	// atomic so that concurrent readers may race to build it.
 	nodeList atomic.Pointer[[]NodeID]
+	// token marks the records g may write in place. Clone gives both graphs
+	// fresh tokens, so every record they then share is copy-on-write for
+	// each. Atomic because Clone is a read under the concurrency contract,
+	// yet re-tokens the graph it copies.
+	token atomic.Uint64
 }
 
 // New returns an empty graph with capacity hints for n nodes.
@@ -127,7 +134,9 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{nodes: make(map[NodeID]*nodeRec, n)}
+	g := &Graph{nodes: make(map[NodeID]*nodeRec, n)}
+	g.token.Store(tokens.Add(1))
+	return g
 }
 
 // NumNodes reports the number of nodes.
@@ -150,7 +159,7 @@ func (g *Graph) AddNode(id NodeID, weight float64) error {
 	if _, ok := g.nodes[id]; ok {
 		return fmt.Errorf("add node %d: %w", id, ErrNodeExists)
 	}
-	g.nodes[id] = &nodeRec{weight: weight}
+	g.nodes[id] = &nodeRec{weight: weight, owner: g.token.Load()}
 	g.nodeList.Store(nil)
 	return nil
 }
@@ -295,16 +304,33 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 
 // sortedNodes returns the latched ascending node-id list, building it on
 // first use. The returned slice is shared: callers inside the package must
-// not modify it (Nodes copies for external callers).
+// not modify it (Nodes copies for external callers). When the ids form one
+// contiguous range, as netgen and the decoders number them, the list is that
+// range and no sort runs.
 func (g *Graph) sortedNodes() []NodeID {
 	if p := g.nodeList.Load(); p != nil {
 		return *p
 	}
 	ids := make([]NodeID, 0, len(g.nodes))
+	var lo, hi NodeID
 	for id := range g.nodes {
+		if len(ids) == 0 || id < lo {
+			lo = id
+		}
+		if len(ids) == 0 || id > hi {
+			hi = id
+		}
 		ids = append(ids, id)
 	}
-	slices.Sort(ids)
+	// n distinct ids spanning exactly n values are that range. The unsigned
+	// compare keeps a span too wide for int from passing as dense.
+	if n := len(ids); n > 0 && uint(hi-lo) == uint(n-1) {
+		for i := range ids {
+			ids[i] = lo + NodeID(i)
+		}
+	} else {
+		slices.Sort(ids)
+	}
 	g.nodeList.Store(&ids)
 	return ids
 }
@@ -371,21 +397,22 @@ func (g *Graph) TotalNodeWeight() float64 {
 // TotalEdgeWeight returns the sum of all edge weights (total communication).
 func (g *Graph) TotalEdgeWeight() float64 { return g.totalEdgeWeight }
 
-// Clone returns a semantically deep copy of g in O(nodes) time: the node
-// table is copied but the per-node records are shared copy-on-write, so the
+// Clone returns a semantically deep copy of g at the cost of one copy of the
+// node table: the per-node records are shared copy-on-write, so the
 // adjacency rows are only duplicated — one node at a time — when either
-// graph later mutates them. Clone counts as a read under the concurrency
-// contract: concurrent Clones (and concurrent readers) of the same graph are
-// safe once mutation has stopped; the shared marks it plants are atomic.
+// graph later mutates them. Clone touches no record: it gives the clone a
+// fresh token and re-tokens g, which leaves every record owned by neither.
+// Clone counts as a read under the concurrency contract: concurrent Clones
+// (and concurrent readers) of the same graph are safe once mutation has
+// stopped; the token it replaces is atomic.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		nodes:           maps.Clone(g.nodes),
 		edgeCount:       g.edgeCount,
 		totalEdgeWeight: g.totalEdgeWeight,
 	}
-	for _, rec := range g.nodes {
-		rec.shared.Store(true)
-	}
+	c.token.Store(tokens.Add(1))
+	g.token.Store(tokens.Add(1))
 	c.nodeList.Store(g.nodeList.Load())
 	return c
 }

@@ -250,6 +250,46 @@ func TestCloneIndependent(t *testing.T) {
 	if _, ok := g.EdgeWeight(2, 3); ok {
 		t.Error("edge added to clone appeared in original")
 	}
+
+	// The base mutated after cloning does not leak into the clone: Clone
+	// left the records they share owned by neither.
+	want := c.Clone()
+	if err := g.SetNodeWeight(1, 99); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetEdge(0, 1, 55); err != nil {
+		t.Fatal(err)
+	}
+	g.RemoveNode(4)
+	if !c.Equal(want) {
+		t.Error("mutating the original after Clone affected the clone")
+	}
+	if w, _ := c.NodeWeight(1); w != 4 {
+		t.Errorf("clone node 1 weight = %v, want 4", w)
+	}
+	if w, _ := c.EdgeWeight(0, 1); w != 10 {
+		t.Errorf("clone edge {0,1} weight = %v, want 10", w)
+	}
+
+	// A clone of a clone is independent of both.
+	cc := c.Clone()
+	if err := cc.SetEdge(3, 4, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetNodeWeight(0, 17); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.EdgeWeight(3, 4); ok {
+		t.Error("edge set on a clone of a clone appeared in its parent")
+	}
+	if w, _ := cc.NodeWeight(0); w != 5 {
+		t.Errorf("clone of a clone node 0 weight = %v, want 5", w)
+	}
+	for _, x := range []*Graph{g, c, cc} {
+		if err := x.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestEqual(t *testing.T) {

@@ -337,3 +337,66 @@ func TestReadersRaceCloneMutation(t *testing.T) {
 		t.Fatalf("base fingerprint moved under clone mutation: %v, %v; want %v", after, err, before)
 	}
 }
+
+// TestConcurrentClonesOfOneBase is the serving tier's mutate pattern: many
+// goroutines Clone one shared base at once — a read under the concurrency
+// contract — and each mutates its own copy. Run under -race: Clone touches
+// no record, so nothing but the base's atomic token is written concurrently,
+// and no copy's edit reaches the base or another copy.
+func TestConcurrentClonesOfOneBase(t *testing.T) {
+	base := deltaTestGraph(31, 200)
+	before, err := base.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	copies := make([]*Graph, workers)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := base.Clone()
+			rng := rand.New(rand.NewSource(int64(40 + k)))
+			ids := c.Nodes()
+			for step := 0; step < 300; step++ {
+				u, v := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+				switch rng.Intn(4) {
+				case 0:
+					_ = c.AddEdge(u, v, 1) // self-loops and removed endpoints are part of the mix
+				case 1:
+					if nbs := c.Neighbors(u); len(nbs) > 0 {
+						c.RemoveEdge(u, nbs[rng.Intn(len(nbs))])
+					}
+				case 2:
+					_ = c.SetEdge(u, v, float64(k+2))
+				default:
+					_ = c.SetNodeWeight(u, float64(k))
+				}
+			}
+			c.RemoveNode(ids[k])
+			copies[k] = c
+		}()
+	}
+	wg.Wait()
+
+	if after, err := base.Fingerprint(); err != nil || after != before {
+		t.Fatalf("base fingerprint moved under concurrent clones: %v, %v; want %v", after, err, before)
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for k, c := range copies {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("copy %d: %v", k, err)
+		}
+		if c.HasNode(NodeID(k)) {
+			t.Errorf("copy %d still has the node it removed", k)
+		}
+		for j := 0; j < workers; j++ {
+			if j != k && !c.HasNode(NodeID(j)) {
+				t.Errorf("copy %d lost node %d, removed by copy %d", k, j, j)
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -468,36 +469,30 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 			// A mutate record names its base by fingerprint; the walk is in
 			// journal order, so the base is already interned (snapshot, an
 			// earlier round, or an earlier mutate in this tail) and the
-			// delta re-applies to reconstruct the mutated graph.
+			// mutation resolves as the live request did.
 			mreq, params, err := decodeMutate(payload, s.cfg.Limits)
-			if err != nil {
-				rs.DecodeErrors++
-				continue
+			var m *mutation
+			if err == nil {
+				m, err = s.resolveMutation(mreq, params)
 			}
-			base, ok := s.graphs.Get(mreq.Base)
-			if !ok {
+			if errors.Is(err, ErrUnknownBase) {
 				rs.ReplayErrors++
 				s.logf("serve: replay mutate: %v: %s", ErrUnknownBase, mreq.Base)
 				continue
-			}
-			req, err := mutatedRequest(mreq, base, s.cfg.Limits)
-			var key, fp string
-			if err == nil {
-				key, fp, err = requestKey(req, params)
 			}
 			if err != nil {
 				rs.DecodeErrors++
 				continue
 			}
 			rs.ReplayMutates++
-			s.graphs.GetOrPut(fp, req.Graph) // a later mutate may name it, warm or not
-			if _, warm := s.cache.Get(key); warm {
+			s.graphs.GetOrPut(m.fp, m.applied.Graph) // a later mutate may name it, warm or not
+			if _, warm := s.cache.Get(m.key); warm {
 				rs.ReplayWarm++
 				continue
 			}
-			p := newPending(key)
+			p := newPending(m.key)
 			s.accepted.Add(1) // finish releases it, as for a live cell
-			s.solveMutation(ctx, p, nil, mreq, base, req, fp, params)
+			s.solveMutation(ctx, p, nil, m)
 			rs.tally(p)
 			continue
 		}

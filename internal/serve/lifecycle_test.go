@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,4 +274,151 @@ func TestFailMapsEverySentinel(t *testing.T) {
 			t.Errorf("fail(%v) did not bump its counter", c.err)
 		}
 	}
+}
+
+// TestMutateGraphFieldMatchesSolveFingerprint: a mutate keys its applied
+// graph off the view the session built for it, never off the map graph, so
+// its graph field is held here to the fingerprint a /v1/solve of the applied
+// graph returns, on a reference server that has never seen the mutate, in
+// every way a mutate can be answered.
+func TestMutateGraphFieldMatchesSolveFingerprint(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eng := newGateEngine()
+	s := newTestServer(t, Config{Engine: eng, BatchWait: time.Millisecond})
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ref := newTestServer(t, Config{})
+	ref.Start(ctx)
+	rts := httptest.NewServer(ref.Handler())
+	defer rts.Close()
+
+	check := func(what string, resp MutateResponse, applied *graph.Graph) {
+		t.Helper()
+		var sresp SolveResponse
+		if st := postJSON(t, rts.URL+"/v1/solve", solveBody(t, applied), &sresp); st != http.StatusOK {
+			t.Fatalf("%s: reference solve: status %d", what, st)
+		}
+		if resp.Graph != sresp.Graph || resp.Graph != fingerprintOf(t, applied) {
+			t.Errorf("%s: mutate graph = %s, /v1/solve of the applied graph = %s", what, resp.Graph, sresp.Graph)
+		}
+	}
+	mutate := func(url string, base *graph.Graph, d *graph.Delta) (MutateResponse, *graph.Graph) {
+		t.Helper()
+		applied := base.Clone()
+		if err := d.Apply(applied); err != nil {
+			t.Fatal(err)
+		}
+		var resp MutateResponse
+		if st := postJSON(t, url+"/v1/mutate", mutateBody(t, fingerprintOf(t, base), d), &resp); st != http.StatusOK {
+			t.Fatalf("mutate: status %d", st)
+		}
+		return resp, applied
+	}
+
+	g0 := chainGraph(t, 60)
+	if st := postJSON(t, ts.URL+"/v1/solve", solveBody(t, g0), nil); st != http.StatusOK {
+		t.Fatalf("prime solve: status %d", st)
+	}
+	// A base /v1/solve interned carries no session state: cold capture.
+	r1, g1 := mutate(ts.URL, g0, &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 0, Weight: 500}}})
+	if !r1.ColdFallback {
+		t.Errorf("first mutate: %+v, want a cold capture", r1)
+	}
+	check("cold capture", r1, g1)
+
+	r2, g2 := mutate(ts.URL, g1, &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 10, V: 11, Weight: 77}}})
+	if !r2.Incremental {
+		t.Errorf("chained mutate not incremental: %q", r2.FallbackReason)
+	}
+	check("incremental", r2, g2)
+
+	// A quarter of the edges removed, a node removed and one added: the
+	// touched-fraction fallback, over a shifted index space.
+	d3 := &graph.Delta{RemoveNodes: []graph.NodeID{59}, AddNodes: []graph.NodeDelta{{ID: 100, Weight: 5}},
+		SetEdges: []graph.EdgeDelta{{U: 100, V: 0, Weight: 3}}}
+	for v := graph.NodeID(20); v < 35; v++ {
+		d3.RemoveEdges = append(d3.RemoveEdges, graph.EdgePair{U: v, V: v + 1})
+	}
+	r3, g3 := mutate(ts.URL, g2, d3)
+	if !r3.ColdFallback || !strings.Contains(r3.FallbackReason, "touched-edge fraction") {
+		t.Errorf("wide delta: %+v, want the touched-fraction fallback", r3)
+	}
+	check("touched-fraction fallback", r3, g3)
+
+	// Incremental again, with nodes added below and between existing ids.
+	r4, g4 := mutate(ts.URL, g3, &graph.Delta{RemoveNodes: []graph.NodeID{100},
+		AddNodes: []graph.NodeDelta{{ID: -5, Weight: 2}, {ID: 59, Weight: 4}},
+		SetEdges: []graph.EdgeDelta{{U: -5, V: 0, Weight: 2}, {U: 59, V: 58, Weight: 1}}})
+	if !r4.Incremental {
+		t.Errorf("index-shifting mutate not incremental: %q", r4.FallbackReason)
+	}
+	check("incremental, shifted indices", r4, g4)
+
+	// The base's session state dropped: cold again.
+	interned, ok := s.graphs.Get(r4.Graph)
+	if !ok || !s.sess.Invalidate(interned) {
+		t.Fatal("the chained graph is not interned with session state")
+	}
+	d5 := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 7, Weight: 9}}}
+	r5, g5 := mutate(ts.URL, g4, d5)
+	if !r5.ColdFallback {
+		t.Errorf("mutate after Invalidate: %+v, want a cold fallback", r5)
+	}
+	check("state invalidated", r5, g5)
+
+	// A repeat is answered from the cache.
+	r6, _ := mutate(ts.URL, g4, d5)
+	if !r6.Cached {
+		t.Error("repeat mutate not served from cache")
+	}
+	check("cache hit", r6, g5)
+
+	// A deduped follower: two identical mutates while the leader's cut is
+	// held.
+	eng.hold.Store(true)
+	d7 := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 3, V: 4, Weight: 8}}}
+	g7 := g5.Clone()
+	if err := d7.Apply(g7); err != nil {
+		t.Fatal(err)
+	}
+	body := mutateBody(t, r5.Graph, d7)
+	before := s.Stats()
+	var leader, follower MutateResponse
+	status := make(chan int, 2)
+	go func() { status <- tryPostJSON(ts.URL+"/v1/mutate", body, &leader) }()
+	<-eng.entered
+	go func() { status <- tryPostJSON(ts.URL+"/v1/mutate", body, &follower) }()
+	waitFor(t, "the twin mutate to attach", func() bool { return s.Stats().Deduped == before.Deduped+1 })
+	eng.hold.Store(false)
+	close(eng.release)
+	for i := 0; i < 2; i++ {
+		if st := <-status; st != http.StatusOK {
+			t.Fatalf("held mutate %d: status %d", i, st)
+		}
+	}
+	if !follower.Deduped {
+		t.Error("twin mutate was not deduped")
+	}
+	check("leader", leader, g7)
+	check("deduped follower", follower, g7)
+
+	// After Recover a snapshot's graph has no session state either.
+	rec, err := encodeGraphRecord(r5.Graph, g5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestServer(t, Config{})
+	if rs := s2.Recover(ctx, [][]byte{rec}, nil); rs.SnapshotGraphs != 1 {
+		t.Fatalf("recovery = %+v, want the one graph", rs)
+	}
+	s2.Start(ctx)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	r8, g8 := mutate(ts2.URL, g5, &graph.Delta{RemoveEdges: []graph.EdgePair{{U: 40, V: 41}}})
+	if !r8.ColdFallback {
+		t.Errorf("mutate after Recover: %+v, want a cold fallback", r8)
+	}
+	check("after Recover", r8, g8)
 }

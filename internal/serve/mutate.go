@@ -16,13 +16,15 @@ import (
 // a whole graph after a topology or weight change, a client names the base
 // graph by its fingerprint (returned by a previous solve or mutate) and
 // ships only the delta. The server applies the delta to a clone of the
-// interned base, once, and the session solves that applied graph through its
-// incremental path — clean components replay their cached cuts, only touched
-// components re-run compression and the eigensolver — and publishes the
-// decision under the mutated graph's fingerprint, so follow-up /v1/solve and /v1/mutate calls
-// (on any client) find the new graph warm. This file holds the endpoint's
-// wire types, decode/validate, resolve step and response shaping; the
-// request lifecycle is the one in serve.go.
+// interned base, once; the session patches the base's cached view with it,
+// once, and that patched view is both what keys the applied graph (its
+// fingerprint is hashed off the view's arrays) and what the incremental path
+// solves — clean components replay their cached cuts, only touched
+// components re-run compression and the eigensolver. The decision is
+// published under the mutated graph's fingerprint, so follow-up /v1/solve
+// and /v1/mutate calls (on any client) find the new graph warm. This file
+// holds the endpoint's wire types, decode/validate, resolve step and
+// response shaping; the request lifecycle is the one in serve.go.
 //
 // The decision is bit-for-bit what a cold /v1/solve of the mutated graph
 // would produce (the exactness invariant of core.SolveDelta), so the
@@ -131,28 +133,53 @@ func validateMutate(req *MutateRequest, limits DecodeLimits) error {
 	return req.validate()
 }
 
-// mutatedRequest applies req's delta to base and wraps the result as the
-// synthetic solve request whose cache identity the mutate shares with a
-// plain solve of the mutated graph. base is never modified.
-func mutatedRequest(req *MutateRequest, base *graph.Graph, limits DecodeLimits) (*SolveRequest, error) {
-	mutated := base.Clone()
-	if err := req.Delta.Apply(mutated); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if mutated.NumNodes() == 0 {
-		return nil, fmt.Errorf("%w: delta removes every node", ErrBadRequest)
-	}
-	if err := limits.check(mutated); err != nil {
-		return nil, fmt.Errorf("mutated graph: %w", err)
-	}
-	return &SolveRequest{Graph: mutated, UserOverrides: req.UserOverrides}, nil
+// mutation is one resolved /v1/mutate: the request and its params, the base
+// with the delta applied as the session will solve it, and the identity the
+// applied graph shares with a plain solve of it — its fingerprint fp and the
+// cache key.
+type mutation struct {
+	req     *MutateRequest
+	params  mec.Params
+	applied *core.Applied
+	fp, key string
 }
 
-// mutate is /v1/mutate behind handle. Its resolve step decodes the body,
-// looks the base up in the intern table and applies the delta to a clone;
-// from the mutated graph's cache key on it is the solve lifecycle, except
-// that the leader solves inline, one user through the session's delta path
-// where the cached cuts live. Its cell makes identical concurrent mutates —
+// resolveMutation is the mutate resolve step, live and on journal replay
+// alike: it looks the base up in the intern table, applies the delta to a
+// clone of it, once, and size-checks the result; the session then builds the
+// view it will solve — base's cached view patched by the delta, or the
+// applied graph compiled — and the applied graph is keyed off that view. The
+// base is never modified.
+func (s *Server) resolveMutation(req *MutateRequest, params mec.Params) (*mutation, error) {
+	base, ok := s.graphs.Get(req.Base)
+	if !ok {
+		return nil, ErrUnknownBase
+	}
+	applied := base.Clone()
+	if err := req.Delta.Apply(applied); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if applied.NumNodes() == 0 {
+		return nil, fmt.Errorf("%w: delta removes every node", ErrBadRequest)
+	}
+	if err := s.cfg.Limits.check(applied); err != nil {
+		return nil, fmt.Errorf("mutated graph: %w", err)
+	}
+	a, err := s.sess.Apply(base, req.Delta, applied, core.DeltaOptions{})
+	if err != nil {
+		return nil, err
+	}
+	fp, err := a.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	return &mutation{req: req, params: params, applied: a, fp: fp, key: cacheKey(fp, params, req.UserOverrides)}, nil
+}
+
+// mutate is /v1/mutate behind handle. Its resolve step decodes the body and
+// resolves the mutation; from the applied graph's cache key on it is the
+// solve lifecycle, except that the leader solves inline, one user over the
+// view the resolve step built. Its cell makes identical concurrent mutates —
 // and a /v1/solve of the same graph and params — run once.
 func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte) error {
 	req, err := DecodeMutateBody(body, s.cfg.Limits)
@@ -163,30 +190,22 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	if err != nil {
 		return err
 	}
-	base, ok := s.graphs.Get(req.Base)
-	if !ok {
-		return ErrUnknownBase
-	}
-	sreq, err := mutatedRequest(req, base, s.cfg.Limits)
-	if err != nil {
-		return err
-	}
-	key, newFp, err := requestKey(sreq, params)
+	m, err := s.resolveMutation(req, params)
 	if err != nil {
 		return err
 	}
 	// A repeat mutation (same base, same delta, same params) whose decision
-	// is still cached: answer without solving. The mutated graph is
+	// is still cached: answer without solving. The applied graph is
 	// re-interned so chained mutations keep resolving even if the solve
 	// that populated the cache happened before a restart.
-	if ent, ok := s.lookup(key); ok {
-		s.graphs.GetOrPut(newFp, sreq.Graph)
+	if ent, ok := s.lookup(m.key); ok {
+		s.graphs.GetOrPut(m.fp, m.applied.Graph)
 		s.st.mutateHits.Add(1)
-		writeJSON(w, http.StatusOK, mutateResponseFor(req, newFp, ent.dec, nil, true, false))
+		writeJSON(w, http.StatusOK, mutateResponseFor(req, m.fp, ent.dec, nil, true, false))
 		return nil
 	}
 
-	p, leader, err := s.admit(key, nil)
+	p, leader, err := s.admit(m.key, nil)
 	if err != nil {
 		return err
 	}
@@ -197,25 +216,25 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 		// it: an inline solve joins no round and must not hold the ones
 		// /v1/solve traffic is forming open.
 		s.park()
-		ds = s.solveMutation(context.WithoutCancel(ctx), p, s.cfg.Journal, req, base, sreq, newFp, params)
+		ds = s.solveMutation(context.WithoutCancel(ctx), p, s.cfg.Journal, m)
 		s.unpark()
 	}
 	dec, err := s.await(ctx, p, leader)
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, mutateResponseFor(req, newFp, dec, ds, false, !leader))
+	writeJSON(w, http.StatusOK, mutateResponseFor(req, m.fp, dec, ds, false, !leader))
 	return nil
 }
 
 // solveMutation is the mutate leader's inline solve, and Recover's for a
-// mutate record: one single-user round through the session's delta path over
-// sreq.Graph (base with req's delta applied), interned under newFp, its
-// decision or error published through finish. With a journal (nil on replay)
-// req is appended as a recMutate first and released after finish.
-func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal, req *MutateRequest, base *graph.Graph, sreq *SolveRequest, newFp string, params mec.Params) *core.DeltaStats {
+// mutate record: one single-user round over the view m was resolved to,
+// its applied graph interned under m.fp, its decision or error published
+// through finish. With a journal (nil on replay) m's request is appended as a
+// recMutate first and released after finish.
+func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal, m *mutation) *core.DeltaStats {
 	if journal != nil {
-		rec, err := encodeMutate(req, params)
+		rec, err := encodeMutate(m.req, m.params)
 		var seg uint64
 		if err == nil {
 			seg, err = journal.Append(rec)
@@ -228,8 +247,9 @@ func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal,
 	}
 	ctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()
-	next := sreq.Graph
-	sol, ds, err := s.sess.SolveApplied(ctx, base, req.Delta, next, []core.UserInput{userInputOf(sreq)}, core.DeltaOptions{}, params)
+	next := m.applied.Graph
+	user := userInputOf(&SolveRequest{Graph: next, UserOverrides: m.req.UserOverrides})
+	sol, ds, err := s.sess.SolveApplied(ctx, m.applied, []core.UserInput{user}, m.params)
 	if err != nil {
 		s.st.mutateErrors.Add(1)
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -241,7 +261,7 @@ func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal,
 	// Intern the applied graph so its captured pipeline state stays
 	// reachable; if the fingerprint was already interned (a /v1/solve of the
 	// same graph got there first), drop the loser's state with the clone.
-	if canon, _ := s.graphs.GetOrPut(newFp, next); canon != next {
+	if canon, _ := s.graphs.GetOrPut(m.fp, next); canon != next {
 		s.sess.Invalidate(next)
 	}
 	s.st.deltaSolves.Add(1)
@@ -249,7 +269,7 @@ func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal,
 		s.st.coldFallbacks.Add(1)
 	}
 	s.st.lanczosItersSaved.Add(uint64(ds.LanczosItersSaved))
-	s.finish(p, decisionFor(newFp, sol, 0, 1), nil)
+	s.finish(p, decisionFor(m.fp, sol, 0, 1), nil)
 	return ds
 }
 

@@ -261,25 +261,27 @@ func TestMutateRecordRoundTripPreservesIdentity(t *testing.T) {
 	}
 	// The decoded delta reconstructs the exact cache identity of the live
 	// mutate — this is what makes journal replay indistinguishable from
-	// the original request.
-	live, err := mutatedRequest(req, base, DecodeLimits{})
+	// the original request — and it is the identity a plain solve of the
+	// applied graph gets.
+	s := newTestServer(t, Config{})
+	s.graphs.GetOrPut(req.Base, base)
+	live, err := s.resolveMutation(req, params)
 	if err != nil {
-		t.Fatalf("mutatedRequest live: %v", err)
+		t.Fatalf("resolve live: %v", err)
 	}
-	replay, err := mutatedRequest(got, base, DecodeLimits{})
+	replay, err := s.resolveMutation(got, gotParams)
 	if err != nil {
-		t.Fatalf("mutatedRequest replay: %v", err)
+		t.Fatalf("resolve replay: %v", err)
 	}
-	wantKey, wantFp, err := requestKey(live, params)
+	if replay.key != live.key || replay.fp != live.fp {
+		t.Fatalf("replayed identity (%s, %s) != live identity (%s, %s)", replay.key, replay.fp, live.key, live.fp)
+	}
+	wantKey, wantFp, err := requestKey(&SolveRequest{Graph: live.applied.Graph, UserOverrides: req.UserOverrides}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotKey, gotFp, err := requestKey(replay, gotParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotKey != wantKey || gotFp != wantFp {
-		t.Fatalf("replayed identity (%s, %s) != live identity (%s, %s)", gotKey, gotFp, wantKey, wantFp)
+	if live.key != wantKey || live.fp != wantFp {
+		t.Fatalf("mutate identity (%s, %s) != solve identity (%s, %s)", live.key, live.fp, wantKey, wantFp)
 	}
 }
 
