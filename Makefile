@@ -94,11 +94,12 @@ bench-core:
 	print "}" }' results/bench_core.txt > results/BENCH_core.json
 	@echo "wrote results/BENCH_core.json"; cat results/BENCH_core.json
 
-# bench-batch is the focused loop for the fused batch solver: first the
-# exactness tests that pin every entry point to the map-pipeline oracle and
-# BatchSolve to N independent Solve calls bit for bit (parallel cut stage
-# included), then the batch benchmarks — small-graph looped vs fused
-# throughput and the large-graph solve.
+# bench-batch is the focused loop for the batch solver: first the exactness
+# tests that pin every entry point to the map-pipeline oracle and BatchSolve
+# to N independent Solve calls bit for bit (parallel worker pool included),
+# then the batch benchmarks — small-graph throughput, looped vs "fused" (one
+# BatchSolve pass over the round's per-graph views; the sub-benchmark keeps
+# its name so results compare across commits), and the large-graph solve.
 bench-batch:
 	$(GO) test -count=1 \
 		-run 'TestExactnessTable|TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveParallelCutStageMatchesSerial' \

@@ -425,10 +425,11 @@ func batchBenchGraphs(b *testing.B, count, nodes, comps int) []*graph.Graph {
 
 // BenchmarkBatchSolveSmall is the batch solver's headline workload: one
 // serving round of 64 independent n=100 requests, solved request-by-request
-// (the pre-batching looped baseline) versus one fused BatchSolve. Both
-// variants report graphs/sec and scripts/perf_gate.sh fences each against
-// regression; they run the same pipeline (a single Solve is a fused batch of
-// one), so their ratio reads ≈ 1. Workers=1.
+// (the pre-batching looped baseline) versus one BatchSolve — "fused", a name
+// kept so results compare across commits, is one pass over the 64 graphs'
+// own views with one worker pool and one scratch set. Both variants report
+// graphs/sec; they run the same pipeline (a single Solve is a batch of one),
+// so their ratio reads ≈ 1. Workers=1.
 func BenchmarkBatchSolveSmall(b *testing.B) {
 	const rounds = 64
 	gs := batchBenchGraphs(b, rounds, 100, 16)
@@ -465,8 +466,8 @@ func BenchmarkBatchSolveSmall(b *testing.B) {
 }
 
 // BenchmarkBatchSolveLarge pits BatchSolve against Solve on one big n=5000
-// instance: the fused pipeline's overheads (span bookkeeping, per-part
-// indices) must stay negligible when there is nothing to fuse.
+// instance: the batch path's overheads (round bookkeeping, per-part
+// indices) must stay negligible when the round holds one graph.
 func BenchmarkBatchSolveLarge(b *testing.B) {
 	ctx := context.Background()
 	opts := core.Options{Workers: 1}

@@ -217,9 +217,9 @@ func testBatchSolveEngineFailure(t *testing.T) {
 	}
 }
 
-// TestBatchSolveSessionCache: cache-served graphs skip the fused pass, fused
-// graphs land in the cache, and a later single Solve through those cached
-// (idx-carrying) templates still matches a fresh solve exactly.
+// TestBatchSolveSessionCache: cache-served graphs skip the pipeline pass,
+// pipelined graphs land in the cache, and a later single Solve through
+// those cached (idx-carrying) templates still matches a fresh solve exactly.
 func TestBatchSolveSessionCache(t *testing.T) {
 	ctx := context.Background()
 	g1, err := netgen.Generate(netgen.Config{Nodes: 60, Edges: 120, Components: 2, Seed: 21})
@@ -239,7 +239,7 @@ func TestBatchSolveSessionCache(t *testing.T) {
 		t.Fatalf("cached graphs = %d, want 1", got)
 	}
 	items := []BatchItem{
-		{Users: []UserInput{{Graph: g1}, {Graph: g2}}}, // g1 cached, g2 fused
+		{Users: []UserInput{{Graph: g1}, {Graph: g2}}}, // g1 cached, g2 pipelined
 		{Users: []UserInput{{Graph: g2}}},
 	}
 	got := s.BatchSolve(ctx, items)

@@ -115,8 +115,8 @@ func TestDeltaChainCarriesCleanComponents(t *testing.T) {
 					t.Fatalf("cold capture: err %v, stats %+v", err, ds)
 				}
 				cold := map[any]bool{}
-				for i := range sess.lookup(g).delta.comps {
-					for _, p := range recordArrays(&sess.lookup(g).delta.comps[i]) {
+				for i := range sess.lookup(g).comps {
+					for _, p := range recordArrays(&sess.lookup(g).comps[i]) {
 						cold[p] = true
 					}
 				}
@@ -124,8 +124,8 @@ func TestDeltaChainCarriesCleanComponents(t *testing.T) {
 				carried, reexpanded := 0, 0
 				step := func(d *graph.Delta) {
 					t.Helper()
-					prev := sess.lookup(g).delta
-					_, info, err := prev.view.View.Patch(d)
+					prev := sess.lookup(g)
+					_, info, err := prev.view.Patch(d)
 					if err != nil {
 						t.Fatalf("patch: %v", err)
 					}
@@ -140,7 +140,7 @@ func TestDeltaChainCarriesCleanComponents(t *testing.T) {
 					if !solutionsIdentical(t, sol, want) {
 						t.Fatal("lineage head diverges from a cold Solve of the mutated graph")
 					}
-					st := sess.lookup(next).delta
+					st := sess.lookup(next)
 					old := map[any]bool{}
 					for i := range prev.comps {
 						for _, p := range recordArrays(&prev.comps[i]) {
@@ -177,7 +177,7 @@ func TestDeltaChainCarriesCleanComponents(t *testing.T) {
 					g = next
 				}
 				for k := 0; k < 16; k++ {
-					step(carryDelta(rng, g, sess.lookup(g).delta.view.View, k/4, nodes && k%4 == 3))
+					step(carryDelta(rng, g, sess.lookup(g).view, k/4, nodes && k%4 == 3))
 				}
 				if carried == 0 || (nodes && reexpanded == 0) {
 					t.Fatalf("%d components carried whole, %d re-expanded: the sharing assertions never ran", carried, reexpanded)
@@ -185,14 +185,14 @@ func TestDeltaChainCarriesCleanComponents(t *testing.T) {
 
 				// Touch every component once more, then look for the cold capture.
 				sweep := &graph.Delta{}
-				view := sess.lookup(g).delta.view.View
+				view := sess.lookup(g).view
 				for _, comp := range view.Components() {
 					id := view.IDOf(comp[0])
 					w, _ := g.NodeWeight(id)
 					sweep.SetNodeWeights = append(sweep.SetNodeWeights, graph.NodeDelta{ID: id, Weight: w + 1})
 				}
 				step(sweep)
-				head := sess.lookup(g).delta
+				head := sess.lookup(g)
 				for i := range head.comps {
 					for _, p := range recordArrays(&head.comps[i]) {
 						if cold[p] {

@@ -61,8 +61,8 @@ type DeltaStats struct {
 // asserts this.
 //
 // Every user whose Graph is nil or base is solved against the mutated
-// graph. The cold path runs — reported in DeltaStats — when base has no
-// cached delta state (only SolveDelta captures it) or the delta's
+// graph. The cold path runs — reported in DeltaStats — when the session
+// never pipelined base (or dropped it: Invalidate) or the delta's
 // touched-edge fraction exceeds the threshold; it is the same pipeline call
 // with no predecessor, over the mutated graph's freshly compiled view, so
 // the next delta against the returned graph is incremental either way.
@@ -96,7 +96,7 @@ type Applied struct {
 	view  *graph.CSR
 	// prev and info name the patched view's predecessor; both nil on the
 	// cold path.
-	prev  *solveState
+	prev  *graphPipeline
 	info  *graph.PatchInfo
 	stats DeltaStats
 }
@@ -114,15 +114,12 @@ func (a *Applied) Fingerprint() (string, error) { return a.view.Fingerprint() }
 // applied instead. Which path the solve takes is decided here and reported
 // by SolveApplied's DeltaStats.
 func (s *Session) Apply(base *graph.Graph, d *graph.Delta, applied *graph.Graph, dopts DeltaOptions) (*Applied, error) {
-	a := &Applied{Graph: applied, base: base}
+	a := &Applied{Graph: applied, base: base, prev: s.lookup(base)}
 	ds := &a.stats
-	if gp := s.lookup(base); gp != nil {
-		a.prev = gp.delta
-	}
 	if a.prev == nil {
 		ds.FallbackReason = "no cached state for base graph"
 	} else {
-		view, info, err := a.prev.view.View.Patch(d)
+		view, info, err := a.prev.view.Patch(d)
 		if err != nil {
 			return nil, fmt.Errorf("core: patch: %w", err)
 		}
@@ -187,15 +184,14 @@ func (s *Session) solveApplied(ctx context.Context, a *Applied, users []UserInpu
 
 	ds := a.stats
 	start := time.Now()
-	out, st, err := runPipeline(ctx, sopts.normalised(), singleSpan(a.view), a.prev, a.info)
+	out, err := runPipeline(ctx, sopts.normalised(), []*graph.CSR{a.view}, a.prev, a.info)
 	if err != nil {
 		return nil, nil, err
 	}
 	if ds.Incremental {
 		ds.PatchTime = time.Since(start)
 	}
-	out[0].delta = st
-	s.store(a.Graph, &out[0])
+	s.store(a.Graph, out[0])
 
 	// The back half, and the pipeline of any other graph the population
 	// names, is a regular solve that finds a.Graph in the cache.

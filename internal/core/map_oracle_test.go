@@ -11,10 +11,10 @@ import (
 )
 
 // solveMapOracle is Solve over the map pipeline: the reference every entry
-// point of the span pipeline is compared against. It shares the template
+// point of the view pipeline is compared against. It shares the template
 // instantiation and the greedy with production (they are pipeline-agnostic)
-// and evaluates through Placement.State, so the fused-array evaluator is
-// checked too.
+// and evaluates through Placement.State, so the view evaluator is checked
+// too.
 func solveMapOracle(ctx context.Context, users []UserInput, opts Options) (*Solution, error) {
 	opts = opts.normalised()
 	if err := opts.Params.Validate(); err != nil {
@@ -75,7 +75,7 @@ func solveMapOracle(ctx context.Context, users []UserInput, opts Options) (*Solu
 
 // runPipelineMap is the original map-based pipeline — mutable graphs,
 // InducedSubgraph, map-keyed membership, engines called on materialised
-// sub-graphs through bisectGraph — kept as the oracle the span pipeline must
+// sub-graphs through bisectGraph — kept as the oracle the view pipeline must
 // reproduce bit for bit. Compression comes from lpa.Compress in its map
 // Result shape (package lpa pins that against its own map oracle).
 func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) (*graphPipeline, error) {

@@ -5,31 +5,34 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"copmecs/internal/lpa"
 )
 
-// The cut stage. Each job is split into at most MaxParts blocks by recursive
-// bisection: pick the heaviest splittable block, bisect it, repeat — an
-// inherently sequential greedy whose choice depends on the previous split's
-// outcome, so one job's recursion is serial at any worker count. Parallelism
-// is across jobs: a job's cut lists are a pure function of (job, engine,
-// MaxParts), so they are the same whichever goroutine computes them.
+// The worker pool. A job is one dirty component: compress it, then split it
+// into at most MaxParts blocks by recursive bisection — pick the heaviest
+// splittable block, bisect it, repeat — an inherently sequential greedy whose
+// choice depends on the previous split's outcome, so one job is serial at any
+// worker count. Parallelism is across jobs, of every graph in the round: a
+// job's block and cut lists are a pure function of (component, options), so
+// they are the same whichever goroutine computes them.
 
-// cutJobs partitions the compression block of every component dirty names,
-// recording each one's cut lists and Lanczos iteration count in comps. Jobs
-// are cut concurrently up to opts.Workers, each goroutine owning one split
-// workspace and pulling the next job index.
-func cutJobs(ctx context.Context, opts Options, dirty []int, comps []compSolveState) error {
-	workers := max(1, min(opts.Workers, len(dirty)))
+// runJobs runs every job, recording each component's block, cut lists and
+// Lanczos iteration count in its record. Jobs run concurrently up to
+// opts.Workers, each goroutine owning one split workspace and pulling the
+// next job index.
+func runJobs(ctx context.Context, opts Options, jobs []compJob) error {
+	workers := max(1, min(opts.Workers, len(jobs)))
 	errs := make([]error, workers)
 	var next atomic.Int64
 	run := func(w int) {
 		sc := &splitScratch{}
 		for errs[w] == nil {
 			k := int(next.Add(1)) - 1
-			if k >= len(dirty) {
+			if k >= len(jobs) {
 				return
 			}
-			errs[w] = partitionJob(ctx, opts.Engine, opts.MaxParts, sc, &comps[dirty[k]])
+			errs[w] = runJob(ctx, opts, sc, jobs[k])
 		}
 	}
 	if workers == 1 {
@@ -47,8 +50,27 @@ func cutJobs(ctx context.Context, opts Options, dirty []int, comps []compSolveSt
 	}
 	for _, err := range errs {
 		if err != nil {
-			return fmt.Errorf("core: cut sub-graph: %w", err)
+			return err
 		}
+	}
+	return nil
+}
+
+// runJob compresses one component — or, under DisableCompression, presents
+// it as the identity block — and cuts the block.
+func runJob(ctx context.Context, opts Options, sc *splitScratch, j compJob) error {
+	if opts.DisableCompression {
+		sc.ensure(j.view.NumNodes())
+		j.cs.blk = rawBlock(j.view, j.view.Components()[j.comp], sc.pos)
+	} else {
+		blk, err := lpa.CompressComponent(j.view, opts.LPA, j.comp)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		j.cs.blk = blk
+	}
+	if err := partitionJob(ctx, opts.Engine, opts.MaxParts, sc, j.cs); err != nil {
+		return fmt.Errorf("core: cut sub-graph: %w", err)
 	}
 	return nil
 }

@@ -40,15 +40,18 @@ func rawBlock(c *graph.CSR, comp, pos []int32) *lpa.Block {
 	return b
 }
 
-// graphPipeline is one graph's pipeline outcome — user-independent part
-// templates plus the compression counters — and the unit a Session caches.
+// graphPipeline is one graph's pipeline outcome and the unit a Session
+// caches: the view it ran over, every component's record aligned with the
+// view's Components(), the user-independent part templates those records
+// expand to, and the compression counters. Every entry is a patchable base:
+// the next SolveDelta against its graph patches view and carries the clean
+// components' records. An entry owns its arrays; no entry shares a backing
+// array with another graph's, except the cut lists noted at compSolveState.
 type graphPipeline struct {
+	view                   *graph.CSR
+	comps                  []compSolveState
 	protos                 []protoPart
 	nodesAfter, edgesAfter int
-	// delta is what the next SolveDelta against this graph patches from; nil
-	// unless the graph was pipelined over its own compiled view (SolveDelta
-	// does that; fused rounds share a view no delta can patch).
-	delta *solveState
 }
 
 // compSolveState is everything the pipeline derived for one component: its
@@ -58,7 +61,11 @@ type graphPipeline struct {
 // to, adjacency indices relative to the component's first template. The
 // block and the cuts name members by position, so they are valid for the
 // same component in any view; the templates name view indices and NodeIDs,
-// so they hold as long as no index shifts.
+// so they hold as long as no index shifts. A component's block and
+// templates are its own allocations and its cut lists windows of the cut
+// stage's per-worker arena (a few KiB a chunk), so an entry down a delta
+// chain keeps an ancestor's memory alive only through the components it
+// still carries from it.
 type compSolveState struct {
 	blk    *lpa.Block
 	cuts   [][]int32
@@ -66,105 +73,65 @@ type compSolveState struct {
 	protos []protoPart
 }
 
-// solveState is the replayable pipeline state of one view: the view itself
-// and the per-component outcomes aligned with the view's Components(). A
-// component's block and templates are its own allocations and its cut lists
-// windows of its run's split arena (a few KiB a run), so a state down a delta
-// chain keeps an ancestor's memory alive only through the components it
-// still carries from it.
-type solveState struct {
-	view  *graph.FusedCSR
-	comps []compSolveState
-}
-
-// singleSpan presents one compiled graph as a fused view of one span, the
-// shape runPipeline takes.
-func singleSpan(c *graph.CSR) *graph.FusedCSR {
-	return &graph.FusedCSR{
-		View:     c,
-		NodeBase: []int32{0, int32(c.NumNodes())},
-		CompBase: []int32{0, int32(len(c.Components()))},
-	}
+// compJob is one dirty component of one graph of a round: the unit the
+// worker pool compresses and cuts.
+type compJob struct {
+	view *graph.CSR
+	comp int
+	cs   *compSolveState
 }
 
 // runPipeline is the one pipeline driver: Algorithm 1 compression, the cut
-// stage and template expansion, component by component over f's view,
-// demultiplexed into one graphPipeline per span. Every kernel it runs is
-// component-local and every component belongs to exactly one span, so each
-// graph's templates are bit-identical however the view was put together —
-// alone, fused with others, or patched.
+// stage and template expansion, component by component, one graphPipeline
+// per view. Every dirty component of every view is one job of one worker
+// pool; every kernel a job runs is component-local, so each graph's outcome
+// is bit-identical however many graphs share the round and whichever worker
+// ran which job.
 //
-// prev and info name the predecessor of a patched view. A component with a
-// clean predecessor (info.OldCompOf) is that predecessor's record, copied:
-// block, cuts and — unless the patch shifted node indices — templates; only
-// the shifted templates are re-expanded from the carried block and cuts.
-// Every other component — all of them when prev is nil — runs compress →
-// partition → expand. The returned state records every component's outcome,
-// so any run can be the predecessor of the next.
-func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *solveState, info *graph.PatchInfo) ([]graphPipeline, *solveState, error) {
-	view := f.View
-	comps := view.Components()
-	st := &solveState{view: f, comps: make([]compSolveState, len(comps))}
-	dirty := make([]int, 0, len(comps))
-	shifted := false
-	if prev == nil {
+// prev and info name the predecessor of a patched view (views then holds
+// that one view). A component with a clean predecessor (info.OldCompOf) is
+// that predecessor's record, copied: block, cuts and — unless the patch
+// shifted node indices — templates; only the shifted templates are
+// re-expanded from the carried block and cuts. Every other component — all
+// of them when prev is nil — runs compress → partition → expand.
+func runPipeline(ctx context.Context, opts Options, views []*graph.CSR, prev *graphPipeline, info *graph.PatchInfo) ([]*graphPipeline, error) {
+	out := make([]*graphPipeline, len(views))
+	var jobs []compJob
+	for k, view := range views {
+		comps := view.Components()
+		gp := &graphPipeline{view: view, comps: make([]compSolveState, len(comps))}
+		out[k] = gp
+		if prev != nil && len(info.OldCompOf) != len(comps) {
+			return nil, fmt.Errorf("core: patch names %d components, the view has %d", len(info.OldCompOf), len(comps))
+		}
 		for i := range comps {
-			dirty = append(dirty, i)
-		}
-	} else {
-		if len(info.OldCompOf) != len(comps) {
-			return nil, nil, fmt.Errorf("core: patch names %d components, the view has %d", len(info.OldCompOf), len(comps))
-		}
-		shifted = info.NewToOld != nil
-		for i, oc := range info.OldCompOf {
-			if oc < 0 {
-				dirty = append(dirty, i)
+			if prev == nil || info.OldCompOf[i] < 0 {
+				jobs = append(jobs, compJob{view, i, &gp.comps[i]})
 				continue
 			}
+			oc := info.OldCompOf[i]
 			if int(oc) >= len(prev.comps) || len(prev.comps[oc].blk.Members) != len(comps[i]) {
-				return nil, nil, fmt.Errorf("core: component %d does not align with previous component %d", i, oc)
+				return nil, fmt.Errorf("core: component %d does not align with previous component %d", i, oc)
 			}
-			st.comps[i] = prev.comps[oc]
+			gp.comps[i] = prev.comps[oc]
 		}
 	}
 
-	if opts.DisableCompression {
-		pos := make([]int32, view.NumNodes())
-		for _, i := range dirty {
-			st.comps[i].blk = rawBlock(view, comps[i], pos)
-		}
-	} else {
-		lopts := opts.LPA
-		if lopts.Workers == 0 {
-			// Inherit the solver's parallelism so Workers=1 (the Fig. 9
-			// "without Spark" mode) is serial end to end.
-			lopts.Workers = opts.Workers
-		}
-		blocks, err := lpa.CompressComponents(view, lopts, dirty)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		for k, i := range dirty {
-			st.comps[i].blk = blocks[k]
-		}
+	if err := runJobs(ctx, opts, jobs); err != nil {
+		return nil, err
 	}
 
-	if err := cutJobs(ctx, opts, dirty, st.comps); err != nil {
-		return nil, nil, err
-	}
-
-	// Demux: span k owns components [CompBase[k], CompBase[k+1]); its
-	// templates are the components' groups end to end, indices re-based.
-	out := make([]graphPipeline, f.Graphs())
-	ids := view.IDs()
+	// Assembly: a graph's templates are its components' groups end to end,
+	// adjacency re-based to the group's offset.
+	shifted := info != nil && info.NewToOld != nil
 	var sc expandScratch
-	for k := range out {
-		gp := &out[k]
+	for _, gp := range out {
+		comps, ids := gp.view.Components(), gp.view.IDs()
 		total, adj := 0, 0
-		for ci := f.CompBase[k]; ci < f.CompBase[k+1]; ci++ {
-			cs := &st.comps[ci]
+		for ci := range gp.comps {
+			cs := &gp.comps[ci]
 			if cs.protos == nil || shifted {
-				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, f.NodeBase[k], &sc)
+				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, &sc)
 			}
 			total += len(cs.protos)
 			for pi := range cs.protos {
@@ -173,8 +140,8 @@ func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *sol
 		}
 		gp.protos = make([]protoPart, 0, total)
 		adjSlab := make([]PartEdge, 0, adj)
-		for ci := f.CompBase[k]; ci < f.CompBase[k+1]; ci++ {
-			cs := &st.comps[ci]
+		for ci := range gp.comps {
+			cs := &gp.comps[ci]
 			gp.nodesAfter += len(cs.blk.NodeW)
 			gp.edgesAfter += len(cs.blk.Tgt) / 2
 			base := len(gp.protos)
@@ -190,7 +157,7 @@ func runPipeline(ctx context.Context, opts Options, f *graph.FusedCSR, prev *sol
 			}
 		}
 	}
-	return out, st, nil
+	return out, nil
 }
 
 // expandScratch is expandProtos' reusable workspace: the cut index of every
@@ -209,11 +176,10 @@ type expandScratch struct {
 // indexes within a graph's templates once the group's offset is added. The
 // group and its lists are allocations of the component's own.
 //
-// comp is the component's member list in the backing view, ids the view's
-// index→NodeID array and rebase the graph's node offset within it (0 for a
-// single-span view). Each template records its members both as NodeIDs and
-// as graph-local CSR indices — the evaluator's input.
-func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.NodeID, rebase int32, sc *expandScratch) []protoPart {
+// comp is the component's member list in the graph's view and ids the view's
+// index→NodeID array. Each template records its members both as NodeIDs and
+// as view indices — the evaluator's input.
+func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.NodeID, sc *expandScratch) []protoPart {
 	// All cuts together cover the component's nodes exactly once, so the
 	// per-cut node and index lists each carve one exactly-sized slab.
 	nodesSlab := make([]graph.NodeID, 0, len(comp))
@@ -224,17 +190,17 @@ func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.Node
 		for _, s := range side {
 			work += blk.NodeW[s]
 			for _, pos := range blk.Members[blk.MemberOff[s]:blk.MemberOff[s+1]] {
-				idxBuf = append(idxBuf, comp[pos]-rebase)
+				idxBuf = append(idxBuf, comp[pos])
 			}
 		}
 		gidx := idxBuf[start:len(idxBuf):len(idxBuf)]
-		// Graph-local index order is NodeID order (both ascend together), so
-		// sorting the indices yields the node ordering the oracle produces
-		// by sorting NodeIDs.
+		// View index order is NodeID order (both ascend together), so sorting
+		// the indices yields the node ordering the oracle produces by
+		// sorting NodeIDs.
 		slices.Sort(gidx)
 		nstart := len(nodesSlab)
 		for _, li := range gidx {
-			nodesSlab = append(nodesSlab, ids[rebase+li])
+			nodesSlab = append(nodesSlab, ids[li])
 		}
 		return nodesSlab[nstart:len(nodesSlab):len(nodesSlab)], gidx, work
 	}

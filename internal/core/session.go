@@ -20,10 +20,10 @@ type Session struct {
 	opts Options
 
 	mu sync.Mutex
-	// entries holds one immutable record per pipelined graph: its part
-	// templates and compression counters and, for graphs that came through
-	// SolveDelta, the state the next delta patches from. One map, so a graph
-	// is cached or dropped whole.
+	// entries holds one immutable record per pipelined graph, whichever call
+	// pipelined it: its view and component records — what the next delta
+	// patches from — its part templates and compression counters. One map,
+	// so a graph is cached or dropped whole.
 	entries map[*graph.Graph]*graphPipeline
 }
 
@@ -49,7 +49,7 @@ func (s *Session) CachedGraphs() int {
 }
 
 // Invalidate drops the cache entry for g (after the caller mutated it) —
-// templates and delta state together — reporting whether one existed.
+// view and component records together — reporting whether one existed.
 func (s *Session) Invalidate(g *graph.Graph) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -238,5 +239,115 @@ func TestSessionLifecycleUnderContention(t *testing.T) {
 	}
 	if !solutionsIdentical(t, sol, wantDelta) {
 		t.Error("cold re-capture after Invalidate diverged")
+	}
+}
+
+// TestBatchSolvedGraphIsDeltaBase: a graph a Session pipelined in a
+// BatchSolve round next to another graph is a patchable base — SolveDelta
+// against it carries its clean components and answers bit for bit what a
+// cold Solve of the mutated graph does.
+func TestBatchSolvedGraphIsDeltaBase(t *testing.T) {
+	ctx := context.Background()
+	var gs [2]*graph.Graph
+	for i := range gs {
+		g, err := netgen.Generate(netgen.Config{Nodes: 80 + 20*i, Edges: 200 + 30*i, Components: 4, Seed: int64(71 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g
+	}
+	sess := NewSession(Options{})
+	for i, r := range sess.BatchSolve(ctx, []BatchItem{{Users: []UserInput{{Graph: gs[0]}}}, {Users: []UserInput{{Graph: gs[1]}}}}) {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+	}
+	for gi, g := range gs {
+		e := g.Edges()[0]
+		d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 3}}}
+		next, sol, ds, err := sess.SolveDelta(ctx, g, d, []UserInput{{}}, DeltaOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ds.Incremental || ds.CleanComponents < 1 {
+			t.Fatalf("graph %d: delta against a batch-solved base: stats %+v, want incremental with clean components", gi, ds)
+		}
+		want, err := Solve(ctx, []UserInput{{Graph: next}}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !solutionsIdentical(t, sol, want) {
+			t.Fatalf("graph %d: delta solution diverges from a cold Solve of the mutated graph", gi)
+		}
+	}
+}
+
+// TestRoundEntriesShareNoBackingArray: the cached entries of two graphs one
+// round pipelined own their arrays — view, blocks and templates — so dropping
+// one graph frees its memory whatever became of the other. The cut lists are
+// left out: they are windows of the cut stage's per-worker arena, whose
+// chunks are bounded by cutChunkCap.
+func TestRoundEntriesShareNoBackingArray(t *testing.T) {
+	type span struct{ lo, hi uintptr }
+	arrays := func(gp *graphPipeline) []span {
+		var out []span
+		add := func(s any) {
+			if v := reflect.ValueOf(s); v.Cap() > 0 {
+				lo := v.Pointer()
+				out = append(out, span{lo, lo + uintptr(v.Cap())*v.Type().Elem().Size()})
+			}
+		}
+		view := gp.view
+		add(view.IDs())
+		add(view.NodeWeights())
+		for _, comp := range view.Components() {
+			add(comp)
+		}
+		for u := range int32(view.NumNodes()) {
+			tgt, w := view.Adj(u)
+			add(tgt)
+			add(w)
+		}
+		add(gp.comps)
+		add(gp.protos)
+		for _, pp := range gp.protos {
+			add(pp.adj)
+		}
+		for _, cs := range gp.comps {
+			b := cs.blk
+			for _, s := range []any{b.NodeW, b.Off, b.Tgt, b.W, b.MemberOff, b.Members, b.Labels, cs.protos} {
+				add(s)
+			}
+			for _, pp := range cs.protos {
+				add(pp.nodes)
+				add(pp.idx)
+				add(pp.adj)
+			}
+		}
+		return out
+	}
+
+	ctx := context.Background()
+	var gs [2]*graph.Graph
+	for i := range gs {
+		g, err := netgen.Generate(netgen.Config{Nodes: 60, Edges: 150, Components: 3, Seed: int64(81 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g
+	}
+	for _, opts := range []Options{{Workers: 1}, {Workers: 1, DisableCompression: true}} {
+		sess := NewSession(opts)
+		if _, err := sess.Solve(ctx, []UserInput{{Graph: gs[0]}, {Graph: gs[1]}}); err != nil {
+			t.Fatal(err)
+		}
+		a, b := arrays(sess.lookup(gs[0])), arrays(sess.lookup(gs[1]))
+		for _, x := range a {
+			for _, y := range b {
+				if x.lo < y.hi && y.lo < x.hi {
+					t.Fatalf("compression disabled %v: the two graphs' entries share a backing array", opts.DisableCompression)
+				}
+			}
+		}
 	}
 }

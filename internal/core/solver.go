@@ -23,7 +23,8 @@ var (
 type Options struct {
 	// Engine is the minimum-cut engine (nil = SpectralEngine{}).
 	Engine Engine
-	// LPA tunes the compression stage.
+	// LPA tunes the compression stage. Its Workers is not read: Workers
+	// below bounds the one pool that compresses and cuts.
 	LPA lpa.Options
 	// Params are the MEC system constants (zero value = mec.Defaults()).
 	Params mec.Params
@@ -39,8 +40,9 @@ type Options struct {
 	// bisection — the "reduce the computational complexity / finer
 	// placement" direction the paper's conclusion points to. 0 means 2.
 	MaxParts int
-	// Workers bounds the number of concurrent per-sub-graph cut jobs
-	// (0 = GOMAXPROCS; 1 = serial, the Fig. 9 "without Spark" mode).
+	// Workers bounds the number of concurrent per-component jobs, each
+	// compressing and cutting one component (0 = GOMAXPROCS; 1 = serial,
+	// the Fig. 9 "without Spark" mode).
 	Workers int
 }
 
@@ -97,9 +99,9 @@ type Part struct {
 	// InitialRemote records the pre-greedy placement for diagnostics.
 	InitialRemote bool
 
-	// idx carries Nodes as graph-local CSR indices (aligned with Nodes); the
-	// evaluator walks the round's fused CSR through it instead of
-	// re-deriving indices from NodeIDs.
+	// idx carries Nodes as indices into the graph's view (aligned with
+	// Nodes); the evaluator walks the view through it instead of re-deriving
+	// indices from NodeIDs.
 	idx []int32
 }
 
@@ -167,22 +169,12 @@ func solveOne(ctx context.Context, users []UserInput, opts Options, cache *Sessi
 	return r.Solution, r.Err
 }
 
-// roundGraph is one distinct graph of a solveItems round: its pipeline
-// outcome, and where its arrays live — span of view — for the evaluator. A
-// graph pipelined this round sits in the round's fused view; one served from
-// the session cache has a view only if it kept its own for SolveDelta.
-type roundGraph struct {
-	*graphPipeline
-	view *graph.FusedCSR
-	span int
-}
-
 // solveItems is the implementation behind every entry point — Solve and
 // Session.Solve are a batch of one item, SolveDelta a batch of one whose
 // mutated graph is already in the cache. Every distinct graph the cache
-// (nil for the package-level calls) cannot serve is compiled into one fused
-// CSR view and pipelined in a single runPipeline pass; each item is then
-// finished independently.
+// (nil for the package-level calls) cannot serve is compiled into its own
+// view, and all of them are pipelined in a single runPipeline pass; each
+// item is then finished independently.
 func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Session) []BatchResult {
 	res := make([]BatchResult, len(items))
 	if err := ctx.Err(); err != nil {
@@ -221,8 +213,9 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	// Distinct graphs across the whole round, first-appearance order, split
 	// by session-cache state.
 	pipelineStart := time.Now()
-	round := make(map[*graph.Graph]roundGraph)
+	round := make(map[*graph.Graph]*graphPipeline)
 	var uncached []*graph.Graph
+	var views []*graph.CSR
 	for i, it := range items {
 		if res[i].Err != nil {
 			continue
@@ -231,21 +224,16 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 			if _, ok := round[u.Graph]; ok {
 				continue
 			}
-			if gp := cache.lookup(u.Graph); gp != nil {
-				rg := roundGraph{graphPipeline: gp}
-				if gp.delta != nil {
-					rg.view = gp.delta.view
-				}
-				round[u.Graph] = rg
-				continue
+			gp := cache.lookup(u.Graph)
+			round[u.Graph] = gp
+			if gp == nil {
+				uncached = append(uncached, u.Graph)
+				views = append(views, u.Graph.Compile())
 			}
-			round[u.Graph] = roundGraph{}
-			uncached = append(uncached, u.Graph)
 		}
 	}
 	if len(uncached) > 0 {
-		f := graph.Fuse(uncached)
-		out, _, err := runPipeline(ctx, opts, f, nil, nil)
+		out, err := runPipeline(ctx, opts, views, nil, nil)
 		if err != nil {
 			// One graph's failure must not poison the round: every pending
 			// item retries alone and succeeds or fails exactly as its own
@@ -262,8 +250,8 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 			return res
 		}
 		for k, g := range uncached {
-			round[g] = roundGraph{&out[k], f, k}
-			cache.store(g, &out[k])
+			round[g] = out[k]
+			cache.store(g, out[k])
 		}
 	}
 	pipelineTime := time.Since(pipelineStart)
@@ -271,10 +259,8 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	// mark is the evaluator's membership scratch, sized for the largest
 	// graph it will walk.
 	maxN := 0
-	for g, rg := range round {
-		if rg.view != nil {
-			maxN = max(maxN, g.NumNodes())
-		}
+	for _, gp := range round {
+		maxN = max(maxN, gp.view.NumNodes())
 	}
 	mark := make([]bool, maxN)
 	for i, it := range items {
@@ -291,11 +277,9 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 
 // finishItem is the back half of every solve: instantiate the users' part
 // templates, run Algorithm 2's greedy scheme generation, build the
-// placements and evaluate the model. Evaluation walks the CSR arrays of
-// every graph that has a view at hand (the parts carry indices into its
-// span) and falls back to Placement.State for the rest. mark is shared
-// scratch, clean on entry and on return.
-func finishItem(users []UserInput, opts Options, round map[*graph.Graph]roundGraph, mark []bool, pipelineTime time.Duration) (*Solution, error) {
+// placements and evaluate the model off each graph's view (the parts carry
+// indices into it). mark is shared scratch, clean on entry and on return.
+func finishItem(users []UserInput, opts Options, round map[*graph.Graph]*graphPipeline, mark []bool, pipelineTime time.Duration) (*Solution, error) {
 	// PipelineTime is the whole round's pipeline cost (shared across the
 	// batch, not attributable to one item).
 	stats := Stats{EngineName: opts.Engine.Name(), Users: len(users), PipelineTime: pipelineTime}
@@ -306,12 +290,12 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]roundGra
 	parts := make([]Part, 0, totalParts)
 	userPartEnd := make([]int, len(users))
 	for ui, u := range users {
-		rg := round[u.Graph]
+		gp := round[u.Graph]
 		stats.NodesBefore += u.Graph.NumNodes()
 		stats.EdgesBefore += u.Graph.NumEdges()
-		stats.NodesAfter += rg.nodesAfter
-		stats.EdgesAfter += rg.edgesAfter
-		parts = instantiateProtos(parts, ui, rg.protos)
+		stats.NodesAfter += gp.nodesAfter
+		stats.EdgesAfter += gp.edgesAfter
+		parts = instantiateProtos(parts, ui, gp.protos)
 		userPartEnd[ui] = len(parts)
 	}
 	stats.Parts = len(parts)
@@ -354,11 +338,7 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]roundGra
 	states := make([]mec.UserState, len(users))
 	partBase := 0
 	for ui, pl := range sol.Placements {
-		if rg := round[users[ui].Graph]; rg.view != nil {
-			sol.States[ui] = fusedUserState(rg.view, rg.span, parts[partBase:userPartEnd[ui]], pl, mark)
-		} else {
-			sol.States[ui] = pl.State()
-		}
+		sol.States[ui] = userState(round[users[ui].Graph].view, parts[partBase:userPartEnd[ui]], pl, mark)
 		states[ui] = sol.States[ui]
 		states[ui].LocalWork += users[ui].FixedLocalWork
 		partBase = userPartEnd[ui]
@@ -371,11 +351,48 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]roundGra
 	return sol, nil
 }
 
+// userState is Placement.State computed off the graph's view: the local and
+// remote work sums walk the nodes ascending (the same order as Graph.Nodes),
+// and the cut sum walks stored edges u ascending, v>u ascending (the same
+// order Graph.Edges sorts into), so every float lands in the same order State
+// produces. parts are the user's parts; their idx slices index the view.
+// mark is shared scratch, clean on entry and cleaned before return.
+func userState(v *graph.CSR, parts []Part, pl mec.Placement, mark []bool) mec.UserState {
+	st := mec.UserState{DeviceCompute: pl.DeviceCompute, Bandwidth: pl.Bandwidth, PowerTransmit: pl.PowerTransmit}
+	setMarks := func(on bool) {
+		for pi := range parts {
+			if parts[pi].Remote {
+				for _, li := range parts[pi].idx {
+					mark[li] = on
+				}
+			}
+		}
+	}
+	setMarks(true)
+	for u, w := range v.NodeWeights() {
+		if mark[u] {
+			st.RemoteWork += w
+		} else {
+			st.LocalWork += w
+		}
+	}
+	for u := range int32(v.NumNodes()) {
+		tgt, w := v.Adj(u)
+		for e, t := range tgt {
+			if t > u && mark[u] != mark[t] {
+				st.CutWeight += w[e]
+			}
+		}
+	}
+	setMarks(false)
+	return st
+}
+
 // protoPart is a user-independent part template produced by the pipeline
 // for one distinct graph.
 type protoPart struct {
 	nodes  []graph.NodeID
-	idx    []int32 // graph-local CSR indices of nodes
+	idx    []int32 // view indices of nodes
 	work   float64
 	adj    []PartEdge // Other indexes within the same proto slice
 	remote bool

@@ -3,10 +3,9 @@ package graph
 // FusedCSR is the frozen CSR view of several graphs laid side by side: one
 // shared ids/nodeW array pair and one row slab in which graph k occupies the
 // contiguous node span [NodeBase[k], NodeBase[k+1]) and the contiguous
-// component span [CompBase[k], CompBase[k+1]). The batch solver compiles a
-// whole round of small graphs into one such mega-instance so compression,
-// spectral cuts and evaluation run as single passes over flat arrays instead
-// of per-graph pipeline invocations.
+// component span [CompBase[k], CompBase[k+1]). Compile is Fuse of one
+// graph; the solver compiles each graph of a round on its own, and the
+// several-graph layout is kept for the benchmark's graph.fuse_us stage.
 //
 // Within each span the layout is exactly what Compile would have produced
 // for that graph alone, shifted by the span base: node order is the graph's

@@ -2,6 +2,7 @@ package lpa
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -175,44 +176,43 @@ func CompressCSR(c *graph.CSR, opts Options) (*CSRResult, error) {
 	return CompressCSRIncremental(c, opts, nil, nil)
 }
 
-// CompressComponents runs Algorithm 1 on the listed components of c (indices
-// into c.Components()) and returns their blocks, aligned with which. It is
-// the one compression primitive: a cold pass lists every component, a pass
-// over a patched view the ones its delta touched. Components are compressed
-// concurrently up to opts.Workers; a block depends on nothing but its own
-// component, so the outcome is the same at any worker count.
+// CompressComponent runs Algorithm 1 on component i of c (an index into
+// c.Components()) and returns its block: the one compression primitive. A
+// cold pass compresses every component, a pass over a patched view the ones
+// its delta touched. A block depends on nothing but its own component, so
+// components may be compressed concurrently, in any order.
+func CompressComponent(c *graph.CSR, opts Options, i int) (*Block, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	s := compressScratchPool.Get().(*compressScratch)
+	defer compressScratchPool.Put(s)
+	s.ensure(c.NumNodes())
+	return compressBlock(c, c.Components()[i], opts, s), nil
+}
+
+// CompressComponents is CompressComponent over the listed components, up to
+// opts.Workers at a time; the blocks align with which.
 func CompressComponents(c *graph.CSR, opts Options, which []int) ([]*Block, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	comps, n := c.Components(), c.NumNodes()
-	blocks := make([]*Block, len(which))
-	run := func(k int) {
-		s := compressScratchPool.Get().(*compressScratch)
-		s.ensure(n)
-		blocks[k] = compressBlock(c, comps[which[k]], opts, s)
-		compressScratchPool.Put(s)
-	}
-	if opts.Workers == 1 || len(which) < 2 {
-		for k := range which {
-			run(k)
-		}
-		return blocks, nil
-	}
+	blocks, errs := make([]*Block, len(which)), make([]error, len(which))
 	sem := make(chan struct{}, opts.Workers)
 	var wg sync.WaitGroup
-	for k := range which {
+	for k, i := range which {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(k int) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			run(k)
-		}(k)
+			blocks[k], errs[k] = CompressComponent(c, opts, i)
+		}()
 	}
 	wg.Wait()
-	return blocks, nil
+	return blocks, errors.Join(errs...)
 }
 
 // flatten concatenates the blocks of c's components into the global arrays

@@ -417,9 +417,9 @@ func TestMutateAllocBytesBudget(t *testing.T) {
 		head = resp.Graph
 		return resp, spent
 	}
-	// The first mutate of a solve-primed base captures state cold.
-	if resp, _ := mutate(); !resp.ColdFallback {
-		t.Fatalf("priming mutate: cold_fallback = false (%+v)", resp)
+	// A solve-primed base is patchable: the first mutate is incremental too.
+	if resp, _ := mutate(); !resp.Incremental || resp.ColdFallback {
+		t.Fatalf("first mutate: incremental %v cold_fallback %v (%s)", resp.Incremental, resp.ColdFallback, resp.FallbackReason)
 	}
 	// No collection inside the window: each one empties the sync.Pools the
 	// path draws its large buffers from, and how many fall in 64 requests is

@@ -21,8 +21,11 @@ import (
 // after every decision it produced is cached — so a record a snapshot
 // truncation drops is covered by that snapshot, and one still in the journal
 // at a crash is replayed as written. Admission, the warm path and a shed
-// request never touch the journal. Records reuse the canonical binary graph
-// codec, so replay reproduces the live request's cache key.
+// request never touch the journal, with one exception: a mutate answered from
+// the cache whose applied graph had left the intern table journals its
+// recMutate around the re-intern, so replay re-interns it as well. Records
+// reuse the canonical binary graph codec, so replay reproduces the live
+// request's cache key.
 
 // Journal is the write-ahead log the server appends solve rounds and
 // mutations to. durable.Store satisfies it structurally; serve stays free

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"copmecs/internal/core"
+	"copmecs/internal/graph"
 )
 
 // fakeJournal implements Journal in memory, recording every append and
@@ -87,6 +88,12 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 	}
 	// Each solve was alone at the server, so each was its own round: one
 	// record per round, every one released once its decisions were cached.
+	// A round's record is released after its reply is out, so drain first:
+	// Drain returns once the dispatch loop, and every release it deferred,
+	// has finished.
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 	appends, applied := jr.counts()
 	if rounds := s.Stats().Batch.Rounds; uint64(appends) != rounds || rounds != distinct {
 		t.Fatalf("appends = %d over %d rounds, want one per round and %d rounds", appends, rounds, distinct)
@@ -112,6 +119,83 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 				t.Fatalf("record %d: cached %v, multiplicity %d; want a cached lone request", i, ok, task.mult)
 			}
 		}
+	}
+}
+
+// TestRecoverReinternsMutateCacheHit: a mutate answered from the cache after
+// its applied graph left the intern table re-interns that graph, and a
+// chained mutate may then name it as base. A server recovered from a
+// snapshot taken before the hit plus the journal tail after it must resolve
+// that chain: the hit journals its record, replay re-interns the graph and,
+// its key warm, skips the solve.
+func TestRecoverReinternsMutateCacheHit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	jr := newFakeJournal()
+	s := newTestServer(t, Config{Journal: jr, GraphCacheSize: 2})
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mutate := func(base string, d *graph.Delta) MutateResponse {
+		t.Helper()
+		var resp MutateResponse
+		if st := postJSON(t, ts.URL+"/v1/mutate", mutateBody(t, base, d), &resp); st != http.StatusOK {
+			t.Fatalf("mutate: status %d", st)
+		}
+		return resp
+	}
+
+	g0 := chainGraph(t, 40)
+	if st := postJSON(t, ts.URL+"/v1/solve", solveBody(t, g0), nil); st != http.StatusOK {
+		t.Fatalf("solve: status %d", st)
+	}
+	fp0 := fingerprintOf(t, g0)
+	d1 := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 0, Weight: 500}}}
+	r1 := mutate(fp0, d1)
+	// A second mutate of g0 reads it (so g0 stays) and interns its own
+	// applied graph, which evicts r1's from the two-entry table.
+	mutate(fp0, &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 1, Weight: 300}}})
+	if _, ok := s.graphs.Get(r1.Graph); ok {
+		t.Fatal("setup: the first applied graph is still interned")
+	}
+
+	var snap [][]byte
+	if err := s.WriteSnapshotRecords(func(p []byte) error {
+		snap = append(snap, append([]byte{}, p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	jr.mu.Lock()
+	mark := len(jr.appends)
+	jr.mu.Unlock()
+
+	if hit := mutate(fp0, d1); !hit.Cached || hit.Graph != r1.Graph {
+		t.Fatalf("repeat mutate: cached %v graph %s, want a hit on %s", hit.Cached, hit.Graph, r1.Graph)
+	}
+	d2 := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 0, V: 1, Weight: 99}}}
+	r2 := mutate(r1.Graph, d2)
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	jr.mu.Lock()
+	tail := append([][]byte{}, jr.appends[mark:]...)
+	jr.mu.Unlock()
+
+	s2 := newTestServer(t, Config{GraphCacheSize: 2})
+	rs := s2.Recover(ctx, snap, tail)
+	if rs.ReplayErrors != 0 || rs.DecodeErrors != 0 {
+		t.Fatalf("recovery = %+v, want no replay or decode errors", rs)
+	}
+	s2.Start(ctx)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	var again MutateResponse
+	if st := postJSON(t, ts2.URL+"/v1/mutate", mutateBody(t, r1.Graph, d2), &again); st != http.StatusOK {
+		t.Fatalf("chained mutate on the recovered server: status %d", st)
+	}
+	if !again.Cached || again.Graph != r2.Graph {
+		t.Fatalf("chained mutate on the recovered server: cached %v graph %s, want the warm key of %s", again.Cached, again.Graph, r2.Graph)
 	}
 }
 

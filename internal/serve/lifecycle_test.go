@@ -321,12 +321,12 @@ func TestMutateGraphFieldMatchesSolveFingerprint(t *testing.T) {
 	if st := postJSON(t, ts.URL+"/v1/solve", solveBody(t, g0), nil); st != http.StatusOK {
 		t.Fatalf("prime solve: status %d", st)
 	}
-	// A base /v1/solve interned carries no session state: cold capture.
+	// A base /v1/solve pipelined is a patchable base: incremental at once.
 	r1, g1 := mutate(ts.URL, g0, &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 0, Weight: 500}}})
-	if !r1.ColdFallback {
-		t.Errorf("first mutate: %+v, want a cold capture", r1)
+	if !r1.Incremental || r1.ColdFallback {
+		t.Errorf("first mutate: %+v, want incremental", r1)
 	}
-	check("cold capture", r1, g1)
+	check("incremental off a solved base", r1, g1)
 
 	r2, g2 := mutate(ts.URL, g1, &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 10, V: 11, Weight: 77}}})
 	if !r2.Incremental {

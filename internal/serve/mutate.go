@@ -197,9 +197,15 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	// A repeat mutation (same base, same delta, same params) whose decision
 	// is still cached: answer without solving. The applied graph is
 	// re-interned so chained mutations keep resolving even if the solve
-	// that populated the cache happened before a restart.
+	// that populated the cache happened before a restart. An intern that
+	// inserts is journaled, so replay re-interns it too; the common warm
+	// path, graph still interned, never journals.
 	if ent, ok := s.lookup(m.key); ok {
-		s.graphs.GetOrPut(m.fp, m.applied.Graph)
+		if _, interned := s.graphs.Get(m.fp); !interned {
+			release := s.journalMutate(s.cfg.Journal, m)
+			s.graphs.GetOrPut(m.fp, m.applied.Graph)
+			release()
+		}
 		s.st.mutateHits.Add(1)
 		writeJSON(w, http.StatusOK, mutateResponseFor(req, m.fp, ent.dec, nil, true, false))
 		return nil
@@ -233,18 +239,7 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 // through finish. With a journal (nil on replay) m's request is appended as a
 // recMutate first and released after finish.
 func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal, m *mutation) *core.DeltaStats {
-	if journal != nil {
-		rec, err := encodeMutate(m.req, m.params)
-		var seg uint64
-		if err == nil {
-			seg, err = journal.Append(rec)
-		}
-		if err != nil {
-			s.journalFailed(err)
-		} else {
-			defer journal.Applied(seg)
-		}
-	}
+	defer s.journalMutate(journal, m)()
 	ctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()
 	next := m.applied.Graph
@@ -271,6 +266,25 @@ func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal,
 	s.st.lanczosItersSaved.Add(uint64(ds.LanczosItersSaved))
 	s.finish(p, decisionFor(m.fp, sol, 0, 1), nil)
 	return ds
+}
+
+// journalMutate appends m's request to journal as a recMutate and returns
+// the call that releases it; with no journal (replay), or when the append
+// fails, there is nothing to release.
+func (s *Server) journalMutate(journal Journal, m *mutation) (release func()) {
+	if journal == nil {
+		return func() {}
+	}
+	rec, err := encodeMutate(m.req, m.params)
+	var seg uint64
+	if err == nil {
+		seg, err = journal.Append(rec)
+	}
+	if err != nil {
+		s.journalFailed(err)
+		return func() {}
+	}
+	return func() { journal.Applied(seg) }
 }
 
 // mutateResponseFor assembles the wire form of one mutate outcome. ds is

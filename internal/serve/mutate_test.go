@@ -103,11 +103,31 @@ func TestMutateEndToEnd(t *testing.T) {
 	if mresp.Cached {
 		t.Error("first mutate reported cached")
 	}
-	// /v1/solve deliberately captures no incremental state, so the first
-	// mutate against a solve-primed base is a cold capture. It still
-	// answers correctly and seeds the warm path for the chained mutate.
-	if !mresp.ColdFallback {
-		t.Errorf("first mutate: cold_fallback=false, want cold capture (reason=%q)", mresp.FallbackReason)
+	// Every graph a round pipelined is a patchable base, so the first
+	// mutate against a solve-primed base is already incremental, and its
+	// decision is byte for byte a fresh server's /v1/solve of the applied
+	// graph.
+	if !mresp.Incremental || mresp.ColdFallback {
+		t.Errorf("first mutate: incremental=%v cold_fallback=%v (reason=%q), want incremental", mresp.Incremental, mresp.ColdFallback, mresp.FallbackReason)
+	}
+	fresh := newTestServer(t, Config{})
+	fresh.Start(ctx)
+	fts := httptest.NewServer(fresh.Handler())
+	defer fts.Close()
+	var fresp SolveResponse
+	if st := postJSON(t, fts.URL+"/v1/solve", solveBody(t, mutated), &fresp); st != http.StatusOK {
+		t.Fatalf("fresh solve: status %d", st)
+	}
+	decision := func(r SolveResponse) string {
+		r.Graph, r.Cached, r.Deduped = "", false, false
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if got, want := decision(mresp.SolveResponse), decision(fresp); got != want {
+		t.Errorf("first mutate decision %s, a fresh server's /v1/solve %s", got, want)
 	}
 
 	// A plain solve of the mutated graph is a cache hit with the identical
@@ -145,8 +165,8 @@ func TestMutateEndToEnd(t *testing.T) {
 	if st.Incremental.Mutates != 2 || st.Incremental.DeltaSolves != 2 {
 		t.Errorf("incremental stats = %+v, want 2 mutates, 2 delta solves", st.Incremental)
 	}
-	if st.Incremental.ColdFallbacks != 1 {
-		t.Errorf("cold fallbacks = %d, want 1 (first mutate only)", st.Incremental.ColdFallbacks)
+	if st.Incremental.ColdFallbacks != 0 {
+		t.Errorf("cold fallbacks = %d, want 0", st.Incremental.ColdFallbacks)
 	}
 	if st.Incremental.Errors != 0 {
 		t.Errorf("mutate errors = %d", st.Incremental.Errors)

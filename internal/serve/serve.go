@@ -841,7 +841,7 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 // so the session's identity-keyed pipeline cache hits; only now, its round
 // journaled, does a graph become a /v1/mutate base. The round is partitioned
 // by params digest (first-appearance order) into one batch item each, all
-// solved by one fused Session.BatchSolve bounded by DefaultSolveTimeout, bit
+// solved by one Session.BatchSolve bounded by DefaultSolveTimeout, bit
 // for bit what per-group Solve calls would give. Each task expands into mult
 // identical users, which share the representative's decision.
 func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
@@ -874,8 +874,8 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
 		reps[gi] = rep
 	}
 	// Interned graphs are pointer-canonical, so pointer identity counts
-	// distinct applications; a round spanning >= 2 of them is where fusion
-	// actually merged work.
+	// distinct applications; a round spanning >= 2 of them is where one
+	// pipeline pass served several graphs.
 	if len(distinct) >= 2 {
 		s.st.fusedRounds.Add(1)
 		s.st.fusedGraphs.Add(uint64(len(distinct)))

@@ -131,7 +131,7 @@ type counters struct {
 	batches      atomic.Uint64 // solve rounds dispatched
 	batchedUsers atomic.Uint64 // users across all rounds (incl. multiplicity)
 	maxBatch     atomic.Uint64 // largest round seen
-	fusedRounds  atomic.Uint64 // rounds whose BatchSolve fused >= 2 distinct graphs
+	fusedRounds  atomic.Uint64 // rounds whose BatchSolve spanned >= 2 distinct graphs
 	fusedGraphs  atomic.Uint64 // distinct graphs across those fused rounds
 }
 
@@ -191,13 +191,13 @@ type BatchStats struct {
 	Users uint64 `json:"users"`
 	// MaxUsers is the largest round dispatched.
 	MaxUsers uint64 `json:"max_users"`
-	// FusedRounds counts rounds whose BatchSolve pass fused two or more
-	// distinct application graphs into one mega-instance. Rounds over a
-	// single graph (or served entirely from the pipeline cache) gain
-	// nothing from fusion and are not counted.
+	// FusedRounds counts rounds whose one BatchSolve pass spanned two or
+	// more distinct application graphs, each pipelined over its own view in
+	// one worker pool (the name is kept from when such a round fused them
+	// into one shared view). Single-graph rounds are not counted.
 	FusedRounds uint64 `json:"fused_rounds"`
-	// FusedGraphs counts the distinct graphs across all fused rounds —
-	// FusedGraphs/FusedRounds is the mean fusion width.
+	// FusedGraphs counts the distinct graphs across those rounds —
+	// FusedGraphs/FusedRounds is the mean round width.
 	FusedGraphs uint64 `json:"fused_graphs"`
 	// EarlyCloses counts rounds dispatched before their BatchWait window
 	// expired because every request the server held was already in one.
