@@ -102,7 +102,7 @@ bench-core:
 # its name so results compare across commits), and the large-graph solve.
 bench-batch:
 	$(GO) test -count=1 \
-		-run 'TestExactnessTable|TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveParallelCutStageMatchesSerial' \
+		-run 'TestExactnessTable|TestPropertyBatchSolveMatchesLoopedSolve|TestBatchSolveParallelCutStageMatchesSerial|TestBatchSolveStagesAppliedView' \
 		./internal/core/
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
 		-bench='^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSolveLarge$$' .

@@ -218,27 +218,32 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	}
 	srv.Start(ctx)
 
+	// The debug listener is bound before the service banner: whoever waits
+	// for "listening on" may use the debug port at once.
+	var dln net.Listener
+	if *debugAddr != "" {
+		if dln, err = net.Listen("tcp", *debugAddr); err != nil {
+			return fmt.Errorf("debug listen %s: %w", *debugAddr, err)
+		}
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		if dln != nil {
+			_ = dln.Close()
+		}
 		return fmt.Errorf("listen %s: %w", *addr, err)
+	}
+	var debugSrv *http.Server
+	if dln != nil {
+		debugSrv = &http.Server{Handler: debugMux()}
+		go func() { _ = debugSrv.Serve(dln) }()
+		logln(out, "copmecsd: pprof on %s/debug/pprof/", dln.Addr())
 	}
 	httpSrv := serve.HTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logln(out, "copmecsd: listening on %s (engine %s, max-batch %d, queue %d)",
 		ln.Addr(), *engineName, *maxBatch, *queueDepth)
-
-	var debugSrv *http.Server
-	if *debugAddr != "" {
-		dln, derr := net.Listen("tcp", *debugAddr)
-		if derr != nil {
-			_ = httpSrv.Close()
-			return fmt.Errorf("debug listen %s: %w", *debugAddr, derr)
-		}
-		debugSrv = &http.Server{Handler: debugMux()}
-		go func() { _ = debugSrv.Serve(dln) }()
-		logln(out, "copmecsd: pprof on %s/debug/pprof/", dln.Addr())
-	}
 
 	select {
 	case sig := <-stop:

@@ -33,12 +33,18 @@ type BatchResult struct {
 // graph, each compressing and cutting it — are spread over up to Workers
 // goroutines.
 func BatchSolve(ctx context.Context, items []BatchItem, opts Options) []BatchResult {
-	return solveItems(ctx, items, opts, nil)
+	return solveItems(ctx, items, opts, nil, nil)
 }
 
 // BatchSolve is package-level BatchSolve through the session cache: graphs
 // already pipelined by earlier solves skip the pipeline pass entirely, and
 // graphs pipelined this round are cached for later solves and deltas.
-func (s *Session) BatchSolve(ctx context.Context, items []BatchItem) []BatchResult {
-	return solveItems(ctx, items, s.opts, s)
+//
+// A graph the items name that the session has not cached and that is some
+// applied a's Graph is pipelined over a's view — base's patched view,
+// carrying its clean components, or the applied graph compiled — in the same
+// pass and worker pool as the round's other graphs, and cached under a.Graph
+// like every other entry. An Applied whose Graph no item names is ignored.
+func (s *Session) BatchSolve(ctx context.Context, items []BatchItem, applied ...*Applied) []BatchResult {
+	return solveItems(ctx, items, s.opts, s, applied)
 }

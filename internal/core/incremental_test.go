@@ -145,7 +145,6 @@ func TestSolveAppliedParamsMatchColdSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	users = []UserInput{{Graph: base}}
 	e := base.Edges()[0]
 	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 7}}}
 	next := base.Clone()
@@ -163,11 +162,12 @@ func TestSolveAppliedParamsMatchColdSolve(t *testing.T) {
 	if fp, err := a.Fingerprint(); err != nil || fp != want {
 		t.Fatalf("Applied.Fingerprint = %s (%v), want the applied graph's %s", fp, err, want)
 	}
-	sol, ds, err := sess.SolveApplied(context.Background(), a, users, params)
+	r := sess.BatchSolve(context.Background(), []BatchItem{{Users: []UserInput{{Graph: next}}, Params: params}}, a)[0]
+	sol, err := r.Solution, r.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ds.Incremental {
+	if ds := a.Stats(); !ds.Incremental {
 		t.Fatalf("stats %+v, want incremental", ds)
 	}
 	cold, err := Solve(context.Background(), []UserInput{{Graph: next}}, Options{Params: params})
@@ -175,7 +175,7 @@ func TestSolveAppliedParamsMatchColdSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !solutionsIdentical(t, sol, cold) {
-		t.Error("SolveApplied differs from cold Solve under the same params")
+		t.Error("BatchSolve over the applied view differs from cold Solve under the same params")
 	}
 	// The params actually took effect: defaults give a different objective.
 	defSol, err := Solve(context.Background(), []UserInput{{Graph: next}}, Options{})
@@ -223,5 +223,63 @@ func TestSolveDeltaDoesNotMutateBase(t *testing.T) {
 	}
 	if w, _ := next.NodeWeight(id); w != 123 {
 		t.Errorf("mutated graph weight %v, want 123", w)
+	}
+}
+
+func TestBatchSolveStagesAppliedView(t *testing.T) {
+	// One pass pipelines a patched view beside a never-seen graph's compiled
+	// one: each item is still its graph's cold Solve, and the applied graph
+	// is cached as a patchable base.
+	g, err := netgen.Generate(netgen.Config{Nodes: 90, Edges: 180, Components: 3, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := netgen.Generate(netgen.Config{Nodes: 70, Edges: 140, Components: 2, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(Options{})
+	if _, err := sess.Solve(context.Background(), []UserInput{{Graph: g}}); err != nil {
+		t.Fatal(err)
+	}
+	e := g.Edges()[0]
+	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 3}}}
+	next := g.Clone()
+	if err := d.Apply(next); err != nil {
+		t.Fatal(err)
+	}
+	a, err := sess.Apply(g, d, next, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []BatchItem{{Users: []UserInput{{Graph: next}}}, {Users: []UserInput{{Graph: other}}}}
+	res := sess.BatchSolve(context.Background(), items, a)
+	for i, it := range items {
+		if res[i].Err != nil {
+			t.Fatalf("item %d: %v", i, res[i].Err)
+		}
+		cold, err := Solve(context.Background(), it.Users, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !solutionsIdentical(t, res[i].Solution, cold) {
+			t.Errorf("item %d differs from its graph's cold Solve", i)
+		}
+	}
+	if ds := a.Stats(); !ds.Incremental || ds.CleanComponents < 1 {
+		t.Errorf("applied stats %+v, want incremental with clean components", ds)
+	}
+	n := next.Nodes()[0]
+	d2 := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: n, Weight: 61}}}
+	next2 := next.Clone()
+	if err := d2.Apply(next2); err != nil {
+		t.Fatal(err)
+	}
+	a2, err := sess.Apply(next, d2, next2, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := a2.Stats(); !ds.Incremental {
+		t.Errorf("next delta against the staged graph: stats %+v, want incremental", ds)
 	}
 }

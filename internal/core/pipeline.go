@@ -44,9 +44,10 @@ func rawBlock(c *graph.CSR, comp, pos []int32) *lpa.Block {
 // caches: the view it ran over, every component's record aligned with the
 // view's Components(), the user-independent part templates those records
 // expand to, and the compression counters. Every entry is a patchable base:
-// the next SolveDelta against its graph patches view and carries the clean
-// components' records. An entry owns its arrays; no entry shares a backing
-// array with another graph's, except the cut lists noted at compSolveState.
+// the next Apply against its graph patches view, and the pass that stages
+// the patched view carries the clean components' records. An entry owns its
+// arrays; no entry shares a backing array with another graph's, except the
+// cut lists noted at compSolveState.
 type graphPipeline struct {
 	view                   *graph.CSR
 	comps                  []compSolveState
@@ -81,39 +82,47 @@ type compJob struct {
 	cs   *compSolveState
 }
 
+// stagedView is one graph's pipeline input: its view and, for a view patched
+// from a cached predecessor, that predecessor and the patch (both nil for a
+// compiled view).
+type stagedView struct {
+	view *graph.CSR
+	prev *graphPipeline
+	info *graph.PatchInfo
+}
+
 // runPipeline is the one pipeline driver: Algorithm 1 compression, the cut
 // stage and template expansion, component by component, one graphPipeline
-// per view. Every dirty component of every view is one job of one worker
-// pool; every kernel a job runs is component-local, so each graph's outcome
-// is bit-identical however many graphs share the round and whichever worker
-// ran which job.
+// per staged view. Every dirty component of every view is one job of one
+// worker pool; every kernel a job runs is component-local, so each graph's
+// outcome is bit-identical however many graphs share the round and
+// whichever worker ran which job.
 //
-// prev and info name the predecessor of a patched view (views then holds
-// that one view). A component with a clean predecessor (info.OldCompOf) is
+// A component of a patched view with a clean predecessor (info.OldCompOf) is
 // that predecessor's record, copied: block, cuts and — unless the patch
 // shifted node indices — templates; only the shifted templates are
 // re-expanded from the carried block and cuts. Every other component — all
-// of them when prev is nil — runs compress → partition → expand.
-func runPipeline(ctx context.Context, opts Options, views []*graph.CSR, prev *graphPipeline, info *graph.PatchInfo) ([]*graphPipeline, error) {
-	out := make([]*graphPipeline, len(views))
+// of them in a compiled view — runs compress → partition → expand.
+func runPipeline(ctx context.Context, opts Options, in []stagedView) ([]*graphPipeline, error) {
+	out := make([]*graphPipeline, len(in))
 	var jobs []compJob
-	for k, view := range views {
-		comps := view.Components()
-		gp := &graphPipeline{view: view, comps: make([]compSolveState, len(comps))}
+	for k, sv := range in {
+		comps := sv.view.Components()
+		gp := &graphPipeline{view: sv.view, comps: make([]compSolveState, len(comps))}
 		out[k] = gp
-		if prev != nil && len(info.OldCompOf) != len(comps) {
-			return nil, fmt.Errorf("core: patch names %d components, the view has %d", len(info.OldCompOf), len(comps))
+		if sv.prev != nil && len(sv.info.OldCompOf) != len(comps) {
+			return nil, fmt.Errorf("core: patch names %d components, the view has %d", len(sv.info.OldCompOf), len(comps))
 		}
 		for i := range comps {
-			if prev == nil || info.OldCompOf[i] < 0 {
-				jobs = append(jobs, compJob{view, i, &gp.comps[i]})
+			if sv.prev == nil || sv.info.OldCompOf[i] < 0 {
+				jobs = append(jobs, compJob{sv.view, i, &gp.comps[i]})
 				continue
 			}
-			oc := info.OldCompOf[i]
-			if int(oc) >= len(prev.comps) || len(prev.comps[oc].blk.Members) != len(comps[i]) {
+			oc := sv.info.OldCompOf[i]
+			if int(oc) >= len(sv.prev.comps) || len(sv.prev.comps[oc].blk.Members) != len(comps[i]) {
 				return nil, fmt.Errorf("core: component %d does not align with previous component %d", i, oc)
 			}
-			gp.comps[i] = prev.comps[oc]
+			gp.comps[i] = sv.prev.comps[oc]
 		}
 	}
 
@@ -123,10 +132,10 @@ func runPipeline(ctx context.Context, opts Options, views []*graph.CSR, prev *gr
 
 	// Assembly: a graph's templates are its components' groups end to end,
 	// adjacency re-based to the group's offset.
-	shifted := info != nil && info.NewToOld != nil
 	var sc expandScratch
-	for _, gp := range out {
+	for k, gp := range out {
 		comps, ids := gp.view.Components(), gp.view.IDs()
+		shifted := in[k].info != nil && in[k].info.NewToOld != nil
 		total, adj := 0, 0
 		for ci := range gp.comps {
 			cs := &gp.comps[ci]

@@ -165,17 +165,18 @@ func Solve(ctx context.Context, users []UserInput, opts Options) (*Solution, err
 
 // solveOne solves one population as a batch of one item.
 func solveOne(ctx context.Context, users []UserInput, opts Options, cache *Session) (*Solution, error) {
-	r := solveItems(ctx, []BatchItem{{Users: users}}, opts, cache)[0]
+	r := solveItems(ctx, []BatchItem{{Users: users}}, opts, cache, nil)[0]
 	return r.Solution, r.Err
 }
 
 // solveItems is the implementation behind every entry point — Solve and
-// Session.Solve are a batch of one item, SolveDelta a batch of one whose
-// mutated graph is already in the cache. Every distinct graph the cache
-// (nil for the package-level calls) cannot serve is compiled into its own
-// view, and all of them are pipelined in a single runPipeline pass; each
-// item is then finished independently.
-func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Session) []BatchResult {
+// Session.Solve are a batch of one item, SolveDelta a batch of one that
+// stages its applied view. Every distinct graph the cache (nil for the
+// package-level calls) cannot serve is staged: over the view of the Applied
+// whose Graph it is, carrying that view's clean components, or else over its
+// own freshly compiled view. All of them are pipelined in a single
+// runPipeline pass; each item is then finished independently.
+func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Session, applied []*Applied) []BatchResult {
 	res := make([]BatchResult, len(items))
 	if err := ctx.Err(); err != nil {
 		for i := range res {
@@ -215,7 +216,7 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	pipelineStart := time.Now()
 	round := make(map[*graph.Graph]*graphPipeline)
 	var uncached []*graph.Graph
-	var views []*graph.CSR
+	var staged []stagedView
 	for i, it := range items {
 		if res[i].Err != nil {
 			continue
@@ -228,12 +229,12 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 			round[u.Graph] = gp
 			if gp == nil {
 				uncached = append(uncached, u.Graph)
-				views = append(views, u.Graph.Compile())
+				staged = append(staged, stage(u.Graph, applied))
 			}
 		}
 	}
 	if len(uncached) > 0 {
-		out, err := runPipeline(ctx, opts, views, nil, nil)
+		out, err := runPipeline(ctx, opts, staged)
 		if err != nil {
 			// One graph's failure must not poison the round: every pending
 			// item retries alone and succeeds or fails exactly as its own
@@ -244,7 +245,7 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 				case pending == 1:
 					res[i].Err = err
 				default:
-					res[i] = solveItems(ctx, items[i:i+1], opts, cache)[0]
+					res[i] = solveItems(ctx, items[i:i+1], opts, cache, applied)[0]
 				}
 			}
 			return res
@@ -273,6 +274,17 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 		res[i] = BatchResult{Solution: sol, Err: err}
 	}
 	return res
+}
+
+// stage returns g's pipeline input: the view of the Applied whose Graph g
+// is, or g compiled.
+func stage(g *graph.Graph, applied []*Applied) stagedView {
+	for _, a := range applied {
+		if a.Graph == g {
+			return a.staged
+		}
+	}
+	return stagedView{view: g.Compile()}
 }
 
 // finishItem is the back half of every solve: instantiate the users' part

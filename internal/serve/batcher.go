@@ -24,11 +24,11 @@ const (
 // pending is one singleflight cell: the first request for a key becomes
 // the leader and is enqueued for a solve round; identical requests
 // arriving while it is in flight attach as followers and share the
-// result (a mutate leader solves inline instead; its cell is otherwise the
-// same). mult tracks the live multiplicity (leader + followers), which
-// the dispatcher expands into that many users of the solve round so the
-// paper's shared-server contention (ActiveUsers = k) reflects the real
-// concurrent load, not the deduplicated one.
+// result (a mutate leader runs its round of one inline instead; its cell is
+// otherwise the same). mult tracks the live multiplicity (leader +
+// followers), which the dispatcher expands into that many users of the solve
+// round so the paper's shared-server contention (ActiveUsers = k) reflects
+// the real concurrent load, not the deduplicated one.
 type pending struct {
 	key  string
 	done chan struct{} // closed exactly once when dec/err are set
@@ -44,16 +44,24 @@ func newPending(key string) *pending {
 	return p
 }
 
-// solveTask is one accepted leader request waiting for a solve round.
+// solveTask is one accepted leader request waiting for a solve round, or a
+// mutation's round of one.
 type solveTask struct {
-	p      *pending
-	rec    []byte // the request's recAccepted payload, its member of the round record
-	user   core.UserInput
-	params mec.Params
-	pkey   string // paramsDigest; rounds group by it
-	fp     string // canonical graph fingerprint, echoed in the decision
-	mult   int    // users the round expands the task to: p.mult read once at dispatch, or a replayed record's
+	p       *pending
+	rec     []byte // the request's recAccepted payload, its member of the round record
+	user    core.UserInput
+	params  mec.Params
+	pkey    string        // paramsDigest; rounds group by it
+	fp      string        // canonical graph fingerprint, echoed in the decision
+	mult    int           // users the round expands the task to: p.mult read once at dispatch, or a replayed record's
+	applied *core.Applied // a mutation's applied graph and the view staged for it; nil for a solve
 }
+
+// staged reports that t's round pipelines its applied graph over the view
+// staged for it: solveRound interned that graph itself, rather than finding
+// an instance of the same content interned before. Valid once solveRound has
+// rewritten t's graph.
+func (t *solveTask) staged() bool { return t.applied != nil && t.user.Graph == t.applied.Graph }
 
 // batcher coalesces concurrently arriving solve tasks into multi-user
 // rounds: a round opens when the first task arrives, admits every task

@@ -16,9 +16,9 @@ import (
 )
 
 // Durability integration: with Config.Journal set, dispatchRound appends
-// each solve round as the batcher closed it (recRound) and solveMutation each
-// mutation (recMutate), both before solving, and each releases its record
-// after every decision it produced is cached — so a record a snapshot
+// each solve round as the batcher closed it (recRound) and a mutate leader
+// its mutation (recMutate), both before solveRound runs, and each releases
+// its record after every decision it produced is cached — so a record a snapshot
 // truncation drops is covered by that snapshot, and one still in the journal
 // at a crash is replayed as written. Admission, the warm path and a shed
 // request never touch the journal, with one exception: a mutate answered from
@@ -215,11 +215,27 @@ func appendRound(buf []byte, round []*solveTask) []byte {
 	return buf
 }
 
-// decodeRound inverts appendRound into the round's tasks; a bare
-// recAccepted payload, as binaries before round records journaled, is a
-// round of one. A multiplicity above maxBatch is clamped as dispatchRound
-// clamps it.
-func decodeRound(payload []byte, limits DecodeLimits, maxBatch int) ([]*solveTask, error) {
+// decodeRound maps one journal payload to the round it replays as. A
+// recRound is inverted into its members; a bare recAccepted payload, as
+// binaries before round records journaled, is a round of one; so is a
+// recMutate, resolved against the intern table as the live request was — the
+// walk is in journal order, so its base is already interned (snapshot, an
+// earlier round, or an earlier mutate in the tail). A multiplicity above
+// MaxBatch is clamped as dispatchRound clamps it.
+func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
+	limits := s.cfg.Limits
+	if len(payload) > 0 && payload[0] == recMutate {
+		req, params, err := decodeMutate(payload, limits)
+		if err != nil {
+			return nil, err
+		}
+		m, err := s.resolveMutation(req, params)
+		if err != nil {
+			return nil, fmt.Errorf("serve: mutate record: base %s: %w", req.Base, err)
+		}
+		m.p = newPending(m.key)
+		return []*solveTask{m.solveTask}, nil
+	}
 	if len(payload) > 0 && payload[0] == recAccepted {
 		payload = appendRound(nil, []*solveTask{{rec: payload, mult: 1}})
 	}
@@ -240,7 +256,7 @@ func decodeRound(payload []byte, limits DecodeLimits, maxBatch int) ([]*solveTas
 		if err != nil {
 			return nil, fmt.Errorf("serve: round record: member %d: %w", i, err)
 		}
-		t.mult = int(min(binary.LittleEndian.Uint32(member), uint32(maxBatch)))
+		t.mult = int(min(binary.LittleEndian.Uint32(member), uint32(s.b.maxBatch)))
 		round[i], rest = t, next
 	}
 	if len(rest) != 0 {
@@ -425,10 +441,11 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 
 // Recover warms the server from recovered durable state: the snapshot's
 // graphs, decisions and counters are restored directly, then the journal
-// tail is replayed in order, each record as written and not journaled again
-// — a round through solveRound with its live members and multiplicities, a
-// mutate alone through solveMutation. A round is skipped only when every
-// member key is warm, a mutate when its key is, so replay is idempotent.
+// tail is replayed in order, each record as written and not journaled again:
+// decodeRound maps it to a round — a recRound's live members and
+// multiplicities, a mutate's round of one — and solveRound solves it. A
+// round is skipped only when every member key is warm, so replay is
+// idempotent.
 // Call before Start; undecodable records and failed cells are counted, never
 // fatal — recovery prefers a cold key to a dead daemon.
 func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) RecoveryStats {
@@ -468,44 +485,21 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 	rs.JournalRecords = len(journal)
 
 	for _, payload := range journal {
-		if len(payload) > 0 && payload[0] == recMutate {
-			// A mutate record names its base by fingerprint; the walk is in
-			// journal order, so the base is already interned (snapshot, an
-			// earlier round, or an earlier mutate in this tail) and the
-			// mutation resolves as the live request did.
-			mreq, params, err := decodeMutate(payload, s.cfg.Limits)
-			var m *mutation
-			if err == nil {
-				m, err = s.resolveMutation(mreq, params)
-			}
-			if errors.Is(err, ErrUnknownBase) {
-				rs.ReplayErrors++
-				s.logf("serve: replay mutate: %v: %s", ErrUnknownBase, mreq.Base)
-				continue
-			}
-			if err != nil {
-				rs.DecodeErrors++
-				continue
-			}
-			rs.ReplayMutates++
-			s.graphs.GetOrPut(m.fp, m.applied.Graph) // a later mutate may name it, warm or not
-			if _, warm := s.cache.Get(m.key); warm {
-				rs.ReplayWarm++
-				continue
-			}
-			p := newPending(m.key)
-			s.accepted.Add(1) // finish releases it, as for a live cell
-			s.solveMutation(ctx, p, nil, m)
-			rs.tally(p)
+		round, err := s.decodeRound(payload)
+		if errors.Is(err, ErrUnknownBase) {
+			rs.ReplayErrors++
+			s.logf("serve: replay: %v", err)
 			continue
 		}
-		round, err := decodeRound(payload, s.cfg.Limits, s.b.maxBatch)
 		if err != nil {
 			rs.DecodeErrors++
 			continue
 		}
 		warm := true
 		for _, t := range round {
+			if t.applied != nil {
+				rs.ReplayMutates++
+			}
 			s.graphs.GetOrPut(t.fp, t.user.Graph) // a later mutate may name it, warm or not
 			_, ok := s.cache.Get(t.p.key)
 			warm = warm && ok

@@ -110,7 +110,7 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 		if payload[0] != recRound {
 			t.Fatalf("record %d has type %d, want a round record", i, payload[0])
 		}
-		round, err := decodeRound(payload, DecodeLimits{}, DefaultMaxBatch)
+		round, err := s.decodeRound(payload)
 		if err != nil {
 			t.Fatalf("decode journal record %d: %v", i, err)
 		}
@@ -399,16 +399,16 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 		"round member over limit": {payload: round(1, good), limits: DecodeLimits{MaxNodes: 1}},
 	}
 	for name, tc := range cases {
-		if _, err := decodeRound(tc.payload, tc.limits, DefaultMaxBatch); err == nil {
+		s := newTestServer(t, Config{Limits: tc.limits})
+		if _, err := s.decodeRound(tc.payload); err == nil {
 			t.Errorf("%s: decodeRound accepted it", name)
 		}
-		s := newTestServer(t, Config{Limits: tc.limits})
 		if rs := s.Recover(context.Background(), nil, [][]byte{tc.payload}); rs.DecodeErrors != 1 || rs.ReplaySolved != 0 {
 			t.Errorf("%s: recovery = %+v, want one decode error", name, rs)
 		}
 	}
 	// A multiplicity past MaxBatch is clamped as live dispatch clamps it.
-	tasks, err := decodeRound(round(1000, good), DecodeLimits{}, 4)
+	tasks, err := newTestServer(t, Config{MaxBatch: 4}).decodeRound(round(1000, good))
 	if err != nil || len(tasks) != 1 || tasks[0].mult != 4 {
 		t.Fatalf("round of multiplicity 1000 under MaxBatch 4: err %v, %d tasks", err, len(tasks))
 	}

@@ -133,15 +133,14 @@ func validateMutate(req *MutateRequest, limits DecodeLimits) error {
 	return req.validate()
 }
 
-// mutation is one resolved /v1/mutate: the request and its params, the base
-// with the delta applied as the session will solve it, and the identity the
-// applied graph shares with a plain solve of it — its fingerprint fp and the
-// cache key.
+// mutation is one resolved /v1/mutate: the request, the cache key the
+// applied graph shares with a plain solve of it, and the one member of the
+// round that solves it — the applied graph, with the view staged for it,
+// under the request's params and overrides; its cell is set on admission.
 type mutation struct {
-	req     *MutateRequest
-	params  mec.Params
-	applied *core.Applied
-	fp, key string
+	req *MutateRequest
+	key string
+	*solveTask
 }
 
 // resolveMutation is the mutate resolve step, live and on journal replay
@@ -173,14 +172,18 @@ func (s *Server) resolveMutation(req *MutateRequest, params mec.Params) (*mutati
 	if err != nil {
 		return nil, err
 	}
-	return &mutation{req: req, params: params, applied: a, fp: fp, key: cacheKey(fp, params, req.UserOverrides)}, nil
+	return &mutation{req: req, key: cacheKey(fp, params, req.UserOverrides), solveTask: &solveTask{
+		user:   userInputOf(&SolveRequest{Graph: applied, UserOverrides: req.UserOverrides}),
+		params: params, pkey: paramsDigest(params), fp: fp, mult: 1, applied: a,
+	}}, nil
 }
 
 // mutate is /v1/mutate behind handle. Its resolve step decodes the body and
 // resolves the mutation; from the applied graph's cache key on it is the
-// solve lifecycle, except that the leader solves inline, one user over the
-// view the resolve step built. Its cell makes identical concurrent mutates —
-// and a /v1/solve of the same graph and params — run once.
+// solve lifecycle, except that the leader journals its recMutate and runs
+// its round of one through solveRound inline instead of joining a batcher
+// round. Its cell makes identical concurrent mutates — and a /v1/solve of
+// the same graph and params — run once.
 func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte) error {
 	req, err := DecodeMutateBody(body, s.cfg.Limits)
 	if err != nil {
@@ -202,7 +205,7 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	// path, graph still interned, never journals.
 	if ent, ok := s.lookup(m.key); ok {
 		if _, interned := s.graphs.Get(m.fp); !interned {
-			release := s.journalMutate(s.cfg.Journal, m)
+			release := s.journalMutate(m)
 			s.graphs.GetOrPut(m.fp, m.applied.Graph)
 			release()
 		}
@@ -215,63 +218,36 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	if err != nil {
 		return err
 	}
-	var ds *core.DeltaStats
+	var staged *core.Applied
 	if leader {
 		// Accepted work no longer depends on its client: followers may be
 		// attached, so a hang-up must not cancel the solve. Parked across
-		// it: an inline solve joins no round and must not hold the ones
-		// /v1/solve traffic is forming open.
+		// it: an inline round joins no batcher round and must not hold the
+		// ones /v1/solve traffic is forming open. The record is released
+		// after the round's finish, failed or not.
+		m.p = p
 		s.park()
-		ds = s.solveMutation(context.WithoutCancel(ctx), p, s.cfg.Journal, m)
+		release := s.journalMutate(m)
+		s.solveRound(context.WithoutCancel(ctx), []*solveTask{m.solveTask})
+		release()
 		s.unpark()
+		if m.staged() {
+			staged = m.applied
+		}
 	}
 	dec, err := s.await(ctx, p, leader)
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, mutateResponseFor(req, m.fp, dec, ds, false, !leader))
+	writeJSON(w, http.StatusOK, mutateResponseFor(req, m.fp, dec, staged, false, !leader))
 	return nil
 }
 
-// solveMutation is the mutate leader's inline solve, and Recover's for a
-// mutate record: one single-user round over the view m was resolved to,
-// its applied graph interned under m.fp, its decision or error published
-// through finish. With a journal (nil on replay) m's request is appended as a
-// recMutate first and released after finish.
-func (s *Server) solveMutation(ctx context.Context, p *pending, journal Journal, m *mutation) *core.DeltaStats {
-	defer s.journalMutate(journal, m)()
-	ctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
-	defer cancel()
-	next := m.applied.Graph
-	user := userInputOf(&SolveRequest{Graph: next, UserOverrides: m.req.UserOverrides})
-	sol, ds, err := s.sess.SolveApplied(ctx, m.applied, []core.UserInput{user}, m.params)
-	if err != nil {
-		s.st.mutateErrors.Add(1)
-		if !errors.Is(err, context.DeadlineExceeded) {
-			s.st.solveErrors.Add(1)
-		}
-		s.finish(p, nil, err)
-		return nil
-	}
-	// Intern the applied graph so its captured pipeline state stays
-	// reachable; if the fingerprint was already interned (a /v1/solve of the
-	// same graph got there first), drop the loser's state with the clone.
-	if canon, _ := s.graphs.GetOrPut(m.fp, next); canon != next {
-		s.sess.Invalidate(next)
-	}
-	s.st.deltaSolves.Add(1)
-	if ds.ColdFallback {
-		s.st.coldFallbacks.Add(1)
-	}
-	s.st.lanczosItersSaved.Add(uint64(ds.LanczosItersSaved))
-	s.finish(p, decisionFor(m.fp, sol, 0, 1), nil)
-	return ds
-}
-
-// journalMutate appends m's request to journal as a recMutate and returns
-// the call that releases it; with no journal (replay), or when the append
+// journalMutate appends m's request to the journal as a recMutate and
+// returns the call that releases it; with no journal, or when the append
 // fails, there is nothing to release.
-func (s *Server) journalMutate(journal Journal, m *mutation) (release func()) {
+func (s *Server) journalMutate(m *mutation) (release func()) {
+	journal := s.cfg.Journal
 	if journal == nil {
 		return func() {}
 	}
@@ -287,16 +263,18 @@ func (s *Server) journalMutate(journal Journal, m *mutation) (release func()) {
 	return func() { journal.Applied(seg) }
 }
 
-// mutateResponseFor assembles the wire form of one mutate outcome. ds is
-// nil on a cache hit and for a deduped follower (this request did not run
-// the pipeline).
-func mutateResponseFor(req *MutateRequest, newFp string, dec *Decision, ds *core.DeltaStats, cached, deduped bool) MutateResponse {
+// mutateResponseFor assembles the wire form of one mutate outcome. staged
+// is the applied graph whose view this request's round pipelined; nil on a
+// cache hit, for a deduped follower and when the round solved an interned
+// instance of the same graph instead, none of which ran the pipeline here.
+func mutateResponseFor(req *MutateRequest, newFp string, dec *Decision, staged *core.Applied, cached, deduped bool) MutateResponse {
 	resp := MutateResponse{
 		Graph:         newFp,
 		Base:          req.Base,
 		SolveResponse: solveResponseFor(dec, cached, deduped),
 	}
-	if ds != nil {
+	if staged != nil {
+		ds := staged.Stats()
 		resp.Incremental = ds.Incremental
 		resp.ColdFallback = ds.ColdFallback
 		resp.FallbackReason = ds.FallbackReason

@@ -580,3 +580,82 @@ func TestSolveResponseChainsToMutate(t *testing.T) {
 		t.Errorf("repeat solve cached=%v graph=%q, want cached=true graph=%q", again.Cached, again.Graph, sresp.Graph)
 	}
 }
+
+// TestMutateInternRaceSolvesTheInternedInstance: a mutate whose applied
+// graph was already interned by an earlier /v1/solve — same content, other
+// params — is solved as that interned instance. No incremental pipeline runs
+// for it, so the reply carries no delta figures, no clone's pipeline entry is
+// left behind, and the decision is still a fresh server's /v1/solve of the
+// applied graph under the mutate's params.
+func TestMutateInternRaceSolvesTheInternedInstance(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serve := func() (*Server, *httptest.Server) {
+		s := newTestServer(t, Config{})
+		s.Start(ctx)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return s, ts
+	}
+	body := func(v map[string]any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	p1 := map[string]any{"server_capacity": 17.5}
+	p2 := map[string]any{"bandwidth": 3.25}
+
+	g0 := chainGraph(t, 40)
+	d := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 0, Weight: 500}}}
+	g1 := g0.Clone()
+	if err := d.Apply(g1); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := serve()
+	for _, g := range []*graph.Graph{g0, g1} {
+		if st := postJSON(t, ts.URL+"/v1/solve", body(map[string]any{"graph": g, "params": p1}), nil); st != http.StatusOK {
+			t.Fatalf("solve under P1: status %d", st)
+		}
+	}
+	before := s.Stats()
+	var mresp MutateResponse
+	mbody := body(map[string]any{"base": fingerprintOf(t, g0), "delta": d, "params": p2})
+	if st := postJSON(t, ts.URL+"/v1/mutate", mbody, &mresp); st != http.StatusOK {
+		t.Fatalf("mutate under P2: status %d", st)
+	}
+	if mresp.Graph != fingerprintOf(t, g1) || mresp.Cached || mresp.Deduped {
+		t.Fatalf("mutate reply graph %s cached %v deduped %v, want %s, a fresh solve", mresp.Graph, mresp.Cached, mresp.Deduped, fingerprintOf(t, g1))
+	}
+	if mresp.Incremental || mresp.ColdFallback || mresp.FallbackReason != "" ||
+		mresp.CleanComponents != 0 || mresp.DirtyComponents != 0 || mresp.TouchedEdges != 0 || mresp.LanczosItersSaved != 0 {
+		t.Errorf("intern-race mutate reports delta work: %+v", mresp)
+	}
+
+	_, fts := serve()
+	var fresp SolveResponse
+	if st := postJSON(t, fts.URL+"/v1/solve", body(map[string]any{"graph": g1, "params": p2}), &fresp); st != http.StatusOK {
+		t.Fatalf("fresh solve under P2: status %d", st)
+	}
+	decision := func(r SolveResponse) string {
+		r.Graph, r.Cached, r.Deduped = "", false, false
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if got, want := decision(mresp.SolveResponse), decision(fresp); got != want {
+		t.Errorf("intern-race mutate decision %s, a fresh server's /v1/solve %s", got, want)
+	}
+
+	after := s.Stats()
+	if gc := after.GraphCache; gc.Pipelines != gc.Size {
+		t.Errorf("graph_cache pipelines %d, size %d: an orphaned entry is left", gc.Pipelines, gc.Size)
+	}
+	if after.Incremental.DeltaSolves != before.Incremental.DeltaSolves {
+		t.Errorf("delta_solves %d → %d, want unchanged", before.Incremental.DeltaSolves, after.Incremental.DeltaSolves)
+	}
+}

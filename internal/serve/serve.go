@@ -19,9 +19,10 @@
 // admit (follower attach → draining check → start → cell registration under
 // the flight-table lock), finish (cache fill → flight removal → wake) and
 // fail (the only error → HTTP status mapping). A solve leader joins a
-// batcher round; a mutate leader solves inline. The journal is written where
+// batcher round; a mutate leader runs a round of one inline. Every round,
+// live or replayed, is solved by solveRound. The journal is written where
 // the work is decided, never at admission: dispatchRound appends each round
-// as the batcher closed it and solveMutation each mutation, both before
+// as the batcher closed it and a mutate leader its mutation, both before
 // solving, each record released after its last finish.
 //
 // Every keyed table is one map under one mutex and every counter a plain
@@ -54,8 +55,8 @@ import (
 const (
 	// DefaultRequestTimeout bounds one request end to end.
 	DefaultRequestTimeout = 30 * time.Second
-	// DefaultSolveTimeout bounds one dispatched solve round and one inline
-	// mutate solve.
+	// DefaultSolveTimeout bounds one solve round, a mutate leader's round of
+	// one included.
 	DefaultSolveTimeout = 25 * time.Second
 	// DefaultCacheSize is the default solution-cache capacity (entries).
 	DefaultCacheSize = 1024
@@ -836,19 +837,26 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 	s.solveRound(ctx, round)
 }
 
-// solveRound solves a round as dispatchRound fixed it, or as Recover read it
-// from the journal. Each graph is first rewritten to its interned instance,
-// so the session's identity-keyed pipeline cache hits; only now, its round
-// journaled, does a graph become a /v1/mutate base. The round is partitioned
-// by params digest (first-appearance order) into one batch item each, all
-// solved by one Session.BatchSolve bounded by DefaultSolveTimeout, bit
-// for bit what per-group Solve calls would give. Each task expands into mult
+// solveRound solves a round as dispatchRound fixed it, as a mutate leader
+// built its round of one, or as Recover read either from the journal. Each
+// graph is first rewritten to its interned instance, so the session's
+// identity-keyed pipeline cache hits; only now, its round journaled, does a
+// graph become a /v1/mutate base. A mutation whose applied graph this intern
+// inserted has its patched view staged in the pass; one whose content was
+// already interned is solved as that instance. The round is partitioned by
+// params digest (first-appearance order) into one batch item each, all
+// solved by one Session.BatchSolve bounded by DefaultSolveTimeout, bit for
+// bit what per-group Solve calls would give. Each task expands into mult
 // identical users, which share the representative's decision.
 func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
 	groups := make(map[string][]*solveTask)
 	var order []string
+	var applied []*core.Applied
 	for _, t := range round {
 		t.user.Graph, _ = s.graphs.GetOrPut(t.fp, t.user.Graph)
+		if t.staged() {
+			applied = append(applied, t.applied)
+		}
 		if _, ok := groups[t.pkey]; !ok {
 			order = append(order, t.pkey)
 		}
@@ -883,19 +891,30 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
 
 	sctx, cancel := context.WithTimeout(ctx, DefaultSolveTimeout)
 	defer cancel()
-	results := s.sess.BatchSolve(sctx, items)
+	results := s.sess.BatchSolve(sctx, items, applied...)
 	for gi, pk := range order {
 		tasks := groups[pk]
 		r := results[gi]
 		if r.Err != nil {
 			s.st.solveErrors.Add(1)
 			s.logf("serve: round of %d users failed: %v", len(items[gi].Users), r.Err)
-			for _, t := range tasks {
-				s.finish(t.p, nil, r.Err)
-			}
-			continue
 		}
 		for i, t := range tasks {
+			if r.Err != nil {
+				if t.applied != nil {
+					s.st.mutateErrors.Add(1)
+				}
+				s.finish(t.p, nil, r.Err)
+				continue
+			}
+			if t.staged() {
+				ds := t.applied.Stats()
+				s.st.deltaSolves.Add(1)
+				s.st.lanczosItersSaved.Add(uint64(ds.LanczosItersSaved))
+				if ds.ColdFallback {
+					s.st.coldFallbacks.Add(1)
+				}
+			}
 			s.finish(t.p, decisionFor(t.fp, r.Solution, reps[gi][i], len(items[gi].Users)), nil)
 		}
 	}

@@ -100,8 +100,8 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 
 // counters aggregates the server's monotonic event counts and gauges, each
 // an atomic read without a lock. Round-path counters (batches,
-// batchedUsers, maxBatch, fused*) are bumped only by the single dispatch
-// goroutine.
+// batchedUsers, maxBatch, fused*) are bumped by solveRound, which batcher
+// rounds and mutate leaders' rounds of one run concurrently.
 type counters struct {
 	requests      atomic.Uint64 // POST /v1/solve arrivals
 	solved        atomic.Uint64 // 200 responses (cached or fresh)
@@ -123,7 +123,7 @@ type counters struct {
 	// Incremental re-solve counters (POST /v1/mutate).
 	mutates           atomic.Uint64 // /v1/mutate arrivals
 	mutateHits        atomic.Uint64 // mutates answered from the solution cache
-	deltaSolves       atomic.Uint64 // mutates solved through Session.SolveDelta
+	deltaSolves       atomic.Uint64 // mutates solved over their staged view
 	coldFallbacks     atomic.Uint64 // delta solves that fell back to the cold pipeline
 	lanczosItersSaved atomic.Uint64 // Lanczos iterations replayed instead of re-run
 	mutateErrors      atomic.Uint64 // mutate solve failures (500/504 responses)
@@ -184,7 +184,7 @@ type GraphCacheStats struct {
 
 // BatchStats is the micro-batcher section of a Stats snapshot.
 type BatchStats struct {
-	// Rounds counts dispatched solve rounds.
+	// Rounds counts solve rounds, a mutate leader's round of one included.
 	Rounds uint64 `json:"rounds"`
 	// Users counts users solved across all rounds, including the live
 	// multiplicity of singleflight-collapsed duplicates.
