@@ -108,15 +108,15 @@ bench-batch:
 		-bench='^BenchmarkBatchSolveSmall$$|^BenchmarkBatchSolveLarge$$' .
 
 # chaos runs the fault-injection suite — lossy transports, torn journal
-# writes, fsync failures — and serve's journal, replay and shed tests twice
-# under the race detector to shake out order-dependent failures in the
-# recovery paths, then the SIGKILL scenarios against re-exec'd daemons:
+# writes, fsync failures — and serve's journal, replay, shed and non-finite
+# decision tests twice under the race detector to shake out order-dependent
+# failures in the recovery and release paths, then the SIGKILL scenarios against re-exec'd daemons:
 # crash recovery on a data directory, and a fleet backend killed and
 # restarted behind the router.
 chaos:
 	$(GO) test -race -count=2 ./internal/faultnet/
 	$(GO) test -race -count=2 ./internal/durable/
-	$(GO) test -race -count=2 -run 'Journal|Replay|Recover|Shed' ./internal/serve/
+	$(GO) test -race -count=2 -run 'Journal|Replay|Recover|Shed|NonFinite' ./internal/serve/
 	$(GO) test -race -run 'TestCrashRecovery|TestDaemonDurable|TestFleet' ./cmd/copmecsd/
 
 clean:

@@ -48,7 +48,8 @@ func newPending(key string) *pending {
 // mutation's round of one.
 type solveTask struct {
 	p       *pending
-	rec     []byte // the request's recAccepted payload, its member of the round record
+	rec     []byte         // a solve's recAccepted payload, its round member; nil for a mutate
+	mutate  *MutateRequest // a mutate's request, its round member once encoded; nil for a solve
 	user    core.UserInput
 	params  mec.Params
 	pkey    string        // paramsDigest; rounds group by it

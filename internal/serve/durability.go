@@ -15,23 +15,24 @@ import (
 	"copmecs/internal/mec"
 )
 
-// Durability integration: with Config.Journal set, dispatchRound appends
-// each solve round as the batcher closed it (recRound) and a mutate leader
-// its mutation (recMutate), both before solveRound runs, and each releases
-// its record after every decision it produced is cached — so a record a snapshot
-// truncation drops is covered by that snapshot, and one still in the journal
-// at a crash is replayed as written. Admission, the warm path and a shed
-// request never touch the journal, with one exception: a mutate answered from
-// the cache whose applied graph had left the intern table journals its
-// recMutate around the re-intern, so replay re-interns it as well. Records
-// reuse the canonical binary graph codec, so replay reproduces the live
-// request's cache key.
+// Durability integration: with Config.Journal set, runRound appends every
+// live round — a batcher's, a mutate leader's round of one — as one recRound
+// before solving it, and releases it after its last decision is cached and
+// before any of its cells wakes: a record a snapshot truncation drops is
+// covered by that snapshot, one still in the journal at a crash is replayed
+// as written, and a reply implies its record is released. A member is the
+// request as accepted: a solve's recAccepted or a mutate's recMutate payload.
+// Admission, the warm path and a shed request never touch the journal, except
+// that a mutate answered from the cache whose applied graph had left the
+// intern table journals its round of one around the re-intern, so replay
+// re-interns it too. Records reuse the canonical binary graph codec, so
+// replay reproduces the live request's cache key.
 
-// Journal is the write-ahead log the server appends solve rounds and
-// mutations to. durable.Store satisfies it structurally; serve stays free
-// of a durable dependency so in-memory serving links no storage code.
+// Journal is the write-ahead log the server appends rounds to.
+// durable.Store satisfies it structurally; serve stays free of a durable
+// dependency so in-memory serving links no storage code.
 type Journal interface {
-	// Append journals one encoded round or mutation, returning a token to
+	// Append journals one encoded round, returning a token to
 	// pass to Applied once its decisions are published in memory. It must
 	// not retain payload: the server reuses the buffer for the next round.
 	Append(payload []byte) (uint64, error)
@@ -41,12 +42,12 @@ type Journal interface {
 
 // Durability record types (first payload byte).
 const (
-	recAccepted uint8 = 1 // one accepted request: a round member, or a round of one on its own
+	recAccepted uint8 = 1 // one accepted solve: a round member, or a legacy round of one on its own
 	recDecision uint8 = 2 // snapshot: one cached decision
 	recGraph    uint8 = 3 // snapshot: one interned graph
 	recCounters uint8 = 4 // snapshot: monotonic traffic counters
-	recMutate   uint8 = 5 // journal: one accepted graph mutation
-	recRound    uint8 = 6 // journal: one solve round, its members and their multiplicities
+	recMutate   uint8 = 5 // one accepted mutate: a round member, or a legacy round of one on its own
+	recRound    uint8 = 6 // journal: one round, its members and their multiplicities
 )
 
 // RecoveryStats summarises one boot-time Recover pass, surfaced under
@@ -64,11 +65,11 @@ type RecoveryStats struct {
 	ReplayWarm int `json:"replay_warm"`
 	// ReplaySolved counts journaled requests re-solved into the cache.
 	ReplaySolved int `json:"replay_solved"`
-	// ReplayMutates counts mutate records whose delta was re-applied to
+	// ReplayMutates counts mutate members whose delta was re-applied to
 	// reconstruct the mutated graph during replay (warm or solved).
 	ReplayMutates int `json:"replay_mutates"`
 	// ReplayErrors counts replayed requests whose cell failed to solve, plus
-	// mutate records whose base is not interned.
+	// records with a mutate member whose base is not interned.
 	ReplayErrors int `json:"replay_errors"`
 	// DecodeErrors counts records that failed to decode (CRC-valid but
 	// semantically unusable — version skew or fault injection).
@@ -85,8 +86,9 @@ type DurabilityStats struct {
 	JournalRecords uint64 `json:"journal_records"`
 	// JournalBytes counts journal bytes written since boot.
 	JournalBytes uint64 `json:"journal_bytes"`
-	// AppendErrors counts rounds and mutations served without a journal
-	// record because Append failed (availability over durability).
+	// AppendErrors counts rounds served without a journal record because
+	// the record failed to encode or Append failed (availability over
+	// durability).
 	AppendErrors uint64 `json:"append_errors"`
 	// WriteErrors counts failed journal writes inside the store.
 	WriteErrors uint64 `json:"write_errors"`
@@ -204,40 +206,36 @@ func decodeAccepted(payload []byte, limits DecodeLimits) (*solveTask, error) {
 
 // appendRound appends round's recRound payload to buf: the record type, the
 // member count, then per member a length-prefixed chunk of its multiplicity
-// and its recAccepted payload (lengths and counts little-endian uint32s).
-func appendRound(buf []byte, round []*solveTask) []byte {
+// and the request as it was accepted — a solve's recAccepted payload or a
+// mutate's recMutate payload (lengths and counts little-endian uint32s).
+func appendRound(buf []byte, round []*solveTask) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(append(buf, recRound), uint32(len(round)))
 	for _, t := range round {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(4+len(t.rec)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.mult))
-		buf = append(buf, t.rec...)
+		at := len(buf)
+		buf = binary.LittleEndian.AppendUint32(append(buf, 0, 0, 0, 0), uint32(t.mult))
+		if t.mutate == nil {
+			buf = append(buf, t.rec...)
+		} else if body, err := json.Marshal(t.mutate.Delta); err != nil {
+			return buf, fmt.Errorf("serve: encode mutate: %w", err)
+		} else {
+			blk := floatBlock(t.params, t.mutate.UserOverrides)
+			buf = binary.LittleEndian.AppendUint32(append(append(buf, recMutate), blk[:]...), uint32(len(t.mutate.Base)))
+			buf = append(append(buf, t.mutate.Base...), body...)
+		}
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}
-	return buf
+	return buf, nil
 }
 
-// decodeRound maps one journal payload to the round it replays as. A
-// recRound is inverted into its members; a bare recAccepted payload, as
-// binaries before round records journaled, is a round of one; so is a
-// recMutate, resolved against the intern table as the live request was — the
-// walk is in journal order, so its base is already interned (snapshot, an
-// earlier round, or an earlier mutate in the tail). A multiplicity above
-// MaxBatch is clamped as dispatchRound clamps it.
+// decodeRound maps one journal payload to the round it replays as: a
+// recRound is inverted into its members, each decoded by its type byte; a
+// bare recAccepted or recMutate payload, as binaries before round records
+// journaled, is a round of one. A multiplicity above MaxBatch is clamped as
+// dispatchRound clamps it.
 func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
-	limits := s.cfg.Limits
-	if len(payload) > 0 && payload[0] == recMutate {
-		req, params, err := decodeMutate(payload, limits)
-		if err != nil {
-			return nil, err
-		}
-		m, err := s.resolveMutation(req, params)
-		if err != nil {
-			return nil, fmt.Errorf("serve: mutate record: base %s: %w", req.Base, err)
-		}
-		m.p = newPending(m.key)
-		return []*solveTask{m.solveTask}, nil
-	}
-	if len(payload) > 0 && payload[0] == recAccepted {
-		payload = appendRound(nil, []*solveTask{{rec: payload, mult: 1}})
+	if len(payload) > 0 && (payload[0] == recAccepted || payload[0] == recMutate) {
+		t, err := s.decodeMember(payload)
+		return []*solveTask{t}, err
 	}
 	if len(payload) < 5 || payload[0] != recRound {
 		return nil, fmt.Errorf("serve: not a round record")
@@ -252,7 +250,7 @@ func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
 		if !ok || len(member) < 4 || binary.LittleEndian.Uint32(member) < 1 {
 			return nil, fmt.Errorf("serve: round record: member %d truncated or of multiplicity 0", i)
 		}
-		t, err := decodeAccepted(member[4:], limits)
+		t, err := s.decodeMember(member[4:])
 		if err != nil {
 			return nil, fmt.Errorf("serve: round record: member %d: %w", i, err)
 		}
@@ -265,26 +263,31 @@ func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
 	return round, nil
 }
 
-// encodeMutate renders one accepted mutation as a journal payload: the
-// record type, the float block, the base fingerprint, and the delta as
-// JSON. Replaying it against the interned base reconstructs the mutated
-// graph and the same cache key the live mutate published under.
-func encodeMutate(req *MutateRequest, params mec.Params) ([]byte, error) {
-	body, err := json.Marshal(req.Delta)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encode mutate: %w", err)
+// decodeMember maps one accepted request's payload to a task of
+// multiplicity 1 in a fresh cell keyed as its live request was. A recMutate
+// is resolved against the intern table as the live request was — the walk is
+// in journal order, so its base is already interned (snapshot, or an earlier
+// record in the tail); anything else must be a recAccepted.
+func (s *Server) decodeMember(payload []byte) (*solveTask, error) {
+	if len(payload) == 0 || payload[0] != recMutate {
+		return decodeAccepted(payload, s.cfg.Limits)
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(recMutate)
-	blk := floatBlock(params, req.UserOverrides)
-	buf.Write(blk[:])
-	putString(&buf, req.Base)
-	buf.Write(body)
-	return buf.Bytes(), nil
+	req, params, err := decodeMutate(payload, s.cfg.Limits)
+	if err != nil {
+		return nil, err
+	}
+	t, key, err := s.resolveMutation(req, params)
+	if err != nil {
+		return nil, fmt.Errorf("serve: mutate record: base %s: %w", req.Base, err)
+	}
+	t.p = newPending(key)
+	return t, nil
 }
 
-// decodeMutate inverts encodeMutate, applying the same validation as the
-// live decode path (readFloatBlock's checks plus validateMutate).
+// decodeMutate inverts a recMutate payload as appendRound writes it — the
+// record type, the float block, the length-prefixed base fingerprint and the
+// delta as JSON — applying the same validation as the live decode path
+// (readFloatBlock's checks plus validateMutate).
 func decodeMutate(payload []byte, limits DecodeLimits) (*MutateRequest, mec.Params, error) {
 	if len(payload) < 1+floatBlockLen || payload[0] != recMutate {
 		return nil, mec.Params{}, fmt.Errorf("serve: not a mutate record")
@@ -443,9 +446,9 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 // graphs, decisions and counters are restored directly, then the journal
 // tail is replayed in order, each record as written and not journaled again:
 // decodeRound maps it to a round — a recRound's live members and
-// multiplicities, a mutate's round of one — and solveRound solves it. A
-// round is skipped only when every member key is warm, so replay is
-// idempotent.
+// multiplicities, a legacy bare record's round of one — and solveRound
+// solves it. A round is skipped only when every member key is warm, so
+// replay is idempotent.
 // Call before Start; undecodable records and failed cells are counted, never
 // fatal — recovery prefers a cold key to a dead daemon.
 func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) RecoveryStats {
@@ -509,7 +512,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 			continue
 		}
 		s.accepted.Add(len(round))
-		s.solveRound(ctx, round)
+		s.solveRound(ctx, round, func() {})
 		for _, t := range round {
 			rs.tally(t.p)
 		}

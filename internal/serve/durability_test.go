@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -87,10 +88,9 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 		}
 	}
 	// Each solve was alone at the server, so each was its own round: one
-	// record per round, every one released once its decisions were cached.
-	// A round's record is released after its reply is out, so drain first:
-	// Drain returns once the dispatch loop, and every release it deferred,
-	// has finished.
+	// record per round, every one released once its decisions were cached
+	// and before its reply. Drain stops the dispatch loop, so no round is in
+	// flight while the journal is read.
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -120,6 +120,109 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// orderJournal journals for one server and checks, each time a record is
+// released, that every cell of the round it holds is still in the
+// singleflight table and not yet woken.
+type orderJournal struct {
+	t        *testing.T
+	s        *Server
+	mu       sync.Mutex
+	appends  [][]byte
+	released int
+}
+
+func (j *orderJournal) Append(payload []byte) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.appends = append(j.appends, append([]byte{}, payload...))
+	return uint64(len(j.appends)), nil
+}
+
+func (j *orderJournal) Applied(token uint64) {
+	j.mu.Lock()
+	payload := j.appends[token-1]
+	j.released++
+	j.mu.Unlock()
+	round, err := j.s.decodeRound(payload)
+	if err != nil {
+		j.t.Errorf("record %d: %v", token, err)
+		return
+	}
+	j.s.flight.mu.Lock()
+	defer j.s.flight.mu.Unlock()
+	for _, task := range round {
+		p, ok := j.s.flight.m[task.p.key]
+		if !ok {
+			j.t.Errorf("record %d released after its cell %.12s… left the flight table", token, task.p.key)
+			continue
+		}
+		select {
+		case <-p.done:
+			j.t.Errorf("record %d released after its cell %.12s… woke", token, task.p.key)
+		default:
+		}
+	}
+}
+
+// balanced reports (records appended, records released).
+func (j *orderJournal) balanced() (int, int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.appends), j.released
+}
+
+// TestJournalReleasesRoundBeforeWakingIt: a round's record is released after
+// its last decision is cached and before any of its cells wakes — for a solve
+// round of two, a mutate, a failing mutate and a non-finite decision alike —
+// so by the time any reply is read its record is already released.
+func TestJournalReleasesRoundBeforeWakingIt(t *testing.T) {
+	eng := newGateEngine()
+	jr := &orderJournal{t: t}
+	s := startSettleServer(t, Config{Journal: jr, Engine: eng})
+	jr.s = s
+	replied := func(step string, records int) {
+		t.Helper()
+		if appends, released := jr.balanced(); appends != records || released != appends {
+			t.Errorf("%s: %d records appended, %d released at the reply; want %d and all", step, appends, released, records)
+		}
+	}
+
+	other, gate := hold(s, "/v1/solve", solveBody(t, settleGraph(t, 1)))
+	first := post(s, "/v1/solve", bytes.NewReader(solveBody(t, settleGraph(t, 0))))
+	waitParked(t, s, 1)
+	close(gate.release)
+	var a, b SolveResponse
+	if sa, sb := first.wait(t, &a), other.wait(t, &b); sa != http.StatusOK || sb != http.StatusOK || a.BatchUsers != 2 {
+		t.Fatalf("statuses %d / %d, batch_users %d; want one round of 2", sa, sb, a.BatchUsers)
+	}
+	replied("a round of two", 1)
+
+	base := chainGraph(t, 60)
+	if st := post(s, "/v1/solve", bytes.NewReader(solveBody(t, base))).wait(t, nil); st != http.StatusOK {
+		t.Fatalf("base solve: status %d", st)
+	}
+	replied("the base's solve", 2)
+	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 10, V: 11, Weight: 77}}}
+	if st := post(s, "/v1/mutate", bytes.NewReader(mutateBody(t, fingerprintOf(t, base), d))).wait(t, nil); st != http.StatusOK {
+		t.Fatalf("mutate: status %d", st)
+	}
+	replied("a mutate", 3)
+	eng.fail.Store(true)
+	d = &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 20, V: 21, Weight: 55}}}
+	if st := post(s, "/v1/mutate", bytes.NewReader(mutateBody(t, fingerprintOf(t, base), d))).wait(t, nil); st != http.StatusInternalServerError {
+		t.Fatalf("failing mutate: status %d, want 500", st)
+	}
+	replied("a failing mutate", 4)
+	eng.fail.Store(false)
+
+	body := []byte(`{"graph":{"nodes":[{"id":0,"weight":1e308},{"id":1,"weight":1e308},{"id":2,"weight":1e308}],` +
+		`"edges":[{"u":0,"v":1,"weight":1},{"u":1,"v":2,"weight":1}]}}`)
+	if st := post(s, "/v1/solve", bytes.NewReader(body)).wait(t, nil); st != http.StatusBadRequest {
+		t.Fatalf("non-finite decision: status %d, want 400", st)
+	}
+	replied("a non-finite decision", 5)
 }
 
 // TestRecoverReinternsMutateCacheHit: a mutate answered from the cache after
@@ -196,6 +299,52 @@ func TestRecoverReinternsMutateCacheHit(t *testing.T) {
 	}
 	if !again.Cached || again.Graph != r2.Graph {
 		t.Fatalf("chained mutate on the recovered server: cached %v graph %s, want the warm key of %s", again.Cached, again.Graph, r2.Graph)
+	}
+}
+
+// TestJournalHoldsOnlyRoundRecords: every record a live server writes is a
+// recRound — solve rounds, chained mutates and a mutate cache hit that
+// re-interns its evicted graph alike.
+func TestJournalHoldsOnlyRoundRecords(t *testing.T) {
+	jr := newFakeJournal()
+	s := newTestServer(t, Config{Journal: jr, GraphCacheSize: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mutate := func(base string, d *graph.Delta) MutateResponse {
+		t.Helper()
+		var resp MutateResponse
+		if st := postJSON(t, ts.URL+"/v1/mutate", mutateBody(t, base, d), &resp); st != http.StatusOK {
+			t.Fatalf("mutate: status %d", st)
+		}
+		return resp
+	}
+
+	g0 := chainGraph(t, 40)
+	if st := postJSON(t, ts.URL+"/v1/solve", solveBody(t, g0), nil); st != http.StatusOK {
+		t.Fatalf("solve: status %d", st)
+	}
+	d1 := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 0, Weight: 500}}}
+	r1 := mutate(fingerprintOf(t, g0), d1)
+	mutate(fingerprintOf(t, g0), &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 1, Weight: 300}}})
+	if _, ok := s.graphs.Get(r1.Graph); ok {
+		t.Fatal("setup: the first applied graph is still interned")
+	}
+	if hit := mutate(fingerprintOf(t, g0), d1); !hit.Cached {
+		t.Fatal("repeat mutate was not a cache hit")
+	}
+	mutate(r1.Graph, &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 0, V: 1, Weight: 99}}})
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	if len(jr.appends) != 5 {
+		t.Fatalf("journal holds %d records, want 5 (solve, three mutates, the re-intern)", len(jr.appends))
+	}
+	for i, rec := range jr.appends {
+		if rec[0] != recRound {
+			t.Errorf("record %d has type %d, want a round record", i, rec[0])
+		}
 	}
 }
 
@@ -372,13 +521,27 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 		for _, m := range members {
 			tasks = append(tasks, &solveTask{rec: m, mult: mult})
 		}
-		return appendRound(nil, tasks)
+		rec, err := appendRound(nil, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
 	}
 	countLie := round(1, good)
 	countLie[1] = 2 // two members claimed, one present
 	lengthLie := round(1, good)
 	lengthLie[1+4+3] = 0xff // the member's length prefix points past the end
-	notAccepted := append([]byte{recMutate}, good[1:]...)
+	mistyped := append([]byte{recMutate}, good[1:]...)
+	unknownType := append([]byte{0x7f}, good[1:]...)
+	oneOp := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 0, V: 1, Weight: 1}}}
+	mutateOf := func(base string) []byte {
+		rec, err := encodeMutate(&MutateRequest{Base: base, Delta: oneOp}, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	orphan := mutateOf(strings.Repeat("0", 64))
 
 	cases := map[string]struct {
 		payload []byte
@@ -394,9 +557,13 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 		"round count past end":    {payload: countLie},
 		"round length past end":   {payload: lengthLie},
 		"round trailing bytes":    {payload: append(round(1, good), 0)},
-		"round member not accept": {payload: round(1, notAccepted)},
+		"round member mistyped":   {payload: round(1, mistyped)},
+		"round member of no type": {payload: round(1, unknownType)},
 		"round multiplicity 0":    {payload: round(0, good)},
 		"round member over limit": {payload: round(1, good), limits: DecodeLimits{MaxNodes: 1}},
+		"mutate invalid base":     {payload: round(1, mutateOf(strings.Repeat("Z", 64)))},
+		"mutate delta truncated":  {payload: round(1, orphan[:len(orphan)-3])},
+		"mutate multiplicity 0":   {payload: round(0, orphan)},
 	}
 	for name, tc := range cases {
 		s := newTestServer(t, Config{Limits: tc.limits})
@@ -406,6 +573,11 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 		if rs := s.Recover(context.Background(), nil, [][]byte{tc.payload}); rs.DecodeErrors != 1 || rs.ReplaySolved != 0 {
 			t.Errorf("%s: recovery = %+v, want one decode error", name, rs)
 		}
+	}
+	// A mutate member that decodes but names a base this server never saw
+	// is a replay error, not a decode error.
+	if rs := newTestServer(t, Config{}).Recover(context.Background(), nil, [][]byte{round(1, orphan)}); rs.ReplayErrors != 1 || rs.DecodeErrors != 0 {
+		t.Errorf("mutate member of an unknown base: recovery = %+v, want one replay error", rs)
 	}
 	// A multiplicity past MaxBatch is clamped as live dispatch clamps it.
 	tasks, err := newTestServer(t, Config{MaxBatch: 4}).decodeRound(round(1000, good))

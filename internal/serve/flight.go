@@ -18,8 +18,8 @@ func newFlightTable() *flightTable {
 	return &flightTable{m: make(map[string]*pending)}
 }
 
-// remove deletes key's cell; the caller (finish) has already filled the
-// solution cache, so no moment exists where neither table covers the key.
+// remove deletes key's cell; solveRound calls it only after settle filled
+// the solution cache, so no moment exists where neither table covers the key.
 func (t *flightTable) remove(key string) {
 	t.mu.Lock()
 	delete(t.m, key)

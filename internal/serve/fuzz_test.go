@@ -290,8 +290,9 @@ func FuzzMutateRequestMatchesStdlib(f *testing.F) {
 }
 
 // FuzzRecoverJournal runs Recover over mutated bytes of a live journal's
-// records: a lone round, a mutate of its graph, a bare accepted record and a
-// round of two with a follower's multiplicity. Each input is replayed behind
+// records: a lone round, a round of one holding a mutate of its graph, a bare
+// accepted record, a round of two with a follower's multiplicity and a bare
+// mutate record. Each input is replayed behind
 // the lone round, so a mutate finds its base. Recovery must never panic and
 // must finish every cell it opens, so the server still drains. Run longer
 // with: make fuzz
@@ -318,11 +319,18 @@ func FuzzRecoverJournal(f *testing.F) {
 		f.Fatalf("live journal holds %d records, want 2", len(journal))
 	}
 	params := defaultTestParams()
-	pair := appendRound(nil, []*solveTask{
+	pair, err := appendRound(nil, []*solveTask{
 		{rec: newAcceptedRecord(testGraph(f, 1), params, UserOverrides{}), mult: 1},
 		{rec: newAcceptedRecord(testGraph(f, 2), params, UserOverrides{Bandwidth: 3}), mult: 2},
 	})
-	journal = append(journal, newAcceptedRecord(testGraph(f, 3), params, UserOverrides{}), pair)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bareMutate, err := encodeMutate(&MutateRequest{Base: fingerprintOf(f, base), Delta: &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 3, V: 4, Weight: 9}}}}, params)
+	if err != nil {
+		f.Fatal(err)
+	}
+	journal = append(journal, newAcceptedRecord(testGraph(f, 3), params, UserOverrides{}), pair, bareMutate)
 	for _, rec := range journal {
 		f.Add(rec)
 	}

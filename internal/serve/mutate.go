@@ -133,57 +133,51 @@ func validateMutate(req *MutateRequest, limits DecodeLimits) error {
 	return req.validate()
 }
 
-// mutation is one resolved /v1/mutate: the request, the cache key the
-// applied graph shares with a plain solve of it, and the one member of the
-// round that solves it — the applied graph, with the view staged for it,
-// under the request's params and overrides; its cell is set on admission.
-type mutation struct {
-	req *MutateRequest
-	key string
-	*solveTask
-}
-
 // resolveMutation is the mutate resolve step, live and on journal replay
 // alike: it looks the base up in the intern table, applies the delta to a
 // clone of it, once, and size-checks the result; the session then builds the
 // view it will solve — base's cached view patched by the delta, or the
-// applied graph compiled — and the applied graph is keyed off that view. The
-// base is never modified.
-func (s *Server) resolveMutation(req *MutateRequest, params mec.Params) (*mutation, error) {
+// applied graph compiled — and the applied graph is keyed off that view. It
+// returns the cache key the applied graph shares with a plain solve of it and
+// the one member of the round that solves it: the applied graph, with the
+// view staged for it, under the request's params and overrides; its cell is
+// set on admission. The base is never modified.
+func (s *Server) resolveMutation(req *MutateRequest, params mec.Params) (*solveTask, string, error) {
 	base, ok := s.graphs.Get(req.Base)
 	if !ok {
-		return nil, ErrUnknownBase
+		return nil, "", ErrUnknownBase
 	}
 	applied := base.Clone()
 	if err := req.Delta.Apply(applied); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if applied.NumNodes() == 0 {
-		return nil, fmt.Errorf("%w: delta removes every node", ErrBadRequest)
+		return nil, "", fmt.Errorf("%w: delta removes every node", ErrBadRequest)
 	}
 	if err := s.cfg.Limits.check(applied); err != nil {
-		return nil, fmt.Errorf("mutated graph: %w", err)
+		return nil, "", fmt.Errorf("mutated graph: %w", err)
 	}
 	a, err := s.sess.Apply(base, req.Delta, applied, core.DeltaOptions{})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	fp, err := a.Fingerprint()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return &mutation{req: req, key: cacheKey(fp, params, req.UserOverrides), solveTask: &solveTask{
+	return &solveTask{
+		mutate: req,
 		user:   userInputOf(&SolveRequest{Graph: applied, UserOverrides: req.UserOverrides}),
 		params: params, pkey: paramsDigest(params), fp: fp, mult: 1, applied: a,
-	}}, nil
+	}, cacheKey(fp, params, req.UserOverrides), nil
 }
 
 // mutate is /v1/mutate behind handle. Its resolve step decodes the body and
 // resolves the mutation; from the applied graph's cache key on it is the
-// solve lifecycle, except that the leader journals its recMutate and runs
-// its round of one through solveRound inline instead of joining a batcher
-// round. Its cell makes identical concurrent mutates — and a /v1/solve of
-// the same graph and params — run once.
+// solve lifecycle, except that the leader runs its round of one through
+// runRound inline instead of joining a batcher round. Its cell makes
+// identical concurrent mutates — and a /v1/solve of the same graph and
+// params — run once.
 func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte) error {
 	req, err := DecodeMutateBody(body, s.cfg.Limits)
 	if err != nil {
@@ -193,7 +187,7 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	if err != nil {
 		return err
 	}
-	m, err := s.resolveMutation(req, params)
+	t, key, err := s.resolveMutation(req, params)
 	if err != nil {
 		return err
 	}
@@ -201,20 +195,21 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	// is still cached: answer without solving. The applied graph is
 	// re-interned so chained mutations keep resolving even if the solve
 	// that populated the cache happened before a restart. An intern that
-	// inserts is journaled, so replay re-interns it too; the common warm
-	// path, graph still interned, never journals.
-	if ent, ok := s.lookup(m.key); ok {
-		if _, interned := s.graphs.Get(m.fp); !interned {
-			release := s.journalMutate(m)
-			s.graphs.GetOrPut(m.fp, m.applied.Graph)
-			release()
+	// inserts is journaled as the round of one it replays as, so replay
+	// re-interns it too; the common warm path, graph still interned, never
+	// journals.
+	if ent, ok := s.lookup(key); ok {
+		if _, interned := s.graphs.Get(t.fp); !interned {
+			_, seg, ok := s.journal([]*solveTask{t}, nil)
+			s.graphs.GetOrPut(t.fp, t.applied.Graph)
+			s.release(seg, ok)
 		}
 		s.st.mutateHits.Add(1)
-		writeJSON(w, http.StatusOK, mutateResponseFor(req, m.fp, ent.dec, nil, true, false))
+		writeJSON(w, http.StatusOK, mutateResponseFor(req, t.fp, ent.dec, nil, true, false))
 		return nil
 	}
 
-	p, leader, err := s.admit(m.key, nil)
+	p, leader, err := s.admit(key, nil)
 	if err != nil {
 		return err
 	}
@@ -223,44 +218,21 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 		// Accepted work no longer depends on its client: followers may be
 		// attached, so a hang-up must not cancel the solve. Parked across
 		// it: an inline round joins no batcher round and must not hold the
-		// ones /v1/solve traffic is forming open. The record is released
-		// after the round's finish, failed or not.
-		m.p = p
+		// ones /v1/solve traffic is forming open.
+		t.p = p
 		s.park()
-		release := s.journalMutate(m)
-		s.solveRound(context.WithoutCancel(ctx), []*solveTask{m.solveTask})
-		release()
+		s.runRound(context.WithoutCancel(ctx), []*solveTask{t}, nil)
 		s.unpark()
-		if m.staged() {
-			staged = m.applied
+		if t.staged() {
+			staged = t.applied
 		}
 	}
 	dec, err := s.await(ctx, p, leader)
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, mutateResponseFor(req, m.fp, dec, staged, false, !leader))
+	writeJSON(w, http.StatusOK, mutateResponseFor(req, t.fp, dec, staged, false, !leader))
 	return nil
-}
-
-// journalMutate appends m's request to the journal as a recMutate and
-// returns the call that releases it; with no journal, or when the append
-// fails, there is nothing to release.
-func (s *Server) journalMutate(m *mutation) (release func()) {
-	journal := s.cfg.Journal
-	if journal == nil {
-		return func() {}
-	}
-	rec, err := encodeMutate(m.req, m.params)
-	var seg uint64
-	if err == nil {
-		seg, err = journal.Append(rec)
-	}
-	if err != nil {
-		s.journalFailed(err)
-		return func() {}
-	}
-	return func() { journal.Applied(seg) }
 }
 
 // mutateResponseFor assembles the wire form of one mutate outcome. staged

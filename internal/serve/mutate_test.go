@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -285,23 +286,23 @@ func TestMutateRecordRoundTripPreservesIdentity(t *testing.T) {
 	// applied graph gets.
 	s := newTestServer(t, Config{})
 	s.graphs.GetOrPut(req.Base, base)
-	live, err := s.resolveMutation(req, params)
+	live, liveKey, err := s.resolveMutation(req, params)
 	if err != nil {
 		t.Fatalf("resolve live: %v", err)
 	}
-	replay, err := s.resolveMutation(got, gotParams)
+	replay, replayKey, err := s.resolveMutation(got, gotParams)
 	if err != nil {
 		t.Fatalf("resolve replay: %v", err)
 	}
-	if replay.key != live.key || replay.fp != live.fp {
-		t.Fatalf("replayed identity (%s, %s) != live identity (%s, %s)", replay.key, replay.fp, live.key, live.fp)
+	if replayKey != liveKey || replay.fp != live.fp {
+		t.Fatalf("replayed identity (%s, %s) != live identity (%s, %s)", replayKey, replay.fp, liveKey, live.fp)
 	}
 	wantKey, wantFp, err := requestKey(&SolveRequest{Graph: live.applied.Graph, UserOverrides: req.UserOverrides}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.key != wantKey || live.fp != wantFp {
-		t.Fatalf("mutate identity (%s, %s) != solve identity (%s, %s)", live.key, live.fp, wantKey, wantFp)
+	if liveKey != wantKey || live.fp != wantFp {
+		t.Fatalf("mutate identity (%s, %s) != solve identity (%s, %s)", liveKey, live.fp, wantKey, wantFp)
 	}
 }
 
@@ -482,7 +483,8 @@ func TestJournalReplayMatchesLiveMutate(t *testing.T) {
 // TestMutateNeverJournaledAheadOfItsBase: a graph becomes a /v1/mutate base
 // only when its round is dispatched, after that round's record, so a mutate
 // naming a graph whose first solve is still queued answers 404 and writes
-// nothing; once the round runs, the same mutate is journaled behind it.
+// nothing; once the round runs, the same mutate is journaled behind it, as a
+// round whose one member is its recMutate.
 func TestMutateNeverJournaledAheadOfItsBase(t *testing.T) {
 	jr := newFakeJournal()
 	s := newTestServer(t, Config{Journal: jr})
@@ -508,8 +510,15 @@ func TestMutateNeverJournaledAheadOfItsBase(t *testing.T) {
 	}
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
-	if len(jr.appends) != 2 || jr.appends[0][0] != recRound || jr.appends[1][0] != recMutate {
-		t.Fatalf("journal holds %d records, want the round then the mutate", len(jr.appends))
+	if len(jr.appends) != 2 || jr.appends[0][0] != recRound {
+		t.Fatalf("journal holds %d records, want the solve's round then the mutate's", len(jr.appends))
+	}
+	rec := jr.appends[1]
+	if len(rec) < 5 || rec[0] != recRound || binary.LittleEndian.Uint32(rec[1:]) != 1 {
+		t.Fatalf("the mutate's record is not a round of one")
+	}
+	if member, rest, ok := readChunk(rec[5:]); !ok || len(rest) != 0 || len(member) < 5 || member[4] != recMutate {
+		t.Fatalf("the mutate's round does not hold one recMutate member")
 	}
 }
 

@@ -17,13 +17,13 @@
 // their resolve step (body → request, params, cache key, fingerprint; a
 // mutate also applies its delta to a clone of the base): handle, lookup,
 // admit (follower attach → draining check → start → cell registration under
-// the flight-table lock), finish (cache fill → flight removal → wake) and
-// fail (the only error → HTTP status mapping). A solve leader joins a
-// batcher round; a mutate leader runs a round of one inline. Every round,
-// live or replayed, is solved by solveRound. The journal is written where
-// the work is decided, never at admission: dispatchRound appends each round
-// as the batcher closed it and a mutate leader its mutation, both before
-// solving, each record released after its last finish.
+// the flight-table lock), settle (cache fill), wake (flight removal → wakeup)
+// and fail (the only error → HTTP status mapping). A solve leader joins a
+// batcher round; a mutate leader runs a round of one inline. Every live
+// round goes through runRound, which journals it as one record before
+// solving — where the work is decided, never at admission — and releases
+// the record after its last settle and before its first wake; every round,
+// live or replayed, is solved by solveRound.
 //
 // Every keyed table is one map under one mutex and every counter a plain
 // atomic (DESIGN.md §10). A cached decision reflects the contention of the
@@ -120,8 +120,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Limits bounds decoded graphs (zero = package defaults).
 	Limits DecodeLimits
-	// Journal, when non-nil, receives every solve round, as the batcher
-	// closed it, and every mutation as a write-ahead record before it is
+	// Journal, when non-nil, receives every round — a batcher's solve round,
+	// a mutate leader's round of one — as a write-ahead record before it is
 	// solved, making answered work crash-durable (see durability.go). Nil
 	// keeps serving purely in-memory.
 	Journal Journal
@@ -683,13 +683,6 @@ func (s *Server) publish(key string, dec *Decision) error {
 	return nil
 }
 
-// journalFailed counts a record the journal did not take; its work is served
-// anyway: durability degrades, availability does not.
-func (s *Server) journalFailed(err error) {
-	s.st.journalErrors.Add(1)
-	s.logf("serve: journal append: %v", err)
-}
-
 // userInputOf is the solver's view of one request.
 func userInputOf(req *SolveRequest) core.UserInput {
 	return core.UserInput{
@@ -813,28 +806,55 @@ func (s *Server) await(ctx context.Context, p *pending, leader bool) (*Decision,
 	return p.dec, nil
 }
 
-// dispatchRound is the batcher's dispatch, the one place a round is
+// dispatchRound is the batcher's dispatch, the one place a solve round is
 // decided: each task's live multiplicity is read once, capped at MaxBatch, so
-// singleflight followers count toward the round's k. With a journal the round
-// is appended as one recRound before it is solved (write-ahead) and released
-// after its last finish, failed cells included: a poison round must not
-// replay at every boot.
+// singleflight followers count toward the round's k. The round then runs
+// through runRound on the dispatcher's reused record buffer.
 func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 	for _, t := range round {
 		t.mult = min(int(t.p.mult.Load()), s.b.maxBatch)
 	}
-	if s.cfg.Journal != nil {
-		s.roundRec = appendRound(s.roundRec[:0], round)
-		if seg, err := s.cfg.Journal.Append(s.roundRec); err != nil {
-			s.journalFailed(err)
-		} else {
-			defer s.cfg.Journal.Applied(seg)
-		}
-		if cap(s.roundRec) > maxPooledBody {
-			s.roundRec = nil // a round of large graphs must not stay pinned
-		}
+	s.roundRec = s.runRound(ctx, round, s.roundRec)
+}
+
+// runRound journals and solves a live round, a batcher's or a mutate
+// leader's round of one: the round is appended as one recRound before it is
+// solved (write-ahead), and released once its last decision is cached and
+// before any of its cells wakes, failed cells included — a poison round must
+// not replay at every boot, and a reply implies its record is released. buf
+// is scratch for the record; runRound returns it grown, for reuse.
+func (s *Server) runRound(ctx context.Context, round []*solveTask, buf []byte) []byte {
+	buf, seg, ok := s.journal(round, buf)
+	s.solveRound(ctx, round, func() { s.release(seg, ok) })
+	return buf
+}
+
+// journal appends round to the journal as one recRound built in buf, and
+// returns buf and the record's token for release. ok is false — nothing to
+// release — with no journal, or when the record fails to encode or append.
+func (s *Server) journal(round []*solveTask, buf []byte) (_ []byte, seg uint64, ok bool) {
+	if s.cfg.Journal == nil {
+		return buf, 0, false
 	}
-	s.solveRound(ctx, round)
+	buf, err := appendRound(buf[:0], round)
+	if err == nil {
+		seg, err = s.cfg.Journal.Append(buf)
+	}
+	if cap(buf) > maxPooledBody {
+		buf = nil // a round of large graphs must not stay pinned
+	}
+	if err != nil { // served anyway: durability degrades, availability does not
+		s.st.journalErrors.Add(1)
+		s.logf("serve: journal append: %v", err)
+	}
+	return buf, seg, err == nil
+}
+
+// release hands a journaled record back for snapshot truncation.
+func (s *Server) release(seg uint64, ok bool) {
+	if ok {
+		s.cfg.Journal.Applied(seg)
+	}
 }
 
 // solveRound solves a round as dispatchRound fixed it, as a mutate leader
@@ -847,8 +867,9 @@ func (s *Server) dispatchRound(ctx context.Context, round []*solveTask) {
 // params digest (first-appearance order) into one batch item each, all
 // solved by one Session.BatchSolve bounded by DefaultSolveTimeout, bit for
 // bit what per-group Solve calls would give. Each task expands into mult
-// identical users, which share the representative's decision.
-func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
+// identical users, which share the representative's decision. Every cell is
+// settled before release runs and woken after it.
+func (s *Server) solveRound(ctx context.Context, round []*solveTask, release func()) {
 	groups := make(map[string][]*solveTask)
 	var order []string
 	var applied []*core.Applied
@@ -904,7 +925,7 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
 				if t.applied != nil {
 					s.st.mutateErrors.Add(1)
 				}
-				s.finish(t.p, nil, r.Err)
+				s.settle(t.p, nil, r.Err)
 				continue
 			}
 			if t.staged() {
@@ -915,27 +936,29 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask) {
 					s.st.coldFallbacks.Add(1)
 				}
 			}
-			s.finish(t.p, decisionFor(t.fp, r.Solution, reps[gi][i], len(items[gi].Users)), nil)
+			s.settle(t.p, decisionFor(t.fp, r.Solution, reps[gi][i], len(items[gi].Users)), nil)
 		}
+	}
+	release()
+	for _, t := range round { // after the cache fill: no moment exists where neither table covers a key
+		s.flight.remove(t.p.key)
+		close(t.p.done)
+		s.accepted.Done()
 	}
 }
 
-// finish publishes an accepted cell's result — a round's, a mutate
-// leader's or a replayed record's: cache fill first (a decision that does
-// not render fails the cell as a bad request instead), then removal from the
-// singleflight table (so no moment exists where neither covers the key),
-// then the wakeup. The record's writer releases it after finish, so a
-// snapshot that sees its segment applied sees the decision.
-func (s *Server) finish(p *pending, dec *Decision, err error) {
+// settle publishes an accepted cell's result to the solution cache (a
+// decision that does not render fails the cell as a bad request instead) but
+// wakes no one: solveRound releases the round's record after its last settle
+// — a snapshot that sees its segment applied sees the decision — and only
+// then removes the round's cells from the singleflight table and wakes them.
+func (s *Server) settle(p *pending, dec *Decision, err error) {
 	if dec != nil {
 		if perr := s.publish(p.key, dec); perr != nil {
 			dec, err = nil, fmt.Errorf("%w: decision not representable: %v", ErrBadRequest, perr)
 		}
 	}
-	s.flight.remove(p.key)
 	p.dec, p.err = dec, err
-	close(p.done)
-	s.accepted.Done()
 }
 
 // decisionFor extracts user u's decision from a solved round of n users;
