@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"copmecs/internal/graph"
+	"copmecs/internal/serve"
 )
 
 // postMutate sends one mutate body through the router and returns status
@@ -85,8 +86,17 @@ func TestRouterMutateRoutingAndAffinity(t *testing.T) {
 	}
 	// A well-formed fingerprint no backend holds surfaces the backend's 404.
 	unknown := fmt.Sprintf(`{"base":%q,"delta":{}}`, strings.Repeat("0", 64))
-	if st, _ := postMutate(t, ts.URL, unknown); st != http.StatusNotFound {
-		t.Errorf("unknown base: status %d, want 404", st)
+	resp, err = http.Post(ts.URL+"/v1/mutate", "application/json", strings.NewReader(unknown))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eresp map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
+		t.Fatalf("unknown base: decode reply: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get(serve.OutcomeHeader) != "unknown_base" {
+		t.Errorf("unknown base: status %d outcome %q, want 404 unknown_base", resp.StatusCode, resp.Header.Get(serve.OutcomeHeader))
 	}
 
 	doc := routerStats(t, ts.URL)
@@ -98,5 +108,12 @@ func TestRouterMutateRoutingAndAffinity(t *testing.T) {
 	if doc.Router.AffinityHits < chain {
 		t.Errorf("affinity hits = %d, want ≥ %d", doc.Router.AffinityHits, chain)
 	}
+	// The fleet section carries the backends' mutate sections: every chained
+	// mutate led its round over a staged view, and the unknown base is a 404.
+	if inc := doc.Fleet.Incremental; inc.Mutates != chain+2 || inc.DeltaSolves != chain+1 || doc.Fleet.BadRequests != 1 {
+		t.Errorf("fleet mutates %d delta_solves %d bad_requests %d, want %d %d 1",
+			inc.Mutates, inc.DeltaSolves, doc.Fleet.BadRequests, chain+2, chain+1)
+	}
+	checkFleetBooks(t, doc.Fleet)
 	_ = rt
 }

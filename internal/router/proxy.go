@@ -19,13 +19,16 @@ import (
 type attemptResult struct {
 	idx      int // position in the replica list (0 = owner)
 	status   int
-	ctype    string
+	header   http.Header // the backend's; Content-Type and serve.OutcomeHeader are forwarded
 	body     []byte
 	b        *backend
 	err      error // transport/read failure; nil on any HTTP response
 	canceled bool  // err caused by our own context cancel (hedge loser)
 	began    time.Time
 }
+
+// forwardedHeaders are the backend reply headers a proxied reply carries.
+var forwardedHeaders = [...]string{"Content-Type", serve.OutcomeHeader}
 
 // errorJSON renders the router's own error responses in the backends'
 // {"error": ...} shape so clients see one vocabulary.
@@ -83,8 +86,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, arr
 	if res.status == http.StatusOK && onOK != nil {
 		onOK(res)
 	}
-	if res.ctype != "" {
-		w.Header().Set("Content-Type", res.ctype)
+	for _, k := range forwardedHeaders {
+		if v := res.header[k]; v != nil {
+			w.Header()[k] = v
+		}
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
@@ -259,7 +264,7 @@ func (rt *Router) attempt(ctx context.Context, b *backend, idx int, path string,
 		return
 	}
 	res.status = resp.StatusCode
-	res.ctype = resp.Header.Get("Content-Type")
+	res.header = resp.Header
 	res.body = rb
 	out <- res
 }

@@ -158,6 +158,14 @@ func TestRouterStickyRoutingAndFleetStats(t *testing.T) {
 	if doc.Fleet.Latency.Count != 2*corpus {
 		t.Fatalf("merged latency count = %d, want %d", doc.Fleet.Latency.Count, 2*corpus)
 	}
+	checkFleetBooks(t, doc.Fleet)
+	if doc.Fleet.BodyHits != corpus || doc.Fleet.CacheMisses != corpus || doc.Fleet.DrainRejects != 0 {
+		t.Fatalf("fleet body hits / misses / drain rejects = %d/%d/%d, want %d/%d/0",
+			doc.Fleet.BodyHits, doc.Fleet.CacheMisses, doc.Fleet.DrainRejects, corpus, corpus)
+	}
+	if hit, miss := doc.Fleet.LatencyByClass["hit"].Count, doc.Fleet.LatencyByClass["miss"].Count; hit != corpus || miss != corpus {
+		t.Fatalf("fleet latency by class hit/miss = %d/%d, want %d each", hit, miss, corpus)
+	}
 	// With 16 random fingerprints over 2 members, both sides of the ring
 	// must have seen traffic, and the forwards must sum to the requests
 	// (no hedges, no failovers).
@@ -182,6 +190,38 @@ func TestRouterStickyRoutingAndFleetStats(t *testing.T) {
 		if _, ok := ownerOf(ring, fingerprintOf(t, makeBody(i))); !ok {
 			t.Fatalf("body %d has no owner", i)
 		}
+	}
+
+	// The backend's outcome header reaches the client through the router.
+	resp, err := http.Post(front.URL+"/v1/solve", "application/json", strings.NewReader(makeBody(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(serve.OutcomeHeader); got != "body_hit" {
+		t.Fatalf("%s through the router = %q, want body_hit", serve.OutcomeHeader, got)
+	}
+}
+
+// checkFleetBooks asserts that a quiescent fleet's books balance: the
+// summed outcomes equal the summed arrivals, and every outcome has one
+// merged latency observation.
+func checkFleetBooks(t *testing.T, f FleetStatus) {
+	t.Helper()
+	var answered uint64
+	for e := range f.Outcomes {
+		for _, n := range f.Outcomes[e] {
+			answered += n
+		}
+	}
+	if arrivals := f.Requests + f.Incremental.Mutates; answered != arrivals {
+		t.Errorf("fleet outcomes sum to %d, arrivals %d: %+v", answered, arrivals, f)
+	}
+	if f.Latency.Count != answered {
+		t.Errorf("fleet latency count %d, outcomes %d", f.Latency.Count, answered)
+	}
+	if f.CacheHits+f.CacheMisses+f.Deduped != f.Solved {
+		t.Errorf("fleet hits %d + misses %d + deduped %d != solved %d", f.CacheHits, f.CacheMisses, f.Deduped, f.Solved)
 	}
 }
 

@@ -114,37 +114,45 @@ type RouterStatus struct {
 	Backends []BackendStatus `json:"backends"`
 }
 
-// FleetStatus is the "fleet" section: the backends' own serving counters
-// summed across every member that answered its stats fetch, with latency
-// histograms merged bucket-wise (all backends share the serve package's
-// bucket bounds).
+// FleetStatus is the "fleet" section: the backends' stats documents that
+// answered the fetch, added by serve.Stats.Add — arrivals and outcomes
+// summed, latency histograms merged bucket-wise (all backends share the
+// serve package's bucket bounds) — and every request-fate field derived
+// from the sum, as each backend derives its own.
 type FleetStatus struct {
 	// BackendsReporting is how many backends answered the stats fetch.
 	BackendsReporting int `json:"backends_reporting"`
-	// Requests sums backend /v1/solve arrivals.
-	Requests uint64 `json:"requests"`
-	// Solved sums backend 200 responses.
-	Solved uint64 `json:"solved"`
-	// BadRequests sums backend 400 responses.
-	BadRequests uint64 `json:"bad_requests"`
-	// Shed sums backend full-queue 429 responses.
-	Shed uint64 `json:"shed"`
-	// RateLimited sums backend admission-cap 429 responses.
-	RateLimited uint64 `json:"rate_limited"`
-	// Deduped sums requests collapsed onto in-flight twins.
-	Deduped uint64 `json:"deduped"`
-	// SolveErrors sums backend 500 responses.
-	SolveErrors uint64 `json:"solve_errors"`
-	// Timeouts sums backend 504 responses.
-	Timeouts uint64 `json:"timeouts"`
+	// Fate sums the backends' flat request-fate fields.
+	serve.Fate
 	// CacheHits sums backend solution-cache hits.
 	CacheHits uint64 `json:"cache_hits"`
 	// CacheMisses sums backend solution-cache misses.
 	CacheMisses uint64 `json:"cache_misses"`
 	// BodyHits sums backend raw-body digest fast-path hits.
 	BodyHits uint64 `json:"body_hits"`
+	// Incremental is the backends' /v1/mutate sections summed.
+	Incremental serve.IncrementalStats `json:"incremental"`
 	// Latency is the bucket-wise merge of the backends' histograms.
 	Latency serve.HistogramSnapshot `json:"latency_ms"`
+	// Outcomes sums the backends' outcome arrays.
+	Outcomes serve.Outcomes `json:"outcomes"`
+	// LatencyByClass merges the backends' per-class histograms.
+	LatencyByClass map[string]serve.HistogramSnapshot `json:"latency_by_class"`
+}
+
+// fleetOf renders the sum of n backends' stats documents.
+func fleetOf(n int, sum *serve.Stats) FleetStatus {
+	return FleetStatus{
+		BackendsReporting: n,
+		Fate:              sum.Fate,
+		CacheHits:         sum.Cache.Hits,
+		CacheMisses:       sum.Cache.Misses,
+		BodyHits:          sum.Cache.BodyHits,
+		Incremental:       sum.Incremental,
+		Latency:           sum.Latency,
+		Outcomes:          sum.Outcomes,
+		LatencyByClass:    sum.LatencyByClass,
+	}
 }
 
 // StatsDocument is the full GET /v1/stats response of the router: its own
@@ -245,46 +253,8 @@ func (rt *Router) fetchStats(ctx context.Context, b *backend) (json.RawMessage, 
 	return raw, nil
 }
 
-// mergeFleet folds one backend's decoded stats into the fleet aggregate.
-// Histograms merge bucket-wise only while every snapshot shares the same
-// bucket count (always true within one fleet generation); a mismatched
-// backend still contributes its counters.
-func mergeFleet(f *FleetStatus, s *serve.Stats) {
-	f.BackendsReporting++
-	f.Requests += s.Requests
-	f.Solved += s.Solved
-	f.BadRequests += s.BadRequests
-	f.Shed += s.Shed
-	f.RateLimited += s.RateLimited
-	f.Deduped += s.Deduped
-	f.SolveErrors += s.SolveErrors
-	f.Timeouts += s.Timeouts
-	f.CacheHits += s.Cache.Hits
-	f.CacheMisses += s.Cache.Misses
-	f.BodyHits += s.Cache.BodyHits
-	if len(f.Latency.Buckets) == 0 {
-		f.Latency.Buckets = append([]serve.HistogramBucket(nil), s.Latency.Buckets...)
-		f.Latency.Count = s.Latency.Count
-		f.Latency.MeanMs = s.Latency.MeanMs
-		return
-	}
-	if len(s.Latency.Buckets) != len(f.Latency.Buckets) {
-		return
-	}
-	// Weighted mean, then cumulative bucket sums (identical LE bounds).
-	total := f.Latency.Count + s.Latency.Count
-	if total > 0 {
-		f.Latency.MeanMs = (f.Latency.MeanMs*float64(f.Latency.Count) +
-			s.Latency.MeanMs*float64(s.Latency.Count)) / float64(total)
-	}
-	f.Latency.Count = total
-	for i := range f.Latency.Buckets {
-		f.Latency.Buckets[i].Count += s.Latency.Buckets[i].Count
-	}
-}
-
 // handleStats serves the fleet-wide stats document: backend stats are
-// fetched concurrently (bounded by statsTimeout each), merged, and
+// fetched concurrently (bounded by statsTimeout each), added, and
 // returned next to the router's own sections. Unreachable backends are
 // simply absent from the fleet aggregate — their probe state in the
 // router section tells the story.
@@ -295,6 +265,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	doc := StatsDocument{BackendStats: make(map[string]json.RawMessage, len(rt.backends))}
+	var sum serve.Stats
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, b := range rt.backends {
@@ -312,10 +283,11 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
 			defer mu.Unlock()
 			doc.BackendStats[b.name] = raw
-			mergeFleet(&doc.Fleet, &s)
+			sum.Add(&s)
 		}(b)
 	}
 	wg.Wait()
+	doc.Fleet = fleetOf(len(doc.BackendStats), &sum)
 	doc.Router = rt.routerStatus()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -12,7 +12,8 @@ import (
 
 // Batching defaults (overridable via Config).
 const (
-	// DefaultMaxBatch is the largest solve round the batcher assembles.
+	// DefaultMaxBatch is the most cells a solve round holds, and the cap on
+	// each cell's multiplicity.
 	DefaultMaxBatch = 16
 	// DefaultBatchWait is the longest a round waits for a request the server
 	// already holds (still reading or decoding) to join it.

@@ -45,7 +45,7 @@ const (
 	recAccepted uint8 = 1 // one accepted solve: a round member, or a legacy round of one on its own
 	recDecision uint8 = 2 // snapshot: one cached decision
 	recGraph    uint8 = 3 // snapshot: one interned graph
-	recCounters uint8 = 4 // snapshot: monotonic traffic counters
+	recCounters uint8 = 4 // snapshot: the outcome array
 	recMutate   uint8 = 5 // one accepted mutate: a round member, or a legacy round of one on its own
 	recRound    uint8 = 6 // journal: one round, its members and their multiplicities
 )
@@ -371,28 +371,24 @@ func decodeDecisionRecord(payload []byte) (string, *Decision, error) {
 	return string(key), &dec, nil
 }
 
-// counterSnapshot is the JSON body of a recCounters record: the
-// monotonic traffic counters that survive a restart, so /v1/stats
-// reports service history rather than process history.
+// counterSnapshot is the JSON body of a recCounters record: the outcome
+// array, so /v1/stats reports service history rather than process history.
+// Each endpoint's arrivals restore as the sum of its outcomes, so the books
+// balance after a restart; a request in flight at the snapshot is in
+// neither. The flat fields are the record as written before outcomes
+// existed, only read.
 type counterSnapshot struct {
-	Requests    uint64 `json:"requests"`
-	Solved      uint64 `json:"solved"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	BodyHits    uint64 `json:"body_hits"`
-	Deduped     uint64 `json:"deduped"`
+	Outcomes  *Outcomes `json:"outcomes,omitempty"`
+	Solved    uint64    `json:"solved,omitempty"`
+	CacheHits uint64    `json:"cache_hits,omitempty"`
+	BodyHits  uint64    `json:"body_hits,omitempty"`
+	Deduped   uint64    `json:"deduped,omitempty"`
 }
 
-// encodeCountersRecord renders the traffic counters as a snapshot payload.
+// encodeCountersRecord renders the outcome array as a snapshot payload.
 func encodeCountersRecord(c *counters) ([]byte, error) {
-	body, err := json.Marshal(counterSnapshot{
-		Requests:    c.requests.Load(),
-		Solved:      c.solved.Load(),
-		CacheHits:   c.cacheHits.Load(),
-		CacheMisses: c.cacheMisses.Load(),
-		BodyHits:    c.bodyHits.Load(),
-		Deduped:     c.deduped.Load(),
-	})
+	o := c.tally()
+	body, err := json.Marshal(counterSnapshot{Outcomes: &o})
 	if err != nil {
 		return nil, fmt.Errorf("serve: encode counters record: %w", err)
 	}
@@ -409,19 +405,37 @@ func restoreCountersRecord(payload []byte, c *counters) error {
 	if err := json.Unmarshal(payload[1:], &snap); err != nil {
 		return fmt.Errorf("serve: counters record: %w", err)
 	}
-	c.requests.Add(snap.Requests)
-	c.solved.Add(snap.Solved)
-	c.cacheHits.Add(snap.CacheHits)
-	c.cacheMisses.Add(snap.CacheMisses)
-	c.bodyHits.Add(snap.BodyHits)
-	c.deduped.Add(snap.Deduped)
+	o := snap.Outcomes
+	if o == nil {
+		o = snap.legacy()
+	}
+	for e := range o {
+		for x, n := range o[e] {
+			c.outcomes[e][x].Add(n)
+			c.arrivals[e].Add(n)
+		}
+	}
 	return nil
+}
+
+// legacy maps a record written before the outcome array onto it: its 200s,
+// as the solve endpoint's body_hit, hit, dedup and solved. What it did not
+// attribute to a reply — failures, and which endpoint a hit or dedup was —
+// is not restored.
+func (snap *counterSnapshot) legacy() *Outcomes {
+	var o Outcomes
+	row := &o[solveEndpoint]
+	row[outBodyHit] = snap.BodyHits
+	row[outHit] = max(snap.CacheHits, snap.BodyHits) - snap.BodyHits
+	row[outDedup] = snap.Deduped
+	row[outSolved] = max(snap.Solved, snap.CacheHits+snap.Deduped) - snap.CacheHits - snap.Deduped
+	return &o
 }
 
 // WriteSnapshotRecords streams the server's warm state — interned graphs
 // first (so decisions restore against canonical instances), then cached
 // decisions oldest-to-newest (so re-putting them on load reproduces LRU
-// recency), then the traffic counters — through add, one record per
+// recency), then the outcome array — through add, one record per
 // call. It is safe to run concurrently with serving: each table is
 // copied under its lock and encoded outside it.
 func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {

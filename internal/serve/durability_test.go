@@ -731,12 +731,14 @@ func TestNonFiniteDecisionIsRejectedAndNeverCached(t *testing.T) {
 
 func TestCountersRecordRoundTrip(t *testing.T) {
 	var c counters
-	c.requests.Add(7)
-	c.solved.Add(5)
-	c.cacheHits.Add(3)
-	c.cacheMisses.Add(2)
-	c.bodyHits.Add(1)
-	c.deduped.Add(4)
+	c.outcomes[solveEndpoint][outBodyHit].Add(1)
+	c.outcomes[solveEndpoint][outHit].Add(2)
+	c.outcomes[solveEndpoint][outSolved].Add(3)
+	c.outcomes[solveEndpoint][outShed].Add(4)
+	c.outcomes[mutateEndpoint][outDelta].Add(5)
+	c.outcomes[mutateEndpoint][outError].Add(6)
+	c.arrivals[solveEndpoint].Add(11) // one still in flight: it restores in neither
+	c.arrivals[mutateEndpoint].Add(11)
 	rec, err := encodeCountersRecord(&c)
 	if err != nil {
 		t.Fatalf("encodeCountersRecord: %v", err)
@@ -745,12 +747,34 @@ func TestCountersRecordRoundTrip(t *testing.T) {
 	if err := restoreCountersRecord(rec, &fresh); err != nil {
 		t.Fatalf("restoreCountersRecord: %v", err)
 	}
-	if fresh.requests.Load() != 7 || fresh.solved.Load() != 5 || fresh.cacheHits.Load() != 3 ||
-		fresh.cacheMisses.Load() != 2 || fresh.bodyHits.Load() != 1 || fresh.deduped.Load() != 4 {
-		t.Fatal("restored counters do not match")
+	for e := range fresh.outcomes {
+		for x := range fresh.outcomes[e] {
+			if got, want := fresh.outcomes[e][x].Load(), c.outcomes[e][x].Load(); got != want {
+				t.Errorf("%s %s = %d, want %d", endpointNames[e], outcomeNames[x], got, want)
+			}
+		}
+	}
+	if fresh.arrivals[solveEndpoint].Load() != 10 || fresh.arrivals[mutateEndpoint].Load() != 11 {
+		t.Errorf("arrivals %d/%d, want 10/11 (each endpoint's outcomes summed)",
+			fresh.arrivals[solveEndpoint].Load(), fresh.arrivals[mutateEndpoint].Load())
 	}
 	if err := restoreCountersRecord([]byte{recCounters, '{'}, &fresh); err == nil {
 		t.Fatal("truncated counters record accepted")
+	}
+
+	// A record in the format written before the outcome array restores its
+	// 200s: solved 8 = 3 hits (1 by body digest) + 2 deduped + 3 solved.
+	legacy := append([]byte{recCounters},
+		`{"requests":9,"solved":8,"cache_hits":3,"cache_misses":4,"body_hits":1,"deduped":2}`...)
+	s := newTestServer(t, Config{})
+	if rs := s.Recover(context.Background(), [][]byte{legacy}, nil); rs.DecodeErrors != 0 {
+		t.Fatalf("legacy counters record: %+v", rs)
+	}
+	st := s.Stats()
+	if st.Requests != 8 || st.Solved != 8 || st.Cache.Hits != 3 || st.Cache.BodyHits != 1 ||
+		st.Deduped != 2 || st.Cache.Misses != 3 {
+		t.Errorf("legacy restore: requests %d solved %d hits %d body_hits %d deduped %d misses %d, want 8 8 3 1 2 3",
+			st.Requests, st.Solved, st.Cache.Hits, st.Cache.BodyHits, st.Deduped, st.Cache.Misses)
 	}
 }
 

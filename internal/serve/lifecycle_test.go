@@ -20,7 +20,7 @@ import (
 
 // gateEngine is the spectral engine behind two switches: while hold is
 // set every cut parks (announcing itself on entered) until release is
-// closed, and while fail is set every cut errors.
+// closed, and while fail is set every cut errors, a held one once released.
 type gateEngine struct {
 	hold, fail *atomic.Bool
 	entered    chan struct{}
@@ -38,9 +38,6 @@ func newGateEngine() gateEngine {
 func (e gateEngine) Name() string { return "gate" }
 
 func (e gateEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, sides []int32) ([]int32, []int32, int, error) {
-	if e.fail.Load() {
-		return nil, nil, 0, errors.New("gate engine: induced failure")
-	}
 	if e.hold.Load() {
 		e.entered <- struct{}{}
 		select {
@@ -48,6 +45,9 @@ func (e gateEngine) Bisect(ctx context.Context, off, tgt []int32, w []float64, s
 		case <-ctx.Done():
 			return nil, nil, 0, ctx.Err()
 		}
+	}
+	if e.fail.Load() { // read after the hold: a held cut fails if fail was set while it waited
+		return nil, nil, 0, errors.New("gate engine: induced failure")
 	}
 	return core.SpectralEngine{}.Bisect(ctx, off, tgt, w, sides)
 }
@@ -151,11 +151,12 @@ func TestConcurrentIdenticalMutatesRunOnce(t *testing.T) {
 	go func() { status <- tryPostJSON(f.url+"/v1/mutate", f.body, &leader) }()
 	<-f.eng.entered // the leader is parked; its cell is registered
 	go func() { status <- tryPostJSON(f.url+"/v1/mutate", f.body, &follower) }()
-	waitFor(t, "the twin mutate to attach", func() bool { return f.s.Stats().Deduped == before.Deduped+1 })
+	key := cacheKey(fingerprintOf(t, f.mutated), f.s.cfg.Params, UserOverrides{})
+	waitFor(t, "the twin mutate to attach", func() bool { return cellMult(f.s, key) == 2 })
 	// A plain solve of the same mutated graph shares the cell too.
 	twin := solveBody(t, f.mutated)
 	go func() { status <- tryPostJSON(f.url+"/v1/solve", twin, &solved) }()
-	waitFor(t, "the solve to attach", func() bool { return f.s.Stats().Deduped == before.Deduped+2 })
+	waitFor(t, "the solve to attach", func() bool { return cellMult(f.s, key) == 3 })
 	close(f.eng.release)
 	for i := 0; i < 3; i++ {
 		if st := <-status; st != http.StatusOK {
@@ -237,43 +238,62 @@ func TestFailedMutateReleasesItsJournalRecord(t *testing.T) {
 	}
 }
 
+// TestFailMapsEverySentinel drives handle with every serving error: each
+// answers its status, Retry-After hint and outcome header, and bumps exactly
+// one outcome — the 500s included — and the flat field it feeds.
 func TestFailMapsEverySentinel(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct {
 		err        error
 		status     int
 		retryAfter bool
+		outcome    string
 		counter    func(Stats) uint64
 	}{
-		{ErrBadRequest, http.StatusBadRequest, false, func(st Stats) uint64 { return st.BadRequests }},
-		{fmt.Errorf("%w: %w: 9 nodes", ErrBadRequest, ErrTooLarge), http.StatusBadRequest, false, func(st Stats) uint64 { return st.BadRequests }},
-		{ErrTooLarge, http.StatusBadRequest, false, func(st Stats) uint64 { return st.BadRequests }},
-		{ErrNoGraph, http.StatusBadRequest, false, func(st Stats) uint64 { return st.BadRequests }},
-		{ErrUnknownBase, http.StatusNotFound, false, func(st Stats) uint64 { return st.BadRequests }},
-		{ErrShed, http.StatusTooManyRequests, true, func(st Stats) uint64 { return st.Shed }},
-		{errRateLimited, http.StatusTooManyRequests, true, func(st Stats) uint64 { return st.RateLimited }},
-		{ErrDraining, http.StatusServiceUnavailable, true, func(st Stats) uint64 { return st.DrainRejects }},
-		{fmt.Errorf("solve: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, false, func(st Stats) uint64 { return st.Timeouts }},
-		{errors.New("engine exploded"), http.StatusInternalServerError, false, nil},
-		{context.Canceled, http.StatusInternalServerError, false, nil},
+		{ErrBadRequest, http.StatusBadRequest, false, "bad_request", func(st Stats) uint64 { return st.BadRequests }},
+		{fmt.Errorf("%w: %w: 9 nodes", ErrBadRequest, ErrTooLarge), http.StatusBadRequest, false, "bad_request", func(st Stats) uint64 { return st.BadRequests }},
+		{ErrTooLarge, http.StatusBadRequest, false, "bad_request", func(st Stats) uint64 { return st.BadRequests }},
+		{ErrNoGraph, http.StatusBadRequest, false, "bad_request", func(st Stats) uint64 { return st.BadRequests }},
+		{ErrUnknownBase, http.StatusNotFound, false, "unknown_base", func(st Stats) uint64 { return st.BadRequests }},
+		{errMethod, http.StatusMethodNotAllowed, false, "method", nil},
+		{ErrShed, http.StatusTooManyRequests, true, "shed", func(st Stats) uint64 { return st.Shed }},
+		{errRateLimited, http.StatusTooManyRequests, true, "rate_limited", func(st Stats) uint64 { return st.RateLimited }},
+		{ErrDraining, http.StatusServiceUnavailable, true, "draining", func(st Stats) uint64 { return st.DrainRejects }},
+		{fmt.Errorf("solve: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, false, "timeout", func(st Stats) uint64 { return st.Timeouts }},
+		{errors.New("engine exploded"), http.StatusInternalServerError, false, "error", func(st Stats) uint64 { return st.SolveErrors }},
+		{context.Canceled, http.StatusInternalServerError, false, "error", func(st Stats) uint64 { return st.SolveErrors }},
 	}
 	for _, c := range cases {
-		var before uint64
-		if c.counter != nil {
-			before = c.counter(s.Stats())
-		}
+		before := s.Stats()
 		rec := httptest.NewRecorder()
-		s.fail(rec, c.err)
+		s.handle(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader("{}")), solveEndpoint, nil,
+			func(context.Context, []byte) (reply, error) { return reply{}, c.err })
 		if rec.Code != c.status {
 			t.Errorf("fail(%v) = %d, want %d", c.err, rec.Code, c.status)
 		}
 		if got := rec.Header().Get("Retry-After"); (got == "1") != c.retryAfter {
 			t.Errorf("fail(%v): Retry-After %q, want set = %v", c.err, got, c.retryAfter)
 		}
-		if c.counter != nil && c.counter(s.Stats()) != before+1 {
+		if got := rec.Header().Get(OutcomeHeader); got != c.outcome {
+			t.Errorf("fail(%v): %s %q, want %q", c.err, OutcomeHeader, got, c.outcome)
+		}
+		after := s.Stats()
+		if c.counter != nil && c.counter(after) != c.counter(before)+1 {
 			t.Errorf("fail(%v) did not bump its counter", c.err)
 		}
+		var bumped []string
+		for e := range after.Outcomes {
+			for x := range after.Outcomes[e] {
+				if n := after.Outcomes[e][x] - before.Outcomes[e][x]; n != 0 {
+					bumped = append(bumped, fmt.Sprintf("%s/%s+%d", endpointNames[e], outcomeNames[x], n))
+				}
+			}
+		}
+		if want := "solve/" + c.outcome + "+1"; len(bumped) != 1 || bumped[0] != want {
+			t.Errorf("fail(%v) bumped %v, want [%s]", c.err, bumped, want)
+		}
 	}
+	checkBooks(t, s)
 }
 
 // TestMutateGraphFieldMatchesSolveFingerprint: a mutate keys its applied
@@ -384,13 +404,13 @@ func TestMutateGraphFieldMatchesSolveFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := mutateBody(t, r5.Graph, d7)
-	before := s.Stats()
 	var leader, follower MutateResponse
 	status := make(chan int, 2)
 	go func() { status <- tryPostJSON(ts.URL+"/v1/mutate", body, &leader) }()
 	<-eng.entered
 	go func() { status <- tryPostJSON(ts.URL+"/v1/mutate", body, &follower) }()
-	waitFor(t, "the twin mutate to attach", func() bool { return s.Stats().Deduped == before.Deduped+1 })
+	key := cacheKey(fingerprintOf(t, g7), s.cfg.Params, UserOverrides{})
+	waitFor(t, "the twin mutate to attach", func() bool { return cellMult(s, key) == 2 })
 	eng.hold.Store(false)
 	close(eng.release)
 	for i := 0; i < 2; i++ {

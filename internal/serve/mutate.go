@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 
 	"copmecs/internal/core"
 	"copmecs/internal/graph"
@@ -178,18 +177,18 @@ func (s *Server) resolveMutation(req *MutateRequest, params mec.Params) (*solveT
 // runRound inline instead of joining a batcher round. Its cell makes
 // identical concurrent mutates — and a /v1/solve of the same graph and
 // params — run once.
-func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte) error {
+func (s *Server) mutate(ctx context.Context, body []byte) (reply, error) {
 	req, err := DecodeMutateBody(body, s.cfg.Limits)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
 	params, err := s.paramsFor(req.Params)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
 	t, key, err := s.resolveMutation(req, params)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
 	// A repeat mutation (same base, same delta, same params) whose decision
 	// is still cached: answer without solving. The applied graph is
@@ -198,21 +197,20 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 	// inserts is journaled as the round of one it replays as, so replay
 	// re-interns it too; the common warm path, graph still interned, never
 	// journals.
-	if ent, ok := s.lookup(key); ok {
+	if ent, ok := s.cache.Get(key); ok {
 		if _, interned := s.graphs.Get(t.fp); !interned {
 			_, seg, ok := s.journal([]*solveTask{t}, nil)
 			s.graphs.GetOrPut(t.fp, t.applied.Graph)
 			s.release(seg, ok)
 		}
-		s.st.mutateHits.Add(1)
-		writeJSON(w, http.StatusOK, mutateResponseFor(req, t.fp, ent.dec, nil, true, false))
-		return nil
+		return reply{o: outHit, v: mutateResponseFor(req, t.fp, ent.dec, nil, true, false)}, nil
 	}
 
 	p, leader, err := s.admit(key, nil)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
+	o := outDedup
 	var staged *core.Applied
 	if leader {
 		// Accepted work no longer depends on its client: followers may be
@@ -223,16 +221,19 @@ func (s *Server) mutate(ctx context.Context, w http.ResponseWriter, body []byte)
 		s.park()
 		s.runRound(context.WithoutCancel(ctx), []*solveTask{t}, nil)
 		s.unpark()
+		o = outSolved
 		if t.staged() {
-			staged = t.applied
+			staged, o = t.applied, outDelta
+			if staged.Stats().ColdFallback {
+				o = outColdFallback
+			}
 		}
 	}
-	dec, err := s.await(ctx, p, leader)
+	dec, err := s.await(ctx, p)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
-	writeJSON(w, http.StatusOK, mutateResponseFor(req, t.fp, dec, staged, false, !leader))
-	return nil
+	return reply{o: o, v: mutateResponseFor(req, t.fp, dec, staged, false, !leader)}, nil
 }
 
 // mutateResponseFor assembles the wire form of one mutate outcome. staged

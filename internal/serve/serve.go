@@ -15,10 +15,11 @@
 //
 // One request lifecycle serves both POST endpoints, which differ only in
 // their resolve step (body → request, params, cache key, fingerprint; a
-// mutate also applies its delta to a clone of the base): handle, lookup,
-// admit (follower attach → draining check → start → cell registration under
-// the flight-table lock), settle (cache fill), wake (flight removal → wakeup)
-// and fail (the only error → HTTP status mapping). A solve leader joins a
+// mutate also applies its delta to a clone of the base): handle (which
+// records each request's one outcome), the cache check, admit (follower
+// attach → draining check → start → cell registration under the
+// flight-table lock), settle (cache fill), wake (flight removal → wakeup) and
+// outcomeOf (the only error → outcome mapping). A solve leader joins a
 // batcher round; a mutate leader runs a round of one inline. Every live
 // round goes through runRound, which journals it as one record before
 // solving — where the work is decided, never at admission — and releases
@@ -76,6 +77,8 @@ var (
 	// errRateLimited is the resolution of a request over the MaxQPS cap;
 	// mapped to 429 like ErrShed but counted apart from it.
 	errRateLimited = errors.New("serve: rate limit exceeded")
+	// errMethod is the resolution of a request that is not a POST; 405.
+	errMethod = errors.New("POST only")
 )
 
 // Config tunes a Server. The zero value serves with the spectral engine,
@@ -98,7 +101,9 @@ type Config struct {
 	Params mec.Params
 	// Workers bounds per-round solver parallelism (0 = GOMAXPROCS).
 	Workers int
-	// MaxBatch caps the users per solve round (≤ 0 = DefaultMaxBatch).
+	// MaxBatch caps the cells per solve round and each cell's live
+	// multiplicity, so a round holds at most MaxBatch² users (≤ 0 =
+	// DefaultMaxBatch).
 	MaxBatch int
 	// BatchWait bounds a round's wait for a request already at the server
 	// (still reading or decoding) to join it (≤ 0 = DefaultBatchWait). A
@@ -375,7 +380,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // Stats snapshots the server's counters for /v1/stats. Every counter is
 // read individually and atomically; no lock covers the snapshot, so a
 // concurrent storm skews related counters against each other at most by
-// the requests in flight during the scan.
+// the requests in flight during the scan. The request-fate fields are sums
+// over the outcome array (Stats.derive).
 func (s *Server) Stats() Stats {
 	var durability *DurabilityStats
 	if s.cfg.Journal != nil || s.cfg.DurabilityStats != nil {
@@ -387,23 +393,12 @@ func (s *Server) Stats() Stats {
 		d.Replay = s.recovery.Load()
 		durability = &d
 	}
-	return Stats{
-		Durability:   durability,
-		Requests:     s.st.requests.Load(),
-		Solved:       s.st.solved.Load(),
-		BadRequests:  s.st.badRequests.Load(),
-		Shed:         s.st.shed.Load(),
-		RateLimited:  s.st.rateLimited.Load(),
-		DrainRejects: s.st.drainRejects.Load(),
-		Deduped:      s.st.deduped.Load(),
-		SolveErrors:  s.st.solveErrors.Load(),
-		Timeouts:     s.st.timeouts.Load(),
-		InFlight:     s.st.inFlight.Load(),
-		Draining:     s.draining.Load(),
+	st := Stats{
+		Fate:       Fate{Requests: s.st.arrivals[solveEndpoint].Load()},
+		Durability: durability,
+		InFlight:   s.st.inFlight.Load(),
+		Draining:   s.draining.Load(),
 		Cache: CacheStats{
-			Hits:      s.st.cacheHits.Load(),
-			Misses:    s.st.cacheMisses.Load(),
-			BodyHits:  s.st.bodyHits.Load(),
 			Size:      s.cache.Len(),
 			Capacity:  s.cache.Capacity(),
 			Evictions: s.cache.Evictions(),
@@ -416,12 +411,8 @@ func (s *Server) Stats() Stats {
 			Pipelines: s.sess.CachedGraphs(),
 		},
 		Incremental: IncrementalStats{
-			Mutates:           s.st.mutates.Load(),
-			CacheHits:         s.st.mutateHits.Load(),
-			DeltaSolves:       s.st.deltaSolves.Load(),
-			ColdFallbacks:     s.st.coldFallbacks.Load(),
+			Mutates:           s.st.arrivals[mutateEndpoint].Load(),
 			LanczosItersSaved: s.st.lanczosItersSaved.Load(),
-			Errors:            s.st.mutateErrors.Load(),
 		},
 		Batch: BatchStats{
 			Rounds:      s.st.batches.Load(),
@@ -432,8 +423,14 @@ func (s *Server) Stats() Stats {
 			EarlyCloses: s.b.earlyCloses.Load(),
 			QueueDepth:  s.b.depth(),
 		},
-		Latency: s.st.lat.snapshot(),
+		Outcomes:       s.st.tally(),
+		LatencyByClass: make(map[string]HistogramSnapshot, nClass),
 	}
+	for c, name := range classNames {
+		st.LatencyByClass[name] = s.st.lat[c].snapshot()
+	}
+	st.derive()
+	return st
 }
 
 // Handler returns the service mux: POST /v1/solve, POST /v1/mutate,
@@ -562,40 +559,67 @@ const maxPooledBody = 1 << 20
 
 // handleSolve serves POST /v1/solve (see solve).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.handle(w, r, &s.st.requests, s.limiter, s.solve)
+	s.handle(w, r, solveEndpoint, s.limiter, s.solve)
 }
 
 // handleMutate serves POST /v1/mutate (see mutate).
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	s.handle(w, r, &s.st.mutates, nil, s.mutate)
+	s.handle(w, r, mutateEndpoint, nil, s.mutate)
+}
+
+// reply is one answer handle writes: its outcome, and either the
+// pre-rendered bytes of a cache hit or the value to encode.
+type reply struct {
+	o   outcome
+	hit []byte
+	v   any
 }
 
 // handle is the entry wrapper both POST endpoints share: arrival and
-// in-flight accounting, the latency observation, the method check, the
-// rate cap (limiter is nil for endpoints without one) and the pooled,
-// size-capped body read. serve answers the request itself on success and
-// returns the error to answer with otherwise; ctx is the request's, and
-// body is only valid until serve returns.
-func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *atomic.Uint64, limiter *rateLimiter,
-	serve func(ctx context.Context, w http.ResponseWriter, body []byte) error) {
+// in-flight accounting, the method check, the rate cap (limiter is nil for
+// endpoints without one), the pooled, size-capped body read, and the reply.
+// serve returns the reply on success and the error to answer with
+// otherwise; ctx is the request's, and body is only valid until serve
+// returns. A request records exactly one outcome, with its latency, on the
+// way out; the outcome also sets the reply's OutcomeHeader, its status and
+// its Retry-After hint — the one place a serving error becomes either.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep int, limiter *rateLimiter,
+	serve func(ctx context.Context, body []byte) (reply, error)) {
 	start := time.Now()
-	arrivals.Add(1)
+	s.st.arrivals[ep].Add(1)
 	s.st.inFlight.Add(1)
+	rep := reply{o: outError} // what a panic below is booked as
 	defer func() {
-		s.st.lat.Observe(time.Since(start))
+		s.st.record(ep, rep.o, time.Since(start))
 		s.st.inFlight.Add(-1)
 		s.b.nudge() // one request fewer an open round could be waiting for
 	}()
-
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+	rep, err := s.answer(w, r, limiter, serve)
+	if err != nil {
+		rep = reply{o: outcomeOf(err), v: ErrorResponse{Error: err.Error()}}
 	}
-	// The rate cap is checked before the body is even read: shedding excess
-	// offered load must not cost a body copy, a hash or a decode.
+	status := outcomeStatus[rep.o]
+	w.Header()[OutcomeHeader] = outcomeHeaders[rep.o]
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	}
+	if rep.hit != nil {
+		writeHit(w, rep.hit)
+	} else {
+		writeJSON(w, status, rep.v)
+	}
+}
+
+// answer is handle's way to a reply: the method check, then the rate cap —
+// shedding excess offered load must not cost a body copy, a hash or a
+// decode — then the body, then serve.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, limiter *rateLimiter,
+	serve func(ctx context.Context, body []byte) (reply, error)) (reply, error) {
+	if r.Method != http.MethodPost {
+		return reply{}, errMethod
+	}
 	if !limiter.allow() {
-		s.fail(w, errRateLimited)
-		return
+		return reply{}, errRateLimited
 	}
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -605,39 +629,9 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, arrivals *atomic
 		}
 	}()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)); err != nil {
-		s.fail(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
-		return
+		return reply{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if err := serve(r.Context(), w, buf.Bytes()); err != nil {
-		s.fail(w, err)
-	}
-}
-
-// fail answers a request with err: the one place a serving error becomes
-// an HTTP status, its Retry-After hint and its counter.
-func (s *Server) fail(w http.ResponseWriter, err error) {
-	status, counter := http.StatusInternalServerError, (*atomic.Uint64)(nil)
-	switch {
-	case errors.Is(err, ErrBadRequest), errors.Is(err, ErrTooLarge), errors.Is(err, ErrNoGraph):
-		status, counter = http.StatusBadRequest, &s.st.badRequests
-	case errors.Is(err, ErrUnknownBase):
-		status, counter = http.StatusNotFound, &s.st.badRequests
-	case errors.Is(err, errRateLimited):
-		status, counter = http.StatusTooManyRequests, &s.st.rateLimited
-	case errors.Is(err, ErrShed):
-		status, counter = http.StatusTooManyRequests, &s.st.shed
-	case errors.Is(err, ErrDraining):
-		status, counter = http.StatusServiceUnavailable, &s.st.drainRejects
-	case errors.Is(err, context.DeadlineExceeded):
-		status, counter = http.StatusGatewayTimeout, &s.st.timeouts
-	}
-	if counter != nil {
-		counter.Add(1)
-	}
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", retryAfterSeconds)
-	}
-	writeError(w, status, err.Error())
+	return serve(r.Context(), buf.Bytes())
 }
 
 // paramsFor resolves a request's optional params override against the
@@ -658,17 +652,6 @@ func (s *Server) paramsFor(override *ParamsJSON) (mec.Params, error) {
 type cachedDecision struct {
 	dec *Decision
 	hit []byte
-}
-
-// lookup is the solution-cache check of both endpoints; a hit is counted
-// as a cache hit and as a solved request.
-func (s *Server) lookup(key string) (cachedDecision, bool) {
-	ent, ok := s.cache.Get(key)
-	if ok {
-		s.st.cacheHits.Add(1)
-		s.st.solved.Add(1)
-	}
-	return ent, ok
 }
 
 // publish fills the solution cache with dec and its pre-rendered hit
@@ -701,32 +684,29 @@ func userInputOf(req *SolveRequest) core.UserInput {
 // hashing entirely, and a live solution-cache entry answers with its
 // pre-rendered bytes. Any miss falls through to the full decode, which
 // back-fills the identity for the next repeat.
-func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) error {
+func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 	digest := sha256.Sum256(body)
 	if key, ok := s.bodies.Get(digest); ok {
-		if ent, ok := s.lookup(key); ok {
-			s.st.bodyHits.Add(1)
-			writeHit(w, ent)
-			return nil
+		if ent, ok := s.cache.Get(key); ok {
+			return reply{o: outBodyHit, hit: ent.hit}, nil
 		}
 		// Identity known but the decision was evicted: decode below and
 		// take the solve path (the identity mapping stays valid).
 	}
 	req, err := DecodeSolveBody(body, s.cfg.Limits)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
 	params, err := s.paramsFor(req.Params)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
 	rec := newAcceptedRecord(req.Graph, params, req.UserOverrides)
 	fp := recordFingerprint(rec)
 	key := cacheKey(fp, params, req.UserOverrides)
 	s.bodies.Put(digest, key)
-	if ent, ok := s.lookup(key); ok {
-		writeHit(w, ent)
-		return nil
+	if ent, ok := s.cache.Get(key); ok {
+		return reply{o: outHit, hit: ent.hit}, nil
 	}
 
 	task := &solveTask{
@@ -741,14 +721,16 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, body []byte) 
 		return s.b.enqueue(task)
 	})
 	if err != nil {
-		return err
+		return reply{}, err
 	}
-	dec, err := s.await(ctx, p, leader)
+	dec, err := s.await(ctx, p)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
-	writeJSON(w, http.StatusOK, solveResponseFor(dec, false, !leader))
-	return nil
+	if !leader {
+		return reply{o: outDedup, v: solveResponseFor(dec, false, true)}, nil
+	}
+	return reply{o: outSolved, v: solveResponseFor(dec, false, false)}, nil
 }
 
 // admit runs singleflight attachment and admission control under the
@@ -780,16 +762,10 @@ func (s *Server) admit(key string, start func(*pending) bool) (*pending, bool, e
 	return p, true, nil
 }
 
-// await counts the admitted request as a cache miss (leader) or a dedup
-// (follower), then blocks until its cell resolves or its deadline expires.
-// A client that hangs up gets its context error; the solve still completes
-// and fills the cache for the retry.
-func (s *Server) await(ctx context.Context, p *pending, leader bool) (*Decision, error) {
-	if leader {
-		s.st.cacheMisses.Add(1)
-	} else {
-		s.st.deduped.Add(1)
-	}
+// await blocks until the admitted request's cell resolves or its deadline
+// expires. A client that hangs up gets its context error; the solve still
+// completes and fills the cache for the retry.
+func (s *Server) await(ctx context.Context, p *pending) (*Decision, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	s.park()
@@ -802,7 +778,6 @@ func (s *Server) await(ctx context.Context, p *pending, leader bool) (*Decision,
 	if p.err != nil {
 		return nil, p.err
 	}
-	s.st.solved.Add(1)
 	return p.dec, nil
 }
 
@@ -917,24 +892,15 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask, release fun
 		tasks := groups[pk]
 		r := results[gi]
 		if r.Err != nil {
-			s.st.solveErrors.Add(1)
 			s.logf("serve: round of %d users failed: %v", len(items[gi].Users), r.Err)
 		}
 		for i, t := range tasks {
 			if r.Err != nil {
-				if t.applied != nil {
-					s.st.mutateErrors.Add(1)
-				}
 				s.settle(t.p, nil, r.Err)
 				continue
 			}
 			if t.staged() {
-				ds := t.applied.Stats()
-				s.st.deltaSolves.Add(1)
-				s.st.lanczosItersSaved.Add(uint64(ds.LanczosItersSaved))
-				if ds.ColdFallback {
-					s.st.coldFallbacks.Add(1)
-				}
+				s.st.lanczosItersSaved.Add(uint64(t.applied.Stats().LanczosItersSaved))
 			}
 			s.settle(t.p, decisionFor(t.fp, r.Solution, reps[gi][i], len(items[gi].Users)), nil)
 		}
@@ -1028,10 +994,10 @@ func renderHit(dec *Decision) ([]byte, error) {
 }
 
 // writeHit answers a cache hit with its pre-rendered bytes.
-func writeHit(w http.ResponseWriter, ent cachedDecision) {
+func writeHit(w http.ResponseWriter, hit []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(ent.hit)
+	_, _ = w.Write(hit)
 }
 
 // writeJSON writes v as a JSON response. Encoding failures after the

@@ -291,6 +291,7 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	if err := s.Drain(dctx); err != nil {
 		t.Fatalf("second Drain: %v", err)
 	}
+	checkBooks(t, s)
 }
 
 // TestBatchedContentionMatchesOffline drives dispatchRound directly with

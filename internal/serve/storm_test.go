@@ -99,4 +99,5 @@ func TestStatsSnapshotDuringSolveStorm(t *testing.T) {
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight = %d after the storm settled", st.InFlight)
 	}
+	checkBooks(t, s)
 }
