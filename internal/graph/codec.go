@@ -65,8 +65,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	// Adopt fresh's contents field by field: a struct assignment would
 	// copy the atomics, which must not be moved once published. g takes
-	// fresh's token with its records, so it owns them as fresh did.
-	g.nodes = fresh.nodes
+	// fresh's token with its records, slot ids and map, so it owns them as
+	// fresh did.
+	g.recs, g.ids, g.slot, g.slotOwner = fresh.recs, fresh.ids, fresh.slot, fresh.slotOwner
 	g.edgeCount = fresh.edgeCount
 	g.totalEdgeWeight = fresh.totalEdgeWeight
 	g.nodeList.Store(fresh.nodeList.Load())
@@ -152,7 +153,7 @@ func (g *Graph) addEdgesSorted(es []Edge) error {
 	nbr, w := make([]NodeID, 2*distinct), make([]float64, 2*distinct)
 	off := 0
 	for i, id := range ids {
-		rec, end := g.nodes[id], off+int(deg[i])
+		rec, end := g.rec(id), off+int(deg[i])
 		rec.nbr, rec.w = nbr[off:off:end], w[off:off:end]
 		recs[i], off = rec, end
 	}
@@ -223,7 +224,7 @@ func (g *Graph) BinarySize() int {
 func (g *Graph) AppendBinary(dst []byte) []byte {
 	dst = appendBinaryHeader(dst, g.NumNodes(), g.NumEdges())
 	for _, id := range g.sortedNodes() {
-		dst = appendBinaryNode(dst, id, g.nodes[id].weight)
+		dst = appendBinaryNode(dst, id, g.rec(id).weight)
 	}
 	g.eachEdge(func(u, v NodeID, w float64) { dst = appendBinaryEdge(dst, u, v, w) })
 	return dst
@@ -244,10 +245,10 @@ func (g *Graph) emitBinary(e *binaryEmitter) error {
 	e.header(g.NumNodes(), g.NumEdges())
 	ids := g.sortedNodes()
 	for _, id := range ids {
-		e.node(id, g.nodes[id].weight)
+		e.node(id, g.rec(id).weight)
 	}
 	for _, u := range ids {
-		rec := g.nodes[u]
+		rec := g.rec(u)
 		for i, v := range rec.nbr {
 			if u < v {
 				e.edge(u, v, rec.w[i])

@@ -59,7 +59,7 @@ func Fuse(gs []*Graph) *FusedCSR {
 		ids := g.sortedNodes()
 		c.ids = append(c.ids, ids...)
 		for _, id := range ids {
-			rec := g.nodes[id]
+			rec := g.rec(id)
 			c.nodeW = append(c.nodeW, rec.weight)
 			pos += fillRow(rows.tgt[pos:], rows.wts[pos:], rec, ids, base)
 			off = append(off, int32(pos))

@@ -3,11 +3,14 @@
 // whose weight is its computation amount, and each edge weight is the
 // communication volume between the two incident functions (paper §II).
 //
-// The representation is a node table keyed by NodeID whose records each hold
-// one sorted adjacency row (see nodeRec). Parallel edges are coalesced by
-// summing their weights, matching the paper's model where the edge weight is
-// the total data exchanged between two functions. Self-loops are rejected: a
-// function does not transmit to itself.
+// The representation is a node table — a slice of records, each holding one
+// node's weight and sorted adjacency row (see nodeRec), the id of each slot
+// and a NodeID → slot map — that Clone shares copy-on-write: the records one
+// at a time, the ids and the map whole, so a clone's edits pay only for what
+// they touch. Parallel edges are coalesced by summing their weights, matching
+// the paper's model where the edge weight is the total data exchanged between
+// two functions. Self-loops are rejected: a function does not transmit to
+// itself.
 //
 // All accessors that return collections return fresh copies; callers may
 // mutate the results freely (see "Copy Slices and Maps at Boundaries").
@@ -63,9 +66,9 @@ type nodeRec struct {
 	w      []float64
 	// owner is the token of the Graph that created the record, written once.
 	// A record is written in place only by the graph whose current token it
-	// carries; any other graph holding it (Clone copies the node table, not
-	// the records) first replaces it with a private copy, so clones stay
-	// semantically deep while Clone touches no record.
+	// carries; any other graph holding it (Clone copies the slot slice, not
+	// the records) first replaces it with a private copy in its own slot, so
+	// clones stay semantically deep while Clone touches no record.
 	owner uint64
 }
 
@@ -95,15 +98,32 @@ func (rec *nodeRec) remove(i int) {
 // one it may share with a clone — is first replaced by a private copy of the
 // weight and the row. Returns nil when id is absent.
 func (g *Graph) mutable(id NodeID) *nodeRec {
-	rec, ok := g.nodes[id]
+	i, ok := g.slot[id]
 	if !ok {
 		return nil
 	}
+	rec := g.recs[i]
 	if tok := g.token.Load(); rec.owner != tok {
 		rec = &nodeRec{weight: rec.weight, nbr: slices.Clone(rec.nbr), w: slices.Clone(rec.w), owner: tok}
-		g.nodes[id] = rec
+		g.recs[i] = rec
 	}
 	return rec
+}
+
+// rec returns id's record for reading, nil when id is absent.
+func (g *Graph) rec(id NodeID) *nodeRec {
+	if i, ok := g.slot[id]; ok {
+		return g.recs[i]
+	}
+	return nil
+}
+
+// ownSlots readies the slot ids and the id map for writing, first copying
+// ones g may share with a clone. Only AddNode and RemoveNode write them.
+func (g *Graph) ownSlots() {
+	if tok := g.token.Load(); g.slotOwner != tok {
+		g.ids, g.slot, g.slotOwner = slices.Clone(g.ids), maps.Clone(g.slot), tok
+	}
 }
 
 // tokens issues ownership tokens (see nodeRec.owner): no two graphs ever hold
@@ -114,18 +134,26 @@ var tokens atomic.Uint64
 // construct with New. Graph is not safe for concurrent mutation; concurrent
 // readers are safe once mutation has stopped.
 type Graph struct {
-	nodes           map[NodeID]*nodeRec
+	// recs holds one record per node, in no order readers rely on; ids[i] is
+	// recs[i]'s id and slot maps each id back to i. recs is g's own (Clone
+	// copies it). ids and slot change only with the node set, so clones
+	// share them: like a record, they are written in place only while
+	// slotOwner is g's current token.
+	recs            []*nodeRec
+	ids             []NodeID
+	slot            map[NodeID]int32
+	slotOwner       uint64
 	edgeCount       int
 	totalEdgeWeight float64
 	// nodeList latches the ascending node-id list, the one thing readers
 	// write: nil means stale, AddNode/RemoveNode reset it, and the slice is
-	// never mutated after publication so Clone may share it. The latch is
+	// not written while latched (see sortedNodes) so Clone may share it. The latch is
 	// atomic so that concurrent readers may race to build it.
 	nodeList atomic.Pointer[[]NodeID]
-	// token marks the records g may write in place. Clone gives both graphs
-	// fresh tokens, so every record they then share is copy-on-write for
-	// each. Atomic because Clone is a read under the concurrency contract,
-	// yet re-tokens the graph it copies.
+	// token marks the records, and the slot ids and map, g may write in
+	// place. Clone gives both graphs fresh tokens, so everything they then
+	// share is copy-on-write for each. Atomic because Clone is a read under
+	// the concurrency contract, yet re-tokens the graph it copies.
 	token atomic.Uint64
 }
 
@@ -134,20 +162,21 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	g := &Graph{nodes: make(map[NodeID]*nodeRec, n)}
-	g.token.Store(tokens.Add(1))
+	g := &Graph{recs: make([]*nodeRec, 0, n), ids: make([]NodeID, 0, n), slot: make(map[NodeID]int32, n)}
+	g.slotOwner = tokens.Add(1)
+	g.token.Store(g.slotOwner)
 	return g
 }
 
 // NumNodes reports the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return len(g.recs) }
 
 // NumEdges reports the number of distinct undirected edges.
 func (g *Graph) NumEdges() int { return g.edgeCount }
 
 // HasNode reports whether id is present.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.slot[id]
 	return ok
 }
 
@@ -156,18 +185,21 @@ func (g *Graph) AddNode(id NodeID, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("add node %d: %w", id, ErrNegativeWeight)
 	}
-	if _, ok := g.nodes[id]; ok {
+	if _, ok := g.slot[id]; ok {
 		return fmt.Errorf("add node %d: %w", id, ErrNodeExists)
 	}
-	g.nodes[id] = &nodeRec{weight: weight, owner: g.token.Load()}
+	g.ownSlots()
+	g.slot[id] = int32(len(g.recs))
+	g.ids = append(g.ids, id)
+	g.recs = append(g.recs, &nodeRec{weight: weight, owner: g.token.Load()})
 	g.nodeList.Store(nil)
 	return nil
 }
 
 // NodeWeight returns the computation weight of id.
 func (g *Graph) NodeWeight(id NodeID) (float64, error) {
-	rec, ok := g.nodes[id]
-	if !ok {
+	rec := g.rec(id)
+	if rec == nil {
 		return 0, fmt.Errorf("node weight %d: %w", id, ErrNodeNotFound)
 	}
 	return rec.weight, nil
@@ -254,8 +286,8 @@ func (g *Graph) SetEdge(u, v NodeID, w float64) error {
 
 // EdgeWeight returns the weight of edge {u, v} and whether it exists.
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
-	rec, ok := g.nodes[u]
-	if !ok {
+	rec := g.rec(u)
+	if rec == nil {
 		return 0, false
 	}
 	if i, ok := rec.find(v); ok {
@@ -266,8 +298,8 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 
 // RemoveEdge deletes edge {u, v} if present, reporting whether it existed.
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
-	rec, ok := g.nodes[u]
-	if !ok {
+	rec := g.rec(u)
+	if rec == nil {
 		return false
 	}
 	i, ok := rec.find(v)
@@ -286,50 +318,55 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 
 // RemoveNode deletes id and every incident edge, reporting whether it existed.
 func (g *Graph) RemoveNode(id NodeID) bool {
-	rec, ok := g.nodes[id]
+	i, ok := g.slot[id]
 	if !ok {
 		return false
 	}
-	for i, nb := range rec.nbr {
+	rec := g.recs[i]
+	for k, nb := range rec.nbr {
 		rnb := g.mutable(nb)
 		j, _ := rnb.find(id)
 		rnb.remove(j)
 		g.edgeCount--
-		g.totalEdgeWeight -= rec.w[i]
+		g.totalEdgeWeight -= rec.w[k]
 	}
-	delete(g.nodes, id)
+	g.ownSlots()
+	last := len(g.recs) - 1
+	g.recs[i], g.ids[i] = g.recs[last], g.ids[last]
+	g.slot[g.ids[i]] = i
+	delete(g.slot, id)
+	g.recs[last] = nil
+	g.recs, g.ids = g.recs[:last], g.ids[:last]
 	g.nodeList.Store(nil)
 	return true
 }
 
 // sortedNodes returns the latched ascending node-id list, building it on
 // first use. The returned slice is shared: callers inside the package must
-// not modify it (Nodes copies for external callers). When the ids form one
-// contiguous range, as netgen and the decoders number them, the list is that
-// range and no sort runs.
+// not modify it (Nodes copies for external callers). Slot ids added in
+// ascending order, as netgen and the decoders add them, are the list: it
+// shares their array, which AddNode and RemoveNode write in place only after
+// ownSlots (a clone sharing it copies first) and then reset the latch.
+// Otherwise, when the ids form one contiguous range the list is that range
+// and no sort runs.
 func (g *Graph) sortedNodes() []NodeID {
 	if p := g.nodeList.Load(); p != nil {
 		return *p
 	}
-	ids := make([]NodeID, 0, len(g.nodes))
-	var lo, hi NodeID
-	for id := range g.nodes {
-		if len(ids) == 0 || id < lo {
-			lo = id
+	ids := g.ids[:len(g.ids):len(g.ids)]
+	if !slices.IsSorted(ids) {
+		ids = slices.Clone(ids)
+		lo, hi := slices.Min(ids), slices.Max(ids)
+		// n distinct ids spanning exactly n values are that range. The
+		// unsigned compare keeps a span too wide for int from passing as
+		// dense.
+		if uint(hi-lo) == uint(len(ids)-1) {
+			for i := range ids {
+				ids[i] = lo + NodeID(i)
+			}
+		} else {
+			slices.Sort(ids)
 		}
-		if len(ids) == 0 || id > hi {
-			hi = id
-		}
-		ids = append(ids, id)
-	}
-	// n distinct ids spanning exactly n values are that range. The unsigned
-	// compare keeps a span too wide for int from passing as dense.
-	if n := len(ids); n > 0 && uint(hi-lo) == uint(n-1) {
-		for i := range ids {
-			ids[i] = lo + NodeID(i)
-		}
-	} else {
-		slices.Sort(ids)
 	}
 	g.nodeList.Store(&ids)
 	return ids
@@ -337,7 +374,7 @@ func (g *Graph) sortedNodes() []NodeID {
 
 // Nodes returns all node IDs in ascending order.
 func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, len(g.nodes))
+	ids := make([]NodeID, len(g.recs))
 	copy(ids, g.sortedNodes())
 	return ids
 }
@@ -345,8 +382,8 @@ func (g *Graph) Nodes() []NodeID {
 // Neighbors returns the neighbors of id in ascending order: a fresh copy of
 // the node's row.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	rec, ok := g.nodes[id]
-	if !ok {
+	rec := g.rec(id)
+	if rec == nil {
 		return nil
 	}
 	nbs := make([]NodeID, len(rec.nbr))
@@ -358,7 +395,7 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 // latched node order and the rows, so no sort runs per call.
 func (g *Graph) eachEdge(fn func(u, v NodeID, w float64)) {
 	for _, u := range g.sortedNodes() {
-		rec := g.nodes[u]
+		rec := g.rec(u)
 		for i, v := range rec.nbr {
 			if u < v {
 				fn(u, v, rec.w[i])
@@ -389,7 +426,7 @@ func (g *Graph) AppendEdgeWeights(dst []float64) []float64 {
 func (g *Graph) TotalNodeWeight() float64 {
 	var sum float64
 	for _, id := range g.sortedNodes() {
-		sum += g.nodes[id].weight
+		sum += g.rec(id).weight
 	}
 	return sum
 }
@@ -398,16 +435,20 @@ func (g *Graph) TotalNodeWeight() float64 {
 func (g *Graph) TotalEdgeWeight() float64 { return g.totalEdgeWeight }
 
 // Clone returns a semantically deep copy of g at the cost of one copy of the
-// node table: the per-node records are shared copy-on-write, so the
-// adjacency rows are only duplicated — one node at a time — when either
-// graph later mutates them. Clone touches no record: it gives the clone a
-// fresh token and re-tokens g, which leaves every record owned by neither.
-// Clone counts as a read under the concurrency contract: concurrent Clones
-// (and concurrent readers) of the same graph are safe once mutation has
-// stopped; the token it replaces is atomic.
+// slot slice, 8 bytes a node: the per-node records are shared copy-on-write,
+// so the adjacency rows are only duplicated — one node at a time — when
+// either graph later mutates them, and the slot ids, the id → slot map and
+// the sorted id list are shared until either graph adds or removes a node. Clone touches
+// no record: it gives the clone a fresh token and re-tokens g, which leaves
+// every record, and the ids and map, owned by neither. Clone counts as a read under
+// the concurrency contract: concurrent Clones (and concurrent readers) of
+// the same graph are safe once mutation has stopped; the token it replaces
+// is atomic.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		nodes:           maps.Clone(g.nodes),
+		recs:            slices.Clone(g.recs),
+		ids:             g.ids,
+		slot:            g.slot,
 		edgeCount:       g.edgeCount,
 		totalEdgeWeight: g.totalEdgeWeight,
 	}
@@ -423,9 +464,9 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.NumNodes() != h.NumNodes() || g.NumEdges() != h.NumEdges() {
 		return false
 	}
-	for id, rec := range g.nodes {
-		hrec, ok := h.nodes[id]
-		if !ok || hrec.weight != rec.weight ||
+	for i, rec := range g.recs {
+		hrec := h.rec(g.ids[i])
+		if hrec == nil || hrec.weight != rec.weight ||
 			!slices.Equal(hrec.nbr, rec.nbr) || !slices.Equal(hrec.w, rec.w) {
 			return false
 		}

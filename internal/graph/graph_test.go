@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -290,6 +293,94 @@ func TestCloneIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// sameMap reports whether a and b are one map, not two equal ones.
+func sameMap(a, b map[NodeID]int32) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// TestCloneSharesTheSlotMap holds Clone to one copy of the slot slice, 8
+// bytes a node, on a Table I n = 2000 graph: the slot ids, the id map and
+// the sorted id list are shared. Row and weight edits on the clone leave the
+// map shared; the first AddNode or RemoveNode on either side copies it, and
+// the base stays what a fresh decode of its bytes is.
+func TestCloneSharesTheSlotMap(t *testing.T) {
+	base := tableIShaped(3, 1)
+	n := base.NumNodes()
+	base.sortedNodes() // latched, as a served base's list is after its first fingerprint
+	var enc bytes.Buffer
+	must(base.WriteBinary(&enc))
+	fresh := func() *Graph {
+		g, err := ReadBinary(bytes.NewReader(enc.Bytes()))
+		must(err)
+		return g
+	}
+
+	// ReadMemStats flushes every P's allocation counts, so the window holds
+	// exactly the clones' bytes.
+	var sink *Graph
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const clones = 64
+	for i := 0; i < clones; i++ {
+		sink = base.Clone()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / clones; per > uint64(8*n+1024) {
+		t.Errorf("Clone of n = %d allocates %d bytes, want at most 8n + 1 KB = %d", n, per, 8*n+1024)
+	}
+	if !sameMap(sink.slot, base.slot) {
+		t.Error("Clone copied the slot map")
+	}
+
+	// An edge-only delta, node weights included, writes rows and records only.
+	c := base.Clone()
+	es := base.Edges()
+	d := &Delta{
+		RemoveEdges:    []EdgePair{{U: es[0].U, V: es[0].V}},
+		SetNodeWeights: []NodeDelta{{ID: es[1].U, Weight: 7}},
+		SetEdges:       []EdgeDelta{{U: es[2].U, V: es[2].V, Weight: 3}, {U: es[3].U, V: es[9].V, Weight: 4}},
+	}
+	must(d.Apply(c))
+	if !sameMap(c.slot, base.slot) {
+		t.Error("an edge-only delta copied the clone's slot map")
+	}
+	must(c.Validate())
+
+	// The clone's first node-set change copies the map; the base keeps its own.
+	for name, edit := range map[string]func(*Graph) error{
+		"AddNode": func(g *Graph) error { return g.AddNode(NodeID(n+5), 1) },
+		"RemoveNode": func(g *Graph) error {
+			if !g.RemoveNode(es[4].U) {
+				t.Fatal("RemoveNode of a present node failed")
+			}
+			return nil
+		},
+	} {
+		for _, x := range []*Graph{c, base.Clone()} {
+			shared := sameMap(x.slot, base.slot)
+			must(edit(x))
+			if shared && sameMap(x.slot, base.slot) {
+				t.Errorf("%s wrote the slot map the clone shares with its base", name)
+			}
+			must(x.Validate())
+			if !base.Equal(fresh()) || base.NumNodes() != n {
+				t.Fatalf("%s on a clone changed the base", name)
+			}
+		}
+	}
+
+	// So does the base's: a clone that only edited rows still shares the
+	// base's map until then, and keeps what it had after.
+	r := base.Clone()
+	must(r.SetEdge(es[5].U, es[5].V, 2))
+	must(base.AddNode(NodeID(n+9), 1))
+	if r.HasNode(NodeID(n+9)) || sameMap(r.slot, base.slot) {
+		t.Error("the base's AddNode reached a clone's slot map")
+	}
+	must(r.Validate())
+	must(base.Validate())
 }
 
 func TestEqual(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // deterministic. The paper splits each application's graph into per-component
 // sub-graphs before compressing them in parallel (Algorithm 1, lines 2–4).
 func (g *Graph) Components() [][]NodeID {
-	seen := make(map[NodeID]bool, len(g.nodes))
+	seen := make(map[NodeID]bool, len(g.recs))
 	var comps [][]NodeID
 	for _, start := range g.Nodes() {
 		if seen[start] {
@@ -24,7 +24,7 @@ func (g *Graph) Components() [][]NodeID {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, cur)
-			for _, nb := range g.nodes[cur].nbr {
+			for _, nb := range g.rec(cur).nbr {
 				if !seen[nb] {
 					seen[nb] = true
 					stack = append(stack, nb)
@@ -43,8 +43,8 @@ func (g *Graph) Components() [][]NodeID {
 func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, error) {
 	sub := New(len(keep))
 	for _, id := range keep {
-		rec, ok := g.nodes[id]
-		if !ok {
+		rec := g.rec(id)
+		if rec == nil {
 			return nil, fmt.Errorf("induced subgraph: %w: %d", ErrNodeNotFound, id)
 		}
 		if err := sub.AddNode(id, rec.weight); err != nil {
@@ -52,7 +52,7 @@ func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, error) {
 		}
 	}
 	for _, id := range keep {
-		rec := g.nodes[id]
+		rec := g.rec(id)
 		for i, nb := range rec.nbr {
 			if id < nb && sub.HasNode(nb) {
 				if err := sub.AddEdge(id, nb, rec.w[i]); err != nil {
@@ -89,8 +89,8 @@ type ContractResult struct {
 // connected (the LPA propagation guarantees this); it merges by cluster
 // value regardless.
 func (g *Graph) Contract(cluster map[NodeID]int) (*ContractResult, error) {
-	if len(cluster) != len(g.nodes) {
-		return nil, fmt.Errorf("contract: cluster assigns %d of %d nodes", len(cluster), len(g.nodes))
+	if len(cluster) != len(g.recs) {
+		return nil, fmt.Errorf("contract: cluster assigns %d of %d nodes", len(cluster), len(g.recs))
 	}
 	// Group members per cluster value, deterministically.
 	members := make(map[int][]NodeID)
@@ -113,7 +113,7 @@ func (g *Graph) Contract(cluster map[NodeID]int) (*ContractResult, error) {
 
 	res := &ContractResult{
 		Graph:     New(len(clusterVals)),
-		NodeOf:    make(map[NodeID]NodeID, len(g.nodes)),
+		NodeOf:    make(map[NodeID]NodeID, len(g.recs)),
 		MembersOf: make(map[NodeID][]NodeID, len(clusterVals)),
 	}
 	for i, c := range clusterVals {
@@ -164,7 +164,7 @@ func (g *Graph) CutWeight(side map[NodeID]bool) float64 {
 			}
 		}
 		for _, u := range nodes {
-			rec := g.nodes[u]
+			rec := g.rec(u)
 			su := in[u]
 			for i, v := range rec.nbr {
 				if u < v && su != in[v] {
@@ -175,7 +175,7 @@ func (g *Graph) CutWeight(side map[NodeID]bool) float64 {
 		return cut
 	}
 	for _, u := range nodes {
-		rec := g.nodes[u]
+		rec := g.rec(u)
 		su := side[u]
 		for i, v := range rec.nbr {
 			if u < v && su != side[v] {
@@ -193,7 +193,7 @@ func (g *Graph) CutWeight(side map[NodeID]bool) float64 {
 func (g *Graph) MaxDegreeNode() (id NodeID, ok bool) {
 	best, bestDeg := NodeID(0), -1
 	for _, n := range g.Nodes() {
-		if d := len(g.nodes[n].nbr); d > bestDeg {
+		if d := len(g.rec(n).nbr); d > bestDeg {
 			best, bestDeg = n, d
 		}
 	}
@@ -212,7 +212,7 @@ func (g *Graph) BFSOrder(start NodeID) ([]NodeID, error) {
 	seen := map[NodeID]bool{start: true}
 	order := []NodeID{start}
 	for i := 0; i < len(order); i++ {
-		for _, nb := range g.nodes[order[i]].nbr {
+		for _, nb := range g.rec(order[i]).nbr {
 			if !seen[nb] {
 				seen[nb] = true
 				order = append(order, nb)
@@ -228,13 +228,13 @@ func (g *Graph) DFSOrder(start NodeID) ([]NodeID, error) {
 	if !g.HasNode(start) {
 		return nil, fmt.Errorf("dfs from %d: %w", start, ErrNodeNotFound)
 	}
-	seen := make(map[NodeID]bool, len(g.nodes))
+	seen := make(map[NodeID]bool, len(g.recs))
 	var order []NodeID
 	var visit func(NodeID)
 	visit = func(n NodeID) {
 		seen[n] = true
 		order = append(order, n)
-		for _, nb := range g.nodes[n].nbr {
+		for _, nb := range g.rec(n).nbr {
 			if !seen[nb] {
 				visit(nb)
 			}

@@ -263,29 +263,29 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Error("corrupted total weight accepted")
 	}
 	g = paperFig1(t)
-	g.nodes[1].remove(0) // drops 0 from node 1's row only: asymmetric adjacency
+	g.rec(1).remove(0) // drops 0 from node 1's row only: asymmetric adjacency
 	if err := g.Validate(); err == nil {
 		t.Error("asymmetric adjacency accepted")
 	}
 	g = paperFig1(t)
-	g.nodes[1].w[0] = 99 // mismatched weights
+	g.rec(1).w[0] = 99 // mismatched weights
 	if err := g.Validate(); err == nil {
 		t.Error("mismatched reverse weight accepted")
 	}
 	g = paperFig1(t)
-	g.nodes[0].insert(0, 0, 1) // self-loop
+	g.rec(0).insert(0, 0, 1) // self-loop
 	if err := g.Validate(); err == nil {
 		t.Error("self-loop accepted")
 	}
 	g = paperFig1(t)
-	row := g.nodes[0]
+	row := g.rec(0)
 	row.nbr[0], row.nbr[1] = row.nbr[1], row.nbr[0] // unsorted row
 	row.w[0], row.w[1] = row.w[1], row.w[0]
 	if err := g.Validate(); err == nil {
 		t.Error("unsorted row accepted")
 	}
 	g = paperFig1(t)
-	g.nodes[0].w = g.nodes[0].w[:1] // a neighbor without a weight
+	g.rec(0).w = g.rec(0).w[:1] // a neighbor without a weight
 	if err := g.Validate(); err == nil {
 		t.Error("row with fewer weights than neighbors accepted")
 	}

@@ -254,10 +254,10 @@ func TestDecodedRowsMatchOracleUnderCopyOnWrite(t *testing.T) {
 			}
 			g := decode(src)
 			rows := 0
-			for id, rec := range g.nodes {
+			for i, rec := range g.recs {
 				if cap(rec.nbr) != len(rec.nbr) || cap(rec.w) != len(rec.w) {
 					t.Fatalf("%s: decoded row %d has spare capacity: nbr %d/%d, w %d/%d",
-						name, id, len(rec.nbr), cap(rec.nbr), len(rec.w), cap(rec.w))
+						name, g.ids[i], len(rec.nbr), cap(rec.nbr), len(rec.w), cap(rec.w))
 				}
 				rows += len(rec.nbr)
 			}

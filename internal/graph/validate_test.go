@@ -8,15 +8,24 @@ import (
 // The invariant checkers the package's tests run after every mutation,
 // codec round trip and patch.
 
-// Validate checks the graph's internal invariants: every row strictly
-// ascending with one weight per neighbor, adjacency symmetry with equal
-// weights both ways, no self-loops, consistent edge count, and a consistent
-// total edge weight. Normal mutators
+// Validate checks the graph's internal invariants: slot ids and a slot map
+// that index exactly the records, every row strictly ascending with one weight per
+// neighbor, adjacency symmetry with equal weights both ways, no self-loops,
+// consistent edge count, and a consistent total edge weight. Normal mutators
 // preserve all of these.
 func (g *Graph) Validate() error {
+	if len(g.ids) != len(g.recs) || len(g.slot) != len(g.recs) {
+		return fmt.Errorf("validate: %d slot ids and a slot map of %d for %d records", len(g.ids), len(g.slot), len(g.recs))
+	}
+	for i, id := range g.ids {
+		if j, ok := g.slot[id]; !ok || int(j) != i {
+			return fmt.Errorf("validate: node %d in slot %d, slot map says %d (present %v)", id, i, j, ok)
+		}
+	}
 	// Row shape first: the symmetry pass below searches rows and indexes
 	// their weights, which is only sound on well-formed ones.
-	for u, rec := range g.nodes {
+	for i, rec := range g.recs {
+		u := g.ids[i]
 		if len(rec.nbr) != len(rec.w) {
 			return fmt.Errorf("validate: node %d row holds %d neighbors, %d weights", u, len(rec.nbr), len(rec.w))
 		}
@@ -31,11 +40,12 @@ func (g *Graph) Validate() error {
 	}
 	count := 0
 	var weight float64
-	for u, rec := range g.nodes {
+	for k, rec := range g.recs {
+		u := g.ids[k]
 		for i, v := range rec.nbr {
 			w := rec.w[i]
-			other, ok := g.nodes[v]
-			if !ok {
+			other := g.rec(v)
+			if other == nil {
 				return fmt.Errorf("validate: %w: edge {%d,%d} dangles", ErrNodeNotFound, u, v)
 			}
 			j, ok := other.find(u)

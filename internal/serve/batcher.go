@@ -32,8 +32,9 @@ const (
 // the real concurrent load, not the deduplicated one.
 type pending struct {
 	key  string
-	done chan struct{} // closed exactly once when dec/err are set
+	done chan struct{} // closed exactly once when dec/hit/err are set
 	dec  *Decision
+	hit  []byte // dec's cached:true body, as publish rendered it
 	err  error
 	mult atomic.Int64
 }

@@ -285,13 +285,15 @@ func BenchmarkSolveRequestDecodeSpeedup(b *testing.B) {
 
 // mutateAllocBudgetKB caps the heap bytes one incremental /v1/mutate request
 // allocates inside the server on a Table I n = 2000 graph (≈ 95 edge edits in
-// one or two of its ten components): measured 340 KB, plus 10 %. What is
-// left is the work that is O(n) by shape — the clone's node table, the
+// one or two of its ten components): measured 275–282 KB, plus 10 %. What
+// is left is the work that is O(n) by shape — the clone's slot slice, 8
+// bytes a node (the id map is shared with the base, not re-hashed), the
 // patched view's index arrays, Placement.Remote's map, the remote list — and
 // the dirty components; a clean component's compression, cuts and templates
-// are carried, not rebuilt. Raising it needs a justification in the PR that
-// does it.
-const mutateAllocBudgetKB = 375
+// are carried, not rebuilt, and the reply is written from the decision's
+// rendered hit, not encoded again. Raising it needs a justification in the
+// change that does it.
+const mutateAllocBudgetKB = 310
 
 // captureWriter keeps the last response body in a reused buffer.
 type captureWriter struct {

@@ -484,7 +484,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		case recDecision:
 			key, dec, err := decodeDecisionRecord(payload)
 			if err == nil {
-				err = s.publish(key, dec)
+				_, err = s.publish(key, dec)
 			}
 			if err != nil {
 				rs.DecodeErrors++

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"copmecs/internal/core"
 	"copmecs/internal/graph"
@@ -203,7 +206,7 @@ func (s *Server) mutate(ctx context.Context, body []byte) (reply, error) {
 			s.graphs.GetOrPut(t.fp, t.applied.Graph)
 			s.release(seg, ok)
 		}
-		return reply{o: outHit, v: mutateResponseFor(req, t.fp, ent.dec, nil, true, false)}, nil
+		return reply{o: outHit, body: mutateReply(ent.hit, t.fp, req.Base, core.DeltaStats{}, true, false)}, nil
 	}
 
 	p, leader, err := s.admit(key, nil)
@@ -211,7 +214,7 @@ func (s *Server) mutate(ctx context.Context, body []byte) (reply, error) {
 		return reply{}, err
 	}
 	o := outDedup
-	var staged *core.Applied
+	var ds core.DeltaStats // the pipeline's report, when this request's round ran it
 	if leader {
 		// Accepted work no longer depends on its client: followers may be
 		// attached, so a hang-up must not cancel the solve. Parked across
@@ -223,38 +226,42 @@ func (s *Server) mutate(ctx context.Context, body []byte) (reply, error) {
 		s.unpark()
 		o = outSolved
 		if t.staged() {
-			staged, o = t.applied, outDelta
-			if staged.Stats().ColdFallback {
+			ds, o = t.applied.Stats(), outDelta
+			if ds.ColdFallback {
 				o = outColdFallback
 			}
 		}
 	}
-	dec, err := s.await(ctx, p)
+	hit, err := s.await(ctx, p)
 	if err != nil {
 		return reply{}, err
 	}
-	return reply{o: o, v: mutateResponseFor(req, t.fp, dec, staged, false, !leader)}, nil
+	return reply{o: o, body: mutateReply(hit, t.fp, req.Base, ds, false, !leader)}, nil
 }
 
-// mutateResponseFor assembles the wire form of one mutate outcome. staged
-// is the applied graph whose view this request's round pipelined; nil on a
-// cache hit, for a deduped follower and when the round solved an interned
-// instance of the same graph instead, none of which ran the pipeline here.
-func mutateResponseFor(req *MutateRequest, newFp string, dec *Decision, staged *core.Applied, cached, deduped bool) MutateResponse {
-	resp := MutateResponse{
-		Graph:         newFp,
-		Base:          req.Base,
-		SolveResponse: solveResponseFor(dec, cached, deduped),
+// mutateReply is writeJSON's encoding of one mutate outcome's
+// MutateResponse, rewritten from the decision's rendered hit: fp and base
+// (validated hex), the hit's members after its own graph, the flags and the
+// pipeline's report ds — zero on a cache hit, for a deduped follower and when
+// the round solved an interned instance of the same graph instead.
+func mutateReply(hit []byte, fp, base string, ds core.DeltaStats, cached, deduped bool) [3][]byte {
+	b := make([]byte, 0, len(fp)+len(base)+256)
+	b = append(append(append(b, `{"graph":"`...), fp...), `","base":"`...)
+	b = append(append(b, base...), `",`...)
+	head := len(b)
+	b = strconv.AppendBool(append(appendFlags(b, cached, deduped), `,"incremental":`...), ds.Incremental)
+	b = strconv.AppendBool(append(b, `,"cold_fallback":`...), ds.ColdFallback)
+	if ds.FallbackReason != "" {
+		reason, _ := json.Marshal(ds.FallbackReason) // a string always encodes
+		b = append(append(b, `,"fallback_reason":`...), reason...)
 	}
-	if staged != nil {
-		ds := staged.Stats()
-		resp.Incremental = ds.Incremental
-		resp.ColdFallback = ds.ColdFallback
-		resp.FallbackReason = ds.FallbackReason
-		resp.CleanComponents = ds.CleanComponents
-		resp.DirtyComponents = ds.DirtyComponents
-		resp.TouchedEdges = ds.TouchedEdges
-		resp.LanczosItersSaved = ds.LanczosItersSaved
-	}
-	return resp
+	b = strconv.AppendInt(append(b, `,"clean_components":`...), int64(ds.CleanComponents), 10)
+	b = strconv.AppendInt(append(b, `,"dirty_components":`...), int64(ds.DirtyComponents), 10)
+	b = strconv.AppendInt(append(b, `,"touched_edges":`...), int64(ds.TouchedEdges), 10)
+	b = strconv.AppendInt(append(b, `,"lanczos_iters_saved":`...), int64(ds.LanczosItersSaved), 10)
+	b = append(b, "}\n"...)
+	// The hit's members from "remote" on: a JSON string escapes its quotes,
+	// so the key cannot occur inside the graph member before it.
+	from := bytes.Index(hit, []byte(`"remote":`))
+	return [3][]byte{b[:head:head], hit[from : len(hit)-len(hitTail)], b[head:]}
 }

@@ -41,6 +41,7 @@ import (
 	"net"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -567,12 +568,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.handle(w, r, mutateEndpoint, nil, s.mutate)
 }
 
-// reply is one answer handle writes: its outcome, and either the
-// pre-rendered bytes of a cache hit or the value to encode.
+// reply is one answer handle writes: its outcome, and either a 200 body
+// rendered in pieces, written in order, or the error value to encode.
 type reply struct {
-	o   outcome
-	hit []byte
-	v   any
+	o    outcome
+	body [3][]byte
+	v    any
 }
 
 // handle is the entry wrapper both POST endpoints share: arrival and
@@ -603,8 +604,8 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep int, limiter 
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
-	if rep.hit != nil {
-		writeHit(w, rep.hit)
+	if rep.body[0] != nil {
+		writeBody(w, rep.body)
 	} else {
 		writeJSON(w, status, rep.v)
 	}
@@ -655,15 +656,15 @@ type cachedDecision struct {
 }
 
 // publish fills the solution cache with dec and its pre-rendered hit
-// response, so every subsequent hit writes stored bytes. A decision that
-// does not render (a non-finite float) is not cached.
-func (s *Server) publish(key string, dec *Decision) error {
+// response, so every subsequent hit writes stored bytes, and returns them. A
+// decision that does not render (a non-finite float) is not cached.
+func (s *Server) publish(key string, dec *Decision) ([]byte, error) {
 	hit, err := renderHit(dec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.cache.Put(key, cachedDecision{dec: dec, hit: hit})
-	return nil
+	return hit, nil
 }
 
 // userInputOf is the solver's view of one request.
@@ -688,7 +689,7 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 	digest := sha256.Sum256(body)
 	if key, ok := s.bodies.Get(digest); ok {
 		if ent, ok := s.cache.Get(key); ok {
-			return reply{o: outBodyHit, hit: ent.hit}, nil
+			return reply{o: outBodyHit, body: [3][]byte{ent.hit}}, nil
 		}
 		// Identity known but the decision was evicted: decode below and
 		// take the solve path (the identity mapping stays valid).
@@ -706,7 +707,7 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 	key := cacheKey(fp, params, req.UserOverrides)
 	s.bodies.Put(digest, key)
 	if ent, ok := s.cache.Get(key); ok {
-		return reply{o: outHit, hit: ent.hit}, nil
+		return reply{o: outHit, body: [3][]byte{ent.hit}}, nil
 	}
 
 	task := &solveTask{
@@ -723,14 +724,14 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	dec, err := s.await(ctx, p)
+	hit, err := s.await(ctx, p)
 	if err != nil {
 		return reply{}, err
 	}
 	if !leader {
-		return reply{o: outDedup, v: solveResponseFor(dec, false, true)}, nil
+		return reply{o: outDedup, body: solveReply(hit, true)}, nil
 	}
-	return reply{o: outSolved, v: solveResponseFor(dec, false, false)}, nil
+	return reply{o: outSolved, body: solveReply(hit, false)}, nil
 }
 
 // admit runs singleflight attachment and admission control under the
@@ -763,9 +764,9 @@ func (s *Server) admit(key string, start func(*pending) bool) (*pending, bool, e
 }
 
 // await blocks until the admitted request's cell resolves or its deadline
-// expires. A client that hangs up gets its context error; the solve still
-// completes and fills the cache for the retry.
-func (s *Server) await(ctx context.Context, p *pending) (*Decision, error) {
+// expires, and returns its rendered hit. A client that hangs up gets its
+// context error; the solve still completes and fills the cache for the retry.
+func (s *Server) await(ctx context.Context, p *pending) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	s.park()
@@ -778,7 +779,7 @@ func (s *Server) await(ctx context.Context, p *pending) (*Decision, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	return p.dec, nil
+	return p.hit, nil
 }
 
 // dispatchRound is the batcher's dispatch, the one place a solve round is
@@ -920,7 +921,8 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask, release fun
 // then removes the round's cells from the singleflight table and wakes them.
 func (s *Server) settle(p *pending, dec *Decision, err error) {
 	if dec != nil {
-		if perr := s.publish(p.key, dec); perr != nil {
+		var perr error
+		if p.hit, perr = s.publish(p.key, dec); perr != nil {
 			dec, err = nil, fmt.Errorf("%w: decision not representable: %v", ErrBadRequest, perr)
 		}
 	}
@@ -983,8 +985,9 @@ func solveResponseFor(dec *Decision, cached, deduped bool) SolveResponse {
 
 // renderHit pre-encodes dec's cached=true response at cache-fill time, so
 // every subsequent hit writes stored bytes instead of re-encoding JSON.
-// The bytes match writeJSON's encoder output (trailing newline included).
-// It fails only on a non-finite float, which JSON cannot carry.
+// The bytes match writeJSON's encoder output (trailing newline included);
+// every other reply about dec is rewritten from them (solveReply,
+// mutateReply). It fails only on a non-finite float, which JSON cannot carry.
 func renderHit(dec *Decision) ([]byte, error) {
 	b, err := json.Marshal(solveResponseFor(dec, true, false))
 	if err != nil {
@@ -993,11 +996,31 @@ func renderHit(dec *Decision) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// writeHit answers a cache hit with its pre-rendered bytes.
-func writeHit(w http.ResponseWriter, hit []byte) {
+// hitTail ends every body renderHit returns: the flags a rewrite replaces,
+// SolveResponse's last two members.
+const hitTail = `"cached":true,"deduped":false}` + "\n"
+
+// solveReply is the /v1/solve body of a solved or deduped request, rewritten
+// from the decision's rendered hit: the bytes writeJSON encodes from
+// solveResponseFor(dec, false, deduped).
+func solveReply(hit []byte, deduped bool) [3][]byte {
+	tail := append(appendFlags(make([]byte, 0, len(hitTail)+1), false, deduped), "}\n"...)
+	return [3][]byte{hit[:len(hit)-len(hitTail)], tail}
+}
+
+// appendFlags appends SolveResponse's cached and deduped members.
+func appendFlags(b []byte, cached, deduped bool) []byte {
+	b = strconv.AppendBool(append(b, `"cached":`...), cached)
+	return strconv.AppendBool(append(b, `,"deduped":`...), deduped)
+}
+
+// writeBody answers 200 with a rendered body's pieces.
+func writeBody(w http.ResponseWriter, body [3][]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(hit)
+	for _, b := range body {
+		_, _ = w.Write(b)
+	}
 }
 
 // writeJSON writes v as a JSON response. Encoding failures after the
