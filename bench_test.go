@@ -408,12 +408,12 @@ func BenchmarkSolveAllocs(b *testing.B) {
 }
 
 // batchBenchGraphs generates `count` distinct serving-round graphs.
-func batchBenchGraphs(b *testing.B, count, nodes, comps int) []*graph.Graph {
+func batchBenchGraphs(b *testing.B, count, nodes, edges, comps int) []*graph.Graph {
 	b.Helper()
 	gs := make([]*graph.Graph, count)
 	for i := range gs {
 		g, err := netgen.Generate(netgen.Config{
-			Nodes: nodes, Edges: nodes * 2, Components: comps, Seed: int64(benchSeed + i),
+			Nodes: nodes, Edges: edges, Components: comps, Seed: int64(benchSeed + i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -432,7 +432,7 @@ func batchBenchGraphs(b *testing.B, count, nodes, comps int) []*graph.Graph {
 // so their ratio reads ≈ 1. Workers=1.
 func BenchmarkBatchSolveSmall(b *testing.B) {
 	const rounds = 64
-	gs := batchBenchGraphs(b, rounds, 100, 16)
+	gs := batchBenchGraphs(b, rounds, 100, 200, 16)
 	ctx := context.Background()
 	opts := core.Options{Workers: 1}
 	b.Run("looped/n=100x64", func(b *testing.B) {
@@ -497,6 +497,58 @@ func BenchmarkBatchSolveLarge(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "graphs/sec")
 	})
+}
+
+// BenchmarkBatchRoundWorkersSpeedup measures what the worker pool buys one
+// BatchSolve round: a round shaped like the benchmark's batch_small workload
+// (64 n=100 graphs of 480 edges in 4 components, one item each; the
+// package-level call caches nothing, so every round pipelines all 64) solved
+// at Workers 1 against default Workers, in the same process. The two sides
+// alternate which runs first, each timed alone with a garbage collection
+// outside both windows, and their ratio is speedup_x: every phase of the
+// round — compile, compress and cut, assembly, finish — on the pool against
+// all of it on the caller. scripts/perf_gate.sh floors it at
+// MIN_ROUND_WORKERS_X. It needs two procs to mean anything, so it skips
+// under GOMAXPROCS 1.
+func BenchmarkBatchRoundWorkersSpeedup(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("needs GOMAXPROCS >= 2")
+	}
+	gs := batchBenchGraphs(b, 64, 100, 480, 4)
+	items := make([]core.BatchItem, len(gs))
+	for i, g := range gs {
+		items[i] = core.BatchItem{Users: []core.UserInput{{Graph: g}}}
+	}
+	ctx := context.Background()
+	round := func(opts core.Options) {
+		for _, r := range core.BatchSolve(ctx, items, opts) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+	// One untimed round a side grows the heap and starts the pool's
+	// goroutine stacks, which otherwise land in the first timed rounds.
+	round(core.Options{Workers: 1})
+	round(core.Options{})
+	var serial, pool time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for side := 0; side < 2; side++ {
+			opts, acc := core.Options{Workers: 1}, &serial
+			if (i+side)%2 == 1 {
+				opts, acc = core.Options{}, &pool
+			}
+			runtime.GC()
+			start := time.Now()
+			round(opts)
+			*acc += time.Since(start)
+		}
+	}
+	b.ReportMetric(serial.Seconds()/pool.Seconds(), "speedup_x")
+	b.ReportMetric(float64(serial.Nanoseconds())/float64(b.N), "serial_ns")
+	b.ReportMetric(float64(pool.Nanoseconds())/float64(b.N), "pool_ns")
 }
 
 // BenchmarkAblationBalancedCut contrasts the min-cut and ratio-cut sweep

@@ -25,13 +25,16 @@ type BatchResult struct {
 // bit-for-bit identical to calling Solve once per item (the exactness table
 // enforces this against the map-pipeline oracle); the win is constant-factor:
 // every distinct graph across the whole batch is compiled into its own view
-// and pipelined once, all of them in one runPipeline pass whose worker pool
-// shares one set of scratch, and each is evaluated straight off its view —
-// instead of paying per-call pipeline setup N times.
+// and pipelined once, all of them in one runPipeline pass, and each is
+// evaluated straight off its view — instead of paying per-call pipeline
+// setup N times.
 //
-// With opts.Workers > 1 the round's jobs — one per component, of every
-// graph, each compressing and cutting it — are spread over up to Workers
-// goroutines.
+// With opts.Workers > 1 every phase of the round spreads its units over up
+// to Workers goroutines, each owning its own scratch: compiling one graph,
+// compressing and cutting one component, assembling one graph's templates,
+// then finishing one item (greedy, placements, evaluation). A phase of one
+// unit runs inline on the caller, so a round of one graph and one item
+// spreads only its components.
 func BatchSolve(ctx context.Context, items []BatchItem, opts Options) []BatchResult {
 	return solveItems(ctx, items, opts, nil, nil)
 }

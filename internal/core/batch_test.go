@@ -263,11 +263,15 @@ func TestBatchSolveSessionCache(t *testing.T) {
 	}
 }
 
-// TestBatchSolveParallelCutStageMatchesSerial drives the cut stage's fan-out
-// across jobs — many components, bisection through deep recursion (MaxParts
-// 2, 4, 16), 2 and 8 goroutines pulling jobs — and requires the exact serial
-// answer and the looped-solve answer. Run under -race in CI, this is also the
-// fan-out's data-race probe.
+// TestBatchSolveParallelCutStageMatchesSerial drives the worker pool's
+// fan-out in every phase of a round — compile, the cut stage across jobs
+// (many components, bisection through deep recursion at MaxParts 2, 4, 16),
+// assembly and the per-item finish — at 2 and 8 goroutines, and requires the
+// exact serial answer and the looped-solve answer. The later cases share one
+// graph between items under different Params, put a nil-graph item between
+// live ones (the finish phase runs live items only) and stage a session's
+// applied view beside cold graphs. Run under -race in CI, this is also the
+// pool's data-race probe.
 func TestBatchSolveParallelCutStageMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	g, err := netgen.Generate(netgen.Config{Nodes: 640, Edges: 1280, Components: 64, Seed: 99})
@@ -298,6 +302,95 @@ func TestBatchSolveParallelCutStageMatchesSerial(t *testing.T) {
 			if !batchItemsEqualLooped(t, ctx, items, opts, par) {
 				t.Errorf("MaxParts %d, %d workers: parallel batch diverges from looped solves", maxParts, workers)
 			}
+		}
+	}
+
+	// Two items share g under different Params, and a nil-graph item sits
+	// between live ones.
+	tight := mec.Defaults()
+	tight.ServerCapacity = 40
+	mixed := []BatchItem{
+		{Users: []UserInput{{Graph: g}}},
+		{Users: []UserInput{{Graph: g2}, {}}},
+		{Users: []UserInput{{Graph: g}, {Graph: g2}}, Params: tight},
+		{Users: []UserInput{{Graph: g2}}},
+	}
+	t.Run("mixed", func(t *testing.T) {
+		ser := BatchSolve(ctx, mixed, Options{Workers: 1})
+		if !errors.Is(ser[1].Err, ErrNilGraph) {
+			t.Fatalf("nil-graph item: err %v, want ErrNilGraph", ser[1].Err)
+		}
+		if ser[0].Solution.Stats.GreedyMoves != 0 || ser[2].Solution.Stats.GreedyMoves == 0 {
+			t.Fatalf("greedy moves %d and %d: g's two items must place it apart", ser[0].Solution.Stats.GreedyMoves, ser[2].Solution.Stats.GreedyMoves)
+		}
+		for _, workers := range []int{2, 8} {
+			opts := Options{Workers: workers}
+			par := BatchSolve(ctx, mixed, opts)
+			batchResultsIdentical(t, workers, par, ser)
+			if !batchItemsEqualLooped(t, ctx, mixed, opts, par) {
+				t.Errorf("%d workers: mixed batch diverges from looped solves", workers)
+			}
+		}
+	})
+
+	// Session.BatchSolve stages an applied view beside two cold graphs.
+	t.Run("session", func(t *testing.T) {
+		cold, err := netgen.Generate(netgen.Config{Nodes: 120, Edges: 260, Components: 6, Seed: 101})
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func(workers int) ([]BatchItem, []BatchResult) {
+			s := NewSession(Options{Workers: workers})
+			if _, err := s.Solve(ctx, []UserInput{{Graph: g2}}); err != nil {
+				t.Fatal(err)
+			}
+			e := g2.Edges()[0]
+			d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 3}}}
+			next := g2.Clone()
+			if err := d.Apply(next); err != nil {
+				t.Fatal(err)
+			}
+			a, err := s.Apply(g2, d, next, DeltaOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds := a.Stats(); !ds.Incremental || ds.CleanComponents < 1 {
+				t.Fatalf("applied stats %+v, want incremental with clean components", ds)
+			}
+			items := []BatchItem{
+				{Users: []UserInput{{Graph: next}}},
+				{Users: []UserInput{{Graph: g}, {Graph: next}}},
+				{Users: []UserInput{{Graph: cold}}, Params: tight},
+			}
+			return items, s.BatchSolve(ctx, items, a)
+		}
+		_, ser := round(1)
+		for _, workers := range []int{2, 8} {
+			items, par := round(workers)
+			batchResultsIdentical(t, workers, par, ser)
+			if !batchItemsEqualLooped(t, ctx, items, Options{Workers: workers}, par) {
+				t.Errorf("%d workers: session batch diverges from looped solves", workers)
+			}
+		}
+	})
+}
+
+// batchResultsIdentical requires par to be ser bit for bit, item by item:
+// the same error text or identical solutions.
+func batchResultsIdentical(t *testing.T, workers int, par, ser []BatchResult) {
+	t.Helper()
+	for i := range ser {
+		if (par[i].Err == nil) != (ser[i].Err == nil) {
+			t.Fatalf("%d workers, item %d: par err %v, ser err %v", workers, i, par[i].Err, ser[i].Err)
+		}
+		if ser[i].Err != nil {
+			if par[i].Err.Error() != ser[i].Err.Error() {
+				t.Errorf("%d workers, item %d: err %q, serial %q", workers, i, par[i].Err, ser[i].Err)
+			}
+			continue
+		}
+		if !solutionsIdentical(t, par[i].Solution, ser[i].Solution) {
+			t.Errorf("%d workers, item %d: parallel round diverges from serial", workers, i)
 		}
 	}
 }

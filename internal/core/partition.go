@@ -9,51 +9,71 @@ import (
 	"copmecs/internal/lpa"
 )
 
-// The worker pool. A job is one dirty component: compress it, then split it
-// into at most MaxParts blocks by recursive bisection — pick the heaviest
-// splittable block, bisect it, repeat — an inherently sequential greedy whose
-// choice depends on the previous split's outcome, so one job is serial at any
-// worker count. Parallelism is across jobs, of every graph in the round: a
-// job's block and cut lists are a pure function of (component, options), so
-// they are the same whichever goroutine computes them.
+// The worker pool. A round runs in phases — compile, compress and cut,
+// assembly, finish — each a set of independent units on one pool of up to
+// Options.Workers goroutines, with a barrier between phases. A unit writes
+// only its own slot and reads only what was frozen before its phase began,
+// so every output is the same whichever goroutine ran which unit.
+//
+// The compress-and-cut unit is one dirty component: compress it, then split
+// it into at most MaxParts blocks by recursive bisection — pick the heaviest
+// splittable block, bisect it, repeat — an inherently sequential greedy
+// whose choice depends on the previous split's outcome, so one component is
+// serial at any worker count.
 
-// runJobs runs every job, recording each component's block, cut lists and
-// Lanczos iteration count in its record. Jobs run concurrently up to
-// opts.Workers, each goroutine owning one split workspace and pulling the
-// next job index.
-func runJobs(ctx context.Context, opts Options, jobs []compJob) error {
-	workers := max(1, min(opts.Workers, len(jobs)))
+// parallelFor runs f(w, i) for every i in [0, n) on min(workers, n)
+// goroutines, each pulling the next index; w numbers the goroutine, so f can
+// keep per-worker scratch in a slice indexed by it. With one, the units run
+// inline on the caller, in order, and the first error returns. Otherwise a
+// goroutine stops at its first error, and the lowest-numbered failing
+// goroutine's error is returned.
+func parallelFor(workers, n int, f func(w, i int) error) error {
+	workers = poolSize(workers, n)
+	if workers == 1 {
+		for i := range n {
+			if err := f(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	errs := make([]error, workers)
 	var next atomic.Int64
-	run := func(w int) {
-		sc := &splitScratch{}
-		for errs[w] == nil {
-			k := int(next.Add(1)) - 1
-			if k >= len(jobs) {
-				return
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for errs[w] == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				errs[w] = f(w, i)
 			}
-			errs[w] = runJob(ctx, opts, sc, jobs[k])
-		}
+		}()
 	}
-	if workers == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// poolSize is the number of goroutines parallelFor runs n units on: the
+// length of a phase's per-worker scratch slice.
+func poolSize(workers, n int) int { return max(1, min(workers, n)) }
+
+// runJobs runs every job, recording each component's block, cut lists and
+// Lanczos iteration count in its record, each worker owning one split
+// workspace.
+func runJobs(ctx context.Context, opts Options, jobs []compJob) error {
+	scs := make([]splitScratch, poolSize(opts.Workers, len(jobs)))
+	return parallelFor(opts.Workers, len(jobs), func(w, k int) error {
+		return runJob(ctx, opts, &scs[w], jobs[k])
+	})
 }
 
 // runJob compresses one component — or, under DisableCompression, presents

@@ -93,10 +93,11 @@ type stagedView struct {
 
 // runPipeline is the one pipeline driver: Algorithm 1 compression, the cut
 // stage and template expansion, component by component, one graphPipeline
-// per staged view. Every dirty component of every view is one job of one
-// worker pool; every kernel a job runs is component-local, so each graph's
-// outcome is bit-identical however many graphs share the round and
-// whichever worker ran which job.
+// per staged view. Every dirty component of every view is one job of the
+// worker pool, and then every view one assembly unit of it; every kernel a
+// job runs is component-local and an assembly reads only its own graph's
+// records, so each graph's outcome is bit-identical however many graphs
+// share the round and whichever worker ran which unit.
 //
 // A component of a patched view with a clean predecessor (info.OldCompOf) is
 // that predecessor's record, copied: block, cuts and — unless the patch
@@ -130,17 +131,18 @@ func runPipeline(ctx context.Context, opts Options, in []stagedView) ([]*graphPi
 		return nil, err
 	}
 
-	// Assembly: a graph's templates are its components' groups end to end,
-	// adjacency re-based to the group's offset.
-	var sc expandScratch
-	for k, gp := range out {
+	// Assembly, one unit per graph: a graph's templates are its components'
+	// groups end to end, adjacency re-based to the group's offset.
+	scs := make([]expandScratch, poolSize(opts.Workers, len(out)))
+	return out, parallelFor(opts.Workers, len(out), func(w, k int) error {
+		gp := out[k]
 		comps, ids := gp.view.Components(), gp.view.IDs()
 		shifted := in[k].info != nil && in[k].info.NewToOld != nil
 		total, adj := 0, 0
 		for ci := range gp.comps {
 			cs := &gp.comps[ci]
 			if cs.protos == nil || shifted {
-				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, &sc)
+				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, &scs[w])
 			}
 			total += len(cs.protos)
 			for pi := range cs.protos {
@@ -165,8 +167,8 @@ func runPipeline(ctx context.Context, opts Options, in []stagedView) ([]*graphPi
 				gp.protos = append(gp.protos, pp)
 			}
 		}
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // expandScratch is expandProtos' reusable workspace: the cut index of every

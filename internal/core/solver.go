@@ -40,9 +40,10 @@ type Options struct {
 	// bisection — the "reduce the computational complexity / finer
 	// placement" direction the paper's conclusion points to. 0 means 2.
 	MaxParts int
-	// Workers bounds the number of concurrent per-component jobs, each
-	// compressing and cutting one component (0 = GOMAXPROCS; 1 = serial,
-	// the Fig. 9 "without Spark" mode).
+	// Workers bounds the goroutines of a round's worker pool, which runs
+	// each of its phases — compile a graph, compress and cut a component,
+	// assemble a graph's templates, finish an item — unit by unit
+	// (0 = GOMAXPROCS; 1 = serial, the Fig. 9 "without Spark" mode).
 	Workers int
 }
 
@@ -175,7 +176,9 @@ func solveOne(ctx context.Context, users []UserInput, opts Options, cache *Sessi
 // package-level calls) cannot serve is staged: over the view of the Applied
 // whose Graph it is, carrying that view's clean components, or else over its
 // own freshly compiled view. All of them are pipelined in a single
-// runPipeline pass; each item is then finished independently.
+// runPipeline pass; each item is then finished independently. Compiling,
+// the pipeline's phases and finishing each spread their units — a graph, a
+// component, a graph, an item — over the Options.Workers pool.
 func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Session, applied []*Applied) []BatchResult {
 	res := make([]BatchResult, len(items))
 	if err := ctx.Err(); err != nil {
@@ -189,7 +192,7 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	// Per-item parameters and input checks; a failed item carries its error
 	// and takes no further part in the round.
 	params := make([]mec.Params, len(items))
-	pending := 0
+	var live []int
 	for i, it := range items {
 		p := it.Params
 		if p == (mec.Params{}) {
@@ -207,7 +210,7 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 		}
 		if res[i].Err == nil {
 			params[i] = p
-			pending++
+			live = append(live, i)
 		}
 	}
 
@@ -216,12 +219,8 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	pipelineStart := time.Now()
 	round := make(map[*graph.Graph]*graphPipeline)
 	var uncached []*graph.Graph
-	var staged []stagedView
-	for i, it := range items {
-		if res[i].Err != nil {
-			continue
-		}
-		for _, u := range it.Users {
+	for _, i := range live {
+		for _, u := range items[i].Users {
 			if _, ok := round[u.Graph]; ok {
 				continue
 			}
@@ -229,22 +228,25 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 			round[u.Graph] = gp
 			if gp == nil {
 				uncached = append(uncached, u.Graph)
-				staged = append(staged, stage(u.Graph, applied))
 			}
 		}
 	}
 	if len(uncached) > 0 {
+		// Compile, one unit per uncached graph; no unit fails.
+		staged := make([]stagedView, len(uncached))
+		_ = parallelFor(opts.Workers, len(uncached), func(_, k int) error {
+			staged[k] = stage(uncached[k], applied)
+			return nil
+		})
 		out, err := runPipeline(ctx, opts, staged)
 		if err != nil {
-			// One graph's failure must not poison the round: every pending
+			// One graph's failure must not poison the round: every live
 			// item retries alone and succeeds or fails exactly as its own
 			// solve would.
-			for i := range items {
-				switch {
-				case res[i].Err != nil:
-				case pending == 1:
+			for _, i := range live {
+				if len(live) == 1 {
 					res[i].Err = err
-				default:
+				} else {
 					res[i] = solveItems(ctx, items[i:i+1], opts, cache, applied)[0]
 				}
 			}
@@ -257,22 +259,25 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	}
 	pipelineTime := time.Since(pipelineStart)
 
-	// mark is the evaluator's membership scratch, sized for the largest
-	// graph it will walk.
+	// Finish, one unit per live item, each worker owning the evaluator's
+	// membership scratch, sized for the largest graph it will walk. A unit's
+	// error is its item's result, so the pool itself sees none.
 	maxN := 0
 	for _, gp := range round {
 		maxN = max(maxN, gp.view.NumNodes())
 	}
-	mark := make([]bool, maxN)
-	for i, it := range items {
-		if res[i].Err != nil {
-			continue
-		}
+	marks := make([][]bool, poolSize(opts.Workers, len(live)))
+	for w := range marks {
+		marks[w] = make([]bool, maxN)
+	}
+	_ = parallelFor(opts.Workers, len(live), func(w, k int) error {
+		i := live[k]
 		iopts := opts
 		iopts.Params = params[i]
-		sol, err := finishItem(it.Users, iopts, round, mark, pipelineTime)
+		sol, err := finishItem(items[i].Users, iopts, round, marks[w], pipelineTime)
 		res[i] = BatchResult{Solution: sol, Err: err}
-	}
+		return nil
+	})
 	return res
 }
 
@@ -290,7 +295,8 @@ func stage(g *graph.Graph, applied []*Applied) stagedView {
 // finishItem is the back half of every solve: instantiate the users' part
 // templates, run Algorithm 2's greedy scheme generation, build the
 // placements and evaluate the model off each graph's view (the parts carry
-// indices into it). mark is shared scratch, clean on entry and on return.
+// indices into it). mark is the calling worker's scratch, clean on entry and
+// on return.
 func finishItem(users []UserInput, opts Options, round map[*graph.Graph]*graphPipeline, mark []bool, pipelineTime time.Duration) (*Solution, error) {
 	// PipelineTime is the whole round's pipeline cost (shared across the
 	// batch, not attributable to one item).
@@ -368,7 +374,8 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]*graphPi
 // and the cut sum walks stored edges u ascending, v>u ascending (the same
 // order Graph.Edges sorts into), so every float lands in the same order State
 // produces. parts are the user's parts; their idx slices index the view.
-// mark is shared scratch, clean on entry and cleaned before return.
+// mark is the calling worker's scratch, clean on entry and cleaned before
+// return.
 func userState(v *graph.CSR, parts []Part, pl mec.Placement, mark []bool) mec.UserState {
 	st := mec.UserState{DeviceCompute: pl.DeviceCompute, Bandwidth: pl.Bandwidth, PowerTransmit: pl.PowerTransmit}
 	setMarks := func(on bool) {

@@ -1,5 +1,5 @@
 #!/bin/sh
-# perf_gate.sh NEW.txt [MIN_SPEEDUP_X] [MIN_INCREMENTAL_X] [MIN_DENSE_X] [MIN_LPA_X] [MIN_DECODE_X] [MIN_REQUEST_DECODE_X] [MIN_MUTATE_KEY_X]
+# perf_gate.sh NEW.txt [MIN_SPEEDUP_X] [MIN_INCREMENTAL_X] [MIN_DENSE_X] [MIN_LPA_X] [MIN_DECODE_X] [MIN_REQUEST_DECODE_X] [MIN_MUTATE_KEY_X] [MIN_ROUND_WORKERS_X]
 #
 # Holds the ratios in a `go test -bench` text output (results/bench_core.txt
 # from `make bench-core`) to floors. Each ratio is measured interleaved
@@ -28,6 +28,17 @@
 # serving process, where the map graph is cold, the same change takes a
 # fifth off a mutate (CHANGES.md).
 #
+# BenchmarkBatchRoundWorkersSpeedup (one BatchSolve round shaped like the
+# benchmark's batch_small workload, 64 n=100 graphs, on the default worker
+# pool against Workers 1) gets its own floor MIN_ROUND_WORKERS_X (default
+# 1.43): the pool runs every phase of a round — compile, compress and
+# cut, assembly, finish — so the round must gain more from a second proc
+# than when only compress-and-cut ran on it. On a 2-vCPU host three
+# -count=5 runs averaged 1.61, 1.61 and 1.59 (floor 10% under the lowest);
+# with compile, assembly and finish on the caller and only compress-and-cut
+# on the pool, the same runs averaged 1.37-1.38.
+# It skips under GOMAXPROCS 1 and is then not gated.
+#
 # BenchmarkDenseFiedlerSpeedup/n=80 (internal/eigen: the dense kernel over
 # its Jacobi oracle) must average at least MIN_DENSE_X (default 5.0);
 # measured ~69x. Its other sizes are held to the generic floor.
@@ -50,7 +61,7 @@
 # 2.3-2.7x and 2.0-2.5x.
 set -eu
 
-new=${1:?usage: perf_gate.sh NEW.txt [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE] [MIN_REQUEST_DECODE] [MIN_MUTATE_KEY]}
+new=${1:?usage: perf_gate.sh NEW.txt [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE] [MIN_REQUEST_DECODE] [MIN_MUTATE_KEY] [MIN_ROUND_WORKERS]}
 minspeed=${2:-1.0}
 mininc=${3:-3.75}
 mindense=${4:-5.0}
@@ -58,8 +69,9 @@ minlpa=${5:-1.5}
 mindecode=${6:-2.0}
 minrequest=${7:-1.5}
 minmutatekey=${8:-0.88}
+minroundworkers=${9:-1.43}
 
-awk -v minspeed="$minspeed" -v mininc="$mininc" -v mindense="$mindense" -v minlpa="$minlpa" -v mindecode="$mindecode" -v minrequest="$minrequest" -v minmutatekey="$minmutatekey" '
+awk -v minspeed="$minspeed" -v mininc="$mininc" -v mindense="$mindense" -v minlpa="$minlpa" -v mindecode="$mindecode" -v minrequest="$minrequest" -v minmutatekey="$minmutatekey" -v minroundworkers="$minroundworkers" '
 /^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	for (i = 2; i <= NF; i++) if ($i == "speedup_x" || $i == "decode_x" || $i == "request_decode_x") {
@@ -80,6 +92,7 @@ END {
 		if (name ~ /GraphUnmarshalSpeedup/) floor = mindecode
 		if (name ~ /SolveRequestDecodeSpeedup/) floor = minrequest
 		if (name ~ /MutateKeySpeedup/) floor = minmutatekey
+		if (name ~ /BatchRoundWorkersSpeedup/) floor = minroundworkers
 		verdict = (s < floor) ? "BELOW FLOOR" : "ok"
 		printf "%-55s %10.3fx (floor %s)  %s\n", name, s, floor, verdict
 		if (s < floor) slow = 1
