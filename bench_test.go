@@ -507,9 +507,8 @@ func BenchmarkBatchSolveLarge(b *testing.B) {
 // alternate which runs first, each timed alone with a garbage collection
 // outside both windows, and their ratio is speedup_x: every phase of the
 // round — compile, compress and cut, assembly, finish — on the pool against
-// all of it on the caller. scripts/perf_gate.sh floors it at
-// MIN_ROUND_WORKERS_X. It needs two procs to mean anything, so it skips
-// under GOMAXPROCS 1.
+// all of it on the caller. scripts/perf_gate.sh floors it at 1.43x. It
+// needs two procs to mean anything, so it skips under GOMAXPROCS 1.
 func BenchmarkBatchRoundWorkersSpeedup(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		b.Skip("needs GOMAXPROCS >= 2")
@@ -623,7 +622,7 @@ func localizedEdgeDeltas(b *testing.B, g *graph.Graph, frac float64) (fwd, rev *
 // then cold-solves the identical graph sequence, accumulating each side's
 // wall time, and reports the ratio as speedup_x — the paper's "online
 // re-decision" cost compared to deciding from scratch.
-// scripts/perf_gate.sh floors the n=5000 ratio at 3.0x.
+// scripts/perf_gate.sh floors the n=5000 ratio at 3.75x.
 func BenchmarkIncrementalResolve(b *testing.B) {
 	ctx := context.Background()
 	opts := core.Options{Workers: 1}
@@ -687,7 +686,7 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 // iteration applies a 1% localized edge delta to a fresh clone of its
 // lineage's warm base outside either timed side; the sides alternate which
 // runs first, and their ratio is speedup_x. scripts/perf_gate.sh floors it
-// at MIN_MUTATE_KEY_X.
+// at 0.88x.
 func BenchmarkMutateKeySpeedup(b *testing.B) {
 	const lineages = 8
 	ctx := context.Background()

@@ -19,8 +19,7 @@
 //	POST /v1/solve    proxied to the fingerprint's backend (failover + hedging)
 //	POST /v1/mutate   proxied to the backend holding the base graph
 //	GET  /v1/stats    fleet-wide aggregate + per-backend drill-down + routing state
-//	GET  /v1/healthz  liveness (503 while draining)
-//	GET  /v1/health   probe document: ready/draining state, uptime
+//	GET  /v1/health   200 ready / 503 draining, with uptime
 //
 // Backends are named so ring placement survives address changes: a backend
 // restarted on a new port keeps its keyspace arcs (and its warm cache

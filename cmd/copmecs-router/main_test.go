@@ -90,13 +90,13 @@ func TestRouterServesAndDrains(t *testing.T) {
 		"-backends", "be-a="+a.URL+",be-b="+b.URL,
 		"-probe-interval", "50ms")
 
-	hr, err := http.Get(base + "/v1/healthz")
+	hr, err := http.Get(base + "/v1/health")
 	if err != nil {
-		t.Fatalf("healthz: %v", err)
+		t.Fatalf("health: %v", err)
 	}
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d, want 200", hr.StatusCode)
+		t.Fatalf("health = %d, want 200", hr.StatusCode)
 	}
 
 	// Two identical solves through the router: fresh, then a backend cache
@@ -182,9 +182,9 @@ func TestRouterDrainClosesUnusedConnections(t *testing.T) {
 	// A request on a second connection: the server accepts in dial order,
 	// so once it is answered the first connection is accepted too, not
 	// still in the backlog when Shutdown closes the listener.
-	hr, err := http.Get(base + "/v1/healthz")
+	hr, err := http.Get(base + "/v1/health")
 	if err != nil {
-		t.Fatalf("healthz: %v", err)
+		t.Fatalf("health: %v", err)
 	}
 	hr.Body.Close()
 

@@ -8,13 +8,11 @@
 //
 //	POST /v1/solve    {"graph": {...}, "params": {...}} → offloading decision
 //	POST /v1/mutate   {"base": "<fp>", "delta": {...}} → incremental re-solve
-//	GET  /v1/healthz  liveness (503 while draining)
-//	GET  /v1/health   probe document: ready/draining state, identity, uptime
+//	GET  /v1/health   200 ready / 503 draining, with identity and uptime
 //	GET  /v1/stats    counters, cache/batch stats, latency histogram
 //
-// In a fleet behind copmecs-router, give each backend an -id and
-// optionally cap its throughput with -max-qps; the router probes
-// /v1/health for quarantine/re-admission.
+// In a fleet behind copmecs-router, give each backend an -id; the router
+// probes /v1/health for quarantine/re-admission.
 //
 // A separate debug address (optional, -debug-addr) serves net/http/pprof;
 // -mutex-profile and -block-profile additionally enable the runtime's
@@ -74,8 +72,6 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	var (
 		addr       = fs.String("addr", ":8080", "service listen address")
 		id         = fs.String("id", "", "backend identity reported by /v1/health (empty = anonymous)")
-		maxQPS     = fs.Float64("max-qps", 0, "admission rate cap in requests/s (0 = unlimited)")
-		rateBurst  = fs.Int("rate-burst", 0, "max-qps burst allowance in requests (0 = max-qps/2)")
 		debugAddr  = fs.String("debug-addr", "", "pprof debug listen address (empty = disabled)")
 		engineName = fs.String("engine", "spectral", "cut engine: spectral, maxflow, kernighan-lin, stoer-wagner")
 		capacity   = fs.Float64("capacity", 0, "edge server capacity (0 = default)")
@@ -142,8 +138,6 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	var recovered *durable.Recovery
 	cfg := serve.Config{
 		ID:             *id,
-		MaxQPS:         *maxQPS,
-		RateBurst:      *rateBurst,
 		Engine:         engine,
 		Params:         params,
 		Workers:        *workers,

@@ -70,17 +70,8 @@ func startDaemon(t *testing.T, extraArgs ...string) (string, chan os.Signal, *sy
 func TestDaemonServesAndDrains(t *testing.T) {
 	base, stop, out, done := startDaemon(t)
 
-	hr, err := http.Get(base + "/v1/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d, want 200", hr.StatusCode)
-	}
-
-	// The cheap probe endpoint reports readiness and uptime without
-	// touching the solve path; the fleet router's prober polls it.
+	// The one probe endpoint reports readiness and uptime without touching
+	// the solve path; load balancers and the fleet router's prober poll it.
 	pr, err := http.Get(base + "/v1/health")
 	if err != nil {
 		t.Fatalf("health: %v", err)
@@ -271,6 +262,11 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-capacity", "-5"}, nil, &out); err == nil {
 		t.Error("negative capacity accepted")
+	}
+	for _, removed := range []string{"-max-qps", "-rate-burst"} {
+		if err := run([]string{removed, "5"}, nil, &out); err == nil {
+			t.Errorf("%s accepted; the daemon has no rate cap", removed)
+		}
 	}
 }
 

@@ -454,3 +454,63 @@ func TestPropertyEdgeScaleByPowerOfTwoKeepsParts(t *testing.T) {
 	}
 	t.Logf("final placement moved on %d / %d graphs at × 2, %d at × ½, %d at × 8", moved[2], len(corpus), moved[0.5], moved[8])
 }
+
+// TestPlacementIsRoundSizeInvariantUpToMaxBatch pins what a serving cache
+// hit relies on: at mec.Defaults(), k identical users of one graph place
+// user 0 exactly as a lone user does for every k a round of distinct
+// requests can reach (k ≤ 16, serve.DefaultMaxBatch). Algorithm 2's
+// placement is a threshold in k; its flip point lies above that range on the
+// serve corpus (netgen n = 100, 480 edges, 4 components, seeds 1–40) and on
+// Table I row 3 (n = 2000, seeds 1–8). Only the cost lines carry k. The
+// flips at 32, 64 and 128 users — reachable only by singleflight-heavy
+// rounds — are logged, not asserted.
+func TestPlacementIsRoundSizeInvariantUpToMaxBatch(t *testing.T) {
+	type corpus struct {
+		name string
+		cfgs []netgen.Config
+	}
+	serveCorpus := corpus{name: "serve corpus n=100"}
+	for seed := int64(1); seed <= 40; seed++ {
+		serveCorpus.cfgs = append(serveCorpus.cfgs, netgen.Config{Nodes: 100, Edges: 480, Components: 4, Seed: seed})
+	}
+	tableI := corpus{name: "Table I n=2000"}
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg, err := netgen.TableIConfig(3, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tableI.cfgs = append(tableI.cfgs, cfg)
+	}
+	const maxBatch = 16 // serve.DefaultMaxBatch
+	ks := []int{2, 4, 8, maxBatch, 32, 64, 128}
+	remote := func(g *graph.Graph, k int) map[graph.NodeID]bool {
+		users := make([]UserInput, k)
+		for i := range users {
+			users[i] = UserInput{Graph: g}
+		}
+		sol, err := Solve(context.Background(), users, Options{Params: mec.Defaults(), Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol.Placements[0].Remote
+	}
+	for _, c := range []corpus{serveCorpus, tableI} {
+		flips := make([]int, len(ks))
+		for _, cfg := range c.cfgs {
+			g, err := netgen.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lone := remote(g, 1)
+			for i, k := range ks {
+				if !maps.Equal(remote(g, k), lone) {
+					flips[i]++
+					if k <= maxBatch {
+						t.Errorf("%s seed %d: user 0's placement at k = %d differs from k = 1", c.name, cfg.Seed, k)
+					}
+				}
+			}
+		}
+		t.Logf("%s: placements differing from k = 1 at k = %v: %v of %d", c.name, ks, flips, len(c.cfgs))
+	}
+}

@@ -105,9 +105,10 @@ func (p *prober) sweep(ctx context.Context) {
 }
 
 // probe issues one health check. Success requires HTTP 200 and a body
-// reporting status "ready": a draining backend answers 200/"draining" and
-// is treated as failed here on purpose, so restarting backends drain out
-// of the ring before their listener disappears.
+// reporting status "ready": a draining backend answers 503 and fails here on
+// purpose, so restarting backends drain out of the ring before their
+// listener disappears. The body is checked too, since it comes from another
+// process: a 200 that does not say "ready" is a failure.
 func (p *prober) probe(ctx context.Context, b *backend) {
 	p.checks.Add(1)
 	start := time.Now()

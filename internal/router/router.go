@@ -33,7 +33,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -277,8 +276,8 @@ func (rt *Router) Drain(ctx context.Context) error {
 }
 
 // Handler returns the router's HTTP mux: POST /v1/solve and /v1/mutate
-// (proxy), GET /v1/stats (fleet aggregate), GET /v1/health (probe
-// document), and GET /v1/healthz (load-balancer liveness: 503 once draining).
+// (proxy), GET /v1/stats (fleet aggregate) and GET /v1/health (200 ready,
+// 503 once draining).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) {
@@ -288,21 +287,8 @@ func (rt *Router) Handler() http.Handler {
 		rt.proxy(w, r, "/v1/mutate", &rt.mutates, rt.routeMutate)
 	})
 	mux.HandleFunc("/v1/stats", rt.handleStats)
-	mux.HandleFunc("/v1/health", rt.handleHealth)
-	mux.HandleFunc("/v1/healthz", rt.handleHealthz)
+	mux.HandleFunc("/v1/health", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteHealth(w, r, rt.draining.Load(), "", rt.begin)
+	})
 	return mux
-}
-
-// handleHealthz is the binary liveness probe: 200 until draining, then 503.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
-	if rt.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, "draining\n")
-		return
-	}
-	_, _ = io.WriteString(w, "ok\n")
 }

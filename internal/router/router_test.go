@@ -468,15 +468,7 @@ func TestRouterDrainRejectsNewWork(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain solve = %d (%s), want 503", status, body)
 	}
-	hz, err := http.Get(front.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	hz.Body.Close()
-	if hz.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz = %d, want 503", hz.StatusCode)
-	}
-	// The probe document stays 200 but reports the drain.
+	// The probe answers 503 with a Retry-After hint and says why.
 	hr, err := http.Get(front.URL + "/v1/health")
 	if err != nil {
 		t.Fatalf("health: %v", err)
@@ -486,11 +478,90 @@ func TestRouterDrainRejectsNewWork(t *testing.T) {
 		t.Fatalf("health decode: %v", err)
 	}
 	hr.Body.Close()
-	if hr.StatusCode != http.StatusOK || h.Status != "draining" {
-		t.Fatalf("draining health = %d/%q, want 200/draining", hr.StatusCode, h.Status)
+	if hr.StatusCode != http.StatusServiceUnavailable || h.Status != "draining" || hr.Header.Get("Retry-After") == "" {
+		t.Fatalf("draining health = %d/%q (Retry-After %q), want 503/draining with a hint",
+			hr.StatusCode, h.Status, hr.Header.Get("Retry-After"))
+	}
+	hz, err := http.Get(front.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatalf("healthz: %v", err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusNotFound {
+		t.Fatalf("healthz = %d, want 404 (the one probe is /v1/health)", hz.StatusCode)
 	}
 	if got := routerStats(t, front.URL); got.Router.DrainRejects != 1 || !got.Router.Draining {
 		t.Fatalf("drain stats = rejects %d draining %v", got.Router.DrainRejects, got.Router.Draining)
+	}
+}
+
+// TestProberQuarantinesADrainingBackend: a draining backend leaves the ring
+// at the first probe sweep. Its /v1/health answers 503; a backend built
+// before that answered 200 with status "draining", and the prober
+// quarantines it alike, on the body.
+func TestProberQuarantinesADrainingBackend(t *testing.T) {
+	for _, tc := range []struct {
+		name, lastErr string
+		start         func(t *testing.T) string // returns be-a's URL
+	}{
+		{"503 draining", "health status 503", func(t *testing.T) string {
+			s, err := serve.New(serve.Config{ID: "be-a"})
+			if err != nil {
+				t.Fatalf("serve.New: %v", err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			s.Start(ctx)
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+			dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer dcancel()
+			if err := s.Drain(dctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			return ts.URL
+		}},
+		{"200 draining body", `health reports "draining"`, func(t *testing.T) string {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = io.WriteString(w, `{"status":"draining","id":"be-a","uptime_s":1}`)
+			}))
+			t.Cleanup(ts.Close)
+			return ts.URL
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := startBackend(t, "be-b")
+			rt, _ := startRouter(t, Config{
+				Backends: []BackendConfig{
+					{Name: "be-a", URL: tc.start(t)},
+					{Name: "be-b", URL: b.URL},
+				},
+				DisableHedge:    true,
+				ProbeInterval:   10 * time.Millisecond,
+				QuarantineAfter: 1,
+			})
+			deadline := time.Now().Add(3 * time.Second)
+			for {
+				rs := rt.routerStatus()
+				if st := rs.Backends[0]; st.State == "quarantined" {
+					if st.LastError != tc.lastErr {
+						t.Fatalf("be-a quarantined with %q, want %q", st.LastError, tc.lastErr)
+					}
+					if rs.Probes.Quarantines != 1 {
+						t.Fatalf("quarantines = %d, want 1", rs.Probes.Quarantines)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("be-a never quarantined: %+v", rs.Backends)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if m := rt.ring.Load().Members(); len(m) != 1 || m[0] != "be-b" {
+				t.Fatalf("ring members = %v, want [be-b]", m)
+			}
+		})
 	}
 }
 

@@ -294,22 +294,3 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(doc)
 }
-
-// handleHealth mirrors the backends' cheap probe document so a fleet of
-// routers can itself be probed by the same machinery.
-func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		errorJSON(w, http.StatusMethodNotAllowed, "router: GET only")
-		return
-	}
-	status := "ready"
-	if rt.draining.Load() {
-		status = "draining"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(serve.HealthResponse{
-		Status:  status,
-		UptimeS: time.Since(rt.begin).Seconds(),
-	})
-}

@@ -776,6 +776,37 @@ func TestCountersRecordRoundTrip(t *testing.T) {
 		t.Errorf("legacy restore: requests %d solved %d hits %d body_hits %d deduped %d misses %d, want 8 8 3 1 2 3",
 			st.Requests, st.Solved, st.Cache.Hits, st.Cache.BodyHits, st.Deduped, st.Cache.Misses)
 	}
+
+	// An outcome record written while the server still had a rate cap: its
+	// rate_limited count is not restored, and neither are those arrivals,
+	// so each endpoint's arrivals are the sum of its restored outcomes and
+	// the books balance. (checkBooks would also hold the latency count to
+	// the outcomes; the snapshot does not carry the latency histograms.)
+	capped := append([]byte{recCounters}, `{"outcomes":{`+
+		`"solve":{"body_hit":1,"solved":3,"rate_limited":5,"shed":2},`+
+		`"mutate":{"delta":4,"rate_limited":0}}}`...)
+	s = newTestServer(t, Config{})
+	if rs := s.Recover(context.Background(), [][]byte{capped}, nil); rs.DecodeErrors != 0 {
+		t.Fatalf("rate-capped counters record: %+v", rs)
+	}
+	st = s.Stats()
+	if st.Requests != 1+3+2 || st.Incremental.Mutates != 4 || st.RateLimited != 0 ||
+		st.Solved != 1+3+4 || st.Shed != 2 {
+		t.Errorf("rate-capped restore: requests %d mutates %d rate_limited %d solved %d shed %d, want 6 4 0 8 2",
+			st.Requests, st.Incremental.Mutates, st.RateLimited, st.Solved, st.Shed)
+	}
+	var answered uint64
+	for e := range st.Outcomes {
+		for _, n := range st.Outcomes[e] {
+			answered += n
+		}
+	}
+	if answered != st.Requests+st.Incremental.Mutates {
+		t.Errorf("rate-capped restore: outcomes sum to %d, arrivals %d", answered, st.Requests+st.Incremental.Mutates)
+	}
+	if got := st.Cache.Hits + st.Cache.Misses + st.Deduped; got != st.Solved {
+		t.Errorf("rate-capped restore: hits + misses + deduped = %d, solved %d", got, st.Solved)
+	}
 }
 
 func TestDurabilityStatsSectionShape(t *testing.T) {

@@ -257,7 +257,6 @@ func TestFailMapsEverySentinel(t *testing.T) {
 		{ErrUnknownBase, http.StatusNotFound, false, "unknown_base", func(st Stats) uint64 { return st.BadRequests }},
 		{errMethod, http.StatusMethodNotAllowed, false, "method", nil},
 		{ErrShed, http.StatusTooManyRequests, true, "shed", func(st Stats) uint64 { return st.Shed }},
-		{errRateLimited, http.StatusTooManyRequests, true, "rate_limited", func(st Stats) uint64 { return st.RateLimited }},
 		{ErrDraining, http.StatusServiceUnavailable, true, "draining", func(st Stats) uint64 { return st.DrainRejects }},
 		{fmt.Errorf("solve: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, false, "timeout", func(st Stats) uint64 { return st.Timeouts }},
 		{errors.New("engine exploded"), http.StatusInternalServerError, false, "error", func(st Stats) uint64 { return st.SolveErrors }},
@@ -266,7 +265,7 @@ func TestFailMapsEverySentinel(t *testing.T) {
 	for _, c := range cases {
 		before := s.Stats()
 		rec := httptest.NewRecorder()
-		s.handle(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader("{}")), solveEndpoint, nil,
+		s.handle(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader("{}")), solveEndpoint,
 			func(context.Context, []byte) (reply, error) { return reply{}, c.err })
 		if rec.Code != c.status {
 			t.Errorf("fail(%v) = %d, want %d", c.err, rec.Code, c.status)

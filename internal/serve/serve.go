@@ -75,9 +75,6 @@ var (
 	// ErrDraining is the resolution of a request arriving during graceful
 	// drain; mapped to 503.
 	ErrDraining = errors.New("serve: draining")
-	// errRateLimited is the resolution of a request over the MaxQPS cap;
-	// mapped to 429 like ErrShed but counted apart from it.
-	errRateLimited = errors.New("serve: rate limit exceeded")
 	// errMethod is the resolution of a request that is not a POST; 405.
 	errMethod = errors.New("POST only")
 )
@@ -89,12 +86,6 @@ type Config struct {
 	// so a router's prober can tell instances apart. Empty is fine for a
 	// standalone daemon.
 	ID string
-	// MaxQPS caps admitted /v1/solve requests per second (0 = unlimited).
-	// Arrivals beyond the cap are shed with 429 before the body is read.
-	MaxQPS float64
-	// RateBurst is the MaxQPS burst allowance in requests (≤ 0 picks
-	// max(1, MaxQPS/2)). Ignored when MaxQPS is 0.
-	RateBurst int
 	// Engine is the minimum-cut engine (nil = core.SpectralEngine{}).
 	Engine core.Engine
 	// Params are the default MEC system constants (zero = mec.Defaults());
@@ -254,15 +245,14 @@ type Server struct {
 	// per fingerprint — interned graphs are never mutated — so the session's
 	// identity-keyed pipeline cache hits although every request decodes a
 	// fresh allocation; evicting a graph releases its pipeline state.
-	cache   *lru.Table[string, cachedDecision]
-	bodies  *lru.Table[[sha256.Size]byte, string]
-	graphs  *lru.Table[string, *graph.Graph]
-	st      counters
-	b       *batcher
-	sess    *core.Session
-	flight  *flightTable
-	limiter *rateLimiter
-	begin   time.Time
+	cache  *lru.Table[string, cachedDecision]
+	bodies *lru.Table[[sha256.Size]byte, string]
+	graphs *lru.Table[string, *graph.Graph]
+	st     counters
+	b      *batcher
+	sess   *core.Session
+	flight *flightTable
+	begin  time.Time
 
 	roundRec []byte // dispatchRound's reused record buffer (dispatch goroutine only)
 	draining atomic.Bool
@@ -283,9 +273,6 @@ func New(cfg Config) (*Server, error) {
 		bodies: lru.New[[sha256.Size]byte, string](cfg.CacheSize, nil),
 		flight: newFlightTable(),
 		begin:  time.Now(),
-	}
-	if cfg.MaxQPS > 0 {
-		s.limiter = newRateLimiter(cfg.MaxQPS, cfg.RateBurst)
 	}
 	// One Session per server: rounds over a repeat graph skip compression
 	// and cuts entirely (only Algorithm 2's greedy reruns). Params vary per
@@ -435,14 +422,13 @@ func (s *Server) Stats() Stats {
 }
 
 // Handler returns the service mux: POST /v1/solve, POST /v1/mutate,
-// GET /v1/healthz, GET /v1/health, GET /v1/stats. Profiling lives on the
+// GET /v1/health, GET /v1/stats. Profiling lives on the
 // daemon's separate debug mux, not here, so the service port never
 // exposes pprof.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", s.handleSolve)
 	mux.HandleFunc("/v1/mutate", s.handleMutate)
-	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/health", s.handleHealth)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	return mux
@@ -493,10 +479,9 @@ func (f *freshConns) closeAll() {
 }
 
 // HealthResponse is the GET /v1/health body: the cheap probe document a
-// fleet router polls. Unlike /v1/healthz (which flips to 503 for load
-// balancers), /v1/health always answers 200 and reports the state in the
-// body, so a prober can distinguish "draining" from "dead" and never
-// touches the solve path.
+// load balancer or a fleet router polls. The status code alone answers
+// "route here?" (200 ready, 503 draining); the body says which state and
+// whose, so a prober can tell "draining" from "dead".
 type HealthResponse struct {
 	// Status is "ready" or "draining".
 	Status string `json:"status"`
@@ -506,38 +491,28 @@ type HealthResponse struct {
 	UptimeS float64 `json:"uptime_s"`
 }
 
-// handleHealth reports the backend's readiness state and uptime. It does
-// no solving, no cache access and no locking: one atomic load plus a
-// small JSON encode, cheap enough to poll at any probing interval.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+// WriteHealth answers GET /v1/health for a serving tier: 200 "ready", or
+// 503 "draining" with Retry-After so load balancers stop routing to it while
+// accepted work flushes. id names the instance (empty omits it) and begin is
+// when it started. It does no solving, no cache access and no locking, so it
+// is cheap to poll at any probing interval.
+func WriteHealth(w http.ResponseWriter, r *http.Request, draining bool, id string, begin time.Time) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	status := "ready"
-	if s.draining.Load() {
-		status = "draining"
+	h := HealthResponse{Status: "ready", ID: id, UptimeS: time.Since(begin).Seconds()}
+	status := http.StatusOK
+	if draining {
+		h.Status, status = "draining", http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:  status,
-		ID:      s.cfg.ID,
-		UptimeS: time.Since(s.begin).Seconds(),
-	})
+	writeJSON(w, status, h)
 }
 
-// handleHealthz reports liveness; a draining server answers 503 so load
-// balancers stop routing to it while accepted work flushes.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// handleHealth serves GET /v1/health (see WriteHealth).
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	WriteHealth(w, r, s.draining.Load(), s.cfg.ID, s.begin)
 }
 
 // handleStats renders the counters snapshot.
@@ -560,12 +535,12 @@ const maxPooledBody = 1 << 20
 
 // handleSolve serves POST /v1/solve (see solve).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.handle(w, r, solveEndpoint, s.limiter, s.solve)
+	s.handle(w, r, solveEndpoint, s.solve)
 }
 
 // handleMutate serves POST /v1/mutate (see mutate).
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	s.handle(w, r, mutateEndpoint, nil, s.mutate)
+	s.handle(w, r, mutateEndpoint, s.mutate)
 }
 
 // reply is one answer handle writes: its outcome, and either a 200 body
@@ -577,14 +552,14 @@ type reply struct {
 }
 
 // handle is the entry wrapper both POST endpoints share: arrival and
-// in-flight accounting, the method check, the rate cap (limiter is nil for
-// endpoints without one), the pooled, size-capped body read, and the reply.
+// in-flight accounting, the method check, the pooled, size-capped body read,
+// and the reply.
 // serve returns the reply on success and the error to answer with
 // otherwise; ctx is the request's, and body is only valid until serve
 // returns. A request records exactly one outcome, with its latency, on the
 // way out; the outcome also sets the reply's OutcomeHeader, its status and
 // its Retry-After hint — the one place a serving error becomes either.
-func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep int, limiter *rateLimiter,
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep int,
 	serve func(ctx context.Context, body []byte) (reply, error)) {
 	start := time.Now()
 	s.st.arrivals[ep].Add(1)
@@ -595,7 +570,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep int, limiter 
 		s.st.inFlight.Add(-1)
 		s.b.nudge() // one request fewer an open round could be waiting for
 	}()
-	rep, err := s.answer(w, r, limiter, serve)
+	rep, err := s.answer(w, r, serve)
 	if err != nil {
 		rep = reply{o: outcomeOf(err), v: ErrorResponse{Error: err.Error()}}
 	}
@@ -611,16 +586,12 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep int, limiter 
 	}
 }
 
-// answer is handle's way to a reply: the method check, then the rate cap —
-// shedding excess offered load must not cost a body copy, a hash or a
-// decode — then the body, then serve.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, limiter *rateLimiter,
+// answer is handle's way to a reply: the method check, then the body, then
+// serve.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request,
 	serve func(ctx context.Context, body []byte) (reply, error)) (reply, error) {
 	if r.Method != http.MethodPost {
 		return reply{}, errMethod
-	}
-	if !limiter.allow() {
-		return reply{}, errRateLimited
 	}
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()

@@ -83,12 +83,13 @@ func TestHandlerMethodsAndErrors(t *testing.T) {
 		want         int
 	}{
 		{http.MethodGet, "/v1/solve", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/healthz", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/health", "", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/stats", "", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/solve", "not json", http.StatusBadRequest},
 		{http.MethodPost, "/v1/solve", `{}`, http.StatusBadRequest},
 		{http.MethodPost, "/v1/solve", `{"graph":{"nodes":[{"id":0,"weight":1}],"edges":[]},"params":{"server_capacity":-3}}`, http.StatusBadRequest},
-		{http.MethodGet, "/v1/healthz", "", http.StatusOK},
+		{http.MethodGet, "/v1/health", "", http.StatusOK},
+		{http.MethodGet, "/v1/healthz", "", http.StatusNotFound},
 		{http.MethodGet, "/v1/stats", "", http.StatusOK},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
@@ -106,6 +107,62 @@ func TestHandlerMethodsAndErrors(t *testing.T) {
 	}
 	if st := s.Stats(); st.BadRequests != 3 {
 		t.Errorf("BadRequests = %d, want 3", st.BadRequests)
+	}
+}
+
+func TestHealthEndpointReportsStateAndUptime(t *testing.T) {
+	s := newTestServer(t, Config{ID: "backend-7"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	// health GETs /v1/health and decodes the probe document.
+	health := func() (*httptest.ResponseRecorder, HealthResponse) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.handleHealth(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
+		var h HealthResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatalf("decode health: %v", err)
+		}
+		return rec, h
+	}
+	rec, h := health()
+	if rec.Code != http.StatusOK || rec.Header().Get("Retry-After") != "" {
+		t.Fatalf("health status = %d (Retry-After %q), want 200 without a hint",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if h.Status != "ready" {
+		t.Fatalf("status = %q, want ready", h.Status)
+	}
+	if h.ID != "backend-7" {
+		t.Fatalf("id = %q, want backend-7", h.ID)
+	}
+	if h.UptimeS < 0 {
+		t.Fatalf("uptime_s = %v, want ≥ 0", h.UptimeS)
+	}
+
+	// POST is rejected; the endpoint is a read-only probe.
+	rec = httptest.NewRecorder()
+	s.handleHealth(rec, httptest.NewRequest(http.MethodPost, "/v1/health", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST health = %d, want 405", rec.Code)
+	}
+
+	// A draining server answers 503 with a Retry-After hint, so a load
+	// balancer stops routing to it, and says why in the same document.
+	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer dcancel()
+	if err := s.Drain(dctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	rec, h = health()
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != retryAfterSeconds {
+		t.Fatalf("draining health status = %d (Retry-After %q), want 503 with %q",
+			rec.Code, rec.Header().Get("Retry-After"), retryAfterSeconds)
+	}
+	if h.Status != "draining" || h.ID != "backend-7" {
+		t.Fatalf("draining health = %+v, want status draining, id backend-7", h)
 	}
 }
 
@@ -275,13 +332,13 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain solve status = %d, want 503", resp.StatusCode)
 	}
-	hr, err := http.Get(ts.URL + "/v1/healthz")
+	hr, err := http.Get(ts.URL + "/v1/health")
 	if err != nil {
-		t.Fatalf("GET healthz: %v", err)
+		t.Fatalf("GET health: %v", err)
 	}
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-drain healthz = %d, want 503", hr.StatusCode)
+		t.Fatalf("post-drain health = %d, want 503", hr.StatusCode)
 	}
 	if st := s.Stats(); st.DrainRejects != 1 || !st.Draining {
 		t.Fatalf("stats after drain = %+v", st)

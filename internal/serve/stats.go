@@ -147,7 +147,6 @@ const (
 	outBadRequest
 	outUnknownBase
 	outMethod
-	outRateLimited
 	outShed
 	outDraining
 	outTimeout
@@ -163,11 +162,11 @@ const OutcomeHeader = "Copmecs-Outcome"
 // OutcomeHeader values, allocated once.
 var (
 	outcomeNames = [nOutcome]string{"body_hit", "hit", "dedup", "solved", "delta", "cold_fallback",
-		"bad_request", "unknown_base", "method", "rate_limited", "shed", "draining", "timeout", "error"}
+		"bad_request", "unknown_base", "method", "shed", "draining", "timeout", "error"}
 	outcomeStatus = [nOutcome]int{
 		http.StatusOK, http.StatusOK, http.StatusOK, http.StatusOK, http.StatusOK, http.StatusOK,
 		http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed,
-		http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusServiceUnavailable,
+		http.StatusTooManyRequests, http.StatusServiceUnavailable,
 		http.StatusGatewayTimeout, http.StatusInternalServerError,
 	}
 	outcomeHeaders = func() (h [nOutcome][]string) {
@@ -187,8 +186,6 @@ func outcomeOf(err error) outcome {
 		return outUnknownBase
 	case errors.Is(err, errMethod):
 		return outMethod
-	case errors.Is(err, errRateLimited):
-		return outRateLimited
 	case errors.Is(err, ErrShed):
 		return outShed
 	case errors.Is(err, ErrDraining):
@@ -409,8 +406,9 @@ type Fate struct {
 	BadRequests uint64 `json:"bad_requests"`
 	// Shed counts 429 responses from admission control (full queue).
 	Shed uint64 `json:"shed"`
-	// RateLimited counts 429 responses from the MaxQPS admission cap,
-	// shed before the request body was read. Disjoint from Shed.
+	// RateLimited is always 0. It counted 429s from a request-rate cap the
+	// server no longer has, and stays only because the benchmark harness
+	// still reads it.
 	RateLimited uint64 `json:"rate_limited"`
 	// DrainRejects counts 503 responses issued while draining.
 	DrainRejects uint64 `json:"drain_rejects"`
@@ -464,7 +462,6 @@ func (st *Stats) derive() {
 	st.Solved = o.total(outBodyHit, outHit, outDedup, outSolved, outDelta, outColdFallback)
 	st.BadRequests = o.total(outBadRequest, outUnknownBase)
 	st.Shed = o.total(outShed)
-	st.RateLimited = o.total(outRateLimited)
 	st.DrainRejects = o.total(outDraining)
 	st.Deduped = o.total(outDedup)
 	st.SolveErrors = o.total(outError)

@@ -1,26 +1,26 @@
 #!/bin/sh
-# perf_gate.sh NEW.txt [MIN_SPEEDUP_X] [MIN_INCREMENTAL_X] [MIN_DENSE_X] [MIN_LPA_X] [MIN_DECODE_X] [MIN_REQUEST_DECODE_X] [MIN_MUTATE_KEY_X] [MIN_ROUND_WORKERS_X]
+# perf_gate.sh NEW.txt
 #
 # Holds the ratios in a `go test -bench` text output (results/bench_core.txt
 # from `make bench-core`) to floors. Each ratio is measured interleaved
 # within one process, so host speed cancels and the floors hold on any
 # machine; absolute ns/op is not gated. Every benchmark reporting a
-# speedup_x, decode_x or request_decode_x metric must average at least
-# MIN_SPEEDUP_X (default 1.0) across -count repetitions unless it has its
-# own floor below. (How the floors moved is in CHANGES.md.)
+# speedup_x, decode_x or request_decode_x metric must average at least 1.0
+# across -count repetitions unless it has its own floor below. The floors
+# are the table in the awk program at the end of this file, one row per
+# paragraph here. (How the floors moved is in CHANGES.md.)
 #
-# BenchmarkIncrementalResolve/n=5000 gets its own floor MIN_INCREMENTAL_X
-# (default 3.75): the incremental re-solve pipeline exists to beat cold
+# BenchmarkIncrementalResolve/n=5000 gets its own floor, 3.75: the incremental re-solve pipeline exists to beat cold
 # solves on full-scale graphs under 1% localized churn, so that claim is
 # gated directly; a patched view that shares clean components' rows, under
 # a pipeline that carries their compression blocks, cuts and templates,
 # measures 4.1-4.5x. inc_ns / cold_ns report the two sides. The n=1000 entry
-# is held only to the generic MIN_SPEEDUP_X (small graphs amortise less).
+# is held only to the generic 1.0 (small graphs amortise less).
 #
 # BenchmarkMutateKeySpeedup (the /v1/mutate key: the applied map graph's
 # Graph.Fingerprint against Session.Apply's patch of the cached view plus
 # Applied.Fingerprint over it, eight Table I n=2000 lineages in turn) gets
-# its own floor MIN_MUTATE_KEY_X (default 0.88), 10% under the lowest mean
+# its own floor, 0.88, 10% under the lowest mean
 # of five -count=5 runs (0.98; the others 0.98, 1.00, 1.00 and 1.12). The
 # new side is charged for the patch the solve needs anyway, so the ratio
 # sits near 1 in one process, where the map graph stays in cache: the floor
@@ -30,8 +30,7 @@
 #
 # BenchmarkBatchRoundWorkersSpeedup (one BatchSolve round shaped like the
 # benchmark's batch_small workload, 64 n=100 graphs, on the default worker
-# pool against Workers 1) gets its own floor MIN_ROUND_WORKERS_X (default
-# 1.43): the pool runs every phase of a round — compile, compress and
+# pool against Workers 1) gets its own floor, 1.43: the pool runs every phase of a round — compile, compress and
 # cut, assembly, finish — so the round must gain more from a second proc
 # than when only compress-and-cut ran on it. On a 2-vCPU host three
 # -count=5 runs averaged 1.61, 1.61 and 1.59 (floor 10% under the lowest);
@@ -40,38 +39,42 @@
 # It skips under GOMAXPROCS 1 and is then not gated.
 #
 # BenchmarkDenseFiedlerSpeedup/n=80 (internal/eigen: the dense kernel over
-# its Jacobi oracle) must average at least MIN_DENSE_X (default 5.0);
+# its Jacobi oracle) must average at least 5.0;
 # measured ~69x. Its other sizes are held to the generic floor.
 #
 # BenchmarkLPARoundsSpeedup (internal/lpa: component compression of a Table I
 # n=5000 graph over the packed heavy-neighbor round loop with its fixed-point
 # stop, against the all-rounds reference loop kept in rounds_test.go) must
-# average at least MIN_LPA_X (default 1.5); measured ~1.9-2.4x.
+# average at least 1.5; measured ~1.9-2.4x.
 #
 # BenchmarkGraphUnmarshalSpeedup (internal/graph: Graph.UnmarshalJSON's
 # one-pass scanner against the encoding/json path it declines to, on an
 # n=100 request body and one the size of Table I's n=2000 row) reports
-# decode_x and must average at least MIN_DECODE_X (default 2.0) on both
+# decode_x and must average at least 2.0 on both
 # bodies; measured ~3.5x and ~3.2x.
 #
 # BenchmarkSolveRequestDecodeSpeedup (internal/serve: DecodeSolveBody's
 # one-pass request scan against the decodeStrict path it declines to, on the
 # n=100 and n=2000 /v1/solve bodies) reports request_decode_x and must
-# average at least MIN_REQUEST_DECODE_X (default 1.5) on both; measured
+# average at least 1.5 on both; measured
 # 2.3-2.7x and 2.0-2.5x.
 set -eu
 
-new=${1:?usage: perf_gate.sh NEW.txt [MIN_SPEEDUP] [MIN_INCREMENTAL] [MIN_DENSE] [MIN_LPA] [MIN_DECODE] [MIN_REQUEST_DECODE] [MIN_MUTATE_KEY] [MIN_ROUND_WORKERS]}
-minspeed=${2:-1.0}
-mininc=${3:-3.75}
-mindense=${4:-5.0}
-minlpa=${5:-1.5}
-mindecode=${6:-2.0}
-minrequest=${7:-1.5}
-minmutatekey=${8:-0.88}
-minroundworkers=${9:-1.43}
+new=${1:?usage: perf_gate.sh NEW.txt}
 
-awk -v minspeed="$minspeed" -v mininc="$mininc" -v mindense="$mindense" -v minlpa="$minlpa" -v mindecode="$mindecode" -v minrequest="$minrequest" -v minmutatekey="$minmutatekey" -v minroundworkers="$minroundworkers" '
+awk '
+BEGIN {
+	# Benchmark name pattern -> floor; a ratio matching none is held to
+	# generic. The patterns are disjoint.
+	generic = "1.0"
+	floors["IncrementalResolve/n=5000"] = "3.75"
+	floors["DenseFiedlerSpeedup/n=80"] = "5.0"
+	floors["LPARoundsSpeedup"] = "1.5"
+	floors["GraphUnmarshalSpeedup"] = "2.0"
+	floors["SolveRequestDecodeSpeedup"] = "1.5"
+	floors["MutateKeySpeedup"] = "0.88"
+	floors["BatchRoundWorkersSpeedup"] = "1.43"
+}
 /^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	for (i = 2; i <= NF; i++) if ($i == "speedup_x" || $i == "decode_x" || $i == "request_decode_x") {
@@ -85,17 +88,11 @@ END {
 	for (j = 0; j < n; j++) {
 		name = order[j]
 		s = ssum[name] / scnt[name]
-		floor = minspeed
-		if (name ~ /IncrementalResolve\/n=5000/) floor = mininc
-		if (name ~ /DenseFiedlerSpeedup\/n=80/) floor = mindense
-		if (name ~ /LPARoundsSpeedup/) floor = minlpa
-		if (name ~ /GraphUnmarshalSpeedup/) floor = mindecode
-		if (name ~ /SolveRequestDecodeSpeedup/) floor = minrequest
-		if (name ~ /MutateKeySpeedup/) floor = minmutatekey
-		if (name ~ /BatchRoundWorkersSpeedup/) floor = minroundworkers
-		verdict = (s < floor) ? "BELOW FLOOR" : "ok"
+		floor = generic
+		for (p in floors) if (name ~ p) floor = floors[p]
+		verdict = (s < floor + 0) ? "BELOW FLOOR" : "ok"
 		printf "%-55s %10.3fx (floor %s)  %s\n", name, s, floor, verdict
-		if (s < floor) slow = 1
+		if (s < floor + 0) slow = 1
 	}
 	if (slow) { print "FAIL: a ratio is below its floor"; exit 1 }
 	printf "OK: %d ratios held their floors\n", n
