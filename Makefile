@@ -61,7 +61,9 @@ bench:
 # bench-core runs the benchmarks that report an interleaved ratio, the ones
 # scripts/perf_gate.sh holds to floors: the incremental re-solve (chained 1%
 # edge-churn deltas vs cold solves), the mutate key (the applied map graph's
-# fingerprint vs patching the cached view and hashing that), internal/eigen's
+# fingerprint vs patching the cached view and hashing that), internal/graph's
+# fingerprint re-key (a patched view re-hashing its dirty chunks vs a full
+# chunked hash of it), internal/eigen's
 # dense Fiedler kernel against its Jacobi oracle and its Sturm bisection
 # against the QL test oracle (the pass it replaced), internal/lpa's round
 # loop against its all-rounds reference, internal/graph's one-pass JSON
@@ -76,7 +78,7 @@ bench:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \

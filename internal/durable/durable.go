@@ -20,7 +20,13 @@
 //     records;
 //   - recovery replays every segment still on disk in order, tolerates a
 //     torn or corrupt tail by truncating back to the last CRC-valid
-//     record, and never refuses to boot.
+//     record, and refuses to boot only on a directory written in another
+//     format version (ErrFormatVersion), which it leaves untouched.
+//
+// Format version 2 (journal and snapshot) is the first whose records key
+// graphs by the chunked fingerprint (graph.Fingerprint, format v2); the
+// fingerprints a version-1 directory stores name no graph this build can
+// key, so such a directory is refused rather than re-keyed.
 //
 // All I/O goes through the FS interface; faultnet.FS substitutes a
 // deterministic fault-injecting implementation (short writes, fsync
@@ -28,7 +34,11 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -133,12 +143,39 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
+// ErrFormatVersion is returned by Open when the data directory holds a
+// journal segment or snapshot whose header is well formed but of another
+// format version. Open then changes nothing on disk.
+var ErrFormatVersion = errors.New("durable: data directory of another format version")
+
+// checkVersion fails with ErrFormatVersion when the file at path starts
+// with magic and a version other than want. A file too short for the
+// header, unreadable or of a foreign magic is left to the loaders, which
+// pass it over as damaged.
+func checkVersion(fsys FS, path string, magic uint32, want uint16) error {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil
+	}
+	defer func() { _ = f.Close() }()
+	var hdr [6]byte // magic u32 | version u16, as segments and snapshots begin
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || binary.LittleEndian.Uint32(hdr[:]) != magic {
+		return nil
+	}
+	if got := binary.LittleEndian.Uint16(hdr[4:]); got != want {
+		return fmt.Errorf("%w: %s is version %d, this build reads version %d", ErrFormatVersion, path, got, want)
+	}
+	return nil
+}
+
 // Open recovers the durable state in opts.Dir — latest valid snapshot,
 // then every journal segment still on disk, truncating a torn tail — and
 // returns the store ready for appends on a fresh segment. Recovery never
 // fails boot on damaged data: torn tails are truncated, corrupt snapshots
 // are passed over, unreadable segments are skipped, and the damage is
-// reported in Recovery.
+// reported in Recovery. A segment or snapshot of another format version is
+// not damage: Open returns ErrFormatVersion before it writes, truncates or
+// creates anything.
 func Open(opts Options) (*Store, *Recovery, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("durable: no data directory")
@@ -161,10 +198,16 @@ func Open(opts Options) (*Store, *Recovery, error) {
 
 	var segs, snaps []uint64
 	for _, name := range names {
+		path := filepath.Join(opts.Dir, name)
 		if seq, ok := parseSegName(name); ok {
 			segs = append(segs, seq)
+			err = checkVersion(fsys, path, journalMagic, journalVersion)
 		} else if seq, ok := parseSnapName(name); ok {
 			snaps = append(snaps, seq)
+			err = checkVersion(fsys, path, snapMagic, snapVersion)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 

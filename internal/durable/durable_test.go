@@ -526,3 +526,81 @@ func TestConcurrentAppendsRecoverAll(t *testing.T) {
 		t.Fatalf("distinct recovered records = %d, want %d", len(seen), writers*per)
 	}
 }
+
+// TestOpenRefusesOtherFormatVersion: a data directory holding a version-1
+// journal segment and snapshot — well-formed headers, valid records — is
+// refused with ErrFormatVersion naming the file and both versions, and
+// every file in it is byte-identical afterwards, with none added. Skipping
+// them as damaged would let the first snapshot after recovery delete them.
+// A fresh directory still opens and recovers what it was given.
+func TestOpenRefusesOtherFormatVersion(t *testing.T) {
+	header := func(magic uint32, version uint16, size int) []byte {
+		hdr := make([]byte, size)
+		binary.LittleEndian.PutUint32(hdr[0:4], magic)
+		binary.LittleEndian.PutUint16(hdr[4:6], version)
+		return hdr
+	}
+	seg := appendFrame(header(journalMagic, 1, segHeaderLen), []byte("v1 round"))
+	snap := header(snapMagic, 1, snapHeaderLen)
+	binary.LittleEndian.PutUint64(snap[6:14], 1)  // seq
+	binary.LittleEndian.PutUint64(snap[14:22], 2) // barrier
+	snap = appendFrame(snap, []byte("v1 graph"))
+
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		bad   string
+	}{
+		{"segment and snapshot", map[string][]byte{segName(2): seg, snapName(1): snap}, snapName(1)},
+		{"segment alone", map[string][]byte{segName(1): seg}, segName(1)},
+		{"snapshot alone", map[string][]byte{snapName(1): snap}, snapName(1)},
+	} {
+		dir := t.TempDir()
+		for name, b := range tc.files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, _, err := Open(Options{Dir: dir, FsyncInterval: -1, Logf: t.Logf})
+		if err == nil {
+			_ = s.Close()
+			t.Fatalf("%s: Open accepted a version-1 directory", tc.name)
+		}
+		if !errors.Is(err, ErrFormatVersion) {
+			t.Fatalf("%s: Open: %v, want ErrFormatVersion", tc.name, err)
+		}
+		for _, want := range []string{tc.bad, "version 1", fmt.Sprintf("version %d", journalVersion)} {
+			if !bytes.Contains([]byte(err.Error()), []byte(want)) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(tc.files) {
+			t.Errorf("%s: %d files after the refusal, want %d", tc.name, len(entries), len(tc.files))
+		}
+		for name, want := range tc.files {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s changed by the refusal (%v)", tc.name, name, err)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	s, _ := openTest(t, dir)
+	for _, p := range payloads(3) {
+		if _, err := s.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, rec := openTest(t, dir)
+	defer func() { _ = s.Close() }()
+	if len(rec.JournalRecords) != 3 {
+		t.Fatalf("fresh directory recovered %d records, want 3", len(rec.JournalRecords))
+	}
+}

@@ -20,7 +20,7 @@ import (
 // never has live records written after it).
 const (
 	journalMagic   = 0x434f504a // "COPJ"
-	journalVersion = 1
+	journalVersion = 2
 	segHeaderLen   = 6
 )
 

@@ -18,7 +18,7 @@ import (
 // whole file and the loader falls back to the previous snapshot.
 const (
 	snapMagic     = 0x434f5053 // "COPS"
-	snapVersion   = 1
+	snapVersion   = 2
 	snapHeaderLen = 22
 )
 

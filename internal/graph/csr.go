@@ -14,7 +14,8 @@ import (
 //
 // Unlike Graph's accessors, CSR accessors return internal slices without
 // copying: callers must treat every returned slice as read-only. A CSR is
-// safe for concurrent readers (it is immutable), and it deliberately has no
+// safe for concurrent readers (it is immutable; its fingerprint is computed
+// once, on first use, behind a sync.Once), and it deliberately has no
 // mutators — mutate the source Graph and Compile again.
 //
 // Indexing: nodes are the source graph's IDs in ascending order, so index i
@@ -44,6 +45,9 @@ type CSR struct {
 	// multi marks the view of several fused graphs: ids ascend only within
 	// each graph's span and may repeat across spans, so IndexOf answers -1.
 	multi bool
+
+	// fp is the fingerprint, computed on first use (fingerprint.go).
+	fp viewFingerprint
 }
 
 // rowSlab is the adjacency storage of one or more components: neighbor

@@ -128,6 +128,8 @@ type rowEdit struct {
 // ascending order. The id array is shared when the node set is unchanged and
 // the weight array when no weight is; when nodes come or go every index
 // shifts, so every component is re-derived through the old → new mapping.
+// A source view that has been fingerprinted hands its chunk digests on, so
+// the patched view's Fingerprint re-hashes only the chunks d changed.
 func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 	oldN := len(c.ids)
 
@@ -437,6 +439,41 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		}
 	}
 	info.TouchedEdges = len(removedEdges) + len(setEdges) + droppedByNodeRemoval
+
+	// Fingerprint digests: c's, when it has them, with the chunks marked
+	// stale that hold an edited weight, the smaller endpoint of an edited or
+	// dropped edge, or a shifted index.
+	if p.seedFingerprint(c) {
+		for _, n := range d.SetNodeWeights {
+			p.markStale(p.IndexOf(n.ID))
+		}
+		for k := range setEdges {
+			p.markStale(k.u)
+		}
+		for k := range removedEdges {
+			if ju := mapOld(k.u); ju >= 0 {
+				p.markStale(ju)
+			}
+		}
+		for oi := range removed {
+			tgt, _ := c.Adj(oi)
+			for _, v := range tgt {
+				if v < oi && !removed[v] {
+					p.markStale(mapOld(v))
+				}
+			}
+		}
+		if shifted {
+			first := min(oldN, newN)
+			for j, oi := range newToOld {
+				if oi != int32(j) {
+					first = j
+					break
+				}
+			}
+			p.markStaleFrom(first)
+		}
+	}
 	return p, info, nil
 }
 

@@ -12,10 +12,13 @@ import (
 // patched views — shared slabs, re-derived components — are explored), and
 // holds the patch oracle at every step: CSR.Patch of the delta must Validate,
 // be identical (bitwise, components included) to Compile of the mutated map
-// graph, and fingerprint as that graph does. A last, byte-derived "hostile" delta checks error-path parity:
+// graph, and fingerprint as that graph does. Each step's view is
+// fingerprinted before the next patches it, so every step after the first
+// re-hashes only the chunks its delta marked; the seeds include graphs of
+// several chunks. A last, byte-derived "hostile" delta checks error-path parity:
 // Patch must accept exactly the deltas Apply accepts.
 func FuzzDeltaPatch(f *testing.F) {
-	for i, g := range fuzzSeedGraphs(f) {
+	for i, g := range append(fuzzSeedGraphs(f), chunkShapes(f)...) {
 		var buf bytes.Buffer
 		if err := g.WriteBinary(&buf); err != nil {
 			f.Fatal(err)
@@ -86,7 +89,9 @@ func FuzzDeltaPatch(f *testing.F) {
 }
 
 // fingerprintsAgree fails unless the patched view hashes to the mutated map
-// graph's fingerprint: the identity /v1/mutate keys its cache with.
+// graph's fingerprint: the identity /v1/mutate keys its cache with. The
+// applied graph's compiled view and its binary encoding (what a /v1/solve
+// of it hashes) must agree too.
 func fingerprintsAgree(t *testing.T, patched *CSR, g *Graph) {
 	t.Helper()
 	want, err := g.Fingerprint()
@@ -95,6 +100,12 @@ func fingerprintsAgree(t *testing.T, patched *CSR, g *Graph) {
 	}
 	if got, err := patched.Fingerprint(); err != nil || got != want {
 		t.Fatalf("patched view fingerprint = %s (%v), applied graph's = %s", got, err, want)
+	}
+	if got, err := g.Compile().Fingerprint(); err != nil || got != want {
+		t.Fatalf("compiled view fingerprint = %s (%v), applied graph's = %s", got, err, want)
+	}
+	if got, err := FingerprintBinary(g.AppendBinary(nil)); err != nil || got != want {
+		t.Fatalf("encoding's fingerprint = %s (%v), applied graph's = %s", got, err, want)
 	}
 }
 

@@ -2,9 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -150,7 +155,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 // TestFingerprintGolden pins the digest strings themselves: journals and
 // snapshots persist them, so an encoder change that keeps fingerprints
 // self-consistent but moves the bytes would orphan every stored record. The
-// digests were computed with the reflection-based encoder this one replaced.
+// format v2 digests were computed by an independent script from the
+// definition in fingerprint.go (all but the NaN case, whose NaN bits the
+// script does not reproduce). A v2 fingerprint is never the SHA-256 of the
+// v1 definition, the whole binary encoding: the headers differ.
 func TestFingerprintGolden(t *testing.T) {
 	build := func(nodes []NodeDelta, edges []EdgeDelta) *Graph {
 		g := New(len(nodes))
@@ -171,15 +179,16 @@ func TestFingerprintGolden(t *testing.T) {
 		g    *Graph
 		want string
 	}{
-		{"dense ids", fpGraph(t), "5636ad12fe4f47bb3dc70020681bbab30f04e1558a69bffaf1c9720a650fbe1c"},
+		{"dense ids", fpGraph(t), "1e34c1631ad2c3243d8f191b20173984c8b5c9740d145cebc9cbfd9c2d023b0e"},
 		{"sparse and negative ids", build(
 			[]NodeDelta{{-1 << 31, 1.5}, {-7, 0}, {3, 2.25}, {1000, 1e-300}, {1<<31 - 1, 1e300}},
 			[]EdgeDelta{{-7, 3, 0.125}, {1<<31 - 1, -1 << 31, 7}, {1000, 3, 0}, {-7, 1000, 42}},
-		), "3eff4e5dfb0dcfaee5b04e4ec643b2a485dd620134dbf064028f8eb8f0441df3"},
+		), "1d850d79cf4bc69207ffb817c800b06233eb9cb4247a50b3ff337e8c2f1db748"},
 		{"NaN and +Inf weights", build(
 			[]NodeDelta{{0, math.NaN()}, {1, math.Inf(1)}, {2, 1}, {3, 0}},
 			[]EdgeDelta{{0, 1, math.NaN()}, {1, 2, math.Inf(1)}, {2, 3, 4}, {0, 3, math.MaxFloat64}},
-		), "91e37bbbd55724a2422cf893eb3134207f24b8f67ac23a3335847dddeda3261b"},
+		), "e41fa5bb1b1f56e1f80875e5407ddada2efa847af78e29902cc14d4504f470ce"},
+		{"three chunks: a 70-node cycle", cycle70(t), "21642f6ac6a5dd48e1b97ed853ab67dcf83929fc154bf3aae683e66da3892252"},
 	} {
 		got, err := tc.g.Fingerprint()
 		if err != nil {
@@ -188,7 +197,36 @@ func TestFingerprintGolden(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: fingerprint = %s, want %s", tc.name, got, tc.want)
 		}
+		if got, err := FingerprintBinary(tc.g.AppendBinary(nil)); err != nil || got != tc.want {
+			t.Errorf("%s: FingerprintBinary = %s (%v), want %s", tc.name, got, err, tc.want)
+		}
+		v1 := sha256.Sum256(tc.g.AppendBinary(nil))
+		if got == hex.EncodeToString(v1[:]) {
+			t.Errorf("%s: the v2 fingerprint is the SHA-256 of the v1 encoding", tc.name)
+		}
 	}
+}
+
+// cycle70 is the 70-node cycle with node i weighing i and edge {i, i+1}
+// weighing i + 0.5, closed by edge {0, 69} of weight 3: three chunks, the
+// last one short.
+func cycle70(t *testing.T) *Graph {
+	t.Helper()
+	g := New(70)
+	for i := 0; i < 70; i++ {
+		if err := g.AddNode(NodeID(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 69; i++ {
+		if err := g.AddEdge(NodeID(i), NodeID(i+1), float64(i)+0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.AddEdge(0, 69, 3); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestCSRFingerprintMatchesGraph holds CSR.Fingerprint to Graph.Fingerprint
@@ -291,4 +329,160 @@ func TestValidFingerprint(t *testing.T) {
 			t.Errorf("ValidFingerprint(%q) = %v, want %v", s, got, want)
 		}
 	}
+}
+
+// chunkShapes are graphs whose chunking the fingerprint could get wrong:
+// fewer rows than a chunk, sparse and negative ids over three chunks (the
+// last one short), a row count that is a multiple of the chunk size, and no
+// edges at all.
+func chunkShapes(t interface{ Fatal(args ...any) }) []*Graph {
+	rng := rand.New(rand.NewSource(3))
+	shape := func(ids []NodeID, edges int) *Graph {
+		g := New(len(ids))
+		for _, id := range ids {
+			if err := g.AddNode(id, 1+99*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g.NumEdges() < edges {
+			u, v := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+			if u == v {
+				continue
+			}
+			if err := g.SetEdge(u, v, 1+99*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	ids := func(n int, id func(i int) NodeID) []NodeID {
+		out := make([]NodeID, n)
+		for i := range out {
+			out[i] = id(i)
+		}
+		return out
+	}
+	return []*Graph{
+		shape(ids(20, func(i int) NodeID { return NodeID(i) }), 30),
+		shape(ids(70, func(i int) NodeID { return NodeID((i - 35) * (i - 35) * (i - 35) * 1_000_003) }), 150),
+		shape(ids(64, func(i int) NodeID { return NodeID(i) }), 120),
+		shape(ids(40, func(i int) NodeID { return NodeID(3*i - 60) }), 0),
+	}
+}
+
+// TestFingerprintDeltaChains walks random delta chains over chunkShapes —
+// node adds and removes among them — and holds the patched view's
+// fingerprint to the applied graph's, its compiled view's and its
+// encoding's at every step. On even seeds the base view is fingerprinted
+// before the first patch, so every step re-hashes only its marked chunks; on
+// odd seeds the first patch has no digests to inherit.
+func TestFingerprintDeltaChains(t *testing.T) {
+	for si, shape := range chunkShapes(t) {
+		for seed := int64(1); seed <= 40; seed++ {
+			g := shape.Clone()
+			view := g.Compile()
+			if seed%2 == 0 {
+				if _, err := view.Fingerprint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 8; step++ {
+				d := randomDelta(rng, g)
+				if err := d.Apply(g); err != nil {
+					t.Fatalf("shape %d seed %d step %d: Apply: %v", si, seed, step, err)
+				}
+				var err error
+				if view, _, err = view.Patch(d); err != nil {
+					t.Fatalf("shape %d seed %d step %d: Patch: %v", si, seed, step, err)
+				}
+				fingerprintsAgree(t, view, g)
+			}
+		}
+	}
+}
+
+// TestPatchMarksChunks patches a fingerprinted view of cycle70 and checks
+// which chunks the patched view re-hashes: the chunk of an edited weight, the
+// chunk of an edited or dropped edge's smaller endpoint (also when the drop
+// comes from removing the larger one), and every chunk from the first
+// shifted index on — and that the result is the applied graph's fingerprint.
+func TestPatchMarksChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		delta *Delta
+		stale []bool
+	}{
+		{"one weight", &Delta{SetNodeWeights: []NodeDelta{{5, 9}}}, []bool{true, false, false}},
+		{"edge across chunks", &Delta{SetEdges: []EdgeDelta{{40, 3, 1}}}, []bool{true, false, false}},
+		{"removed closing edge", &Delta{RemoveEdges: []EdgePair{{69, 0}}}, []bool{true, false, false}},
+		{"remove the last node", &Delta{RemoveNodes: []NodeID{69}}, []bool{true, false, true}},
+		{"remove a middle node", &Delta{RemoveNodes: []NodeID{40}}, []bool{false, true, true}},
+		{"append a node", &Delta{AddNodes: []NodeDelta{{1000, 1}}}, []bool{false, false, true}},
+		{"shrink by a chunk", &Delta{RemoveNodes: []NodeID{64, 65, 66, 67, 68, 69}}, []bool{true, true}},
+		{"grow by a chunk", &Delta{AddNodes: []NodeDelta{{-1, 1}, {-2, 2}}}, []bool{true, true, true}},
+	} {
+		g := cycle70(t)
+		base := g.Compile()
+		if _, err := base.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+		view, _, err := base.Patch(tc.delta)
+		if err != nil {
+			t.Fatalf("%s: Patch: %v", tc.name, err)
+		}
+		if !slices.Equal(view.fp.stale, tc.stale) {
+			t.Errorf("%s: stale chunks %v, want %v", tc.name, view.fp.stale, tc.stale)
+		}
+		if err := tc.delta.Apply(g); err != nil {
+			t.Fatalf("%s: Apply: %v", tc.name, err)
+		}
+		fingerprintsAgree(t, view, g)
+	}
+}
+
+// TestFingerprintConcurrentPatches patches one shared view from 8 goroutines
+// while each also fingerprints it: every patched view must fingerprint as
+// its applied graph, and the shared view as its own (run under -race).
+func TestFingerprintConcurrentPatches(t *testing.T) {
+	g := cycle70(t)
+	want, err := g.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := make([]*Delta, 8)
+	wants := make([]string, len(deltas))
+	for i := range deltas {
+		deltas[i] = &Delta{SetNodeWeights: []NodeDelta{{NodeID(9 * i), 0.5}}}
+		if i%2 == 1 {
+			deltas[i].RemoveNodes = []NodeID{NodeID(9*i + 1)}
+		}
+		applied := g.Clone()
+		if err := deltas[i].Apply(applied); err != nil {
+			t.Fatal(err)
+		}
+		if wants[i], err = applied.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := g.Compile()
+	var wg sync.WaitGroup
+	for i, d := range deltas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, _, err := shared.Patch(d)
+			if err != nil {
+				t.Errorf("delta %d: Patch: %v", i, err)
+				return
+			}
+			if got, err := shared.Fingerprint(); err != nil || got != want {
+				t.Errorf("delta %d: shared view fingerprint %s (%v), want %s", i, got, err, want)
+			}
+			if got, err := p.Fingerprint(); err != nil || got != wants[i] {
+				t.Errorf("delta %d: patched view fingerprint %s (%v), want %s", i, got, err, wants[i])
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -148,6 +148,7 @@ func TestPatchChainsShareCleanRowsAndShedTheOriginal(t *testing.T) {
 					if !csrIdentical(t, next, g.Compile()) {
 						t.Fatal("patched view diverges from Compile of the applied graph")
 					}
+					fingerprintsAgree(t, next, g)
 					for nc, oc := range info.OldCompOf {
 						if oc < 0 {
 							continue

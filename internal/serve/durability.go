@@ -3,9 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,11 +40,11 @@ type Journal interface {
 
 // Durability record types (first payload byte).
 const (
-	recAccepted uint8 = 1 // one accepted solve: a round member, or a legacy round of one on its own
+	recAccepted uint8 = 1 // one accepted solve: a round member
 	recDecision uint8 = 2 // snapshot: one cached decision
 	recGraph    uint8 = 3 // snapshot: one interned graph
-	recCounters uint8 = 4 // snapshot: the outcome array
-	recMutate   uint8 = 5 // one accepted mutate: a round member, or a legacy round of one on its own
+	recCounters uint8 = 4 // snapshot: the outcome array and the latency histograms
+	recMutate   uint8 = 5 // one accepted mutate: a round member
 	recRound    uint8 = 6 // journal: one round, its members and their multiplicities
 )
 
@@ -171,10 +169,10 @@ func newAcceptedRecord(g *graph.Graph, params mec.Params, o UserOverrides) []byt
 	return g.AppendBinary(append(rec, blk[:]...))
 }
 
-// recordFingerprint is the fingerprint (graph.Fingerprint) of rec's graph.
-func recordFingerprint(rec []byte) string {
-	sum := sha256.Sum256(rec[acceptedGraphOffset:])
-	return hex.EncodeToString(sum[:])
+// recordFingerprint is the fingerprint (graph.Fingerprint) of rec's graph,
+// hashed off the record's own encoding.
+func recordFingerprint(rec []byte) (string, error) {
+	return graph.FingerprintBinary(rec[acceptedGraphOffset:])
 }
 
 // decodeAccepted inverts newAcceptedRecord into a task of multiplicity 1
@@ -227,16 +225,10 @@ func appendRound(buf []byte, round []*solveTask) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeRound maps one journal payload to the round it replays as: a
-// recRound is inverted into its members, each decoded by its type byte; a
-// bare recAccepted or recMutate payload, as binaries before round records
-// journaled, is a round of one. A multiplicity above MaxBatch is clamped as
-// dispatchRound clamps it.
+// decodeRound inverts one journal payload, a recRound, into the round it
+// replays as: its members, each decoded by its type byte. A multiplicity
+// above MaxBatch is clamped as dispatchRound clamps it.
 func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
-	if len(payload) > 0 && (payload[0] == recAccepted || payload[0] == recMutate) {
-		t, err := s.decodeMember(payload)
-		return []*solveTask{t}, err
-	}
 	if len(payload) < 5 || payload[0] != recRound {
 		return nil, fmt.Errorf("serve: not a round record")
 	}
@@ -372,23 +364,36 @@ func decodeDecisionRecord(payload []byte) (string, *Decision, error) {
 }
 
 // counterSnapshot is the JSON body of a recCounters record: the outcome
-// array, so /v1/stats reports service history rather than process history.
-// Each endpoint's arrivals restore as the sum of its outcomes, so the books
-// balance after a restart; a request in flight at the snapshot is in
-// neither. The flat fields are the record as written before outcomes
-// existed, only read.
+// array and each latency class's histogram, so /v1/stats reports service
+// history rather than process history. Each endpoint's arrivals restore as
+// the sum of its outcomes, so the books balance after a restart; a request
+// in flight at the snapshot is in neither.
 type counterSnapshot struct {
-	Outcomes  *Outcomes `json:"outcomes,omitempty"`
-	Solved    uint64    `json:"solved,omitempty"`
-	CacheHits uint64    `json:"cache_hits,omitempty"`
-	BodyHits  uint64    `json:"body_hits,omitempty"`
-	Deduped   uint64    `json:"deduped,omitempty"`
+	Outcomes Outcomes                   `json:"outcomes"`
+	Latency  map[string]histogramRecord `json:"latency"`
 }
 
-// encodeCountersRecord renders the outcome array as a snapshot payload.
+// histogramRecord is one Histogram as a recCounters record carries it: the
+// per-bucket (not cumulative) counts, the count and the microsecond sum.
+type histogramRecord struct {
+	Buckets [numLatencyBuckets]uint64 `json:"buckets"`
+	Count   uint64                    `json:"count"`
+	SumUs   uint64                    `json:"sum_us"`
+}
+
+// encodeCountersRecord renders the outcome array and the latency histograms
+// as a snapshot payload.
 func encodeCountersRecord(c *counters) ([]byte, error) {
-	o := c.tally()
-	body, err := json.Marshal(counterSnapshot{Outcomes: &o})
+	snap := counterSnapshot{Outcomes: c.tally(), Latency: make(map[string]histogramRecord, nClass)}
+	for cl, name := range classNames {
+		h := &c.lat[cl]
+		r := histogramRecord{Count: h.count.Load(), SumUs: h.sumUs.Load()}
+		for i := range r.Buckets {
+			r.Buckets[i] = h.counts[i].Load()
+		}
+		snap.Latency[name] = r
+	}
+	body, err := json.Marshal(snap)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encode counters record: %w", err)
 	}
@@ -405,31 +410,21 @@ func restoreCountersRecord(payload []byte, c *counters) error {
 	if err := json.Unmarshal(payload[1:], &snap); err != nil {
 		return fmt.Errorf("serve: counters record: %w", err)
 	}
-	o := snap.Outcomes
-	if o == nil {
-		o = snap.legacy()
-	}
-	for e := range o {
-		for x, n := range o[e] {
+	for e := range snap.Outcomes {
+		for x, n := range snap.Outcomes[e] {
 			c.outcomes[e][x].Add(n)
 			c.arrivals[e].Add(n)
 		}
 	}
+	for cl, name := range classNames {
+		r, h := snap.Latency[name], &c.lat[cl]
+		for i, n := range r.Buckets {
+			h.counts[i].Add(n)
+		}
+		h.count.Add(r.Count)
+		h.sumUs.Add(r.SumUs)
+	}
 	return nil
-}
-
-// legacy maps a record written before the outcome array onto it: its 200s,
-// as the solve endpoint's body_hit, hit, dedup and solved. What it did not
-// attribute to a reply — failures, and which endpoint a hit or dedup was —
-// is not restored.
-func (snap *counterSnapshot) legacy() *Outcomes {
-	var o Outcomes
-	row := &o[solveEndpoint]
-	row[outBodyHit] = snap.BodyHits
-	row[outHit] = max(snap.CacheHits, snap.BodyHits) - snap.BodyHits
-	row[outDedup] = snap.Deduped
-	row[outSolved] = max(snap.Solved, snap.CacheHits+snap.Deduped) - snap.CacheHits - snap.Deduped
-	return &o
 }
 
 // WriteSnapshotRecords streams the server's warm state — interned graphs
@@ -459,9 +454,8 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 // Recover warms the server from recovered durable state: the snapshot's
 // graphs, decisions and counters are restored directly, then the journal
 // tail is replayed in order, each record as written and not journaled again:
-// decodeRound maps it to a round — a recRound's live members and
-// multiplicities, a legacy bare record's round of one — and solveRound
-// solves it. A round is skipped only when every member key is warm, so
+// decodeRound maps it to its round — the live members and multiplicities —
+// and solveRound solves it. A round is skipped only when every member key is warm, so
 // replay is idempotent.
 // Call before Start; undecodable records and failed cells are counted, never
 // fatal — recovery prefers a cold key to a dead daemon.

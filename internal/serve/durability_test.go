@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"copmecs/internal/core"
 	"copmecs/internal/graph"
@@ -359,8 +361,12 @@ func TestShedRequestIsNeverJournaled(t *testing.T) {
 	admitOne := func(i int) error {
 		g := testGraph(t, i)
 		rec := newAcceptedRecord(g, params, UserOverrides{})
-		task := &solveTask{rec: rec, user: core.UserInput{Graph: g}, params: params, pkey: paramsDigest(params), fp: recordFingerprint(rec)}
-		_, _, err := s.admit(cacheKey(task.fp, params, UserOverrides{}), func(p *pending) bool {
+		fp, err := recordFingerprint(rec)
+		if err != nil {
+			return err
+		}
+		task := &solveTask{rec: rec, user: core.UserInput{Graph: g}, params: params, pkey: paramsDigest(params), fp: fp}
+		_, _, err = s.admit(cacheKey(task.fp, params, UserOverrides{}), func(p *pending) bool {
 			task.p = p
 			return s.b.enqueue(task)
 		})
@@ -549,10 +555,11 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 	}{
 		"empty":                   {payload: nil},
 		"wrong type":              {payload: []byte{recDecision, 0, 0, 0}},
-		"truncated":               {payload: good[:20]},
-		"graph garbage":           {payload: append(append([]byte{}, good[:1+9*8]...), []byte("not a graph")...)},
-		"over limits":             {payload: good, limits: DecodeLimits{MaxNodes: 1}},
-		"nan params":              {payload: nan},
+		"bare member":             {payload: good},
+		"truncated":               {payload: round(1, good[:20])},
+		"graph garbage":           {payload: round(1, append(append([]byte{}, good[:1+9*8]...), []byte("not a graph")...))},
+		"over limits":             {payload: round(1, good), limits: DecodeLimits{MaxNodes: 1}},
+		"nan params":              {payload: round(1, nan)},
 		"round of no members":     {payload: round(1)},
 		"round count past end":    {payload: countLie},
 		"round length past end":   {payload: lengthLie},
@@ -649,7 +656,7 @@ func TestJournalReplaySolvesAndDedups(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encodeAccepted: %v", err)
 		}
-		journal = append(journal, rec)
+		journal = append(journal, roundOf(t, rec))
 	}
 	// A duplicate of record 0 (replay is idempotent) and one corrupt record.
 	journal = append(journal, journal[0], []byte("garbage record"))
@@ -731,12 +738,17 @@ func TestNonFiniteDecisionIsRejectedAndNeverCached(t *testing.T) {
 
 func TestCountersRecordRoundTrip(t *testing.T) {
 	var c counters
-	c.outcomes[solveEndpoint][outBodyHit].Add(1)
-	c.outcomes[solveEndpoint][outHit].Add(2)
-	c.outcomes[solveEndpoint][outSolved].Add(3)
-	c.outcomes[solveEndpoint][outShed].Add(4)
-	c.outcomes[mutateEndpoint][outDelta].Add(5)
-	c.outcomes[mutateEndpoint][outError].Add(6)
+	book := func(ep int, o outcome, n int, d time.Duration) {
+		for i := 0; i < n; i++ {
+			c.record(ep, o, d)
+		}
+	}
+	book(solveEndpoint, outBodyHit, 1, 200*time.Microsecond)
+	book(solveEndpoint, outHit, 2, 3*time.Millisecond)
+	book(solveEndpoint, outSolved, 3, 40*time.Millisecond)
+	book(solveEndpoint, outShed, 4, 7*time.Second)
+	book(mutateEndpoint, outDelta, 5, 2*time.Millisecond)
+	book(mutateEndpoint, outError, 6, 600*time.Millisecond)
 	c.arrivals[solveEndpoint].Add(11) // one still in flight: it restores in neither
 	c.arrivals[mutateEndpoint].Add(11)
 	rec, err := encodeCountersRecord(&c)
@@ -754,6 +766,11 @@ func TestCountersRecordRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	for cl, name := range classNames {
+		if got, want := fresh.lat[cl].snapshot(), c.lat[cl].snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("latency class %s restored as %+v, want %+v", name, got, want)
+		}
+	}
 	if fresh.arrivals[solveEndpoint].Load() != 10 || fresh.arrivals[mutateEndpoint].Load() != 11 {
 		t.Errorf("arrivals %d/%d, want 10/11 (each endpoint's outcomes summed)",
 			fresh.arrivals[solveEndpoint].Load(), fresh.arrivals[mutateEndpoint].Load())
@@ -762,50 +779,15 @@ func TestCountersRecordRoundTrip(t *testing.T) {
 		t.Fatal("truncated counters record accepted")
 	}
 
-	// A record in the format written before the outcome array restores its
-	// 200s: solved 8 = 3 hits (1 by body digest) + 2 deduped + 3 solved.
-	legacy := append([]byte{recCounters},
-		`{"requests":9,"solved":8,"cache_hits":3,"cache_misses":4,"body_hits":1,"deduped":2}`...)
+	// Recovered into a server, the record balances its books: every
+	// restored outcome has its latency observation.
 	s := newTestServer(t, Config{})
-	if rs := s.Recover(context.Background(), [][]byte{legacy}, nil); rs.DecodeErrors != 0 {
-		t.Fatalf("legacy counters record: %+v", rs)
+	if rs := s.Recover(context.Background(), [][]byte{rec}, nil); rs.DecodeErrors != 0 {
+		t.Fatalf("counters record: %+v", rs)
 	}
-	st := s.Stats()
-	if st.Requests != 8 || st.Solved != 8 || st.Cache.Hits != 3 || st.Cache.BodyHits != 1 ||
-		st.Deduped != 2 || st.Cache.Misses != 3 {
-		t.Errorf("legacy restore: requests %d solved %d hits %d body_hits %d deduped %d misses %d, want 8 8 3 1 2 3",
-			st.Requests, st.Solved, st.Cache.Hits, st.Cache.BodyHits, st.Deduped, st.Cache.Misses)
-	}
-
-	// An outcome record written while the server still had a rate cap: its
-	// rate_limited count is not restored, and neither are those arrivals,
-	// so each endpoint's arrivals are the sum of its restored outcomes and
-	// the books balance. (checkBooks would also hold the latency count to
-	// the outcomes; the snapshot does not carry the latency histograms.)
-	capped := append([]byte{recCounters}, `{"outcomes":{`+
-		`"solve":{"body_hit":1,"solved":3,"rate_limited":5,"shed":2},`+
-		`"mutate":{"delta":4,"rate_limited":0}}}`...)
-	s = newTestServer(t, Config{})
-	if rs := s.Recover(context.Background(), [][]byte{capped}, nil); rs.DecodeErrors != 0 {
-		t.Fatalf("rate-capped counters record: %+v", rs)
-	}
-	st = s.Stats()
-	if st.Requests != 1+3+2 || st.Incremental.Mutates != 4 || st.RateLimited != 0 ||
-		st.Solved != 1+3+4 || st.Shed != 2 {
-		t.Errorf("rate-capped restore: requests %d mutates %d rate_limited %d solved %d shed %d, want 6 4 0 8 2",
-			st.Requests, st.Incremental.Mutates, st.RateLimited, st.Solved, st.Shed)
-	}
-	var answered uint64
-	for e := range st.Outcomes {
-		for _, n := range st.Outcomes[e] {
-			answered += n
-		}
-	}
-	if answered != st.Requests+st.Incremental.Mutates {
-		t.Errorf("rate-capped restore: outcomes sum to %d, arrivals %d", answered, st.Requests+st.Incremental.Mutates)
-	}
-	if got := st.Cache.Hits + st.Cache.Misses + st.Deduped; got != st.Solved {
-		t.Errorf("rate-capped restore: hits + misses + deduped = %d, solved %d", got, st.Solved)
+	checkBooks(t, s)
+	if st := s.Stats(); st.Latency.Count != 21 || st.LatencyByClass["error"].Count != 10 {
+		t.Errorf("restored latency count %d (error class %d), want 21 (10)", st.Latency.Count, st.LatencyByClass["error"].Count)
 	}
 }
 

@@ -290,9 +290,9 @@ func FuzzMutateRequestMatchesStdlib(f *testing.F) {
 }
 
 // FuzzRecoverJournal runs Recover over mutated bytes of a live journal's
-// records: a lone round, a round of one holding a mutate of its graph, a bare
-// accepted record, a round of two with a follower's multiplicity and a bare
-// mutate record. Each input is replayed behind
+// records: a lone round, a round of one holding a mutate of its graph, a
+// round of two with a follower's multiplicity, and rounds of one wrapping an
+// accepted record and a mutate record. Each input is replayed behind
 // the lone round, so a mutate finds its base. Recovery must never panic and
 // must finish every cell it opens, so the server still drains. Run longer
 // with: make fuzz
@@ -326,11 +326,11 @@ func FuzzRecoverJournal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	bareMutate, err := encodeMutate(&MutateRequest{Base: fingerprintOf(f, base), Delta: &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 3, V: 4, Weight: 9}}}}, params)
+	mutateMember, err := encodeMutate(&MutateRequest{Base: fingerprintOf(f, base), Delta: &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 3, V: 4, Weight: 9}}}}, params)
 	if err != nil {
 		f.Fatal(err)
 	}
-	journal = append(journal, newAcceptedRecord(testGraph(f, 3), params, UserOverrides{}), pair, bareMutate)
+	journal = append(journal, pair, roundOf(f, newAcceptedRecord(testGraph(f, 3), params, UserOverrides{})), roundOf(f, mutateMember))
 	for _, rec := range journal {
 		f.Add(rec)
 	}

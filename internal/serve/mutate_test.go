@@ -388,7 +388,7 @@ func TestJournalReplayReconstructsMutatedGraphs(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rs := s.Recover(ctx, nil, [][]byte{recSolve, recMut1, recMut2, orphan})
+	rs := s.Recover(ctx, nil, [][]byte{roundOf(t, recSolve), roundOf(t, recMut1), roundOf(t, recMut2), roundOf(t, orphan)})
 	if rs.JournalRecords != 4 {
 		t.Fatalf("JournalRecords = %d, want 4", rs.JournalRecords)
 	}
@@ -666,5 +666,62 @@ func TestMutateInternRaceSolvesTheInternedInstance(t *testing.T) {
 	}
 	if after.Incremental.DeltaSolves != before.Incremental.DeltaSolves {
 		t.Errorf("delta_solves %d → %d, want unchanged", before.Incremental.DeltaSolves, after.Incremental.DeltaSolves)
+	}
+}
+
+// TestMutateChainFingerprintsAgree chains mutates down one lineage of a
+// 70-node graph — three fingerprint chunks, the last one short — through
+// weights, edges, and node removes and adds that shift indices. At every
+// step the reply's handle, the patched view's fingerprint (re-hashing only
+// the chunks the delta changed once the chain's views carry digests), must
+// equal the applied graph's compiled view's, the applied graph's own and
+// the fingerprint /v1/solve hashes off the applied graph's record.
+func TestMutateChainFingerprintsAgree(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	g := chainGraph(t, 70)
+	var sresp SolveResponse
+	if st := postJSON(t, ts.URL+"/v1/solve", solveBody(t, g), &sresp); st != http.StatusOK {
+		t.Fatalf("solve: status %d", st)
+	}
+	head := sresp.Graph
+	for i, d := range []*graph.Delta{
+		{SetNodeWeights: []graph.NodeDelta{{ID: 5, Weight: 9}}},
+		{SetEdges: []graph.EdgeDelta{{U: 40, V: 3, Weight: 2}}},
+		{RemoveEdges: []graph.EdgePair{{U: 68, V: 69}}, SetEdges: []graph.EdgeDelta{{U: 0, V: 69, Weight: 1}}},
+		{RemoveNodes: []graph.NodeID{40}},
+		{AddNodes: []graph.NodeDelta{{ID: -5, Weight: 4}}, SetEdges: []graph.EdgeDelta{{U: -5, V: 0, Weight: 3}}},
+		{AddNodes: []graph.NodeDelta{{ID: 1000, Weight: 1}}, SetEdges: []graph.EdgeDelta{{U: 1000, V: 69, Weight: 7}}},
+		{SetNodeWeights: []graph.NodeDelta{{ID: 33, Weight: 1}}},
+	} {
+		var mresp MutateResponse
+		if st := postJSON(t, ts.URL+"/v1/mutate", mutateBody(t, head, d), &mresp); st != http.StatusOK {
+			t.Fatalf("step %d: mutate status %d", i, st)
+		}
+		if !mresp.Incremental {
+			t.Fatalf("step %d: not incremental (%s)", i, mresp.FallbackReason)
+		}
+		if err := d.Apply(g); err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := g.Compile().Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := fingerprintOf(t, g)
+		record, err := recordFingerprint(newAcceptedRecord(g, defaultTestParams(), UserOverrides{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mresp.Graph != compiled || compiled != applied || applied != record {
+			t.Fatalf("step %d: patched view %s, compiled view %s, applied graph %s, record %s",
+				i, mresp.Graph, compiled, applied, record)
+		}
+		head = mresp.Graph
 	}
 }

@@ -156,8 +156,7 @@ func (c Config) withDefaults() Config {
 // after publication.
 type Decision struct {
 	// Graph is the canonical fingerprint of the solved graph — the base
-	// handle for /v1/mutate deltas. Empty on decisions restored from
-	// snapshots written before the field existed.
+	// handle for /v1/mutate deltas.
 	Graph string
 	// Remote lists the offloaded node IDs, ascending.
 	Remote []graph.NodeID
@@ -196,10 +195,9 @@ type CostJSON struct {
 // SolveResponse is the POST /v1/solve 200 body.
 type SolveResponse struct {
 	// Graph is the solved graph's canonical fingerprint — the base handle
-	// for POST /v1/mutate deltas. Omitted only for decisions restored from
-	// pre-field snapshots. (MutateResponse's own Graph field, one level
-	// shallower, takes precedence there.)
-	Graph string `json:"graph,omitempty"`
+	// for POST /v1/mutate deltas. (MutateResponse's own Graph field, one
+	// level shallower, takes precedence there.)
+	Graph string `json:"graph"`
 	// Remote lists the node IDs to offload, ascending.
 	Remote []graph.NodeID `json:"remote"`
 	// LocalWork is the computation kept on the device.
@@ -674,7 +672,10 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 		return reply{}, err
 	}
 	rec := newAcceptedRecord(req.Graph, params, req.UserOverrides)
-	fp := recordFingerprint(rec)
+	fp, err := recordFingerprint(rec)
+	if err != nil {
+		return reply{}, err
+	}
 	key := cacheKey(fp, params, req.UserOverrides)
 	s.bodies.Put(digest, key)
 	if ent, ok := s.cache.Get(key); ok {

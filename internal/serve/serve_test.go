@@ -799,7 +799,10 @@ func TestSolveEncodesOnce(t *testing.T) {
 	if len(rec) != cap(rec) {
 		t.Errorf("record buffer: len %d, cap %d; want it sized exactly", len(rec), cap(rec))
 	}
-	fp := recordFingerprint(rec)
+	fp, err := recordFingerprint(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if key := cacheKey(fp, params, req.UserOverrides); fp != wantFp || key != wantKey {
 		t.Fatalf("record identity (%s, %s), requestKey (%s, %s)", key, fp, wantKey, wantFp)
 	}
