@@ -40,8 +40,9 @@ lint: vet
 
 # fuzz gives the binary codec, the one-pass JSON scanner's shapes (graph,
 # /v1/solve body, /v1/mutate body, each held to encoding/json), the
-# serving-path request decoder and journal recovery over mutated round and
-# mutate records a short randomized shake; CI runs the seed corpus via plain
+# serving-path request decoder, journal recovery over mutated round and
+# mutate records and the cached-hit reply's appender (held to
+# encoding/json) a short randomized shake; CI runs the seed corpus via plain
 # `go test`, this target digs deeper locally.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/graph/
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSolveRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzMutateRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzRecoverJournal -fuzztime=30s ./internal/serve/
+	$(GO) test -run=NONE -fuzz=FuzzRenderHitMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/durable/
 
 # bench runs every benchmark in the repo into results/bench.txt.
@@ -63,7 +65,9 @@ bench:
 # edge-churn deltas vs cold solves), the mutate key (the applied map graph's
 # fingerprint vs patching the cached view and hashing that), internal/graph's
 # fingerprint re-key (a patched view re-hashing its dirty chunks vs a full
-# chunked hash of it), internal/eigen's
+# chunked hash of it), internal/core's evaluator state over boundary rows
+# against the full-view walk, internal/serve's cached-hit render against
+# json.Marshal, internal/eigen's
 # dense Fiedler kernel against its Jacobi oracle and its Sturm bisection
 # against the QL test oracle (the pass it replaced), internal/lpa's round
 # loop against its all-rounds reference, internal/graph's one-pass JSON
@@ -78,8 +82,8 @@ bench:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
-		. ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
+		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkUserStateBoundarySpeedup$$|^BenchmarkRenderHitSpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		. ./internal/core/ ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \
 		name = $$1; sub(/-[0-9]+$$/, "", name); \

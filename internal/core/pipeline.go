@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"copmecs/internal/graph"
 	"copmecs/internal/lpa"
@@ -43,35 +44,40 @@ func rawBlock(c *graph.CSR, comp, pos []int32) *lpa.Block {
 // graphPipeline is one graph's pipeline outcome and the unit a Session
 // caches: the view it ran over, every component's record aligned with the
 // view's Components(), the user-independent part templates those records
-// expand to, and the compression counters. Every entry is a patchable base:
+// expand to, the boundary rows of them all, ascending (the evaluator's cut
+// walk), and the compression counters. Every entry is a patchable base:
 // the next Apply against its graph patches view, and the pass that stages
 // the patched view carries the clean components' records. An entry owns its
 // arrays; no entry shares a backing array with another graph's, except the
-// cut lists noted at compSolveState.
+// cut lists and boundary windows noted at compSolveState.
 type graphPipeline struct {
 	view                   *graph.CSR
 	comps                  []compSolveState
 	protos                 []protoPart
+	boundary               []int32
 	nodesAfter, edgesAfter int
 }
 
 // compSolveState is everything the pipeline derived for one component: its
 // compression block (the identity block under DisableCompression), the cut
 // lists recursive bisection produced over the block's local ids, the Lanczos
-// iterations spent producing them, and the part templates the cuts expand
-// to, adjacency indices relative to the component's first template. The
-// block and the cuts name members by position, so they are valid for the
-// same component in any view; the templates name view indices and NodeIDs,
-// so they hold as long as no index shifts. A component's block and
-// templates are its own allocations and its cut lists windows of the cut
-// stage's per-worker arena (a few KiB a chunk), so an entry down a delta
-// chain keeps an ancestor's memory alive only through the components it
-// still carries from it.
+// iterations spent producing them, the part templates the cuts expand to,
+// adjacency indices relative to the component's first template, and the
+// component's boundary rows: the view indices u, ascending, with a neighbour
+// t > u in another part. The block and the cuts name members by position, so
+// they are valid for the same component in any view; the templates and the
+// boundary name view indices, so they hold as long as no index shifts. A
+// component's block and templates are its own allocations, its cut lists
+// windows of the cut stage's per-worker arena (a few KiB a chunk) and its
+// boundary a window of its graph's boundary slab (assembleBoundary), so an
+// entry down a delta chain keeps an ancestor's memory alive only through
+// the components it still carries from it.
 type compSolveState struct {
-	blk    *lpa.Block
-	cuts   [][]int32
-	iters  int
-	protos []protoPart
+	blk      *lpa.Block
+	cuts     [][]int32
+	iters    int
+	protos   []protoPart
+	boundary []int32
 }
 
 // compJob is one dirty component of one graph of a round: the unit the
@@ -101,7 +107,7 @@ type stagedView struct {
 //
 // A component of a patched view with a clean predecessor (info.OldCompOf) is
 // that predecessor's record, copied: block, cuts and — unless the patch
-// shifted node indices — templates; only the shifted templates are
+// shifted node indices — templates and boundary rows; only shifted ones are
 // re-expanded from the carried block and cuts. Every other component — all
 // of them in a compiled view — runs compress → partition → expand.
 func runPipeline(ctx context.Context, opts Options, in []stagedView) ([]*graphPipeline, error) {
@@ -132,23 +138,29 @@ func runPipeline(ctx context.Context, opts Options, in []stagedView) ([]*graphPi
 	}
 
 	// Assembly, one unit per graph: a graph's templates are its components'
-	// groups end to end, adjacency re-based to the group's offset.
-	scs := make([]expandScratch, poolSize(opts.Workers, len(out)))
-	return out, parallelFor(opts.Workers, len(out), func(w, k int) error {
+	// groups end to end, adjacency re-based to the group's offset, and its
+	// boundary their boundary rows as one ascending list.
+	return out, parallelFor(opts.Workers, len(out), func(_, k int) error {
+		sc := expandScratchPool.Get().(*expandScratch)
+		defer expandScratchPool.Put(sc)
 		gp := out[k]
-		comps, ids := gp.view.Components(), gp.view.IDs()
+		comps := gp.view.Components()
 		shifted := in[k].info != nil && in[k].info.NewToOld != nil
 		total, adj := 0, 0
+		found, ends := sc.found[:0], sc.ends[:0]
 		for ci := range gp.comps {
 			cs := &gp.comps[ci]
 			if cs.protos == nil || shifted {
-				cs.protos = expandProtos(cs.blk, cs.cuts, comps[ci], ids, &scs[w])
+				cs.protos, found = expandProtos(cs.blk, cs.cuts, comps[ci], gp.view, sc, found)
+				ends = append(ends, int32(ci), int32(len(found)))
 			}
 			total += len(cs.protos)
 			for pi := range cs.protos {
 				adj += len(cs.protos[pi].adj)
 			}
 		}
+		sc.found, sc.ends = found, ends
+		assembleBoundary(gp, found, ends)
 		gp.protos = make([]protoPart, 0, total)
 		adjSlab := make([]PartEdge, 0, adj)
 		for ci := range gp.comps {
@@ -171,14 +183,63 @@ func runPipeline(ctx context.Context, opts Options, in []stagedView) ([]*graphPi
 	})
 }
 
-// expandScratch is expandProtos' reusable workspace: the cut index of every
-// local id, and the dense cut×cut cross-weight table with its "an edge
-// crosses this pair" marks.
+// assembleBoundary gives the components the pass expanded their boundary
+// rows and gp its merged list. found holds the expanded components' rows end
+// to end and ends, per expanded component, its index and the end of its rows
+// in found. They move to one exactly sized slab of the graph's own, each
+// component's list a window of it, so a component down a delta chain pins
+// its graph's slab as its cut lists pin their arena chunk. The slab is the
+// merged list when every component was expanded and their rows ascend end to
+// end (components that are index ranges); otherwise the lists are merged
+// into one of their own.
+func assembleBoundary(gp *graphPipeline, found, ends []int32) {
+	var slab []int32
+	if len(found) > 0 {
+		slab = slices.Clone(found)
+	}
+	start := int32(0)
+	for j := 0; j < len(ends); j += 2 {
+		cs, end := &gp.comps[ends[j]], ends[j+1]
+		cs.boundary = nil
+		if end > start {
+			cs.boundary = slab[start:end:end]
+		}
+		start = end
+	}
+	if len(ends) == 2*len(gp.comps) && slices.IsSorted(slab) {
+		gp.boundary = slab
+		return
+	}
+	rows := 0
+	for ci := range gp.comps {
+		rows += len(gp.comps[ci].boundary)
+	}
+	if rows == 0 {
+		return
+	}
+	gp.boundary = make([]int32, 0, rows)
+	for ci := range gp.comps {
+		gp.boundary = append(gp.boundary, gp.comps[ci].boundary...)
+	}
+	slices.Sort(gp.boundary)
+}
+
+// expandScratch is the assembly's reusable workspace: expandProtos' cut
+// index of every local id, its dense cut×cut cross-weight table with the
+// "an edge crosses this pair" marks and the part of every view index, and
+// the boundary rows a graph's expanded components found, with their ends.
 type expandScratch struct {
 	blockOf []int32
 	cross   []float64
 	crossed []bool
+	partOf  []int32
+	found   []int32
+	ends    []int32
 }
+
+// expandScratchPool lends assembly units their expandScratch, so a pass
+// that re-expands only a delta's dirty components allocates no workspace.
+var expandScratchPool = sync.Pool{New: func() any { return new(expandScratch) }}
 
 // expandProtos expands one component's cut lists into its part templates:
 // per-cut original-node expansion through the block's member positions,
@@ -187,10 +248,11 @@ type expandScratch struct {
 // indexes within a graph's templates once the group's offset is added. The
 // group and its lists are allocations of the component's own.
 //
-// comp is the component's member list in the graph's view and ids the view's
-// index→NodeID array. Each template records its members both as NodeIDs and
-// as view indices — the evaluator's input.
-func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.NodeID, sc *expandScratch) []protoPart {
+// comp is the component's member list in view. Each template records its
+// members both as NodeIDs and as view indices — the evaluator's input. The
+// component's boundary rows (boundaryRows) are appended to found.
+func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, view *graph.CSR, sc *expandScratch, found []int32) ([]protoPart, []int32) {
+	ids := view.IDs()
 	// All cuts together cover the component's nodes exactly once, so the
 	// per-cut node and index lists each carve one exactly-sized slab.
 	nodesSlab := make([]graph.NodeID, 0, len(comp))
@@ -237,7 +299,7 @@ func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.Node
 	}
 	k := len(cuts)
 	if k < 2 {
-		return protos
+		return protos, found
 	}
 	// Pairwise communication between the cuts of this sub-graph, in a dense
 	// k×k table keyed [lower cut][higher cut]. The scan runs u ascending, v>u
@@ -282,7 +344,33 @@ func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, ids []graph.Node
 	// Algorithm 2's initial scheme generalised: the lightest part stays on
 	// the device, every other part offloads.
 	protos[lightest].remote = false
-	return protos
+	return protos, boundaryRows(found, protos, comp, view, sc)
+}
+
+// boundaryRows appends to dst, ascending, the members u of comp with a
+// neighbour t > u in view in another of the component's parts (protos): the
+// only rows holding an edge whose endpoints a placement can put on
+// different sides.
+func boundaryRows(dst []int32, protos []protoPart, comp []int32, view *graph.CSR, sc *expandScratch) []int32 {
+	if cap(sc.partOf) < view.NumNodes() {
+		sc.partOf = make([]int32, view.NumNodes())
+	}
+	partOf := sc.partOf
+	for pi := range protos {
+		for _, u := range protos[pi].idx {
+			partOf[u] = int32(pi)
+		}
+	}
+	for _, u := range comp {
+		tgt, _ := view.Adj(u)
+		for _, t := range tgt {
+			if t > u && partOf[t] != partOf[u] {
+				dst = append(dst, u)
+				break
+			}
+		}
+	}
+	return dst
 }
 
 // splitScratch is the reusable workspace of the cut stage: rank and

@@ -356,7 +356,8 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]*graphPi
 	states := make([]mec.UserState, len(users))
 	partBase := 0
 	for ui, pl := range sol.Placements {
-		sol.States[ui] = userState(round[users[ui].Graph].view, parts[partBase:userPartEnd[ui]], pl, mark)
+		gp := round[users[ui].Graph]
+		sol.States[ui] = userState(gp.view, gp.boundary, parts[partBase:userPartEnd[ui]], pl, mark)
 		states[ui] = sol.States[ui]
 		states[ui].LocalWork += users[ui].FixedLocalWork
 		partBase = userPartEnd[ui]
@@ -371,12 +372,13 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]*graphPi
 
 // userState is Placement.State computed off the graph's view: the local and
 // remote work sums walk the nodes ascending (the same order as Graph.Nodes),
-// and the cut sum walks stored edges u ascending, v>u ascending (the same
-// order Graph.Edges sorts into), so every float lands in the same order State
-// produces. parts are the user's parts; their idx slices index the view.
-// mark is the calling worker's scratch, clean on entry and cleaned before
-// return.
-func userState(v *graph.CSR, parts []Part, pl mec.Placement, mark []bool) mec.UserState {
+// and the cut sum walks the boundary rows' stored edges u ascending, t>u
+// ascending (the order Graph.Edges sorts into), so every float lands in the
+// same order State produces. An edge inside one part never crosses, whatever
+// the placement, so the rows boundary leaves out add nothing. parts are the
+// user's parts; their idx slices index the view. mark is the calling
+// worker's scratch, clean on entry and cleaned before return.
+func userState(v *graph.CSR, boundary []int32, parts []Part, pl mec.Placement, mark []bool) mec.UserState {
 	st := mec.UserState{DeviceCompute: pl.DeviceCompute, Bandwidth: pl.Bandwidth, PowerTransmit: pl.PowerTransmit}
 	setMarks := func(on bool) {
 		for pi := range parts {
@@ -395,7 +397,7 @@ func userState(v *graph.CSR, parts []Part, pl mec.Placement, mark []bool) mec.Us
 			st.LocalWork += w
 		}
 	}
-	for u := range int32(v.NumNodes()) {
+	for _, u := range boundary {
 		tgt, w := v.Adj(u)
 		for e, t := range tgt {
 			if t > u && mark[u] != mark[t] {

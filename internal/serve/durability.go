@@ -205,7 +205,8 @@ func decodeAccepted(payload []byte, limits DecodeLimits) (*solveTask, error) {
 // appendRound appends round's recRound payload to buf: the record type, the
 // member count, then per member a length-prefixed chunk of its multiplicity
 // and the request as it was accepted — a solve's recAccepted payload or a
-// mutate's recMutate payload (lengths and counts little-endian uint32s).
+// mutate's recMutate payload, whose delta is the JSON json.Marshal writes
+// (appendDelta) — lengths and counts little-endian uint32s.
 func appendRound(buf []byte, round []*solveTask) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(append(buf, recRound), uint32(len(round)))
 	for _, t := range round {
@@ -213,12 +214,13 @@ func appendRound(buf []byte, round []*solveTask) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(append(buf, 0, 0, 0, 0), uint32(t.mult))
 		if t.mutate == nil {
 			buf = append(buf, t.rec...)
-		} else if body, err := json.Marshal(t.mutate.Delta); err != nil {
-			return buf, fmt.Errorf("serve: encode mutate: %w", err)
 		} else {
 			blk := floatBlock(t.params, t.mutate.UserOverrides)
 			buf = binary.LittleEndian.AppendUint32(append(append(buf, recMutate), blk[:]...), uint32(len(t.mutate.Base)))
-			buf = append(append(buf, t.mutate.Base...), body...)
+			var err error
+			if buf, err = appendDelta(append(buf, t.mutate.Base...), t.mutate.Delta); err != nil {
+				return buf, fmt.Errorf("serve: encode mutate: %w", err)
+			}
 		}
 		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}

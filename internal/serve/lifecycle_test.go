@@ -102,6 +102,21 @@ func tryPostJSON(url string, body []byte, out any) int {
 	return resp.StatusCode
 }
 
+// awaitParked waits for a cut to park on entered. A request that finishes
+// first, having failed before it reached the engine, fails the test at once
+// with what it finished with (its status), and so does a cut that has not
+// parked within five seconds.
+func awaitParked[T any](t *testing.T, entered <-chan struct{}, finished <-chan T) {
+	t.Helper()
+	select {
+	case <-entered:
+	case v := <-finished:
+		t.Fatalf("the request finished (%v) before it reached the engine", v)
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for a cut to park")
+	}
+}
+
 // waitFor polls cond (a counter the server bumps when the awaited event
 // has happened) until it holds.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -121,7 +136,7 @@ func TestMutateCountsTowardInFlightAndLatency(t *testing.T) {
 	f.eng.hold.Store(true)
 	status := make(chan int, 1)
 	go func() { status <- tryPostJSON(f.url+"/v1/mutate", f.body, nil) }()
-	<-f.eng.entered // the mutate is parked inside its solve
+	awaitParked(t, f.eng.entered, status) // the mutate is parked inside its solve
 	if got := f.s.Stats().InFlight; got != 1 {
 		t.Errorf("in_flight while a mutate is parked = %d, want 1", got)
 	}
@@ -149,7 +164,7 @@ func TestConcurrentIdenticalMutatesRunOnce(t *testing.T) {
 	var solved SolveResponse
 	status := make(chan int, 3)
 	go func() { status <- tryPostJSON(f.url+"/v1/mutate", f.body, &leader) }()
-	<-f.eng.entered // the leader is parked; its cell is registered
+	awaitParked(t, f.eng.entered, status) // the leader is parked; its cell is registered
 	go func() { status <- tryPostJSON(f.url+"/v1/mutate", f.body, &follower) }()
 	key := cacheKey(fingerprintOf(t, f.mutated), f.s.cfg.Params, UserOverrides{})
 	waitFor(t, "the twin mutate to attach", func() bool { return cellMult(f.s, key) == 2 })
@@ -406,7 +421,7 @@ func TestMutateGraphFieldMatchesSolveFingerprint(t *testing.T) {
 	var leader, follower MutateResponse
 	status := make(chan int, 2)
 	go func() { status <- tryPostJSON(ts.URL+"/v1/mutate", body, &leader) }()
-	<-eng.entered
+	awaitParked(t, eng.entered, status)
 	go func() { status <- tryPostJSON(ts.URL+"/v1/mutate", body, &follower) }()
 	key := cacheKey(fingerprintOf(t, g7), s.cfg.Params, UserOverrides{})
 	waitFor(t, "the twin mutate to attach", func() bool { return cellMult(s, key) == 2 })

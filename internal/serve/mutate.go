@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -222,7 +221,8 @@ func (s *Server) mutate(ctx context.Context, body []byte) (reply, error) {
 		// ones /v1/solve traffic is forming open.
 		t.p = p
 		s.park()
-		s.runRound(context.WithoutCancel(ctx), []*solveTask{t}, nil)
+		rec := scratchPool.Get().(*[]byte)
+		putScratch(rec, s.runRound(context.WithoutCancel(ctx), []*solveTask{t}, *rec))
 		s.unpark()
 		o = outSolved
 		if t.staged() {
@@ -252,8 +252,7 @@ func mutateReply(hit []byte, fp, base string, ds core.DeltaStats, cached, dedupe
 	b = strconv.AppendBool(append(appendFlags(b, cached, deduped), `,"incremental":`...), ds.Incremental)
 	b = strconv.AppendBool(append(b, `,"cold_fallback":`...), ds.ColdFallback)
 	if ds.FallbackReason != "" {
-		reason, _ := json.Marshal(ds.FallbackReason) // a string always encodes
-		b = append(append(b, `,"fallback_reason":`...), reason...)
+		b = appendString(append(b, `,"fallback_reason":`...), ds.FallbackReason)
 	}
 	b = strconv.AppendInt(append(b, `,"clean_components":`...), int64(ds.CleanComponents), 10)
 	b = strconv.AppendInt(append(b, `,"dirty_components":`...), int64(ds.DirtyComponents), 10)

@@ -957,15 +957,61 @@ func solveResponseFor(dec *Decision, cached, deduped bool) SolveResponse {
 
 // renderHit pre-encodes dec's cached=true response at cache-fill time, so
 // every subsequent hit writes stored bytes instead of re-encoding JSON.
-// The bytes match writeJSON's encoder output (trailing newline included);
-// every other reply about dec is rewritten from them (solveReply,
-// mutateReply). It fails only on a non-finite float, which JSON cannot carry.
+// The bytes are writeJSON's encoder output for solveResponseFor(dec, true,
+// false), trailing newline included (appendHit); every other reply about dec
+// is rewritten from them (solveReply, mutateReply). It fails only on a
+// non-finite float, which JSON cannot carry. The body is appended in pooled
+// scratch and leaves in one allocation of its exact size.
 func renderHit(dec *Decision) ([]byte, error) {
-	b, err := json.Marshal(solveResponseFor(dec, true, false))
-	if err != nil {
-		return nil, err
+	scratch := scratchPool.Get().(*[]byte)
+	b, err := appendHit((*scratch)[:0], dec)
+	var body []byte
+	if err == nil {
+		body = make([]byte, len(b))
+		copy(body, b)
 	}
-	return append(b, '\n'), nil
+	putScratch(scratch, b)
+	return body, err
+}
+
+// scratchPool recycles the byte buffers a request fills and drops — a
+// decision's render, a mutate leader's journal record — so the hot path
+// does not grow a fresh one per request.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putScratch returns b, the grown contents of p, to scratchPool, unless it
+// grew past maxPooledBody.
+func putScratch(p *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*p = b[:0]
+		scratchPool.Put(p)
+	}
+}
+
+// appendHit appends the cached-hit body of dec — json.Marshal of
+// solveResponseFor(dec, true, false) and a newline — member by member.
+func appendHit(b []byte, dec *Decision) ([]byte, error) {
+	b = appendString(append(b, `{"graph":`...), dec.Graph)
+	b = appendIDs(append(b, `,"remote":`...), dec.Remote)
+	c := &dec.Cost
+	var err error
+	for _, m := range [...]struct {
+		key string
+		v   float64
+	}{
+		{`,"local_work":`, dec.LocalWork}, {`,"remote_work":`, dec.RemoteWork}, {`,"cut_weight":`, dec.CutWeight},
+		{`,"cost":{"local_time":`, c.LocalTime}, {`,"remote_time":`, c.RemoteTime}, {`,"wait_time":`, c.WaitTime},
+		{`,"transmission_time":`, c.TransmissionTime}, {`,"local_energy":`, c.LocalEnergy},
+		{`,"transmission_energy":`, c.TransmissionEnergy}, {`,"server_share":`, c.ServerShare},
+		{`},"batch_objective":`, dec.Objective},
+	} {
+		if b, err = appendFloat(append(b, m.key...), m.v); err != nil {
+			return b, err
+		}
+	}
+	b = strconv.AppendInt(append(b, `,"batch_users":`...), int64(dec.BatchUsers), 10)
+	b = strconv.AppendInt(append(b, `,"active_users":`...), int64(dec.ActiveUsers), 10)
+	return append(append(appendString(append(b, `,"engine":`...), dec.Engine), ','), hitTail...), nil
 }
 
 // hitTail ends every body renderHit returns: the flags a rewrite replaces,

@@ -255,7 +255,7 @@ func TestInlineMutateSolveDoesNotHoldRoundsOpen(t *testing.T) {
 	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 10, V: 11, Weight: 77}}}
 	eng.hold.Store(true)
 	mutate := post(s, "/v1/mutate", bytes.NewReader(mutateBody(t, fingerprintOf(t, base), d)))
-	<-eng.entered // the mutate leader is inside its delta solve
+	awaitParked(t, eng.entered, mutate.done) // the mutate leader is inside its delta solve
 	eng.hold.Store(false)
 
 	var resp SolveResponse

@@ -202,7 +202,7 @@ func TestEveryRequestRecordsOneOutcome(t *testing.T) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(solveBody(t, testGraph(t, 3))))
 		f.s.Handler().ServeHTTP(gone, req.WithContext(hctx))
 	}()
-	<-f.eng.entered
+	awaitParked(t, f.eng.entered, done)
 	hangUp()
 	<-done
 	if gone.Code != http.StatusInternalServerError || gone.Header().Get(OutcomeHeader) != "error" {
@@ -216,7 +216,7 @@ func TestEveryRequestRecordsOneOutcome(t *testing.T) {
 	// Two twin mutates share one cell, whose round then fails: two 500s.
 	status := make(chan int, 2)
 	go func() { status <- tryPostJSON(f.url+"/v1/mutate", f.body, nil) }()
-	<-f.eng.entered
+	awaitParked(t, f.eng.entered, status)
 	go func() { status <- tryPostJSON(f.url+"/v1/mutate", f.body, nil) }()
 	key := cacheKey(fingerprintOf(t, f.mutated), f.s.cfg.Params, UserOverrides{})
 	waitFor(t, "the twin mutate to attach", func() bool { return cellMult(f.s, key) == 2 })

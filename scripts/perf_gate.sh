@@ -19,14 +19,15 @@
 #
 # BenchmarkMutateKeySpeedup (the /v1/mutate key: the applied map graph's
 # Graph.Fingerprint against Session.Apply's patch of the cached view plus
-# Applied.Fingerprint over it, eight Table I n=2000 lineages in turn) gets
-# its own floor, 0.88, 10% under the lowest mean
-# of five -count=5 runs (0.98; the others 0.98, 1.00, 1.00 and 1.12). The
-# new side is charged for the patch the solve needs anyway, so the ratio
-# sits near 1 in one process, where the map graph stays in cache: the floor
-# catches a second patch or a map walk creeping back into the key. In the
-# serving process, where the map graph is cold, the same change takes a
-# fifth off a mutate (CHANGES.md).
+# Applied.Fingerprint over it, eight Table I n=2000 lineages in turn, each
+# base left as the serving path leaves a mutate's graph, its view keyed and
+# staged) gets its own floor, 3.32, 10% under the lowest mean of three
+# -count=5 runs (3.69; the others 3.86 and 4.11). The new side is charged for
+# the patch the solve needs anyway and re-hashes only the chunks its delta
+# dirtied: the floor catches a second patch, a map walk creeping back into
+# the key, or a staged view losing its chunk digests. (Its earlier floor,
+# 0.88, was set while its bases' views were never fingerprinted, so the view
+# side hashed every chunk.)
 #
 # BenchmarkFingerprintRekeySpeedup (internal/graph: the Fingerprint of a
 # Table I n=2000 view patched from a fingerprinted view, which re-hashes
@@ -36,6 +37,21 @@
 # 6.53; about 48 us against 300 us). It catches Patch marking too many
 # chunks stale, or a patched view losing its source's digests and hashing
 # everything again.
+#
+# BenchmarkUserStateBoundarySpeedup (internal/core: one user's evaluated
+# state down a delta chain on a Table I n=2000 lineage, its cut sum walking
+# the graph's boundary rows, against the reference that walks every row of
+# the view, interleaved) gets its own floor, 3.99, 10% under the lowest mean
+# of three -count=5 runs (4.44; the others 4.44 and 4.84; about 12 us
+# against 52 us, the rest being the O(n) work sums). It catches the boundary
+# list growing toward the whole view.
+#
+# BenchmarkRenderHitSpeedup (internal/serve: the cached-hit body of a
+# decision with 2,000 remote ids, appended member by member, against the
+# json.Marshal encoding it replaced, interleaved) gets its own floor, 1.62,
+# 10% under the lowest mean of three -count=5 runs (1.80; the others 1.85
+# and 1.91). It catches reflection or a second copy creeping back into the
+# render.
 #
 # BenchmarkBatchRoundWorkersSpeedup (one BatchSolve round shaped like the
 # benchmark's batch_small workload, 64 n=100 graphs, on the default worker
@@ -81,7 +97,9 @@ BEGIN {
 	floors["LPARoundsSpeedup"] = "1.5"
 	floors["GraphUnmarshalSpeedup"] = "2.0"
 	floors["SolveRequestDecodeSpeedup"] = "1.5"
-	floors["MutateKeySpeedup"] = "0.88"
+	floors["MutateKeySpeedup"] = "3.32"
+	floors["UserStateBoundarySpeedup"] = "3.99"
+	floors["RenderHitSpeedup"] = "1.62"
 	floors["FingerprintRekeySpeedup"] = "5.7"
 	floors["BatchRoundWorkersSpeedup"] = "1.43"
 }
