@@ -677,25 +677,26 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 }
 
 // BenchmarkMutateKeySpeedup measures how /v1/mutate keys its applied graph:
-// Graph.Fingerprint over the map graph (the old key) against Session.Apply,
-// which patches base's cached view with the delta, plus
-// Applied.Fingerprint over that patched view (the key now; the patch is
-// work the solve needs anyway, so the new side is charged for it). As in the
+// Graph.Fingerprint over the applied map graph (the full re-hash, the
+// reference) against Session.Apply, which patches the interned base view
+// with the delta, plus the patched view's Fingerprint (the key; the patch is
+// the mutate's one apply, so the view side is charged for it). As in the
 // benchmark's mutate_chain workload, eight Table I n=2000 lineages take
 // turns, so no side re-walks the graph the iteration before it walked. Each
-// base is left as the serving path leaves a mutate's graph: a solved graph,
-// one delta applied (Session.Apply), its view keyed (Applied.Fingerprint) and
-// staged by a BatchSolve pass, so the cached view carries its chunk digests
-// and the view side re-hashes only the chunks its delta dirties. Each
-// iteration applies a 1% localized edge delta to a fresh clone of its
-// lineage's base outside either timed side; the sides alternate which runs
-// first, and their ratio is speedup_x. scripts/perf_gate.sh floors it.
+// base view is left as the serving path leaves a mutate's: a solved view, one
+// delta applied (Session.Apply), the patched view keyed and staged by a
+// BatchSolve pass, so it carries its chunk digests and the view side
+// re-hashes only the chunks its delta dirties. Each iteration applies a 1%
+// localized edge delta to a fresh clone of its lineage's map graph outside
+// either timed side; the sides alternate which runs first, and their ratio is
+// speedup_x. scripts/perf_gate.sh floors it.
 func BenchmarkMutateKeySpeedup(b *testing.B) {
 	const lineages = 8
 	ctx := context.Background()
 	sess := core.NewSession(core.Options{Workers: 1})
 	var (
 		bases  [lineages]*graph.Graph
+		views  [lineages]*graph.CSR
 		deltas [lineages]*graph.Delta
 	)
 	for k := range bases {
@@ -707,7 +708,8 @@ func BenchmarkMutateKeySpeedup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sess.Solve(ctx, []core.UserInput{{Graph: g}}); err != nil {
+		view := g.Compile()
+		if _, err := sess.Solve(ctx, []core.UserInput{{View: view}}); err != nil {
 			b.Fatal(err)
 		}
 		fwd, rev := localizedEdgeDeltas(b, g, 0.01)
@@ -715,14 +717,15 @@ func BenchmarkMutateKeySpeedup(b *testing.B) {
 		if err := fwd.Apply(bases[k]); err != nil {
 			b.Fatal(err)
 		}
-		a, err := sess.Apply(g, fwd, bases[k], core.DeltaOptions{})
+		a, err := sess.Apply(view, fwd, core.DeltaOptions{})
 		if err == nil {
-			_, err = a.Fingerprint()
+			views[k] = a.View()
+			_, err = views[k].Fingerprint()
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r := sess.BatchSolve(ctx, []core.BatchItem{{Users: []core.UserInput{{Graph: bases[k]}}}}, a)[0]; r.Err != nil {
+		if r := sess.BatchSolve(ctx, []core.BatchItem{{Users: []core.UserInput{{View: views[k]}}}}, a)[0]; r.Err != nil {
 			b.Fatal(r.Err)
 		}
 	}
@@ -730,7 +733,7 @@ func BenchmarkMutateKeySpeedup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base, d := bases[i%lineages], deltas[i%lineages]
+		base, view, d := bases[i%lineages], views[i%lineages], deltas[i%lineages]
 		applied := base.Clone()
 		if err := d.Apply(applied); err != nil {
 			b.Fatal(err)
@@ -744,8 +747,8 @@ func BenchmarkMutateKeySpeedup(b *testing.B) {
 				mapSide += time.Since(start)
 			} else {
 				var a *core.Applied
-				if a, err = sess.Apply(base, d, applied, core.DeltaOptions{}); err == nil {
-					got, err = a.Fingerprint()
+				if a, err = sess.Apply(view, d, core.DeltaOptions{}); err == nil {
+					got, err = a.View().Fingerprint()
 				}
 				viewSide += time.Since(start)
 			}

@@ -43,11 +43,11 @@ func BatchSolve(ctx context.Context, items []BatchItem, opts Options) []BatchRes
 // already pipelined by earlier solves skip the pipeline pass entirely, and
 // graphs pipelined this round are cached for later solves and deltas.
 //
-// A graph the items name that the session has not cached and that is some
-// applied a's Graph is pipelined over a's view — base's patched view,
-// carrying its clean components, or the applied graph compiled — in the same
-// pass and worker pool as the round's other graphs, and cached under a.Graph
-// like every other entry. An Applied whose Graph no item names is ignored.
+// A user the session has not cached whose View is some applied a's View is
+// pipelined over it — carrying base's clean components unless a took the
+// cold path — in the same pass and worker pool as the round's other graphs,
+// and cached under the user's key like every other entry. An Applied whose
+// View no item names is ignored.
 func (s *Session) BatchSolve(ctx context.Context, items []BatchItem, applied ...*Applied) []BatchResult {
 	return solveItems(ctx, items, s.opts, s, applied)
 }

@@ -341,25 +341,23 @@ func TestBatchSolveParallelCutStageMatchesSerial(t *testing.T) {
 		}
 		round := func(workers int) ([]BatchItem, []BatchResult) {
 			s := NewSession(Options{Workers: workers})
-			if _, err := s.Solve(ctx, []UserInput{{Graph: g2}}); err != nil {
+			v2 := g2.Compile()
+			if _, err := s.Solve(ctx, []UserInput{{View: v2}}); err != nil {
 				t.Fatal(err)
 			}
 			e := g2.Edges()[0]
 			d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 3}}}
-			next := g2.Clone()
-			if err := d.Apply(next); err != nil {
-				t.Fatal(err)
-			}
-			a, err := s.Apply(g2, d, next, DeltaOptions{})
+			a, err := s.Apply(v2, d, DeltaOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ds := a.Stats(); !ds.Incremental || ds.CleanComponents < 1 {
 				t.Fatalf("applied stats %+v, want incremental with clean components", ds)
 			}
+			next := a.View()
 			items := []BatchItem{
-				{Users: []UserInput{{Graph: next}}},
-				{Users: []UserInput{{Graph: g}, {Graph: next}}},
+				{Users: []UserInput{{View: next}}},
+				{Users: []UserInput{{Graph: g}, {View: next}}},
 				{Users: []UserInput{{Graph: cold}}, Params: tight},
 			}
 			return items, s.BatchSolve(ctx, items, a)

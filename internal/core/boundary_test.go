@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -109,6 +110,46 @@ func checkStates(t *testing.T, sol *Solution) {
 		if got, want := sol.States[u], pl.State(); bits(got) != bits(want) {
 			t.Fatalf("user %d: state %+v, Placement.State %+v", u, got, want)
 		}
+	}
+}
+
+// TestViewOnlyPlacements solves the same population once from Graphs and
+// once from their compiled Views alone: a View-only user's Placement carries
+// a nil Graph (its documented contract) and otherwise the same Remote set and
+// overrides, and Solution.States holds what Placement.State of the Graph
+// solve computes.
+func TestViewOnlyPlacements(t *testing.T) {
+	g, err := netgen.Generate(netgen.Config{Nodes: 120, Edges: 360, Components: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := mec.Defaults()
+	params.ServerCapacity = 40
+	opts := Options{Workers: 1, Params: params}
+	byGraph := []UserInput{{Graph: g}, {Graph: g, Bandwidth: 3, FixedLocalWork: 20}}
+	byView := []UserInput{{View: g.Compile()}, {View: g.Compile(), Bandwidth: 3, FixedLocalWork: 20}}
+	want, err := Solve(context.Background(), byGraph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Solve(context.Background(), byView, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, pl := range got.Placements {
+		wp := want.Placements[u]
+		if pl.Graph != nil {
+			t.Errorf("user %d: a View-only placement carries a Graph", u)
+		}
+		if !maps.Equal(pl.Remote, wp.Remote) || pl.Bandwidth != wp.Bandwidth || pl.DeviceCompute != wp.DeviceCompute {
+			t.Errorf("user %d: placement %+v, Graph solve's %+v", u, pl, wp)
+		}
+		if got.States[u] != wp.State() {
+			t.Errorf("user %d: state %+v, Graph solve's Placement.State %+v", u, got.States[u], wp.State())
+		}
+	}
+	if got.Eval.Objective != want.Eval.Objective {
+		t.Errorf("objective %v, Graph solve's %v", got.Eval.Objective, want.Eval.Objective)
 	}
 }
 

@@ -64,16 +64,25 @@ type DeltaStats struct {
 // graph. The cold path runs — reported in DeltaStats — when the session
 // never pipelined base (or dropped it: Invalidate) or the delta's
 // touched-edge fraction exceeds the threshold; it is the same pipeline pass
-// with no predecessor, over the mutated graph's freshly compiled view, so
-// the next delta against the returned graph is incremental either way.
+// with no predecessor, over base's view (compiled when not cached) patched by
+// d, so the next delta against the returned graph is incremental either way.
 // SolveDelta is Apply and a BatchSolve pass of one item that stages the
-// applied view, under the session's own params.
+// applied view, under the session's own params; the returned graph is the
+// library's materialisation of that view, a copy-on-write Clone of base with
+// d applied, so it too costs what d touched.
 func (s *Session) SolveDelta(ctx context.Context, base *graph.Graph, d *graph.Delta, users []UserInput, dopts DeltaOptions) (*graph.Graph, *Solution, *DeltaStats, error) {
 	mutated := base.Clone()
 	if err := d.Apply(mutated); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: apply delta: %w", err)
 	}
-	a, err := s.Apply(base, d, mutated, dopts)
+	prev := s.lookup(base)
+	var view *graph.CSR
+	if prev != nil {
+		view = prev.view
+	} else {
+		view = base.Compile()
+	}
+	a, err := apply(prev, view, d, dopts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -81,7 +90,7 @@ func (s *Session) SolveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 	copy(us, users)
 	for i := range us {
 		if us[i].Graph == nil || us[i].Graph == base {
-			us[i].Graph = mutated
+			us[i].Graph, us[i].View = mutated, a.View()
 		}
 	}
 	r := s.BatchSolve(ctx, []BatchItem{{Users: us}}, a)[0]
@@ -95,53 +104,50 @@ func (s *Session) SolveDelta(ctx context.Context, base *graph.Graph, d *graph.De
 	return mutated, r.Solution, &ds, nil
 }
 
-// Applied is a graph with a delta applied, paired with the view the session
-// will pipeline it over: base's cached view patched by the delta, or the
-// applied graph compiled when the delta takes the cold path. Apply builds it
-// and a BatchSolve pass that names Graph stages it; in between, Fingerprint
-// keys the applied graph off that view without walking its node table.
+// Applied is a view with a delta applied, staged for the session to pipeline:
+// base's view patched by the delta, carrying base's cached state unless the
+// delta takes the cold path. Apply builds it and a BatchSolve pass with a
+// user naming its View stages it; in between, the view's Fingerprint keys
+// the applied graph without a node table.
 type Applied struct {
-	// Graph is the applied graph, the one the next delta names as base. It
-	// must not be modified.
-	Graph *graph.Graph
 	// staged carries the view and, on the incremental path, its predecessor
 	// and the patch; prev and info are nil on the cold path.
 	staged stagedView
 	stats  DeltaStats
 }
 
-// Fingerprint returns the applied graph's graph.Fingerprint, hashed off the
-// view a BatchSolve pass will run on.
-func (a *Applied) Fingerprint() (string, error) { return a.staged.view.Fingerprint() }
+// View returns the patched view: the applied graph, and the base the next
+// delta names. It must not be modified.
+func (a *Applied) View() *graph.CSR { return a.staged.view }
 
 // Stats reports which path Apply chose and the delta's footprint. PatchTime
 // is zero: the pipeline time belongs to the pass that stages the view
 // (SolveDelta fills it in from there).
 func (a *Applied) Stats() DeltaStats { return a.stats }
 
-// Apply builds the view a BatchSolve pass pipelines applied over, for a
-// caller that has applied d to a clone of base itself — to validate and
-// size-check the mutated graph before paying for a solve. It patches base's
-// cached view with d, once, and refuses an applied graph whose node or edge
-// count disagrees with the patched view; without cached state for base, or
-// when the delta touches more than the threshold's share of edges, it
-// compiles applied instead. Which path the solve takes is decided here and
-// reported by Stats.
-func (s *Session) Apply(base *graph.Graph, d *graph.Delta, applied *graph.Graph, dopts DeltaOptions) (*Applied, error) {
-	a := &Applied{Graph: applied}
-	st, ds := &a.staged, &a.stats
-	if st.prev = s.lookup(base); st.prev == nil {
+// Apply patches base, a view the caller holds, with d, once, and stages the
+// patched view for a BatchSolve pass: the one apply of a delta, so a
+// rejected delta is Patch's error. When the session pipelined base (a user
+// named it as View), the pass carries base's clean components; without
+// cached state, or when the delta touches more than the threshold's share of
+// edges, it runs the cold pipeline over the patched view. Which path the
+// solve takes is decided here and reported by Stats.
+func (s *Session) Apply(base *graph.CSR, d *graph.Delta, dopts DeltaOptions) (*Applied, error) {
+	return apply(s.lookup(base), base, d, dopts)
+}
+
+// apply is Apply with base's cached pipeline, prev, looked up by the caller:
+// nil when there is none.
+func apply(prev *graphPipeline, base *graph.CSR, d *graph.Delta, dopts DeltaOptions) (*Applied, error) {
+	view, info, err := base.Patch(d)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	a := &Applied{staged: stagedView{view: view}}
+	ds := &a.stats
+	if prev == nil {
 		ds.FallbackReason = "no cached state for base graph"
 	} else {
-		view, info, err := st.prev.view.Patch(d)
-		if err != nil {
-			return nil, fmt.Errorf("core: patch: %w", err)
-		}
-		if view.NumNodes() != applied.NumNodes() || view.NumEdges() != applied.NumEdges() {
-			return nil, fmt.Errorf("core: applied graph (%d nodes, %d edges) is not base plus delta (%d nodes, %d edges)",
-				applied.NumNodes(), applied.NumEdges(), view.NumNodes(), view.NumEdges())
-		}
-		st.view, st.info = view, info
 		ds.TouchedEdges = info.TouchedEdges
 		if e := view.NumEdges(); e > 0 {
 			ds.TouchedFraction = float64(info.TouchedEdges) / float64(e)
@@ -158,16 +164,16 @@ func (s *Session) Apply(base *graph.Graph, d *graph.Delta, applied *graph.Graph,
 	}
 	if ds.FallbackReason != "" {
 		ds.ColdFallback = true
-		a.staged = stagedView{view: applied.Compile()}
 		return a, nil
 	}
+	a.staged.prev, a.staged.info = prev, info
 	ds.Incremental = true
-	for _, oc := range st.info.OldCompOf {
+	for _, oc := range info.OldCompOf {
 		if oc >= 0 {
 			ds.CleanComponents++
-			ds.LanczosItersSaved += st.prev.comps[oc].iters
+			ds.LanczosItersSaved += prev.comps[oc].iters
 		}
 	}
-	ds.DirtyComponents = len(st.info.OldCompOf) - ds.CleanComponents
+	ds.DirtyComponents = len(info.OldCompOf) - ds.CleanComponents
 	return a, nil
 }

@@ -139,19 +139,18 @@ func TestSolveAppliedParamsMatchColdSolve(t *testing.T) {
 	params.ServerCapacity *= 2.5
 	params.Bandwidth *= 0.5
 	sess := NewSession(Options{})
-	users := []UserInput{{Graph: g}}
-	// Prime incremental state through the cold capture path.
-	base, _, _, err := sess.SolveDelta(context.Background(), g, &graph.Delta{}, users, DeltaOptions{})
-	if err != nil {
+	// Prime incremental state: a solve of the base's view.
+	base := g.Compile()
+	if _, err := sess.Solve(context.Background(), []UserInput{{View: base}}); err != nil {
 		t.Fatal(err)
 	}
-	e := base.Edges()[0]
+	e := g.Edges()[0]
 	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 7}}}
-	next := base.Clone()
+	next := g.Clone()
 	if err := d.Apply(next); err != nil {
 		t.Fatal(err)
 	}
-	a, err := sess.Apply(base, d, next, DeltaOptions{MaxTouchedFraction: 0.95})
+	a, err := sess.Apply(base, d, DeltaOptions{MaxTouchedFraction: 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +158,10 @@ func TestSolveAppliedParamsMatchColdSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp, err := a.Fingerprint(); err != nil || fp != want {
-		t.Fatalf("Applied.Fingerprint = %s (%v), want the applied graph's %s", fp, err, want)
+	if fp, err := a.View().Fingerprint(); err != nil || fp != want {
+		t.Fatalf("Applied.View().Fingerprint = %s (%v), want the applied graph's %s", fp, err, want)
 	}
-	r := sess.BatchSolve(context.Background(), []BatchItem{{Users: []UserInput{{Graph: next}}, Params: params}}, a)[0]
+	r := sess.BatchSolve(context.Background(), []BatchItem{{Users: []UserInput{{View: a.View()}}, Params: params}}, a)[0]
 	sol, err := r.Solution, r.Err
 	if err != nil {
 		t.Fatal(err)
@@ -228,58 +227,80 @@ func TestSolveDeltaDoesNotMutateBase(t *testing.T) {
 
 func TestBatchSolveStagesAppliedView(t *testing.T) {
 	// One pass pipelines a patched view beside a never-seen graph's compiled
-	// one: each item is still its graph's cold Solve, and the applied graph
-	// is cached as a patchable base.
-	g, err := netgen.Generate(netgen.Config{Nodes: 90, Edges: 180, Components: 3, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := netgen.Generate(netgen.Config{Nodes: 70, Edges: 140, Components: 2, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(Options{})
-	if _, err := sess.Solve(context.Background(), []UserInput{{Graph: g}}); err != nil {
-		t.Fatal(err)
-	}
-	e := g.Edges()[0]
-	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 3}}}
-	next := g.Clone()
-	if err := d.Apply(next); err != nil {
-		t.Fatal(err)
-	}
-	a, err := sess.Apply(g, d, next, DeltaOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := []BatchItem{{Users: []UserInput{{Graph: next}}}, {Users: []UserInput{{Graph: other}}}}
-	res := sess.BatchSolve(context.Background(), items, a)
-	for i, it := range items {
-		if res[i].Err != nil {
-			t.Fatalf("item %d: %v", i, res[i].Err)
-		}
-		cold, err := Solve(context.Background(), it.Users, Options{})
+	// one and beside the patch of a view the session never pipelined, which
+	// runs cold over the patched view itself: each item is still its applied
+	// graph's cold Solve, and the applied view is cached as a patchable base.
+	ctx := context.Background()
+	gen := func(n, m, comps int, seed int64) *graph.Graph {
+		g, err := netgen.Generate(netgen.Config{Nodes: n, Edges: m, Components: comps, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !solutionsIdentical(t, res[i].Solution, cold) {
-			t.Errorf("item %d differs from its graph's cold Solve", i)
+		return g
+	}
+	g, other, unseen := gen(90, 180, 3, 13), gen(70, 140, 2, 14), gen(60, 130, 2, 15)
+	sess := NewSession(Options{})
+	view := g.Compile()
+	if _, err := sess.Solve(ctx, []UserInput{{View: view}}); err != nil {
+		t.Fatal(err)
+	}
+	applied := func(base *graph.Graph, d *graph.Delta) *graph.Graph {
+		next := base.Clone()
+		if err := d.Apply(next); err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	e := g.Edges()[0]
+	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: e.U, V: e.V, Weight: e.Weight + 3}}}
+	a, err := sess.Apply(view, d, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	du := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: unseen.Nodes()[2], Weight: 77}}}
+	cold, err := sess.Apply(unseen.Compile(), du, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := cold.Stats(); !ds.ColdFallback || ds.Incremental || ds.TouchedEdges != 0 {
+		t.Errorf("patch of an unpipelined view: stats %+v, want a cold fallback", ds)
+	}
+	cases := []struct {
+		user    UserInput
+		applied *graph.Graph
+	}{
+		{UserInput{View: a.View()}, applied(g, d)},
+		{UserInput{Graph: other}, other},
+		{UserInput{View: cold.View()}, applied(unseen, du)},
+	}
+	items := make([]BatchItem, len(cases))
+	for i, c := range cases {
+		items[i] = BatchItem{Users: []UserInput{c.user}}
+	}
+	res := sess.BatchSolve(ctx, items, a, cold)
+	for i, c := range cases {
+		if res[i].Err != nil {
+			t.Fatalf("item %d: %v", i, res[i].Err)
+		}
+		want, err := Solve(ctx, []UserInput{{Graph: c.applied}}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !solutionsIdentical(t, res[i].Solution, want) {
+			t.Errorf("item %d differs from its applied graph's cold Solve", i)
 		}
 	}
 	if ds := a.Stats(); !ds.Incremental || ds.CleanComponents < 1 {
 		t.Errorf("applied stats %+v, want incremental with clean components", ds)
 	}
-	n := next.Nodes()[0]
-	d2 := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: n, Weight: 61}}}
-	next2 := next.Clone()
-	if err := d2.Apply(next2); err != nil {
-		t.Fatal(err)
-	}
-	a2, err := sess.Apply(next, d2, next2, DeltaOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds := a2.Stats(); !ds.Incremental {
-		t.Errorf("next delta against the staged graph: stats %+v, want incremental", ds)
+	d2 := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: g.Nodes()[0], Weight: 61}}}
+	for i, base := range []*graph.CSR{a.View(), cold.View()} {
+		a2, err := sess.Apply(base, d2, DeltaOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds := a2.Stats(); !ds.Incremental {
+			t.Errorf("item %d: next delta against the staged view: stats %+v, want incremental", i, ds)
+		}
 	}
 }

@@ -225,11 +225,13 @@ func assembleBoundary(gp *graphPipeline, found, ends []int32) {
 }
 
 // expandScratch is the assembly's reusable workspace: expandProtos' cut
-// index of every local id, its dense cut×cut cross-weight table with the
-// "an edge crosses this pair" marks and the part of every view index, and
-// the boundary rows a graph's expanded components found, with their ends.
+// index of every local id and of every component position, its dense
+// cut×cut cross-weight table with the "an edge crosses this pair" marks and
+// the part of every view index, and the boundary rows a graph's expanded
+// components found, with their ends.
 type expandScratch struct {
 	blockOf []int32
+	posCut  []int32
 	cross   []float64
 	crossed []bool
 	partOf  []int32
@@ -253,49 +255,46 @@ var expandScratchPool = sync.Pool{New: func() any { return new(expandScratch) }}
 // component's boundary rows (boundaryRows) are appended to found.
 func expandProtos(blk *lpa.Block, cuts [][]int32, comp []int32, view *graph.CSR, sc *expandScratch, found []int32) ([]protoPart, []int32) {
 	ids := view.IDs()
-	// All cuts together cover the component's nodes exactly once, so the
-	// per-cut node and index lists each carve one exactly-sized slab.
-	nodesSlab := make([]graph.NodeID, 0, len(comp))
-	idxBuf := make([]int32, 0, len(comp))
-	expand := func(side []int32) ([]graph.NodeID, []int32, float64) {
-		var work float64
-		start := len(idxBuf)
-		for _, s := range side {
-			work += blk.NodeW[s]
-			for _, pos := range blk.Members[blk.MemberOff[s]:blk.MemberOff[s+1]] {
-				idxBuf = append(idxBuf, comp[pos])
-			}
-		}
-		gidx := idxBuf[start:len(idxBuf):len(idxBuf)]
-		// View index order is NodeID order (both ascend together), so sorting
-		// the indices yields the node ordering the oracle produces by
-		// sorting NodeIDs.
-		slices.Sort(gidx)
-		nstart := len(nodesSlab)
-		for _, li := range gidx {
-			nodesSlab = append(nodesSlab, ids[li])
-		}
-		return nodesSlab[nstart:len(nodesSlab):len(nodesSlab)], gidx, work
-	}
-
-	n := len(blk.NodeW)
+	n, m := len(blk.NodeW), len(comp)
 	if cap(sc.blockOf) < n {
 		sc.blockOf = make([]int32, n)
 	}
-	of := sc.blockOf[:n]
+	if cap(sc.posCut) < m {
+		sc.posCut = make([]int32, m)
+	}
+	of, posCut := sc.blockOf[:n], sc.posCut[:m]
+	// All cuts together cover the component's nodes exactly once, so the
+	// per-cut node and index lists are windows of two exactly-sized slabs.
+	// Every component position is tagged with its cut, and one ascending
+	// scan of the positions appends each to its cut's window: comp ascends,
+	// and view index order is NodeID order, so each list comes out in the
+	// node order the oracle produces by sorting NodeIDs.
+	nodesSlab := make([]graph.NodeID, m)
+	idxSlab := make([]int32, m)
 	protos := make([]protoPart, 0, len(cuts))
 	lightest, lightestWork := -1, 0.0
+	end := 0
 	for bi, cut := range cuts {
-		nodes, gidx, work := expand(cut)
-		protos = append(protos, protoPart{
-			nodes: nodes, idx: gidx, work: work, remote: true,
-		})
-		for _, id := range cut {
-			of[id] = int32(bi)
+		var work float64
+		start := end
+		for _, s := range cut {
+			work += blk.NodeW[s]
+			of[s] = int32(bi)
+			for _, pos := range blk.Members[blk.MemberOff[s]:blk.MemberOff[s+1]] {
+				posCut[pos] = int32(bi)
+				end++
+			}
 		}
+		protos = append(protos, protoPart{
+			nodes: nodesSlab[start:start:end], idx: idxSlab[start:start:end], work: work, remote: true,
+		})
 		if lightest < 0 || work < lightestWork {
 			lightest, lightestWork = bi, work
 		}
+	}
+	for pos, u := range comp {
+		p := &protos[posCut[pos]]
+		p.nodes, p.idx = append(p.nodes, ids[u]), append(p.idx, u)
 	}
 	k := len(cuts)
 	if k < 2 {

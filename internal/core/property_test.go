@@ -391,17 +391,22 @@ func TestPropertyUserSymmetry(t *testing.T) {
 	t.Logf("two interchangeable users placed apart in %d of %d rounds (first at seed %d)", twinsApart, rounds, firstApart)
 }
 
-// TestPropertyEdgeScaleByPowerOfTwoKeepsParts pins one half of ROADMAP item
-// 3(i), scale invariance: multiplying every edge weight by a power of two
-// changes no float's mantissa, so every comparison the pipeline makes comes
-// out alike and the parts it cuts — their nodes, their order and Algorithm
-// 2's initial placement — are identical. The corpus is the serving one
-// (n = 100, seeds 1–40) and Table I rows 0–2 (seeds 1–3), one user each.
-// The final placement is not scale-free: the cost model sends the edge
-// weights over the link, so scaled-up traffic keeps parts home — measured,
-// not asserted: × 8 moves a part on 8 of 49 graphs, × 2 and × ½ on none. A
-// non-power factor (× 3 cut alike here) is not exact by construction and is
-// not asserted.
+// TestPropertyEdgeScaleByPowerOfTwoKeepsParts pins ROADMAP item 3(i), scale
+// invariance, under two transforms by a power of two, which changes no
+// float's mantissa, so every comparison the pipeline makes comes out alike.
+// The corpus is the serving one (n = 100, seeds 1–40) and Table I rows 0–2
+// (seeds 1–3), one user each.
+//
+// Edge weights × 2^j: the parts it cuts — their nodes, their order and
+// Algorithm 2's initial placement — are identical. The final placement is
+// not scale-free: the cost model sends the edge weights over the link, so
+// scaled-up traffic keeps parts home — measured, not asserted: × 8 moves a
+// part on 8 of 49 graphs, × 2 and × ½ on none. A non-power factor (× 3 cut
+// alike here) is not exact by construction and is not asserted.
+//
+// Node weights × 2^j together with ServerCapacity and DeviceCompute: every
+// time and energy term is work over a computing rate, so the parts, the
+// initial and the final placement and every cost line are identical.
 func TestPropertyEdgeScaleByPowerOfTwoKeepsParts(t *testing.T) {
 	var corpus []netgen.Config
 	for seed := int64(1); seed <= 40; seed++ {
@@ -416,12 +421,17 @@ func TestPropertyEdgeScaleByPowerOfTwoKeepsParts(t *testing.T) {
 			corpus = append(corpus, cfg)
 		}
 	}
-	solve := func(g *graph.Graph) []Part {
-		sol, err := Solve(context.Background(), []UserInput{{Graph: g}}, Options{Workers: 1})
+	solve := func(g *graph.Graph, p mec.Params) *Solution {
+		sol, err := Solve(context.Background(), []UserInput{{Graph: g}}, Options{Params: p, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sol.Parts
+		return sol
+	}
+	costLines := func(sol *Solution) [10]float64 {
+		e := sol.Eval
+		return [10]float64{e.LocalEnergy, e.TransmissionEnergy, e.Energy, e.LocalTime, e.RemoteTime,
+			e.WaitTime, e.TransmissionTime, e.Time, e.Objective, sol.InitialObjective}
 	}
 	moved := map[float64]int{}
 	for _, cfg := range corpus {
@@ -429,7 +439,8 @@ func TestPropertyEdgeScaleByPowerOfTwoKeepsParts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := solve(g)
+		wantSol := solve(g, mec.Defaults())
+		want := wantSol.Parts
 		for _, c := range []float64{2, 0.5, 8} {
 			scaled := g.Clone()
 			for _, e := range g.Edges() {
@@ -437,7 +448,7 @@ func TestPropertyEdgeScaleByPowerOfTwoKeepsParts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got := solve(scaled)
+			got := solve(scaled, mec.Defaults()).Parts
 			if len(got) != len(want) {
 				t.Fatalf("n = %d seed %d: edge weights × %v give %d parts, want %d", cfg.Nodes, cfg.Seed, c, len(got), len(want))
 			}
@@ -449,6 +460,29 @@ func TestPropertyEdgeScaleByPowerOfTwoKeepsParts(t *testing.T) {
 					moved[c]++
 					break
 				}
+			}
+
+			heavy := g.Clone()
+			for _, id := range g.Nodes() {
+				w, _ := g.NodeWeight(id)
+				if err := heavy.SetNodeWeight(id, w*c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := mec.Defaults()
+			p.ServerCapacity *= c
+			p.DeviceCompute *= c
+			sol := solve(heavy, p)
+			if len(sol.Parts) != len(want) {
+				t.Fatalf("n = %d seed %d: node weights and rates × %v give %d parts, want %d", cfg.Nodes, cfg.Seed, c, len(sol.Parts), len(want))
+			}
+			for i, pt := range sol.Parts {
+				if !slices.Equal(pt.Nodes, want[i].Nodes) || pt.InitialRemote != want[i].InitialRemote || pt.Remote != want[i].Remote {
+					t.Fatalf("n = %d seed %d: node weights and rates × %v change part %d", cfg.Nodes, cfg.Seed, c, i)
+				}
+			}
+			if got, w := costLines(sol), costLines(wantSol); got != w {
+				t.Fatalf("n = %d seed %d: node weights and rates × %v change the cost lines: %v, want %v", cfg.Nodes, cfg.Seed, c, got, w)
 			}
 		}
 	}

@@ -68,6 +68,12 @@ func (o Options) normalised() Options {
 type UserInput struct {
 	// Graph is the user's offloadable function data-flow graph.
 	Graph *graph.Graph
+	// View optionally carries Graph's compiled (or patched) view, for a
+	// caller that holds views: the solve runs over it and Graph may be nil.
+	// A Session caches the pipeline under Graph when set, else under View.
+	// A user given only a View gets a Placement whose Graph is nil, so its
+	// Placement.State cannot be called: Solution.States holds that state.
+	View *graph.CSR
 	// FixedLocalWork is computation pinned to the device regardless of the
 	// scheme (the unoffloadable functions callgraph.Extract strips).
 	FixedLocalWork float64
@@ -133,7 +139,8 @@ type Stats struct {
 
 // Solution is the final offloading scheme.
 type Solution struct {
-	// Placements has one entry per user, aligned with the input.
+	// Placements has one entry per user, aligned with the input. Each
+	// carries its user's Graph, nil for a user given only a View.
 	Placements []mec.Placement
 	// States has one entry per user: the work split and cut weight the
 	// evaluator read off the user's graph, bit for bit what the placement's
@@ -158,8 +165,8 @@ type Solution struct {
 //
 // Users frequently share a graph (a fleet running the same application — the
 // regime of the paper's multi-user experiments). The pipeline output depends
-// only on the graph, so it is computed once per distinct *Graph pointer and
-// instantiated per user. Graphs must not be mutated during Solve.
+// only on the graph, so it is computed once per distinct Graph (or View)
+// pointer and instantiated per user. Graphs must not be mutated during Solve.
 func Solve(ctx context.Context, users []UserInput, opts Options) (*Solution, error) {
 	return solveOne(ctx, users, opts, nil)
 }
@@ -203,7 +210,7 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 			continue
 		}
 		for ui, u := range it.Users {
-			if u.Graph == nil {
+			if u.Graph == nil && u.View == nil {
 				res[i].Err = fmt.Errorf("%w: user %d", ErrNilGraph, ui)
 				break
 			}
@@ -215,24 +222,25 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	}
 
 	// Distinct graphs across the whole round, first-appearance order, split
-	// by session-cache state.
+	// by session-cache state; uncached holds each one's first user.
 	pipelineStart := time.Now()
-	round := make(map[*graph.Graph]*graphPipeline)
-	var uncached []*graph.Graph
+	round := make(map[any]*graphPipeline)
+	var uncached []UserInput
 	for _, i := range live {
 		for _, u := range items[i].Users {
-			if _, ok := round[u.Graph]; ok {
+			k := u.key()
+			if _, ok := round[k]; ok {
 				continue
 			}
-			gp := cache.lookup(u.Graph)
-			round[u.Graph] = gp
+			gp := cache.lookup(k)
+			round[k] = gp
 			if gp == nil {
-				uncached = append(uncached, u.Graph)
+				uncached = append(uncached, u)
 			}
 		}
 	}
 	if len(uncached) > 0 {
-		// Compile, one unit per uncached graph; no unit fails.
+		// Stage, one unit per uncached graph; no unit fails.
 		staged := make([]stagedView, len(uncached))
 		_ = parallelFor(opts.Workers, len(uncached), func(_, k int) error {
 			staged[k] = stage(uncached[k], applied)
@@ -252,9 +260,9 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 			}
 			return res
 		}
-		for k, g := range uncached {
-			round[g] = out[k]
-			cache.store(g, out[k])
+		for k, u := range uncached {
+			round[u.key()] = out[k]
+			cache.store(u.key(), out[k])
 		}
 	}
 	pipelineTime := time.Since(pipelineStart)
@@ -281,15 +289,27 @@ func solveItems(ctx context.Context, items []BatchItem, opts Options, cache *Ses
 	return res
 }
 
-// stage returns g's pipeline input: the view of the Applied whose Graph g
-// is, or g compiled.
-func stage(g *graph.Graph, applied []*Applied) stagedView {
+// key is the identity a Session caches u's pipeline under: Graph when set,
+// else View.
+func (u *UserInput) key() any {
+	if u.Graph != nil {
+		return u.Graph
+	}
+	return u.View
+}
+
+// stage returns u's pipeline input: the Applied staged for u's View, carrying
+// its predecessor; else the View as it is; else Graph compiled.
+func stage(u UserInput, applied []*Applied) stagedView {
+	if u.View == nil {
+		return stagedView{view: u.Graph.Compile()}
+	}
 	for _, a := range applied {
-		if a.Graph == g {
+		if a.staged.view == u.View {
 			return a.staged
 		}
 	}
-	return stagedView{view: g.Compile()}
+	return stagedView{view: u.View}
 }
 
 // finishItem is the back half of every solve: instantiate the users' part
@@ -297,20 +317,20 @@ func stage(g *graph.Graph, applied []*Applied) stagedView {
 // placements and evaluate the model off each graph's view (the parts carry
 // indices into it). mark is the calling worker's scratch, clean on entry and
 // on return.
-func finishItem(users []UserInput, opts Options, round map[*graph.Graph]*graphPipeline, mark []bool, pipelineTime time.Duration) (*Solution, error) {
+func finishItem(users []UserInput, opts Options, round map[any]*graphPipeline, mark []bool, pipelineTime time.Duration) (*Solution, error) {
 	// PipelineTime is the whole round's pipeline cost (shared across the
 	// batch, not attributable to one item).
 	stats := Stats{EngineName: opts.Engine.Name(), Users: len(users), PipelineTime: pipelineTime}
 	totalParts := 0
 	for _, u := range users {
-		totalParts += len(round[u.Graph].protos)
+		totalParts += len(round[u.key()].protos)
 	}
 	parts := make([]Part, 0, totalParts)
 	userPartEnd := make([]int, len(users))
 	for ui, u := range users {
-		gp := round[u.Graph]
-		stats.NodesBefore += u.Graph.NumNodes()
-		stats.EdgesBefore += u.Graph.NumEdges()
+		gp := round[u.key()]
+		stats.NodesBefore += gp.view.NumNodes()
+		stats.EdgesBefore += gp.view.NumEdges()
 		stats.NodesAfter += gp.nodesAfter
 		stats.EdgesAfter += gp.edgesAfter
 		parts = instantiateProtos(parts, ui, gp.protos)
@@ -356,7 +376,7 @@ func finishItem(users []UserInput, opts Options, round map[*graph.Graph]*graphPi
 	states := make([]mec.UserState, len(users))
 	partBase := 0
 	for ui, pl := range sol.Placements {
-		gp := round[users[ui].Graph]
+		gp := round[users[ui].key()]
 		sol.States[ui] = userState(gp.view, gp.boundary, parts[partBase:userPartEnd[ui]], pl, mark)
 		states[ui] = sol.States[ui]
 		states[ui].LocalWork += users[ui].FixedLocalWork

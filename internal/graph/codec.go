@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"encoding/json"
@@ -228,6 +229,19 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	}
 	g.eachEdge(func(u, v NodeID, w float64) { dst = appendBinaryEdge(dst, u, v, w) })
 	return dst
+}
+
+// AppendBinary appends the binary encoding of the graph c is the view of —
+// the bytes that graph's WriteBinary writes — to dst: the header, then every
+// row's records as the fingerprint streams them (index order is NodeID
+// order). c must be the view of one graph, not a fused view of several.
+func (c *CSR) AppendBinary(dst []byte) []byte {
+	buf := bytes.NewBuffer(dst)
+	e := &binaryEmitter{w: buf}
+	e.header(c.NumNodes(), c.NumEdges())
+	c.emitRows(e, 0, c.NumNodes())
+	_ = e.flush() // a bytes.Buffer write does not fail
+	return buf.Bytes()
 }
 
 // WriteBinary writes a compact little-endian binary encoding of g (layout

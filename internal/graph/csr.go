@@ -16,7 +16,7 @@ import (
 // copying: callers must treat every returned slice as read-only. A CSR is
 // safe for concurrent readers (it is immutable; its fingerprint is computed
 // once, on first use, behind a sync.Once), and it deliberately has no
-// mutators — mutate the source Graph and Compile again.
+// mutators — Patch derives a new view from a Delta.
 //
 // Indexing: nodes are the source graph's IDs in ascending order, so index i
 // corresponds to the i-th smallest NodeID and index order equals NodeID

@@ -91,7 +91,8 @@ func FuzzDeltaPatch(f *testing.F) {
 // fingerprintsAgree fails unless the patched view hashes to the mutated map
 // graph's fingerprint: the identity /v1/mutate keys its cache with. The
 // applied graph's compiled view and its binary encoding (what a /v1/solve
-// of it hashes) must agree too.
+// of it hashes) must agree too, and the patched view must encode to the
+// applied graph's bytes: a snapshot writes the interned view's encoding.
 func fingerprintsAgree(t *testing.T, patched *CSR, g *Graph) {
 	t.Helper()
 	want, err := g.Fingerprint()
@@ -104,8 +105,12 @@ func fingerprintsAgree(t *testing.T, patched *CSR, g *Graph) {
 	if got, err := g.Compile().Fingerprint(); err != nil || got != want {
 		t.Fatalf("compiled view fingerprint = %s (%v), applied graph's = %s", got, err, want)
 	}
-	if got, err := FingerprintBinary(g.AppendBinary(nil)); err != nil || got != want {
+	enc := g.AppendBinary(nil)
+	if got, err := FingerprintBinary(enc); err != nil || got != want {
 		t.Fatalf("encoding's fingerprint = %s (%v), applied graph's = %s", got, err, want)
+	}
+	if got := patched.AppendBinary([]byte{0xff}); !bytes.Equal(got[1:], enc) || got[0] != 0xff {
+		t.Fatalf("patched view encodes to %d bytes unequal to the applied graph's %d", len(got)-1, len(enc))
 	}
 }
 

@@ -285,6 +285,13 @@ func TestCloneIndependent(t *testing.T) {
 	if _, ok := c.EdgeWeight(3, 4); ok {
 		t.Error("edge set on a clone of a clone appeared in its parent")
 	}
+	cc.RemoveNode(2)
+	if err := cc.AddNode(9, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !c.HasNode(2) || c.HasNode(9) {
+		t.Error("a node-set change on a clone of a clone reached its parent")
+	}
 	if w, _ := cc.NodeWeight(0); w != 5 {
 		t.Errorf("clone of a clone node 0 weight = %v, want 5", w)
 	}

@@ -338,11 +338,11 @@ func TestReadersRaceCloneMutation(t *testing.T) {
 	}
 }
 
-// TestConcurrentClonesOfOneBase is the serving tier's mutate pattern: many
-// goroutines Clone one shared base at once — a read under the concurrency
-// contract — and each mutates its own copy. Run under -race: Clone touches
-// no record, so nothing but the base's atomic token is written concurrently,
-// and no copy's edit reaches the base or another copy.
+// TestConcurrentClonesOfOneBase: many goroutines Clone one shared base at
+// once — a read under the concurrency contract — and each mutates its own
+// copy. Run under -race: Clone touches no record, so nothing but the base's
+// atomic token is written concurrently, and no copy's edit reaches the base
+// or another copy.
 func TestConcurrentClonesOfOneBase(t *testing.T) {
 	base := deltaTestGraph(31, 200)
 	before, err := base.Fingerprint()

@@ -66,6 +66,14 @@ func (t *Table[K, V]) Get(k K) (V, bool) {
 	return e.val, true
 }
 
+// Contains reports whether k is resident, without promoting it.
+func (t *Table[K, V]) Contains(k K) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.items[k]
+	return ok
+}
+
 // Put stores v under k as the most recent entry, replacing any resident
 // value and evicting the least recent entry at capacity.
 func (t *Table[K, V]) Put(k K, v V) {

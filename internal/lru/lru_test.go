@@ -109,6 +109,19 @@ func TestGetOrPutReportsResidency(t *testing.T) {
 	}
 }
 
+func TestContainsDoesNotPromote(t *testing.T) {
+	tb := New[string, int](2, nil)
+	tb.Put("a", 1)
+	tb.Put("b", 2)
+	if !tb.Contains("a") || tb.Contains("z") {
+		t.Fatal("Contains disagrees with residency")
+	}
+	tb.Put("c", 3) // "a" is still the oldest: Contains did not promote it
+	if tb.Contains("a") || !tb.Contains("b") {
+		t.Fatal("Contains promoted the key it looked up")
+	}
+}
+
 func TestOnEvictRunsOutsideTheLock(t *testing.T) {
 	type pair struct {
 		k string

@@ -234,6 +234,7 @@ type Placement struct {
 }
 
 // State derives the UserState (work sums and cut weight) from a placement.
+// It reads pl.Graph, which must not be nil.
 func (pl Placement) State() UserState {
 	var st UserState
 	st.DeviceCompute = pl.DeviceCompute

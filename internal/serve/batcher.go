@@ -57,14 +57,14 @@ type solveTask struct {
 	pkey    string        // paramsDigest; rounds group by it
 	fp      string        // canonical graph fingerprint, echoed in the decision
 	mult    int           // users the round expands the task to: p.mult read once at dispatch, or a replayed record's
-	applied *core.Applied // a mutation's applied graph and the view staged for it; nil for a solve
+	applied *core.Applied // a mutation's patched view, staged; nil for a solve
 }
 
-// staged reports that t's round pipelines its applied graph over the view
-// staged for it: solveRound interned that graph itself, rather than finding
-// an instance of the same content interned before. Valid once solveRound has
-// rewritten t's graph.
-func (t *solveTask) staged() bool { return t.applied != nil && t.user.Graph == t.applied.Graph }
+// staged reports that t's round pipelines the view Apply staged for it:
+// solveRound interned that view itself, rather than finding an instance of
+// the same content interned before. Valid once solveRound has rewritten t's
+// view.
+func (t *solveTask) staged() bool { return t.applied != nil && t.user.View == t.applied.View() }
 
 // batcher coalesces concurrently arriving solve tasks into multi-user
 // rounds: a round opens when the first task arrives, admits every task

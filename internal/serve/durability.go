@@ -189,7 +189,7 @@ func decodeAccepted(payload []byte, limits DecodeLimits) (*solveTask, error) {
 		g, err = graph.ReadBinary(bytes.NewReader(payload[acceptedGraphOffset:]))
 	}
 	if err == nil {
-		err = limits.check(g)
+		err = limits.check(g.NumNodes(), g.NumEdges())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: accepted record: %w", err)
@@ -304,19 +304,17 @@ func decodeMutate(payload []byte, limits DecodeLimits) (*MutateRequest, mec.Para
 	return req, params, nil
 }
 
-// encodeGraphRecord renders one interned graph as a snapshot payload.
-func encodeGraphRecord(fp string, g *graph.Graph) ([]byte, error) {
+// encodeGraphRecord renders one interned view as a snapshot payload: the
+// fingerprint, then the binary encoding of the graph it is the view of.
+func encodeGraphRecord(fp string, v *graph.CSR) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(recGraph)
 	putString(&buf, fp)
-	if err := g.WriteBinary(&buf); err != nil {
-		return nil, fmt.Errorf("serve: encode graph record: %w", err)
-	}
-	return buf.Bytes(), nil
+	return v.AppendBinary(buf.Bytes())
 }
 
-// decodeGraphRecord inverts encodeGraphRecord.
-func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.Graph, error) {
+// decodeGraphRecord inverts encodeGraphRecord, compiling the decoded graph.
+func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.CSR, error) {
 	if len(payload) < 1 || payload[0] != recGraph {
 		return "", nil, fmt.Errorf("serve: not a graph record")
 	}
@@ -326,12 +324,12 @@ func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.Grap
 	}
 	g, err := graph.ReadBinary(bytes.NewReader(rest))
 	if err == nil {
-		err = limits.check(g)
+		err = limits.check(g.NumNodes(), g.NumEdges())
 	}
 	if err != nil {
 		return "", nil, fmt.Errorf("serve: graph record: %w", err)
 	}
-	return string(fp), g, nil
+	return string(fp), g.Compile(), nil
 }
 
 // encodeDecisionRecord renders one cached decision as a snapshot payload
@@ -443,7 +441,7 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 		}
 		return err == nil
 	}
-	s.graphs.Dump(func(fp string, g *graph.Graph) bool { return emit(encodeGraphRecord(fp, g)) })
+	s.graphs.Dump(func(fp string, v *graph.CSR) bool { return emit(encodeGraphRecord(fp, v), nil) })
 	if err == nil {
 		s.cache.Dump(func(key string, ent cachedDecision) bool { return emit(encodeDecisionRecord(key, ent.dec)) })
 	}
@@ -470,12 +468,12 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		}
 		switch payload[0] {
 		case recGraph:
-			fp, g, err := decodeGraphRecord(payload, s.cfg.Limits)
+			fp, v, err := decodeGraphRecord(payload, s.cfg.Limits)
 			if err != nil {
 				rs.DecodeErrors++
 				continue
 			}
-			s.graphs.GetOrPut(fp, g)
+			s.graphs.GetOrPut(fp, v)
 			rs.SnapshotGraphs++
 		case recDecision:
 			key, dec, err := decodeDecisionRecord(payload)
@@ -509,11 +507,12 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 			continue
 		}
 		warm := true
+		s.compileFresh(round)
 		for _, t := range round {
 			if t.applied != nil {
 				rs.ReplayMutates++
 			}
-			s.graphs.GetOrPut(t.fp, t.user.Graph) // a later mutate may name it, warm or not
+			s.intern(t) // a later mutate may name it, warm or not
 			_, ok := s.cache.Get(t.p.key)
 			warm = warm && ok
 		}

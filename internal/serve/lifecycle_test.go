@@ -439,10 +439,7 @@ func TestMutateGraphFieldMatchesSolveFingerprint(t *testing.T) {
 	check("deduped follower", follower, g7)
 
 	// After Recover a snapshot's graph has no session state either.
-	rec, err := encodeGraphRecord(r5.Graph, g5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := encodeGraphRecord(r5.Graph, g5.Compile())
 	s2 := newTestServer(t, Config{})
 	if rs := s2.Recover(ctx, [][]byte{rec}, nil); rs.SnapshotGraphs != 1 {
 		t.Fatalf("recovery = %+v, want the one graph", rs)

@@ -16,12 +16,12 @@ import (
 // POST /v1/mutate is the dynamic-graph entry point: instead of re-sending
 // a whole graph after a topology or weight change, a client names the base
 // graph by its fingerprint (returned by a previous solve or mutate) and
-// ships only the delta. The server applies the delta to a clone of the
-// interned base, once; the session patches the base's cached view with it,
-// once, and that patched view is both what keys the applied graph (its
-// fingerprint is hashed off the view's arrays) and what the incremental path
-// solves — clean components replay their cached cuts, only touched
-// components re-run compression and the eigensolver. The decision is
+// ships only the delta. The session patches the interned base view with it,
+// once, and that patched view is what is size-checked, what keys the applied
+// graph (its fingerprint is hashed off the view's arrays), what the
+// incremental path solves — clean components replay their cached cuts, only
+// touched components re-run compression and the eigensolver — and what is
+// interned as the next base. No map graph is built. The decision is
 // published under the mutated graph's fingerprint, so follow-up /v1/solve
 // and /v1/mutate calls (on any client) find the new graph warm. This file
 // holds the endpoint's wire types, decode/validate, resolve step and
@@ -135,40 +135,36 @@ func validateMutate(req *MutateRequest, limits DecodeLimits) error {
 }
 
 // resolveMutation is the mutate resolve step, live and on journal replay
-// alike: it looks the base up in the intern table, applies the delta to a
-// clone of it, once, and size-checks the result; the session then builds the
-// view it will solve — base's cached view patched by the delta, or the
-// applied graph compiled — and the applied graph is keyed off that view. It
-// returns the cache key the applied graph shares with a plain solve of it and
-// the one member of the round that solves it: the applied graph, with the
-// view staged for it, under the request's params and overrides; its cell is
-// set on admission. The base is never modified.
+// alike: it looks the base's view up in the intern table, patches it with the
+// delta through the session, once — a delta Patch rejects is a bad request —
+// size-checks the patched view and keys it. It returns the cache key the
+// applied graph shares with a plain solve of it and the one member of the
+// round that solves it: the patched view, staged, under the request's params
+// and overrides; its cell is set on admission. The base is never modified.
 func (s *Server) resolveMutation(req *MutateRequest, params mec.Params) (*solveTask, string, error) {
 	base, ok := s.graphs.Get(req.Base)
 	if !ok {
 		return nil, "", ErrUnknownBase
 	}
-	applied := base.Clone()
-	if err := req.Delta.Apply(applied); err != nil {
+	a, err := s.sess.Apply(base, req.Delta, core.DeltaOptions{})
+	if err != nil {
 		return nil, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if applied.NumNodes() == 0 {
+	v := a.View()
+	if v.NumNodes() == 0 {
 		return nil, "", fmt.Errorf("%w: delta removes every node", ErrBadRequest)
 	}
-	if err := s.cfg.Limits.check(applied); err != nil {
+	if err := s.cfg.Limits.check(v.NumNodes(), v.NumEdges()); err != nil {
 		return nil, "", fmt.Errorf("mutated graph: %w", err)
 	}
-	a, err := s.sess.Apply(base, req.Delta, applied, core.DeltaOptions{})
+	fp, err := v.Fingerprint()
 	if err != nil {
 		return nil, "", err
 	}
-	fp, err := a.Fingerprint()
-	if err != nil {
-		return nil, "", err
-	}
+	user := userInputOf(&SolveRequest{UserOverrides: req.UserOverrides})
+	user.View = v
 	return &solveTask{
-		mutate: req,
-		user:   userInputOf(&SolveRequest{Graph: applied, UserOverrides: req.UserOverrides}),
+		mutate: req, user: user,
 		params: params, pkey: paramsDigest(params), fp: fp, mult: 1, applied: a,
 	}, cacheKey(fp, params, req.UserOverrides), nil
 }
@@ -202,7 +198,7 @@ func (s *Server) mutate(ctx context.Context, body []byte) (reply, error) {
 	if ent, ok := s.cache.Get(key); ok {
 		if _, interned := s.graphs.Get(t.fp); !interned {
 			_, seg, ok := s.journal([]*solveTask{t}, nil)
-			s.graphs.GetOrPut(t.fp, t.applied.Graph)
+			s.graphs.GetOrPut(t.fp, t.applied.View())
 			s.release(seg, ok)
 		}
 		return reply{o: outHit, body: mutateReply(ent.hit, t.fp, req.Base, core.DeltaStats{}, true, false)}, nil

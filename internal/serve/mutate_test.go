@@ -285,7 +285,7 @@ func TestMutateRecordRoundTripPreservesIdentity(t *testing.T) {
 	// the original request — and it is the identity a plain solve of the
 	// applied graph gets.
 	s := newTestServer(t, Config{})
-	s.graphs.GetOrPut(req.Base, base)
+	s.graphs.GetOrPut(req.Base, base.Compile())
 	live, liveKey, err := s.resolveMutation(req, params)
 	if err != nil {
 		t.Fatalf("resolve live: %v", err)
@@ -297,7 +297,11 @@ func TestMutateRecordRoundTripPreservesIdentity(t *testing.T) {
 	if replayKey != liveKey || replay.fp != live.fp {
 		t.Fatalf("replayed identity (%s, %s) != live identity (%s, %s)", replayKey, replay.fp, liveKey, live.fp)
 	}
-	wantKey, wantFp, err := requestKey(&SolveRequest{Graph: live.applied.Graph, UserOverrides: req.UserOverrides}, params)
+	applied := base.Clone()
+	if err := req.Delta.Apply(applied); err != nil {
+		t.Fatal(err)
+	}
+	wantKey, wantFp, err := requestKey(&SolveRequest{Graph: applied, UserOverrides: req.UserOverrides}, params)
 	if err != nil {
 		t.Fatal(err)
 	}

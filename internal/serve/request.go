@@ -174,11 +174,11 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 	return l
 }
 
-// check rejects a graph that is empty or over the limits; like every
-// decode error it wraps ErrBadRequest.
-func (l DecodeLimits) check(g *graph.Graph) error {
+// check rejects a graph of n nodes and m edges that is empty or over the
+// limits; like every decode error it wraps ErrBadRequest.
+func (l DecodeLimits) check(n, m int) error {
 	l = l.withDefaults()
-	switch n, m := g.NumNodes(), g.NumEdges(); {
+	switch {
 	case n == 0:
 		return fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
 	case n > l.MaxNodes:
@@ -264,7 +264,7 @@ func (req *SolveRequest) check(limits DecodeLimits) error {
 	if req.Graph == nil {
 		return fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
 	}
-	if err := limits.check(req.Graph); err != nil {
+	if err := limits.check(req.Graph.NumNodes(), req.Graph.NumEdges()); err != nil {
 		return err
 	}
 	return req.validate()

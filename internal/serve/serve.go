@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -239,13 +240,13 @@ type Server struct {
 	// functions of the bytes (the default params are fixed at construction),
 	// so a byte-identical repeat skips the decode; a semantically equal but
 	// byte-different body simply misses, and only bodies that decoded and
-	// validated are ever stored. graphs interns one canonical *graph.Graph
-	// per fingerprint — interned graphs are never mutated — so the session's
+	// validated are ever stored. graphs interns one canonical frozen view per
+	// fingerprint — what rounds solve and mutates patch — so the session's
 	// identity-keyed pipeline cache hits although every request decodes a
-	// fresh allocation; evicting a graph releases its pipeline state.
+	// fresh allocation; evicting a view releases its pipeline state.
 	cache  *lru.Table[string, cachedDecision]
 	bodies *lru.Table[[sha256.Size]byte, string]
-	graphs *lru.Table[string, *graph.Graph]
+	graphs *lru.Table[string, *graph.CSR]
 	st     counters
 	b      *batcher
 	sess   *core.Session
@@ -279,8 +280,8 @@ func New(cfg Config) (*Server, error) {
 		Engine:  cfg.Engine,
 		Workers: cfg.Workers,
 	})
-	s.graphs = lru.New(cfg.GraphCacheSize, func(_ string, g *graph.Graph) {
-		s.sess.Invalidate(g)
+	s.graphs = lru.New(cfg.GraphCacheSize, func(_ string, v *graph.CSR) {
+		s.sess.Invalidate(v)
 	})
 	s.b = newBatcher(cfg.MaxBatch, cfg.QueueDepth, cfg.BatchWait, s.settled, s.dispatchRound)
 	return s, nil
@@ -807,11 +808,11 @@ func (s *Server) release(seg uint64, ok bool) {
 
 // solveRound solves a round as dispatchRound fixed it, as a mutate leader
 // built its round of one, or as Recover read either from the journal. Each
-// graph is first rewritten to its interned instance, so the session's
+// graph is first rewritten to its interned view (intern), so the session's
 // identity-keyed pipeline cache hits; only now, its round journaled, does a
-// graph become a /v1/mutate base. A mutation whose applied graph this intern
-// inserted has its patched view staged in the pass; one whose content was
-// already interned is solved as that instance. The round is partitioned by
+// graph become a /v1/mutate base. A mutation whose patched view this intern
+// inserted has it staged in the pass; one whose content was already interned
+// is solved as that instance. The round is partitioned by
 // params digest (first-appearance order) into one batch item each, all
 // solved by one Session.BatchSolve bounded by DefaultSolveTimeout, bit for
 // bit what per-group Solve calls would give. Each task expands into mult
@@ -821,8 +822,9 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask, release fun
 	groups := make(map[string][]*solveTask)
 	var order []string
 	var applied []*core.Applied
+	s.compileFresh(round)
 	for _, t := range round {
-		t.user.Graph, _ = s.graphs.GetOrPut(t.fp, t.user.Graph)
+		s.intern(t)
 		if t.staged() {
 			applied = append(applied, t.applied)
 		}
@@ -834,7 +836,7 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask, release fun
 
 	items := make([]core.BatchItem, len(order))
 	reps := make([][]int, len(order)) // reps[g][i]: task i's representative user index
-	distinct := make(map[*graph.Graph]struct{}, len(round))
+	distinct := make(map[*graph.CSR]struct{}, len(round))
 	for gi, pk := range order {
 		tasks := groups[pk]
 		var users []core.UserInput
@@ -844,13 +846,13 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask, release fun
 			for j := 0; j < t.mult; j++ {
 				users = append(users, t.user)
 			}
-			distinct[t.user.Graph] = struct{}{}
+			distinct[t.user.View] = struct{}{}
 		}
 		s.st.observeBatch(len(users))
 		items[gi] = core.BatchItem{Users: users, Params: tasks[0].params}
 		reps[gi] = rep
 	}
-	// Interned graphs are pointer-canonical, so pointer identity counts
+	// Interned views are pointer-canonical, so pointer identity counts
 	// distinct applications; a round spanning >= 2 of them is where one
 	// pipeline pass served several graphs.
 	if len(distinct) >= 2 {
@@ -884,6 +886,46 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask, release fun
 		close(t.p.done)
 		s.accepted.Done()
 	}
+}
+
+// compileFresh compiles the graph of each solve in round whose content is
+// not interned, up to Workers at a time, and hands the task the view in
+// place of its decoded Graph: a round of several new graphs pays for its
+// compiles side by side, live and on replay alike. Table recency is left to
+// intern, which keeps the first view of a content canonical.
+func (s *Server) compileFresh(round []*solveTask) {
+	workers := s.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for _, t := range round {
+		if t.user.View == nil && !s.graphs.Contains(t.fp) {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				t.user.View, t.user.Graph = t.user.Graph.Compile(), nil
+				<-sem
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// intern rewrites t's user to the view interned under t.fp, inserting t's
+// own when none is: a mutate's patched view, or a solve's graph compiled —
+// by compileFresh, or here when its interned instance was evicted since.
+func (s *Server) intern(t *solveTask) {
+	if t.user.View == nil {
+		v, ok := s.graphs.Get(t.fp)
+		if !ok {
+			v = t.user.Graph.Compile()
+		}
+		t.user.View, t.user.Graph = v, nil
+	}
+	t.user.View, _ = s.graphs.GetOrPut(t.fp, t.user.View)
 }
 
 // settle publishes an accepted cell's result to the solution cache (a

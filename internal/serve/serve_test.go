@@ -444,6 +444,43 @@ func TestFusedRoundCounters(t *testing.T) {
 	}
 }
 
+// TestRoundInternsOneViewPerGraph runs a round of two new graphs, a
+// repeat of one of them under another key and a graph interned before, with
+// two compile workers: every task ends on the one interned view of its
+// content, the repeat shares its twin's, the interned graph keeps its
+// instance, and no task keeps its decoded Graph.
+func TestRoundInternsOneViewPerGraph(t *testing.T) {
+	params := defaultTestParams()
+	s := newTestServer(t, Config{Workers: 2})
+	mkTask := func(key string, gi int) *solveTask {
+		g := testGraph(t, gi)
+		return &solveTask{
+			p:      newPending(key),
+			user:   core.UserInput{Graph: g},
+			params: params,
+			pkey:   paramsDigest(params),
+			fp:     fingerprintOf(t, g),
+		}
+	}
+	old := testGraph(t, 2).Compile()
+	round := []*solveTask{mkTask("a", 0), mkTask("b", 1), mkTask("c", 0), mkTask("d", 2)}
+	s.graphs.Put(round[3].fp, old)
+	s.accepted.Add(len(round))
+	s.dispatchRound(context.Background(), round)
+	for i, task := range round {
+		if task.p.err != nil {
+			t.Fatalf("task %d: %v", i, task.p.err)
+		}
+		v, ok := s.graphs.Get(task.fp)
+		if !ok || task.user.View != v || task.user.Graph != nil {
+			t.Errorf("task %d: view %p, interned %p (%t), graph kept %t", i, task.user.View, v, ok, task.user.Graph != nil)
+		}
+	}
+	if round[0].user.View != round[2].user.View || round[3].user.View != old {
+		t.Error("a round re-compiled a graph whose content it or the table already held")
+	}
+}
+
 // TestContentionGrowsWithBatch checks the paper's processor-sharing model is
 // visible through the serving path: the same user's waiting time is
 // monotonically non-decreasing in the number of co-batched offloading users.

@@ -17,17 +17,18 @@
 # measures 4.1-4.5x. inc_ns / cold_ns report the two sides. The n=1000 entry
 # is held only to the generic 1.0 (small graphs amortise less).
 #
-# BenchmarkMutateKeySpeedup (the /v1/mutate key: the applied map graph's
-# Graph.Fingerprint against Session.Apply's patch of the cached view plus
-# Applied.Fingerprint over it, eight Table I n=2000 lineages in turn, each
-# base left as the serving path leaves a mutate's graph, its view keyed and
+# BenchmarkMutateKeySpeedup (the /v1/mutate key: the reference side is the
+# applied map graph's Graph.Fingerprint, a full re-hash; the view side is
+# Session.Apply's patch of the interned base view — the mutate's one apply —
+# plus the patched view's Fingerprint; eight Table I n=2000 lineages in turn,
+# each base view left as the serving path leaves a mutate's, keyed and
 # staged) gets its own floor, 3.32, 10% under the lowest mean of three
-# -count=5 runs (3.69; the others 3.86 and 4.11). The new side is charged for
-# the patch the solve needs anyway and re-hashes only the chunks its delta
-# dirtied: the floor catches a second patch, a map walk creeping back into
-# the key, or a staged view losing its chunk digests. (Its earlier floor,
-# 0.88, was set while its bases' views were never fingerprinted, so the view
-# side hashed every chunk.)
+# -count=5 runs (3.69; the others 3.86 and 4.11). The view side is charged
+# for the patch the solve needs anyway and re-hashes only the chunks its
+# delta dirtied: the floor catches a second patch, a map walk creeping back
+# into the key, or a staged view losing its chunk digests. (Its earlier
+# floor, 0.88, was set while its bases' views were never fingerprinted, so
+# the view side hashed every chunk.)
 #
 # BenchmarkFingerprintRekeySpeedup (internal/graph: the Fingerprint of a
 # Table I n=2000 view patched from a fingerprinted view, which re-hashes
