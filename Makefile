@@ -39,15 +39,16 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # fuzz gives the binary codec, the one-pass JSON scanner's shapes (graph,
-# /v1/solve body, /v1/mutate body, each held to encoding/json), the
-# serving-path request decoder, journal recovery over mutated round and
-# mutate records and the cached-hit reply's appender (held to
-# encoding/json) a short randomized shake; CI runs the seed corpus via plain
-# `go test`, this target digs deeper locally.
+# /v1/solve body, /v1/mutate body, each held to encoding/json), delta patches,
+# the compiled view's encoding, the serving-path request decoder, journal
+# recovery over mutated round and mutate records and the cached-hit reply's
+# appender (held to encoding/json) a short randomized shake; CI runs the seed
+# corpus via plain `go test`, this target digs deeper locally.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzGraphJSONMatchesStdlib -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDeltaPatch -fuzztime=30s ./internal/graph/
+	$(GO) test -run=NONE -fuzz=FuzzCSRRoundTrip -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSolveRequest -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzSolveRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzMutateRequestMatchesStdlib -fuzztime=30s ./internal/serve/

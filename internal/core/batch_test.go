@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"copmecs/internal/graph"
-	"copmecs/internal/lpa"
 	"copmecs/internal/mec"
 	"copmecs/internal/netgen"
 )
@@ -75,9 +74,6 @@ func TestPropertyBatchSolveMatchesLoopedSolve(t *testing.T) {
 		}
 		if flags&8 != 0 {
 			opts.MaxParts = 4
-		}
-		if flags&16 != 0 {
-			opts.LPA = lpa.Options{Traversal: lpa.DFS}
 		}
 		items := make([]BatchItem, int(nItems%3)+1)
 		for i := range items {

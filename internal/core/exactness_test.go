@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"copmecs/internal/graph"
-	"copmecs/internal/lpa"
 	"copmecs/internal/netgen"
 )
 
@@ -96,7 +95,6 @@ func exactnessOptions() []Options {
 		{Engine: StoerWagnerEngine{}},
 		{MaxParts: 3},
 		{MaxParts: 3, DisableCompression: true},
-		{LPA: lpa.Options{Traversal: lpa.DFS}},
 		{DisableGreedy: true},
 	} {
 		for _, workers := range []int{1, 4} {
@@ -112,8 +110,11 @@ func optionsLabel(o Options) string {
 	if o.Engine != nil {
 		name = fmt.Sprintf("%s%+v", o.Engine.Name(), o.Engine)
 	}
-	return fmt.Sprintf("%s/workers=%d/nocompress=%t/maxparts=%d/dfs=%t/nogreedy=%t",
-		name, o.Workers, o.DisableCompression, o.MaxParts, o.LPA.Traversal == lpa.DFS, o.DisableGreedy)
+	// The constant dfs=false segment keeps subtest names comparable with
+	// recorded runs: propagation has been breadth-first only since the
+	// traversal option went.
+	return fmt.Sprintf("%s/workers=%d/nocompress=%t/maxparts=%d/dfs=false/nogreedy=%t",
+		name, o.Workers, o.DisableCompression, o.MaxParts, o.DisableGreedy)
 }
 
 // exactCheck is one solution an entry point produced, with the population

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"copmecs/internal/graph"
@@ -74,10 +75,11 @@ func solveMapOracle(ctx context.Context, users []UserInput, opts Options) (*Solu
 }
 
 // runPipelineMap is the original map-based pipeline — mutable graphs,
-// InducedSubgraph, map-keyed membership, engines called on materialised
+// induced sub-graphs, map-keyed membership, engines called on materialised
 // sub-graphs through bisectGraph — kept as the oracle the view pipeline must
-// reproduce bit for bit. Compression comes from lpa.Compress in its map
-// Result shape (package lpa pins that against its own map oracle).
+// reproduce bit for bit. Compression comes from lpa.CompressCSR, each
+// component's block materialised as a graph over super-node IDs 0..k−1
+// (package lpa pins CompressCSR against its own map oracle).
 func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) (*graphPipeline, error) {
 	type job struct {
 		sub       *graph.Graph
@@ -88,8 +90,8 @@ func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) (*graphPi
 		ps   graphPipeline
 	)
 	if opts.DisableCompression {
-		for _, comp := range g.Components() {
-			sub, err := g.InducedSubgraph(comp)
+		for _, comp := range components(g) {
+			sub, err := inducedSubgraph(g, comp)
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -98,15 +100,34 @@ func runPipelineMap(ctx context.Context, g *graph.Graph, opts Options) (*graphPi
 			jobs = append(jobs, job{sub: sub})
 		}
 	} else {
-		res, err := lpa.Compress(g, opts.LPA)
+		cr, err := lpa.CompressCSR(g.Compile(), opts.LPA)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		ps.nodesAfter = res.NodesAfter
-		ps.edgesAfter = res.EdgesAfter
-		for si := range res.Subgraphs {
-			sub := &res.Subgraphs[si]
-			jobs = append(jobs, job{sub: sub.Graph, membersOf: sub.MembersOf})
+		ps.nodesAfter = cr.NodesAfter
+		ps.edgesAfter = cr.EdgesAfter
+		for ci := 0; ci+1 < len(cr.CompOff); ci++ {
+			base, end := cr.CompOff[ci], cr.CompOff[ci+1]
+			j := job{sub: graph.New(int(end - base)), membersOf: make(map[graph.NodeID][]graph.NodeID)}
+			for s := base; s < end; s++ {
+				super := graph.NodeID(s - base)
+				if err := j.sub.AddNode(super, cr.NodeW[s]); err != nil {
+					return nil, err
+				}
+				for _, u := range cr.Members[cr.MemberOff[s]:cr.MemberOff[s+1]] {
+					j.membersOf[super] = append(j.membersOf[super], cr.Input.IDOf(u))
+				}
+			}
+			for s := base; s < end; s++ {
+				for e := cr.Off[s]; e < cr.Off[s+1]; e++ {
+					if t := cr.Tgt[e]; t > s {
+						if err := j.sub.AddEdge(graph.NodeID(s-base), graph.NodeID(t-base), cr.W[e]); err != nil {
+							return nil, err
+						}
+					}
+				}
+			}
+			jobs = append(jobs, j)
 		}
 	}
 
@@ -217,7 +238,7 @@ func partitionSubgraph(ctx context.Context, g *graph.Graph, engine Engine, k int
 		if best < 0 {
 			break
 		}
-		sub, err := g.InducedSubgraph(blocks[best])
+		sub, err := inducedSubgraph(g, blocks[best])
 		if err != nil {
 			return nil, err
 		}
@@ -266,4 +287,54 @@ func bisectGraph(ctx context.Context, engine Engine, g *graph.Graph) (sideA, sid
 		sideB = append(sideB, ids[u])
 	}
 	return sideA, sideB, nil
+}
+
+// components returns the connected components of g as ascending ID lists,
+// ordered by smallest member.
+func components(g *graph.Graph) [][]graph.NodeID {
+	seen := make(map[graph.NodeID]bool, g.NumNodes())
+	var comps [][]graph.NodeID
+	for _, start := range g.Nodes() {
+		if seen[start] {
+			continue
+		}
+		seen[start] = true
+		comp := []graph.NodeID{start}
+		for i := 0; i < len(comp); i++ {
+			for _, nb := range g.Neighbors(comp[i]) {
+				if !seen[nb] {
+					seen[nb] = true
+					comp = append(comp, nb)
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// inducedSubgraph returns the sub-graph of g induced by keep, IDs preserved.
+func inducedSubgraph(g *graph.Graph, keep []graph.NodeID) (*graph.Graph, error) {
+	sub := graph.New(len(keep))
+	for _, id := range keep {
+		w, err := g.NodeWeight(id)
+		if err != nil {
+			return nil, err
+		}
+		if err := sub.AddNode(id, w); err != nil {
+			return nil, err
+		}
+	}
+	for _, id := range keep {
+		for _, nb := range g.Neighbors(id) {
+			if id < nb && sub.HasNode(nb) {
+				w, _ := g.EdgeWeight(id, nb)
+				if err := sub.AddEdge(id, nb, w); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return sub, nil
 }

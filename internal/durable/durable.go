@@ -323,9 +323,6 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 // later, so the segment becomes eligible for truncation.
 func (s *Store) Applied(seg uint64) { s.j.applied(seg) }
 
-// Sync forces a journal fsync now (tests and drain).
-func (s *Store) Sync() error { return s.j.sync() }
-
 // Snapshot writes one snapshot: the journal rotates (freezing the current
 // segment and establishing the barrier), fill streams the caller's state
 // as records, and on a successful atomic commit the journal segments that

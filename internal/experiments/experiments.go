@@ -90,7 +90,7 @@ func TableI(ctx context.Context, seed int64) ([]TableIRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table I: %w", err)
 		}
-		res, err := lpa.Compress(g, lpa.Options{})
+		res, err := lpa.CompressCSR(g.Compile(), lpa.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("table I: %w", err)
 		}
@@ -100,7 +100,7 @@ func TableI(ctx context.Context, seed int64) ([]TableIRow, error) {
 			Edges:         res.EdgesBefore,
 			NodesAfter:    res.NodesAfter,
 			EdgesAfter:    res.EdgesAfter,
-			NodeReduction: res.CompressionRatio(),
+			NodeReduction: 1 - float64(res.NodesAfter)/float64(res.NodesBefore),
 		})
 	}
 	return rows, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,19 @@ func TestTableI(t *testing.T) {
 	text := RenderTableI(rows)
 	if !strings.Contains(text, "Network1") || !strings.Contains(text, "5000") {
 		t.Errorf("render missing content:\n%s", text)
+	}
+	// The committed table (cmd/experiments at its default seed 7) is the
+	// golden: compression counts are exact, so the CSV is byte-stable.
+	var csv bytes.Buffer
+	if err := WriteTableICSV(&csv, rows); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("../../results/table1.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csv.Bytes(), golden) {
+		t.Errorf("table I CSV differs from results/table1.csv:\n%s", csv.Bytes())
 	}
 }
 

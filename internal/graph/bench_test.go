@@ -27,32 +27,6 @@ func benchGraph(b testing.TB, n, edges int) *Graph {
 	return g
 }
 
-func BenchmarkComponents(b *testing.B) {
-	g := benchGraph(b, 2000, 6000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := g.Components(); len(got) == 0 {
-			b.Fatal("no components")
-		}
-	}
-}
-
-func BenchmarkContract(b *testing.B) {
-	g := benchGraph(b, 2000, 6000)
-	cluster := make(map[NodeID]int, g.NumNodes())
-	for _, id := range g.Nodes() {
-		cluster[id] = int(id) / 10
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Contract(cluster); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCutWeight(b *testing.B) {
 	g := benchGraph(b, 2000, 6000)
 	side := make(map[NodeID]bool, g.NumNodes()/2)

@@ -20,9 +20,9 @@ import (
 //
 // Indexing: nodes are the source graph's IDs in ascending order, so index i
 // corresponds to the i-th smallest NodeID and index order equals NodeID
-// order everywhere (BFS/DFS tie-breaks, contraction ordering, quantile
-// scans), which is what keeps the CSR kernels bit-for-bit equivalent to the
-// map-path reference implementations. The same ordering is the NodeID→index
+// order everywhere (BFS tie-breaks, contraction ordering, quantile scans),
+// which is what keeps the CSR kernels bit-for-bit equivalent to the map-path
+// reference implementations in the tests. The same ordering is the NodeID→index
 // lookup: the view carries no map, IndexOf searches ids (see indexIn).
 type CSR struct {
 	ids   []NodeID
@@ -87,8 +87,7 @@ func indexIn(ids []NodeID, id NodeID) int32 {
 
 // buildComponents labels each node of a view whose rows all live in s with a
 // component id and points every component at s. Components are numbered in
-// order of their smallest member (matching Graph.Components) and each member
-// list is ascending.
+// order of their smallest member and each member list is ascending.
 func (c *CSR) buildComponents(s *rowSlab) {
 	n := len(c.ids)
 	c.compOf = make([]int32, n)

@@ -255,6 +255,9 @@ func TestCSRFingerprintMatchesGraph(t *testing.T) {
 			[]EdgeDelta{{-7, 3, 0.125}, {1<<31 - 1, -1 << 31, 7}, {1000, 3, 0}, {-7, 1000, 42}},
 		)
 	}
+	// wide is an id past 32 bits where int is 64 bits wide; on a 32-bit
+	// platform it falls between the sparse graph's ids.
+	const wide = NodeID(math.MaxInt >> 1)
 	for _, tc := range []struct {
 		name  string
 		g     *Graph
@@ -272,8 +275,8 @@ func TestCSRFingerprintMatchesGraph(t *testing.T) {
 		}},
 		{"remove nodes", sparse(), &Delta{RemoveNodes: []NodeID{-7, 1000}}},
 		{"add nodes below, between and above", sparse(), &Delta{
-			AddNodes: []NodeDelta{{-1<<31 + 1, 4}, {0, 5}, {1 << 40, 6}},
-			SetEdges: []EdgeDelta{{0, -2, 1}, {1 << 40, -1 << 31, 2}, {-1<<31 + 1, 3, 3}},
+			AddNodes: []NodeDelta{{-1<<31 + 1, 4}, {0, 5}, {wide, 6}},
+			SetEdges: []EdgeDelta{{0, -2, 1}, {wide, -1 << 31, 2}, {-1<<31 + 1, 3, 3}},
 		}},
 		{"remove and re-add", sparse(), &Delta{
 			RemoveNodes: []NodeID{3},

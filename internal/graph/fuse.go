@@ -27,9 +27,6 @@ type FusedCSR struct {
 	CompBase []int32
 }
 
-// Graphs reports how many graphs were fused.
-func (f *FusedCSR) Graphs() int { return len(f.NodeBase) - 1 }
-
 // Fuse compiles gs into one fused CSR view; Compile is Fuse of one graph.
 // Each graph must be non-nil and must not be mutated while the view is in
 // use. Fuse is O(V + E): the graphs' rows are already ascending, so a

@@ -25,8 +25,7 @@ import (
 )
 
 // NodeID identifies a node within a single Graph. IDs are assigned by the
-// caller and are stable across all operations except
-// Contract, which returns an explicit old→new mapping.
+// caller and are stable across all operations.
 type NodeID int
 
 // Errors returned by graph mutators and accessors.

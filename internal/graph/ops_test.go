@@ -1,14 +1,12 @@
 package graph
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
 
 func TestComponentsSingle(t *testing.T) {
-	g := paperFig1(t)
-	comps := g.Components()
+	comps := paperFig1(t).Compile().Components()
 	if len(comps) != 1 {
 		t.Fatalf("Components = %d, want 1", len(comps))
 	}
@@ -18,122 +16,21 @@ func TestComponentsSingle(t *testing.T) {
 }
 
 func TestComponentsMultiple(t *testing.T) {
-	g := mustGraph(t, []float64{1, 1, 1, 1, 1, 1},
-		[]Edge{{0, 1, 1}, {2, 3, 1}})
-	comps := g.Components()
+	c := mustGraph(t, []float64{1, 1, 1, 1, 1, 1},
+		[]Edge{{0, 1, 1}, {2, 3, 1}}).Compile()
+	comps := c.Components()
 	if len(comps) != 4 {
 		t.Fatalf("Components = %d, want 4 (two pairs + two singletons)", len(comps))
 	}
 	// Ordered by smallest member and internally sorted.
-	if comps[0][0] != 0 || comps[1][0] != 2 || comps[2][0] != 4 || comps[3][0] != 5 {
+	if c.IDOf(comps[0][0]) != 0 || c.IDOf(comps[1][0]) != 2 || c.IDOf(comps[2][0]) != 4 || c.IDOf(comps[3][0]) != 5 {
 		t.Errorf("component order = %v", comps)
 	}
 }
 
 func TestComponentsEmpty(t *testing.T) {
-	g := New(0)
-	if comps := g.Components(); len(comps) != 0 {
+	if comps := New(0).Compile().Components(); len(comps) != 0 {
 		t.Errorf("Components(empty) = %v, want none", comps)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := paperFig1(t)
-	sub, err := g.InducedSubgraph([]NodeID{0, 1, 3})
-	if err != nil {
-		t.Fatalf("InducedSubgraph: %v", err)
-	}
-	if sub.NumNodes() != 3 {
-		t.Errorf("NumNodes = %d, want 3", sub.NumNodes())
-	}
-	// Edges {0,1} and {1,3} kept; {0,2} and {1,4} dropped.
-	if sub.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2", sub.NumEdges())
-	}
-	if w, ok := sub.EdgeWeight(1, 3); !ok || w != 12 {
-		t.Errorf("EdgeWeight(1,3) = %v,%v; want 12,true", w, ok)
-	}
-	if _, err := g.InducedSubgraph([]NodeID{0, 42}); !errors.Is(err, ErrNodeNotFound) {
-		t.Errorf("unknown keep node error = %v, want ErrNodeNotFound", err)
-	}
-}
-
-func TestContractPreservesWeights(t *testing.T) {
-	g := paperFig1(t)
-	// Merge {0,1} (cluster 7) and keep 2,3,4 separate.
-	cluster := map[NodeID]int{0: 7, 1: 7, 2: 1, 3: 2, 4: 3}
-	res, err := g.Contract(cluster)
-	if err != nil {
-		t.Fatalf("Contract: %v", err)
-	}
-	cg := res.Graph
-	if cg.NumNodes() != 4 {
-		t.Fatalf("contracted NumNodes = %d, want 4", cg.NumNodes())
-	}
-	if got, want := cg.TotalNodeWeight(), g.TotalNodeWeight(); got != want {
-		t.Errorf("TotalNodeWeight = %v, want %v (preserved)", got, want)
-	}
-	// Intra-cluster edge {0,1} weight 10 vanishes.
-	if got, want := cg.TotalEdgeWeight(), g.TotalEdgeWeight()-10; got != want {
-		t.Errorf("TotalEdgeWeight = %v, want %v", got, want)
-	}
-	// The super node for {0,1} has weight 5+4=9.
-	super := res.NodeOf[0]
-	if res.NodeOf[1] != super {
-		t.Fatalf("nodes 0 and 1 mapped to different supers: %d vs %d", super, res.NodeOf[1])
-	}
-	if w, _ := cg.NodeWeight(super); w != 9 {
-		t.Errorf("super weight = %v, want 9", w)
-	}
-	members := res.MembersOf[super]
-	if len(members) != 2 || members[0] != 0 || members[1] != 1 {
-		t.Errorf("MembersOf[%d] = %v, want [0 1]", super, members)
-	}
-}
-
-func TestContractCoalescesCrossEdges(t *testing.T) {
-	// Square 0-1-2-3-0; merge {0,1} and {2,3}: edges {1,2} and {3,0} must
-	// coalesce into one super edge of summed weight.
-	g := mustGraph(t, []float64{1, 1, 1, 1},
-		[]Edge{{0, 1, 5}, {1, 2, 2}, {2, 3, 5}, {0, 3, 4}})
-	res, err := g.Contract(map[NodeID]int{0: 0, 1: 0, 2: 1, 3: 1})
-	if err != nil {
-		t.Fatalf("Contract: %v", err)
-	}
-	if res.Graph.NumNodes() != 2 || res.Graph.NumEdges() != 1 {
-		t.Fatalf("contracted = %v, want 2 nodes 1 edge", res.Graph)
-	}
-	if w, _ := res.Graph.EdgeWeight(0, 1); w != 6 {
-		t.Errorf("super edge weight = %v, want 6 (2+4)", w)
-	}
-}
-
-func TestContractErrors(t *testing.T) {
-	g := paperFig1(t)
-	if _, err := g.Contract(map[NodeID]int{0: 0}); err == nil {
-		t.Error("partial cluster map accepted")
-	}
-	bad := map[NodeID]int{0: 0, 1: 0, 2: 0, 3: 0, 99: 0}
-	if _, err := g.Contract(bad); err == nil {
-		t.Error("cluster map with foreign node accepted")
-	}
-}
-
-func TestContractIdentity(t *testing.T) {
-	g := paperFig1(t)
-	cluster := make(map[NodeID]int, g.NumNodes())
-	for _, id := range g.Nodes() {
-		cluster[id] = int(id)
-	}
-	res, err := g.Contract(cluster)
-	if err != nil {
-		t.Fatalf("Contract: %v", err)
-	}
-	if res.Graph.NumNodes() != g.NumNodes() || res.Graph.NumEdges() != g.NumEdges() {
-		t.Errorf("identity contraction changed shape: %v vs %v", res.Graph, g)
-	}
-	if res.Graph.TotalEdgeWeight() != g.TotalEdgeWeight() {
-		t.Errorf("identity contraction changed edge weight")
 	}
 }
 
@@ -160,79 +57,6 @@ func TestCutWeight(t *testing.T) {
 	all := map[NodeID]bool{0: true, 1: true, 2: true, 3: true, 4: true}
 	if cut := g.CutWeight(all); cut != 0 {
 		t.Errorf("CutWeight(V) = %v, want 0", cut)
-	}
-}
-
-func TestMaxDegreeNode(t *testing.T) {
-	g := paperFig1(t)
-	id, ok := g.MaxDegreeNode()
-	if !ok || id != 1 {
-		t.Errorf("MaxDegreeNode = %v,%v; want 1,true", id, ok)
-	}
-	empty := New(0)
-	if _, ok := empty.MaxDegreeNode(); ok {
-		t.Error("MaxDegreeNode(empty) ok = true")
-	}
-	// Tie broken toward smallest ID.
-	tie := mustGraph(t, []float64{1, 1, 1, 1}, []Edge{{0, 1, 1}, {2, 3, 1}})
-	if id, _ := tie.MaxDegreeNode(); id != 0 {
-		t.Errorf("tie MaxDegreeNode = %d, want 0", id)
-	}
-}
-
-func TestBFSOrder(t *testing.T) {
-	g := paperFig1(t)
-	order, err := g.BFSOrder(0)
-	if err != nil {
-		t.Fatalf("BFSOrder: %v", err)
-	}
-	want := []NodeID{0, 1, 2, 3, 4}
-	if len(order) != len(want) {
-		t.Fatalf("BFSOrder = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("BFSOrder = %v, want %v", order, want)
-		}
-	}
-	if _, err := g.BFSOrder(42); !errors.Is(err, ErrNodeNotFound) {
-		t.Errorf("BFS from missing node error = %v", err)
-	}
-}
-
-func TestDFSOrder(t *testing.T) {
-	g := paperFig1(t)
-	order, err := g.DFSOrder(0)
-	if err != nil {
-		t.Fatalf("DFSOrder: %v", err)
-	}
-	// DFS from 0 visiting ascending neighbors: 0,1,3,4,2.
-	want := []NodeID{0, 1, 3, 4, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("DFSOrder = %v, want %v", order, want)
-		}
-	}
-	if _, err := g.DFSOrder(42); !errors.Is(err, ErrNodeNotFound) {
-		t.Errorf("DFS from missing node error = %v", err)
-	}
-}
-
-func TestTraversalOnlyReachable(t *testing.T) {
-	g := mustGraph(t, []float64{1, 1, 1, 1}, []Edge{{0, 1, 1}})
-	bfs, err := g.BFSOrder(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bfs) != 2 {
-		t.Errorf("BFS reached %d nodes, want 2", len(bfs))
-	}
-	dfs, err := g.DFSOrder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dfs) != 1 || dfs[0] != 2 {
-		t.Errorf("DFS from isolated node = %v, want [2]", dfs)
 	}
 }
 

@@ -88,84 +88,17 @@ func TestPropertyCutMatchesEdgeSum(t *testing.T) {
 	}
 }
 
-func TestPropertyContractPreservesTotals(t *testing.T) {
-	f := func(s graphSpec) bool {
-		g := s.build()
-		rng := rand.New(rand.NewSource(s.Seed + 3))
-		k := rng.Intn(g.NumNodes()) + 1
-		cluster := make(map[NodeID]int, g.NumNodes())
-		for _, id := range g.Nodes() {
-			cluster[id] = rng.Intn(k)
-		}
-		res, err := g.Contract(cluster)
-		if err != nil {
-			return false
-		}
-		// Node weight is always preserved.
-		if math.Abs(res.Graph.TotalNodeWeight()-g.TotalNodeWeight()) > 1e-9 {
-			return false
-		}
-		// Cross-cluster edge weight is preserved: the contracted graph's
-		// total edge weight equals the sum over original edges whose
-		// endpoints land in different clusters.
-		var cross float64
-		for _, e := range g.Edges() {
-			if cluster[e.U] != cluster[e.V] {
-				cross += e.Weight
-			}
-		}
-		return math.Abs(res.Graph.TotalEdgeWeight()-cross) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyContractCutInvariant(t *testing.T) {
-	// Cutting the contracted graph along super-node sides equals cutting the
-	// original along the corresponding member sides: contraction never
-	// changes inter-cluster cut structure.
-	f := func(s graphSpec) bool {
-		g := s.build()
-		rng := rand.New(rand.NewSource(s.Seed + 4))
-		k := rng.Intn(4) + 2
-		cluster := make(map[NodeID]int, g.NumNodes())
-		for _, id := range g.Nodes() {
-			cluster[id] = rng.Intn(k)
-		}
-		res, err := g.Contract(cluster)
-		if err != nil {
-			return false
-		}
-		superSide := make(map[NodeID]bool)
-		for _, sid := range res.Graph.Nodes() {
-			if rng.Intn(2) == 0 {
-				superSide[sid] = true
-			}
-		}
-		origSide := make(map[NodeID]bool)
-		for orig, super := range res.NodeOf {
-			if superSide[super] {
-				origSide[orig] = true
-			}
-		}
-		return math.Abs(res.Graph.CutWeight(superSide)-g.CutWeight(origSide)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropertyComponentsPartition(t *testing.T) {
 	f := func(s graphSpec) bool {
 		g := s.build()
-		comps := g.Components()
+		c := g.Compile()
+		comps := c.Components()
 		seen := make(map[NodeID]int)
 		total := 0
 		for _, comp := range comps {
 			total += len(comp)
-			for _, id := range comp {
-				seen[id]++
+			for _, u := range comp {
+				seen[c.IDOf(u)]++
 			}
 		}
 		if total != g.NumNodes() {
@@ -179,8 +112,8 @@ func TestPropertyComponentsPartition(t *testing.T) {
 		// No edge crosses two components.
 		compOf := make(map[NodeID]int)
 		for i, comp := range comps {
-			for _, id := range comp {
-				compOf[id] = i
+			for _, u := range comp {
+				compOf[c.IDOf(u)] = i
 			}
 		}
 		for _, e := range g.Edges() {
@@ -232,16 +165,23 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 }
 
 func TestPropertyBFSReachesComponent(t *testing.T) {
+	// A breadth-first walk from any component's first member reaches exactly
+	// that component: components are connected and closed under adjacency.
 	f := func(s graphSpec) bool {
-		g := s.build()
-		comps := g.Components()
-		for _, comp := range comps {
-			order, err := g.BFSOrder(comp[0])
-			if err != nil || len(order) != len(comp) {
-				return false
+		c := s.build().Compile()
+		for _, comp := range c.Components() {
+			seen := map[int32]bool{comp[0]: true}
+			order := []int32{comp[0]}
+			for i := 0; i < len(order); i++ {
+				tgt, _ := c.Adj(order[i])
+				for _, v := range tgt {
+					if !seen[v] {
+						seen[v] = true
+						order = append(order, v)
+					}
+				}
 			}
-			dfs, err := g.DFSOrder(comp[0])
-			if err != nil || len(dfs) != len(comp) {
+			if len(order) != len(comp) {
 				return false
 			}
 		}

@@ -43,8 +43,8 @@ type Block struct {
 // CSRResult is the flat array form of a whole view's compression: every
 // component's Block concatenated component-major into global super
 // numbering, with membership mapped back to view indices. The solver works
-// on blocks and never builds it; it serves Compress's materialisation and
-// callers that want one contracted graph.
+// on blocks and never builds it; it serves callers that want one contracted
+// graph or the Table I counts.
 type CSRResult struct {
 	// Input is the compiled view the compression ran on.
 	Input *graph.CSR
@@ -60,7 +60,7 @@ type CSRResult struct {
 	W   []float64
 	// CompOff: component ci's super-nodes are [CompOff[ci], CompOff[ci+1]).
 	// Within a component, supers are ordered by smallest original member;
-	// components are ordered by smallest member, as in graph.Components.
+	// components are ordered by smallest member, as in graph.CSR.Components.
 	CompOff []int32
 	// SuperOf maps each original node index to its global super index.
 	SuperOf []int32
@@ -69,8 +69,8 @@ type CSRResult struct {
 	MemberOff []int32
 	Members   []int32
 	// Labels is the raw per-node label from propagation (label spaces are
-	// per-component, starting at 0); kept for diagnostics and the
-	// map-path equivalence tests.
+	// per-component, starting at 0); kept for diagnostics and the map-oracle
+	// equivalence tests.
 	Labels []int32
 	// Rounds and Thresholds record each component's propagation outcome.
 	Rounds     []int
@@ -95,19 +95,11 @@ type superEdge struct {
 	w    float64
 }
 
-// dfsFrame is one node's in-progress adjacency scan during iterative DFS.
-type dfsFrame struct {
-	node int32
-	k    int32
-}
-
 // compressScratch is the pooled per-worker workspace for the CSR kernels.
 // All index arrays are sized to the full graph; epoch marking makes per-
 // component reuse O(component) instead of O(n).
 type compressScratch struct {
 	order     []int32
-	frames    []dfsFrame
-	stack     []int32
 	seen      []int32
 	epoch     int32
 	parent    []int32
@@ -311,7 +303,7 @@ func (s *compressScratch) prepare(c *graph.CSR, comp []int32, opts Options) (thr
 			starter, bestDeg = u, d
 		}
 	}
-	return threshold, s.traversalOrder(c, comp, starter, opts.Traversal)
+	return threshold, s.traversalOrder(c, starter)
 }
 
 // propagate is Algorithm 1's inner loop — up to βt rounds over the visit
@@ -407,7 +399,7 @@ func (s *compressScratch) propagate(c *graph.CSR, comp, order []int32, threshold
 
 // contract merges directly connected same-label nodes into super-nodes —
 // union-find over same-label edges, then cluster ids in ascending first-seen
-// order (= smallest-member order, matching graph.Contract's super numbering)
+// order (= smallest-member order, matching the map oracle's super numbering)
 // — and packs the contracted component into a Block. The propagation labels
 // arrive in clusterOf: the union step is their last per-node reader, so they
 // then move out by position (the block's form) and the array takes the
@@ -454,7 +446,7 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32) *Block {
 	}
 
 	// Contracted edges: accumulate per super-pair in the original (u, v)
-	// edge order — the same order graph.Contract coalesces in — then sort
+	// edge order — the same order the map oracle coalesces in — then sort
 	// pairs for the CSR fill. Slot assignment order (pair first-seen order)
 	// is identical through either index, so both produce the same pairs
 	// slice; the dense index just skips the per-edge map probes for the
@@ -578,54 +570,19 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32) *Block {
 	return b
 }
 
-// traversalOrder computes the BFS or DFS visit order from start over the
-// component, neighbors ascending, exactly mirroring graph.BFSOrder /
-// graph.DFSOrder (including the append of stranded nodes in ID order).
-func (s *compressScratch) traversalOrder(c *graph.CSR, comp []int32, start int32, tr Traversal) []int32 {
+// traversalOrder computes the breadth-first visit order from start over its
+// component, neighbors ascending. A component is closed under adjacency, so
+// the order holds every member.
+func (s *compressScratch) traversalOrder(c *graph.CSR, start int32) []int32 {
 	epoch := nextEpoch(&s.epoch, s.seen)
-	s.order = s.order[:0]
-	if tr == BFS {
-		s.seen[start] = epoch
-		s.order = append(s.order, start)
-		for i := 0; i < len(s.order); i++ {
-			tgt, _ := c.Adj(s.order[i])
-			for _, v := range tgt {
-				if s.seen[v] != epoch {
-					s.seen[v] = epoch
-					s.order = append(s.order, v)
-				}
-			}
-		}
-	} else {
-		// Iterative preorder DFS equivalent to the recursive reference:
-		// mark-and-emit on first touch, descend into the lowest unseen
-		// neighbor, resume the parent's scan on return.
-		s.seen[start] = epoch
-		s.order = append(s.order, start)
-		s.frames = append(s.frames[:0], dfsFrame{node: start})
-		for len(s.frames) > 0 {
-			f := &s.frames[len(s.frames)-1]
-			tgt, _ := c.Adj(f.node)
-			for int(f.k) < len(tgt) && s.seen[tgt[f.k]] == epoch {
-				f.k++
-			}
-			if int(f.k) == len(tgt) {
-				s.frames = s.frames[:len(s.frames)-1]
-				continue
-			}
-			v := tgt[f.k]
-			f.k++
-			s.seen[v] = epoch
-			s.order = append(s.order, v)
-			s.frames = append(s.frames, dfsFrame{node: v})
-		}
-	}
-	// Components are closed under adjacency, so this only fires on inputs
-	// that are not genuine components (defensive parity with the map oracle).
-	if len(s.order) < len(comp) {
-		for _, u := range comp {
-			if s.seen[u] != epoch {
-				s.order = append(s.order, u)
+	s.seen[start] = epoch
+	s.order = append(s.order[:0], start)
+	for i := 0; i < len(s.order); i++ {
+		tgt, _ := c.Adj(s.order[i])
+		for _, v := range tgt {
+			if s.seen[v] != epoch {
+				s.seen[v] = epoch
+				s.order = append(s.order, v)
 			}
 		}
 	}

@@ -75,9 +75,6 @@ func TestPropertyCompressMatchesCompressMap(t *testing.T) {
 			return true
 		}
 		opts := Options{Workers: 1 + int(flags%4)}
-		if flags&4 != 0 {
-			opts.Traversal = DFS
-		}
 		if flags&8 != 0 {
 			opts.WeightThreshold = 0.5
 		}
@@ -117,18 +114,16 @@ func TestCompressMatchesCompressMapHandBuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tr := range []Traversal{BFS, DFS} {
-		csr, err := Compress(g, Options{Traversal: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := CompressMap(g, Options{Traversal: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !subgraphsEqual(t, csr, ref) {
-			t.Errorf("traversal %d: CSR and map compression disagree", tr)
-		}
+	csr, err := Compress(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := CompressMap(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !subgraphsEqual(t, csr, ref) {
+		t.Error("CSR and map compression disagree")
 	}
 }
 

@@ -132,9 +132,6 @@ func TestPropertyCompressCSRIncrementalMatchesCold(t *testing.T) {
 			return true
 		}
 		opts := Options{Workers: 1 + int(flags%2)*3}
-		if flags&4 != 0 {
-			opts.Traversal = DFS
-		}
 		if flags&8 != 0 {
 			opts.MaxRounds = 3
 		}
@@ -238,10 +235,9 @@ func TestCompressCSRIncrementalRecomputesOnOptionChange(t *testing.T) {
 	}{
 		{"weight threshold", Options{WeightThreshold: 40}, false},
 		{"max rounds", Options{MaxRounds: 2}, false},
-		{"traversal", Options{Traversal: DFS}, false},
 		{"min update rate", Options{MinUpdateRate: 0.9}, false},
 		{"workers only", Options{Workers: 3}, true},
-		{"defaults spelled out", Options{MinUpdateRate: 0.02, MaxRounds: 20, Traversal: BFS}, true},
+		{"defaults spelled out", Options{MinUpdateRate: 0.02, MaxRounds: 20}, true},
 	} {
 		inc, err := CompressCSRIncremental(patched, tc.opts, prev, info.OldCompOf)
 		if err != nil {

@@ -6,9 +6,9 @@
 //  1. split the graph into component sub-graphs (compression never crosses
 //     component boundaries because inter-component coupling is small);
 //  2. inside each sub-graph, label the maximum-degree node first (the
-//     "starter") and propagate labels breadth- or depth-first: a label
-//     crosses an edge only when the edge weight exceeds the threshold w,
-//     otherwise the far node receives a fresh label;
+//     "starter") and propagate labels breadth-first: a label crosses an
+//     edge only when the edge weight exceeds the threshold w, otherwise the
+//     far node receives a fresh label;
 //  3. repeat propagation rounds until the update rate α drops to αt or βt
 //     rounds have run;
 //  4. contract directly-connected same-label nodes into super-nodes, so
@@ -26,21 +26,13 @@ import (
 	"copmecs/internal/graph"
 )
 
-// Traversal selects the propagation order within a round.
-type Traversal int
-
-// Traversal kinds. The paper allows "depth-first or breadth-first policies".
-const (
-	BFS Traversal = iota + 1
-	DFS
-)
-
 // ErrBadOptions is returned for inconsistent options.
 var ErrBadOptions = errors.New("lpa: invalid options")
 
 // Options tunes Algorithm 1. The zero value picks the paper-flavoured
 // defaults: automatic threshold at the 0.75 edge-weight quantile, αt = 0.02,
-// βt = 20, BFS order, parallelism = GOMAXPROCS.
+// βt = 20, parallelism = GOMAXPROCS. Rounds visit nodes breadth-first from
+// the starter; the paper allows "depth-first or breadth-first policies".
 type Options struct {
 	// WeightThreshold is w: a label propagates across an edge only if the
 	// edge weight is strictly larger. 0 means automatic (the 0.75 quantile
@@ -51,8 +43,6 @@ type Options struct {
 	MinUpdateRate float64
 	// MaxRounds is βt: the hard cap on propagation rounds. 0 means 20.
 	MaxRounds int
-	// Traversal is the per-round visit order. 0 means BFS.
-	Traversal Traversal
 	// Workers bounds the number of sub-graphs compressed concurrently.
 	// 0 means GOMAXPROCS; 1 forces serial execution.
 	Workers int
@@ -64,9 +54,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 20
-	}
-	if o.Traversal == 0 {
-		o.Traversal = BFS
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -82,8 +69,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: min update rate %g", ErrBadOptions, o.MinUpdateRate)
 	case o.MaxRounds < 1:
 		return fmt.Errorf("%w: max rounds %d", ErrBadOptions, o.MaxRounds)
-	case o.Traversal != BFS && o.Traversal != DFS:
-		return fmt.Errorf("%w: traversal %d", ErrBadOptions, o.Traversal)
 	case o.Workers < 1:
 		return fmt.Errorf("%w: workers %d", ErrBadOptions, o.Workers)
 	}
@@ -91,10 +76,10 @@ func (o Options) validate() error {
 }
 
 // AutoThreshold returns the q-quantile (0 ≤ q ≤ 1) of g's edge weights,
-// which Compress uses as the coupling threshold when none is given. A graph
+// which compression uses as the coupling threshold when none is given. A graph
 // without edges yields 0. The quantile is exact — the element a full sort
 // would place at index ⌊q·(m−1)⌋ — but found by quickselect in O(m) instead
-// of copying and sorting every weight per sub-graph per Compress call.
+// of copying and sorting every weight per sub-graph per compression.
 func AutoThreshold(g *graph.Graph, q float64) float64 {
 	ws := g.AppendEdgeWeights(nil)
 	return quantile(ws, q)

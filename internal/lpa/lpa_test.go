@@ -129,22 +129,6 @@ func TestPropagateEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestPropagateDFS(t *testing.T) {
-	g := build(t, 4, []graph.Edge{
-		{U: 0, V: 1, Weight: 10}, {U: 1, V: 2, Weight: 10}, {U: 2, V: 3, Weight: 10},
-	})
-	res, err := Propagate(g, Options{WeightThreshold: 1, Traversal: DFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := res.Labels[0]
-	for _, l := range res.Labels {
-		if l != first {
-			t.Errorf("DFS heavy chain not merged: %v", res.Labels)
-		}
-	}
-}
-
 func TestOptionsValidation(t *testing.T) {
 	g := build(t, 2, []graph.Edge{{U: 0, V: 1, Weight: 1}})
 	cases := []Options{
@@ -152,7 +136,6 @@ func TestOptionsValidation(t *testing.T) {
 		{MinUpdateRate: 2},
 		{MinUpdateRate: -0.5},
 		{MaxRounds: -3},
-		{Traversal: 99},
 		{Workers: -2},
 	}
 	for _, opts := range cases {

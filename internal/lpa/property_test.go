@@ -73,7 +73,7 @@ func TestPropertyCompressThresholdExtremes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return low.NodesAfter == len(g.Components())
+		return low.NodesAfter == len(components(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -109,8 +109,8 @@ func TestPropertyCompressConservesWeightAndCuts(t *testing.T) {
 }
 
 func TestPropertyPropagateLabelsComplete(t *testing.T) {
-	// Every node receives a label within βt rounds regardless of traversal.
-	f := func(seed int64, nn uint8, dfs bool) bool {
+	// Every node receives a label within βt rounds.
+	f := func(seed int64, nn uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%40) + 2
 		g := graph.New(n)
@@ -124,11 +124,7 @@ func TestPropertyPropagateLabelsComplete(t *testing.T) {
 				return false
 			}
 		}
-		tr := BFS
-		if dfs {
-			tr = DFS
-		}
-		res, err := Propagate(g, Options{Traversal: tr, MaxRounds: 5})
+		res, err := Propagate(g, Options{MaxRounds: 5})
 		if err != nil {
 			return false
 		}
@@ -159,11 +155,11 @@ func TestPropertyMergedNodesAreHeavyConnected(t *testing.T) {
 				if len(members) < 2 {
 					continue
 				}
-				mg, err := g.InducedSubgraph(members)
+				mg, err := inducedSubgraph(g, members)
 				if err != nil {
 					return false
 				}
-				order, err := mg.BFSOrder(members[0])
+				order, err := bfsOrder(mg, members[0])
 				if err != nil || len(order) != len(members) {
 					return false
 				}

@@ -110,7 +110,7 @@ func TestPropagateCyclePeriods(t *testing.T) {
 		comp := c.Components()[tc.comp]
 		s := new(compressScratch)
 		s.ensure(c.NumNodes())
-		threshold, order := s.prepare(c, comp, Options{Traversal: BFS})
+		threshold, order := s.prepare(c, comp, Options{})
 		const last = 20
 		after := make([][]int32, last+1)
 		for r := 1; r <= last; r++ {
@@ -173,7 +173,6 @@ func TestCompressMatchesAllRoundsReference(t *testing.T) {
 		{"max rounds 3", Options{MaxRounds: 3}},
 		{"min update rate 1", Options{MinUpdateRate: 1}},
 		{"min update rate 0.73", Options{MinUpdateRate: 0.73}},
-		{"DFS", Options{Traversal: DFS}},
 		{"explicit threshold", Options{WeightThreshold: 1.5}},
 		{"workers 4", Options{Workers: 4}},
 	}
