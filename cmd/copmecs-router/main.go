@@ -74,7 +74,7 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		noHedge    = fs.Bool("no-hedge", false, "disable speculative hedging (failover on hard errors still applies)")
 		maxNodes   = fs.Int("max-nodes", serve.DefaultMaxNodes, "max graph nodes per request")
 		maxEdges   = fs.Int("max-edges", serve.DefaultMaxEdges, "max graph edges per request")
-		identCache = fs.Int("ident-cache", 0, "body-digest identity cache entries (0 = default)")
+		identCache = fs.Int("ident-cache", 0, "body-key identity cache entries (0 = default)")
 		drainWait  = fs.Duration("drain-timeout", 30*time.Second, "graceful drain deadline")
 		quiet      = fs.Bool("q", false, "suppress routing diagnostics")
 	)

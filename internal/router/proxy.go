@@ -3,7 +3,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -113,8 +112,8 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // routeSolve routes a solve by its graph fingerprint: the identity cache
 // answers for a repeat body, a JSON decode only on a miss.
 func (rt *Router) routeSolve(body []byte) ([]*backend, func(attemptResult), error) {
-	digest := sha256.Sum256(body)
-	fp, ok := rt.ident.Get(digest)
+	bodyKey := rt.bodyKeys.Key(body)
+	fp, ok := rt.ident.Get(bodyKey)
 	if ok {
 		rt.identHits.Add(1)
 	} else {
@@ -125,7 +124,7 @@ func (rt *Router) routeSolve(body []byte) ([]*backend, func(attemptResult), erro
 		if fp, err = req.Graph.Fingerprint(); err != nil {
 			return nil, nil, err
 		}
-		rt.ident.Put(digest, fp)
+		rt.ident.Put(bodyKey, fp)
 		rt.identMisses.Add(1)
 	}
 	return rt.replicasFor(fp), nil, nil

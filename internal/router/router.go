@@ -4,9 +4,9 @@
 //
 // Fingerprint routing is what makes a fleet of independent copmecsd
 // processes behave like one big cache: every repeat of a graph lands on
-// the same backend, so that backend's solution cache, body-digest cache,
+// the same backend, so that backend's solution cache, body-key cache,
 // and interned session pipelines stay hot while the others never waste
-// memory on the key. The router keeps its own raw-body digest → fingerprint
+// memory on the key. The router keeps its own raw-body key → fingerprint
 // cache, so repeat bodies are routed without JSON decoding — the same
 // identity trick the backends use, applied one tier up.
 //
@@ -31,7 +31,6 @@ package router
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -145,11 +144,13 @@ type Router struct {
 	fullRing *Ring                // every configured backend; the last resort
 	prober   *prober
 	hedge    *hedger
-	// ident maps raw-body SHA-256 digests to graph fingerprints so repeat
+	// ident maps raw bodies' keys (bodyKeys' keyed tag, drawn fresh per
+	// router and held only in memory) to graph fingerprints so repeat
 	// bodies route without a JSON decode — the router-side twin of the
-	// backend's body-digest cache. affinity maps a mutated graph's
+	// backend's body-key cache. affinity maps a mutated graph's
 	// fingerprint to the name of the backend that produced it.
-	ident    *lru.Table[[sha256.Size]byte, string]
+	ident    *lru.Table[serve.BodyKey, string]
+	bodyKeys *serve.BodyKeyer
 	affinity *lru.Table[string, string]
 	client   *http.Client
 	begin    time.Time
@@ -180,10 +181,15 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("router: no backends configured")
 	}
+	bodyKeys, err := serve.NewBodyKeyer()
+	if err != nil {
+		return nil, fmt.Errorf("router: %w", err)
+	}
 	rt := &Router{
 		cfg:      cfg,
 		byName:   make(map[string]*backend, len(cfg.Backends)),
-		ident:    lru.New[[sha256.Size]byte, string](cfg.IdentCacheSize, nil),
+		ident:    lru.New[serve.BodyKey, string](cfg.IdentCacheSize, nil),
+		bodyKeys: bodyKeys,
 		affinity: lru.New[string, string](cfg.IdentCacheSize, nil),
 		begin:    time.Now(),
 		client: &http.Client{

@@ -128,7 +128,7 @@ type FleetStatus struct {
 	CacheHits uint64 `json:"cache_hits"`
 	// CacheMisses sums backend solution-cache misses.
 	CacheMisses uint64 `json:"cache_misses"`
-	// BodyHits sums backend raw-body digest fast-path hits.
+	// BodyHits sums backend raw-body key fast-path hits.
 	BodyHits uint64 `json:"body_hits"`
 	// Incremental is the backends' /v1/mutate sections summed.
 	Incremental serve.IncrementalStats `json:"incremental"`

@@ -142,7 +142,7 @@ func BenchmarkHandleParallel(b *testing.B) {
 // cacheHitAllocBudget caps allocations for one warm cache-hit request
 // through handleSolve (request construction included). The hit path must
 // stay flat as the serving layers evolve; raising this number needs a
-// justification in the PR that does it. The body-digest fast path (no
+// justification in the PR that does it. The body-key fast path (no
 // JSON decode, no graph hashing, pre-rendered response bytes) measures
 // ~15; the budget leaves headroom for harness noise only.
 const cacheHitAllocBudget = 24

@@ -34,7 +34,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -236,7 +235,8 @@ type ErrorResponse struct {
 type Server struct {
 	cfg Config
 	// cache is the solution cache, keyed by requestKey. bodies maps the
-	// SHA-256 of a raw /v1/solve body to that key: both are deterministic
+	// BodyKey of a raw /v1/solve body (bodyKeys' keyed tag, drawn fresh per
+	// server and held only in memory) to that key: both are deterministic
 	// functions of the bytes (the default params are fixed at construction),
 	// so a byte-identical repeat skips the decode; a semantically equal but
 	// byte-different body simply misses, and only bodies that decoded and
@@ -244,14 +244,15 @@ type Server struct {
 	// fingerprint — what rounds solve and mutates patch — so the session's
 	// identity-keyed pipeline cache hits although every request decodes a
 	// fresh allocation; evicting a view releases its pipeline state.
-	cache  *lru.Table[string, cachedDecision]
-	bodies *lru.Table[[sha256.Size]byte, string]
-	graphs *lru.Table[string, *graph.CSR]
-	st     counters
-	b      *batcher
-	sess   *core.Session
-	flight *flightTable
-	begin  time.Time
+	cache    *lru.Table[string, cachedDecision]
+	bodies   *lru.Table[BodyKey, string]
+	bodyKeys *BodyKeyer
+	graphs   *lru.Table[string, *graph.CSR]
+	st       counters
+	b        *batcher
+	sess     *core.Session
+	flight   *flightTable
+	begin    time.Time
 
 	roundRec []byte // dispatchRound's reused record buffer (dispatch goroutine only)
 	draining atomic.Bool
@@ -266,12 +267,17 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	bodyKeys, err := NewBodyKeyer()
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	s := &Server{
-		cfg:    cfg,
-		cache:  lru.New[string, cachedDecision](cfg.CacheSize, nil),
-		bodies: lru.New[[sha256.Size]byte, string](cfg.CacheSize, nil),
-		flight: newFlightTable(),
-		begin:  time.Now(),
+		cfg:      cfg,
+		cache:    lru.New[string, cachedDecision](cfg.CacheSize, nil),
+		bodies:   lru.New[BodyKey, string](cfg.CacheSize, nil),
+		bodyKeys: bodyKeys,
+		flight:   newFlightTable(),
+		begin:    time.Now(),
 	}
 	// One Session per server: rounds over a repeat graph skip compression
 	// and cuts entirely (only Algorithm 2's greedy reruns). Params vary per
@@ -648,7 +654,7 @@ func userInputOf(req *SolveRequest) core.UserInput {
 	}
 }
 
-// solve is /v1/solve behind handle: body digest → (fast path: cached
+// solve is /v1/solve behind handle: body key → (fast path: cached
 // identity + cached decision) or (decode → key → cache) → singleflight →
 // admission → queue → batch → await. On the fast path a byte-identical
 // repeat of a previously valid request skips JSON decoding and graph
@@ -656,8 +662,8 @@ func userInputOf(req *SolveRequest) core.UserInput {
 // pre-rendered bytes. Any miss falls through to the full decode, which
 // back-fills the identity for the next repeat.
 func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
-	digest := sha256.Sum256(body)
-	if key, ok := s.bodies.Get(digest); ok {
+	bodyKey := s.bodyKeys.Key(body)
+	if key, ok := s.bodies.Get(bodyKey); ok {
 		if ent, ok := s.cache.Get(key); ok {
 			return reply{o: outBodyHit, body: [3][]byte{ent.hit}}, nil
 		}
@@ -678,7 +684,7 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 		return reply{}, err
 	}
 	key := cacheKey(fp, params, req.UserOverrides)
-	s.bodies.Put(digest, key)
+	s.bodies.Put(bodyKey, key)
 	if ent, ok := s.cache.Get(key); ok {
 		return reply{o: outHit, body: [3][]byte{ent.hit}}, nil
 	}

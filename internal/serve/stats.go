@@ -138,7 +138,7 @@ var endpointNames = [nEndpoint]string{"solve", "mutate"}
 type outcome uint8
 
 const (
-	outBodyHit      outcome = iota // 200 from the raw-body digest, no decode
+	outBodyHit      outcome = iota // 200 from the raw-body key, no decode
 	outHit                         // 200 from the solution cache
 	outDedup                       // 200 shared from an in-flight twin's round
 	outSolved                      // 200 from a round this request led
@@ -318,7 +318,7 @@ type CacheStats struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts requests answered by a round they led.
 	Misses uint64 `json:"misses"`
-	// BodyHits counts the subset of Hits resolved by the raw-body digest
+	// BodyHits counts the subset of Hits resolved by the raw-body key
 	// fast path, i.e. without JSON decoding or graph hashing.
 	BodyHits uint64 `json:"body_hits"`
 	// Size is the current entry count.

@@ -93,7 +93,7 @@ func TestStatsJSONShapeKeepsFlatFields(t *testing.T) {
 	s.Start(ctx)
 	body := solveBody(t, testGraph(t, 0))
 	w := &nopResponseWriter{}
-	for i := 0; i < 2; i++ { // solve, then a body-digest cache hit
+	for i := 0; i < 2; i++ { // solve, then a body-key cache hit
 		if st := postDirect(s, body, w, ctx); st != http.StatusOK {
 			t.Fatalf("solve %d: status %d", i, st)
 		}
@@ -286,7 +286,9 @@ func TestOutcomeHeaderNamesThePath(t *testing.T) {
 	body := solveBody(t, g)
 	send("/v1/solve", body, "solved")
 	send("/v1/solve", body, "body_hit")
-	send("/v1/solve", append([]byte(" "), body...), "hit")
+	respaced := append([]byte(" "), body...)
+	send("/v1/solve", respaced, "hit")
+	send("/v1/solve", respaced, "body_hit")
 	mb := mutateBody(t, fingerprintOf(t, g), &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 0, Weight: 77}}})
 	send("/v1/mutate", mb, "delta")
 	send("/v1/mutate", mb, "hit")
@@ -305,10 +307,10 @@ func TestOutcomeHeaderNamesThePath(t *testing.T) {
 		t.Fatalf("outcomes = %v, want every outcome named for both endpoints", doc.Outcomes)
 	}
 	sv, mu := doc.Outcomes["solve"], doc.Outcomes["mutate"]
-	if sv["solved"] != 1 || sv["body_hit"] != 1 || sv["hit"] != 1 || mu["delta"] != 1 || mu["hit"] != 1 {
+	if sv["solved"] != 1 || sv["body_hit"] != 2 || sv["hit"] != 1 || mu["delta"] != 1 || mu["hit"] != 1 {
 		t.Errorf("outcomes = %v", doc.Outcomes)
 	}
-	for class, want := range map[string]uint64{"hit": 3, "miss": 1, "mutate": 1, "error": 0} {
+	for class, want := range map[string]uint64{"hit": 4, "miss": 1, "mutate": 1, "error": 0} {
 		if got := doc.LatencyByClass[class].Count; got != want {
 			t.Errorf("latency_by_class[%s].count = %d, want %d", class, got, want)
 		}

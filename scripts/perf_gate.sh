@@ -18,17 +18,20 @@
 # is held only to the generic 1.0 (small graphs amortise less).
 #
 # BenchmarkMutateKeySpeedup (the /v1/mutate key: the reference side is the
-# applied map graph's Graph.Fingerprint, a full re-hash; the view side is
-# Session.Apply's patch of the interned base view — the mutate's one apply —
-# plus the patched view's Fingerprint; eight Table I n=2000 lineages in turn,
-# each base view left as the serving path leaves a mutate's, keyed and
-# staged) gets its own floor, 3.32, 10% under the lowest mean of three
-# -count=5 runs (3.69; the others 3.86 and 4.11). The view side is charged
+# applied map graph's Graph.Fingerprint, a full re-hash, over the graph as a
+# request decodes it, ReadBinary of the applied view's AppendBinary; the view
+# side is Session.Apply's patch of the interned base view — the mutate's one
+# apply — plus the patched view's Fingerprint; eight Table I n=2000 lineages
+# in turn, each base view left as the serving path leaves a mutate's, keyed
+# and staged) gets its own floor, 2.87, 10% under the lowest mean of three
+# -count=5 runs (3.20; the others 3.21 and 3.23). The view side is charged
 # for the patch the solve needs anyway and re-hashes only the chunks its
-# delta dirtied: the floor catches a second patch, a map walk creeping back
-# into the key, or a staged view losing its chunk digests. (Its earlier
-# floor, 0.88, was set while its bases' views were never fingerprinted, so
-# the view side hashed every chunk.)
+# delta dirtied: the floor catches a second patch (injected, it read 1.78
+# and 1.84), a staged view losing its chunk digests (every chunk re-hashed:
+# 0.92) or a map walk creeping back into the key. (Its floor was 3.32 while
+# the reference hashed a Clone + Delta.Apply copy, whose speed followed
+# Clone's memory layout; before that 0.88, set while its bases' views were
+# never fingerprinted, so the view side hashed every chunk.)
 #
 # BenchmarkFingerprintRekeySpeedup (internal/graph: the Fingerprint of a
 # Table I n=2000 view patched from a fingerprinted view, which re-hashes
@@ -53,6 +56,15 @@
 # 10% under the lowest mean of three -count=5 runs (1.80; the others 1.85
 # and 1.91). It catches reflection or a second copy creeping back into the
 # render.
+#
+# BenchmarkBodyKeySpeedup (internal/serve: BodyKeyer.Key, the keyed
+# AES-GMAC tag both hit paths key raw bodies with, against the SHA-256 of the
+# body it replaced, interleaved, on the serve_hit-shaped n=100 body, 24.4 KB,
+# and a Table I n=2000 body, 519 KB) gets its own floor, 5.5, on both bodies:
+# 10% under the lowest mean of three -count=5 runs (6.12 on n=100; the others
+# 6.30 and 6.45; n=2000 read 6.36, 6.70 and 6.80; about 3.2 us against 20 us
+# on n=100). It catches the tag falling back to a software GHASH or a hash
+# of the body creeping back next to it.
 #
 # BenchmarkBatchRoundWorkersSpeedup (one BatchSolve round shaped like the
 # benchmark's batch_small workload, 64 n=100 graphs, on the default worker
@@ -98,9 +110,10 @@ BEGIN {
 	floors["LPARoundsSpeedup"] = "1.5"
 	floors["GraphUnmarshalSpeedup"] = "2.0"
 	floors["SolveRequestDecodeSpeedup"] = "1.5"
-	floors["MutateKeySpeedup"] = "3.32"
+	floors["MutateKeySpeedup"] = "2.87"
 	floors["UserStateBoundarySpeedup"] = "3.99"
 	floors["RenderHitSpeedup"] = "1.62"
+	floors["BodyKeySpeedup"] = "5.5"
 	floors["FingerprintRekeySpeedup"] = "5.7"
 	floors["BatchRoundWorkersSpeedup"] = "1.43"
 }
