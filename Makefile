@@ -40,7 +40,9 @@ lint: vet
 
 # fuzz gives the binary codec, the one-pass JSON scanner's shapes (graph,
 # /v1/solve body, /v1/mutate body, each held to encoding/json), delta patches,
-# the compiled view's encoding, the serving-path request decoder, journal
+# the compiled view's encoding, the decoded lists' record (held to the map
+# Graph build) and the view compiled from a record (held to ReadBinary +
+# Compile), the serving-path request decoder, journal
 # recovery over mutated round and mutate records and the cached-hit reply's
 # appender (held to encoding/json) a short randomized shake; CI runs the seed
 # corpus via plain `go test`, this target digs deeper locally.
@@ -49,6 +51,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzGraphJSONMatchesStdlib -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDeltaPatch -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzCSRRoundTrip -fuzztime=30s ./internal/graph/
+	$(GO) test -run=NONE -fuzz=FuzzRecordFromLists -fuzztime=30s ./internal/graph/
+	$(GO) test -run=NONE -fuzz=FuzzCompileBinary -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSolveRequest -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzSolveRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzMutateRequestMatchesStdlib -fuzztime=30s ./internal/serve/
@@ -72,7 +76,8 @@ bench:
 # dense Fiedler kernel against its Jacobi oracle and its Sturm bisection
 # against the QL test oracle (the pass it replaced), internal/lpa's round
 # loop against its all-rounds reference, internal/graph's one-pass JSON
-# decode against the encoding/json path it falls back to, internal/serve's
+# decode against the encoding/json path it falls back to, internal/graph's
+# record-and-view decode of scanned lists against the map Graph route, internal/serve's
 # one-pass request decode against its decodeStrict fallback, and a
 # batch_small-shaped BatchSolve round on the default worker pool against
 # Workers 1 (skipped under GOMAXPROCS 1). Each side of a ratio is timed in
@@ -83,7 +88,7 @@ bench:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkUserStateBoundarySpeedup$$|^BenchmarkRenderHitSpeedup$$|^BenchmarkBodyKeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkUserStateBoundarySpeedup$$|^BenchmarkRenderHitSpeedup$$|^BenchmarkBodyKeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkRecordDecodeSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/core/ ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \

@@ -47,22 +47,16 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the form produced by MarshalJSON, replacing the
-// receiver's contents. Scanner.Graph reads the canonical wire form in one
-// pass; whatever it declines goes through encoding/json, which alone defines
-// the accepted language and every decode error. Graph validation (build) is
-// shared by both.
+// receiver's contents: the document's canonical record (AppendRecordJSON,
+// which defines the accepted language and every decode error), read back.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	s := NewScanner(data)
-	fresh, ok := s.Graph()
-	if !ok || !s.Done() {
-		var jg jsonGraph
-		if err := json.Unmarshal(data, &jg); err != nil {
-			return fmt.Errorf("decode graph json: %w", err)
-		}
-		var err error
-		if fresh, err = build(jg.Nodes, jg.Edges); err != nil {
-			return err
-		}
+	rec, err := AppendRecordJSON(nil, data)
+	if err != nil {
+		return err
+	}
+	fresh, err := ReadBinary(bytes.NewReader(rec))
+	if err != nil {
+		return fmt.Errorf("decode graph json: %w", err)
 	}
 	// Adopt fresh's contents field by field: a struct assignment would
 	// copy the atomics, which must not be moved once published. g takes
@@ -74,20 +68,6 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	g.nodeList.Store(fresh.nodeList.Load())
 	g.token.Store(fresh.token.Load())
 	return nil
-}
-
-// build returns the decoded lists' graph (edges is reordered).
-func build(nodes []jsonNode, edges []Edge) (*Graph, error) {
-	g := New(len(nodes))
-	for _, n := range nodes {
-		if err := g.AddNode(n.ID, n.Weight); err != nil {
-			return nil, fmt.Errorf("decode graph json: %w", err)
-		}
-	}
-	if err := g.addEdgesSorted(edges); err != nil {
-		return nil, fmt.Errorf("decode graph json: %w", err)
-	}
-	return g, nil
 }
 
 // byEndpoints orders edges by (smaller endpoint, larger endpoint): the order
@@ -130,18 +110,9 @@ func (g *Graph) addEdgesSorted(es []Edge) error {
 	deg := make([]int32, len(ids))
 	distinct := 0
 	for k, e := range es {
-		if e.U == e.V {
-			return fmt.Errorf("add edge {%d,%d}: %w", e.U, e.V, ErrSelfLoop)
-		}
-		if e.Weight < 0 {
-			return fmt.Errorf("add edge {%d,%d}: %w", e.U, e.V, ErrNegativeWeight)
-		}
 		iu, iv := indexIn(ids, e.U), indexIn(ids, e.V)
-		if iu < 0 {
-			return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", e.U, e.V, e.U, ErrNodeNotFound)
-		}
-		if iv < 0 {
-			return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", e.U, e.V, e.V, ErrNodeNotFound)
+		if err := edgeError(e, iu, iv); err != nil {
+			return err
 		}
 		if fresh(k) {
 			deg[iu]++
@@ -171,6 +142,22 @@ func (g *Graph) addEdgesSorted(es []Edge) error {
 		g.totalEdgeWeight += e.Weight
 	}
 	g.edgeCount = distinct
+	return nil
+}
+
+// edgeError is the error AddEdge gives adding e, nil when it gives none; iu
+// and iv are e's endpoints' positions, -1 when absent.
+func edgeError(e Edge, iu, iv int32) error {
+	switch {
+	case e.U == e.V:
+		return fmt.Errorf("add edge {%d,%d}: %w", e.U, e.V, ErrSelfLoop)
+	case e.Weight < 0:
+		return fmt.Errorf("add edge {%d,%d}: %w", e.U, e.V, ErrNegativeWeight)
+	case iu < 0:
+		return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", e.U, e.V, e.U, ErrNodeNotFound)
+	case iv < 0:
+		return fmt.Errorf("add edge {%d,%d}: endpoint %d: %w", e.U, e.V, e.V, ErrNodeNotFound)
+	}
 	return nil
 }
 
@@ -215,13 +202,8 @@ func appendBinaryEdge(dst []byte, u, v NodeID, weight float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(weight))
 }
 
-// BinarySize is the length of g's binary encoding.
-func (g *Graph) BinarySize() int {
-	return binaryHeaderLen + binaryNodeLen*g.NumNodes() + binaryEdgeLen*g.NumEdges()
-}
-
 // AppendBinary appends g's binary encoding — the bytes WriteBinary writes —
-// to dst. With BinarySize bytes of spare capacity it allocates nothing.
+// to dst. With room for the encoding in dst it allocates nothing.
 func (g *Graph) AppendBinary(dst []byte) []byte {
 	dst = appendBinaryHeader(dst, g.NumNodes(), g.NumEdges())
 	for _, id := range g.sortedNodes() {

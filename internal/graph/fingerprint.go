@@ -221,14 +221,11 @@ func (p *CSR) markStaleFrom(j int) {
 // run of edge records whose smaller endpoint is among them. It checks the
 // header and the length, not the records.
 func FingerprintBinary(enc []byte) (string, error) {
+	n, m, err := BinaryCounts(enc)
+	if err != nil {
+		return "", fmt.Errorf("graph fingerprint: %w", err)
+	}
 	le := binary.LittleEndian
-	if len(enc) < binaryHeaderLen || le.Uint32(enc) != binaryMagic || le.Uint16(enc[4:]) != binaryVersion {
-		return "", fmt.Errorf("graph fingerprint: %w: header", ErrBadFormat)
-	}
-	n, m := int(le.Uint32(enc[6:])), int(le.Uint32(enc[10:]))
-	if uint64(len(enc)) != binaryHeaderLen+binaryNodeLen*uint64(n)+binaryEdgeLen*uint64(m) {
-		return "", fmt.Errorf("graph fingerprint: %w: %d bytes for %d nodes and %d edges", ErrBadFormat, len(enc), n, m)
-	}
 	nodes := enc[binaryHeaderLen : binaryHeaderLen+binaryNodeLen*n]
 	edges := enc[binaryHeaderLen+binaryNodeLen*n:]
 	root := newRoot(n)

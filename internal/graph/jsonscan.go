@@ -9,7 +9,7 @@ import (
 // Scanner reads the repository's JSON wire shapes straight off the bytes, one
 // pass, no reflection: an object is a key → field table (Members), a member
 // value a number (Float), a plain string (String), a nested table, or one of
-// the two shapes this package owns (Graph, Delta). internal/serve describes
+// the two shapes this package owns (Record, Delta). internal/serve describes
 // its request bodies over the same scanner.
 //
 // It is an accelerator, never the definition: it takes keys of lower-case
@@ -289,19 +289,6 @@ func (s *Scanner) lists() (nodes []jsonNode, edges []Edge, ok bool) {
 		return 0
 	})
 	return nodes, edges, ok
-}
-
-// Graph reads the graph value at the scanner's position — a whole document or
-// a member of an enclosing object alike — and leaves the scanner just past
-// it. False declines: the value is not the canonical shape, or it describes
-// no valid graph, and the caller's encoding/json decode says which and how.
-func (s *Scanner) Graph() (*Graph, bool) {
-	nodes, edges, ok := s.lists()
-	if !ok {
-		return nil, false
-	}
-	g, err := build(nodes, edges)
-	return g, err == nil
 }
 
 // Delta reads the delta value at the scanner's position as encoding/json

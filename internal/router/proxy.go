@@ -110,18 +110,16 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // routeSolve routes a solve by its graph fingerprint: the identity cache
-// answers for a repeat body, a JSON decode only on a miss.
+// answers for a repeat body, and a miss decodes the body as a backend does,
+// into its graph's record, and hashes that.
 func (rt *Router) routeSolve(body []byte) ([]*backend, func(attemptResult), error) {
 	bodyKey := rt.bodyKeys.Key(body)
 	fp, ok := rt.ident.Get(bodyKey)
 	if ok {
 		rt.identHits.Add(1)
 	} else {
-		req, err := serve.DecodeSolveBody(body, rt.cfg.Limits)
-		if err != nil {
-			return nil, nil, err
-		}
-		if fp, err = req.Graph.Fingerprint(); err != nil {
+		var err error
+		if fp, err = serve.FingerprintSolveBody(body, rt.cfg.Limits); err != nil {
 			return nil, nil, err
 		}
 		rt.ident.Put(bodyKey, fp)

@@ -158,15 +158,17 @@ func readChunk(b []byte) (chunk, rest []byte, ok bool) {
 // acceptedGraphOffset is where a recAccepted payload's graph starts.
 const acceptedGraphOffset = 1 + floatBlockLen
 
-// newAcceptedRecord returns the recAccepted payload of g solved under params
-// and o — the record type, the float block and the canonical binary graph —
-// in a buffer of exactly its size: solve encodes a graph once, hashes it
-// there (recordFingerprint) and journals the same bytes in its round.
-func newAcceptedRecord(g *graph.Graph, params mec.Params, o UserOverrides) []byte {
-	rec := make([]byte, 1, acceptedGraphOffset+g.BinarySize())
+// accepted completes req's graph member into the recAccepted payload of the
+// request solved under params, in place: the record type and the float block
+// fill the room decodeSolve left ahead of the graph's record, so solve hashes
+// the record where it lies (recordFingerprint) and journals the same bytes in
+// its round.
+func (req *decodedSolve) accepted(params mec.Params) []byte {
+	rec := []byte(*req.Graph)
 	rec[0] = recAccepted
-	blk := floatBlock(params, o)
-	return g.AppendBinary(append(rec, blk[:]...))
+	blk := floatBlock(params, req.UserOverrides)
+	copy(rec[1:acceptedGraphOffset], blk[:])
+	return rec
 }
 
 // recordFingerprint is the fingerprint (graph.Fingerprint) of rec's graph,
@@ -175,31 +177,42 @@ func recordFingerprint(rec []byte) (string, error) {
 	return graph.FingerprintBinary(rec[acceptedGraphOffset:])
 }
 
-// decodeAccepted inverts newAcceptedRecord into a task of multiplicity 1
-// in a fresh cell keyed as its live request was, applying the live decode
-// path's validation (readFloatBlock's checks plus the graph limits). It
-// never panics (fuzzed by FuzzRecoverJournal).
+// compileRecord compiles a recovered graph record into its view, under the
+// live decode path's limits.
+func compileRecord(rec []byte, limits DecodeLimits) (*graph.CSR, error) {
+	n, m, err := graph.BinaryCounts(rec)
+	if err == nil {
+		err = limits.check(n, m)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return graph.CompileBinary(rec)
+}
+
+// decodeAccepted inverts accepted into a task of multiplicity 1 in a fresh
+// cell keyed as its live request was, its view compiled, applying the live
+// decode path's validation (readFloatBlock's checks plus the graph limits).
+// It never panics (fuzzed by FuzzRecoverJournal).
 func decodeAccepted(payload []byte, limits DecodeLimits) (*solveTask, error) {
 	if len(payload) < acceptedGraphOffset || payload[0] != recAccepted {
 		return nil, fmt.Errorf("serve: not an accepted record")
 	}
 	params, o, err := readFloatBlock(payload[1:])
-	var g *graph.Graph
+	var v *graph.CSR
 	if err == nil {
-		g, err = graph.ReadBinary(bytes.NewReader(payload[acceptedGraphOffset:]))
+		v, err = compileRecord(payload[acceptedGraphOffset:], limits)
 	}
+	var fp string
 	if err == nil {
-		err = limits.check(g.NumNodes(), g.NumEdges())
+		fp, err = v.Fingerprint()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: accepted record: %w", err)
 	}
-	req := &SolveRequest{Graph: g, UserOverrides: o}
-	key, fp, err := requestKey(req, params)
-	if err != nil {
-		return nil, err
-	}
-	return &solveTask{p: newPending(key), user: userInputOf(req), params: params, pkey: paramsDigest(params), fp: fp, mult: 1}, nil
+	user := userInputOf(o)
+	user.View = v
+	return &solveTask{p: newPending(cacheKey(fp, params, o)), user: user, params: params, pkey: paramsDigest(params), fp: fp, mult: 1}, nil
 }
 
 // appendRound appends round's recRound payload to buf: the record type, the
@@ -313,7 +326,7 @@ func encodeGraphRecord(fp string, v *graph.CSR) []byte {
 	return v.AppendBinary(buf.Bytes())
 }
 
-// decodeGraphRecord inverts encodeGraphRecord, compiling the decoded graph.
+// decodeGraphRecord inverts encodeGraphRecord, compiling the graph's view.
 func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.CSR, error) {
 	if len(payload) < 1 || payload[0] != recGraph {
 		return "", nil, fmt.Errorf("serve: not a graph record")
@@ -322,14 +335,11 @@ func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.CSR,
 	if !ok {
 		return "", nil, fmt.Errorf("serve: graph record: truncated fingerprint")
 	}
-	g, err := graph.ReadBinary(bytes.NewReader(rest))
-	if err == nil {
-		err = limits.check(g.NumNodes(), g.NumEdges())
-	}
+	v, err := compileRecord(rest, limits)
 	if err != nil {
 		return "", nil, fmt.Errorf("serve: graph record: %w", err)
 	}
-	return string(fp), g.Compile(), nil
+	return string(fp), v, nil
 }
 
 // encodeDecisionRecord renders one cached decision as a snapshot payload
@@ -507,7 +517,6 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 			continue
 		}
 		warm := true
-		s.compileFresh(round)
 		for _, t := range round {
 			if t.applied != nil {
 				rs.ReplayMutates++

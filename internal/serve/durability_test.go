@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"copmecs/internal/core"
 	"copmecs/internal/graph"
 )
 
@@ -360,12 +359,12 @@ func TestShedRequestIsNeverJournaled(t *testing.T) {
 
 	admitOne := func(i int) error {
 		g := testGraph(t, i)
-		rec := newAcceptedRecord(g, params, UserOverrides{})
+		rec := oracleRecord(g, params, UserOverrides{})
 		fp, err := recordFingerprint(rec)
 		if err != nil {
 			return err
 		}
-		task := &solveTask{rec: rec, user: core.UserInput{Graph: g}, params: params, pkey: paramsDigest(params), fp: fp}
+		task := &solveTask{rec: rec, params: params, pkey: paramsDigest(params), fp: fp}
 		_, _, err = s.admit(cacheKey(task.fp, params, UserOverrides{}), func(p *pending) bool {
 			task.p = p
 			return s.b.enqueue(task)
@@ -491,7 +490,7 @@ func TestAcceptedRecordRoundTripPreservesKey(t *testing.T) {
 		Graph:         testGraph(t, 3),
 		UserOverrides: UserOverrides{FixedLocalWork: 12.5, DeviceCompute: 3.25, Bandwidth: 9, PowerTransmit: 0.75},
 	}
-	wantKey, wantFp, err := requestKey(req, params)
+	wantKey, wantFp, err := oracleKey(req, params)
 	if err != nil {
 		t.Fatalf("requestKey: %v", err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,9 +83,14 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 				p.PowerTransmit < 0 || p.Bandwidth < 0) {
 			t.Fatalf("accepted negative params override: %+v", p)
 		}
-		// An accepted request must be keyable — the serving path depends on it.
-		if _, _, err := requestKey(req, defaultTestParams()); err != nil {
+		// An accepted request must be keyable — the serving path depends on
+		// it — and its record must hash to its Graph's fingerprint.
+		want, err := req.Graph.Fingerprint()
+		if err != nil {
 			t.Fatalf("accepted request not keyable: %v", err)
+		}
+		if fp, err := FingerprintSolveBody([]byte(body), limits); err != nil || fp != want {
+			t.Fatalf("record fingerprint %s (%v), the Graph's %s", fp, err, want)
 		}
 	})
 }
@@ -101,39 +108,113 @@ func sameOverrides(a, b UserOverrides) bool {
 	return floatBlock(pa, a) == floatBlock(pb, b)
 }
 
-// sameGraph reports that both requests carry no graph or equal ones.
-func sameGraph(a, b *graph.Graph) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Equal(b)
+// oracleSolve is a /v1/solve body as encoding/json alone reads it: the
+// oracle the server's decode (the one-pass scan, the decodeStrict fallback,
+// the record written from either) is held to. Its graph member is decoded
+// into lists by json.Unmarshal and built into a Graph by AddNode in input
+// order and AddEdge in stable endpoint order, with the error texts the
+// server must give.
+type oracleSolve struct {
+	Graph *oracleGraph `json:"graph"`
+	UserOverrides
 }
 
-// checkSolveScanMatchesStdlib is SolveRequest.scan's whole contract on one
-// body: if it accepts, decodeStrict accepts too and yields an equal request;
-// and whether or not it does, DecodeSolveBody answers as decodeStrict and the
-// checks alone would.
+type oracleGraph struct{ g *graph.Graph }
+
+// jsonGraph and jsonNode are graph's wire types, down to their names, which
+// encoding/json's type errors quote (with the package: see UnmarshalJSON).
+type jsonGraph struct {
+	Nodes []jsonNode   `json:"nodes"`
+	Edges []graph.Edge `json:"edges"`
+}
+
+type jsonNode struct {
+	ID     graph.NodeID `json:"id"`
+	Weight float64      `json:"weight"`
+}
+
+func (o *oracleGraph) UnmarshalJSON(data []byte) error {
+	var jg jsonGraph
+	if err := json.Unmarshal(data, &jg); err != nil {
+		// The one difference a type error can show: the wire types'
+		// package, serve here and graph in the decode under test.
+		return fmt.Errorf("decode graph json: %s", strings.ReplaceAll(err.Error(), "serve.json", "graph.json"))
+	}
+	g := graph.New(len(jg.Nodes))
+	for _, n := range jg.Nodes {
+		if err := g.AddNode(n.ID, n.Weight); err != nil {
+			return fmt.Errorf("decode graph json: %w", err)
+		}
+	}
+	slices.SortStableFunc(jg.Edges, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(min(a.U, a.V), min(b.U, b.V)), cmp.Compare(max(a.U, a.V), max(b.U, b.V)))
+	})
+	for _, e := range jg.Edges {
+		if err := g.AddEdge(e.U, e.V, e.Weight); err != nil {
+			return fmt.Errorf("decode graph json: %w", err)
+		}
+	}
+	o.g = g
+	return nil
+}
+
+// check is decodedSolve.check over the oracle's Graph.
+func (req *oracleSolve) check(limits DecodeLimits) error {
+	if req.Graph == nil {
+		return fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
+	}
+	if err := limits.check(req.Graph.g.NumNodes(), req.Graph.g.NumEdges()); err != nil {
+		return err
+	}
+	return req.validate()
+}
+
+// sameRecord reports that both requests carry no graph, or that the decoded
+// record is the oracle Graph's AppendBinary, byte for byte.
+func sameRecord(got *graphRecord, want *oracleGraph) bool {
+	if got == nil || want == nil {
+		return got == nil && want == nil
+	}
+	return bytes.Equal((*got)[acceptedGraphOffset:], want.g.AppendBinary(nil))
+}
+
+// checkSolveScanMatchesStdlib is the server's whole decode contract on one
+// body, held to the encoding/json oracle: if the scan accepts, the oracle
+// accepts too and the scanned record is its Graph's; whether or not it does,
+// decodeSolve answers as the oracle and the checks would, with the same
+// record, and DecodeSolveBody with an equal Graph.
 func checkSolveScanMatchesStdlib(t *testing.T, body []byte, limits DecodeLimits) (scanned bool) {
 	t.Helper()
-	var want, got SolveRequest
-	wantErr := decodeStrict(body, &want)
+	// Named as the wire type is, which encoding/json's type errors quote.
+	type SolveRequest oracleSolve
+	var wire SolveRequest
+	var got decodedSolve
+	wantErr := decodeStrict(body, &wire)
+	want := oracleSolve(wire)
 	if scanned = got.scan(body); scanned {
 		if wantErr != nil {
-			t.Fatalf("scan accepted %q, decodeStrict says %v", body, wantErr)
+			t.Fatalf("scan accepted %q, the oracle says %v", body, wantErr)
 		}
-		if !sameGraph(got.Graph, want.Graph) || !sameOverrides(got.UserOverrides, want.UserOverrides) {
-			t.Fatalf("scan and decodeStrict decode %q differently:\n%+v\n%+v", body, got, want)
+		if !sameRecord(got.Graph, want.Graph) || !sameOverrides(got.UserOverrides, want.UserOverrides) {
+			t.Fatalf("scan and the oracle decode %q differently:\n%+v\n%+v", body, got, want)
 		}
 	}
 	if wantErr == nil {
 		wantErr = want.check(limits)
 	}
-	req, err := DecodeSolveBody(body, limits)
+	req, err := decodeSolve(body, limits)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-		t.Fatalf("DecodeSolveBody(%q) = %v, decodeStrict path %v", body, err, wantErr)
+		t.Fatalf("decodeSolve(%q) = %v, the oracle %v", body, err, wantErr)
 	}
-	if err == nil && (!sameGraph(req.Graph, want.Graph) || !sameOverrides(req.UserOverrides, want.UserOverrides)) {
-		t.Fatalf("DecodeSolveBody(%q) = %+v, decodeStrict path %+v", body, req, want)
+	if err == nil && (!sameRecord(req.Graph, want.Graph) || !sameOverrides(req.UserOverrides, want.UserOverrides)) {
+		t.Fatalf("decodeSolve(%q) = %+v, the oracle %+v", body, req, want)
+	}
+	dec, err := DecodeSolveBody(body, limits)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("DecodeSolveBody(%q) = %v, the oracle %v", body, err, wantErr)
+	}
+	if err == nil && !dec.Graph.Equal(want.Graph.g) {
+		t.Fatalf("DecodeSolveBody(%q) = %v, the oracle %v", body, dec.Graph, want.Graph.g)
 	}
 	return scanned
 }
@@ -203,8 +284,8 @@ var overrideSeeds = []string{
 	``,
 }
 
-// FuzzSolveRequestMatchesStdlib holds SolveRequest.scan to decodeStrict on
-// arbitrary bytes. Run longer with: make fuzz
+// FuzzSolveRequestMatchesStdlib holds the server's record decode to the
+// encoding/json oracle on arbitrary bytes. Run longer with: make fuzz
 func FuzzSolveRequestMatchesStdlib(f *testing.F) {
 	f.Add([]byte(goodBody))
 	f.Add([]byte(""))
@@ -320,8 +401,8 @@ func FuzzRecoverJournal(f *testing.F) {
 	}
 	params := defaultTestParams()
 	pair, err := appendRound(nil, []*solveTask{
-		{rec: newAcceptedRecord(testGraph(f, 1), params, UserOverrides{}), mult: 1},
-		{rec: newAcceptedRecord(testGraph(f, 2), params, UserOverrides{Bandwidth: 3}), mult: 2},
+		{rec: oracleRecord(testGraph(f, 1), params, UserOverrides{}), mult: 1},
+		{rec: oracleRecord(testGraph(f, 2), params, UserOverrides{Bandwidth: 3}), mult: 2},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -330,7 +411,7 @@ func FuzzRecoverJournal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	journal = append(journal, pair, roundOf(f, newAcceptedRecord(testGraph(f, 3), params, UserOverrides{})), roundOf(f, mutateMember))
+	journal = append(journal, pair, roundOf(f, oracleRecord(testGraph(f, 3), params, UserOverrides{})), roundOf(f, mutateMember))
 	for _, rec := range journal {
 		f.Add(rec)
 	}

@@ -169,7 +169,7 @@ func randomDelta(rng *rand.Rand) *graph.Delta {
 // non-finite weight fails both with the same error.
 func TestAppendRoundMatchesMarshaledDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	accepted := newAcceptedRecord(chainGraph(t, 5), mec.Defaults(), UserOverrides{Bandwidth: 2})
+	accepted := oracleRecord(chainGraph(t, 5), mec.Defaults(), UserOverrides{Bandwidth: 2})
 	base := strings.Repeat("0f", graph.FingerprintLen/2)
 	for i := 0; i < 500; i++ {
 		round := []*solveTask{{rec: accepted, mult: 2}}

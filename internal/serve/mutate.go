@@ -161,7 +161,7 @@ func (s *Server) resolveMutation(req *MutateRequest, params mec.Params) (*solveT
 	if err != nil {
 		return nil, "", err
 	}
-	user := userInputOf(&SolveRequest{UserOverrides: req.UserOverrides})
+	user := userInputOf(req.UserOverrides)
 	user.View = v
 	return &solveTask{
 		mutate: req, user: user,

@@ -301,7 +301,7 @@ func TestMutateRecordRoundTripPreservesIdentity(t *testing.T) {
 	if err := req.Delta.Apply(applied); err != nil {
 		t.Fatal(err)
 	}
-	wantKey, wantFp, err := requestKey(&SolveRequest{Graph: applied, UserOverrides: req.UserOverrides}, params)
+	wantKey, wantFp, err := oracleKey(&SolveRequest{Graph: applied, UserOverrides: req.UserOverrides}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestJournalReplayMatchesLiveMutate(t *testing.T) {
 	if err := d.Apply(mutated); err != nil {
 		t.Fatal(err)
 	}
-	key, _, err := requestKey(&SolveRequest{Graph: mutated}, defaultTestParams())
+	key, _, err := oracleKey(&SolveRequest{Graph: mutated}, defaultTestParams())
 	if err != nil {
 		t.Fatalf("requestKey: %v", err)
 	}
@@ -718,7 +718,7 @@ func TestMutateChainFingerprintsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		applied := fingerprintOf(t, g)
-		record, err := recordFingerprint(newAcceptedRecord(g, defaultTestParams(), UserOverrides{}))
+		record, err := recordFingerprint(oracleRecord(g, defaultTestParams(), UserOverrides{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,20 +137,46 @@ func (o *UserOverrides) scanMember(s *graph.Scanner, key []byte) uint8 {
 	return 0
 }
 
+// decodedSolve is a /v1/solve body as the server reads it: SolveRequest with
+// the graph decoded straight into its canonical binary record, no Graph
+// built (graph.AppendRecordJSON). It is the only form the serving tier and
+// the router decode a body into.
+type decodedSolve struct {
+	Graph *graphRecord `json:"graph"`
+	UserOverrides
+}
+
+// graphRecord is a graph member as decodedSolve holds it: acceptedGraphOffset
+// bytes of room, which accepted fills with the recAccepted header, then the
+// graph's canonical binary record.
+type graphRecord []byte
+
+// UnmarshalJSON is decodeStrict's way into the record: graph.AppendRecordJSON,
+// whose errors are the ones Graph.UnmarshalJSON gives.
+func (r *graphRecord) UnmarshalJSON(data []byte) error {
+	rec, err := graph.AppendRecordJSON(make([]byte, acceptedGraphOffset), data)
+	*r = rec
+	return err
+}
+
+// record is req's graph as its canonical binary record.
+func (req *decodedSolve) record() []byte { return (*req.Graph)[acceptedGraphOffset:] }
+
 // scan reads body as one /v1/solve request in a single pass over its bytes,
-// the graph built in place. False declines (see graph.Scanner): body is then
-// decodeStrict's to accept or reject.
-func (req *SolveRequest) scan(body []byte) bool {
+// the graph's record written in place. False declines (see graph.Scanner):
+// body is then decodeStrict's to accept or reject.
+func (req *decodedSolve) scan(body []byte) bool {
 	s := graph.NewScanner(body)
 	return s.Members(func(key []byte) uint8 {
 		if string(key) != "graph" {
 			return req.scanMember(s, key)
 		}
-		var ok bool
-		if req.Graph, ok = s.Graph(); ok {
-			return 1
+		rec, ok := s.Record(make([]byte, acceptedGraphOffset))
+		if !ok {
+			return 0
 		}
-		return 0
+		req.Graph = (*graphRecord)(&rec)
+		return 1
 	}) && s.Done()
 }
 
@@ -243,14 +269,33 @@ func DecodeSolveRequest(r io.Reader, limits DecodeLimits) (*SolveRequest, error)
 // unknown fields, missing graphs, and graphs over the limits. Every error
 // wraps ErrBadRequest (ErrTooLarge and ErrNoGraph do too), so handlers can
 // map the whole family to one status code; it never panics on hostile
-// input (fuzzed in fuzz_test.go). body is not retained.
+// input (fuzzed in fuzz_test.go). body is not retained. It is the server's
+// decode (decodeSolve) with the graph read back from its record: the server
+// itself builds no Graph.
 func DecodeSolveBody(body []byte, limits DecodeLimits) (*SolveRequest, error) {
-	var req SolveRequest
+	req, err := decodeSolve(body, limits)
+	if err != nil {
+		return nil, err
+	}
+	g, err := graph.ReadBinary(bytes.NewReader(req.record()))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return &SolveRequest{Graph: g, UserOverrides: req.UserOverrides}, nil
+}
+
+// decodeSolve defines what a /v1/solve body may be: the one-pass scan when it
+// takes the body, decodeStrict when it declines, then check.
+func decodeSolve(body []byte, limits DecodeLimits) (*decodedSolve, error) {
+	var req decodedSolve
 	if !req.scan(body) {
-		req = SolveRequest{}
-		if err := decodeStrict(body, &req); err != nil {
+		// Named as the wire type is, which encoding/json's type errors quote.
+		type SolveRequest decodedSolve
+		var wire SolveRequest
+		if err := decodeStrict(body, &wire); err != nil {
 			return nil, err
 		}
+		req = decodedSolve(wire)
 	}
 	if err := req.check(limits); err != nil {
 		return nil, err
@@ -258,13 +303,32 @@ func DecodeSolveBody(body []byte, limits DecodeLimits) (*SolveRequest, error) {
 	return &req, nil
 }
 
+// FingerprintSolveBody decodes a /v1/solve body as the server does and
+// returns its graph's fingerprint, hashed off the record: a router's key for
+// placing the request.
+func FingerprintSolveBody(body []byte, limits DecodeLimits) (string, error) {
+	req, err := decodeSolve(body, limits)
+	if err != nil {
+		return "", err
+	}
+	fp, err := graph.FingerprintBinary(req.record())
+	if err != nil {
+		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return fp, nil
+}
+
 // check applies what a decoded body must still satisfy: a graph, within the
 // limits, and no negative override.
-func (req *SolveRequest) check(limits DecodeLimits) error {
+func (req *decodedSolve) check(limits DecodeLimits) error {
 	if req.Graph == nil {
 		return fmt.Errorf("%w: %w", ErrBadRequest, ErrNoGraph)
 	}
-	if err := limits.check(req.Graph.NumNodes(), req.Graph.NumEdges()); err != nil {
+	n, m, err := graph.BinaryCounts(req.record())
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if err := limits.check(n, m); err != nil {
 		return err
 	}
 	return req.validate()
@@ -276,21 +340,6 @@ func paramsDigest(p mec.Params) string {
 	blk := floatBlock(p, UserOverrides{})
 	sum := sha256.Sum256(blk[:5*8])
 	return hex.EncodeToString(sum[:16])
-}
-
-// requestKey computes the request's two cache identities: fp is the graph's
-// Fingerprint (the graph-intern key), and key — fp plus the resolved params
-// and the per-user overrides — is the solution-cache and singleflight key.
-// Two requests with equal keys are interchangeable: same graph content,
-// same system constants, same device/link overrides. /v1/solve, which also
-// journals the graph's encoding, hashes its record's copy instead
-// (newAcceptedRecord).
-func requestKey(req *SolveRequest, params mec.Params) (key, fp string, err error) {
-	fp, err = req.Graph.Fingerprint()
-	if err != nil {
-		return "", "", fmt.Errorf("%w: request key: %v", ErrBadRequest, err)
-	}
-	return cacheKey(fp, params, req.UserOverrides), fp, nil
 }
 
 // cacheKey is the solution-cache and singleflight key of the graph

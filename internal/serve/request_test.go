@@ -95,43 +95,35 @@ func TestDecodeEdgeLimit(t *testing.T) {
 
 func TestRequestKeyStability(t *testing.T) {
 	params := mec.Defaults()
-	reqA, err := DecodeSolveRequest(strings.NewReader(goodBody), DecodeLimits{})
+	req, err := DecodeSolveRequest(strings.NewReader(goodBody), DecodeLimits{})
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	reqB, err := DecodeSolveRequest(strings.NewReader(goodBody), DecodeLimits{})
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	ka, fa, _ := liveKey(t, []byte(goodBody), params)
+	if kb, fb, _ := liveKey(t, []byte(goodBody), params); ka != kb || fa != fb {
+		t.Fatalf("equal requests keyed differently: (%s, %s) vs (%s, %s)", ka, fa, kb, fb)
 	}
-	ka, fa, err := requestKey(reqA, params)
-	if err != nil {
-		t.Fatalf("requestKey: %v", err)
-	}
-	kb, fb, err := requestKey(reqB, params)
-	if err != nil {
-		t.Fatalf("requestKey: %v", err)
-	}
-	if ka != kb {
-		t.Fatalf("equal requests keyed differently: %s vs %s", ka, kb)
-	}
-	if fa != fb {
-		t.Fatalf("equal graphs fingerprinted differently: %s vs %s", fa, fb)
-	}
-	// The graph fingerprint must match graph.Fingerprint — it is the
-	// graph-intern key and the two must agree.
-	if want, err := reqA.Graph.Fingerprint(); err != nil || fa != want {
+	// The record's fingerprint must match graph.Fingerprint — it is the
+	// graph-intern key, and mutate bases and router placement use it too.
+	if want, err := req.Graph.Fingerprint(); err != nil || fa != want {
 		t.Fatalf("fingerprint = %s (err %v), want %s", fa, err, want)
+	}
+	if fp, err := FingerprintSolveBody([]byte(goodBody), DecodeLimits{}); err != nil || fp != fa {
+		t.Fatalf("FingerprintSolveBody = %s (err %v), want %s", fp, err, fa)
+	}
+	if want, _, err := oracleKey(req, params); err != nil || ka != want {
+		t.Fatalf("key = %s (err %v), the map Graph's %s", ka, err, want)
 	}
 
 	// Any input that changes the solve must change the key — but not the
 	// graph fingerprint, which identifies the graph alone.
 	p2 := params
 	p2.ServerCapacity *= 2
-	if k2, f2, _ := requestKey(reqA, p2); k2 == ka || f2 != fa {
+	if k2, f2, _ := liveKey(t, []byte(goodBody), p2); k2 == ka || f2 != fa {
 		t.Fatalf("params change: key %s fp %s, want new key, same fp", k2, f2)
 	}
-	reqB.FixedLocalWork = 5
-	if k3, f3, _ := requestKey(reqB, params); k3 == ka || f3 != fa {
+	overridden := goodBody[:len(goodBody)-1] + `,"fixed_local_work":5}`
+	if k3, f3, _ := liveKey(t, []byte(overridden), params); k3 == ka || f3 != fa {
 		t.Fatalf("override change: key %s fp %s, want new key, same fp", k3, f3)
 	}
 }

@@ -643,14 +643,14 @@ func (s *Server) publish(key string, dec *Decision) ([]byte, error) {
 	return hit, nil
 }
 
-// userInputOf is the solver's view of one request.
-func userInputOf(req *SolveRequest) core.UserInput {
+// userInputOf is the solver's view of one request's overrides; its View is
+// set once the graph is compiled or interned.
+func userInputOf(o UserOverrides) core.UserInput {
 	return core.UserInput{
-		Graph:          req.Graph,
-		FixedLocalWork: req.FixedLocalWork,
-		DeviceCompute:  req.DeviceCompute,
-		Bandwidth:      req.Bandwidth,
-		PowerTransmit:  req.PowerTransmit,
+		FixedLocalWork: o.FixedLocalWork,
+		DeviceCompute:  o.DeviceCompute,
+		Bandwidth:      o.Bandwidth,
+		PowerTransmit:  o.PowerTransmit,
 	}
 }
 
@@ -670,7 +670,7 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 		// Identity known but the decision was evicted: decode below and
 		// take the solve path (the identity mapping stays valid).
 	}
-	req, err := DecodeSolveBody(body, s.cfg.Limits)
+	req, err := decodeSolve(body, s.cfg.Limits)
 	if err != nil {
 		return reply{}, err
 	}
@@ -678,7 +678,7 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	rec := newAcceptedRecord(req.Graph, params, req.UserOverrides)
+	rec := req.accepted(params)
 	fp, err := recordFingerprint(rec)
 	if err != nil {
 		return reply{}, err
@@ -691,7 +691,7 @@ func (s *Server) solve(ctx context.Context, body []byte) (reply, error) {
 
 	task := &solveTask{
 		rec:    rec,
-		user:   userInputOf(req),
+		user:   userInputOf(req.UserOverrides),
 		params: params,
 		pkey:   paramsDigest(params),
 		fp:     fp,
@@ -894,11 +894,10 @@ func (s *Server) solveRound(ctx context.Context, round []*solveTask, release fun
 	}
 }
 
-// compileFresh compiles the graph of each solve in round whose content is
-// not interned, up to Workers at a time, and hands the task the view in
-// place of its decoded Graph: a round of several new graphs pays for its
-// compiles side by side, live and on replay alike. Table recency is left to
-// intern, which keeps the first view of a content canonical.
+// compileFresh compiles the record of each live solve in round whose content
+// is not interned, up to Workers at a time, into the task's view: a round of
+// several new graphs pays for its compiles side by side. Table recency is
+// left to intern, which keeps the first view of a content canonical.
 func (s *Server) compileFresh(round []*solveTask) {
 	workers := s.cfg.Workers
 	if workers <= 0 {
@@ -912,7 +911,7 @@ func (s *Server) compileFresh(round []*solveTask) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				t.user.View, t.user.Graph = t.user.Graph.Compile(), nil
+				t.user.View = compileAccepted(t.rec)
 				<-sem
 			}()
 		}
@@ -920,16 +919,30 @@ func (s *Server) compileFresh(round []*solveTask) {
 	wg.Wait()
 }
 
+// compileAccepted compiles a live solve's recAccepted payload into its view.
+// decodeSolve wrote its graph record (graph.Scanner.Record or
+// graph.AppendRecordJSON), which is canonical by construction, so a failure
+// is a broken invariant, not a bad request; a replayed member is compiled,
+// and refused if need be, as it is decoded (decodeAccepted).
+func compileAccepted(rec []byte) *graph.CSR {
+	v, err := graph.CompileBinary(rec[acceptedGraphOffset:])
+	if err != nil {
+		panic(fmt.Sprintf("serve: a decoded graph record does not compile: %v", err))
+	}
+	return v
+}
+
 // intern rewrites t's user to the view interned under t.fp, inserting t's
-// own when none is: a mutate's patched view, or a solve's graph compiled —
-// by compileFresh, or here when its interned instance was evicted since.
+// own when none is: a mutate's patched view, a replayed member's, or a live
+// solve's record compiled — by compileFresh, or here when its interned
+// instance was evicted since.
 func (s *Server) intern(t *solveTask) {
 	if t.user.View == nil {
 		v, ok := s.graphs.Get(t.fp)
 		if !ok {
-			v = t.user.Graph.Compile()
+			v = compileAccepted(t.rec)
 		}
-		t.user.View, t.user.Graph = v, nil
+		t.user.View = v
 	}
 	t.user.View, _ = s.graphs.GetOrPut(t.fp, t.user.View)
 }

@@ -365,15 +365,9 @@ func TestBatchedContentionMatchesOffline(t *testing.T) {
 			tasks := make([]*solveTask, roundSize)
 			var users []core.UserInput
 			for i := range tasks {
-				u := core.UserInput{Graph: testGraph(t, i)}
-				tasks[i] = &solveTask{
-					p:      newPending(fmt.Sprintf("k%d", i)),
-					user:   u,
-					params: params,
-					pkey:   paramsDigest(params),
-					fp:     fmt.Sprintf("fp%d", i),
-				}
-				users = append(users, u)
+				g := testGraph(t, i)
+				tasks[i] = taskOf(t, fmt.Sprintf("k%d", i), g, params)
+				users = append(users, core.UserInput{Graph: g})
 			}
 			s.accepted.Add(roundSize)
 			s.dispatchRound(ctx, tasks)
@@ -392,7 +386,7 @@ func TestBatchedContentionMatchesOffline(t *testing.T) {
 					t.Fatalf("task %d: %v", i, task.p.err)
 				}
 				got := task.p.dec
-				wantDec := decisionFor(fmt.Sprintf("fp%d", i), want, i, roundSize)
+				wantDec := decisionFor(task.fp, want, i, roundSize)
 				if !reflect.DeepEqual(got, wantDec) {
 					t.Errorf("user %d decision differs\n got: %+v\nwant: %+v", i, got, wantDec)
 				}
@@ -415,16 +409,7 @@ func TestFusedRoundCounters(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
-	mkTask := func(key string, gi int) *solveTask {
-		g := testGraph(t, gi)
-		return &solveTask{
-			p:      newPending(key),
-			user:   core.UserInput{Graph: g},
-			params: params,
-			pkey:   paramsDigest(params),
-			fp:     fingerprintOf(t, g),
-		}
-	}
+	mkTask := func(key string, gi int) *solveTask { return taskOf(t, key, testGraph(t, gi), params) }
 	s.accepted.Add(2)
 	s.dispatchRound(ctx, []*solveTask{mkTask("a", 0), mkTask("b", 1)})
 	if got := s.st.fusedRounds.Load(); got != 1 {
@@ -452,16 +437,7 @@ func TestFusedRoundCounters(t *testing.T) {
 func TestRoundInternsOneViewPerGraph(t *testing.T) {
 	params := defaultTestParams()
 	s := newTestServer(t, Config{Workers: 2})
-	mkTask := func(key string, gi int) *solveTask {
-		g := testGraph(t, gi)
-		return &solveTask{
-			p:      newPending(key),
-			user:   core.UserInput{Graph: g},
-			params: params,
-			pkey:   paramsDigest(params),
-			fp:     fingerprintOf(t, g),
-		}
-	}
+	mkTask := func(key string, gi int) *solveTask { return taskOf(t, key, testGraph(t, gi), params) }
 	old := testGraph(t, 2).Compile()
 	round := []*solveTask{mkTask("a", 0), mkTask("b", 1), mkTask("c", 0), mkTask("d", 2)}
 	s.graphs.Put(round[3].fp, old)
@@ -493,22 +469,9 @@ func TestContentionGrowsWithBatch(t *testing.T) {
 	var lastK int
 	for _, extra := range []int{0, 3, 7} {
 		s := newTestServer(t, Config{Workers: 1, Params: params})
-		tasks := []*solveTask{{
-			p:      newPending("probe"),
-			user:   core.UserInput{Graph: probe},
-			params: params,
-			pkey:   paramsDigest(params),
-			fp:     fingerprintOf(t, probe),
-		}}
+		tasks := []*solveTask{taskOf(t, "probe", probe, params)}
 		for i := 0; i < extra; i++ {
-			g := testGraph(t, 1+i)
-			tasks = append(tasks, &solveTask{
-				p:      newPending(fmt.Sprintf("bg%d", i)),
-				user:   core.UserInput{Graph: g},
-				params: params,
-				pkey:   paramsDigest(params),
-				fp:     fingerprintOf(t, g),
-			})
+			tasks = append(tasks, taskOf(t, fmt.Sprintf("bg%d", i), testGraph(t, 1+i), params))
 		}
 		s.accepted.Add(len(tasks))
 		s.dispatchRound(context.Background(), tasks)
@@ -542,12 +505,7 @@ func TestSingleflightMultiplicityCountsTowardContention(t *testing.T) {
 	params.DeviceCompute = 20
 	s := newTestServer(t, Config{Workers: 1, Params: params})
 
-	task := &solveTask{
-		p:      newPending("dup"),
-		user:   core.UserInput{Graph: testGraph(t, 0)},
-		params: params,
-		pkey:   paramsDigest(params),
-	}
+	task := taskOf(t, "dup", testGraph(t, 0), params)
 	task.p.mult.Add(4) // leader + 4 followers
 	s.accepted.Add(1)
 	s.dispatchRound(context.Background(), []*solveTask{task})
@@ -822,32 +780,37 @@ func TestBodyBufPoolDropsLargeBuffers(t *testing.T) {
 	}
 }
 
-// TestSolveEncodesOnce: the record /v1/solve builds once yields the
-// fingerprint and cache key requestKey streams for, and is the payload
-// decodeAccepted inverts.
+// TestSolveEncodesOnce: the record /v1/solve decodes a body into is the one
+// the map Graph encoded (the journal's bytes do not move), yields the
+// fingerprint and cache key computed off that Graph, and is the payload
+// decodeAccepted inverts into the Graph's view.
 func TestSolveEncodesOnce(t *testing.T) {
 	params := defaultTestParams()
 	req := &SolveRequest{Graph: testGraph(t, 2), UserOverrides: UserOverrides{FixedLocalWork: 3, Bandwidth: 40}}
-	wantKey, wantFp, err := requestKey(req, params)
+	wantKey, wantFp, err := oracleKey(req, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := newAcceptedRecord(req.Graph, params, req.UserOverrides)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, fp, rec := liveKey(t, body, params)
+	if want := oracleRecord(req.Graph, params, req.UserOverrides); !bytes.Equal(rec, want) {
+		t.Errorf("record %x, the map Graph's %x", rec, want)
+	}
 	if len(rec) != cap(rec) {
 		t.Errorf("record buffer: len %d, cap %d; want it sized exactly", len(rec), cap(rec))
 	}
-	fp, err := recordFingerprint(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key := cacheKey(fp, params, req.UserOverrides); fp != wantFp || key != wantKey {
-		t.Fatalf("record identity (%s, %s), requestKey (%s, %s)", key, fp, wantKey, wantFp)
+	if fp != wantFp || key != wantKey {
+		t.Fatalf("record identity (%s, %s), the map Graph's (%s, %s)", key, fp, wantKey, wantFp)
 	}
 	got, err := decodeAccepted(rec, DecodeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.params != params || got.p.key != wantKey || !got.user.Graph.Equal(req.Graph) {
+	if got.params != params || got.p.key != wantKey || got.user.Graph != nil ||
+		!bytes.Equal(got.user.View.AppendBinary(nil), req.Graph.AppendBinary(nil)) {
 		t.Fatalf("record decodes to %+v under %+v", got.user, got.params)
 	}
 }
