@@ -42,7 +42,8 @@ lint: vet
 # /v1/solve body, /v1/mutate body, each held to encoding/json), delta patches,
 # the compiled view's encoding, the decoded lists' record (held to the map
 # Graph build) and the view compiled from a record (held to ReadBinary +
-# Compile), the serving-path request decoder, journal
+# Compile), the component contraction (held to the reference contraction
+# it replaced), the serving-path request decoder, journal
 # recovery over mutated round and mutate records and the cached-hit reply's
 # appender (held to encoding/json) a short randomized shake; CI runs the seed
 # corpus via plain `go test`, this target digs deeper locally.
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCSRRoundTrip -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzRecordFromLists -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzCompileBinary -fuzztime=30s ./internal/graph/
+	$(GO) test -run=NONE -fuzz=FuzzContract -fuzztime=30s ./internal/lpa/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSolveRequest -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzSolveRequestMatchesStdlib -fuzztime=30s ./internal/serve/
 	$(GO) test -run=NONE -fuzz=FuzzMutateRequestMatchesStdlib -fuzztime=30s ./internal/serve/
@@ -75,7 +77,8 @@ bench:
 # json.Marshal, internal/eigen's
 # dense Fiedler kernel against its Jacobi oracle and its Sturm bisection
 # against the QL test oracle (the pass it replaced), internal/lpa's round
-# loop against its all-rounds reference, internal/graph's one-pass JSON
+# loop against its all-rounds reference and its sort-free contraction
+# against the reference contraction, internal/graph's one-pass JSON
 # decode against the encoding/json path it falls back to, internal/graph's
 # record-and-view decode of scanned lists against the map Graph route, internal/serve's
 # one-pass request decode against its decodeStrict fallback, and a
@@ -88,7 +91,7 @@ bench:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkUserStateBoundarySpeedup$$|^BenchmarkRenderHitSpeedup$$|^BenchmarkBodyKeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkRecordDecodeSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkUserStateBoundarySpeedup$$|^BenchmarkRenderHitSpeedup$$|^BenchmarkBodyKeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkContractSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkRecordDecodeSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/core/ ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \

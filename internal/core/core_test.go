@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"copmecs/internal/graph"
+	"copmecs/internal/lpa"
 	"copmecs/internal/mec"
 	"copmecs/internal/netgen"
 	"copmecs/internal/numeric"
@@ -569,5 +571,73 @@ func TestSolveBalancedSpectral(t *testing.T) {
 	// than lopsided min cuts; at minimum the solve is valid and evaluated.
 	if sol.Eval.Objective <= 0 {
 		t.Errorf("objective = %v", sol.Eval.Objective)
+	}
+}
+
+// TestSolveComponentsContractToOneSuper: with the LPA threshold below every
+// edge weight every edge couples, so each component contracts to a single
+// super-node. The cut stage has nothing to split, and the solve must still
+// place every node, moving each component as one part, as the map oracle
+// does.
+func TestSolveComponentsContractToOneSuper(t *testing.T) {
+	var users []UserInput
+	var comps [][]graph.NodeID
+	for seed := int64(41); seed < 43; seed++ {
+		g, err := netgen.Generate(netgen.Config{Nodes: 150, Edges: 400, Components: 5, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		users = append(users, UserInput{Graph: g})
+		c := g.Compile()
+		for _, comp := range c.Components() {
+			ids := make([]graph.NodeID, len(comp))
+			for i, u := range comp {
+				ids[i] = c.IDOf(u)
+			}
+			comps = append(comps, ids)
+		}
+	}
+	threshold := math.Inf(1)
+	for _, u := range users {
+		for _, e := range u.Graph.Edges() {
+			threshold = min(threshold, e.Weight/2)
+		}
+	}
+	if !(threshold > 0) {
+		t.Fatalf("threshold %v: the graphs need positive edge weights", threshold)
+	}
+	opts := Options{LPA: lpa.Options{WeightThreshold: threshold}, Workers: 1}
+	sol, err := Solve(context.Background(), users, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Stats.NodesAfter != len(comps) || sol.Stats.EdgesAfter != 0 {
+		t.Fatalf("compressed to %d nodes and %d edges, want %d single supers", sol.Stats.NodesAfter, sol.Stats.EdgesAfter, len(comps))
+	}
+	if len(sol.Parts) != len(comps) {
+		t.Fatalf("%d parts, want one per component (%d)", len(sol.Parts), len(comps))
+	}
+	for i, p := range sol.Parts {
+		want := slices.Clone(comps[i])
+		slices.Sort(want)
+		if !slices.Equal(p.Nodes, want) || len(p.Adj) != 0 {
+			t.Fatalf("part %d: nodes %v, adj %v; want component %v alone", i, p.Nodes, p.Adj, want)
+		}
+		for _, id := range p.Nodes {
+			if sol.Placements[p.User].Remote[id] != p.Remote {
+				t.Fatalf("part %d: node %d placed apart from its component", i, id)
+			}
+		}
+	}
+	if obj := sol.Eval.Objective; math.IsNaN(obj) || math.IsInf(obj, 0) || obj > sol.InitialObjective+1e-9 {
+		t.Errorf("objective %v, initial %v", obj, sol.InitialObjective)
+	}
+	checkStates(t, sol)
+	want, err := solveMapOracle(context.Background(), users, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !solutionsIdentical(t, sol, want) {
+		t.Error("solve differs from the map oracle")
 	}
 }

@@ -286,8 +286,10 @@ func (c *CSR) Patch(d *Delta) (*CSR, *PatchInfo, error) {
 		if e.Weight < 0 {
 			return nil, nil, fmt.Errorf("patch: set edge {%d,%d}: %w", e.U, e.V, ErrNegativeWeight)
 		}
-		// Duplicate edge sets are legal (last wins), matching Apply.
-		setEdges[norm(ju, jv)] = e.Weight
+		// Duplicate edge sets are legal (last wins), matching Apply. The
+		// weight is stored as SetEdge and AddEdge store it, added to +0,
+		// so a -0 is stored as +0.
+		setEdges[norm(ju, jv)] = 0 + e.Weight
 	}
 
 	// Per-row edit lists, keyed by new index.

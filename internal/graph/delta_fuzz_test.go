@@ -131,6 +131,9 @@ func hostileDelta(data []byte, seed int64) *Delta {
 		if byteAt(i+1)%17 == 0 {
 			return math.NaN()
 		}
+		if v == 0 && byteAt(i+1)%2 == 0 {
+			return math.Copysign(0, -1)
+		}
 		return v
 	}
 	n := int(byteAt(0)%5) + 1

@@ -370,6 +370,54 @@ func TestPatchDuplicateSetsLastWins(t *testing.T) {
 	}
 }
 
+// TestSetEdgeNegativeZeroStoresPlusZero: SetEdge and Patch store a set
+// weight of -0 as AddEdge and every decode do, +0, on an existing edge and
+// a new one, so the graph has one fingerprint whichever path built it.
+func TestSetEdgeNegativeZeroStoresPlusZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	g := deltaTestGraph(9, 12)
+	c := g.Compile()
+	existing := g.Edges()[0]
+	d := &Delta{SetEdges: []EdgeDelta{{U: existing.U, V: existing.V, Weight: negZero}, {U: 0, V: 8, Weight: negZero}}}
+	if _, ok := g.EdgeWeight(0, 8); ok {
+		t.Fatal("edge {0,8} exists; the test needs it new")
+	}
+	patched, _, err := c.Patch(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Apply(g); err != nil {
+		t.Fatal(err)
+	}
+	added := deltaTestGraph(9, 12)
+	if !added.RemoveEdge(existing.U, existing.V) {
+		t.Fatal("remove edge")
+	}
+	for _, e := range d.SetEdges {
+		if err := added.AddEdge(e.U, e.V, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range d.SetEdges {
+		if w, _ := g.EdgeWeight(e.U, e.V); math.Signbit(w) {
+			t.Errorf("SetEdge stored edge {%d,%d} as -0", e.U, e.V)
+		}
+	}
+	want := added.Compile()
+	if !csrIdentical(t, patched, want) || !csrIdentical(t, g.Compile(), want) {
+		t.Fatal("a -0 set differs from the same edges added")
+	}
+	fp, err := added.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*CSR{"Patch": patched, "Apply": g.Compile()} {
+		if got, err := v.Fingerprint(); err != nil || got != fp {
+			t.Errorf("%s: fingerprint %s (%v), AddEdge's %s", name, got, err, fp)
+		}
+	}
+}
+
 func TestPatchRemoveAndReaddNode(t *testing.T) {
 	g := deltaTestGraph(5, 15)
 	c := g.Compile()

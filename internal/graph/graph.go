@@ -253,7 +253,8 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 
 // SetEdge replaces the weight of the undirected edge {u, v}, creating it if
 // absent. Both endpoints must already exist. Equivalent to RemoveEdge
-// followed by AddEdge, in one pass over the adjacency.
+// followed by AddEdge, in one pass over the adjacency, down to the stored
+// bits: w is added to +0, so a -0 is stored as +0.
 func (g *Graph) SetEdge(u, v NodeID, w float64) error {
 	if u == v {
 		return fmt.Errorf("set edge {%d,%d}: %w", u, v, ErrSelfLoop)
@@ -268,6 +269,7 @@ func (g *Graph) SetEdge(u, v NodeID, w float64) error {
 	if rv == nil {
 		return fmt.Errorf("set edge {%d,%d}: endpoint %d: %w", u, v, v, ErrNodeNotFound)
 	}
+	w = 0 + w
 	i, exists := ru.find(v)
 	j, _ := rv.find(u)
 	var old float64

@@ -244,8 +244,7 @@ func CompileBinary(enc []byte) (*CSR, error) {
 	for r := recs; len(r) > 0; r = r[binaryEdgeLen:] {
 		iu, iv := at(le.Uint64(r)), at(le.Uint64(r[8:]))
 		// A weight is stored as ReadBinary and AddEdge store it, added to
-		// the slab's +0: a -0 (which SetEdge can leave in a record) reads
-		// back as +0.
+		// the slab's +0: a -0 in a record reads back as +0.
 		rows.wts[off[iu]] += math.Float64frombits(le.Uint64(r[16:]))
 		rows.tgt[off[iu]], rows.tgt[off[iv]], rows.wts[off[iv]] = iv, iu, rows.wts[off[iu]]
 		off[iu]++

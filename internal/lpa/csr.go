@@ -1,10 +1,8 @@
 package lpa
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"sync"
 
 	"copmecs/internal/graph"
@@ -107,17 +105,13 @@ type compressScratch struct {
 	ws        []float64
 	// sched and prev: propagate's heavy-neighbor schedule and label snapshot;
 	// contract parks the final labels, by position, in prev.
-	sched   []int32
-	prev    []int32
-	pairKey map[int64]int32
+	sched []int32
+	prev  []int32
+	// pairs is a component's super-pairs in first-seen order, and pairIdx
+	// the open-addressed index of their slots that contract probes.
 	pairs   []superEdge
-	// pairSlot/pairMark form an epoch-marked dense k×k pair index used in
-	// place of pairKey when a component contracts to few enough supers; the
-	// map stays for big components where k² would dwarf the edge count.
-	pairSlot  []int32
-	pairMark  []int32
-	pairEpoch int32
-	// cursor is the fill cursor of a block's counting sorts.
+	pairIdx []int32
+	// cursor is the fill cursor of a block's scatters.
 	cursor []int32
 }
 
@@ -130,9 +124,6 @@ func (s *compressScratch) ensure(n int) {
 		s.parent = make([]int32, n)
 		s.clusterOf = make([]int32, n)
 		s.epoch = 0
-	}
-	if s.pairKey == nil {
-		s.pairKey = make(map[int64]int32)
 	}
 }
 
@@ -400,10 +391,11 @@ func (s *compressScratch) propagate(c *graph.CSR, comp, order []int32, threshold
 // contract merges directly connected same-label nodes into super-nodes —
 // union-find over same-label edges, then cluster ids in ascending first-seen
 // order (= smallest-member order, matching the map oracle's super numbering)
-// — and packs the contracted component into a Block. The propagation labels
-// arrive in clusterOf: the union step is their last per-node reader, so they
-// then move out by position (the block's form) and the array takes the
-// cluster ids.
+// — and packs the contracted component into a Block, in time linear in the
+// component: one hashed pair index and scatter fills, no sort. The
+// propagation labels arrive in clusterOf: the union step is their last
+// per-node reader, so they then move out by position (the block's form) and
+// the array takes the cluster ids.
 func (s *compressScratch) contract(c *graph.CSR, comp []int32) *Block {
 	labels := s.clusterOf
 	for _, u := range comp {
@@ -433,8 +425,9 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32) *Block {
 	// A node's super id lands in its own clusterOf slot: a root's slot holds
 	// its cluster's id either way, and no lookup reads a non-root's.
 	superOf := s.clusterOf
-	k := int32(0)
+	k, edges := int32(0), 0
 	for _, u := range comp {
+		edges += c.Degree(u)
 		r := s.find(u)
 		cl := s.clusterOf[r]
 		if cl < 0 {
@@ -444,80 +437,54 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32) *Block {
 		}
 		superOf[u] = cl
 	}
+	edges /= 2
 
 	// Contracted edges: accumulate per super-pair in the original (u, v)
-	// edge order — the same order the map oracle coalesces in — then sort
-	// pairs for the CSR fill. Slot assignment order (pair first-seen order)
-	// is identical through either index, so both produce the same pairs
-	// slice; the dense index just skips the per-edge map probes for the
-	// many-small-components regime.
+	// edge order — the same order the map oracle coalesces in — through one
+	// open-addressed index of slot ids into s.pairs, which holds the keys.
+	// A component of m edges contracts to at most min(m, k(k−1)/2) pairs;
+	// the table is a power of two at least twice that, so probes stay short.
 	s.pairs = s.pairs[:0]
-	const densePairCap = 64
-	if k <= densePairCap {
-		need := int(k) * int(k)
-		if cap(s.pairSlot) < need {
-			s.pairSlot = make([]int32, need)
-			s.pairMark = make([]int32, need)
-			s.pairEpoch = 0
-		}
-		slot, mark := s.pairSlot[:need], s.pairMark[:need]
-		epoch := nextEpoch(&s.pairEpoch, s.pairMark)
-		for _, u := range comp {
-			tgt, w := c.Adj(u)
-			for ki, v := range tgt {
-				if v < u {
-					continue
-				}
-				a, b := superOf[u], superOf[v]
-				if a == b {
-					continue // intra-cluster communication vanishes after merging
-				}
-				if a > b {
-					a, b = b, a
-				}
-				d := a*k + b
-				if mark[d] != epoch {
-					mark[d] = epoch
-					slot[d] = int32(len(s.pairs))
-					s.pairs = append(s.pairs, superEdge{a: a, b: b})
-				}
-				s.pairs[slot[d]].w += w[ki]
+	size := 1
+	for maxPairs := min(int64(edges), int64(k)*int64(k-1)/2); int64(size) < 2*maxPairs; {
+		size <<= 1
+	}
+	if cap(s.pairIdx) < size {
+		s.pairIdx = make([]int32, size)
+	}
+	idx, mask := s.pairIdx[:size], uint32(size-1)
+	clear(idx) // 0 is empty; slot i is stored as i+1
+	for _, u := range comp {
+		tgt, w := c.Adj(u)
+		for ki, v := range tgt {
+			if v < u {
+				continue
 			}
-		}
-	} else {
-		clear(s.pairKey)
-		for _, u := range comp {
-			tgt, w := c.Adj(u)
-			for ki, v := range tgt {
-				if v < u {
-					continue
-				}
-				a, b := superOf[u], superOf[v]
-				if a == b {
-					continue // intra-cluster communication vanishes after merging
-				}
-				if a > b {
-					a, b = b, a
-				}
-				key := int64(a)<<32 | int64(b)
-				slot, ok := s.pairKey[key]
-				if !ok {
+			a, b := superOf[u], superOf[v]
+			if a == b {
+				continue // intra-cluster communication vanishes after merging
+			}
+			if a > b {
+				a, b = b, a
+			}
+			h := (uint32(a)*0x9e3779b1 ^ uint32(b)) * 0x85ebca6b
+			h ^= h >> 16
+			for {
+				h &= mask
+				slot := idx[h] - 1
+				if slot < 0 {
 					slot = int32(len(s.pairs))
-					s.pairKey[key] = slot
+					idx[h] = slot + 1
 					s.pairs = append(s.pairs, superEdge{a: a, b: b})
+				} else if p := s.pairs[slot]; p.a != a || p.b != b {
+					h++
+					continue
 				}
 				s.pairs[slot].w += w[ki]
+				break
 			}
 		}
 	}
-	// Pair keys are unique — accumulation dedups through the pair index — so
-	// the sorted sequence is a unique permutation.
-	slices.SortFunc(s.pairs, func(x, y superEdge) int {
-		if c := cmp.Compare(x.a, y.a); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.b, y.b)
-	})
 
 	// The block's arrays are two allocations of its own, carved by kind.
 	nk, m := int(k), len(s.pairs)
@@ -551,14 +518,34 @@ func (s *compressScratch) contract(c *graph.CSR, comp []int32) *Block {
 		s.cursor = make([]int32, nk)
 	}
 	cursor := s.cursor[:nk]
+	// Rows fill in three scatters, no comparison sort. A row r holds its
+	// lower neighbors (< r), then its upper ones. (1) Each pair drops its
+	// smaller end into the larger end's lower half, in pair order. (2) Rows
+	// in ascending order move every lower entry into that neighbor's upper
+	// half, so upper halves fill ascending; a row's cursor still marks its
+	// lower end when the scan reaches it, since only later rows write to
+	// it. (3) Rows in ascending order move their upper entries back into
+	// the lower halves, which so fill ascending; by the time the scan
+	// reaches a row, every smaller row has filled its lower half.
 	copy(cursor, b.Off)
-	// pairs are sorted by (a, b) with a < b, so every row's a-side neighbors
-	// land before its b-side neighbors and both ascend: rows come out sorted.
 	for _, p := range s.pairs {
-		b.Tgt[cursor[p.a]], b.W[cursor[p.a]] = p.b, p.w
-		cursor[p.a]++
 		b.Tgt[cursor[p.b]], b.W[cursor[p.b]] = p.a, p.w
 		cursor[p.b]++
+	}
+	for r := int32(0); r < k; r++ {
+		for i := b.Off[r]; i < cursor[r]; i++ {
+			a := b.Tgt[i]
+			b.Tgt[cursor[a]], b.W[cursor[a]] = r, b.W[i]
+			cursor[a]++
+		}
+	}
+	copy(cursor, b.Off)
+	for r := int32(0); r < k; r++ {
+		for i := cursor[r]; i < b.Off[r+1]; i++ {
+			up := b.Tgt[i]
+			b.Tgt[cursor[up]], b.W[cursor[up]] = r, b.W[i]
+			cursor[up]++
+		}
 	}
 	// Member lists: the ascending position scan keeps each list ascending.
 	copy(cursor, b.MemberOff)

@@ -83,12 +83,26 @@ func compressCSRWith(t testing.TB, c *graph.CSR, opts Options, s *compressScratc
 	return flatten(c, opts, blocks)
 }
 
-func tableIGraph(t testing.TB, seed int64) *graph.Graph {
+// tableIGraph is Table I's largest row, n=5000.
+func tableIGraph(t testing.TB, seed int64) *graph.Graph { return tableIRowGraph(t, 4, seed) }
+
+func tableIRowGraph(t testing.TB, row int, seed int64) *graph.Graph {
 	t.Helper()
-	cfg, err := netgen.TableIConfig(4, seed)
+	cfg, err := netgen.TableIConfig(row, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return generate(t, cfg)
+}
+
+// sparseGraph is the sparse n=2100 shape whose compressed components
+// straddle the eigensolver's dense cutoff.
+func sparseGraph(t testing.TB, seed int64) *graph.Graph {
+	return generate(t, netgen.Config{Nodes: 2100, Edges: 10080, Components: 6, Seed: seed})
+}
+
+func generate(t testing.TB, cfg netgen.Config) *graph.Graph {
+	t.Helper()
 	g, err := netgen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +228,9 @@ func TestCompressMatchesAllRoundsReference(t *testing.T) {
 	}
 }
 
-// TestScratchEpochWrap seeds the pooled epoch counters just below the int32
-// limit over mark arrays holding what a wrapped counter would count up from,
-// and holds the compression to a fresh scratch's.
+// TestScratchEpochWrap seeds the pooled epoch counter just below the int32
+// limit over a mark array holding what a wrapped counter would count up
+// from, and holds the compression to a fresh scratch's.
 func TestScratchEpochWrap(t *testing.T) {
 	g, err := netgen.Generate(netgen.Config{Nodes: 120, Edges: 300, Components: 6, Seed: 5})
 	if err != nil {
@@ -227,21 +241,16 @@ func TestScratchEpochWrap(t *testing.T) {
 
 	s := new(compressScratch)
 	s.ensure(c.NumNodes())
-	s.pairSlot = make([]int32, 64*64)
-	s.pairMark = make([]int32, 64*64)
 	for i := range s.seen {
 		s.seen[i] = math.MinInt32 + int32(i%4)
 	}
-	for i := range s.pairMark {
-		s.pairMark[i] = math.MinInt32 + int32(i%4)
-	}
-	s.epoch, s.pairEpoch = math.MaxInt32-1, math.MaxInt32-1
+	s.epoch = math.MaxInt32 - 1
 	got := compressCSRWith(t, c, Options{}, s, compressBlock)
 	if !csrResultsIdentical(t, got, want) {
-		t.Error("compression on a scratch whose epochs wrapped differs from a fresh scratch's")
+		t.Error("compression on a scratch whose epoch wrapped differs from a fresh scratch's")
 	}
-	if s.epoch <= 0 || s.pairEpoch <= 0 {
-		t.Errorf("epochs after the wrap: %d, %d; want restarted positive", s.epoch, s.pairEpoch)
+	if s.epoch <= 0 {
+		t.Errorf("epoch after the wrap: %d; want restarted positive", s.epoch)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -171,6 +172,57 @@ func TestMutateEndToEnd(t *testing.T) {
 	}
 	if st.Incremental.Errors != 0 {
 		t.Errorf("mutate errors = %d", st.Incremental.Errors)
+	}
+}
+
+// TestMutateNegativeZeroEdgeOneFingerprint: a /v1/mutate that sets an edge
+// to -0 and a /v1/solve of the same graph spelling that weight -0 name one
+// graph, so they answer one fingerprint and the solve hits the mutate's
+// cached decision.
+func TestMutateNegativeZeroEdgeOneFingerprint(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	g := chainGraph(t, 24)
+	if st := postJSON(t, ts.URL+"/v1/solve", solveBody(t, g), nil); st != http.StatusOK {
+		t.Fatalf("prime solve: status %d", st)
+	}
+	d := &graph.Delta{SetEdges: []graph.EdgeDelta{{U: 3, V: 4, Weight: math.Copysign(0, -1)}}}
+	body := mutateBody(t, fingerprintOf(t, g), d)
+	if !bytes.Contains(body, []byte(`"weight":-0`)) {
+		t.Fatalf("mutate body %s does not spell the weight -0", body)
+	}
+	var mresp MutateResponse
+	if st := postJSON(t, ts.URL+"/v1/mutate", body, &mresp); st != http.StatusOK {
+		t.Fatalf("mutate: status %d", st)
+	}
+
+	zeroed := g.Clone()
+	if err := zeroed.SetEdge(3, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	plus := []byte(`{"u":3,"v":4,"weight":0}`)
+	solve := solveBody(t, zeroed)
+	if bytes.Count(solve, plus) != 1 {
+		t.Fatalf("solve body %s does not hold %s once", solve, plus)
+	}
+	solve = bytes.Replace(solve, plus, []byte(`{"u":3,"v":4,"weight":-0}`), 1)
+	var sresp SolveResponse
+	if st := postJSON(t, ts.URL+"/v1/solve", solve, &sresp); st != http.StatusOK {
+		t.Fatalf("solve: status %d", st)
+	}
+	if sresp.Graph != mresp.Graph {
+		t.Errorf("one graph, two fingerprints: /v1/mutate %s, /v1/solve %s", mresp.Graph, sresp.Graph)
+	}
+	if want := fingerprintOf(t, zeroed); mresp.Graph != want {
+		t.Errorf("mutate fingerprint %s, the +0 graph's %s", mresp.Graph, want)
+	}
+	if !sresp.Cached {
+		t.Error("solve of the mutated graph missed the mutate's cached decision")
 	}
 }
 

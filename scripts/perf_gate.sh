@@ -85,6 +85,18 @@
 # stop, against the all-rounds reference loop kept in rounds_test.go) must
 # average at least 1.5; measured ~1.9-2.4x.
 #
+# BenchmarkContractSpeedup (internal/lpa: contracting every component of a
+# graph under the labels propagation leaves, through one open-addressed
+# pair index and a three-scatter row fill, against the reference
+# contraction kept in contract_test.go, a dense k×k pair table below 65
+# supers and a map above, then a comparison sort of the super-pairs,
+# interleaved) gets its own floor per graph, 10% under the lowest mean of
+# three -count=5 runs: Table I n=2000 1.43 (1.586; the others 1.591 and
+# 1.595), Table I n=5000 1.08 (1.199; 1.200 and 1.203), the sparse n=2100
+# shape 1.96 (2.174; 2.176 and 2.181; about 0.42 ms against 0.93 ms). It
+# catches a sort, a map or a per-k second index creeping back into the
+# contraction.
+#
 # BenchmarkGraphUnmarshalSpeedup (internal/graph: Graph.UnmarshalJSON's
 # one-pass scanner against the encoding/json path it declines to, on an
 # n=100 request body and one the size of Table I's n=2000 row) reports
@@ -118,6 +130,9 @@ BEGIN {
 	floors["IncrementalResolve/n=5000"] = "3.75"
 	floors["DenseFiedlerSpeedup/n=80"] = "5.0"
 	floors["LPARoundsSpeedup"] = "1.5"
+	floors["ContractSpeedup/table1_n=2000"] = "1.43"
+	floors["ContractSpeedup/table1_n=5000"] = "1.08"
+	floors["ContractSpeedup/sparse_n=2100"] = "1.96"
 	floors["GraphUnmarshalSpeedup"] = "2.0"
 	floors["RecordDecodeSpeedup"] = "1.94"
 	floors["SolveRequestDecodeSpeedup"] = "1.5"
