@@ -39,7 +39,8 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # fuzz gives the binary codec, the one-pass JSON scanner's shapes (graph,
-# /v1/solve body, /v1/mutate body, each held to encoding/json), delta patches,
+# /v1/solve body, /v1/mutate body, each held to encoding/json) and its fused
+# number parse (held to strconv.ParseFloat), delta patches,
 # the compiled view's encoding, the decoded lists' record (held to the map
 # Graph build) and the view compiled from a record (held to ReadBinary +
 # Compile), the component contraction (held to the reference contraction
@@ -50,6 +51,7 @@ lint: vet
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzGraphJSONMatchesStdlib -fuzztime=30s ./internal/graph/
+	$(GO) test -run=NONE -fuzz=FuzzScanFloat -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzDeltaPatch -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzCSRRoundTrip -fuzztime=30s ./internal/graph/
 	$(GO) test -run=NONE -fuzz=FuzzRecordFromLists -fuzztime=30s ./internal/graph/
@@ -80,6 +82,7 @@ bench:
 # loop against its all-rounds reference and its sort-free contraction
 # against the reference contraction, internal/graph's one-pass JSON
 # decode against the encoding/json path it falls back to, internal/graph's
+# fused number parse against number + strconv.ParseFloat, internal/graph's
 # record-and-view decode of scanned lists against the map Graph route, internal/serve's
 # one-pass request decode against its decodeStrict fallback, and a
 # batch_small-shaped BatchSolve round on the default worker pool against
@@ -91,7 +94,7 @@ bench:
 bench-core:
 	@mkdir -p results
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkUserStateBoundarySpeedup$$|^BenchmarkRenderHitSpeedup$$|^BenchmarkBodyKeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkContractSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkRecordDecodeSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
+		-bench='^BenchmarkIncrementalResolve$$|^BenchmarkMutateKeySpeedup$$|^BenchmarkFingerprintRekeySpeedup$$|^BenchmarkUserStateBoundarySpeedup$$|^BenchmarkRenderHitSpeedup$$|^BenchmarkBodyKeySpeedup$$|^BenchmarkBatchRoundWorkersSpeedup$$|^BenchmarkDenseFiedlerSpeedup$$|^BenchmarkSturmSpeedup$$|^BenchmarkLPARoundsSpeedup$$|^BenchmarkContractSpeedup$$|^BenchmarkGraphUnmarshalSpeedup$$|^BenchmarkFloatScanSpeedup$$|^BenchmarkRecordDecodeSpeedup$$|^BenchmarkSolveRequestDecodeSpeedup$$' \
 		. ./internal/core/ ./internal/eigen/ ./internal/lpa/ ./internal/graph/ ./internal/serve/ | tee results/bench_core.txt
 	@awk 'BEGIN { print "{"; n = 0 } \
 	/^Benchmark/ { \

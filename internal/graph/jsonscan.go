@@ -139,8 +139,15 @@ func (s *Scanner) integer(dst *NodeID, bit uint8) uint8 {
 }
 
 // Float reads the next value as encoding/json reads a float64 field and
-// returns bit, or 0 to decline.
+// returns bit, or 0 to decline. The number is converted in the pass that
+// delimits it (scanFloat); what that pass leaves undecided is number's text
+// through strconv.ParseFloat, as encoding/json converts it.
 func (s *Scanner) Float(dst *float64, bit uint8) uint8 {
+	s.next()
+	if v, n, ok := scanFloat(s.b[s.i:]); ok {
+		*dst, s.i = v, s.i+n
+		return bit
+	}
 	v, err := strconv.ParseFloat(string(s.number()), 64)
 	if err != nil {
 		return 0

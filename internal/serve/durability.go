@@ -72,6 +72,10 @@ type RecoveryStats struct {
 	// DecodeErrors counts records that failed to decode (CRC-valid but
 	// semantically unusable — version skew or fault injection).
 	DecodeErrors int `json:"decode_errors"`
+	// RekeyedGraphs counts snapshot graphs whose stored fingerprint is not
+	// the one their bytes hash to (written by a build that keyed the graph
+	// otherwise); each is interned under the fingerprint of its bytes.
+	RekeyedGraphs int `json:"rekeyed_graphs"`
 }
 
 // DurabilityStats is the durability section of a Stats snapshot. The
@@ -327,19 +331,23 @@ func encodeGraphRecord(fp string, v *graph.CSR) []byte {
 }
 
 // decodeGraphRecord inverts encodeGraphRecord, compiling the graph's view.
-func decodeGraphRecord(payload []byte, limits DecodeLimits) (string, *graph.CSR, error) {
+// It returns the view's own fingerprint, and stale when the record stored
+// another: the record's bytes, not its stored key, say which graph it is.
+func decodeGraphRecord(payload []byte, limits DecodeLimits) (fp string, v *graph.CSR, stale bool, err error) {
 	if len(payload) < 1 || payload[0] != recGraph {
-		return "", nil, fmt.Errorf("serve: not a graph record")
+		return "", nil, false, fmt.Errorf("serve: not a graph record")
 	}
-	fp, rest, ok := readChunk(payload[1:])
+	stored, rest, ok := readChunk(payload[1:])
 	if !ok {
-		return "", nil, fmt.Errorf("serve: graph record: truncated fingerprint")
+		return "", nil, false, fmt.Errorf("serve: graph record: truncated fingerprint")
 	}
-	v, err := compileRecord(rest, limits)
+	if v, err = compileRecord(rest, limits); err == nil {
+		fp, err = v.Fingerprint()
+	}
 	if err != nil {
-		return "", nil, fmt.Errorf("serve: graph record: %w", err)
+		return "", nil, false, fmt.Errorf("serve: graph record: %w", err)
 	}
-	return string(fp), v, nil
+	return fp, v, fp != string(stored), nil
 }
 
 // encodeDecisionRecord renders one cached decision as a snapshot payload
@@ -478,10 +486,13 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		}
 		switch payload[0] {
 		case recGraph:
-			fp, v, err := decodeGraphRecord(payload, s.cfg.Limits)
+			fp, v, stale, err := decodeGraphRecord(payload, s.cfg.Limits)
 			if err != nil {
 				rs.DecodeErrors++
 				continue
+			}
+			if stale {
+				rs.RekeyedGraphs++
 			}
 			s.graphs.GetOrPut(fp, v)
 			rs.SnapshotGraphs++

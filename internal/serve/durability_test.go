@@ -845,3 +845,38 @@ func TestDurabilityStatsSectionShape(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverRekeysStaleGraphRecord: a snapshot graph record whose stored
+// fingerprint is not the one its bytes hash to is interned under the
+// fingerprint of its bytes, and counted. A /v1/solve of the graph then finds
+// it interned, and a mutate chained on the stale key is an unknown base.
+func TestRecoverRekeysStaleGraphRecord(t *testing.T) {
+	g := chainGraph(t, 24)
+	fp, stale := fingerprintOf(t, g), fingerprintOf(t, testGraph(t, 0))
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rs := s.Recover(ctx, [][]byte{encodeGraphRecord(stale, g.Compile())}, nil)
+	if rs.SnapshotGraphs != 1 || rs.RekeyedGraphs != 1 || rs.DecodeErrors != 0 {
+		t.Fatalf("recovery = %+v, want one graph, re-keyed", rs)
+	}
+	s.Start(ctx)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var resp SolveResponse
+	if st := postJSON(t, ts.URL+"/v1/solve", solveBody(t, g), &resp); st != http.StatusOK || resp.Graph != fp {
+		t.Fatalf("solve: status %d, graph %s, want 200 and %s", st, resp.Graph, fp)
+	}
+	if gc := s.Stats().GraphCache; gc.Size != 1 || gc.Reused != 1 {
+		t.Fatalf("graph cache %+v: the solve did not find the recovered graph interned", gc)
+	}
+	d := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 0, Weight: 7}}}
+	var er ErrorResponse
+	if st := postJSON(t, ts.URL+"/v1/mutate", mutateBody(t, stale, d), &er); st != http.StatusNotFound || !strings.Contains(er.Error, "unknown base") {
+		t.Fatalf("mutate on the stale key: status %d, %q; want 404 unknown base", st, er.Error)
+	}
+	if st := postJSON(t, ts.URL+"/v1/mutate", mutateBody(t, fp, d), nil); st != http.StatusOK {
+		t.Fatalf("mutate on the graph's own key: status %d", st)
+	}
+}

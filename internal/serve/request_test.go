@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -136,5 +141,83 @@ func TestParamsDigestPartitions(t *testing.T) {
 	b.Bandwidth++
 	if paramsDigest(a) == paramsDigest(b) {
 		t.Fatal("different params share a digest")
+	}
+}
+
+// edgeNumbers are the numbers a float parse gets wrong first: overflow,
+// underflow to zero, the least subnormal, negative zero, an integer past
+// 2^53, a mantissa past 19 digits and a padded, signed exponent.
+var edgeNumbers = []string{"1e309", "1e-400", "5e-324", "-0", "9007199254740993",
+	"1234567890123456789012345", "1E+0002"}
+
+// TestNumberEdgeCasesThroughHandle sends each edge number as a graph weight,
+// a params field, an override and a /v1/mutate set_edges weight, once as the
+// one-pass scan reads the body and once spelled so that it declines it (the
+// top-level key case-folded, which encoding/json alone takes), each to a
+// fresh server of its own. Both must answer alike — status, reply bytes,
+// fingerprint or error text — and journal the same record bytes, and the
+// router's FingerprintSolveBody must agree on both spellings.
+func TestNumberEdgeCasesThroughHandle(t *testing.T) {
+	type served struct {
+		status  int
+		reply   []byte
+		journal [][]byte
+	}
+	post := func(s *Server, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	base := fingerprintOf(t, testGraph(t, 0))
+	serve := func(path string, body []byte) served {
+		jr := newFakeJournal()
+		s := newTestServer(t, Config{Journal: jr})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s.Start(ctx)
+		if path == "/v1/mutate" {
+			if rec := post(s, "/v1/solve", solveBody(t, testGraph(t, 0))); rec.Code != http.StatusOK {
+				t.Fatalf("prime the base: status %d", rec.Code)
+			}
+		}
+		rec := post(s, path, body)
+		jr.mu.Lock()
+		defer jr.mu.Unlock()
+		return served{rec.Code, rec.Body.Bytes(), jr.appends}
+	}
+	same := func(path, body, twin string) {
+		scanned, strict := serve(path, []byte(body)), serve(path, []byte(twin))
+		if fmt.Sprint(scanned) != fmt.Sprint(strict) {
+			t.Errorf("%s: scanned body answers %d %s, journal %x; its decodeStrict twin %d %s, journal %x",
+				body, scanned.status, scanned.reply, scanned.journal, strict.status, strict.reply, strict.journal)
+		}
+	}
+	for _, x := range edgeNumbers {
+		solves := []string{
+			`{"graph":{"nodes":[{"id":0,"weight":` + x + `},{"id":1,"weight":120}],"edges":[{"u":0,"v":1,"weight":40}]}}`,
+			`{"graph":{"nodes":[{"id":0,"weight":50},{"id":1,"weight":120}],"edges":[{"u":0,"v":1,"weight":` + x + `}]}}`,
+			goodBody[:len(goodBody)-1] + `,"params":{"bandwidth":` + x + `,"server_capacity":9000}}`,
+			goodBody[:len(goodBody)-1] + `,"fixed_local_work":` + x + `,"bandwidth":` + x + `}`,
+		}
+		for _, body := range solves {
+			twin := strings.Replace(body, `"graph"`, `"Graph"`, 1)
+			if checkSolveScanMatchesStdlib(t, []byte(body), DecodeLimits{}) != (x != "1e309") ||
+				checkSolveScanMatchesStdlib(t, []byte(twin), DecodeLimits{}) {
+				t.Fatalf("%s: the scan takes it or its twin %s against the plan", body, twin)
+			}
+			same("/v1/solve", body, twin)
+			fp, err := FingerprintSolveBody([]byte(body), DecodeLimits{})
+			fpStrict, errStrict := FingerprintSolveBody([]byte(twin), DecodeLimits{})
+			if fp != fpStrict || fmt.Sprint(err) != fmt.Sprint(errStrict) {
+				t.Errorf("%s: FingerprintSolveBody %q, %v; its twin %q, %v", body, fp, err, fpStrict, errStrict)
+			}
+		}
+		body := `{"base":"` + base + `","delta":{"set_edges":[{"u":0,"v":1,"weight":` + x + `}]}}`
+		twin := strings.Replace(body, `"base"`, `"Base"`, 1)
+		if checkMutateScanMatchesStdlib(t, []byte(body), DecodeLimits{}) != (x != "1e309") ||
+			checkMutateScanMatchesStdlib(t, []byte(twin), DecodeLimits{}) {
+			t.Fatalf("%s: the scan takes it or its twin %s against the plan", body, twin)
+		}
+		same("/v1/mutate", body, twin)
 	}
 }
