@@ -19,24 +19,7 @@ import (
 // userStateFullWalk is the reference userState is held to and timed
 // against: the same sums, its cut sum walking every row of the view.
 func userStateFullWalk(v *graph.CSR, parts []Part, pl mec.Placement, mark []bool) mec.UserState {
-	st := mec.UserState{DeviceCompute: pl.DeviceCompute, Bandwidth: pl.Bandwidth, PowerTransmit: pl.PowerTransmit}
-	setMarks := func(on bool) {
-		for pi := range parts {
-			if parts[pi].Remote {
-				for _, li := range parts[pi].idx {
-					mark[li] = on
-				}
-			}
-		}
-	}
-	setMarks(true)
-	for u, w := range v.NodeWeights() {
-		if mark[u] {
-			st.RemoteWork += w
-		} else {
-			st.LocalWork += w
-		}
-	}
+	st := markedWork(v, parts, pl, mark)
 	for u := range int32(v.NumNodes()) {
 		tgt, w := v.Adj(u)
 		for e, t := range tgt {
@@ -45,7 +28,7 @@ func userStateFullWalk(v *graph.CSR, parts []Part, pl mec.Placement, mark []bool
 			}
 		}
 	}
-	setMarks(false)
+	clear(mark[:v.NumNodes()])
 	return st
 }
 

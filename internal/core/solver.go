@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -399,24 +400,7 @@ func finishItem(users []UserInput, opts Options, round map[any]*graphPipeline, m
 // user's parts; their idx slices index the view. mark is the calling
 // worker's scratch, clean on entry and cleaned before return.
 func userState(v *graph.CSR, boundary []int32, parts []Part, pl mec.Placement, mark []bool) mec.UserState {
-	st := mec.UserState{DeviceCompute: pl.DeviceCompute, Bandwidth: pl.Bandwidth, PowerTransmit: pl.PowerTransmit}
-	setMarks := func(on bool) {
-		for pi := range parts {
-			if parts[pi].Remote {
-				for _, li := range parts[pi].idx {
-					mark[li] = on
-				}
-			}
-		}
-	}
-	setMarks(true)
-	for u, w := range v.NodeWeights() {
-		if mark[u] {
-			st.RemoteWork += w
-		} else {
-			st.LocalWork += w
-		}
-	}
+	st := markedWork(v, parts, pl, mark)
 	for _, u := range boundary {
 		tgt, w := v.Adj(u)
 		for e, t := range tgt {
@@ -425,7 +409,38 @@ func userState(v *graph.CSR, boundary []int32, parts []Part, pl mec.Placement, m
 			}
 		}
 	}
-	setMarks(false)
+	clear(mark[:v.NumNodes()])
+	return st
+}
+
+// markedWork marks the view rows of the user's remote parts in mark and
+// returns the user's state without its cut: the placement's fields and the
+// work sums, each node's weight added, ascending, to RemoteWork or LocalWork
+// by its mark. The sum a node is not in gets +0 instead, which leaves it as
+// it was (a sum that starts at +0 is never -0), so no branch hangs on the
+// marks and the loop runs alike whatever the placement or its code address.
+func markedWork(v *graph.CSR, parts []Part, pl mec.Placement, mark []bool) mec.UserState {
+	st := mec.UserState{DeviceCompute: pl.DeviceCompute, Bandwidth: pl.Bandwidth, PowerTransmit: pl.PowerTransmit}
+	for pi := range parts {
+		if parts[pi].Remote {
+			for _, li := range parts[pi].idx {
+				mark[li] = true
+			}
+		}
+	}
+	ws := v.NodeWeights()
+	mark = mark[:len(ws)]
+	var remote, local float64
+	for u, w := range ws {
+		var m uint64
+		if mark[u] {
+			m = 1
+		}
+		bw := math.Float64bits(w)
+		remote += math.Float64frombits(bw & -m)
+		local += math.Float64frombits(bw &^ -m)
+	}
+	st.RemoteWork, st.LocalWork = remote, local
 	return st
 }
 

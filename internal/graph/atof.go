@@ -11,9 +11,8 @@ import (
 // at the start of b, as Scanner.number does, and converts it in the same
 // loop, returning the value and the bytes it takes. ok is false when it
 // cannot decide — not a number, more than maxMantDigits significant digits,
-// or a value Eisel–Lemire leaves to the slow path that is not an exact
-// binary fraction (an exponent outside pow10Table, a half-way case,
-// overflow, underflow, a subnormal) — and
+// or a value Eisel–Lemire leaves to the slow path (an exponent outside
+// pow10Table, a half-way case, overflow, underflow, a subnormal) — and
 // Scanner.Float then hands the same bytes to strconv.ParseFloat, which alone
 // defines the value. Every value it returns is the one strconv.ParseFloat
 // gives (fuzzed, and tested on millions of strings): both are correctly
@@ -92,41 +91,9 @@ func scanFloat(b []byte) (f float64, n int, ok bool) {
 		}
 		exp10 += e
 	}
-	if f, ok = eiselLemire64(man, exp10, neg); !ok {
-		f, ok = exactFloat(man, exp10, neg)
-	}
+	f, ok = eiselLemire64(man, exp10, neg)
 	return f, i, ok
 }
-
-// exactFloat takes the values eiselLemire64 cannot settle because its
-// powers of ten below one are rounded: man × 10^exp10 that is q × 2^exp10,
-// q = man / 5^-exp10 a whole number below 2^53 — 0.5, 1.25, 2.0 — and so a
-// float64 exactly. It builds the bits with integer arithmetic alone.
-func exactFloat(man uint64, exp10 int, neg bool) (float64, bool) {
-	k := -exp10
-	if man == 0 || k <= 0 || k >= len(pow5) || man%pow5[k] != 0 {
-		return 0, false
-	}
-	q := man / pow5[k]
-	if q >= 1<<53 {
-		return 0, false
-	}
-	lz := bits.LeadingZeros64(q)
-	b := uint64(1023+63-lz-k)<<52 | q<<(lz-11)&(1<<52-1)
-	if neg {
-		b |= 1 << 63
-	}
-	return math.Float64frombits(b), true
-}
-
-// pow5 holds 5^k up to the largest that fits in maxMantDigits digits.
-var pow5 = func() (p [28]uint64) {
-	p[0] = 1
-	for k := 1; k < len(p); k++ {
-		p[k] = p[k-1] * 5
-	}
-	return p
-}()
 
 // maxMantDigits is how many significant decimal digits a uint64 always holds.
 const maxMantDigits = 19

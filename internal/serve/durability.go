@@ -246,8 +246,10 @@ func appendRound(buf []byte, round []*solveTask) ([]byte, error) {
 
 // decodeRound inverts one journal payload, a recRound, into the round it
 // replays as: its members, each decoded by its type byte. A multiplicity
-// above MaxBatch is clamped as dispatchRound clamps it.
-func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
+// above MaxBatch is clamped as dispatchRound clamps it. rekeyed maps the
+// stale keys of re-keyed snapshot graphs to the keys they are interned
+// under (see decodeMember); it may be nil.
+func (s *Server) decodeRound(payload []byte, rekeyed map[string]string) ([]*solveTask, error) {
 	if len(payload) < 5 || payload[0] != recRound {
 		return nil, fmt.Errorf("serve: not a round record")
 	}
@@ -261,7 +263,7 @@ func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
 		if !ok || len(member) < 4 || binary.LittleEndian.Uint32(member) < 1 {
 			return nil, fmt.Errorf("serve: round record: member %d truncated or of multiplicity 0", i)
 		}
-		t, err := s.decodeMember(member[4:])
+		t, err := s.decodeMember(member[4:], rekeyed)
 		if err != nil {
 			return nil, fmt.Errorf("serve: round record: member %d: %w", i, err)
 		}
@@ -278,14 +280,19 @@ func (s *Server) decodeRound(payload []byte) ([]*solveTask, error) {
 // multiplicity 1 in a fresh cell keyed as its live request was. A recMutate
 // is resolved against the intern table as the live request was — the walk is
 // in journal order, so its base is already interned (snapshot, or an earlier
-// record in the tail); anything else must be a recAccepted.
-func (s *Server) decodeMember(payload []byte) (*solveTask, error) {
+// record in the tail); anything else must be a recAccepted. A base that is a
+// re-keyed snapshot graph's stale key names that graph: the build that wrote
+// the record interned it under that key.
+func (s *Server) decodeMember(payload []byte, rekeyed map[string]string) (*solveTask, error) {
 	if len(payload) == 0 || payload[0] != recMutate {
 		return decodeAccepted(payload, s.cfg.Limits)
 	}
 	req, params, err := decodeMutate(payload, s.cfg.Limits)
 	if err != nil {
 		return nil, err
+	}
+	if fp, ok := rekeyed[req.Base]; ok {
+		req.Base = fp
 	}
 	t, key, err := s.resolveMutation(req, params)
 	if err != nil {
@@ -331,23 +338,23 @@ func encodeGraphRecord(fp string, v *graph.CSR) []byte {
 }
 
 // decodeGraphRecord inverts encodeGraphRecord, compiling the graph's view.
-// It returns the view's own fingerprint, and stale when the record stored
-// another: the record's bytes, not its stored key, say which graph it is.
-func decodeGraphRecord(payload []byte, limits DecodeLimits) (fp string, v *graph.CSR, stale bool, err error) {
+// It returns the view's own fingerprint and the one the record stored: the
+// record's bytes, not its stored key, say which graph it is.
+func decodeGraphRecord(payload []byte, limits DecodeLimits) (fp, stored string, v *graph.CSR, err error) {
 	if len(payload) < 1 || payload[0] != recGraph {
-		return "", nil, false, fmt.Errorf("serve: not a graph record")
+		return "", "", nil, fmt.Errorf("serve: not a graph record")
 	}
-	stored, rest, ok := readChunk(payload[1:])
+	key, rest, ok := readChunk(payload[1:])
 	if !ok {
-		return "", nil, false, fmt.Errorf("serve: graph record: truncated fingerprint")
+		return "", "", nil, fmt.Errorf("serve: graph record: truncated fingerprint")
 	}
 	if v, err = compileRecord(rest, limits); err == nil {
 		fp, err = v.Fingerprint()
 	}
 	if err != nil {
-		return "", nil, false, fmt.Errorf("serve: graph record: %w", err)
+		return "", "", nil, fmt.Errorf("serve: graph record: %w", err)
 	}
-	return fp, v, fp != string(stored), nil
+	return fp, string(key), v, nil
 }
 
 // encodeDecisionRecord renders one cached decision as a snapshot payload
@@ -474,11 +481,15 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 // tail is replayed in order, each record as written and not journaled again:
 // decodeRound maps it to its round — the live members and multiplicities —
 // and solveRound solves it. A round is skipped only when every member key is warm, so
-// replay is idempotent.
+// replay is idempotent. A snapshot graph whose stored key is stale is
+// interned under its bytes' fingerprint; journal records that name the stale
+// key as a mutate base still resolve to it, while a live request naming it
+// does not.
 // Call before Start; undecodable records and failed cells are counted, never
 // fatal — recovery prefers a cold key to a dead daemon.
 func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) RecoveryStats {
 	var rs RecoveryStats
+	var rekeyed map[string]string // stale key → the key interned under
 	for _, payload := range snapshot {
 		if len(payload) == 0 {
 			rs.DecodeErrors++
@@ -486,12 +497,16 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		}
 		switch payload[0] {
 		case recGraph:
-			fp, v, stale, err := decodeGraphRecord(payload, s.cfg.Limits)
+			fp, stored, v, err := decodeGraphRecord(payload, s.cfg.Limits)
 			if err != nil {
 				rs.DecodeErrors++
 				continue
 			}
-			if stale {
+			if stored != fp {
+				if rekeyed == nil {
+					rekeyed = make(map[string]string)
+				}
+				rekeyed[stored] = fp
 				rs.RekeyedGraphs++
 			}
 			s.graphs.GetOrPut(fp, v)
@@ -517,7 +532,7 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 	rs.JournalRecords = len(journal)
 
 	for _, payload := range journal {
-		round, err := s.decodeRound(payload)
+		round, err := s.decodeRound(payload, rekeyed)
 		if errors.Is(err, ErrUnknownBase) {
 			rs.ReplayErrors++
 			s.logf("serve: replay: %v", err)

@@ -111,7 +111,7 @@ func TestJournalAppendAppliedBalance(t *testing.T) {
 		if payload[0] != recRound {
 			t.Fatalf("record %d has type %d, want a round record", i, payload[0])
 		}
-		round, err := s.decodeRound(payload)
+		round, err := s.decodeRound(payload, nil)
 		if err != nil {
 			t.Fatalf("decode journal record %d: %v", i, err)
 		}
@@ -146,7 +146,7 @@ func (j *orderJournal) Applied(token uint64) {
 	payload := j.appends[token-1]
 	j.released++
 	j.mu.Unlock()
-	round, err := j.s.decodeRound(payload)
+	round, err := j.s.decodeRound(payload, nil)
 	if err != nil {
 		j.t.Errorf("record %d: %v", token, err)
 		return
@@ -573,7 +573,7 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 	}
 	for name, tc := range cases {
 		s := newTestServer(t, Config{Limits: tc.limits})
-		if _, err := s.decodeRound(tc.payload); err == nil {
+		if _, err := s.decodeRound(tc.payload, nil); err == nil {
 			t.Errorf("%s: decodeRound accepted it", name)
 		}
 		if rs := s.Recover(context.Background(), nil, [][]byte{tc.payload}); rs.DecodeErrors != 1 || rs.ReplaySolved != 0 {
@@ -586,7 +586,7 @@ func TestDecodeAcceptedRejectsHostileRecords(t *testing.T) {
 		t.Errorf("mutate member of an unknown base: recovery = %+v, want one replay error", rs)
 	}
 	// A multiplicity past MaxBatch is clamped as live dispatch clamps it.
-	tasks, err := newTestServer(t, Config{MaxBatch: 4}).decodeRound(round(1000, good))
+	tasks, err := newTestServer(t, Config{MaxBatch: 4}).decodeRound(round(1000, good), nil)
 	if err != nil || len(tasks) != 1 || tasks[0].mult != 4 {
 		t.Fatalf("round of multiplicity 1000 under MaxBatch 4: err %v, %d tasks", err, len(tasks))
 	}
@@ -878,5 +878,42 @@ func TestRecoverRekeysStaleGraphRecord(t *testing.T) {
 	}
 	if st := postJSON(t, ts.URL+"/v1/mutate", mutateBody(t, fp, d), nil); st != http.StatusOK {
 		t.Fatalf("mutate on the graph's own key: status %d", st)
+	}
+}
+
+// TestRecoverReplaysMutateOnStaleKey: a journal tail written by the build
+// that keyed a snapshot graph otherwise names that graph by its stale key.
+// Replay must still apply the mutate to the re-keyed graph (it was accepted),
+// while a live mutate on the stale key answers 404.
+func TestRecoverReplaysMutateOnStaleKey(t *testing.T) {
+	params := defaultTestParams()
+	g := chainGraph(t, 24)
+	stale := fingerprintOf(t, testGraph(t, 0))
+	d := &graph.Delta{SetNodeWeights: []graph.NodeDelta{{ID: 2, Weight: 321}}}
+	member, err := encodeMutate(&MutateRequest{Base: stale, Delta: d}, params)
+	if err != nil {
+		t.Fatalf("encodeMutate: %v", err)
+	}
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rs := s.Recover(ctx, [][]byte{encodeGraphRecord(stale, g.Compile())}, [][]byte{roundOf(t, member)})
+	if rs.RekeyedGraphs != 1 || rs.ReplayMutates != 1 || rs.ReplaySolved != 1 || rs.ReplayErrors != 0 || rs.DecodeErrors != 0 {
+		t.Fatalf("recovery = %+v, want the stale-key mutate replayed and solved", rs)
+	}
+
+	s.Start(ctx)
+	mutated := g.Clone()
+	if err := d.Apply(mutated); err != nil {
+		t.Fatal(err)
+	}
+	if rec := postRecorded(s, solveBody(t, mutated), ctx); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached":true`) {
+		t.Fatalf("solve of the replayed mutation: status %d, body %s; want a cache hit", rec.Code, rec.Body)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var er ErrorResponse
+	if st := postJSON(t, ts.URL+"/v1/mutate", mutateBody(t, stale, d), &er); st != http.StatusNotFound || !strings.Contains(er.Error, "unknown base") {
+		t.Fatalf("live mutate on the stale key: status %d, %q; want 404 unknown base", st, er.Error)
 	}
 }

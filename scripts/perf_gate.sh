@@ -45,10 +45,13 @@
 # BenchmarkUserStateBoundarySpeedup (internal/core: one user's evaluated
 # state down a delta chain on a Table I n=2000 lineage, its cut sum walking
 # the graph's boundary rows, against the reference that walks every row of
-# the view, interleaved) gets its own floor, 3.99, 10% under the lowest mean
-# of three -count=5 runs (4.44; the others 4.44 and 4.84; about 12 us
-# against 52 us, the rest being the O(n) work sums). It catches the boundary
-# list growing toward the whole view.
+# the view, interleaved) gets its own floor, 5.93, 10% under the lowest mean
+# of three -count=5 runs of make bench-core's internal/core set (6.59; the
+# others 6.90 and 6.77; about 5 us against 35 us, the rest being the O(n)
+# work sums; with the two functions 32 bytes further on it read 6.3-7.6).
+# Its floor was 3.99 while the work sums branched on each node's mark: the
+# ratio then read 3.4-5.0 by where the linker put the two loops. It catches
+# the boundary list growing toward the whole view.
 #
 # BenchmarkRenderHitSpeedup (internal/serve: the cached-hit body of a
 # decision with 2,000 remote ids, appended member by member, against the
@@ -102,7 +105,7 @@
 # n=100 request body and one the size of Table I's n=2000 row) reports
 # decode_x and must average at least 2.0 on both
 # bodies; measured ~3.5x and ~3.2x while the scanner's numbers went through
-# strconv.ParseFloat, 4.37x and 4.56x (the committed -count=5 run) since it
+# strconv.ParseFloat, 4.54x and 4.51x (the committed -count=5 run) since it
 # converts them in the pass that delimits them.
 #
 # BenchmarkFloatScanSpeedup (internal/graph: Scanner.Float, which converts
@@ -129,7 +132,7 @@
 # declines to, on the n=100 and n=2000 /v1/solve bodies) reports
 # request_decode_x and must average at least 1.5 on both; measured
 # 2.3-2.7x and 2.0-2.5x while both sides built a Graph, 2.71x and 2.60x
-# once the scan wrote the record, and 3.74x and 3.69x (the committed
+# once the scan wrote the record, and 3.73x and 3.59x (the committed
 # -count=5 run) since it converts numbers in the pass that delimits them.
 set -eu
 
@@ -151,7 +154,7 @@ BEGIN {
 	floors["RecordDecodeSpeedup"] = "1.94"
 	floors["SolveRequestDecodeSpeedup"] = "1.5"
 	floors["MutateKeySpeedup"] = "2.87"
-	floors["UserStateBoundarySpeedup"] = "3.99"
+	floors["UserStateBoundarySpeedup"] = "5.93"
 	floors["RenderHitSpeedup"] = "1.62"
 	floors["BodyKeySpeedup"] = "5.5"
 	floors["FingerprintRekeySpeedup"] = "5.7"
