@@ -184,8 +184,8 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	var snapDone chan struct{}
 	if store != nil {
 		rs := srv.Recover(ctx, recovered.SnapshotRecords, recovered.JournalRecords)
-		logln(out, "copmecsd: recovered %s: snapshot seq %d (%d decisions, %d graphs, %d re-keyed), journal %d records (%d warm, %d solved, %d errors, %d undecodable), %d bytes dropped",
-			*dataDir, recovered.SnapshotSeq, rs.SnapshotDecisions, rs.SnapshotGraphs, rs.RekeyedGraphs,
+		logln(out, "copmecsd: recovered %s: snapshot seq %d (%d decisions, %d graphs, %d re-keyed, %d stale decisions), journal %d records (%d warm, %d solved, %d errors, %d undecodable), %d bytes dropped",
+			*dataDir, recovered.SnapshotSeq, rs.SnapshotDecisions, rs.SnapshotGraphs, rs.RekeyedGraphs, rs.StaleDecisions,
 			rs.JournalRecords, rs.ReplayWarm, rs.ReplaySolved, rs.ReplayErrors, rs.DecodeErrors,
 			recovered.DroppedBytes)
 		if err := store.Snapshot(srv.WriteSnapshotRecords); err != nil {

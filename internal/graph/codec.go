@@ -169,8 +169,8 @@ const binaryVersion = 1
 // ErrBadFormat is returned by ReadBinary for malformed or foreign input.
 var ErrBadFormat = errors.New("graph: bad binary format")
 
-// The binary layout, defined once: WriteBinary and the fingerprints stream
-// these records, and AppendBinary lays the same ones end to end.
+// The binary layout, defined once: AppendBinary lays these records end to
+// end, and the fingerprints hash them a chunk of rows at a time.
 //
 //	magic u32 | version u16 | numNodes u32 | numEdges u32
 //	numNodes × (id i64 | weight f64)
@@ -191,6 +191,16 @@ func appendBinaryHeader(dst []byte, nodes, edges int) []byte {
 	return le.AppendUint32(dst, uint32(edges))
 }
 
+// binaryHeader returns the counts in the binary header hdr once its magic and
+// version check out.
+func binaryHeader(hdr []byte) (nodes, edges uint32, err error) {
+	le := binary.LittleEndian
+	if len(hdr) < binaryHeaderLen || le.Uint32(hdr) != binaryMagic || le.Uint16(hdr[4:]) != binaryVersion {
+		return 0, 0, fmt.Errorf("%w: header", ErrBadFormat)
+	}
+	return le.Uint32(hdr[6:]), le.Uint32(hdr[10:]), nil
+}
+
 func appendBinaryNode(dst []byte, id NodeID, weight float64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(id))
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(weight))
@@ -206,123 +216,73 @@ func appendBinaryEdge(dst []byte, u, v NodeID, weight float64) []byte {
 // to dst. With room for the encoding in dst it allocates nothing.
 func (g *Graph) AppendBinary(dst []byte) []byte {
 	dst = appendBinaryHeader(dst, g.NumNodes(), g.NumEdges())
-	for _, id := range g.sortedNodes() {
-		dst = appendBinaryNode(dst, id, g.rec(id).weight)
-	}
-	g.eachEdge(func(u, v NodeID, w float64) { dst = appendBinaryEdge(dst, u, v, w) })
-	return dst
+	return g.appendRows(dst, g.sortedNodes())
 }
 
-// AppendBinary appends the binary encoding of the graph c is the view of —
-// the bytes that graph's WriteBinary writes — to dst: the header, then every
-// row's records as the fingerprint streams them (index order is NodeID
-// order). c must be the view of one graph, not a fused view of several.
-func (c *CSR) AppendBinary(dst []byte) []byte {
-	buf := bytes.NewBuffer(dst)
-	e := &binaryEmitter{w: buf}
-	e.header(c.NumNodes(), c.NumEdges())
-	c.emitRows(e, 0, c.NumNodes())
-	_ = e.flush() // a bytes.Buffer write does not fail
-	return buf.Bytes()
-}
-
-// WriteBinary writes a compact little-endian binary encoding of g (layout
-// above), streamed: no whole-graph buffer is built.
-func (g *Graph) WriteBinary(w io.Writer) error {
-	if err := g.emitBinary(&binaryEmitter{w: w}); err != nil {
-		return fmt.Errorf("write graph: %w", err)
-	}
-	return nil
-}
-
-// emitBinary streams g's binary encoding through e in eachEdge's order,
-// without a call per edge.
-func (g *Graph) emitBinary(e *binaryEmitter) error {
-	e.header(g.NumNodes(), g.NumEdges())
-	ids := g.sortedNodes()
+// appendRows appends the records of the rows of ids, an ascending run of g's
+// nodes: their node records, then their upper-triangle edge records.
+func (g *Graph) appendRows(dst []byte, ids []NodeID) []byte {
 	for _, id := range ids {
-		e.node(id, g.rec(id).weight)
+		dst = appendBinaryNode(dst, id, g.rec(id).weight)
 	}
 	for _, u := range ids {
 		rec := g.rec(u)
 		for i, v := range rec.nbr {
 			if u < v {
-				e.edge(u, v, rec.w[i])
+				dst = appendBinaryEdge(dst, u, v, rec.w[i])
 			}
 		}
 	}
-	return e.flush()
+	return dst
 }
 
-// binaryEmitter streams binary-layout records to w through one fixed chunk,
-// written out whole as it fills: the shared back end of WriteBinary,
-// Graph.Fingerprint and CSR.Fingerprint, so a graph and its view encode
-// through the same bytes. Each record is laid by the append functions above;
-// binary.Write would reflect on and allocate for every value. The first
-// write error is sticky.
-type binaryEmitter struct {
-	w   io.Writer
-	err error
-	n   int
-	// buf leaves 64 bytes of 4 KiB for the fields above and the heap's
-	// per-object header: the emitter escapes through w.Write, and this way it
-	// is one 4 KiB allocation, not the next size class up (4.75 KiB).
-	buf [4096 - 64]byte
+// AppendBinary appends the binary encoding of the graph c is the view of —
+// the bytes that graph's AppendBinary lays — to dst (index order is NodeID
+// order). c must be the view of one graph, not a fused view of several.
+func (c *CSR) AppendBinary(dst []byte) []byte {
+	dst = appendBinaryHeader(dst, c.NumNodes(), c.NumEdges())
+	return c.appendRows(dst, 0, c.NumNodes())
 }
 
-// room returns the filled part of the chunk with k bytes of spare capacity,
-// flushing first if they are not there.
-func (e *binaryEmitter) room(k int) []byte {
-	if e.n+k > len(e.buf) {
-		_ = e.flush() // sticky: the final flush reports it
+// appendRows appends the records of rows [lo, hi) of c: their node records,
+// then their upper-triangle edge records.
+func (c *CSR) appendRows(dst []byte, lo, hi int) []byte {
+	for i := lo; i < hi; i++ {
+		dst = appendBinaryNode(dst, c.ids[i], c.nodeW[i])
 	}
-	return e.buf[:e.n]
-}
-
-func (e *binaryEmitter) header(nodes, edges int) {
-	e.n = len(appendBinaryHeader(e.room(binaryHeaderLen), nodes, edges))
-}
-
-func (e *binaryEmitter) node(id NodeID, weight float64) {
-	e.n = len(appendBinaryNode(e.room(binaryNodeLen), id, weight))
-}
-
-func (e *binaryEmitter) edge(u, v NodeID, weight float64) {
-	e.n = len(appendBinaryEdge(e.room(binaryEdgeLen), u, v, weight))
-}
-
-// flush writes the filled chunk out and reports the first write error.
-func (e *binaryEmitter) flush() error {
-	if e.n > 0 && e.err == nil {
-		_, e.err = e.w.Write(e.buf[:e.n])
+	for i := lo; i < hi; i++ {
+		tgt, w := c.Adj(int32(i))
+		for k, v := range tgt {
+			if v > int32(i) {
+				dst = appendBinaryEdge(dst, c.ids[i], c.ids[v], w[k])
+			}
+		}
 	}
-	e.n = 0
-	return e.err
+	return dst
+}
+
+// WriteBinary writes g's binary encoding (layout above): AppendBinary's bytes.
+func (g *Graph) WriteBinary(w io.Writer) error {
+	if _, err := w.Write(g.AppendBinary(nil)); err != nil {
+		return fmt.Errorf("write graph: %w", err)
+	}
+	return nil
 }
 
 // ReadBinary decodes a graph written by WriteBinary.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
-	// One fixed buffer read field by field, the mirror of WriteBinary:
-	// binary.Read would reflect on and allocate for every value.
+	// One fixed buffer read record by record: binary.Read would reflect on
+	// and allocate for every value.
 	var buf [24]byte
 	le := binary.LittleEndian
-	if _, err := io.ReadFull(br, buf[:4]); err != nil {
+	if _, err := io.ReadFull(br, buf[:binaryHeaderLen]); err != nil {
 		return nil, fmt.Errorf("read graph header: %w", err)
 	}
-	if magic := le.Uint32(buf[:]); magic != binaryMagic {
-		return nil, fmt.Errorf("%w: magic %#x", ErrBadFormat, magic)
+	numNodes, numEdges, err := binaryHeader(buf[:])
+	if err != nil {
+		return nil, err
 	}
-	if _, err := io.ReadFull(br, buf[:2]); err != nil {
-		return nil, fmt.Errorf("read graph header: %w", err)
-	}
-	if version := le.Uint16(buf[:]); version != binaryVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadFormat, version)
-	}
-	if _, err := io.ReadFull(br, buf[:8]); err != nil {
-		return nil, fmt.Errorf("read graph header: %w", err)
-	}
-	numNodes, numEdges := le.Uint32(buf[0:]), le.Uint32(buf[4:])
 	// The counts are attacker-controlled until the body checks out, so cap
 	// the pre-allocation hints; both containers still grow to the real size
 	// on demand.

@@ -65,31 +65,50 @@ func rootFingerprint(root []byte, nodes, edges int) string {
 }
 
 // chunkHasher hashes chunks one after another through one SHA-256 state and
-// one record emitter. Hashers are pooled: a mutate's re-key would otherwise
-// allocate more for the emitter's buffer than for the digests it keeps.
+// one buffer for a chunk's records. Hashers are pooled: a mutate's re-key
+// would otherwise allocate more for the buffer than for the digests it keeps.
 type chunkHasher struct {
-	h hash.Hash
-	e binaryEmitter
+	h   hash.Hash
+	buf []byte
 }
 
-var chunkHashers = sync.Pool{New: func() any {
-	ch := &chunkHasher{h: sha256.New()}
-	ch.e.w = ch.h
-	return ch
-}}
+// maxPooledBuf caps the chunk buffer a pooled hasher keeps: a chunk around a
+// hub can be most of a record, which the pool should not pin.
+const maxPooledBuf = 64 << 10
 
-// sum appends the digest of the records rows streams through the emitter
-// to dst. A hash write never fails, so the emitter's error is never set.
-func (ch *chunkHasher) sum(dst []byte, rows func(e *binaryEmitter)) {
+var chunkHashers = sync.Pool{New: func() any { return &chunkHasher{h: sha256.New()} }}
+
+// sum appends to dst the digest of a chunk: its node records, then its edge
+// records.
+func (ch *chunkHasher) sum(dst, nodes, edges []byte) {
 	ch.h.Reset()
-	rows(&ch.e)
-	_ = ch.e.flush()
+	_, _ = ch.h.Write(nodes) // a hash write never fails
+	_, _ = ch.h.Write(edges)
 	ch.h.Sum(dst)
+}
+
+// hashRows writes into root the digests of the chunks of n rows that stale
+// marks — every chunk when stale is nil. rows appends rows [lo, hi)'s node
+// records, then their edge records, to the hasher's buffer.
+func hashRows(root []byte, n int, stale []bool, rows func(dst []byte, lo, hi int) []byte) {
+	ch := chunkHashers.Get().(*chunkHasher)
+	for k := range numChunks(n) {
+		if stale != nil && !stale[k] {
+			continue
+		}
+		lo, hi := chunkRows(k, n)
+		ch.buf = rows(ch.buf[:0], lo, hi)
+		ch.sum(digestSlot(root, k), ch.buf, nil)
+	}
+	if cap(ch.buf) > maxPooledBuf {
+		ch.buf = nil
+	}
+	chunkHashers.Put(ch)
 }
 
 // Fingerprint returns a stable hex digest of the graph's full content —
 // node set, node weights, edge set and edge weights — computed over the
-// records of the canonical binary encoding (WriteBinary), whose ordering is
+// records of the canonical binary encoding (AppendBinary), whose ordering is
 // deterministic. Two graphs have equal fingerprints iff Equal reports true
 // (up to SHA-256 collisions); the digest is therefore a content-addressed
 // cache key that survives encode/decode round trips and is independent of
@@ -97,24 +116,7 @@ func (ch *chunkHasher) sum(dst []byte, rows func(e *binaryEmitter)) {
 func (g *Graph) Fingerprint() (string, error) {
 	ids := g.sortedNodes()
 	root := newRoot(len(ids))
-	ch := chunkHashers.Get().(*chunkHasher)
-	defer chunkHashers.Put(ch)
-	for k := range numChunks(len(ids)) {
-		lo, hi := chunkRows(k, len(ids))
-		ch.sum(digestSlot(root, k), func(e *binaryEmitter) {
-			for _, id := range ids[lo:hi] {
-				e.node(id, g.rec(id).weight)
-			}
-			for _, u := range ids[lo:hi] {
-				rec := g.rec(u)
-				for i, v := range rec.nbr {
-					if u < v {
-						e.edge(u, v, rec.w[i])
-					}
-				}
-			}
-		})
-	}
+	hashRows(root, len(ids), nil, func(dst []byte, lo, hi int) []byte { return g.appendRows(dst, ids[lo:hi]) })
 	return rootFingerprint(root, len(ids), g.NumEdges()), nil
 }
 
@@ -154,39 +156,15 @@ func (c *CSR) Fingerprint() (string, error) {
 }
 
 // hashChunks returns c's fingerprint state from seed's digests, re-hashing
-// the chunks stale marks — every chunk when seed is nil.
+// the chunks stale marks — every chunk when seed (and so stale) is nil.
 func (c *CSR) hashChunks(seed []byte, stale []bool) *fingerprintState {
 	n := len(c.ids)
 	root := seed
 	if root == nil {
 		root = newRoot(n)
 	}
-	ch := chunkHashers.Get().(*chunkHasher)
-	defer chunkHashers.Put(ch)
-	for k := range numChunks(n) {
-		if seed != nil && !stale[k] {
-			continue
-		}
-		lo, hi := chunkRows(k, n)
-		ch.sum(digestSlot(root, k), func(e *binaryEmitter) { c.emitRows(e, lo, hi) })
-	}
+	hashRows(root, n, stale, c.appendRows)
 	return &fingerprintState{root: root, fp: rootFingerprint(root, n, c.NumEdges())}
-}
-
-// emitRows streams rows [lo, hi) of c through e: their node records, then
-// their upper-triangle edge records.
-func (c *CSR) emitRows(e *binaryEmitter, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e.node(c.ids[i], c.nodeW[i])
-	}
-	for i := lo; i < hi; i++ {
-		tgt, w := c.Adj(int32(i))
-		for k, v := range tgt {
-			if v > int32(i) {
-				e.edge(c.ids[i], c.ids[v], w[k])
-			}
-		}
-	}
 }
 
 // seedFingerprint gives p, the view c.Patch is building, a copy of c's
@@ -216,10 +194,10 @@ func (p *CSR) markStaleFrom(j int) {
 }
 
 // FingerprintBinary returns the Fingerprint of the graph whose binary
-// encoding (WriteBinary's bytes, as AppendBinary lays them) is enc, hashing
-// the records where they lie: a chunk is its run of node records and the
-// run of edge records whose smaller endpoint is among them. It checks the
-// header and the length, not the records.
+// encoding (AppendBinary's bytes) is enc, hashing the records where they
+// lie: a chunk is its run of node records and the run of edge records whose
+// smaller endpoint is among them. It checks the header and the length, not
+// the records.
 func FingerprintBinary(enc []byte) (string, error) {
 	n, m, err := BinaryCounts(enc)
 	if err != nil {
@@ -231,7 +209,6 @@ func FingerprintBinary(enc []byte) (string, error) {
 	root := newRoot(n)
 	ch := chunkHashers.Get().(*chunkHasher)
 	defer chunkHashers.Put(ch)
-	h := ch.h
 	at := 0 // the next edge record's byte offset
 	for k := range numChunks(n) {
 		lo, hi := chunkRows(k, n)
@@ -240,10 +217,7 @@ func FingerprintBinary(enc []byte) (string, error) {
 		for at < len(edges) && int64(le.Uint64(edges[at:])) <= last {
 			at += binaryEdgeLen
 		}
-		h.Reset()
-		_, _ = h.Write(nodes[binaryNodeLen*lo : binaryNodeLen*hi])
-		_, _ = h.Write(edges[from:at])
-		h.Sum(digestSlot(root, k))
+		ch.sum(digestSlot(root, k), nodes[binaryNodeLen*lo:binaryNodeLen*hi], edges[from:at])
 	}
 	return rootFingerprint(root, n, m), nil
 }

@@ -157,8 +157,13 @@ func TestFingerprintSensitivity(t *testing.T) {
 // self-consistent but moves the bytes would orphan every stored record. The
 // format v2 digests were computed by an independent script from the
 // definition in fingerprint.go (all but the NaN case, whose NaN bits the
-// script does not reproduce). A v2 fingerprint is never the SHA-256 of the
-// v1 definition, the whole binary encoding: the headers differ.
+// script does not reproduce). Every entry point is held to them — the map
+// graph, its record, its compiled view, and a view patched by a delta and
+// then by its inverse, which re-hashes only its stale chunks — because they
+// share one chunk loop, so a change to it moves them all together. Every
+// writer of the record lays the same bytes. A v2 fingerprint is never the
+// SHA-256 of the v1 definition, the whole binary encoding: the headers
+// differ.
 func TestFingerprintGolden(t *testing.T) {
 	build := func(nodes []NodeDelta, edges []EdgeDelta) *Graph {
 		g := New(len(nodes))
@@ -197,14 +202,67 @@ func TestFingerprintGolden(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: fingerprint = %s, want %s", tc.name, got, tc.want)
 		}
-		if got, err := FingerprintBinary(tc.g.AppendBinary(nil)); err != nil || got != tc.want {
+		rec := tc.g.AppendBinary(nil)
+		if got, err := FingerprintBinary(rec); err != nil || got != tc.want {
 			t.Errorf("%s: FingerprintBinary = %s (%v), want %s", tc.name, got, err, tc.want)
 		}
-		v1 := sha256.Sum256(tc.g.AppendBinary(nil))
+		view := tc.g.Compile()
+		if got, err := view.Fingerprint(); err != nil || got != tc.want {
+			t.Errorf("%s: CSR.Fingerprint = %s (%v), want %s", tc.name, got, err, tc.want)
+		}
+		if got := rekeyedRoundTrip(t, tc.g, view); got != tc.want {
+			t.Errorf("%s: patched-and-restored view's Fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+		var w bytes.Buffer
+		if err := tc.g.WriteBinary(&w); err != nil {
+			t.Fatalf("%s: WriteBinary: %v", tc.name, err)
+		}
+		if !bytes.Equal(view.AppendBinary(nil), rec) || !bytes.Equal(w.Bytes(), rec) {
+			t.Errorf("%s: Graph.AppendBinary, CSR.AppendBinary and WriteBinary lay different bytes", tc.name)
+		}
+		v1 := sha256.Sum256(rec)
 		if got == hex.EncodeToString(v1[:]) {
 			t.Errorf("%s: the v2 fingerprint is the SHA-256 of the v1 encoding", tc.name)
 		}
 	}
+}
+
+// rekeyedRoundTrip returns the Fingerprint of view, the fingerprinted view
+// of g, patched by a delta that re-weights its first and last nodes and then
+// by the delta's inverse: each patch re-hashes only the chunks it marked
+// stale from its source's digests. The view between the two must key as g
+// with the delta applied.
+func rekeyedRoundTrip(t *testing.T, g *Graph, view *CSR) string {
+	t.Helper()
+	first, last := view.ids[0], view.ids[len(view.ids)-1]
+	fwd := &Delta{SetNodeWeights: []NodeDelta{{first, 0.5}, {last, 0.25}}}
+	inv := &Delta{SetNodeWeights: []NodeDelta{{first, view.nodeW[0]}, {last, view.nodeW[len(view.ids)-1]}}}
+	mid := g.Clone()
+	if err := fwd.Apply(mid); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	wantMid, err := mid.Fingerprint()
+	if err != nil {
+		t.Fatalf("Fingerprint: %v", err)
+	}
+	var fp string
+	for i, d := range []*Delta{fwd, inv} {
+		next, _, err := view.Patch(d)
+		if err != nil {
+			t.Fatalf("Patch: %v", err)
+		}
+		if next.fp.seed == nil {
+			t.Fatal("Patch of a fingerprinted view seeded no chunk digests")
+		}
+		if fp, err = next.Fingerprint(); err != nil {
+			t.Fatalf("Fingerprint: %v", err)
+		}
+		if i == 0 && fp != wantMid {
+			t.Errorf("patched view's Fingerprint = %s, want the applied graph's %s", fp, wantMid)
+		}
+		view = next
+	}
+	return fp
 }
 
 // cycle70 is the 70-node cycle with node i weighing i and edge {i, i+1}

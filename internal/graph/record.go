@@ -169,11 +169,10 @@ func nodeAt(nodes []jsonNode, id NodeID) int32 {
 // once its header checks out and its length is the one they promise. It
 // checks no record.
 func BinaryCounts(enc []byte) (nodes, edges int, err error) {
-	le := binary.LittleEndian
-	if len(enc) < binaryHeaderLen || le.Uint32(enc) != binaryMagic || le.Uint16(enc[4:]) != binaryVersion {
-		return 0, 0, fmt.Errorf("%w: header", ErrBadFormat)
+	n, m, err := binaryHeader(enc)
+	if err != nil {
+		return 0, 0, err
 	}
-	n, m := le.Uint32(enc[6:]), le.Uint32(enc[10:])
 	if uint64(len(enc)) != binaryHeaderLen+binaryNodeLen*uint64(n)+binaryEdgeLen*uint64(m) {
 		return 0, 0, fmt.Errorf("%w: %d bytes for %d nodes and %d edges", ErrBadFormat, len(enc), n, m)
 	}

@@ -33,7 +33,12 @@ type Block struct {
 	// label space starts at 0 per component); nil for a block that was not
 	// propagated.
 	Labels []int32
-	// Rounds and Threshold record the propagation outcome.
+	// Rounds and Threshold record the propagation outcome. Rounds is the
+	// round at which the all-rounds loop (the reference of
+	// TestCompressMatchesAllRoundsReference) stops: the one where α fell to
+	// αt, or βt. A component that reaches a fixed point earlier reports βt,
+	// though propagate ran fewer rounds: that loop would have repeated the
+	// fixed point up to βt. So on Table I most components read βt.
 	Rounds    int
 	Threshold float64
 }

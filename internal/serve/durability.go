@@ -76,6 +76,10 @@ type RecoveryStats struct {
 	// the one their bytes hash to (written by a build that keyed the graph
 	// otherwise); each is interned under the fingerprint of its bytes.
 	RekeyedGraphs int `json:"rekeyed_graphs"`
+	// StaleDecisions counts snapshot decisions not restored because they
+	// name a re-keyed graph by its stale key: their cache key is no longer
+	// any request's.
+	StaleDecisions int `json:"stale_decisions"`
 }
 
 // DurabilityStats is the durability section of a Stats snapshot. The
@@ -484,7 +488,8 @@ func (s *Server) WriteSnapshotRecords(add func([]byte) error) error {
 // replay is idempotent. A snapshot graph whose stored key is stale is
 // interned under its bytes' fingerprint; journal records that name the stale
 // key as a mutate base still resolve to it, while a live request naming it
-// does not.
+// does not, and a snapshot decision of the stale key, which no request can
+// reach, is dropped.
 // Call before Start; undecodable records and failed cells are counted, never
 // fatal — recovery prefers a cold key to a dead daemon.
 func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) RecoveryStats {
@@ -514,6 +519,11 @@ func (s *Server) Recover(ctx context.Context, snapshot, journal [][]byte) Recove
 		case recDecision:
 			key, dec, err := decodeDecisionRecord(payload)
 			if err == nil {
+				// Graph records precede decisions, so rekeyed is complete.
+				if _, ok := rekeyed[dec.Graph]; ok {
+					rs.StaleDecisions++
+					continue
+				}
 				_, err = s.publish(key, dec)
 			}
 			if err != nil {

@@ -881,6 +881,43 @@ func TestRecoverRekeysStaleGraphRecord(t *testing.T) {
 	}
 }
 
+// TestRecoverDropsStaleKeyDecision: a snapshot decision of a re-keyed graph
+// names the graph by its stale key, so its cache key is no request's. It is
+// not restored, only counted; a /v1/solve of the graph misses and is solved,
+// and the next snapshot holds that one decision.
+func TestRecoverDropsStaleKeyDecision(t *testing.T) {
+	params := defaultTestParams()
+	g := chainGraph(t, 24)
+	stale := fingerprintOf(t, testGraph(t, 0))
+	dec, err := encodeDecisionRecord(cacheKey(stale, params, UserOverrides{}), &Decision{Graph: stale, Engine: "spectral"})
+	if err != nil {
+		t.Fatalf("encodeDecisionRecord: %v", err)
+	}
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rs := s.Recover(ctx, [][]byte{encodeGraphRecord(stale, g.Compile()), dec}, nil)
+	if rs.RekeyedGraphs != 1 || rs.SnapshotDecisions != 0 || rs.StaleDecisions != 1 || rs.DecodeErrors != 0 {
+		t.Fatalf("recovery = %+v, want the stale-key decision dropped and counted", rs)
+	}
+	s.Start(ctx)
+	if rec := postRecorded(s, solveBody(t, g), ctx); rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), `"cached":true`) {
+		t.Fatalf("solve after recovery: status %d, body %s; want a solved miss", rec.Code, rec.Body)
+	}
+	decisions := 0
+	if err := s.WriteSnapshotRecords(func(rec []byte) error {
+		if rec[0] == recDecision {
+			decisions++
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("WriteSnapshotRecords: %v", err)
+	}
+	if decisions != 1 {
+		t.Fatalf("next snapshot holds %d decision records, want 1", decisions)
+	}
+}
+
 // TestRecoverReplaysMutateOnStaleKey: a journal tail written by the build
 // that keyed a snapshot graph otherwise names that graph by its stale key.
 // Replay must still apply the mutate to the re-keyed graph (it was accepted),

@@ -24,7 +24,12 @@
 # apply — plus the patched view's Fingerprint; eight Table I n=2000 lineages
 # in turn, each base view left as the serving path leaves a mutate's, keyed
 # and staged) gets its own floor, 2.87, 10% under the lowest mean of three
-# -count=5 runs (3.20; the others 3.21 and 3.23). The view side is charged
+# -count=5 runs (3.20; the others 3.21 and 3.23). Since both Fingerprints
+# lay each chunk into one pooled buffer through one loop (hashRows), the
+# reference's full hash got cheaper by more than the view side's patch plus
+# re-key: three make bench-core runs read 3.03, 3.03 and 3.27 (map_ns
+# 398-474 us, view_ns 122-156 us), about 5% over the floor, which stays.
+# The view side is charged
 # for the patch the solve needs anyway and re-hashes only the chunks its
 # delta dirtied: the floor catches a second patch (injected, it read 1.78
 # and 1.84), a staged view losing its chunk digests (every chunk re-hashed:
@@ -38,7 +43,8 @@
 # only the chunks its mutate_chain-shaped delta changed, against a full
 # chunked hash of the same view, interleaved) gets its own floor, 5.7, 10%
 # under the lowest mean of three -count=5 runs (6.37; the others 6.50 and
-# 6.53; about 48 us against 300 us). It catches Patch marking too many
+# 6.53; about 48 us against 300 us; 6.45, 6.39 and 6.40 since hashRows
+# serves both sides, 54-56 us against 343-358 us). It catches Patch marking too many
 # chunks stale, or a patched view losing its source's digests and hashing
 # everything again.
 #
